@@ -5,6 +5,9 @@ set -euo pipefail
 
 echo "==> cargo build --release"
 cargo build --release
+# The smoke runs below execute the experiment binaries straight from
+# target/release, which the root build does not produce.
+cargo build --release -p easis-bench
 
 echo "==> cargo test -q"
 cargo test -q
@@ -39,8 +42,8 @@ echo "==> campaign_bench smoke run (forked vs pooled vs fresh, schema + alloc ga
 # Reduced trial count from a scratch dir: the bit-identical forked-vs-
 # pooled-vs-fresh stats assertions, the steady-state allocation floor,
 # the faulty-trial allocation floor and the horizon-scaling zero-alloc
-# gate always apply, as do the snapshot-probe gates (warm capture
-# allocation floor, clean-tail dirty fraction < 1.0); the prefix-reuse
+# gate always apply, as does the snapshot-probe warm capture allocation
+# floor; the prefix-reuse
 # (>=1.5x) and pooled-vs-fresh (>=2x) speedup assertions are skipped
 # below the full 200 trials/class so smoke runs stay timing-noise-proof,
 # and the committed BENCH_campaign.json (full-scale record) is not
@@ -51,19 +54,13 @@ for key in schema_version trials workers simulated_ms_per_trial setup \
            forked pooled fresh prefix_reuse speedup_vs_pooled \
            speedup_pooled_vs_fresh steady_state clean_trial_allocs \
            faulty_trial_allocs horizon_scaling_allocs snapshot \
-           capture_ns restore_ns restore_dirty_fraction snapshot_allocs \
+           capture_ns restore_ns snapshot_allocs \
            tail_fastforward ffwd_span_fraction fallbacks certifications \
            speedup_vs_baseline parallel_efficiency \
            worker_sweep worker_sweep_note host_cores; do
   grep -q "\"$key\"" "$campaign_scratch/BENCH_campaign.json" \
     || { echo "BENCH_campaign.json missing key: $key"; exit 1; }
 done
-# The bench asserts dirty fraction < 1.0 itself; re-check the emitted
-# record here so a report written by a stale binary cannot slip through.
-dirty="$(grep '"restore_dirty_fraction"' "$campaign_scratch/BENCH_campaign.json" \
-  | head -n1 | sed 's/[^0-9.]//g')"
-awk -v d="$dirty" 'BEGIN { exit !(d < 1.0) }' \
-  || { echo "restore_dirty_fraction is $dirty (must be < 1.0): delta restore regressed to a full copy"; exit 1; }
 # Macro-stepping must have engaged even at smoke scale: the forked path's
 # quiescent tails are hyperperiodic regardless of trial count.
 ffwd="$(grep '"ffwd_span_fraction"' "$campaign_scratch/BENCH_campaign.json" \
@@ -101,5 +98,17 @@ for ff in 1 0; do
       cargo test -q --test campaign_regression
   done
 done
+
+echo "==> easis_bench correctness (unit tests + quick run, must report correct:true)"
+# The frozen benchmark builds against the product API from its own
+# manifest; its tests pin the state digests and the run_trial oracle, and
+# a quick run must still end with a correct:true verdict.
+cargo test --offline --manifest-path crates/bench/src/bin/easis_bench/Cargo.toml
+bench_last="$(cargo run --release -q --offline \
+  --manifest-path crates/bench/src/bin/easis_bench/Cargo.toml -- --seed 1 --quick | tail -n1)"
+case "$bench_last" in
+  *'"correct":true'*) ;;
+  *) echo "easis_bench --quick did not report correct:true: $bench_last"; exit 1 ;;
+esac
 
 echo "CI green."

@@ -47,16 +47,12 @@
 //! per-worker-count trials/sec sweep over 1/2/4/8 workers records how
 //! the forked path scales.
 //!
-//! Since the delta-snapshot protocol landed (`easis_sim::snap`), the
-//! `snapshot` probe measures the checkpoint machinery itself on a
+//! The `snapshot` probe measures the checkpoint machinery itself on a
 //! standalone node: a warm capacity-retained capture
-//! ([`CentralNode::snapshot_into`]), a delta restore after a clean
-//! (injection-free) tail run to the horizon, the dirty fraction that
-//! restore reported, and the heap allocations of a warmed capture. Two
-//! gates are asserted at every size: a warmed capture allocates at most
-//! [`SNAPSHOT_ALLOC_FLOOR`] blocks, and the clean-tail restore's dirty
-//! fraction is **< 1.0** — the epoch stamps must prune regions the tail
-//! never touched, or delta restore has regressed to a full copy.
+//! ([`CentralNode::snapshot_into`]), a full-copy restore after a clean
+//! (injection-free) tail run to the horizon, and the heap allocations of
+//! a warmed capture. One gate is asserted at every size: a warmed capture
+//! allocates at most [`SNAPSHOT_ALLOC_FLOOR`] blocks.
 //!
 //! Since hyperperiod macro-stepping landed (`easis_validator::ffwd`), the
 //! `tail_fastforward` probe brackets the forked headline run with the
@@ -70,7 +66,7 @@
 //! because an oversubscribed sweep measures contention, not scaling.
 //!
 //! Results land in `BENCH_campaign.json` (stable schema,
-//! `schema_version` 5; `host_cores` records the recording host's
+//! `schema_version` 6; `host_cores` records the recording host's
 //! available parallelism next to the sweep so readers can tell scaling
 //! from oversubscription; each sweep entry carries its
 //! `parallel_efficiency` = trials/sec ÷ (workers × workers=1 trials/sec)).
@@ -92,7 +88,6 @@ use easis_injection::executor::CampaignExecutor;
 use easis_injection::injector::{ErrorClass, Injection};
 use easis_rte::runnable::RunnableId;
 use easis_sim::time::{Duration, Instant};
-use easis_sim::snap::RestoreStats;
 use easis_validator::node::{CentralNode, NodeBlueprint, NodeSnapshot};
 use easis_validator::scenario::{
     campaign_node_config, run_plan, run_plan_fresh, run_plan_pooled, run_trial_pooled,
@@ -213,7 +208,7 @@ fn best_of<F: FnMut()>(reps: u32, mut op: F) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Report schema (schema_version 4 — keep stable, future PRs diff this).
+// Report schema (schema_version 6 — keep stable, future PRs diff this).
 // ---------------------------------------------------------------------
 
 /// One campaign execution path, full-plan wall clock and derived rates.
@@ -280,18 +275,15 @@ struct PrefixReuseProbe {
     speedup_vs_pooled: f64,
 }
 
-/// Delta-snapshot probe on a standalone node: what one capture and one
-/// clean-tail restore cost, and how much state the restore really moves.
+/// Snapshot probe on a standalone node: what one capture and one
+/// clean-tail restore cost.
 #[derive(Serialize)]
 struct SnapshotProbe {
     /// Warm `CentralNode::snapshot_into` into a capacity-retained buffer.
     capture_ns: f64,
-    /// Delta `restore_from` after a clean (injection-free) tail run from
-    /// the fork instant to the horizon.
+    /// `restore_from` after a clean (injection-free) tail run from the
+    /// fork instant to the horizon.
     restore_ns: f64,
-    /// Regions copied / regions examined by that restore. Asserted
-    /// < 1.0: the epoch stamps must prune regions the tail never wrote.
-    restore_dirty_fraction: f64,
     /// Heap allocations of a warmed capture (floor
     /// [`SNAPSHOT_ALLOC_FLOOR`]).
     snapshot_allocs: u64,
@@ -436,10 +428,10 @@ fn measure_trial_allocs(blueprint: &NodeBlueprint, spec: &TrialSpec, horizon: In
     best
 }
 
-/// Measures the delta-snapshot machinery on a standalone node (not the
+/// Measures the snapshot machinery on a standalone node (not the
 /// campaign thread pool's slot, which the headline runs must keep
-/// undisturbed): warm capture cost and allocations, then the delta
-/// restore after a clean tail run from the fork instant to the horizon —
+/// undisturbed): warm capture cost and allocations, then the restore
+/// after a clean tail run from the fork instant to the horizon —
 /// the checkpoint pattern of the forked campaign path.
 fn measure_snapshot_probe(blueprint: &NodeBlueprint) -> SnapshotProbe {
     let fork = Instant::from_millis(300);
@@ -458,21 +450,17 @@ fn measure_snapshot_probe(blueprint: &NodeBlueprint) -> SnapshotProbe {
     let capture_ns = best_of(SETUP_REPS, || {
         node.snapshot_into(&mut snap);
     });
-    // The restore is timed against a freshly dirtied clean tail each
-    // pass; the dirty set is deterministic, so the stats of any pass
-    // describe them all.
-    let mut stats = RestoreStats::default();
+    // The restore is timed against a freshly run clean tail each pass.
     let mut restore_ns = f64::INFINITY;
     for _ in 0..SETUP_REPS {
         node.run_span(HORIZON);
         let start = std::time::Instant::now();
-        stats = node.restore_from(&snap);
+        node.restore_from(&snap);
         restore_ns = restore_ns.min(start.elapsed().as_nanos() as f64);
     }
     SnapshotProbe {
         capture_ns,
         restore_ns,
-        restore_dirty_fraction: stats.dirty_fraction(),
         snapshot_allocs,
     }
 }
@@ -517,7 +505,6 @@ fn validate_emitted_json(path: &str) {
     for key in [
         "capture_ns",
         "restore_ns",
-        "restore_dirty_fraction",
         "snapshot_allocs",
     ] {
         assert!(
@@ -613,17 +600,16 @@ fn main() {
          (record, freeze frame, action) crept back in"
     );
 
-    // Delta-snapshot probe: the checkpoint machinery the forked path is
-    // built on, measured in isolation. Both gates hold at every size —
-    // they are structural, not timing.
+    // Snapshot probe: the checkpoint machinery the forked path is built
+    // on, measured in isolation. The allocation gate holds at every size —
+    // it is structural, not timing.
     let snapshot = measure_snapshot_probe(&probe_blueprint);
     println!(
-        "snapshot probe: capture {:.0} ns ({} allocs), clean-tail delta \
-         restore {:.0} ns, dirty fraction {:.3}",
+        "snapshot probe: capture {:.0} ns ({} allocs), clean-tail \
+         restore {:.0} ns",
         snapshot.capture_ns,
         snapshot.snapshot_allocs,
         snapshot.restore_ns,
-        snapshot.restore_dirty_fraction,
     );
     assert!(
         snapshot.snapshot_allocs <= SNAPSHOT_ALLOC_FLOOR,
@@ -631,13 +617,6 @@ fn main() {
          {SNAPSHOT_ALLOC_FLOOR}) — a snapshot buffer has stopped retaining \
          its capacity",
         snapshot.snapshot_allocs
-    );
-    assert!(
-        snapshot.restore_dirty_fraction < 1.0,
-        "clean-tail restore copied every region (dirty fraction {:.3}) — \
-         the epoch stamps have stopped pruning and delta restore has \
-         regressed to a full copy",
-        snapshot.restore_dirty_fraction
     );
 
     // Fresh first so the later paths cannot inherit any warmed-up state
@@ -836,7 +815,7 @@ fn main() {
     }
 
     let report = Report {
-        schema_version: 5,
+        schema_version: 6,
         trials,
         workers: workers as u64,
         simulated_ms_per_trial,

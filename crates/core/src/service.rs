@@ -28,7 +28,6 @@ use easis_osek::task::TaskId;
 use easis_rte::mapping::ApplicationId;
 use easis_rte::runnable::{HeartbeatSink, RunnableId};
 use easis_sim::cpu::{CostMeter, CpuModel};
-use easis_sim::snap::{next_snapshot_id, RestoreStats};
 use easis_sim::time::Instant;
 use std::sync::Arc;
 
@@ -94,16 +93,6 @@ pub struct SoftwareWatchdog {
     cycles_run: u64,
     last_heartbeat_now: Instant,
     obs: ObsSink,
-    /// Last-write epoch per PFC scope (delta-restore region stamps; the
-    /// heartbeat unit stamps itself, see `easis_sim::snap`).
-    pfc_stamps: Vec<u64>,
-    tsi_stamp: u64,
-    task_faulty_stamp: u64,
-    pfc_errors_stamp: u64,
-    /// One stamp covers both outboxes — they fill and drain together.
-    outbox_stamp: u64,
-    epoch: u64,
-    derived_from: u64,
 }
 
 impl SoftwareWatchdog {
@@ -146,7 +135,6 @@ impl SoftwareWatchdog {
         SoftwareWatchdog {
             config,
             heartbeat_unit,
-            pfc_stamps: vec![0; pfc_units.len()],
             pfc_units,
             tsi_unit,
             slot_scope,
@@ -159,12 +147,6 @@ impl SoftwareWatchdog {
             cycles_run: 0,
             last_heartbeat_now: Instant::ZERO,
             obs: ObsSink::disabled(),
-            tsi_stamp: 0,
-            task_faulty_stamp: 0,
-            pfc_errors_stamp: 0,
-            outbox_stamp: 0,
-            epoch: 0,
-            derived_from: 0,
         }
     }
 
@@ -218,26 +200,20 @@ impl SoftwareWatchdog {
             None => self.pfc_units.len() - 1,
         };
         let verdict = self.pfc_units[scope].observe_at(runnable, now);
-        // One stamp covers every PFC write this observation performs (the
-        // epoch cannot change mid-call).
-        self.pfc_stamps[scope] = self.epoch;
         if let FlowVerdict::Violation { .. } = verdict {
             // Only flow-monitored runnables can violate, and the flow
             // table's ids are interned at build time.
             let slot = runnable_slot.expect("flow-monitored runnables are interned") as usize;
             self.pfc_errors[slot] += 1;
-            self.pfc_errors_stamp = self.epoch;
             let fault = DetectedFault {
                 at: now,
                 runnable,
                 kind: FaultKind::ProgramFlow,
             };
             self.outbox.push(fault);
-            self.outbox_stamp = self.epoch;
             let mut changes = std::mem::take(&mut self.change_scratch);
             changes.clear();
             self.tsi_unit.record_into(fault, &mut changes);
-            self.tsi_stamp = self.epoch;
             self.apply_state_changes(&changes);
             self.state_outbox.extend_from_slice(&changes);
             self.change_scratch = changes;
@@ -279,7 +255,6 @@ impl SoftwareWatchdog {
             let fault = report.faults[i];
             let start = report.state_changes.len();
             self.tsi_unit.record_into(fault, &mut report.state_changes);
-            self.tsi_stamp = self.epoch;
             self.apply_state_changes(&report.state_changes[start..]);
         }
         if self.obs.is_enabled() {
@@ -299,7 +274,6 @@ impl SoftwareWatchdog {
         if !report.faults.is_empty() || !report.state_changes.is_empty() {
             self.outbox.extend_from_slice(&report.faults);
             self.state_outbox.extend_from_slice(&report.state_changes);
-            self.outbox_stamp = self.epoch;
         }
     }
 
@@ -319,7 +293,6 @@ impl SoftwareWatchdog {
     fn on_task_faulty(&mut self, task: TaskId) {
         if let Some(slot) = self.config.task_index().slot_of_task(task) {
             self.task_faulty[slot as usize] = true;
-            self.task_faulty_stamp = self.epoch;
         }
         if self.config.deactivate_on_faulty_task() {
             for runnable in self.config.mapping().runnables_of_task(task) {
@@ -347,15 +320,12 @@ impl SoftwareWatchdog {
     /// verdict, re-activates its runnables and resets the PFC position.
     pub fn acknowledge_task_recovered(&mut self, task: TaskId) {
         self.tsi_unit.reset_task(task);
-        self.tsi_stamp = self.epoch;
         for runnable in self.config.mapping().runnables_of_task(task) {
             self.heartbeat_unit.set_active(runnable, true);
         }
         if let Some(slot) = self.config.task_index().slot_of_task(task) {
             self.task_faulty[slot as usize] = false;
-            self.task_faulty_stamp = self.epoch;
             self.pfc_units[slot as usize].reset_position();
-            self.pfc_stamps[slot as usize] = self.epoch;
         }
     }
 
@@ -395,17 +365,11 @@ impl SoftwareWatchdog {
     /// Drains the fault outbox (the interface to the Fault Management
     /// Framework).
     pub fn take_faults(&mut self) -> Vec<DetectedFault> {
-        if !self.outbox.is_empty() {
-            self.outbox_stamp = self.epoch;
-        }
         std::mem::take(&mut self.outbox)
     }
 
     /// Drains the state-change outbox.
     pub fn take_state_changes(&mut self) -> Vec<StateChange> {
-        if !self.state_outbox.is_empty() {
-            self.outbox_stamp = self.epoch;
-        }
         std::mem::take(&mut self.state_outbox)
     }
 
@@ -413,9 +377,6 @@ impl SoftwareWatchdog {
     /// allocation — the allocation-free alternative to
     /// [`SoftwareWatchdog::take_faults`] for the campaign hot path.
     pub fn drain_faults_into(&mut self, out: &mut Vec<DetectedFault>) {
-        if !self.outbox.is_empty() {
-            self.outbox_stamp = self.epoch;
-        }
         out.extend_from_slice(&self.outbox);
         self.outbox.clear();
     }
@@ -423,9 +384,6 @@ impl SoftwareWatchdog {
     /// Drains pending state changes into `out` (appending), retaining the
     /// outbox allocation.
     pub fn drain_state_changes_into(&mut self, out: &mut Vec<StateChange>) {
-        if !self.state_outbox.is_empty() {
-            self.outbox_stamp = self.epoch;
-        }
         out.extend_from_slice(&self.state_outbox);
         self.state_outbox.clear();
     }
@@ -475,14 +433,6 @@ impl SoftwareWatchdog {
         self.costs = CostMeter::new();
         self.cycles_run = 0;
         self.last_heartbeat_now = Instant::ZERO;
-        // Every region is dirty relative to any earlier snapshot, and the
-        // lineage is severed so a later restore takes the full path.
-        self.pfc_stamps.fill(self.epoch);
-        self.tsi_stamp = self.epoch;
-        self.task_faulty_stamp = self.epoch;
-        self.pfc_errors_stamp = self.epoch;
-        self.outbox_stamp = self.epoch;
-        self.derived_from = 0;
     }
 
     /// Captures every piece of watchdog runtime state — monitor counters,
@@ -490,83 +440,37 @@ impl SoftwareWatchdog {
     /// deterministic snapshot. The compiled configuration, slot scope and
     /// observability sink are static and stay out of it. Convenience
     /// wrapper over [`SoftwareWatchdog::snapshot_into`].
-    pub fn snapshot(&mut self) -> WatchdogSnapshot {
+    pub fn snapshot(&self) -> WatchdogSnapshot {
         let mut snap = WatchdogSnapshot::default();
         self.snapshot_into(&mut snap);
         snap
     }
 
     /// Captures runtime state into `snap`, retaining the snapshot's buffer
-    /// capacity (allocation-free once warm). Follows the
-    /// `easis_sim::snap` protocol: the capture records the lineage so a
-    /// later [`SoftwareWatchdog::restore_from`] only copies the regions
-    /// written since.
-    pub fn snapshot_into(&mut self, snap: &mut WatchdogSnapshot) {
+    /// capacity (allocation-free once warm).
+    pub fn snapshot_into(&self, snap: &mut WatchdogSnapshot) {
         self.heartbeat_unit.snapshot_into(&mut snap.heartbeat_unit);
         snap.pfc_units
             .resize_with(self.pfc_units.len(), PfcSnapshot::default);
         for (unit, image) in self.pfc_units.iter().zip(snap.pfc_units.iter_mut()) {
             unit.snapshot_into(image);
         }
-        snap.pfc_stamps.clone_from(&self.pfc_stamps);
         self.tsi_unit.snapshot_into(&mut snap.tsi_unit);
-        snap.tsi_stamp = self.tsi_stamp;
         snap.task_faulty.clone_from(&self.task_faulty);
-        snap.task_faulty_stamp = self.task_faulty_stamp;
         snap.pfc_errors.clone_from(&self.pfc_errors);
-        snap.pfc_errors_stamp = self.pfc_errors_stamp;
         snap.outbox.clear();
         snap.outbox.extend_from_slice(&self.outbox);
         snap.state_outbox.clear();
         snap.state_outbox.extend_from_slice(&self.state_outbox);
-        snap.outbox_stamp = self.outbox_stamp;
         snap.costs = self.costs;
         snap.cycles_run = self.cycles_run;
         snap.last_heartbeat_now = self.last_heartbeat_now;
-        snap.epoch = self.epoch;
-        snap.id = next_snapshot_id();
-        self.derived_from = snap.id;
-        self.epoch += 1;
-    }
-
-    /// Captures runtime state into `snap` without participating in the
-    /// delta-restore lineage: the service's epoch and `derived_from` are
-    /// untouched and the image carries `id == 0`. The macro-stepping engine
-    /// samples through this between a campaign checkpoint and its restore,
-    /// so an interleaved capture must not degrade the restore to the
-    /// full-copy path.
-    pub fn image_into(&self, snap: &mut WatchdogSnapshot) {
-        self.heartbeat_unit.image_into(&mut snap.heartbeat_unit);
-        snap.pfc_units
-            .resize_with(self.pfc_units.len(), PfcSnapshot::default);
-        for (unit, image) in self.pfc_units.iter().zip(snap.pfc_units.iter_mut()) {
-            unit.snapshot_into(image);
-        }
-        snap.pfc_stamps.clone_from(&self.pfc_stamps);
-        self.tsi_unit.snapshot_into(&mut snap.tsi_unit);
-        snap.tsi_stamp = self.tsi_stamp;
-        snap.task_faulty.clone_from(&self.task_faulty);
-        snap.task_faulty_stamp = self.task_faulty_stamp;
-        snap.pfc_errors.clone_from(&self.pfc_errors);
-        snap.pfc_errors_stamp = self.pfc_errors_stamp;
-        snap.outbox.clear();
-        snap.outbox.extend_from_slice(&self.outbox);
-        snap.state_outbox.clear();
-        snap.state_outbox.extend_from_slice(&self.state_outbox);
-        snap.outbox_stamp = self.outbox_stamp;
-        snap.costs = self.costs;
-        snap.cycles_run = self.cycles_run;
-        snap.last_heartbeat_now = self.last_heartbeat_now;
-        snap.epoch = self.epoch;
-        snap.id = 0;
     }
 
     /// Applies a certified per-hyperperiod delta `k` times in closed form.
     /// Only the accumulator header moves (cost meter, cycle counter, last
     /// heartbeat stamp) — everything else was proven content-equal across
-    /// the hyperperiod by [`WatchdogSnapshot::derive_cycle_delta`]. All
-    /// three fields live in the always-copied region of
-    /// [`SoftwareWatchdog::restore_from`], so no dirty stamps are needed.
+    /// the hyperperiod by [`WatchdogSnapshot::derive_cycle_delta`].
     pub fn apply_cycle_delta(&mut self, delta: &WatchdogCycleDelta, k: u64) {
         self.costs.accumulate(&delta.d_costs, k);
         self.cycles_run += delta.d_cycles * k;
@@ -575,59 +479,24 @@ impl SoftwareWatchdog {
 
     /// Restores runtime state captured by [`SoftwareWatchdog::snapshot`];
     /// afterwards the service replays exactly like the snapshotted one.
-    /// Buffers restore in place so capacity is retained, and regions whose
-    /// stamp shows no write since the capture are skipped entirely
-    /// (O(dirty) when the lineage allows it).
-    pub fn restore_from(&mut self, snap: &WatchdogSnapshot) -> RestoreStats {
-        let mut stats = RestoreStats::default();
-        let full = self.derived_from != snap.id || self.pfc_units.len() != snap.pfc_units.len();
-        stats.absorb(self.heartbeat_unit.restore_from(&snap.heartbeat_unit));
-        for i in 0..self.pfc_units.len() {
-            let copy = full || self.pfc_stamps[i] > snap.epoch;
-            stats.region(copy);
-            if copy {
-                self.pfc_units[i].restore_from(&snap.pfc_units[i]);
-                self.pfc_stamps[i] = snap.pfc_stamps[i];
-            }
+    /// Every region is copied; buffers restore in place so capacity is
+    /// retained.
+    pub fn restore_from(&mut self, snap: &WatchdogSnapshot) {
+        self.heartbeat_unit.restore_from(&snap.heartbeat_unit);
+        for (unit, image) in self.pfc_units.iter_mut().zip(&snap.pfc_units) {
+            unit.restore_from(image);
         }
-        let copy = full || self.tsi_stamp > snap.epoch;
-        stats.region(copy);
-        if copy {
-            self.tsi_unit.restore_from(&snap.tsi_unit);
-            self.tsi_stamp = snap.tsi_stamp;
-        }
-        let copy = full || self.task_faulty_stamp > snap.epoch;
-        stats.region(copy);
-        if copy {
-            self.task_faulty.copy_from_slice(&snap.task_faulty);
-            self.task_faulty_stamp = snap.task_faulty_stamp;
-        }
-        let copy = full || self.pfc_errors_stamp > snap.epoch;
-        stats.region(copy);
-        if copy {
-            self.pfc_errors.copy_from_slice(&snap.pfc_errors);
-            self.pfc_errors_stamp = snap.pfc_errors_stamp;
-        }
-        let copy = full || self.outbox_stamp > snap.epoch;
-        stats.region(copy);
-        if copy {
-            self.outbox.clear();
-            self.outbox.extend_from_slice(&snap.outbox);
-            self.state_outbox.clear();
-            self.state_outbox.extend_from_slice(&snap.state_outbox);
-            self.outbox_stamp = snap.outbox_stamp;
-        }
-        // Header region, always copied: the cost meter and cycle counter
-        // advance on virtually every heartbeat/cycle, so dirty-tracking
-        // them would only add bookkeeping.
-        stats.region(true);
+        self.tsi_unit.restore_from(&snap.tsi_unit);
+        self.task_faulty.copy_from_slice(&snap.task_faulty);
+        self.pfc_errors.copy_from_slice(&snap.pfc_errors);
+        self.outbox.clear();
+        self.outbox.extend_from_slice(&snap.outbox);
+        self.state_outbox.clear();
+        self.state_outbox.extend_from_slice(&snap.state_outbox);
         self.change_scratch.clear();
         self.costs = snap.costs;
         self.cycles_run = snap.cycles_run;
         self.last_heartbeat_now = snap.last_heartbeat_now;
-        self.derived_from = snap.id;
-        self.epoch = self.epoch.max(snap.epoch) + 1;
-        stats
     }
 
     /// The TSI unit (read access for reports).
@@ -644,21 +513,14 @@ impl SoftwareWatchdog {
 pub struct WatchdogSnapshot {
     heartbeat_unit: HeartbeatSnapshot,
     pfc_units: Vec<PfcSnapshot>,
-    pfc_stamps: Vec<u64>,
     tsi_unit: TsiSnapshot,
-    tsi_stamp: u64,
     task_faulty: Vec<bool>,
-    task_faulty_stamp: u64,
     pfc_errors: Vec<u32>,
-    pfc_errors_stamp: u64,
     outbox: Vec<DetectedFault>,
     state_outbox: Vec<StateChange>,
-    outbox_stamp: u64,
     costs: CostMeter,
     cycles_run: u64,
     last_heartbeat_now: Instant,
-    epoch: u64,
-    id: u64,
 }
 
 /// The closed-form per-hyperperiod advance of a quiescent watchdog: the
@@ -697,7 +559,7 @@ impl WatchdogSnapshot {
         } else {
             return false;
         };
-        if !a.heartbeat_unit.content_eq(&b.heartbeat_unit)
+        if a.heartbeat_unit != b.heartbeat_unit
             || a.pfc_units != b.pfc_units
             || a.tsi_unit != b.tsi_unit
             || a.task_faulty != b.task_faulty
@@ -927,10 +789,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_restore_replays_identically() {
-        // Run a faulty prefix, capture, run a divergent tail, delta-restore,
-        // and check the tail replays exactly — while clean regions are
-        // skipped by the stamps.
+    fn snapshot_restore_replays_identically() {
+        // Run a faulty prefix, capture, run a divergent tail, restore, and
+        // check the tail replays exactly — also after a reset in between.
         let mut wd = safespeed_watchdog();
         wd.heartbeat(r(0), t(5));
         wd.heartbeat(r(2), t(6)); // skipped r1 → PFC violation in outbox
@@ -952,21 +813,14 @@ mod tests {
         };
         let first = tail(&mut wd);
 
-        let stats = wd.restore_from(&snap);
-        assert!(
-            stats.regions_copied < stats.regions_total,
-            "clean regions (task_faulty, pfc_errors …) must be skipped: {stats:?}"
-        );
+        wd.restore_from(&snap);
         let second = tail(&mut wd);
-        assert_eq!(first, second, "delta restore must replay identically");
+        assert_eq!(first, second, "restore must replay identically");
 
-        // reset() severs the lineage: the next restore takes the full path
-        // and still reproduces the same tail.
         wd.reset();
-        let stats = wd.restore_from(&snap);
-        assert_eq!(stats.regions_copied, stats.regions_total, "{stats:?}");
+        wd.restore_from(&snap);
         let third = tail(&mut wd);
-        assert_eq!(first, third, "full restore must replay identically");
+        assert_eq!(first, third, "restore after reset must replay identically");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod time;
 pub mod trace;
 
 pub use cpu::{CostMeter, CpuModel};
-pub use snap::{next_snapshot_id, RestoreStats};
+pub use snap::RestoreStats;
 pub use event::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use series::{Series, SeriesSet};

@@ -1,48 +1,13 @@
-//! Delta-snapshot lineage primitives shared by every checkpointable layer.
+//! Restore accounting shared by the checkpointable layers.
 //!
-//! The campaign engine forks thousands of trials off a common golden
-//! prefix; a naive checkpoint copies the whole component state both ways.
-//! Every snapshot-capable component in the stack instead follows one
-//! epoch/lineage protocol built from the two pieces in this module:
-//!
-//! * each component keeps a monotone **epoch** (its current write stamp)
-//!   and stamps every mutable *region* (a timer-wheel bucket, a TCB, an
-//!   SoA column, a DTC record) with the epoch of its last write;
-//! * `snapshot_into` copies content *and* stamps into a capacity-retained
-//!   buffer, tags the buffer with a process-unique id from
-//!   [`next_snapshot_id`], records that id as the component's
-//!   `derived_from` lineage, and bumps the epoch so later writes stamp
-//!   strictly newer;
-//! * `restore_from` checks lineage: when the live component is still
-//!   derived from exactly this snapshot, any region whose live stamp is
-//!   `<=` the snapshot's epoch provably never changed since capture and
-//!   is skipped — restore cost is O(dirty regions), not O(state). A
-//!   lineage mismatch (different snapshot, a `reset()` in between, a
-//!   shape change) falls back to a full copy.
-//!
-//! Resets must stamp all regions with the *current* epoch and clear
-//! `derived_from` — never zero the stamps, or a snapshot→reset→restore
-//! sequence would silently skip dirty regions.
-//!
-//! [`RestoreStats`] is how components report what a restore actually
-//! copied; the campaign bench aggregates it into the
-//! `restore_dirty_fraction` probe.
+//! Every snapshot-capable component restores with one exact full copy into
+//! capacity-retained buffers (`clone_from`, spare pools), so there is no
+//! dirty tracking to report. [`RestoreStats`] remains as the node-level
+//! restore probe that benchmarks aggregate.
 
-use core::sync::atomic::{AtomicU64, Ordering};
-
-/// Returns a process-unique snapshot id (never 0, so `derived_from == 0`
-/// always means "no lineage").
-pub fn next_snapshot_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Region-level accounting of one `restore_from` call.
-///
-/// A *region* is the component-defined unit of dirty tracking; "copied"
-/// counts regions whose content was written back, "total" counts all
-/// regions examined (always-copied scalars count as copied — the ratio is
-/// honest about what the restore really moved).
+/// Region-level accounting of one `restore_from` call: "total" counts the
+/// regions examined, "copied" the regions written back. With full-copy
+/// restores the two are always equal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RestoreStats {
     /// Regions examined by the restore.
@@ -52,23 +17,7 @@ pub struct RestoreStats {
 }
 
 impl RestoreStats {
-    /// Records one region; `copied` says whether its content was written.
-    #[inline]
-    pub fn region(&mut self, copied: bool) {
-        self.regions_total += 1;
-        self.regions_copied += u64::from(copied);
-    }
-
-    /// Records `n` regions that were all copied (or all skipped).
-    #[inline]
-    pub fn regions(&mut self, n: u64, copied: bool) {
-        self.regions_total += n;
-        if copied {
-            self.regions_copied += n;
-        }
-    }
-
-    /// Folds another component's stats into this one.
+    /// Folds another restore's stats into this one.
     #[inline]
     pub fn absorb(&mut self, other: RestoreStats) {
         self.regions_total += other.regions_total;
@@ -90,23 +39,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_ids_are_unique_and_nonzero() {
-        let a = next_snapshot_id();
-        let b = next_snapshot_id();
-        assert_ne!(a, 0);
-        assert_ne!(b, 0);
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn restore_stats_accumulate_and_report_dirty_fraction() {
-        let mut stats = RestoreStats::default();
-        stats.region(true);
-        stats.region(false);
-        stats.regions(2, false);
-        let mut sub = RestoreStats::default();
-        sub.regions(4, true);
-        stats.absorb(sub);
+        let mut stats = RestoreStats {
+            regions_total: 4,
+            regions_copied: 1,
+        };
+        stats.absorb(RestoreStats {
+            regions_total: 4,
+            regions_copied: 4,
+        });
         assert_eq!(stats.regions_total, 8);
         assert_eq!(stats.regions_copied, 5);
         assert!((stats.dirty_fraction() - 5.0 / 8.0).abs() < 1e-12);

@@ -200,11 +200,6 @@ pub struct CentralNode {
     pub periods: BTreeMap<String, Duration>,
     config: NodeConfig,
     started: bool,
-    /// Monotone fork counter: bumped every time the node is restored from
-    /// a checkpoint. Component-level delta bookkeeping lives inside each
-    /// component (see `easis_sim::snap`); this counter identifies the
-    /// node's fork generation for probes and diagnostics.
-    epoch: u64,
     /// The hyperperiod macro-stepping engine (see [`CentralNode::run_span`]).
     ffwd: FfwdState,
 }
@@ -412,7 +407,6 @@ impl CentralNode {
             periods,
             config,
             started: false,
-            epoch: 0,
             ffwd: FfwdState::new(hyperperiod),
         }
     }
@@ -571,7 +565,7 @@ impl CentralNode {
     /// Panics if the node was never started, or if an in-flight plan holds
     /// a boxed `Step::Effect` closure (node bodies only use `EffectRef`
     /// tokens, so this cannot happen for nodes built here).
-    pub fn snapshot(&mut self) -> NodeSnapshot {
+    pub fn snapshot(&self) -> NodeSnapshot {
         let mut snap = NodeSnapshot::default();
         self.snapshot_into(&mut snap);
         snap
@@ -582,14 +576,13 @@ impl CentralNode {
     /// (signals, controls, watchdog, FMF, hardware watchdog, logs) and the
     /// baseline-monitor statistics. The snapshot's buffer capacity is
     /// retained, so re-capturing into a warm snapshot is allocation-free
-    /// in the steady state. Each component records the capture lineage
-    /// (`easis_sim::snap`), making a later [`CentralNode::restore_from`]
-    /// O(dirty). See [`NodeSnapshot`] for what is deliberately excluded.
+    /// in the steady state. See [`NodeSnapshot`] for what is deliberately
+    /// excluded.
     ///
     /// # Panics
     ///
     /// See [`CentralNode::snapshot`].
-    pub fn snapshot_into(&mut self, snap: &mut NodeSnapshot) {
+    pub fn snapshot_into(&self, snap: &mut NodeSnapshot) {
         assert!(self.started, "snapshot a started node");
         self.os.snapshot_into(&mut snap.os);
         self.world.signals.snapshot_into(&mut snap.signals);
@@ -612,43 +605,27 @@ impl CentralNode {
     /// can check cheaply. Vector state is written back with `clone_from`,
     /// so a pooled node's capacity survives repeated restores.
     ///
-    /// When the node still descends from `snap` (nothing reset the
-    /// lineage in between), each component copies only the regions
-    /// written since the capture — restoring a clean tail touches a small
-    /// fraction of the node. The returned [`RestoreStats`] aggregate the
-    /// per-component region counts; [`RestoreStats::dirty_fraction`]
-    /// feeds the campaign bench's `restore_dirty_fraction` probe.
+    /// Every restore is a full copy, so the returned [`RestoreStats`]
+    /// always report the whole node as one copied region.
     pub fn restore_from(&mut self, snap: &NodeSnapshot) -> RestoreStats {
-        let mut stats = self.os.restore_from(&snap.os);
-        stats.absorb(self.world.signals.restore_from(&snap.signals));
-        stats.absorb(self.world.watchdog.restore_from(&snap.watchdog));
-        stats.absorb(self.world.fmf.restore_from(&snap.fmf));
-        // World-level always-copied regions. Controls flip on every
-        // injection window, the hardware watchdog is kicked every cycle,
-        // and the logs/monitor stats are cheap when clean (empty
-        // `clone_from`s) — none earns per-write stamping.
-        stats.region(true);
+        self.os.restore_from(&snap.os);
+        self.world.signals.restore_from(&snap.signals);
+        self.world.watchdog.restore_from(&snap.watchdog);
+        self.world.fmf.restore_from(&snap.fmf);
         self.world.controls.clone_from(&snap.controls);
-        stats.region(true);
         self.world.hw_watchdog.clone_from(&snap.hw_watchdog);
-        stats.region(true);
         self.world.treatments.clone_from(&snap.treatments);
         self.world.fault_log.clear();
         self.world.fault_log.extend_from_slice(&snap.fault_log);
         self.world.rx_mailbox.clone_from(&snap.rx_mailbox);
         self.world.ecu_resets = snap.ecu_resets;
-        stats.region(true);
         self.deadline_monitor.restore_stats(&snap.deadline_stats);
         self.exec_monitor.restore_stats(&snap.exec_stats);
         self.started = true;
-        self.epoch += 1;
-        stats
-    }
-
-    /// The node's fork generation: how many times it has been restored
-    /// from a checkpoint.
-    pub fn fork_epoch(&self) -> u64 {
-        self.epoch
+        RestoreStats {
+            regions_total: 1,
+            regions_copied: 1,
+        }
     }
 
     /// Runs the kernel until `end` in one uninterrupted span, without any
@@ -711,10 +688,10 @@ impl CentralNode {
     /// append-only logs as lengths, monotone monitor statistics as
     /// totals — warm captures allocate nothing).
     fn ffwd_image(&self, img: &mut FfwdImage) {
-        self.os.image_into(&mut img.os);
-        self.world.signals.image_into(&mut img.signals);
-        self.world.watchdog.image_into(&mut img.watchdog);
-        self.world.fmf.image_into(&mut img.fmf);
+        self.os.snapshot_into(&mut img.os);
+        self.world.signals.snapshot_into(&mut img.signals);
+        self.world.watchdog.snapshot_into(&mut img.watchdog);
+        self.world.fmf.snapshot_into(&mut img.fmf);
         match &mut img.hw_watchdog {
             Some(hw) => hw.clone_from(&self.world.hw_watchdog),
             slot => *slot = Some(self.world.hw_watchdog.clone()),
@@ -1069,14 +1046,13 @@ impl NodeSnapshot {
         self.os.taken_at()
     }
 
-    /// Lineage-blind content equality, the equivalence-test comparator for
+    /// Content equality, the equivalence-test comparator for
     /// macro-stepped versus event-level runs. The kernel is compared
     /// through its canonical rendering — the timer wheel's *physical*
     /// layout is legitimately non-canonical after a fast-forward, only its
     /// logical content must match. Signal and watchdog state go through
     /// their zero-shift derivations (every monotone field must be exactly
-    /// equal); everything else compares structurally. Capture lineage
-    /// (snapshot ids, epochs) is deliberately ignored.
+    /// equal); everything else compares structurally.
     pub fn content_eq(&self, other: &NodeSnapshot) -> bool {
         let mut slots = Vec::new();
         let mut wd = WatchdogCycleDelta::default();
@@ -1094,7 +1070,7 @@ impl NodeSnapshot {
                 &mut wd,
             )
             && wd == WatchdogCycleDelta::default()
-            && self.fmf.content_eq(&other.fmf)
+            && self.fmf == other.fmf
             && self.controls == other.controls
             && self.hw_watchdog == other.hw_watchdog
             && self.treatments == other.treatments
@@ -1339,8 +1315,8 @@ mod tests {
             node.run_span(Instant::from_millis(1_500));
             node
         };
-        let mut fast = build(true);
-        let mut plain = build(false);
+        let fast = build(true);
+        let plain = build(false);
         let stats = fast.ffwd_stats();
         assert!(stats.certifications >= 1, "{stats:?}");
         assert!(stats.fastforwarded > Duration::ZERO, "{stats:?}");

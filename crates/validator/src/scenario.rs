@@ -225,9 +225,7 @@ struct PoolSlot {
     /// capture. The buffer always holds *golden* (injection-free) state:
     /// it is only ever filled right after the node reached a fork along
     /// the detector-free prefix, so it stays valid across chunks even
-    /// though each chunk resets the node (the reset severs the snapshot
-    /// lineage, which merely downgrades the next restore to the exact
-    /// full path).
+    /// though each chunk resets the node: every restore is a full copy.
     ckpt_at: Option<Instant>,
 }
 
@@ -281,7 +279,7 @@ type SharedDetections = Arc<Vec<(DetectorId, Instant)>>;
 /// Minimum golden-prefix gap a shared checkpoint must close before a
 /// worker consults or feeds the campaign-wide `prefix` cache. Below this,
 /// the worker's own pooled checkpoint (or a short `run_span`) is cheaper
-/// than a lock round-trip plus a full (alien-lineage) restore.
+/// than a lock round-trip plus a restore from the shared checkpoint.
 const PREFIX_PUBLISH_SPACING: Duration = Duration::from_millis(64);
 
 /// Runs one campaign trial on this worker's pooled node, building it from
@@ -505,12 +503,10 @@ fn run_trial_tail(
 /// in injection-time order, the pooled node is advanced once along the
 /// golden (injection-free) prefix, and the pooled [`NodeSnapshot`] buffer
 /// is refilled at each distinct fork instant; every trial forks from its
-/// checkpoint instead of re-simulating the prefix. Restores and captures
-/// go through the delta-snapshot protocol (`easis_sim::snap`): a trial
-/// tail only dirties the regions it actually touched, so the rewind back
-/// to the checkpoint copies O(dirty) state, not the whole node. Outcomes
-/// are returned in spec order, so the merged stats are bit-identical to
-/// the per-trial runners.
+/// checkpoint instead of re-simulating the prefix. Each rewind is one
+/// exact full copy of the checkpoint into the node's retained buffers, so
+/// it allocates nothing once warm. Outcomes are returned in spec order, so
+/// the merged stats are bit-identical to the per-trial runners.
 ///
 /// Two campaign-wide caches (shared across chunks and workers, see
 /// [`CampaignCaches`]) sit on top:
@@ -518,7 +514,7 @@ fn run_trial_tail(
 /// * **Shared prefix checkpoints** — when a chunk would have to simulate
 ///   more than [`PREFIX_PUBLISH_SPACING`] of golden prefix, it first looks
 ///   for a published checkpoint at or before the fork and restores from
-///   that (exact: an alien-lineage restore takes the full path), then
+///   that (exact, like every restore), then
 ///   publishes the checkpoint it captured so the next worker skips the
 ///   same stretch.
 /// * **Equivalence collapsing** (the fault-list collapsing of hardware
@@ -573,7 +569,7 @@ fn run_chunk_forked(
             }
             if s.ckpt_at == Some(fork) {
                 // The common case: another trial of this fork instant just
-                // ran — rewind the dirty tail, O(dirty).
+                // ran — rewind to the checkpoint.
                 s.node.restore_from(&s.ckpt);
             } else {
                 // The fork moved. Rewind to the worker's own checkpoint if
@@ -649,7 +645,7 @@ fn run_chunk_forked(
 /// prefix checkpointing (`run_chunk_forked`): the watchdog configuration
 /// is compiled once into a [`NodeBlueprint`], each worker pools one node
 /// built from it, and within each chunk the injection-free prefix is
-/// simulated once and delta-snapshot-forked per trial, with golden
+/// simulated once and snapshot-forked per trial, with golden
 /// checkpoints shared across workers through the campaign-wide caches
 /// created for this call. Restore is exact — the prefix-reuse≡pooled property
 /// test and the campaign golden pin that any worker count produces stats

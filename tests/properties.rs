@@ -542,8 +542,8 @@ proptest! {
     }
 }
 
-/// The pre-wheel event queue, kept verbatim as the reference model: a
-/// `BinaryHeap` of `(time, seq)` keys with lazy cancellation. The timer
+/// The pre-wheel event queue as the reference model: a `BinaryHeap` of
+/// `(time, seq)` keys with lazy cancellation. The timer
 /// wheel must produce the identical cancel verdicts, peek times and pop
 /// stream for every operation sequence.
 struct ReferenceEventQueue {
@@ -568,8 +568,10 @@ impl ReferenceEventQueue {
         seq
     }
 
+    /// Marks a still-queued event cancelled; an id that already fired
+    /// (or was already cancelled) yields `false` and changes nothing.
     fn cancel(&mut self, seq: u64) -> bool {
-        seq < self.next_seq && self.cancelled.insert(seq)
+        self.heap.iter().any(|r| r.0 .1 == seq) && self.cancelled.insert(seq)
     }
 
     fn peek_time(&mut self) -> Option<Instant> {
@@ -966,19 +968,16 @@ proptest! {
         );
     }
 
-    /// Delta and full restore paths are interchangeable: the forked
-    /// engine's campaign report is byte-identical whether its restores
-    /// ride the delta path (multi-trial chunks — the worker's slot
-    /// captures at one fork epoch, restores, advances to the next fork
-    /// and captures again, so restores interleave across epochs) or
-    /// degrade to the exact full path (chunk size 1 — every trial
-    /// `reset()`s the node, severing the snapshot lineage, and shared
-    /// prefix-cache checkpoints arrive with alien lineage) — and both
-    /// equal the fresh per-trial reference, over randomized plans, fork
-    /// windows and worker counts. Few cases: every case simulates three
-    /// whole campaigns.
+    /// The forked engine's campaign report does not depend on the chunk
+    /// size: multi-trial chunks (the worker's slot captures at one fork,
+    /// restores, advances to the next fork and captures again) and chunk
+    /// size 1 (every trial `reset()`s the node and often restores from a
+    /// shared prefix-cache checkpoint) both equal the fresh per-trial
+    /// reference byte for byte, over randomized plans, fork windows and
+    /// worker counts. Few cases: every case simulates three whole
+    /// campaigns.
     #[test]
-    fn delta_and_full_restore_paths_produce_identical_reports(
+    fn forked_reports_are_chunk_size_invariant(
         seed in any::<u64>(),
         window_from_ms in 150u64..400,
         window_len_ms in 50u64..300,
@@ -997,27 +996,27 @@ proptest! {
             .with_horizon(horizon)
             .build();
         let fresh = CampaignExecutor::serial().run(&plan, |spec| run_trial(spec, horizon));
-        let delta = run_plan(
+        let chunked = run_plan(
             &plan,
             horizon,
             &CampaignExecutor::new(workers).with_chunk_size(chunk),
         );
-        let full = run_plan(
+        let single = run_plan(
             &plan,
             horizon,
             &CampaignExecutor::new(workers).with_chunk_size(1),
         );
-        prop_assert_eq!(&fresh, &delta, "delta-restore run diverged at chunk {}", chunk);
-        prop_assert_eq!(&fresh, &full, "full-restore run diverged at {} workers", workers);
+        prop_assert_eq!(&fresh, &chunked, "chunk-{} run diverged", chunk);
+        prop_assert_eq!(&fresh, &single, "chunk-1 run diverged at {} workers", workers);
         prop_assert_eq!(
             serde_json::to_string_pretty(&fresh).unwrap(),
-            serde_json::to_string_pretty(&delta).unwrap(),
-            "JSON bytes diverged on the delta path"
+            serde_json::to_string_pretty(&chunked).unwrap(),
+            "JSON bytes diverged at chunk {}", chunk
         );
         prop_assert_eq!(
             serde_json::to_string_pretty(&fresh).unwrap(),
-            serde_json::to_string_pretty(&full).unwrap(),
-            "JSON bytes diverged on the full path"
+            serde_json::to_string_pretty(&single).unwrap(),
+            "JSON bytes diverged at chunk 1"
         );
     }
 }
@@ -1073,8 +1072,8 @@ proptest! {
             node.run_span(horizon);
             node
         };
-        let mut fast = run(true);
-        let mut plain = run(false);
+        let fast = run(true);
+        let plain = run(false);
         prop_assert_eq!(fast.os.now(), plain.os.now());
         // The engine saw the spans even when it chose not to jump.
         prop_assert!(fast.ffwd_stats().span > Duration::ZERO);
@@ -1135,8 +1134,8 @@ fn macro_stepping_falls_back_and_recovers_across_dtc_age_out() {
         node.run_span(horizon);
         node
     };
-    let mut fast = run(true);
-    let mut plain = run(false);
+    let fast = run(true);
+    let plain = run(false);
 
     let stats = fast.ffwd_stats();
     assert!(
@@ -1194,8 +1193,8 @@ fn macro_stepping_rephases_off_task_period_boundaries() {
         node.run_span(horizon);
         node
     };
-    let mut fast = run(true);
-    let mut plain = run(false);
+    let fast = run(true);
+    let plain = run(false);
 
     let stats = fast.ffwd_stats();
     assert!(

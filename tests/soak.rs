@@ -76,8 +76,10 @@ impl HeapOfRecord {
         seq
     }
 
+    /// Marks a still-queued event cancelled; an id that already fired
+    /// (or was already cancelled) yields `false` and changes nothing.
     fn cancel(&mut self, seq: u64) -> bool {
-        seq < self.next_seq && self.cancelled.insert(seq)
+        self.heap.iter().any(|r| r.0 .1 == seq) && self.cancelled.insert(seq)
     }
 
     fn peek_time(&mut self) -> Option<Instant> {
@@ -483,8 +485,8 @@ fn macro_stepped_soak_crosses_rotation_boundary_and_detects_fault_past_it() {
         node.run_span(horizon);
         node
     };
-    let mut fast = run(true);
-    let mut plain = run(false);
+    let fast = run(true);
+    let plain = run(false);
 
     // The prefix really was macro-stepped (most of ~16.8 s elided), and the
     // rotation crossing really was simulated (a counted fallback).

@@ -38,26 +38,23 @@ for key in schema_version iterations monitored_runnables ns_per_heartbeat \
 done
 rm -rf "$hotpath_scratch"
 
-echo "==> campaign_bench smoke run (forked vs pooled vs fresh, schema + alloc gates)"
-# Reduced trial count from a scratch dir: the bit-identical forked-vs-
-# pooled-vs-fresh stats assertions, the steady-state allocation floor,
-# the faulty-trial allocation floor and the horizon-scaling zero-alloc
-# gate always apply, as does the snapshot-probe warm capture allocation
-# floor; the prefix-reuse
-# (>=1.5x) and pooled-vs-fresh (>=2x) speedup assertions are skipped
-# below the full 200 trials/class so smoke runs stay timing-noise-proof,
-# and the committed BENCH_campaign.json (full-scale record) is not
-# clobbered.
+echo "==> campaign_bench smoke run (run_plan engine, schema + alloc gates)"
+# Reduced trial count from a scratch dir: the steady-state allocation
+# floor, the faulty-trial allocation floor, the horizon-scaling zero-alloc
+# gate, the snapshot-probe warm capture allocation floor and the worker
+# sweep's stats-equal-headline assertion always apply; the fast-forward
+# and worker-scaling gates are skipped below the full 200 trials/class so
+# smoke runs stay timing-noise-proof, and the committed
+# BENCH_campaign.json (full-scale record) is not clobbered.
 campaign_scratch="$(mktemp -d)"
 (cd "$campaign_scratch" && EASIS_WORKERS=2 "$OLDPWD/target/release/campaign_bench" 10 > /dev/null)
 for key in schema_version trials workers simulated_ms_per_trial setup \
-           forked pooled fresh prefix_reuse speedup_vs_pooled \
-           speedup_pooled_vs_fresh steady_state clean_trial_allocs \
+           blueprint_compile_ns node_build_ns node_reset_ns forked \
+           steady_state clean_trial_allocs \
            faulty_trial_allocs horizon_scaling_allocs snapshot \
            capture_ns restore_ns snapshot_allocs \
            tail_fastforward ffwd_span_fraction fallbacks certifications \
-           speedup_vs_baseline parallel_efficiency \
-           worker_sweep worker_sweep_note host_cores; do
+           parallel_efficiency worker_sweep worker_sweep_note host_cores; do
   grep -q "\"$key\"" "$campaign_scratch/BENCH_campaign.json" \
     || { echo "BENCH_campaign.json missing key: $key"; exit 1; }
 done
@@ -91,7 +88,9 @@ echo "==> campaign golden across worker/chunk/fast-forward configurations (forke
 # engine with tail collapsing — so this loop proves the prefix-reuse
 # report bytes stay identical to the golden at every worker count, with
 # hyperperiod macro-stepping enabled (the default) and disabled: the
-# certified jumps must be unobservable in the report bytes.
+# certified jumps must be unobservable in the report bytes. Chunks of 5
+# make workers reset their node and re-simulate the golden prefix from a
+# cold start whenever a chunk forks before their last checkpoint.
 for ff in 1 0; do
   for w in 1 2 4; do
     EASIS_FASTFORWARD=$ff EASIS_WORKERS=$w EASIS_CHUNK=5 \

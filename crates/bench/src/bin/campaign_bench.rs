@@ -5,47 +5,28 @@
 //! injection trials, each simulating a full central node to its horizon —
 //! so campaign wall-clock is the cost that decides how dense a coverage
 //! grid is affordable. This bin measures the T-COV campaign (the same
-//! plan shape as the golden campaign report, scaled up) through three
-//! execution paths:
+//! plan shape as the golden campaign report, scaled up) through the one
+//! campaign engine, [`run_plan`]: golden-run prefix checkpointing. Each
+//! worker thread pools one node, sorts its chunk by injection time,
+//! simulates the clean (injection-free) prefix once, snapshots the node at
+//! each distinct fork instant and restores every trial from its
+//! checkpoint, so only the post-injection tail is re-simulated; twins with
+//! the same effective tail collapse onto one simulation, and quiescent
+//! tail spans fast-forward by certified hyperperiod jumps. The raw setup
+//! costs (one-off [`NodeBlueprint`] compile, one full node build, one
+//! node reset) are measured separately.
 //!
-//! 1. **forked** — [`run_plan`]: golden-run prefix checkpointing. Each
-//!    worker sorts its chunk by injection time, simulates the clean
-//!    (injection-free) prefix once, snapshots the node at each distinct
-//!    fork instant and restores every trial from its checkpoint, so only
-//!    the post-injection tail is re-simulated (the default path since
-//!    prefix checkpointing landed);
-//! 2. **pooled** — [`run_plan_pooled`]: the previous engine. One pooled
-//!    node per worker, `reset()` between trials, but every trial
-//!    re-simulates its full prefix under the per-millisecond tick loop;
-//! 3. **fresh** — [`run_plan_fresh`]: every trial builds its own node
-//!    from scratch — config compile included — with the kernel execution
-//!    trace recording, exactly how campaigns ran before the throughput
-//!    engine (the pre-engine node had no switch to turn the trace off).
-//!
-//! All three paths must produce bit-identical [`CampaignStats`]
-//! (asserted). At the full 1000-trial campaign the `prefix_reuse` probe
-//! asserts the forked path at **≥1.5× the pooled trials/sec** (restore
-//! is cheaper than re-simulating the prefix, and the uninterrupted tail
-//! spans skip the baseline's per-millisecond injector round-trips); on
-//! ≥4 workers the pooled path must additionally stay **≥2× fresh**. The
-//! setup-vs-run split (per-trial node build vs pooled reset vs one-off
-//! blueprint compile) is measured separately so the report shows *where*
-//! the speedup comes from.
-//!
-//! Since the plan-arena task bodies landed, the bin additionally proves
-//! the steady-state claim under a counting global allocator: a clean
-//! (no-fault) pooled trial on a warmed node is measured at the reference
-//! horizon and at twice the horizon, and the counts must be **equal** —
-//! doubling the simulated time (and with it every task activation) adds
-//! zero heap allocations, i.e. the plan/effect/step-buffer path is
-//! allocation-free (asserted). A *faulty* trial — one whose injection
-//! fires inside the horizon and is detected — is probed the same way:
-//! with the pooled fault records, drained-into treatment actions and the
-//! in-place DTC freeze frame it may allocate at most
-//! [`FAULTY_TRIAL_ALLOC_FLOOR`] blocks (asserted; the residue is the
-//! outcome's detection map plus first-occurrence DTC inserts). A
-//! per-worker-count trials/sec sweep over 1/2/4/8 workers records how
-//! the forked path scales.
+//! The bin proves the steady-state claim under a counting global
+//! allocator: a clean (no-fault) trial on a warmed, reused node
+//! (`reset` → `Injector::reload` → `start` → `run_until`) is measured at
+//! the reference horizon and at twice the horizon, and the counts must be
+//! **equal** — doubling the simulated time (and with it every task
+//! activation) adds zero heap allocations, i.e. the plan/effect/step-buffer
+//! path is allocation-free (asserted). A *faulty* trial — one whose
+//! injection fires inside the horizon and is detected — is probed the same
+//! way: with the pooled fault records, drained-into treatment actions and
+//! the in-place DTC freeze frame it may allocate at most
+//! [`FAULTY_TRIAL_ALLOC_FLOOR`] blocks (asserted).
 //!
 //! The `snapshot` probe measures the checkpoint machinery itself on a
 //! standalone node: a warm capacity-retained capture
@@ -54,44 +35,40 @@
 //! a warmed capture. One gate is asserted at every size: a warmed capture
 //! allocates at most [`SNAPSHOT_ALLOC_FLOOR`] blocks.
 //!
-//! Since hyperperiod macro-stepping landed (`easis_validator::ffwd`), the
-//! `tail_fastforward` probe brackets the forked headline run with the
-//! process-wide fast-forward metrics: the fraction of forked span skipped
-//! by certified macro-jumps, the certification/fallback counts, and the
-//! speedup against the pre-macro-stepping forked baseline
-//! ([`FORKED_BASELINE_TRIALS_PER_SEC`]). At full scale the forked path
-//! must reach [`FFWD_SPEEDUP_FLOOR`]× that baseline, and the worker
-//! sweep's workers=2 entry must reach [`SWEEP_SCALING_FLOOR`]× the
-//! workers=1 rate — the latter only on hosts with more than one core,
-//! because an oversubscribed sweep measures contention, not scaling.
+//! The `tail_fastforward` probe brackets the headline run with the
+//! process-wide fast-forward metrics (`easis_validator::ffwd`): the
+//! fraction of the simulated span skipped by certified macro-jumps and the
+//! certification/fallback counts. At full scale some span must be skipped
+//! and fallbacks must stay below one per simulated millisecond (asserted).
+//!
+//! A per-worker-count sweep over 1/2/4/8 workers records how the engine
+//! scales; every sweep run's stats must equal the headline run's
+//! (asserted). The workers=2 entry must reach [`SWEEP_SCALING_FLOOR`]× the
+//! workers=1 rate — only on hosts with more than one core, because an
+//! oversubscribed sweep measures contention, not scaling.
 //!
 //! Results land in `BENCH_campaign.json` (stable schema,
-//! `schema_version` 6; `host_cores` records the recording host's
+//! `schema_version` 7; `host_cores` records the recording host's
 //! available parallelism next to the sweep so readers can tell scaling
 //! from oversubscription; each sweep entry carries its
 //! `parallel_efficiency` = trials/sec ÷ (workers × workers=1 trials/sec)).
 //!
 //! Usage: `campaign_bench [trials_per_class]` (default 200 → 1000 trials
-//! over the 5 error classes; the speedup assertions are skipped below
-//! the default so CI smoke runs stay timing-noise-proof — the
-//! allocation gates always apply). Worker count comes from
-//! `EASIS_WORKERS` (default: available parallelism).
+//! over the 5 error classes; the throughput gates are skipped below the
+//! default so CI smoke runs stay timing-noise-proof — the allocation
+//! gates and the sweep's stats equality always apply). Worker count comes
+//! from `EASIS_WORKERS` (default: available parallelism).
 //!
 //! [`run_plan`]: easis_validator::scenario::run_plan
-//! [`run_plan_pooled`]: easis_validator::scenario::run_plan_pooled
-//! [`run_plan_fresh`]: easis_validator::scenario::run_plan_fresh
 //! [`NodeBlueprint`]: easis_validator::node::NodeBlueprint
-//! [`CampaignStats`]: easis_injection::stats::CampaignStats
 
 use easis_injection::campaign::{CampaignBuilder, CampaignPlan, TrialSpec};
 use easis_injection::executor::CampaignExecutor;
-use easis_injection::injector::{ErrorClass, Injection};
+use easis_injection::injector::{ErrorClass, Injection, Injector};
 use easis_rte::runnable::RunnableId;
 use easis_sim::time::{Duration, Instant};
 use easis_validator::node::{CentralNode, NodeBlueprint, NodeSnapshot};
-use easis_validator::scenario::{
-    campaign_node_config, run_plan, run_plan_fresh, run_plan_pooled, run_trial_pooled,
-};
+use easis_validator::scenario::{campaign_node_config, run_plan};
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -130,14 +107,10 @@ fn allocations() -> u64 {
 
 /// trials_per_class of the full campaign (5 error classes → 1000 trials).
 const DEFAULT_TRIALS_PER_CLASS: usize = 200;
-/// Below the full campaign the speedup assertions are timing noise, not
+/// Below the full campaign the throughput gates are timing noise, not
 /// signal.
 const ASSERT_FLOOR_TRIALS_PER_CLASS: usize = DEFAULT_TRIALS_PER_CLASS;
-/// The pooled-vs-fresh ≥2× assertion also needs real parallelism to be
-/// meaningful (the prefix-reuse gate does not: checkpointing is a
-/// per-worker saving, so it holds at any worker count).
-const ASSERT_FLOOR_WORKERS: usize = 4;
-/// Campaign passes per path; the fastest pass is reported (interference
+/// Headline campaign passes; the fastest pass is reported (interference
 /// only ever adds time, so the best pass is the closest observation).
 const CAMPAIGN_REPS: u32 = 3;
 /// Passes for the cheap per-node setup measurements.
@@ -146,27 +119,16 @@ const SETUP_REPS: u32 = 10;
 /// Simulated horizon of every trial.
 const HORIZON: Instant = Instant::from_millis(1_500);
 
-/// Forked-path trials/sec of the reference T-COV campaign *before*
-/// hyperperiod macro-stepping landed (BENCH_campaign.json of the prefix-
-/// checkpointing PR, workers=1 on the single-core reference host). The
-/// tail-fastforward probe asserts the macro-stepped forked path at
-/// ≥[`FFWD_SPEEDUP_FLOOR`]× this figure at the full campaign.
-const FORKED_BASELINE_TRIALS_PER_SEC: f64 = 4_865.0;
-
-/// Required forked-path speedup over [`FORKED_BASELINE_TRIALS_PER_SEC`].
-const FFWD_SPEEDUP_FLOOR: f64 = 1.5;
-
-/// Required scaling of the forked path from one to two workers when the
+/// Required scaling of the engine from one to two workers when the
 /// recording host actually has more than one core (on a single-core host
 /// the sweep measures oversubscription and the gate is skipped).
 const SWEEP_SCALING_FLOOR: f64 = 1.3;
 
-/// Maximum heap blocks a clean steady-state pooled trial may allocate.
-/// With the pooled injector (`Injector::reload`) and the interned
-/// outcome tag (`ErrorClass::interned_tag`) the per-trial constants are
-/// gone — a warmed trial measures 0; one block of slack absorbs
-/// collection growth-point jitter without letting a real per-trial
-/// allocation through.
+/// Maximum heap blocks a clean steady-state trial on a reused node may
+/// allocate. With the reloaded injector (`Injector::reload`) the
+/// per-trial constants are gone — a warmed trial measures 0; one block of
+/// slack absorbs collection growth-point jitter without letting a real
+/// per-trial allocation through.
 const STEADY_STATE_ALLOC_FLOOR: u64 = 1;
 
 /// Maximum heap blocks a warmed `CentralNode::snapshot_into` capture may
@@ -176,12 +138,11 @@ const STEADY_STATE_ALLOC_FLOOR: u64 = 1;
 /// through.
 const SNAPSHOT_ALLOC_FLOOR: u64 = 1;
 
-/// Maximum heap blocks a *fault-detecting* pooled trial may allocate on
-/// a warmed node. Fault records, state changes, treatment actions and
-/// the DTC freeze frame are pooled/rewritten in place; what remains is
-/// the outcome's detection `BTreeMap` node plus the DTC store's
-/// first-occurrence inserts (each fault class re-enters an emptied map
-/// after `reset()`).
+/// Maximum heap blocks a *fault-detecting* trial may allocate on a
+/// warmed node. Fault records, state changes, treatment actions and the
+/// DTC freeze frame are pooled/rewritten in place; what remains is the
+/// DTC store's first-occurrence inserts (each fault class re-enters an
+/// emptied map after `reset()`).
 const FAULTY_TRIAL_ALLOC_FLOOR: u64 = 4;
 
 /// The T-COV campaign plan: same seed, target set and injection window as
@@ -208,10 +169,10 @@ fn best_of<F: FnMut()>(reps: u32, mut op: F) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Report schema (schema_version 6 — keep stable, future PRs diff this).
+// Report schema (schema_version 7 — keep stable, future changes diff this).
 // ---------------------------------------------------------------------
 
-/// One campaign execution path, full-plan wall clock and derived rates.
+/// The headline campaign run: full-plan wall clock and derived rates.
 #[derive(Serialize)]
 struct PathTiming {
     elapsed_ms: f64,
@@ -231,48 +192,36 @@ impl PathTiming {
     }
 }
 
-/// Where the per-trial time goes before any simulation happens.
+/// Raw node setup costs, measured outside the campaign.
 #[derive(Serialize)]
 struct SetupSplit {
     /// One-off cost of compiling the watchdog config into a blueprint
-    /// (paid once per campaign on the pooled path).
+    /// (paid once per process).
     blueprint_compile_ns: f64,
-    /// Per-trial node construction on the fresh path (config compile
-    /// included).
-    fresh_build_ns_per_trial: f64,
-    /// Per-trial `CentralNode::reset` on the pooled path.
-    pooled_reset_ns_per_trial: f64,
-    /// Fraction of the fresh path's wall clock spent building nodes.
-    fresh_setup_fraction: f64,
-    /// Fraction of the pooled path's wall clock spent resetting nodes.
-    pooled_setup_fraction: f64,
+    /// One full node construction, config compile included (paid by the
+    /// event-level reference `run_trial` on every trial).
+    node_build_ns: f64,
+    /// One `CentralNode::reset` of a node dirtied by 100 ms of simulation
+    /// (paid by each campaign worker thread once per chunk).
+    node_reset_ns: f64,
 }
 
-/// Steady-state allocation probe of one clean and one faulty pooled
-/// trial. The doubling delta is the gate: zero means no per-activation
+/// Steady-state allocation probe of one clean and one faulty trial on a
+/// reused node. The doubling delta is the gate: zero means no per-activation
 /// (plan/effect/step-buffer) allocation survives on the hot path.
 #[derive(Serialize)]
 struct AllocProbe {
-    /// Heap allocations of one clean (no-fault) pooled trial on a warmed
-    /// node, reference horizon.
+    /// Heap allocations of one clean (no-fault) trial on a warmed node,
+    /// reference horizon.
     clean_trial_allocs: u64,
     /// Same probe at twice the simulated horizon (twice the activations).
     clean_trial_allocs_2x_horizon: u64,
     /// `2x − 1x`: allocations attributable to simulated time. Must be 0.
     horizon_scaling_allocs: i64,
-    /// Heap allocations of one fault-detecting pooled trial on a warmed
-    /// node (pooled fault records + in-place DTC freeze frame; floor
+    /// Heap allocations of one fault-detecting trial on a warmed node
+    /// (pooled fault records + in-place DTC freeze frame; floor
     /// [`FAULTY_TRIAL_ALLOC_FLOOR`]).
     faulty_trial_allocs: u64,
-}
-
-/// Golden-run prefix checkpointing: the forked path measured against the
-/// pooled (full-prefix re-simulation) baseline on the same executor.
-#[derive(Serialize)]
-struct PrefixReuseProbe {
-    /// Forked trials/sec over pooled trials/sec. Asserted ≥ 1.5 at the
-    /// full campaign.
-    speedup_vs_pooled: f64,
 }
 
 /// Snapshot probe on a standalone node: what one capture and one
@@ -289,28 +238,22 @@ struct SnapshotProbe {
     snapshot_allocs: u64,
 }
 
-/// Hyperperiod macro-stepping (tail fast-forward) on the forked path:
-/// how much of the simulated span the engine skipped and what the
-/// headline throughput gained over the pre-macro-stepping baseline.
+/// Hyperperiod macro-stepping (tail fast-forward) during the headline
+/// runs: how much of the simulated span the engine skipped.
 #[derive(Serialize)]
 struct TailFastforwardProbe {
     /// Fraction of the simulated time covered by `run_span` during the
-    /// forked headline reps that was fast-forwarded by certified
-    /// hyperperiod jumps. Asserted > 0 at the full campaign.
+    /// headline reps that was fast-forwarded by certified hyperperiod
+    /// jumps. Asserted > 0 at the full campaign.
     ffwd_span_fraction: f64,
     /// Rejected certifications plus rotation-boundary crossings simulated
-    /// event-by-event during the forked headline reps.
+    /// event-by-event during the headline reps.
     fallbacks: u64,
-    /// Successful certifications during the forked headline reps.
+    /// Successful certifications during the headline reps.
     certifications: u64,
-    /// The forked headline trials/sec (same figure as `forked`).
-    trials_per_sec: f64,
-    /// Forked trials/sec over [`FORKED_BASELINE_TRIALS_PER_SEC`].
-    /// Asserted ≥ [`FFWD_SPEEDUP_FLOOR`] at the full campaign.
-    speedup_vs_baseline: f64,
 }
 
-/// Forked-path throughput at one worker count (the multi-core sweep).
+/// Engine throughput at one worker count (the multi-core sweep).
 #[derive(Serialize)]
 struct SweepEntry {
     workers: u64,
@@ -329,11 +272,7 @@ struct Report {
     simulated_ms_per_trial: u64,
     setup: SetupSplit,
     forked: PathTiming,
-    pooled: PathTiming,
-    fresh: PathTiming,
-    prefix_reuse: PrefixReuseProbe,
     tail_fastforward: TailFastforwardProbe,
-    speedup_pooled_vs_fresh: f64,
     steady_state: AllocProbe,
     snapshot: SnapshotProbe,
     worker_sweep: Vec<SweepEntry>,
@@ -352,28 +291,32 @@ const WORKER_SWEEP_NOTE: &str = "trials/sec by worker count on this recording \
      oversubscription (thread scheduling), not scaling — on a single-core \
      host workers=2 trailing workers=1 is expected, not a regression";
 
-/// Measures the one-off and per-trial setup costs outside the campaign.
-fn measure_setup() -> (f64, f64, f64) {
-    let compile_ns = best_of(SETUP_REPS, || {
+/// Measures the raw setup costs outside the campaign.
+fn measure_setup() -> SetupSplit {
+    let blueprint_compile_ns = best_of(SETUP_REPS, || {
         black_box(NodeBlueprint::compile(campaign_node_config()));
     });
-    let build_ns = best_of(SETUP_REPS, || {
+    let node_build_ns = best_of(SETUP_REPS, || {
         black_box(CentralNode::build(campaign_node_config()));
     });
     // Reset a node that has actually run a trial's worth of simulation, so
     // the measured reset covers dirty state, not a no-op on a clean world.
     let blueprint = NodeBlueprint::compile(campaign_node_config());
     let mut node = CentralNode::build_from_blueprint(&blueprint);
-    let mut injector = easis_injection::injector::Injector::none();
-    let mut reset_ns = f64::INFINITY;
+    let mut injector = Injector::none();
+    let mut node_reset_ns = f64::INFINITY;
     for _ in 0..SETUP_REPS {
         node.start();
         node.run_until(Instant::from_millis(100), &mut injector);
         let start = std::time::Instant::now();
         node.reset();
-        reset_ns = reset_ns.min(start.elapsed().as_nanos() as f64);
+        node_reset_ns = node_reset_ns.min(start.elapsed().as_nanos() as f64);
     }
-    (compile_ns, build_ns, reset_ns)
+    SetupSplit {
+        blueprint_compile_ns,
+        node_build_ns,
+        node_reset_ns,
+    }
 }
 
 /// A trial whose injection window lies beyond any probed horizon: the
@@ -409,28 +352,37 @@ fn faulty_spec() -> TrialSpec {
     }
 }
 
-/// Measures heap allocations of one pooled trial of `spec` on a warmed
-/// node (minimum over several runs, so incidental lazy initialisation
-/// cannot inflate the figure). Runs on the calling thread's pool slot.
+/// Measures heap allocations of one trial of `spec` on a warmed, reused
+/// node — `reset`, `Injector::reload`, `start`, `run_until`, the way a
+/// campaign worker reuses its node (minimum over several runs, so
+/// incidental lazy initialisation cannot inflate the figure).
 fn measure_trial_allocs(blueprint: &NodeBlueprint, spec: &TrialSpec, horizon: Instant) -> u64 {
-    // Warm the pool: the first trial builds the node, the following ones
-    // grow every retained buffer (arena slots, timer wheel, logs, fault
-    // records) to the steady state of this horizon and fault profile.
+    let mut node = CentralNode::build_from_blueprint(blueprint);
+    let mut injector = Injector::none();
+    let mut trial = || {
+        node.reset();
+        injector.reload([spec.injection.clone()]);
+        node.start();
+        node.run_until(horizon, &mut injector);
+        black_box(&node);
+    };
+    // Warm up: the first trials grow every retained buffer (arena slots,
+    // timer wheel, logs, fault records) to the steady state of this
+    // horizon and fault profile.
     for _ in 0..3 {
-        black_box(run_trial_pooled(blueprint, spec, horizon));
+        trial();
     }
     let mut best = u64::MAX;
     for _ in 0..5 {
         let before = allocations();
-        black_box(run_trial_pooled(blueprint, spec, horizon));
+        trial();
         best = best.min(allocations() - before);
     }
     best
 }
 
-/// Measures the snapshot machinery on a standalone node (not the
-/// campaign thread pool's slot, which the headline runs must keep
-/// undisturbed): warm capture cost and allocations, then the restore
+/// Measures the snapshot machinery on a standalone node: warm capture
+/// cost and allocations, then the restore
 /// after a clean tail run from the fork instant to the horizon —
 /// the checkpoint pattern of the forked campaign path.
 fn measure_snapshot_probe(blueprint: &NodeBlueprint) -> SnapshotProbe {
@@ -465,72 +417,48 @@ fn measure_snapshot_probe(blueprint: &NodeBlueprint) -> SnapshotProbe {
     }
 }
 
+/// Asserts that the emitted record parses and carries every schema key,
+/// top level and inside each probe object.
 fn validate_emitted_json(path: &str) {
     let text = std::fs::read_to_string(path).expect("BENCH_campaign.json written");
     let value = serde_json::parse_value(&text).expect("BENCH_campaign.json parses");
     let serde::Value::Map(entries) = value else {
         panic!("BENCH_campaign.json must be a JSON object");
     };
-    for key in [
-        "schema_version",
-        "trials",
-        "workers",
-        "simulated_ms_per_trial",
-        "setup",
-        "forked",
-        "pooled",
-        "fresh",
-        "prefix_reuse",
-        "speedup_pooled_vs_fresh",
-        "steady_state",
-        "snapshot",
-        "tail_fastforward",
-        "worker_sweep",
-        "worker_sweep_note",
-        "host_cores",
-    ] {
-        assert!(
-            entries.iter().any(|(k, _)| k == key),
-            "BENCH_campaign.json missing key {key:?}"
-        );
-    }
-    let snapshot = entries
-        .iter()
-        .find(|(k, _)| k == "snapshot")
-        .map(|(_, v)| v)
-        .expect("snapshot key checked above");
-    let serde::Value::Map(snapshot) = snapshot else {
-        panic!("BENCH_campaign.json `snapshot` must be a JSON object");
+    let probe = |name: &str| match entries.iter().find(|(k, _)| k == name) {
+        Some((_, serde::Value::Map(fields))) => fields,
+        _ => panic!("BENCH_campaign.json `{name}` must be a JSON object"),
     };
-    for key in [
-        "capture_ns",
-        "restore_ns",
-        "snapshot_allocs",
+    for (object, keys) in [
+        (
+            &entries,
+            &[
+                "schema_version",
+                "trials",
+                "workers",
+                "simulated_ms_per_trial",
+                "setup",
+                "forked",
+                "steady_state",
+                "snapshot",
+                "tail_fastforward",
+                "worker_sweep",
+                "worker_sweep_note",
+                "host_cores",
+            ][..],
+        ),
+        (probe("snapshot"), &["capture_ns", "restore_ns", "snapshot_allocs"][..]),
+        (
+            probe("tail_fastforward"),
+            &["ffwd_span_fraction", "fallbacks", "certifications"][..],
+        ),
     ] {
-        assert!(
-            snapshot.iter().any(|(k, _)| k == key),
-            "BENCH_campaign.json snapshot probe missing key {key:?}"
-        );
-    }
-    let tail = entries
-        .iter()
-        .find(|(k, _)| k == "tail_fastforward")
-        .map(|(_, v)| v)
-        .expect("tail_fastforward key checked above");
-    let serde::Value::Map(tail) = tail else {
-        panic!("BENCH_campaign.json `tail_fastforward` must be a JSON object");
-    };
-    for key in [
-        "ffwd_span_fraction",
-        "fallbacks",
-        "certifications",
-        "trials_per_sec",
-        "speedup_vs_baseline",
-    ] {
-        assert!(
-            tail.iter().any(|(k, _)| k == key),
-            "BENCH_campaign.json tail_fastforward probe missing key {key:?}"
-        );
+        for key in keys {
+            assert!(
+                object.iter().any(|(k, _)| k == key),
+                "BENCH_campaign.json missing key {key:?}"
+            );
+        }
     }
 }
 
@@ -547,16 +475,15 @@ fn main() {
     let simulated_ms_per_trial = HORIZON.as_millis();
 
     println!("================================================================");
-    println!("experiment CAMPAIGN-THROUGHPUT — forked vs pooled vs fresh trials");
+    println!("experiment CAMPAIGN-THROUGHPUT — the run_plan campaign engine");
     println!("{trials} trials (T-COV plan), horizon {simulated_ms_per_trial} ms, {workers} workers");
     println!("================================================================");
 
-    let (compile_ns, build_ns, reset_ns) = measure_setup();
+    let setup = measure_setup();
 
-    // Steady-state allocation probe: a clean pooled trial at the reference
-    // horizon and at twice the horizon. Equal counts prove the per-
-    // activation path (plans, effects, step buffers) allocates nothing —
-    // only the per-trial constants (injector, outcome) remain.
+    // Steady-state allocation probe: a clean trial on a reused node at the
+    // reference horizon and at twice the horizon. Equal counts prove the
+    // per-activation path (plans, effects, step buffers) allocates nothing.
     let probe_blueprint = NodeBlueprint::compile(campaign_node_config());
     let allocs_1x = measure_trial_allocs(&probe_blueprint, &clean_spec(), HORIZON);
     let allocs_2x = measure_trial_allocs(
@@ -576,10 +503,10 @@ fn main() {
          +{scaling}) — the plan/effect/step-buffer path has regressed from \
          allocation-free"
     );
-    // Absolute floor: with the pooled injector and the interned outcome
-    // tag a clean steady-state trial allocates nothing. Gate with one
-    // block of slack so a new per-trial or per-activation allocation
-    // anywhere in the kernel/RTE/watchdog cycle fails loudly.
+    // Absolute floor: with the reloaded injector a clean steady-state
+    // trial allocates nothing. Gate with one block of slack so a new
+    // per-trial or per-activation allocation anywhere in the
+    // kernel/RTE/watchdog cycle fails loudly.
     assert!(
         allocs_1x <= STEADY_STATE_ALLOC_FLOOR,
         "clean steady-state trial allocated {allocs_1x} heap blocks \
@@ -589,8 +516,8 @@ fn main() {
 
     // Faulty-cycle probe: a trial that detects real faults must stay
     // within the pooled-buffer floor — fault records, state changes,
-    // treatment actions and the freeze frame are reused, so only the
-    // outcome map and first-occurrence DTC inserts remain.
+    // treatment actions and the freeze frame are reused, so only
+    // first-occurrence DTC inserts remain.
     let faulty_allocs = measure_trial_allocs(&probe_blueprint, &faulty_spec(), HORIZON);
     println!("faulty-trial allocs/trial: {faulty_allocs} (floor {FAULTY_TRIAL_ALLOC_FLOOR})");
     assert!(
@@ -600,9 +527,9 @@ fn main() {
          (record, freeze frame, action) crept back in"
     );
 
-    // Snapshot probe: the checkpoint machinery the forked path is built
-    // on, measured in isolation. The allocation gate holds at every size —
-    // it is structural, not timing.
+    // Snapshot probe: the checkpoint machinery the engine is built on,
+    // measured in isolation. The allocation gate holds at every size — it
+    // is structural, not timing.
     let snapshot = measure_snapshot_probe(&probe_blueprint);
     println!(
         "snapshot probe: capture {:.0} ns ({} allocs), clean-tail \
@@ -619,104 +546,39 @@ fn main() {
         snapshot.snapshot_allocs
     );
 
-    // Fresh first so the later paths cannot inherit any warmed-up state
-    // (they could not anyway — pools are per worker thread and the
-    // executor spawns fresh threads per run — but the order makes that
-    // obvious). Forked last: it is the production path, measured after
-    // its own baseline.
-    let mut fresh_stats = None;
-    let fresh_ns = best_of(CAMPAIGN_REPS, || {
-        fresh_stats = Some(run_plan_fresh(&plan, HORIZON, &executor));
-    });
-    let mut pooled_stats = None;
-    let pooled_ns = best_of(CAMPAIGN_REPS, || {
-        pooled_stats = Some(run_plan_pooled(&plan, HORIZON, &executor));
-    });
-    // Bracket the forked headline reps with the process-wide macro-
-    // stepping counters: the span fraction is a ratio, so aggregating
-    // over all reps does not skew it.
+    // Bracket the headline reps with the process-wide macro-stepping
+    // counters: the span fraction is a ratio, so aggregating over all
+    // reps does not skew it.
     easis_validator::ffwd::reset_metrics();
-    let mut forked_stats = None;
+    let mut headline_stats = None;
     let forked_ns = best_of(CAMPAIGN_REPS, || {
-        forked_stats = Some(run_plan(&plan, HORIZON, &executor));
+        headline_stats = Some(run_plan(&plan, HORIZON, &executor));
     });
     let ffwd_metrics = easis_validator::ffwd::metrics();
-    let fresh_stats = fresh_stats.expect("fresh campaign ran");
-    let pooled_stats = pooled_stats.expect("pooled campaign ran");
-    let forked_stats = forked_stats.expect("forked campaign ran");
-    assert_eq!(
-        pooled_stats, fresh_stats,
-        "pooled and fresh campaigns must produce bit-identical stats"
-    );
-    assert_eq!(
-        forked_stats, pooled_stats,
-        "snapshot-forked and pooled campaigns must produce bit-identical stats"
-    );
-
+    let headline_stats = headline_stats.expect("headline campaign ran");
     let forked = PathTiming::new(forked_ns, trials, simulated_ms_per_trial);
-    let pooled = PathTiming::new(pooled_ns, trials, simulated_ms_per_trial);
-    let fresh = PathTiming::new(fresh_ns, trials, simulated_ms_per_trial);
-    let speedup = fresh_ns / pooled_ns;
-    let prefix_speedup = pooled_ns / forked_ns;
-    let setup = SetupSplit {
-        blueprint_compile_ns: compile_ns,
-        fresh_build_ns_per_trial: build_ns,
-        pooled_reset_ns_per_trial: reset_ns,
-        // Builds/resets run on `workers` threads; compare against the
-        // aggregate CPU time, not wall clock, so the fraction stays in
-        // [0, 1] regardless of parallelism.
-        fresh_setup_fraction: (build_ns * trials as f64) / (fresh_ns * workers as f64),
-        pooled_setup_fraction: (reset_ns * trials as f64) / (pooled_ns * workers as f64),
-    };
-
-    println!(
-        "{:<28} {:>12} {:>14} {:>16}",
-        "path", "elapsed ms", "trials/sec", "ns/simulated ms"
-    );
-    for (name, t) in [
-        ("forked (run_plan)", &forked),
-        ("pooled (run_plan_pooled)", &pooled),
-        ("fresh (run_plan_fresh)", &fresh),
-    ] {
-        println!(
-            "{:<28} {:>12.1} {:>14.0} {:>16.0}",
-            name, t.elapsed_ms, t.trials_per_sec, t.ns_per_simulated_ms
-        );
-    }
     let tail_fastforward = TailFastforwardProbe {
         ffwd_span_fraction: ffwd_metrics.span_fraction(),
         fallbacks: ffwd_metrics.fallbacks,
         certifications: ffwd_metrics.certifications,
-        trials_per_sec: forked.trials_per_sec,
-        speedup_vs_baseline: forked.trials_per_sec / FORKED_BASELINE_TRIALS_PER_SEC,
     };
-    println!("prefix-reuse speedup (forked vs pooled): {prefix_speedup:.2}x");
     println!(
-        "tail fast-forward: {:.1}% of forked span skipped, {} certifications, \
-         {} fallbacks, {:.2}x vs pre-macro-stepping baseline \
-         ({FORKED_BASELINE_TRIALS_PER_SEC:.0} trials/sec)",
+        "run_plan: {:.1} ms, {:.0} trials/sec, {:.0} ns/simulated ms",
+        forked.elapsed_ms, forked.trials_per_sec, forked.ns_per_simulated_ms
+    );
+    println!(
+        "tail fast-forward: {:.1}% of span skipped, {} certifications, {} fallbacks",
         tail_fastforward.ffwd_span_fraction * 100.0,
         tail_fastforward.certifications,
         tail_fastforward.fallbacks,
-        tail_fastforward.speedup_vs_baseline,
     );
-    println!("pooled vs fresh speedup: {speedup:.2}x");
     println!(
-        "setup: blueprint compile {:.0} ns (once), fresh build {:.0} ns/trial \
-         ({:.0}% of fresh cpu), pooled reset {:.0} ns/trial ({:.1}% of pooled cpu)",
-        setup.blueprint_compile_ns,
-        setup.fresh_build_ns_per_trial,
-        setup.fresh_setup_fraction * 100.0,
-        setup.pooled_reset_ns_per_trial,
-        setup.pooled_setup_fraction * 100.0,
+        "setup: blueprint compile {:.0} ns (once per process), node build \
+         {:.0} ns, node reset {:.0} ns (once per chunk)",
+        setup.blueprint_compile_ns, setup.node_build_ns, setup.node_reset_ns,
     );
 
     if trials_per_class >= ASSERT_FLOOR_TRIALS_PER_CLASS {
-        assert!(
-            prefix_speedup >= 1.5,
-            "prefix checkpointing must be ≥1.5× pooled trials/sec at the \
-             full campaign, got {prefix_speedup:.2}×"
-        );
         assert!(
             tail_fastforward.ffwd_span_fraction > 0.0,
             "macro-stepping fast-forwarded nothing over the full campaign — \
@@ -729,38 +591,17 @@ fn main() {
             tail_fastforward.fallbacks,
             ffwd_metrics.span_us / 1_000,
         );
-        assert!(
-            tail_fastforward.speedup_vs_baseline >= FFWD_SPEEDUP_FLOOR,
-            "macro-stepped forked path must reach ≥{FFWD_SPEEDUP_FLOOR}× the \
-             pre-macro-stepping baseline of {FORKED_BASELINE_TRIALS_PER_SEC:.0} \
-             trials/sec at the full campaign, got {:.0} trials/sec ({:.2}×)",
-            tail_fastforward.trials_per_sec,
-            tail_fastforward.speedup_vs_baseline,
-        );
     } else {
         println!(
-            "(prefix-reuse and tail-fastforward assertions skipped below \
+            "(tail-fastforward assertions skipped below \
              {ASSERT_FLOOR_TRIALS_PER_CLASS} trials/class)"
         );
     }
-    if trials_per_class >= ASSERT_FLOOR_TRIALS_PER_CLASS && workers >= ASSERT_FLOOR_WORKERS {
-        assert!(
-            speedup >= 2.0,
-            "pooled campaign must be ≥2× fresh trials/sec at the full \
-             campaign on ≥{ASSERT_FLOOR_WORKERS} workers, got {speedup:.2}×"
-        );
-    } else {
-        println!(
-            "(pooled-vs-fresh assertion skipped below \
-             {ASSERT_FLOOR_TRIALS_PER_CLASS} trials/class or \
-             {ASSERT_FLOOR_WORKERS} workers)"
-        );
-    }
 
-    // Multi-core scaling of the forked path: one sweep entry per worker
-    // count, regardless of what EASIS_WORKERS says about the headline
-    // runs. Read alongside `worker_sweep_note`: entries beyond the host's
-    // core count measure oversubscription, not scaling.
+    // Multi-core scaling: one sweep entry per worker count, regardless of
+    // what EASIS_WORKERS says about the headline runs. Read alongside
+    // `worker_sweep_note`: entries beyond the host's core count measure
+    // oversubscription, not scaling.
     let sweep_reps = if trials_per_class >= ASSERT_FLOOR_TRIALS_PER_CLASS {
         2
     } else {
@@ -772,13 +613,18 @@ fn main() {
     let mut worker_sweep: Vec<SweepEntry> = Vec::new();
     println!(
         "{:<28} {:>14} {:>12}",
-        "worker sweep (forked)", "trials/sec", "efficiency"
+        "worker sweep", "trials/sec", "efficiency"
     );
     for w in [1usize, 2, 4, 8] {
         let ex = CampaignExecutor::new(w);
+        let mut stats = None;
         let ns = best_of(sweep_reps, || {
-            black_box(run_plan(&plan, HORIZON, &ex));
+            stats = Some(run_plan(&plan, HORIZON, &ex));
         });
+        assert!(
+            stats.as_ref() == Some(&headline_stats),
+            "the {w}-worker sweep run's stats differ from the headline run's"
+        );
         let tps = trials as f64 / (ns / 1e9);
         let w1_tps = worker_sweep
             .first()
@@ -802,7 +648,7 @@ fn main() {
         let w2_tps = worker_sweep[1].trials_per_sec;
         assert!(
             w2_tps >= SWEEP_SCALING_FLOOR * w1_tps,
-            "forked path must scale across workers on a multi-core host: \
+            "the engine must scale across workers on a multi-core host: \
              workers=2 reached {w2_tps:.0} trials/sec, below \
              {SWEEP_SCALING_FLOOR}× the workers=1 rate of {w1_tps:.0}"
         );
@@ -815,18 +661,13 @@ fn main() {
     }
 
     let report = Report {
-        schema_version: 6,
+        schema_version: 7,
         trials,
         workers: workers as u64,
         simulated_ms_per_trial,
         setup,
         forked,
-        pooled,
-        fresh,
-        prefix_reuse: PrefixReuseProbe {
-            speedup_vs_pooled: prefix_speedup,
-        },
-        speedup_pooled_vs_fresh: speedup,
+        tail_fastforward,
         steady_state: AllocProbe {
             clean_trial_allocs: allocs_1x,
             clean_trial_allocs_2x_horizon: allocs_2x,
@@ -834,7 +675,6 @@ fn main() {
             faulty_trial_allocs: faulty_allocs,
         },
         snapshot,
-        tail_fastforward,
         worker_sweep,
         worker_sweep_note: WORKER_SWEEP_NOTE,
         host_cores,

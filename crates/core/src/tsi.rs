@@ -287,28 +287,49 @@ impl TaskStateIndication {
     }
 
     /// Captures the error vectors and verdicts into `snap`, retaining its
-    /// buffer capacity. The mapping and thresholds are construction-time
-    /// configuration and are not captured; the owning service's stamp
-    /// decides when a restore has to copy this image back.
+    /// buffer capacity. The image is canonical: zero counts and `Ok`
+    /// verdicts (left behind by the in-place [`reset`]) are observably
+    /// identical to absent entries and stay out, so a reset unit and a
+    /// freshly built one in the same state capture equal images. The
+    /// mapping and thresholds are construction-time configuration and are
+    /// not captured.
+    ///
+    /// [`reset`]: TaskStateIndication::reset
     pub fn snapshot_into(&self, snap: &mut TsiSnapshot) {
-        snap.vectors.truncate(self.vectors.len());
-        let mut live = self.vectors.iter();
-        for slot in snap.vectors.iter_mut() {
-            let (&task, vector) = live.next().expect("truncated to live length");
+        let mut used = 0;
+        for (&task, vector) in &self.vectors {
+            let mut entries = vector
+                .iter()
+                .filter(|(_, &count)| count > 0)
+                .map(|(&key, &count)| (key, count))
+                .peekable();
+            if entries.peek().is_none() {
+                continue;
+            }
+            if used == snap.vectors.len() {
+                snap.vectors.push((task, Vec::new()));
+            }
+            let slot = &mut snap.vectors[used];
             slot.0 = task;
             slot.1.clear();
-            slot.1.extend(vector.iter().map(|(&key, &count)| (key, count)));
+            slot.1.extend(entries);
+            used += 1;
         }
-        for (&task, vector) in live {
-            snap.vectors
-                .push((task, vector.iter().map(|(&key, &count)| (key, count)).collect()));
-        }
+        snap.vectors.truncate(used);
         snap.task_states.clear();
-        snap.task_states
-            .extend(self.task_states.iter().map(|(&t, &s)| (t, s)));
+        snap.task_states.extend(
+            self.task_states
+                .iter()
+                .filter(|(_, s)| s.is_faulty())
+                .map(|(&t, &s)| (t, s)),
+        );
         snap.app_states.clear();
-        snap.app_states
-            .extend(self.app_states.iter().map(|(&a, &s)| (a, s)));
+        snap.app_states.extend(
+            self.app_states
+                .iter()
+                .filter(|(_, s)| s.is_faulty())
+                .map(|(&a, &s)| (a, s)),
+        );
         snap.ecu_state = self.ecu_state;
     }
 

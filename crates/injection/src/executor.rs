@@ -14,12 +14,12 @@
 //! Work distribution is **statically striped**: the plan's chunks are
 //! assigned round-robin to workers up front, so a worker owns its whole
 //! stripe from the moment it spawns — no shared work queue, no channel
-//! receive per chunk. Each worker sends its results exactly once, when its
-//! stripe is done, so channel traffic is one message per worker regardless
-//! of plan size. (The earlier shared-queue design paid one channel
-//! round-trip per chunk, which on a single-core host was enough
-//! synchronization to make two workers *slower* than one.) Campaign trials
-//! are near-uniform in cost, so dynamic rebalancing buys nothing here.
+//! receive per chunk. Each worker hands its results over exactly once,
+//! when its thread is joined, regardless of plan size. (The earlier
+//! shared-queue design paid one channel round-trip per chunk, which on a
+//! single-core host was enough synchronization to make two workers
+//! *slower* than one.) Campaign trials are near-uniform in cost, so
+//! dynamic rebalancing buys nothing here.
 //!
 //! [`CampaignExecutor::run_chunked`] exposes the chunk boundary to the
 //! runner: the whole contiguous chunk of specs is handed over in one call,
@@ -44,8 +44,6 @@
 
 use crate::campaign::{CampaignPlan, TrialSpec};
 use crate::stats::{CampaignStats, TrialOutcome};
-use crossbeam::channel;
-use std::ops::Range;
 
 /// Executes campaign plans across a fixed pool of worker threads with
 /// deterministic (order-independent) result aggregation.
@@ -164,22 +162,22 @@ impl CampaignExecutor {
     where
         F: Fn(&TrialSpec) -> TrialOutcome + Sync,
     {
-        self.run_chunked(plan, |specs, _base| specs.iter().map(&runner).collect())
+        self.run_chunked(plan, |specs| specs.iter().map(&runner).collect())
     }
 
     /// Like [`CampaignExecutor::run`], but hands the runner a whole
-    /// contiguous **chunk** of trial specs at once together with the index
-    /// of its first trial, and expects one outcome per spec, in spec
-    /// order. A chunk runner may reorder the trials *internally* (e.g. by
-    /// injection time, to share golden-prefix snapshots) as long as the
-    /// returned vector lines up with the input slice.
+    /// contiguous **chunk** of trial specs at once and expects one outcome
+    /// per spec, in spec order. A chunk runner may reorder the trials
+    /// *internally* (e.g. by injection time, to share golden-prefix
+    /// snapshots) as long as the returned vector lines up with the input
+    /// slice.
     ///
     /// Chunks are striped round-robin across the worker pool before any
     /// thread spawns; each worker walks its own stripe without touching a
-    /// shared queue and sends all its results in a single channel message
-    /// at the end. Outcomes are merged by trial index, so the stats are
-    /// bit-identical across worker counts and chunk sizes for any pure
-    /// runner.
+    /// shared queue and returns all its results when joined. One worker
+    /// runs the whole plan as a single chunk on the calling thread.
+    /// Outcomes are merged by trial index, so the stats are bit-identical
+    /// across worker counts and chunk sizes for any pure runner.
     ///
     /// # Panics
     ///
@@ -187,65 +185,57 @@ impl CampaignExecutor {
     /// chunk, and propagates runner panics.
     pub fn run_chunked<F>(&self, plan: &CampaignPlan, chunk_runner: F) -> CampaignStats
     where
-        F: Fn(&[TrialSpec], usize) -> Vec<TrialOutcome> + Sync,
+        F: Fn(&[TrialSpec]) -> Vec<TrialOutcome> + Sync,
     {
         let trials = plan.trials();
-        if self.workers == 1 || trials.len() <= 1 {
-            let outcomes = chunk_runner(trials, 0);
-            assert_eq!(
-                outcomes.len(),
-                trials.len(),
-                "chunk runner must return one outcome per spec"
-            );
-            let mut stats = CampaignStats::new();
-            for outcome in outcomes {
-                stats.push(outcome);
+        let (workers, chunk) = if self.workers == 1 {
+            (1, trials.len().max(1))
+        } else {
+            (self.workers.min(trials.len()), self.effective_chunk(trials.len()))
+        };
+        // Worker `w`'s stripe: chunks w, w+W, … — known entirely up front.
+        let stripe = |worker: usize| {
+            let mut produced: Vec<(usize, Vec<TrialOutcome>)> = Vec::new();
+            for start in (worker * chunk..trials.len()).step_by(chunk * workers) {
+                let specs = &trials[start..(start + chunk).min(trials.len())];
+                let outcomes = chunk_runner(specs);
+                assert_eq!(
+                    outcomes.len(),
+                    specs.len(),
+                    "chunk runner must return one outcome per spec"
+                );
+                produced.push((start, outcomes));
             }
-            return stats;
-        }
-
-        let chunk = self.effective_chunk(trials.len());
-        let workers = self.workers.min(trials.len());
-        let (done_tx, done_rx) = channel::unbounded::<Vec<(usize, Vec<TrialOutcome>)>>();
-        let chunk_runner = &chunk_runner;
-        crossbeam::thread::scope(|scope| {
-            for worker in 0..workers {
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    // This worker's stripe: chunks worker, worker+W, … —
-                    // known entirely up front, no shared queue.
-                    let mut produced: Vec<(usize, Vec<TrialOutcome>)> = Vec::new();
-                    let mut start = worker * chunk;
-                    while start < trials.len() {
-                        let range: Range<usize> = start..(start + chunk).min(trials.len());
-                        let outcomes = chunk_runner(&trials[range.clone()], range.start);
-                        assert_eq!(
-                            outcomes.len(),
-                            range.len(),
-                            "chunk runner must return one outcome per spec"
-                        );
-                        produced.push((range.start, outcomes));
-                        start += chunk * workers;
-                    }
-                    done_tx.send(produced).expect("results open");
-                });
-            }
-        })
-        .expect("campaign worker panicked");
-        drop(done_tx);
+            produced
+        };
+        let stripes: Vec<Vec<(usize, Vec<TrialOutcome>)>> = if workers <= 1 {
+            (0..workers).map(stripe).collect()
+        } else {
+            crossbeam::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|worker| {
+                        let stripe = &stripe;
+                        scope.spawn(move || stripe(worker))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                    .collect()
+            })
+            .expect("campaign worker panicked")
+        };
 
         // Merge by trial index: completion order is scheduling noise.
         let mut slots: Vec<Option<TrialOutcome>> = vec![None; trials.len()];
-        for produced in done_rx.iter() {
-            for (start, outcomes) in produced {
-                for (offset, outcome) in outcomes.into_iter().enumerate() {
-                    debug_assert!(
-                        slots[start + offset].is_none(),
-                        "trial {} ran twice",
-                        start + offset
-                    );
-                    slots[start + offset] = Some(outcome);
-                }
+        for (start, outcomes) in stripes.into_iter().flatten() {
+            for (offset, outcome) in outcomes.into_iter().enumerate() {
+                debug_assert!(
+                    slots[start + offset].is_none(),
+                    "trial {} ran twice",
+                    start + offset
+                );
+                slots[start + offset] = Some(outcome);
             }
         }
         let mut stats = CampaignStats::new();
@@ -324,12 +314,11 @@ mod tests {
         let plan = plan();
         let serial = CampaignExecutor::serial().run(&plan, synthetic);
         for workers in [1, 2, 4, 8] {
-            let chunked = CampaignExecutor::new(workers).run_chunked(&plan, |specs, base| {
+            let chunked = CampaignExecutor::new(workers).run_chunked(&plan, |specs| {
                 // Process the chunk back-to-front internally; return in
                 // spec order — the contract run_chunked requires.
                 let mut out: Vec<Option<TrialOutcome>> = specs.iter().map(|_| None).collect();
                 for (i, spec) in specs.iter().enumerate().rev() {
-                    assert!(base + i < plan.len(), "base index out of range");
                     out[i] = Some(synthetic(spec));
                 }
                 out.into_iter().map(Option::unwrap).collect()
@@ -343,7 +332,7 @@ mod tests {
     fn run_chunked_rejects_short_outcome_vectors() {
         let plan = plan();
         let _ = CampaignExecutor::serial()
-            .run_chunked(&plan, |specs, _| specs.iter().skip(1).map(synthetic).collect());
+            .run_chunked(&plan, |specs| specs.iter().skip(1).map(synthetic).collect());
     }
 
     #[test]

@@ -199,7 +199,7 @@ impl Injector {
     }
 
     /// Re-arms the injector over a new injection set, retaining the
-    /// backing buffer's capacity. The pooled campaign path keeps one
+    /// backing buffer's capacity. The campaign engine keeps one
     /// injector per worker and reloads it per trial instead of
     /// constructing a fresh one — dropping the injector-setup heap block
     /// from every trial. Reloading is exactly equivalent to

@@ -36,7 +36,6 @@ use easis_watchdog::report::{DetectedFault, RunnableCounters, StateChange};
 use easis_watchdog::{CycleReport, SoftwareWatchdog, WatchdogCycleDelta, WatchdogSnapshot};
 use easis_baselines::hw_watchdog::HardwareWatchdog;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Configuration of a central node build.
@@ -135,20 +134,14 @@ const WHEEL_ROTATION_BITS: u32 = 24;
 /// A campaign-shared node recipe: the node configuration plus the
 /// watchdog configuration compiled from it exactly once (IdIndex
 /// interning, flow-table bitsets, hypothesis derivation), frozen behind an
-/// `Arc`. A campaign compiles one blueprint and every worker builds (and
-/// then pools) its node from it, so no trial recompiles what the plan
-/// already determines.
+/// `Arc`. Campaigns compile one blueprint per process and every worker
+/// thread builds (and then pools) its node from it, so no trial recompiles
+/// what the configuration already determines.
 #[derive(Debug, Clone)]
 pub struct NodeBlueprint {
     config: NodeConfig,
     watchdog_config: Arc<easis_watchdog::config::WatchdogConfig>,
-    /// Process-unique stamp identifying this compilation, used as the
-    /// pool key so a pooled world is never revived for a *different*
-    /// blueprint that happens to reuse a freed allocation address.
-    stamp: u64,
 }
-
-static BLUEPRINT_STAMP: AtomicU64 = AtomicU64::new(0);
 
 impl NodeBlueprint {
     /// Compiles the blueprint for a node configuration by running one
@@ -158,7 +151,6 @@ impl NodeBlueprint {
         NodeBlueprint {
             config,
             watchdog_config: node.world.watchdog.shared_config(),
-            stamp: BLUEPRINT_STAMP.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -170,11 +162,6 @@ impl NodeBlueprint {
     /// The shared compiled watchdog configuration.
     pub fn watchdog_config(&self) -> &Arc<easis_watchdog::config::WatchdogConfig> {
         &self.watchdog_config
-    }
-
-    /// The process-unique compilation stamp (pool cache key).
-    pub fn stamp(&self) -> u64 {
-        self.stamp
     }
 }
 
@@ -541,10 +528,10 @@ impl CentralNode {
     /// timers empty, trace cleared), world back to the initial snapshot,
     /// baseline monitor statistics cleared. The expensive structure —
     /// task bodies, the runnable registry, the compiled watchdog
-    /// configuration — is kept. Campaigns pool one node per worker and
-    /// reset it between trials; [`crate::scenario`]'s reset≡fresh property
-    /// test pins that a trial on a reset node is byte-identical to one on
-    /// a fresh build.
+    /// configuration — is kept. Campaigns pool one node per worker thread
+    /// and reset it at every chunk; the reset≡fresh property test pins that a
+    /// trial on a reset node ends in the same state as one on a fresh
+    /// build.
     pub fn reset(&mut self) {
         self.os.reset();
         self.world.reset();
@@ -557,8 +544,8 @@ impl CentralNode {
     }
 
     /// Captures a deterministic checkpoint of the started node — see
-    /// [`CentralNode::snapshot_into`]. Allocates a fresh snapshot; pooled
-    /// campaign workers keep one [`NodeSnapshot`] per slot and reuse it.
+    /// [`CentralNode::snapshot_into`]. Allocates a fresh snapshot; campaign
+    /// workers keep one [`NodeSnapshot`] each and reuse it.
     ///
     /// # Panics
     ///
@@ -603,7 +590,7 @@ impl CentralNode {
     /// on the node the snapshot was taken from or a structurally identical
     /// one (same blueprint); the kernel layer asserts the table shapes it
     /// can check cheaply. Vector state is written back with `clone_from`,
-    /// so a pooled node's capacity survives repeated restores.
+    /// so a reused node's capacity survives repeated restores.
     ///
     /// Every restore is a full copy, so the returned [`RestoreStats`]
     /// always report the whole node as one copied region.
@@ -991,10 +978,9 @@ fn derive_node_delta(
 /// A deterministic checkpoint of a started [`CentralNode`] at one instant:
 /// the campaign prefix-reuse primitive. Trials sharing an injection point
 /// fork from the snapshot taken there instead of re-simulating the golden
-/// prefix ([`crate::scenario::run_plan`]), and a campaign publishes each
-/// golden-prefix checkpoint once behind an `Arc` so every worker forks
-/// from the same shared capture. The snapshot is plain data — no world
-/// handles, no closures — so it is `Send + Sync`.
+/// prefix ([`crate::scenario::run_plan`]); each campaign worker keeps one
+/// capacity-retained snapshot and refills it at every fork instant. The
+/// snapshot is plain data — no world handles, no closures.
 ///
 /// Static structure is deliberately excluded — the runnable registry, the
 /// compiled watchdog configuration, task bodies (their buffers are

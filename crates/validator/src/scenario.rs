@@ -13,8 +13,8 @@ use easis_injection::stats::{DetectorId, TrialOutcome};
 use easis_sim::series::SeriesSet;
 use easis_sim::time::{Duration, Instant};
 use easis_watchdog::report::{FaultKind, HealthState};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Sampling interval of the figure series (the paper's plots use a 10 ms
 /// scalar on the x axis).
@@ -200,75 +200,52 @@ pub fn campaign_node_config() -> NodeConfig {
 }
 
 /// Runs one campaign trial on a freshly built full node (all three
-/// applications) and reports which detectors caught the injected error,
-/// with their latencies relative to the injection start.
+/// applications) under the per-millisecond tick loop and reports which
+/// detectors caught the injected error, with their latencies relative to
+/// the injection start. This is the event-level reference [`run_plan`] is
+/// checked against.
 pub fn run_trial(spec: &TrialSpec, horizon: Instant) -> TrialOutcome {
     let mut node = CentralNode::build(campaign_node_config());
     let mut injector = Injector::new([spec.injection.clone()]);
-    run_trial_on(&mut node, &mut injector, spec, horizon)
+    node.start();
+    node.run_until(horizon, &mut injector);
+    extract_outcome(&node, spec)
 }
 
-/// One worker's pooled campaign state: the node and injector the worker
-/// reuses across trials, plus the pooled [`NodeSnapshot`] checkpoint
-/// buffer the forked runner refills via [`CentralNode::snapshot_into`] —
-/// capacity-retained, so steady-state capture allocates nothing.
+/// The blueprint every campaign node is built from, compiled once per
+/// process: every [`run_plan`] call runs [`campaign_node_config`], so one
+/// compilation serves them all and a pooled node always matches it.
+fn campaign_blueprint() -> &'static NodeBlueprint {
+    static BLUEPRINT: OnceLock<NodeBlueprint> = OnceLock::new();
+    BLUEPRINT.get_or_init(|| NodeBlueprint::compile(campaign_node_config()))
+}
+
+/// One worker thread's pooled campaign state: the node and injector the
+/// worker reuses across chunks and [`run_plan`] calls, plus the
+/// [`NodeSnapshot`] checkpoint buffer the forked runner refills via
+/// [`CentralNode::snapshot_into`] — capacity-retained, so steady-state
+/// capture allocates nothing.
 struct PoolSlot {
-    /// Blueprint stamp the node was built from; a different stamp rebuilds
-    /// the slot.
-    stamp: u64,
     node: CentralNode,
     injector: Injector,
     /// Golden-prefix checkpoint buffer; contents are only meaningful when
     /// `ckpt_at` is set.
     ckpt: NodeSnapshot,
     /// The fork instant `ckpt` captures, or `None` before the first
-    /// capture. The buffer always holds *golden* (injection-free) state:
-    /// it is only ever filled right after the node reached a fork along
-    /// the detector-free prefix, so it stays valid across chunks even
-    /// though each chunk resets the node: every restore is a full copy.
+    /// capture. The buffer always holds *golden* (injection-free) state
+    /// of the one campaign blueprint: it is only ever filled right after
+    /// the node reached a fork along the detector-free prefix, so it stays
+    /// valid across chunks and calls even though each chunk resets the
+    /// node: every restore is a full copy.
     ckpt_at: Option<Instant>,
 }
 
-impl PoolSlot {
-    fn build(blueprint: &NodeBlueprint, injector: Injector) -> Self {
-        PoolSlot {
-            stamp: blueprint.stamp(),
-            node: CentralNode::build_from_blueprint(blueprint),
-            injector,
-            ckpt: NodeSnapshot::default(),
-            ckpt_at: None,
-        }
-    }
-}
-
 thread_local! {
-    /// Per-worker pooled campaign state, tagged with the blueprint stamp
-    /// the node was built from. One pooled world per worker thread covers
-    /// a whole campaign: trials reset the node and reload the injector
-    /// instead of rebuilding either.
+    /// Per-worker pooled campaign state. One pooled world per worker
+    /// thread covers every campaign the thread runs: chunks reset the node
+    /// and trials reload the injector instead of rebuilding either.
     static NODE_POOL: std::cell::RefCell<Option<PoolSlot>> =
         const { std::cell::RefCell::new(None) };
-}
-
-/// Campaign-wide caches shared by every worker of one [`run_plan`] call.
-///
-/// * `prefix` — golden-prefix checkpoints keyed by `(blueprint stamp,
-///   fork instant)`. The first worker whose chunk has to simulate a long
-///   stretch of golden prefix publishes the resulting snapshot behind an
-///   [`Arc`]; other workers restore from it instead of re-simulating the
-///   prefix, turning N×prefix work into 1×. Publications are spaced by
-///   [`PREFIX_PUBLISH_SPACING`] so the map stays small and the lock cold.
-/// * `memo` — the equivalence-collapsing tail cache (see [`TailKey`]),
-///   formerly per-chunk, now shared so twins in different chunks collapse
-///   too.
-///
-/// Both caches only ever hold state derived from the deterministic golden
-/// run, so hits cannot change outcomes — the serial≡parallel test and the
-/// campaign golden pin that stats are bit-identical at any worker count.
-#[derive(Default)]
-struct CampaignCaches {
-    prefix: Mutex<BTreeMap<(u64, Instant), Arc<NodeSnapshot>>>,
-    memo: Mutex<HashMap<TailKey, SharedDetections>>,
 }
 
 /// Memoised tail record: per-detector first absolute detection instants
@@ -276,55 +253,11 @@ struct CampaignCaches {
 /// clones a pointer, not the list.
 type SharedDetections = Arc<Vec<(DetectorId, Instant)>>;
 
-/// Minimum golden-prefix gap a shared checkpoint must close before a
-/// worker consults or feeds the campaign-wide `prefix` cache. Below this,
-/// the worker's own pooled checkpoint (or a short `run_span`) is cheaper
-/// than a lock round-trip plus a restore from the shared checkpoint.
-const PREFIX_PUBLISH_SPACING: Duration = Duration::from_millis(64);
-
-/// Runs one campaign trial on this worker's pooled node, building it from
-/// `blueprint` on first use and [`CentralNode::reset`]ting it afterwards.
-/// The worker's pooled [`Injector`] is [`Injector::reload`]ed with this
-/// trial's injection, so steady-state trials reuse its arming buffer too.
-/// The reset≡fresh property test pins that the outcome is byte-identical
-/// to [`run_trial`] on a fresh build.
-pub fn run_trial_pooled(
-    blueprint: &NodeBlueprint,
-    spec: &TrialSpec,
-    horizon: Instant,
-) -> TrialOutcome {
-    NODE_POOL.with(|pool| {
-        let mut slot = pool.borrow_mut();
-        match slot.as_mut() {
-            Some(s) if s.stamp == blueprint.stamp() => {
-                s.node.reset();
-                s.injector.reload([spec.injection.clone()]);
-            }
-            _ => {
-                *slot = Some(PoolSlot::build(
-                    blueprint,
-                    Injector::new([spec.injection.clone()]),
-                ));
-            }
-        }
-        let s = slot.as_mut().expect("pool populated above");
-        run_trial_on(&mut s.node, &mut s.injector, spec, horizon)
-    })
-}
-
-/// The shared trial body: starts the (fresh or just-reset) node, runs the
-/// already-loaded injector to the horizon and extracts the detector
-/// outcome.
-fn run_trial_on(
-    node: &mut CentralNode,
-    injector: &mut Injector,
-    spec: &TrialSpec,
-    horizon: Instant,
-) -> TrialOutcome {
-    node.start();
-    node.run_until(horizon, injector);
-    extract_outcome(node, spec)
-}
+/// The equivalence-collapsing tail cache of one [`run_plan`] call (see
+/// [`TailKey`]), shared by all its workers so twins in different chunks
+/// collapse too. It only ever holds outcomes of tails forked from the
+/// deterministic golden run, so a hit cannot change an outcome.
+type TailMemo = Mutex<HashMap<TailKey, SharedDetections>>;
 
 /// Reads the detector outcome of a finished trial off the node's fault
 /// log, hardware watchdog and baseline-monitor statistics. The outcome's
@@ -498,50 +431,38 @@ fn run_trial_tail(
     extract_outcome(node, spec)
 }
 
-/// Runs one contiguous chunk of campaign trials on this worker's pooled
-/// node with **golden-run prefix checkpointing**: the chunk is processed
-/// in injection-time order, the pooled node is advanced once along the
-/// golden (injection-free) prefix, and the pooled [`NodeSnapshot`] buffer
-/// is refilled at each distinct fork instant; every trial forks from its
+/// Runs one contiguous chunk of campaign trials on this worker's node
+/// with **golden-run prefix checkpointing**: the node is reset, the chunk
+/// is processed in injection-time order, the node is advanced once along
+/// the golden (injection-free) prefix, and the checkpoint buffer is
+/// refilled at each distinct fork instant; every trial forks from its
 /// checkpoint instead of re-simulating the prefix. Each rewind is one
 /// exact full copy of the checkpoint into the node's retained buffers, so
 /// it allocates nothing once warm. Outcomes are returned in spec order, so
-/// the merged stats are bit-identical to the per-trial runners.
+/// the merged stats are bit-identical to per-trial [`run_trial`] runs.
 ///
-/// Two campaign-wide caches (shared across chunks and workers, see
-/// [`CampaignCaches`]) sit on top:
-///
-/// * **Shared prefix checkpoints** — when a chunk would have to simulate
-///   more than [`PREFIX_PUBLISH_SPACING`] of golden prefix, it first looks
-///   for a published checkpoint at or before the fork and restores from
-///   that (exact, like every restore), then
-///   publishes the checkpoint it captured so the next worker skips the
-///   same stretch.
-/// * **Equivalence collapsing** (the fault-list collapsing of hardware
-///   fault-injection campaigns): trials that share a [`TailKey`] — same
-///   error class, same arming tick, same disarm tick — are simulated
-///   once; later twins synthesize their outcome from the cached
-///   per-detector detection instants. The cache is only fed while the
-///   golden prefix is detection-free (see [`prefix_is_detection_free`]),
-///   which makes the synthesis provably exact, and a campaign whose
-///   parameters never repeat simply never hits.
+/// On top sits **equivalence collapsing** (the fault-list collapsing of
+/// hardware fault-injection campaigns): trials that share a [`TailKey`] —
+/// same error class, same arming tick, same disarm tick — are simulated
+/// once; later twins synthesize their outcome from the cached per-detector
+/// detection instants in `memo`. The memo is only fed while the golden
+/// prefix is detection-free (see [`prefix_is_detection_free`]), which
+/// makes the synthesis provably exact, and a campaign whose parameters
+/// never repeat simply never hits.
 fn run_chunk_forked(
-    blueprint: &NodeBlueprint,
-    caches: &CampaignCaches,
+    memo: &TailMemo,
     specs: &[TrialSpec],
     horizon: Instant,
 ) -> Vec<TrialOutcome> {
     NODE_POOL.with(|pool| {
         let mut slot = pool.borrow_mut();
-        match slot.as_mut() {
-            Some(s) if s.stamp == blueprint.stamp() => {
-                s.node.reset();
-            }
-            _ => {
-                *slot = Some(PoolSlot::build(blueprint, Injector::none()));
-            }
-        }
-        let s = slot.as_mut().expect("pool populated above");
+        let s = slot.get_or_insert_with(|| PoolSlot {
+            node: CentralNode::build_from_blueprint(campaign_blueprint()),
+            injector: Injector::none(),
+            ckpt: NodeSnapshot::default(),
+            ckpt_at: None,
+        });
+        s.node.reset();
         s.node.start();
 
         // Group trials by fork instant (stable within a fork, so equal
@@ -560,9 +481,9 @@ fn run_chunk_forked(
                 disarm_instant(spec, fork, horizon),
             );
             // A behaviorally identical trial already ran (here or on
-            // another worker): synthesize the outcome without touching
-            // the node.
-            let cached = caches.memo.lock().expect("memo lock").get(&key).cloned();
+            // another worker): synthesize the outcome without touching the
+            // node.
+            let cached = memo.lock().expect("memo lock").get(&key).cloned();
             if let Some(cached) = cached {
                 outcomes[i] = Some(outcome_from_cached(&cached, spec));
                 continue;
@@ -573,61 +494,25 @@ fn run_chunk_forked(
                 s.node.restore_from(&s.ckpt);
             } else {
                 // The fork moved. Rewind to the worker's own checkpoint if
-                // it lies at or before the fork (forks ascend within a
-                // chunk, but a *new* chunk may fork earlier than the last
-                // chunk's final checkpoint — such a stale buffer must not
-                // be used as a base), and close a large remaining gap from
-                // a checkpoint another worker already published.
-                let local_at = s.ckpt_at.filter(|&at| at <= fork);
-                let gap = fork.saturating_duration_since(local_at.unwrap_or(Instant::ZERO));
-                let published = if gap > PREFIX_PUBLISH_SPACING {
-                    let prefix = caches.prefix.lock().expect("prefix lock");
-                    prefix
-                        .range((blueprint.stamp(), Instant::ZERO)..=(blueprint.stamp(), fork))
-                        .next_back()
-                        .filter(|((_, at), _)| Some(*at) > local_at)
-                        .map(|(_, snap)| Arc::clone(snap))
-                } else {
-                    None
-                };
-                match (&published, local_at) {
-                    (Some(snap), _) => {
-                        s.node.restore_from(snap);
-                    }
-                    (None, Some(_)) => {
-                        s.node.restore_from(&s.ckpt);
-                    }
-                    // Cold start: the node sits freshly started at t=0.
-                    (None, None) => {}
+                // it lies at or before the fork. Forks ascend within a
+                // chunk, but a new chunk (or call) may fork earlier than
+                // the last final checkpoint; such a stale buffer must not
+                // be used as a base, and the node still sits freshly
+                // started at t=0 instead.
+                if s.ckpt_at.is_some_and(|at| at <= fork) {
+                    s.node.restore_from(&s.ckpt);
                 }
-                let base = s.node.os.now();
-                if base < fork {
+                if s.node.os.now() < fork {
                     s.node.run_span(fork);
                 }
                 s.node.snapshot_into(&mut s.ckpt);
                 s.ckpt_at = Some(fork);
-                // This chunk just simulated a stretch of golden prefix no
-                // published checkpoint covered — publish ours so other
-                // workers skip it. The spacing bound keeps publications
-                // rare (a handful per campaign), so the extra full
-                // capture and the lock stay off the per-trial path.
-                if fork.saturating_duration_since(base) > PREFIX_PUBLISH_SPACING {
-                    let snap = Arc::new(s.node.snapshot());
-                    caches
-                        .prefix
-                        .lock()
-                        .expect("prefix lock")
-                        .entry((blueprint.stamp(), fork))
-                        .or_insert(snap);
-                }
             }
             let fork_clean = prefix_is_detection_free(&s.node);
             s.injector.reload([spec.injection.clone()]);
             let outcome = run_trial_tail(&mut s.node, &mut s.injector, spec, horizon);
             if fork_clean {
-                caches
-                    .memo
-                    .lock()
+                memo.lock()
                     .expect("memo lock")
                     .entry(key)
                     .or_insert_with(|| Arc::new(absolute_detections(&s.node)));
@@ -642,61 +527,21 @@ fn run_chunk_forked(
 }
 
 /// Runs every trial of `plan` on the given executor with golden-run
-/// prefix checkpointing (`run_chunk_forked`): the watchdog configuration
-/// is compiled once into a [`NodeBlueprint`], each worker pools one node
-/// built from it, and within each chunk the injection-free prefix is
-/// simulated once and snapshot-forked per trial, with golden
-/// checkpoints shared across workers through the campaign-wide caches
-/// created for this call. Restore is exact — the prefix-reuse≡pooled property
-/// test and the campaign golden pin that any worker count produces stats
-/// bit-identical to a serial per-trial run.
+/// prefix checkpointing (`run_chunk_forked`): each worker thread pools one
+/// node built from the process-wide campaign [`NodeBlueprint`], and within
+/// each chunk the injection-free prefix is simulated once and
+/// snapshot-forked per trial, with behaviorally identical tails collapsed
+/// through a memo shared by this call's workers. Restore is exact — the
+/// forked≡fresh property test and the campaign golden pin that any worker
+/// count produces stats bit-identical to a serial per-trial [`run_trial`]
+/// run.
 pub fn run_plan(
     plan: &easis_injection::campaign::CampaignPlan,
     horizon: Instant,
     executor: &easis_injection::executor::CampaignExecutor,
 ) -> easis_injection::stats::CampaignStats {
-    let blueprint = NodeBlueprint::compile(campaign_node_config());
-    let caches = CampaignCaches::default();
-    executor.run_chunked(plan, |specs, _base| {
-        run_chunk_forked(&blueprint, &caches, specs, horizon)
-    })
-}
-
-/// Runs every trial of `plan` with per-worker node pooling but without
-/// prefix checkpointing: every trial re-simulates its golden prefix under
-/// the baseline per-millisecond tick loop ([`run_trial_pooled`]). This is
-/// the engine [`run_plan`] is measured against in `campaign_bench`'s
-/// `prefix_reuse` probe; outcomes are bit-identical.
-pub fn run_plan_pooled(
-    plan: &easis_injection::campaign::CampaignPlan,
-    horizon: Instant,
-    executor: &easis_injection::executor::CampaignExecutor,
-) -> easis_injection::stats::CampaignStats {
-    let blueprint = NodeBlueprint::compile(campaign_node_config());
-    executor.run(plan, |spec| run_trial_pooled(&blueprint, spec, horizon))
-}
-
-/// Runs every trial of `plan` the way campaigns ran before the throughput
-/// engine: each trial builds its own node from scratch — watchdog config
-/// compile included — with the kernel execution trace recording (the
-/// pre-engine node had no way to switch it off). No pooling, no shared
-/// compiled config. Kept as the baseline `campaign_bench` measures the
-/// engine against; the outcomes are bit-identical to [`run_plan`] (the
-/// trace never feeds a trial outcome), which the bench asserts.
-pub fn run_plan_fresh(
-    plan: &easis_injection::campaign::CampaignPlan,
-    horizon: Instant,
-    executor: &easis_injection::executor::CampaignExecutor,
-) -> easis_injection::stats::CampaignStats {
-    let config = NodeConfig {
-        kernel_trace: true,
-        ..campaign_node_config()
-    };
-    executor.run(plan, move |spec| {
-        let mut node = CentralNode::build(config.clone());
-        let mut injector = Injector::new([spec.injection.clone()]);
-        run_trial_on(&mut node, &mut injector, spec, horizon)
-    })
+    let memo = TailMemo::default();
+    executor.run_chunked(plan, |specs| run_chunk_forked(&memo, specs, horizon))
 }
 
 /// A quick health check of a golden (fault-free) run: returns `true` when
@@ -813,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn forked_pooled_and_fresh_runners_agree() {
+    fn forked_runner_agrees_with_traced_fresh_builds() {
         use easis_injection::campaign::CampaignBuilder;
         use easis_injection::executor::CampaignExecutor;
         let horizon = ms(700);
@@ -825,11 +670,20 @@ mod tests {
                 .with_horizon(horizon)
                 .build();
         let exec = CampaignExecutor::serial();
-        let forked = run_plan(&plan, horizon, &exec);
-        let pooled = run_plan_pooled(&plan, horizon, &exec);
-        let fresh = run_plan_fresh(&plan, horizon, &exec);
-        assert_eq!(forked, pooled);
-        assert_eq!(forked, fresh);
+        // Every trial on its own fresh build with the kernel trace
+        // recording: the trace never feeds an outcome.
+        let traced = NodeConfig {
+            kernel_trace: true,
+            ..campaign_node_config()
+        };
+        let fresh = exec.run(&plan, |spec| {
+            let mut node = CentralNode::build(traced.clone());
+            let mut injector = Injector::new([spec.injection.clone()]);
+            node.start();
+            node.run_until(horizon, &mut injector);
+            extract_outcome(&node, spec)
+        });
+        assert_eq!(run_plan(&plan, horizon, &exec), fresh);
     }
 
     #[test]
@@ -857,8 +711,36 @@ mod tests {
         let exec = CampaignExecutor::serial();
         assert_eq!(
             run_plan(&plan, horizon, &exec),
-            run_plan_pooled(&plan, horizon, &exec)
+            exec.run(&plan, |spec| run_trial(spec, horizon))
         );
+    }
+
+    #[test]
+    fn pooled_checkpoints_carry_across_calls_like_fresh_runs() {
+        use easis_injection::campaign::CampaignPlan;
+        use easis_injection::executor::CampaignExecutor;
+        let horizon = ms(600);
+        let exec = CampaignExecutor::serial();
+        // Each call leaves its last golden checkpoint in this thread's
+        // pool: the 450 ms call restores the 300 ms one, and the 250 ms
+        // call must not use the stale 450 ms one.
+        for from in [300, 450, 250] {
+            let plan = CampaignPlan::from_trials(vec![TrialSpec {
+                seed: 9,
+                injection: Injection::new(
+                    ErrorClass::SkipRunnable {
+                        runnable: easis_rte::runnable::RunnableId(4),
+                    },
+                    ms(from),
+                    ms(from + 100),
+                ),
+            }]);
+            assert_eq!(
+                run_plan(&plan, horizon, &exec),
+                exec.run(&plan, |spec| run_trial(spec, horizon)),
+                "call forking at {from} ms"
+            );
+        }
     }
 
     #[test]

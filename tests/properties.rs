@@ -897,19 +897,22 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// World pooling is invisible: a trial on a pooled node — built from a
-    /// campaign blueprint, dirtied by a different trial, then `reset()` —
-    /// produces an outcome byte-identical to the same trial on a freshly
-    /// built node. Few cases: every case builds full central nodes and
-    /// simulates several hundred milliseconds.
+    /// Node reset is invisible at full-state level: a node built from a
+    /// campaign blueprint, dirtied by a different trial, `reset()` and
+    /// started again ends the test trial in exactly the state — kernel,
+    /// world, fault log, monitor statistics — of the same trial on a
+    /// freshly built node. Few cases: every case builds full central nodes
+    /// and simulates several hundred milliseconds.
     #[test]
-    fn pooled_reset_trial_equals_fresh_build_trial(
+    fn reset_node_trial_equals_fresh_build_trial(
         seed in any::<u64>(),
         test_pick in any::<u32>(),
         dirty_pick in any::<u32>(),
     ) {
+        use easis::injection::injector::Injector;
         use easis::validator::node::NodeBlueprint;
-        use easis::validator::scenario::{campaign_node_config, run_trial, run_trial_pooled};
+        use easis::validator::scenario::campaign_node_config;
+        use easis::validator::CentralNode;
         let horizon = Instant::from_millis(700);
         let plan = CampaignBuilder::new(seed, (0..9).map(RunnableId).collect())
             .loop_targets(vec![RunnableId(4), RunnableId(7)])
@@ -920,34 +923,46 @@ proptest! {
         let trials = plan.trials();
         let spec = &trials[test_pick as usize % trials.len()];
         let dirty = &trials[dirty_pick as usize % trials.len()];
-        let fresh = run_trial(spec, horizon);
-        let blueprint = NodeBlueprint::compile(campaign_node_config());
-        // Dirty the pooled world with an unrelated trial first, so the
-        // comparison exercises reset-from-a-faulted state, not first-use.
-        let _ = run_trial_pooled(&blueprint, dirty, horizon);
-        let pooled = run_trial_pooled(&blueprint, spec, horizon);
-        prop_assert_eq!(&fresh, &pooled, "pooled reset diverged from fresh build");
-        prop_assert_eq!(
-            serde_json::to_string_pretty(&fresh).unwrap(),
-            serde_json::to_string_pretty(&pooled).unwrap(),
-            "JSON bytes diverged"
+        let run = |node: &mut CentralNode, spec: &TrialSpec| {
+            node.start();
+            node.run_until(horizon, &mut Injector::new([spec.injection.clone()]));
+        };
+
+        let mut fresh = CentralNode::build(campaign_node_config());
+        run(&mut fresh, spec);
+        // Dirty the reused node with an unrelated trial first, so the
+        // comparison exercises reset-from-a-faulted state, not first use.
+        let mut reused = CentralNode::build_from_blueprint(
+            &NodeBlueprint::compile(campaign_node_config()),
         );
+        run(&mut reused, dirty);
+        reused.reset();
+        run(&mut reused, spec);
+
+        let (a, b) = (reused.snapshot(), fresh.snapshot());
+        prop_assert!(
+            a.content_eq(&b),
+            "reset node diverged from fresh build for {:?}",
+            spec.injection
+        );
+        prop_assert_eq!(a.os_canonical(), b.os_canonical());
+        prop_assert_eq!(&reused.world.fault_log, &fresh.world.fault_log);
     }
 
     /// Golden-run prefix checkpointing is invisible: a random campaign run
     /// through the snapshot-forking engine (`run_plan` — golden prefix
     /// simulated once, every trial restored from a fork-point
     /// `NodeSnapshot`, behavior-identical tails collapsed) produces stats
-    /// byte-identical to per-trial fresh builds and to the pooled
-    /// per-trial engine, at any worker count. Few cases: every case
-    /// simulates a whole (small) campaign three times over.
+    /// byte-identical to per-trial fresh builds (`run_trial`, the
+    /// event-level reference), at any worker count. Few cases: every case
+    /// simulates a whole (small) campaign twice over.
     #[test]
-    fn forked_snapshot_replay_equals_fresh_and_pooled_runs(
+    fn forked_snapshot_replay_equals_fresh_runs(
         seed in any::<u64>(),
         trials_per_class in 1usize..3,
         workers in 1usize..=4,
     ) {
-        use easis::validator::scenario::{run_plan, run_plan_pooled, run_trial};
+        use easis::validator::scenario::{run_plan, run_trial};
         let horizon = Instant::from_millis(700);
         let plan = CampaignBuilder::new(seed, (0..9).map(RunnableId).collect())
             .loop_targets(vec![RunnableId(4), RunnableId(7)])
@@ -956,11 +971,8 @@ proptest! {
             .with_horizon(horizon)
             .build();
         let fresh = CampaignExecutor::serial().run(&plan, |spec| run_trial(spec, horizon));
-        let executor = CampaignExecutor::new(workers);
-        let forked = run_plan(&plan, horizon, &executor);
-        let pooled = run_plan_pooled(&plan, horizon, &executor);
+        let forked = run_plan(&plan, horizon, &CampaignExecutor::new(workers));
         prop_assert_eq!(&fresh, &forked, "forked diverged from fresh at {} workers", workers);
-        prop_assert_eq!(&fresh, &pooled, "pooled diverged from fresh");
         prop_assert_eq!(
             serde_json::to_string_pretty(&fresh).unwrap(),
             serde_json::to_string_pretty(&forked).unwrap(),
@@ -969,13 +981,14 @@ proptest! {
     }
 
     /// The forked engine's campaign report does not depend on the chunk
-    /// size: multi-trial chunks (the worker's slot captures at one fork,
+    /// size: multi-trial chunks (the worker captures at one fork,
     /// restores, advances to the next fork and captures again) and chunk
-    /// size 1 (every trial `reset()`s the node and often restores from a
-    /// shared prefix-cache checkpoint) both equal the fresh per-trial
-    /// reference byte for byte, over randomized plans, fork windows and
-    /// worker counts. Few cases: every case simulates three whole
-    /// campaigns.
+    /// size 1 (every trial `reset()`s the node, then restores the
+    /// worker's own checkpoint when it lies at or before the fork or
+    /// simulates the prefix from t=0 otherwise) both equal the fresh
+    /// per-trial reference byte for byte, over randomized plans, fork
+    /// windows and worker counts. Few cases: every case simulates three
+    /// whole campaigns.
     #[test]
     fn forked_reports_are_chunk_size_invariant(
         seed in any::<u64>(),

@@ -37,9 +37,10 @@
 //!
 //! The `tail_fastforward` probe brackets the headline run with the
 //! process-wide fast-forward metrics (`easis_validator::ffwd`): the
-//! fraction of the simulated span skipped by certified macro-jumps and the
-//! certification/fallback counts. At full scale some span must be skipped
-//! and fallbacks must stay below one per simulated millisecond (asserted).
+//! fraction of the simulated span skipped by certified macro-jumps, the
+//! successful certifications and the rejected ones (fallbacks). At full
+//! scale some span must be skipped and fallbacks must stay below one per
+//! simulated millisecond (asserted).
 //!
 //! A per-worker-count sweep over 1/2/4/8 workers records how the engine
 //! scales; every sweep run's stats must equal the headline run's
@@ -246,8 +247,7 @@ struct TailFastforwardProbe {
     /// headline reps that was fast-forwarded by certified hyperperiod
     /// jumps. Asserted > 0 at the full campaign.
     ffwd_span_fraction: f64,
-    /// Rejected certifications plus rotation-boundary crossings simulated
-    /// event-by-event during the headline reps.
+    /// Rejected certification attempts during the headline reps.
     fallbacks: u64,
     /// Successful certifications during the headline reps.
     certifications: u64,
@@ -586,8 +586,8 @@ fn main() {
         );
         assert!(
             tail_fastforward.fallbacks < ffwd_metrics.span_us / 1_000,
-            "{} macro-stepping fallbacks over {} simulated ms — the engine \
-             is thrashing on rejected certifications instead of standing down",
+            "{} rejected macro-stepping certifications over {} simulated ms \
+             — the engine keeps retrying instead of standing down",
             tail_fastforward.fallbacks,
             ffwd_metrics.span_us / 1_000,
         );

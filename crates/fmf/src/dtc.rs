@@ -150,8 +150,8 @@ pub struct DtcStore {
     /// so its freeze-frame buffer is rewritten in place instead of cloned
     /// — a pooled world re-records the same codes trial after trial.
     spare: Vec<DtcRecord>,
-    /// Scratch for codes that age out in one healthy cycle (reused, so
-    /// aging never allocates).
+    /// Scratch for codes that age out in one aging step (a healthy cycle
+    /// or a closed-form jump; reused, so aging never allocates).
     aged_scratch: Vec<DtcCode>,
 }
 
@@ -313,40 +313,39 @@ impl DtcStore {
     /// Applies `k` certified hyperperiods of DTC aging in closed form:
     /// every *pending* record's healthy-cycle counter advances by `inc`
     /// per hyperperiod (the increment [`DtcStoreSnapshot::derive_aging`]
-    /// measured). Callers must cap `k` so no record reaches the aging
-    /// horizon — crossing it removes the record, a discrete event the
-    /// closed form cannot express (see
-    /// [`DtcStore::pending_cycles_to_age_out`]).
+    /// measured), and every record that reaches the aging horizon retires
+    /// to the spare pool — the store ends exactly as `inc · k`
+    /// [`DtcStore::healthy_cycle`] calls would leave it, spare-pool order
+    /// included. Any `k` is valid: the advance saturates in u64.
     pub fn apply_aging(&mut self, inc: u32, k: u64) {
-        if inc == 0 || k == 0 {
+        let add = u64::from(inc).saturating_mul(k);
+        if add == 0 {
             return;
         }
-        let aging = self.aging_cycles;
-        let add: u32 = (inc as u64 * k)
-            .try_into()
-            .expect("aging advance fits u32 (capped below the horizon)");
-        for rec in self.codes.values_mut() {
+        let aging = u64::from(self.aging_cycles);
+        for (code, rec) in self.codes.iter_mut() {
             if rec.status == DtcStatus::Confirmed {
                 continue;
             }
-            rec.healthy_cycles += add;
-            debug_assert!(
-                rec.healthy_cycles < aging,
-                "aging advanced past the age-out horizon"
-            );
+            let cycles = u64::from(rec.healthy_cycles).saturating_add(add);
+            if cycles >= aging {
+                self.aged_scratch.push(*code);
+            } else {
+                rec.healthy_cycles = cycles as u32;
+            }
         }
-    }
-
-    /// Healthy cycles until the *earliest* pending record ages out, or
-    /// `None` when nothing is aging (empty memory or all codes
-    /// confirmed). The macro-stepping engine caps its jump just short of
-    /// this and simulates the age-out event itself.
-    pub fn pending_cycles_to_age_out(&self) -> Option<u32> {
-        self.codes
-            .values()
-            .filter(|r| r.status != DtcStatus::Confirmed)
-            .map(|r| self.aging_cycles.saturating_sub(r.healthy_cycles))
-            .min()
+        // Retire in `healthy_cycle`'s order — the earliest age-out (highest
+        // counter) first, descending codes within one cycle — so later
+        // inserts recycle the same record buffers as at event level.
+        let codes = &self.codes;
+        self.aged_scratch
+            .sort_unstable_by_key(|code| (codes[code].healthy_cycles, *code));
+        while let Some(code) = self.aged_scratch.pop() {
+            if let Some(mut record) = self.codes.remove(&code) {
+                record.healthy_cycles = self.aging_cycles;
+                self.spare.push(record);
+            }
+        }
     }
 
     /// Restores the memory captured by [`DtcStore::snapshot_into`]. Live
@@ -374,7 +373,8 @@ impl DtcStore {
 /// `PartialEq` compares the records including their aging counters;
 /// [`DtcStoreSnapshot::derive_aging`] relaxes exactly one axis — a
 /// uniform healthy-cycle advance on pending codes — so the macro-stepping
-/// engine can fast-forward through a draining fault memory.
+/// engine can fast-forward through a draining fault memory, age-outs
+/// included ([`DtcStore::apply_aging`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DtcStoreSnapshot {
     records: Vec<DtcRecord>,
@@ -387,8 +387,10 @@ impl DtcStoreSnapshot {
     /// occurrence counters, timestamps, status, freeze frames all equal —
     /// and every pending record's healthy-cycle counter advanced by the
     /// same amount. Anything else (a new occurrence, a confirmation, an
-    /// age-out removal) is a discrete event the closed form cannot
-    /// express, and the derivation rejects.
+    /// age-out removal) rejects: a *sampled* hyperperiod that straddles an
+    /// age-out has no uniform advance to measure. Once certified, the
+    /// increment is applied across later age-outs by
+    /// [`DtcStore::apply_aging`].
     pub fn derive_aging(a: &Self, b: &Self, out: &mut u32) -> bool {
         if a.records.len() != b.records.len() {
             return false;
@@ -540,28 +542,69 @@ mod tests {
 
     #[test]
     fn closed_form_aging_matches_event_level_healthy_cycles() {
+        let (early, late) = (
+            DtcCode::of(RunnableId(1), FaultKind::Aliveness),
+            DtcCode::of(RunnableId(3), FaultKind::ArrivalRate),
+        );
         let build = || {
             let mut store = DtcStore::new(3, 40);
-            // One pending (1 occurrence < 3) and one confirmed code.
+            // Two pending codes (1 occurrence < 3) that age out on
+            // different cycles, and one confirmed code that never does.
             store.record(fault(1, FaultKind::Aliveness, 10), FreezeFrame::default());
             for ms in [20, 30, 40] {
                 store.record(fault(2, FaultKind::ProgramFlow, ms), FreezeFrame::default());
             }
+            for _ in 0..3 {
+                store.healthy_cycle();
+            }
+            store.record(
+                fault(3, FaultKind::ArrivalRate, 50),
+                FreezeFrame {
+                    conditions: vec![("speed".into(), 7.0)],
+                },
+            );
             store
         };
-        let mut stepped = build();
-        let mut jumped = build();
-        // 6 hyperperiods of 2 healthy cycles each, still below the
-        // 40-cycle horizon.
-        for _ in 0..12 {
-            stepped.healthy_cycle();
+        let image = |store: &DtcStore| {
+            let mut snap = DtcStoreSnapshot::default();
+            store.snapshot_into(&mut snap);
+            snap
+        };
+        // Hyperperiods of 2 healthy cycles each: 6 stay below the 40-cycle
+        // horizon, 19 retire `early` only, 20 retire both pending codes.
+        for k in [6, 19, 20, 1_000] {
+            let mut stepped = build();
+            let mut jumped = build();
+            for _ in 0..2 * k {
+                stepped.healthy_cycle();
+            }
+            jumped.apply_aging(2, k);
+            assert_eq!(image(&stepped), image(&jumped), "k = {k}");
+            // Spare pool included: same records, same retirement order.
+            assert_eq!(format!("{stepped:?}"), format!("{jumped:?}"), "k = {k}");
+            assert_eq!(jumped.get(early).is_some(), k < 19, "k = {k}");
+            assert_eq!(jumped.get(late).is_some(), k < 20, "k = {k}");
+            assert_eq!(jumped.confirmed().count(), 1);
         }
-        jumped.apply_aging(2, 6);
-        let (mut a, mut b) = (DtcStoreSnapshot::default(), DtcStoreSnapshot::default());
-        stepped.snapshot_into(&mut a);
-        jumped.snapshot_into(&mut b);
-        assert_eq!(a, b);
-        assert_eq!(stepped.pending_cycles_to_age_out(), Some(28));
+        // A huge advance saturates instead of overflowing.
+        let mut jumped = build();
+        jumped.apply_aging(u32::MAX, u64::MAX);
+        assert_eq!(jumped.len(), 1);
+        // A retired code is re-recorded from the spare pool: its
+        // freeze-frame buffer is rewritten in place, not reallocated.
+        let mut store = build();
+        store.apply_aging(2, 20);
+        assert_eq!(store.spare.len(), 2);
+        let pooled = store.spare.last().unwrap().freeze_frame.conditions.as_ptr();
+        let frame = FreezeFrame {
+            conditions: vec![("speed".into(), 9.0)],
+        };
+        store.record(fault(3, FaultKind::ArrivalRate, 900), frame);
+        assert_eq!(store.spare.len(), 1);
+        let reborn = store.get(late).unwrap();
+        assert_eq!(reborn.freeze_frame.conditions.as_ptr(), pooled);
+        assert_eq!(reborn.freeze_frame.conditions[0].1, 9.0);
+        assert_eq!((reborn.occurrences, reborn.status), (1, DtcStatus::Pending));
     }
 
     #[test]
@@ -599,11 +642,14 @@ mod tests {
     #[test]
     fn nothing_pending_means_no_age_out_horizon() {
         let mut store = DtcStore::new(1, 10);
-        assert_eq!(store.pending_cycles_to_age_out(), None);
-        store.record(fault(1, FaultKind::Aliveness, 5), FreezeFrame::default());
-        // confirm_threshold 1: immediately confirmed, never ages.
-        assert_eq!(store.pending_cycles_to_age_out(), None);
-        store.apply_aging(2, 5); // no-op on confirmed codes
+        store.apply_aging(2, 5); // no-op on an empty memory
+        assert!(store.is_empty());
+        let code = store.record(fault(1, FaultKind::Aliveness, 5), FreezeFrame::default());
+        // confirm_threshold 1: immediately confirmed, never ages — not
+        // even across any number of jumped hyperperiods.
+        store.apply_aging(2, u64::MAX);
+        assert_eq!(store.get(code).unwrap().status, DtcStatus::Confirmed);
+        assert!(store.spare.is_empty());
         let mut snap = DtcStoreSnapshot::default();
         store.snapshot_into(&mut snap);
         let mut inc = 7;

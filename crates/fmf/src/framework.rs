@@ -96,18 +96,11 @@ impl FaultManagementFramework {
     /// Applies `k` certified hyperperiods of framework evolution in
     /// closed form. The only state a quiescent hyperperiod moves is DTC
     /// aging ([`FmfSnapshot::derive_cycle_delta`] rejects anything else),
-    /// so this advances the pending records' healthy-cycle counters.
+    /// so this advances the pending records' healthy-cycle counters and
+    /// retires those that age out on the way
+    /// ([`crate::dtc::DtcStore::apply_aging`]).
     pub fn apply_cycle_delta(&mut self, delta: &FmfCycleDelta, k: u64) {
-        if delta.dtc_aging > 0 && k > 0 {
-            self.dtc.apply_aging(delta.dtc_aging, k);
-        }
-    }
-
-    /// Healthy cycles until the earliest pending DTC ages out (`None`
-    /// when nothing is aging) — the macro-stepping engine's jump cap, see
-    /// [`crate::dtc::DtcStore::pending_cycles_to_age_out`].
-    pub fn pending_cycles_to_age_out(&self) -> Option<u32> {
-        self.dtc.pending_cycles_to_age_out()
+        self.dtc.apply_aging(delta.dtc_aging, k);
     }
 
     /// Mutable access to the DTC fault memory (tester clear operations).

@@ -930,23 +930,40 @@ mod tests {
         // including overflow entries and same-instant FIFO ties.
         let shift = Duration::from_micros(40_000);
         let seqs = 3u64; // pretend 3 schedules happened during the span
-        let mut q = EventQueue::new();
-        let mut reference = EventQueue::new();
-        q.schedule(t(1_000), 0u64);
-        reference.schedule(t(1_000), 0u64);
-        assert_eq!(q.pop(), Some((t(1_000), 0)));
-        assert_eq!(reference.pop(), Some((t(1_000), 0)));
-        for (at, tag) in [(5_000u64, 1u64), (5_000, 2), (9_500, 3), (1 << 26, 4)] {
-            q.schedule(t(at), tag);
-            reference.schedule(t(at + shift.as_micros()), tag);
+        let rotation = 1u64 << 24;
+        for (cursor, pending) in [
+            (1_000u64, [5_000u64, 5_000, 9_500, 1 << 26]),
+            // The shift carries the cursor across a 2^24 µs wheel
+            // rotation, with entries on both sides of the boundary and
+            // one in overflow.
+            (
+                rotation - 30_000,
+                [
+                    rotation - 20_000,
+                    rotation - 20_000,
+                    rotation + 1_000,
+                    3 * rotation + 7,
+                ],
+            ),
+        ] {
+            let mut q = EventQueue::new();
+            let mut reference = EventQueue::new();
+            q.schedule(t(cursor), 0u64);
+            reference.schedule(t(cursor), 0u64);
+            assert_eq!(q.pop(), Some((t(cursor), 0)));
+            assert_eq!(reference.pop(), Some((t(cursor), 0)));
+            for (at, tag) in pending.into_iter().zip(1u64..) {
+                q.schedule(t(at), tag);
+                reference.schedule(t(at + shift.as_micros()), tag);
+            }
+            q.fast_forward(shift, seqs, |_| {});
+            assert_eq!(q.peek_time(), reference.peek_time());
+            let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            let expected: Vec<_> = std::iter::from_fn(|| reference.pop()).collect();
+            assert_eq!(drained, expected);
+            // New schedules continue from the shifted sequence space.
+            assert_eq!(q.schedule(t(1 << 27), 9).raw(), 5 + seqs);
         }
-        q.fast_forward(shift, seqs, |_| {});
-        assert_eq!(q.peek_time(), reference.peek_time());
-        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        let expected: Vec<_> = std::iter::from_fn(|| reference.pop()).collect();
-        assert_eq!(drained, expected);
-        // New schedules continue from the shifted sequence space.
-        assert_eq!(q.schedule(t(1 << 27), 9).raw(), 5 + seqs);
     }
 
     #[test]

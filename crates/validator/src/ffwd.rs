@@ -41,8 +41,7 @@ pub struct FfwdMetrics {
     /// Simulated microseconds `run_span` was asked to cover in total
     /// (fast-forwarded or not — the fraction's denominator).
     pub span_us: u64,
-    /// Certification attempts rejected plus rotation-boundary crossings
-    /// simulated event-by-event.
+    /// Rejected certification attempts.
     pub fallbacks: u64,
     /// Successful certifications (the guard hyperperiod reproduced the
     /// derived delta exactly).

@@ -123,14 +123,6 @@ impl NodeConfig {
 /// transients that never settle within one certification window.
 const FFWD_MAX_HYPERPERIOD: Duration = Duration::from_millis(1_000);
 
-/// The kernel timer wheel's bottom-level rotation span is `2^24` µs
-/// (~16.8 s). A macro-jump must never cross such a boundary: the wheel's
-/// overflow cascade redistributes entries there, a physical transition the
-/// closed-form delta does not model. The engine caps every jump just short
-/// of the next boundary and simulates the crossing hyperperiod
-/// event-by-event instead.
-const WHEEL_ROTATION_BITS: u32 = 24;
-
 /// A campaign-shared node recipe: the node configuration plus the
 /// watchdog configuration compiled from it exactly once (IdIndex
 /// interning, flow-table bitsets, hypothesis derivation), frozen behind an
@@ -629,12 +621,13 @@ impl CentralNode {
     /// the hyperperiod macro-stepping engine first certifies the
     /// steady-state schedule — simulate one hyperperiod, derive its
     /// closed-form state delta, simulate a guard hyperperiod and require
-    /// the exact same delta — and then fast-forwards whole hyperperiod
-    /// multiples in O(1) per hyperperiod. Certification is *exact*: any
-    /// state that the delta cannot express (pending fault logs, DTC aging,
-    /// stale timers, a wheel rotation boundary) rejects the derivation and
-    /// the engine falls back to event-level simulation, so the final node
-    /// state is bit-identical to a never-fast-forwarded run.
+    /// the exact same delta — and then fast-forwards every whole
+    /// hyperperiod left in the span in one jump. Certification is
+    /// *exact*: any state that the delta cannot express (new fault logs,
+    /// a DTC age-out inside a sampled hyperperiod, stale timers) rejects
+    /// the derivation and the engine falls back to event-level
+    /// simulation, so the final node state is bit-identical to a
+    /// never-fast-forwarded run.
     pub fn run_span(&mut self, end: Instant) {
         assert!(self.started, "call start() first");
         let span = end.saturating_duration_since(self.os.now());
@@ -696,18 +689,18 @@ impl CentralNode {
 
     /// The macro-stepping loop behind [`CentralNode::run_span`]:
     /// certify the per-hyperperiod delta against a guard hyperperiod, then
-    /// apply it `k` at a time, capped at the next wheel rotation boundary.
+    /// apply it once over every whole hyperperiod left in the span.
     /// A rejected certification backs off exponentially (1→2→4→8
     /// hyperperiods simulated plainly, plus a one-millisecond sampling
-    /// phase nudge) so transients — DTC aging, pending cancellations,
-    /// post-treatment settling, samples phased onto a task-period
-    /// boundary — drain before the retry.
+    /// phase nudge) so transients — a DTC age-out inside a sample, pending
+    /// cancellations, post-treatment settling, samples phased onto a
+    /// task-period boundary — drain before the retry.
     fn macro_step_span(&mut self, end: Instant) {
         // The engine state moves out while the node simulates (`run_until`
         // needs `&mut self.os`/`&mut self.world` alongside the buffers).
         let mut ff = std::mem::take(&mut self.ffwd);
         let h = ff.h;
-        'certify: loop {
+        loop {
             if ff.backoff > 0 {
                 // Exponential penalty plus a one-millisecond phase nudge: a
                 // rejected sample may sit exactly on a task-period boundary
@@ -747,50 +740,26 @@ impl CentralNode {
             }
             ff.backoff = 0;
             ff.stats.certifications += 1;
-            loop {
-                let now = self.os.now();
-                let k_span = end.saturating_duration_since(now) / h;
-                if k_span == 0 {
-                    break 'certify;
-                }
-                let now_us = now.as_micros();
-                let boundary = ((now_us >> WHEEL_ROTATION_BITS) + 1) << WHEEL_ROTATION_BITS;
-                let k_rot = (boundary - now_us - 1) / h.as_micros();
-                // An aging DTC memory bounds the jump to just short of
-                // the earliest age-out: removal is a discrete event the
-                // delta cannot express, so it must be simulated — and it
-                // *changes* the steady state, so the delta must then be
-                // re-certified (unlike a rotation crossing, which only
-                // relabels the wheel).
-                let k_age = match ff.delta.fmf.dtc_aging {
-                    0 => u64::MAX,
-                    inc => match self.world.fmf.pending_cycles_to_age_out() {
-                        Some(remaining) => (remaining.saturating_sub(1) as u64) / inc as u64,
-                        None => 0,
-                    },
-                };
-                let k = k_span.min(k_rot).min(k_age);
-                if k == 0 {
-                    ff.stats.fallbacks += 1;
-                    self.os.run_until(now + h, &mut self.world);
-                    if k_age == 0 {
-                        continue 'certify;
-                    }
-                    // The rotation boundary falls inside the next
-                    // hyperperiod: it was crossed event-by-event just now
-                    // (the overflow cascade must physically run); the
-                    // delta is still valid, resume jumping.
-                    continue;
-                }
-                self.os.apply_cycle_program(&ff.delta.os, k);
-                self.world.watchdog.apply_cycle_delta(&ff.delta.watchdog, k);
-                self.world
-                    .signals
-                    .shift_updated_at(&ff.delta.signal_slots, h * k);
-                self.world.hw_watchdog.shift_last_kick(h * k);
-                self.world.fmf.apply_cycle_delta(&ff.delta.fmf, k);
-                ff.stats.fastforwarded += h * k;
-            }
+            // One jump over every whole hyperperiod left (at least one:
+            // three remained before the two certification hyperperiods).
+            // Two events on the way need no simulation:
+            // - DTC age-outs. Nothing in a certified quiescent hyperperiod
+            //   reads DTC memory: the FMF acts only on fault and
+            //   state-change ingestion, and the delta proves both absent.
+            //   `apply_aging` retires the records the event level would.
+            // - 2^24 µs wheel rotations. `EventQueue::fast_forward` drains
+            //   every pending entry and re-buckets it relative to the
+            //   jumped cursor, so the queue cannot observe the crossing.
+            let k = end.saturating_duration_since(self.os.now()) / h;
+            self.os.apply_cycle_program(&ff.delta.os, k);
+            self.world.watchdog.apply_cycle_delta(&ff.delta.watchdog, k);
+            self.world
+                .signals
+                .shift_updated_at(&ff.delta.signal_slots, h * k);
+            self.world.hw_watchdog.shift_last_kick(h * k);
+            self.world.fmf.apply_cycle_delta(&ff.delta.fmf, k);
+            ff.stats.fastforwarded += h * k;
+            break;
         }
         self.ffwd = ff;
     }
@@ -869,8 +838,7 @@ pub struct FfwdStats {
     /// Simulated time [`CentralNode::run_span`] covered in total,
     /// fast-forwarded or not (the fraction's denominator).
     pub span: Duration,
-    /// Rejected certification attempts plus rotation-boundary crossings
-    /// simulated event-by-event.
+    /// Rejected certification attempts.
     pub fallbacks: u64,
     /// Successful certifications (guard hyperperiod reproduced the delta).
     pub certifications: u64,

@@ -77,10 +77,10 @@ fi
 
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"
 # The full soak defaults to two simulated hours; one simulated minute
-# still crosses several 2^24-us timer-wheel rotations, so the overflow
-# cascade path — including the long-horizon central-node scenario that
-# injects a fault across the rotation boundary — is exercised on every
-# CI run.
+# still crosses several multiples of 2^24 us and schedules events further
+# ahead than that, so the long-horizon ordering, cancellation and
+# detection checks — including the central-node scenario that injects a
+# fault across the first 2^24 us boundary — run on every CI run.
 EASIS_SOAK_HORIZON_MS=60000 cargo test -q --test soak
 
 echo "==> campaign golden across worker/chunk/fast-forward configurations (forked path)"

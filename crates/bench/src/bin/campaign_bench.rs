@@ -367,7 +367,7 @@ fn measure_trial_allocs(blueprint: &NodeBlueprint, spec: &TrialSpec, horizon: In
         black_box(&node);
     };
     // Warm up: the first trials grow every retained buffer (arena slots,
-    // timer wheel, logs, fault records) to the steady state of this
+    // timer queue, logs, fault records) to the steady state of this
     // horizon and fault profile.
     for _ in 0..3 {
         trial();

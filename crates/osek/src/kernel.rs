@@ -449,7 +449,7 @@ impl<W> Os<W> {
 
     /// [`Os::snapshot`] into a caller-owned buffer whose capacity is
     /// retained across captures: TCB rows are updated in place, the timer
-    /// wheel, trace and arena reuse their vectors, so re-capturing into a
+    /// queue, trace and arena reuse their vectors, so re-capturing into a
     /// warm buffer is allocation-free in steady state.
     ///
     /// # Panics
@@ -514,7 +514,7 @@ impl<W> Os<W> {
 
     /// Restores runtime state captured by [`Os::snapshot`], after which the
     /// OS replays exactly like the snapshotted one. Every region is copied;
-    /// buffers (timer wheel slots, ready bands, arena plan slots) are
+    /// buffers (timer entries, ready bands, arena plan slots) are
     /// overwritten in place with their capacity retained, so a restore on
     /// the campaign hot path is allocation-free once buffers have reached
     /// steady-state size.
@@ -581,7 +581,7 @@ impl<W> Os<W> {
     /// Applies a certified [`CycleProgram`] `k` times in closed form: the
     /// clock and busy meter advance `k` hyperperiods, per-task activation
     /// counters and ready keys accumulate their per-hyperperiod deltas, and
-    /// the timer wheel shifts every pending entry — deadline checks carry
+    /// the timer queue shifts every pending entry — deadline checks carry
     /// their task's activation-sequence shift. O(tasks + pending timers),
     /// independent of how many events the skipped span would have fired.
     ///
@@ -650,7 +650,7 @@ impl<W> Os<W> {
         self.core.set_rel_alarm(id, offset, cycle)
     }
 
-    /// `CancelAlarm`: disarms an alarm.
+    /// `CancelAlarm`: disarms an alarm and drops its pending expiry.
     ///
     /// # Errors
     ///
@@ -1147,8 +1147,9 @@ impl<W> Core<W> {
             return Err(OsError::AlarmNotInUse);
         }
         alarm.disarm();
-        // The pending AlarmExpiry stays queued; expiry of a disarmed alarm
-        // is ignored, matching CancelAlarm semantics.
+        // Drop the pending expiry with the arming: left queued, it would
+        // start a second expiry chain once the alarm is armed again.
+        self.timers.retain(|ev| *ev != KernelEvent::AlarmExpiry(id));
         Ok(())
     }
 
@@ -1400,12 +1401,11 @@ impl OsSnapshot {
         self.now
     }
 
-    /// Appends a canonical rendering of the captured kernel
-    /// state to `out`. Timer entries are listed in logical `(time, seq)`
-    /// pop order rather than physical wheel layout — a hyperperiod
-    /// macro-jump re-buckets the wheel relative to the jumped cursor, so
-    /// only the logical view is comparable across fast-forwarded and
-    /// event-by-event runs. Equivalence tests hash/compare this rendering.
+    /// Appends a canonical rendering of the captured kernel state to
+    /// `out`. Timer entries are listed as stored, which is the reverse of
+    /// pop order and fixed by the queue's content. Equivalence tests
+    /// compare this rendering across fast-forwarded and event-by-event
+    /// runs.
     pub fn canonical_fmt(&self, out: &mut String) {
         use std::fmt::Write;
         let _ = writeln!(
@@ -1438,13 +1438,11 @@ impl OsSnapshot {
         let _ = writeln!(out, "alarms={:?}", self.alarms);
         let _ = writeln!(out, "resources={:?}", self.resource_holders);
         let _ = writeln!(out, "bands={:?}", self.ready_bands);
-        let mut entries = Vec::new();
-        self.timers.collect_entries(&mut entries);
         let _ = writeln!(
             out,
-            "timers cursor={} next_seq={} entries={entries:?}",
-            self.timers.cursor_micros(),
+            "timers next_seq={} entries={:?}",
             self.timers.next_seq(),
+            self.timers.entries(),
         );
         for (i, slot) in self.arena.slots().iter().enumerate() {
             if !slot.is_empty() {
@@ -1458,20 +1456,18 @@ impl OsSnapshot {
     /// images taken exactly `h` apart, writing it into `program` and
     /// returning `true` — or returns `false` when the samples are not
     /// steady-state-equivalent (a behavior-feeding field differs, an event
-    /// is pending in one but not the other, a cancellation or behind-cursor
-    /// timer entry exists, a counter moved non-uniformly). Every condition
-    /// checked here is one the closed-form application of `program` relies
-    /// on, so a `true` result plus one guard hyperperiod (derive again from
-    /// the next sample and require the identical program) certifies the
-    /// jump bit-exactly.
+    /// is pending in one but not the other, a counter moved
+    /// non-uniformly). Every condition checked here is one the closed-form
+    /// application of `program` relies on, so a `true` result plus one
+    /// guard hyperperiod (derive again from the next sample and require the
+    /// identical program) certifies the jump bit-exactly.
     ///
-    /// Reuses `scratch`'s buffers and `program`'s vectors; steady-state
-    /// certification allocates nothing once warm.
+    /// Reuses `program`'s vectors; steady-state certification allocates
+    /// nothing once warm.
     pub fn derive_cycle_program(
         a: &OsSnapshot,
         b: &OsSnapshot,
         h: Duration,
-        scratch: &mut CycleScratch,
         program: &mut CycleProgram,
     ) -> bool {
         if !a.started
@@ -1517,31 +1513,17 @@ impl OsSnapshot {
                 d_ready_key: tb.ready_key - ta.ready_key,
             });
         }
-        // Timer wheel: logical content must match entry-for-entry under a
-        // uniform (h, d_seq) shift, with deadline-check payloads carrying
-        // their task's activation shift. Behind-cursor entries or pending
-        // cancellations are transients (e.g. a cancelled alarm's stale
-        // expiry) — reject and let the engine back off until they drain.
+        // Timers: the entries must match pairwise under a uniform
+        // (h, d_seq) shift, with deadline-check payloads carrying their
+        // task's activation shift. The shift preserves order, so the two
+        // stored orders line up entry for entry.
         let ta = &a.timers;
         let tb = &b.timers;
-        if !ta.past_is_empty()
-            || !tb.past_is_empty()
-            || !ta.cancelled_is_empty()
-            || !tb.cancelled_is_empty()
-            || tb.cursor_micros() != ta.cursor_micros() + h.as_micros()
-            || tb.next_seq() < ta.next_seq()
-        {
+        if tb.next_seq() < ta.next_seq() || ta.entries().len() != tb.entries().len() {
             return false;
         }
         program.d_seq = tb.next_seq() - ta.next_seq();
-        ta.collect_entries(&mut scratch.entries_a);
-        tb.collect_entries(&mut scratch.entries_b);
-        if scratch.entries_a.len() != scratch.entries_b.len() {
-            return false;
-        }
-        for (&(at, aseq, aev), &(bt, bseq, bev)) in
-            scratch.entries_a.iter().zip(&scratch.entries_b)
-        {
+        for (&(at, aseq, aev), &(bt, bseq, bev)) in ta.entries().iter().zip(tb.entries()) {
             if bt != at + h.as_micros() || bseq != aseq + program.d_seq {
                 return false;
             }
@@ -1582,15 +1564,6 @@ pub struct CycleProgram {
     d_front: i64,
     d_seq: u64,
     per_task: Vec<TaskCycleDelta>,
-}
-
-/// Reusable buffers for [`OsSnapshot::derive_cycle_program`]'s logical
-/// timer-entry comparison; keep one per macro-stepping engine so warm
-/// certification attempts allocate nothing.
-#[derive(Debug, Default)]
-pub struct CycleScratch {
-    entries_a: Vec<(u64, u64, KernelEvent)>,
-    entries_b: Vec<(u64, u64, KernelEvent)>,
 }
 
 impl std::fmt::Debug for OsSnapshot {

@@ -118,6 +118,28 @@ fn one_shot_alarm_can_be_rearmed_after_firing() {
 }
 
 #[test]
+fn cancelled_cyclic_alarm_rearmed_runs_one_expiry_chain() {
+    let mut os: Os<Vec<u64>> = Os::new();
+    let t = os.add_task(
+        TaskConfig::new("t", Priority(1)),
+        |_: Instant, _: &Vec<u64>| {
+            Plan::new().effect(|w: &mut Vec<u64>, ctx| w.push(ctx.now().as_millis()))
+        },
+    );
+    let a = os.add_alarm("cyc", AlarmAction::ActivateTask(t));
+    let mut w = Vec::new();
+    os.start(&mut w);
+    os.set_rel_alarm(a, ms(10), Some(ms(10))).unwrap();
+    os.run_until(Instant::from_millis(2), &mut w);
+    os.cancel_alarm(a).unwrap();
+    // Re-armed before the cancelled 10 ms expiry would have fired: only
+    // the new 5 ms-offset chain may activate the task.
+    os.set_rel_alarm(a, ms(5), Some(ms(10))).unwrap();
+    os.run_until(Instant::from_millis(40), &mut w);
+    assert_eq!(w, vec![7, 17, 27, 37]);
+}
+
+#[test]
 fn idle_cpu_jumps_to_the_horizon() {
     let mut os: Os<()> = Os::new();
     let mut w = ();

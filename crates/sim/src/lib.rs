@@ -6,7 +6,10 @@
 //!
 //! * [`time`] — microsecond-resolution simulated [`time::Instant`] /
 //!   [`time::Duration`];
-//! * [`event`] — a discrete-event queue with stable tie-breaking;
+//! * [`event`] — a discrete-event queue with stable tie-breaking, kept as
+//!   one sorted vector because the OSEK kernel's timer traffic is tiny (at
+//!   most 9 pending entries on the central node: 5 cyclic alarms and at
+//!   most 4 deadline checks);
 //! * [`trace`] — the observable-action log every layer writes to;
 //! * [`series`] — time-series capture used to regenerate the paper's plots;
 //! * [`cpu`] — abstract cycle costs and CPU models (AutoBox, S12XF);

@@ -19,7 +19,7 @@ use easis_fmf::policy::{Treatment, TreatmentAction, TreatmentPolicy};
 use easis_fmf::record::SeverityMap;
 use easis_injection::injector::Injector;
 use easis_osek::alarm::{AlarmAction, AlarmId};
-use easis_osek::kernel::{CycleProgram, CycleScratch, Os};
+use easis_osek::kernel::{CycleProgram, Os};
 use easis_osek::plan::{EffectCtx, Plan, TaskBody};
 use easis_osek::task::{Priority, TaskConfig, TaskId};
 use easis_rte::assembly::SequencedTask;
@@ -722,7 +722,7 @@ impl CentralNode {
             self.ffwd_image(&mut ff.img_a);
             self.os.run_until(now + h, &mut self.world);
             self.ffwd_image(&mut ff.img_b);
-            if !derive_node_delta(&ff.img_a, &ff.img_b, h, &mut ff.scratch, &mut ff.delta) {
+            if !derive_node_delta(&ff.img_a, &ff.img_b, h, &mut ff.delta) {
                 ff.stats.fallbacks += 1;
                 ff.backoff = (ff.backoff * 2).clamp(1, 8);
                 continue;
@@ -731,8 +731,7 @@ impl CentralNode {
             // same delta before any closed-form application is trusted.
             self.os.run_until(now + h * 2, &mut self.world);
             self.ffwd_image(&mut ff.img_a);
-            if !derive_node_delta(&ff.img_b, &ff.img_a, h, &mut ff.scratch, &mut ff.delta2)
-                || ff.delta != ff.delta2
+            if !derive_node_delta(&ff.img_b, &ff.img_a, h, &mut ff.delta2) || ff.delta != ff.delta2
             {
                 ff.stats.fallbacks += 1;
                 ff.backoff = (ff.backoff * 2).clamp(1, 8);
@@ -742,14 +741,11 @@ impl CentralNode {
             ff.stats.certifications += 1;
             // One jump over every whole hyperperiod left (at least one:
             // three remained before the two certification hyperperiods).
-            // Two events on the way need no simulation:
-            // - DTC age-outs. Nothing in a certified quiescent hyperperiod
-            //   reads DTC memory: the FMF acts only on fault and
-            //   state-change ingestion, and the delta proves both absent.
-            //   `apply_aging` retires the records the event level would.
-            // - 2^24 µs wheel rotations. `EventQueue::fast_forward` drains
-            //   every pending entry and re-buckets it relative to the
-            //   jumped cursor, so the queue cannot observe the crossing.
+            // DTC age-outs on the way need no simulation: nothing in a
+            // certified quiescent hyperperiod reads DTC memory (the FMF
+            // acts only on fault and state-change ingestion, and the delta
+            // proves both absent), and `apply_aging` retires the records
+            // the event level would.
             let k = end.saturating_duration_since(self.os.now()) / h;
             self.os.apply_cycle_program(&ff.delta.os, k);
             self.world.watchdog.apply_cycle_delta(&ff.delta.watchdog, k);
@@ -858,7 +854,6 @@ struct FfwdState {
     img_b: FfwdImage,
     delta: NodeCycleDelta,
     delta2: NodeCycleDelta,
-    scratch: CycleScratch,
     stats: FfwdStats,
 }
 
@@ -913,13 +908,7 @@ struct NodeCycleDelta {
 /// time-shift, and the kernel/watchdog/signal/FMF layers must each yield
 /// a well-formed shift (the FMF's being a uniform DTC-aging advance — the
 /// post-fault drain the tail spends hundreds of milliseconds in).
-fn derive_node_delta(
-    a: &FfwdImage,
-    b: &FfwdImage,
-    h: Duration,
-    scratch: &mut CycleScratch,
-    out: &mut NodeCycleDelta,
-) -> bool {
+fn derive_node_delta(a: &FfwdImage, b: &FfwdImage, h: Duration, out: &mut NodeCycleDelta) -> bool {
     if a.treatments != b.treatments
         || a.fault_log != b.fault_log
         || a.rx_mailbox != b.rx_mailbox
@@ -938,7 +927,7 @@ fn derive_node_delta(
     if shifted != *hw_b {
         return false;
     }
-    OsSnapshot::derive_cycle_program(&a.os, &b.os, h, scratch, &mut out.os)
+    OsSnapshot::derive_cycle_program(&a.os, &b.os, h, &mut out.os)
         && WatchdogSnapshot::derive_cycle_delta(&a.watchdog, &b.watchdog, h, &mut out.watchdog)
         && SignalDbSnapshot::derive_shift(&a.signals, &b.signals, h, &mut out.signal_slots)
 }
@@ -1002,9 +991,7 @@ impl NodeSnapshot {
 
     /// Content equality, the equivalence-test comparator for
     /// macro-stepped versus event-level runs. The kernel is compared
-    /// through its canonical rendering — the timer wheel's *physical*
-    /// layout is legitimately non-canonical after a fast-forward, only its
-    /// logical content must match. Signal and watchdog state go through
+    /// through its canonical rendering. Signal and watchdog state go through
     /// their zero-shift derivations (every monotone field must be exactly
     /// equal); everything else compares structurally.
     pub fn content_eq(&self, other: &NodeSnapshot) -> bool {

@@ -542,10 +542,9 @@ proptest! {
     }
 }
 
-/// The pre-wheel event queue as the reference model: a `BinaryHeap` of
-/// `(time, seq)` keys with lazy cancellation. The timer
-/// wheel must produce the identical cancel verdicts, peek times and pop
-/// stream for every operation sequence.
+/// The reference model of the event queue: a `BinaryHeap` of `(time, seq)`
+/// keys with lazy cancellation. The queue must produce the identical cancel
+/// verdicts, peek times and pop stream for every operation sequence.
 struct ReferenceEventQueue {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
     cancelled: std::collections::HashSet<u64>,
@@ -594,15 +593,30 @@ impl ReferenceEventQueue {
         }
         None
     }
+
+    /// Every live `(time, seq)` key, in pop order.
+    fn live_keys(&self) -> Vec<(u64, u64)> {
+        let mut keys: Vec<(u64, u64)> = self
+            .heap
+            .iter()
+            .map(|r| r.0)
+            .filter(|(_, seq)| !self.cancelled.contains(seq))
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
 }
 
 proptest! {
-    /// The hierarchical timer wheel is observationally equivalent to the
-    /// `BinaryHeap` it replaced: identical cancel verdicts (including
-    /// double-cancel and cancel-after-fire), identical peek times, and an
-    /// identical `(time, FIFO)` pop stream — over arbitrary interleavings
-    /// of schedule/pop/cancel with heavy same-instant collisions, events
-    /// beyond the top wheel level, and events behind the cursor.
+    /// The event queue is observationally equivalent to a `BinaryHeap`
+    /// reference: identical cancel verdicts (including double-cancel and
+    /// cancel-after-fire), identical peek times, and an identical
+    /// `(time, FIFO)` pop stream — over arbitrary interleavings of
+    /// schedule/pop/cancel with heavy same-instant collisions, events
+    /// beyond 2^24 µs, and events earlier than one already popped. After
+    /// every operation the queue's stored entries, reversed, are exactly
+    /// the reference's live keys in pop order: the kernel's cycle-program
+    /// derivation compares stored entries pairwise and relies on that.
     #[test]
     fn timer_wheel_matches_binary_heap_reference(
         ops in prop::collection::vec(
@@ -610,45 +624,53 @@ proptest! {
             1..300,
         ),
     ) {
-        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut queue: EventQueue<u64> = EventQueue::new();
         let mut reference = ReferenceEventQueue::new();
         let mut issued = Vec::new();
         for &(op, t, pick) in &ops {
             match op {
                 // Schedule: half the draws collapse into a small range so
-                // same-instant FIFO and cascade co-location are stressed;
-                // the other half reach past the top wheel level.
+                // same-instant FIFO is stressed; the other half reach past
+                // 2^24 µs.
                 0..=4 => {
                     let at = Instant::from_micros(if t & 1 == 0 { t >> 14 } else { t });
-                    let id = wheel.schedule(at, reference.next_seq);
+                    let id = queue.schedule(at, reference.next_seq);
                     let seq = reference.schedule(at);
                     prop_assert_eq!(id.raw(), seq, "seq allocation diverged");
                     issued.push(id);
                 }
                 5..=6 => {
-                    prop_assert_eq!(wheel.peek_time(), reference.peek_time());
-                    let wheel_pop = wheel.pop();
+                    prop_assert_eq!(queue.peek_time(), reference.peek_time());
+                    let queue_pop = queue.pop();
                     let reference_pop = reference.pop();
-                    prop_assert_eq!(wheel_pop, reference_pop, "pop stream diverged");
+                    prop_assert_eq!(queue_pop, reference_pop, "pop stream diverged");
                 }
                 _ => {
                     if let Some(&id) = issued.get(pick as usize % issued.len().max(1)) {
                         prop_assert_eq!(
-                            wheel.cancel(id),
+                            queue.cancel(id),
                             reference.cancel(id.raw()),
                             "cancel verdict diverged for {:?}", id
                         );
                     }
                 }
             }
+            let stored: Vec<(u64, u64)> = queue
+                .snapshot()
+                .entries()
+                .iter()
+                .rev()
+                .map(|&(at, seq, _)| (at, seq))
+                .collect();
+            prop_assert_eq!(stored, reference.live_keys(), "stored order is not pop order");
         }
         // Drain both completely: the tails must match too.
         loop {
-            prop_assert_eq!(wheel.peek_time(), reference.peek_time());
-            let wheel_pop = wheel.pop();
+            prop_assert_eq!(queue.peek_time(), reference.peek_time());
+            let queue_pop = queue.pop();
             let reference_pop = reference.pop();
-            prop_assert_eq!(wheel_pop, reference_pop, "drain diverged");
-            if wheel_pop.is_none() {
+            prop_assert_eq!(queue_pop, reference_pop, "drain diverged");
+            if queue_pop.is_none() {
                 break;
             }
         }
@@ -1044,8 +1066,8 @@ proptest! {
     /// certification points, the jump spans and the sub-hyperperiod
     /// residues around. Short windows (5–30 ms) leave Pending DTCs that
     /// age out inside the tail's jump, and horizons up to 20 s carry most
-    /// jumps across the 2^24 µs (16 777 ms) timer-wheel rotation — the
-    /// engine must land on the exact event-level state every time.
+    /// jumps past 2^24 µs (16 777 ms) — the engine must land on the exact
+    /// event-level state every time.
     #[test]
     fn macro_stepped_trial_equals_event_level_simulation(
         seed in any::<u64>(),

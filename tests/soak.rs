@@ -13,7 +13,7 @@ use easis::validator::{scenario, CentralNode, NodeConfig};
 
 /// Simulated soak horizon in milliseconds. Defaults to two hours; CI smoke
 /// runs set `EASIS_SOAK_HORIZON_MS` to a short horizon (still several
-/// timer-wheel cascade periods — the top wheel level spans 2^24 µs ≈ 16.8 s).
+/// multiples of [`BOUNDARY_US`]).
 fn soak_horizon_ms() -> u64 {
     std::env::var("EASIS_SOAK_HORIZON_MS")
         .ok()
@@ -21,10 +21,11 @@ fn soak_horizon_ms() -> u64 {
         .unwrap_or(2 * 60 * 60 * 1000)
 }
 
-/// One top-level timer-wheel rotation: events scheduled further ahead than
-/// this land in the overflow `BTreeMap` and must cascade back into the
-/// wheel when the cursor crosses the next rotation boundary.
-const WHEEL_HORIZON_US: u64 = 1 << 24;
+/// 2^24 µs ≈ 16.8 s. The long-horizon scenarios schedule events further
+/// ahead than this and cross it (and its multiples) to pin that ordering,
+/// cancel verdicts and fault detection do not depend on how far in the
+/// future an event lies or on where simulated time stands.
+const BOUNDARY_US: u64 = 1 << 24;
 
 #[test]
 fn central_node_stays_clean_for_ten_simulated_seconds() {
@@ -51,7 +52,7 @@ fn hil_long_run_remains_stable_and_supervised() {
     assert!(report.can_frames > 15_000);
 }
 
-/// Heap-of-record for the wheel soak: the same lazy-cancellation
+/// Heap-of-record for the event-queue soak: the same lazy-cancellation
 /// `BinaryHeap` model the property suite uses, kept minimal here so the
 /// soak is self-contained.
 struct HeapOfRecord {
@@ -104,13 +105,12 @@ impl HeapOfRecord {
     }
 }
 
-/// Hours of simulated time through the hierarchical timer wheel, in
-/// lockstep with a binary-heap model: a 10 ms tick that stays inside the
-/// wheel, a 60 s re-arming alarm that *always* lands in the overflow
-/// `BTreeMap` (60 s > 2^24 µs), random far one-shots up to 90 minutes out,
-/// and occasional cancellations of overflow residents. Peek and pop must
-/// agree at every event — in particular across every top-rotation boundary,
-/// where the overflow cascade re-files events into the wheel.
+/// Hours of simulated time through the event queue, in lockstep with a
+/// binary-heap model: a 10 ms tick, a 60 s re-arming alarm that is always
+/// scheduled more than 2^24 µs ahead, random far one-shots up to 90
+/// minutes out, and occasional cancellations of far events. Peek, pop and
+/// cancel verdicts must agree at every event, including right after every
+/// 2^24 µs boundary the clock crosses.
 #[test]
 fn timer_wheel_soak_matches_heap_across_overflow_cascades() {
     #[derive(Clone, Copy, PartialEq)]
@@ -121,7 +121,7 @@ fn timer_wheel_soak_matches_heap_across_overflow_cascades() {
     }
 
     let horizon = Instant::from_millis(soak_horizon_ms());
-    let mut wheel: EventQueue<u64> = EventQueue::new();
+    let mut queue: EventQueue<u64> = EventQueue::new();
     let mut record = HeapOfRecord::new();
     let mut rng = SimRng::seed_from(0x50AC);
     // Payloads are the reference sequence numbers; `kinds[seq]` says how to
@@ -129,13 +129,13 @@ fn timer_wheel_soak_matches_heap_across_overflow_cascades() {
     let mut kinds: Vec<Kind> = Vec::new();
 
     fn schedule(
-        wheel: &mut EventQueue<u64>,
+        queue: &mut EventQueue<u64>,
         record: &mut HeapOfRecord,
         kinds: &mut Vec<Kind>,
         kind: Kind,
         at: Instant,
     ) -> easis::sim::event::EventId {
-        let id = wheel.schedule(at, record.next_seq);
+        let id = queue.schedule(at, record.next_seq);
         let seq = record.schedule(at);
         assert_eq!(id.raw(), seq, "seq allocation diverged");
         kinds.push(kind);
@@ -143,22 +143,22 @@ fn timer_wheel_soak_matches_heap_across_overflow_cascades() {
     }
 
     // Seed the periodic sources.
-    let mut overflow_spills: u64 = 0; // events scheduled past the wheel horizon
-    let mut cascade_crossings: u64 = 0; // top-rotation boundaries crossed
+    let mut far_spills: u64 = 0; // events scheduled more than 2^24 µs ahead
+    let mut boundary_crossings: u64 = 0; // 2^24 µs boundaries crossed
     let fast_period = Duration::from_millis(10);
     let slow_period = Duration::from_secs(60);
-    schedule(&mut wheel, &mut record, &mut kinds, Kind::FastTick, Instant::ZERO + fast_period);
-    schedule(&mut wheel, &mut record, &mut kinds, Kind::SlowAlarm, Instant::ZERO + slow_period);
-    overflow_spills += 1;
+    schedule(&mut queue, &mut record, &mut kinds, Kind::FastTick, Instant::ZERO + fast_period);
+    schedule(&mut queue, &mut record, &mut kinds, Kind::SlowAlarm, Instant::ZERO + slow_period);
+    far_spills += 1;
     let mut far_ids = Vec::new();
 
     let mut last_rotation = 0u64;
     loop {
-        assert_eq!(wheel.peek_time(), record.peek_time(), "peek diverged");
-        let wheel_pop = wheel.pop();
+        assert_eq!(queue.peek_time(), record.peek_time(), "peek diverged");
+        let queue_pop = queue.pop();
         let record_pop = record.pop();
-        assert_eq!(wheel_pop, record_pop, "pop stream diverged");
-        let Some((now, seq)) = wheel_pop else {
+        assert_eq!(queue_pop, record_pop, "pop stream diverged");
+        let Some((now, seq)) = queue_pop else {
             break;
         };
         if now > horizon {
@@ -166,39 +166,38 @@ fn timer_wheel_soak_matches_heap_across_overflow_cascades() {
         }
         let rotation = now.as_micros() >> 24;
         if rotation != last_rotation {
-            cascade_crossings += 1;
+            boundary_crossings += 1;
             last_rotation = rotation;
-            // Right on a cascade boundary the overflow entries for this
-            // rotation have just been re-filed into the wheel: the head of
-            // both queues must still agree.
-            assert_eq!(wheel.peek_time(), record.peek_time(), "peek diverged after cascade");
+            // Right after a boundary the head of both queues must still
+            // agree.
+            assert_eq!(queue.peek_time(), record.peek_time(), "peek diverged after boundary");
         }
 
         // Re-arm the periodic sources relative to their own expiry, the way
         // kernel alarms do; sprinkle in far one-shots and cancellations.
         match kinds[seq as usize] {
             Kind::FastTick => {
-                schedule(&mut wheel, &mut record, &mut kinds, Kind::FastTick, now + fast_period);
+                schedule(&mut queue, &mut record, &mut kinds, Kind::FastTick, now + fast_period);
                 if rng.next_below(100) < 2 {
                     let far = Duration::from_millis(rng.next_in(20_000, 5_400_000));
                     let id = schedule(
-                        &mut wheel,
+                        &mut queue,
                         &mut record,
                         &mut kinds,
                         Kind::FarOneShot,
                         now + far,
                     );
-                    if far.as_micros() > WHEEL_HORIZON_US {
-                        overflow_spills += 1;
+                    if far.as_micros() > BOUNDARY_US {
+                        far_spills += 1;
                     }
                     far_ids.push(id);
                     if far_ids.len() > 8 {
-                        // Cancel an old far event — often already cascaded
-                        // or fired; the verdicts must agree either way.
+                        // Cancel an old far event — often already fired;
+                        // the verdicts must agree either way.
                         let pick = rng.next_below(far_ids.len() as u64) as usize;
                         let victim = far_ids.remove(pick);
                         assert_eq!(
-                            wheel.cancel(victim),
+                            queue.cancel(victim),
                             record.cancel(victim.raw()),
                             "cancel verdict diverged"
                         );
@@ -206,43 +205,43 @@ fn timer_wheel_soak_matches_heap_across_overflow_cascades() {
                 }
             }
             Kind::SlowAlarm => {
-                schedule(&mut wheel, &mut record, &mut kinds, Kind::SlowAlarm, now + slow_period);
-                overflow_spills += 1;
+                schedule(&mut queue, &mut record, &mut kinds, Kind::SlowAlarm, now + slow_period);
+                far_spills += 1;
             }
             Kind::FarOneShot => {}
         }
     }
 
-    // The soak must actually have exercised the overflow path, not just the
-    // in-wheel levels: every 60 s re-arm spills, and hours of time cross
-    // many top-rotation boundaries.
-    let expected_rotations = soak_horizon_ms() * 1000 / WHEEL_HORIZON_US;
+    // The soak must actually have reached far ahead, not just the near
+    // term: every 60 s re-arm spills past 2^24 µs, and hours of time cross
+    // many boundaries.
+    let expected_rotations = soak_horizon_ms() * 1000 / BOUNDARY_US;
     assert!(
-        overflow_spills >= expected_rotations.div_ceil(4).max(2),
-        "only {overflow_spills} overflow spills — soak did not reach past the wheel horizon"
+        far_spills >= expected_rotations.div_ceil(4).max(2),
+        "only {far_spills} far spills — soak did not reach past 2^24 us"
     );
     assert_eq!(
-        cascade_crossings, expected_rotations,
-        "cascade boundary count diverged from the simulated horizon"
+        boundary_crossings, expected_rotations,
+        "boundary count diverged from the simulated horizon"
     );
 
     // Drain both completely: far one-shots beyond the horizon included.
     loop {
-        assert_eq!(wheel.peek_time(), record.peek_time(), "drain peek diverged");
-        let wheel_pop = wheel.pop();
-        assert_eq!(wheel_pop, record.pop(), "drain diverged");
-        if wheel_pop.is_none() {
+        assert_eq!(queue.peek_time(), record.peek_time(), "drain peek diverged");
+        let queue_pop = queue.pop();
+        assert_eq!(queue_pop, record.pop(), "drain diverged");
+        if queue_pop.is_none() {
             break;
         }
     }
 }
 
-/// The same overflow machinery end-to-end through the OSEK kernel: a 10 ms
-/// task and a 60 s task (whose cyclic alarm re-arms into the overflow map
-/// every time) run for hours of simulated time on arena-backed bodies with
-/// the trace disabled. Activation counts must come out exact — a lost or
-/// duplicated cascade would skew them — and the run must stay allocation-
-/// bounded enough to finish in test time.
+/// The same far-ahead traffic end-to-end through the OSEK kernel: a 10 ms
+/// task and a 60 s task (whose cyclic alarm re-arms more than 2^24 µs
+/// ahead every time) run for hours of simulated time on arena-backed
+/// bodies with the trace disabled. Activation counts must come out exact —
+/// a lost or duplicated expiry would skew them — and the run must stay
+/// allocation-bounded enough to finish in test time.
 #[test]
 fn kernel_alarm_soak_exact_activation_counts_past_wheel_horizon() {
     use easis::osek::alarm::{AlarmAction, AlarmId};
@@ -299,15 +298,14 @@ fn kernel_alarm_soak_exact_activation_counts_past_wheel_horizon() {
     assert_eq!(os.now(), horizon);
 }
 
-/// Kernel-visible long-horizon cascade scenario: a full central node runs
-/// past the top-level timer-wheel rotation (2^24 µs ≈ 16.8 s) while a
-/// heartbeat loss on SAFE_CC is injected across the rotation boundary
-/// itself — the injection window opens before the cascade re-files the
-/// overflow residents and closes after it. The cascade must neither drop
-/// nor delay the dependability pipeline: the Software Watchdog detects the
-/// loss inside the window, the FMF reaction strictly follows the first
-/// detection, and after the window closes the node returns to a clean
-/// steady state for the rest of the horizon. `EASIS_SOAK_HORIZON_MS`
+/// Kernel-visible long-horizon scenario: a full central node runs past
+/// 2^24 µs ≈ 16.8 s while a heartbeat loss on SAFE_CC is injected across
+/// that boundary itself — the injection window opens before it and closes
+/// after it. Crossing it must neither drop nor delay the dependability
+/// pipeline: the Software Watchdog detects the loss inside the window, the
+/// FMF reaction strictly follows the first detection, and after the window
+/// closes the node returns to a clean steady state for the rest of the
+/// horizon. `EASIS_SOAK_HORIZON_MS`
 /// gates how far past the boundary the CI smoke runs (clamped so the
 /// default two-hour soak setting stays test-time bounded — the scenario's
 /// interesting region is the boundary plus a settle margin).
@@ -316,8 +314,8 @@ fn central_node_detects_and_treats_fault_across_cascade_boundary() {
     use easis::fmf::policy::Treatment;
     use easis::injection::{ErrorClass, Injection};
 
-    // First top-level rotation boundary, in ms (16_777.216 ms).
-    let boundary_ms = WHEEL_HORIZON_US / 1000;
+    // First boundary, in ms (16_777.216 ms).
+    let boundary_ms = BOUNDARY_US / 1000;
     let from = Instant::from_millis(boundary_ms - 80);
     let to = Instant::from_millis(boundary_ms + 120);
     let horizon_ms = soak_horizon_ms().clamp(boundary_ms + 3_000, 60_000);
@@ -341,7 +339,7 @@ fn central_node_detects_and_treats_fault_across_cascade_boundary() {
     node.run_until(horizon, &mut injector);
     assert_eq!(node.os.now(), horizon);
 
-    // Detection: the aliveness unit catches the loss despite the cascade
+    // Detection: the aliveness unit catches the loss despite the boundary
     // crossing inside the window, and every fault lies in the window (plus
     // trailing supervision-window latency) — nothing fires spuriously in
     // the clean stretches before injection or after recovery.
@@ -387,24 +385,23 @@ fn central_node_detects_and_treats_fault_across_cascade_boundary() {
     assert!(node.world.watchdog.cycles_run() >= horizon_ms / 10 - 2);
 }
 
-/// The detection pipeline is rotation-boundary independent: a
-/// heartbeat-loss window of identical shape, aligned to the node's 20 ms
-/// hyperperiod so the phase between injection start and the next watchdog
-/// check is the same every time, is swept across three consecutive
-/// top-level timer-wheel rotation boundaries (2^24 µs apart), straddling
-/// each. The overflow cascade that re-files long-horizon events at every
-/// boundary must neither delay nor advance detection: the first-detection
-/// latency has to come out bit-identical at all three boundaries.
+/// The detection pipeline is boundary independent: a heartbeat-loss
+/// window of identical shape, aligned to the node's 20 ms hyperperiod so
+/// the phase between injection start and the next watchdog check is the
+/// same every time, is swept across three consecutive multiples of
+/// 2^24 µs, straddling each. Where simulated time stands must neither
+/// delay nor advance detection: the first-detection latency has to come
+/// out bit-identical at all three boundaries.
 #[test]
 fn heartbeat_loss_latency_is_rotation_boundary_independent() {
     use easis::injection::{ErrorClass, Injection};
 
     let mut latencies = Vec::new();
     for rotation in 1..=3u64 {
-        let boundary_us = rotation * WHEEL_HORIZON_US;
+        let boundary_us = rotation * BOUNDARY_US;
         // Align the window start to the 20 ms hyperperiod grid (watchdog
         // cycle 10 ms, app periods 5/10/20 ms), 80 ms before the boundary;
-        // the 200 ms window then straddles the cascade crossing.
+        // the 200 ms window then straddles the boundary.
         let from_ms = (boundary_us / 1_000 / 20) * 20 - 80;
         let from = Instant::from_millis(from_ms);
         let to = from + Duration::from_millis(200);
@@ -444,11 +441,10 @@ fn heartbeat_loss_latency_is_rotation_boundary_independent() {
 }
 
 /// The macro-stepping engine over a genuinely long horizon: the
-/// injection-free prefix spans the first top-level timer-wheel rotation
-/// boundary (2^24 µs ≈ 16.8 s). The engine certifies once and jumps
-/// straight across it — the jump re-buckets every pending timer relative
-/// to the new cursor, so the crossing needs no event-level hyperperiod.
-/// A heartbeat loss opens just past the boundary, so detection and
+/// injection-free prefix spans 2^24 µs ≈ 16.8 s. The engine certifies once
+/// and jumps straight across it — the jump shifts every pending timer in
+/// place, so the crossing needs no event-level hyperperiod. A heartbeat
+/// loss opens just past the boundary, so detection and
 /// treatment run on a node whose entire pre-fault history was
 /// fast-forwarded; the dependability verdict and the final node state must
 /// come out bit-identical to the event-level run that simulated every one
@@ -458,7 +454,7 @@ fn macro_stepped_soak_crosses_rotation_boundary_and_detects_fault_past_it() {
     use easis::fmf::policy::Treatment;
     use easis::injection::{ErrorClass, Injection};
 
-    let boundary_ms = WHEEL_HORIZON_US / 1000; // 16_777
+    let boundary_ms = BOUNDARY_US / 1000; // 16_777
     let from = Instant::from_millis(boundary_ms + 20);
     let to = Instant::from_millis(boundary_ms + 220);
     let horizon = Instant::from_millis(boundary_ms + 3_000);
@@ -470,7 +466,7 @@ fn macro_stepped_soak_crosses_rotation_boundary_and_detects_fault_past_it() {
         });
         node.set_fastforward(Some(ffwd));
         node.start();
-        // Quiescent prefix across the rotation boundary.
+        // Quiescent prefix across the boundary.
         node.run_span(from);
         let prefix = node.ffwd_stats();
         node.set_injection_armed(true);

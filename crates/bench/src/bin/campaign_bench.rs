@@ -7,14 +7,14 @@
 //! grid is affordable. This bin measures the T-COV campaign (the same
 //! plan shape as the golden campaign report, scaled up) through the one
 //! campaign engine, [`run_plan`]: golden-run prefix checkpointing. Each
-//! worker thread pools one node, sorts its chunk by injection time,
-//! simulates the clean (injection-free) prefix once, snapshots the node at
-//! each distinct fork instant and restores every trial from its
-//! checkpoint, so only the post-injection tail is re-simulated; twins with
-//! the same effective tail collapse onto one simulation, and quiescent
-//! tail spans fast-forward by certified hyperperiod jumps. The raw setup
-//! costs (one-off [`NodeBlueprint`] compile, one full node build, one
-//! node reset) are measured separately.
+//! worker thread pools one node, sorts its chunk by fork tick and tail
+//! key, simulates the clean (injection-free) prefix once, snapshots the
+//! node at each distinct fork instant and restores every trial from its
+//! checkpoint, so only the post-injection tail is re-simulated; adjacent
+//! twins with the same effective tail read their outcome off one
+//! simulation, and quiescent tail spans fast-forward by certified
+//! hyperperiod jumps. The raw setup costs (one-off [`NodeBlueprint`]
+//! compile, one full node build, one node reset) are measured separately.
 //!
 //! The bin proves the steady-state claim under a counting global
 //! allocator: a clean (no-fault) trial on a warmed, reused node
@@ -22,18 +22,18 @@
 //! the reference horizon and at twice the horizon, and the counts must be
 //! **equal** — doubling the simulated time (and with it every task
 //! activation) adds zero heap allocations, i.e. the plan/effect/step-buffer
-//! path is allocation-free (asserted). A *faulty* trial — one whose
-//! injection fires inside the horizon and is detected — is probed the same
-//! way: with the pooled fault records, drained-into treatment actions and
-//! the in-place DTC freeze frame it may allocate at most
-//! [`FAULTY_TRIAL_ALLOC_FLOOR`] blocks (asserted).
+//! path is allocation-free (asserted), and a clean trial allocates nothing
+//! at all (asserted). A *faulty* trial — one whose injection fires inside
+//! the horizon and is detected — is probed the same way: with the pooled
+//! fault records, drained-into treatment actions and the in-place DTC
+//! freeze frame it allocates nothing either (asserted).
 //!
 //! The `snapshot` probe measures the checkpoint machinery itself on a
 //! standalone node: a warm capacity-retained capture
 //! ([`CentralNode::snapshot_into`]), a full-copy restore after a clean
 //! (injection-free) tail run to the horizon, and the heap allocations of
 //! a warmed capture. One gate is asserted at every size: a warmed capture
-//! allocates at most [`SNAPSHOT_ALLOC_FLOOR`] blocks.
+//! allocates nothing.
 //!
 //! The `tail_fastforward` probe brackets the headline run with the
 //! process-wide fast-forward metrics (`easis_validator::ffwd`): the
@@ -125,27 +125,6 @@ const HORIZON: Instant = Instant::from_millis(1_500);
 /// the sweep measures oversubscription and the gate is skipped).
 const SWEEP_SCALING_FLOOR: f64 = 1.3;
 
-/// Maximum heap blocks a clean steady-state trial on a reused node may
-/// allocate. With the reloaded injector (`Injector::reload`) the
-/// per-trial constants are gone — a warmed trial measures 0; one block of
-/// slack absorbs collection growth-point jitter without letting a real
-/// per-trial allocation through.
-const STEADY_STATE_ALLOC_FLOOR: u64 = 1;
-
-/// Maximum heap blocks a warmed `CentralNode::snapshot_into` capture may
-/// allocate. Every snapshot buffer is capacity-retained, so a warm
-/// capture measures 0; one block of slack absorbs collection
-/// growth-point jitter without letting a real per-capture allocation
-/// through.
-const SNAPSHOT_ALLOC_FLOOR: u64 = 1;
-
-/// Maximum heap blocks a *fault-detecting* trial may allocate on a
-/// warmed node. Fault records, state changes, treatment actions and the
-/// DTC freeze frame are pooled/rewritten in place; what remains is the
-/// DTC store's first-occurrence inserts (each fault class re-enters an
-/// emptied map after `reset()`).
-const FAULTY_TRIAL_ALLOC_FLOOR: u64 = 4;
-
 /// The T-COV campaign plan: same seed, target set and injection window as
 /// the golden campaign report (`tests/goldens/campaign_report.json`),
 /// scaled to `trials_per_class`.
@@ -220,8 +199,7 @@ struct AllocProbe {
     /// `2x − 1x`: allocations attributable to simulated time. Must be 0.
     horizon_scaling_allocs: i64,
     /// Heap allocations of one fault-detecting trial on a warmed node
-    /// (pooled fault records + in-place DTC freeze frame; floor
-    /// [`FAULTY_TRIAL_ALLOC_FLOOR`]).
+    /// (pooled fault records + in-place DTC freeze frame). Must be 0.
     faulty_trial_allocs: u64,
 }
 
@@ -234,8 +212,7 @@ struct SnapshotProbe {
     /// `restore_from` after a clean (injection-free) tail run from the
     /// fork instant to the horizon.
     restore_ns: f64,
-    /// Heap allocations of a warmed capture (floor
-    /// [`SNAPSHOT_ALLOC_FLOOR`]).
+    /// Heap allocations of a warmed capture. Must be 0.
     snapshot_allocs: u64,
 }
 
@@ -503,28 +480,27 @@ fn main() {
          +{scaling}) — the plan/effect/step-buffer path has regressed from \
          allocation-free"
     );
-    // Absolute floor: with the reloaded injector a clean steady-state
-    // trial allocates nothing. Gate with one block of slack so a new
-    // per-trial or per-activation allocation anywhere in the
+    // Absolute gate: with the reloaded injector and every retained
+    // buffer warm, a clean steady-state trial allocates nothing, so a
+    // single new per-trial or per-activation allocation anywhere in the
     // kernel/RTE/watchdog cycle fails loudly.
-    assert!(
-        allocs_1x <= STEADY_STATE_ALLOC_FLOOR,
-        "clean steady-state trial allocated {allocs_1x} heap blocks \
-         (floor {STEADY_STATE_ALLOC_FLOOR}) — a per-trial or per-activation \
-         allocation crept back in"
+    assert_eq!(
+        allocs_1x, 0,
+        "clean steady-state trial allocated {allocs_1x} heap blocks — a \
+         per-trial or per-activation allocation crept back in"
     );
 
-    // Faulty-cycle probe: a trial that detects real faults must stay
-    // within the pooled-buffer floor — fault records, state changes,
-    // treatment actions and the freeze frame are reused, so only
-    // first-occurrence DTC inserts remain.
+    // Faulty-cycle probe: a trial that detects real faults allocates
+    // nothing either — fault records, state changes, treatment actions and
+    // DTC records with their freeze frames are pooled or rewritten in
+    // place, and the DTC map emptied by `reset()` keeps its node, so
+    // re-inserting the same fault classes allocates nothing.
     let faulty_allocs = measure_trial_allocs(&probe_blueprint, &faulty_spec(), HORIZON);
-    println!("faulty-trial allocs/trial: {faulty_allocs} (floor {FAULTY_TRIAL_ALLOC_FLOOR})");
-    assert!(
-        faulty_allocs <= FAULTY_TRIAL_ALLOC_FLOOR,
-        "fault-detecting trial allocated {faulty_allocs} heap blocks \
-         (floor {FAULTY_TRIAL_ALLOC_FLOOR}) — a per-fault allocation \
-         (record, freeze frame, action) crept back in"
+    println!("faulty-trial allocs/trial: {faulty_allocs}");
+    assert_eq!(
+        faulty_allocs, 0,
+        "fault-detecting trial allocated {faulty_allocs} heap blocks — a \
+         per-fault allocation (record, freeze frame, action) crept back in"
     );
 
     // Snapshot probe: the checkpoint machinery the engine is built on,
@@ -538,11 +514,10 @@ fn main() {
         snapshot.snapshot_allocs,
         snapshot.restore_ns,
     );
-    assert!(
-        snapshot.snapshot_allocs <= SNAPSHOT_ALLOC_FLOOR,
-        "warmed snapshot capture allocated {} heap blocks (floor \
-         {SNAPSHOT_ALLOC_FLOOR}) — a snapshot buffer has stopped retaining \
-         its capacity",
+    assert_eq!(
+        snapshot.snapshot_allocs, 0,
+        "warmed snapshot capture allocated {} heap blocks — a snapshot \
+         buffer has stopped retaining its capacity",
         snapshot.snapshot_allocs
     );
 

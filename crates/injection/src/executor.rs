@@ -5,11 +5,10 @@
 //! fault detection coverage") needs thousands of trials, each simulating a
 //! full central node to its horizon. Trials are hermetic — every one
 //! builds its own node world from its [`TrialSpec`] — so they
-//! parallelise embarrassingly. [`CampaignExecutor`] fans a plan across a
-//! pool of worker threads over a shared work queue and merges the
-//! outcomes **by trial index**, so the resulting [`CampaignStats`] is
-//! bit-identical to a serial run regardless of worker count, chunk size
-//! or thread scheduling.
+//! parallelise embarrassingly. [`CampaignExecutor`] fans a plan's chunks
+//! across a pool of worker threads and merges the outcomes **by trial
+//! index**, so the resulting [`CampaignStats`] is bit-identical to a
+//! serial run regardless of worker count, chunk size or thread scheduling.
 //!
 //! Work distribution is **statically striped**: the plan's chunks are
 //! assigned round-robin to workers up front, so a worker owns its whole
@@ -24,8 +23,9 @@
 //! [`CampaignExecutor::run_chunked`] exposes the chunk boundary to the
 //! runner: the whole contiguous chunk of specs is handed over in one call,
 //! so a runner can amortize per-chunk work — the validator's forked
-//! campaign runner sorts each chunk by injection time and forks trials
-//! from golden-prefix snapshots instead of re-simulating the prefix.
+//! campaign runner sorts each chunk by fork tick and tail key, forks
+//! trials from golden-prefix snapshots instead of re-simulating the
+//! prefix, and simulates each run of identical tails once.
 //!
 //! ```
 //! use easis_injection::campaign::CampaignBuilder;
@@ -50,7 +50,7 @@ use crate::stats::{CampaignStats, TrialOutcome};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignExecutor {
     workers: usize,
-    /// Trials per work-queue chunk; 0 = auto-size from the plan.
+    /// Trials per chunk; 0 = auto-size from the plan.
     chunk: usize,
 }
 
@@ -70,10 +70,14 @@ impl CampaignExecutor {
         }
     }
 
-    /// Sets the number of trial specs per work-queue chunk. `0` restores
-    /// automatic sizing (≈ 4 chunks per worker, clamped to 1..=64). The
-    /// merged stats are bit-identical for every chunk size; the knob only
-    /// trades channel traffic against load-balancing granularity.
+    /// Sets the number of trial specs per chunk. `0` restores automatic
+    /// sizing (≈ 4 chunks per worker, clamped to 1..=64). The merged stats
+    /// are bit-identical for every chunk size. The knob sets the stripe
+    /// granularity — how evenly the up-front round-robin spreads the plan
+    /// over the workers — and, at more than one worker, which trials share
+    /// a chunk runner call: a chunk runner can only reuse work (such as a
+    /// golden-prefix checkpoint or a collapsed twin tail) within a chunk.
+    /// One worker always runs the whole plan as one chunk.
     pub fn with_chunk_size(mut self, chunk: usize) -> Self {
         self.chunk = chunk;
         self
@@ -81,8 +85,8 @@ impl CampaignExecutor {
 
     /// An executor sized by the `EASIS_WORKERS` environment variable
     /// (worker count), falling back to the machine's available
-    /// parallelism, and chunked by `EASIS_CHUNK` (trials per work-queue
-    /// batch, 0/unset = auto). A set-but-invalid value (unparsable, or a
+    /// parallelism, and chunked by `EASIS_CHUNK` (trials per chunk,
+    /// 0/unset = auto). A set-but-invalid value (unparsable, or a
     /// worker count of 0) is rejected with a warning on stderr rather
     /// than silently ignored, then the fallback applies.
     pub fn from_env() -> Self {
@@ -129,7 +133,7 @@ impl CampaignExecutor {
         self.workers
     }
 
-    /// Configured trials per work-queue chunk (0 = auto).
+    /// Configured trials per chunk (0 = auto).
     pub fn chunk_size(&self) -> usize {
         self.chunk
     }
@@ -139,9 +143,9 @@ impl CampaignExecutor {
         if self.chunk > 0 {
             return self.chunk;
         }
-        // Auto: aim for ~4 chunks per worker so stragglers rebalance,
-        // bounded so tiny plans still parallelise and huge plans don't
-        // drown the channel.
+        // Auto: ~4 chunks per worker spread each stripe over the whole
+        // plan; at least 1 trial so tiny plans still parallelise, at most
+        // 64 so long plans stripe finely.
         (trials / (self.workers * 4)).clamp(1, 64)
     }
 
@@ -168,9 +172,9 @@ impl CampaignExecutor {
     /// Like [`CampaignExecutor::run`], but hands the runner a whole
     /// contiguous **chunk** of trial specs at once and expects one outcome
     /// per spec, in spec order. A chunk runner may reorder the trials
-    /// *internally* (e.g. by injection time, to share golden-prefix
-    /// snapshots) as long as the returned vector lines up with the input
-    /// slice.
+    /// *internally* (e.g. by fork tick and tail key, to share golden-prefix
+    /// snapshots and collapse identical tails) as long as the returned
+    /// vector lines up with the input slice.
     ///
     /// Chunks are striped round-robin across the worker pool before any
     /// thread spawns; each worker walks its own stripe without touching a

@@ -539,10 +539,10 @@ pub trait ServiceCore<W> {
 /// The split-borrow service view a dispatched effect holds on the kernel.
 ///
 /// The kernel factors its state so that the task bodies, the plan arena and
-/// the scheduler core (trace, timer queue, ready queue, task metadata) are
-/// *disjoint* borrows: while [`TaskBody::run_effect`] executes in place on
-/// the body, the effect's [`EffectCtx`] carries a `KernelServices` view of
-/// the core, so `ActivateTask`/`SetEvent`/`CancelAlarm` run **directly and
+/// the scheduler core (trace, timer queue, task metadata) are *disjoint*
+/// borrows: while [`TaskBody::run_effect`] executes in place on the body,
+/// the effect's [`EffectCtx`] carries a `KernelServices` view of the core,
+/// so `ActivateTask`/`SetEvent`/`CancelAlarm` run **directly and
 /// synchronously** — no deferred request queue, no aliasing of the TCB.
 ///
 /// # Examples

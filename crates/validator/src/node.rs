@@ -704,8 +704,8 @@ impl CentralNode {
             if ff.backoff > 0 {
                 // Exponential penalty plus a one-millisecond phase nudge: a
                 // rejected sample may sit exactly on a task-period boundary
-                // where the kernel is mid-dispatch every hyperperiod (ready
-                // bits set, a task running), and h-spaced resampling would
+                // where the kernel is mid-dispatch every hyperperiod (a task
+                // Ready or running), and h-spaced resampling would
                 // stay on that phase forever. The nudge walks the sampler
                 // off such instants; the nudged span itself runs at event
                 // level, so it costs time, never exactness.

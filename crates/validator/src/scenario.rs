@@ -13,8 +13,7 @@ use easis_injection::stats::{DetectorId, TrialOutcome};
 use easis_sim::series::SeriesSet;
 use easis_sim::time::{Duration, Instant};
 use easis_watchdog::report::{FaultKind, HealthState};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Sampling interval of the figure series (the paper's plots use a 10 ms
 /// scalar on the x axis).
@@ -248,19 +247,9 @@ thread_local! {
         const { std::cell::RefCell::new(None) };
 }
 
-/// Memoised tail record: per-detector first absolute detection instants
-/// (see [`absolute_detections`]), shared behind an `Arc` so a memo hit
-/// clones a pointer, not the list.
-type SharedDetections = Arc<Vec<(DetectorId, Instant)>>;
-
-/// The equivalence-collapsing tail cache of one [`run_plan`] call (see
-/// [`TailKey`]), shared by all its workers so twins in different chunks
-/// collapse too. It only ever holds outcomes of tails forked from the
-/// deterministic golden run, so a hit cannot change an outcome.
-type TailMemo = Mutex<HashMap<TailKey, SharedDetections>>;
-
 /// Reads the detector outcome of a finished trial off the node's fault
-/// log, hardware watchdog and baseline-monitor statistics. The outcome's
+/// log, hardware watchdog and baseline-monitor first detections, with
+/// latencies measured from `spec`'s own injection start. The outcome's
 /// class tag is the process-interned handle, so stamping it allocates
 /// nothing.
 fn extract_outcome(node: &CentralNode, spec: &TrialSpec) -> TrialOutcome {
@@ -279,7 +268,7 @@ fn extract_outcome(node: &CentralNode, spec: &TrialSpec) -> TrialOutcome {
             outcome.record(DetectorId::HwWatchdog, expiry.saturating_duration_since(from));
         }
     }
-    if let Some((_, at)) = node.deadline_monitor.stats().first_detection() {
+    if let Some((_, at)) = node.deadline_monitor.first_detection() {
         if at >= from {
             outcome.record(
                 DetectorId::DeadlineMonitor,
@@ -287,7 +276,7 @@ fn extract_outcome(node: &CentralNode, spec: &TrialSpec) -> TrialOutcome {
             );
         }
     }
-    if let Some((_, at)) = node.exec_monitor.stats().first_detection() {
+    if let Some((_, at)) = node.exec_monitor.first_detection() {
         if at >= from {
             outcome.record(
                 DetectorId::ExecTimeMonitor,
@@ -328,71 +317,19 @@ fn disarm_instant(spec: &TrialSpec, fork: Instant, horizon: Instant) -> Option<I
     (disarm <= horizon).then_some(disarm)
 }
 
-/// Key identifying a trial's *effective* tail behavior: the error class
-/// plus the tick instants at which the baseline loop would arm and disarm
-/// it. `Injector::tick` only acts on whole-tick phase edges and the node
-/// never reads a trial's seed or raw (sub-tick) window bounds, so two
-/// trials with equal keys simulate identically from the fork onward —
-/// only the latency baseline (`injection.from`) differs between them.
-type TailKey = (ErrorClass, Instant, Option<Instant>);
-
-/// `true` when no detector has fired on `node` yet — i.e. the golden
-/// prefix up to the current instant is detection-free. Only then may a
-/// trial tail be memoized: every detection instant of such a tail is at
-/// or after the fork tick, hence at or after *any* sub-tick `from` that
-/// maps to this fork, so [`extract_outcome`]'s `at >= from` filter is
-/// vacuous and its latencies are a constant offset of the absolute
-/// instants cached by [`absolute_detections`].
-fn prefix_is_detection_free(node: &CentralNode) -> bool {
-    node.world.fault_log.is_empty()
-        && node.world.hw_watchdog.first_expiry().is_none()
-        && node.deadline_monitor.stats().first_detection().is_none()
-        && node.exec_monitor.stats().first_detection().is_none()
-}
-
-/// The per-detector *first* detection instants of a finished trial, in
-/// absolute simulated time. This is [`extract_outcome`] before the
-/// subtraction of the injection start: `TrialOutcome::record` keeps the
-/// earliest latency per detector, and subtracting a constant commutes
-/// with taking the minimum, so replaying this list through
-/// [`outcome_from_cached`] reproduces the extracted outcome exactly.
-fn absolute_detections(node: &CentralNode) -> Vec<(DetectorId, Instant)> {
-    let mut firsts: std::collections::BTreeMap<DetectorId, Instant> =
-        std::collections::BTreeMap::new();
-    let mut note = |detector: DetectorId, at: Instant| {
-        firsts
-            .entry(detector)
-            .and_modify(|first| {
-                if at < *first {
-                    *first = at;
-                }
-            })
-            .or_insert(at);
-    };
-    for fault in &node.world.fault_log {
-        note(detector_of(fault.kind), fault.at);
-    }
-    if let Some(expiry) = node.world.hw_watchdog.first_expiry() {
-        note(DetectorId::HwWatchdog, expiry);
-    }
-    if let Some((_, at)) = node.deadline_monitor.stats().first_detection() {
-        note(DetectorId::DeadlineMonitor, at);
-    }
-    if let Some((_, at)) = node.exec_monitor.stats().first_detection() {
-        note(DetectorId::ExecTimeMonitor, at);
-    }
-    firsts.into_iter().collect()
-}
-
-/// Rebuilds a [`TrialOutcome`] for `spec` from the cached absolute
-/// detection instants of a behaviorally identical trial.
-fn outcome_from_cached(cached: &[(DetectorId, Instant)], spec: &TrialSpec) -> TrialOutcome {
-    let from = spec.injection.from;
-    let mut outcome = TrialOutcome::new(spec.injection.class.interned_tag());
-    for &(detector, at) in cached {
-        outcome.record(detector, at.saturating_duration_since(from));
-    }
-    outcome
+/// Key identifying a trial's *effective* tail behavior: the tick instants
+/// at which the baseline loop would arm (the fork) and disarm it, and the
+/// error class. `Injector::tick` only acts on whole-tick phase edges and
+/// the node never reads a trial's seed or raw (sub-tick) window bounds, so
+/// trials with equal keys — *twins* — share their detections: the same
+/// fault log, hardware-watchdog expiry and monitor first detections, which
+/// is all [`extract_outcome`] reads. Twins need not leave the same node
+/// state: one that arms on the horizon tick and one that never arms share
+/// a key but leave different runnable controls. The fork leads, so sorting
+/// by the key keeps forks ascending.
+fn tail_key(spec: &TrialSpec, horizon: Instant) -> (Instant, &ErrorClass, Option<Instant>) {
+    let fork = fork_instant(spec, horizon);
+    (fork, &spec.injection.class, disarm_instant(spec, fork, horizon))
 }
 
 /// Runs one trial's tail on a node already restored to this trial's fork
@@ -401,14 +338,14 @@ fn outcome_from_cached(cached: &[(DetectorId, Instant)], spec: &TrialSpec) -> Tr
 /// uninterrupted to the horizon. Exactly three kernel re-entries replace
 /// the baseline's ~one-per-millisecond, and every skipped tick is provably
 /// a no-op (`Injector::tick` only acts on the Pending→Armed and
-/// Armed→Done edges), so the outcome is bit-identical to
+/// Armed→Done edges), so the node ends bit-identical to
 /// [`CentralNode::run_until`] over the same window.
 fn run_trial_tail(
     node: &mut CentralNode,
     injector: &mut Injector,
     spec: &TrialSpec,
     horizon: Instant,
-) -> TrialOutcome {
+) {
     injector.attach_obs(node.world.obs.clone());
     let fork = node.os.now();
     // Macro-stepping stands down while the injection window is armed: the
@@ -428,32 +365,25 @@ fn run_trial_tail(
         injector.tick(horizon, &mut node.world.controls, &mut node.os);
     }
     node.set_injection_armed(false);
-    extract_outcome(node, spec)
 }
 
 /// Runs one contiguous chunk of campaign trials on this worker's node
 /// with **golden-run prefix checkpointing**: the node is reset, the chunk
-/// is processed in injection-time order, the node is advanced once along
-/// the golden (injection-free) prefix, and the checkpoint buffer is
-/// refilled at each distinct fork instant; every trial forks from its
-/// checkpoint instead of re-simulating the prefix. Each rewind is one
-/// exact full copy of the checkpoint into the node's retained buffers, so
-/// it allocates nothing once warm. Outcomes are returned in spec order, so
-/// the merged stats are bit-identical to per-trial [`run_trial`] runs.
+/// is processed in [`tail_key`] order (forks ascending), the node is
+/// advanced once along the golden (injection-free) prefix, and the
+/// checkpoint buffer is refilled at each distinct fork instant; every
+/// trial forks from its checkpoint instead of re-simulating the prefix.
+/// Each rewind is one exact full copy of the checkpoint into the node's
+/// retained buffers, so it allocates nothing once warm. Outcomes are
+/// returned in spec order, so the merged stats are bit-identical to
+/// per-trial [`run_trial`] runs.
 ///
 /// On top sits **equivalence collapsing** (the fault-list collapsing of
-/// hardware fault-injection campaigns): trials that share a [`TailKey`] —
-/// same error class, same arming tick, same disarm tick — are simulated
-/// once; later twins synthesize their outcome from the cached per-detector
-/// detection instants in `memo`. The memo is only fed while the golden
-/// prefix is detection-free (see [`prefix_is_detection_free`]), which
-/// makes the synthesis provably exact, and a campaign whose parameters
-/// never repeat simply never hits.
-fn run_chunk_forked(
-    memo: &TailMemo,
-    specs: &[TrialSpec],
-    horizon: Instant,
-) -> Vec<TrialOutcome> {
+/// hardware fault-injection campaigns): the sort puts twins next to each
+/// other, only the first trial of each key is simulated, and every later
+/// twin reads its outcome off the node that trial left, against its own
+/// injection start. Twins in different chunks each simulate.
+fn run_chunk_forked(specs: &[TrialSpec], horizon: Instant) -> Vec<TrialOutcome> {
     NODE_POOL.with(|pool| {
         let mut slot = pool.borrow_mut();
         let s = slot.get_or_insert_with(|| PoolSlot {
@@ -465,59 +395,42 @@ fn run_chunk_forked(
         s.node.reset();
         s.node.start();
 
-        // Group trials by fork instant (stable within a fork, so equal
-        // forks replay in spec order — not that order could matter: each
-        // trial starts from the same restored checkpoint).
         let mut order: Vec<usize> = (0..specs.len()).collect();
-        order.sort_by_key(|&i| fork_instant(&specs[i], horizon));
+        order.sort_by_key(|&i| tail_key(&specs[i], horizon));
 
         let mut outcomes: Vec<Option<TrialOutcome>> = specs.iter().map(|_| None).collect();
+        let mut simulated = None;
         for &i in &order {
             let spec = &specs[i];
-            let fork = fork_instant(spec, horizon);
-            let key: TailKey = (
-                spec.injection.class.clone(),
-                fork,
-                disarm_instant(spec, fork, horizon),
-            );
-            // A behaviorally identical trial already ran (here or on
-            // another worker): synthesize the outcome without touching the
-            // node.
-            let cached = memo.lock().expect("memo lock").get(&key).cloned();
-            if let Some(cached) = cached {
-                outcomes[i] = Some(outcome_from_cached(&cached, spec));
-                continue;
-            }
-            if s.ckpt_at == Some(fork) {
-                // The common case: another trial of this fork instant just
-                // ran — rewind to the checkpoint.
-                s.node.restore_from(&s.ckpt);
-            } else {
-                // The fork moved. Rewind to the worker's own checkpoint if
-                // it lies at or before the fork. Forks ascend within a
-                // chunk, but a new chunk (or call) may fork earlier than
-                // the last final checkpoint; such a stale buffer must not
-                // be used as a base, and the node still sits freshly
-                // started at t=0 instead.
-                if s.ckpt_at.is_some_and(|at| at <= fork) {
+            let key = tail_key(spec, horizon);
+            if simulated != Some(key) {
+                let fork = key.0;
+                if s.ckpt_at == Some(fork) {
+                    // The common case: another trial of this fork instant
+                    // just ran — rewind to the checkpoint.
                     s.node.restore_from(&s.ckpt);
+                } else {
+                    // The fork moved. Rewind to the worker's own checkpoint
+                    // if it lies at or before the fork. Forks ascend within
+                    // a chunk, but a new chunk (or call) may fork earlier
+                    // than the last final checkpoint; such a stale buffer
+                    // must not be used as a base, and the node still sits
+                    // freshly started at t=0 instead.
+                    if s.ckpt_at.is_some_and(|at| at <= fork) {
+                        s.node.restore_from(&s.ckpt);
+                    }
+                    if s.node.os.now() < fork {
+                        s.node.run_span(fork);
+                    }
+                    s.node.snapshot_into(&mut s.ckpt);
+                    s.ckpt_at = Some(fork);
                 }
-                if s.node.os.now() < fork {
-                    s.node.run_span(fork);
-                }
-                s.node.snapshot_into(&mut s.ckpt);
-                s.ckpt_at = Some(fork);
+                s.injector.reload([spec.injection.clone()]);
+                run_trial_tail(&mut s.node, &mut s.injector, spec, horizon);
+                simulated = Some(key);
             }
-            let fork_clean = prefix_is_detection_free(&s.node);
-            s.injector.reload([spec.injection.clone()]);
-            let outcome = run_trial_tail(&mut s.node, &mut s.injector, spec, horizon);
-            if fork_clean {
-                memo.lock()
-                    .expect("memo lock")
-                    .entry(key)
-                    .or_insert_with(|| Arc::new(absolute_detections(&s.node)));
-            }
-            outcomes[i] = Some(outcome);
+            // A twin of the trial just simulated reads the same node.
+            outcomes[i] = Some(extract_outcome(&s.node, spec));
         }
         outcomes
             .into_iter()
@@ -530,18 +443,16 @@ fn run_chunk_forked(
 /// prefix checkpointing (`run_chunk_forked`): each worker thread pools one
 /// node built from the process-wide campaign [`NodeBlueprint`], and within
 /// each chunk the injection-free prefix is simulated once and
-/// snapshot-forked per trial, with behaviorally identical tails collapsed
-/// through a memo shared by this call's workers. Restore is exact — the
-/// forked≡fresh property test and the campaign golden pin that any worker
-/// count produces stats bit-identical to a serial per-trial [`run_trial`]
-/// run.
+/// snapshot-forked per trial, with adjacent twins collapsed onto one tail.
+/// Restore is exact — the forked≡fresh property test and the campaign
+/// golden pin that any worker count produces stats bit-identical to a
+/// serial per-trial [`run_trial`] run.
 pub fn run_plan(
     plan: &easis_injection::campaign::CampaignPlan,
     horizon: Instant,
     executor: &easis_injection::executor::CampaignExecutor,
 ) -> easis_injection::stats::CampaignStats {
-    let memo = TailMemo::default();
-    executor.run_chunked(plan, |specs| run_chunk_forked(&memo, specs, horizon))
+    executor.run_chunked(plan, |specs| run_chunk_forked(specs, horizon))
 }
 
 /// A quick health check of a golden (fault-free) run: returns `true` when
@@ -707,12 +618,24 @@ mod tests {
             mk(599_500, 800_000), // arms on the final tick
             mk(700_000, 800_000), // entirely past the horizon (golden)
             mk(250_000, 450_000), // plain whole-millisecond window
+            mk(250_000, 450_000), // exact duplicate
+            mk(250_200, 450_000), // sub-tick twins: same fork, own `from`
+            mk(250_700, 450_000),
+            mk(350_000, 450_300), // disarm ticks equal, `to` differs
+            mk(350_000, 450_900),
         ]);
-        let exec = CampaignExecutor::serial();
-        assert_eq!(
-            run_plan(&plan, horizon, &exec),
-            exec.run(&plan, |spec| run_trial(spec, horizon))
-        );
+        let reference = CampaignExecutor::serial().run(&plan, |spec| run_trial(spec, horizon));
+        // Serially every twin collapses onto the tail simulated before
+        // it; with one trial per chunk every twin simulates its own.
+        for exec in [
+            CampaignExecutor::serial(),
+            CampaignExecutor::new(2).with_chunk_size(1),
+        ] {
+            let stats = run_plan(&plan, horizon, &exec);
+            assert_eq!(stats, reference, "{exec:?}");
+            let aliveness = |i: usize| stats.trials()[i].detections[&DetectorId::SwAliveness];
+            assert_eq!(aliveness(7) - aliveness(8), Duration::from_micros(500));
+        }
     }
 
     #[test]

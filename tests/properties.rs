@@ -1208,8 +1208,8 @@ fn macro_stepping_falls_back_and_recovers_across_dtc_age_out() {
 
 /// Forced mid-span fallback, case 2 — sampling-phase collision: the window
 /// ends exactly on a 10 ms task-period boundary, so every h-spaced
-/// certification sample initially lands mid-dispatch (a task running,
-/// ready bits set) and is rejected. The backoff's one-millisecond phase
+/// certification sample initially lands mid-dispatch (a task Ready or
+/// running) and is rejected. The backoff's one-millisecond phase
 /// nudge must walk the sampler off the boundary, after which the tail
 /// certifies and fast-forwards — bit-identical to the event-level run.
 #[test]

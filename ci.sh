@@ -49,7 +49,7 @@ echo "==> campaign_bench smoke run (run_plan engine, schema + alloc gates)"
 campaign_scratch="$(mktemp -d)"
 (cd "$campaign_scratch" && EASIS_WORKERS=2 "$OLDPWD/target/release/campaign_bench" 10 > /dev/null)
 for key in schema_version trials workers simulated_ms_per_trial setup \
-           blueprint_compile_ns node_build_ns node_reset_ns forked \
+           blueprint_compile_ns node_build_ns node_rewind_ns forked \
            steady_state clean_trial_allocs \
            faulty_trial_allocs horizon_scaling_allocs snapshot \
            capture_ns restore_ns snapshot_allocs \
@@ -89,8 +89,8 @@ echo "==> campaign golden across worker/chunk/fast-forward configurations (forke
 # report bytes stay identical to the golden at every worker count, with
 # hyperperiod macro-stepping enabled (the default) and disabled: the
 # certified jumps must be unobservable in the report bytes. Chunks of 5
-# make workers reset their node and re-simulate the golden prefix from a
-# cold start whenever a chunk forks before their last checkpoint.
+# make workers restore their t=0 checkpoint and re-simulate the golden
+# prefix whenever a chunk forks before their last checkpoint.
 for ff in 1 0; do
   for w in 1 2 4; do
     EASIS_FASTFORWARD=$ff EASIS_WORKERS=$w EASIS_CHUNK=5 \

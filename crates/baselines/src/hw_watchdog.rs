@@ -103,17 +103,6 @@ impl HardwareWatchdog {
         self.expired
     }
 
-    /// Resets the countdown and all statistics to the just-built state,
-    /// keeping the timeout and window configuration (world pooling
-    /// support).
-    pub fn reset(&mut self) {
-        self.last_kick = Instant::ZERO;
-        self.expired = false;
-        self.expirations = 0;
-        self.early_kicks = 0;
-        self.first_expiry = None;
-    }
-
     /// Total expirations observed.
     pub fn expirations(&self) -> u32 {
         self.expirations

@@ -67,12 +67,6 @@ impl DeadlineMonitor {
         self.stats.lock().expect("stats lock").clone()
     }
 
-    /// Clears the collected statistics in every clone of this monitor
-    /// (world pooling support).
-    pub fn reset(&self) {
-        *self.stats.lock().expect("stats lock") = TaskMonitorStats::default();
-    }
-
     /// Overwrites the statistics in every clone of this monitor with a
     /// previously captured snapshot ([`DeadlineMonitor::stats`] is the
     /// capture half — campaign checkpoint support).
@@ -117,12 +111,6 @@ impl ExecutionTimeMonitor {
     /// Read access to the collected statistics.
     pub fn stats(&self) -> TaskMonitorStats {
         self.stats.lock().expect("stats lock").clone()
-    }
-
-    /// Clears the collected statistics in every clone of this monitor
-    /// (world pooling support).
-    pub fn reset(&self) {
-        *self.stats.lock().expect("stats lock") = TaskMonitorStats::default();
     }
 
     /// Overwrites the statistics in every clone of this monitor with a

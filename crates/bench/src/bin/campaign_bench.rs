@@ -14,11 +14,12 @@
 //! twins with the same effective tail read their outcome off one
 //! simulation, and quiescent tail spans fast-forward by certified
 //! hyperperiod jumps. The raw setup costs (one-off [`NodeBlueprint`]
-//! compile, one full node build, one node reset) are measured separately.
+//! compile, one full node build, one rewind to a t=0 snapshot) are
+//! measured separately.
 //!
 //! The bin proves the steady-state claim under a counting global
 //! allocator: a clean (no-fault) trial on a warmed, reused node
-//! (`reset` → `Injector::reload` → `start` → `run_until`) is measured at
+//! (`restore_from` t=0 → `Injector::reload` → `run_until`) is measured at
 //! the reference horizon and at twice the horizon, and the counts must be
 //! **equal** — doubling the simulated time (and with it every task
 //! activation) adds zero heap allocations, i.e. the plan/effect/step-buffer
@@ -49,7 +50,7 @@
 //! oversubscribed sweep measures contention, not scaling.
 //!
 //! Results land in `BENCH_campaign.json` (stable schema,
-//! `schema_version` 7; `host_cores` records the recording host's
+//! `schema_version` 8; `host_cores` records the recording host's
 //! available parallelism next to the sweep so readers can tell scaling
 //! from oversubscription; each sweep entry carries its
 //! `parallel_efficiency` = trials/sec ÷ (workers × workers=1 trials/sec)).
@@ -181,9 +182,10 @@ struct SetupSplit {
     /// One full node construction, config compile included (paid by the
     /// event-level reference `run_trial` on every trial).
     node_build_ns: f64,
-    /// One `CentralNode::reset` of a node dirtied by 100 ms of simulation
-    /// (paid by each campaign worker thread once per chunk).
-    node_reset_ns: f64,
+    /// One `CentralNode::restore_from` of the t=0 snapshot on a node
+    /// dirtied by 100 ms of simulation (paid by a campaign worker whenever
+    /// a trial forks before its checkpoint).
+    node_rewind_ns: f64,
 }
 
 /// Steady-state allocation probe of one clean and one faulty trial on a
@@ -276,23 +278,25 @@ fn measure_setup() -> SetupSplit {
     let node_build_ns = best_of(SETUP_REPS, || {
         black_box(CentralNode::build(campaign_node_config()));
     });
-    // Reset a node that has actually run a trial's worth of simulation, so
-    // the measured reset covers dirty state, not a no-op on a clean world.
+    // Rewind a node that has actually run a trial's worth of simulation,
+    // so the measured restore covers dirty state, not a no-op on a clean
+    // world.
     let blueprint = NodeBlueprint::compile(campaign_node_config());
     let mut node = CentralNode::build_from_blueprint(&blueprint);
+    node.start();
+    let cold = node.snapshot();
     let mut injector = Injector::none();
-    let mut node_reset_ns = f64::INFINITY;
+    let mut node_rewind_ns = f64::INFINITY;
     for _ in 0..SETUP_REPS {
-        node.start();
         node.run_until(Instant::from_millis(100), &mut injector);
         let start = std::time::Instant::now();
-        node.reset();
-        node_reset_ns = node_reset_ns.min(start.elapsed().as_nanos() as f64);
+        node.restore_from(&cold);
+        node_rewind_ns = node_rewind_ns.min(start.elapsed().as_nanos() as f64);
     }
     SetupSplit {
         blueprint_compile_ns,
         node_build_ns,
-        node_reset_ns,
+        node_rewind_ns,
     }
 }
 
@@ -330,16 +334,18 @@ fn faulty_spec() -> TrialSpec {
 }
 
 /// Measures heap allocations of one trial of `spec` on a warmed, reused
-/// node — `reset`, `Injector::reload`, `start`, `run_until`, the way a
-/// campaign worker reuses its node (minimum over several runs, so
-/// incidental lazy initialisation cannot inflate the figure).
+/// node — `restore_from` of its t=0 snapshot, `Injector::reload`,
+/// `run_until`, the way a campaign worker reuses its node (minimum over
+/// several runs, so incidental lazy initialisation cannot inflate the
+/// figure).
 fn measure_trial_allocs(blueprint: &NodeBlueprint, spec: &TrialSpec, horizon: Instant) -> u64 {
     let mut node = CentralNode::build_from_blueprint(blueprint);
+    node.start();
+    let cold = node.snapshot();
     let mut injector = Injector::none();
     let mut trial = || {
-        node.reset();
+        node.restore_from(&cold);
         injector.reload([spec.injection.clone()]);
-        node.start();
         node.run_until(horizon, &mut injector);
         black_box(&node);
     };
@@ -424,6 +430,10 @@ fn validate_emitted_json(path: &str) {
                 "host_cores",
             ][..],
         ),
+        (
+            probe("setup"),
+            &["blueprint_compile_ns", "node_build_ns", "node_rewind_ns"][..],
+        ),
         (probe("snapshot"), &["capture_ns", "restore_ns", "snapshot_allocs"][..]),
         (
             probe("tail_fastforward"),
@@ -493,7 +503,7 @@ fn main() {
     // Faulty-cycle probe: a trial that detects real faults allocates
     // nothing either — fault records, state changes, treatment actions and
     // DTC records with their freeze frames are pooled or rewritten in
-    // place, and the DTC map emptied by `reset()` keeps its node, so
+    // place, and the DTC records the rewind retires are recycled, so
     // re-inserting the same fault classes allocates nothing.
     let faulty_allocs = measure_trial_allocs(&probe_blueprint, &faulty_spec(), HORIZON);
     println!("faulty-trial allocs/trial: {faulty_allocs}");
@@ -549,8 +559,8 @@ fn main() {
     );
     println!(
         "setup: blueprint compile {:.0} ns (once per process), node build \
-         {:.0} ns, node reset {:.0} ns (once per chunk)",
-        setup.blueprint_compile_ns, setup.node_build_ns, setup.node_reset_ns,
+         {:.0} ns, node rewind to t=0 {:.0} ns",
+        setup.blueprint_compile_ns, setup.node_build_ns, setup.node_rewind_ns,
     );
 
     if trials_per_class >= ASSERT_FLOOR_TRIALS_PER_CLASS {
@@ -636,7 +646,7 @@ fn main() {
     }
 
     let report = Report {
-        schema_version: 7,
+        schema_version: 8,
         trials,
         workers: workers as u64,
         simulated_ms_per_trial,

@@ -50,8 +50,8 @@ pub struct HeartbeatMonitor {
 }
 
 /// Plain-data image of a [`HeartbeatMonitor`] for snapshot/restore.
-/// Excludes the observability sink (scenarios re-attach their own), so
-/// node-level snapshots embedding it can be shared across campaign workers.
+/// Excludes the observability sink: it is wiring, not state (scenarios
+/// attach their own, and a restore keeps it).
 /// Equality is field-for-field: the macro-stepping engine compares two
 /// samples, and a quiescent hyperperiod leaves every column unchanged.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -98,20 +98,6 @@ impl HeartbeatMonitor {
     /// makes every recording call a no-op.
     pub fn attach_obs(&mut self, obs: ObsSink) {
         self.obs = obs;
-    }
-
-    /// Resets all counters and activation statuses to their just-built
-    /// state under the current hypotheses (world pooling support).
-    pub fn reset(&mut self) {
-        self.ac.fill(0);
-        self.arc.fill(0);
-        self.cca.fill(0);
-        self.ccar.fill(0);
-        self.aliveness_errors.fill(0);
-        self.arrival_rate_errors.fill(0);
-        for slot in 0..self.hypotheses.len() {
-            self.active[slot] = self.hypotheses[slot].initially_active;
-        }
     }
 
     /// Records one aliveness indication at `now`. Unmonitored runnables
@@ -585,6 +571,8 @@ mod activation_tests {
     #[test]
     fn snapshot_restore_returns_to_captured_state() {
         let mut m = HeartbeatMonitor::new([RunnableHypothesis::new(r(0)).alive_at_least(1, 4)]);
+        let mut fresh = HeartbeatSnapshot::default();
+        m.snapshot_into(&mut fresh);
         let mut costs = CostMeter::new();
         m.record(r(0), t(0), &mut costs);
         let mut snap = HeartbeatSnapshot::default();
@@ -594,9 +582,10 @@ mod activation_tests {
         m.restore_from(&snap);
         assert_eq!(m.counters(r(0)).unwrap().ac, 1, "restored to capture state");
         assert!(m.is_active(r(0)), "restored to the captured AS");
-        m.reset();
+        m.restore_from(&fresh);
+        assert_eq!(m.counters(r(0)).unwrap().ac, 0, "rewound to the fresh unit");
         m.restore_from(&snap);
-        assert_eq!(m.counters(r(0)).unwrap().ac, 1, "restore after reset");
+        assert_eq!(m.counters(r(0)).unwrap().ac, 1, "restore after a rewind");
     }
 
     #[test]

@@ -323,16 +323,6 @@ impl ProgramFlowChecker {
         std::mem::take(&mut self.pending)
     }
 
-    /// Resets the checker to its just-built state — position, error count
-    /// and pending buffer — keeping the compiled table (world pooling
-    /// support; contrast [`ProgramFlowChecker::reset_position`], which
-    /// keeps the error count).
-    pub fn reset(&mut self) {
-        self.last_slot = IdIndex::NO_SLOT;
-        self.errors_detected = 0;
-        self.pending.clear();
-    }
-
     /// Resets the sequence position (e.g. after fault treatment), keeping
     /// the cumulative error count.
     pub fn reset_position(&mut self) {

@@ -414,27 +414,6 @@ impl SoftwareWatchdog {
         Arc::clone(&self.config)
     }
 
-    /// Resets every monitoring unit to its just-built state while keeping
-    /// the compiled configuration and the attached observability sink.
-    /// After `reset()` the service is indistinguishable from
-    /// `SoftwareWatchdog::from_shared(self.shared_config())` — the world-
-    /// pooling contract of the campaign engine.
-    pub fn reset(&mut self) {
-        self.heartbeat_unit.reset();
-        for checker in &mut self.pfc_units {
-            checker.reset();
-        }
-        self.tsi_unit.reset();
-        self.task_faulty.fill(false);
-        self.pfc_errors.fill(0);
-        self.outbox.clear();
-        self.state_outbox.clear();
-        self.change_scratch.clear();
-        self.costs = CostMeter::new();
-        self.cycles_run = 0;
-        self.last_heartbeat_now = Instant::ZERO;
-    }
-
     /// Captures every piece of watchdog runtime state — monitor counters,
     /// PFC positions, TSI verdicts, outboxes, cost meter — into a
     /// deterministic snapshot. The compiled configuration, slot scope and
@@ -507,8 +486,8 @@ impl SoftwareWatchdog {
 
 /// A deterministic capture of watchdog runtime state — see
 /// [`SoftwareWatchdog::snapshot`] / [`SoftwareWatchdog::restore_from`].
-/// Plain data (unit images, no compiled tables or sinks), so node-level
-/// snapshots embedding it can be shared across campaign workers.
+/// Plain data (unit images, no compiled tables or sinks): the compiled
+/// configuration is static, so a capture copies runtime state only.
 #[derive(Debug, Clone, Default)]
 pub struct WatchdogSnapshot {
     heartbeat_unit: HeartbeatSnapshot,
@@ -791,8 +770,10 @@ mod tests {
     #[test]
     fn snapshot_restore_replays_identically() {
         // Run a faulty prefix, capture, run a divergent tail, restore, and
-        // check the tail replays exactly — also after a reset in between.
+        // check the tail replays exactly — also after rewinding to a
+        // capture of the fresh unit in between.
         let mut wd = safespeed_watchdog();
+        let fresh = wd.snapshot();
         wd.heartbeat(r(0), t(5));
         wd.heartbeat(r(2), t(6)); // skipped r1 → PFC violation in outbox
         wd.run_cycle(t(10));
@@ -817,10 +798,13 @@ mod tests {
         let second = tail(&mut wd);
         assert_eq!(first, second, "restore must replay identically");
 
-        wd.reset();
+        wd.restore_from(&fresh);
         wd.restore_from(&snap);
         let third = tail(&mut wd);
-        assert_eq!(first, third, "restore after reset must replay identically");
+        assert_eq!(
+            first, third,
+            "restore after a rewind must replay identically"
+        );
     }
 
     #[test]

@@ -70,27 +70,6 @@ impl TaskStateIndication {
         self.obs = obs;
     }
 
-    /// Resets every error vector and verdict to the just-built state,
-    /// keeping the mapping and thresholds (world pooling support). Counts
-    /// and states are zeroed **in place** — the map nodes stay allocated,
-    /// so a pooled world's next faulty trial re-increments existing
-    /// entries instead of rebuilding the trees (a zero count is
-    /// observably identical to an absent entry).
-    pub fn reset(&mut self) {
-        for vector in self.vectors.values_mut() {
-            for count in vector.values_mut() {
-                *count = 0;
-            }
-        }
-        for state in self.task_states.values_mut() {
-            *state = HealthState::Ok;
-        }
-        for state in self.app_states.values_mut() {
-            *state = HealthState::Ok;
-        }
-        self.ecu_state = HealthState::Ok;
-    }
-
     /// Records a detected runnable fault, updating the error indication
     /// vector of the hosting task and rolling states up. Returns the state
     /// changes this fault caused (possibly empty). Faults on unmapped
@@ -196,8 +175,8 @@ impl TaskStateIndication {
     /// (restart), re-deriving application and ECU states.
     pub fn reset_task(&mut self, task: TaskId) {
         if let Some(vector) = self.vectors.get_mut(&task) {
-            // Zero in place (see `reset`): restart treatments recur on a
-            // pooled world, so keep the vector's nodes allocated.
+            // Zero in place (see `restore_from`): restart treatments recur
+            // trial after trial, so keep the vector's nodes allocated.
             for count in vector.values_mut() {
                 *count = 0;
             }
@@ -253,10 +232,8 @@ impl TaskStateIndication {
     }
 
     /// The error indication vector of a task, as a flat snapshot.
-    /// Zero-count elements (left behind by the in-place [`reset`]) are
+    /// Zero-count elements (left behind by in-place zeroing) are
     /// indistinguishable from never-reported ones and stay out.
-    ///
-    /// [`reset`]: TaskStateIndication::reset
     pub fn error_vector(&self, task: TaskId) -> Vec<ErrorIndication> {
         self.vectors
             .get(&task)
@@ -288,13 +265,11 @@ impl TaskStateIndication {
 
     /// Captures the error vectors and verdicts into `snap`, retaining its
     /// buffer capacity. The image is canonical: zero counts and `Ok`
-    /// verdicts (left behind by the in-place [`reset`]) are observably
-    /// identical to absent entries and stay out, so a reset unit and a
+    /// verdicts (left behind by in-place zeroing) are observably
+    /// identical to absent entries and stay out, so a rewound unit and a
     /// freshly built one in the same state capture equal images. The
     /// mapping and thresholds are construction-time configuration and are
     /// not captured.
-    ///
-    /// [`reset`]: TaskStateIndication::reset
     pub fn snapshot_into(&self, snap: &mut TsiSnapshot) {
         let mut used = 0;
         for (&task, vector) in &self.vectors {
@@ -335,12 +310,12 @@ impl TaskStateIndication {
 
     /// Restores the state captured by
     /// [`TaskStateIndication::snapshot_into`]: counts and verdicts are
-    /// zeroed **in place** (keeping the map nodes allocated, like
-    /// [`TaskStateIndication::reset`]) and the snapshot's entries are
-    /// overlaid. A zero count / `Ok` verdict is observably identical to an
-    /// absent entry, so the result is exact regardless of which trials ran
-    /// in between; on a pooled world whose maps already contain the
-    /// snapshot's nodes the overlay allocates nothing.
+    /// zeroed **in place** (keeping the map nodes allocated) and the
+    /// snapshot's entries are overlaid. A zero count / `Ok` verdict is
+    /// observably identical to an absent entry, so the result is exact
+    /// regardless of which trials ran in between; on a reused unit whose
+    /// maps already contain the snapshot's nodes the overlay allocates
+    /// nothing.
     pub fn restore_from(&mut self, snap: &TsiSnapshot) {
         for vector in self.vectors.values_mut() {
             for count in vector.values_mut() {
@@ -375,7 +350,7 @@ type TaskErrorVector = (TaskId, Vec<((RunnableId, FaultKind), u32)>);
 
 /// Plain-data image of a [`TaskStateIndication`]'s error vectors and
 /// verdicts, flat `Vec`s so node-level snapshots embedding it are cheap to
-/// clone and can be shared across campaign workers. `PartialEq` compares
+/// clone. `PartialEq` compares
 /// the full image — a quiescent hyperperiod records no faults, so the
 /// macro-stepping engine requires two samples to compare equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -148,7 +148,7 @@ pub struct DtcStore {
     aging_cycles: u32,
     /// Retired records (cleared or aged out), recycled by the next insert
     /// so its freeze-frame buffer is rewritten in place instead of cloned
-    /// — a pooled world re-records the same codes trial after trial.
+    /// — a campaign node re-records the same codes trial after trial.
     spare: Vec<DtcRecord>,
     /// Scratch for codes that age out in one aging step (a healthy cycle
     /// or a closed-form jump; reused, so aging never allocates).
@@ -259,9 +259,9 @@ impl DtcStore {
         }
     }
 
-    /// Clears the whole memory, retiring every record to the spare pool
-    /// (world pooling support: the next trial's inserts rewrite the
-    /// pooled freeze-frame buffers instead of cloning fresh ones).
+    /// Clears the whole memory, retiring every record to the spare pool:
+    /// the next inserts rewrite the retired freeze-frame buffers instead of
+    /// cloning fresh ones.
     pub fn clear_all(&mut self) {
         while let Some((_, record)) = self.codes.pop_first() {
             self.spare.push(record);
@@ -351,7 +351,7 @@ impl DtcStore {
     /// Restores the memory captured by [`DtcStore::snapshot_into`]. Live
     /// records retire to the spare pool first, and every rebuilt record is
     /// drawn back out of it — the same recycling path
-    /// [`DtcStore::record_ref`] uses — so restoring over a pooled world
+    /// [`DtcStore::record_ref`] uses — so restoring over a used store
     /// rewrites record bodies in place instead of cloning fresh ones.
     pub fn restore_from(&mut self, snap: &DtcStoreSnapshot) {
         self.clear_all();

@@ -32,8 +32,9 @@ pub struct FaultManagementFramework {
     /// treated. The rendered strings are exactly what the old
     /// `format!`-per-action path produced; interning just means an
     /// application's second (and every later) treatment allocates
-    /// nothing. Deliberately kept across [`reset`](Self::reset): a pooled
-    /// world treats the same applications trial after trial.
+    /// nothing. Runtime caching only, so snapshots leave it out and a
+    /// restore keeps it: a campaign node treats the same applications
+    /// trial after trial.
     app_reasons: BTreeMap<ApplicationId, Arc<str>>,
 }
 
@@ -242,20 +243,6 @@ impl FaultManagementFramework {
         self.terminated_apps.clear();
     }
 
-    /// Full reset to the just-built state — log, DTC memory, queued
-    /// actions, budgets and counters — keeping the severity map, policy
-    /// and observability sink (world pooling support). Clears in place:
-    /// buffer capacity and DTC thresholds survive, so a pooled world's
-    /// reset allocates nothing.
-    pub fn reset(&mut self) {
-        self.log.clear();
-        self.dtc.clear_all();
-        self.actions.clear();
-        self.app_restarts.clear();
-        self.terminated_apps.clear();
-        self.ecu_resets = 0;
-    }
-
     /// Captures the framework's runtime state — fault log, DTC memory,
     /// queued actions, restart budgets, reset counter — into a
     /// deterministic snapshot. The severity map, policy, observability
@@ -305,8 +292,8 @@ impl FaultManagementFramework {
 
 /// A deterministic capture of FMF runtime state — see
 /// [`FaultManagementFramework::snapshot`]. Plain data (the budget map is
-/// flattened, the DTC memory imaged as a record list), so node-level
-/// snapshots embedding it can be shared across campaign workers.
+/// flattened, the DTC memory imaged as a record list), so a warm capture
+/// refills retained vectors instead of rebuilding maps.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FmfSnapshot {
     log: Vec<FaultRecord>,
@@ -479,6 +466,7 @@ mod tests {
     #[test]
     fn reasons_render_like_the_format_strings_and_are_interned() {
         let mut fmf = FaultManagementFramework::default();
+        let fresh = fmf.snapshot();
         fmf.ingest_state_change(app_faulty(1));
         fmf.ingest_state_change(app_faulty(2));
         fmf.ingest_state_change(StateChange::EcuFaulty {
@@ -489,9 +477,9 @@ mod tests {
         assert_eq!(&*actions[1].reason, "application App0 faulty");
         assert_eq!(&*actions[2].reason, "global ECU state faulty");
         // Interned: both App0 actions share one allocation, and the cache
-        // survives reset() (pooled worlds treat the same apps per trial).
+        // survives a rewind (campaign nodes treat the same apps per trial).
         assert!(std::sync::Arc::ptr_eq(&actions[0].reason, &actions[1].reason));
-        fmf.reset();
+        fmf.restore_from(&fresh);
         fmf.ingest_state_change(app_faulty(10));
         let again = fmf.take_actions();
         assert!(std::sync::Arc::ptr_eq(&actions[0].reason, &again[0].reason));
@@ -516,7 +504,8 @@ mod tests {
     }
 
     /// Drives a tail after a capture, restores, and asserts the replay is
-    /// observably identical — also after a `reset()` in between.
+    /// observably identical — also after a rewind to the fresh unit in
+    /// between.
     #[test]
     fn snapshot_restore_replays_identically() {
         let drive_prefix = |fmf: &mut FaultManagementFramework| {
@@ -539,6 +528,7 @@ mod tests {
         };
 
         let mut fmf = FaultManagementFramework::default();
+        let fresh = fmf.snapshot();
         drive_prefix(&mut fmf);
         let snap = fmf.snapshot();
         let at_capture = observe(&fmf);
@@ -552,7 +542,7 @@ mod tests {
         drive_tail(&mut fmf);
         assert_eq!(observe(&fmf), after_tail);
 
-        fmf.reset();
+        fmf.restore_from(&fresh);
         fmf.restore_from(&snap);
         assert_eq!(observe(&fmf), at_capture);
         drive_tail(&mut fmf);

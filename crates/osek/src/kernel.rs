@@ -59,7 +59,7 @@ struct Tcb {
     config: TaskConfig,
     state: TaskState,
     /// `true` once the current activation's plan has been filled into the
-    /// kernel's [`PlanArena`] slot (cleared at termination/reset).
+    /// kernel's [`PlanArena`] slot (cleared at termination).
     planned: bool,
     current_priority: Priority,
     set_events: EventMask,
@@ -136,7 +136,7 @@ pub struct Os<W> {
     /// core as its [`KernelServices`] view.
     bodies: Vec<Box<dyn TaskBody<W>>>,
     /// Capacity-retained per-task plan buffers (slot `i` belongs to task
-    /// `i`); cleared, never shrunk, across activations and resets.
+    /// `i`); cleared, never shrunk, across activations and restores.
     arena: PlanArena<W>,
     /// Scheduler state (TCBs, alarms, resources, timers, trace) — the
     /// [`ServiceCore`] handed to effects.
@@ -338,16 +338,6 @@ impl<W> Os<W> {
     /// Shuts the OS down (fires the shutdown hook; scheduling stops).
     pub fn shutdown(&mut self, world: &mut W) {
         self.core.shutdown(world);
-    }
-
-    /// Resets all runtime state to the pre-[`Os::start`] configuration,
-    /// keeping the task/alarm/resource tables, bodies, observers and trace
-    /// settings. A reset OS replays a simulation exactly like a freshly
-    /// built one — the campaign engine's world pooling relies on this
-    /// equivalence (pinned by a proptest at the node level).
-    pub fn reset(&mut self) {
-        self.core.reset_runtime();
-        self.arena.reset();
     }
 
     /// Captures every piece of kernel *runtime* state into a deterministic
@@ -931,39 +921,6 @@ impl<W> Core<W> {
         self.started = false;
     }
 
-    /// Resets every core field to the pre-start configuration (the arena is
-    /// reset by [`Os::reset`] alongside).
-    fn reset_runtime(&mut self) {
-        for tcb in &mut self.tasks {
-            tcb.state = TaskState::Suspended;
-            tcb.planned = false;
-            tcb.current_priority = tcb.config.priority();
-            tcb.set_events = EventMask::NONE;
-            tcb.waiting_for = EventMask::NONE;
-            tcb.held.clear();
-            tcb.issued = 0;
-            tcb.completed = 0;
-            tcb.exec_time = Duration::ZERO;
-            tcb.budget_reported = false;
-            tcb.ready_key = 0;
-        }
-        for alarm in &mut self.alarms {
-            alarm.disarm();
-            alarm.set_cycle_scale_ppm(1_000_000);
-        }
-        for resource in &mut self.resources {
-            resource.release();
-        }
-        self.timers.clear();
-        self.now = Instant::ZERO;
-        self.running = None;
-        self.trace.clear();
-        self.started = false;
-        self.next_back_key = 1;
-        self.next_front_key = -1;
-        self.busy = Duration::ZERO;
-    }
-
     fn activate_task(&mut self, id: TaskId, world: &mut W) -> Result<(), OsError> {
         if id.index() >= self.tasks.len() {
             return Err(OsError::InvalidId);
@@ -1249,8 +1206,8 @@ struct TcbSnapshot {
 /// and [`Os::restore_from`]. Opaque: only meaningful to the OS that (or an
 /// identically configured OS to the one that) produced it.
 ///
-/// Plain data (no task bodies, no closures), so node-level snapshots that
-/// embed it can be shared across campaign workers.
+/// Plain data (no task bodies, no closures): a boxed closure cannot be
+/// cloned into a snapshot, and bodies keep no replay-relevant state.
 pub struct OsSnapshot {
     tasks: Vec<TcbSnapshot>,
     alarms: Vec<AlarmRuntime>,

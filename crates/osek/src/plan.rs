@@ -100,10 +100,10 @@ impl<W> Step<W> {
 
 /// The closure-free image of a [`Step`], used inside snapshots.
 ///
-/// Snapshots must be shareable across worker threads (`Arc<NodeSnapshot>`
-/// in the campaign prefix cache), and `Step::Effect`'s boxed `FnMut` is not
-/// `Sync` — so snapshots store this plain-data mirror instead, which covers
-/// every variant except `Effect` (see [`Step`]'s snapshot panic note).
+/// A snapshot is a copy, and `Step::Effect`'s boxed `FnMut` cannot be
+/// cloned into one — so snapshots store this plain-data mirror instead,
+/// which covers every variant except `Effect` (see [`Step`]'s snapshot
+/// panic note).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepData {
     /// Mirror of [`Step::Compute`].
@@ -288,9 +288,9 @@ impl<W> Plan<W> {
 /// task body fills it in place via [`TaskBody::plan_into`]. Once a slot has
 /// grown to the task's steady-state plan length, re-planning performs no
 /// heap allocation at all — the campaign hot path relies on this to run
-/// alloc-free trials. [`PlanArena::reset`] (called from `Os::reset`) clears
-/// every slot but keeps the capacity, so pooled worlds replay trials without
-/// re-growing the buffers.
+/// alloc-free trials. [`PlanArena::restore_from`] rewrites every slot but
+/// keeps its capacity, so a rewound node replays trials without re-growing
+/// the buffers.
 pub struct PlanArena<W> {
     slots: Vec<Plan<W>>,
 }
@@ -341,17 +341,8 @@ impl<W> PlanArena<W> {
         &mut self.slots[idx]
     }
 
-    /// Clears every slot, retaining all allocated capacity. Part of the
-    /// world-pooling contract: a reset arena replans exactly like a fresh
-    /// one, only without the allocations.
-    pub fn reset(&mut self) {
-        for slot in &mut self.slots {
-            slot.clear();
-        }
-    }
-
-    /// Sum of all slots' step capacities (observability for tests and
-    /// benches asserting capacity retention across resets).
+    /// Sum of all slots' step capacities (observability for tests
+    /// asserting capacity retention across restores).
     pub fn total_capacity(&self) -> usize {
         self.slots.iter().map(Plan::capacity).sum()
     }
@@ -402,10 +393,9 @@ impl<W> PlanArena<W> {
 }
 
 /// The remaining steps of every [`PlanArena`] slot at snapshot time
-/// (see [`PlanArena::snapshot`]). World-independent plain data, so node
-/// snapshots containing it are `Send + Sync` and shareable via `Arc`.
-/// Equality is slot-for-slot step equality — what the macro-stepping
-/// guards compare across hyperperiod samples.
+/// (see [`PlanArena::snapshot`]). World-independent plain data (see
+/// [`StepData`]). Equality is slot-for-slot step equality — what the
+/// macro-stepping guards compare across hyperperiod samples.
 #[derive(Default, Clone, PartialEq)]
 pub struct PlanArenaSnapshot {
     slots: Vec<Vec<StepData>>,
@@ -1007,34 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_reset_keeps_grown_capacity() {
-        let mut arena: PlanArena<W> = PlanArena::new();
-        arena.grow_to(3);
-        for i in 0..3 {
-            let slot = arena.slot_mut(i);
-            for _ in 0..(8 * (i + 1)) {
-                slot.push_effect_ref(i as u32);
-            }
-        }
-        let cap = arena.total_capacity();
-        assert!(cap >= 8 + 16 + 24);
-        arena.reset();
-        for i in 0..3 {
-            assert!(arena.slot_mut(i).is_empty());
-        }
-        assert_eq!(arena.total_capacity(), cap, "reset must not shrink slots");
-        // Refilling to the previous length allocates nothing (capacity-wise:
-        // the capacity stays put).
-        for i in 0..3 {
-            let slot = arena.slot_mut(i);
-            for _ in 0..(8 * (i + 1)) {
-                slot.push_effect_ref(i as u32);
-            }
-        }
-        assert_eq!(arena.total_capacity(), cap);
-    }
-
-    #[test]
     fn arena_snapshot_restores_in_flight_plans() {
         let mut arena: PlanArena<W> = PlanArena::new();
         arena.grow_to(2);
@@ -1042,12 +1004,23 @@ mod tests {
         arena.slot_mut(0).push_effect_ref(3);
         let snap = arena.snapshot();
         arena.slot_mut(0).clear();
-        arena.slot_mut(1).push_back(Step::Schedule);
+        let fill = |arena: &mut PlanArena<W>| {
+            for _ in 0..16 {
+                arena.slot_mut(1).push_back(Step::Schedule);
+            }
+        };
+        fill(&mut arena);
+        let cap = arena.total_capacity();
         arena.restore_from(&snap);
         assert_eq!(arena.slot_mut(0).len(), 2);
         assert!(matches!(arena.slot_mut(0).pop(), Some(Step::Compute(d)) if d == Duration::from_micros(7)));
         assert!(matches!(arena.slot_mut(0).pop(), Some(Step::EffectRef(3))));
         assert!(arena.slot_mut(1).is_empty(), "restore clears divergent slots");
+        // Every slot keeps its capacity, so refilling to the same length
+        // grows nothing.
+        assert_eq!(arena.total_capacity(), cap, "restore must not shrink slots");
+        fill(&mut arena);
+        assert_eq!(arena.total_capacity(), cap);
     }
 
     #[test]

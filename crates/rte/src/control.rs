@@ -78,7 +78,7 @@ pub struct TaskControl {
 /// assert_eq!(controls.runnable(RunnableId(2)).exec_scale_ppm, 3_000_000);
 /// assert!(controls.runnable(RunnableId(7)).is_nominal());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunnableControls {
     runnables: Vec<RunnableControl>,
     tasks: BTreeMap<String, TaskControl>,
@@ -87,6 +87,24 @@ pub struct RunnableControls {
     /// on a slower CPU (e.g. the outlook's 50 MHz S12XF instead of the
     /// 480 MHz AutoBox ⇒ ~9.6e6 ppm).
     global_exec_scale_ppm: u64,
+}
+
+impl Clone for RunnableControls {
+    fn clone(&self) -> Self {
+        RunnableControls {
+            runnables: self.runnables.clone(),
+            tasks: self.tasks.clone(),
+            global_exec_scale_ppm: self.global_exec_scale_ppm,
+        }
+    }
+
+    // Field-wise so a node restore keeps the grown runnable table: the
+    // next injection rewrites its entries in place instead of re-growing it.
+    fn clone_from(&mut self, source: &Self) {
+        self.runnables.clone_from(&source.runnables);
+        self.tasks.clone_from(&source.tasks);
+        self.global_exec_scale_ppm = source.global_exec_scale_ppm;
+    }
 }
 
 impl Default for RunnableControls {
@@ -147,13 +165,6 @@ impl RunnableControls {
         self.tasks.entry(name.to_string()).or_default()
     }
 
-    /// Resets every injection control to nominal (end of an injection
-    /// window); the global CPU scale is a platform property and persists.
-    pub fn reset(&mut self) {
-        self.runnables.clear();
-        self.tasks.clear();
-    }
-
     /// `true` if every runnable and task control is nominal (the global
     /// CPU scale is not an injection and does not count).
     pub fn is_nominal(&self) -> bool {
@@ -192,23 +203,28 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_nominal() {
-        let mut c = RunnableControls::new();
-        c.runnable_mut(RunnableId(1)).skip = true;
-        c.task_mut("t").branch_override = Some(1);
-        c.reset();
-        assert!(c.is_nominal());
-    }
-
-    #[test]
-    fn global_scale_round_trips_and_survives_reset() {
+    fn global_scale_round_trips_and_is_not_an_injection() {
         let mut c = RunnableControls::new();
         assert_eq!(c.global_exec_scale_ppm(), 1_000_000);
         c.set_global_exec_scale_ppm(9_600_000);
-        c.runnable_mut(RunnableId(0)).skip = true;
-        c.reset();
         assert_eq!(c.global_exec_scale_ppm(), 9_600_000);
         assert!(c.is_nominal(), "global scale is not an injection");
+    }
+
+    #[test]
+    fn clone_from_a_nominal_store_keeps_the_grown_table() {
+        let nominal = RunnableControls::new();
+        let mut c = RunnableControls::new();
+        c.runnable_mut(RunnableId(8)).skip = true;
+        let capacity = c.runnables.capacity();
+        c.clone_from(&nominal);
+        assert_eq!(c, nominal);
+        assert!(c.is_nominal());
+        assert_eq!(
+            c.runnables.capacity(),
+            capacity,
+            "restore dropped the table"
+        );
     }
 
     #[test]

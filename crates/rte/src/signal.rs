@@ -79,21 +79,6 @@ impl SignalDb {
         id
     }
 
-    /// Restores every signal to the given value snapshot (index order) and
-    /// clears the update timestamps, as if the values had been the declared
-    /// initials — the state-restoration half of world pooling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot length does not match the declared signals.
-    pub fn restore(&mut self, values: &[f64]) {
-        assert_eq!(values.len(), self.slots.len(), "snapshot covers all signals");
-        for (slot, &value) in self.slots.iter_mut().zip(values) {
-            slot.value = value;
-            slot.updated_at = Instant::ZERO;
-        }
-    }
-
     /// Looks up a signal id by name.
     pub fn id_of(&self, name: &str) -> Option<SignalId> {
         self.by_name.get(name).copied()
@@ -203,9 +188,8 @@ impl SignalDb {
 }
 
 /// A deterministic capture of signal values — see
-/// [`SignalDb::snapshot_into`]. Plain data (one `(value, updated_at)`
-/// pair per declared signal), so node-level snapshots embedding it can be
-/// shared across campaign workers.
+/// [`SignalDb::snapshot_into`]. Plain data: one `(value, updated_at)` pair
+/// per declared signal; names are declaration-time constants and stay out.
 #[derive(Debug, Clone, Default)]
 pub struct SignalDbSnapshot {
     values: Vec<(f64, Instant)>,
@@ -315,11 +299,6 @@ mod tests {
         db.restore_from(&snap);
         assert_eq!((db.read(a), db.read(b)), (10.0, 2.0));
         assert_eq!(db.updated_at(b), Instant::ZERO);
-
-        // The pooled-world value reset in between changes nothing.
-        db.restore(&[0.0, 0.0]);
-        db.restore_from(&snap);
-        assert_eq!(db.read(a), 10.0);
         assert_eq!(db.updated_at(a), Instant::from_millis(1));
     }
 

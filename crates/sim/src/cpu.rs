@@ -125,11 +125,6 @@ impl CostMeter {
         }
     }
 
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        *self = CostMeter::default();
-    }
-
     /// Per-span delta: the charges accumulated since `earlier` was sampled.
     ///
     /// # Panics
@@ -186,8 +181,6 @@ mod tests {
         m.charge(30);
         assert_eq!(m.total_cycles(), 40);
         assert_eq!(m.mean_cycles(), 20.0);
-        m.reset();
-        assert_eq!(m.operations(), 0);
     }
 
     #[test]

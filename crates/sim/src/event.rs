@@ -100,16 +100,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Empties the queue while retaining its capacity and resetting the
-    /// sequence counter. A cleared queue schedules and pops exactly like
-    /// [`EventQueue::new`] (same ids, same order) but re-arming the
-    /// periodic-alarm workload after a reset allocates nothing — the
-    /// campaign engine's pooled `Os::reset` relies on this.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.next_seq = 0;
-    }
-
     /// Schedules `payload` to fire at `at`. Returns a handle for [`cancel`].
     ///
     /// Events scheduled for the same instant fire in the order they were
@@ -383,27 +373,6 @@ mod tests {
         // Re-arm again after popping; the queue stays usable.
         q.schedule(t(20_000), "again");
         assert_eq!(q.pop(), Some((t(20_000), "again")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn clear_replays_like_a_fresh_queue() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(10), "a");
-        q.schedule(t(1 << 26), "overflow");
-        q.schedule(t(5), "past-maker");
-        assert_eq!(q.pop(), Some((t(5), "past-maker")));
-        q.schedule(t(3), "behind");
-        assert!(q.cancel(a));
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-        // Ids and ordering restart exactly as on a fresh queue.
-        let first = q.schedule(t(30), "x");
-        assert_eq!(first.raw(), 0);
-        q.schedule(t(20), "y");
-        assert_eq!(q.pop(), Some((t(20), "y")));
-        assert_eq!(q.pop(), Some((t(30), "x")));
         assert_eq!(q.pop(), None);
     }
 

@@ -515,26 +515,6 @@ impl CentralNode {
         }
     }
 
-    /// Resets the node to its just-built state so it can be `start()`ed
-    /// again: kernel back to cold (tasks suspended, alarms disarmed,
-    /// timers empty, trace cleared), world back to the initial snapshot,
-    /// baseline monitor statistics cleared. The expensive structure —
-    /// task bodies, the runnable registry, the compiled watchdog
-    /// configuration — is kept. Campaigns pool one node per worker thread
-    /// and reset it at every chunk; the reset≡fresh property test pins that a
-    /// trial on a reset node ends in the same state as one on a fresh
-    /// build.
-    pub fn reset(&mut self) {
-        self.os.reset();
-        self.world.reset();
-        self.deadline_monitor.reset();
-        self.exec_monitor.reset();
-        self.started = false;
-        self.ffwd.backoff = 0;
-        self.ffwd.injection_armed = false;
-        self.ffwd.stats = FfwdStats::default();
-    }
-
     /// Captures a deterministic checkpoint of the started node — see
     /// [`CentralNode::snapshot_into`]. Allocates a fresh snapshot; campaign
     /// workers keep one [`NodeSnapshot`] each and reuse it.
@@ -690,29 +670,16 @@ impl CentralNode {
     /// The macro-stepping loop behind [`CentralNode::run_span`]:
     /// certify the per-hyperperiod delta against a guard hyperperiod, then
     /// apply it once over every whole hyperperiod left in the span.
-    /// A rejected certification backs off exponentially (1→2→4→8
-    /// hyperperiods simulated plainly, plus a one-millisecond sampling
-    /// phase nudge) so transients — a DTC age-out inside a sample, pending
-    /// cancellations, post-treatment settling, samples phased onto a
-    /// task-period boundary — drain before the retry.
+    /// A rejected certification runs one millisecond at event level and
+    /// retries, so transients — a fault-log, monitor or DTC age-out
+    /// movement inside a sample, post-treatment settling, samples phased
+    /// onto a task-period boundary — drain before the next attempt.
     fn macro_step_span(&mut self, end: Instant) {
         // The engine state moves out while the node simulates (`run_until`
         // needs `&mut self.os`/`&mut self.world` alongside the buffers).
         let mut ff = std::mem::take(&mut self.ffwd);
         let h = ff.h;
         loop {
-            if ff.backoff > 0 {
-                // Exponential penalty plus a one-millisecond phase nudge: a
-                // rejected sample may sit exactly on a task-period boundary
-                // where the kernel is mid-dispatch every hyperperiod (a task
-                // Ready or running), and h-spaced resampling would
-                // stay on that phase forever. The nudge walks the sampler
-                // off such instants; the nudged span itself runs at event
-                // level, so it costs time, never exactness.
-                let penalty = h * ff.backoff as u64 + Duration::from_millis(1);
-                let penalty_end = (self.os.now() + penalty).min(end);
-                self.os.run_until(penalty_end, &mut self.world);
-            }
             let now = self.os.now();
             // Certification consumes two hyperperiods; anything shorter
             // than three leaves no jump to pay for it.
@@ -722,22 +689,26 @@ impl CentralNode {
             self.ffwd_image(&mut ff.img_a);
             self.os.run_until(now + h, &mut self.world);
             self.ffwd_image(&mut ff.img_b);
-            if !derive_node_delta(&ff.img_a, &ff.img_b, h, &mut ff.delta) {
-                ff.stats.fallbacks += 1;
-                ff.backoff = (ff.backoff * 2).clamp(1, 8);
-                continue;
-            }
             // Guard hyperperiod: the event stream must reproduce the exact
             // same delta before any closed-form application is trusted.
-            self.os.run_until(now + h * 2, &mut self.world);
-            self.ffwd_image(&mut ff.img_a);
-            if !derive_node_delta(&ff.img_b, &ff.img_a, h, &mut ff.delta2) || ff.delta != ff.delta2
-            {
+            let certified = derive_node_delta(&ff.img_a, &ff.img_b, h, &mut ff.delta) && {
+                self.os.run_until(now + h * 2, &mut self.world);
+                self.ffwd_image(&mut ff.img_a);
+                derive_node_delta(&ff.img_b, &ff.img_a, h, &mut ff.delta2)
+                    && ff.delta == ff.delta2
+            };
+            if !certified {
                 ff.stats.fallbacks += 1;
-                ff.backoff = (ff.backoff * 2).clamp(1, 8);
+                // One-millisecond phase nudge: a rejected sample may sit
+                // exactly on a task-period boundary where the kernel is
+                // mid-dispatch every hyperperiod (a task Ready or running),
+                // and h-spaced resampling would stay on that phase forever.
+                // The nudge walks the sampler off such instants; it runs at
+                // event level, so it costs time, never exactness.
+                let nudge_end = (self.os.now() + Duration::from_millis(1)).min(end);
+                self.os.run_until(nudge_end, &mut self.world);
                 continue;
             }
-            ff.backoff = 0;
             ff.stats.certifications += 1;
             // One jump over every whole hyperperiod left (at least one:
             // three remained before the two certification hyperperiods).
@@ -776,8 +747,8 @@ impl CentralNode {
         self.ffwd.injection_armed = armed;
     }
 
-    /// This node's macro-stepping counters since build or
-    /// [`CentralNode::reset`].
+    /// This node's macro-stepping counters since build (a restore leaves
+    /// them running).
     pub fn ffwd_stats(&self) -> FfwdStats {
         self.ffwd.stats
     }
@@ -849,7 +820,6 @@ struct FfwdState {
     h: Duration,
     enabled_override: Option<bool>,
     injection_armed: bool,
-    backoff: u32,
     img_a: FfwdImage,
     img_b: FfwdImage,
     delta: NodeCycleDelta,
@@ -933,11 +903,13 @@ fn derive_node_delta(a: &FfwdImage, b: &FfwdImage, h: Duration, out: &mut NodeCy
 }
 
 /// A deterministic checkpoint of a started [`CentralNode`] at one instant:
-/// the campaign prefix-reuse primitive. Trials sharing an injection point
-/// fork from the snapshot taken there instead of re-simulating the golden
-/// prefix ([`crate::scenario::run_plan`]); each campaign worker keeps one
-/// capacity-retained snapshot and refills it at every fork instant. The
-/// snapshot is plain data — no world handles, no closures.
+/// the campaign prefix-reuse primitive and the node's only way back to a
+/// known state. Trials sharing an injection point fork from the snapshot
+/// taken there instead of re-simulating the golden prefix
+/// ([`crate::scenario::run_plan`]); each campaign worker keeps one capture
+/// taken just after `start()` at t=0 and one capacity-retained checkpoint
+/// it refills at every fork instant. The snapshot is plain data — no
+/// world handles, no closures.
 ///
 /// Static structure is deliberately excluded — the runnable registry, the
 /// compiled watchdog configuration, task bodies (their buffers are

@@ -220,29 +220,43 @@ fn campaign_blueprint() -> &'static NodeBlueprint {
 }
 
 /// One worker thread's pooled campaign state: the node and injector the
-/// worker reuses across chunks and [`run_plan`] calls, plus the
-/// [`NodeSnapshot`] checkpoint buffer the forked runner refills via
-/// [`CentralNode::snapshot_into`] — capacity-retained, so steady-state
-/// capture allocates nothing.
+/// worker reuses across chunks and [`run_plan`] calls, plus two golden
+/// (injection-free) [`NodeSnapshot`]s of the one campaign blueprint that
+/// every trial rewinds to — capacity-retained, so steady-state capture and
+/// restore allocate nothing.
 struct PoolSlot {
     node: CentralNode,
     injector: Injector,
+    /// The node just after `start()` at t=0, captured once per worker.
+    cold: NodeSnapshot,
     /// Golden-prefix checkpoint buffer; contents are only meaningful when
     /// `ckpt_at` is set.
     ckpt: NodeSnapshot,
     /// The fork instant `ckpt` captures, or `None` before the first
-    /// capture. The buffer always holds *golden* (injection-free) state
-    /// of the one campaign blueprint: it is only ever filled right after
-    /// the node reached a fork along the detector-free prefix, so it stays
-    /// valid across chunks and calls even though each chunk resets the
-    /// node: every restore is a full copy.
+    /// capture. It is only ever filled right after the node reached a fork
+    /// along the golden prefix, so it stays valid across chunks and calls:
+    /// every restore is a full copy.
     ckpt_at: Option<Instant>,
 }
 
+impl PoolSlot {
+    fn new() -> Self {
+        let mut node = CentralNode::build_from_blueprint(campaign_blueprint());
+        node.start();
+        PoolSlot {
+            cold: node.snapshot(),
+            node,
+            injector: Injector::none(),
+            ckpt: NodeSnapshot::default(),
+            ckpt_at: None,
+        }
+    }
+}
+
 thread_local! {
-    /// Per-worker pooled campaign state. One pooled world per worker
-    /// thread covers every campaign the thread runs: chunks reset the node
-    /// and trials reload the injector instead of rebuilding either.
+    /// Per-worker pooled campaign state. One pooled node per worker thread
+    /// covers every campaign the thread runs: trials rewind the node to a
+    /// snapshot and reload the injector instead of rebuilding either.
     static NODE_POOL: std::cell::RefCell<Option<PoolSlot>> =
         const { std::cell::RefCell::new(None) };
 }
@@ -368,15 +382,15 @@ fn run_trial_tail(
 }
 
 /// Runs one contiguous chunk of campaign trials on this worker's node
-/// with **golden-run prefix checkpointing**: the node is reset, the chunk
-/// is processed in [`tail_key`] order (forks ascending), the node is
-/// advanced once along the golden (injection-free) prefix, and the
-/// checkpoint buffer is refilled at each distinct fork instant; every
-/// trial forks from its checkpoint instead of re-simulating the prefix.
-/// Each rewind is one exact full copy of the checkpoint into the node's
-/// retained buffers, so it allocates nothing once warm. Outcomes are
-/// returned in spec order, so the merged stats are bit-identical to
-/// per-trial [`run_trial`] runs.
+/// with **golden-run prefix checkpointing**: the chunk is processed in
+/// [`tail_key`] order (forks ascending), the node is advanced once along
+/// the golden (injection-free) prefix, and the checkpoint buffer is
+/// refilled at each distinct fork instant; every trial forks from its
+/// checkpoint instead of re-simulating the prefix. Each rewind is one
+/// exact full copy of a golden snapshot into the node's retained buffers,
+/// so it allocates nothing once warm. Outcomes are returned in spec
+/// order, so the merged stats are bit-identical to per-trial
+/// [`run_trial`] runs.
 ///
 /// On top sits **equivalence collapsing** (the fault-list collapsing of
 /// hardware fault-injection campaigns): the sort puts twins next to each
@@ -386,14 +400,7 @@ fn run_trial_tail(
 fn run_chunk_forked(specs: &[TrialSpec], horizon: Instant) -> Vec<TrialOutcome> {
     NODE_POOL.with(|pool| {
         let mut slot = pool.borrow_mut();
-        let s = slot.get_or_insert_with(|| PoolSlot {
-            node: CentralNode::build_from_blueprint(campaign_blueprint()),
-            injector: Injector::none(),
-            ckpt: NodeSnapshot::default(),
-            ckpt_at: None,
-        });
-        s.node.reset();
-        s.node.start();
+        let s = slot.get_or_insert_with(PoolSlot::new);
 
         let mut order: Vec<usize> = (0..specs.len()).collect();
         order.sort_by_key(|&i| tail_key(&specs[i], horizon));
@@ -405,20 +412,16 @@ fn run_chunk_forked(specs: &[TrialSpec], horizon: Instant) -> Vec<TrialOutcome> 
             let key = tail_key(spec, horizon);
             if simulated != Some(key) {
                 let fork = key.0;
-                if s.ckpt_at == Some(fork) {
-                    // The common case: another trial of this fork instant
-                    // just ran — rewind to the checkpoint.
-                    s.node.restore_from(&s.ckpt);
-                } else {
-                    // The fork moved. Rewind to the worker's own checkpoint
-                    // if it lies at or before the fork. Forks ascend within
-                    // a chunk, but a new chunk (or call) may fork earlier
-                    // than the last final checkpoint; such a stale buffer
-                    // must not be used as a base, and the node still sits
-                    // freshly started at t=0 instead.
-                    if s.ckpt_at.is_some_and(|at| at <= fork) {
-                        s.node.restore_from(&s.ckpt);
-                    }
+                // Rewind to the latest golden base at or before the fork.
+                // Forks ascend within a chunk, but a new chunk (or call) may
+                // fork earlier than the last checkpoint; such a stale
+                // checkpoint must not be used, and t=0 serves instead.
+                let base_at = s.ckpt_at.filter(|&at| at <= fork);
+                s.node
+                    .restore_from(if base_at.is_some() { &s.ckpt } else { &s.cold });
+                if base_at != Some(fork) {
+                    // The fork moved: advance along the golden prefix and
+                    // recapture.
                     if s.node.os.now() < fork {
                         s.node.run_span(fork);
                     }
@@ -646,7 +649,7 @@ mod tests {
         let exec = CampaignExecutor::serial();
         // Each call leaves its last golden checkpoint in this thread's
         // pool: the 450 ms call restores the 300 ms one, and the 250 ms
-        // call must not use the stale 450 ms one.
+        // call must rewind to t=0 instead of using the stale 450 ms one.
         for from in [300, 450, 250] {
             let plan = CampaignPlan::from_trials(vec![TrialSpec {
                 seed: 9,

@@ -76,28 +76,6 @@ impl CentralWorld {
         }
     }
 
-    /// Resets the world to its just-built-and-started state: signals back
-    /// to their initial snapshot, controls nominal (global CPU scale
-    /// preserved), every dependability service reset, treatment/fault logs
-    /// and the RX mailbox cleared. The static wiring — app alarm map,
-    /// signal prefixes, the initial-signal snapshot itself and the
-    /// observability sink — is kept. Part of the world-pooling contract:
-    /// after `reset()` a trial on this world is byte-identical to one on a
-    /// freshly built world.
-    pub fn reset(&mut self) {
-        let initial = std::mem::take(&mut self.initial_signals);
-        self.signals.restore(&initial);
-        self.initial_signals = initial;
-        self.controls.reset();
-        self.watchdog.reset();
-        self.fmf.reset();
-        self.hw_watchdog.reset();
-        self.treatments.clear();
-        self.ecu_resets = 0;
-        self.fault_log.clear();
-        self.rx_mailbox.clear();
-    }
-
     /// Assembles the world around a configured watchdog service.
     pub fn new(
         signals: SignalDb,

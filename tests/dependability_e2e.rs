@@ -213,15 +213,16 @@ fn application_restart_resets_internal_state() {
 
 /// Freeze-frame condition names are interned `Arc<str>`s owned by the
 /// watchdog task body: every frame captured in every trial clones the same
-/// two allocations ("speed_measured", "lateral_measured"), and
-/// `CentralNode::reset()` — the world-pooling reset between campaign
+/// two allocations ("speed_measured", "lateral_measured"), and rewinding
+/// the node to its t=0 snapshot — what a campaign worker does between
 /// trials — must keep those interned strings alive and stable rather than
 /// re-allocating them per run.
 #[test]
-fn freeze_frame_strings_stay_interned_across_node_reset() {
+fn freeze_frame_strings_stay_interned_across_node_rewind() {
     let mut node = CentralNode::build(NodeConfig::default());
+    node.start();
+    let cold = node.snapshot();
     let faulty_run = |node: &mut CentralNode| {
-        node.start();
         let target = node.runnable("SAFE_CC_process");
         let mut injector = Injector::new([Injection::new(
             ErrorClass::HeartbeatLoss { runnable: target },
@@ -255,11 +256,14 @@ fn freeze_frame_strings_stay_interned_across_node_reset() {
         }
     }
 
-    node.reset();
-    assert!(node.world.fmf.dtc().is_empty(), "reset clears the fault memory");
+    node.restore_from(&cold);
+    assert!(
+        node.world.fmf.dtc().is_empty(),
+        "the rewind clears the fault memory"
+    );
     let second = faulty_run(&mut node);
 
-    // Across the reset, the very same interned allocations are re-used:
+    // Across the rewind, the very same interned allocations are re-used:
     // each name in the replay is pointer-identical to its first-run twin.
     assert_eq!(first.len(), second.len(), "replay must capture identical frames");
     for name in &second {

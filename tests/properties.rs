@@ -837,7 +837,7 @@ fn run_equiv_os(
     for (idx, spec) in specs.iter().enumerate() {
         let period = Duration::from_millis(spec.period_ms);
         os.set_rel_alarm(AlarmId(idx as u32), period, Some(period))
-            .expect("alarm arms on a fresh/reset OS");
+            .expect("alarm arms on a fresh/rewound OS");
     }
     os.run_until(horizon, &mut world);
     world
@@ -850,8 +850,9 @@ proptest! {
     /// boxed-closure reference style they replaced: over randomized task
     /// sets (priorities, periods, compute costs, effect mixes) the kernel
     /// trace, the world counters/log and the `CostMeter` charges are
-    /// bit-identical — and stay so when the arena OS is `reset()` and the
-    /// campaign is replayed on the retained (capacity-warm) buffers.
+    /// bit-identical — and stay so when the arena OS is rewound to a
+    /// snapshot taken before `start()` and the campaign is replayed on the
+    /// retained (capacity-warm) buffers.
     #[test]
     fn arena_bodies_match_boxed_closure_reference(
         raw_tasks in prop::collection::vec(
@@ -890,6 +891,7 @@ proptest! {
         let mut reference_os = build_equiv_os(&specs, false);
         let reference_world = run_equiv_os(&mut reference_os, &specs, horizon);
         let mut arena_os = build_equiv_os(&specs, true);
+        let cold = arena_os.snapshot();
         let arena_world = run_equiv_os(&mut arena_os, &specs, horizon);
 
         prop_assert_eq!(
@@ -901,14 +903,15 @@ proptest! {
         prop_assert_eq!(&arena_world.log, &reference_world.log, "effect order diverged");
         prop_assert_eq!(&arena_world.meter, &reference_world.meter, "cost charges diverged");
 
-        // Campaign replay: reset the arena OS (slots keep their capacity)
-        // and run the identical scenario again — still bit-identical.
-        arena_os.reset();
+        // Campaign replay: rewind the arena OS to before `start()` (slots
+        // keep their capacity) and run the identical scenario again —
+        // still bit-identical.
+        arena_os.restore_from(&cold);
         let replay_world = run_equiv_os(&mut arena_os, &specs, horizon);
         prop_assert_eq!(
             arena_os.trace().events(),
             reference_os.trace().events(),
-            "trace diverged after arena reset replay"
+            "trace diverged after arena rewind replay"
         );
         prop_assert_eq!(&replay_world.counters, &reference_world.counters);
         prop_assert_eq!(&replay_world.log, &reference_world.log);
@@ -919,14 +922,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Node reset is invisible at full-state level: a node built from a
-    /// campaign blueprint, dirtied by a different trial, `reset()` and
-    /// started again ends the test trial in exactly the state — kernel,
-    /// world, fault log, monitor statistics — of the same trial on a
-    /// freshly built node. Few cases: every case builds full central nodes
-    /// and simulates several hundred milliseconds.
+    /// A node rewind is invisible at full-state level: a node built from a
+    /// campaign blueprint, started and captured at t=0, dirtied by a
+    /// different trial and restored to that capture ends the test trial in
+    /// exactly the state — kernel, world, fault log, monitor statistics —
+    /// of the same trial on a freshly built node. Few cases: every case
+    /// builds full central nodes and simulates several hundred
+    /// milliseconds.
     #[test]
-    fn reset_node_trial_equals_fresh_build_trial(
+    fn rewound_node_trial_equals_fresh_build_trial(
         seed in any::<u64>(),
         test_pick in any::<u32>(),
         dirty_pick in any::<u32>(),
@@ -946,25 +950,27 @@ proptest! {
         let spec = &trials[test_pick as usize % trials.len()];
         let dirty = &trials[dirty_pick as usize % trials.len()];
         let run = |node: &mut CentralNode, spec: &TrialSpec| {
-            node.start();
             node.run_until(horizon, &mut Injector::new([spec.injection.clone()]));
         };
 
         let mut fresh = CentralNode::build(campaign_node_config());
+        fresh.start();
         run(&mut fresh, spec);
         // Dirty the reused node with an unrelated trial first, so the
-        // comparison exercises reset-from-a-faulted state, not first use.
+        // comparison exercises a rewind from a faulted state, not first use.
         let mut reused = CentralNode::build_from_blueprint(
             &NodeBlueprint::compile(campaign_node_config()),
         );
+        reused.start();
+        let cold = reused.snapshot();
         run(&mut reused, dirty);
-        reused.reset();
+        reused.restore_from(&cold);
         run(&mut reused, spec);
 
         let (a, b) = (reused.snapshot(), fresh.snapshot());
         prop_assert!(
             a.content_eq(&b),
-            "reset node diverged from fresh build for {:?}",
+            "rewound node diverged from fresh build for {:?}",
             spec.injection
         );
         prop_assert_eq!(a.os_canonical(), b.os_canonical());
@@ -1005,9 +1011,9 @@ proptest! {
     /// The forked engine's campaign report does not depend on the chunk
     /// size: multi-trial chunks (the worker captures at one fork,
     /// restores, advances to the next fork and captures again) and chunk
-    /// size 1 (every trial `reset()`s the node, then restores the
-    /// worker's own checkpoint when it lies at or before the fork or
-    /// simulates the prefix from t=0 otherwise) both equal the fresh
+    /// size 1 (every trial restores the worker's own checkpoint when it
+    /// lies at or before the fork, or its t=0 capture and simulates the
+    /// prefix otherwise) both equal the fresh
     /// per-trial reference byte for byte, over randomized plans, fork
     /// windows and worker counts. Few cases: every case simulates three
     /// whole campaigns.
@@ -1209,9 +1215,9 @@ fn macro_stepping_falls_back_and_recovers_across_dtc_age_out() {
 /// Forced mid-span fallback, case 2 — sampling-phase collision: the window
 /// ends exactly on a 10 ms task-period boundary, so every h-spaced
 /// certification sample initially lands mid-dispatch (a task Ready or
-/// running) and is rejected. The backoff's one-millisecond phase
-/// nudge must walk the sampler off the boundary, after which the tail
-/// certifies and fast-forwards — bit-identical to the event-level run.
+/// running) and is rejected. The one-millisecond phase nudge must walk
+/// the sampler off the boundary, after which the tail certifies and
+/// fast-forwards — bit-identical to the event-level run.
 #[test]
 fn macro_stepping_rephases_off_task_period_boundaries() {
     use easis::injection::injector::{ErrorClass, Injection, Injector};

@@ -40,8 +40,9 @@ rm -rf "$hotpath_scratch"
 
 echo "==> campaign_bench smoke run (run_plan engine, schema + alloc gates)"
 # Reduced trial count from a scratch dir: the steady-state allocation
-# floor, the faulty-trial allocation floor, the horizon-scaling zero-alloc
-# gate, the snapshot-probe warm capture allocation floor and the worker
+# floor, the faulty- and overrunning-trial allocation floors, the
+# horizon-scaling zero-alloc gate, the snapshot-probe warm capture
+# allocation floor and the worker
 # sweep's stats-equal-headline assertion always apply; the fast-forward
 # and worker-scaling gates are skipped below the full 200 trials/class so
 # smoke runs stay timing-noise-proof, and the committed
@@ -51,7 +52,7 @@ campaign_scratch="$(mktemp -d)"
 for key in schema_version trials workers simulated_ms_per_trial setup \
            blueprint_compile_ns node_build_ns node_rewind_ns forked \
            steady_state clean_trial_allocs \
-           faulty_trial_allocs horizon_scaling_allocs snapshot \
+           faulty_trial_allocs overrun_trial_allocs horizon_scaling_allocs snapshot \
            capture_ns restore_ns snapshot_allocs \
            tail_fastforward ffwd_span_fraction fallbacks certifications \
            parallel_efficiency worker_sweep worker_sweep_note host_cores; do

@@ -37,4 +37,4 @@ pub mod task_monitors;
 
 pub use cfcss::{BlockId, CfcssMonitor, CfcssProgram, ControlFlowGraph};
 pub use hw_watchdog::{HardwareWatchdog, KickOutcome};
-pub use task_monitors::{DeadlineMonitor, ExecutionTimeMonitor, TaskMonitorStats};
+pub use task_monitors::{TaskMonitor, TaskMonitorStats, TimingCheck};

@@ -6,31 +6,47 @@
 //! monitoring of AUTOSAR OS introduce the time monitoring of tasks, but the
 //! granularity of fault detection on the layer of tasks is not fine enough
 //! for runnables." The OSEK kernel already detects both conditions exactly
-//! (per-task deadlines and budgets); these observers collect the events
-//! into per-task statistics that the coverage experiments read out.
+//! (per-task deadlines and budgets); a [`TaskMonitor`] collects one of the
+//! two event kinds, chosen by its [`TimingCheck`], into per-task statistics
+//! that the coverage experiments read out.
 
 use easis_osek::hooks::{HookEvent, HookObserver};
 use easis_osek::task::TaskId;
 use easis_sim::time::Instant;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Statistics collected by a task-granularity monitor.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct TaskMonitorStats {
-    detections: BTreeMap<TaskId, u32>,
+    /// Detections per task, indexed by task id (grown on first detection).
+    detections: Vec<u32>,
     first_detection: Option<(TaskId, Instant)>,
+}
+
+impl Clone for TaskMonitorStats {
+    fn clone(&self) -> Self {
+        TaskMonitorStats {
+            detections: self.detections.clone(),
+            first_detection: self.first_detection,
+        }
+    }
+
+    // Field-wise so a capture into a warm snapshot reuses its buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.detections.clone_from(&source.detections);
+        self.first_detection = source.first_detection;
+    }
 }
 
 impl TaskMonitorStats {
     /// Detections attributed to `task`.
     pub fn detections_of(&self, task: TaskId) -> u32 {
-        self.detections.get(&task).copied().unwrap_or(0)
+        self.detections.get(task.index()).copied().unwrap_or(0)
     }
 
     /// Total detections across tasks.
     pub fn total(&self) -> u32 {
-        self.detections.values().sum()
+        self.detections.iter().sum()
     }
 
     /// Earliest detection, if any.
@@ -39,7 +55,11 @@ impl TaskMonitorStats {
     }
 
     fn record(&mut self, task: TaskId, at: Instant) {
-        *self.detections.entry(task).or_insert(0) += 1;
+        let i = task.index();
+        if self.detections.len() <= i {
+            self.detections.resize(i + 1, 0);
+        }
+        self.detections[i] += 1;
         if self.first_detection.is_none() {
             self.first_detection = Some((task, at));
         }
@@ -49,17 +69,31 @@ impl TaskMonitorStats {
 /// Shared handle to a monitor's statistics.
 pub type StatsHandle = Arc<Mutex<TaskMonitorStats>>;
 
-/// OSEKTime-style deadline monitor: counts kernel deadline-miss events.
-#[derive(Debug, Clone, Default)]
-pub struct DeadlineMonitor {
+/// The kernel timing event a [`TaskMonitor`] counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TimingCheck {
+    /// OSEKTime-style deadline monitoring: kernel deadline misses.
+    Deadline,
+    /// AUTOSAR-OS-style execution-time monitoring: budget overruns.
+    ExecutionTime,
+}
+
+/// A task-granularity timing monitor: counts the kernel events of its
+/// [`TimingCheck`] per task.
+#[derive(Debug, Clone)]
+pub struct TaskMonitor {
+    check: TimingCheck,
     stats: StatsHandle,
 }
 
-impl DeadlineMonitor {
+impl TaskMonitor {
     /// Creates the monitor; subscribe the value with `Os::add_observer`
     /// (it is `Clone`, keep one copy for reading).
-    pub fn new() -> Self {
-        DeadlineMonitor::default()
+    pub fn new(check: TimingCheck) -> Self {
+        TaskMonitor {
+            check,
+            stats: StatsHandle::default(),
+        }
     }
 
     /// Read access to the collected statistics.
@@ -67,76 +101,33 @@ impl DeadlineMonitor {
         self.stats.lock().expect("stats lock").clone()
     }
 
+    /// Copies the collected statistics into `out`, reusing its buffer
+    /// (the capture half of campaign checkpoint support).
+    pub fn stats_into(&self, out: &mut TaskMonitorStats) {
+        out.clone_from(&self.stats.lock().expect("stats lock"));
+    }
+
     /// Overwrites the statistics in every clone of this monitor with a
-    /// previously captured snapshot ([`DeadlineMonitor::stats`] is the
-    /// capture half — campaign checkpoint support).
+    /// previously captured snapshot ([`TaskMonitor::stats_into`] is the
+    /// capture half).
     pub fn restore_stats(&self, stats: &TaskMonitorStats) {
         self.stats.lock().expect("stats lock").clone_from(stats);
     }
 
-    /// Total detections without cloning the map (detections only ever
-    /// increment, so an unchanged total proves the whole statistics
-    /// unchanged — the macro-stepping engine's allocation-free check).
-    pub fn total(&self) -> u32 {
-        self.stats.lock().expect("stats lock").total()
-    }
-
-    /// Earliest detection without cloning the map.
+    /// Earliest detection without copying the statistics.
     pub fn first_detection(&self) -> Option<(TaskId, Instant)> {
         self.stats.lock().expect("stats lock").first_detection()
     }
 }
 
-impl<W> HookObserver<W> for DeadlineMonitor {
+impl<W> HookObserver<W> for TaskMonitor {
     fn on_hook(&mut self, now: Instant, event: HookEvent, _world: &mut W) {
-        if let HookEvent::DeadlineMiss { task, .. } = event {
-            self.stats.lock().expect("stats lock").record(task, now);
-        }
-    }
-}
-
-/// AUTOSAR-OS-style execution-time monitor: counts budget-exceeded events.
-#[derive(Debug, Clone, Default)]
-pub struct ExecutionTimeMonitor {
-    stats: StatsHandle,
-}
-
-impl ExecutionTimeMonitor {
-    /// Creates the monitor (see [`DeadlineMonitor::new`] for the usage
-    /// pattern).
-    pub fn new() -> Self {
-        ExecutionTimeMonitor::default()
-    }
-
-    /// Read access to the collected statistics.
-    pub fn stats(&self) -> TaskMonitorStats {
-        self.stats.lock().expect("stats lock").clone()
-    }
-
-    /// Overwrites the statistics in every clone of this monitor with a
-    /// previously captured snapshot ([`ExecutionTimeMonitor::stats`] is
-    /// the capture half — campaign checkpoint support).
-    pub fn restore_stats(&self, stats: &TaskMonitorStats) {
-        self.stats.lock().expect("stats lock").clone_from(stats);
-    }
-
-    /// Total detections without cloning the map (see
-    /// [`DeadlineMonitor::total`]).
-    pub fn total(&self) -> u32 {
-        self.stats.lock().expect("stats lock").total()
-    }
-
-    /// Earliest detection without cloning the map.
-    pub fn first_detection(&self) -> Option<(TaskId, Instant)> {
-        self.stats.lock().expect("stats lock").first_detection()
-    }
-}
-
-impl<W> HookObserver<W> for ExecutionTimeMonitor {
-    fn on_hook(&mut self, now: Instant, event: HookEvent, _world: &mut W) {
-        if let HookEvent::BudgetExceeded { task, .. } = event {
-            self.stats.lock().expect("stats lock").record(task, now);
-        }
+        let task = match (self.check, event) {
+            (TimingCheck::Deadline, HookEvent::DeadlineMiss { task, .. })
+            | (TimingCheck::ExecutionTime, HookEvent::BudgetExceeded { task, .. }) => task,
+            _ => return,
+        };
+        self.stats.lock().expect("stats lock").record(task, now);
     }
 }
 
@@ -161,7 +152,7 @@ mod tests {
             |_, _: &()| Plan::new().compute(ms(8)),
         );
         let a = os.add_alarm("a", AlarmAction::ActivateTask(t));
-        let monitor = DeadlineMonitor::new();
+        let monitor = TaskMonitor::new(TimingCheck::Deadline);
         os.add_observer(monitor.clone());
         let mut w = ();
         os.start(&mut w);
@@ -182,7 +173,7 @@ mod tests {
             TaskConfig::new("hog", Priority(1)).with_execution_budget(ms(2)),
             |_, _: &()| Plan::new().compute(ms(4)),
         );
-        let monitor = ExecutionTimeMonitor::new();
+        let monitor = TaskMonitor::new(TimingCheck::ExecutionTime);
         os.add_observer(monitor.clone());
         let mut w = ();
         os.start(&mut w);
@@ -200,8 +191,8 @@ mod tests {
                 .with_execution_budget(ms(10)),
             |_, _: &()| Plan::new().compute(ms(1)),
         );
-        let dl = DeadlineMonitor::new();
-        let et = ExecutionTimeMonitor::new();
+        let dl = TaskMonitor::new(TimingCheck::Deadline);
+        let et = TaskMonitor::new(TimingCheck::ExecutionTime);
         os.add_observer(dl.clone());
         os.add_observer(et.clone());
         let mut w = ();

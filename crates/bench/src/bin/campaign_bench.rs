@@ -27,7 +27,11 @@
 //! at all (asserted). A *faulty* trial — one whose injection fires inside
 //! the horizon and is detected — is probed the same way: with the pooled
 //! fault records, drained-into treatment actions and the in-place DTC
-//! freeze frame it allocates nothing either (asserted).
+//! freeze frame it allocates nothing either (asserted). An *overrunning*
+//! trial — a loop overrun that makes its task miss deadlines, exceed its
+//! budget and raise an activation-limit error every period — allocates
+//! nothing as well (asserted): the kernel formats an OS error only for a
+//! recording trace, and the timing monitors count into retained buffers.
 //!
 //! The `snapshot` probe measures the checkpoint machinery itself on a
 //! standalone node: a warm capacity-retained capture
@@ -50,7 +54,7 @@
 //! oversubscribed sweep measures contention, not scaling.
 //!
 //! Results land in `BENCH_campaign.json` (stable schema,
-//! `schema_version` 8; `host_cores` records the recording host's
+//! `schema_version` 9; `host_cores` records the recording host's
 //! available parallelism next to the sweep so readers can tell scaling
 //! from oversubscription; each sweep entry carries its
 //! `parallel_efficiency` = trials/sec ÷ (workers × workers=1 trials/sec)).
@@ -150,7 +154,7 @@ fn best_of<F: FnMut()>(reps: u32, mut op: F) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Report schema (schema_version 7 — keep stable, future changes diff this).
+// Report schema (schema_version 9 — keep stable, future changes diff this).
 // ---------------------------------------------------------------------
 
 /// The headline campaign run: full-plan wall clock and derived rates.
@@ -203,6 +207,10 @@ struct AllocProbe {
     /// Heap allocations of one fault-detecting trial on a warmed node
     /// (pooled fault records + in-place DTC freeze frame). Must be 0.
     faulty_trial_allocs: u64,
+    /// Heap allocations of one overrunning trial on a warmed node (OS
+    /// errors, deadline misses and budget overruns every period). Must
+    /// be 0.
+    overrun_trial_allocs: u64,
 }
 
 /// Snapshot probe on a standalone node: what one capture and one
@@ -333,6 +341,25 @@ fn faulty_spec() -> TrialSpec {
     }
 }
 
+/// A trial whose injection makes SAFE_CC's task overrun its period: 20 000
+/// forced loop iterations from 300 to 700 ms keep the task running past
+/// its next activation, so the kernel raises activation-limit errors,
+/// misses deadlines and exceeds the budget while the watchdog logs
+/// faults.
+fn overrun_spec() -> TrialSpec {
+    TrialSpec {
+        seed: 0x0F10,
+        injection: Injection::new(
+            ErrorClass::LoopOverrun {
+                runnable: RunnableId(4),
+                iterations: 20_000,
+            },
+            Instant::from_millis(300),
+            Instant::from_millis(700),
+        ),
+    }
+}
+
 /// Measures heap allocations of one trial of `spec` on a warmed, reused
 /// node — `restore_from` of its t=0 snapshot, `Injector::reload`,
 /// `run_until`, the way a campaign worker reuses its node (minimum over
@@ -434,6 +461,16 @@ fn validate_emitted_json(path: &str) {
             probe("setup"),
             &["blueprint_compile_ns", "node_build_ns", "node_rewind_ns"][..],
         ),
+        (
+            probe("steady_state"),
+            &[
+                "clean_trial_allocs",
+                "clean_trial_allocs_2x_horizon",
+                "horizon_scaling_allocs",
+                "faulty_trial_allocs",
+                "overrun_trial_allocs",
+            ][..],
+        ),
         (probe("snapshot"), &["capture_ns", "restore_ns", "snapshot_allocs"][..]),
         (
             probe("tail_fastforward"),
@@ -511,6 +548,18 @@ fn main() {
         faulty_allocs, 0,
         "fault-detecting trial allocated {faulty_allocs} heap blocks — a \
          per-fault allocation (record, freeze frame, action) crept back in"
+    );
+
+    // Overrunning-trial probe: OS errors, deadline misses and budget
+    // overruns every period allocate nothing on a warmed node — no error
+    // text is formatted for a trace that is off, and the timing monitors'
+    // per-task counters keep their capacity across the rewind.
+    let overrun_allocs = measure_trial_allocs(&probe_blueprint, &overrun_spec(), HORIZON);
+    println!("overrunning-trial allocs/trial: {overrun_allocs}");
+    assert_eq!(
+        overrun_allocs, 0,
+        "overrunning trial allocated {overrun_allocs} heap blocks — a \
+         per-error or per-detection allocation crept back in"
     );
 
     // Snapshot probe: the checkpoint machinery the engine is built on,
@@ -646,7 +695,7 @@ fn main() {
     }
 
     let report = Report {
-        schema_version: 8,
+        schema_version: 9,
         trials,
         workers: workers as u64,
         simulated_ms_per_trial,
@@ -658,6 +707,7 @@ fn main() {
             clean_trial_allocs_2x_horizon: allocs_2x,
             horizon_scaling_allocs: scaling,
             faulty_trial_allocs: faulty_allocs,
+            overrun_trial_allocs: overrun_allocs,
         },
         snapshot,
         worker_sweep,

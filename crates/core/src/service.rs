@@ -488,7 +488,7 @@ impl SoftwareWatchdog {
 /// [`SoftwareWatchdog::snapshot`] / [`SoftwareWatchdog::restore_from`].
 /// Plain data (unit images, no compiled tables or sinks): the compiled
 /// configuration is static, so a capture copies runtime state only.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WatchdogSnapshot {
     heartbeat_unit: HeartbeatSnapshot,
     pfc_units: Vec<PfcSnapshot>,

@@ -1124,8 +1124,12 @@ impl<W> Core<W> {
     }
 
     fn report_error(&mut self, err: OsError, world: &mut W) {
-        self.trace
-            .record(self.now, TRACE_SOURCE, "os_error", err.to_string());
+        // Format only for a recording trace: campaign nodes run with it
+        // off and an overrunning task errs every period.
+        if self.trace.is_enabled() {
+            self.trace
+                .record(self.now, TRACE_SOURCE, "os_error", err.to_string());
+        }
         self.fire_hook(HookEvent::Error(err), world);
     }
 
@@ -1208,6 +1212,7 @@ struct TcbSnapshot {
 ///
 /// Plain data (no task bodies, no closures): a boxed closure cannot be
 /// cloned into a snapshot, and bodies keep no replay-relevant state.
+#[derive(Debug, PartialEq)]
 pub struct OsSnapshot {
     tasks: Vec<TcbSnapshot>,
     alarms: Vec<AlarmRuntime>,
@@ -1246,55 +1251,6 @@ impl OsSnapshot {
     /// The simulated instant at which the snapshot was taken.
     pub fn taken_at(&self) -> Instant {
         self.now
-    }
-
-    /// Appends a canonical rendering of the captured kernel state to
-    /// `out`. Timer entries are listed as stored, which is the reverse of
-    /// pop order and fixed by the queue's content. Equivalence tests
-    /// compare this rendering across fast-forwarded and event-by-event
-    /// runs.
-    pub fn canonical_fmt(&self, out: &mut String) {
-        use std::fmt::Write;
-        let _ = writeln!(
-            out,
-            "now={} busy={} running={:?} started={} back={} front={}",
-            self.now,
-            self.busy,
-            self.running,
-            self.started,
-            self.next_back_key,
-            self.next_front_key,
-        );
-        for (i, t) in self.tasks.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "task{i} state={:?} planned={} prio={} ev={} wait={} issued={} completed={} exec={} budget={} key={}",
-                t.state,
-                t.planned,
-                t.current_priority,
-                t.set_events,
-                t.waiting_for,
-                t.issued,
-                t.completed,
-                t.exec_time,
-                t.budget_reported,
-                t.ready_key,
-            );
-        }
-        let _ = writeln!(out, "alarms={:?}", self.alarms);
-        let _ = writeln!(out, "resources={:?}", self.resource_holders);
-        let _ = writeln!(
-            out,
-            "timers next_seq={} entries={:?}",
-            self.timers.next_seq(),
-            self.timers.entries(),
-        );
-        for (i, slot) in self.arena.slots().iter().enumerate() {
-            if !slot.is_empty() {
-                let _ = writeln!(out, "plan{i}={slot:?}");
-            }
-        }
-        let _ = writeln!(out, "trace={:?}", self.trace);
     }
 
     /// Derives the closed-form per-hyperperiod delta between two kernel
@@ -1407,17 +1363,6 @@ pub struct CycleProgram {
     d_front: i64,
     d_seq: u64,
     per_task: Vec<TaskCycleDelta>,
-}
-
-impl std::fmt::Debug for OsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OsSnapshot")
-            .field("now", &self.now)
-            .field("tasks", &self.tasks.len())
-            .field("running", &self.running)
-            .field("started", &self.started)
-            .finish()
-    }
 }
 
 #[cfg(test)]

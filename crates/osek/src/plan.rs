@@ -396,24 +396,9 @@ impl<W> PlanArena<W> {
 /// (see [`PlanArena::snapshot`]). World-independent plain data (see
 /// [`StepData`]). Equality is slot-for-slot step equality — what the
 /// macro-stepping guards compare across hyperperiod samples.
-#[derive(Default, Clone, PartialEq)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct PlanArenaSnapshot {
     slots: Vec<Vec<StepData>>,
-}
-
-impl PlanArenaSnapshot {
-    /// The captured per-slot steps (slot index = task id).
-    pub fn slots(&self) -> &[Vec<StepData>] {
-        &self.slots
-    }
-}
-
-impl fmt::Debug for PlanArenaSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PlanArenaSnapshot")
-            .field("slots", &self.slots.len())
-            .finish()
-    }
 }
 
 impl<W> FromIterator<Step<W>> for Plan<W> {

@@ -195,6 +195,19 @@ pub struct SignalDbSnapshot {
     values: Vec<(f64, Instant)>,
 }
 
+/// Bitwise on the values, as [`SignalDbSnapshot::derive_shift`] compares
+/// them: `NaN` equals itself and `-0.0` differs from `0.0`.
+impl PartialEq for SignalDbSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.values.len() == other.values.len()
+            && self
+                .values
+                .iter()
+                .zip(&other.values)
+                .all(|(&(va, ta), &(vb, tb))| va.to_bits() == vb.to_bits() && ta == tb)
+    }
+}
+
 impl SignalDbSnapshot {
     /// Derives the per-hyperperiod signal delta between two images taken
     /// exactly `h` apart: every value must be bit-identical (steady-state
@@ -314,5 +327,22 @@ mod tests {
         db.snapshot_into(&mut snap);
         assert_eq!(values_ptr, snap.values.as_ptr());
         assert_eq!(snap.values[0].0, 5.0);
+    }
+
+    #[test]
+    fn snapshot_equality_is_bitwise() {
+        let capture = |value: f64, at: Instant| {
+            let mut db = SignalDb::new();
+            let x = db.declare("x", 0.0);
+            db.write(x, value, at);
+            let mut snap = SignalDbSnapshot::default();
+            db.snapshot_into(&mut snap);
+            snap
+        };
+        let t = Instant::from_millis(1);
+        assert_eq!(capture(1.5, t), capture(1.5, t));
+        assert_eq!(capture(f64::NAN, t), capture(f64::NAN, t));
+        assert_ne!(capture(-0.0, t), capture(0.0, t));
+        assert_ne!(capture(1.5, t), capture(1.5, Instant::from_millis(2)));
     }
 }

@@ -70,7 +70,7 @@ impl fmt::Display for TraceEvent {
 /// trace.record(Instant::from_millis(1), "watchdog", "heartbeat", "GetSensorValue");
 /// assert_eq!(trace.count_kind("heartbeat"), 1);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct TraceRecorder {
     events: Vec<TraceEvent>,
     enabled: bool,

@@ -12,7 +12,7 @@
 use crate::world::CentralWorld;
 use easis_apps::bundle::AppBundle;
 use easis_apps::{lightctl, safelane, safespeed, steer};
-use easis_baselines::task_monitors::{DeadlineMonitor, ExecutionTimeMonitor};
+use easis_baselines::task_monitors::{TaskMonitor, TaskMonitorStats, TimingCheck};
 use easis_fmf::dtc::FreezeFrame;
 use easis_fmf::framework::{FaultManagementFramework, FmfCycleDelta, FmfSnapshot};
 use easis_fmf::policy::{Treatment, TreatmentAction, TreatmentPolicy};
@@ -28,7 +28,6 @@ use easis_rte::runnable::{RunnableId, RunnableRegistry};
 use easis_rte::signal::{SignalDb, SignalDbSnapshot, SignalId};
 use easis_sim::snap::RestoreStats;
 use easis_sim::time::{Duration, Instant};
-use easis_baselines::task_monitors::TaskMonitorStats;
 use easis_osek::kernel::OsSnapshot;
 use easis_rte::control::RunnableControls;
 use easis_watchdog::config::{RunnableHypothesis, WatchdogConfig};
@@ -172,9 +171,9 @@ pub struct CentralNode {
     /// Application id per app name.
     pub apps: BTreeMap<String, ApplicationId>,
     /// OSEKTime-style deadline monitor (baseline).
-    pub deadline_monitor: DeadlineMonitor,
+    pub deadline_monitor: TaskMonitor,
     /// AUTOSAR-style execution-time monitor (baseline).
-    pub exec_monitor: ExecutionTimeMonitor,
+    pub exec_monitor: TaskMonitor,
     /// Activation period per app task name.
     pub periods: BTreeMap<String, Duration>,
     config: NodeConfig,
@@ -367,8 +366,8 @@ impl CentralNode {
         alarms.insert("HwKickTask".to_string(), kick_alarm);
         tasks.insert("HwKickTask".to_string(), kick_task);
 
-        let deadline_monitor = DeadlineMonitor::new();
-        let exec_monitor = ExecutionTimeMonitor::new();
+        let deadline_monitor = TaskMonitor::new(TimingCheck::Deadline);
+        let exec_monitor = TaskMonitor::new(TimingCheck::ExecutionTime);
         os.add_observer(deadline_monitor.clone());
         os.add_observer(exec_monitor.clone());
 
@@ -554,8 +553,8 @@ impl CentralNode {
         snap.fault_log.clear();
         snap.fault_log.extend_from_slice(&self.world.fault_log);
         snap.rx_mailbox.clone_from(&self.world.rx_mailbox);
-        snap.deadline_stats = self.deadline_monitor.stats();
-        snap.exec_stats = self.exec_monitor.stats();
+        self.deadline_monitor.stats_into(&mut snap.deadline_stats);
+        self.exec_monitor.stats_into(&mut snap.exec_stats);
     }
 
     /// Restores the node to a previously captured checkpoint. Only valid
@@ -644,29 +643,6 @@ impl CentralNode {
             && !self.world.obs.is_enabled()
     }
 
-    /// Captures a certification image (cheaper than a [`NodeSnapshot`]:
-    /// append-only logs as lengths, monotone monitor statistics as
-    /// totals — warm captures allocate nothing).
-    fn ffwd_image(&self, img: &mut FfwdImage) {
-        self.os.snapshot_into(&mut img.os);
-        self.world.signals.snapshot_into(&mut img.signals);
-        self.world.watchdog.snapshot_into(&mut img.watchdog);
-        self.world.fmf.snapshot_into(&mut img.fmf);
-        match &mut img.hw_watchdog {
-            Some(hw) => hw.clone_from(&self.world.hw_watchdog),
-            slot => *slot = Some(self.world.hw_watchdog.clone()),
-        }
-        img.treatments = self.world.treatments.len();
-        img.fault_log = self.world.fault_log.len();
-        img.rx_mailbox = self.world.rx_mailbox.len();
-        img.ecu_resets = self.world.ecu_resets;
-        img.deadline = (
-            self.deadline_monitor.total(),
-            self.deadline_monitor.first_detection(),
-        );
-        img.exec = (self.exec_monitor.total(), self.exec_monitor.first_detection());
-    }
-
     /// The macro-stepping loop behind [`CentralNode::run_span`]:
     /// certify the per-hyperperiod delta against a guard hyperperiod, then
     /// apply it once over every whole hyperperiod left in the span.
@@ -686,14 +662,14 @@ impl CentralNode {
             if end.saturating_duration_since(now) < h * 3 {
                 break;
             }
-            self.ffwd_image(&mut ff.img_a);
+            self.snapshot_into(&mut ff.img_a);
             self.os.run_until(now + h, &mut self.world);
-            self.ffwd_image(&mut ff.img_b);
+            self.snapshot_into(&mut ff.img_b);
             // Guard hyperperiod: the event stream must reproduce the exact
             // same delta before any closed-form application is trusted.
             let certified = derive_node_delta(&ff.img_a, &ff.img_b, h, &mut ff.delta) && {
                 self.os.run_until(now + h * 2, &mut self.world);
-                self.ffwd_image(&mut ff.img_a);
+                self.snapshot_into(&mut ff.img_a);
                 derive_node_delta(&ff.img_b, &ff.img_a, h, &mut ff.delta2)
                     && ff.delta == ff.delta2
             };
@@ -812,16 +788,16 @@ pub struct FfwdStats {
 }
 
 /// The per-node macro-stepping engine: the configuration-derived
-/// hyperperiod, the stand-down switches, the retained image/delta buffers
-/// (so repeated certifications are allocation-free in the steady state),
-/// and the per-node counters.
+/// hyperperiod, the stand-down switches, the retained checkpoint/delta
+/// buffers (so repeated certifications are allocation-free in the steady
+/// state), and the per-node counters.
 #[derive(Debug, Default)]
 struct FfwdState {
     h: Duration,
     enabled_override: Option<bool>,
     injection_armed: bool,
-    img_a: FfwdImage,
-    img_b: FfwdImage,
+    img_a: NodeSnapshot,
+    img_b: NodeSnapshot,
     delta: NodeCycleDelta,
     delta2: NodeCycleDelta,
     stats: FfwdStats,
@@ -836,30 +812,6 @@ impl FfwdState {
     }
 }
 
-/// One certification image: the node state the delta derivation compares.
-/// Deliberately cheaper than a [`NodeSnapshot`]: the append-only logs are
-/// captured as lengths (within one uninterrupted span, an unchanged length
-/// proves unchanged content) and the monotone baseline-monitor statistics
-/// as totals, so a warm capture clones no maps. Runnable controls are not
-/// captured at all — only injector ticks mutate them, and an armed
-/// injector window already stands the engine down.
-#[derive(Debug, Default)]
-struct FfwdImage {
-    os: OsSnapshot,
-    signals: SignalDbSnapshot,
-    watchdog: WatchdogSnapshot,
-    fmf: FmfSnapshot,
-    /// `None` only before the first capture (`HardwareWatchdog` has no
-    /// `Default`); the value is flat, so `clone_from` is heap-free.
-    hw_watchdog: Option<HardwareWatchdog>,
-    treatments: usize,
-    fault_log: usize,
-    rx_mailbox: usize,
-    ecu_resets: u32,
-    deadline: (u32, Option<(TaskId, Instant)>),
-    exec: (u32, Option<(TaskId, Instant)>),
-}
-
 /// The compiled node-level steady-state delta: one hyperperiod's kernel
 /// cycle program, watchdog cycle delta, the signal slots whose timestamps
 /// shift by exactly one hyperperiod, and the FMF's DTC aging advance.
@@ -871,35 +823,52 @@ struct NodeCycleDelta {
     fmf: FmfCycleDelta,
 }
 
-/// Derives the closed-form per-hyperperiod delta between two images taken
-/// exactly `h` apart, or reports that the span is not in certifiable
-/// steady state. Every append-only log must be untouched, every monotone
-/// monitor counter unchanged, the hardware watchdog an exact `h`
+/// Derives the closed-form per-hyperperiod delta between two checkpoints
+/// taken exactly `h` apart, or reports that the span is not in certifiable
+/// steady state. The logs, the runnable controls and the baseline-monitor
+/// statistics must be unchanged, the hardware watchdog an exact `h`
 /// time-shift, and the kernel/watchdog/signal/FMF layers must each yield
 /// a well-formed shift (the FMF's being a uniform DTC-aging advance — the
 /// post-fault drain the tail spends hundreds of milliseconds in).
-fn derive_node_delta(a: &FfwdImage, b: &FfwdImage, h: Duration, out: &mut NodeCycleDelta) -> bool {
-    if a.treatments != b.treatments
-        || a.fault_log != b.fault_log
-        || a.rx_mailbox != b.rx_mailbox
-        || a.ecu_resets != b.ecu_resets
-        || a.deadline != b.deadline
-        || a.exec != b.exec
-        || !FmfSnapshot::derive_cycle_delta(&a.fmf, &b.fmf, &mut out.fmf)
+fn derive_node_delta(
+    a: &NodeSnapshot,
+    b: &NodeSnapshot,
+    h: Duration,
+    out: &mut NodeCycleDelta,
+) -> bool {
+    // No `..`: a field added to the checkpoint does not compile here until
+    // certification says how it may move over a hyperperiod.
+    let NodeSnapshot {
+        os,
+        signals,
+        controls,
+        watchdog,
+        fmf,
+        hw_watchdog,
+        treatments,
+        ecu_resets,
+        fault_log,
+        rx_mailbox,
+        deadline_stats,
+        exec_stats,
+    } = a;
+    if *treatments != b.treatments
+        || *fault_log != b.fault_log
+        || *rx_mailbox != b.rx_mailbox
+        || *ecu_resets != b.ecu_resets
+        || *controls != b.controls
+        || *deadline_stats != b.deadline_stats
+        || *exec_stats != b.exec_stats
+        || !FmfSnapshot::derive_cycle_delta(fmf, &b.fmf, &mut out.fmf)
     {
         return false;
     }
-    let (Some(hw_a), Some(hw_b)) = (&a.hw_watchdog, &b.hw_watchdog) else {
-        return false;
-    };
-    let mut shifted = hw_a.clone();
+    let mut shifted = hw_watchdog.clone();
     shifted.shift_last_kick(h);
-    if shifted != *hw_b {
-        return false;
-    }
-    OsSnapshot::derive_cycle_program(&a.os, &b.os, h, &mut out.os)
-        && WatchdogSnapshot::derive_cycle_delta(&a.watchdog, &b.watchdog, h, &mut out.watchdog)
-        && SignalDbSnapshot::derive_shift(&a.signals, &b.signals, h, &mut out.signal_slots)
+    shifted == b.hw_watchdog
+        && OsSnapshot::derive_cycle_program(os, &b.os, h, &mut out.os)
+        && WatchdogSnapshot::derive_cycle_delta(watchdog, &b.watchdog, h, &mut out.watchdog)
+        && SignalDbSnapshot::derive_shift(signals, &b.signals, h, &mut out.signal_slots)
 }
 
 /// A deterministic checkpoint of a started [`CentralNode`] at one instant:
@@ -917,7 +886,11 @@ fn derive_node_delta(a: &FfwdImage, b: &FfwdImage, h: Duration, out: &mut NodeCy
 /// the observability sink are not captured. A snapshot therefore only
 /// restores onto the node it was taken from, or a structurally identical
 /// one built from the same blueprint.
-#[derive(Debug)]
+///
+/// Equality is exact: two checkpoints compare equal only when every
+/// captured field does (signal values bit for bit), which is how tests
+/// compare a macro-stepped run with an event-level one.
+#[derive(Debug, PartialEq)]
 pub struct NodeSnapshot {
     os: OsSnapshot,
     signals: SignalDbSnapshot,
@@ -959,47 +932,6 @@ impl NodeSnapshot {
     /// The simulated instant at which the snapshot was taken.
     pub fn taken_at(&self) -> Instant {
         self.os.taken_at()
-    }
-
-    /// Content equality, the equivalence-test comparator for
-    /// macro-stepped versus event-level runs. The kernel is compared
-    /// through its canonical rendering. Signal and watchdog state go through
-    /// their zero-shift derivations (every monotone field must be exactly
-    /// equal); everything else compares structurally.
-    pub fn content_eq(&self, other: &NodeSnapshot) -> bool {
-        let mut slots = Vec::new();
-        let mut wd = WatchdogCycleDelta::default();
-        self.os_canonical() == other.os_canonical()
-            && SignalDbSnapshot::derive_shift(
-                &self.signals,
-                &other.signals,
-                Duration::ZERO,
-                &mut slots,
-            )
-            && WatchdogSnapshot::derive_cycle_delta(
-                &self.watchdog,
-                &other.watchdog,
-                Duration::ZERO,
-                &mut wd,
-            )
-            && wd == WatchdogCycleDelta::default()
-            && self.fmf == other.fmf
-            && self.controls == other.controls
-            && self.hw_watchdog == other.hw_watchdog
-            && self.treatments == other.treatments
-            && self.ecu_resets == other.ecu_resets
-            && self.fault_log == other.fault_log
-            && self.rx_mailbox == other.rx_mailbox
-            && self.deadline_stats == other.deadline_stats
-            && self.exec_stats == other.exec_stats
-    }
-
-    /// The kernel's canonical rendering (mismatch diagnostics for
-    /// [`NodeSnapshot::content_eq`]).
-    pub fn os_canonical(&self) -> String {
-        let mut out = String::new();
-        self.os.canonical_fmt(&mut out);
-        out
     }
 }
 
@@ -1235,14 +1167,33 @@ mod tests {
         assert!(stats.fastforwarded > Duration::ZERO, "{stats:?}");
         assert_eq!(plain.ffwd_stats().fastforwarded, Duration::ZERO);
         assert_eq!(fast.os.now(), plain.os.now());
-        let a = fast.snapshot();
-        let b = plain.snapshot();
-        assert!(
-            a.content_eq(&b),
-            "macro-stepped state diverged:\n{}\nvs\n{}",
-            a.os_canonical(),
-            b.os_canonical()
+        assert_eq!(
+            fast.snapshot(),
+            plain.snapshot(),
+            "macro-stepped state diverged"
         );
+    }
+
+    #[test]
+    fn certification_compares_the_whole_checkpoint() {
+        let mut node = CentralNode::build(NodeConfig {
+            kernel_trace: false,
+            ..NodeConfig::default()
+        });
+        node.start();
+        let h = node.hyperperiod();
+        // Quiescent: past start-up and off every task-period boundary.
+        node.os.run_until(ms(1_003), &mut node.world);
+        let a = node.snapshot();
+        node.os.run_until(ms(1_003) + h, &mut node.world);
+        let mut b = node.snapshot();
+        let mut delta = NodeCycleDelta::default();
+        assert!(derive_node_delta(&a, &b, h, &mut delta));
+        // Only injector ticks touch runnable controls, and the engine
+        // stands down while one is armed, but certification still
+        // compares them rather than trusting that.
+        b.controls.runnable_mut(RunnableId(4)).exec_scale_ppm = 2_000_000;
+        assert!(!derive_node_delta(&a, &b, h, &mut delta));
     }
 
     #[test]

@@ -642,6 +642,56 @@ mod tests {
     }
 
     #[test]
+    fn forked_runner_matches_the_baseline_below_three_hyperperiods() {
+        use easis_injection::campaign::CampaignPlan;
+        use easis_injection::executor::CampaignExecutor;
+        // Certification consumes two hyperperiods and needs a third to
+        // jump, so 3H = 60 ms is the shortest span the engine may skip:
+        // the horizons straddle H, 2H and 3H.
+        assert_eq!(
+            CentralNode::build(campaign_node_config()).hyperperiod(),
+            Duration::from_millis(20)
+        );
+        let target = easis_rte::runnable::RunnableId(4);
+        let loss = ErrorClass::HeartbeatLoss { runnable: target };
+        let skip = ErrorClass::SkipRunnable { runnable: target };
+        let slowdown = ErrorClass::ExecutionSlowdown {
+            runnable: target,
+            scale_ppm: 50_000_000,
+        };
+        let mk = |class: &ErrorClass, from_us: u64, to_us: u64| TrialSpec {
+            seed: 3,
+            injection: Injection::new(
+                class.clone(),
+                Instant::from_micros(from_us),
+                Instant::from_micros(to_us),
+            ),
+        };
+        let plan = CampaignPlan::from_trials(vec![
+            mk(&loss, 5_000, 15_000),
+            mk(&skip, 10_000, 30_000),
+            mk(&loss, 19_500, 20_500),
+            mk(&slowdown, 500, 100_000),
+            // Past every horizon: a golden run.
+            mk(&skip, 200_000, 300_000),
+        ]);
+        for horizon_ms in [1, 19, 20, 41, 59, 60, 61] {
+            let horizon = ms(horizon_ms);
+            let reference = CampaignExecutor::serial().run(&plan, |spec| run_trial(spec, horizon));
+            for exec in [
+                CampaignExecutor::serial(),
+                CampaignExecutor::new(2).with_chunk_size(1),
+            ] {
+                assert_eq!(
+                    run_plan(&plan, horizon, &exec),
+                    reference,
+                    "{exec:?} at a {horizon_ms} ms horizon"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn pooled_checkpoints_carry_across_calls_like_fresh_runs() {
         use easis_injection::campaign::CampaignPlan;
         use easis_injection::executor::CampaignExecutor;

@@ -967,13 +967,12 @@ proptest! {
         reused.restore_from(&cold);
         run(&mut reused, spec);
 
-        let (a, b) = (reused.snapshot(), fresh.snapshot());
-        prop_assert!(
-            a.content_eq(&b),
+        prop_assert_eq!(
+            reused.snapshot(),
+            fresh.snapshot(),
             "rewound node diverged from fresh build for {:?}",
             spec.injection
         );
-        prop_assert_eq!(a.os_canonical(), b.os_canonical());
         prop_assert_eq!(&reused.world.fault_log, &fresh.world.fault_log);
     }
 
@@ -1119,17 +1118,10 @@ proptest! {
         // The engine saw the spans even when it chose not to jump.
         prop_assert!(fast.ffwd_stats().span > Duration::ZERO);
         prop_assert_eq!(plain.ffwd_stats().fastforwarded, Duration::ZERO);
-        let a = fast.snapshot();
-        let b = plain.snapshot();
-        prop_assert!(
-            a.content_eq(&b),
-            "macro-stepped end state diverged from event-level for {:?}",
-            spec.injection
-        );
         prop_assert_eq!(
-            a.os_canonical(),
-            b.os_canonical(),
-            "canonical kernel state diverged for {:?}",
+            fast.snapshot(),
+            plain.snapshot(),
+            "macro-stepped end state diverged from event-level for {:?}",
             spec.injection
         );
     }
@@ -1203,13 +1195,11 @@ fn macro_stepping_falls_back_and_recovers_across_dtc_age_out() {
     );
 
     assert_eq!(fast.os.now(), plain.os.now());
-    let a = fast.snapshot();
-    let b = plain.snapshot();
-    assert!(
-        a.content_eq(&b),
+    assert_eq!(
+        fast.snapshot(),
+        plain.snapshot(),
         "macro-stepped end state diverged from event-level across the age-out"
     );
-    assert_eq!(a.os_canonical(), b.os_canonical());
 }
 
 /// Forced mid-span fallback, case 2 — sampling-phase collision: the window
@@ -1262,11 +1252,68 @@ fn macro_stepping_rephases_off_task_period_boundaries() {
     );
 
     assert_eq!(fast.os.now(), plain.os.now());
-    let a = fast.snapshot();
-    let b = plain.snapshot();
-    assert!(
-        a.content_eq(&b),
+    assert_eq!(
+        fast.snapshot(),
+        plain.snapshot(),
         "macro-stepped end state diverged from event-level after re-phasing"
     );
-    assert_eq!(a.os_canonical(), b.os_canonical());
+}
+
+/// Runtime reconfiguration between spans: the outlook's O-RECFG mode
+/// change lands between two `run_span`s. SafeSpeed's activation alarm
+/// slows 2× or 3× at 1 s, with or without its three hypotheses
+/// reconfigured to one indication per two watchdog cycles. The engine
+/// must certify again after the change and end bit-identical to the
+/// event-level run.
+#[test]
+fn macro_stepping_follows_runtime_reconfiguration() {
+    use easis::validator::{CentralNode, NodeConfig};
+    for (scale_ppm, reconfigure) in [
+        (2_000_000, true),
+        (2_000_000, false),
+        (3_000_000, true),
+        (3_000_000, false),
+    ] {
+        let run = |ffwd: bool| {
+            let mut node = CentralNode::build(NodeConfig {
+                kernel_trace: false,
+                ..NodeConfig::default()
+            });
+            node.set_fastforward(Some(ffwd));
+            node.start();
+            node.run_span(Instant::from_millis(1_000));
+            let before = node.ffwd_stats();
+            let alarm = node.alarms["SafeSpeedTask"];
+            node.os
+                .alarm_mut(alarm)
+                .expect("alarm exists")
+                .set_cycle_scale_ppm(scale_ppm);
+            if reconfigure {
+                for name in ["GetSensorValue", "SAFE_CC_process", "Speed_process"] {
+                    let rid = node.runnable(name);
+                    node.world.watchdog.reconfigure(
+                        RunnableHypothesis::new(rid)
+                            .alive_at_least(1, 2)
+                            .arrive_at_most(1, 2),
+                    );
+                }
+            }
+            node.run_span(Instant::from_millis(3_000));
+            (node, before)
+        };
+        let (fast, before) = run(true);
+        let (plain, _) = run(false);
+        let after = fast.ffwd_stats();
+        let case = format!("{scale_ppm} ppm, reconfigured: {reconfigure}");
+        assert!(
+            after.certifications > before.certifications,
+            "{case}: no certification after the mode change: {before:?} -> {after:?}"
+        );
+        assert_eq!(fast.os.now(), plain.os.now(), "{case}");
+        assert_eq!(
+            fast.snapshot(),
+            plain.snapshot(),
+            "{case}: macro-stepped state diverged after the mode change"
+        );
+    }
 }

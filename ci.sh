@@ -83,16 +83,32 @@ echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"
 # detection checks — including the central-node scenario that injects a
 # fault across the first 2^24 us boundary — run on every CI run.
 EASIS_SOAK_HORIZON_MS=60000 cargo test -q --test soak
+# Once more with every certified jump shadowed by event-level simulation
+# from its checkpoint: any divergence panics, naming the first differing
+# checkpoint field.
+EASIS_FASTFORWARD=verify EASIS_SOAK_HORIZON_MS=60000 cargo test -q --test soak
+
+echo "==> macro-stepping property tests in verify mode (fresh proptest draws)"
+# The dead-ready-key trials and the macro-stepping tests hit dead
+# scheduler state that the soak and the golden campaign rarely reach;
+# their own end-state comparison misses a stale key that a later
+# dispatch overwrites, while verify mode compares right at each jump.
+# A fixed salt draws 100 cases per property beyond the fixed 12 that
+# `cargo test` runs, so this run covers new trials and stays
+# reproducible.
+EASIS_FASTFORWARD=verify PROPTEST_CASES=100 PROPTEST_SEED_SALT=1 \
+  cargo test -q --test properties -- dead_ready_keys macro_stepp
 
 echo "==> campaign golden across worker/chunk/fast-forward configurations (forked path)"
 # campaign_regression drives scenario::run_plan — the snapshot-forking
 # engine with tail collapsing — so this loop proves the prefix-reuse
 # report bytes stay identical to the golden at every worker count, with
-# hyperperiod macro-stepping enabled (the default) and disabled: the
+# hyperperiod macro-stepping enabled (the default), disabled, and in
+# verify mode (every jump shadowed at event level and compared): the
 # certified jumps must be unobservable in the report bytes. Chunks of 5
 # make workers restore their t=0 checkpoint and re-simulate the golden
 # prefix whenever a chunk forks before their last checkpoint.
-for ff in 1 0; do
+for ff in 1 0 verify; do
   for w in 1 2 4; do
     EASIS_FASTFORWARD=$ff EASIS_WORKERS=$w EASIS_CHUNK=5 \
       cargo test -q --test campaign_regression

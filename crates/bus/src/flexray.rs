@@ -180,11 +180,6 @@ impl FlexRayBus {
         self.cycle
     }
 
-    /// Number of static slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Frames transmitted so far.
     pub fn frames_sent(&self) -> u64 {
         self.frames_sent

@@ -507,7 +507,7 @@ pub struct WatchdogSnapshot {
 /// counter, verdict and outbox was proven to return to its starting value.
 /// Derived by [`WatchdogSnapshot::derive_cycle_delta`], applied by
 /// [`SoftwareWatchdog::apply_cycle_delta`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WatchdogCycleDelta {
     d_costs: CostMeter,
     d_cycles: u64,

@@ -104,11 +104,6 @@ impl FaultManagementFramework {
         self.dtc.apply_aging(delta.dtc_aging, k);
     }
 
-    /// Mutable access to the DTC fault memory (tester clear operations).
-    pub fn dtc_mut(&mut self) -> &mut DtcStore {
-        &mut self.dtc
-    }
-
     /// Processes a watchdog state change, possibly queueing treatments.
     pub fn ingest_state_change(&mut self, change: StateChange) {
         match change {
@@ -327,7 +322,7 @@ impl FmfSnapshot {
 /// [`FaultManagementFramework`]: the healthy-cycle advance of every
 /// pending DTC record. Everything else the framework owns must be at rest
 /// for [`FmfSnapshot::derive_cycle_delta`] to certify.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FmfCycleDelta {
     /// Healthy cycles per hyperperiod added to each pending DTC record.
     pub dtc_aging: u32,

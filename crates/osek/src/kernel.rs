@@ -74,6 +74,9 @@ struct Tcb {
     budget_reported: bool,
     /// Ordering key within a priority band: lower runs first. Preempted
     /// tasks receive keys below all waiting ones (front of the band).
+    /// Back keys count up from 1 and front keys down from −1; a
+    /// `Suspended` or `Waiting` task holds 0, so its dead key is the same
+    /// however it was last readied (see [`OsSnapshot::derive_cycle_program`]).
     ready_key: i64,
 }
 
@@ -285,11 +288,6 @@ impl<W> Os<W> {
             .map(|i| TaskId(i as u32))
     }
 
-    /// Currently running task, if any.
-    pub fn running_task(&self) -> Option<TaskId> {
-        self.core.running
-    }
-
     /// Total CPU time consumed by tasks so far.
     pub fn busy_time(&self) -> Duration {
         self.core.busy
@@ -471,15 +469,17 @@ impl<W> Os<W> {
     }
 
     /// Applies a certified [`CycleProgram`] `k` times in closed form: the
-    /// clock and busy meter advance `k` hyperperiods, per-task activation
-    /// counters and ready keys accumulate their per-hyperperiod deltas, and
-    /// the timer queue shifts every pending entry — deadline checks carry
-    /// their task's activation-sequence shift. O(tasks + pending timers),
+    /// clock and busy meter advance `k` hyperperiods, the key cursors and
+    /// the running task's live ready key (the only live one: nothing is
+    /// `Ready` at a certified sample) advance by their per-hyperperiod
+    /// deltas, per-task activation counters accumulate theirs, and the
+    /// timer queue shifts every pending entry — deadline checks carry their
+    /// task's activation-sequence shift. O(tasks + pending timers),
     /// independent of how many events the skipped span would have fired.
     ///
     /// The caller (the node-level macro-stepping engine) must only apply a
-    /// program derived from *and guard-verified against* this kernel's
-    /// current state; anything else diverges silently.
+    /// program derived from this kernel's current state, from the sample
+    /// one hyperperiod back; anything else diverges silently.
     pub fn apply_cycle_program(&mut self, program: &CycleProgram, k: u64) {
         let core = &mut self.core;
         let shift = program.h * k;
@@ -487,22 +487,20 @@ impl<W> Os<W> {
         core.busy += program.d_busy * k;
         core.next_back_key += program.d_back * k as i64;
         core.next_front_key += program.d_front * k as i64;
-        for (i, d) in program.per_task.iter().enumerate() {
-            if d.d_issued == 0 && d.d_ready_key == 0 {
-                continue;
-            }
-            let tcb = &mut core.tasks[i];
-            tcb.issued += d.d_issued * k;
-            tcb.completed += d.d_issued * k;
-            tcb.ready_key += d.d_ready_key * k as i64;
+        if let Some(run) = core.running {
+            let key = &mut core.tasks[run.index()].ready_key;
+            *key += program.d_key(*key) * k as i64;
         }
-        let per_task = &program.per_task;
-        core.timers
-            .fast_forward(shift, program.d_seq * k, |ev| {
-                if let KernelEvent::DeadlineCheck { task, seq } = ev {
-                    *seq += per_task[task.index()].d_issued * k;
-                }
-            });
+        for (tcb, &d_issued) in core.tasks.iter_mut().zip(&program.d_issued) {
+            tcb.issued += d_issued * k;
+            tcb.completed += d_issued * k;
+        }
+        let d_issued = &program.d_issued;
+        core.timers.fast_forward(shift, program.d_seq * k, |ev| {
+            if let KernelEvent::DeadlineCheck { task, seq } = ev {
+                *seq += d_issued[task.index()] * k;
+            }
+        });
     }
 
     /// `ActivateTask`: moves a suspended task to ready or queues an extra
@@ -591,11 +589,6 @@ impl<W> Os<W> {
                 }
             }
         }
-    }
-
-    /// Runs for `dur` from the current time.
-    pub fn run_for(&mut self, dur: Duration, world: &mut W) {
-        self.run_until(self.core.now + dur, world);
     }
 
     // ------------------------------------------------------------------
@@ -693,6 +686,7 @@ impl<W> Os<W> {
                     }
                     tcb.waiting_for = mask;
                     tcb.state = TaskState::Waiting;
+                    tcb.ready_key = 0;
                     self.core.running = None;
                     let name = self.core.tasks[id.index()].config.name();
                     self.core
@@ -892,7 +886,9 @@ impl<W> Os<W> {
         if self.core.tasks[id.index()].queued() > 0 {
             self.core.make_ready(id, false);
         } else {
-            self.core.tasks[id.index()].state = TaskState::Suspended;
+            let tcb = &mut self.core.tasks[id.index()];
+            tcb.state = TaskState::Suspended;
+            tcb.ready_key = 0;
         }
     }
 }
@@ -1258,10 +1254,20 @@ impl OsSnapshot {
     /// returning `true` — or returns `false` when the samples are not
     /// steady-state-equivalent (a behavior-feeding field differs, an event
     /// is pending in one but not the other, a counter moved
-    /// non-uniformly). Every condition checked here is one the closed-form
-    /// application of `program` relies on, so a `true` result plus one
-    /// guard hyperperiod (derive again from the next sample and require the
-    /// identical program) certifies the jump bit-exactly.
+    /// non-uniformly).
+    ///
+    /// A `true` result means `b` is `a` shifted: every field the scheduler
+    /// reads is equal, and every counter moved by one uniform amount that
+    /// preserves the comparisons made on it — back keys by `d_back`, front
+    /// keys by `d_front`, timer sequence numbers by `d_seq`, a task's
+    /// issued and completed counts (and its deadline checks' sequence
+    /// numbers) by the same `d_issued`. The kernel is deterministic and
+    /// reads these counters only through those comparisons, so the
+    /// hyperperiod after `b` is the same shift again, and one sample
+    /// certifies the jump bit-exactly. No task may be `Ready`, so the
+    /// running task's key is the only live one and must advance by its
+    /// cursor's delta; `Suspended` and `Waiting` tasks hold the canonical
+    /// dead key 0, which makes "however they were last readied" invisible.
     ///
     /// Reuses `program`'s vectors; steady-state certification allocates
     /// nothing once warm.
@@ -1288,11 +1294,16 @@ impl OsSnapshot {
         program.d_busy = b.busy - a.busy;
         program.d_back = b.next_back_key - a.next_back_key;
         program.d_front = b.next_front_key - a.next_front_key;
-        program.per_task.clear();
-        for (ta, tb) in a.tasks.iter().zip(&b.tasks) {
+        program.d_issued.clear();
+        for (i, (ta, tb)) in a.tasks.iter().zip(&b.tasks).enumerate() {
             // Monotonic counters may advance (uniformly); everything else —
             // including the scheduling state — must be identical, and no
             // task may sit `Ready` for the CPU.
+            let d_key = if a.running.is_some_and(|run| run.index() == i) {
+                program.d_key(ta.ready_key)
+            } else {
+                0
+            };
             if ta.state == TaskState::Ready
                 || tb.state != ta.state
                 || tb.planned != ta.planned
@@ -1302,15 +1313,13 @@ impl OsSnapshot {
                 || tb.held != ta.held
                 || tb.exec_time != ta.exec_time
                 || tb.budget_reported != ta.budget_reported
+                || tb.ready_key != ta.ready_key + d_key
                 || tb.issued < ta.issued
                 || tb.issued - ta.issued != tb.completed.wrapping_sub(ta.completed)
             {
                 return false;
             }
-            program.per_task.push(TaskCycleDelta {
-                d_issued: tb.issued - ta.issued,
-                d_ready_key: tb.ready_key - ta.ready_key,
-            });
+            program.d_issued.push(tb.issued - ta.issued);
         }
         // Timers: the entries must match pairwise under a uniform
         // (h, d_seq) shift, with deadline-check payloads carrying their
@@ -1331,7 +1340,7 @@ impl OsSnapshot {
                 (
                     KernelEvent::DeadlineCheck { task: xt, seq: xs },
                     KernelEvent::DeadlineCheck { task: yt, seq: ys },
-                ) => xt == yt && ys == xs + program.per_task[xt.index()].d_issued,
+                ) => xt == yt && ys == xs + program.d_issued[xt.index()],
                 _ => false,
             };
             if !payload_ok {
@@ -1342,27 +1351,30 @@ impl OsSnapshot {
     }
 }
 
-/// Per-task component of a [`CycleProgram`]: the per-hyperperiod advance of
-/// the task's monotonic activation counter and ready-key cursor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct TaskCycleDelta {
-    d_issued: u64,
-    d_ready_key: i64,
-}
-
 /// The compiled steady-state schedule: the closed-form state delta one
-/// hyperperiod of kernel execution applies, derived by
-/// [`OsSnapshot::derive_cycle_program`] and applied k-at-a-time by
-/// [`Os::apply_cycle_program`]. Two programs comparing equal (the guard
-/// hyperperiod's requirement) proves the event stream reproduced itself.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// hyperperiod of kernel execution applies, derived from one sampled
+/// hyperperiod by [`OsSnapshot::derive_cycle_program`] and applied
+/// k-at-a-time by [`Os::apply_cycle_program`].
+#[derive(Debug, Clone, Default)]
 pub struct CycleProgram {
     h: Duration,
     d_busy: Duration,
     d_back: i64,
     d_front: i64,
     d_seq: u64,
-    per_task: Vec<TaskCycleDelta>,
+    /// Activations issued (and completed) per hyperperiod, by task index.
+    d_issued: Vec<u64>,
+}
+
+impl CycleProgram {
+    /// Per-hyperperiod advance of a live ready key: its cursor's.
+    fn d_key(&self, key: i64) -> i64 {
+        if key > 0 {
+            self.d_back
+        } else {
+            self.d_front
+        }
+    }
 }
 
 #[cfg(test)]

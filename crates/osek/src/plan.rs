@@ -395,7 +395,7 @@ impl<W> PlanArena<W> {
 /// The remaining steps of every [`PlanArena`] slot at snapshot time
 /// (see [`PlanArena::snapshot`]). World-independent plain data (see
 /// [`StepData`]). Equality is slot-for-slot step equality — what the
-/// macro-stepping guards compare across hyperperiod samples.
+/// macro-stepping certification compares across hyperperiod samples.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct PlanArenaSnapshot {
     slots: Vec<Vec<StepData>>,

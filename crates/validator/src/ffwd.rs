@@ -4,9 +4,12 @@
 //! The engine itself lives on each [`crate::node::CentralNode`]; this
 //! module holds the two pieces that are process-global by nature:
 //!
-//! * the `EASIS_FASTFORWARD` opt-out knob, read once (`=0` disables
+//! * the `EASIS_FASTFORWARD` setting, read once ([`Mode`]): `0` disables
 //!   macro-stepping for every node that has no explicit
-//!   [`crate::node::CentralNode::set_fastforward`] override);
+//!   [`crate::node::CentralNode::set_fastforward`] override, and `verify`
+//!   shadows every certified jump with event-level simulation from the
+//!   certified checkpoint and panics on the first checkpoint field the two
+//!   disagree on;
 //! * the aggregate metrics the campaign bench reads. Campaign workers are
 //!   short-lived threads with thread-local node pools, so per-node
 //!   counters die with their worker — every `run_span` folds its counters
@@ -16,15 +19,36 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-static ENV_DEFAULT: OnceLock<bool> = OnceLock::new();
+/// The process's `EASIS_FASTFORWARD` setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// `0`: no macro-stepping unless a node forces it on.
+    Off,
+    /// Unset or any value other than `0` and `verify`: certified jumps.
+    On,
+    /// `verify`: certified jumps, each replayed at event level from the
+    /// certified checkpoint; the two end checkpoints must compare equal.
+    Verify,
+}
 
-/// Whether macro-stepping is enabled by default for this process:
-/// `EASIS_FASTFORWARD=0` opts out, anything else — including unset —
-/// leaves it on. Read once on first use; a per-node
-/// [`crate::node::CentralNode::set_fastforward`] override wins either way.
-pub fn env_default() -> bool {
-    *ENV_DEFAULT
-        .get_or_init(|| std::env::var("EASIS_FASTFORWARD").map_or(true, |value| value != "0"))
+impl Mode {
+    fn parse(value: Option<&str>) -> Mode {
+        match value {
+            Some("0") => Mode::Off,
+            Some("verify") => Mode::Verify,
+            _ => Mode::On,
+        }
+    }
+}
+
+static MODE: OnceLock<Mode> = OnceLock::new();
+
+/// This process's [`Mode`], read from `EASIS_FASTFORWARD` on first use.
+/// A per-node [`crate::node::CentralNode::set_fastforward`] override
+/// decides whether a node jumps; under [`Mode::Verify`] every jump a node
+/// takes is shadowed, whatever made it eligible.
+pub fn mode() -> Mode {
+    *MODE.get_or_init(|| Mode::parse(std::env::var("EASIS_FASTFORWARD").ok().as_deref()))
 }
 
 static FFWD_US: AtomicU64 = AtomicU64::new(0);
@@ -43,8 +67,8 @@ pub struct FfwdMetrics {
     pub span_us: u64,
     /// Rejected certification attempts.
     pub fallbacks: u64,
-    /// Successful certifications (the guard hyperperiod reproduced the
-    /// derived delta exactly).
+    /// Successful certifications: one sampled hyperperiod yielded a
+    /// closed-form delta, and the engine jumped.
     pub certifications: u64,
 }
 
@@ -89,6 +113,14 @@ pub(crate) fn record(fastforwarded_us: u64, span_us: u64, fallbacks: u64, certif
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mode_parses_the_three_settings() {
+        assert_eq!(Mode::parse(None), Mode::On);
+        assert_eq!(Mode::parse(Some("1")), Mode::On);
+        assert_eq!(Mode::parse(Some("0")), Mode::Off);
+        assert_eq!(Mode::parse(Some("verify")), Mode::Verify);
+    }
 
     #[test]
     fn metrics_accumulate_and_reset() {

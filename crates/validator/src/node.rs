@@ -9,6 +9,7 @@
 //! §4.4: it drains the watchdog outboxes into the Fault Management
 //! Framework and executes the decided treatments.
 
+use crate::ffwd::Mode;
 use crate::world::CentralWorld;
 use easis_apps::bundle::AppBundle;
 use easis_apps::{lightctl, safelane, safespeed, steer};
@@ -598,15 +599,16 @@ impl CentralNode {
     /// When the span is eligible ([`CentralNode::set_fastforward`],
     /// `EASIS_FASTFORWARD`, no armed injector window, no enabled traces),
     /// the hyperperiod macro-stepping engine first certifies the
-    /// steady-state schedule — simulate one hyperperiod, derive its
-    /// closed-form state delta, simulate a guard hyperperiod and require
-    /// the exact same delta — and then fast-forwards every whole
-    /// hyperperiod left in the span in one jump. Certification is
-    /// *exact*: any state that the delta cannot express (new fault logs,
-    /// a DTC age-out inside a sampled hyperperiod, stale timers) rejects
+    /// steady-state schedule — simulate one hyperperiod and derive its
+    /// closed-form state delta from the checkpoints at both ends — and
+    /// then fast-forwards every whole hyperperiod left in the span in one
+    /// jump. Certification is *exact*: any state that the delta cannot
+    /// express (new fault logs, a DTC age-out inside the sampled
+    /// hyperperiod, stale timers, a live ready key off its cursor) rejects
     /// the derivation and the engine falls back to event-level
     /// simulation, so the final node state is bit-identical to a
-    /// never-fast-forwarded run.
+    /// never-fast-forwarded run. `EASIS_FASTFORWARD=verify` checks that
+    /// claim on every jump ([`crate::ffwd::Mode::Verify`]).
     pub fn run_span(&mut self, end: Instant) {
         assert!(self.started, "call start() first");
         let span = end.saturating_duration_since(self.os.now());
@@ -637,15 +639,15 @@ impl CentralNode {
             && self
                 .ffwd
                 .enabled_override
-                .unwrap_or_else(crate::ffwd::env_default)
+                .unwrap_or_else(|| crate::ffwd::mode() != Mode::Off)
             && !self.ffwd.injection_armed
             && !self.os.trace().is_enabled()
             && !self.world.obs.is_enabled()
     }
 
     /// The macro-stepping loop behind [`CentralNode::run_span`]:
-    /// certify the per-hyperperiod delta against a guard hyperperiod, then
-    /// apply it once over every whole hyperperiod left in the span.
+    /// certify the per-hyperperiod delta on one simulated hyperperiod,
+    /// then apply it once over every whole hyperperiod left in the span.
     /// A rejected certification runs one millisecond at event level and
     /// retries, so transients — a fault-log, monitor or DTC age-out
     /// movement inside a sample, post-treatment settling, samples phased
@@ -657,23 +659,15 @@ impl CentralNode {
         let h = ff.h;
         loop {
             let now = self.os.now();
-            // Certification consumes two hyperperiods; anything shorter
-            // than three leaves no jump to pay for it.
-            if end.saturating_duration_since(now) < h * 3 {
+            // Certification consumes one hyperperiod; anything shorter
+            // than two leaves no jump to pay for it.
+            if end.saturating_duration_since(now) < h * 2 {
                 break;
             }
             self.snapshot_into(&mut ff.img_a);
             self.os.run_until(now + h, &mut self.world);
             self.snapshot_into(&mut ff.img_b);
-            // Guard hyperperiod: the event stream must reproduce the exact
-            // same delta before any closed-form application is trusted.
-            let certified = derive_node_delta(&ff.img_a, &ff.img_b, h, &mut ff.delta) && {
-                self.os.run_until(now + h * 2, &mut self.world);
-                self.snapshot_into(&mut ff.img_a);
-                derive_node_delta(&ff.img_b, &ff.img_a, h, &mut ff.delta2)
-                    && ff.delta == ff.delta2
-            };
-            if !certified {
+            if !derive_node_delta(&ff.img_a, &ff.img_b, h, &mut ff.delta) {
                 ff.stats.fallbacks += 1;
                 // One-millisecond phase nudge: a rejected sample may sit
                 // exactly on a task-period boundary where the kernel is
@@ -687,7 +681,7 @@ impl CentralNode {
             }
             ff.stats.certifications += 1;
             // One jump over every whole hyperperiod left (at least one:
-            // three remained before the two certification hyperperiods).
+            // two remained before the certification hyperperiod).
             // DTC age-outs on the way need no simulation: nothing in a
             // certified quiescent hyperperiod reads DTC memory (the FMF
             // acts only on fault and state-change ingestion, and the delta
@@ -702,6 +696,21 @@ impl CentralNode {
             self.world.hw_watchdog.shift_last_kick(h * k);
             self.world.fmf.apply_cycle_delta(&ff.delta.fmf, k);
             ff.stats.fastforwarded += h * k;
+            if ff.verify {
+                // Shadow the jump: rewind to the certified checkpoint, run
+                // the same span at event level and compare end states.
+                self.snapshot_into(&mut ff.img_a);
+                self.restore_from(&ff.img_b);
+                self.os.run_until(ff.img_a.taken_at(), &mut self.world);
+                let replayed = self.snapshot();
+                if let Some(difference) = first_difference(&ff.img_a, &replayed) {
+                    panic!(
+                        "EASIS_FASTFORWARD=verify: a {k}-hyperperiod jump from {:?} \
+                         diverged from event-level simulation at {difference}",
+                        ff.img_b.taken_at()
+                    );
+                }
+            }
             break;
         }
         self.ffwd = ff;
@@ -710,7 +719,7 @@ impl CentralNode {
     /// Per-node macro-stepping override: `Some(false)` disables tail
     /// fast-forwarding for this node regardless of `EASIS_FASTFORWARD`,
     /// `Some(true)` forces it on, `None` (the default) follows the
-    /// process-wide [`crate::ffwd::env_default`].
+    /// process-wide [`crate::ffwd::mode`].
     pub fn set_fastforward(&mut self, enabled: Option<bool>) {
         self.ffwd.enabled_override = enabled;
     }
@@ -783,23 +792,25 @@ pub struct FfwdStats {
     pub span: Duration,
     /// Rejected certification attempts.
     pub fallbacks: u64,
-    /// Successful certifications (guard hyperperiod reproduced the delta).
+    /// Successful certifications: one sampled hyperperiod yielded a
+    /// closed-form delta, and the engine jumped.
     pub certifications: u64,
 }
 
 /// The per-node macro-stepping engine: the configuration-derived
-/// hyperperiod, the stand-down switches, the retained checkpoint/delta
-/// buffers (so repeated certifications are allocation-free in the steady
-/// state), and the per-node counters.
+/// hyperperiod, the stand-down switches, whether jumps are shadowed
+/// ([`crate::ffwd::Mode::Verify`]), the retained checkpoint/delta buffers
+/// (so repeated certifications are allocation-free in the steady state),
+/// and the per-node counters.
 #[derive(Debug, Default)]
 struct FfwdState {
     h: Duration,
     enabled_override: Option<bool>,
     injection_armed: bool,
+    verify: bool,
     img_a: NodeSnapshot,
     img_b: NodeSnapshot,
     delta: NodeCycleDelta,
-    delta2: NodeCycleDelta,
     stats: FfwdStats,
 }
 
@@ -807,6 +818,7 @@ impl FfwdState {
     fn new(h: Duration) -> Self {
         FfwdState {
             h,
+            verify: crate::ffwd::mode() == Mode::Verify,
             ..FfwdState::default()
         }
     }
@@ -815,7 +827,7 @@ impl FfwdState {
 /// The compiled node-level steady-state delta: one hyperperiod's kernel
 /// cycle program, watchdog cycle delta, the signal slots whose timestamps
 /// shift by exactly one hyperperiod, and the FMF's DTC aging advance.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Default)]
 struct NodeCycleDelta {
     os: CycleProgram,
     watchdog: WatchdogCycleDelta,
@@ -869,6 +881,55 @@ fn derive_node_delta(
         && OsSnapshot::derive_cycle_program(os, &b.os, h, &mut out.os)
         && WatchdogSnapshot::derive_cycle_delta(watchdog, &b.watchdog, h, &mut out.watchdog)
         && SignalDbSnapshot::derive_shift(signals, &b.signals, h, &mut out.signal_slots)
+}
+
+/// Names the first checkpoint field, in declaration order, on which a
+/// jumped node and its event-level replay differ, with both values;
+/// `None` when they are equal. The destructure has no `..`, so a field
+/// added to the checkpoint does not compile here until verify mode
+/// compares it.
+fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<String> {
+    let NodeSnapshot {
+        os,
+        signals,
+        controls,
+        watchdog,
+        fmf,
+        hw_watchdog,
+        treatments,
+        ecu_resets,
+        fault_log,
+        rx_mailbox,
+        deadline_stats,
+        exec_stats,
+    } = jumped;
+    macro_rules! compare {
+        ($($field:ident),*) => {$(
+            if *$field != replayed.$field {
+                return Some(format!(
+                    "field `{}`: jumped {:?}, event-level {:?}",
+                    stringify!($field),
+                    $field,
+                    replayed.$field
+                ));
+            }
+        )*};
+    }
+    compare!(
+        os,
+        signals,
+        controls,
+        watchdog,
+        fmf,
+        hw_watchdog,
+        treatments,
+        ecu_resets,
+        fault_log,
+        rx_mailbox,
+        deadline_stats,
+        exec_stats
+    );
+    None
 }
 
 /// A deterministic checkpoint of a started [`CentralNode`] at one instant:
@@ -1176,14 +1237,8 @@ mod tests {
 
     #[test]
     fn certification_compares_the_whole_checkpoint() {
-        let mut node = CentralNode::build(NodeConfig {
-            kernel_trace: false,
-            ..NodeConfig::default()
-        });
-        node.start();
+        let mut node = quiescent_node();
         let h = node.hyperperiod();
-        // Quiescent: past start-up and off every task-period boundary.
-        node.os.run_until(ms(1_003), &mut node.world);
         let a = node.snapshot();
         node.os.run_until(ms(1_003) + h, &mut node.world);
         let mut b = node.snapshot();
@@ -1194,6 +1249,71 @@ mod tests {
         // compares them rather than trusting that.
         b.controls.runnable_mut(RunnableId(4)).exec_scale_ppm = 2_000_000;
         assert!(!derive_node_delta(&a, &b, h, &mut delta));
+    }
+
+    /// A node past start-up, off every task-period boundary, at 1 003 ms.
+    fn quiescent_node() -> CentralNode {
+        let mut node = CentralNode::build(NodeConfig {
+            kernel_trace: false,
+            ..NodeConfig::default()
+        });
+        node.set_fastforward(Some(true));
+        node.start();
+        node.os.run_until(ms(1_003), &mut node.world);
+        node
+    }
+
+    #[test]
+    fn a_span_of_two_hyperperiods_certifies_once_and_jumps_one() {
+        let mut node = quiescent_node();
+        let h = node.hyperperiod();
+        node.run_span(ms(1_003) + h * 2);
+        let stats = node.ffwd_stats();
+        assert_eq!(stats.certifications, 1, "{stats:?}");
+        assert_eq!(stats.fallbacks, 0, "{stats:?}");
+        assert_eq!(stats.fastforwarded, h, "{stats:?}");
+        let mut plain = quiescent_node();
+        plain.set_fastforward(Some(false));
+        plain.run_span(ms(1_003) + h * 2);
+        assert_eq!(node.snapshot(), plain.snapshot());
+
+        // One millisecond short of 2H leaves no whole hyperperiod to jump
+        // after certification, so the engine does not try.
+        let mut short = quiescent_node();
+        short.run_span(ms(1_002) + h * 2);
+        assert_eq!(
+            short.ffwd_stats(),
+            FfwdStats {
+                span: h * 2 - Duration::from_millis(1),
+                ..FfwdStats::default()
+            }
+        );
+    }
+
+    #[test]
+    fn verify_mode_shadows_jumps_without_changing_the_outcome() {
+        let run = |verify: bool| {
+            let mut node = quiescent_node();
+            node.ffwd.verify = verify;
+            node.run_span(ms(1_500));
+            node
+        };
+        let verified = run(true);
+        let fast = run(false);
+        assert!(verified.ffwd_stats().certifications >= 1);
+        assert_eq!(verified.ffwd_stats(), fast.ffwd_stats());
+        assert_eq!(verified.snapshot(), fast.snapshot());
+    }
+
+    #[test]
+    fn first_difference_names_the_differing_field() {
+        let node = quiescent_node();
+        let a = node.snapshot();
+        let mut b = node.snapshot();
+        assert_eq!(first_difference(&a, &b), None);
+        b.controls.runnable_mut(RunnableId(4)).exec_scale_ppm = 2_000_000;
+        let difference = first_difference(&a, &b).expect("controls differ");
+        assert!(difference.starts_with("field `controls`"), "{difference}");
     }
 
     #[test]

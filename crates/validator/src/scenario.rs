@@ -642,11 +642,11 @@ mod tests {
     }
 
     #[test]
-    fn forked_runner_matches_the_baseline_below_three_hyperperiods() {
+    fn forked_runner_matches_the_baseline_around_the_jump_threshold() {
         use easis_injection::campaign::CampaignPlan;
         use easis_injection::executor::CampaignExecutor;
-        // Certification consumes two hyperperiods and needs a third to
-        // jump, so 3H = 60 ms is the shortest span the engine may skip:
+        // Certification consumes one hyperperiod and needs a second to
+        // jump, so 2H = 40 ms is the shortest span the engine may skip:
         // the horizons straddle H, 2H and 3H.
         assert_eq!(
             CentralNode::build(campaign_node_config()).hyperperiod(),
@@ -675,7 +675,7 @@ mod tests {
             // Past every horizon: a golden run.
             mk(&skip, 200_000, 300_000),
         ]);
-        for horizon_ms in [1, 19, 20, 41, 59, 60, 61] {
+        for horizon_ms in [1, 19, 20, 21, 39, 40, 41, 59, 60, 61] {
             let horizon = ms(horizon_ms);
             let reference = CampaignExecutor::serial().run(&plan, |spec| run_trial(spec, horizon));
             for exec in [

@@ -114,11 +114,6 @@ impl Plant {
         &self.environment
     }
 
-    /// Mutable sensor access (fault injection).
-    pub fn speed_sensor_mut(&mut self) -> &mut Sensor {
-        &mut self.speed_sensor
-    }
-
     /// Mutable driver access (scenario scripting).
     pub fn driver_mut(&mut self) -> &mut Driver {
         &mut self.driver

@@ -4,12 +4,15 @@
 use easis::baselines::cfcss::{BlockId, CfcssMonitor, CfcssProgram, ControlFlowGraph};
 use easis::injection::campaign::{CampaignBuilder, TrialSpec};
 use easis::injection::executor::CampaignExecutor;
+use easis::injection::injector::{ErrorClass, Injection, Injector};
 use easis::injection::stats::{DetectorId, TrialOutcome};
 use easis::rte::runnable::RunnableId;
 use easis::sim::cpu::CostMeter;
 use easis::sim::event::EventQueue;
 use easis::sim::rng::SimRng;
 use easis::sim::time::{Duration, Instant};
+use easis::validator::scenario::campaign_node_config;
+use easis::validator::CentralNode;
 use easis::watchdog::config::{IdIndex, RunnableHypothesis, WatchdogConfig};
 use easis::watchdog::heartbeat::HeartbeatMonitor;
 use easis::watchdog::pfc::{FlowTable, FlowVerdict, ProgramFlowChecker};
@@ -935,10 +938,7 @@ proptest! {
         test_pick in any::<u32>(),
         dirty_pick in any::<u32>(),
     ) {
-        use easis::injection::injector::Injector;
         use easis::validator::node::NodeBlueprint;
-        use easis::validator::scenario::campaign_node_config;
-        use easis::validator::CentralNode;
         let horizon = Instant::from_millis(700);
         let plan = CampaignBuilder::new(seed, (0..9).map(RunnableId).collect())
             .loop_targets(vec![RunnableId(4), RunnableId(7)])
@@ -1061,6 +1061,34 @@ proptest! {
     }
 }
 
+/// Builds the campaign node and drives `injection`'s trial through the
+/// node's public API up to disarm: an injection-free prefix to
+/// `injection.from`, eligible for macro-stepping, then the armed window,
+/// where the engine stands down and the injector ticks at millisecond
+/// granularity like the experiments do.
+fn run_campaign_trial_to_disarm(injection: &Injection, ffwd: bool) -> CentralNode {
+    let mut node = CentralNode::build(campaign_node_config());
+    node.set_fastforward(Some(ffwd));
+    node.start();
+    node.run_span(injection.from);
+    node.set_injection_armed(true);
+    let mut injector = Injector::new([injection.clone()]);
+    node.run_until(injection.to, &mut injector);
+    node.set_injection_armed(false);
+    node
+}
+
+/// Drives `injection`'s trial to disarm, then through the quiescent tail
+/// to `horizon`, eligible for macro-stepping again (modulo DTC aging et
+/// al.). Returns the node and the certifications its tail made.
+fn run_campaign_trial(injection: &Injection, horizon: Instant, ffwd: bool) -> (CentralNode, u64) {
+    let mut node = run_campaign_trial_to_disarm(injection, ffwd);
+    let certified = node.ffwd_stats().certifications;
+    node.run_span(horizon);
+    let tail_certifications = node.ffwd_stats().certifications - certified;
+    (node, tail_certifications)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -1081,9 +1109,6 @@ proptest! {
         horizon_ms in 800u64..=20_000,
         pick in any::<u32>(),
     ) {
-        use easis::injection::injector::Injector;
-        use easis::validator::scenario::campaign_node_config;
-        use easis::validator::CentralNode;
         let horizon = Instant::from_millis(horizon_ms);
         let plan = CampaignBuilder::new(seed, (0..9).map(RunnableId).collect())
             .loop_targets(vec![RunnableId(4), RunnableId(7)])
@@ -1096,24 +1121,8 @@ proptest! {
             .build();
         let trials = plan.trials();
         let spec = &trials[pick as usize % trials.len()];
-        let run = |ffwd: bool| {
-            let mut node = CentralNode::build(campaign_node_config());
-            node.set_fastforward(Some(ffwd));
-            node.start();
-            // Injection-free prefix: eligible for macro-stepping.
-            node.run_span(spec.injection.from);
-            // Armed window: the engine stands down, the injector ticks
-            // at millisecond granularity like the experiments do.
-            node.set_injection_armed(true);
-            let mut injector = Injector::new([spec.injection.clone()]);
-            node.run_until(spec.injection.to, &mut injector);
-            node.set_injection_armed(false);
-            // Quiescent tail: eligible again (modulo DTC aging et al.).
-            node.run_span(horizon);
-            node
-        };
-        let fast = run(true);
-        let plain = run(false);
+        let (fast, _) = run_campaign_trial(&spec.injection, horizon, true);
+        let (plain, _) = run_campaign_trial(&spec.injection, horizon, false);
         prop_assert_eq!(fast.os.now(), plain.os.now());
         // The engine saw the spans even when it chose not to jump.
         prop_assert!(fast.ffwd_stats().span > Duration::ZERO);
@@ -1123,6 +1132,53 @@ proptest! {
             plain.snapshot(),
             "macro-stepped end state diverged from event-level for {:?}",
             spec.injection
+        );
+    }
+}
+
+/// Dead ready keys. In each of the four `easis_bench` trials below
+/// (named workload seed/plan/trial), a tail sample finds every task
+/// `Suspended`, and one task's last ready key advanced by one less than
+/// the back-key cursor over the sampled hyperperiod. A suspended task's
+/// key is never read, so certification from one hyperperiod is sound
+/// only because `Suspended` and `Waiting` tasks hold the canonical dead
+/// key 0; with live keys carried over, the jump leaves a key the
+/// event-level run does not. Each tail must certify at least once and
+/// end in the event-level checkpoint.
+#[test]
+fn dead_ready_keys_stay_canonical_across_fault_tails() {
+    let horizon = Instant::from_millis(1_500);
+    let slowdown = ErrorClass::ExecutionSlowdown {
+        runnable: RunnableId(6),
+        scale_ppm: 334_000_000,
+    };
+    let overrun = ErrorClass::LoopOverrun {
+        runnable: RunnableId(7),
+        iterations: 6335,
+    };
+    for (trial, class, from_us, to_us) in [
+        ("tcov 10/0/63", &slowdown, 301_737, 701_737),
+        ("tcov 10/1/102", &slowdown, 302_838, 702_838),
+        ("spread 1/3/374", &overrun, 866_943, 940_027),
+        ("spread 7/1/374", &overrun, 869_950, 1_042_324),
+    ] {
+        let injection = Injection::new(
+            class.clone(),
+            Instant::from_micros(from_us),
+            Instant::from_micros(to_us),
+        );
+        let (fast, tail_certifications) = run_campaign_trial(&injection, horizon, true);
+        let (plain, _) = run_campaign_trial(&injection, horizon, false);
+        assert!(
+            tail_certifications >= 1,
+            "{trial}: the tail must certify: {:?}",
+            fast.ffwd_stats()
+        );
+        assert_eq!(fast.os.now(), plain.os.now(), "{trial}");
+        assert_eq!(
+            fast.snapshot(),
+            plain.snapshot(),
+            "{trial}: macro-stepped end state diverged from event-level"
         );
     }
 }
@@ -1137,9 +1193,6 @@ proptest! {
 #[test]
 fn macro_stepping_falls_back_and_recovers_across_dtc_age_out() {
     use easis::fmf::dtc::DtcStatus;
-    use easis::injection::injector::{ErrorClass, Injection, Injector};
-    use easis::validator::scenario::campaign_node_config;
-    use easis::validator::CentralNode;
     let horizon = Instant::from_millis(1_500);
     let injection = Injection::new(
         ErrorClass::ExecutionSlowdown {
@@ -1149,17 +1202,10 @@ fn macro_stepping_falls_back_and_recovers_across_dtc_age_out() {
         Instant::from_micros(305_337),
         Instant::from_micros(355_337),
     );
-    let run = |ffwd: bool| {
-        let mut node = CentralNode::build(campaign_node_config());
-        node.set_fastforward(Some(ffwd));
-        node.start();
-        node.run_span(injection.from);
-        node.set_injection_armed(true);
-        let mut injector = Injector::new([injection.clone()]);
-        node.run_until(injection.to, &mut injector);
-        node.set_injection_armed(false);
-        // The scenario's whole point: a Pending DTC is still aging when
-        // the quiescent tail begins.
+    // The scenario's whole point: a Pending DTC is still aging when the
+    // quiescent tail begins.
+    for ffwd in [true, false] {
+        let node = run_campaign_trial_to_disarm(&injection, ffwd);
         assert!(
             node.world
                 .fmf
@@ -1168,13 +1214,9 @@ fn macro_stepping_falls_back_and_recovers_across_dtc_age_out() {
                 .any(|r| r.status == DtcStatus::Pending),
             "scenario drifted: no Pending DTC left at disarm"
         );
-        let certified = node.ffwd_stats().certifications;
-        node.run_span(horizon);
-        let tail_certifications = node.ffwd_stats().certifications - certified;
-        (node, tail_certifications)
-    };
-    let (fast, tail_certifications) = run(true);
-    let (plain, _) = run(false);
+    }
+    let (fast, tail_certifications) = run_campaign_trial(&injection, horizon, true);
+    let (plain, _) = run_campaign_trial(&injection, horizon, false);
 
     let stats = fast.ffwd_stats();
     assert!(
@@ -1210,9 +1252,6 @@ fn macro_stepping_falls_back_and_recovers_across_dtc_age_out() {
 /// fast-forwards — bit-identical to the event-level run.
 #[test]
 fn macro_stepping_rephases_off_task_period_boundaries() {
-    use easis::injection::injector::{ErrorClass, Injection, Injector};
-    use easis::validator::scenario::campaign_node_config;
-    use easis::validator::CentralNode;
     let horizon = Instant::from_millis(1_500);
     let injection = Injection::new(
         ErrorClass::ExecutionSlowdown {
@@ -1222,20 +1261,8 @@ fn macro_stepping_rephases_off_task_period_boundaries() {
         Instant::from_millis(300),
         Instant::from_millis(450),
     );
-    let run = |ffwd: bool| {
-        let mut node = CentralNode::build(campaign_node_config());
-        node.set_fastforward(Some(ffwd));
-        node.start();
-        node.run_span(injection.from);
-        node.set_injection_armed(true);
-        let mut injector = Injector::new([injection.clone()]);
-        node.run_until(injection.to, &mut injector);
-        node.set_injection_armed(false);
-        node.run_span(horizon);
-        node
-    };
-    let fast = run(true);
-    let plain = run(false);
+    let (fast, _) = run_campaign_trial(&injection, horizon, true);
+    let (plain, _) = run_campaign_trial(&injection, horizon, false);
 
     let stats = fast.ffwd_stats();
     assert!(
@@ -1267,7 +1294,7 @@ fn macro_stepping_rephases_off_task_period_boundaries() {
 /// event-level run.
 #[test]
 fn macro_stepping_follows_runtime_reconfiguration() {
-    use easis::validator::{CentralNode, NodeConfig};
+    use easis::validator::NodeConfig;
     for (scale_ppm, reconfigure) in [
         (2_000_000, true),
         (2_000_000, false),

@@ -9,6 +9,24 @@ cargo build --release
 # target/release, which the root build does not produce.
 cargo build --release -p easis-bench
 
+echo "==> paper-experiment binaries (shape checks, pinned JSON records)"
+# Each binary asserts the paper's shape on its own results and writes one
+# JSON record to target/experiments/; together they take under a second
+# in release. They also run kernel paths the campaign node skips: the
+# kernel trace, alarm-cycle scaling, the S12XF CPU scale and runtime
+# reconfiguration. The records are pinned by digest (hil_closed_loop.json
+# alone is 3 MB); stdout is not compared, because table_coverage prints
+# wall time there.
+experiments="ablation_passive_active ablation_threshold ablation_wd_period
+  exp_arrival_rate exp_program_flow fig5_aliveness fig6_collaboration
+  hil_closed_loop outlook_reconfig outlook_s12xf table_coverage
+  table_granularity table_latency table_overhead table_safety_impact"
+for bin in $experiments; do
+  rm -f "target/experiments/$bin.json"
+  "./target/release/$bin" > /dev/null
+done
+sha256sum -c --quiet tests/goldens/experiments.sha256
+
 echo "==> cargo test -q"
 cargo test -q
 

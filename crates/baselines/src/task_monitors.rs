@@ -10,7 +10,7 @@
 //! two event kinds, chosen by its [`TimingCheck`], into per-task statistics
 //! that the coverage experiments read out.
 
-use easis_osek::hooks::{HookEvent, HookObserver};
+use easis_osek::hooks::{HookEvent, HookMask, HookObserver};
 use easis_osek::task::TaskId;
 use easis_sim::time::Instant;
 use std::sync::{Arc, Mutex};
@@ -128,6 +128,15 @@ impl<W> HookObserver<W> for TaskMonitor {
             _ => return,
         };
         self.stats.lock().expect("stats lock").record(task, now);
+    }
+
+    /// Only the counted kind, so the kernel keeps every other hook event
+    /// (dispatches, activations, terminations) away from the monitor.
+    fn interest(&self) -> HookMask {
+        match self.check {
+            TimingCheck::Deadline => HookMask::DEADLINE_MISS,
+            TimingCheck::ExecutionTime => HookMask::BUDGET_EXCEEDED,
+        }
     }
 }
 

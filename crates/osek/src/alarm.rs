@@ -113,10 +113,16 @@ impl Alarm {
         self.cycle_scale_ppm
     }
 
-    /// The effective re-arm cycle after scaling, if cyclic.
+    /// The effective re-arm cycle after scaling, if cyclic. At the nominal
+    /// scale the cycle is used as configured, with no u128 arithmetic on
+    /// the expiry path; the scaled product rounds down to the same value.
     pub fn effective_cycle(&self) -> Option<Duration> {
         self.cycle.map(|c| {
-            let us = (c.as_micros() as u128 * self.cycle_scale_ppm as u128 / 1_000_000) as u64;
+            let us = if self.cycle_scale_ppm == 1_000_000 {
+                c.as_micros()
+            } else {
+                (c.as_micros() as u128 * self.cycle_scale_ppm as u128 / 1_000_000) as u64
+            };
             Duration::from_micros(us.max(1))
         })
     }
@@ -172,6 +178,19 @@ mod tests {
         assert_eq!(a.effective_cycle(), Some(Duration::from_millis(20)));
         a.set_cycle_scale_ppm(500_000);
         assert_eq!(a.effective_cycle(), Some(Duration::from_millis(5)));
+    }
+
+    #[test]
+    fn effective_cycle_is_exact_at_nominal_and_rounds_down_when_scaled() {
+        let mut a = Alarm::new("cyc", AlarmAction::ActivateTask(TaskId(0)));
+        for us in [1, 7, 10_000, 999_999, u64::MAX / 2] {
+            a.arm(Some(Duration::from_micros(us)));
+            assert_eq!(a.cycle_scale_ppm(), 1_000_000);
+            assert_eq!(a.effective_cycle(), Some(Duration::from_micros(us)));
+        }
+        a.arm(Some(Duration::from_millis(10)));
+        a.set_cycle_scale_ppm(3_333_333);
+        assert_eq!(a.effective_cycle(), Some(Duration::from_micros(33_333)));
     }
 
     #[test]

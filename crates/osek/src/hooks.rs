@@ -66,11 +66,75 @@ impl fmt::Display for HookEvent {
     }
 }
 
-/// A hook subscriber. Receives every [`HookEvent`] with its timestamp and
-/// mutable access to the shared world `W`.
+/// A set of [`HookEvent`] kinds, one bit per variant: the events a
+/// [`HookObserver`] handles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HookMask(u16);
+
+impl HookMask {
+    /// No kind.
+    pub const NONE: HookMask = HookMask(0);
+    /// Every kind: the default [`HookObserver::interest`].
+    pub const ALL: HookMask = HookMask((1 << 9) - 1);
+    /// [`HookEvent::Startup`].
+    pub const STARTUP: HookMask = HookMask(1 << 0);
+    /// [`HookEvent::PreTask`].
+    pub const PRE_TASK: HookMask = HookMask(1 << 1);
+    /// [`HookEvent::PostTask`].
+    pub const POST_TASK: HookMask = HookMask(1 << 2);
+    /// [`HookEvent::Activate`].
+    pub const ACTIVATE: HookMask = HookMask(1 << 3);
+    /// [`HookEvent::Terminate`].
+    pub const TERMINATE: HookMask = HookMask(1 << 4);
+    /// [`HookEvent::Error`].
+    pub const ERROR: HookMask = HookMask(1 << 5);
+    /// [`HookEvent::DeadlineMiss`].
+    pub const DEADLINE_MISS: HookMask = HookMask(1 << 6);
+    /// [`HookEvent::BudgetExceeded`].
+    pub const BUDGET_EXCEEDED: HookMask = HookMask(1 << 7);
+    /// [`HookEvent::Shutdown`].
+    pub const SHUTDOWN: HookMask = HookMask(1 << 8);
+
+    /// The kind of `event`.
+    fn of(event: HookEvent) -> HookMask {
+        match event {
+            HookEvent::Startup => Self::STARTUP,
+            HookEvent::PreTask(_) => Self::PRE_TASK,
+            HookEvent::PostTask(_) => Self::POST_TASK,
+            HookEvent::Activate(_) => Self::ACTIVATE,
+            HookEvent::Terminate(_) => Self::TERMINATE,
+            HookEvent::Error(_) => Self::ERROR,
+            HookEvent::DeadlineMiss { .. } => Self::DEADLINE_MISS,
+            HookEvent::BudgetExceeded { .. } => Self::BUDGET_EXCEEDED,
+            HookEvent::Shutdown => Self::SHUTDOWN,
+        }
+    }
+
+    /// Union of two masks.
+    pub fn union(self, other: HookMask) -> HookMask {
+        HookMask(self.0 | other.0)
+    }
+
+    /// `true` if `event`'s kind is in the mask.
+    pub fn contains(self, event: HookEvent) -> bool {
+        self.0 & Self::of(event).0 != 0
+    }
+}
+
+/// A hook subscriber. Receives each [`HookEvent`] of the kinds in its
+/// [`interest`](HookObserver::interest), with its timestamp and mutable
+/// access to the shared world `W`.
 pub trait HookObserver<W>: Send {
-    /// Called by the kernel for every hook event.
+    /// Called by the kernel for every hook event of an interesting kind.
     fn on_hook(&mut self, now: Instant, event: HookEvent, world: &mut W);
+
+    /// The event kinds this observer handles, read once when it is
+    /// subscribed. The kernel delivers no other kind, and skips a hook
+    /// event that no subscriber is interested in without touching the
+    /// observer list. Default: every kind.
+    fn interest(&self) -> HookMask {
+        HookMask::ALL
+    }
 }
 
 impl<W, F> HookObserver<W> for F
@@ -105,5 +169,40 @@ mod tests {
             obs.on_hook(Instant::ZERO, HookEvent::Startup, &mut seen);
         }
         assert_eq!(seen, vec![HookEvent::Startup]);
+    }
+
+    #[test]
+    fn masks_hold_one_bit_per_kind() {
+        let events = [
+            HookEvent::Startup,
+            HookEvent::PreTask(TaskId(0)),
+            HookEvent::PostTask(TaskId(0)),
+            HookEvent::Activate(TaskId(0)),
+            HookEvent::Terminate(TaskId(0)),
+            HookEvent::Error(OsError::InvalidId),
+            HookEvent::DeadlineMiss {
+                task: TaskId(0),
+                activated_at: Instant::ZERO,
+            },
+            HookEvent::BudgetExceeded {
+                task: TaskId(0),
+                budget: Duration::ZERO,
+            },
+            HookEvent::Shutdown,
+        ];
+        let all = events
+            .iter()
+            .fold(HookMask::NONE, |m, &e| m.union(HookMask::of(e)));
+        assert_eq!(all, HookMask::ALL);
+        for (i, &e) in events.iter().enumerate() {
+            assert!(HookMask::ALL.contains(e));
+            assert!(!HookMask::NONE.contains(e));
+            for (j, &other) in events.iter().enumerate() {
+                assert_eq!(HookMask::of(e).contains(other), i == j, "{e} vs {other}");
+            }
+        }
+        // Closures keep the default: every kind.
+        let obs = |_: Instant, _: HookEvent, _: &mut ()| {};
+        assert_eq!(HookObserver::<()>::interest(&obs), HookMask::ALL);
     }
 }

@@ -31,7 +31,7 @@
 
 use crate::alarm::{Alarm, AlarmAction, AlarmId, AlarmRuntime};
 use crate::error::OsError;
-use crate::hooks::{HookEvent, HookObserver};
+use crate::hooks::{HookEvent, HookMask, HookObserver};
 use crate::plan::{
     EffectCtx, KernelServices, PlanArena, PlanArenaSnapshot, ResourceId, ServiceCore, Step,
     TaskBody,
@@ -98,7 +98,12 @@ struct Core<W> {
     timers: EventQueue<KernelEvent>,
     now: Instant,
     running: Option<TaskId>,
-    observers: Vec<Box<dyn HookObserver<W>>>,
+    /// Subscribed observers, each with the interest it declared.
+    observers: Vec<(HookMask, Box<dyn HookObserver<W>>)>,
+    /// Union of the observers' interests: hook kinds outside it are
+    /// dropped before the observer list is touched. Static configuration
+    /// like the list itself, so snapshots leave it out.
+    interest: HookMask,
     trace: TraceRecorder,
     started: bool,
     /// Monotone counters generating the tasks' ready keys.
@@ -166,6 +171,7 @@ impl<W> Os<W> {
                 now: Instant::ZERO,
                 running: None,
                 observers: Vec::new(),
+                interest: HookMask::NONE,
                 trace: TraceRecorder::new(),
                 started: false,
                 next_back_key: 1,
@@ -224,9 +230,12 @@ impl<W> Os<W> {
         id
     }
 
-    /// Subscribes a hook observer.
+    /// Subscribes a hook observer to the hook kinds of its
+    /// [`HookObserver::interest`].
     pub fn add_observer(&mut self, observer: impl HookObserver<W> + 'static) {
-        self.core.observers.push(Box::new(observer));
+        let interest = observer.interest();
+        self.core.interest = self.core.interest.union(interest);
+        self.core.observers.push((interest, Box::new(observer)));
     }
 
     // ------------------------------------------------------------------
@@ -638,12 +647,21 @@ impl<W> Os<W> {
     /// Executes steps of the running task until it terminates, blocks, is
     /// preempted, or simulated time reaches `end`. Returns `true` when the
     /// caller's horizon `end` was reached.
+    ///
+    /// The schedule is decided once per change: `dispatch` has just chosen
+    /// `id`, and a non-zero compute step that completes has re-decided
+    /// after firing the timers due at its last instant, so neither is
+    /// followed by another [`Core::pick_next`]. Every other step decides
+    /// again before the next one runs.
     fn execute_slice(&mut self, id: TaskId, end: Instant, world: &mut W) -> bool {
+        let mut decided = true;
         loop {
-            // A timer may have readied a higher-priority task.
-            if self.core.pick_next() != Some(id) {
+            // An effect or a service may have readied a higher-priority
+            // task, or dropped this one's priority.
+            if !decided && self.core.pick_next() != Some(id) {
                 return false;
             }
+            decided = false;
             let step = self.arena.slot_mut(id.index()).pop();
             let Some(step) = step else {
                 self.terminate_running(id, world);
@@ -654,6 +672,7 @@ impl<W> Os<W> {
                     if let Some(reached_end) = self.run_compute(id, d, end, world) {
                         return reached_end;
                     }
+                    decided = !d.is_zero();
                 }
                 Step::Effect(mut f) => {
                     let now = self.core.now;
@@ -1129,17 +1148,21 @@ impl<W> Core<W> {
         self.fire_hook(HookEvent::Error(err), world);
     }
 
+    /// Delivers `event` to the observers interested in its kind. A kind
+    /// no observer declared returns at the mask test: the campaign node's
+    /// two task monitors take only deadline misses and budget overruns,
+    /// so its dispatches, preemptions, activations and terminations stop
+    /// there.
     fn fire_hook(&mut self, event: HookEvent, world: &mut W) {
-        if self.observers.is_empty() {
+        if !self.interest.contains(event) {
             return;
         }
-        let mut observers = std::mem::take(&mut self.observers);
-        for obs in &mut observers {
-            obs.on_hook(self.now, event, world);
+        let now = self.now;
+        for (interest, obs) in &mut self.observers {
+            if interest.contains(event) {
+                obs.on_hook(now, event, world);
+            }
         }
-        // New observers cannot be registered from inside hooks.
-        debug_assert!(self.observers.is_empty());
-        self.observers = observers;
     }
 }
 
@@ -1709,6 +1732,95 @@ mod tests {
                 format!("terminate {t}"),
             ]
         );
+    }
+
+    #[test]
+    fn hooks_reach_only_the_observers_interested_in_them() {
+        use std::sync::{Arc, Mutex};
+        type Log = Arc<Mutex<Vec<(Instant, HookEvent)>>>;
+        struct Recorder(HookMask, Log);
+        impl HookObserver<W> for Recorder {
+            fn on_hook(&mut self, now: Instant, event: HookEvent, _w: &mut W) {
+                self.1.lock().unwrap().push((now, event));
+            }
+            fn interest(&self) -> HookMask {
+                self.0
+            }
+        }
+        let all: Log = Log::default();
+        let misses: Log = Log::default();
+        // lo misses its 5 ms deadline every period; hi preempts it.
+        let mut os: Os<W> = Os::new();
+        let lo = os.add_task(
+            TaskConfig::new("lo", Priority(1)).with_deadline(ms(5)),
+            log_body("lo", ms(6)),
+        );
+        let hi = os.add_task(TaskConfig::new("hi", Priority(5)), log_body("hi", ms(1)));
+        let a_lo = os.add_alarm("alo", AlarmAction::ActivateTask(lo));
+        let a_hi = os.add_alarm("ahi", AlarmAction::ActivateTask(hi));
+        os.add_observer(Recorder(HookMask::DEADLINE_MISS, Arc::clone(&misses)));
+        os.add_observer(Recorder(HookMask::ALL, Arc::clone(&all)));
+        let mut w = W::new();
+        os.start(&mut w);
+        os.set_rel_alarm(a_lo, ms(1), Some(ms(10))).unwrap();
+        os.set_rel_alarm(a_hi, ms(3), Some(ms(10))).unwrap();
+        os.run_until(Instant::from_millis(40), &mut w);
+
+        let all = all.lock().unwrap();
+        let misses = misses.lock().unwrap();
+        let all_misses: Vec<_> = all
+            .iter()
+            .filter(|(_, e)| matches!(e, HookEvent::DeadlineMiss { .. }))
+            .copied()
+            .collect();
+        assert_eq!(misses.len(), 4, "{misses:?}");
+        assert_eq!(*misses, all_misses);
+        assert_eq!(misses[0].0, Instant::from_millis(6));
+        // The catch-all observer still sees every lifecycle event.
+        let count = |kind: HookMask| all.iter().filter(|&&(_, e)| kind.contains(e)).count();
+        let trace = os.trace();
+        assert_eq!(count(HookMask::PRE_TASK), trace.count_kind("dispatch"));
+        assert_eq!(count(HookMask::POST_TASK), trace.count_kind("preempt"));
+        assert_eq!(count(HookMask::ACTIVATE), trace.count_kind("activate"));
+        assert_eq!(count(HookMask::TERMINATE), trace.count_kind("terminate"));
+        assert_eq!(trace.count_kind("preempt"), 4);
+        assert_eq!(trace.count_kind("terminate"), 8);
+    }
+
+    #[test]
+    fn a_task_readied_where_a_decision_is_skipped_still_runs_first() {
+        // (1) hi's alarm expires exactly when lo's compute step completes:
+        // the completing compute fires that instant's timers and decides
+        // before lo's effect may run.
+        let mut os: Os<W> = Os::new();
+        let lo = os.add_task(TaskConfig::new("lo", Priority(1)), log_body("lo", ms(2)));
+        let hi = os.add_task(TaskConfig::new("hi", Priority(5)), log_body("hi", us(500)));
+        let a_lo = os.add_alarm("alo", AlarmAction::ActivateTask(lo));
+        let a_hi = os.add_alarm("ahi", AlarmAction::ActivateTask(hi));
+        let mut w = W::new();
+        os.start(&mut w);
+        os.set_rel_alarm(a_lo, ms(1), None).unwrap();
+        os.set_rel_alarm(a_hi, ms(3), None).unwrap();
+        os.run_until(Instant::from_millis(10), &mut w);
+        assert_eq!(w, vec!["hi@3500".to_string(), "lo@3500".to_string()]);
+
+        // (2) An effect activates hi: the kernel decides again before lo's
+        // next step, itself an effect.
+        let mut os: Os<W> = Os::new();
+        let hi = os.add_task(TaskConfig::new("hi", Priority(5)), log_body("hi", us(500)));
+        let lo_body = move |_n: Instant, _w: &W| {
+            Plan::new()
+                .compute(ms(1))
+                .effect(move |w: &mut W, ctx| ctx.activate_task(hi, w).unwrap())
+                .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros())))
+        };
+        let lo = os.add_task(TaskConfig::new("lo", Priority(1)), lo_body);
+        let mut w = W::new();
+        os.start(&mut w);
+        os.activate_task(lo, &mut w).unwrap();
+        os.run_until(Instant::from_millis(10), &mut w);
+        assert_eq!(w, vec!["hi@1500".to_string(), "lo@1500".to_string()]);
+        assert_eq!(os.trace().count_kind("preempt"), 1);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod task;
 
 pub use alarm::{Alarm, AlarmAction, AlarmId};
 pub use error::OsError;
-pub use hooks::{HookEvent, HookObserver};
+pub use hooks::{HookEvent, HookMask, HookObserver};
 pub use isr::{IsrId, ISR_PRIORITY};
 pub use kernel::Os;
 pub use plan::{EffectCtx, KernelServices, Plan, PlanArena, ResourceId, ServiceCore, Step, TaskBody};

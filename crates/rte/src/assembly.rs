@@ -208,6 +208,7 @@ impl<W: EcuWorld + 'static> TaskBody<W> for SequencedTask<W> {
     /// each pair dispatches back into [`SequencedTask::run_effect`].
     fn plan_into(&mut self, now: Instant, world: &W, out: &mut Plan<W>) {
         let branch = world.controls().task(&self.task_name).branch_override;
+        let global_ppm = world.controls().global_exec_scale_ppm();
         let mut order = std::mem::take(&mut self.order_scratch);
         order.clear();
         self.sequencer.sequence_into(now, world, branch, &mut order);
@@ -221,10 +222,14 @@ impl<W: EcuWorld + 'static> TaskBody<W> for SequencedTask<W> {
                 continue;
             }
             let iters = ctl.effective_iterations(spec.default_iterations());
-            let scale = ctl.exec_scale_ppm as f64 / 1_000_000.0
-                * world.controls().global_exec_scale_ppm() as f64
-                / 1_000_000.0;
-            let cost = spec.cost_with_iterations(iters).mul_f64(scale);
+            let mut cost = spec.cost_with_iterations(iters);
+            // Both scales nominal: the f64 product below is exactly 1.0 and
+            // gives back the cost unchanged (any cost under 2^53 µs).
+            if ctl.exec_scale_ppm != 1_000_000 || global_ppm != 1_000_000 {
+                let scale =
+                    ctl.exec_scale_ppm as f64 / 1_000_000.0 * global_ppm as f64 / 1_000_000.0;
+                cost = cost.mul_f64(scale);
+            }
             out.push_compute(cost);
             out.push_effect_ref(idx as u32);
         }
@@ -236,9 +241,6 @@ impl<W: EcuWorld + 'static> TaskBody<W> for SequencedTask<W> {
     fn run_effect(&mut self, token: u32, world: &mut W, ctx: &mut EffectCtx<'_, W>) {
         let def = &self.runnables[token as usize];
         let id = def.spec().id();
-        // Arc refcount bump, not an allocation: the logic must outlive the
-        // `&mut self` borrow because it receives the world by `&mut`.
-        let logic = def.logic();
         // Glue code: aliveness indication (controls re-read at execution
         // time so mid-run injection takes effect).
         let ctl = world.controls().runnable(id);
@@ -248,7 +250,7 @@ impl<W: EcuWorld + 'static> TaskBody<W> for SequencedTask<W> {
         for _ in 0..ctl.extra_heartbeats {
             world.indicate_heartbeat(id, ctx.now());
         }
-        logic(world, ctx);
+        def.run(world, ctx);
         // `&*..` keeps the label borrowed: the recorder only converts to an
         // owned `String` when tracing is enabled.
         ctx.trace(TRACE_SOURCE, "runnable", &*self.names[token as usize]);
@@ -266,6 +268,7 @@ mod tests {
     use crate::world::BasicEcuWorld;
     use easis_osek::alarm::AlarmAction;
     use easis_osek::kernel::Os;
+    use easis_osek::plan::Step;
     use easis_osek::task::{Priority, TaskConfig};
 
     fn us(n: u64) -> Duration {
@@ -419,6 +422,49 @@ mod tests {
         assert_eq!(body.task_name(), "T");
         assert_eq!(body.runnable_ids(), vec![RunnableId(0), RunnableId(1)]);
         assert_eq!(body.nominal_cost(), us(30));
+    }
+
+    #[test]
+    fn planned_costs_are_unscaled_at_nominal_and_the_f64_product_otherwise() {
+        let mut reg = RunnableRegistry::new();
+        let specs = [
+            reg.register("a", us(50)),
+            reg.register_with_loop("b", us(100), us(10), 5),
+            reg.register("c", us(333)),
+        ];
+        let defs = specs.iter().cloned().map(RunnableDef::no_op).collect();
+        let mut body = SequencedTask::fixed("T", defs);
+        let mut world = BasicEcuWorld::new();
+        let mut planned = |world: &BasicEcuWorld| -> Vec<Duration> {
+            let mut plan = Plan::new();
+            body.plan_into(Instant::ZERO, world, &mut plan);
+            std::iter::from_fn(|| plan.pop())
+                .filter_map(|step| match step {
+                    Step::Compute(d) => Some(d),
+                    _ => None,
+                })
+                .collect()
+        };
+        let slow = specs[1].id();
+        world.controls.runnable_mut(slow).iterations_override = Some(7);
+        let iters = [1, 7, 1];
+        let nominal: Vec<Duration> = specs
+            .iter()
+            .zip(iters)
+            .map(|(s, i)| s.cost_with_iterations(i))
+            .collect();
+        assert_eq!(planned(&world), nominal);
+
+        // The S12XF CPU scale with one runnable slowed down on top.
+        world.controls.set_global_exec_scale_ppm(9_600_000);
+        world.controls.runnable_mut(slow).exec_scale_ppm = 2_000_000;
+        let scaled: Vec<Duration> = nominal
+            .iter()
+            .zip([1_000_000u64, 2_000_000, 1_000_000])
+            .map(|(cost, ppm)| cost.mul_f64(ppm as f64 / 1_000_000.0 * 9_600_000.0 / 1_000_000.0))
+            .collect();
+        assert_eq!(planned(&world), scaled);
+        assert_eq!(scaled[1], us(3_264)); // 170 µs × 2 × 9.6
     }
 
     #[test]

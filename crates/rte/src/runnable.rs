@@ -160,6 +160,12 @@ impl<W> RunnableDef<W> {
     pub fn logic(&self) -> RunnableLogic<W> {
         Arc::clone(&self.logic)
     }
+
+    /// Runs the logic in place: the definition is borrowed apart from the
+    /// world and the effect context, so no `Arc` is cloned per execution.
+    pub(crate) fn run(&self, world: &mut W, ctx: &mut EffectCtx<'_, W>) {
+        (self.logic)(world, ctx)
+    }
 }
 
 /// Registry assigning dense [`RunnableId`]s per ECU and remembering specs.

@@ -11,10 +11,10 @@
 //! expiry per armed alarm plus one deadline check per activation still
 //! inside its deadline. A count over the four `easis_bench` campaign
 //! workloads never saw more than 9 pending entries on the central node
-//! (its 5 cyclic alarms and at most 4 deadline checks). At that size a
-//! binary-search insert shifts a handful of entries, a pop or peek reads
-//! the end, and capture/restore is a single `clone_from` whose stored
-//! order already is pop order.
+//! (its 5 cyclic alarms and at most 4 deadline checks). At that size an
+//! insert scans and shifts a handful of entries, a pop or peek reads the
+//! end, and capture/restore is a single `clone_from` whose stored order
+//! already is pop order.
 
 use crate::time::{Duration, Instant};
 
@@ -111,8 +111,14 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         let t = at.as_micros();
         // `seq` exceeds every queued seq, so the new entry goes right
-        // after the entries later than `t`.
-        let idx = self.entries.partition_point(|&(et, _, _)| et > t);
+        // after the entries later than `t`. A front-to-back scan: the
+        // queue holds at most a handful of entries, and a cyclic alarm
+        // re-armed one period out lands near the front.
+        let idx = self
+            .entries
+            .iter()
+            .position(|&(et, _, _)| et <= t)
+            .unwrap_or(self.entries.len());
         self.entries.insert(idx, (t, seq, payload));
         EventId(seq)
     }
@@ -246,6 +252,21 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn same_instant_burst_between_earlier_and_later_pops_in_schedule_order() {
+        let mut q = EventQueue::new();
+        q.schedule(t(30), "later");
+        q.schedule(t(10), "earlier");
+        q.schedule(t(20), "a");
+        q.schedule(t(40), "latest");
+        q.schedule(t(20), "b");
+        q.schedule(t(5), "earliest");
+        q.schedule(t(20), "c");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        let expected = ["earliest", "earlier", "a", "b", "c", "later", "latest"];
+        assert_eq!(order, expected);
     }
 
     #[test]

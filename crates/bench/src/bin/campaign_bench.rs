@@ -32,6 +32,10 @@
 //! budget and raise an activation-limit error every period — allocates
 //! nothing as well (asserted): the kernel formats an OS error only for a
 //! recording trace, and the timing monitors count into retained buffers.
+//! Two *severe-slowdown* trials — SAFE_CC slowed 100× and 300× — leave
+//! six DTC codes live at the horizon; they allocate nothing either
+//! (asserted), because the DTC memory is a sorted vector that keeps its
+//! capacity across the rewind.
 //!
 //! The `snapshot` probe measures the checkpoint machinery itself on a
 //! standalone node: a warm capacity-retained capture
@@ -54,7 +58,7 @@
 //! oversubscribed sweep measures contention, not scaling.
 //!
 //! Results land in `BENCH_campaign.json` (stable schema,
-//! `schema_version` 9; `host_cores` records the recording host's
+//! `schema_version` 10; `host_cores` records the recording host's
 //! available parallelism next to the sweep so readers can tell scaling
 //! from oversubscription; each sweep entry carries its
 //! `parallel_efficiency` = trials/sec ÷ (workers × workers=1 trials/sec)).
@@ -154,7 +158,7 @@ fn best_of<F: FnMut()>(reps: u32, mut op: F) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Report schema (schema_version 9 — keep stable, future changes diff this).
+// Report schema (schema_version 10 — keep stable, future changes diff this).
 // ---------------------------------------------------------------------
 
 /// The headline campaign run: full-plan wall clock and derived rates.
@@ -211,6 +215,10 @@ struct AllocProbe {
     /// errors, deadline misses and budget overruns every period). Must
     /// be 0.
     overrun_trial_allocs: u64,
+    /// Heap allocations of the worse of two severe-slowdown trials on a
+    /// warmed node (SAFE_CC slowed 100× and 300×: six DTC codes live at
+    /// the horizon). Must be 0.
+    slowdown_trial_allocs: u64,
 }
 
 /// Snapshot probe on a standalone node: what one capture and one
@@ -360,6 +368,22 @@ fn overrun_spec() -> TrialSpec {
     }
 }
 
+/// A trial that slows SAFE_CC `factor`× from 300 to 700 ms: its task
+/// overruns, and the node ends the horizon with six DTC codes live.
+fn slowdown_spec(factor: u64) -> TrialSpec {
+    TrialSpec {
+        seed: 0x5100 + factor,
+        injection: Injection::new(
+            ErrorClass::ExecutionSlowdown {
+                runnable: RunnableId(4),
+                scale_ppm: factor * 1_000_000,
+            },
+            Instant::from_millis(300),
+            Instant::from_millis(700),
+        ),
+    }
+}
+
 /// Measures heap allocations of one trial of `spec` on a warmed, reused
 /// node — `restore_from` of its t=0 snapshot, `Injector::reload`,
 /// `run_until`, the way a campaign worker reuses its node (minimum over
@@ -469,6 +493,7 @@ fn validate_emitted_json(path: &str) {
                 "horizon_scaling_allocs",
                 "faulty_trial_allocs",
                 "overrun_trial_allocs",
+                "slowdown_trial_allocs",
             ][..],
         ),
         (probe("snapshot"), &["capture_ns", "restore_ns", "snapshot_allocs"][..]),
@@ -561,6 +586,20 @@ fn main() {
         "overrunning trial allocated {overrun_allocs} heap blocks — a \
          per-error or per-detection allocation crept back in"
     );
+
+    // Severe-slowdown probe: a task slowed far past its period records
+    // more DTC codes than a skipped runnable does, and the rewind retires
+    // them; re-recording them must reuse the retained DTC memory.
+    let slowdown_allocs = [100, 300].map(|factor| {
+        let allocs = measure_trial_allocs(&probe_blueprint, &slowdown_spec(factor), HORIZON);
+        println!("{factor}x-slowdown-trial allocs/trial: {allocs}");
+        assert_eq!(
+            allocs, 0,
+            "{factor}x-slowdown trial allocated {allocs} heap blocks — the DTC \
+             memory stopped reusing its retained records"
+        );
+        allocs
+    });
 
     // Snapshot probe: the checkpoint machinery the engine is built on,
     // measured in isolation. The allocation gate holds at every size — it
@@ -695,7 +734,7 @@ fn main() {
     }
 
     let report = Report {
-        schema_version: 9,
+        schema_version: 10,
         trials,
         workers: workers as u64,
         simulated_ms_per_trial,
@@ -708,6 +747,7 @@ fn main() {
             horizon_scaling_allocs: scaling,
             faulty_trial_allocs: faulty_allocs,
             overrun_trial_allocs: overrun_allocs,
+            slowdown_trial_allocs: slowdown_allocs.into_iter().max().unwrap_or(0),
         },
         snapshot,
         worker_sweep,

@@ -15,26 +15,15 @@ use easis_osek::task::TaskId;
 use easis_sim::time::Instant;
 use std::sync::{Arc, Mutex};
 
-/// Statistics collected by a task-granularity monitor.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct TaskMonitorStats {
-    /// Detections per task, indexed by task id (grown on first detection).
-    detections: Vec<u32>,
-    first_detection: Option<(TaskId, Instant)>,
-}
-
-impl Clone for TaskMonitorStats {
-    fn clone(&self) -> Self {
-        TaskMonitorStats {
-            detections: self.detections.clone(),
-            first_detection: self.first_detection,
-        }
-    }
-
-    // Field-wise so a capture into a warm snapshot reuses its buffer.
-    fn clone_from(&mut self, source: &Self) {
-        self.detections.clone_from(&source.detections);
-        self.first_detection = source.first_detection;
+easis_sim::clone_fields! {
+    /// Statistics collected by a task-granularity monitor: its runtime
+    /// state. `clone_from` into a warm checkpoint reuses its buffer.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    pub struct TaskMonitorStats {
+        /// Detections per task, indexed by task id (grown on first
+        /// detection).
+        detections: Vec<u32>,
+        first_detection: Option<(TaskId, Instant)>,
     }
 }
 

@@ -29,6 +29,7 @@
 //! speedup assertions are skipped below 1,000,000 iterations so CI smoke
 //! runs stay timing-noise-proof).
 
+use easis_obs::ObsSink;
 use easis_osek::error::OsError;
 use easis_osek::plan::{EffectCtx, KernelServices, Plan, ServiceCore, TaskBody};
 use easis_osek::task::{EventMask, TaskId, TaskState};
@@ -518,7 +519,12 @@ fn bench_heartbeat(iterations: u64) -> Comparison {
     let mut costs = CostMeter::new();
     let mut i = 0u32;
     let dense_ns = measure(iterations, || {
-        dense.record(RunnableId(i % MONITORED), Instant::ZERO, &mut costs);
+        dense.record(
+            RunnableId(i % MONITORED),
+            Instant::ZERO,
+            &mut costs,
+            &ObsSink::DISABLED,
+        );
         i = i.wrapping_add(1);
     });
     black_box(dense.counters(RunnableId(0)));
@@ -564,9 +570,9 @@ fn bench_cycle_check(iterations: u64) -> Comparison {
     let mut faults = Vec::new();
     let dense_ns = measure(cycles, || {
         for i in 0..MONITORED {
-            dense.record(RunnableId(i), Instant::ZERO, &mut costs);
+            dense.record(RunnableId(i), Instant::ZERO, &mut costs, &ObsSink::DISABLED);
         }
-        dense.end_of_cycle_into(Instant::ZERO, &mut costs, &mut faults);
+        dense.end_of_cycle_into(Instant::ZERO, &mut costs, &mut faults, &ObsSink::DISABLED);
     });
     assert!(faults.is_empty(), "nominal cycles must stay fault-free");
 

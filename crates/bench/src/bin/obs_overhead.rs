@@ -48,14 +48,13 @@ fn ns_per_record(sink: &ObsSink) -> f64 {
 fn sim_cost(obs: ObsSink) -> u64 {
     let r = RunnableId(0);
     let mut monitor = HeartbeatMonitor::new([RunnableHypothesis::new(r).alive_at_least(1, 1)]);
-    monitor.attach_obs(obs);
     let mut costs = CostMeter::new();
     for cycle in 1..=CYCLES {
         // Miss every fourth beat so the fault path records events too.
         if cycle % 4 != 0 {
-            monitor.record(r, SimInstant::from_millis(cycle * 10 - 5), &mut costs);
+            monitor.record(r, SimInstant::from_millis(cycle * 10 - 5), &mut costs, &obs);
         }
-        let _ = monitor.end_of_cycle(SimInstant::from_millis(cycle * 10), &mut costs);
+        let _ = monitor.end_of_cycle(SimInstant::from_millis(cycle * 10), &mut costs, &obs);
     }
     costs.total_cycles()
 }

@@ -17,59 +17,46 @@ use easis_sim::time::Duration;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A frozen interner from sparse `u32` identifiers (runnable or task
-/// numbers) to dense slot indices `0..len`.
-///
-/// The watchdog's hot path — one look-up per heartbeat indication and per
-/// program-flow check — must not pay a pointer-chasing map probe. The
-/// interner is built once (at [`WatchdogConfig`] build time) from every
-/// identifier the watchdog will ever see, after which each monitoring unit
-/// stores its state in flat arrays indexed by slot. Slots are assigned in
-/// ascending identifier order, so a linear sweep over the slots visits
-/// identifiers in exactly the order the previous `BTreeMap`-based
-/// implementation iterated them — the rewrite is observation-equivalent.
-///
-/// Look-ups are O(1) through a direct-mapped table whenever the largest
-/// interned identifier is small (the common case: runnable ids are dense
-/// by construction); pathological sparse id spaces fall back to a binary
-/// search over the sorted slot table.
-///
-/// # Examples
-///
-/// ```
-/// use easis_watchdog::config::IdIndex;
-///
-/// let index = IdIndex::from_ids([7, 3, 3, 11]);
-/// assert_eq!(index.len(), 3);
-/// assert_eq!(index.slot_of(3), Some(0));
-/// assert_eq!(index.slot_of(7), Some(1));
-/// assert_eq!(index.slot_of(11), Some(2));
-/// assert_eq!(index.slot_of(5), None);
-/// assert_eq!(index.id_at(2), 11);
-/// ```
-#[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IdIndex {
-    /// Slot → identifier, ascending (the slot table).
-    ids: Vec<u32>,
-    /// Identifier → slot, [`IdIndex::NO_SLOT`] where absent. Present only
-    /// while the largest identifier stays below
-    /// [`IdIndex::DIRECT_MAP_LIMIT`]; empty otherwise (binary-search
-    /// fallback).
-    direct: Vec<u32>,
-}
-
-impl Clone for IdIndex {
-    fn clone(&self) -> Self {
-        IdIndex {
-            ids: self.ids.clone(),
-            direct: self.direct.clone(),
-        }
-    }
-
-    // Capacity-retained for the watchdog snapshot path.
-    fn clone_from(&mut self, source: &Self) {
-        self.ids.clone_from(&source.ids);
-        self.direct.clone_from(&source.direct);
+easis_sim::clone_fields! {
+    /// A frozen interner from sparse `u32` identifiers (runnable or task
+    /// numbers) to dense slot indices `0..len`.
+    ///
+    /// The watchdog's hot path — one look-up per heartbeat indication and per
+    /// program-flow check — must not pay a pointer-chasing map probe. The
+    /// interner is built once (at [`WatchdogConfig`] build time) from every
+    /// identifier the watchdog will ever see, after which each monitoring unit
+    /// stores its state in flat arrays indexed by slot. Slots are assigned in
+    /// ascending identifier order, so a linear sweep over the slots visits
+    /// identifiers in exactly the order the previous `BTreeMap`-based
+    /// implementation iterated them — the rewrite is observation-equivalent.
+    ///
+    /// Look-ups are O(1) through a direct-mapped table whenever the largest
+    /// interned identifier is small (the common case: runnable ids are dense
+    /// by construction); pathological sparse id spaces fall back to a binary
+    /// search over the sorted slot table.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use easis_watchdog::config::IdIndex;
+    ///
+    /// let index = IdIndex::from_ids([7, 3, 3, 11]);
+    /// assert_eq!(index.len(), 3);
+    /// assert_eq!(index.slot_of(3), Some(0));
+    /// assert_eq!(index.slot_of(7), Some(1));
+    /// assert_eq!(index.slot_of(11), Some(2));
+    /// assert_eq!(index.slot_of(5), None);
+    /// assert_eq!(index.id_at(2), 11);
+    /// ```
+    #[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct IdIndex {
+        /// Slot → identifier, ascending (the slot table).
+        ids: Vec<u32>,
+        /// Identifier → slot, [`IdIndex::NO_SLOT`] where absent. Present only
+        /// while the largest identifier stays below
+        /// [`IdIndex::DIRECT_MAP_LIMIT`]; empty otherwise (binary-search
+        /// fallback).
+        direct: Vec<u32>,
     }
 }
 

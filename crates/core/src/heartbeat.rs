@@ -25,46 +25,35 @@ pub const HEARTBEAT_COST_CYCLES: u64 = 9;
 /// Abstract CPU cost (cycles) of the per-runnable end-of-cycle check.
 pub const CHECK_COST_CYCLES: u64 = 23;
 
-/// The heartbeat monitoring unit: one counter set per monitored runnable.
-///
-/// Runnables are interned into dense slots ([`IdIndex`], ascending id
-/// order), and the AC/ARC/CCA/CCAR counters plus Activation Status live in
-/// packed parallel arrays indexed by slot — one heartbeat indication is a
-/// slot lookup and two array increments (branch-light O(1)), and the
-/// end-of-cycle check is a linear sweep over contiguous slices. Sweeping
-/// slots in ascending order reproduces the previous `BTreeMap` iteration
-/// order exactly, so fault ordering, cost charges, and observability
-/// events are unchanged.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HeartbeatMonitor {
-    index: IdIndex,
-    hypotheses: Vec<RunnableHypothesis>,
-    ac: Vec<u32>,
-    arc: Vec<u32>,
-    cca: Vec<u32>,
-    ccar: Vec<u32>,
-    active: Vec<bool>,
-    aliveness_errors: Vec<u32>,
-    arrival_rate_errors: Vec<u32>,
-    obs: ObsSink,
-}
-
-/// Plain-data image of a [`HeartbeatMonitor`] for snapshot/restore.
-/// Excludes the observability sink: it is wiring, not state (scenarios
-/// attach their own, and a restore keeps it).
-/// Equality is field-for-field: the macro-stepping engine compares two
-/// samples, and a quiescent hyperperiod leaves every column unchanged.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HeartbeatSnapshot {
-    index: IdIndex,
-    hypotheses: Vec<RunnableHypothesis>,
-    ac: Vec<u32>,
-    arc: Vec<u32>,
-    cca: Vec<u32>,
-    ccar: Vec<u32>,
-    active: Vec<bool>,
-    aliveness_errors: Vec<u32>,
-    arrival_rate_errors: Vec<u32>,
+easis_sim::clone_fields! {
+    /// The heartbeat monitoring unit: one counter set per monitored
+    /// runnable.
+    ///
+    /// Runnables are interned into dense slots ([`IdIndex`], ascending id
+    /// order), and the AC/ARC/CCA/CCAR counters plus Activation Status live
+    /// in packed parallel arrays indexed by slot — one heartbeat indication
+    /// is a slot lookup and two array increments (branch-light O(1)), and
+    /// the end-of-cycle check is a linear sweep over contiguous slices.
+    /// Sweeping slots in ascending order reproduces the previous `BTreeMap`
+    /// iteration order exactly, so fault ordering, cost charges, and
+    /// observability events are unchanged.
+    ///
+    /// The unit is all runtime state — the index and the hypotheses too,
+    /// because [`HeartbeatMonitor::reconfigure`] changes them — so it is
+    /// its own checkpoint. Its only wiring, the observability sink, is an
+    /// argument of the calls that record.
+    #[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
+    pub struct HeartbeatMonitor {
+        index: IdIndex,
+        hypotheses: Vec<RunnableHypothesis>,
+        ac: Vec<u32>,
+        arc: Vec<u32>,
+        cca: Vec<u32>,
+        ccar: Vec<u32>,
+        active: Vec<bool>,
+        aliveness_errors: Vec<u32>,
+        arrival_rate_errors: Vec<u32>,
+    }
 }
 
 impl HeartbeatMonitor {
@@ -85,7 +74,6 @@ impl HeartbeatMonitor {
             active: Vec::with_capacity(by_id.len()),
             aliveness_errors: vec![0; by_id.len()],
             arrival_rate_errors: vec![0; by_id.len()],
-            obs: ObsSink::disabled(),
         };
         for (_, h) in by_id {
             monitor.active.push(h.initially_active);
@@ -94,34 +82,41 @@ impl HeartbeatMonitor {
         monitor
     }
 
-    /// Attaches an observability sink; a disabled sink (the default)
-    /// makes every recording call a no-op.
-    pub fn attach_obs(&mut self, obs: ObsSink) {
-        self.obs = obs;
-    }
-
     /// Records one aliveness indication at `now`. Unmonitored runnables
     /// and runnables with a cleared activation status are ignored (the
     /// glue call is still charged to `costs`, as the AS test itself costs
-    /// cycles).
+    /// cycles). Counted indications are recorded to `obs` (a disabled sink
+    /// records nothing).
     #[inline]
-    pub fn record(&mut self, runnable: RunnableId, now: Instant, costs: &mut CostMeter) {
+    pub fn record(
+        &mut self,
+        runnable: RunnableId,
+        now: Instant,
+        costs: &mut CostMeter,
+        obs: &ObsSink,
+    ) {
         costs.charge(HEARTBEAT_COST_CYCLES);
         if let Some(slot) = self.index.slot_of_runnable(runnable) {
             let slot = slot as usize;
             if self.active[slot] {
                 self.ac[slot] = self.ac[slot].saturating_add(1);
                 self.arc[slot] = self.arc[slot].saturating_add(1);
-                self.obs.record(now, ObsEvent::HeartbeatRecorded { runnable });
+                obs.record(now, ObsEvent::HeartbeatRecorded { runnable });
             }
         }
     }
 
     /// Advances all cycle counters by one watchdog cycle and performs the
-    /// end-of-period checks. Returns the faults detected in this cycle.
-    pub fn end_of_cycle(&mut self, now: Instant, costs: &mut CostMeter) -> Vec<DetectedFault> {
+    /// end-of-period checks. Returns the faults detected in this cycle,
+    /// recording each to `obs`.
+    pub fn end_of_cycle(
+        &mut self,
+        now: Instant,
+        costs: &mut CostMeter,
+        obs: &ObsSink,
+    ) -> Vec<DetectedFault> {
         let mut faults = Vec::new();
-        self.end_of_cycle_into(now, costs, &mut faults);
+        self.end_of_cycle_into(now, costs, &mut faults, obs);
         faults
     }
 
@@ -133,6 +128,7 @@ impl HeartbeatMonitor {
         now: Instant,
         costs: &mut CostMeter,
         faults: &mut Vec<DetectedFault>,
+        obs: &ObsSink,
     ) {
         for slot in 0..self.index.len() {
             if !self.active[slot] {
@@ -145,7 +141,7 @@ impl HeartbeatMonitor {
                 if self.cca[slot] >= spec.cycles {
                     if self.ac[slot] < spec.min_indications {
                         self.aliveness_errors[slot] += 1;
-                        self.obs.record(
+                        obs.record(
                             now,
                             ObsEvent::FaultDetected {
                                 runnable,
@@ -167,7 +163,7 @@ impl HeartbeatMonitor {
                 if self.ccar[slot] >= spec.cycles {
                     if self.arc[slot] > spec.max_indications {
                         self.arrival_rate_errors[slot] += 1;
-                        self.obs.record(
+                        obs.record(
                             now,
                             ObsEvent::FaultDetected {
                                 runnable,
@@ -270,35 +266,11 @@ impl HeartbeatMonitor {
     pub fn monitored(&self) -> impl Iterator<Item = RunnableId> + '_ {
         self.index.iter().map(RunnableId)
     }
-
-    /// Captures the monitor into `snap`, retaining the snapshot's existing
-    /// buffer capacity (allocation-free once warm).
-    pub fn snapshot_into(&self, snap: &mut HeartbeatSnapshot) {
-        snap.index.clone_from(&self.index);
-        snap.hypotheses.clone_from(&self.hypotheses);
-        snap.ac.clone_from(&self.ac);
-        snap.arc.clone_from(&self.arc);
-        snap.cca.clone_from(&self.cca);
-        snap.ccar.clone_from(&self.ccar);
-        snap.active.clone_from(&self.active);
-        snap.aliveness_errors.clone_from(&self.aliveness_errors);
-        snap.arrival_rate_errors.clone_from(&self.arrival_rate_errors);
-    }
-
-    /// Restores the monitor from `snap`, copying every column into the
-    /// monitor's retained buffers.
-    pub fn restore_from(&mut self, snap: &HeartbeatSnapshot) {
-        self.index.clone_from(&snap.index);
-        self.hypotheses.clone_from(&snap.hypotheses);
-        self.ac.clone_from(&snap.ac);
-        self.arc.clone_from(&snap.arc);
-        self.cca.clone_from(&snap.cca);
-        self.ccar.clone_from(&snap.ccar);
-        self.active.clone_from(&snap.active);
-        self.aliveness_errors.clone_from(&snap.aliveness_errors);
-        self.arrival_rate_errors.clone_from(&snap.arrival_rate_errors);
-    }
 }
+
+/// The disabled sink the unit tests record to.
+#[cfg(test)]
+const OFF: &ObsSink = &ObsSink::DISABLED;
 
 #[cfg(test)]
 mod tests {
@@ -322,8 +294,8 @@ mod tests {
         let mut m = monitor_one();
         let mut costs = CostMeter::new();
         for cycle in 0..10u64 {
-            m.record(r(0), t(cycle * 10), &mut costs);
-            assert!(m.end_of_cycle(t(cycle * 10), &mut costs).is_empty());
+            m.record(r(0), t(cycle * 10), &mut costs, OFF);
+            assert!(m.end_of_cycle(t(cycle * 10), &mut costs, OFF).is_empty());
         }
         let c = m.counters(r(0)).unwrap();
         assert_eq!(c.aliveness_errors, 0);
@@ -335,8 +307,8 @@ mod tests {
         let mut m = monitor_one();
         let mut costs = CostMeter::new();
         // No heartbeats at all; period = 2 cycles.
-        assert!(m.end_of_cycle(t(10), &mut costs).is_empty()); // CCA=1
-        let faults = m.end_of_cycle(t(20), &mut costs); // CCA=2 → check
+        assert!(m.end_of_cycle(t(10), &mut costs, OFF).is_empty()); // CCA=1
+        let faults = m.end_of_cycle(t(20), &mut costs, OFF); // CCA=2 → check
         assert_eq!(faults.len(), 1);
         assert_eq!(faults[0].kind, FaultKind::Aliveness);
         assert_eq!(faults[0].at, t(20));
@@ -351,10 +323,10 @@ mod tests {
         let mut m = monitor_one();
         let mut costs = CostMeter::new();
         for _ in 0..5 {
-            m.record(r(0), t(0), &mut costs); // max 3 per 2 cycles
+            m.record(r(0), t(0), &mut costs, OFF); // max 3 per 2 cycles
         }
-        assert!(m.end_of_cycle(t(10), &mut costs).is_empty());
-        let faults = m.end_of_cycle(t(20), &mut costs);
+        assert!(m.end_of_cycle(t(10), &mut costs, OFF).is_empty());
+        let faults = m.end_of_cycle(t(20), &mut costs, OFF);
         assert_eq!(faults.len(), 1);
         assert_eq!(faults[0].kind, FaultKind::ArrivalRate);
         assert_eq!(m.counters(r(0)).unwrap().arrival_rate_errors, 1);
@@ -367,8 +339,8 @@ mod tests {
             RunnableHypothesis::new(r(1)).arrive_at_most(0, 1),
         ]);
         let mut costs = CostMeter::new();
-        m.record(r(1), t(0), &mut costs); // r0 silent, r1 over limit
-        let faults = m.end_of_cycle(t(10), &mut costs);
+        m.record(r(1), t(0), &mut costs, OFF); // r0 silent, r1 over limit
+        let faults = m.end_of_cycle(t(10), &mut costs, OFF);
         assert_eq!(faults.len(), 2);
     }
 
@@ -378,16 +350,16 @@ mod tests {
         let mut costs = CostMeter::new();
         assert!(m.set_active(r(0), false));
         for cycle in 0..6u64 {
-            let faults = m.end_of_cycle(t(cycle * 10), &mut costs);
+            let faults = m.end_of_cycle(t(cycle * 10), &mut costs, OFF);
             assert!(faults.is_empty());
         }
         assert!(!m.is_active(r(0)));
         // Heartbeats while inactive are not counted.
-        m.record(r(0), t(60), &mut costs);
+        m.record(r(0), t(60), &mut costs, OFF);
         assert_eq!(m.counters(r(0)).unwrap().ac, 0);
         // Re-arming restarts cleanly.
         assert!(m.set_active(r(0), true));
-        m.record(r(0), t(70), &mut costs);
+        m.record(r(0), t(70), &mut costs, OFF);
         assert_eq!(m.counters(r(0)).unwrap().ac, 1);
     }
 
@@ -395,7 +367,7 @@ mod tests {
     fn unmonitored_runnable_is_ignored_but_charged() {
         let mut m = monitor_one();
         let mut costs = CostMeter::new();
-        m.record(r(9), t(0), &mut costs);
+        m.record(r(9), t(0), &mut costs, OFF);
         assert_eq!(costs.operations(), 1);
         assert!(m.counters(r(9)).is_none());
         assert!(!m.set_active(r(9), true));
@@ -410,9 +382,9 @@ mod tests {
         let mut costs = CostMeter::new();
         // 2 heartbeats in cycle 1 → arrival fault at the 1-cycle boundary,
         // while the 3-cycle aliveness window is still open.
-        m.record(r(0), t(0), &mut costs);
-        m.record(r(0), t(0), &mut costs);
-        let f1 = m.end_of_cycle(t(10), &mut costs);
+        m.record(r(0), t(0), &mut costs, OFF);
+        m.record(r(0), t(0), &mut costs, OFF);
+        let f1 = m.end_of_cycle(t(10), &mut costs, OFF);
         assert_eq!(f1.len(), 1);
         assert_eq!(f1[0].kind, FaultKind::ArrivalRate);
         // ARC reset but AC kept (separate windows).
@@ -427,7 +399,7 @@ mod tests {
             RunnableHypothesis::new(r(1)).alive_at_least(1, 1).initially_inactive(),
         ]);
         let mut costs = CostMeter::new();
-        let _ = m.end_of_cycle(t(10), &mut costs);
+        let _ = m.end_of_cycle(t(10), &mut costs, OFF);
         assert_eq!(costs.total_cycles(), CHECK_COST_CYCLES); // only r0 active
     }
 
@@ -453,7 +425,7 @@ mod reconfig_tests {
     fn reconfigure_replaces_hypothesis_and_resets_counters() {
         let mut m = HeartbeatMonitor::new([RunnableHypothesis::new(r(0)).alive_at_least(1, 1)]);
         let mut costs = CostMeter::new();
-        m.record(r(0), t(0), &mut costs);
+        m.record(r(0), t(0), &mut costs, OFF);
         assert_eq!(m.counters(r(0)).unwrap().ac, 1);
         // Degraded mode: the runnable now runs every 4 cycles.
         m.reconfigure(RunnableHypothesis::new(r(0)).alive_at_least(1, 4));
@@ -461,10 +433,10 @@ mod reconfig_tests {
         assert_eq!((c.ac, c.cca), (0, 0));
         // Three silent cycles are now fine…
         for cycle in 1..=3 {
-            assert!(m.end_of_cycle(t(cycle * 10), &mut costs).is_empty());
+            assert!(m.end_of_cycle(t(cycle * 10), &mut costs, OFF).is_empty());
         }
         // …the fourth closes the window and reports.
-        assert_eq!(m.end_of_cycle(t(40), &mut costs).len(), 1);
+        assert_eq!(m.end_of_cycle(t(40), &mut costs, OFF).len(), 1);
     }
 
     #[test]
@@ -481,7 +453,7 @@ mod reconfig_tests {
         let mut costs = CostMeter::new();
         m.reconfigure(RunnableHypothesis::new(r(5)).alive_at_least(1, 1));
         assert!(m.is_active(r(5)));
-        let faults = m.end_of_cycle(t(10), &mut costs);
+        let faults = m.end_of_cycle(t(10), &mut costs, OFF);
         assert_eq!(faults.len(), 1, "new hypothesis is enforced immediately");
     }
 
@@ -489,7 +461,7 @@ mod reconfig_tests {
     fn reconfigure_keeps_error_history() {
         let mut m = HeartbeatMonitor::new([RunnableHypothesis::new(r(0)).alive_at_least(1, 1)]);
         let mut costs = CostMeter::new();
-        assert_eq!(m.end_of_cycle(t(10), &mut costs).len(), 1);
+        assert_eq!(m.end_of_cycle(t(10), &mut costs, OFF).len(), 1);
         m.reconfigure(RunnableHypothesis::new(r(0)).alive_at_least(1, 2));
         assert_eq!(m.counters(r(0)).unwrap().aliveness_errors, 1);
     }
@@ -506,10 +478,10 @@ mod reconfig_tests {
         // Known to the unit now, but its AS starts cleared: no check runs.
         assert!(!m.is_active(r(7)));
         assert!(m.counters(r(7)).is_some());
-        assert!(m.end_of_cycle(t(10), &mut costs).is_empty());
+        assert!(m.end_of_cycle(t(10), &mut costs, OFF).is_empty());
         // Arming it makes the hypothesis effective.
         assert!(m.set_active(r(7), true));
-        assert_eq!(m.end_of_cycle(t(20), &mut costs).len(), 1);
+        assert_eq!(m.end_of_cycle(t(20), &mut costs, OFF).len(), 1);
     }
 }
 
@@ -531,9 +503,9 @@ mod activation_tests {
             .arrive_at_most(5, 4)]);
         let mut costs = CostMeter::new();
         // Two cycles into the 4-cycle period, with one heartbeat counted.
-        m.record(r(0), t(5), &mut costs);
-        assert!(m.end_of_cycle(t(10), &mut costs).is_empty());
-        assert!(m.end_of_cycle(t(20), &mut costs).is_empty());
+        m.record(r(0), t(5), &mut costs, OFF);
+        assert!(m.end_of_cycle(t(10), &mut costs, OFF).is_empty());
+        assert!(m.end_of_cycle(t(20), &mut costs, OFF).is_empty());
         let c = m.counters(r(0)).unwrap();
         assert_eq!((c.ac, c.arc, c.cca, c.ccar), (1, 1, 2, 2));
         // Clearing the AS mid-period wipes counters and cycle positions.
@@ -553,38 +525,37 @@ mod activation_tests {
         let mut costs = CostMeter::new();
         m.set_active(r(0), false);
         for cycle in 1..=10u64 {
-            assert!(m.end_of_cycle(t(cycle * 10), &mut costs).is_empty());
+            assert!(m.end_of_cycle(t(cycle * 10), &mut costs, OFF).is_empty());
         }
         m.set_active(r(0), true);
         // First full period after re-arming: heartbeats arrive → no fault,
         // and CCA starts from zero (not inherited from the gap).
-        m.record(r(0), t(105), &mut costs);
-        assert!(m.end_of_cycle(t(110), &mut costs).is_empty());
+        m.record(r(0), t(105), &mut costs, OFF);
+        assert!(m.end_of_cycle(t(110), &mut costs, OFF).is_empty());
         assert_eq!(m.counters(r(0)).unwrap().cca, 1);
-        assert!(m.end_of_cycle(t(120), &mut costs).is_empty());
+        assert!(m.end_of_cycle(t(120), &mut costs, OFF).is_empty());
         assert_eq!(m.counters(r(0)).unwrap().aliveness_errors, 0);
         // Only genuinely silent periods after reactivation report.
-        assert!(m.end_of_cycle(t(130), &mut costs).is_empty());
-        assert_eq!(m.end_of_cycle(t(140), &mut costs).len(), 1);
+        assert!(m.end_of_cycle(t(130), &mut costs, OFF).is_empty());
+        assert_eq!(m.end_of_cycle(t(140), &mut costs, OFF).len(), 1);
     }
 
     #[test]
     fn snapshot_restore_returns_to_captured_state() {
         let mut m = HeartbeatMonitor::new([RunnableHypothesis::new(r(0)).alive_at_least(1, 4)]);
-        let mut fresh = HeartbeatSnapshot::default();
-        m.snapshot_into(&mut fresh);
+        let fresh = m.clone();
         let mut costs = CostMeter::new();
-        m.record(r(0), t(0), &mut costs);
-        let mut snap = HeartbeatSnapshot::default();
-        m.snapshot_into(&mut snap);
-        m.record(r(0), t(1), &mut costs);
+        m.record(r(0), t(0), &mut costs, OFF);
+        let mut snap = HeartbeatMonitor::default();
+        snap.clone_from(&m);
+        m.record(r(0), t(1), &mut costs, OFF);
         m.set_active(r(0), false);
-        m.restore_from(&snap);
+        m.clone_from(&snap);
         assert_eq!(m.counters(r(0)).unwrap().ac, 1, "restored to capture state");
         assert!(m.is_active(r(0)), "restored to the captured AS");
-        m.restore_from(&fresh);
-        assert_eq!(m.counters(r(0)).unwrap().ac, 0, "rewound to the fresh unit");
-        m.restore_from(&snap);
+        m.clone_from(&fresh);
+        assert_eq!(m, fresh, "rewound to the fresh unit");
+        m.clone_from(&snap);
         assert_eq!(m.counters(r(0)).unwrap().ac, 1, "restore after a rewind");
     }
 
@@ -592,11 +563,10 @@ mod activation_tests {
     fn deactivation_stops_heartbeat_obs_events_too() {
         let mut m = HeartbeatMonitor::new([RunnableHypothesis::new(r(0)).alive_at_least(1, 1)]);
         let sink = easis_obs::ObsSink::enabled(16);
-        m.attach_obs(sink.clone());
         let mut costs = CostMeter::new();
-        m.record(r(0), t(1), &mut costs);
+        m.record(r(0), t(1), &mut costs, &sink);
         m.set_active(r(0), false);
-        m.record(r(0), t(2), &mut costs);
+        m.record(r(0), t(2), &mut costs, &sink);
         assert_eq!(sink.counter("heartbeat_recorded"), 1, "inactive beats unrecorded");
     }
 }

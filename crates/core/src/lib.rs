@@ -70,10 +70,10 @@ pub mod validate;
 
 pub use config::{AlivenessSpec, ArrivalRateSpec, IdIndex, RunnableHypothesis, WatchdogConfig};
 pub use heartbeat::HeartbeatMonitor;
-pub use pfc::{CompiledFlowTable, FlowTable, FlowVerdict, ProgramFlowChecker};
+pub use pfc::{CompiledFlowTable, FlowTable, FlowVerdict, PfcState, ProgramFlowChecker};
 pub use probe::ActiveProbeMonitor;
 pub use report::{DetectedFault, FaultKind, HealthState, RunnableCounters, StateChange};
-pub use service::{CycleReport, SoftwareWatchdog, WatchdogCycleDelta, WatchdogSnapshot};
+pub use service::{CycleReport, SoftwareWatchdog, WatchdogCycleDelta, WatchdogState};
 pub use unit::{MonitorEvent, MonitoringUnit};
 pub use validate::{validate, ConfigIssue};
-pub use tsi::TaskStateIndication;
+pub use tsi::{TaskStateIndication, TsiState};

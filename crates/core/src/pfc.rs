@@ -219,15 +219,78 @@ impl CompiledFlowTable {
     }
 }
 
-/// The PFC unit: compiled table + last-observed monitored runnable slot.
+easis_sim::clone_fields! {
+    /// Runtime state of one program-flow checker: its position in the
+    /// observed sequence and its violation count. The look-up table is
+    /// wiring and is an argument of [`PfcState::observe`]; the watchdog
+    /// keeps one state per task scope over one shared table.
+    #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct PfcState {
+        /// Slot of the last observed monitored runnable;
+        /// [`IdIndex::NO_SLOT`] at a sequence start.
+        last_slot: u32,
+        errors_detected: u64,
+    }
+}
+
+/// At a sequence start, with no violations.
+impl Default for PfcState {
+    fn default() -> Self {
+        PfcState {
+            last_slot: IdIndex::NO_SLOT,
+            errors_detected: 0,
+        }
+    }
+}
+
+impl PfcState {
+    /// Observes one heartbeat in program order against `table` and returns
+    /// the verdict. Unmonitored runnables are ignored entirely (always
+    /// `Ok`, do not update the predecessor).
+    #[inline]
+    pub fn observe(&mut self, table: &CompiledFlowTable, runnable: RunnableId) -> FlowVerdict {
+        let Some(slot) = table.slot_of(runnable) else {
+            return FlowVerdict::Ok;
+        };
+        let verdict = if self.last_slot == IdIndex::NO_SLOT {
+            if table.is_entry(slot) {
+                FlowVerdict::Ok
+            } else {
+                FlowVerdict::Violation { predecessor: None }
+            }
+        } else if table.allows(self.last_slot, slot) {
+            FlowVerdict::Ok
+        } else {
+            FlowVerdict::Violation {
+                predecessor: Some(table.runnable_at(self.last_slot)),
+            }
+        };
+        if let FlowVerdict::Violation { .. } = verdict {
+            self.errors_detected += 1;
+        }
+        self.last_slot = slot;
+        verdict
+    }
+
+    /// Resets the sequence position (e.g. after fault treatment), keeping
+    /// the cumulative error count.
+    pub fn reset_position(&mut self) {
+        self.last_slot = IdIndex::NO_SLOT;
+    }
+
+    /// Cumulative violations detected.
+    pub fn errors_detected(&self) -> u64 {
+        self.errors_detected
+    }
+}
+
+/// The PFC unit: the look-up table (builder and compiled form), an
+/// observability sink and one [`PfcState`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProgramFlowChecker {
     table: FlowTable,
     compiled: CompiledFlowTable,
-    /// Slot of the last observed monitored runnable;
-    /// [`IdIndex::NO_SLOT`] at a sequence start.
-    last_slot: u32,
-    errors_detected: u64,
+    state: PfcState,
     obs: ObsSink,
     /// Violations observed through the [`crate::unit::MonitoringUnit`]
     /// interface, buffered until the next `check` drains them. The inherent
@@ -255,8 +318,7 @@ impl ProgramFlowChecker {
         ProgramFlowChecker {
             table,
             compiled,
-            last_slot: IdIndex::NO_SLOT,
-            errors_detected: 0,
+            state: PfcState::default(),
             obs: ObsSink::disabled(),
             pending: Vec::new(),
         }
@@ -273,27 +335,7 @@ impl ProgramFlowChecker {
     /// update the predecessor).
     #[inline]
     pub fn observe(&mut self, runnable: RunnableId) -> FlowVerdict {
-        let Some(slot) = self.compiled.slot_of(runnable) else {
-            return FlowVerdict::Ok;
-        };
-        let verdict = if self.last_slot == IdIndex::NO_SLOT {
-            if self.compiled.is_entry(slot) {
-                FlowVerdict::Ok
-            } else {
-                FlowVerdict::Violation { predecessor: None }
-            }
-        } else if self.compiled.allows(self.last_slot, slot) {
-            FlowVerdict::Ok
-        } else {
-            FlowVerdict::Violation {
-                predecessor: Some(self.compiled.runnable_at(self.last_slot)),
-            }
-        };
-        if let FlowVerdict::Violation { .. } = verdict {
-            self.errors_detected += 1;
-        }
-        self.last_slot = slot;
-        verdict
+        self.state.observe(&self.compiled, runnable)
     }
 
     /// Observes one heartbeat like [`ProgramFlowChecker::observe`], and
@@ -326,12 +368,12 @@ impl ProgramFlowChecker {
     /// Resets the sequence position (e.g. after fault treatment), keeping
     /// the cumulative error count.
     pub fn reset_position(&mut self) {
-        self.last_slot = IdIndex::NO_SLOT;
+        self.state.reset_position();
     }
 
     /// Cumulative violations detected.
     pub fn errors_detected(&self) -> u64 {
-        self.errors_detected
+        self.state.errors_detected
     }
 
     /// The table in use (builder form; the checker runs on its compiled
@@ -347,48 +389,8 @@ impl ProgramFlowChecker {
 
     /// Last observed monitored runnable.
     pub fn last_observed(&self) -> Option<RunnableId> {
-        (self.last_slot != IdIndex::NO_SLOT).then(|| self.compiled.runnable_at(self.last_slot))
-    }
-
-    /// Captures the mutable state into `snap`, retaining its buffer
-    /// capacity. The tables are static after construction and are *not*
-    /// captured.
-    pub fn snapshot_into(&self, snap: &mut PfcSnapshot) {
-        snap.last_slot = self.last_slot;
-        snap.errors_detected = self.errors_detected;
-        snap.pending.clear();
-        snap.pending.extend_from_slice(&self.pending);
-    }
-
-    /// Restores the mutable state captured by
-    /// [`ProgramFlowChecker::snapshot_into`].
-    pub fn restore_from(&mut self, snap: &PfcSnapshot) {
-        self.last_slot = snap.last_slot;
-        self.errors_detected = snap.errors_detected;
-        self.pending.clear();
-        self.pending.extend_from_slice(&snap.pending);
-    }
-}
-
-/// Plain-data image of a [`ProgramFlowChecker`]'s mutable state (position,
-/// error count, pending buffer). The flow table itself is construction-time
-/// configuration and lives outside the snapshot. `PartialEq` compares the
-/// full mutable state — the macro-stepping engine requires it unchanged
-/// across a quiescent hyperperiod.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PfcSnapshot {
-    last_slot: u32,
-    errors_detected: u64,
-    pending: Vec<crate::report::DetectedFault>,
-}
-
-impl Default for PfcSnapshot {
-    fn default() -> Self {
-        PfcSnapshot {
-            last_slot: IdIndex::NO_SLOT,
-            errors_detected: 0,
-            pending: Vec::new(),
-        }
+        let last = self.state.last_slot;
+        (last != IdIndex::NO_SLOT).then(|| self.compiled.runnable_at(last))
     }
 }
 

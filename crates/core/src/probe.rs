@@ -182,9 +182,11 @@ mod tests {
         for cycle in 2..=6u64 {
             // The runnable is now dead; the replayer repeats old traffic.
             probe.respond(r(0), stale, t(cycle * 10), &mut costs);
-            passive.record(r(0), t(cycle * 10), &mut costs);
+            passive.record(r(0), t(cycle * 10), &mut costs, &ObsSink::DISABLED);
             active_detected += probe.end_of_cycle(t(cycle * 10), &mut costs).len();
-            passive_detected += passive.end_of_cycle(t(cycle * 10), &mut costs).len();
+            passive_detected += passive
+                .end_of_cycle(t(cycle * 10), &mut costs, &ObsSink::DISABLED)
+                .len();
         }
         assert_eq!(active_detected, 5, "active must flag every replayed cycle");
         assert_eq!(passive_detected, 0, "passive counters accept the replay");
@@ -216,8 +218,8 @@ mod tests {
             let c = probe.challenge_for(r(0)).unwrap();
             probe.respond(r(0), expected_response(c), t(cycle * 10), &mut active_costs);
             probe.end_of_cycle(t(cycle * 10), &mut active_costs);
-            passive.record(r(0), t(cycle * 10), &mut passive_costs);
-            passive.end_of_cycle(t(cycle * 10), &mut passive_costs);
+            passive.record(r(0), t(cycle * 10), &mut passive_costs, &ObsSink::DISABLED);
+            passive.end_of_cycle(t(cycle * 10), &mut passive_costs, &ObsSink::DISABLED);
         }
         assert!(
             active_costs.total_cycles() > passive_costs.total_cycles(),

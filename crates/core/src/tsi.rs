@@ -6,6 +6,10 @@
 //! be considered faulty" (paper §3.5). Task verdicts roll up through the
 //! deployment mapping to application states and the global ECU state, which
 //! the Fault Management Framework translates into treatments.
+//!
+//! The unit is split like every runtime component: [`TaskStateIndication`]
+//! is its wiring (the mapping and the thresholds) and [`TsiState`] its
+//! runtime state, dense vectors sized when the state is built.
 
 use crate::report::{DetectedFault, FaultKind, HealthState, StateChange};
 use easis_obs::{ObsEvent, ObsSink, StateScope};
@@ -14,7 +18,6 @@ use easis_rte::mapping::{ApplicationId, SystemMapping};
 use easis_rte::runnable::RunnableId;
 use easis_sim::time::Instant;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One element of a task's error indication vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,17 +30,16 @@ pub struct ErrorIndication {
     pub count: u32,
 }
 
-/// The TSI unit.
+/// Elements of the error indication vector per runnable: one per
+/// [`FaultKind`], in its order.
+const KINDS: usize = FaultKind::ALL.len();
+
+/// The TSI unit's wiring: the deployment mapping and the thresholds.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskStateIndication {
     mapping: SystemMapping,
     threshold: u32,
     ecu_app_threshold: u32,
-    vectors: BTreeMap<TaskId, BTreeMap<(RunnableId, FaultKind), u32>>,
-    task_states: BTreeMap<TaskId, HealthState>,
-    app_states: BTreeMap<ApplicationId, HealthState>,
-    ecu_state: HealthState,
-    obs: ObsSink,
 }
 
 impl TaskStateIndication {
@@ -56,41 +58,106 @@ impl TaskStateIndication {
             mapping,
             threshold,
             ecu_app_threshold,
-            vectors: BTreeMap::new(),
-            task_states: BTreeMap::new(),
-            app_states: BTreeMap::new(),
-            ecu_state: HealthState::Ok,
-            obs: ObsSink::disabled(),
         }
     }
 
-    /// Attaches an observability sink; a disabled sink (the default)
-    /// makes every recording call a no-op.
-    pub fn attach_obs(&mut self, obs: ObsSink) {
-        self.obs = obs;
+    /// The deployment mapping.
+    pub fn mapping(&self) -> &SystemMapping {
+        &self.mapping
+    }
+
+    /// Faulty applications at which the ECU turns faulty.
+    fn ecu_needed(&self) -> usize {
+        if self.ecu_app_threshold == u32::MAX {
+            self.mapping.application_count().max(1)
+        } else {
+            self.ecu_app_threshold as usize
+        }
+    }
+
+    /// Runnables the mapping hosts on `task`, ascending.
+    fn runnables_of(&self, task: TaskId) -> impl Iterator<Item = RunnableId> + '_ {
+        self.mapping
+            .runnables()
+            .filter(move |&r| self.mapping.task_of(r) == Some(task))
+    }
+}
+
+easis_sim::clone_fields! {
+    /// Runtime state of the TSI unit: the error indication vectors and the
+    /// task, application and ECU verdicts. Every vector is dense and sized
+    /// from the mapping when the state is built — counts by runnable id and
+    /// fault kind, verdicts by task and application id — so two states
+    /// with the same meaning are equal, byte for byte: a task reset after
+    /// its faults equals one that never had any.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    pub struct TsiState {
+        /// Error count of element `runnable id × 3 + fault kind`.
+        counts: Vec<u32>,
+        /// Verdict by task id.
+        tasks: Vec<HealthState>,
+        /// Verdict by application id.
+        apps: Vec<HealthState>,
+        ecu: HealthState,
+    }
+}
+
+impl TsiState {
+    /// The state of a fresh unit: no errors, every verdict `Ok`.
+    pub fn new(tsi: &TaskStateIndication) -> Self {
+        let mapping = &tsi.mapping;
+        let runnables = mapping
+            .runnables()
+            .map(|r| r.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let tasks = mapping
+            .tasks()
+            .chain(mapping.runnables().filter_map(|r| mapping.task_of(r)))
+            .map(|t| t.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let apps = mapping
+            .tasks()
+            .filter_map(|t| mapping.app_of(t))
+            .map(|a| a.index() + 1)
+            .chain([mapping.application_count()])
+            .max()
+            .unwrap_or(0);
+        TsiState {
+            counts: vec![0; runnables * KINDS],
+            tasks: vec![HealthState::Ok; tasks],
+            apps: vec![HealthState::Ok; apps],
+            ecu: HealthState::Ok,
+        }
     }
 
     /// Records a detected runnable fault, updating the error indication
     /// vector of the hosting task and rolling states up. Returns the state
     /// changes this fault caused (possibly empty). Faults on unmapped
     /// runnables are counted under no task and change nothing.
-    pub fn record(&mut self, fault: DetectedFault) -> Vec<StateChange> {
+    pub fn record(&mut self, tsi: &TaskStateIndication, fault: DetectedFault) -> Vec<StateChange> {
         let mut changes = Vec::new();
-        self.record_into(fault, &mut changes);
+        self.record_into(tsi, fault, &mut changes, &ObsSink::DISABLED);
         changes
     }
 
-    /// Like [`TaskStateIndication::record`], but appends the state changes
-    /// to a caller-supplied buffer so a below-threshold fault performs no
-    /// allocation.
-    pub fn record_into(&mut self, fault: DetectedFault, changes: &mut Vec<StateChange>) {
-        let Some(task) = self.mapping.task_of(fault.runnable) else {
+    /// Like [`TsiState::record`], but appends the state changes to a
+    /// caller-supplied buffer so a below-threshold fault performs no
+    /// allocation, and records each increment and transition to `obs`.
+    pub fn record_into(
+        &mut self,
+        tsi: &TaskStateIndication,
+        fault: DetectedFault,
+        changes: &mut Vec<StateChange>,
+        obs: &ObsSink,
+    ) {
+        let Some(task) = tsi.mapping.task_of(fault.runnable) else {
             return;
         };
-        let vector = self.vectors.entry(task).or_default();
-        let count = vector.entry((fault.runnable, fault.kind)).or_insert(0);
+        let count = &mut self.counts[fault.runnable.index() * KINDS + fault.kind as usize];
         *count += 1;
-        self.obs.record(
+        obs.record(
             fault.at,
             ObsEvent::ErrorVectorIncrement {
                 task,
@@ -99,47 +166,39 @@ impl TaskStateIndication {
                 count: *count,
             },
         );
-        if *count < self.threshold {
+        if *count < tsi.threshold {
             return;
         }
-        self.mark_task_faulty_into(task, fault.at, changes);
+        self.mark_task_faulty_into(tsi, task, fault.at, changes, obs);
     }
 
-    /// Marks a task faulty directly (e.g. commanded by the FMF) and returns
-    /// the resulting state changes.
-    pub fn mark_task_faulty(&mut self, task: TaskId, at: Instant) -> Vec<StateChange> {
-        let mut changes = Vec::new();
-        self.mark_task_faulty_into(task, at, &mut changes);
-        changes
-    }
-
-    /// Like [`TaskStateIndication::mark_task_faulty`], but appends to a
-    /// caller-supplied buffer.
-    pub fn mark_task_faulty_into(
+    fn mark_task_faulty_into(
         &mut self,
+        tsi: &TaskStateIndication,
         task: TaskId,
         at: Instant,
         changes: &mut Vec<StateChange>,
+        obs: &ObsSink,
     ) {
-        let state = self.task_states.entry(task).or_default();
+        let state = &mut self.tasks[task.index()];
         if state.is_faulty() {
             return;
         }
         *state = HealthState::Faulty;
         changes.push(StateChange::TaskFaulty { task, at });
-        self.obs.record(
+        obs.record(
             at,
             ObsEvent::StateTransition {
                 scope: StateScope::Task(task),
                 faulty: true,
             },
         );
-        if let Some(app) = self.mapping.app_of(task) {
-            let app_state = self.app_states.entry(app).or_default();
+        if let Some(app) = tsi.mapping.app_of(task) {
+            let app_state = &mut self.apps[app.index()];
             if !app_state.is_faulty() {
                 *app_state = HealthState::Faulty;
                 changes.push(StateChange::ApplicationFaulty { app, at });
-                self.obs.record(
+                obs.record(
                     at,
                     ObsEvent::StateTransition {
                         scope: StateScope::Application(app),
@@ -148,20 +207,10 @@ impl TaskStateIndication {
                 );
             }
         }
-        let faulty_apps = self
-            .app_states
-            .values()
-            .filter(|s| s.is_faulty())
-            .count() as u32;
-        let needed = if self.ecu_app_threshold == u32::MAX {
-            self.mapping.application_count().max(1) as u32
-        } else {
-            self.ecu_app_threshold
-        };
-        if !self.ecu_state.is_faulty() && faulty_apps >= needed {
-            self.ecu_state = HealthState::Faulty;
+        if !self.ecu.is_faulty() && self.faulty_apps() >= tsi.ecu_needed() {
+            self.ecu = HealthState::Faulty;
             changes.push(StateChange::EcuFaulty { at });
-            self.obs.record(
+            obs.record(
                 at,
                 ObsEvent::StateTransition {
                     scope: StateScope::Ecu,
@@ -171,45 +220,34 @@ impl TaskStateIndication {
         }
     }
 
+    fn faulty_apps(&self) -> usize {
+        self.apps.iter().filter(|s| s.is_faulty()).count()
+    }
+
     /// Clears a task's error vector and verdict after fault treatment
     /// (restart), re-deriving application and ECU states.
-    pub fn reset_task(&mut self, task: TaskId) {
-        if let Some(vector) = self.vectors.get_mut(&task) {
-            // Zero in place (see `restore_from`): restart treatments recur
-            // trial after trial, so keep the vector's nodes allocated.
-            for count in vector.values_mut() {
-                *count = 0;
-            }
+    pub fn reset_task(&mut self, tsi: &TaskStateIndication, task: TaskId) {
+        for runnable in tsi.runnables_of(task) {
+            let first = runnable.index() * KINDS;
+            self.counts[first..first + KINDS].fill(0);
         }
-        self.task_states.insert(task, HealthState::Ok);
+        if let Some(state) = self.tasks.get_mut(task.index()) {
+            *state = HealthState::Ok;
+        }
         // Re-derive the application containing it.
-        if let Some(app) = self.mapping.app_of(task) {
-            let any_faulty = self
+        if let Some(app) = tsi.mapping.app_of(task) {
+            let any_faulty = tsi
                 .mapping
-                .tasks_of_app(app)
-                .into_iter()
-                .any(|t| self.task_state(t).is_faulty());
-            self.app_states.insert(
-                app,
-                if any_faulty {
-                    HealthState::Faulty
-                } else {
-                    HealthState::Ok
-                },
-            );
+                .tasks()
+                .any(|t| tsi.mapping.app_of(t) == Some(app) && self.task_state(t).is_faulty());
+            self.apps[app.index()] = if any_faulty {
+                HealthState::Faulty
+            } else {
+                HealthState::Ok
+            };
         }
         // Re-derive the ECU state.
-        let faulty_apps = self
-            .app_states
-            .values()
-            .filter(|s| s.is_faulty())
-            .count() as u32;
-        let needed = if self.ecu_app_threshold == u32::MAX {
-            self.mapping.application_count().max(1) as u32
-        } else {
-            self.ecu_app_threshold
-        };
-        self.ecu_state = if faulty_apps >= needed {
+        self.ecu = if self.faulty_apps() >= tsi.ecu_needed() {
             HealthState::Faulty
         } else {
             HealthState::Ok
@@ -218,147 +256,44 @@ impl TaskStateIndication {
 
     /// Current verdict of a task (Ok if never reported).
     pub fn task_state(&self, task: TaskId) -> HealthState {
-        self.task_states.get(&task).copied().unwrap_or_default()
+        self.tasks.get(task.index()).copied().unwrap_or_default()
     }
 
     /// Current verdict of an application.
     pub fn app_state(&self, app: ApplicationId) -> HealthState {
-        self.app_states.get(&app).copied().unwrap_or_default()
+        self.apps.get(app.index()).copied().unwrap_or_default()
     }
 
     /// Current global ECU verdict.
     pub fn ecu_state(&self) -> HealthState {
-        self.ecu_state
+        self.ecu
     }
 
-    /// The error indication vector of a task, as a flat snapshot.
-    /// Zero-count elements (left behind by in-place zeroing) are
-    /// indistinguishable from never-reported ones and stay out.
-    pub fn error_vector(&self, task: TaskId) -> Vec<ErrorIndication> {
-        self.vectors
-            .get(&task)
-            .map(|v| {
-                v.iter()
-                    .filter(|(_, &count)| count > 0)
-                    .map(|(&(runnable, kind), &count)| ErrorIndication {
-                        runnable,
-                        kind,
-                        count,
-                    })
-                    .collect()
+    /// The non-zero elements of a task's error indication vector, by
+    /// runnable id, then fault kind.
+    pub fn error_vector(&self, tsi: &TaskStateIndication, task: TaskId) -> Vec<ErrorIndication> {
+        tsi.runnables_of(task)
+            .flat_map(|runnable| {
+                FaultKind::ALL.into_iter().map(move |kind| ErrorIndication {
+                    runnable,
+                    kind,
+                    count: self.counts[runnable.index() * KINDS + kind as usize],
+                })
             })
-            .unwrap_or_default()
+            .filter(|e| e.count > 0)
+            .collect()
     }
 
     /// Total errors recorded against a task.
-    pub fn total_errors(&self, task: TaskId) -> u32 {
-        self.vectors
-            .get(&task)
-            .map(|v| v.values().sum())
-            .unwrap_or(0)
+    pub fn total_errors(&self, tsi: &TaskStateIndication, task: TaskId) -> u32 {
+        tsi.runnables_of(task)
+            .map(|r| {
+                self.counts[r.index() * KINDS..][..KINDS]
+                    .iter()
+                    .sum::<u32>()
+            })
+            .sum()
     }
-
-    /// The deployment mapping.
-    pub fn mapping(&self) -> &SystemMapping {
-        &self.mapping
-    }
-
-    /// Captures the error vectors and verdicts into `snap`, retaining its
-    /// buffer capacity. The image is canonical: zero counts and `Ok`
-    /// verdicts (left behind by in-place zeroing) are observably
-    /// identical to absent entries and stay out, so a rewound unit and a
-    /// freshly built one in the same state capture equal images. The
-    /// mapping and thresholds are construction-time configuration and are
-    /// not captured.
-    pub fn snapshot_into(&self, snap: &mut TsiSnapshot) {
-        let mut used = 0;
-        for (&task, vector) in &self.vectors {
-            let mut entries = vector
-                .iter()
-                .filter(|(_, &count)| count > 0)
-                .map(|(&key, &count)| (key, count))
-                .peekable();
-            if entries.peek().is_none() {
-                continue;
-            }
-            if used == snap.vectors.len() {
-                snap.vectors.push((task, Vec::new()));
-            }
-            let slot = &mut snap.vectors[used];
-            slot.0 = task;
-            slot.1.clear();
-            slot.1.extend(entries);
-            used += 1;
-        }
-        snap.vectors.truncate(used);
-        snap.task_states.clear();
-        snap.task_states.extend(
-            self.task_states
-                .iter()
-                .filter(|(_, s)| s.is_faulty())
-                .map(|(&t, &s)| (t, s)),
-        );
-        snap.app_states.clear();
-        snap.app_states.extend(
-            self.app_states
-                .iter()
-                .filter(|(_, s)| s.is_faulty())
-                .map(|(&a, &s)| (a, s)),
-        );
-        snap.ecu_state = self.ecu_state;
-    }
-
-    /// Restores the state captured by
-    /// [`TaskStateIndication::snapshot_into`]: counts and verdicts are
-    /// zeroed **in place** (keeping the map nodes allocated) and the
-    /// snapshot's entries are overlaid. A zero count / `Ok` verdict is
-    /// observably identical to an absent entry, so the result is exact
-    /// regardless of which trials ran in between; on a reused unit whose
-    /// maps already contain the snapshot's nodes the overlay allocates
-    /// nothing.
-    pub fn restore_from(&mut self, snap: &TsiSnapshot) {
-        for vector in self.vectors.values_mut() {
-            for count in vector.values_mut() {
-                *count = 0;
-            }
-        }
-        for state in self.task_states.values_mut() {
-            *state = HealthState::Ok;
-        }
-        for state in self.app_states.values_mut() {
-            *state = HealthState::Ok;
-        }
-        for (task, vector) in &snap.vectors {
-            let live = self.vectors.entry(*task).or_default();
-            for &(key, count) in vector {
-                live.insert(key, count);
-            }
-        }
-        for &(task, state) in &snap.task_states {
-            self.task_states.insert(task, state);
-        }
-        for &(app, state) in &snap.app_states {
-            self.app_states.insert(app, state);
-        }
-        self.ecu_state = snap.ecu_state;
-    }
-}
-
-/// One captured per-task error vector: the task id plus its non-zero
-/// `((runnable, fault kind), count)` entries.
-type TaskErrorVector = (TaskId, Vec<((RunnableId, FaultKind), u32)>);
-
-/// Plain-data image of a [`TaskStateIndication`]'s error vectors and
-/// verdicts, flat `Vec`s so node-level snapshots embedding it are cheap to
-/// clone. `PartialEq` compares
-/// the full image — a quiescent hyperperiod records no faults, so the
-/// macro-stepping engine requires two samples to compare equal.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TsiSnapshot {
-    vectors: Vec<TaskErrorVector>,
-    task_states: Vec<(TaskId, HealthState)>,
-    app_states: Vec<(ApplicationId, HealthState)>,
-    ecu_state: HealthState,
 }
 
 #[cfg(test)]
@@ -376,8 +311,37 @@ mod tests {
         }
     }
 
-    /// Two apps: SafeSpeed {T0: R0,R1}, SafeLane {T1: R2}.
-    fn unit(threshold: u32, ecu_threshold: u32) -> TaskStateIndication {
+    /// A fresh unit over two apps: SafeSpeed {T0: R0,R1}, SafeLane {T1: R2}.
+    struct Unit {
+        tsi: TaskStateIndication,
+        state: TsiState,
+    }
+
+    impl Unit {
+        fn record(&mut self, fault: DetectedFault) -> Vec<StateChange> {
+            self.state.record(&self.tsi, fault)
+        }
+        fn task_state(&self, task: TaskId) -> HealthState {
+            self.state.task_state(task)
+        }
+        fn app_state(&self, app: ApplicationId) -> HealthState {
+            self.state.app_state(app)
+        }
+        fn ecu_state(&self) -> HealthState {
+            self.state.ecu_state()
+        }
+        fn total_errors(&self, task: TaskId) -> u32 {
+            self.state.total_errors(&self.tsi, task)
+        }
+        fn error_vector(&self, task: TaskId) -> Vec<ErrorIndication> {
+            self.state.error_vector(&self.tsi, task)
+        }
+        fn reset_task(&mut self, task: TaskId) {
+            self.state.reset_task(&self.tsi, task);
+        }
+    }
+
+    fn unit(threshold: u32, ecu_threshold: u32) -> Unit {
         let mut m = SystemMapping::new();
         let speed = m.add_application("SafeSpeed");
         let lane = m.add_application("SafeLane");
@@ -386,7 +350,9 @@ mod tests {
         m.assign_runnable(r(0), TaskId(0));
         m.assign_runnable(r(1), TaskId(0));
         m.assign_runnable(r(2), TaskId(1));
-        TaskStateIndication::new(m, threshold, ecu_threshold)
+        let tsi = TaskStateIndication::new(m, threshold, ecu_threshold);
+        let state = TsiState::new(&tsi);
+        Unit { tsi, state }
     }
 
     #[test]
@@ -476,6 +442,21 @@ mod tests {
     }
 
     #[test]
+    fn a_task_reset_after_its_threshold_equals_a_fresh_unit() {
+        let mut tsi = unit(2, u32::MAX);
+        let fresh = tsi.state.clone();
+        tsi.record(fault(0, FaultKind::Aliveness, 1));
+        tsi.record(fault(1, FaultKind::ProgramFlow, 2));
+        assert!(tsi.record(fault(0, FaultKind::Aliveness, 3)).len() == 2);
+        assert!(tsi.task_state(TaskId(0)).is_faulty());
+        tsi.reset_task(TaskId(0));
+        assert_eq!(
+            tsi.state, fresh,
+            "zero counts and Ok verdicts are the fresh state"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "positive")]
     fn zero_threshold_rejected() {
         let _ = TaskStateIndication::new(SystemMapping::new(), 0, 1);
@@ -485,13 +466,14 @@ mod tests {
     fn snapshot_restore_overlays_exactly_onto_dirtier_state() {
         let mut tsi = unit(2, u32::MAX);
         tsi.record(fault(0, FaultKind::Aliveness, 1));
-        let mut snap = TsiSnapshot::default();
-        tsi.snapshot_into(&mut snap);
+        let mut snap = TsiState::default();
+        snap.clone_from(&tsi.state);
         // Diverge well past the capture: threshold crossing + second app.
         tsi.record(fault(0, FaultKind::Aliveness, 2));
         tsi.record(fault(2, FaultKind::ProgramFlow, 3));
         assert!(tsi.task_state(TaskId(0)).is_faulty());
-        tsi.restore_from(&snap);
+        tsi.state.clone_from(&snap);
+        assert_eq!(tsi.state, snap);
         assert_eq!(tsi.task_state(TaskId(0)), HealthState::Ok);
         assert_eq!(tsi.total_errors(TaskId(0)), 1);
         // The entry recorded only after the capture is zeroed, which is

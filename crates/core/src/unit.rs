@@ -22,6 +22,7 @@ use crate::heartbeat::HeartbeatMonitor;
 use crate::pfc::{FlowVerdict, ProgramFlowChecker, LOOKUP_COST_CYCLES};
 use crate::probe::ActiveProbeMonitor;
 use crate::report::{DetectedFault, FaultKind};
+use easis_obs::ObsSink;
 use easis_sim::cpu::CostMeter;
 use easis_sim::time::Instant;
 
@@ -62,12 +63,12 @@ pub trait MonitoringUnit {
 impl MonitoringUnit for HeartbeatMonitor {
     fn observe(&mut self, event: MonitorEvent, costs: &mut CostMeter) {
         if let MonitorEvent::Heartbeat { runnable, at } = event {
-            self.record(runnable, at, costs);
+            self.record(runnable, at, costs, &ObsSink::DISABLED);
         }
     }
 
     fn check(&mut self, now: Instant, costs: &mut CostMeter) -> Vec<DetectedFault> {
-        self.end_of_cycle(now, costs)
+        self.end_of_cycle(now, costs, &ObsSink::DISABLED)
     }
 }
 

@@ -6,7 +6,7 @@
 //! log, applies the [`TreatmentPolicy`] and queues [`TreatmentAction`]s
 //! for the platform integration to execute.
 
-use crate::dtc::{DtcStore, DtcStoreSnapshot, FreezeFrame};
+use crate::dtc::{DtcStore, FreezeFrame};
 use crate::policy::{Treatment, TreatmentAction, TreatmentPolicy};
 use crate::record::{FaultRecord, Severity, SeverityMap};
 use easis_obs::{ObsEvent, ObsSink};
@@ -21,37 +21,56 @@ use std::sync::{Arc, OnceLock};
 pub struct FaultManagementFramework {
     severity_map: SeverityMap,
     policy: TreatmentPolicy,
-    log: Vec<FaultRecord>,
-    dtc: DtcStore,
-    actions: Vec<TreatmentAction>,
-    app_restarts: BTreeMap<ApplicationId, u32>,
-    terminated_apps: Vec<ApplicationId>,
-    ecu_resets: u32,
     obs: ObsSink,
     /// Interned treatment reasons, one `Arc<str>` per application ever
     /// treated. The rendered strings are exactly what the old
     /// `format!`-per-action path produced; interning just means an
     /// application's second (and every later) treatment allocates
-    /// nothing. Runtime caching only, so snapshots leave it out and a
+    /// nothing. Runtime caching only, so the state leaves it out and a
     /// restore keeps it: a campaign node treats the same applications
     /// trial after trial.
     app_reasons: BTreeMap<ApplicationId, Arc<str>>,
+    state: FmfState,
+}
+
+easis_sim::clone_fields! {
+    /// Everything a framework run can change — fault log, DTC memory,
+    /// queued actions, restart budgets, reset counter — and so the
+    /// framework's checkpoint ([`FaultManagementFramework::state`],
+    /// [`FaultManagementFramework::restore`]). The restart budgets are
+    /// dense by application id and sized when the framework is built, so
+    /// budgets cleared by an ECU reset equal never-used ones. The severity
+    /// map, policy, observability sink and interned-reason cache are wiring
+    /// (the cache affects only allocation identity, never rendered
+    /// content).
+    #[derive(Debug, Default, PartialEq)]
+    pub struct FmfState {
+        log: Vec<FaultRecord>,
+        dtc: DtcStore,
+        actions: Vec<TreatmentAction>,
+        /// Restarts granted, by application id.
+        restarts: Vec<u32>,
+        /// Terminated (failed-silent) flag, by application id.
+        terminated: Vec<bool>,
+        ecu_resets: u32,
+    }
 }
 
 impl FaultManagementFramework {
-    /// Creates the framework with the given classification and policy.
-    pub fn new(severity_map: SeverityMap, policy: TreatmentPolicy) -> Self {
+    /// Creates the framework with the given classification and policy,
+    /// with restart budgets for `applications` applications (ids
+    /// `0..applications`).
+    pub fn new(severity_map: SeverityMap, policy: TreatmentPolicy, applications: usize) -> Self {
         FaultManagementFramework {
             severity_map,
             policy,
-            log: Vec::new(),
-            dtc: DtcStore::default(),
-            actions: Vec::new(),
-            app_restarts: BTreeMap::new(),
-            terminated_apps: Vec::new(),
-            ecu_resets: 0,
             obs: ObsSink::disabled(),
             app_reasons: BTreeMap::new(),
+            state: FmfState {
+                restarts: vec![0; applications],
+                terminated: vec![false; applications],
+                ..FmfState::default()
+            },
         }
     }
 
@@ -76,32 +95,32 @@ impl FaultManagementFramework {
         fault: DetectedFault,
         freeze_frame: &FreezeFrame,
     ) {
-        self.log.push(FaultRecord {
+        self.state.log.push(FaultRecord {
             fault,
             severity: self.severity_map.classify(fault.kind),
         });
-        self.dtc.record_ref(fault, freeze_frame);
+        self.state.dtc.record_ref(fault, freeze_frame);
     }
 
     /// Marks one healthy operating cycle for DTC aging (call it e.g. once
     /// per watchdog cycle without detections).
     pub fn healthy_cycle(&mut self) {
-        self.dtc.healthy_cycle();
+        self.state.dtc.healthy_cycle();
     }
 
     /// Read access to the DTC fault memory.
     pub fn dtc(&self) -> &DtcStore {
-        &self.dtc
+        &self.state.dtc
     }
 
     /// Applies `k` certified hyperperiods of framework evolution in
     /// closed form. The only state a quiescent hyperperiod moves is DTC
-    /// aging ([`FmfSnapshot::derive_cycle_delta`] rejects anything else),
+    /// aging ([`FmfState::derive_cycle_delta`] rejects anything else),
     /// so this advances the pending records' healthy-cycle counters and
     /// retires those that age out on the way
     /// ([`crate::dtc::DtcStore::apply_aging`]).
     pub fn apply_cycle_delta(&mut self, delta: &FmfCycleDelta, k: u64) {
-        self.dtc.apply_aging(delta.dtc_aging, k);
+        self.state.dtc.apply_aging(delta.dtc_aging, k);
     }
 
     /// Processes a watchdog state change, possibly queueing treatments.
@@ -116,18 +135,14 @@ impl FaultManagementFramework {
                 if !self.policy.treat {
                     return;
                 }
-                if self.terminated_apps.contains(&app) {
+                let i = app.index();
+                if self.state.terminated[i] {
                     return; // already failed silent
                 }
-                let restarts = self.app_restarts.get(&app).copied().unwrap_or(0);
-                let treatment = self.policy.for_faulty_app(app, restarts);
+                let treatment = self.policy.for_faulty_app(app, self.state.restarts[i]);
                 match treatment {
-                    Treatment::RestartApplication(_) => {
-                        *self.app_restarts.entry(app).or_insert(0) += 1;
-                    }
-                    Treatment::TerminateApplication(_) => {
-                        self.terminated_apps.push(app);
-                    }
+                    Treatment::RestartApplication(_) => self.state.restarts[i] += 1,
+                    Treatment::TerminateApplication(_) => self.state.terminated[i] = true,
                     _ => {}
                 }
                 let reason = self.app_faulty_reason(app);
@@ -138,7 +153,7 @@ impl FaultManagementFramework {
                     return;
                 }
                 if let Some(treatment) = self.policy.for_faulty_ecu() {
-                    self.ecu_resets += 1;
+                    self.state.ecu_resets += 1;
                     self.push_action(at, treatment, ecu_faulty_reason());
                 }
             }
@@ -176,7 +191,7 @@ impl FaultManagementFramework {
                 treatment: treatment.label(),
             },
         );
-        self.actions.push(TreatmentAction {
+        self.state.actions.push(TreatmentAction {
             at,
             treatment,
             reason,
@@ -185,7 +200,7 @@ impl FaultManagementFramework {
 
     /// Drains the queued treatment actions for execution.
     pub fn take_actions(&mut self) -> Vec<TreatmentAction> {
-        std::mem::take(&mut self.actions)
+        std::mem::take(&mut self.state.actions)
     }
 
     /// Drains decided actions into `out` (appending), retaining the queue
@@ -193,144 +208,119 @@ impl FaultManagementFramework {
     /// [`FaultManagementFramework::take_actions`] for the campaign hot
     /// path.
     pub fn drain_actions_into(&mut self, out: &mut Vec<TreatmentAction>) {
-        out.append(&mut self.actions);
+        out.append(&mut self.state.actions);
     }
 
     /// Number of queued, unexecuted actions.
     pub fn pending_actions(&self) -> usize {
-        self.actions.len()
+        self.state.actions.len()
     }
 
     /// The complete fault log.
     pub fn log(&self) -> &[FaultRecord] {
-        &self.log
+        &self.state.log
     }
 
     /// Faults of one kind in the log.
     pub fn count_kind(&self, kind: FaultKind) -> usize {
-        self.log.iter().filter(|r| r.fault.kind == kind).count()
+        self.state
+            .log
+            .iter()
+            .filter(|r| r.fault.kind == kind)
+            .count()
     }
 
     /// Faults at or above a severity.
     pub fn count_at_least(&self, severity: Severity) -> usize {
-        self.log.iter().filter(|r| r.severity >= severity).count()
+        self.state
+            .log
+            .iter()
+            .filter(|r| r.severity >= severity)
+            .count()
     }
 
     /// Restart count of an application.
     pub fn restarts_of(&self, app: ApplicationId) -> u32 {
-        self.app_restarts.get(&app).copied().unwrap_or(0)
+        self.state.restarts.get(app.index()).copied().unwrap_or(0)
     }
 
     /// `true` if the application was terminated (failed silent).
     pub fn is_terminated(&self, app: ApplicationId) -> bool {
-        self.terminated_apps.contains(&app)
+        self.state
+            .terminated
+            .get(app.index())
+            .copied()
+            .unwrap_or(false)
     }
 
     /// Number of ECU software resets commanded.
     pub fn ecu_resets(&self) -> u32 {
-        self.ecu_resets
+        self.state.ecu_resets
     }
 
     /// Marks a recovery cycle complete: clears restart budgets (e.g. after
     /// an ECU reset, everything starts fresh).
     pub fn reset_budgets(&mut self) {
-        self.app_restarts.clear();
-        self.terminated_apps.clear();
+        self.state.restarts.fill(0);
+        self.state.terminated.fill(false);
     }
 
-    /// Captures the framework's runtime state — fault log, DTC memory,
-    /// queued actions, restart budgets, reset counter — into a
-    /// deterministic snapshot. The severity map, policy, observability
-    /// sink and the interned-reason cache are static (the cache affects
-    /// only allocation identity, never rendered content) and stay out.
-    /// Convenience wrapper over
-    /// [`FaultManagementFramework::snapshot_into`].
-    pub fn snapshot(&self) -> FmfSnapshot {
-        let mut snap = FmfSnapshot::default();
-        self.snapshot_into(&mut snap);
-        snap
+    /// The framework's runtime state — its checkpoint (see [`FmfState`]).
+    pub fn state(&self) -> &FmfState {
+        &self.state
     }
 
-    /// Captures runtime state into `snap`, retaining the snapshot's buffer
-    /// capacity (allocation-free once warm; the DTC image recycles its
-    /// record bodies in place).
-    pub fn snapshot_into(&self, snap: &mut FmfSnapshot) {
-        snap.log.clear();
-        snap.log.extend_from_slice(&self.log);
-        self.dtc.snapshot_into(&mut snap.dtc);
-        snap.actions.clone_from(&self.actions);
-        snap.app_restarts.clear();
-        snap.app_restarts
-            .extend(self.app_restarts.iter().map(|(&app, &n)| (app, n)));
-        snap.terminated_apps.clear();
-        snap.terminated_apps.extend_from_slice(&self.terminated_apps);
-        snap.ecu_resets = self.ecu_resets;
-    }
-
-    /// Restores runtime state captured by
-    /// [`FaultManagementFramework::snapshot`], copying every region into
-    /// the framework's retained buffers.
-    pub fn restore_from(&mut self, snap: &FmfSnapshot) {
-        self.log.clear();
-        self.log.extend_from_slice(&snap.log);
-        self.dtc.restore_from(&snap.dtc);
-        self.actions.clone_from(&snap.actions);
-        self.app_restarts.clear();
-        self.app_restarts
-            .extend(snap.app_restarts.iter().copied());
-        self.terminated_apps.clear();
-        self.terminated_apps
-            .extend_from_slice(&snap.terminated_apps);
-        self.ecu_resets = snap.ecu_resets;
+    /// Restores runtime state captured from
+    /// [`FaultManagementFramework::state`]: one `clone_from` into the
+    /// retained buffers (the DTC memory recycles its records in place).
+    pub fn restore(&mut self, state: &FmfState) {
+        self.state.clone_from(state);
     }
 }
 
-/// A deterministic capture of FMF runtime state — see
-/// [`FaultManagementFramework::snapshot`]. Plain data (the budget map is
-/// flattened, the DTC memory imaged as a record list), so a warm capture
-/// refills retained vectors instead of rebuilding maps.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FmfSnapshot {
-    log: Vec<FaultRecord>,
-    dtc: DtcStoreSnapshot,
-    actions: Vec<TreatmentAction>,
-    app_restarts: Vec<(ApplicationId, u32)>,
-    terminated_apps: Vec<ApplicationId>,
-    ecu_resets: u32,
-}
-
-impl FmfSnapshot {
+impl FmfState {
     /// Derives the closed-form per-hyperperiod framework delta between
-    /// two images one hyperperiod apart. The log, action queue, restart
+    /// two states one hyperperiod apart. The log, action queue, restart
     /// budgets and reset counter must sit perfectly still — any new
     /// record is a discrete event — but the DTC memory may *drain*: a
     /// pending code aging toward removal advances its healthy-cycle
     /// counter every healthy cycle, and that uniform advance is the one
-    /// motion the delta expresses (see
-    /// [`crate::dtc::DtcStoreSnapshot::derive_aging`]).
+    /// motion the delta expresses (see [`DtcStore::derive_aging`]). The
+    /// destructure lists every field, so a new one does not compile until
+    /// it is classified here.
     pub fn derive_cycle_delta(a: &Self, b: &Self, out: &mut FmfCycleDelta) -> bool {
-        a.log == b.log
-            && a.actions == b.actions
-            && a.app_restarts == b.app_restarts
-            && a.terminated_apps == b.terminated_apps
-            && a.ecu_resets == b.ecu_resets
-            && DtcStoreSnapshot::derive_aging(&a.dtc, &b.dtc, &mut out.dtc_aging)
+        let FmfState {
+            log,
+            dtc,
+            actions,
+            restarts,
+            terminated,
+            ecu_resets,
+        } = a;
+        *log == b.log
+            && *actions == b.actions
+            && *restarts == b.restarts
+            && *terminated == b.terminated
+            && *ecu_resets == b.ecu_resets
+            && DtcStore::derive_aging(dtc, &b.dtc, &mut out.dtc_aging)
     }
 }
 
 /// The closed-form per-hyperperiod evolution of a quiescent
 /// [`FaultManagementFramework`]: the healthy-cycle advance of every
 /// pending DTC record. Everything else the framework owns must be at rest
-/// for [`FmfSnapshot::derive_cycle_delta`] to certify.
+/// for [`FmfState::derive_cycle_delta`] to certify.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FmfCycleDelta {
     /// Healthy cycles per hyperperiod added to each pending DTC record.
     pub dtc_aging: u32,
 }
 
+/// The default classification and policy, with the budget of one
+/// application (id 0, as on a SafeSpeed-only node).
 impl Default for FaultManagementFramework {
     fn default() -> Self {
-        FaultManagementFramework::new(SeverityMap::default(), TreatmentPolicy::default())
+        FaultManagementFramework::new(SeverityMap::default(), TreatmentPolicy::default(), 1)
     }
 }
 
@@ -412,7 +402,7 @@ mod tests {
             reset_on_ecu_faulty: false,
             ..TreatmentPolicy::default()
         };
-        let mut fmf = FaultManagementFramework::new(SeverityMap::default(), policy);
+        let mut fmf = FaultManagementFramework::new(SeverityMap::default(), policy, 1);
         fmf.ingest_state_change(StateChange::EcuFaulty {
             at: Instant::ZERO,
         });
@@ -461,7 +451,7 @@ mod tests {
     #[test]
     fn reasons_render_like_the_format_strings_and_are_interned() {
         let mut fmf = FaultManagementFramework::default();
-        let fresh = fmf.snapshot();
+        let fresh = fmf.state().clone();
         fmf.ingest_state_change(app_faulty(1));
         fmf.ingest_state_change(app_faulty(2));
         fmf.ingest_state_change(StateChange::EcuFaulty {
@@ -474,10 +464,23 @@ mod tests {
         // Interned: both App0 actions share one allocation, and the cache
         // survives a rewind (campaign nodes treat the same apps per trial).
         assert!(std::sync::Arc::ptr_eq(&actions[0].reason, &actions[1].reason));
-        fmf.restore_from(&fresh);
+        fmf.restore(&fresh);
         fmf.ingest_state_change(app_faulty(10));
         let again = fmf.take_actions();
         assert!(std::sync::Arc::ptr_eq(&actions[0].reason, &again[0].reason));
+    }
+
+    #[test]
+    fn reset_budgets_equal_never_used_ones() {
+        let mut fmf = FaultManagementFramework::default();
+        let fresh = fmf.state().clone();
+        for i in 0..4 {
+            fmf.ingest_state_change(app_faulty(i));
+        }
+        fmf.take_actions();
+        assert_ne!(fmf.state(), &fresh);
+        fmf.reset_budgets();
+        assert_eq!(fmf.state(), &fresh);
     }
 
     #[test]
@@ -523,22 +526,23 @@ mod tests {
         };
 
         let mut fmf = FaultManagementFramework::default();
-        let fresh = fmf.snapshot();
+        let fresh = fmf.state().clone();
         drive_prefix(&mut fmf);
-        let snap = fmf.snapshot();
+        let snap = fmf.state().clone();
         let at_capture = observe(&fmf);
 
         drive_tail(&mut fmf);
         let after_tail = observe(&fmf);
         assert_ne!(at_capture, after_tail);
 
-        fmf.restore_from(&snap);
+        fmf.restore(&snap);
+        assert_eq!(fmf.state(), &snap);
         assert_eq!(observe(&fmf), at_capture);
         drive_tail(&mut fmf);
         assert_eq!(observe(&fmf), after_tail);
 
-        fmf.restore_from(&fresh);
-        fmf.restore_from(&snap);
+        fmf.restore(&fresh);
+        fmf.restore(&snap);
         assert_eq!(observe(&fmf), at_capture);
         drive_tail(&mut fmf);
         assert_eq!(observe(&fmf), after_tail);

@@ -33,7 +33,7 @@ pub mod framework;
 pub mod policy;
 pub mod record;
 
-pub use dtc::{DtcCode, DtcRecord, DtcStatus, DtcStore, DtcStoreSnapshot, FreezeFrame};
-pub use framework::{FaultManagementFramework, FmfCycleDelta, FmfSnapshot};
+pub use dtc::{DtcCode, DtcRecord, DtcStatus, DtcStore, FreezeFrame};
+pub use framework::{FaultManagementFramework, FmfCycleDelta, FmfState};
 pub use policy::{Treatment, TreatmentAction, TreatmentPolicy};
 pub use record::{FaultRecord, Severity, SeverityMap};

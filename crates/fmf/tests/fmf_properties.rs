@@ -70,7 +70,7 @@ proptest! {
             reset_on_ecu_faulty: false,
             treat: true,
         };
-        let mut fmf = FaultManagementFramework::new(SeverityMap::default(), policy);
+        let mut fmf = FaultManagementFramework::new(SeverityMap::default(), policy, 1);
         let app = ApplicationId(0);
         let mut seen_terminate = false;
         for i in 0..episodes {
@@ -98,6 +98,7 @@ proptest! {
         let mut fmf = FaultManagementFramework::new(
             SeverityMap::default(),
             TreatmentPolicy::observe_only(),
+            1,
         );
         for (i, &e) in events.iter().enumerate() {
             let at = Instant::from_millis(i as u64);

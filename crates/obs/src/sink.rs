@@ -48,6 +48,10 @@ pub struct ObsSink {
 }
 
 impl ObsSink {
+    /// A disabled sink, for the calls that take a sink by reference:
+    /// `&ObsSink::DISABLED` records nothing.
+    pub const DISABLED: ObsSink = ObsSink { shared: None };
+
     /// A disabled sink: every call is a no-op.
     pub fn disabled() -> Self {
         ObsSink { shared: None }

@@ -39,41 +39,31 @@ pub enum AlarmAction {
     SetEvent(TaskId, EventMask),
 }
 
-/// Runtime state of an alarm.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Runtime state of an alarm: arming, cycle and cycle scale. Its name and
+/// expiry action are kernel wiring, declared with `Os::add_alarm`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Alarm {
-    name: String,
-    action: AlarmAction,
     /// Cycle for cyclic alarms; `None` for one-shot.
     cycle: Option<Duration>,
-    /// Multiplier applied to the cycle when re-arming. `1000` = nominal
-    /// (parts-per-thousand). The frequency error injector manipulates this.
+    /// Multiplier applied to the cycle when re-arming, in parts per
+    /// million (`1_000_000` = nominal). The frequency error injector
+    /// manipulates this.
     cycle_scale_ppm: u64,
     armed: bool,
 }
 
-impl Alarm {
-    /// Creates a disarmed alarm.
-    pub fn new(name: impl Into<String>, action: AlarmAction) -> Self {
+/// A disarmed alarm at the nominal cycle scale.
+impl Default for Alarm {
+    fn default() -> Self {
         Alarm {
-            name: name.into(),
-            action,
             cycle: None,
             cycle_scale_ppm: 1_000_000,
             armed: false,
         }
     }
+}
 
-    /// Alarm name for traces.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Expiry action.
-    pub fn action(&self) -> AlarmAction {
-        self.action
-    }
-
+impl Alarm {
     /// Current cycle, if cyclic.
     pub fn cycle(&self) -> Option<Duration> {
         self.cycle
@@ -126,32 +116,6 @@ impl Alarm {
             Duration::from_micros(us.max(1))
         })
     }
-
-    /// Captures the runtime portion of the alarm's state. Name and action
-    /// are static configuration and stay out of the snapshot.
-    pub fn runtime(&self) -> AlarmRuntime {
-        AlarmRuntime {
-            cycle: self.cycle,
-            cycle_scale_ppm: self.cycle_scale_ppm,
-            armed: self.armed,
-        }
-    }
-
-    /// Restores runtime state previously captured with [`Alarm::runtime`].
-    pub fn restore_runtime(&mut self, rt: AlarmRuntime) {
-        self.cycle = rt.cycle;
-        self.cycle_scale_ppm = rt.cycle_scale_ppm;
-        self.armed = rt.armed;
-    }
-}
-
-/// The armed/cycle/scale portion of an [`Alarm`] — everything a kernel
-/// snapshot needs to restore an alarm without touching its configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AlarmRuntime {
-    cycle: Option<Duration>,
-    cycle_scale_ppm: u64,
-    armed: bool,
 }
 
 #[cfg(test)]
@@ -160,7 +124,7 @@ mod tests {
 
     #[test]
     fn arm_and_disarm_toggle_state() {
-        let mut a = Alarm::new("cyc", AlarmAction::ActivateTask(TaskId(0)));
+        let mut a = Alarm::default();
         assert!(!a.is_armed());
         a.arm(Some(Duration::from_millis(10)));
         assert!(a.is_armed());
@@ -171,7 +135,7 @@ mod tests {
 
     #[test]
     fn effective_cycle_applies_scale() {
-        let mut a = Alarm::new("cyc", AlarmAction::ActivateTask(TaskId(0)));
+        let mut a = Alarm::default();
         a.arm(Some(Duration::from_millis(10)));
         assert_eq!(a.effective_cycle(), Some(Duration::from_millis(10)));
         a.set_cycle_scale_ppm(2_000_000);
@@ -182,7 +146,7 @@ mod tests {
 
     #[test]
     fn effective_cycle_is_exact_at_nominal_and_rounds_down_when_scaled() {
-        let mut a = Alarm::new("cyc", AlarmAction::ActivateTask(TaskId(0)));
+        let mut a = Alarm::default();
         for us in [1, 7, 10_000, 999_999, u64::MAX / 2] {
             a.arm(Some(Duration::from_micros(us)));
             assert_eq!(a.cycle_scale_ppm(), 1_000_000);
@@ -195,7 +159,7 @@ mod tests {
 
     #[test]
     fn effective_cycle_never_reaches_zero() {
-        let mut a = Alarm::new("cyc", AlarmAction::ActivateTask(TaskId(0)));
+        let mut a = Alarm::default();
         a.arm(Some(Duration::from_micros(2)));
         a.set_cycle_scale_ppm(1);
         assert_eq!(a.effective_cycle(), Some(Duration::from_micros(1)));
@@ -203,7 +167,7 @@ mod tests {
 
     #[test]
     fn one_shot_has_no_effective_cycle() {
-        let mut a = Alarm::new("once", AlarmAction::SetEvent(TaskId(1), EventMask::bit(0)));
+        let mut a = Alarm::default();
         a.arm(None);
         assert_eq!(a.effective_cycle(), None);
     }
@@ -211,7 +175,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_scale_rejected() {
-        let mut a = Alarm::new("cyc", AlarmAction::ActivateTask(TaskId(0)));
+        let mut a = Alarm::default();
         a.set_cycle_scale_ppm(0);
     }
 }

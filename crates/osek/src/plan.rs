@@ -69,79 +69,52 @@ pub enum Step<W> {
     Schedule,
 }
 
-impl<W> Step<W> {
-    /// Clones a plain-data step for a state snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`Step::Effect`]: a boxed closure cannot be duplicated,
-    /// so plans containing one are not snapshottable. Arena-backed bodies
-    /// plan [`Step::EffectRef`] tokens instead, which snapshot fine — the
-    /// campaign node stack is EffectRef-only by construction.
-    fn data(&self) -> StepData {
-        match self {
-            Step::Compute(d) => StepData::Compute(*d),
+/// Duplicates a step for a kernel checkpoint (`OsState`).
+///
+/// # Panics
+///
+/// Panics on [`Step::Effect`]: a boxed closure cannot be duplicated, so
+/// plans containing one cannot be captured. Arena-backed bodies plan
+/// [`Step::EffectRef`] tokens instead, which capture fine — the campaign
+/// node stack is EffectRef-only by construction.
+impl<W> Clone for Step<W> {
+    fn clone(&self) -> Self {
+        match *self {
+            Step::Compute(d) => Step::Compute(d),
             Step::Effect(_) => panic!(
                 "Step::Effect (boxed closure) cannot be snapshotted; \
                  plan EffectRef tokens for snapshot/restore support"
             ),
-            Step::EffectRef(tok) => StepData::EffectRef(*tok),
-            Step::ActivateTask(t) => StepData::ActivateTask(*t),
-            Step::SetEvent(t, m) => StepData::SetEvent(*t, *m),
-            Step::WaitEvent(m) => StepData::WaitEvent(*m),
-            Step::ClearEvent(m) => StepData::ClearEvent(*m),
-            Step::GetResource(r) => StepData::GetResource(*r),
-            Step::ReleaseResource(r) => StepData::ReleaseResource(*r),
-            Step::ChainTask(t) => StepData::ChainTask(*t),
-            Step::Schedule => StepData::Schedule,
+            Step::EffectRef(tok) => Step::EffectRef(tok),
+            Step::ActivateTask(t) => Step::ActivateTask(t),
+            Step::SetEvent(t, m) => Step::SetEvent(t, m),
+            Step::WaitEvent(m) => Step::WaitEvent(m),
+            Step::ClearEvent(m) => Step::ClearEvent(m),
+            Step::GetResource(r) => Step::GetResource(r),
+            Step::ReleaseResource(r) => Step::ReleaseResource(r),
+            Step::ChainTask(t) => Step::ChainTask(t),
+            Step::Schedule => Step::Schedule,
         }
     }
 }
 
-/// The closure-free image of a [`Step`], used inside snapshots.
-///
-/// A snapshot is a copy, and `Step::Effect`'s boxed `FnMut` cannot be
-/// cloned into one — so snapshots store this plain-data mirror instead,
-/// which covers every variant except `Effect` (see [`Step`]'s snapshot
-/// panic note).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepData {
-    /// Mirror of [`Step::Compute`].
-    Compute(Duration),
-    /// Mirror of [`Step::EffectRef`].
-    EffectRef(u32),
-    /// Mirror of [`Step::ActivateTask`].
-    ActivateTask(TaskId),
-    /// Mirror of [`Step::SetEvent`].
-    SetEvent(TaskId, EventMask),
-    /// Mirror of [`Step::WaitEvent`].
-    WaitEvent(EventMask),
-    /// Mirror of [`Step::ClearEvent`].
-    ClearEvent(EventMask),
-    /// Mirror of [`Step::GetResource`].
-    GetResource(ResourceId),
-    /// Mirror of [`Step::ReleaseResource`].
-    ReleaseResource(ResourceId),
-    /// Mirror of [`Step::ChainTask`].
-    ChainTask(TaskId),
-    /// Mirror of [`Step::Schedule`].
-    Schedule,
-}
-
-impl StepData {
-    /// Re-instantiates the executable step for any world type.
-    fn to_step<W>(self) -> Step<W> {
-        match self {
-            StepData::Compute(d) => Step::Compute(d),
-            StepData::EffectRef(tok) => Step::EffectRef(tok),
-            StepData::ActivateTask(t) => Step::ActivateTask(t),
-            StepData::SetEvent(t, m) => Step::SetEvent(t, m),
-            StepData::WaitEvent(m) => Step::WaitEvent(m),
-            StepData::ClearEvent(m) => Step::ClearEvent(m),
-            StepData::GetResource(r) => Step::GetResource(r),
-            StepData::ReleaseResource(r) => Step::ReleaseResource(r),
-            StepData::ChainTask(t) => Step::ChainTask(t),
-            StepData::Schedule => Step::Schedule,
+/// Step-for-step equality, what the macro-stepping certification compares
+/// across hyperperiod samples. A boxed [`Step::Effect`] equals nothing: a
+/// closure has no comparable content.
+impl<W> PartialEq for Step<W> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Step::Compute(a), Step::Compute(b)) => a == b,
+            (Step::EffectRef(a), Step::EffectRef(b)) => a == b,
+            (Step::ActivateTask(a), Step::ActivateTask(b))
+            | (Step::ChainTask(a), Step::ChainTask(b)) => a == b,
+            (Step::SetEvent(a, x), Step::SetEvent(b, y)) => a == b && x == y,
+            (Step::WaitEvent(x), Step::WaitEvent(y))
+            | (Step::ClearEvent(x), Step::ClearEvent(y)) => x == y,
+            (Step::GetResource(a), Step::GetResource(b))
+            | (Step::ReleaseResource(a), Step::ReleaseResource(b)) => a == b,
+            (Step::Schedule, Step::Schedule) => true,
+            _ => false,
         }
     }
 }
@@ -164,9 +137,18 @@ impl<W> fmt::Debug for Step<W> {
     }
 }
 
-/// An ordered sequence of steps; what a task executes for one activation.
-pub struct Plan<W> {
-    steps: VecDeque<Step<W>>,
+easis_sim::clone_fields! {
+    /// An ordered sequence of steps; what a task executes for one
+    /// activation. `clone_from` refills the destination's step buffer.
+    pub struct Plan<W> {
+        steps: VecDeque<Step<W>>,
+    }
+}
+
+impl<W> PartialEq for Plan<W> {
+    fn eq(&self, other: &Self) -> bool {
+        self.steps == other.steps
+    }
 }
 
 impl<W> fmt::Debug for Plan<W> {
@@ -281,25 +263,32 @@ impl<W> Plan<W> {
     }
 }
 
-/// Per-task, capacity-retained plan storage.
-///
-/// The kernel owns one arena with a slot per declared task. At each first
-/// dispatch of an activation the slot is cleared (capacity kept) and the
-/// task body fills it in place via [`TaskBody::plan_into`]. Once a slot has
-/// grown to the task's steady-state plan length, re-planning performs no
-/// heap allocation at all — the campaign hot path relies on this to run
-/// alloc-free trials. [`PlanArena::restore_from`] rewrites every slot but
-/// keeps its capacity, so a rewound node replays trials without re-growing
-/// the buffers.
-pub struct PlanArena<W> {
-    slots: Vec<Plan<W>>,
+easis_sim::clone_fields! {
+    /// Per-task, capacity-retained plan storage.
+    ///
+    /// The kernel owns one arena with a slot per declared task. At each
+    /// first dispatch of an activation the slot is cleared (capacity kept)
+    /// and the task body fills it in place via [`TaskBody::plan_into`].
+    /// Once a slot has grown to the task's steady-state plan length,
+    /// re-planning performs no heap allocation at all — the campaign hot
+    /// path relies on this to run alloc-free trials. The arena is part of
+    /// the kernel's checkpoint: `clone_from` rewrites every slot but keeps
+    /// its capacity, so a rewound node replays trials without re-growing
+    /// the buffers. Equality is slot-for-slot step equality.
+    pub struct PlanArena<W> {
+        slots: Vec<Plan<W>>,
+    }
+}
+
+impl<W> PartialEq for PlanArena<W> {
+    fn eq(&self, other: &Self) -> bool {
+        self.slots == other.slots
+    }
 }
 
 impl<W> fmt::Debug for PlanArena<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PlanArena")
-            .field("slots", &self.slots.len())
-            .finish()
+        f.debug_list().entries(&self.slots).finish()
     }
 }
 
@@ -346,59 +335,6 @@ impl<W> PlanArena<W> {
     pub fn total_capacity(&self) -> usize {
         self.slots.iter().map(Plan::capacity).sum()
     }
-
-    /// Captures every slot's remaining steps. At a snapshot instant some
-    /// slots may hold in-flight plans (a preempted `Compute` remainder, an
-    /// unexecuted tail); all of that is plain data and clones freely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slot holds a [`Step::Effect`] (boxed closure) — see
-    /// [`Step`] docs; arena bodies plan `EffectRef` tokens, which snapshot.
-    pub fn snapshot(&self) -> PlanArenaSnapshot {
-        let mut snap = PlanArenaSnapshot::default();
-        self.snapshot_into(&mut snap);
-        snap
-    }
-
-    /// Captures every slot into `snap`, reusing its buffers (clear +
-    /// extend — allocation-free once the snapshot is warm).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`Step::Effect`] slot, as for [`PlanArena::snapshot`].
-    pub fn snapshot_into(&self, snap: &mut PlanArenaSnapshot) {
-        snap.slots.truncate(self.slots.len());
-        while snap.slots.len() < self.slots.len() {
-            snap.slots.push(Vec::new());
-        }
-        for (dst, src) in snap.slots.iter_mut().zip(&self.slots) {
-            dst.clear();
-            dst.extend(src.steps.iter().map(Step::data));
-        }
-    }
-
-    /// Restores every slot to the snapshot's steps, retaining each slot's
-    /// allocated capacity (clear + extend, no buffer replacement). Slots
-    /// beyond the snapshot's are cleared.
-    pub fn restore_from(&mut self, snap: &PlanArenaSnapshot) {
-        self.grow_to(snap.slots.len());
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            slot.steps.clear();
-            if let Some(src) = snap.slots.get(i) {
-                slot.steps.extend(src.iter().map(|d| d.to_step()));
-            }
-        }
-    }
-}
-
-/// The remaining steps of every [`PlanArena`] slot at snapshot time
-/// (see [`PlanArena::snapshot`]). World-independent plain data (see
-/// [`StepData`]). Equality is slot-for-slot step equality — what the
-/// macro-stepping certification compares across hyperperiod samples.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct PlanArenaSnapshot {
-    slots: Vec<Vec<StepData>>,
 }
 
 impl<W> FromIterator<Step<W>> for Plan<W> {
@@ -987,7 +923,7 @@ mod tests {
         arena.grow_to(2);
         arena.slot_mut(0).push_compute(Duration::from_micros(7));
         arena.slot_mut(0).push_effect_ref(3);
-        let snap = arena.snapshot();
+        let snap = arena.clone();
         arena.slot_mut(0).clear();
         let fill = |arena: &mut PlanArena<W>| {
             for _ in 0..16 {
@@ -996,7 +932,8 @@ mod tests {
         };
         fill(&mut arena);
         let cap = arena.total_capacity();
-        arena.restore_from(&snap);
+        arena.clone_from(&snap);
+        assert!(arena == snap, "restored arena equals its capture");
         assert_eq!(arena.slot_mut(0).len(), 2);
         assert!(matches!(arena.slot_mut(0).pop(), Some(Step::Compute(d)) if d == Duration::from_micros(7)));
         assert!(matches!(arena.slot_mut(0).pop(), Some(Step::EffectRef(3))));
@@ -1014,7 +951,7 @@ mod tests {
         let mut arena: PlanArena<W> = PlanArena::new();
         arena.grow_to(1);
         arena.slot_mut(0).push_effect(|_, _| {});
-        let _ = arena.snapshot();
+        let _ = arena.clone();
     }
 
     #[test]

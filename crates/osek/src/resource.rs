@@ -8,24 +8,23 @@
 //! exactly this path.
 
 use crate::plan::ResourceId;
-use crate::task::{Priority, TaskId};
+use crate::task::Priority;
 use serde::{Deserialize, Serialize};
 
-/// Static configuration and runtime state of one resource.
+/// Static configuration of one resource. Which task holds it is kernel
+/// runtime state (`OsState`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Resource {
     name: String,
     ceiling: Priority,
-    holder: Option<TaskId>,
 }
 
 impl Resource {
-    /// Creates a free resource with the given ceiling priority.
+    /// Declares a resource with the given ceiling priority.
     pub fn new(name: impl Into<String>, ceiling: Priority) -> Self {
         Resource {
             name: name.into(),
             ceiling,
-            holder: None,
         }
     }
 
@@ -38,51 +37,18 @@ impl Resource {
     pub fn ceiling(&self) -> Priority {
         self.ceiling
     }
+}
 
-    /// The current holder, if occupied.
-    pub fn holder(&self) -> Option<TaskId> {
-        self.holder
-    }
-
-    /// `true` if some task occupies the resource.
-    pub fn is_occupied(&self) -> bool {
-        self.holder.is_some()
-    }
-
-    /// Marks the resource taken by `task` (kernel-internal).
-    pub fn occupy(&mut self, task: TaskId) {
-        debug_assert!(self.holder.is_none(), "resource double-occupied");
-        self.holder = Some(task);
-    }
-
-    /// Marks the resource free (kernel-internal).
-    pub fn release(&mut self) {
-        self.holder = None;
+easis_sim::clone_fields! {
+    /// Per-task stack of held resources, enforcing LIFO release and
+    /// tracking the task's elevated priority.
+    #[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct HeldResources {
+        stack: Vec<(ResourceIdRepr, Priority)>,
     }
 }
 
-/// Per-task stack of held resources, enforcing LIFO release and tracking the
-/// task's elevated priority.
-#[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HeldResources {
-    stack: Vec<(ResourceIdRepr, Priority)>,
-}
-
-impl Clone for HeldResources {
-    fn clone(&self) -> Self {
-        HeldResources {
-            stack: self.stack.clone(),
-        }
-    }
-
-    // Capacity-retained for the TCB snapshot path.
-    fn clone_from(&mut self, source: &Self) {
-        self.stack.clone_from(&source.stack);
-    }
-}
-
-// ResourceId lives in plan.rs without serde; keep a raw repr for state
-// snapshots.
+// ResourceId lives in plan.rs without serde; keep a raw repr here.
 type ResourceIdRepr = u32;
 
 impl HeldResources {
@@ -135,13 +101,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn occupy_release_cycle() {
-        let mut r = Resource::new("r", Priority(5));
-        assert!(!r.is_occupied());
-        r.occupy(TaskId(1));
-        assert_eq!(r.holder(), Some(TaskId(1)));
-        r.release();
-        assert!(!r.is_occupied());
+    fn declared_resource_keeps_name_and_ceiling() {
+        let r = Resource::new("r", Priority(5));
+        assert_eq!(r.name(), "r");
+        assert_eq!(r.ceiling(), Priority(5));
     }
 
     #[test]

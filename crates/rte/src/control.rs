@@ -64,46 +64,33 @@ pub struct TaskControl {
     pub branch_override: Option<usize>,
 }
 
-/// The ECU-wide control store: one [`RunnableControl`] per runnable and one
-/// [`TaskControl`] per task name.
-///
-/// # Examples
-///
-/// ```
-/// use easis_rte::control::RunnableControls;
-/// use easis_rte::runnable::RunnableId;
-///
-/// let mut controls = RunnableControls::new();
-/// controls.runnable_mut(RunnableId(2)).exec_scale_ppm = 3_000_000;
-/// assert_eq!(controls.runnable(RunnableId(2)).exec_scale_ppm, 3_000_000);
-/// assert!(controls.runnable(RunnableId(7)).is_nominal());
-/// ```
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RunnableControls {
-    runnables: Vec<RunnableControl>,
-    tasks: BTreeMap<String, TaskControl>,
-    /// Global execution-time scale in ppm applied to *every* runnable on
-    /// top of its individual scale. Models running the identical software
-    /// on a slower CPU (e.g. the outlook's 50 MHz S12XF instead of the
-    /// 480 MHz AutoBox ⇒ ~9.6e6 ppm).
-    global_exec_scale_ppm: u64,
-}
-
-impl Clone for RunnableControls {
-    fn clone(&self) -> Self {
-        RunnableControls {
-            runnables: self.runnables.clone(),
-            tasks: self.tasks.clone(),
-            global_exec_scale_ppm: self.global_exec_scale_ppm,
-        }
-    }
-
-    // Field-wise so a node restore keeps the grown runnable table: the
-    // next injection rewrites its entries in place instead of re-growing it.
-    fn clone_from(&mut self, source: &Self) {
-        self.runnables.clone_from(&source.runnables);
-        self.tasks.clone_from(&source.tasks);
-        self.global_exec_scale_ppm = source.global_exec_scale_ppm;
+easis_sim::clone_fields! {
+    /// The ECU-wide control store: one [`RunnableControl`] per runnable and one
+    /// [`TaskControl`] per task name.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use easis_rte::control::RunnableControls;
+    /// use easis_rte::runnable::RunnableId;
+    ///
+    /// let mut controls = RunnableControls::new();
+    /// controls.runnable_mut(RunnableId(2)).exec_scale_ppm = 3_000_000;
+    /// assert_eq!(controls.runnable(RunnableId(2)).exec_scale_ppm, 3_000_000);
+    /// assert!(controls.runnable(RunnableId(7)).is_nominal());
+    /// ```
+    ///
+    /// The store is all runtime state. Its `clone_from` keeps the grown
+    /// runnable table, so a node restore rewrites the entries in place.
+    #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct RunnableControls {
+        runnables: Vec<RunnableControl>,
+        tasks: BTreeMap<String, TaskControl>,
+        /// Global execution-time scale in ppm applied to *every* runnable on
+        /// top of its individual scale. Models running the identical software
+        /// on a slower CPU (e.g. the outlook's 50 MHz S12XF instead of the
+        /// 480 MHz AutoBox ⇒ ~9.6e6 ppm).
+        global_exec_scale_ppm: u64,
     }
 }
 

@@ -66,5 +66,5 @@ pub use control::{RunnableControl, RunnableControls, TaskControl};
 pub use mapping::{ApplicationId, SystemMapping};
 pub use runnable::{HeartbeatSink, RunnableDef, RunnableId, RunnableRegistry, RunnableSpec};
 pub use schedule::{ExpiryPoint, ScheduleTable, TableAction};
-pub use signal::{SignalDb, SignalDbSnapshot, SignalId};
+pub use signal::{SignalDb, SignalId, SignalState};
 pub use world::{BasicEcuWorld, EcuWorld};

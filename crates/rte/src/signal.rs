@@ -30,13 +30,6 @@ impl fmt::Display for SignalId {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Slot {
-    name: String,
-    value: f64,
-    updated_at: Instant,
-}
-
 /// A database of named scalar signals.
 ///
 /// # Examples
@@ -53,8 +46,21 @@ struct Slot {
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SignalDb {
-    slots: Vec<Slot>,
+    /// Signal names by id: declaration-time wiring.
+    names: Vec<String>,
     by_name: BTreeMap<String, SignalId>,
+    state: SignalState,
+}
+
+easis_sim::clone_fields! {
+    /// Every signal's value and last-write time, by signal id — the
+    /// database's runtime state and checkpoint ([`SignalDb::state`],
+    /// [`SignalDb::restore`]). Names are declaration-time wiring and stay
+    /// out.
+    #[derive(Debug, Default, Serialize, Deserialize)]
+    pub struct SignalState {
+        values: Vec<(f64, Instant)>,
+    }
 }
 
 impl SignalDb {
@@ -69,12 +75,9 @@ impl SignalDb {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
-        let id = SignalId(self.slots.len() as u32);
-        self.slots.push(Slot {
-            name: name.to_string(),
-            value: initial,
-            updated_at: Instant::ZERO,
-        });
+        let id = SignalId(self.names.len() as u32);
+        self.names.push(name.to_string());
+        self.state.values.push((initial, Instant::ZERO));
         self.by_name.insert(name.to_string(), id);
         id
     }
@@ -90,7 +93,7 @@ impl SignalDb {
     ///
     /// Panics on an undeclared id.
     pub fn read(&self, id: SignalId) -> f64 {
-        self.slots[id.index()].value
+        self.state.values[id.index()].0
     }
 
     /// Current value interpreted as a boolean (`!= 0.0`).
@@ -104,9 +107,7 @@ impl SignalDb {
     ///
     /// Panics on an undeclared id.
     pub fn write(&mut self, id: SignalId, value: f64, now: Instant) {
-        let slot = &mut self.slots[id.index()];
-        slot.value = value;
-        slot.updated_at = now;
+        self.state.values[id.index()] = (value, now);
     }
 
     /// Writes a boolean as `1.0` / `0.0`.
@@ -120,7 +121,7 @@ impl SignalDb {
     ///
     /// Panics on an undeclared id.
     pub fn updated_at(&self, id: SignalId) -> Instant {
-        self.slots[id.index()].updated_at
+        self.state.values[id.index()].1
     }
 
     /// Name of a signal.
@@ -129,75 +130,53 @@ impl SignalDb {
     ///
     /// Panics on an undeclared id.
     pub fn name(&self, id: SignalId) -> &str {
-        &self.slots[id.index()].name
+        &self.names[id.index()]
     }
 
     /// Number of declared signals.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.names.len()
     }
 
     /// `true` if nothing is declared.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.names.is_empty()
     }
 
     /// Iterates over `(id, name, value)` triples.
     pub fn iter(&self) -> impl Iterator<Item = (SignalId, &str, f64)> {
-        self.slots
+        self.names
             .iter()
+            .zip(&self.state.values)
             .enumerate()
-            .map(|(i, s)| (SignalId(i as u32), s.name.as_str(), s.value))
-    }
-
-    /// Captures every signal's `(value, updated_at)` pair into `snap`,
-    /// retaining the snapshot's buffer capacity (allocation-free once
-    /// warm). Names are declaration-time constants and stay out.
-    pub fn snapshot_into(&self, snap: &mut SignalDbSnapshot) {
-        snap.values.clear();
-        snap.values
-            .extend(self.slots.iter().map(|s| (s.value, s.updated_at)));
+            .map(|(i, (name, &(value, _)))| (SignalId(i as u32), name.as_str(), value))
     }
 
     /// Shifts the `updated_at` stamp of the given slots forward by `by` —
-    /// the closed-form application of a [`SignalDbSnapshot::derive_shift`]
+    /// the closed-form application of a [`SignalState::derive_shift`]
     /// result, `k` hyperperiods folded into one `by = h * k` shift.
     pub fn shift_updated_at(&mut self, slots: &[u32], by: easis_sim::time::Duration) {
         for &i in slots {
-            self.slots[i as usize].updated_at += by;
+            self.state.values[i as usize].1 += by;
         }
     }
 
-    /// Restores every signal value captured by [`SignalDb::snapshot_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from a database with a different
-    /// signal table (the declared set is a build-time constant).
-    pub fn restore_from(&mut self, snap: &SignalDbSnapshot) {
-        assert_eq!(
-            snap.values.len(),
-            self.slots.len(),
-            "snapshot covers all signals"
-        );
-        for (slot, &(value, updated_at)) in self.slots.iter_mut().zip(&snap.values) {
-            slot.value = value;
-            slot.updated_at = updated_at;
-        }
+    /// The signal values — the database's checkpoint (see
+    /// [`SignalState`]).
+    pub fn state(&self) -> &SignalState {
+        &self.state
+    }
+
+    /// Restores values captured from [`SignalDb::state`] with one
+    /// `clone_from`.
+    pub fn restore(&mut self, state: &SignalState) {
+        self.state.clone_from(state);
     }
 }
 
-/// A deterministic capture of signal values — see
-/// [`SignalDb::snapshot_into`]. Plain data: one `(value, updated_at)` pair
-/// per declared signal; names are declaration-time constants and stay out.
-#[derive(Debug, Clone, Default)]
-pub struct SignalDbSnapshot {
-    values: Vec<(f64, Instant)>,
-}
-
-/// Bitwise on the values, as [`SignalDbSnapshot::derive_shift`] compares
-/// them: `NaN` equals itself and `-0.0` differs from `0.0`.
-impl PartialEq for SignalDbSnapshot {
+/// Bitwise on the values, as [`SignalState::derive_shift`] compares them:
+/// `NaN` equals itself and `-0.0` differs from `0.0`.
+impl PartialEq for SignalState {
     fn eq(&self, other: &Self) -> bool {
         self.values.len() == other.values.len()
             && self
@@ -208,8 +187,8 @@ impl PartialEq for SignalDbSnapshot {
     }
 }
 
-impl SignalDbSnapshot {
-    /// Derives the per-hyperperiod signal delta between two images taken
+impl SignalState {
+    /// Derives the per-hyperperiod signal delta between two states taken
     /// exactly `h` apart: every value must be bit-identical (steady-state
     /// plants settle to exact fixed points; comparison is on the raw f64
     /// bits, so `NaN` and `-0.0` round-trip too) and every `updated_at`
@@ -217,16 +196,17 @@ impl SignalDbSnapshot {
     /// the shifted slot indices to `out` and returns `true`, or returns
     /// `false` when any value moved or a stamp shifted non-uniformly.
     pub fn derive_shift(
-        a: &SignalDbSnapshot,
-        b: &SignalDbSnapshot,
+        a: &SignalState,
+        b: &SignalState,
         h: easis_sim::time::Duration,
         out: &mut Vec<u32>,
     ) -> bool {
-        if a.values.len() != b.values.len() {
+        let SignalState { values } = a;
+        if values.len() != b.values.len() {
             return false;
         }
         out.clear();
-        for (i, (&(va, ta), &(vb, tb))) in a.values.iter().zip(&b.values).enumerate() {
+        for (i, (&(va, ta), &(vb, tb))) in values.iter().zip(&b.values).enumerate() {
             if va.to_bits() != vb.to_bits() {
                 return false;
             }
@@ -305,11 +285,12 @@ mod tests {
         let a = db.declare("a", 1.0);
         let b = db.declare("b", 2.0);
         db.write(a, 10.0, Instant::from_millis(1));
-        let mut snap = SignalDbSnapshot::default();
-        db.snapshot_into(&mut snap);
+        let mut snap = SignalState::default();
+        snap.clone_from(db.state());
 
         db.write(b, 99.0, Instant::from_millis(5));
-        db.restore_from(&snap);
+        db.restore(&snap);
+        assert_eq!(db.state(), &snap);
         assert_eq!((db.read(a), db.read(b)), (10.0, 2.0));
         assert_eq!(db.updated_at(b), Instant::ZERO);
         assert_eq!(db.updated_at(a), Instant::from_millis(1));
@@ -320,11 +301,11 @@ mod tests {
         let mut db = SignalDb::new();
         db.declare("x", 1.0);
         db.declare("y", 2.0);
-        let mut snap = SignalDbSnapshot::default();
-        db.snapshot_into(&mut snap);
+        let mut snap = SignalState::default();
+        snap.clone_from(db.state());
         let values_ptr = snap.values.as_ptr();
         db.write(SignalId(0), 5.0, Instant::from_millis(2));
-        db.snapshot_into(&mut snap);
+        snap.clone_from(db.state());
         assert_eq!(values_ptr, snap.values.as_ptr());
         assert_eq!(snap.values[0].0, 5.0);
     }
@@ -335,9 +316,7 @@ mod tests {
             let mut db = SignalDb::new();
             let x = db.declare("x", 0.0);
             db.write(x, value, at);
-            let mut snap = SignalDbSnapshot::default();
-            db.snapshot_into(&mut snap);
-            snap
+            db.state().clone()
         };
         let t = Instant::from_millis(1);
         assert_eq!(capture(1.5, t), capture(1.5, t));

@@ -29,60 +29,32 @@ impl EventId {
     }
 }
 
-/// The pending state of an [`EventQueue`] captured by
-/// [`EventQueue::snapshot`] / [`EventQueue::snapshot_into`]: the pending
-/// entries exactly as the queue stores them plus the next sequence number.
-/// [`EventQueue::restore_from`] turns it back into a queue.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventQueueSnapshot<E> {
-    entries: Vec<(u64, u64, E)>,
-    next_seq: u64,
-}
-
-impl<E> EventQueueSnapshot<E> {
-    /// Every pending `(time µs, seq, payload)` entry in stored order:
-    /// descending `(time, seq)`, so the reversed slice is pop order. The
-    /// order is canonical (a queue's content fixes it), which lets the
-    /// macro-stepping engine compare two captures entry by entry.
-    pub fn entries(&self) -> &[(u64, u64, E)] {
-        &self.entries
+crate::clone_fields! {
+    /// A time-ordered queue of simulation events with stable tie-breaking.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use easis_sim::event::EventQueue;
+    /// use easis_sim::time::Instant;
+    ///
+    /// let mut q = EventQueue::new();
+    /// q.schedule(Instant::from_micros(20), "late");
+    /// q.schedule(Instant::from_micros(10), "early");
+    /// let (t, e) = q.pop().unwrap();
+    /// assert_eq!((t.as_micros(), e), (10, "early"));
+    /// ```
+    ///
+    /// The queue is its own checkpoint: `clone_from` copies the entries into
+    /// the destination's buffer, and equality compares entries in stored
+    /// order, which a queue's content fixes.
+    #[derive(Debug, PartialEq)]
+    pub struct EventQueue<E> {
+        /// Pending `(time µs, seq, payload)` entries sorted by descending
+        /// `(time, seq)`: the last entry pops next.
+        entries: Vec<(u64, u64, E)>,
+        next_seq: u64,
     }
-
-    /// Next sequence number the queue would hand out at capture time.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-}
-
-impl<E> Default for EventQueueSnapshot<E> {
-    fn default() -> Self {
-        EventQueueSnapshot {
-            entries: Vec::new(),
-            next_seq: 0,
-        }
-    }
-}
-
-/// A time-ordered queue of simulation events with stable tie-breaking.
-///
-/// # Examples
-///
-/// ```
-/// use easis_sim::event::EventQueue;
-/// use easis_sim::time::Instant;
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(Instant::from_micros(20), "late");
-/// q.schedule(Instant::from_micros(10), "early");
-/// let (t, e) = q.pop().unwrap();
-/// assert_eq!((t.as_micros(), e), (10, "early"));
-/// ```
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    /// Pending `(time µs, seq, payload)` entries sorted by descending
-    /// `(time, seq)`: the last entry pops next.
-    entries: Vec<(u64, u64, E)>,
-    next_seq: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -166,43 +138,17 @@ impl<E> EventQueue<E> {
         self.entries.is_empty()
     }
 
-    // ------------------------------------------------------------------
-    // Snapshot / restore
-    // ------------------------------------------------------------------
-
-    /// Captures the queue's complete pending state — every entry and the
-    /// sequence counter — so a later [`EventQueue::restore_from`] resumes
-    /// scheduling and popping exactly where the snapshot was taken (same
-    /// ids, same order).
-    pub fn snapshot(&self) -> EventQueueSnapshot<E>
-    where
-        E: Clone,
-    {
-        let mut snap = EventQueueSnapshot::default();
-        self.snapshot_into(&mut snap);
-        snap
+    /// Every pending `(time µs, seq, payload)` entry in stored order:
+    /// descending `(time, seq)`, so the reversed slice is pop order. The
+    /// order is canonical (a queue's content fixes it), which lets the
+    /// macro-stepping engine compare two queues entry by entry.
+    pub fn entries(&self) -> &[(u64, u64, E)] {
+        &self.entries
     }
 
-    /// Captures the queue's state into `snap`, reusing the snapshot's
-    /// entry buffer — repeated captures into the same snapshot are
-    /// allocation-free once warm.
-    pub fn snapshot_into(&self, snap: &mut EventQueueSnapshot<E>)
-    where
-        E: Clone,
-    {
-        snap.entries.clone_from(&self.entries);
-        snap.next_seq = self.next_seq;
-    }
-
-    /// Restores the queue to a previously captured snapshot, overwriting
-    /// the entry buffer in place, so restoring onto a warm queue allocates
-    /// nothing in steady state.
-    pub fn restore_from(&mut self, snap: &EventQueueSnapshot<E>)
-    where
-        E: Clone,
-    {
-        self.entries.clone_from(&snap.entries);
-        self.next_seq = snap.next_seq;
+    /// Next sequence number the queue will hand out.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     /// Shifts every pending entry `shift` later in time and `seq_shift`
@@ -410,15 +356,16 @@ mod tests {
         q.schedule(t(900), "behind-cursor");
         q.cancel(doomed);
 
-        let snap = q.snapshot();
+        let snap = q.clone();
         fn drain(q: &mut EventQueue<&'static str>) -> Vec<(u64, &'static str)> {
             std::iter::from_fn(|| q.pop().map(|(at, e)| (at.as_micros(), e))).collect()
         }
         let reference = drain(&mut q);
-        q.restore_from(&snap);
+        q.clone_from(&snap);
         assert_eq!(drain(&mut q), reference);
         // Restored queues also continue identically after new activity.
-        q.restore_from(&snap);
+        q.clone_from(&snap);
+        assert_eq!(q, snap);
         let a = q.schedule(t(700), "new");
         assert_eq!(a.raw(), snap.next_seq);
         assert_eq!(q.pop(), Some((t(700), "new")));
@@ -437,8 +384,8 @@ mod tests {
         q.cancel(doomed);
         q.pop();
         q.schedule(t(400), 103);
-        let mut snap = EventQueueSnapshot::default();
-        q.snapshot_into(&mut snap);
+        let mut snap = EventQueue::new();
+        snap.clone_from(&q);
 
         // Warm churn-and-restore cycles must not grow the entry buffer.
         let churn = |q: &mut EventQueue<u64>| {
@@ -447,7 +394,7 @@ mod tests {
             }
             q.schedule(t(5 << 26), 200);
             q.schedule(t(100), 201);
-            q.restore_from(&snap);
+            q.clone_from(&snap);
         };
         let signatures: Vec<usize> = (0..20)
             .map(|_| {
@@ -463,7 +410,7 @@ mod tests {
 
         // Capturing into the same snapshot buffer again is also stable.
         let snap_cap = snap.entries.capacity();
-        q.snapshot_into(&mut snap);
+        snap.clone_from(&q);
         assert_eq!(snap.entries.capacity(), snap_cap);
     }
 

@@ -13,7 +13,10 @@
 //! * [`trace`] — the observable-action log every layer writes to;
 //! * [`series`] — time-series capture used to regenerate the paper's plots;
 //! * [`cpu`] — abstract cycle costs and CPU models (AutoBox, S12XF);
-//! * [`rng`] — stable seedable randomness for fault campaigns.
+//! * [`rng`] — stable seedable randomness for fault campaigns;
+//! * [`snap`] — [`clone_fields!`], the field-wise `Clone` every runtime
+//!   state struct uses, so a checkpoint is captured and restored with one
+//!   capacity-keeping `clone_from` per component.
 //!
 //! # Examples
 //!

@@ -11,37 +11,20 @@ use crate::time::Instant;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// One timestamped trace record.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceEvent {
-    /// When the event happened.
-    pub at: Instant,
-    /// Which component emitted it (e.g. `"osek"`, `"watchdog"`, `"can0"`).
-    pub source: String,
-    /// Event kind, a stable machine-readable tag (e.g. `"dispatch"`).
-    pub kind: String,
-    /// Free-form detail (task name, runnable name, error description …).
-    pub detail: String,
-}
-
-impl Clone for TraceEvent {
-    fn clone(&self) -> Self {
-        TraceEvent {
-            at: self.at,
-            source: self.source.clone(),
-            kind: self.kind.clone(),
-            detail: self.detail.clone(),
-        }
-    }
-
-    // Field-wise so `Vec<TraceEvent>::clone_from` reuses each event's
-    // string buffers — snapshot capture stays allocation-free once the
-    // destination trace has seen strings at least as long.
-    fn clone_from(&mut self, source: &Self) {
-        self.at = source.at;
-        self.source.clone_from(&source.source);
-        self.kind.clone_from(&source.kind);
-        self.detail.clone_from(&source.detail);
+crate::clone_fields! {
+    /// One timestamped trace record. Its `clone_from` reuses the string
+    /// buffers, so capturing a trace into a warm checkpoint allocates
+    /// nothing once the destination has seen strings at least as long.
+    #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct TraceEvent {
+        /// When the event happened.
+        pub at: Instant,
+        /// Which component emitted it (e.g. `"osek"`, `"watchdog"`, `"can0"`).
+        pub source: String,
+        /// Event kind, a stable machine-readable tag (e.g. `"dispatch"`).
+        pub kind: String,
+        /// Free-form detail (task name, runnable name, error description …).
+        pub detail: String,
     }
 }
 
@@ -58,37 +41,23 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// An append-only recorder of [`TraceEvent`]s.
-///
-/// # Examples
-///
-/// ```
-/// use easis_sim::trace::TraceRecorder;
-/// use easis_sim::time::Instant;
-///
-/// let mut trace = TraceRecorder::new();
-/// trace.record(Instant::from_millis(1), "watchdog", "heartbeat", "GetSensorValue");
-/// assert_eq!(trace.count_kind("heartbeat"), 1);
-/// ```
-#[derive(Debug, Default, PartialEq)]
-pub struct TraceRecorder {
-    events: Vec<TraceEvent>,
-    enabled: bool,
-}
-
-impl Clone for TraceRecorder {
-    fn clone(&self) -> Self {
-        TraceRecorder {
-            events: self.events.clone(),
-            enabled: self.enabled,
-        }
-    }
-
-    // Capacity-retained: snapshot buffers clone_from the live trace every
-    // capture without reallocating the event vector or its strings.
-    fn clone_from(&mut self, source: &Self) {
-        self.events.clone_from(&source.events);
-        self.enabled = source.enabled;
+crate::clone_fields! {
+    /// An append-only recorder of [`TraceEvent`]s.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use easis_sim::trace::TraceRecorder;
+    /// use easis_sim::time::Instant;
+    ///
+    /// let mut trace = TraceRecorder::new();
+    /// trace.record(Instant::from_millis(1), "watchdog", "heartbeat", "GetSensorValue");
+    /// assert_eq!(trace.count_kind("heartbeat"), 1);
+    /// ```
+    #[derive(Debug, Default, PartialEq)]
+    pub struct TraceRecorder {
+        events: Vec<TraceEvent>,
+        enabled: bool,
     }
 }
 

@@ -15,7 +15,7 @@ use easis_apps::bundle::AppBundle;
 use easis_apps::{lightctl, safelane, safespeed, steer};
 use easis_baselines::task_monitors::{TaskMonitor, TaskMonitorStats, TimingCheck};
 use easis_fmf::dtc::FreezeFrame;
-use easis_fmf::framework::{FaultManagementFramework, FmfCycleDelta, FmfSnapshot};
+use easis_fmf::framework::{FaultManagementFramework, FmfCycleDelta, FmfState};
 use easis_fmf::policy::{Treatment, TreatmentAction, TreatmentPolicy};
 use easis_fmf::record::SeverityMap;
 use easis_injection::injector::Injector;
@@ -26,14 +26,14 @@ use easis_osek::task::{Priority, TaskConfig, TaskId};
 use easis_rte::assembly::SequencedTask;
 use easis_rte::mapping::{ApplicationId, SystemMapping};
 use easis_rte::runnable::{RunnableId, RunnableRegistry};
-use easis_rte::signal::{SignalDb, SignalDbSnapshot, SignalId};
+use easis_rte::signal::{SignalDb, SignalId, SignalState};
 use easis_sim::snap::RestoreStats;
 use easis_sim::time::{Duration, Instant};
-use easis_osek::kernel::OsSnapshot;
+use easis_osek::kernel::OsState;
 use easis_rte::control::RunnableControls;
 use easis_watchdog::config::{RunnableHypothesis, WatchdogConfig};
 use easis_watchdog::report::{DetectedFault, RunnableCounters, StateChange};
-use easis_watchdog::{CycleReport, SoftwareWatchdog, WatchdogCycleDelta, WatchdogSnapshot};
+use easis_watchdog::{CycleReport, SoftwareWatchdog, WatchdogCycleDelta, WatchdogState};
 use easis_baselines::hw_watchdog::HardwareWatchdog;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -317,7 +317,11 @@ impl CentralNode {
         };
         let mut watchdog = SoftwareWatchdog::from_shared(wd_config);
         watchdog.attach_obs(obs.clone());
-        let mut fmf = FaultManagementFramework::new(SeverityMap::default(), config.policy);
+        let mut fmf = FaultManagementFramework::new(
+            SeverityMap::default(),
+            config.policy,
+            mapping.application_count(),
+        );
         fmf.attach_obs(obs.clone());
         let mut world = CentralWorld::new(signals, watchdog, fmf, config.hw_timeout);
         world.obs = obs;
@@ -531,53 +535,53 @@ impl CentralNode {
     }
 
     /// Captures a deterministic checkpoint of the started node into
-    /// `snap`: kernel (tasks, timers, plans, alarms, trace), world
-    /// (signals, controls, watchdog, FMF, hardware watchdog, logs) and the
-    /// baseline-monitor statistics. The snapshot's buffer capacity is
-    /// retained, so re-capturing into a warm snapshot is allocation-free
-    /// in the steady state. See [`NodeSnapshot`] for what is deliberately
-    /// excluded.
+    /// `snap`: one `clone_from` per component state — kernel (tasks,
+    /// timers, plans, alarms, trace), world (signals, controls, watchdog,
+    /// FMF, hardware watchdog, logs) and the baseline-monitor statistics.
+    /// Every state keeps its buffers, so re-capturing into a warm snapshot
+    /// is allocation-free in the steady state. See [`NodeSnapshot`] for
+    /// what is deliberately excluded.
     ///
     /// # Panics
     ///
     /// See [`CentralNode::snapshot`].
     pub fn snapshot_into(&self, snap: &mut NodeSnapshot) {
         assert!(self.started, "snapshot a started node");
-        self.os.snapshot_into(&mut snap.os);
-        self.world.signals.snapshot_into(&mut snap.signals);
-        snap.controls.clone_from(&self.world.controls);
-        self.world.watchdog.snapshot_into(&mut snap.watchdog);
-        self.world.fmf.snapshot_into(&mut snap.fmf);
-        snap.hw_watchdog.clone_from(&self.world.hw_watchdog);
-        snap.treatments.clone_from(&self.world.treatments);
-        snap.ecu_resets = self.world.ecu_resets;
-        snap.fault_log.clear();
-        snap.fault_log.extend_from_slice(&self.world.fault_log);
-        snap.rx_mailbox.clone_from(&self.world.rx_mailbox);
+        let world = &self.world;
+        snap.os.clone_from(self.os.state());
+        snap.signals.clone_from(world.signals.state());
+        snap.controls.clone_from(&world.controls);
+        snap.watchdog.clone_from(world.watchdog.state());
+        snap.fmf.clone_from(world.fmf.state());
+        snap.hw_watchdog.clone_from(&world.hw_watchdog);
+        snap.treatments.clone_from(&world.treatments);
+        snap.ecu_resets = world.ecu_resets;
+        snap.fault_log.clone_from(&world.fault_log);
+        snap.rx_mailbox.clone_from(&world.rx_mailbox);
         self.deadline_monitor.stats_into(&mut snap.deadline_stats);
         self.exec_monitor.stats_into(&mut snap.exec_stats);
     }
 
-    /// Restores the node to a previously captured checkpoint. Only valid
-    /// on the node the snapshot was taken from or a structurally identical
-    /// one (same blueprint); the kernel layer asserts the table shapes it
-    /// can check cheaply. Vector state is written back with `clone_from`,
-    /// so a reused node's capacity survives repeated restores.
+    /// Restores the node to a previously captured checkpoint: one
+    /// `clone_from` per component state, so a reused node's capacity
+    /// survives repeated restores. Only valid on the node the snapshot was
+    /// taken from or a structurally identical one (same blueprint); the
+    /// kernel asserts that its task, alarm and resource tables match.
     ///
     /// Every restore is a full copy, so the returned [`RestoreStats`]
     /// always report the whole node as one copied region.
     pub fn restore_from(&mut self, snap: &NodeSnapshot) -> RestoreStats {
-        self.os.restore_from(&snap.os);
-        self.world.signals.restore_from(&snap.signals);
-        self.world.watchdog.restore_from(&snap.watchdog);
-        self.world.fmf.restore_from(&snap.fmf);
-        self.world.controls.clone_from(&snap.controls);
-        self.world.hw_watchdog.clone_from(&snap.hw_watchdog);
-        self.world.treatments.clone_from(&snap.treatments);
-        self.world.fault_log.clear();
-        self.world.fault_log.extend_from_slice(&snap.fault_log);
-        self.world.rx_mailbox.clone_from(&snap.rx_mailbox);
-        self.world.ecu_resets = snap.ecu_resets;
+        let world = &mut self.world;
+        self.os.restore(&snap.os);
+        world.signals.restore(&snap.signals);
+        world.controls.clone_from(&snap.controls);
+        world.watchdog.restore(&snap.watchdog);
+        world.fmf.restore(&snap.fmf);
+        world.hw_watchdog.clone_from(&snap.hw_watchdog);
+        world.treatments.clone_from(&snap.treatments);
+        world.ecu_resets = snap.ecu_resets;
+        world.fault_log.clone_from(&snap.fault_log);
+        world.rx_mailbox.clone_from(&snap.rx_mailbox);
         self.deadline_monitor.restore_stats(&snap.deadline_stats);
         self.exec_monitor.restore_stats(&snap.exec_stats);
         self.started = true;
@@ -871,16 +875,16 @@ fn derive_node_delta(
         || *controls != b.controls
         || *deadline_stats != b.deadline_stats
         || *exec_stats != b.exec_stats
-        || !FmfSnapshot::derive_cycle_delta(fmf, &b.fmf, &mut out.fmf)
+        || !FmfState::derive_cycle_delta(fmf, &b.fmf, &mut out.fmf)
     {
         return false;
     }
     let mut shifted = hw_watchdog.clone();
     shifted.shift_last_kick(h);
     shifted == b.hw_watchdog
-        && OsSnapshot::derive_cycle_program(os, &b.os, h, &mut out.os)
-        && WatchdogSnapshot::derive_cycle_delta(watchdog, &b.watchdog, h, &mut out.watchdog)
-        && SignalDbSnapshot::derive_shift(signals, &b.signals, h, &mut out.signal_slots)
+        && OsState::derive_cycle_program(os, &b.os, h, &mut out.os)
+        && WatchdogState::derive_cycle_delta(watchdog, &b.watchdog, h, &mut out.watchdog)
+        && SignalState::derive_shift(signals, &b.signals, h, &mut out.signal_slots)
 }
 
 /// Names the first checkpoint field, in declaration order, on which a
@@ -938,26 +942,28 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
 /// taken there instead of re-simulating the golden prefix
 /// ([`crate::scenario::run_plan`]); each campaign worker keeps one capture
 /// taken just after `start()` at t=0 and one capacity-retained checkpoint
-/// it refills at every fork instant. The snapshot is plain data — no
-/// world handles, no closures.
+/// it refills at every fork instant.
 ///
-/// Static structure is deliberately excluded — the runnable registry, the
-/// compiled watchdog configuration, task bodies (their buffers are
-/// per-cycle scratch), the deployment tables, the node configuration and
-/// the observability sink are not captured. A snapshot therefore only
-/// restores onto the node it was taken from, or a structurally identical
-/// one built from the same blueprint.
+/// It is a struct of the components' own runtime states — no mirror
+/// types, no world handles, no closures — so a field added to a
+/// component's state reaches the checkpoint, its equality and verify
+/// mode's diff with no further edit. Wiring is deliberately excluded: the
+/// runnable registry, the compiled watchdog configuration and flow table,
+/// task bodies (their buffers are per-cycle scratch), the deployment
+/// tables, the node configuration and the observability sink are not
+/// captured. A snapshot therefore only restores onto the node it was taken
+/// from, or a structurally identical one built from the same blueprint.
 ///
 /// Equality is exact: two checkpoints compare equal only when every
 /// captured field does (signal values bit for bit), which is how tests
 /// compare a macro-stepped run with an event-level one.
 #[derive(Debug, PartialEq)]
 pub struct NodeSnapshot {
-    os: OsSnapshot,
-    signals: SignalDbSnapshot,
+    os: OsState<CentralWorld>,
+    signals: SignalState,
     controls: RunnableControls,
-    watchdog: WatchdogSnapshot,
-    fmf: FmfSnapshot,
+    watchdog: WatchdogState,
+    fmf: FmfState,
     hw_watchdog: HardwareWatchdog,
     treatments: Vec<TreatmentAction>,
     ecu_resets: u32,
@@ -970,11 +976,11 @@ pub struct NodeSnapshot {
 impl Default for NodeSnapshot {
     fn default() -> Self {
         NodeSnapshot {
-            os: OsSnapshot::default(),
-            signals: SignalDbSnapshot::default(),
+            os: OsState::default(),
+            signals: SignalState::default(),
             controls: RunnableControls::default(),
-            watchdog: WatchdogSnapshot::default(),
-            fmf: FmfSnapshot::default(),
+            watchdog: WatchdogState::default(),
+            fmf: FmfState::default(),
             // Placeholder until the first capture `clone_from`s the real
             // one (`HardwareWatchdog` has no Default: a zero timeout is
             // rejected by construction).

@@ -6,6 +6,7 @@ use easis::injection::campaign::{CampaignBuilder, TrialSpec};
 use easis::injection::executor::CampaignExecutor;
 use easis::injection::injector::{ErrorClass, Injection, Injector};
 use easis::injection::stats::{DetectorId, TrialOutcome};
+use easis::obs::ObsSink;
 use easis::rte::runnable::RunnableId;
 use easis::sim::cpu::CostMeter;
 use easis::sim::event::EventQueue;
@@ -351,14 +352,15 @@ proptest! {
         use easis::osek::task::TaskId;
         use easis::rte::mapping::SystemMapping;
         use easis::watchdog::report::{DetectedFault, FaultKind};
-        use easis::watchdog::tsi::TaskStateIndication;
+        use easis::watchdog::tsi::{TaskStateIndication, TsiState};
         let mut mapping = SystemMapping::new();
         let app = mapping.add_application("A");
         mapping.assign_task(TaskId(0), app);
         mapping.assign_runnable(RunnableId(0), TaskId(0));
-        let mut tsi = TaskStateIndication::new(mapping, threshold, u32::MAX);
+        let tsi = TaskStateIndication::new(mapping, threshold, u32::MAX);
+        let mut state = TsiState::new(&tsi);
         for i in 1..=threshold {
-            let changes = tsi.record(DetectedFault {
+            let changes = state.record(&tsi, DetectedFault {
                 at: Instant::from_millis(i as u64),
                 runnable: RunnableId(0),
                 kind: FaultKind::Aliveness,
@@ -398,12 +400,12 @@ proptest! {
             let runnable = RunnableId(id);
             match op {
                 0 => {
-                    dense.record(runnable, now, &mut dense_costs);
+                    dense.record(runnable, now, &mut dense_costs, &ObsSink::DISABLED);
                     reference.record(runnable, &mut reference_costs);
                 }
                 1 => {
                     now += Duration::from_millis(10);
-                    let dense_faults = dense.end_of_cycle(now, &mut dense_costs);
+                    let dense_faults = dense.end_of_cycle(now, &mut dense_costs, &ObsSink::DISABLED);
                     let reference_faults = reference.end_of_cycle(now, &mut reference_costs);
                     prop_assert_eq!(dense_faults, reference_faults, "cycle faults diverged");
                 }
@@ -659,7 +661,6 @@ proptest! {
                 }
             }
             let stored: Vec<(u64, u64)> = queue
-                .snapshot()
                 .entries()
                 .iter()
                 .rev()
@@ -894,7 +895,7 @@ proptest! {
         let mut reference_os = build_equiv_os(&specs, false);
         let reference_world = run_equiv_os(&mut reference_os, &specs, horizon);
         let mut arena_os = build_equiv_os(&specs, true);
-        let cold = arena_os.snapshot();
+        let cold = arena_os.state().clone();
         let arena_world = run_equiv_os(&mut arena_os, &specs, horizon);
 
         prop_assert_eq!(
@@ -909,7 +910,7 @@ proptest! {
         // Campaign replay: rewind the arena OS to before `start()` (slots
         // keep their capacity) and run the identical scenario again —
         // still bit-identical.
-        arena_os.restore_from(&cold);
+        arena_os.restore(&cold);
         let replay_world = run_equiv_os(&mut arena_os, &specs, horizon);
         prop_assert_eq!(
             arena_os.trace().events(),
@@ -974,6 +975,77 @@ proptest! {
             spec.injection
         );
         prop_assert_eq!(&reused.world.fault_log, &fresh.world.fault_log);
+    }
+
+    /// A capture taken inside an armed injection window — an app task's
+    /// plan in flight, and DTC records and outbox entries live once the
+    /// fault is detected — restores exactly onto a node that a different
+    /// trial has dirtied: the dirtied node's recapture equals the capture,
+    /// and both nodes finish the trial in the same state. The other rewind
+    /// tests restore captures taken before the injection arms or at a
+    /// certified quiescent instant.
+    #[test]
+    fn capture_inside_the_window_round_trips_onto_a_dirtied_node(
+        seed in any::<u64>(),
+        test_pick in any::<u32>(),
+        dirty_pick in any::<u32>(),
+        instant_pick in any::<u32>(),
+    ) {
+        use easis::osek::kernel::Os;
+        use easis::rte::control::RunnableControls;
+        use easis::validator::node::NodeBlueprint;
+        let horizon = Instant::from_millis(700);
+        let plan = CampaignBuilder::new(seed, (0..9).map(RunnableId).collect())
+            .loop_targets(vec![RunnableId(4), RunnableId(7)])
+            .trials_per_class(1)
+            .window(Instant::from_millis(200), Duration::from_millis(200))
+            .with_horizon(horizon)
+            .build();
+        let trials = plan.trials();
+        let spec = &trials[test_pick as usize % trials.len()];
+        let dirty = &trials[dirty_pick as usize % trials.len()];
+        let injection = &spec.injection;
+        // App tasks activate at 5 ms past every 10 ms; capturing on such an
+        // instant leaves the activated task's plan in the arena.
+        let (from, to) = (injection.from.as_millis(), injection.to.as_millis().min(700));
+        let first = from + (15 - from % 10) % 10;
+        let instants = if first < to { (to - first).div_ceil(10) } else { 0 };
+        let capture = Instant::from_millis(if instants == 0 {
+            from
+        } else {
+            first + 10 * (u64::from(instant_pick) % instants)
+        });
+
+        let blueprint = NodeBlueprint::compile(campaign_node_config());
+        let mut a = CentralNode::build_from_blueprint(&blueprint);
+        a.start();
+        let mut injector_a = Injector::new([injection.clone()]);
+        a.run_until(capture, &mut injector_a);
+        let captured = a.snapshot();
+
+        let mut b = CentralNode::build_from_blueprint(&blueprint);
+        b.start();
+        b.run_until(horizon, &mut Injector::new([dirty.injection.clone()]));
+        b.restore_from(&captured);
+        prop_assert_eq!(
+            &b.snapshot(),
+            &captured,
+            "restore onto a dirtied node is not exact for {:?}",
+            injection
+        );
+
+        // B's injector in A's state: armed at the capture instant, ticked
+        // against throwaway targets so neither node is touched.
+        let mut injector_b = Injector::new([injection.clone()]);
+        injector_b.tick(capture, &mut RunnableControls::new(), &mut Os::<()>::new());
+        a.run_until(horizon, &mut injector_a);
+        b.run_until(horizon, &mut injector_b);
+        prop_assert_eq!(
+            a.snapshot(),
+            b.snapshot(),
+            "restored node diverged after the capture for {:?}",
+            injection
+        );
     }
 
     /// Golden-run prefix checkpointing is invisible: a random campaign run

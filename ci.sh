@@ -105,6 +105,15 @@ if grep -rnE 'struct [A-Za-z]*Snapshot|fn snapshot_into|fn restore_from' \
   echo "a mirror snapshot type or copy function crept back below the node"; exit 1
 fi
 
+echo "==> campaign executor runs on std threads (no crossbeam calls)"
+# The executor hands each worker one share on std::thread::scope; the
+# crossbeam manifest line and vendor/crossbeam remain only until the next
+# benchmark change, because removing them rewrites easis_bench's frozen
+# Cargo.lock.
+if grep -rnE --include='*.rs' 'crossbeam[:]{2}' crates/*/src src tests; then
+  echo "a crossbeam call crept back in"; exit 1
+fi
+
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"
 # The full soak defaults to two simulated hours; one simulated minute
 # still crosses several multiples of 2^24 us and schedules events further
@@ -130,18 +139,16 @@ echo "==> macro-stepping and mid-window round-trip property tests in verify mode
 EASIS_FASTFORWARD=verify PROPTEST_CASES=100 PROPTEST_SEED_SALT=1 \
   cargo test -q --test properties -- dead_ready_keys macro_stepp capture_inside
 
-echo "==> campaign golden across worker/chunk/fast-forward configurations (forked path)"
+echo "==> campaign golden across worker/fast-forward configurations (forked path)"
 # campaign_regression drives scenario::run_plan — the snapshot-forking
 # engine with tail collapsing — so this loop proves the prefix-reuse
 # report bytes stay identical to the golden at every worker count, with
 # hyperperiod macro-stepping enabled (the default), disabled, and in
 # verify mode (every jump shadowed at event level and compared): the
-# certified jumps must be unobservable in the report bytes. Chunks of 5
-# make workers restore their t=0 checkpoint and re-simulate the golden
-# prefix whenever a chunk forks before their last checkpoint.
+# certified jumps must be unobservable in the report bytes.
 for ff in 1 0 verify; do
   for w in 1 2 4; do
-    EASIS_FASTFORWARD=$ff EASIS_WORKERS=$w EASIS_CHUNK=5 \
+    EASIS_FASTFORWARD=$ff EASIS_WORKERS=$w \
       cargo test -q --test campaign_regression
   done
 done

@@ -7,15 +7,15 @@
 //! grid is affordable. This bin measures the T-COV campaign (the same
 //! plan shape as the golden campaign report, scaled up) through the one
 //! campaign engine, [`run_plan`]: golden-run prefix checkpointing. Each
-//! worker thread pools one node, sorts its chunk by fork tick and tail
-//! key, simulates the clean (injection-free) prefix once, snapshots the
-//! node at each distinct fork instant and restores every trial from its
-//! checkpoint, so only the post-injection tail is re-simulated; adjacent
-//! twins with the same effective tail read their outcome off one
-//! simulation, and quiescent tail spans fast-forward by certified
-//! hyperperiod jumps. The raw setup costs (one-off [`NodeBlueprint`]
-//! compile, one full node build, one rewind to a t=0 snapshot) are
-//! measured separately.
+//! worker thread pools one node, sorts its share of the plan (one
+//! contiguous share per worker) by fork tick and tail key, simulates the
+//! clean (injection-free) prefix once, snapshots the node at each
+//! distinct fork instant and restores every trial from its checkpoint,
+//! so only the post-injection tail is re-simulated; adjacent twins with
+//! the same effective tail read their outcome off one simulation, and
+//! quiescent tail spans fast-forward by certified hyperperiod jumps. The
+//! raw setup costs (one-off [`NodeBlueprint`] compile, one full node
+//! build, one rewind to a t=0 snapshot) are measured separately.
 //!
 //! The bin proves the steady-state claim under a counting global
 //! allocator: a clean (no-fault) trial on a warmed, reused node

@@ -3,13 +3,13 @@
 //! The paper's outlook asks for "further analysis of fault detection
 //! coverage"; a campaign is the instrument: a seeded plan of injection
 //! trials across error classes and target runnables, executed by a
-//! scenario runner (provided by the validator crate) and aggregated into
-//! [`CampaignStats`].
+//! [`CampaignExecutor`] with a scenario runner (provided by the validator
+//! crate) and aggregated into [`CampaignStats`].
 //!
+//! [`CampaignExecutor`]: crate::executor::CampaignExecutor
 //! [`CampaignStats`]: crate::stats::CampaignStats
 
 use crate::injector::{ErrorClass, Injection};
-use crate::stats::{CampaignStats, TrialOutcome};
 use easis_rte::runnable::RunnableId;
 use easis_sim::rng::SimRng;
 use easis_sim::time::{Duration, Instant};
@@ -52,16 +52,6 @@ impl CampaignPlan {
     /// `true` if the plan is empty.
     pub fn is_empty(&self) -> bool {
         self.trials.is_empty()
-    }
-
-    /// Executes the plan: `runner` performs one trial and reports the
-    /// outcome; results aggregate into [`CampaignStats`].
-    pub fn run(&self, mut runner: impl FnMut(&TrialSpec) -> TrialOutcome) -> CampaignStats {
-        let mut stats = CampaignStats::new();
-        for trial in &self.trials {
-            stats.push(runner(trial));
-        }
-        stats
     }
 }
 
@@ -183,7 +173,8 @@ impl CampaignBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::DetectorId;
+    use crate::executor::CampaignExecutor;
+    use crate::stats::{DetectorId, TrialOutcome};
 
     fn targets() -> Vec<RunnableId> {
         (0..3).map(RunnableId).collect()
@@ -225,7 +216,7 @@ mod tests {
     #[test]
     fn run_aggregates_outcomes() {
         let plan = CampaignBuilder::new(3, targets()).trials_per_class(2).build();
-        let stats = plan.run(|trial| {
+        let stats = CampaignExecutor::serial().run(&plan, |trial| {
             let mut o = TrialOutcome::new(trial.injection.class.tag());
             o.record(DetectorId::SwAliveness, Duration::from_millis(10));
             o

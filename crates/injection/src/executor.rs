@@ -1,31 +1,28 @@
 //! Parallel, deterministic campaign execution.
 //!
-//! The serial [`CampaignPlan::run`] walks trials one by one; a realistic
-//! coverage analysis (the paper's outlook asks for "further analysis of
-//! fault detection coverage") needs thousands of trials, each simulating a
-//! full central node to its horizon. Trials are hermetic — every one
-//! builds its own node world from its [`TrialSpec`] — so they
-//! parallelise embarrassingly. [`CampaignExecutor`] fans a plan's chunks
-//! across a pool of worker threads and merges the outcomes **by trial
-//! index**, so the resulting [`CampaignStats`] is bit-identical to a
-//! serial run regardless of worker count, chunk size or thread scheduling.
+//! A realistic coverage analysis (the paper's outlook asks for "further
+//! analysis of fault detection coverage") needs thousands of trials, each
+//! simulating a full central node to its horizon. A trial's outcome
+//! depends only on its [`TrialSpec`], so trials parallelise
+//! embarrassingly. [`CampaignExecutor`] cuts a plan into one contiguous
+//! **share** per worker, in plan order: the calling thread runs the first
+//! share and scoped threads run the others. The shares' outcomes are
+//! appended in plan order, so the resulting [`CampaignStats`] is
+//! bit-identical to a serial run regardless of worker count or thread
+//! scheduling.
 //!
-//! Work distribution is **statically striped**: the plan's chunks are
-//! assigned round-robin to workers up front, so a worker owns its whole
-//! stripe from the moment it spawns — no shared work queue, no channel
-//! receive per chunk. Each worker hands its results over exactly once,
-//! when its thread is joined, regardless of plan size. (The earlier
-//! shared-queue design paid one channel round-trip per chunk, which on a
-//! single-core host was enough synchronization to make two workers
-//! *slower* than one.) Campaign trials are near-uniform in cost, so
-//! dynamic rebalancing buys nothing here.
+//! A worker owns its whole share from the moment it spawns — no shared
+//! work queue, no channel — and hands its results over exactly once, when
+//! its thread is joined. Shares are equal in trial count, not in cost:
+//! plans are blocked by error class, and one class's tails can take longer
+//! than another's. No knob rebalances them.
 //!
-//! [`CampaignExecutor::run_chunked`] exposes the chunk boundary to the
-//! runner: the whole contiguous chunk of specs is handed over in one call,
-//! so a runner can amortize per-chunk work — the validator's forked
-//! campaign runner sorts each chunk by fork tick and tail key, forks
-//! trials from golden-prefix snapshots instead of re-simulating the
-//! prefix, and simulates each run of identical tails once.
+//! [`CampaignExecutor::run_chunked`] hands the runner a worker's whole
+//! share in one call, so a runner can amortize per-share work — the
+//! validator's forked campaign runner sorts the share by fork tick and
+//! tail key, forks trials from golden-prefix snapshots instead of
+//! re-simulating the prefix, and simulates each run of identical tails
+//! once.
 //!
 //! ```
 //! use easis_injection::campaign::CampaignBuilder;
@@ -38,57 +35,40 @@
 //!     TrialOutcome::new(spec.injection.class.tag())
 //! };
 //! let serial = CampaignExecutor::serial().run(&plan, runner);
-//! let parallel = CampaignExecutor::new(4).with_chunk_size(3).run(&plan, runner);
+//! let parallel = CampaignExecutor::new(4).run(&plan, runner);
 //! assert_eq!(serial, parallel);
 //! ```
 
 use crate::campaign::{CampaignPlan, TrialSpec};
 use crate::stats::{CampaignStats, TrialOutcome};
 
-/// Executes campaign plans across a fixed pool of worker threads with
-/// deterministic (order-independent) result aggregation.
+/// Executes campaign plans on up to `workers` threads, one contiguous
+/// share of the plan each, with deterministic (plan-order) result
+/// aggregation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignExecutor {
     workers: usize,
-    /// Trials per chunk; 0 = auto-size from the plan.
-    chunk: usize,
 }
 
 impl CampaignExecutor {
-    /// A single-threaded executor; behaves exactly like
-    /// [`CampaignPlan::run`].
+    /// A single-threaded executor: the whole plan runs as one share on the
+    /// calling thread.
     pub fn serial() -> Self {
-        CampaignExecutor { workers: 1, chunk: 0 }
+        CampaignExecutor { workers: 1 }
     }
 
-    /// An executor with `workers` threads (clamped to at least 1) and
-    /// automatic chunk sizing.
+    /// An executor with `workers` threads (clamped to at least 1).
     pub fn new(workers: usize) -> Self {
         CampaignExecutor {
             workers: workers.max(1),
-            chunk: 0,
         }
-    }
-
-    /// Sets the number of trial specs per chunk. `0` restores automatic
-    /// sizing (≈ 4 chunks per worker, clamped to 1..=64). The merged stats
-    /// are bit-identical for every chunk size. The knob sets the stripe
-    /// granularity — how evenly the up-front round-robin spreads the plan
-    /// over the workers — and, at more than one worker, which trials share
-    /// a chunk runner call: a chunk runner can only reuse work (such as a
-    /// golden-prefix checkpoint or a collapsed twin tail) within a chunk.
-    /// One worker always runs the whole plan as one chunk.
-    pub fn with_chunk_size(mut self, chunk: usize) -> Self {
-        self.chunk = chunk;
-        self
     }
 
     /// An executor sized by the `EASIS_WORKERS` environment variable
     /// (worker count), falling back to the machine's available
-    /// parallelism, and chunked by `EASIS_CHUNK` (trials per chunk,
-    /// 0/unset = auto). A set-but-invalid value (unparsable, or a
-    /// worker count of 0) is rejected with a warning on stderr rather
-    /// than silently ignored, then the fallback applies.
+    /// parallelism. A set-but-invalid value (unparsable, or a worker count
+    /// of 0) is rejected with a warning on stderr rather than silently
+    /// ignored, then the fallback applies.
     pub fn from_env() -> Self {
         let workers = match std::env::var("EASIS_WORKERS") {
             Ok(raw) => match raw.parse::<usize>() {
@@ -115,17 +95,7 @@ impl CampaignExecutor {
                 .map(|n| n.get())
                 .unwrap_or(1)
         });
-        let chunk = match std::env::var("EASIS_CHUNK") {
-            Ok(raw) => match raw.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("warning: EASIS_CHUNK={raw:?} is not a number; using auto chunking");
-                    0
-                }
-            },
-            Err(_) => 0,
-        };
-        CampaignExecutor::new(workers).with_chunk_size(chunk)
+        CampaignExecutor::new(workers)
     }
 
     /// Number of worker threads this executor uses.
@@ -133,30 +103,14 @@ impl CampaignExecutor {
         self.workers
     }
 
-    /// Configured trials per chunk (0 = auto).
-    pub fn chunk_size(&self) -> usize {
-        self.chunk
-    }
-
-    /// The chunk size actually used for a plan of `trials` trials.
-    fn effective_chunk(&self, trials: usize) -> usize {
-        if self.chunk > 0 {
-            return self.chunk;
-        }
-        // Auto: ~4 chunks per worker spread each stripe over the whole
-        // plan; at least 1 trial so tiny plans still parallelise, at most
-        // 64 so long plans stripe finely.
-        (trials / (self.workers * 4)).clamp(1, 64)
-    }
-
     /// Runs every trial of `plan` through `runner` and aggregates the
     /// outcomes into [`CampaignStats`].
     ///
-    /// Determinism guarantee: outcomes are merged in **trial index
-    /// order**, never completion order, so for any pure `runner` (one
-    /// whose outcome depends only on the [`TrialSpec`]) the returned
-    /// stats — and any report or JSON derived from them — are
-    /// bit-identical across worker counts, chunk sizes and runs.
+    /// Determinism guarantee: outcomes are kept in **plan order**, never
+    /// completion order, so for any pure `runner` (one whose outcome
+    /// depends only on the [`TrialSpec`]) the returned stats — and any
+    /// report or JSON derived from them — are bit-identical across worker
+    /// counts and runs.
     ///
     /// # Panics
     ///
@@ -169,90 +123,54 @@ impl CampaignExecutor {
         self.run_chunked(plan, |specs| specs.iter().map(&runner).collect())
     }
 
-    /// Like [`CampaignExecutor::run`], but hands the runner a whole
-    /// contiguous **chunk** of trial specs at once and expects one outcome
-    /// per spec, in spec order. A chunk runner may reorder the trials
+    /// Like [`CampaignExecutor::run`], but hands the runner a worker's
+    /// whole **share** of trial specs at once and expects one outcome per
+    /// spec, in spec order. A share runner may reorder the trials
     /// *internally* (e.g. by fork tick and tail key, to share golden-prefix
     /// snapshots and collapse identical tails) as long as the returned
     /// vector lines up with the input slice.
     ///
-    /// Chunks are striped round-robin across the worker pool before any
-    /// thread spawns; each worker walks its own stripe without touching a
-    /// shared queue and returns all its results when joined. One worker
-    /// runs the whole plan as a single chunk on the calling thread.
-    /// Outcomes are merged by trial index, so the stats are bit-identical
-    /// across worker counts and chunk sizes for any pure runner.
+    /// The plan is cut in plan order into at most `min(workers, trials)`
+    /// contiguous, non-empty shares of at most ⌈trials / workers⌉ trials
+    /// each; an empty plan calls the runner not at all. The calling thread
+    /// runs the first share, a scoped thread each other one, and the
+    /// shares' outcomes are appended in plan order, so the stats are
+    /// bit-identical across worker counts for any pure runner.
     ///
     /// # Panics
     ///
     /// Panics if the runner returns the wrong number of outcomes for a
-    /// chunk, and propagates runner panics.
-    pub fn run_chunked<F>(&self, plan: &CampaignPlan, chunk_runner: F) -> CampaignStats
+    /// share, and propagates runner panics.
+    pub fn run_chunked<F>(&self, plan: &CampaignPlan, share_runner: F) -> CampaignStats
     where
         F: Fn(&[TrialSpec]) -> Vec<TrialOutcome> + Sync,
     {
         let trials = plan.trials();
-        let (workers, chunk) = if self.workers == 1 {
-            (1, trials.len().max(1))
-        } else {
-            (self.workers.min(trials.len()), self.effective_chunk(trials.len()))
+        let run_share = |specs: &[TrialSpec]| {
+            let outcomes = share_runner(specs);
+            assert_eq!(
+                outcomes.len(),
+                specs.len(),
+                "share runner must return one outcome per spec"
+            );
+            outcomes
         };
-        // Worker `w`'s stripe: chunks w, w+W, … — known entirely up front.
-        let stripe = |worker: usize| {
-            let mut produced: Vec<(usize, Vec<TrialOutcome>)> = Vec::new();
-            for start in (worker * chunk..trials.len()).step_by(chunk * workers) {
-                let specs = &trials[start..(start + chunk).min(trials.len())];
-                let outcomes = chunk_runner(specs);
-                assert_eq!(
-                    outcomes.len(),
-                    specs.len(),
-                    "chunk runner must return one outcome per spec"
-                );
-                produced.push((start, outcomes));
+        let mut shares = trials.chunks(trials.len().div_ceil(self.workers).max(1));
+        let first = shares.next();
+        std::thread::scope(|scope| {
+            let run_share = &run_share;
+            let others: Vec<_> = shares
+                .map(|specs| scope.spawn(move || run_share(specs)))
+                .collect();
+            let mut outcomes = first.map(run_share).unwrap_or_default();
+            for other in others {
+                let mut tail = other
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                outcomes.append(&mut tail);
             }
-            produced
-        };
-        let stripes: Vec<Vec<(usize, Vec<TrialOutcome>)>> = if workers <= 1 {
-            (0..workers).map(stripe).collect()
-        } else {
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|worker| {
-                        let stripe = &stripe;
-                        scope.spawn(move || stripe(worker))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                    .collect()
-            })
-            .expect("campaign worker panicked")
-        };
-
-        // Merge by trial index: completion order is scheduling noise.
-        let mut slots: Vec<Option<TrialOutcome>> = vec![None; trials.len()];
-        for (start, outcomes) in stripes.into_iter().flatten() {
-            for (offset, outcome) in outcomes.into_iter().enumerate() {
-                debug_assert!(
-                    slots[start + offset].is_none(),
-                    "trial {} ran twice",
-                    start + offset
-                );
-                slots[start + offset] = Some(outcome);
-            }
-        }
-        let mut stats = CampaignStats::new();
-        for (index, slot) in slots.into_iter().enumerate() {
-            stats.push(slot.unwrap_or_else(|| panic!("trial {index} produced no outcome")));
-        }
-        stats
-    }
-}
-
-impl Default for CampaignExecutor {
-    fn default() -> Self {
-        CampaignExecutor::from_env()
+            CampaignStats::from(outcomes)
+        })
     }
 }
 
@@ -264,6 +182,7 @@ mod tests {
     use easis_rte::runnable::RunnableId;
     use easis_sim::rng::SimRng;
     use easis_sim::time::Duration;
+    use std::sync::Mutex;
 
     /// A cheap runner whose outcome is a pure function of the spec.
     fn synthetic(spec: &TrialSpec) -> TrialOutcome {
@@ -287,19 +206,54 @@ mod tests {
     fn parallel_matches_serial_exactly() {
         let plan = plan();
         let serial = CampaignExecutor::serial().run(&plan, synthetic);
-        for workers in [2, 3, 4, 8] {
+        // Up to one trial per worker (30 trials) and past it.
+        for workers in [2, 3, 4, 5, 7, 8, 24, 30, 100] {
             let parallel = CampaignExecutor::new(workers).run(&plan, synthetic);
             assert_eq!(serial, parallel, "{workers} workers diverged");
         }
     }
 
     #[test]
-    fn every_chunk_size_matches_serial_exactly() {
-        let plan = plan();
-        let serial = CampaignExecutor::serial().run(&plan, synthetic);
-        for chunk in [1, 2, 3, 5, 7, 24, 100] {
-            let chunked = CampaignExecutor::new(4).with_chunk_size(chunk).run(&plan, synthetic);
-            assert_eq!(serial, chunked, "chunk size {chunk} diverged");
+    fn each_worker_runs_one_contiguous_share_in_plan_order() {
+        for trials in [0, 1, 4, 10, 25] {
+            // Seeds number the trials, so a share names its plan indices.
+            let plan = CampaignPlan::from_trials(
+                plan().trials()[..trials]
+                    .iter()
+                    .enumerate()
+                    .map(|(index, spec)| TrialSpec {
+                        seed: index as u64,
+                        ..spec.clone()
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            let serial = CampaignExecutor::serial().run(&plan, synthetic);
+            for workers in 1..=5 {
+                let shares = Mutex::new(Vec::new());
+                let stats = CampaignExecutor::new(workers).run_chunked(&plan, |specs| {
+                    let indices: Vec<u64> = specs.iter().map(|spec| spec.seed).collect();
+                    shares.lock().unwrap().push(indices);
+                    specs.iter().map(synthetic).collect()
+                });
+                assert_eq!(stats, serial, "{workers} workers × {trials} trials");
+                let mut shares = shares.into_inner().unwrap();
+                assert!(
+                    shares.len() <= workers.min(trials),
+                    "{workers} workers × {trials} trials made {} runner calls",
+                    shares.len()
+                );
+                for share in &shares {
+                    assert!(!share.is_empty(), "empty share at {workers} workers");
+                    assert!(share.len() <= trials.div_ceil(workers));
+                    assert!(
+                        share.windows(2).all(|pair| pair[1] == pair[0] + 1),
+                        "share {share:?} is not contiguous"
+                    );
+                }
+                shares.sort();
+                let covered: Vec<u64> = shares.concat();
+                assert_eq!(covered, (0..trials as u64).collect::<Vec<_>>());
+            }
         }
     }
 
@@ -319,7 +273,7 @@ mod tests {
         let serial = CampaignExecutor::serial().run(&plan, synthetic);
         for workers in [1, 2, 4, 8] {
             let chunked = CampaignExecutor::new(workers).run_chunked(&plan, |specs| {
-                // Process the chunk back-to-front internally; return in
+                // Process the share back-to-front internally; return in
                 // spec order — the contract run_chunked requires.
                 let mut out: Vec<Option<TrialOutcome>> = specs.iter().map(|_| None).collect();
                 for (i, spec) in specs.iter().enumerate().rev() {
@@ -342,17 +296,6 @@ mod tests {
     #[test]
     fn zero_workers_clamps_to_one() {
         assert_eq!(CampaignExecutor::new(0).workers(), 1);
-    }
-
-    #[test]
-    fn auto_chunk_is_bounded() {
-        let exec = CampaignExecutor::new(4);
-        assert_eq!(exec.chunk_size(), 0);
-        assert_eq!(exec.effective_chunk(0), 1);
-        assert_eq!(exec.effective_chunk(8), 1);
-        assert_eq!(exec.effective_chunk(1000), 62);
-        assert_eq!(exec.effective_chunk(1_000_000), 64);
-        assert_eq!(CampaignExecutor::new(4).with_chunk_size(7).effective_chunk(1000), 7);
     }
 
     #[test]

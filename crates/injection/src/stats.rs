@@ -236,6 +236,14 @@ impl CampaignStats {
     }
 }
 
+impl From<Vec<TrialOutcome>> for CampaignStats {
+    /// Aggregates outcomes that are already in trial order, keeping the
+    /// vector as the trial list.
+    fn from(trials: Vec<TrialOutcome>) -> Self {
+        CampaignStats { trials }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

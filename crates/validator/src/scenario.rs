@@ -220,7 +220,7 @@ fn campaign_blueprint() -> &'static NodeBlueprint {
 }
 
 /// One worker thread's pooled campaign state: the node and injector the
-/// worker reuses across chunks and [`run_plan`] calls, plus two golden
+/// worker reuses across [`run_plan`] calls, plus two golden
 /// (injection-free) [`NodeSnapshot`]s of the one campaign blueprint that
 /// every trial rewinds to — capacity-retained, so steady-state capture and
 /// restore allocate nothing.
@@ -234,8 +234,8 @@ struct PoolSlot {
     ckpt: NodeSnapshot,
     /// The fork instant `ckpt` captures, or `None` before the first
     /// capture. It is only ever filled right after the node reached a fork
-    /// along the golden prefix, so it stays valid across chunks and calls:
-    /// every restore is a full copy.
+    /// along the golden prefix, so it stays valid across calls: every
+    /// restore is a full copy.
     ckpt_at: Option<Instant>,
 }
 
@@ -381,22 +381,22 @@ fn run_trial_tail(
     node.set_injection_armed(false);
 }
 
-/// Runs one contiguous chunk of campaign trials on this worker's node
-/// with **golden-run prefix checkpointing**: the chunk is processed in
+/// Runs one worker's contiguous share of campaign trials on its node
+/// with **golden-run prefix checkpointing**: the share is processed in
 /// [`tail_key`] order (forks ascending), the node is advanced once along
 /// the golden (injection-free) prefix, and the checkpoint buffer is
 /// refilled at each distinct fork instant; every trial forks from its
 /// checkpoint instead of re-simulating the prefix. Each rewind is one
 /// exact full copy of a golden snapshot into the node's retained buffers,
 /// so it allocates nothing once warm. Outcomes are returned in spec
-/// order, so the merged stats are bit-identical to per-trial
+/// order, so the campaign's stats are bit-identical to per-trial
 /// [`run_trial`] runs.
 ///
 /// On top sits **equivalence collapsing** (the fault-list collapsing of
 /// hardware fault-injection campaigns): the sort puts twins next to each
 /// other, only the first trial of each key is simulated, and every later
 /// twin reads its outcome off the node that trial left, against its own
-/// injection start. Twins in different chunks each simulate.
+/// injection start. Twins in different workers' shares each simulate.
 fn run_chunk_forked(specs: &[TrialSpec], horizon: Instant) -> Vec<TrialOutcome> {
     NODE_POOL.with(|pool| {
         let mut slot = pool.borrow_mut();
@@ -413,8 +413,8 @@ fn run_chunk_forked(specs: &[TrialSpec], horizon: Instant) -> Vec<TrialOutcome> 
             if simulated != Some(key) {
                 let fork = key.0;
                 // Rewind to the latest golden base at or before the fork.
-                // Forks ascend within a chunk, but a new chunk (or call) may
-                // fork earlier than the last checkpoint; such a stale
+                // Forks ascend within a share, but the next call may fork
+                // earlier than the last checkpoint; such a stale
                 // checkpoint must not be used, and t=0 serves instead.
                 let base_at = s.ckpt_at.filter(|&at| at <= fork);
                 s.node
@@ -445,7 +445,7 @@ fn run_chunk_forked(specs: &[TrialSpec], horizon: Instant) -> Vec<TrialOutcome> 
 /// Runs every trial of `plan` on the given executor with golden-run
 /// prefix checkpointing (`run_chunk_forked`): each worker thread pools one
 /// node built from the process-wide campaign [`NodeBlueprint`], and within
-/// each chunk the injection-free prefix is simulated once and
+/// its share of the plan the injection-free prefix is simulated once and
 /// snapshot-forked per trial, with adjacent twins collapsed onto one tail.
 /// Restore is exact — the forked≡fresh property test and the campaign
 /// golden pin that any worker count produces stats bit-identical to a
@@ -629,11 +629,8 @@ mod tests {
         ]);
         let reference = CampaignExecutor::serial().run(&plan, |spec| run_trial(spec, horizon));
         // Serially every twin collapses onto the tail simulated before
-        // it; with one trial per chunk every twin simulates its own.
-        for exec in [
-            CampaignExecutor::serial(),
-            CampaignExecutor::new(2).with_chunk_size(1),
-        ] {
+        // it; with one trial per worker every twin simulates its own.
+        for exec in [CampaignExecutor::serial(), CampaignExecutor::new(plan.len())] {
             let stats = run_plan(&plan, horizon, &exec);
             assert_eq!(stats, reference, "{exec:?}");
             let aliveness = |i: usize| stats.trials()[i].detections[&DetectorId::SwAliveness];
@@ -678,10 +675,7 @@ mod tests {
         for horizon_ms in [1, 19, 20, 21, 39, 40, 41, 59, 60, 61] {
             let horizon = ms(horizon_ms);
             let reference = CampaignExecutor::serial().run(&plan, |spec| run_trial(spec, horizon));
-            for exec in [
-                CampaignExecutor::serial(),
-                CampaignExecutor::new(2).with_chunk_size(1),
-            ] {
+            for exec in [CampaignExecutor::serial(), CampaignExecutor::new(plan.len())] {
                 assert_eq!(
                     run_plan(&plan, horizon, &exec),
                     reference,

@@ -4,8 +4,8 @@
 //! the full central node (all three ISS applications) through the parallel
 //! [`CampaignExecutor`], then prints the per-trial detections, the
 //! detection-coverage and latency tables across all six monitors, and the
-//! confidence-interval report. The executor merges outcomes by trial
-//! index, so the output is identical for any worker count. The full-size
+//! confidence-interval report. The executor keeps outcomes in plan
+//! order, so the output is identical for any worker count. The full-size
 //! campaign lives in `cargo run -p easis-bench --bin table_coverage`.
 //!
 //! Run with: `cargo run --release --example fault_campaign`

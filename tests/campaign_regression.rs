@@ -76,14 +76,11 @@ fn chunked_executors_serialise_byte_identical_to_golden() {
     if std::env::var_os("EASIS_REGEN_GOLDENS").is_some() {
         return; // the serial test owns regeneration; don't race it
     }
-    for workers in [2, 4] {
-        for chunk in [1, 3, 7] {
-            let json = report_json(&CampaignExecutor::new(workers).with_chunk_size(chunk));
-            assert_eq!(
-                json, GOLDEN,
-                "chunked run ({workers} workers, chunk {chunk}) drifted from the golden"
-            );
-        }
+    // 15 workers run the 15-trial reference plan one trial per worker.
+    assert_eq!(reference_plan().0.len(), 15);
+    for workers in [2, 3, 4, 15] {
+        let json = report_json(&CampaignExecutor::new(workers));
+        assert_eq!(json, GOLDEN, "{workers}-worker run drifted from the golden");
     }
     let json = report_json(&CampaignExecutor::from_env());
     assert_eq!(json, GOLDEN, "from_env run drifted from the golden");

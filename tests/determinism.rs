@@ -2,7 +2,7 @@
 //! configurations must produce bit-identical traces, series and campaign
 //! outcomes — the property that makes the experiment tables trustworthy.
 
-use easis::injection::{CampaignBuilder, ErrorClass, Injection, Injector};
+use easis::injection::{CampaignBuilder, CampaignExecutor, ErrorClass, Injection, Injector};
 use easis::rte::runnable::RunnableId;
 use easis::sim::time::{Duration, Instant};
 use easis::validator::scenario;
@@ -53,8 +53,9 @@ fn campaign_outcomes_are_reproducible() {
             .build()
     };
     let horizon = ms(800);
-    let a = build_plan().run(|t| scenario::run_trial(t, horizon));
-    let b = build_plan().run(|t| scenario::run_trial(t, horizon));
+    let serial = CampaignExecutor::serial();
+    let a = serial.run(&build_plan(), |t| scenario::run_trial(t, horizon));
+    let b = serial.run(&build_plan(), |t| scenario::run_trial(t, horizon));
     assert_eq!(a.len(), b.len());
     for (x, y) in a.trials().iter().zip(b.trials()) {
         assert_eq!(x.class, y.class);

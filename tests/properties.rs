@@ -523,26 +523,24 @@ proptest! {
         prop_assert_eq!(index, IdIndex::from_ids(all));
     }
 
-    /// Chunked parallel execution is invisible in the output: any
-    /// worker-count/chunk-size combination produces byte-identical stats.
+    /// Cutting the plan into per-worker shares is invisible in the
+    /// output: any worker count, up to and past one trial per worker,
+    /// produces byte-identical stats.
     #[test]
     fn campaign_executor_chunking_is_invisible(
         seed in any::<u64>(),
         trials_per_class in 1usize..5,
-        workers in 2usize..=6,
-        chunk in 0usize..10,
+        workers in 2usize..=24,
     ) {
         let plan = CampaignBuilder::new(seed, vec![RunnableId(0), RunnableId(1)])
             .trials_per_class(trials_per_class)
             .build();
         let serial = CampaignExecutor::serial().run(&plan, synthetic_runner);
-        let chunked = CampaignExecutor::new(workers)
-            .with_chunk_size(chunk)
-            .run(&plan, synthetic_runner);
-        prop_assert_eq!(&serial, &chunked, "chunk {} diverged", chunk);
+        let shared = CampaignExecutor::new(workers).run(&plan, synthetic_runner);
+        prop_assert_eq!(&serial, &shared, "{} workers diverged", workers);
         prop_assert_eq!(
             serde_json::to_string_pretty(&serial).unwrap(),
-            serde_json::to_string_pretty(&chunked).unwrap()
+            serde_json::to_string_pretty(&shared).unwrap()
         );
     }
 }
@@ -1079,22 +1077,20 @@ proptest! {
         );
     }
 
-    /// The forked engine's campaign report does not depend on the chunk
-    /// size: multi-trial chunks (the worker captures at one fork,
-    /// restores, advances to the next fork and captures again) and chunk
-    /// size 1 (every trial restores the worker's own checkpoint when it
-    /// lies at or before the fork, or its t=0 capture and simulates the
-    /// prefix otherwise) both equal the fresh
-    /// per-trial reference byte for byte, over randomized plans, fork
-    /// windows and worker counts. Few cases: every case simulates three
-    /// whole campaigns.
+    /// The forked engine's campaign report does not depend on the worker
+    /// count: multi-trial shares (the worker captures at one fork,
+    /// restores, advances to the next fork and captures again) and one
+    /// trial per worker (every trial restores the worker's own checkpoint
+    /// when it lies at or before the fork, or its t=0 capture and
+    /// simulates the prefix otherwise) both equal the fresh per-trial
+    /// reference byte for byte, over randomized plans and fork windows.
+    /// Few cases: every case simulates three whole campaigns.
     #[test]
-    fn forked_reports_are_chunk_size_invariant(
+    fn forked_reports_are_worker_count_invariant(
         seed in any::<u64>(),
         window_from_ms in 150u64..400,
         window_len_ms in 50u64..300,
         workers in 1usize..=4,
-        chunk in 2usize..8,
     ) {
         use easis::validator::scenario::{run_plan, run_trial};
         let horizon = Instant::from_millis(700);
@@ -1108,27 +1104,19 @@ proptest! {
             .with_horizon(horizon)
             .build();
         let fresh = CampaignExecutor::serial().run(&plan, |spec| run_trial(spec, horizon));
-        let chunked = run_plan(
-            &plan,
-            horizon,
-            &CampaignExecutor::new(workers).with_chunk_size(chunk),
-        );
-        let single = run_plan(
-            &plan,
-            horizon,
-            &CampaignExecutor::new(workers).with_chunk_size(1),
-        );
-        prop_assert_eq!(&fresh, &chunked, "chunk-{} run diverged", chunk);
-        prop_assert_eq!(&fresh, &single, "chunk-1 run diverged at {} workers", workers);
+        let shared = run_plan(&plan, horizon, &CampaignExecutor::new(workers));
+        let single = run_plan(&plan, horizon, &CampaignExecutor::new(plan.len()));
+        prop_assert_eq!(&fresh, &shared, "{}-worker run diverged", workers);
+        prop_assert_eq!(&fresh, &single, "one-trial-per-worker run diverged");
         prop_assert_eq!(
             serde_json::to_string_pretty(&fresh).unwrap(),
-            serde_json::to_string_pretty(&chunked).unwrap(),
-            "JSON bytes diverged at chunk {}", chunk
+            serde_json::to_string_pretty(&shared).unwrap(),
+            "JSON bytes diverged at {} workers", workers
         );
         prop_assert_eq!(
             serde_json::to_string_pretty(&fresh).unwrap(),
             serde_json::to_string_pretty(&single).unwrap(),
-            "JSON bytes diverged at chunk 1"
+            "JSON bytes diverged at one trial per worker"
         );
     }
 }

@@ -3,7 +3,7 @@
 //! suite; the minutes-long ones are `#[ignore]`d (run with
 //! `cargo test -- --ignored`).
 
-use easis::injection::{CampaignBuilder, Injector};
+use easis::injection::{CampaignBuilder, CampaignExecutor, Injector};
 use easis::rte::runnable::RunnableId;
 use easis::sim::event::EventQueue;
 use easis::sim::rng::SimRng;
@@ -539,7 +539,7 @@ fn large_campaign_soak() {
         .trials_per_class(50)
         .with_horizon(horizon)
         .build();
-    let stats = plan.run(|t| scenario::run_trial(t, horizon));
+    let stats = CampaignExecutor::serial().run(&plan, |t| scenario::run_trial(t, horizon));
     assert_eq!(stats.len(), 250);
     // Every runnable-level class stays fully covered at scale.
     for class in ["heartbeat_loss", "skip_runnable"] {

@@ -139,6 +139,13 @@ echo "==> macro-stepping and mid-window round-trip property tests in verify mode
 EASIS_FASTFORWARD=verify PROPTEST_CASES=100 PROPTEST_SEED_SALT=1 \
   cargo test -q --test properties -- dead_ready_keys macro_stepp capture_inside
 
+echo "==> validator unit tests in verify mode"
+# The validator's unit tests jump too: the forked-runner tests at
+# horizons around 2H and the node's certification tests. Under verify
+# mode each of those jumps is replayed at event level from its certified
+# checkpoint and compared with the jumped one.
+EASIS_FASTFORWARD=verify cargo test -q -p easis-validator --lib
+
 echo "==> campaign golden across worker/fast-forward configurations (forked path)"
 # campaign_regression drives scenario::run_plan — the snapshot-forking
 # engine with tail collapsing — so this loop proves the prefix-reuse

@@ -124,10 +124,10 @@ impl HardwareWatchdog {
     }
 
     /// Shifts the last-kick stamp forward by `by` — the closed-form
-    /// application of a quiescent hyperperiod: a steadily kicked watchdog
+    /// advance of a quiescent hyperperiod: a steadily kicked watchdog
     /// advances `last_kick` by exactly the hyperperiod while expiry state
-    /// and statistics stay put (which the deriving engine verifies by
-    /// comparing a shifted clone for full equality).
+    /// and statistics stay put (certification shifts the earlier sample's
+    /// copy by one hyperperiod and compares it with the later one whole).
     pub fn shift_last_kick(&mut self, by: Duration) {
         self.last_kick += by;
     }

@@ -107,7 +107,6 @@ easis_sim::clone_fields! {
         state_outbox: Vec<StateChange>,
         costs: CostMeter,
         cycles_run: u64,
-        last_heartbeat_now: Instant,
     }
 }
 
@@ -186,7 +185,6 @@ impl SoftwareWatchdog {
     /// allocations.
     pub fn heartbeat(&mut self, runnable: RunnableId, now: Instant) {
         let state = &mut self.state;
-        state.last_heartbeat_now = now;
         let runnable_slot = self.config.runnable_index().slot_of_runnable(runnable);
         // A runnable whose hosting task is already marked faulty is no
         // longer supervised (its AS is cleared and its flow is ignored)
@@ -454,84 +452,42 @@ impl SoftwareWatchdog {
         self.state.clone_from(state);
     }
 
-    /// Applies a certified per-hyperperiod delta `k` times in closed form.
-    /// Only the accumulator header moves (cost meter, cycle counter, last
-    /// heartbeat stamp) — everything else was proven content-equal across
-    /// the hyperperiod by [`WatchdogState::derive_cycle_delta`].
-    pub fn apply_cycle_delta(&mut self, delta: &WatchdogCycleDelta, k: u64) {
-        let state = &mut self.state;
-        state.costs.accumulate(&delta.d_costs, k);
-        state.cycles_run += delta.d_cycles * k;
-        state.last_heartbeat_now += delta.d_last_heartbeat * k;
+    /// Jumps the watchdog `k` hyperperiods ahead by a certified delta
+    /// ([`WatchdogState::advance`] on the live state).
+    pub fn advance(&mut self, delta: &WatchdogCycleDelta, k: u64) {
+        self.state.advance(delta, k);
     }
 }
 
-/// The closed-form per-hyperperiod advance of a quiescent watchdog: the
-/// cost meter, cycle counter and last-heartbeat stamp move; every monitor
-/// counter, verdict and outbox was proven to return to its starting value.
-/// Derived by [`WatchdogState::derive_cycle_delta`], applied by
-/// [`SoftwareWatchdog::apply_cycle_delta`].
+/// The per-hyperperiod advance of a quiescent watchdog: its cost meter and
+/// cycle count. Measured by [`WatchdogState::measure`], applied by
+/// [`WatchdogState::advance`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WatchdogCycleDelta {
     d_costs: CostMeter,
     d_cycles: u64,
-    /// Shift of `last_heartbeat_now` per hyperperiod: `h` when monitored
-    /// runnables are beating, zero when none are (all deactivated).
-    d_last_heartbeat: easis_sim::time::Duration,
 }
 
 impl WatchdogState {
-    /// Derives the per-hyperperiod delta between two states captured
-    /// exactly `h` apart, writing it into `out` and returning `true` — or
-    /// returns `false` when the watchdog is not steady over the span: any
-    /// monitor counter, PFC position, TSI verdict or undrained outbox entry
-    /// that differs means detection state is still evolving and the span
-    /// must be simulated event-by-event. The hyperperiod includes every
-    /// fault-hypothesis window span, so steady-state counters land back on
-    /// the same phase and compare equal here. The destructure lists every
-    /// field: a new one does not compile until it is classified here.
-    pub fn derive_cycle_delta(
-        a: &WatchdogState,
-        b: &WatchdogState,
-        h: easis_sim::time::Duration,
-        out: &mut WatchdogCycleDelta,
-    ) -> bool {
-        let WatchdogState {
-            heartbeat,
-            pfc,
-            tsi,
-            task_faulty,
-            pfc_errors,
-            outbox,
-            state_outbox,
-            costs,
-            cycles_run,
-            last_heartbeat_now,
-        } = a;
-        let d_last_heartbeat = if b.last_heartbeat_now == *last_heartbeat_now + h {
-            h
-        } else if b.last_heartbeat_now == *last_heartbeat_now {
-            easis_sim::time::Duration::ZERO
-        } else {
-            return false;
-        };
-        if *heartbeat != b.heartbeat
-            || *pfc != b.pfc
-            || *tsi != b.tsi
-            || *task_faulty != b.task_faulty
-            || *pfc_errors != b.pfc_errors
-            || *outbox != b.outbox
-            || *state_outbox != b.state_outbox
-            || b.cycles_run < *cycles_run
-            || b.costs.total_cycles() < costs.total_cycles()
-            || b.costs.operations() < costs.operations()
-        {
-            return false;
+    /// Measures the cost-meter and cycle-count advances between two states
+    /// one hyperperiod apart. Certification advances `a` by them once and
+    /// compares the result with `b` whole: every monitor counter, PFC
+    /// position, TSI verdict and outbox must be back where it was. The
+    /// hyperperiod includes every fault-hypothesis window span, so
+    /// steady-state counters land back on the same phase.
+    pub fn measure(a: &Self, b: &Self) -> WatchdogCycleDelta {
+        WatchdogCycleDelta {
+            d_costs: b.costs.delta_since(&a.costs),
+            d_cycles: b.cycles_run.saturating_sub(a.cycles_run),
         }
-        out.d_costs = b.costs.delta_since(costs);
-        out.d_cycles = b.cycles_run - cycles_run;
-        out.d_last_heartbeat = d_last_heartbeat;
-        true
+    }
+
+    /// Advances the cost meter and cycle count `k` hyperperiods by
+    /// `delta`: with k = 1 on a certification sample, with k on the live
+    /// state when jumping.
+    pub fn advance(&mut self, delta: &WatchdogCycleDelta, k: u64) {
+        self.costs.accumulate(&delta.d_costs, k);
+        self.cycles_run += delta.d_cycles * k;
     }
 }
 

@@ -281,7 +281,7 @@ impl DtcStore {
 
     /// Applies `k` certified hyperperiods of DTC aging in closed form:
     /// every *pending* record's healthy-cycle counter advances by `inc`
-    /// per hyperperiod (the increment [`DtcStore::derive_aging`]
+    /// per hyperperiod (the increment [`DtcStore::measure_aging`]
     /// measured), and every record that reaches the aging horizon retires
     /// to the spare pool — the store ends exactly as `inc · k`
     /// [`DtcStore::healthy_cycle`] calls would leave it, spare-pool order
@@ -314,66 +314,30 @@ impl DtcStore {
         }
     }
 
-    /// Derives the uniform per-hyperperiod aging increment between two
-    /// stores one hyperperiod apart. Succeeds (writing the increment,
-    /// possibly 0) only when both hold the *same* records — codes,
-    /// occurrence counters, timestamps, status, freeze frames all equal —
-    /// and every pending record's healthy-cycle counter advanced by the
-    /// same amount. Anything else (a new occurrence, a confirmation, an
-    /// age-out removal) rejects: a *sampled* hyperperiod that straddles an
-    /// age-out has no uniform advance to measure. Once certified, the
-    /// increment is applied across later age-outs by
-    /// [`DtcStore::apply_aging`]. The pool is not state that moves the
-    /// store's behaviour and is not compared.
-    pub fn derive_aging(a: &Self, b: &Self, out: &mut u32) -> bool {
-        let DtcStore {
-            records,
-            spare: _,
-            confirm_threshold,
-            aging_cycles,
-        } = a;
-        if records.len() != b.records.len()
-            || *confirm_threshold != b.confirm_threshold
-            || *aging_cycles != b.aging_cycles
-        {
-            return false;
+    /// Measures the per-hyperperiod aging increment between two stores
+    /// one hyperperiod apart: the healthy-cycle advance of the first
+    /// pending record, 0 when none is pending. `None` when the record
+    /// count changed: a *sampled* hyperperiod that straddles a new code or
+    /// an age-out has no uniform advance to measure.
+    ///
+    /// Certification applies the increment to `a` once
+    /// ([`DtcStore::apply_aging`]) and compares the result with `b`, so
+    /// every other pending record must have advanced by the same amount,
+    /// confirmed records must sit still, and codes, occurrences,
+    /// timestamps, status and freeze frames must be unchanged. Once
+    /// certified, the increment is applied across later age-outs.
+    pub fn measure_aging(a: &Self, b: &Self) -> Option<u32> {
+        if a.records.len() != b.records.len() {
+            return None;
         }
-        let mut inc: Option<u32> = None;
-        for (ra, rb) in records.iter().zip(&b.records) {
-            let DtcRecord {
-                code,
-                first_seen,
-                last_seen,
-                occurrences,
-                status,
-                freeze_frame,
-                healthy_cycles,
-            } = ra;
-            if *code != rb.code
-                || *first_seen != rb.first_seen
-                || *last_seen != rb.last_seen
-                || *occurrences != rb.occurrences
-                || *status != rb.status
-                || *freeze_frame != rb.freeze_frame
-            {
-                return false;
-            }
-            if *status == DtcStatus::Confirmed {
-                // Confirmed codes never age; the counter must sit still.
-                if *healthy_cycles != rb.healthy_cycles {
-                    return false;
-                }
-                continue;
-            }
-            let Some(step) = rb.healthy_cycles.checked_sub(*healthy_cycles) else {
-                return false;
-            };
-            if *inc.get_or_insert(step) != step {
-                return false;
-            }
-        }
-        *out = inc.unwrap_or(0);
-        true
+        let first_pending = a
+            .records
+            .iter()
+            .zip(&b.records)
+            .find(|(ra, _)| ra.status == DtcStatus::Pending);
+        Some(first_pending.map_or(0, |(ra, rb)| {
+            rb.healthy_cycles.saturating_sub(ra.healthy_cycles)
+        }))
     }
 }
 
@@ -607,35 +571,45 @@ mod tests {
     }
 
     #[test]
-    fn derive_aging_measures_pending_advance_only() {
+    fn measured_aging_applied_once_reproduces_the_later_store() {
         let mut store = DtcStore::new(3, 40);
         store.record(fault(1, FaultKind::Aliveness, 10), FreezeFrame::default());
         for ms in [20, 30, 40] {
             store.record(fault(2, FaultKind::ProgramFlow, ms), FreezeFrame::default());
         }
+        // Certification: measure, apply once, compare whole.
+        let certifies = |a: &DtcStore, b: &DtcStore| {
+            let mut advanced = DtcStore::default();
+            advanced.clone_from(a);
+            advanced.apply_aging(DtcStore::measure_aging(a, b).unwrap(), 1);
+            advanced == *b
+        };
         let mut a = DtcStore::default();
         let mut b = DtcStore::default();
         a.clone_from(&store);
         store.healthy_cycle();
         store.healthy_cycle();
         b.clone_from(&store);
-        let mut inc = 99;
-        assert!(DtcStore::derive_aging(&a, &b, &mut inc));
-        assert_eq!(inc, 2);
+        // The pending code aged by 2; the confirmed one sat still.
+        assert_eq!(DtcStore::measure_aging(&a, &b), Some(2));
+        assert!(certifies(&a, &b));
         // At rest the increment is zero…
-        assert!(DtcStore::derive_aging(&a, &a, &mut inc));
-        assert_eq!(inc, 0);
-        // …a new occurrence is a discrete event and rejects…
+        assert_eq!(DtcStore::measure_aging(&a, &a), Some(0));
+        assert!(certifies(&a, &a));
+        // …a repeat occurrence keeps the record count, so it is the
+        // comparison that rejects it, not the measurement…
         store.record(fault(1, FaultKind::Aliveness, 90), FreezeFrame::default());
         b.clone_from(&store);
-        assert!(!DtcStore::derive_aging(&a, &b, &mut inc));
-        // …and so does an age-out removal.
+        assert_eq!(a.len(), b.len());
+        assert!(!certifies(&a, &b));
+        // …and an age-out removal changes the count, which the
+        // measurement refuses.
         let mut c = DtcStore::default();
         for _ in 0..40 {
             store.healthy_cycle();
         }
         c.clone_from(&store);
-        assert!(!DtcStore::derive_aging(&b, &c, &mut inc));
+        assert_eq!(DtcStore::measure_aging(&b, &c), None);
     }
 
     #[test]
@@ -651,9 +625,7 @@ mod tests {
         assert!(store.spare.is_empty());
         let mut snap = DtcStore::default();
         snap.clone_from(&store);
-        let mut inc = 7;
-        assert!(DtcStore::derive_aging(&snap, &snap, &mut inc));
-        assert_eq!(inc, 0);
+        assert_eq!(DtcStore::measure_aging(&snap, &snap), Some(0));
     }
 
     #[test]

@@ -113,14 +113,10 @@ impl FaultManagementFramework {
         &self.state.dtc
     }
 
-    /// Applies `k` certified hyperperiods of framework evolution in
-    /// closed form. The only state a quiescent hyperperiod moves is DTC
-    /// aging ([`FmfState::derive_cycle_delta`] rejects anything else),
-    /// so this advances the pending records' healthy-cycle counters and
-    /// retires those that age out on the way
-    /// ([`crate::dtc::DtcStore::apply_aging`]).
-    pub fn apply_cycle_delta(&mut self, delta: &FmfCycleDelta, k: u64) {
-        self.state.dtc.apply_aging(delta.dtc_aging, k);
+    /// Jumps the framework `k` certified hyperperiods ahead
+    /// ([`FmfState::advance`] on the live state).
+    pub fn advance(&mut self, dtc_aging: u32, k: u64) {
+        self.state.advance(dtc_aging, k);
     }
 
     /// Processes a watchdog state change, possibly queueing treatments.
@@ -279,41 +275,22 @@ impl FaultManagementFramework {
 }
 
 impl FmfState {
-    /// Derives the closed-form per-hyperperiod framework delta between
-    /// two states one hyperperiod apart. The log, action queue, restart
-    /// budgets and reset counter must sit perfectly still — any new
-    /// record is a discrete event — but the DTC memory may *drain*: a
-    /// pending code aging toward removal advances its healthy-cycle
-    /// counter every healthy cycle, and that uniform advance is the one
-    /// motion the delta expresses (see [`DtcStore::derive_aging`]). The
-    /// destructure lists every field, so a new one does not compile until
-    /// it is classified here.
-    pub fn derive_cycle_delta(a: &Self, b: &Self, out: &mut FmfCycleDelta) -> bool {
-        let FmfState {
-            log,
-            dtc,
-            actions,
-            restarts,
-            terminated,
-            ecu_resets,
-        } = a;
-        *log == b.log
-            && *actions == b.actions
-            && *restarts == b.restarts
-            && *terminated == b.terminated
-            && *ecu_resets == b.ecu_resets
-            && DtcStore::derive_aging(dtc, &b.dtc, &mut out.dtc_aging)
+    /// Measures the DTC aging increment between two states one
+    /// hyperperiod apart ([`DtcStore::measure_aging`]; `None` when the
+    /// record count changed). Draining DTC memory is the only motion of a
+    /// quiescent framework: certification advances `a` by the increment
+    /// once and compares the result with `b` whole, so the log, action
+    /// queue, restart budgets and reset counter must sit still.
+    pub fn measure(a: &Self, b: &Self) -> Option<u32> {
+        DtcStore::measure_aging(&a.dtc, &b.dtc)
     }
-}
 
-/// The closed-form per-hyperperiod evolution of a quiescent
-/// [`FaultManagementFramework`]: the healthy-cycle advance of every
-/// pending DTC record. Everything else the framework owns must be at rest
-/// for [`FmfState::derive_cycle_delta`] to certify.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FmfCycleDelta {
-    /// Healthy cycles per hyperperiod added to each pending DTC record.
-    pub dtc_aging: u32,
+    /// Advances `k` hyperperiods of DTC aging, `dtc_aging` healthy cycles
+    /// each ([`DtcStore::apply_aging`]): with k = 1 on a certification
+    /// sample, with k on the live state when jumping.
+    pub fn advance(&mut self, dtc_aging: u32, k: u64) {
+        self.dtc.apply_aging(dtc_aging, k);
+    }
 }
 
 /// The default classification and policy, with the budget of one

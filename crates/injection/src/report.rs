@@ -283,18 +283,18 @@ mod tests {
     }
 
     fn sample_stats() -> CampaignStats {
-        let mut stats = CampaignStats::new();
+        let mut trials = Vec::new();
         for i in 0..4 {
             let mut t = TrialOutcome::new("heartbeat_loss");
             if i < 3 {
                 t.record(DetectorId::SwAliveness, ms(10 + i));
             }
-            stats.push(t);
+            trials.push(t);
         }
         let mut t = TrialOutcome::new("skip_runnable");
         t.record(DetectorId::SwProgramFlow, ms(2));
-        stats.push(t);
-        stats
+        trials.push(t);
+        CampaignStats::from(trials)
     }
 
     #[test]

@@ -109,16 +109,6 @@ pub struct CampaignStats {
 }
 
 impl CampaignStats {
-    /// Creates an empty aggregation.
-    pub fn new() -> Self {
-        CampaignStats::default()
-    }
-
-    /// Adds one trial.
-    pub fn push(&mut self, outcome: TrialOutcome) {
-        self.trials.push(outcome);
-    }
-
     /// Number of trials.
     pub fn len(&self) -> usize {
         self.trials.len()
@@ -266,14 +256,15 @@ mod tests {
 
     #[test]
     fn coverage_counts_hits_per_class() {
-        let mut stats = CampaignStats::new();
+        let mut trials = Vec::new();
         for i in 0..4 {
             let mut t = TrialOutcome::new("heartbeat_loss");
             if i < 3 {
                 t.record(DetectorId::SwAliveness, ms(20));
             }
-            stats.push(t);
+            trials.push(t);
         }
+        let stats = CampaignStats::from(trials);
         assert_eq!(stats.coverage("heartbeat_loss", DetectorId::SwAliveness), 0.75);
         assert_eq!(stats.coverage("heartbeat_loss", DetectorId::HwWatchdog), 0.0);
         assert_eq!(stats.coverage("unknown", DetectorId::SwAliveness), 0.0);
@@ -315,13 +306,11 @@ mod tests {
 
     #[test]
     fn tables_render_all_classes() {
-        let mut stats = CampaignStats::new();
         let mut a = TrialOutcome::new("skip_runnable");
         a.record(DetectorId::SwProgramFlow, ms(12));
-        stats.push(a);
         let mut b = TrialOutcome::new("heartbeat_loss");
         b.record(DetectorId::SwAliveness, ms(25));
-        stats.push(b);
+        let stats = CampaignStats::from(vec![a, b]);
         let cov = stats.render_coverage_table();
         assert!(cov.contains("skip_runnable") && cov.contains("heartbeat_loss"));
         assert!(cov.contains("SW-PFC"));
@@ -332,10 +321,7 @@ mod tests {
 
     #[test]
     fn classes_are_deduplicated_and_sorted() {
-        let mut stats = CampaignStats::new();
-        stats.push(TrialOutcome::new("b"));
-        stats.push(TrialOutcome::new("a"));
-        stats.push(TrialOutcome::new("b"));
+        let stats = CampaignStats::from(["b", "a", "b"].map(TrialOutcome::new).to_vec());
         assert_eq!(stats.classes(), vec!["a".to_string(), "b".to_string()]);
     }
 }

@@ -12,14 +12,15 @@ proptest! {
     fn coverage_is_a_proper_ratio(
         detections in prop::collection::vec(any::<bool>(), 1..100),
     ) {
-        let mut stats = CampaignStats::new();
+        let mut trials = Vec::new();
         for &hit in &detections {
             let mut o = TrialOutcome::new("class");
             if hit {
                 o.record(DetectorId::SwAliveness, Duration::from_millis(5));
             }
-            stats.push(o);
+            trials.push(o);
         }
+        let stats = CampaignStats::from(trials);
         let cov = stats.coverage("class", DetectorId::SwAliveness);
         let expected = detections.iter().filter(|&&h| h).count() as f64
             / detections.len() as f64;
@@ -64,14 +65,15 @@ proptest! {
     fn tables_render_for_arbitrary_class_mixes(
         classes in prop::collection::vec("[a-z]{1,8}", 1..20),
     ) {
-        let mut stats = CampaignStats::new();
+        let mut trials = Vec::new();
         for (i, class) in classes.iter().enumerate() {
             let mut o = TrialOutcome::new(class.clone());
             if i % 2 == 0 {
                 o.record(DetectorId::HwWatchdog, Duration::from_millis(i as u64 + 1));
             }
-            stats.push(o);
+            trials.push(o);
         }
+        let stats = CampaignStats::from(trials);
         let cov = stats.render_coverage_table();
         let lat = stats.render_latency_table();
         for class in &classes {

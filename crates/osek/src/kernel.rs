@@ -76,7 +76,7 @@ easis_sim::clone_fields! {
         /// the band). Back keys count up from 1 and front keys down from
         /// −1; a `Suspended` or `Waiting` task holds 0, so its dead key is
         /// the same however it was last readied (see
-        /// [`OsState::derive_cycle_program`]).
+        /// [`OsState::advance`]).
         ready_key: i64,
     }
 }
@@ -455,39 +455,10 @@ impl<W> Os<W> {
         self.core.state.clone_from(state);
     }
 
-    /// Applies a certified [`CycleProgram`] `k` times in closed form: the
-    /// clock and busy meter advance `k` hyperperiods, the key cursors and
-    /// the running task's live ready key (the only live one: nothing is
-    /// `Ready` at a certified sample) advance by their per-hyperperiod
-    /// deltas, per-task activation counters accumulate theirs, and the
-    /// timer queue shifts every pending entry — deadline checks carry their
-    /// task's activation-sequence shift. O(tasks + pending timers),
-    /// independent of how many events the skipped span would have fired.
-    ///
-    /// The caller (the node-level macro-stepping engine) must only apply a
-    /// program derived from this kernel's current state, from the sample
-    /// one hyperperiod back; anything else diverges silently.
-    pub fn apply_cycle_program(&mut self, program: &CycleProgram, k: u64) {
-        let state = &mut self.core.state;
-        let shift = program.h * k;
-        state.now += shift;
-        state.busy += program.d_busy * k;
-        state.next_back_key += program.d_back * k as i64;
-        state.next_front_key += program.d_front * k as i64;
-        if let Some(run) = state.running {
-            let key = &mut state.tasks[run.index()].ready_key;
-            *key += program.d_key(*key) * k as i64;
-        }
-        for (tcb, &d_issued) in state.tasks.iter_mut().zip(&program.d_issued) {
-            tcb.issued += d_issued * k;
-            tcb.completed += d_issued * k;
-        }
-        let d_issued = &program.d_issued;
-        state.timers.fast_forward(shift, program.d_seq * k, |ev| {
-            if let KernelEvent::DeadlineCheck { task, seq } = ev {
-                *seq += d_issued[task.index()] * k;
-            }
-        });
+    /// Jumps the kernel `k` hyperperiods ahead by a certified
+    /// [`CycleProgram`] ([`OsState::advance`] on the live state).
+    pub fn advance(&mut self, program: &CycleProgram, k: u64) {
+        self.core.state.advance(program, k);
     }
 
     /// `ActivateTask`: moves a suspended task to ready or queues an extra
@@ -1200,140 +1171,79 @@ impl<W> OsState<W> {
         self.now
     }
 
-    /// Derives the closed-form per-hyperperiod delta between two kernel
-    /// states captured exactly `h` apart, writing it into `program` and
-    /// returning `true` — or returns `false` when the samples are not
-    /// steady-state-equivalent (a behavior-feeding field differs, an event
-    /// is pending in one but not the other, a counter moved
-    /// non-uniformly).
+    /// Measures the kernel's independent counter advances between two
+    /// states captured `h` apart into `program`: the busy time, both
+    /// ready-key cursors, the timer sequence counter and each task's
+    /// issued activations. Returns `false` when the task tables differ in
+    /// size or a task sits `Ready` in `a`: a waiting key is live, and
+    /// [`OsState::advance`] moves only the running task's.
     ///
-    /// A `true` result means `b` is `a` shifted: every field the scheduler
-    /// reads is equal, and every counter moved by one uniform amount that
-    /// preserves the comparisons made on it — back keys by `d_back`, front
-    /// keys by `d_front`, timer sequence numbers by `d_seq`, a task's
-    /// issued and completed counts (and its deadline checks' sequence
-    /// numbers) by the same `d_issued`. The kernel is deterministic and
-    /// reads these counters only through those comparisons, so the
-    /// hyperperiod after `b` is the same shift again, and one sample
-    /// certifies the jump bit-exactly. No task may be `Ready`, so the
-    /// running task's key is the only live one and must advance by its
-    /// cursor's delta; `Suspended` and `Waiting` tasks hold the canonical
-    /// dead key 0, which makes "however they were last readied" invisible.
-    ///
-    /// Both destructures below list every field: a field added to the
-    /// state does not compile here until certification says how it may
-    /// move. Reuses `program`'s vectors; steady-state certification
+    /// A measurement proves nothing by itself. Certification advances `a`
+    /// by the program once and accepts the sample only when the result
+    /// equals `b`, so every field the program does not move must be
+    /// unchanged, and every linked counter must have moved with the one it
+    /// follows. A counter that ran backwards measures 0 and fails that
+    /// comparison. Reuses `program`'s vector; steady-state certification
     /// allocates nothing once warm.
-    pub fn derive_cycle_program(
-        a: &OsState<W>,
-        b: &OsState<W>,
-        h: Duration,
-        program: &mut CycleProgram,
-    ) -> bool {
-        let OsState {
-            tasks,
-            alarms,
-            holders,
-            timers,
-            now,
-            running,
-            trace,
-            started,
-            next_back_key,
-            next_front_key,
-            busy,
-            arena,
-        } = a;
-        if !started
-            || !b.started
-            || *running != b.running
-            || b.now != *now + h
-            || trace.len() != b.trace.len()
-            || tasks.len() != b.tasks.len()
-            || *alarms != b.alarms
-            || *holders != b.holders
-            || *arena != b.arena
-            || b.busy < *busy
-        {
+    pub fn measure(a: &Self, b: &Self, h: Duration, program: &mut CycleProgram) -> bool {
+        if a.tasks.len() != b.tasks.len() || a.tasks.iter().any(|t| t.state == TaskState::Ready) {
             return false;
         }
         program.h = h;
-        program.d_busy = b.busy - *busy;
-        program.d_back = b.next_back_key - next_back_key;
-        program.d_front = b.next_front_key - next_front_key;
+        program.d_busy = b.busy.saturating_sub(a.busy);
+        program.d_back = b.next_back_key - a.next_back_key;
+        program.d_front = b.next_front_key - a.next_front_key;
+        program.d_seq = b.timers.next_seq().saturating_sub(a.timers.next_seq());
         program.d_issued.clear();
-        for (i, (ta, tb)) in tasks.iter().zip(&b.tasks).enumerate() {
-            // Monotonic counters may advance (uniformly); everything else —
-            // including the scheduling state — must be identical, and no
-            // task may sit `Ready` for the CPU.
-            let Tcb {
-                state,
-                planned,
-                current_priority,
-                set_events,
-                waiting_for,
-                held,
-                issued,
-                completed,
-                exec_time,
-                budget_reported,
-                ready_key,
-            } = ta;
-            let d_key = if running.is_some_and(|run| run.index() == i) {
-                program.d_key(*ready_key)
-            } else {
-                0
-            };
-            if *state == TaskState::Ready
-                || tb.state != *state
-                || tb.planned != *planned
-                || tb.current_priority != *current_priority
-                || tb.set_events != *set_events
-                || tb.waiting_for != *waiting_for
-                || tb.held != *held
-                || tb.exec_time != *exec_time
-                || tb.budget_reported != *budget_reported
-                || tb.ready_key != ready_key + d_key
-                || tb.issued < *issued
-                || tb.issued - issued != tb.completed.wrapping_sub(*completed)
-            {
-                return false;
-            }
-            program.d_issued.push(tb.issued - issued);
-        }
-        // Timers: the entries must match pairwise under a uniform
-        // (h, d_seq) shift, with deadline-check payloads carrying their
-        // task's activation shift. The shift preserves order, so the two
-        // stored orders line up entry for entry.
-        let (ta, tb) = (timers, &b.timers);
-        if tb.next_seq() < ta.next_seq() || ta.entries().len() != tb.entries().len() {
-            return false;
-        }
-        program.d_seq = tb.next_seq() - ta.next_seq();
-        for (&(at, aseq, aev), &(bt, bseq, bev)) in ta.entries().iter().zip(tb.entries()) {
-            if bt != at + h.as_micros() || bseq != aseq + program.d_seq {
-                return false;
-            }
-            let payload_ok = match (aev, bev) {
-                (KernelEvent::AlarmExpiry(x), KernelEvent::AlarmExpiry(y)) => x == y,
-                (
-                    KernelEvent::DeadlineCheck { task: xt, seq: xs },
-                    KernelEvent::DeadlineCheck { task: yt, seq: ys },
-                ) => xt == yt && ys == xs + program.d_issued[xt.index()],
-                _ => false,
-            };
-            if !payload_ok {
-                return false;
-            }
-        }
+        program.d_issued.extend(
+            a.tasks
+                .iter()
+                .zip(&b.tasks)
+                .map(|(ta, tb)| tb.issued.saturating_sub(ta.issued)),
+        );
         true
+    }
+
+    /// Advances the state `k` hyperperiods by `program` in closed form:
+    /// the clock and busy meter advance `k` hyperperiods, the key cursors
+    /// and the running task's ready key (the only live one: nothing is
+    /// `Ready` at a certified sample) advance by their cursor's delta, each
+    /// task's `issued` and `completed` counts by its activation delta, and
+    /// the timer queue shifts every pending entry, deadline checks carrying
+    /// their task's activation delta. O(tasks + pending timers),
+    /// independent of how many events the skipped span would have fired.
+    ///
+    /// Certification calls it with k = 1 on the earlier sample; the jump
+    /// ([`Os::advance`]) calls it with k on the live state. A program is
+    /// only valid on the state it was certified from, one hyperperiod
+    /// back; anything else diverges silently.
+    pub fn advance(&mut self, program: &CycleProgram, k: u64) {
+        let shift = program.h * k;
+        self.now += shift;
+        self.busy += program.d_busy * k;
+        self.next_back_key += program.d_back * k as i64;
+        self.next_front_key += program.d_front * k as i64;
+        if let Some(run) = self.running {
+            let key = &mut self.tasks[run.index()].ready_key;
+            *key += program.d_key(*key) * k as i64;
+        }
+        for (tcb, &d_issued) in self.tasks.iter_mut().zip(&program.d_issued) {
+            tcb.issued += d_issued * k;
+            tcb.completed += d_issued * k;
+        }
+        let d_issued = &program.d_issued;
+        self.timers.fast_forward(shift, program.d_seq * k, |ev| {
+            if let KernelEvent::DeadlineCheck { task, seq } = ev {
+                *seq += d_issued[task.index()] * k;
+            }
+        });
     }
 }
 
-/// The compiled steady-state schedule: the closed-form state delta one
-/// hyperperiod of kernel execution applies, derived from one sampled
-/// hyperperiod by [`OsState::derive_cycle_program`] and applied
-/// k-at-a-time by [`Os::apply_cycle_program`].
+/// The compiled steady-state schedule: the counter advances one
+/// hyperperiod of kernel execution makes, measured from one sampled
+/// hyperperiod by [`OsState::measure`] and applied k-at-a-time by
+/// [`OsState::advance`].
 #[derive(Debug, Clone, Default)]
 pub struct CycleProgram {
     h: Duration,
@@ -1893,6 +1803,65 @@ mod tests {
         os.run_until(Instant::from_millis(20), &mut w2);
         assert_eq!(&w2[world_mark..], &tail[..], "world effects diverge after restore");
         assert_eq!(format!("{:?}", os.trace()), trace_once, "trace diverges after restore");
+    }
+
+    /// A bare periodic kernel without a trace: compute-only tasks at 5, 10
+    /// and 20 ms (H = 20 ms), the 10 ms one with a deadline check.
+    fn periodic_os() -> (Os<W>, W) {
+        let compute = |cost: Duration| move |_: Instant, _: &W| Plan::new().compute(cost);
+        let mut os: Os<W> = Os::with_disabled_trace();
+        let tasks = [
+            (TaskConfig::new("fast", Priority(3)), us(300), 5),
+            (TaskConfig::new("mid", Priority(2)).with_deadline(ms(8)), ms(2), 10),
+            (TaskConfig::new("slow", Priority(1)), ms(3), 20),
+        ];
+        let mut alarms = Vec::new();
+        for (config, cost, period) in tasks {
+            let task = os.add_task(config, compute(cost));
+            alarms.push((os.add_alarm("cyc", AlarmAction::ActivateTask(task)), ms(period)));
+        }
+        let mut w = W::new();
+        os.start(&mut w);
+        for (alarm, period) in alarms {
+            os.set_rel_alarm(alarm, period, Some(period)).unwrap();
+        }
+        (os, w)
+    }
+
+    #[test]
+    fn advancing_a_sample_equals_simulating_its_hyperperiods() {
+        let h = ms(20);
+        let (mut os, mut w) = periodic_os();
+        // 43.5 ms: `slow` runs, `fast` and `mid` are done, nothing is
+        // Ready, and the alarms are pending.
+        let t0 = Instant::from_micros(43_500);
+        os.run_until(t0, &mut w);
+        let sample = os.state().clone();
+        assert!(sample.running.is_some());
+        assert!(sample
+            .timers
+            .entries()
+            .iter()
+            .any(|(_, _, ev)| matches!(ev, KernelEvent::DeadlineCheck { .. })));
+        let mut program = CycleProgram::default();
+        for k in 1..=4 {
+            os.run_until(t0 + h * k, &mut w);
+            if k == 1 {
+                assert!(OsState::measure(&sample, os.state(), h, &mut program));
+            }
+            let mut advanced = sample.clone();
+            advanced.advance(&program, k);
+            assert_eq!(&advanced, os.state(), "{k} hyperperiods");
+        }
+
+        // 40.5 ms: `mid` runs while `slow` waits Ready, so its key is live
+        // and the sample is refused.
+        let (mut os, mut w) = periodic_os();
+        os.run_until(Instant::from_micros(40_500), &mut w);
+        let ready = os.state().clone();
+        assert!(ready.tasks.iter().any(|t| t.state == TaskState::Ready));
+        os.run_until(Instant::from_micros(60_500), &mut w);
+        assert!(!OsState::measure(&ready, os.state(), h, &mut program));
     }
 
     #[test]

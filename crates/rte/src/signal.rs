@@ -8,7 +8,7 @@
 //! tooling inspect everything, like ControlDesk instrumenting a Simulink
 //! model.
 
-use easis_sim::time::Instant;
+use easis_sim::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -152,13 +152,10 @@ impl SignalDb {
             .map(|(i, (name, &(value, _)))| (SignalId(i as u32), name.as_str(), value))
     }
 
-    /// Shifts the `updated_at` stamp of the given slots forward by `by` —
-    /// the closed-form application of a [`SignalState::derive_shift`]
-    /// result, `k` hyperperiods folded into one `by = h * k` shift.
-    pub fn shift_updated_at(&mut self, slots: &[u32], by: easis_sim::time::Duration) {
-        for &i in slots {
-            self.state.values[i as usize].1 += by;
-        }
+    /// Jumps the given slots' stamps `by` ahead
+    /// ([`SignalState::advance`] on the live state).
+    pub fn advance(&mut self, slots: &[u32], by: Duration) {
+        self.state.advance(slots, by);
     }
 
     /// The signal values — the database's checkpoint (see
@@ -174,8 +171,9 @@ impl SignalDb {
     }
 }
 
-/// Bitwise on the values, as [`SignalState::derive_shift`] compares them:
-/// `NaN` equals itself and `-0.0` differs from `0.0`.
+/// Bitwise on the values: `NaN` equals itself and `-0.0` differs from
+/// `0.0`, so a steady-state plant that settled to an exact fixed point
+/// compares equal across a hyperperiod.
 impl PartialEq for SignalState {
     fn eq(&self, other: &Self) -> bool {
         self.values.len() == other.values.len()
@@ -188,35 +186,27 @@ impl PartialEq for SignalState {
 }
 
 impl SignalState {
-    /// Derives the per-hyperperiod signal delta between two states taken
-    /// exactly `h` apart: every value must be bit-identical (steady-state
-    /// plants settle to exact fixed points; comparison is on the raw f64
-    /// bits, so `NaN` and `-0.0` round-trip too) and every `updated_at`
-    /// stamp must be either untouched or shifted by exactly `h`. Writes
-    /// the shifted slot indices to `out` and returns `true`, or returns
-    /// `false` when any value moved or a stamp shifted non-uniformly.
-    pub fn derive_shift(
-        a: &SignalState,
-        b: &SignalState,
-        h: easis_sim::time::Duration,
-        out: &mut Vec<u32>,
-    ) -> bool {
-        let SignalState { values } = a;
-        if values.len() != b.values.len() {
-            return false;
-        }
-        out.clear();
-        for (i, (&(va, ta), &(vb, tb))) in values.iter().zip(&b.values).enumerate() {
-            if va.to_bits() != vb.to_bits() {
-                return false;
-            }
+    /// Writes to `slots` the indices of the signals whose `updated_at`
+    /// stamp in `b` is exactly `h` after the one in `a`: the signals
+    /// rewritten every hyperperiod. Certification advances `a` by them once
+    /// and compares the result with `b`, so every value must be
+    /// bit-identical and every other stamp untouched.
+    pub fn measure(a: &Self, b: &Self, h: Duration, slots: &mut Vec<u32>) {
+        slots.clear();
+        for (i, (&(_, ta), &(_, tb))) in a.values.iter().zip(&b.values).enumerate() {
             if tb == ta + h {
-                out.push(i as u32);
-            } else if tb != ta {
-                return false;
+                slots.push(i as u32);
             }
         }
-        true
+    }
+
+    /// Moves the given slots' stamps `by` later: one hyperperiod on a
+    /// certification sample, `k` of them folded into one shift when
+    /// jumping.
+    pub fn advance(&mut self, slots: &[u32], by: Duration) {
+        for &i in slots {
+            self.values[i as usize].1 += by;
+        }
     }
 }
 

@@ -126,15 +126,12 @@ impl CostMeter {
     }
 
     /// Per-span delta: the charges accumulated since `earlier` was sampled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is not actually an earlier sample of this meter
-    /// (either counter would underflow).
+    /// Saturating: a counter of `earlier` that is ahead of this meter's
+    /// measures 0.
     pub fn delta_since(&self, earlier: &CostMeter) -> CostMeter {
         CostMeter {
-            total_cycles: self.total_cycles - earlier.total_cycles,
-            operations: self.operations - earlier.operations,
+            total_cycles: self.total_cycles.saturating_sub(earlier.total_cycles),
+            operations: self.operations.saturating_sub(earlier.operations),
         }
     }
 

@@ -140,8 +140,9 @@ impl<E> EventQueue<E> {
 
     /// Every pending `(time µs, seq, payload)` entry in stored order:
     /// descending `(time, seq)`, so the reversed slice is pop order. The
-    /// order is canonical (a queue's content fixes it), which lets the
-    /// macro-stepping engine compare two queues entry by entry.
+    /// order is canonical (a queue's content fixes it), so `==`, which
+    /// compares entries in stored order, compares content: the
+    /// macro-stepping engine's certification relies on that.
     pub fn entries(&self) -> &[(u64, u64, E)] {
         &self.entries
     }
@@ -156,11 +157,11 @@ impl<E> EventQueue<E> {
     /// and lets `fixup` rewrite each payload in place (the kernel uses this
     /// to slide per-activation sequence numbers carried inside
     /// deadline-check events). This is the timer half of a hyperperiod
-    /// macro-jump: after the macro-stepping engine has proved the queue's
-    /// content at `t` and `t + H` identical up to these shifts, applying
-    /// them advances the queue k hyperperiods in O(pending) instead of
-    /// replaying every expiry. A uniform shift keeps the entries sorted,
-    /// so they are rewritten in place.
+    /// macro-jump: certification applies one hyperperiod's shifts to the
+    /// queue sampled at `t` and requires it to equal the queue at
+    /// `t + H`; the jump then applies k hyperperiods' in O(pending)
+    /// instead of replaying every expiry. A uniform shift keeps the
+    /// entries sorted, so they are rewritten in place.
     pub fn fast_forward(&mut self, shift: Duration, seq_shift: u64, mut fixup: impl FnMut(&mut E)) {
         let shift_us = shift.as_micros();
         for (t, seq, payload) in &mut self.entries {

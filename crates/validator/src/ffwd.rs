@@ -67,8 +67,9 @@ pub struct FfwdMetrics {
     pub span_us: u64,
     /// Rejected certification attempts.
     pub fallbacks: u64,
-    /// Successful certifications: one sampled hyperperiod yielded a
-    /// closed-form delta, and the engine jumped.
+    /// Successful certifications: one sampled hyperperiod, advanced by its
+    /// measured delta, equalled the next checkpoint, and the engine
+    /// jumped.
     pub certifications: u64,
 }
 

@@ -15,7 +15,7 @@ use easis_apps::bundle::AppBundle;
 use easis_apps::{lightctl, safelane, safespeed, steer};
 use easis_baselines::task_monitors::{TaskMonitor, TaskMonitorStats, TimingCheck};
 use easis_fmf::dtc::FreezeFrame;
-use easis_fmf::framework::{FaultManagementFramework, FmfCycleDelta, FmfState};
+use easis_fmf::framework::{FaultManagementFramework, FmfState};
 use easis_fmf::policy::{Treatment, TreatmentAction, TreatmentPolicy};
 use easis_fmf::record::SeverityMap;
 use easis_injection::injector::Injector;
@@ -401,7 +401,7 @@ impl CentralNode {
     /// hyperperiod, every alarm is back on the same grid offset and every
     /// monitoring window is back at the same phase, so all monitor
     /// counters land on the values they started from — the precondition
-    /// for the content-equality classes of the macro-step derivation.
+    /// for certification's whole-checkpoint comparison.
     /// Returns [`Duration::ZERO`] (macro-stepping structurally disabled)
     /// when the lcm exceeds [`FFWD_MAX_HYPERPERIOD`].
     fn hyperperiod_of(config: &NodeConfig, periods: &BTreeMap<String, Duration>) -> Duration {
@@ -603,15 +603,16 @@ impl CentralNode {
     /// When the span is eligible ([`CentralNode::set_fastforward`],
     /// `EASIS_FASTFORWARD`, no armed injector window, no enabled traces),
     /// the hyperperiod macro-stepping engine first certifies the
-    /// steady-state schedule — simulate one hyperperiod and derive its
-    /// closed-form state delta from the checkpoints at both ends — and
+    /// steady-state schedule — simulate one hyperperiod, measure the
+    /// counter advances between the checkpoints at both ends, advance the
+    /// first checkpoint by them and require it to equal the second — and
     /// then fast-forwards every whole hyperperiod left in the span in one
-    /// jump. Certification is *exact*: any state that the delta cannot
-    /// express (new fault logs, a DTC age-out inside the sampled
+    /// jump. Certification is *exact*: any state that the advance does not
+    /// reproduce (new fault logs, a DTC age-out inside the sampled
     /// hyperperiod, stale timers, a live ready key off its cursor) rejects
-    /// the derivation and the engine falls back to event-level
-    /// simulation, so the final node state is bit-identical to a
-    /// never-fast-forwarded run. `EASIS_FASTFORWARD=verify` checks that
+    /// the sample and the engine falls back to event-level simulation, so
+    /// the final node state is bit-identical to a never-fast-forwarded
+    /// run. `EASIS_FASTFORWARD=verify` checks that
     /// claim on every jump ([`crate::ffwd::Mode::Verify`]).
     pub fn run_span(&mut self, end: Instant) {
         assert!(self.started, "call start() first");
@@ -671,7 +672,7 @@ impl CentralNode {
             self.snapshot_into(&mut ff.img_a);
             self.os.run_until(now + h, &mut self.world);
             self.snapshot_into(&mut ff.img_b);
-            if !derive_node_delta(&ff.img_a, &ff.img_b, h, &mut ff.delta) {
+            if !certify(&mut ff.img_a, &ff.img_b, h, &mut ff.delta) {
                 ff.stats.fallbacks += 1;
                 // One-millisecond phase nudge: a rejected sample may sit
                 // exactly on a task-period boundary where the kernel is
@@ -688,17 +689,16 @@ impl CentralNode {
             // two remained before the certification hyperperiod).
             // DTC age-outs on the way need no simulation: nothing in a
             // certified quiescent hyperperiod reads DTC memory (the FMF
-            // acts only on fault and state-change ingestion, and the delta
-            // proves both absent), and `apply_aging` retires the records
-            // the event level would.
+            // acts only on fault and state-change ingestion, and
+            // certification proves both absent), and `apply_aging` retires
+            // the records the event level would. The same advance
+            // functions moved the sample in `certify`.
             let k = end.saturating_duration_since(self.os.now()) / h;
-            self.os.apply_cycle_program(&ff.delta.os, k);
-            self.world.watchdog.apply_cycle_delta(&ff.delta.watchdog, k);
-            self.world
-                .signals
-                .shift_updated_at(&ff.delta.signal_slots, h * k);
+            self.world.fmf.advance(ff.delta.dtc_aging, k);
             self.world.hw_watchdog.shift_last_kick(h * k);
-            self.world.fmf.apply_cycle_delta(&ff.delta.fmf, k);
+            self.os.advance(&ff.delta.os, k);
+            self.world.watchdog.advance(&ff.delta.watchdog, k);
+            self.world.signals.advance(&ff.delta.signal_slots, h * k);
             ff.stats.fastforwarded += h * k;
             if ff.verify {
                 // Shadow the jump: rewind to the certified checkpoint, run
@@ -796,8 +796,9 @@ pub struct FfwdStats {
     pub span: Duration,
     /// Rejected certification attempts.
     pub fallbacks: u64,
-    /// Successful certifications: one sampled hyperperiod yielded a
-    /// closed-form delta, and the engine jumped.
+    /// Successful certifications: one sampled hyperperiod, advanced by its
+    /// measured delta, equalled the next checkpoint, and the engine
+    /// jumped.
     pub certifications: u64,
 }
 
@@ -828,84 +829,74 @@ impl FfwdState {
     }
 }
 
-/// The compiled node-level steady-state delta: one hyperperiod's kernel
-/// cycle program, watchdog cycle delta, the signal slots whose timestamps
-/// shift by exactly one hyperperiod, and the FMF's DTC aging advance.
+/// One hyperperiod's counter advances, measured between two checkpoints
+/// by [`certify`]: the kernel's cycle program, the watchdog's meter
+/// advance, the DTC aging increment and the signal slots stamped every
+/// hyperperiod. The hardware watchdog's kick stamp moves by the
+/// hyperperiod itself.
 #[derive(Debug, Default)]
 struct NodeCycleDelta {
     os: CycleProgram,
     watchdog: WatchdogCycleDelta,
+    dtc_aging: u32,
     signal_slots: Vec<u32>,
-    fmf: FmfCycleDelta,
 }
 
-/// Derives the closed-form per-hyperperiod delta between two checkpoints
-/// taken exactly `h` apart, or reports that the span is not in certifiable
-/// steady state. The logs, the runnable controls and the baseline-monitor
-/// statistics must be unchanged, the hardware watchdog an exact `h`
-/// time-shift, and the kernel/watchdog/signal/FMF layers must each yield
-/// a well-formed shift (the FMF's being a uniform DTC-aging advance — the
-/// post-fault drain the tail spends hundreds of milliseconds in).
-fn derive_node_delta(
-    a: &NodeSnapshot,
+/// Certifies that checkpoint `b`, taken `h` after `a`, is `a` one
+/// hyperperiod on: measure, advance, compare. Each component state
+/// measures only its independent counter advances into `delta`; `a` is
+/// advanced by them once, by the same functions that later jump the live
+/// node `k` hyperperiods, and the sample certifies only when the result
+/// equals `b`. Every field that no advance moves — logs, controls,
+/// monitor statistics, scheduling state, verdicts, values, and any field
+/// added later — must therefore be unchanged, and every linked counter
+/// must have moved with the one it follows. A new counter that no advance
+/// moves makes every certification reject: the engine then runs at event
+/// level, slower but exact. The kernel refuses a sample with a `Ready`
+/// task and the DTC memory one whose record count changed. On success
+/// `a == b`.
+fn certify(
+    a: &mut NodeSnapshot,
     b: &NodeSnapshot,
     h: Duration,
-    out: &mut NodeCycleDelta,
+    delta: &mut NodeCycleDelta,
 ) -> bool {
-    // No `..`: a field added to the checkpoint does not compile here until
-    // certification says how it may move over a hyperperiod.
-    let NodeSnapshot {
-        os,
-        signals,
-        controls,
-        watchdog,
-        fmf,
-        hw_watchdog,
-        treatments,
-        ecu_resets,
-        fault_log,
-        rx_mailbox,
-        deadline_stats,
-        exec_stats,
-    } = a;
-    if *treatments != b.treatments
-        || *fault_log != b.fault_log
-        || *rx_mailbox != b.rx_mailbox
-        || *ecu_resets != b.ecu_resets
-        || *controls != b.controls
-        || *deadline_stats != b.deadline_stats
-        || *exec_stats != b.exec_stats
-        || !FmfState::derive_cycle_delta(fmf, &b.fmf, &mut out.fmf)
-    {
+    let Some(dtc_aging) = FmfState::measure(&a.fmf, &b.fmf) else {
+        return false;
+    };
+    if !OsState::measure(&a.os, &b.os, h, &mut delta.os) {
         return false;
     }
-    let mut shifted = hw_watchdog.clone();
-    shifted.shift_last_kick(h);
-    shifted == b.hw_watchdog
-        && OsState::derive_cycle_program(os, &b.os, h, &mut out.os)
-        && WatchdogState::derive_cycle_delta(watchdog, &b.watchdog, h, &mut out.watchdog)
-        && SignalState::derive_shift(signals, &b.signals, h, &mut out.signal_slots)
+    delta.dtc_aging = dtc_aging;
+    delta.watchdog = WatchdogState::measure(&a.watchdog, &b.watchdog);
+    SignalState::measure(&a.signals, &b.signals, h, &mut delta.signal_slots);
+    a.fmf.advance(delta.dtc_aging, 1);
+    a.hw_watchdog.shift_last_kick(h);
+    a.os.advance(&delta.os, 1);
+    a.watchdog.advance(&delta.watchdog, 1);
+    a.signals.advance(&delta.signal_slots, h);
+    a == b
 }
 
-/// Names the first checkpoint field, in declaration order, on which a
-/// jumped node and its event-level replay differ, with both values;
-/// `None` when they are equal. The destructure has no `..`, so a field
-/// added to the checkpoint does not compile here until verify mode
-/// compares it.
+/// Names the first checkpoint field, in declaration order (the order in
+/// which `==` compares them), on which a jumped node and its event-level
+/// replay differ, with both values; `None` when they are equal. The
+/// destructure has no `..`, so a field added to the checkpoint does not
+/// compile here until verify mode names it.
 fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<String> {
     let NodeSnapshot {
-        os,
-        signals,
-        controls,
-        watchdog,
-        fmf,
-        hw_watchdog,
+        fault_log,
         treatments,
         ecu_resets,
-        fault_log,
         rx_mailbox,
+        controls,
         deadline_stats,
         exec_stats,
+        fmf,
+        hw_watchdog,
+        os,
+        watchdog,
+        signals,
     } = jumped;
     macro_rules! compare {
         ($($field:ident),*) => {$(
@@ -920,18 +911,18 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
         )*};
     }
     compare!(
-        os,
-        signals,
-        controls,
-        watchdog,
-        fmf,
-        hw_watchdog,
+        fault_log,
         treatments,
         ecu_resets,
-        fault_log,
         rx_mailbox,
+        controls,
         deadline_stats,
-        exec_stats
+        exec_stats,
+        fmf,
+        hw_watchdog,
+        os,
+        watchdog,
+        signals
     );
     None
 }
@@ -956,41 +947,47 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
 ///
 /// Equality is exact: two checkpoints compare equal only when every
 /// captured field does (signal values bit for bit), which is how tests
-/// compare a macro-stepped run with an event-level one.
+/// compare a macro-stepped run with an event-level one and how
+/// [`CentralNode::run_span`] certifies a hyperperiod. The derived `==`
+/// compares fields in declaration order and stops at the first
+/// difference, so the fields a rejected certification most often differs
+/// in come first: the logs, the runnable controls and the monitor
+/// statistics, then the FMF, the hardware watchdog, the kernel, the
+/// watchdog and the signals.
 #[derive(Debug, PartialEq)]
 pub struct NodeSnapshot {
-    os: OsState<CentralWorld>,
-    signals: SignalState,
-    controls: RunnableControls,
-    watchdog: WatchdogState,
-    fmf: FmfState,
-    hw_watchdog: HardwareWatchdog,
+    fault_log: Vec<DetectedFault>,
     treatments: Vec<TreatmentAction>,
     ecu_resets: u32,
-    fault_log: Vec<DetectedFault>,
     rx_mailbox: Vec<(u16, Vec<u8>)>,
+    controls: RunnableControls,
     deadline_stats: TaskMonitorStats,
     exec_stats: TaskMonitorStats,
+    fmf: FmfState,
+    hw_watchdog: HardwareWatchdog,
+    os: OsState<CentralWorld>,
+    watchdog: WatchdogState,
+    signals: SignalState,
 }
 
 impl Default for NodeSnapshot {
     fn default() -> Self {
         NodeSnapshot {
-            os: OsState::default(),
-            signals: SignalState::default(),
+            fault_log: Vec::new(),
+            treatments: Vec::new(),
+            ecu_resets: 0,
+            rx_mailbox: Vec::new(),
             controls: RunnableControls::default(),
-            watchdog: WatchdogState::default(),
+            deadline_stats: TaskMonitorStats::default(),
+            exec_stats: TaskMonitorStats::default(),
             fmf: FmfState::default(),
             // Placeholder until the first capture `clone_from`s the real
             // one (`HardwareWatchdog` has no Default: a zero timeout is
             // rejected by construction).
             hw_watchdog: HardwareWatchdog::new(Duration::from_micros(1)),
-            treatments: Vec::new(),
-            ecu_resets: 0,
-            fault_log: Vec::new(),
-            rx_mailbox: Vec::new(),
-            deadline_stats: TaskMonitorStats::default(),
-            exec_stats: TaskMonitorStats::default(),
+            os: OsState::default(),
+            watchdog: WatchdogState::default(),
+            signals: SignalState::default(),
         }
     }
 }
@@ -1243,18 +1240,50 @@ mod tests {
 
     #[test]
     fn certification_compares_the_whole_checkpoint() {
-        let mut node = quiescent_node();
-        let h = node.hyperperiod();
-        let a = node.snapshot();
-        node.os.run_until(ms(1_003) + h, &mut node.world);
-        let mut b = node.snapshot();
-        let mut delta = NodeCycleDelta::default();
-        assert!(derive_node_delta(&a, &b, h, &mut delta));
+        // Each perturbation hits the node just before the second sample.
         // Only injector ticks touch runnable controls, and the engine
-        // stands down while one is armed, but certification still
-        // compares them rather than trusting that.
-        b.controls.runnable_mut(RunnableId(4)).exec_scale_ppm = 2_000_000;
-        assert!(!derive_node_delta(&a, &b, h, &mut delta));
+        // stands down while one is armed, but certification still compares
+        // them rather than trusting that.
+        type Perturbation = fn(&mut CentralNode);
+        let cases: [(&str, Perturbation); 7] = [
+            ("unperturbed", |_| {}),
+            ("runnable control", |node| {
+                node.world.controls.runnable_mut(RunnableId(4)).exec_scale_ppm = 2_000_000;
+            }),
+            ("stray heartbeat", |node| {
+                let runnable = node.runnable("SAFE_CC_process");
+                node.world.watchdog.heartbeat(runnable, node.os.now());
+            }),
+            ("extra task activation", |node| {
+                let task = node.tasks["SafeSpeedTask"];
+                node.os.activate_task(task, &mut node.world).unwrap();
+            }),
+            ("hardware-watchdog kick", |node| {
+                node.world.hw_watchdog.kick(node.os.now());
+            }),
+            ("signal write", |node| {
+                node.world.signals.write(SignalId(0), 1e6, node.os.now());
+            }),
+            ("DTC occurrence", |node| {
+                node.world.fmf.ingest_fault(DetectedFault {
+                    at: node.os.now(),
+                    runnable: RunnableId(4),
+                    kind: easis_watchdog::report::FaultKind::Aliveness,
+                });
+            }),
+        ];
+        for (case, perturb) in cases {
+            let mut node = quiescent_node();
+            let h = node.hyperperiod();
+            let mut a = node.snapshot();
+            node.os.run_until(ms(1_003) + h, &mut node.world);
+            perturb(&mut node);
+            let b = node.snapshot();
+            let mut delta = NodeCycleDelta::default();
+            let certified = certify(&mut a, &b, h, &mut delta);
+            assert_eq!(certified, case == "unperturbed", "{case}");
+            assert_eq!(a == b, certified, "{case}");
+        }
     }
 
     /// A node past start-up, off every task-period boundary, at 1 003 ms.

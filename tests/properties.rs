@@ -618,8 +618,9 @@ proptest! {
     /// schedule/pop/cancel with heavy same-instant collisions, events
     /// beyond 2^24 µs, and events earlier than one already popped. After
     /// every operation the queue's stored entries, reversed, are exactly
-    /// the reference's live keys in pop order: the kernel's cycle-program
-    /// derivation compares stored entries pairwise and relies on that.
+    /// the reference's live keys in pop order: certification compares two
+    /// queues with `==`, entry by entry in stored order, and relies on
+    /// that.
     #[test]
     fn timer_wheel_matches_binary_heap_reference(
         ops in prop::collection::vec(

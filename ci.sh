@@ -131,7 +131,9 @@ echo "==> macro-stepping and mid-window round-trip property tests in verify mode
 # scheduler state that the soak and the golden campaign rarely reach;
 # their own end-state comparison misses a stale key that a later
 # dispatch overwrites, while verify mode compares right at each jump.
-# The round-trip test restores a capture taken inside an armed injection
+# The armed-window property jumps inside armed injection windows of all
+# seven error classes, where certification replays the faulty steady
+# state's detection bookkeeping. The round-trip test restores a capture taken inside an armed injection
 # window onto a dirtied node, the one rewind the campaign engine never
 # makes. A fixed salt draws 100 cases per property beyond the fixed ones
 # that `cargo test` runs, so this run covers new trials and stays
@@ -160,7 +162,7 @@ for ff in 1 0 verify; do
   done
 done
 
-echo "==> easis_bench correctness (unit tests + quick run, must report correct:true)"
+echo "==> easis_bench correctness (unit tests + quick runs, plain and verify mode, must report correct:true)"
 # The frozen benchmark builds against the product API from its own
 # manifest; its tests pin the state digests and the run_trial oracle, and
 # a quick run must still end with a correct:true verdict.
@@ -170,6 +172,16 @@ bench_last="$(cargo run --release -q --offline \
 case "$bench_last" in
   *'"correct":true'*) ;;
   *) echo "easis_bench --quick did not report correct:true: $bench_last"; exit 1 ;;
+esac
+# Once more with every certified jump shadowed at event level: the
+# `armed` plans are where all three parameterised classes (slowdown,
+# duplicate dispatch, loop overrun) jump inside armed windows, and verify
+# mode compares each such jump's whole checkpoint with its replay.
+bench_last="$(EASIS_FASTFORWARD=verify cargo run --release -q --offline \
+  --manifest-path crates/bench/src/bin/easis_bench/Cargo.toml -- --seed 1 --quick | tail -n1)"
+case "$bench_last" in
+  *'"correct":true'*) ;;
+  *) echo "easis_bench --quick under verify mode did not report correct:true: $bench_last"; exit 1 ;;
 esac
 
 echo "CI green."

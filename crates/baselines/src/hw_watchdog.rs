@@ -123,14 +123,42 @@ impl HardwareWatchdog {
         self.timeout
     }
 
-    /// Shifts the last-kick stamp forward by `by` — the closed-form
-    /// advance of a quiescent hyperperiod: a steadily kicked watchdog
-    /// advances `last_kick` by exactly the hyperperiod while expiry state
-    /// and statistics stay put (certification shifts the earlier sample's
-    /// copy by one hyperperiod and compares it with the later one whole).
-    pub fn shift_last_kick(&mut self, by: Duration) {
-        self.last_kick += by;
+    /// Measures the watchdog's motion between two samples `h` apart. A
+    /// kicked watchdog's stamp moves one hyperperiod. A starved watchdog
+    /// that has already expired keeps its stamp: `poll` reads the stamp
+    /// only while the watchdog has not expired, and only a kick clears
+    /// that. Its expirations are reports, so a watchdog that expires and
+    /// is kicked again every hyperperiod may count up. A frozen stamp on an
+    /// unexpired watchdog still measures a full hyperperiod, because the
+    /// next `poll` reads it, and the caller's comparison rejects it.
+    pub fn measure(a: &Self, b: &Self, h: Duration) -> HwCycleDelta {
+        let starved = a.expired && a.last_kick == b.last_kick;
+        HwCycleDelta {
+            d_kick: if starved { Duration::ZERO } else { h },
+            d_expirations: b.expirations.saturating_sub(a.expirations),
+        }
     }
+
+    /// Advances the watchdog `k` hyperperiods by `delta`: with k = 1 on a
+    /// certification sample, with k on the live watchdog when jumping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the expiration count overflows `u32`.
+    pub fn advance(&mut self, delta: &HwCycleDelta, k: u64) {
+        self.last_kick += delta.d_kick * k;
+        let expirations = u64::from(self.expirations) + u64::from(delta.d_expirations) * k;
+        self.expirations = u32::try_from(expirations).expect("expiration count overflow");
+    }
+}
+
+/// One hyperperiod of a hardware watchdog's motion, measured by
+/// [`HardwareWatchdog::measure`]: how far the kick stamp moves and how
+/// many expirations are counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HwCycleDelta {
+    d_kick: Duration,
+    d_expirations: u32,
 }
 
 #[cfg(test)]
@@ -139,6 +167,60 @@ mod tests {
 
     fn t(ms: u64) -> Instant {
         Instant::from_millis(ms)
+    }
+
+    /// Measure, advance once, compare: the certification step on two
+    /// samples `h` apart.
+    fn certifies(a: &HardwareWatchdog, b: &HardwareWatchdog, h: Duration) -> bool {
+        let mut advanced = a.clone();
+        advanced.advance(&HardwareWatchdog::measure(a, b, h), 1);
+        advanced == *b
+    }
+
+    #[test]
+    fn a_starved_expired_watchdog_keeps_its_stamp() {
+        let h = Duration::from_millis(20);
+        let mut wd = HardwareWatchdog::new(Duration::from_millis(50));
+        wd.kick(t(10));
+        assert!(wd.poll(t(100)));
+        let a = wd.clone();
+        assert!(wd.poll(t(120)));
+        assert!(certifies(&a, &wd, h));
+        assert_eq!(wd.expirations(), 1);
+    }
+
+    #[test]
+    fn a_frozen_stamp_on_an_unexpired_watchdog_is_refused() {
+        let h = Duration::from_millis(20);
+        let mut wd = HardwareWatchdog::new(Duration::from_millis(50));
+        wd.kick(t(10));
+        assert!(!wd.poll(t(30)));
+        let a = wd.clone();
+        assert!(!wd.poll(t(50)));
+        // The next poll reads the stamp: at 61 ms the watchdog expires.
+        assert!(!certifies(&a, &wd, h));
+    }
+
+    #[test]
+    fn expirations_of_a_late_kicked_watchdog_grow_every_hyperperiod() {
+        // Kicked every 60 ms against a 50 ms timeout: one expiration per
+        // 60 ms hyperperiod.
+        let h = Duration::from_millis(60);
+        let mut wd = HardwareWatchdog::new(Duration::from_millis(50));
+        let period = |wd: &mut HardwareWatchdog, n: u64| {
+            wd.kick(t(n * 60));
+            assert!(wd.poll(t(n * 60 + 55)));
+            wd.clone()
+        };
+        let a = period(&mut wd, 0);
+        let b = period(&mut wd, 1);
+        assert!(certifies(&a, &b, h));
+        let mut jumped = b.clone();
+        jumped.advance(&HardwareWatchdog::measure(&a, &b, h), 2);
+        period(&mut wd, 2);
+        assert_eq!(jumped, period(&mut wd, 3));
+        assert_eq!(jumped.expirations(), 4);
+        assert_eq!(jumped.first_expiry(), Some(t(50)));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use easis_osek::hooks::{HookEvent, HookMask, HookObserver};
 use easis_osek::task::TaskId;
+use easis_sim::growth::{advance_counts, measure_counts};
 use easis_sim::time::Instant;
 use std::sync::{Arc, Mutex};
 
@@ -41,6 +42,21 @@ impl TaskMonitorStats {
     /// Earliest detection, if any.
     pub fn first_detection(&self) -> Option<(TaskId, Instant)> {
         self.first_detection
+    }
+
+    /// Measures how far each task's detection count in `b` is ahead of
+    /// `a`'s. The counts are reports: no monitor or kernel decision reads
+    /// them back, so a faulty steady state may raise them every
+    /// hyperperiod. The first detection must stay put, which the caller's
+    /// comparison checks, as it does a task detected for the first time.
+    pub fn measure(a: &Self, b: &Self, growth: &mut Vec<u64>) {
+        measure_counts(&a.detections, &b.detections, growth);
+    }
+
+    /// Raises each task's detection count by `k` times its measured
+    /// growth.
+    pub fn advance(&mut self, growth: &[u64], k: u64) {
+        advance_counts(&mut self.detections, growth, k);
     }
 
     fn record(&mut self, task: TaskId, at: Instant) {
@@ -101,6 +117,12 @@ impl TaskMonitor {
     /// capture half).
     pub fn restore_stats(&self, stats: &TaskMonitorStats) {
         self.stats.lock().expect("stats lock").clone_from(stats);
+    }
+
+    /// Jumps the statistics of every clone of this monitor `k` certified
+    /// hyperperiods ahead ([`TaskMonitorStats::advance`]).
+    pub fn advance(&self, growth: &[u64], k: u64) {
+        self.stats.lock().expect("stats lock").advance(growth, k);
     }
 
     /// Earliest detection without copying the statistics.
@@ -178,6 +200,33 @@ mod tests {
         os.activate_task(t, &mut w).unwrap();
         os.run_until(Instant::from_millis(10), &mut w);
         assert_eq!(monitor.stats().detections_of(t), 1);
+    }
+
+    #[test]
+    fn detection_counts_grow_by_their_measured_advance() {
+        let mut stats = TaskMonitorStats::default();
+        stats.record(TaskId(1), Instant::from_millis(5));
+        let a = stats.clone();
+        stats.record(TaskId(1), Instant::from_millis(25));
+        stats.record(TaskId(1), Instant::from_millis(26));
+        let mut growth = Vec::new();
+        TaskMonitorStats::measure(&a, &stats, &mut growth);
+        let mut advanced = a.clone();
+        advanced.advance(&growth, 1);
+        assert_eq!(advanced, stats);
+        advanced.advance(&growth, 3);
+        assert_eq!(advanced.detections_of(TaskId(1)), 9);
+        assert_eq!(
+            advanced.first_detection(),
+            Some((TaskId(1), Instant::from_millis(5)))
+        );
+        // A task detected for the first time has no count in `a` to grow
+        // from, so the comparison refuses it.
+        stats.record(TaskId(3), Instant::from_millis(30));
+        TaskMonitorStats::measure(&a, &stats, &mut growth);
+        let mut advanced = a.clone();
+        advanced.advance(&growth, 1);
+        assert_ne!(advanced, stats);
     }
 
     #[test]

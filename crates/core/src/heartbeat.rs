@@ -14,6 +14,7 @@ use crate::report::{DetectedFault, FaultKind, RunnableCounters};
 use easis_obs::{ObsEvent, ObsSink};
 use easis_rte::runnable::RunnableId;
 use easis_sim::cpu::CostMeter;
+use easis_sim::growth::{advance_counts, measure_counts};
 use easis_sim::time::Instant;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -181,6 +182,27 @@ impl HeartbeatMonitor {
                 }
             }
         }
+    }
+
+    /// Measures how far the aliveness and arrival-rate error counts of `b`
+    /// are ahead of `a`'s, slot by slot. The counts are reports (the
+    /// Figure 5/6 plot quantities): no check reads them back, so a faulty
+    /// steady state may raise them every hyperperiod. Every other counter
+    /// must come back, which the caller's comparison checks.
+    pub fn measure_errors(
+        a: &Self,
+        b: &Self,
+        aliveness: &mut Vec<u64>,
+        arrival_rate: &mut Vec<u64>,
+    ) {
+        measure_counts(&a.aliveness_errors, &b.aliveness_errors, aliveness);
+        measure_counts(&a.arrival_rate_errors, &b.arrival_rate_errors, arrival_rate);
+    }
+
+    /// Raises the error counts by `k` times their measured growth.
+    pub fn advance_errors(&mut self, aliveness: &[u64], arrival_rate: &[u64], k: u64) {
+        advance_counts(&mut self.aliveness_errors, aliveness, k);
+        advance_counts(&mut self.arrival_rate_errors, arrival_rate, k);
     }
 
     /// Replaces the fault hypothesis of a runnable at runtime (dynamic

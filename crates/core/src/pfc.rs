@@ -282,6 +282,13 @@ impl PfcState {
     pub fn errors_detected(&self) -> u64 {
         self.errors_detected
     }
+
+    /// Raises the cumulative violation count by `n`: `k` hyperperiods of
+    /// a faulty steady state, replayed by macro-stepping. Only reports
+    /// read the count.
+    pub fn add_errors(&mut self, n: u64) {
+        self.errors_detected += n;
+    }
 }
 
 /// The PFC unit: the look-up table (builder and compiled form), an

@@ -28,7 +28,8 @@ use easis_osek::task::TaskId;
 use easis_rte::mapping::ApplicationId;
 use easis_rte::runnable::{HeartbeatSink, RunnableId};
 use easis_sim::cpu::{CostMeter, CpuModel};
-use easis_sim::time::Instant;
+use easis_sim::growth::{advance_counts, measure_counts, Stamped};
+use easis_sim::time::{Duration, Instant};
 use std::sync::Arc;
 
 /// Report of one watchdog cycle.
@@ -459,35 +460,90 @@ impl SoftwareWatchdog {
     }
 }
 
-/// The per-hyperperiod advance of a quiescent watchdog: its cost meter and
-/// cycle count. Measured by [`WatchdogState::measure`], applied by
-/// [`WatchdogState::advance`].
-#[derive(Debug, Clone, Copy, Default)]
+/// The per-hyperperiod advance of the watchdog: its cost meter and cycle
+/// count, the growth of its write-only detection counts (heartbeat
+/// errors, PFC violations, TSI counts of `Faulty` tasks) and the shift of
+/// its pending fault outbox. Measured by [`SoftwareWatchdog::measure`],
+/// applied by [`WatchdogState::advance`]; the buffers are reused, so
+/// steady-state certification allocates nothing once warm.
+#[derive(Debug, Clone, Default)]
 pub struct WatchdogCycleDelta {
+    h: Duration,
     d_costs: CostMeter,
     d_cycles: u64,
+    d_aliveness_errors: Vec<u64>,
+    d_arrival_rate_errors: Vec<u64>,
+    d_pfc_detected: Vec<u64>,
+    d_pfc_errors: Vec<u64>,
+    d_tsi: Vec<u64>,
+}
+
+impl SoftwareWatchdog {
+    /// Measures the advances between two states `h` apart: the cost meter
+    /// and cycle count, and the counts a faulty steady state raises every
+    /// hyperperiod without reading them back — the heartbeat unit's error
+    /// counts, each scope's PFC violation count, the PFC errors per
+    /// runnable, and the TSI counts of tasks already `Faulty` in `a`
+    /// ([`TsiState::measure_latched`]). Certification advances `a` by
+    /// them once and compares the result with `b` whole: every monitor
+    /// counter, PFC position, verdict and the state-change outbox must be
+    /// back where it was, and the fault outbox must hold the same entries
+    /// one hyperperiod later. The hyperperiod includes every
+    /// fault-hypothesis window span, so steady-state counters land back on
+    /// the same phase.
+    pub fn measure(
+        &self,
+        a: &WatchdogState,
+        b: &WatchdogState,
+        h: Duration,
+        delta: &mut WatchdogCycleDelta,
+    ) {
+        delta.h = h;
+        delta.d_costs = b.costs.delta_since(&a.costs);
+        delta.d_cycles = b.cycles_run.saturating_sub(a.cycles_run);
+        HeartbeatMonitor::measure_errors(
+            &a.heartbeat,
+            &b.heartbeat,
+            &mut delta.d_aliveness_errors,
+            &mut delta.d_arrival_rate_errors,
+        );
+        delta.d_pfc_detected.clear();
+        delta.d_pfc_detected.extend(
+            a.pfc
+                .iter()
+                .zip(&b.pfc)
+                .map(|(x, y)| y.errors_detected().saturating_sub(x.errors_detected())),
+        );
+        measure_counts(&a.pfc_errors, &b.pfc_errors, &mut delta.d_pfc_errors);
+        TsiState::measure_latched(&a.tsi, &b.tsi, &self.tsi, &mut delta.d_tsi);
+    }
 }
 
 impl WatchdogState {
-    /// Measures the cost-meter and cycle-count advances between two states
-    /// one hyperperiod apart. Certification advances `a` by them once and
-    /// compares the result with `b` whole: every monitor counter, PFC
-    /// position, TSI verdict and outbox must be back where it was. The
-    /// hyperperiod includes every fault-hypothesis window span, so
-    /// steady-state counters land back on the same phase.
-    pub fn measure(a: &Self, b: &Self) -> WatchdogCycleDelta {
-        WatchdogCycleDelta {
-            d_costs: b.costs.delta_since(&a.costs),
-            d_cycles: b.cycles_run.saturating_sub(a.cycles_run),
-        }
+    /// Whether two states hold the same task, application and ECU
+    /// verdicts: one of certification's cheap refusals, run before
+    /// anything is measured.
+    pub fn same_verdicts(a: &Self, b: &Self) -> bool {
+        a.task_faulty == b.task_faulty && TsiState::same_verdicts(&a.tsi, &b.tsi)
     }
 
-    /// Advances the cost meter and cycle count `k` hyperperiods by
-    /// `delta`: with k = 1 on a certification sample, with k on the live
-    /// state when jumping.
+    /// Advances the state `k` hyperperiods by `delta`: the cost meter,
+    /// cycle count and detection counts rise by `k` times their growth,
+    /// and every pending fault moves `k` hyperperiods later. With k = 1 on
+    /// a certification sample, with k on the live state when jumping.
     pub fn advance(&mut self, delta: &WatchdogCycleDelta, k: u64) {
         self.costs.accumulate(&delta.d_costs, k);
         self.cycles_run += delta.d_cycles * k;
+        self.heartbeat
+            .advance_errors(&delta.d_aliveness_errors, &delta.d_arrival_rate_errors, k);
+        for (pfc, &d) in self.pfc.iter_mut().zip(&delta.d_pfc_detected) {
+            pfc.add_errors(d * k);
+        }
+        advance_counts(&mut self.pfc_errors, &delta.d_pfc_errors, k);
+        self.tsi.advance_counts(&delta.d_tsi, k);
+        for fault in &mut self.outbox {
+            fault.shift(delta.h * k);
+        }
     }
 }
 
@@ -541,6 +597,69 @@ mod tests {
         wd.heartbeat(r(0), t(ms));
         wd.heartbeat(r(1), t(ms));
         wd.heartbeat(r(2), t(ms));
+    }
+
+    /// A latched faulty steady state, one 10 ms cycle per hyperperiod:
+    /// r1 stays silent (an aliveness error every cycle), r2 follows r0
+    /// directly (a PFC violation every cycle, pending in the outbox until
+    /// the cycle check), and monitoring continues on the faulty task. A
+    /// sample between the heartbeats and the check, advanced by what it
+    /// measured against the next one, equals it; advanced k cycles from
+    /// the later sample, it equals k simulated cycles.
+    #[test]
+    fn a_faulty_steady_state_replays_its_detection_counts_and_pending_faults() {
+        let mut mapping = SystemMapping::new();
+        let app = mapping.add_application("SafeSpeed");
+        mapping.assign_task(TaskId(0), app);
+        let mut builder = WatchdogConfig::builder(Duration::from_millis(10))
+            .allow_entry(r(0))
+            .allow_flow(r(0), r(1))
+            .allow_flow(r(1), r(2))
+            .allow_flow(r(2), r(0))
+            .error_threshold(3)
+            .deactivate_on_faulty_task(false);
+        for i in 0..3 {
+            mapping.assign_runnable(r(i), TaskId(0));
+            builder = builder.monitor(
+                RunnableHypothesis::new(r(i))
+                    .alive_at_least(1, 1)
+                    .arrive_at_most(2, 1),
+            );
+        }
+        let mut wd = SoftwareWatchdog::new(builder.mapping(mapping).build());
+        let (mut faults, mut changes) = (Vec::new(), Vec::new());
+        // Runs cycle `c`'s heartbeats at c·10 − 5 ms and returns the state
+        // there, then its check at c·10 ms, drained like the node does.
+        let mut cycle = |wd: &mut SoftwareWatchdog, c: u64| {
+            wd.heartbeat(r(0), t(c * 10 - 5));
+            wd.heartbeat(r(2), t(c * 10 - 5));
+            let sample = wd.state().clone();
+            let _ = wd.run_cycle(t(c * 10));
+            wd.drain_faults_into(&mut faults);
+            wd.drain_state_changes_into(&mut changes);
+            sample
+        };
+        for c in 1..=4 {
+            cycle(&mut wd, c);
+        }
+        assert!(wd.task_state(TaskId(0)).is_faulty());
+        let a = cycle(&mut wd, 5);
+        let b = cycle(&mut wd, 6);
+        assert_eq!(b.outbox.len(), 1, "a PFC fault is pending at the sample");
+        let h = Duration::from_millis(10);
+        let mut delta = WatchdogCycleDelta::default();
+        wd.measure(&a, &b, h, &mut delta);
+        let mut advanced = a.clone();
+        advanced.advance(&delta, 1);
+        assert_eq!(advanced, b);
+        let mut jumped = b.clone();
+        jumped.advance(&delta, 3);
+        let mut simulated = b;
+        for c in 7..=9 {
+            simulated = cycle(&mut wd, c);
+        }
+        assert_eq!(jumped, simulated);
+        assert_eq!(wd.counters(r(1)).unwrap().aliveness_errors, 9);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use easis_obs::{ObsEvent, ObsSink, StateScope};
 use easis_osek::task::TaskId;
 use easis_rte::mapping::{ApplicationId, SystemMapping};
 use easis_rte::runnable::RunnableId;
+use easis_sim::growth::{advance_counts, measure_counts};
 use easis_sim::time::Instant;
 use serde::{Deserialize, Serialize};
 
@@ -254,6 +255,38 @@ impl TsiState {
         };
     }
 
+    /// Measures how far `b`'s error counts are ahead of `a`'s, counting
+    /// only the elements whose hosting task is already `Faulty` in `a`.
+    /// Such a count is read only against the threshold, on the way to a
+    /// verdict the task already holds, so it may rise every hyperperiod of
+    /// a faulty steady state. A count on a task not yet `Faulty` measures
+    /// 0: the threshold will read it, and the caller's comparison rejects
+    /// its growth.
+    pub fn measure_latched(a: &Self, b: &Self, tsi: &TaskStateIndication, growth: &mut Vec<u64>) {
+        measure_counts(&a.counts, &b.counts, growth);
+        for (i, d) in growth.iter_mut().enumerate() {
+            let latched = || {
+                tsi.mapping
+                    .task_of(RunnableId((i / KINDS) as u32))
+                    .is_some_and(|task| a.task_state(task).is_faulty())
+            };
+            if *d != 0 && !latched() {
+                *d = 0;
+            }
+        }
+    }
+
+    /// Raises the error counts by `k` times their measured growth.
+    pub fn advance_counts(&mut self, growth: &[u64], k: u64) {
+        advance_counts(&mut self.counts, growth, k);
+    }
+
+    /// Whether two states hold the same task, application and ECU
+    /// verdicts: certification's cheap first refusal.
+    pub fn same_verdicts(a: &Self, b: &Self) -> bool {
+        a.tasks == b.tasks && a.apps == b.apps && a.ecu == b.ecu
+    }
+
     /// Current verdict of a task (Ok if never reported).
     pub fn task_state(&self, task: TaskId) -> HealthState {
         self.tasks.get(task.index()).copied().unwrap_or_default()
@@ -367,6 +400,43 @@ mod tests {
         assert!(tsi.task_state(TaskId(0)).is_faulty());
         assert!(tsi.app_state(ApplicationId(0)).is_faulty());
         assert!(!tsi.ecu_state().is_faulty()); // SafeLane still fine
+    }
+
+    /// Measure, advance once, compare: the certification step on two TSI
+    /// states one hyperperiod apart.
+    fn certifies(tsi: &Unit, a: &TsiState, b: &TsiState) -> bool {
+        let mut growth = Vec::new();
+        TsiState::measure_latched(a, b, &tsi.tsi, &mut growth);
+        let mut advanced = a.clone();
+        advanced.advance_counts(&growth, 1);
+        advanced == *b
+    }
+
+    #[test]
+    fn only_counts_of_faulty_tasks_may_grow() {
+        let mut tsi = unit(3, u32::MAX);
+        for ms in [10, 20, 30] {
+            tsi.record(fault(0, FaultKind::Aliveness, ms));
+        }
+        assert!(tsi.task_state(TaskId(0)).is_faulty());
+        // T0 is latched: two more errors on its R1 (below the threshold on
+        // their own element) and one more on R0 are never read again.
+        let a = tsi.state.clone();
+        tsi.record(fault(1, FaultKind::ArrivalRate, 40));
+        tsi.record(fault(1, FaultKind::ArrivalRate, 50));
+        tsi.record(fault(0, FaultKind::Aliveness, 50));
+        assert!(certifies(&tsi, &a, &tsi.state));
+        let mut growth = Vec::new();
+        TsiState::measure_latched(&a, &tsi.state, &tsi.tsi, &mut growth);
+        let mut jumped = a.clone();
+        jumped.advance_counts(&growth, 3);
+        assert_eq!(jumped.error_vector(&tsi.tsi, TaskId(0))[0].count, 3 + 3);
+        // T1 is not faulty: one error on R2 moves it towards the threshold,
+        // so the same growth is refused.
+        let a = tsi.state.clone();
+        tsi.record(fault(2, FaultKind::Aliveness, 60));
+        assert!(!tsi.task_state(TaskId(1)).is_faulty());
+        assert!(!certifies(&tsi, &a, &tsi.state));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! status-bit spirit (pending → confirmed → aged out).
 
 use easis_rte::runnable::RunnableId;
-use easis_sim::time::Instant;
+use easis_sim::time::{Duration, Instant};
 use easis_watchdog::report::{DetectedFault, FaultKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -341,6 +341,43 @@ impl DtcStore {
     }
 }
 
+impl DtcStore {
+    /// Measures how far each confirmed record's occurrence count in `b` is
+    /// ahead of `a`'s, record by record (0 for pending records). A
+    /// confirmed record's count is read only against the confirmation
+    /// threshold it has already passed, and its `last_seen` stamp only by
+    /// reports, so a faulty steady state may raise the one and move the
+    /// other every hyperperiod. A pending record's occurrences measure 0:
+    /// the threshold will read them, and the caller's comparison rejects
+    /// their growth.
+    pub fn measure_occurrences(a: &Self, b: &Self, growth: &mut Vec<u64>) {
+        growth.clear();
+        growth.extend(a.records.iter().zip(&b.records).map(|(ra, rb)| {
+            if ra.status == DtcStatus::Confirmed {
+                u64::from(rb.occurrences.saturating_sub(ra.occurrences))
+            } else {
+                0
+            }
+        }));
+    }
+
+    /// Raises each record's occurrence count by `k` times its measured
+    /// growth and moves a grown record's `last_seen` `by` later.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an occurrence count overflows `u32`.
+    pub fn advance_occurrences(&mut self, growth: &[u64], k: u64, by: Duration) {
+        for (record, &d) in self.records.iter_mut().zip(growth) {
+            if d != 0 {
+                record.occurrences = u32::try_from(u64::from(record.occurrences) + d * k)
+                    .expect("occurrence count overflow");
+                record.last_seen += by;
+            }
+        }
+    }
+}
+
 /// A copy without a pool.
 impl Clone for DtcStore {
     fn clone(&self) -> Self {
@@ -413,6 +450,41 @@ mod tests {
         assert_eq!(code.kind(), Some(FaultKind::ProgramFlow));
         assert!(code.to_string().starts_with("DTC-94"));
         assert_eq!(DtcCode(0x9400_0000).kind(), None);
+    }
+
+    #[test]
+    fn confirmed_records_grow_and_pending_ones_are_refused() {
+        let h = Duration::from_millis(20);
+        let mut store = DtcStore::new(3, 10);
+        // Aliveness on R1 every 20 ms confirms at the third occurrence.
+        for ms in [10, 30, 50] {
+            store.record(fault(1, FaultKind::Aliveness, ms), FreezeFrame::default());
+        }
+        let certifies = |a: &DtcStore, b: &DtcStore| {
+            let mut growth = Vec::new();
+            DtcStore::measure_occurrences(a, b, &mut growth);
+            let mut advanced = a.clone();
+            advanced.advance_occurrences(&growth, 1, h);
+            advanced == *b
+        };
+        let a = store.clone();
+        store.record(fault(1, FaultKind::Aliveness, 70), FreezeFrame::default());
+        assert!(certifies(&a, &store));
+        let mut growth = Vec::new();
+        DtcStore::measure_occurrences(&a, &store, &mut growth);
+        let mut jumped = store.clone();
+        jumped.advance_occurrences(&growth, 2, h * 2);
+        for ms in [90, 110] {
+            store.record(fault(1, FaultKind::Aliveness, ms), FreezeFrame::default());
+        }
+        assert_eq!(jumped, store);
+        // A pending record's occurrences count towards confirmation.
+        store.record(fault(2, FaultKind::ProgramFlow, 115), FreezeFrame::default());
+        let a = store.clone();
+        store.record(fault(2, FaultKind::ProgramFlow, 135), FreezeFrame::default());
+        let code = DtcCode::of(RunnableId(2), FaultKind::ProgramFlow);
+        assert_eq!(store.get(code).unwrap().status, DtcStatus::Pending);
+        assert!(!certifies(&a, &store));
     }
 
     #[test]

@@ -11,7 +11,8 @@ use crate::policy::{Treatment, TreatmentAction, TreatmentPolicy};
 use crate::record::{FaultRecord, Severity, SeverityMap};
 use easis_obs::{ObsEvent, ObsSink};
 use easis_rte::mapping::ApplicationId;
-use easis_sim::time::Instant;
+use easis_sim::growth::LogGrowth;
+use easis_sim::time::{Duration, Instant};
 use easis_watchdog::report::{DetectedFault, FaultKind, StateChange};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -43,9 +44,12 @@ easis_sim::clone_fields! {
     /// map, policy, observability sink and interned-reason cache are wiring
     /// (the cache affects only allocation identity, never rendered
     /// content).
+    ///
+    /// The log comes last: the derived `==` compares fields in order, and
+    /// certification finds its rejections in the short fields, while the
+    /// log only grows (see [`FmfState::measure`]).
     #[derive(Debug, Default, PartialEq)]
     pub struct FmfState {
-        log: Vec<FaultRecord>,
         dtc: DtcStore,
         actions: Vec<TreatmentAction>,
         /// Restarts granted, by application id.
@@ -53,6 +57,7 @@ easis_sim::clone_fields! {
         /// Terminated (failed-silent) flag, by application id.
         terminated: Vec<bool>,
         ecu_resets: u32,
+        log: Vec<FaultRecord>,
     }
 }
 
@@ -113,10 +118,10 @@ impl FaultManagementFramework {
         &self.state.dtc
     }
 
-    /// Jumps the framework `k` certified hyperperiods ahead
-    /// ([`FmfState::advance`] on the live state).
-    pub fn advance(&mut self, dtc_aging: u32, k: u64) {
-        self.state.advance(dtc_aging, k);
+    /// Jumps the framework, sampled at `now`, `k` certified hyperperiods
+    /// ahead ([`FmfState::advance`] on the live state).
+    pub fn advance(&mut self, delta: &FmfCycleDelta, k: u64, now: Instant) {
+        self.state.advance(delta, k, now);
     }
 
     /// Processes a watchdog state change, possibly queueing treatments.
@@ -274,22 +279,65 @@ impl FaultManagementFramework {
     }
 }
 
+/// One hyperperiod of the framework's motion: the DTC aging increment,
+/// the occurrence growth of confirmed DTC records and the fault-log
+/// entries a faulty steady state appends. Measured by
+/// [`FmfState::measure`], applied by [`FmfState::advance`]; the buffers
+/// are reused.
+#[derive(Debug, Clone, Default)]
+pub struct FmfCycleDelta {
+    h: Duration,
+    dtc_aging: u32,
+    dtc_occurrences: Vec<u64>,
+    log: LogGrowth<FaultRecord>,
+}
+
 impl FmfState {
-    /// Measures the DTC aging increment between two states one
-    /// hyperperiod apart ([`DtcStore::measure_aging`]; `None` when the
-    /// record count changed). Draining DTC memory is the only motion of a
-    /// quiescent framework: certification advances `a` by the increment
-    /// once and compares the result with `b` whole, so the log, action
-    /// queue, restart budgets and reset counter must sit still.
-    pub fn measure(a: &Self, b: &Self) -> Option<u32> {
-        DtcStore::measure_aging(&a.dtc, &b.dtc)
+    /// Whether two states hold the same number of DTC records: a sampled
+    /// hyperperiod that straddles a new code or an age-out has no uniform
+    /// advance to measure. One of certification's cheap refusals, run
+    /// before anything is measured.
+    pub fn same_dtc_count(a: &Self, b: &Self) -> bool {
+        a.dtc.len() == b.dtc.len()
     }
 
-    /// Advances `k` hyperperiods of DTC aging, `dtc_aging` healthy cycles
-    /// each ([`DtcStore::apply_aging`]): with k = 1 on a certification
-    /// sample, with k on the live state when jumping.
-    pub fn advance(&mut self, dtc_aging: u32, k: u64) {
-        self.dtc.apply_aging(dtc_aging, k);
+    /// Measures the framework's motion between two states `h` apart, the
+    /// first sampled at `since`: the DTC aging increment
+    /// ([`DtcStore::measure_aging`]), the occurrence growth of confirmed
+    /// records ([`DtcStore::measure_occurrences`]) and the log entries
+    /// appended in between, which no treatment decision reads. Returns
+    /// `false` when the record count changed or the log shrank.
+    /// Certification advances `a` by the delta once and compares the
+    /// result with `b` whole, so the action queue, restart budgets, reset
+    /// counter, pending records and every record's status, first
+    /// occurrence and freeze frame must sit still.
+    pub fn measure(
+        a: &Self,
+        b: &Self,
+        since: Instant,
+        h: Duration,
+        delta: &mut FmfCycleDelta,
+    ) -> bool {
+        let Some(dtc_aging) = DtcStore::measure_aging(&a.dtc, &b.dtc) else {
+            return false;
+        };
+        delta.h = h;
+        delta.dtc_aging = dtc_aging;
+        DtcStore::measure_occurrences(&a.dtc, &b.dtc, &mut delta.dtc_occurrences);
+        delta.log.measure(&a.log, &b.log, since, h)
+    }
+
+    /// Advances a state sampled at `now` `k` hyperperiods by `delta`:
+    /// confirmed records gain their occurrences, `dtc_aging` healthy
+    /// cycles age the pending ones `k` times ([`DtcStore::apply_aging`]),
+    /// and the log gains `k` shifted copies of the measured entries. With
+    /// k = 1 on a certification sample, with k on the live state when
+    /// jumping.
+    pub fn advance(&mut self, delta: &FmfCycleDelta, k: u64, now: Instant) {
+        self.dtc
+            .advance_occurrences(&delta.dtc_occurrences, k, delta.h * k);
+        self.dtc.apply_aging(delta.dtc_aging, k);
+        delta.log.advance(&mut self.log, now, k);
     }
 }
 
@@ -327,6 +375,32 @@ mod tests {
             app: ApplicationId(0),
             at: Instant::from_millis(ms),
         }
+    }
+
+    #[test]
+    fn a_faulty_steady_state_replays_its_log_and_dtc_growth() {
+        // One aliveness fault every 20 ms hyperperiod; the DTC confirms at
+        // the third.
+        let h = Duration::from_millis(20);
+        let mut fmf = FaultManagementFramework::default();
+        for ms in [10, 30, 50] {
+            fmf.ingest_fault(fault(ms, FaultKind::Aliveness));
+        }
+        let a = fmf.state().clone();
+        fmf.ingest_fault(fault(70, FaultKind::Aliveness));
+        let b = fmf.state().clone();
+        let mut delta = FmfCycleDelta::default();
+        assert!(FmfState::measure(&a, &b, Instant::from_millis(60), h, &mut delta));
+        let mut advanced = a.clone();
+        advanced.advance(&delta, 1, Instant::from_millis(60));
+        assert_eq!(advanced, b);
+        let mut jumped = b.clone();
+        jumped.advance(&delta, 3, Instant::from_millis(80));
+        for ms in [90, 110, 130] {
+            fmf.ingest_fault(fault(ms, FaultKind::Aliveness));
+        }
+        assert_eq!(&jumped, fmf.state());
+        assert_eq!(jumped.log.len(), 7);
     }
 
     #[test]

@@ -34,6 +34,6 @@ pub mod policy;
 pub mod record;
 
 pub use dtc::{DtcCode, DtcRecord, DtcStatus, DtcStore, FreezeFrame};
-pub use framework::{FaultManagementFramework, FmfState};
+pub use framework::{FaultManagementFramework, FmfCycleDelta, FmfState};
 pub use policy::{Treatment, TreatmentAction, TreatmentPolicy};
 pub use record::{FaultRecord, Severity, SeverityMap};

@@ -6,6 +6,8 @@
 //! treatment can depend "on the source, type and severity of the detected
 //! faults" (§3.2).
 
+use easis_sim::growth::Stamped;
+use easis_sim::time::Duration;
 use easis_watchdog::report::{DetectedFault, FaultKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -75,6 +77,13 @@ pub struct FaultRecord {
     pub fault: DetectedFault,
     /// Assigned severity.
     pub severity: Severity,
+}
+
+/// Replayed one hyperperiod later by macro-stepping, like its detection.
+impl Stamped for FaultRecord {
+    fn shift(&mut self, by: Duration) {
+        self.fault.shift(by);
+    }
 }
 
 impl fmt::Display for FaultRecord {

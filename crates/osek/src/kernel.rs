@@ -850,7 +850,13 @@ impl<W> Os<W> {
 
 impl<W> Core<W> {
     /// Records a kernel trace event about task `id` at the current time.
+    /// Returns before the name look-up when the trace is off, as on
+    /// campaign nodes, which dispatch, preempt, activate and terminate
+    /// tasks millions of times per campaign.
     fn record(&mut self, id: TaskId, kind: &str) {
+        if !self.state.trace.is_enabled() {
+            return;
+        }
         let name = self.configs[id.index()].name();
         self.state
             .trace
@@ -995,9 +1001,11 @@ impl<W> Core<W> {
             alarm.disarm();
         }
         let (name, action) = &self.alarm_wiring[id.index()];
-        self.state
-            .trace
-            .record(self.state.now, TRACE_SOURCE, "alarm", name);
+        if self.state.trace.is_enabled() {
+            self.state
+                .trace
+                .record(self.state.now, TRACE_SOURCE, "alarm", name);
+        }
         if let Some(cycle) = effective_cycle {
             self.state
                 .timers
@@ -1171,12 +1179,20 @@ impl<W> OsState<W> {
         self.now
     }
 
+    /// Whether two states run the same task and hold every task in the
+    /// same state: one of certification's cheap refusals, run before
+    /// anything is measured.
+    pub fn same_schedule(a: &Self, b: &Self) -> bool {
+        a.running == b.running
+            && a.tasks.len() == b.tasks.len()
+            && a.tasks.iter().zip(&b.tasks).all(|(x, y)| x.state == y.state)
+    }
+
     /// Measures the kernel's independent counter advances between two
     /// states captured `h` apart into `program`: the busy time, both
     /// ready-key cursors, the timer sequence counter and each task's
     /// issued activations. Returns `false` when the task tables differ in
-    /// size or a task sits `Ready` in `a`: a waiting key is live, and
-    /// [`OsState::advance`] moves only the running task's.
+    /// size.
     ///
     /// A measurement proves nothing by itself. Certification advances `a`
     /// by the program once and accepts the sample only when the result
@@ -1186,7 +1202,7 @@ impl<W> OsState<W> {
     /// comparison. Reuses `program`'s vector; steady-state certification
     /// allocates nothing once warm.
     pub fn measure(a: &Self, b: &Self, h: Duration, program: &mut CycleProgram) -> bool {
-        if a.tasks.len() != b.tasks.len() || a.tasks.iter().any(|t| t.state == TaskState::Ready) {
+        if a.tasks.len() != b.tasks.len() {
             return false;
         }
         program.h = h;
@@ -1206,9 +1222,9 @@ impl<W> OsState<W> {
 
     /// Advances the state `k` hyperperiods by `program` in closed form:
     /// the clock and busy meter advance `k` hyperperiods, the key cursors
-    /// and the running task's ready key (the only live one: nothing is
-    /// `Ready` at a certified sample) advance by their cursor's delta, each
-    /// task's `issued` and `completed` counts by its activation delta, and
+    /// and every live ready key (a `Ready` or `Running` task's) advance by
+    /// their cursor's delta, each task's `issued` and `completed` counts by
+    /// its activation delta, and
     /// the timer queue shifts every pending entry, deadline checks carrying
     /// their task's activation delta. O(tasks + pending timers),
     /// independent of how many events the skipped span would have fired.
@@ -1223,11 +1239,10 @@ impl<W> OsState<W> {
         self.busy += program.d_busy * k;
         self.next_back_key += program.d_back * k as i64;
         self.next_front_key += program.d_front * k as i64;
-        if let Some(run) = self.running {
-            let key = &mut self.tasks[run.index()].ready_key;
-            *key += program.d_key(*key) * k as i64;
-        }
         for (tcb, &d_issued) in self.tasks.iter_mut().zip(&program.d_issued) {
+            if matches!(tcb.state, TaskState::Ready | TaskState::Running) {
+                tcb.ready_key += program.d_key(tcb.ready_key) * k as i64;
+            }
             tcb.issued += d_issued * k;
             tcb.completed += d_issued * k;
         }
@@ -1831,37 +1846,36 @@ mod tests {
     #[test]
     fn advancing_a_sample_equals_simulating_its_hyperperiods() {
         let h = ms(20);
-        let (mut os, mut w) = periodic_os();
         // 43.5 ms: `slow` runs, `fast` and `mid` are done, nothing is
-        // Ready, and the alarms are pending.
-        let t0 = Instant::from_micros(43_500);
-        os.run_until(t0, &mut w);
-        let sample = os.state().clone();
-        assert!(sample.running.is_some());
-        assert!(sample
-            .timers
-            .entries()
-            .iter()
-            .any(|(_, _, ev)| matches!(ev, KernelEvent::DeadlineCheck { .. })));
-        let mut program = CycleProgram::default();
-        for k in 1..=4 {
-            os.run_until(t0 + h * k, &mut w);
-            if k == 1 {
-                assert!(OsState::measure(&sample, os.state(), h, &mut program));
+        // Ready, and the alarms are pending. 40.5 ms: `mid` runs while
+        // `slow` waits Ready, so two keys are live and both move with the
+        // back-key cursor.
+        for (t0_us, ready) in [(43_500, false), (40_500, true)] {
+            let (mut os, mut w) = periodic_os();
+            let t0 = Instant::from_micros(t0_us);
+            os.run_until(t0, &mut w);
+            let sample = os.state().clone();
+            assert!(sample.running.is_some());
+            assert_eq!(
+                sample.tasks.iter().any(|t| t.state == TaskState::Ready),
+                ready
+            );
+            assert!(sample
+                .timers
+                .entries()
+                .iter()
+                .any(|(_, _, ev)| matches!(ev, KernelEvent::DeadlineCheck { .. })));
+            let mut program = CycleProgram::default();
+            for k in 1..=4 {
+                os.run_until(t0 + h * k, &mut w);
+                if k == 1 {
+                    assert!(OsState::measure(&sample, os.state(), h, &mut program));
+                }
+                let mut advanced = sample.clone();
+                advanced.advance(&program, k);
+                assert_eq!(&advanced, os.state(), "{t0_us} us, {k} hyperperiods");
             }
-            let mut advanced = sample.clone();
-            advanced.advance(&program, k);
-            assert_eq!(&advanced, os.state(), "{k} hyperperiods");
         }
-
-        // 40.5 ms: `mid` runs while `slow` waits Ready, so its key is live
-        // and the sample is refused.
-        let (mut os, mut w) = periodic_os();
-        os.run_until(Instant::from_micros(40_500), &mut w);
-        let ready = os.state().clone();
-        assert!(ready.tasks.iter().any(|t| t.state == TaskState::Ready));
-        os.run_until(Instant::from_micros(60_500), &mut w);
-        assert!(!OsState::measure(&ready, os.state(), h, &mut program));
     }
 
     #[test]

@@ -627,11 +627,17 @@ impl<'a, W> EffectCtx<'a, W> {
         self.task
     }
 
-    /// Records a trace event at the current time.
+    /// Records a trace event at the current time. With the kernel's trace
+    /// off, as on campaign nodes, where every runnable execution calls
+    /// this, it returns before the generic recorder is called.
     pub fn trace(&mut self, source: &str, kind: &str, detail: impl Into<String>) {
         let now = self.now;
         match &mut self.services {
-            Services::Kernel(k) => k.trace_mut().record(now, source, kind, detail),
+            Services::Kernel(k) => {
+                if k.trace_enabled() {
+                    k.trace_mut().record(now, source, kind, detail);
+                }
+            }
             Services::Detached(t) => t.record(now, source, kind, detail),
         }
     }

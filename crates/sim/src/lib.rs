@@ -13,6 +13,9 @@
 //! * [`trace`] — the observable-action log every layer writes to;
 //! * [`series`] — time-series capture used to regenerate the paper's plots;
 //! * [`cpu`] — abstract cycle costs and CPU models (AutoBox, S12XF);
+//! * [`growth`] — the per-hyperperiod growth of write-only detection logs
+//!   and counts, which macro-stepping replays across a faulty steady
+//!   state;
 //! * [`rng`] — stable seedable randomness for fault campaigns;
 //! * [`snap`] — [`clone_fields!`], the field-wise `Clone` every runtime
 //!   state struct uses, so a checkpoint is captured and restored with one
@@ -38,6 +41,7 @@
 
 pub mod cpu;
 pub mod event;
+pub mod growth;
 pub mod rng;
 pub mod series;
 pub mod snap;

@@ -15,7 +15,7 @@ use easis_apps::bundle::AppBundle;
 use easis_apps::{lightctl, safelane, safespeed, steer};
 use easis_baselines::task_monitors::{TaskMonitor, TaskMonitorStats, TimingCheck};
 use easis_fmf::dtc::FreezeFrame;
-use easis_fmf::framework::{FaultManagementFramework, FmfState};
+use easis_fmf::framework::{FaultManagementFramework, FmfCycleDelta, FmfState};
 use easis_fmf::policy::{Treatment, TreatmentAction, TreatmentPolicy};
 use easis_fmf::record::SeverityMap;
 use easis_injection::injector::Injector;
@@ -27,6 +27,7 @@ use easis_rte::assembly::SequencedTask;
 use easis_rte::mapping::{ApplicationId, SystemMapping};
 use easis_rte::runnable::{RunnableId, RunnableRegistry};
 use easis_rte::signal::{SignalDb, SignalId, SignalState};
+use easis_sim::growth::LogGrowth;
 use easis_sim::snap::RestoreStats;
 use easis_sim::time::{Duration, Instant};
 use easis_osek::kernel::OsState;
@@ -34,7 +35,7 @@ use easis_rte::control::RunnableControls;
 use easis_watchdog::config::{RunnableHypothesis, WatchdogConfig};
 use easis_watchdog::report::{DetectedFault, RunnableCounters, StateChange};
 use easis_watchdog::{CycleReport, SoftwareWatchdog, WatchdogCycleDelta, WatchdogState};
-use easis_baselines::hw_watchdog::HardwareWatchdog;
+use easis_baselines::hw_watchdog::{HardwareWatchdog, HwCycleDelta};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -116,6 +117,14 @@ impl NodeConfig {
         }
     }
 }
+
+/// Rejected certifications in one span that retry after the 1 ms phase
+/// nudge alone. Every later rejection first runs an event-level back-off.
+const NUDGED_REJECTIONS: u32 = 3;
+
+/// The back-off doubles from one hyperperiod at most this many times: 1,
+/// 2, 4, 8, then 16 hyperperiods.
+const BACKOFF_DOUBLINGS: u32 = 4;
 
 /// Hyperperiods above this bound disable macro-stepping structurally: a
 /// jump engine that rarely fits a whole hyperperiod into a span cannot pay
@@ -601,29 +610,43 @@ impl CentralNode {
     /// redundant kernel re-entries per trial.
     ///
     /// When the span is eligible ([`CentralNode::set_fastforward`],
-    /// `EASIS_FASTFORWARD`, no armed injector window, no enabled traces),
-    /// the hyperperiod macro-stepping engine first certifies the
-    /// steady-state schedule — simulate one hyperperiod, measure the
-    /// counter advances between the checkpoints at both ends, advance the
-    /// first checkpoint by them and require it to equal the second — and
-    /// then fast-forwards every whole hyperperiod left in the span in one
-    /// jump. Certification is *exact*: any state that the advance does not
-    /// reproduce (new fault logs, a DTC age-out inside the sampled
-    /// hyperperiod, stale timers, a live ready key off its cursor) rejects
-    /// the sample and the engine falls back to event-level simulation, so
-    /// the final node state is bit-identical to a never-fast-forwarded
-    /// run. `EASIS_FASTFORWARD=verify` checks that
-    /// claim on every jump ([`crate::ffwd::Mode::Verify`]).
+    /// `EASIS_FASTFORWARD`, no enabled traces), the hyperperiod
+    /// macro-stepping engine first certifies the steady-state schedule —
+    /// simulate one hyperperiod, measure the counter advances and the
+    /// growth of write-only detection bookkeeping between the checkpoints
+    /// at both ends, advance the first checkpoint by them and require it
+    /// to equal the second — and then fast-forwards every whole
+    /// hyperperiod left in the span in one jump. That holds inside an
+    /// armed injection window too: the injector acts only at its arming
+    /// and disarming ticks, which bound the span, and a persistent fault
+    /// settles into a faulty steady state whose fault logs, detection
+    /// counts and DTC occurrences grow by the same amount every
+    /// hyperperiod. Certification is *exact*: any state that the advance
+    /// does not reproduce (a treatment, a TSI count on a task not yet
+    /// faulty, a DTC age-out inside the sampled hyperperiod, stale timers,
+    /// a live ready key off its cursor) rejects the sample and the engine
+    /// falls back to event-level simulation, so the final node state is
+    /// bit-identical to a never-fast-forwarded run.
+    /// `EASIS_FASTFORWARD=verify` checks that claim on every jump
+    /// ([`crate::ffwd::Mode::Verify`]).
     pub fn run_span(&mut self, end: Instant) {
         assert!(self.started, "call start() first");
-        let span = end.saturating_duration_since(self.os.now());
+        let start = self.os.now();
+        let span = end.saturating_duration_since(start);
         let before = self.ffwd.stats;
         if self.ffwd_eligible() {
             self.macro_step_span(end);
         }
         // The residue below one hyperperiod — or the entire span when
-        // macro-stepping stood down — runs at event level.
-        self.os.run_until(end, &mut self.world);
+        // macro-stepping stood down — runs at event level. A jump or
+        // back-off that already reached `end` left the node where one
+        // `run_until(end)` from `start` would have, so the call is
+        // skipped: a second call at the same instant fires the timers due
+        // at `end` that a busy CPU left pending, and runs a step that a
+        // compute finishing at `end` left next.
+        if self.os.now() < end || self.os.now() == start {
+            self.os.run_until(end, &mut self.world);
+        }
         self.ffwd.stats.span += span;
         let after = self.ffwd.stats;
         crate::ffwd::record(
@@ -634,18 +657,16 @@ impl CentralNode {
         );
     }
 
-    /// Whether [`CentralNode::run_span`] may macro-step right now. The
-    /// divergence triggers stand the engine down entirely: an armed
-    /// injector window mutates runnable controls at millisecond ticks the
-    /// closed-form delta cannot see, and enabled kernel/observability
-    /// traces append per-event records whose absence would be observable.
+    /// Whether [`CentralNode::run_span`] may macro-step right now.
+    /// Enabled kernel or observability traces stand the engine down
+    /// entirely: they append per-event records whose absence would be
+    /// observable.
     fn ffwd_eligible(&self) -> bool {
         !self.ffwd.h.is_zero()
             && self
                 .ffwd
                 .enabled_override
                 .unwrap_or_else(|| crate::ffwd::mode() != Mode::Off)
-            && !self.ffwd.injection_armed
             && !self.os.trace().is_enabled()
             && !self.world.obs.is_enabled()
     }
@@ -653,15 +674,19 @@ impl CentralNode {
     /// The macro-stepping loop behind [`CentralNode::run_span`]:
     /// certify the per-hyperperiod delta on one simulated hyperperiod,
     /// then apply it once over every whole hyperperiod left in the span.
-    /// A rejected certification runs one millisecond at event level and
-    /// retries, so transients — a fault-log, monitor or DTC age-out
-    /// movement inside a sample, post-treatment settling, samples phased
-    /// onto a task-period boundary — drain before the next attempt.
+    /// The first [`NUDGED_REJECTIONS`] rejected certifications run one
+    /// millisecond at event level and retry, so transients — post-treatment
+    /// settling, a DTC age-out inside a sample, samples phased onto a
+    /// task-period boundary — drain before the next attempt. Each later
+    /// rejection first runs 1, 2, 4, 8 and then 16 hyperperiods at event
+    /// level, so an armed window that never settles costs few
+    /// certifications.
     fn macro_step_span(&mut self, end: Instant) {
         // The engine state moves out while the node simulates (`run_until`
         // needs `&mut self.os`/`&mut self.world` alongside the buffers).
         let mut ff = std::mem::take(&mut self.ffwd);
         let h = ff.h;
+        let mut rejections = 0;
         loop {
             let now = self.os.now();
             // Certification consumes one hyperperiod; anything shorter
@@ -672,33 +697,39 @@ impl CentralNode {
             self.snapshot_into(&mut ff.img_a);
             self.os.run_until(now + h, &mut self.world);
             self.snapshot_into(&mut ff.img_b);
-            if !certify(&mut ff.img_a, &ff.img_b, h, &mut ff.delta) {
+            if !certify(&mut ff.img_a, &ff.img_b, h, &self.world.watchdog, &mut ff.delta) {
                 ff.stats.fallbacks += 1;
+                rejections += 1;
                 // One-millisecond phase nudge: a rejected sample may sit
                 // exactly on a task-period boundary where the kernel is
-                // mid-dispatch every hyperperiod (a task Ready or running),
-                // and h-spaced resampling would stay on that phase forever.
-                // The nudge walks the sampler off such instants; it runs at
-                // event level, so it costs time, never exactness.
-                let nudge_end = (self.os.now() + Duration::from_millis(1)).min(end);
-                self.os.run_until(nudge_end, &mut self.world);
+                // mid-dispatch every hyperperiod, and h-spaced resampling
+                // would stay on that phase forever. The nudge walks the
+                // sampler off such instants. After the first few
+                // rejections a back-off of whole hyperperiods precedes it.
+                // Both run at event level in one call, which ends before
+                // `end` or on it (at least one hyperperiod remains), so
+                // they cost time, never exactness.
+                let mut resume = Duration::from_millis(1);
+                if rejections > NUDGED_REJECTIONS {
+                    let doublings = (rejections - NUDGED_REJECTIONS - 1).min(BACKOFF_DOUBLINGS);
+                    resume += h * (1 << doublings);
+                }
+                let resume_at = (self.os.now() + resume).min(end);
+                self.os.run_until(resume_at, &mut self.world);
                 continue;
             }
             ff.stats.certifications += 1;
             // One jump over every whole hyperperiod left (at least one:
             // two remained before the certification hyperperiod).
             // DTC age-outs on the way need no simulation: nothing in a
-            // certified quiescent hyperperiod reads DTC memory (the FMF
-            // acts only on fault and state-change ingestion, and
-            // certification proves both absent), and `apply_aging` retires
-            // the records the event level would. The same advance
+            // certified hyperperiod reads a pending record's aging count
+            // (the FMF acts only on fault and state-change ingestion, and
+            // certification proves that pending records gain no
+            // occurrences and no verdict changes), and `apply_aging`
+            // retires the records the event level would. The same advance
             // functions moved the sample in `certify`.
             let k = end.saturating_duration_since(self.os.now()) / h;
-            self.world.fmf.advance(ff.delta.dtc_aging, k);
-            self.world.hw_watchdog.shift_last_kick(h * k);
-            self.os.advance(&ff.delta.os, k);
-            self.world.watchdog.advance(&ff.delta.watchdog, k);
-            self.world.signals.advance(&ff.delta.signal_slots, h * k);
+            self.advance(&ff.delta, k);
             ff.stats.fastforwarded += h * k;
             if ff.verify {
                 // Shadow the jump: rewind to the certified checkpoint, run
@@ -720,6 +751,22 @@ impl CentralNode {
         self.ffwd = ff;
     }
 
+    /// Jumps the live node `k` certified hyperperiods ahead: the same
+    /// advance [`NodeSnapshot::advance`] applies to a certification
+    /// sample, through one-line delegations on the live components.
+    fn advance(&mut self, delta: &NodeCycleDelta, k: u64) {
+        let now = self.os.now();
+        let world = &mut self.world;
+        delta.fault_log.advance(&mut world.fault_log, now, k);
+        self.deadline_monitor.advance(&delta.deadline_stats, k);
+        self.exec_monitor.advance(&delta.exec_stats, k);
+        world.fmf.advance(&delta.fmf, k, now);
+        world.hw_watchdog.advance(&delta.hw_watchdog, k);
+        self.os.advance(&delta.os, k);
+        world.watchdog.advance(&delta.watchdog, k);
+        world.signals.advance(&delta.signal_slots, delta.h * k);
+    }
+
     /// Per-node macro-stepping override: `Some(false)` disables tail
     /// fast-forwarding for this node regardless of `EASIS_FASTFORWARD`,
     /// `Some(true)` forces it on, `None` (the default) follows the
@@ -728,13 +775,11 @@ impl CentralNode {
         self.ffwd.enabled_override = enabled;
     }
 
-    /// Marks the injector window armed/disarmed for
-    /// [`CentralNode::run_span`]: an armed window can rewrite runnable
-    /// controls at any millisecond tick, so macro-stepping stands down
-    /// until the caller disarms again.
-    pub fn set_injection_armed(&mut self, armed: bool) {
-        self.ffwd.injection_armed = armed;
-    }
+    /// Does nothing: macro-stepping certifies armed injection windows
+    /// like any other span, because the injector acts only at the ticks
+    /// that bound a `run_span`. Kept only because the `easis_bench`
+    /// benchmark calls it.
+    pub fn set_injection_armed(&mut self, _armed: bool) {}
 
     /// This node's macro-stepping counters since build (a restore leaves
     /// them running).
@@ -803,7 +848,7 @@ pub struct FfwdStats {
 }
 
 /// The per-node macro-stepping engine: the configuration-derived
-/// hyperperiod, the stand-down switches, whether jumps are shadowed
+/// hyperperiod, the per-node override, whether jumps are shadowed
 /// ([`crate::ffwd::Mode::Verify`]), the retained checkpoint/delta buffers
 /// (so repeated certifications are allocation-free in the steady state),
 /// and the per-node counters.
@@ -811,7 +856,6 @@ pub struct FfwdStats {
 struct FfwdState {
     h: Duration,
     enabled_override: Option<bool>,
-    injection_armed: bool,
     verify: bool,
     img_a: NodeSnapshot,
     img_b: NodeSnapshot,
@@ -829,52 +873,71 @@ impl FfwdState {
     }
 }
 
-/// One hyperperiod's counter advances, measured between two checkpoints
-/// by [`certify`]: the kernel's cycle program, the watchdog's meter
-/// advance, the DTC aging increment and the signal slots stamped every
-/// hyperperiod. The hardware watchdog's kick stamp moves by the
-/// hyperperiod itself.
+/// One hyperperiod's motion, measured between two checkpoints by
+/// [`certify`]: the kernel's cycle program, the watchdog's meter advance
+/// and detection-count growth, the FMF's DTC aging, occurrence growth and
+/// log entries, the hardware watchdog's kick shift and expirations, the
+/// monitors' detection growth, the fault-log entries and the signal slots
+/// stamped every hyperperiod. Every buffer is reused, so steady-state
+/// certification allocates nothing once warm.
 #[derive(Debug, Default)]
 struct NodeCycleDelta {
+    h: Duration,
+    fault_log: LogGrowth<DetectedFault>,
+    deadline_stats: Vec<u64>,
+    exec_stats: Vec<u64>,
+    fmf: FmfCycleDelta,
+    hw_watchdog: HwCycleDelta,
     os: CycleProgram,
     watchdog: WatchdogCycleDelta,
-    dtc_aging: u32,
     signal_slots: Vec<u32>,
 }
 
 /// Certifies that checkpoint `b`, taken `h` after `a`, is `a` one
-/// hyperperiod on: measure, advance, compare. Each component state
-/// measures only its independent counter advances into `delta`; `a` is
-/// advanced by them once, by the same functions that later jump the live
-/// node `k` hyperperiods, and the sample certifies only when the result
-/// equals `b`. Every field that no advance moves — logs, controls,
-/// monitor statistics, scheduling state, verdicts, values, and any field
-/// added later — must therefore be unchanged, and every linked counter
-/// must have moved with the one it follows. A new counter that no advance
-/// moves makes every certification reject: the engine then runs at event
-/// level, slower but exact. The kernel refuses a sample with a `Ready`
-/// task and the DTC memory one whose record count changed. On success
+/// hyperperiod on: refuse, measure, advance, compare. Four O(1)
+/// refusals run first, before anything is copied: a changed DTC record
+/// count, a different running task or task state, changed runnable
+/// controls, changed verdicts. Then each component state
+/// measures its independent counter advances and the growth of its
+/// write-only detection bookkeeping into `delta` (`watchdog` lends the
+/// mapping that tells which TSI counts are latched); `a` is advanced by
+/// them once, by the same functions that later jump the live node `k`
+/// hyperperiods, and the sample certifies only when the result equals
+/// `b`. Every field that no advance moves — treatments, controls,
+/// scheduling state, verdicts, values, first detections, pending DTC
+/// records, and any field added later — must therefore be unchanged, and
+/// every linked counter must have moved with the one it follows. A new
+/// counter that no advance moves makes every certification reject: the
+/// engine then runs at event level, slower but exact. On success
 /// `a == b`.
 fn certify(
     a: &mut NodeSnapshot,
     b: &NodeSnapshot,
     h: Duration,
+    watchdog: &SoftwareWatchdog,
     delta: &mut NodeCycleDelta,
 ) -> bool {
-    let Some(dtc_aging) = FmfState::measure(&a.fmf, &b.fmf) else {
-        return false;
-    };
-    if !OsState::measure(&a.os, &b.os, h, &mut delta.os) {
+    if !FmfState::same_dtc_count(&a.fmf, &b.fmf)
+        || !OsState::same_schedule(&a.os, &b.os)
+        || a.controls != b.controls
+        || !WatchdogState::same_verdicts(&a.watchdog, &b.watchdog)
+    {
         return false;
     }
-    delta.dtc_aging = dtc_aging;
-    delta.watchdog = WatchdogState::measure(&a.watchdog, &b.watchdog);
+    let since = a.taken_at();
+    delta.h = h;
+    if !delta.fault_log.measure(&a.fault_log, &b.fault_log, since, h)
+        || !FmfState::measure(&a.fmf, &b.fmf, since, h, &mut delta.fmf)
+        || !OsState::measure(&a.os, &b.os, h, &mut delta.os)
+    {
+        return false;
+    }
+    TaskMonitorStats::measure(&a.deadline_stats, &b.deadline_stats, &mut delta.deadline_stats);
+    TaskMonitorStats::measure(&a.exec_stats, &b.exec_stats, &mut delta.exec_stats);
+    delta.hw_watchdog = HardwareWatchdog::measure(&a.hw_watchdog, &b.hw_watchdog, h);
+    watchdog.measure(&a.watchdog, &b.watchdog, h, &mut delta.watchdog);
     SignalState::measure(&a.signals, &b.signals, h, &mut delta.signal_slots);
-    a.fmf.advance(delta.dtc_aging, 1);
-    a.hw_watchdog.shift_last_kick(h);
-    a.os.advance(&delta.os, 1);
-    a.watchdog.advance(&delta.watchdog, 1);
-    a.signals.advance(&delta.signal_slots, h);
+    a.advance(delta, 1);
     a == b
 }
 
@@ -885,7 +948,6 @@ fn certify(
 /// compile here until verify mode names it.
 fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<String> {
     let NodeSnapshot {
-        fault_log,
         treatments,
         ecu_resets,
         rx_mailbox,
@@ -897,6 +959,7 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
         os,
         watchdog,
         signals,
+        fault_log,
     } = jumped;
     macro_rules! compare {
         ($($field:ident),*) => {$(
@@ -911,7 +974,6 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
         )*};
     }
     compare!(
-        fault_log,
         treatments,
         ecu_resets,
         rx_mailbox,
@@ -922,7 +984,8 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
         hw_watchdog,
         os,
         watchdog,
-        signals
+        signals,
+        fault_log
     );
     None
 }
@@ -950,13 +1013,13 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
 /// compare a macro-stepped run with an event-level one and how
 /// [`CentralNode::run_span`] certifies a hyperperiod. The derived `==`
 /// compares fields in declaration order and stops at the first
-/// difference, so the fields a rejected certification most often differs
-/// in come first: the logs, the runnable controls and the monitor
-/// statistics, then the FMF, the hardware watchdog, the kernel, the
-/// watchdog and the signals.
+/// difference: the treatment log, the runnable controls and the monitor
+/// statistics come first, then the FMF, the hardware watchdog, the
+/// kernel, the watchdog and the signals. The fault log comes last, because
+/// certification replays its growth and it is the longest field to
+/// compare.
 #[derive(Debug, PartialEq)]
 pub struct NodeSnapshot {
-    fault_log: Vec<DetectedFault>,
     treatments: Vec<TreatmentAction>,
     ecu_resets: u32,
     rx_mailbox: Vec<(u16, Vec<u8>)>,
@@ -968,12 +1031,12 @@ pub struct NodeSnapshot {
     os: OsState<CentralWorld>,
     watchdog: WatchdogState,
     signals: SignalState,
+    fault_log: Vec<DetectedFault>,
 }
 
 impl Default for NodeSnapshot {
     fn default() -> Self {
         NodeSnapshot {
-            fault_log: Vec::new(),
             treatments: Vec::new(),
             ecu_resets: 0,
             rx_mailbox: Vec::new(),
@@ -988,6 +1051,7 @@ impl Default for NodeSnapshot {
             os: OsState::default(),
             watchdog: WatchdogState::default(),
             signals: SignalState::default(),
+            fault_log: Vec::new(),
         }
     }
 }
@@ -996,6 +1060,20 @@ impl NodeSnapshot {
     /// The simulated instant at which the snapshot was taken.
     pub fn taken_at(&self) -> Instant {
         self.os.taken_at()
+    }
+
+    /// Advances the checkpoint `k` hyperperiods by `delta`: the
+    /// certification half of [`CentralNode::advance`], field for field.
+    fn advance(&mut self, delta: &NodeCycleDelta, k: u64) {
+        let now = self.taken_at();
+        delta.fault_log.advance(&mut self.fault_log, now, k);
+        self.deadline_stats.advance(&delta.deadline_stats, k);
+        self.exec_stats.advance(&delta.exec_stats, k);
+        self.fmf.advance(&delta.fmf, k, now);
+        self.hw_watchdog.advance(&delta.hw_watchdog, k);
+        self.os.advance(&delta.os, k);
+        self.watchdog.advance(&delta.watchdog, k);
+        self.signals.advance(&delta.signal_slots, delta.h * k);
     }
 }
 
@@ -1241,30 +1319,46 @@ mod tests {
     #[test]
     fn certification_compares_the_whole_checkpoint() {
         // Each perturbation hits the node just before the second sample.
-        // Only injector ticks touch runnable controls, and the engine
-        // stands down while one is armed, but certification still compares
-        // them rather than trusting that.
+        // Only injector ticks touch runnable controls, and they bound every
+        // span, but certification still compares the controls rather than
+        // trusting that. A fault-log entry is the one perturbation that
+        // certifies: the log is write-only, so its growth is replayed, not
+        // compared.
         type Perturbation = fn(&mut CentralNode);
-        let cases: [(&str, Perturbation); 7] = [
-            ("unperturbed", |_| {}),
-            ("runnable control", |node| {
+        let cases: [(&str, bool, Perturbation); 9] = [
+            ("unperturbed", true, |_| {}),
+            ("fault-log entry", true, |node| {
+                node.world.fault_log.push(DetectedFault {
+                    at: node.os.now(),
+                    runnable: RunnableId(4),
+                    kind: easis_watchdog::report::FaultKind::Aliveness,
+                });
+            }),
+            ("treatment", false, |node| {
+                node.world.treatments.push(TreatmentAction {
+                    at: node.os.now(),
+                    treatment: Treatment::RestartTask(TaskId(0)),
+                    reason: Arc::from("test"),
+                });
+            }),
+            ("runnable control", false, |node| {
                 node.world.controls.runnable_mut(RunnableId(4)).exec_scale_ppm = 2_000_000;
             }),
-            ("stray heartbeat", |node| {
+            ("stray heartbeat", false, |node| {
                 let runnable = node.runnable("SAFE_CC_process");
                 node.world.watchdog.heartbeat(runnable, node.os.now());
             }),
-            ("extra task activation", |node| {
+            ("extra task activation", false, |node| {
                 let task = node.tasks["SafeSpeedTask"];
                 node.os.activate_task(task, &mut node.world).unwrap();
             }),
-            ("hardware-watchdog kick", |node| {
+            ("hardware-watchdog kick", false, |node| {
                 node.world.hw_watchdog.kick(node.os.now());
             }),
-            ("signal write", |node| {
+            ("signal write", false, |node| {
                 node.world.signals.write(SignalId(0), 1e6, node.os.now());
             }),
-            ("DTC occurrence", |node| {
+            ("DTC occurrence", false, |node| {
                 node.world.fmf.ingest_fault(DetectedFault {
                     at: node.os.now(),
                     runnable: RunnableId(4),
@@ -1272,7 +1366,7 @@ mod tests {
                 });
             }),
         ];
-        for (case, perturb) in cases {
+        for (case, certifies, perturb) in cases {
             let mut node = quiescent_node();
             let h = node.hyperperiod();
             let mut a = node.snapshot();
@@ -1280,8 +1374,8 @@ mod tests {
             perturb(&mut node);
             let b = node.snapshot();
             let mut delta = NodeCycleDelta::default();
-            let certified = certify(&mut a, &b, h, &mut delta);
-            assert_eq!(certified, case == "unperturbed", "{case}");
+            let certified = certify(&mut a, &b, h, &node.world.watchdog, &mut delta);
+            assert_eq!(certified, certifies, "{case}");
             assert_eq!(a == b, certified, "{case}");
         }
     }
@@ -1323,6 +1417,42 @@ mod tests {
                 ..FfwdStats::default()
             }
         );
+    }
+
+    /// A persistent duplicate dispatch settles into a faulty steady state:
+    /// arrival-rate faults every window, SafeSpeed `Faulty`, its TSI counts
+    /// and confirmed DTC rising. The armed window certifies and jumps, and
+    /// the jump replays the fault log, the FMF log and the counts to the
+    /// event-level checkpoint.
+    #[test]
+    fn an_armed_window_jumps_across_its_faulty_steady_state() {
+        use easis_injection::injector::{ErrorClass, Injection};
+        let run = |ffwd: bool| {
+            let mut node = CentralNode::build(crate::scenario::campaign_node_config());
+            node.set_fastforward(Some(ffwd));
+            node.start();
+            node.run_span(ms(300));
+            let mut injector = Injector::new([Injection::new(
+                ErrorClass::DuplicateDispatch {
+                    runnable: node.runnable("SAFE_CC_process"),
+                    extra: 3,
+                },
+                ms(300),
+                ms(1_300),
+            )]);
+            injector.tick(ms(300), &mut node.world.controls, &mut node.os);
+            let before = node.ffwd_stats();
+            node.run_span(ms(1_000));
+            (node, before)
+        };
+        let (fast, before) = run(true);
+        let (plain, _) = run(false);
+        let armed = fast.ffwd_stats();
+        assert!(armed.certifications > before.certifications, "{armed:?}");
+        let jumped = armed.fastforwarded - before.fastforwarded;
+        assert!(jumped >= Duration::from_millis(400), "{armed:?}");
+        assert!(fast.world.fault_log.len() > 20, "{}", fast.world.fault_log.len());
+        assert_eq!(fast.snapshot(), plain.snapshot());
     }
 
     #[test]

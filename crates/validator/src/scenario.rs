@@ -362,23 +362,17 @@ fn run_trial_tail(
 ) {
     injector.attach_obs(node.world.obs.clone());
     let fork = node.os.now();
-    // Macro-stepping stands down while the injection window is armed: the
-    // armed injector rewrites runnable controls, state the closed-form
-    // hyperperiod delta does not cover. The golden prefix and the
-    // post-disarm tail remain eligible.
-    let arms = ceil_to_tick(spec.injection.from) <= horizon;
+    // Every span may macro-step, the armed window included: the injector
+    // changes runnable controls only at these ticks.
     injector.tick(fork, &mut node.world.controls, &mut node.os);
-    node.set_injection_armed(arms);
     if let Some(disarm) = disarm_instant(spec, fork, horizon) {
         node.run_span(disarm);
         injector.tick(disarm, &mut node.world.controls, &mut node.os);
-        node.set_injection_armed(false);
     }
     if node.os.now() < horizon {
         node.run_span(horizon);
         injector.tick(horizon, &mut node.world.controls, &mut node.os);
     }
-    node.set_injection_armed(false);
 }
 
 /// Runs one worker's contiguous share of campaign trials on its node

@@ -1125,17 +1125,15 @@ proptest! {
 /// Builds the campaign node and drives `injection`'s trial through the
 /// node's public API up to disarm: an injection-free prefix to
 /// `injection.from`, eligible for macro-stepping, then the armed window,
-/// where the engine stands down and the injector ticks at millisecond
-/// granularity like the experiments do.
+/// where the injector ticks at millisecond granularity like the
+/// experiments do, so the window runs at event level.
 fn run_campaign_trial_to_disarm(injection: &Injection, ffwd: bool) -> CentralNode {
     let mut node = CentralNode::build(campaign_node_config());
     node.set_fastforward(Some(ffwd));
     node.start();
     node.run_span(injection.from);
-    node.set_injection_armed(true);
     let mut injector = Injector::new([injection.clone()]);
     node.run_until(injection.to, &mut injector);
-    node.set_injection_armed(false);
     node
 }
 
@@ -1195,6 +1193,117 @@ proptest! {
             spec.injection
         );
     }
+}
+
+/// One error class of each of the seven kinds, drawn from `pick`: the five
+/// runnable classes on a random monitored runnable, a branch override on a
+/// random application task and an alarm rescaled by ½, 1.5, 2 or 4 on a
+/// random cyclic alarm of the node.
+fn draw_any_class(node: &CentralNode, kind: u64, pick: u64) -> ErrorClass {
+    let runnable = RunnableId((pick % 9) as u32);
+    let param = pick / 9;
+    match kind % 7 {
+        0 => ErrorClass::ExecutionSlowdown {
+            runnable,
+            scale_ppm: (2 + param % 300) * 1_000_000,
+        },
+        1 => ErrorClass::HeartbeatLoss { runnable },
+        2 => ErrorClass::SkipRunnable { runnable },
+        3 => ErrorClass::DuplicateDispatch {
+            runnable,
+            extra: 1 + (param % 5) as u32,
+        },
+        4 => ErrorClass::LoopOverrun {
+            runnable: [RunnableId(4), RunnableId(7)][(param % 2) as usize],
+            iterations: 1_000 + (param % 30_000) as u32,
+        },
+        5 => {
+            let tasks: Vec<&String> = node.periods.keys().collect();
+            ErrorClass::BranchOverride {
+                task_name: tasks[(param % tasks.len() as u64) as usize].clone(),
+                branch: (param / 7 % 3) as usize,
+            }
+        }
+        _ => {
+            let alarms: Vec<_> = node.alarms.values().copied().collect();
+            ErrorClass::AlarmScale {
+                alarm: alarms[(param % alarms.len() as u64) as usize],
+                scale_ppm: [500_000, 1_500_000, 2_000_000, 4_000_000][(param / 7 % 4) as usize],
+            }
+        }
+    }
+}
+
+/// Macro-stepping inside armed injection windows is invisible. Each case
+/// draws one of the seven error classes, a target, a window of up to
+/// 600 ms and a horizon, and drives the trial the way the campaign engine
+/// does — `run_span` to the arming tick, the tick, `run_span` to the
+/// disarming tick, the tick, `run_span` to the horizon — once with
+/// fast-forward on and once off. The checkpoints must be equal at the
+/// disarming tick and at the horizon, and at least one case must have
+/// jumped inside its armed window, so the faulty steady state was
+/// certified and its detection bookkeeping replayed.
+#[test]
+fn macro_stepped_armed_windows_match_event_level() {
+    let overrides = proptest::RunOverrides::from_env();
+    let mut rng = overrides.rng(concat!(
+        module_path!(),
+        "::macro_stepped_armed_windows_match_event_level"
+    ));
+    let cases = overrides.cases(&ProptestConfig::with_cases(16));
+    let mut jumped_inside = 0;
+    for _ in 0..cases {
+        let kind = (0u64..7).generate(&mut rng);
+        let pick = any::<u64>().generate(&mut rng);
+        let from_us = (0u64..700_000).generate(&mut rng);
+        let len_us = (1_000u64..600_000).generate(&mut rng);
+        let horizon = Instant::from_millis((800u64..2_000).generate(&mut rng));
+        let ms = Duration::from_millis(1);
+        let fork = Instant::from_micros(from_us.div_ceil(1_000) * 1_000);
+        let to_tick = Instant::from_micros((from_us + len_us).div_ceil(1_000) * 1_000);
+        let disarm = to_tick.max(fork + ms);
+        let run = |ffwd: bool| {
+            let mut node = CentralNode::build(campaign_node_config());
+            let class = draw_any_class(&node, kind, pick);
+            let injection = Injection::new(
+                class,
+                Instant::from_micros(from_us),
+                Instant::from_micros(from_us + len_us),
+            );
+            node.set_fastforward(Some(ffwd));
+            node.start();
+            node.run_span(fork);
+            let mut injector = Injector::new([injection.clone()]);
+            injector.tick(fork, &mut node.world.controls, &mut node.os);
+            let before = node.ffwd_stats().fastforwarded;
+            node.run_span(disarm.min(horizon));
+            let armed_jump = node.ffwd_stats().fastforwarded - before;
+            let at_disarm = node.snapshot();
+            if disarm <= horizon {
+                injector.tick(disarm, &mut node.world.controls, &mut node.os);
+                node.run_span(horizon);
+                injector.tick(horizon, &mut node.world.controls, &mut node.os);
+            }
+            (injection, at_disarm, node.snapshot(), armed_jump)
+        };
+        let (injection, fast_disarm, fast_end, armed_jump) = run(true);
+        let (_, plain_disarm, plain_end, _) = run(false);
+        assert_eq!(
+            fast_disarm, plain_disarm,
+            "macro-stepped armed window diverged from event level for {injection:?}"
+        );
+        assert_eq!(
+            fast_end, plain_end,
+            "macro-stepped end state diverged from event level for {injection:?}"
+        );
+        if armed_jump > Duration::ZERO {
+            jumped_inside += 1;
+        }
+    }
+    assert!(
+        jumped_inside > 0,
+        "no case jumped inside its armed window in {cases} cases"
+    );
 }
 
 /// Dead ready keys. In each of the four `easis_bench` trials below

@@ -469,7 +469,8 @@ fn macro_stepped_soak_crosses_rotation_boundary_and_detects_fault_past_it() {
         // Quiescent prefix across the boundary.
         node.run_span(from);
         let prefix = node.ffwd_stats();
-        node.set_injection_armed(true);
+        // The window runs under the per-millisecond injector tick loop,
+        // at event level.
         let mut injector = Injector::new([Injection::new(
             ErrorClass::HeartbeatLoss {
                 runnable: RunnableId(4), // SAFE_CC in the full node
@@ -478,7 +479,6 @@ fn macro_stepped_soak_crosses_rotation_boundary_and_detects_fault_past_it() {
             to,
         )]);
         node.run_until(to, &mut injector);
-        node.set_injection_armed(false);
         node.run_span(horizon);
         (node, prefix)
     };

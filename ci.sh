@@ -105,6 +105,17 @@ if grep -rnE 'struct [A-Za-z]*Snapshot|fn snapshot_into|fn restore_from' \
   echo "a mirror snapshot type or copy function crept back below the node"; exit 1
 fi
 
+echo "==> kernel state is canonical (no monotonic scheduler counters)"
+# The kernel keeps its ready tasks in dispatch order, breaks timer ties by
+# position and counts only queued activations, so a hyperperiod moves its
+# checkpoint only in time. A ready key, a timer sequence number or an
+# activation counter that grows forever would have to be measured and
+# advanced by certification again.
+if grep -rnE 'ready_key|next_back_key|next_front_key|next_seq|EventId|d_issued' \
+     crates/{sim,osek}/src; then
+  echo "a monotonic scheduler counter crept back into the kernel state"; exit 1
+fi
+
 echo "==> campaign executor runs on std threads (no crossbeam calls)"
 # The executor hands each worker one share on std::thread::scope; the
 # crossbeam manifest line and vendor/crossbeam remain only until the next
@@ -127,10 +138,11 @@ EASIS_SOAK_HORIZON_MS=60000 cargo test -q --test soak
 EASIS_FASTFORWARD=verify EASIS_SOAK_HORIZON_MS=60000 cargo test -q --test soak
 
 echo "==> macro-stepping and mid-window round-trip property tests in verify mode (fresh proptest draws)"
-# The dead-ready-key trials and the macro-stepping tests hit dead
-# scheduler state that the soak and the golden campaign rarely reach;
-# their own end-state comparison misses a stale key that a later
-# dispatch overwrites, while verify mode compares right at each jump.
+# The fault-tail trials and the macro-stepping tests certify samples
+# that the soak and the golden campaign rarely reach (tails just after
+# slowdown and loop-overrun windows); their own end-state comparison
+# misses a difference that later simulation overwrites, while verify
+# mode compares right at each jump.
 # The armed-window property jumps inside armed injection windows of all
 # seven error classes, where certification replays the faulty steady
 # state's detection bookkeeping. The round-trip test restores a capture taken inside an armed injection
@@ -139,7 +151,7 @@ echo "==> macro-stepping and mid-window round-trip property tests in verify mode
 # that `cargo test` runs, so this run covers new trials and stays
 # reproducible.
 EASIS_FASTFORWARD=verify PROPTEST_CASES=100 PROPTEST_SEED_SALT=1 \
-  cargo test -q --test properties -- dead_ready_keys macro_stepp capture_inside
+  cargo test -q --test properties -- fault_tails_certify macro_stepp capture_inside
 
 echo "==> validator unit tests in verify mode"
 # The validator's unit tests jump too: the forked-runner tests at

@@ -5,29 +5,19 @@
 //! generic over the event payload, letting each layer (OS kernel, bus,
 //! vehicle model) define its own event vocabulary.
 //!
-//! Internally the queue is one vector of `(time µs, seq, payload)` entries
-//! kept sorted by descending `(time, seq)`, so the next event is the last
-//! element. The traffic it serves is small: the OSEK kernel queues one
-//! expiry per armed alarm plus one deadline check per activation still
-//! inside its deadline. A count over the four `easis_bench` campaign
-//! workloads never saw more than 9 pending entries on the central node
-//! (its 5 cyclic alarms and at most 4 deadline checks). At that size an
-//! insert scans and shifts a handful of entries, a pop or peek reads the
-//! end, and capture/restore is a single `clone_from` whose stored order
-//! already is pop order.
+//! Internally the queue is one vector of `(time µs, payload)` entries kept
+//! sorted by descending time, so the next event is the last element. A new
+//! entry goes in after every entry due at the same instant, so position
+//! alone keeps same-instant events in insertion order. The traffic it
+//! serves is small: the OSEK kernel queues one expiry per armed alarm plus
+//! one deadline check per activation still inside its deadline. A count
+//! over the four `easis_bench` campaign workloads never saw more than 9
+//! pending entries on the central node (its 5 cyclic alarms and at most 4
+//! deadline checks). At that size an insert scans and shifts a handful of
+//! entries, a pop or peek reads the end, and capture/restore is a single
+//! `clone_from` whose stored order already is pop order.
 
 use crate::time::{Duration, Instant};
-
-/// Handle identifying a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
-
-impl EventId {
-    /// Raw sequence number (monotonically increasing per queue).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
 
 crate::clone_fields! {
     /// A time-ordered queue of simulation events with stable tie-breaking.
@@ -47,13 +37,13 @@ crate::clone_fields! {
     ///
     /// The queue is its own checkpoint: `clone_from` copies the entries into
     /// the destination's buffer, and equality compares entries in stored
-    /// order, which a queue's content fixes.
+    /// order, which is pop order.
     #[derive(Debug, PartialEq)]
     pub struct EventQueue<E> {
-        /// Pending `(time µs, seq, payload)` entries sorted by descending
-        /// `(time, seq)`: the last entry pops next.
-        entries: Vec<(u64, u64, E)>,
-        next_seq: u64,
+        /// Pending `(time µs, payload)` entries sorted by descending time,
+        /// same-instant entries in reverse insertion order: the last entry
+        /// pops next.
+        entries: Vec<(u64, E)>,
     }
 }
 
@@ -68,64 +58,43 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             entries: Vec::new(),
-            next_seq: 0,
         }
     }
 
-    /// Schedules `payload` to fire at `at`. Returns a handle for [`cancel`].
+    /// Schedules `payload` to fire at `at`.
     ///
     /// Events scheduled for the same instant fire in the order they were
     /// scheduled.
-    ///
-    /// [`cancel`]: EventQueue::cancel
-    pub fn schedule(&mut self, at: Instant, payload: E) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    pub fn schedule(&mut self, at: Instant, payload: E) {
         let t = at.as_micros();
-        // `seq` exceeds every queued seq, so the new entry goes right
-        // after the entries later than `t`. A front-to-back scan: the
-        // queue holds at most a handful of entries, and a cyclic alarm
+        // The new entry goes right after the entries later than `t`, so it
+        // pops after every entry already due at `t`. A front-to-back scan:
+        // the queue holds at most a handful of entries, and a cyclic alarm
         // re-armed one period out lands near the front.
         let idx = self
             .entries
             .iter()
-            .position(|&(et, _, _)| et <= t)
+            .position(|&(et, _)| et <= t)
             .unwrap_or(self.entries.len());
-        self.entries.insert(idx, (t, seq, payload));
-        EventId(seq)
-    }
-
-    /// Cancels a previously scheduled event. Returns `true` if the event was
-    /// still pending; cancelling twice (or after the event fired) returns
-    /// `false` and has no effect.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.entries.iter().position(|&(_, seq, _)| seq == id.0) {
-            Some(idx) => {
-                self.entries.remove(idx);
-                true
-            }
-            None => false,
-        }
+        self.entries.insert(idx, (t, payload));
     }
 
     /// Drops every pending event whose payload fails `keep`. The remaining
-    /// events keep their ids and order.
+    /// events keep their order.
     pub fn retain(&mut self, mut keep: impl FnMut(&E) -> bool) {
-        self.entries.retain(|(_, _, payload)| keep(payload));
+        self.entries.retain(|(_, payload)| keep(payload));
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
         self.entries
             .pop()
-            .map(|(at, _, payload)| (Instant::from_micros(at), payload))
+            .map(|(at, payload)| (Instant::from_micros(at), payload))
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Instant> {
-        self.entries
-            .last()
-            .map(|&(at, _, _)| Instant::from_micros(at))
+        self.entries.last().map(|&(at, _)| Instant::from_micros(at))
     }
 
     /// Number of pending events.
@@ -138,38 +107,26 @@ impl<E> EventQueue<E> {
         self.entries.is_empty()
     }
 
-    /// Every pending `(time µs, seq, payload)` entry in stored order:
-    /// descending `(time, seq)`, so the reversed slice is pop order. The
-    /// order is canonical (a queue's content fixes it), so `==`, which
-    /// compares entries in stored order, compares content: the
-    /// macro-stepping engine's certification relies on that.
-    pub fn entries(&self) -> &[(u64, u64, E)] {
+    /// Every pending `(time µs, payload)` entry in stored order: the
+    /// reversed slice is pop order. Two queues holding the same events in
+    /// the same pop order store the same entries, so `==`, which compares
+    /// entries in stored order, compares content: the macro-stepping
+    /// engine's certification relies on that.
+    pub fn entries(&self) -> &[(u64, E)] {
         &self.entries
     }
 
-    /// Next sequence number the queue will hand out.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Shifts every pending entry `shift` later in time and `seq_shift`
-    /// higher in sequence, advances the sequence counter by `seq_shift`,
-    /// and lets `fixup` rewrite each payload in place (the kernel uses this
-    /// to slide per-activation sequence numbers carried inside
-    /// deadline-check events). This is the timer half of a hyperperiod
-    /// macro-jump: certification applies one hyperperiod's shifts to the
-    /// queue sampled at `t` and requires it to equal the queue at
-    /// `t + H`; the jump then applies k hyperperiods' in O(pending)
-    /// instead of replaying every expiry. A uniform shift keeps the
-    /// entries sorted, so they are rewritten in place.
-    pub fn fast_forward(&mut self, shift: Duration, seq_shift: u64, mut fixup: impl FnMut(&mut E)) {
+    /// Shifts every pending entry `shift` later. This is the timer half of
+    /// a hyperperiod macro-jump: certification applies one hyperperiod's
+    /// shift to the queue sampled at `t` and requires it to equal the
+    /// queue at `t + H`; the jump then applies k hyperperiods' in
+    /// O(pending) instead of replaying every expiry. A uniform shift keeps
+    /// the entries sorted, so they are rewritten in place.
+    pub fn fast_forward(&mut self, shift: Duration) {
         let shift_us = shift.as_micros();
-        for (t, seq, payload) in &mut self.entries {
+        for (t, _) in &mut self.entries {
             *t += shift_us;
-            *seq += seq_shift;
-            fixup(payload);
         }
-        self.next_seq += seq_shift;
     }
 }
 
@@ -217,58 +174,31 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_event() {
+    fn retain_removes_event() {
         let mut q = EventQueue::new();
-        let a = q.schedule(t(10), "a");
+        q.schedule(t(10), "a");
         q.schedule(t(20), "b");
-        assert!(q.cancel(a));
+        q.retain(|&e| e != "a");
         assert_eq!(q.pop(), Some((t(20), "b")));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn double_cancel_is_noop() {
+    fn peek_time_skips_removed_head() {
         let mut q = EventQueue::new();
-        let a = q.schedule(t(10), "a");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(10), "a");
+        q.schedule(t(10), "a");
         q.schedule(t(20), "b");
-        assert_eq!(q.pop(), Some((t(10), "a")));
-        assert!(!q.cancel(a), "a fired event cannot be cancelled");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((t(20), "b")));
-        assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn cancel_unknown_id_returns_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId(99)));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(10), "a");
-        q.schedule(t(20), "b");
-        q.cancel(a);
+        q.retain(|&e| e != "a");
         assert_eq!(q.peek_time(), Some(t(20)));
         assert_eq!(q.pop(), Some((t(20), "b")));
     }
 
     #[test]
-    fn is_empty_reflects_cancellations() {
+    fn is_empty_reflects_removals() {
         let mut q = EventQueue::new();
-        let a = q.schedule(t(10), "a");
+        q.schedule(t(10), "a");
         assert!(!q.is_empty());
-        q.cancel(a);
+        q.retain(|&e| e != "a");
         assert!(q.is_empty());
     }
 
@@ -328,13 +258,13 @@ mod tests {
     }
 
     #[test]
-    fn cancel_and_rearm_pending_alarm() {
-        // The alarm pattern: cancel the pending expiry, re-arm at a
+    fn remove_and_rearm_pending_alarm() {
+        // The alarm pattern: drop the pending expiry, re-arm at a
         // different offset; only the re-armed event fires.
         let mut q = EventQueue::new();
-        let stale = q.schedule(t(10_000), "stale");
-        assert!(q.cancel(stale));
-        let _fresh = q.schedule(t(4_000), "fresh");
+        q.schedule(t(10_000), "stale");
+        q.retain(|&e| e != "stale");
+        q.schedule(t(4_000), "fresh");
         assert_eq!(q.peek_time(), Some(t(4_000)));
         assert_eq!(q.pop(), Some((t(4_000), "fresh")));
         assert_eq!(q.pop(), None);
@@ -347,15 +277,15 @@ mod tests {
     #[test]
     fn snapshot_restore_replays_identically() {
         // Near and far entries, one scheduled earlier than an event
-        // already popped, and one cancelled before the capture.
+        // already popped, and one removed before the capture.
         let mut q = EventQueue::new();
         q.schedule(t(1_000), "first");
         q.schedule(t(50_000), "later");
         q.schedule(t(1 << 26), "overflow");
-        let doomed = q.schedule(t(2_000), "doomed");
+        q.schedule(t(2_000), "doomed");
         assert_eq!(q.pop(), Some((t(1_000), "first")));
         q.schedule(t(900), "behind-cursor");
-        q.cancel(doomed);
+        q.retain(|&e| e != "doomed");
 
         let snap = q.clone();
         fn drain(q: &mut EventQueue<&'static str>) -> Vec<(u64, &'static str)> {
@@ -367,8 +297,7 @@ mod tests {
         // Restored queues also continue identically after new activity.
         q.clone_from(&snap);
         assert_eq!(q, snap);
-        let a = q.schedule(t(700), "new");
-        assert_eq!(a.raw(), snap.next_seq);
+        q.schedule(t(700), "new");
         assert_eq!(q.pop(), Some((t(700), "new")));
         assert_eq!(drain(&mut q), reference);
     }
@@ -381,8 +310,8 @@ mod tests {
         }
         q.schedule(t(1 << 26), 100);
         q.schedule(t(3 << 26), 101);
-        let doomed = q.schedule(t(800), 102);
-        q.cancel(doomed);
+        q.schedule(t(800), 102);
+        q.retain(|&e| e != 102);
         q.pop();
         q.schedule(t(400), 103);
         let mut snap = EventQueue::new();
@@ -419,9 +348,9 @@ mod tests {
     fn fast_forward_matches_rescheduled_queue() {
         // A queue fast-forwarded by `shift` must pop exactly like a queue
         // whose entries were scheduled `shift` later to begin with,
-        // including far entries and same-instant FIFO ties.
+        // including far entries and same-instant FIFO ties, and a new
+        // schedule at a shifted entry's instant must pop after it.
         let shift = Duration::from_micros(40_000);
-        let seqs = 3u64; // pretend 3 schedules happened during the span
         let rotation = 1u64 << 24;
         for (popped, pending) in [
             (1_000u64, [5_000u64, 5_000, 9_500, 1 << 26]),
@@ -448,13 +377,14 @@ mod tests {
                 q.schedule(t(at), tag);
                 reference.schedule(t(at + shift.as_micros()), tag);
             }
-            q.fast_forward(shift, seqs, |_| {});
+            q.fast_forward(shift);
             assert_eq!(q.peek_time(), reference.peek_time());
+            let tie = t(pending[0] + shift.as_micros());
+            q.schedule(tie, 9);
+            reference.schedule(tie, 9);
             let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
             let expected: Vec<_> = std::iter::from_fn(|| reference.pop()).collect();
             assert_eq!(drained, expected);
-            // New schedules continue from the shifted sequence space.
-            assert_eq!(q.schedule(t(1 << 27), 9).raw(), 5 + seqs);
         }
     }
 

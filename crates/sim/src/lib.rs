@@ -50,7 +50,7 @@ pub mod trace;
 
 pub use cpu::{CostMeter, CpuModel};
 pub use snap::RestoreStats;
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use rng::SimRng;
 pub use series::{Series, SeriesSet};
 pub use time::{Duration, Instant};

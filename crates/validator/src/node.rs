@@ -624,9 +624,9 @@ impl CentralNode {
     /// hyperperiod. Certification is *exact*: any state that the advance
     /// does not reproduce (a treatment, a TSI count on a task not yet
     /// faulty, a DTC age-out inside the sampled hyperperiod, stale timers,
-    /// a live ready key off its cursor) rejects the sample and the engine
-    /// falls back to event-level simulation, so the final node state is
-    /// bit-identical to a never-fast-forwarded run.
+    /// a changed ready order) rejects the sample and the engine falls back
+    /// to event-level simulation, so the final node state is bit-identical
+    /// to a never-fast-forwarded run.
     /// `EASIS_FASTFORWARD=verify` checks that claim on every jump
     /// ([`crate::ffwd::Mode::Verify`]).
     pub fn run_span(&mut self, end: Instant) {
@@ -638,15 +638,8 @@ impl CentralNode {
             self.macro_step_span(end);
         }
         // The residue below one hyperperiod — or the entire span when
-        // macro-stepping stood down — runs at event level. A jump or
-        // back-off that already reached `end` left the node where one
-        // `run_until(end)` from `start` would have, so the call is
-        // skipped: a second call at the same instant fires the timers due
-        // at `end` that a busy CPU left pending, and runs a step that a
-        // compute finishing at `end` left next.
-        if self.os.now() < end || self.os.now() == start {
-            self.os.run_until(end, &mut self.world);
-        }
+        // macro-stepping stood down — runs at event level.
+        self.os.run_until(end, &mut self.world);
         self.ffwd.stats.span += span;
         let after = self.ffwd.stats;
         crate::ffwd::record(
@@ -928,10 +921,10 @@ fn certify(
     delta.h = h;
     if !delta.fault_log.measure(&a.fault_log, &b.fault_log, since, h)
         || !FmfState::measure(&a.fmf, &b.fmf, since, h, &mut delta.fmf)
-        || !OsState::measure(&a.os, &b.os, h, &mut delta.os)
     {
         return false;
     }
+    delta.os = OsState::measure(&a.os, &b.os, h);
     TaskMonitorStats::measure(&a.deadline_stats, &b.deadline_stats, &mut delta.deadline_stats);
     TaskMonitorStats::measure(&a.exec_stats, &b.exec_stats, &mut delta.exec_stats);
     delta.hw_watchdog = HardwareWatchdog::measure(&a.hw_watchdog, &b.hw_watchdog, h);

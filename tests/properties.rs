@@ -546,8 +546,10 @@ proptest! {
 }
 
 /// The reference model of the event queue: a `BinaryHeap` of `(time, seq)`
-/// keys with lazy cancellation. The queue must produce the identical cancel
-/// verdicts, peek times and pop stream for every operation sequence.
+/// keys with lazy cancellation. The queue, scheduling each event with its
+/// sequence number as payload and cancelling by `retain` on it, must agree
+/// on whether a cancelled event was still pending and produce the
+/// identical peek times and pop stream for every operation sequence.
 struct ReferenceEventQueue {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
     cancelled: std::collections::HashSet<u64>,
@@ -612,7 +614,8 @@ impl ReferenceEventQueue {
 
 proptest! {
     /// The event queue is observationally equivalent to a `BinaryHeap`
-    /// reference: identical cancel verdicts (including double-cancel and
+    /// reference: identical cancel verdicts (the event was still pending,
+    /// checked before the `retain`; including double-cancel and
     /// cancel-after-fire), identical peek times, and an identical
     /// `(time, FIFO)` pop stream — over arbitrary interleavings of
     /// schedule/pop/cancel with heavy same-instant collisions, events
@@ -638,10 +641,9 @@ proptest! {
                 // 2^24 µs.
                 0..=4 => {
                     let at = Instant::from_micros(if t & 1 == 0 { t >> 14 } else { t });
-                    let id = queue.schedule(at, reference.next_seq);
                     let seq = reference.schedule(at);
-                    prop_assert_eq!(id.raw(), seq, "seq allocation diverged");
-                    issued.push(id);
+                    queue.schedule(at, seq);
+                    issued.push(seq);
                 }
                 5..=6 => {
                     prop_assert_eq!(queue.peek_time(), reference.peek_time());
@@ -650,11 +652,13 @@ proptest! {
                     prop_assert_eq!(queue_pop, reference_pop, "pop stream diverged");
                 }
                 _ => {
-                    if let Some(&id) = issued.get(pick as usize % issued.len().max(1)) {
+                    if let Some(&seq) = issued.get(pick as usize % issued.len().max(1)) {
+                        let pending = queue.entries().iter().any(|&(_, p)| p == seq);
+                        queue.retain(|&p| p != seq);
                         prop_assert_eq!(
-                            queue.cancel(id),
-                            reference.cancel(id.raw()),
-                            "cancel verdict diverged for {:?}", id
+                            pending,
+                            reference.cancel(seq),
+                            "cancel verdict diverged for {}", seq
                         );
                     }
                 }
@@ -663,7 +667,7 @@ proptest! {
                 .entries()
                 .iter()
                 .rev()
-                .map(|&(at, seq, _)| (at, seq))
+                .copied()
                 .collect();
             prop_assert_eq!(stored, reference.live_keys(), "stored order is not pop order");
         }
@@ -1306,17 +1310,15 @@ fn macro_stepped_armed_windows_match_event_level() {
     );
 }
 
-/// Dead ready keys. In each of the four `easis_bench` trials below
-/// (named workload seed/plan/trial), a tail sample finds every task
-/// `Suspended`, and one task's last ready key advanced by one less than
-/// the back-key cursor over the sampled hyperperiod. A suspended task's
-/// key is never read, so certification from one hyperperiod is sound
-/// only because `Suspended` and `Waiting` tasks hold the canonical dead
-/// key 0; with live keys carried over, the jump leaves a key the
-/// event-level run does not. Each tail must certify at least once and
-/// end in the event-level checkpoint.
+/// Fault tails that certify. In each of the four `easis_bench` trials
+/// below (named workload seed/plan/trial), a tail sample after a slowdown
+/// or loop-overrun window finds every task `Suspended`, and one task's last
+/// readying sits at another place in the sequence of readyings than one
+/// hyperperiod earlier. The kernel state records no such history, so the
+/// sample certifies from one hyperperiod. Each tail must certify at least
+/// once and end in the event-level checkpoint.
 #[test]
-fn dead_ready_keys_stay_canonical_across_fault_tails() {
+fn fault_tails_certify_and_match_event_level() {
     let horizon = Instant::from_millis(1_500);
     let slowdown = ErrorClass::ExecutionSlowdown {
         runnable: RunnableId(6),

@@ -88,11 +88,20 @@ rm -rf "$campaign_scratch"
 
 echo "==> effect dispatch stays move-free (split-borrow kernel invariant)"
 # The split-borrow kernel runs effects on bodies in place; a reappearing
-# take/restore of the body slot would silently reintroduce the double
-# move per effect. Scoped to the kernel sources: hotpath_bench keeps a
-# deliberate take/restore replica as its moved-body baseline.
+# take/restore of the body slot would silently reintroduce two moves of
+# the body per effect.
 if grep -rn 'take().expect("body present")' crates/osek/src/; then
   echo "moved-body dispatch crept back into the kernel effect path"; exit 1
+fi
+
+echo "==> effects reach the kernel one way (no service seam, no detached contexts)"
+# An effect's context borrows the scheduler core and calls its methods,
+# so every service call from an effect has the kernel's semantics and
+# errors. A service trait, a forwarding wrapper or a context that records
+# calls without running them would bring back a second path.
+if grep -rnE --include='*.rs' --exclude-dir=target \
+     'ServiceCore|KernelServices|EffectCtx::for_kernel|Services::Detached' crates/*/src; then
+  echo "a second service path from effects to the kernel crept back"; exit 1
 fi
 
 echo "==> component state is the checkpoint (no mirror snapshot types)"

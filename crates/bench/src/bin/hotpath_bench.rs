@@ -13,30 +13,27 @@
 //! against faithful re-implementations of the pre-dense `BTreeMap` data
 //! plane (map-keyed counter structs, two-level successor-map probes with
 //! the quadratic `is_monitored` fallback), and asserts the dense paths are
-//! at least 2× faster. A fourth probe, **direct dispatch**, measures the
-//! split-borrow `EffectRef` path (body run in place, OS services called
-//! directly on a kernel-backed `EffectCtx`) against a faithful replica of
-//! the moved-body baseline it replaced (body taken out of the TCB, effect
-//! run on a detached context, service-request queue drained, body put
-//! back — replicated locally in this bin now that the production shim is
-//! retired). It also drives a full `SoftwareWatchdog` through
+//! at least 2× faster. A fourth probe, **direct dispatch**, times the
+//! kernel's two effect steps on one real `Os`: an arena body's
+//! `Step::EffectRef`, run in place on the body, against a boxed closure
+//! planned per activation (`Step::Effect`), with the same work in each
+//! effect. It also drives a full `SoftwareWatchdog` through
 //! steady-state cycles under a counting allocator and asserts **zero**
 //! heap allocations per nominal cycle. Results land in
-//! `BENCH_hotpath.json` (stable schema, `schema_version` 2) so future PRs
-//! have a perf trajectory to beat.
+//! `BENCH_hotpath.json` (stable schema, `schema_version` 3) so future
+//! changes have a perf trajectory to beat.
 //!
-//! Usage: `hotpath_bench [iterations]` (default 2,000,000; the ≥2×
-//! speedup assertions are skipped below 1,000,000 iterations so CI smoke
-//! runs stay timing-noise-proof).
+//! Usage: `hotpath_bench [iterations]` (default 2,000,000; the speedup
+//! assertions are skipped below 1,000,000 iterations so CI smoke runs
+//! stay timing-noise-proof).
 
 use easis_obs::ObsSink;
-use easis_osek::error::OsError;
-use easis_osek::plan::{EffectCtx, KernelServices, Plan, ServiceCore, TaskBody};
-use easis_osek::task::{EventMask, TaskId, TaskState};
+use easis_osek::kernel::Os;
+use easis_osek::plan::{EffectCtx, Plan, TaskBody};
+use easis_osek::task::{Priority, TaskConfig, TaskId};
 use easis_rte::runnable::RunnableId;
 use easis_sim::cpu::CostMeter;
 use easis_sim::time::{Duration, Instant};
-use easis_sim::trace::TraceRecorder;
 use easis_watchdog::config::{RunnableHypothesis, WatchdogConfig};
 use easis_watchdog::heartbeat::HeartbeatMonitor;
 use easis_watchdog::pfc::{FlowTable, ProgramFlowChecker};
@@ -234,187 +231,66 @@ impl MapFlowChecker {
 }
 
 // ---------------------------------------------------------------------
-// Effect-dispatch probe: split-borrow direct-call dispatch vs the
-// moved-body + request-queue baseline the redesign replaced.
+// Effect-dispatch probe: the kernel's two effect steps on one real `Os`.
 // ---------------------------------------------------------------------
 
-/// A minimal [`ServiceCore`] standing in for the kernel's scheduler core:
-/// service calls mutate a counter the way real ones mutate TCBs, so the
-/// probe measures dispatch mechanics, not kernel scheduling.
-struct BenchCore {
-    activations: u64,
-    trace: TraceRecorder,
+/// Effect steps per activation: enough that activating, dispatching and
+/// terminating the task is a small share of each step's time.
+const EFFECTS_PER_ACTIVATION: u32 = 64;
+
+/// One effect's work in both variants, shaped like the runnables'
+/// heartbeat glue: read the clock, update the world, trace (off).
+fn effect_work(token: u32, world: &mut u64, ctx: &mut EffectCtx<'_, u64>) {
+    *world = world.wrapping_add(ctx.now().as_micros() ^ u64::from(token));
+    ctx.trace("dispatch-bench", "effect", "");
 }
 
-impl BenchCore {
-    fn new() -> Self {
-        BenchCore {
-            activations: 0,
-            trace: TraceRecorder::disabled(),
+/// An arena body: plans `EffectRef` tokens into the kernel's retained
+/// buffer, and the kernel runs each one on the body in place.
+struct RefBody;
+
+impl TaskBody<u64> for RefBody {
+    fn plan_into(&mut self, _now: Instant, _world: &u64, out: &mut Plan<u64>) {
+        for token in 0..EFFECTS_PER_ACTIVATION {
+            out.push_effect_ref(token);
         }
     }
-}
 
-impl ServiceCore<u64> for BenchCore {
-    fn activate_task(&mut self, _task: TaskId, world: &mut u64) -> Result<(), OsError> {
-        self.activations += 1;
-        *world = world.wrapping_add(self.activations);
-        Ok(())
-    }
-
-    fn set_event(&mut self, _task: TaskId, _mask: EventMask, _world: &mut u64) -> Result<(), OsError> {
-        Ok(())
-    }
-
-    fn cancel_alarm_raw(&mut self, _raw_alarm_id: u32) -> Result<(), OsError> {
-        Ok(())
-    }
-
-    fn task_state(&self, _task: TaskId) -> Result<TaskState, OsError> {
-        Ok(TaskState::Suspended)
-    }
-
-    fn trace_mut(&mut self) -> &mut TraceRecorder {
-        &mut self.trace
-    }
-
-    fn trace_enabled(&self) -> bool {
-        false
+    fn run_effect(&mut self, token: u32, world: &mut u64, ctx: &mut EffectCtx<'_, u64>) {
+        effect_work(token, world, ctx);
     }
 }
 
-/// An effect-heavy arena-style body: every `run_effect` touches its own
-/// state, the world, and issues one OS service call — the workload the
-/// paper's watchdog task puts on the kernel boundary every cycle.
-struct DispatchBody {
-    peer: TaskId,
-    fired: u64,
-}
-
-impl TaskBody<u64> for DispatchBody {
-    fn plan_into(&mut self, _now: Instant, _world: &u64, out: &mut Plan<u64>) {
-        out.push_effect_ref(0);
+/// A closure body: boxes a fresh closure per effect on every activation.
+fn boxed_body(_now: Instant, _world: &u64) -> Plan<u64> {
+    let mut plan = Plan::new();
+    for token in 0..EFFECTS_PER_ACTIVATION {
+        plan.push_effect(move |world, ctx| effect_work(token, world, ctx));
     }
-
-    fn run_effect(&mut self, _token: u32, world: &mut u64, ctx: &mut EffectCtx<'_, u64>) {
-        self.fired += 1;
-        *world = world.wrapping_add(self.fired);
-        let _ = ctx.activate_task(self.peer, world);
-    }
-
-    fn name(&self) -> &str {
-        "dispatch-bench"
-    }
-}
-
-// The pre-redesign moved-body machinery, replicated locally now that the
-// production `ServiceRequest` shim is gone: a detached effect context that
-// queues service requests (first push allocates — the queue is fresh per
-// effect), drained against the core after the body is put back.
-
-// Unused variants kept so the replica models the retired three-variant
-// enum's size and match shape, not a degenerate single-variant one.
-#[allow(dead_code)]
-enum BenchServiceRequest {
-    ActivateTask(TaskId),
-    SetEvent(TaskId, EventMask),
-    CancelAlarm(u32),
-}
-
-struct MovedCtx<'a> {
-    #[allow(dead_code)]
-    trace: &'a mut TraceRecorder,
-    requests: Vec<BenchServiceRequest>,
-}
-
-impl MovedCtx<'_> {
-    fn request_activate(&mut self, task: TaskId) {
-        self.requests.push(BenchServiceRequest::ActivateTask(task));
-    }
-}
-
-/// The pre-split-borrow body shape: effects see only the detached context.
-trait MovedTaskBody {
-    fn run_effect(&mut self, token: u32, world: &mut u64, ctx: &mut MovedCtx<'_>);
-}
-
-struct MovedDispatchBody {
-    peer: TaskId,
-    fired: u64,
-}
-
-impl MovedTaskBody for MovedDispatchBody {
-    fn run_effect(&mut self, _token: u32, world: &mut u64, ctx: &mut MovedCtx<'_>) {
-        self.fired += 1;
-        *world = world.wrapping_add(self.fired);
-        ctx.request_activate(self.peer);
-    }
+    plan
 }
 
 fn bench_direct_dispatch(iterations: u64) -> DispatchComparison {
-    const TASKS: usize = 16;
-
-    // Split-borrow path: the body runs in place and calls the service
-    // directly and synchronously through its kernel-backed context.
-    let mut core = BenchCore::new();
-    let mut bodies: Vec<Box<dyn TaskBody<u64>>> = (0..TASKS)
-        .map(|i| {
-            Box::new(DispatchBody { peer: TaskId(i as u32), fired: 0 })
-                as Box<dyn TaskBody<u64>>
-        })
-        .collect();
+    let mut os: Os<u64> = Os::with_disabled_trace();
+    let refs = os.add_task(TaskConfig::new("effect-ref", Priority(1)), RefBody);
+    let boxed = os.add_task(TaskConfig::new("boxed-effect", Priority(1)), boxed_body);
     let mut world = 0u64;
-    let mut i = 0usize;
-    let direct_ns = measure(iterations, || {
-        let mut ctx = EffectCtx::for_kernel(
-            Instant::ZERO,
-            TaskId((i % TASKS) as u32),
-            KernelServices::new(&mut core),
-        );
-        bodies[i % TASKS].run_effect(0, &mut world, &mut ctx);
-        i = i.wrapping_add(1);
-    });
-    black_box((world, core.activations));
-
-    // Moved-body baseline, replicated faithfully from the pre-split-borrow
-    // kernel: take the body out of its TCB slot, run the effect on a
-    // detached context, drain the request queue (whose first push
-    // allocates — the context is fresh per effect), put the body back,
-    // then replay the queued requests against the core.
-    let mut core = BenchCore::new();
-    let mut slots: Vec<Option<Box<dyn MovedTaskBody>>> = (0..TASKS)
-        .map(|i| {
-            Some(Box::new(MovedDispatchBody { peer: TaskId(i as u32), fired: 0 })
-                as Box<dyn MovedTaskBody>)
-        })
-        .collect();
-    let mut trace = TraceRecorder::disabled();
-    let mut world = 0u64;
-    let mut i = 0usize;
-    let moved_ns = measure(iterations, || {
-        let mut body = slots[i % TASKS].take().expect("body present in slot");
-        let mut ctx = MovedCtx { trace: &mut trace, requests: Vec::new() };
-        body.run_effect(0, &mut world, &mut ctx);
-        let requests = ctx.requests;
-        slots[i % TASKS] = Some(body);
-        for request in requests {
-            match request {
-                BenchServiceRequest::ActivateTask(t) => {
-                    let _ = ServiceCore::activate_task(&mut core, t, &mut world);
-                }
-                BenchServiceRequest::SetEvent(t, m) => {
-                    let _ = ServiceCore::set_event(&mut core, t, m, &mut world);
-                }
-                BenchServiceRequest::CancelAlarm(a) => {
-                    let _ = core.cancel_alarm_raw(a);
-                }
-            }
-        }
-        i = i.wrapping_add(1);
-    });
-    black_box((world, core.activations));
-
-    DispatchComparison::new(direct_ns, moved_ns)
+    os.start(&mut world);
+    let activations = (iterations / u64::from(EFFECTS_PER_ACTIVATION)).max(REPS);
+    // One activation runs all its effect steps at one instant; the next
+    // starts a microsecond later.
+    let mut per_step = |task: TaskId| {
+        measure(activations, || {
+            os.activate_task(task, &mut world)
+                .expect("task is suspended");
+            let end = os.now() + Duration::from_micros(1);
+            os.run_until(end, &mut world);
+        }) / f64::from(EFFECTS_PER_ACTIVATION)
+    };
+    let effect_ref_ns = per_step(refs);
+    let boxed_ns = per_step(boxed);
+    black_box(world);
+    DispatchComparison::new(effect_ref_ns, boxed_ns)
 }
 
 // ---------------------------------------------------------------------
@@ -464,8 +340,8 @@ fn measure<F: FnMut()>(iterations: u64, mut op: F) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Report schema (schema_version 2 — keep stable, future PRs diff this;
-// v2 added the `direct_dispatch` probe).
+// Report schema (schema_version 3 — keep stable, future changes diff
+// this; v2 added the `direct_dispatch` probe, v3 times it on the kernel).
 // ---------------------------------------------------------------------
 
 #[derive(Serialize)]
@@ -485,19 +361,21 @@ impl Comparison {
     }
 }
 
+/// ns per kernel effect step: an arena body's `EffectRef` against a
+/// boxed per-activation closure.
 #[derive(Serialize)]
 struct DispatchComparison {
-    direct: f64,
-    moved_body_baseline: f64,
+    effect_ref: f64,
+    boxed_closure: f64,
     speedup: f64,
 }
 
 impl DispatchComparison {
-    fn new(direct: f64, moved_body_baseline: f64) -> Self {
+    fn new(effect_ref: f64, boxed_closure: f64) -> Self {
         DispatchComparison {
-            direct,
-            moved_body_baseline,
-            speedup: moved_body_baseline / direct,
+            effect_ref,
+            boxed_closure,
+            speedup: boxed_closure / effect_ref,
         }
     }
 }
@@ -683,8 +561,8 @@ fn main() {
         );
     }
     println!(
-        "{:<22} {:>10.1} {:>12.1} {:>8.1}x",
-        "effect dispatch", dispatch.direct, dispatch.moved_body_baseline, dispatch.speedup
+        "{:<22} {:>10.1} {:>12.1} {:>8.1}x   (EffectRef vs boxed closure)",
+        "kernel effect step", dispatch.effect_ref, dispatch.boxed_closure, dispatch.speedup
     );
     println!("steady-state run_cycle allocations/cycle: {cycle_allocs}");
 
@@ -703,12 +581,11 @@ fn main() {
             "PFC dense path must be ≥2× the map baseline, got {:.2}×",
             pfc.speedup
         );
-        // The split-borrow dispatch must never regress past the moved-body
-        // baseline it replaced; the design target is ≥1.2× on this
-        // effect-heavy loop.
+        // The allocation-free arena step must never cost more than the
+        // boxed closure step it stands in for on the campaign node.
         assert!(
             dispatch.speedup >= 1.0,
-            "direct dispatch must be no slower than the moved-body baseline, got {:.2}×",
+            "an EffectRef step must be no slower than a boxed closure step, got {:.2}×",
             dispatch.speedup
         );
     } else {
@@ -716,7 +593,7 @@ fn main() {
     }
 
     let report = Report {
-        schema_version: 2,
+        schema_version: 3,
         iterations,
         monitored_runnables: MONITORED,
         ns_per_heartbeat: heartbeat,

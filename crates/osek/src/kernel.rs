@@ -27,16 +27,15 @@
 //! bodies and core are separate fields, dispatch borrows them
 //! simultaneously without moving anything: planning calls
 //! [`TaskBody::plan_into`] on the body **in place** while the arena slot
-//! and the clock are borrowed alongside, and [`Step::EffectRef`] execution
-//! hands [`TaskBody::run_effect`] a [`KernelServices`] view of the core so
-//! effects call `ActivateTask`/`SetEvent`/`CancelAlarm` **directly and
-//! synchronously** — no `Option::take`/restore of the body, no deferred
-//! request queue on the hot path.
+//! and the clock are borrowed alongside, and an effect step hands its
+//! effect an [`EffectCtx`] that borrows the core, so effects call
+//! `ActivateTask`/`SetEvent`/`CancelAlarm` **directly and synchronously**
+//! on the core's own methods while the body stays in place.
 
 use crate::alarm::{Alarm, AlarmAction, AlarmId};
 use crate::error::OsError;
 use crate::hooks::{HookEvent, HookMask, HookObserver};
-use crate::plan::{EffectCtx, KernelServices, PlanArena, ResourceId, ServiceCore, Step, TaskBody};
+use crate::plan::{EffectCtx, PlanArena, ResourceId, Step, TaskBody};
 use crate::resource::{HeldResources, Resource};
 use crate::task::{EventMask, Priority, TaskConfig, TaskId, TaskKind, TaskState};
 use easis_sim::event::EventQueue;
@@ -182,10 +181,9 @@ impl<W> PartialEq for OsState<W> {
 
 /// The scheduler core: the kernel's wiring plus its whole runtime state.
 /// Holding it as one field gives dispatch the split borrow the effect path
-/// needs — `&mut Core<W>` (as the effect's [`KernelServices`]) alongside
-/// `&mut` the executing body — and it is the kernel-side implementation of
-/// [`ServiceCore`].
-struct Core<W> {
+/// needs: `&mut Core<W>`, lent to the effect's [`EffectCtx`], alongside
+/// `&mut` the executing body.
+pub(crate) struct Core<W> {
     /// Task configurations, indexed by task id.
     configs: Vec<TaskConfig>,
     /// Alarm names and expiry actions, indexed by alarm id.
@@ -227,10 +225,10 @@ struct Core<W> {
 /// ```
 pub struct Os<W> {
     /// Task bodies, indexed by task id — stored apart from the scheduler
-    /// core so an effect can run on its body in place while holding the
-    /// core as its [`KernelServices`] view.
+    /// core so an effect can run on its body in place while its
+    /// [`EffectCtx`] borrows the core.
     bodies: Vec<Box<dyn TaskBody<W>>>,
-    /// Wiring and runtime state — the [`ServiceCore`] handed to effects.
+    /// Wiring and runtime state, lent to effects.
     core: Core<W>,
 }
 
@@ -335,7 +333,7 @@ impl<W> Os<W> {
     ///
     /// Returns [`OsError::InvalidId`] for an unknown id.
     pub fn task_state(&self, id: TaskId) -> Result<TaskState, OsError> {
-        ServiceCore::task_state(&self.core, id)
+        self.core.task_state(id)
     }
 
     /// Name of a task.
@@ -623,16 +621,12 @@ impl<W> Os<W> {
                     decided = !d.is_zero();
                 }
                 Step::Effect(mut f) => {
-                    let now = self.core.state.now;
-                    let mut ctx = EffectCtx::for_kernel(now, id, KernelServices::new(&mut self.core));
-                    f(world, &mut ctx);
+                    f(world, &mut EffectCtx::new(id, &mut self.core));
                 }
                 Step::EffectRef(token) => {
                     // In-place dispatch: the body stays in `bodies` while
-                    // the effect holds the core as its service view — the
-                    // split borrow that replaced the take/restore dance.
-                    let now = self.core.state.now;
-                    let mut ctx = EffectCtx::for_kernel(now, id, KernelServices::new(&mut self.core));
+                    // the effect's context borrows the core.
+                    let mut ctx = EffectCtx::new(id, &mut self.core);
                     self.bodies[i].run_effect(token, world, &mut ctx);
                 }
                 Step::ActivateTask(t) => {
@@ -714,7 +708,7 @@ impl<W> Os<W> {
                     // non-preemptability: OSEK Schedule() semantics. If a
                     // higher-priority task is ready, yield to it (re-enter
                     // its priority level at the front, like a preemption).
-                    if let Some(best) = self.core.pick_ignoring_nonpreempt() {
+                    if let Some(best) = self.core.best_eligible() {
                         if best != id {
                             self.core.make_ready(id, true);
                             self.core.record(id, "yield");
@@ -847,6 +841,30 @@ impl<W> Os<W> {
 }
 
 impl<W> Core<W> {
+    /// The current simulated time.
+    pub(crate) fn now(&self) -> Instant {
+        self.state.now
+    }
+
+    /// The kernel trace recorder.
+    pub(crate) fn trace(&self) -> &TraceRecorder {
+        &self.state.trace
+    }
+
+    /// The kernel trace recorder, for effects to record on.
+    pub(crate) fn trace_mut(&mut self) -> &mut TraceRecorder {
+        &mut self.state.trace
+    }
+
+    /// State of task `id`, or [`OsError::InvalidId`].
+    pub(crate) fn task_state(&self, id: TaskId) -> Result<TaskState, OsError> {
+        self.state
+            .tasks
+            .get(id.index())
+            .map(|t| t.state)
+            .ok_or(OsError::InvalidId)
+    }
+
     /// Records a kernel trace event about task `id` at the current time.
     /// Returns before the name look-up when the trace is off, as on
     /// campaign nodes, which dispatch, preempt, activate and terminate
@@ -888,7 +906,7 @@ impl<W> Core<W> {
         self.state.started = false;
     }
 
-    fn activate_task(&mut self, id: TaskId, world: &mut W) -> Result<(), OsError> {
+    pub(crate) fn activate_task(&mut self, id: TaskId, world: &mut W) -> Result<(), OsError> {
         let i = id.index();
         let Some(config) = self.configs.get(i) else {
             return Err(OsError::InvalidId);
@@ -913,7 +931,12 @@ impl<W> Core<W> {
         Ok(())
     }
 
-    fn set_event(&mut self, id: TaskId, mask: EventMask, world: &mut W) -> Result<(), OsError> {
+    pub(crate) fn set_event(
+        &mut self,
+        id: TaskId,
+        mask: EventMask,
+        world: &mut W,
+    ) -> Result<(), OsError> {
         let Some(config) = self.configs.get(id.index()) else {
             return Err(OsError::InvalidId);
         };
@@ -958,7 +981,7 @@ impl<W> Core<W> {
         Ok(())
     }
 
-    fn cancel_alarm(&mut self, id: AlarmId) -> Result<(), OsError> {
+    pub(crate) fn cancel_alarm(&mut self, id: AlarmId) -> Result<(), OsError> {
         let Some(alarm) = self.state.alarms.get_mut(id.index()) else {
             return Err(OsError::InvalidId);
         };
@@ -1089,12 +1112,6 @@ impl<W> Core<W> {
         best.map(|(id, _)| id)
     }
 
-    /// Like [`Core::pick_next`] but ignoring the running task's
-    /// non-preemptability — the decision `Schedule()` asks for.
-    fn pick_ignoring_nonpreempt(&self) -> Option<TaskId> {
-        self.best_eligible()
-    }
-
     /// Picks the task that should run now, honouring non-preemptability.
     fn pick_next(&self) -> Option<TaskId> {
         if let Some(run) = self.state.running {
@@ -1135,38 +1152,6 @@ impl<W> Core<W> {
                 obs.on_hook(now, event, world);
             }
         }
-    }
-}
-
-/// The kernel side of the split borrow: effects reach these services
-/// through the [`KernelServices`] view on their [`EffectCtx`].
-impl<W> ServiceCore<W> for Core<W> {
-    fn activate_task(&mut self, task: TaskId, world: &mut W) -> Result<(), OsError> {
-        Core::activate_task(self, task, world)
-    }
-
-    fn set_event(&mut self, task: TaskId, mask: EventMask, world: &mut W) -> Result<(), OsError> {
-        Core::set_event(self, task, mask, world)
-    }
-
-    fn cancel_alarm_raw(&mut self, raw_alarm_id: u32) -> Result<(), OsError> {
-        Core::cancel_alarm(self, AlarmId(raw_alarm_id))
-    }
-
-    fn task_state(&self, task: TaskId) -> Result<TaskState, OsError> {
-        self.state
-            .tasks
-            .get(task.index())
-            .map(|t| t.state)
-            .ok_or(OsError::InvalidId)
-    }
-
-    fn trace_mut(&mut self) -> &mut TraceRecorder {
-        &mut self.state.trace
-    }
-
-    fn trace_enabled(&self) -> bool {
-        self.state.trace.is_enabled()
     }
 }
 
@@ -1952,7 +1937,7 @@ mod tests {
     fn arena_body_calls_services_directly_in_place() {
         // An arena-backed body (plan_into + EffectRef) exercises the whole
         // split-borrow path: run_effect executes on the body in place and
-        // activates a peer task synchronously through its KernelServices.
+        // activates a peer task synchronously through its context.
         struct Chainer {
             peer: Option<TaskId>,
             fired: u32,
@@ -1968,10 +1953,7 @@ mod tests {
                 world.push(format!("chainer@{}", ctx.now().as_micros()));
                 if let Some(peer) = self.peer {
                     ctx.activate_task(peer, world).unwrap();
-                    assert_eq!(
-                        ctx.kernel().unwrap().task_state(peer),
-                        Ok(TaskState::Ready)
-                    );
+                    assert_eq!(ctx.task_state(peer), Ok(TaskState::Ready));
                 }
             }
             fn name(&self) -> &str {
@@ -1989,6 +1971,63 @@ mod tests {
         os.activate_task(chainer, &mut w).unwrap();
         os.run_until(Instant::from_millis(10), &mut w);
         assert_eq!(w, vec!["chainer@1000".to_string(), "peer@2000".to_string()]);
+    }
+
+    #[test]
+    fn effect_services_run_on_the_kernel() {
+        // `waiter` waits from 0 ms; `caller` computes 0–1 ms, then its
+        // effect calls every service while it still runs.
+        let mut os: Os<W> = Os::new();
+        let waiter = os.add_task(
+            TaskConfig::new("waiter", Priority(3)).with_kind(TaskKind::Extended),
+            |_: Instant, _: &W| {
+                Plan::new()
+                    .step(Step::WaitEvent(EventMask::bit(0)))
+                    .effect(|w: &mut W, ctx| w.push(format!("woke@{}", ctx.now().as_micros())))
+            },
+        );
+        let peer = os.add_task(
+            TaskConfig::new("peer", Priority(1)),
+            log_body("peer", us(100)),
+        );
+        let alarm = os.add_alarm("a", AlarmAction::ActivateTask(peer));
+        let caller = os.add_task(
+            TaskConfig::new("caller", Priority(2)),
+            move |_: Instant, _: &W| {
+                Plan::new().compute(ms(1)).effect(move |w: &mut W, ctx| {
+                    w.push(format!("{}@{}", ctx.task(), ctx.now().as_micros()));
+                    assert_eq!(ctx.task_state(waiter), Ok(TaskState::Waiting));
+                    assert_eq!(ctx.set_event(waiter, EventMask::bit(0), w), Ok(()));
+                    assert_eq!(ctx.task_state(waiter), Ok(TaskState::Ready));
+                    assert_eq!(ctx.task_state(peer), Ok(TaskState::Suspended));
+                    assert_eq!(ctx.activate_task(peer, w), Ok(()));
+                    assert_eq!(ctx.task_state(peer), Ok(TaskState::Ready));
+                    assert_eq!(ctx.cancel_alarm(alarm.0), Ok(()));
+                    assert_eq!(ctx.cancel_alarm(alarm.0), Err(OsError::AlarmNotInUse));
+                    assert_eq!(ctx.task_state(TaskId(9)), Err(OsError::InvalidId));
+                    assert!(ctx.trace_enabled());
+                    ctx.trace("body", "mark", "services");
+                })
+            },
+        );
+        let mut w = W::new();
+        os.start(&mut w);
+        os.set_rel_alarm(alarm, ms(5), Some(ms(5))).unwrap();
+        os.activate_task(waiter, &mut w).unwrap();
+        os.activate_task(caller, &mut w).unwrap();
+        os.run_until(Instant::from_millis(20), &mut w);
+        // The woken waiter runs before the peer; the alarm never fires.
+        assert_eq!(
+            w,
+            vec![
+                format!("{caller}@1000"),
+                "woke@1000".into(),
+                "peer@1100".into()
+            ]
+        );
+        assert_eq!(os.trace().count_kind("alarm"), 0);
+        let mark = os.trace().first_of_kind("mark").unwrap();
+        assert_eq!((mark.at, mark.source.as_str()), (Instant::from_millis(1), "body"));
     }
 
     #[test]

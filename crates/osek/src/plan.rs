@@ -12,13 +12,14 @@
 //! (signal database, dependability services). Effects receive `&mut W` plus
 //! an [`EffectCtx`] through which they call OS services
 //! ([`EffectCtx::activate_task`], [`EffectCtx::set_event`],
-//! [`EffectCtx::cancel_alarm`]) — executed directly and synchronously on the
-//! kernel's scheduler core via the split-borrow [`KernelServices`] view.
+//! [`EffectCtx::cancel_alarm`]). The context borrows the kernel's scheduler
+//! core, so each call executes directly and synchronously on it.
 
+use crate::alarm::AlarmId;
 use crate::error::OsError;
+use crate::kernel::Core;
 use crate::task::{EventMask, TaskId, TaskState};
 use easis_sim::time::{Duration, Instant};
-use easis_sim::trace::TraceRecorder;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -367,24 +368,16 @@ pub trait TaskBody<W>: Send {
 
     /// Executes the effect identified by `token` (planned as
     /// [`Step::EffectRef`]). The kernel invokes this **in place** on the
-    /// body stored in the TCB (no move out/back per effect) with a
-    /// kernel-backed [`EffectCtx`] through which OS services execute
-    /// directly. The default implementation panics: a body that plans
-    /// effect references must override this.
+    /// body it stores (no move out/back per effect) with an [`EffectCtx`]
+    /// through which OS services execute directly. The default
+    /// implementation panics: a body that plans effect references must
+    /// override this.
     fn run_effect(&mut self, token: u32, world: &mut W, ctx: &mut EffectCtx<'_, W>) {
         let _ = (world, ctx);
         panic!(
             "task body `{}` planned Step::EffectRef({token}) without implementing run_effect",
             self.name()
         );
-    }
-
-    /// Plans one activation into a fresh buffer — convenience wrapper over
-    /// [`TaskBody::plan_into`] for tests and non-hot-path callers.
-    fn plan(&mut self, now: Instant, world: &W) -> Plan<W> {
-        let mut out = Plan::new();
-        self.plan_into(now, world, &mut out);
-        out
     }
 
     /// Name used in traces; defaults to `"task"`.
@@ -403,223 +396,29 @@ where
     }
 }
 
-/// Kernel-side supplier of OS services to a running effect.
+/// Context handed to [`Effect`]s and [`TaskBody::run_effect`]: the current
+/// time, the executing task, the kernel trace and the OS services.
 ///
-/// The kernel's scheduler core implements this trait; [`KernelServices`]
-/// wraps a `&mut dyn ServiceCore<W>` and is what effects see. The trait is
-/// public so tests and benches can drive [`TaskBody::run_effect`] against a
-/// mock kernel — see the example on [`KernelServices`].
-pub trait ServiceCore<W> {
-    /// `ActivateTask`, executed synchronously at the current instant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the kernel's activation errors (unknown id, activation
-    /// queue full).
-    fn activate_task(&mut self, task: TaskId, world: &mut W) -> Result<(), OsError>;
-
-    /// `SetEvent`, executed synchronously at the current instant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the kernel's event errors (unknown id, basic task,
-    /// suspended task).
-    fn set_event(&mut self, task: TaskId, mask: EventMask, world: &mut W) -> Result<(), OsError>;
-
-    /// `CancelAlarm` on the alarm with the given raw id.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the kernel's alarm errors (unknown id, not armed).
-    fn cancel_alarm_raw(&mut self, raw_alarm_id: u32) -> Result<(), OsError>;
-
-    /// State of a task (for effects that branch on readiness).
-    ///
-    /// # Errors
-    ///
-    /// [`OsError::InvalidId`] for an unknown id.
-    fn task_state(&self, task: TaskId) -> Result<TaskState, OsError>;
-
-    /// The kernel trace recorder.
-    fn trace_mut(&mut self) -> &mut TraceRecorder;
-
-    /// Whether trace records are retained.
-    fn trace_enabled(&self) -> bool;
-}
-
-/// The split-borrow service view a dispatched effect holds on the kernel.
-///
-/// The kernel factors its state so that the task bodies, the plan arena and
-/// the scheduler core (trace, timer queue, task metadata) are *disjoint*
-/// borrows: while [`TaskBody::run_effect`] executes in place on the body,
-/// the effect's [`EffectCtx`] carries a `KernelServices` view of the core,
-/// so `ActivateTask`/`SetEvent`/`CancelAlarm` run **directly and
-/// synchronously** — no deferred request queue, no aliasing of the TCB.
-///
-/// # Examples
-///
-/// Driving a body's effect against a mock kernel (the same mechanism the
-/// real kernel uses, minus the scheduler):
-///
-/// ```
-/// use easis_osek::error::OsError;
-/// use easis_osek::plan::{EffectCtx, KernelServices, ServiceCore};
-/// use easis_osek::task::{EventMask, TaskId, TaskState};
-/// use easis_sim::time::Instant;
-/// use easis_sim::trace::TraceRecorder;
-///
-/// struct MockCore {
-///     activated: Vec<TaskId>,
-///     trace: TraceRecorder,
-/// }
-///
-/// impl ServiceCore<u32> for MockCore {
-///     fn activate_task(&mut self, task: TaskId, _world: &mut u32) -> Result<(), OsError> {
-///         self.activated.push(task);
-///         Ok(())
-///     }
-///     fn set_event(&mut self, _: TaskId, _: EventMask, _: &mut u32) -> Result<(), OsError> {
-///         Ok(())
-///     }
-///     fn cancel_alarm_raw(&mut self, _raw: u32) -> Result<(), OsError> {
-///         Ok(())
-///     }
-///     fn task_state(&self, _: TaskId) -> Result<TaskState, OsError> {
-///         Ok(TaskState::Suspended)
-///     }
-///     fn trace_mut(&mut self) -> &mut TraceRecorder {
-///         &mut self.trace
-///     }
-///     fn trace_enabled(&self) -> bool {
-///         self.trace.is_enabled()
-///     }
-/// }
-///
-/// let mut core = MockCore { activated: Vec::new(), trace: TraceRecorder::new() };
-/// let mut world = 0u32;
-/// {
-///     let services = KernelServices::new(&mut core);
-///     let mut ctx = EffectCtx::for_kernel(Instant::from_micros(5), TaskId(0), services);
-///     // What an effect does: call the service directly.
-///     ctx.activate_task(TaskId(2), &mut world).unwrap();
-///     ctx.trace("body", "mark", "activated peer");
-/// }
-/// assert_eq!(core.activated, vec![TaskId(2)]);
-/// assert_eq!(core.trace.events().len(), 1);
-/// ```
-pub struct KernelServices<'a, W> {
-    core: &'a mut dyn ServiceCore<W>,
-}
-
-impl<'a, W> KernelServices<'a, W> {
-    /// Wraps a scheduler core (kernel-internal; public so mocks work).
-    pub fn new(core: &'a mut dyn ServiceCore<W>) -> Self {
-        KernelServices { core }
-    }
-
-    /// `ActivateTask`, executed synchronously.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the kernel's activation errors.
-    pub fn activate_task(&mut self, task: TaskId, world: &mut W) -> Result<(), OsError> {
-        self.core.activate_task(task, world)
-    }
-
-    /// `SetEvent`, executed synchronously.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the kernel's event errors.
-    pub fn set_event(&mut self, task: TaskId, mask: EventMask, world: &mut W) -> Result<(), OsError> {
-        self.core.set_event(task, mask, world)
-    }
-
-    /// `CancelAlarm` on the alarm with the given raw id, executed
-    /// synchronously (used by fault treatment to stop a terminated
-    /// application's activation source).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the kernel's alarm errors.
-    pub fn cancel_alarm(&mut self, raw_alarm_id: u32) -> Result<(), OsError> {
-        self.core.cancel_alarm_raw(raw_alarm_id)
-    }
-
-    /// State of a task.
-    ///
-    /// # Errors
-    ///
-    /// [`OsError::InvalidId`] for an unknown id.
-    pub fn task_state(&self, task: TaskId) -> Result<TaskState, OsError> {
-        self.core.task_state(task)
-    }
-
-    /// The kernel trace recorder.
-    pub fn trace_mut(&mut self) -> &mut TraceRecorder {
-        self.core.trace_mut()
-    }
-
-    /// Whether trace records are retained.
-    pub fn trace_enabled(&self) -> bool {
-        self.core.trace_enabled()
-    }
-}
-
-impl<W> fmt::Debug for KernelServices<'_, W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("KernelServices").finish_non_exhaustive()
-    }
-}
-
-/// What backs an [`EffectCtx`]: a live kernel core, or just a trace
-/// recorder (unit tests driving bodies without an OS).
-enum Services<'a, W> {
-    Kernel(KernelServices<'a, W>),
-    Detached(&'a mut TraceRecorder),
-}
-
-/// Context handed to [`Effect`]s and [`TaskBody::run_effect`]: current
-/// time, the trace, and the OS service interface.
-///
-/// Inside the kernel the context is backed by [`KernelServices`], so
+/// Only the kernel builds one, when it runs a [`Step::Effect`] or a
+/// [`Step::EffectRef`]. The context borrows the kernel's scheduler core
+/// while the effect's body is borrowed apart from it, so
 /// [`EffectCtx::activate_task`], [`EffectCtx::set_event`] and
-/// [`EffectCtx::cancel_alarm`] execute directly and synchronously on the
-/// scheduler core. A *detached* context ([`EffectCtx::new`]) has no kernel
-/// behind it: the same calls record an `os-call` trace event instead of
-/// executing, so a body unit test can assert what the body asked for by
-/// reading the trace.
+/// [`EffectCtx::cancel_alarm`] execute directly and synchronously, with
+/// the kernel's own semantics and errors.
 pub struct EffectCtx<'a, W> {
-    now: Instant,
     task: TaskId,
-    services: Services<'a, W>,
+    core: &'a mut Core<W>,
 }
 
 impl<'a, W> EffectCtx<'a, W> {
-    /// Creates a *detached* context (no kernel behind it) — the seam for
-    /// unit-testing bodies without an OS. Direct service calls record
-    /// `os-call` trace events instead of executing.
-    pub fn new(now: Instant, task: TaskId, trace: &'a mut TraceRecorder) -> Self {
-        EffectCtx {
-            now,
-            task,
-            services: Services::Detached(trace),
-        }
-    }
-
-    /// Creates a kernel-backed context (kernel-internal; public so benches
-    /// and mocks can reproduce the dispatch path).
-    pub fn for_kernel(now: Instant, task: TaskId, services: KernelServices<'a, W>) -> Self {
-        EffectCtx {
-            now,
-            task,
-            services: Services::Kernel(services),
-        }
+    /// Lends the scheduler core to an effect of `task`.
+    pub(crate) fn new(task: TaskId, core: &'a mut Core<W>) -> Self {
+        EffectCtx { task, core }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> Instant {
-        self.now
+        self.core.now()
     }
 
     /// The task executing this effect.
@@ -631,14 +430,10 @@ impl<'a, W> EffectCtx<'a, W> {
     /// off, as on campaign nodes, where every runnable execution calls
     /// this, it returns before the generic recorder is called.
     pub fn trace(&mut self, source: &str, kind: &str, detail: impl Into<String>) {
-        let now = self.now;
-        match &mut self.services {
-            Services::Kernel(k) => {
-                if k.trace_enabled() {
-                    k.trace_mut().record(now, source, kind, detail);
-                }
-            }
-            Services::Detached(t) => t.record(now, source, kind, detail),
+        let now = self.core.now();
+        let trace = self.core.trace_mut();
+        if trace.is_enabled() {
+            trace.record(now, source, kind, detail);
         }
     }
 
@@ -647,79 +442,60 @@ impl<'a, W> EffectCtx<'a, W> {
     /// `false` (a disabled recorder drops the record, but only after the
     /// caller already paid for the string).
     pub fn trace_enabled(&self) -> bool {
-        match &self.services {
-            Services::Kernel(k) => k.trace_enabled(),
-            Services::Detached(t) => t.is_enabled(),
-        }
+        self.core.trace().is_enabled()
     }
 
-    /// The kernel service view, when this context is kernel-backed
-    /// (`None` for detached test contexts).
-    pub fn kernel(&mut self) -> Option<&mut KernelServices<'a, W>> {
-        match &mut self.services {
-            Services::Kernel(k) => Some(k),
-            Services::Detached(_) => None,
-        }
-    }
-
-    /// `ActivateTask`, executed synchronously on the kernel. On a detached
-    /// context the call records an `os-call` trace event instead (testing
-    /// seam) and reports `Ok`.
+    /// `ActivateTask`, executed synchronously on the kernel.
     ///
     /// # Errors
     ///
-    /// Propagates the kernel's activation errors.
+    /// Propagates the kernel's activation errors (unknown id, activation
+    /// queue full).
     pub fn activate_task(&mut self, task: TaskId, world: &mut W) -> Result<(), OsError> {
-        let now = self.now;
-        match &mut self.services {
-            Services::Kernel(k) => k.activate_task(task, world),
-            Services::Detached(t) => {
-                t.record(now, "detached", "os-call", format!("ActivateTask({task})"));
-                Ok(())
-            }
-        }
+        self.core.activate_task(task, world)
     }
 
-    /// `SetEvent`, executed synchronously on the kernel. On a detached
-    /// context the call records an `os-call` trace event instead (testing
-    /// seam) and reports `Ok`.
+    /// `SetEvent`, executed synchronously on the kernel.
     ///
     /// # Errors
     ///
-    /// Propagates the kernel's event errors.
-    pub fn set_event(&mut self, task: TaskId, mask: EventMask, world: &mut W) -> Result<(), OsError> {
-        let now = self.now;
-        match &mut self.services {
-            Services::Kernel(k) => k.set_event(task, mask, world),
-            Services::Detached(t) => {
-                t.record(now, "detached", "os-call", format!("SetEvent({task}, {mask})"));
-                Ok(())
-            }
-        }
+    /// Propagates the kernel's event errors (unknown id, basic task,
+    /// suspended task).
+    pub fn set_event(
+        &mut self,
+        task: TaskId,
+        mask: EventMask,
+        world: &mut W,
+    ) -> Result<(), OsError> {
+        self.core.set_event(task, mask, world)
     }
 
     /// `CancelAlarm` on the alarm with the given raw id, executed
-    /// synchronously on the kernel. On a detached context the call records
-    /// an `os-call` trace event instead (testing seam) and reports `Ok`.
+    /// synchronously on the kernel (fault treatment stops a terminated
+    /// application's activation source this way).
     ///
     /// # Errors
     ///
-    /// Propagates the kernel's alarm errors.
+    /// Propagates the kernel's alarm errors (unknown id, not armed).
     pub fn cancel_alarm(&mut self, raw_alarm_id: u32) -> Result<(), OsError> {
-        let now = self.now;
-        match &mut self.services {
-            Services::Kernel(k) => k.cancel_alarm(raw_alarm_id),
-            Services::Detached(t) => {
-                t.record(now, "detached", "os-call", format!("CancelAlarm({raw_alarm_id})"));
-                Ok(())
-            }
-        }
+        self.core.cancel_alarm(AlarmId(raw_alarm_id))
+    }
+
+    /// State of a task (for effects that branch on readiness).
+    ///
+    /// # Errors
+    ///
+    /// [`OsError::InvalidId`] for an unknown id.
+    pub fn task_state(&self, task: TaskId) -> Result<TaskState, OsError> {
+        self.core.task_state(task)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Os;
+    use crate::task::{Priority, TaskConfig};
     use easis_sim::time::Duration;
 
     type W = u32;
@@ -750,121 +526,15 @@ mod tests {
 
     #[test]
     fn closure_acts_as_task_body() {
-        let mut body = |_now: Instant, _w: &W| Plan::<W>::new().compute(Duration::from_micros(1));
-        let plan = body.plan(Instant::ZERO, &0);
+        // The blanket impl hands the closure the activation time and the
+        // world it plans against.
+        let mut body = |now: Instant, w: &W| {
+            Plan::<W>::new().compute(Duration::from_micros(now.as_micros() + u64::from(*w)))
+        };
+        let mut plan = Plan::new();
+        body.plan_into(Instant::from_micros(5), &2, &mut plan);
         assert_eq!(plan.len(), 1);
-    }
-
-    #[test]
-    fn detached_direct_calls_record_trace_events() {
-        // The testing seam: without a kernel behind the context, the direct
-        // service API records what the body asked for on the trace so body
-        // unit tests can assert on it.
-        let mut trace = TraceRecorder::new();
-        {
-            let mut ctx: EffectCtx<'_, W> =
-                EffectCtx::new(Instant::from_micros(5), TaskId(0), &mut trace);
-            assert!(ctx.kernel().is_none());
-            let mut w: W = 0;
-            ctx.activate_task(TaskId(2), &mut w).unwrap();
-            ctx.set_event(TaskId(3), EventMask::bit(1), &mut w).unwrap();
-            ctx.cancel_alarm(7).unwrap();
-        }
-        let calls: Vec<&str> = trace.of_kind("os-call").map(|e| e.detail.as_str()).collect();
-        assert_eq!(
-            calls,
-            vec![
-                "ActivateTask(T2)",
-                "SetEvent(T3, 0b00000010)",
-                "CancelAlarm(7)",
-            ]
-        );
-        assert!(trace.events().iter().all(|e| e.source == "detached"));
-    }
-
-    struct RecordingCore {
-        activated: Vec<TaskId>,
-        events: Vec<(TaskId, EventMask)>,
-        cancelled: Vec<u32>,
-        trace: TraceRecorder,
-    }
-
-    impl ServiceCore<W> for RecordingCore {
-        fn activate_task(&mut self, task: TaskId, world: &mut W) -> Result<(), OsError> {
-            *world += 1;
-            self.activated.push(task);
-            Ok(())
-        }
-        fn set_event(&mut self, task: TaskId, mask: EventMask, _w: &mut W) -> Result<(), OsError> {
-            self.events.push((task, mask));
-            Ok(())
-        }
-        fn cancel_alarm_raw(&mut self, raw: u32) -> Result<(), OsError> {
-            self.cancelled.push(raw);
-            Err(OsError::AlarmNotInUse)
-        }
-        fn task_state(&self, _task: TaskId) -> Result<TaskState, OsError> {
-            Ok(TaskState::Ready)
-        }
-        fn trace_mut(&mut self) -> &mut TraceRecorder {
-            &mut self.trace
-        }
-        fn trace_enabled(&self) -> bool {
-            self.trace.is_enabled()
-        }
-    }
-
-    #[test]
-    fn kernel_backed_direct_calls_execute_synchronously() {
-        let mut core = RecordingCore {
-            activated: Vec::new(),
-            events: Vec::new(),
-            cancelled: Vec::new(),
-            trace: TraceRecorder::new(),
-        };
-        let mut w: W = 0;
-        {
-            let mut ctx =
-                EffectCtx::for_kernel(Instant::from_micros(9), TaskId(1), KernelServices::new(&mut core));
-            assert!(ctx.kernel().is_some());
-            ctx.activate_task(TaskId(4), &mut w).unwrap();
-            ctx.set_event(TaskId(5), EventMask::bit(2), &mut w).unwrap();
-            assert_eq!(ctx.cancel_alarm(3), Err(OsError::AlarmNotInUse));
-            assert_eq!(ctx.kernel().unwrap().task_state(TaskId(0)), Ok(TaskState::Ready));
-        }
-        assert_eq!(w, 1, "activation executed during the effect");
-        assert_eq!(core.activated, vec![TaskId(4)]);
-        assert_eq!(core.events, vec![(TaskId(5), EventMask::bit(2))]);
-        assert_eq!(core.cancelled, vec![3]);
-    }
-
-    #[test]
-    fn effect_ctx_traces_at_current_time() {
-        let mut trace = TraceRecorder::new();
-        {
-            let mut ctx: EffectCtx<'_, W> =
-                EffectCtx::new(Instant::from_micros(7), TaskId(0), &mut trace);
-            ctx.trace("body", "mark", "x");
-        }
-        assert_eq!(trace.events()[0].at, Instant::from_micros(7));
-    }
-
-    #[test]
-    fn kernel_backed_trace_lands_on_the_core_recorder() {
-        let mut core = RecordingCore {
-            activated: Vec::new(),
-            events: Vec::new(),
-            cancelled: Vec::new(),
-            trace: TraceRecorder::new(),
-        };
-        {
-            let mut ctx: EffectCtx<'_, W> =
-                EffectCtx::for_kernel(Instant::from_micros(11), TaskId(0), KernelServices::new(&mut core));
-            assert!(ctx.trace_enabled());
-            ctx.trace("body", "mark", "y");
-        }
-        assert_eq!(core.trace.events()[0].at, Instant::from_micros(11));
-        assert_eq!(core.trace.events()[0].kind, "mark");
+        assert!(matches!(plan.pop(), Some(Step::Compute(d)) if d == Duration::from_micros(7)));
     }
 
     #[test]
@@ -983,12 +653,15 @@ mod tests {
     fn default_run_effect_rejects_unclaimed_tokens() {
         struct NoEffects;
         impl TaskBody<W> for NoEffects {
-            fn plan_into(&mut self, _now: Instant, _world: &W, _out: &mut Plan<W>) {}
+            fn plan_into(&mut self, _now: Instant, _world: &W, out: &mut Plan<W>) {
+                out.push_effect_ref(9);
+            }
         }
-        let mut body = NoEffects;
+        let mut os: Os<W> = Os::new();
+        let t = os.add_task(TaskConfig::new("t", Priority(1)), NoEffects);
         let mut w: W = 0;
-        let mut trace = TraceRecorder::new();
-        let mut ctx = EffectCtx::new(Instant::ZERO, TaskId(0), &mut trace);
-        body.run_effect(9, &mut w, &mut ctx);
+        os.start(&mut w);
+        os.activate_task(t, &mut w).unwrap();
+        os.run_until(Instant::from_micros(1), &mut w);
     }
 }

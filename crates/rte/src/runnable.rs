@@ -248,6 +248,9 @@ pub trait HeartbeatSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use easis_osek::kernel::Os;
+    use easis_osek::plan::Plan;
+    use easis_osek::task::{Priority, TaskConfig};
 
     #[test]
     fn cost_model_combines_base_and_loop() {
@@ -278,17 +281,29 @@ mod tests {
         assert_eq!(s.nominal_cost(), Duration::from_micros(16));
     }
 
+    /// Runs `logic` once as a task's effect on a started kernel and
+    /// returns the world it leaves.
+    fn run_as_effect(logic: RunnableLogic<u32>, mut world: u32) -> u32 {
+        let mut os: Os<u32> = Os::new();
+        let task = os.add_task(
+            TaskConfig::new("t", Priority(1)),
+            move |_: Instant, _: &u32| {
+                let logic = Arc::clone(&logic);
+                Plan::new().effect(move |w, ctx| logic(w, ctx))
+            },
+        );
+        os.start(&mut world);
+        os.activate_task(task, &mut world).unwrap();
+        os.run_until(Instant::from_micros(1), &mut world);
+        world
+    }
+
     #[test]
     fn runnable_def_shares_logic() {
         let spec = RunnableSpec::new(RunnableId(0), "r", Duration::ZERO);
         let def: RunnableDef<u32> = RunnableDef::new(spec, |w, _| *w += 1);
         let cloned = def.clone();
-        let logic = cloned.logic();
-        let mut w = 0u32;
-        let mut trace = easis_sim::trace::TraceRecorder::new();
-        let mut ctx = EffectCtx::new(Instant::ZERO, easis_osek::task::TaskId(0), &mut trace);
-        logic(&mut w, &mut ctx);
-        assert_eq!(w, 1);
+        assert_eq!(run_as_effect(cloned.logic(), 0), 1);
         assert_eq!(def.spec().name(), "r");
     }
 
@@ -296,11 +311,6 @@ mod tests {
     fn no_op_runnable_has_empty_logic() {
         let spec = RunnableSpec::new(RunnableId(0), "idle", Duration::from_micros(5));
         let def: RunnableDef<u32> = RunnableDef::no_op(spec);
-        let logic = def.logic();
-        let mut w = 7u32;
-        let mut trace = easis_sim::trace::TraceRecorder::new();
-        let mut ctx = EffectCtx::new(Instant::ZERO, easis_osek::task::TaskId(0), &mut trace);
-        logic(&mut w, &mut ctx);
-        assert_eq!(w, 7);
+        assert_eq!(run_as_effect(def.logic(), 7), 7);
     }
 }

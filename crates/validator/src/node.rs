@@ -62,10 +62,6 @@ pub struct NodeConfig {
     pub window_factor: u32,
     /// Keep monitoring runnables of faulty tasks (ablation switch).
     pub keep_monitoring_faulty: bool,
-    /// Hardware-watchdog timeout.
-    pub hw_timeout: Duration,
-    /// Execution budget per task = nominal cost × this factor.
-    pub budget_factor: u64,
     /// Fault-treatment policy.
     pub policy: TreatmentPolicy,
     /// Global CPU-speed scale in ppm: every compute cost is multiplied by
@@ -97,8 +93,6 @@ impl Default for NodeConfig {
             error_threshold: 3,
             window_factor: 1,
             keep_monitoring_faulty: false,
-            hw_timeout: Duration::from_millis(50),
-            budget_factor: 8,
             policy: TreatmentPolicy::default(),
             cpu_scale_ppm: 1_000_000,
             obs_capacity: None,
@@ -117,6 +111,15 @@ impl NodeConfig {
         }
     }
 }
+
+/// Hardware-watchdog timeout.
+const HW_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Cycle of the hardware-watchdog kick task.
+const HW_KICK_PERIOD: Duration = Duration::from_millis(10);
+
+/// Execution budget per application task = nominal cost × this factor.
+const BUDGET_FACTOR: u64 = 8;
 
 /// Rejected certifications in one span that retry after the 1 ms phase
 /// nudge alone. Every later rejection first runs an event-level back-off.
@@ -272,7 +275,7 @@ impl CentralNode {
                 .mul_f64(cpu_scale);
             let task_cfg = TaskConfig::new(bundle.task_name, bundle.priority)
                 .with_deadline(bundle.period)
-                .with_execution_budget(nominal * config.budget_factor)
+                .with_execution_budget(nominal * BUDGET_FACTOR)
                 .with_max_activations(2);
             let body = SequencedTask::fixed(bundle.task_name, bundle.runnables);
             let task = os.add_task(task_cfg, body);
@@ -332,7 +335,7 @@ impl CentralNode {
             mapping.application_count(),
         );
         fmf.attach_obs(obs.clone());
-        let mut world = CentralWorld::new(signals, watchdog, fmf, config.hw_timeout);
+        let mut world = CentralWorld::new(signals, watchdog, fmf, HW_TIMEOUT);
         world.obs = obs;
         world
             .controls
@@ -421,8 +424,7 @@ impl CentralNode {
             a / gcd(a as u64, b) as u128 * b as u128
         }
         let wd_us = config.wd_period.as_micros();
-        // The HwKick task's cycle is fixed at 10 ms in `start()`.
-        let mut h_us: u128 = lcm(wd_us as u128, 10_000);
+        let mut h_us: u128 = lcm(wd_us as u128, HW_KICK_PERIOD.as_micros());
         for &period in periods.values() {
             let (cycles, _) = Self::hypothesis_shape(period, config.wd_period, config.window_factor);
             h_us = lcm(h_us, period.as_micros());
@@ -516,7 +518,7 @@ impl CentralNode {
         for (name, &alarm) in &self.alarms {
             let (offset, cycle) = match name.as_str() {
                 "SoftwareWatchdogTask" => (wd_period, wd_period),
-                "HwKickTask" => (Duration::from_millis(1), Duration::from_millis(10)),
+                "HwKickTask" => (Duration::from_millis(1), HW_KICK_PERIOD),
                 task_name => {
                     let period = self.periods[task_name];
                     (period / 2, period)
@@ -1276,7 +1278,7 @@ mod tests {
             let h = node.hyperperiod();
             assert!(!h.is_zero());
             assert!((h % node.config().wd_period).is_zero());
-            assert!((h % Duration::from_millis(10)).is_zero(), "HwKick cycle");
+            assert!((h % HW_KICK_PERIOD).is_zero(), "HwKick cycle");
             for &period in node.periods.values() {
                 assert!((h % period).is_zero(), "{h:?} vs {period:?}");
             }

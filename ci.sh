@@ -115,7 +115,7 @@ if grep -rnE 'struct [A-Za-z]*Snapshot|fn snapshot_into|fn restore_from' \
 fi
 
 echo "==> kernel state is canonical (no monotonic scheduler counters)"
-# The kernel keeps its ready tasks in dispatch order, breaks timer ties by
+# The kernel keeps its ready tasks in priority order, breaks timer ties by
 # position and counts only queued activations, so a hyperperiod moves its
 # checkpoint only in time. A ready key, a timer sequence number or an
 # activation counter that grows forever would have to be measured and
@@ -161,6 +161,14 @@ echo "==> macro-stepping and mid-window round-trip property tests in verify mode
 # reproducible.
 EASIS_FASTFORWARD=verify PROPTEST_CASES=100 PROPTEST_SEED_SALT=1 \
   cargo test -q --test properties -- fault_tails_certify macro_stepp capture_inside
+
+echo "==> scheduler property tests (fresh proptest draws)"
+# The kernel keeps its ready list in priority bands and decides by its
+# head; debug builds assert the band order at every decision, so fresh
+# random task sets check the order as well as the fixed-priority
+# properties. A fixed salt keeps the run reproducible.
+PROPTEST_CASES=100 PROPTEST_SEED_SALT=1 \
+  cargo test -q -p easis-osek --test scheduler_properties
 
 echo "==> validator unit tests in verify mode"
 # The validator's unit tests jump too: the forked-runner tests at

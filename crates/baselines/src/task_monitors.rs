@@ -125,6 +125,12 @@ impl TaskMonitor {
         self.stats.lock().expect("stats lock").advance(growth, k);
     }
 
+    /// Runs `f` on the collected statistics under their lock, without
+    /// copying them (certification compares a sample with them in place).
+    pub fn with_stats<R>(&self, f: impl FnOnce(&TaskMonitorStats) -> R) -> R {
+        f(&self.stats.lock().expect("stats lock"))
+    }
+
     /// Earliest detection without copying the statistics.
     pub fn first_detection(&self) -> Option<(TaskId, Instant)> {
         self.stats.lock().expect("stats lock").first_detection()

@@ -229,15 +229,34 @@ impl SoftwareWatchdog {
                 kind: FaultKind::ProgramFlow,
             };
             state.outbox.push(fault);
+            let Some(task) = self.task_of_scope(scope) else {
+                return; // an unmapped runnable counts under no task
+            };
             let mut changes = std::mem::take(&mut self.change_scratch);
             changes.clear();
-            state
+            self.state
                 .tsi
-                .record_into(&self.tsi, fault, &mut changes, &self.obs);
+                .record_into(&self.tsi, fault, task, &mut changes, &self.obs);
             self.apply_state_changes(&changes);
             self.state.state_outbox.extend_from_slice(&changes);
             self.change_scratch = changes;
         }
+    }
+
+    /// The task hosting the runnable of `fault`, read off the compiled
+    /// slot tables: the runnable's slot, its scope, the task interned
+    /// there. A runnable outside the index, or in the unmapped scope, is
+    /// hosted by no task.
+    fn hosting_task(&self, fault: &DetectedFault) -> Option<TaskId> {
+        let slot = self.config.runnable_index().slot_of_runnable(fault.runnable)?;
+        self.task_of_scope(self.slot_scope[slot as usize] as usize)
+    }
+
+    /// The task interned at `task_index` slot `scope`, or `None` for the
+    /// trailing unmapped scope.
+    fn task_of_scope(&self, scope: usize) -> Option<TaskId> {
+        let tasks = self.config.task_index();
+        (scope < tasks.len()).then(|| TaskId(tasks.id_at(scope as u32)))
     }
 
     /// The periodic watchdog task body: advances all cycle counters,
@@ -275,10 +294,13 @@ impl SoftwareWatchdog {
             .end_of_cycle_into(now, &mut state.costs, &mut report.faults, &self.obs);
         for i in 0..report.faults.len() {
             let fault = report.faults[i];
+            let Some(task) = self.hosting_task(&fault) else {
+                continue;
+            };
             let start = report.state_changes.len();
             self.state
                 .tsi
-                .record_into(&self.tsi, fault, &mut report.state_changes, &self.obs);
+                .record_into(&self.tsi, fault, task, &mut report.state_changes, &self.obs);
             self.apply_state_changes(&report.state_changes[start..]);
         }
         let state = &mut self.state;

@@ -139,23 +139,27 @@ impl TsiState {
     /// runnables are counted under no task and change nothing.
     pub fn record(&mut self, tsi: &TaskStateIndication, fault: DetectedFault) -> Vec<StateChange> {
         let mut changes = Vec::new();
-        self.record_into(tsi, fault, &mut changes, &ObsSink::DISABLED);
+        if let Some(task) = tsi.mapping.task_of(fault.runnable) {
+            self.record_into(tsi, fault, task, &mut changes, &ObsSink::DISABLED);
+        }
         changes
     }
 
-    /// Like [`TsiState::record`], but appends the state changes to a
-    /// caller-supplied buffer so a below-threshold fault performs no
-    /// allocation, and records each increment and transition to `obs`.
+    /// Like [`TsiState::record`] for a fault on a runnable that `task`
+    /// hosts, resolved by the caller (the watchdog reads it off its
+    /// compiled slot tables instead of probing the mapping). Appends the
+    /// state changes to a caller-supplied buffer so a below-threshold
+    /// fault performs no allocation, and records each increment and
+    /// transition to `obs`.
     pub fn record_into(
         &mut self,
         tsi: &TaskStateIndication,
         fault: DetectedFault,
+        task: TaskId,
         changes: &mut Vec<StateChange>,
         obs: &ObsSink,
     ) {
-        let Some(task) = tsi.mapping.task_of(fault.runnable) else {
-            return;
-        };
+        debug_assert_eq!(tsi.mapping.task_of(fault.runnable), Some(task));
         let count = &mut self.counts[fault.runnable.index() * KINDS + fault.kind as usize];
         *count += 1;
         obs.record(

@@ -117,7 +117,8 @@ easis_sim::clone_fields! {
         timers: EventQueue<KernelEvent>,
         now: Instant,
         running: Option<TaskId>,
-        /// The `Ready` and `Running` tasks in dispatch order (see
+        /// The `Ready` and `Running` tasks by `current_priority`, highest
+        /// first, each priority band in dispatch order (see
         /// [`Core::best_eligible`]).
         ready: Vec<TaskId>,
         trace: TraceRecorder,
@@ -672,9 +673,10 @@ impl<W> Os<W> {
                     let state = &mut self.core.state;
                     state.holders[r] = Some(id);
                     let tcb = &mut state.tasks[i];
-                    tcb.held.push(rid, tcb.current_priority);
-                    if ceiling > tcb.current_priority {
-                        tcb.current_priority = ceiling;
+                    let prior = tcb.current_priority;
+                    tcb.held.push(rid, prior);
+                    if ceiling > prior {
+                        self.core.reprioritize(id, ceiling);
                     }
                 }
                 Step::ReleaseResource(rid) => {
@@ -687,7 +689,7 @@ impl<W> Os<W> {
                     match restored {
                         Some(prior) => {
                             self.core.state.holders[r] = None;
-                            self.core.state.tasks[i].current_priority = prior;
+                            self.core.reprioritize(id, prior);
                             // Dropping priority may enable preemption.
                             if self.core.pick_next() != Some(id) {
                                 return false;
@@ -811,6 +813,8 @@ impl<W> Os<W> {
 
     fn terminate_running(&mut self, id: TaskId, world: &mut W) {
         let i = id.index();
+        // Out of its band before a forced release below drops its priority.
+        self.core.leave_ready(id, TaskState::Suspended);
         // OSEK: terminating with occupied resources is an error; release them.
         if !self.core.state.tasks[i].held.is_empty() {
             self.core.report_error(OsError::ResourceOrder, world);
@@ -831,11 +835,10 @@ impl<W> Os<W> {
         state.running = None;
         self.core.record(id, "terminate");
         self.core.fire_hook(HookEvent::Terminate(id), world);
-        // Queued activation pending? Re-enter ready immediately.
+        // Queued activation pending? Re-enter ready immediately, at the
+        // back of the band.
         if self.core.state.tasks[i].queued > 0 {
             self.core.make_ready(id, false);
-        } else {
-            self.core.leave_ready(id, TaskState::Suspended);
         }
     }
 }
@@ -1068,17 +1071,21 @@ impl<W> Core<W> {
         }
     }
 
-    /// Makes `id` `Ready`, at the front of the ready order (a preempted or
-    /// yielding task) or at its back (every other readied task).
+    /// Makes `id` `Ready`. A preempted or yielding task (`front`) is the
+    /// running one, which heads its priority band already and keeps that
+    /// place; every other task joins the back of its band, after the
+    /// tasks of its priority that were readied before it.
     fn make_ready(&mut self, id: TaskId, front: bool) {
         let state = &mut self.state;
         state.tasks[id.index()].state = TaskState::Ready;
-        state.ready.retain(|&t| t != id);
         if front {
-            state.ready.insert(0, id);
-        } else {
-            state.ready.push(id);
+            debug_assert!(state.heads_its_band(id), "the running task heads its band");
+            return;
         }
+        debug_assert!(!state.ready.contains(&id), "readied twice");
+        let priority = state.tasks[id.index()].current_priority;
+        let at = state.first_below(|p| p < priority);
+        state.ready.insert(at, id);
     }
 
     /// Moves the running task `id` to `Waiting` or `Suspended`, out of the
@@ -1086,30 +1093,41 @@ impl<W> Core<W> {
     fn leave_ready(&mut self, id: TaskId, to: TaskState) {
         let state = &mut self.state;
         state.tasks[id.index()].state = to;
-        state.ready.retain(|&t| t != id);
+        let at = state.position_of(id);
+        state.ready.remove(at);
     }
 
-    /// The highest-priority eligible task: the first task of the highest
-    /// `current_priority` in the ready order. Readied tasks join at the
-    /// back (FIFO within a priority) and a preempted one re-enters at the
-    /// front, ahead of every task that waited.
-    ///
-    /// A plain scan of the ready list rather than a queue per priority:
-    /// the campaign node's kernel runs five tasks, and at most four were
-    /// `Ready` at once over ~77 M dispatch decisions of all four
-    /// `easis_bench` workloads (seed 1, `--quick`; none were `Ready` in 62%
-    /// of them). Kept a plain loop: a `filter`/`max_by_key` chain measured
-    /// ~40% more time per simulated millisecond on the campaign node
-    /// (2-core x86-64 Xeon).
+    /// Sets the running task's `current_priority` (a resource ceiling
+    /// raised or restored) and moves it to the front of its new band: it
+    /// keeps the CPU against the tasks of that priority that wait.
+    fn reprioritize(&mut self, id: TaskId, priority: Priority) {
+        let state = &mut self.state;
+        let from = state.position_of(id);
+        state.ready.remove(from);
+        state.tasks[id.index()].current_priority = priority;
+        let to = state.first_below(|p| p <= priority);
+        state.ready.insert(to, id);
+    }
+
+    /// The highest-priority eligible task: the head of the ready order.
+    /// The order keeps each priority band first-in, first-out, except
+    /// that a preempted or yielding task keeps the front of its band and
+    /// a task whose resource ceiling raises or restores its priority
+    /// takes the front of the new one. So the decision is one load,
+    /// however many tasks wait: starved tasks stay `Ready` through
+    /// overloaded windows, and a scan of the list made the dispatch
+    /// decision one of the costliest steps of event-level simulation.
+    /// Debug builds check the order at every decision.
     fn best_eligible(&self) -> Option<TaskId> {
-        let mut best: Option<(TaskId, Priority)> = None;
-        for &id in &self.state.ready {
-            let priority = self.state.tasks[id.index()].current_priority;
-            if best.is_none_or(|(_, p)| priority > p) {
-                best = Some((id, priority));
-            }
-        }
-        best.map(|(id, _)| id)
+        let state = &self.state;
+        debug_assert!(
+            state.ready.windows(2).all(|pair| {
+                state.tasks[pair[0].index()].current_priority
+                    >= state.tasks[pair[1].index()].current_priority
+            }),
+            "ready order out of priority order"
+        );
+        state.ready.first().copied()
     }
 
     /// Picks the task that should run now, honouring non-preemptability.
@@ -1122,7 +1140,7 @@ impl<W> Core<W> {
             }
         }
         // The running task keeps the CPU against equal-priority ready tasks:
-        // it was first of its priority when dispatched and keeps its place.
+        // it heads its band from dispatch until it leaves the CPU.
         self.best_eligible()
     }
 
@@ -1168,6 +1186,32 @@ impl<W> std::fmt::Debug for Os<W> {
 }
 
 impl<W> OsState<W> {
+    /// The position of the first ready task whose `current_priority`
+    /// satisfies `below`, or the end of the order. The list holds at most
+    /// a few tasks, so a scan from the front beats a binary search.
+    fn first_below(&self, below: impl Fn(Priority) -> bool) -> usize {
+        self.ready
+            .iter()
+            .position(|t| below(self.tasks[t.index()].current_priority))
+            .unwrap_or(self.ready.len())
+    }
+
+    /// The position of the running task `id` in the ready order.
+    fn position_of(&self, id: TaskId) -> usize {
+        debug_assert!(self.heads_its_band(id), "the running task heads its band");
+        self.ready
+            .iter()
+            .position(|&t| t == id)
+            .expect("the running task is in the ready order")
+    }
+
+    /// Whether `id` is the first task of its priority band, as the
+    /// running task always is.
+    fn heads_its_band(&self, id: TaskId) -> bool {
+        let priority = self.tasks[id.index()].current_priority;
+        self.ready.get(self.first_below(|p| p <= priority)) == Some(&id)
+    }
+
     /// The simulated instant at which the state was captured.
     pub fn taken_at(&self) -> Instant {
         self.now
@@ -1335,6 +1379,57 @@ mod tests {
             w,
             vec!["hi@4000".to_string(), "a@6000".to_string(), "b@7000".to_string()]
         );
+    }
+
+    #[test]
+    fn a_ceiling_change_puts_the_running_task_at_the_front_of_its_band() {
+        // `lo` cannot be preempted, so tasks of its priority band wait
+        // `Ready` while its priority moves: raised to the ceiling of R with
+        // `p5a`, `p5b` waiting there, restored with `p1a`, `p1b` waiting.
+        let mut os: Os<W> = Os::new();
+        let r = ResourceId(0);
+        let p5a = TaskId(1);
+        let p5b = TaskId(2);
+        let p1a = TaskId(3);
+        let p1b = TaskId(4);
+        let lo = os.add_task(
+            TaskConfig::new("lo", Priority(1)).non_preemptable(),
+            move |_: Instant, _: &W| {
+                Plan::new()
+                    .step(Step::ActivateTask(p5a))
+                    .step(Step::ActivateTask(p5b))
+                    .step(Step::GetResource(r))
+                    .step(Step::Schedule)
+                    .step(Step::ActivateTask(p1a))
+                    .step(Step::ActivateTask(p1b))
+                    .compute(ms(1))
+                    .effect(|w: &mut W, ctx| w.push(format!("held@{}", ctx.now().as_micros())))
+                    .step(Step::ReleaseResource(r))
+                    .step(Step::Schedule)
+                    .compute(ms(1))
+                    .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros())))
+            },
+        );
+        for (name, priority) in [("p5a", 5), ("p5b", 5), ("p1a", 1), ("p1b", 1)] {
+            os.add_task(TaskConfig::new(name, Priority(priority)), log_body(name, ms(1)));
+        }
+        os.add_resource("R", Priority(5));
+        let mut w = W::new();
+        os.start(&mut w);
+        os.activate_task(lo, &mut w).unwrap();
+        os.run_until(Instant::from_micros(500), &mut w);
+        // Raised: `lo` heads the ceiling's band, ahead of the tasks that
+        // were readied there before it, so `Schedule` kept it running.
+        assert_eq!(os.state().ready, vec![lo, p5a, p5b, p1a, p1b]);
+        os.run_until(Instant::from_millis(20), &mut w);
+        // Restored: `lo` yields to the priority-5 band at `Schedule` and
+        // then resumes ahead of `p1a` and `p1b`; each band runs in the
+        // order its tasks were readied.
+        assert_eq!(
+            w,
+            vec!["held@1000", "p5a@2000", "p5b@3000", "lo@4000", "p1a@5000", "p1b@6000"]
+        );
+        assert_eq!(os.trace().count_kind("yield"), 1);
     }
 
     #[test]

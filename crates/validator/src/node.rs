@@ -614,10 +614,10 @@ impl CentralNode {
     /// When the span is eligible ([`CentralNode::set_fastforward`],
     /// `EASIS_FASTFORWARD`, no enabled traces), the hyperperiod
     /// macro-stepping engine first certifies the steady-state schedule —
-    /// simulate one hyperperiod, measure the counter advances and the
-    /// growth of write-only detection bookkeeping between the checkpoints
-    /// at both ends, advance the first checkpoint by them and require it
-    /// to equal the second — and then fast-forwards every whole
+    /// capture a sample, simulate one hyperperiod, measure the counter
+    /// advances and the growth of write-only detection bookkeeping from
+    /// the sample to the live node, advance the sample by them and require
+    /// it to equal the live node — and then fast-forwards every whole
     /// hyperperiod left in the span in one jump. That holds inside an
     /// armed injection window too: the injector acts only at its arming
     /// and disarming ticks, which bound the span, and a persistent fault
@@ -677,10 +677,12 @@ impl CentralNode {
     /// level, so an armed window that never settles costs few
     /// certifications.
     fn macro_step_span(&mut self, end: Instant) {
-        // The engine state moves out while the node simulates (`run_until`
-        // needs `&mut self.os`/`&mut self.world` alongside the buffers).
-        let mut ff = std::mem::take(&mut self.ffwd);
-        let h = ff.h;
+        // The buffers move out while the node simulates (`run_until` needs
+        // `&mut self.os`/`&mut self.world` alongside them); a box moves
+        // without building a placeholder checkpoint in their place.
+        let mut buffers = self.ffwd.buffers.take().unwrap_or_default();
+        let CertBuffers { sample, delta } = &mut *buffers;
+        let h = self.ffwd.h;
         let mut rejections = 0;
         loop {
             let now = self.os.now();
@@ -689,11 +691,10 @@ impl CentralNode {
             if end.saturating_duration_since(now) < h * 2 {
                 break;
             }
-            self.snapshot_into(&mut ff.img_a);
+            self.snapshot_into(sample);
             self.os.run_until(now + h, &mut self.world);
-            self.snapshot_into(&mut ff.img_b);
-            if !certify(&mut ff.img_a, &ff.img_b, h, &self.world.watchdog, &mut ff.delta) {
-                ff.stats.fallbacks += 1;
+            if !certify(sample, self, h, delta) {
+                self.ffwd.stats.fallbacks += 1;
                 rejections += 1;
                 // One-millisecond phase nudge: a rejected sample may sit
                 // exactly on a task-period boundary where the kernel is
@@ -713,7 +714,7 @@ impl CentralNode {
                 self.os.run_until(resume_at, &mut self.world);
                 continue;
             }
-            ff.stats.certifications += 1;
+            self.ffwd.stats.certifications += 1;
             // One jump over every whole hyperperiod left (at least one:
             // two remained before the certification hyperperiod).
             // DTC age-outs on the way need no simulation: nothing in a
@@ -724,26 +725,27 @@ impl CentralNode {
             // retires the records the event level would. The same advance
             // functions moved the sample in `certify`.
             let k = end.saturating_duration_since(self.os.now()) / h;
-            self.advance(&ff.delta, k);
-            ff.stats.fastforwarded += h * k;
-            if ff.verify {
-                // Shadow the jump: rewind to the certified checkpoint, run
-                // the same span at event level and compare end states.
-                self.snapshot_into(&mut ff.img_a);
-                self.restore_from(&ff.img_b);
-                self.os.run_until(ff.img_a.taken_at(), &mut self.world);
-                let replayed = self.snapshot();
-                if let Some(difference) = first_difference(&ff.img_a, &replayed) {
+            self.advance(delta, k);
+            self.ffwd.stats.fastforwarded += h * k;
+            if self.ffwd.verify {
+                // Shadow the jump: rewind to the advanced sample, which
+                // equalled the live node when certification accepted it,
+                // run the same span at event level and compare end states.
+                let jumped = self.snapshot();
+                let certified_at = sample.taken_at();
+                self.restore_from(sample);
+                self.os.run_until(jumped.taken_at(), &mut self.world);
+                self.snapshot_into(sample);
+                if let Some(difference) = first_difference(&jumped, sample) {
                     panic!(
-                        "EASIS_FASTFORWARD=verify: a {k}-hyperperiod jump from {:?} \
-                         diverged from event-level simulation at {difference}",
-                        ff.img_b.taken_at()
+                        "EASIS_FASTFORWARD=verify: a {k}-hyperperiod jump from {certified_at:?} \
+                         diverged from event-level simulation at {difference}"
                     );
                 }
             }
             break;
         }
-        self.ffwd = ff;
+        self.ffwd.buffers = Some(buffers);
     }
 
     /// Jumps the live node `k` certified hyperperiods ahead: the same
@@ -844,7 +846,7 @@ pub struct FfwdStats {
 
 /// The per-node macro-stepping engine: the configuration-derived
 /// hyperperiod, the per-node override, whether jumps are shadowed
-/// ([`crate::ffwd::Mode::Verify`]), the retained checkpoint/delta buffers
+/// ([`crate::ffwd::Mode::Verify`]), the retained sample and delta buffers
 /// (so repeated certifications are allocation-free in the steady state),
 /// and the per-node counters.
 #[derive(Debug, Default)]
@@ -852,9 +854,9 @@ struct FfwdState {
     h: Duration,
     enabled_override: Option<bool>,
     verify: bool,
-    img_a: NodeSnapshot,
-    img_b: NodeSnapshot,
-    delta: NodeCycleDelta,
+    /// `None` until the first certification attempt, and while
+    /// [`CentralNode::macro_step_span`] has the buffers out.
+    buffers: Option<Box<CertBuffers>>,
     stats: FfwdStats,
 }
 
@@ -868,7 +870,15 @@ impl FfwdState {
     }
 }
 
-/// One hyperperiod's motion, measured between two checkpoints by
+/// Certification's buffers: the one sample it captures per attempt and
+/// the delta it measures from that sample to the live node.
+#[derive(Debug, Default)]
+struct CertBuffers {
+    sample: NodeSnapshot,
+    delta: NodeCycleDelta,
+}
+
+/// One hyperperiod's motion, measured from a sample to the live node by
 /// [`certify`]: the kernel's cycle program, the watchdog's meter advance
 /// and detection-count growth, the FMF's DTC aging, occurrence growth and
 /// log entries, the hardware watchdog's kick shift and expirations, the
@@ -888,52 +898,58 @@ struct NodeCycleDelta {
     signal_slots: Vec<u32>,
 }
 
-/// Certifies that checkpoint `b`, taken `h` after `a`, is `a` one
-/// hyperperiod on: refuse, measure, advance, compare. Four O(1)
-/// refusals run first, before anything is copied: a changed DTC record
-/// count, a different running task or task state, changed runnable
-/// controls, changed verdicts. Then each component state
-/// measures its independent counter advances and the growth of its
-/// write-only detection bookkeeping into `delta` (`watchdog` lends the
+/// Certifies that the live `node`, `h` after it was captured in sample
+/// `a`, is `a` one hyperperiod on: refuse, measure, advance, compare.
+/// Four O(1) refusals run first: a changed DTC record count, a different
+/// running task or task state, changed runnable controls, changed
+/// verdicts. Then each component measures its independent counter
+/// advances and the growth of its write-only detection bookkeeping from
+/// the sample to its live state into `delta` (the watchdog lends the
 /// mapping that tells which TSI counts are latched); `a` is advanced by
 /// them once, by the same functions that later jump the live node `k`
-/// hyperperiods, and the sample certifies only when the result equals
-/// `b`. Every field that no advance moves — treatments, controls,
-/// scheduling state, verdicts, values, first detections, pending DTC
-/// records, and any field added later — must therefore be unchanged, and
-/// every linked counter must have moved with the one it follows. A new
-/// counter that no advance moves makes every certification reject: the
-/// engine then runs at event level, slower but exact. On success
-/// `a == b`.
+/// hyperperiods, and the sample certifies only when the result equals the
+/// live node ([`NodeSnapshot::matches`]). No second capture is taken: the
+/// components are read in place. Every field that no advance moves —
+/// treatments, controls, scheduling state, verdicts, values, first
+/// detections, pending DTC records, and any field added later — must
+/// therefore be unchanged, and every linked counter must have moved with
+/// the one it follows. A new counter that no advance moves makes every
+/// certification reject: the engine then runs at event level, slower but
+/// exact. On success `a` equals the live node.
 fn certify(
     a: &mut NodeSnapshot,
-    b: &NodeSnapshot,
+    node: &CentralNode,
     h: Duration,
-    watchdog: &SoftwareWatchdog,
     delta: &mut NodeCycleDelta,
 ) -> bool {
-    if !FmfState::same_dtc_count(&a.fmf, &b.fmf)
-        || !OsState::same_schedule(&a.os, &b.os)
-        || a.controls != b.controls
-        || !WatchdogState::same_verdicts(&a.watchdog, &b.watchdog)
+    let world = &node.world;
+    let (os, fmf, watchdog) = (node.os.state(), world.fmf.state(), world.watchdog.state());
+    if !FmfState::same_dtc_count(&a.fmf, fmf)
+        || !OsState::same_schedule(&a.os, os)
+        || a.controls != world.controls
+        || !WatchdogState::same_verdicts(&a.watchdog, watchdog)
     {
         return false;
     }
     let since = a.taken_at();
     delta.h = h;
-    if !delta.fault_log.measure(&a.fault_log, &b.fault_log, since, h)
-        || !FmfState::measure(&a.fmf, &b.fmf, since, h, &mut delta.fmf)
+    if !delta.fault_log.measure(&a.fault_log, &world.fault_log, since, h)
+        || !FmfState::measure(&a.fmf, fmf, since, h, &mut delta.fmf)
     {
         return false;
     }
-    delta.os = OsState::measure(&a.os, &b.os, h);
-    TaskMonitorStats::measure(&a.deadline_stats, &b.deadline_stats, &mut delta.deadline_stats);
-    TaskMonitorStats::measure(&a.exec_stats, &b.exec_stats, &mut delta.exec_stats);
-    delta.hw_watchdog = HardwareWatchdog::measure(&a.hw_watchdog, &b.hw_watchdog, h);
-    watchdog.measure(&a.watchdog, &b.watchdog, h, &mut delta.watchdog);
-    SignalState::measure(&a.signals, &b.signals, h, &mut delta.signal_slots);
+    delta.os = OsState::measure(&a.os, os, h);
+    node.deadline_monitor.with_stats(|b| {
+        TaskMonitorStats::measure(&a.deadline_stats, b, &mut delta.deadline_stats)
+    });
+    node.exec_monitor.with_stats(|b| {
+        TaskMonitorStats::measure(&a.exec_stats, b, &mut delta.exec_stats)
+    });
+    delta.hw_watchdog = HardwareWatchdog::measure(&a.hw_watchdog, &world.hw_watchdog, h);
+    world.watchdog.measure(&a.watchdog, watchdog, h, &mut delta.watchdog);
+    SignalState::measure(&a.signals, world.signals.state(), h, &mut delta.signal_slots);
     a.advance(delta, 1);
-    a == b
+    a.matches(node)
 }
 
 /// Names the first checkpoint field, in declaration order (the order in
@@ -1005,12 +1021,12 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
 ///
 /// Equality is exact: two checkpoints compare equal only when every
 /// captured field does (signal values bit for bit), which is how tests
-/// compare a macro-stepped run with an event-level one and how
-/// [`CentralNode::run_span`] certifies a hyperperiod. The derived `==`
-/// compares fields in declaration order and stops at the first
-/// difference: the treatment log, the runnable controls and the monitor
-/// statistics come first, then the FMF, the hardware watchdog, the
-/// kernel, the watchdog and the signals. The fault log comes last, because
+/// compare a macro-stepped run with an event-level one; certification
+/// compares a sample with the live node the same way
+/// (`NodeSnapshot::matches`). Both compare fields in declaration order
+/// and stop at the first difference: the treatment log, the runnable
+/// controls and the monitor statistics come first, then the FMF, the
+/// hardware watchdog, the kernel, the watchdog and the signals. The fault log comes last, because
 /// certification replays its growth and it is the longest field to
 /// compare.
 #[derive(Debug, PartialEq)]
@@ -1055,6 +1071,41 @@ impl NodeSnapshot {
     /// The simulated instant at which the snapshot was taken.
     pub fn taken_at(&self) -> Instant {
         self.os.taken_at()
+    }
+
+    /// Whether the checkpoint equals `node`'s live state: the `==` of a
+    /// capture of `node`, field by field in declaration order, without
+    /// taking the capture. The monitors' statistics are compared under
+    /// their lock. The destructure has no `..`, so a field added to the
+    /// checkpoint does not compile here until it is compared.
+    fn matches(&self, node: &CentralNode) -> bool {
+        let NodeSnapshot {
+            treatments,
+            ecu_resets,
+            rx_mailbox,
+            controls,
+            deadline_stats,
+            exec_stats,
+            fmf,
+            hw_watchdog,
+            os,
+            watchdog,
+            signals,
+            fault_log,
+        } = self;
+        let world = &node.world;
+        *treatments == world.treatments
+            && *ecu_resets == world.ecu_resets
+            && *rx_mailbox == world.rx_mailbox
+            && *controls == world.controls
+            && node.deadline_monitor.with_stats(|live| live == deadline_stats)
+            && node.exec_monitor.with_stats(|live| live == exec_stats)
+            && fmf == world.fmf.state()
+            && *hw_watchdog == world.hw_watchdog
+            && os == node.os.state()
+            && watchdog == world.watchdog.state()
+            && signals == world.signals.state()
+            && *fault_log == world.fault_log
     }
 
     /// Advances the checkpoint `k` hyperperiods by `delta`: the
@@ -1313,7 +1364,8 @@ mod tests {
 
     #[test]
     fn certification_compares_the_whole_checkpoint() {
-        // Each perturbation hits the node just before the second sample.
+        // Each perturbation hits the live node just before certification
+        // compares the advanced sample with it.
         // Only injector ticks touch runnable controls, and they bound every
         // span, but certification still compares the controls rather than
         // trusting that. A fault-log entry is the one perturbation that
@@ -1367,11 +1419,11 @@ mod tests {
             let mut a = node.snapshot();
             node.os.run_until(ms(1_003) + h, &mut node.world);
             perturb(&mut node);
-            let b = node.snapshot();
             let mut delta = NodeCycleDelta::default();
-            let certified = certify(&mut a, &b, h, &node.world.watchdog, &mut delta);
+            let certified = certify(&mut a, &node, h, &mut delta);
             assert_eq!(certified, certifies, "{case}");
-            assert_eq!(a == b, certified, "{case}");
+            assert_eq!(a == node.snapshot(), certified, "{case}");
+            assert_eq!(a.matches(&node), certified, "{case}");
         }
     }
 

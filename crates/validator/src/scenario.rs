@@ -265,16 +265,22 @@ thread_local! {
 /// log, hardware watchdog and baseline-monitor first detections, with
 /// latencies measured from `spec`'s own injection start. The outcome's
 /// class tag is the process-interned handle, so stamping it allocates
-/// nothing.
+/// nothing. One pass over the fault log keeps the earliest entry at or
+/// after the start per fault kind, so a faulty trial's hundreds of
+/// entries cost at most three detection records.
 fn extract_outcome(node: &CentralNode, spec: &TrialSpec) -> TrialOutcome {
     let from = spec.injection.from;
     let mut outcome = TrialOutcome::new(spec.injection.class.interned_tag());
+    let mut earliest = [None::<Instant>; FaultKind::ALL.len()];
     for fault in &node.world.fault_log {
-        if fault.at >= from {
-            outcome.record(
-                detector_of(fault.kind),
-                fault.at.saturating_duration_since(from),
-            );
+        let first = &mut earliest[fault.kind as usize];
+        if fault.at >= from && first.is_none_or(|at| fault.at < at) {
+            *first = Some(fault.at);
+        }
+    }
+    for (kind, at) in FaultKind::ALL.into_iter().zip(earliest) {
+        if let Some(at) = at {
+            outcome.record(detector_of(kind), at.saturating_duration_since(from));
         }
     }
     if let Some(expiry) = node.world.hw_watchdog.first_expiry() {
@@ -742,6 +748,48 @@ mod tests {
         assert!(outcome.detected_by(DetectorId::SwAliveness));
         assert!(outcome.detected_by(DetectorId::DeadlineMonitor));
         assert!(outcome.detected_by(DetectorId::ExecTimeMonitor));
+    }
+
+    #[test]
+    fn extract_outcome_keeps_the_earliest_entry_per_kind_from_the_start() {
+        use easis_injection::injector::{ErrorClass, Injection};
+        use easis_watchdog::report::DetectedFault;
+        let runnable = easis_rte::runnable::RunnableId(4);
+        let spec = TrialSpec {
+            seed: 1,
+            injection: Injection::new(ErrorClass::SkipRunnable { runnable }, ms(100), ms(200)),
+        };
+        let fault = |at: u64, kind| DetectedFault {
+            at: ms(at),
+            runnable,
+            kind,
+        };
+        // Entries before the start, kinds interleaved and out of time
+        // order, one on the start itself, and several at one instant.
+        let mut node = CentralNode::build(campaign_node_config());
+        node.world.fault_log = vec![
+            fault(40, FaultKind::Aliveness),
+            fault(150, FaultKind::ProgramFlow),
+            fault(99, FaultKind::ArrivalRate),
+            fault(130, FaultKind::Aliveness),
+            fault(120, FaultKind::ProgramFlow),
+            fault(130, FaultKind::ArrivalRate),
+            fault(110, FaultKind::Aliveness),
+            fault(120, FaultKind::ProgramFlow),
+            fault(100, FaultKind::ArrivalRate),
+            fault(120, FaultKind::Aliveness),
+        ];
+        let outcome = extract_outcome(&node, &spec);
+        let latency = Duration::from_millis;
+        assert_eq!(
+            outcome.detections,
+            std::collections::BTreeMap::from([
+                (DetectorId::SwAliveness, latency(10)),
+                (DetectorId::SwArrivalRate, latency(0)),
+                (DetectorId::SwProgramFlow, latency(20)),
+            ])
+        );
+        assert_eq!(&*outcome.class, "skip_runnable");
     }
 }
 

@@ -130,8 +130,20 @@ echo "==> campaign executor runs on std threads (no crossbeam calls)"
 # crossbeam manifest line and vendor/crossbeam remain only until the next
 # benchmark change, because removing them rewrites easis_bench's frozen
 # Cargo.lock.
-if grep -rnE --include='*.rs' 'crossbeam[:]{2}' crates/*/src src tests; then
+if grep -rnE --include='*.rs' --exclude-dir=target 'crossbeam[:]{2}' crates/*/src src tests; then
   echo "a crossbeam call crept back in"; exit 1
+fi
+
+echo "==> one record of each detection (no second log, count, verdict or PFC front-end)"
+# The world's fault log is the one log of detected faults, the FMF the one
+# ECU-reset count, the per-runnable PFC errors the one violation count and
+# the TSI the one task verdict; the watchdog service is the one front-end
+# of its monitoring units. A second copy has to be captured, compared and
+# replayed by every checkpoint and certification.
+if grep -rnE --include='*.rs' --exclude-dir=target \
+     '\b(FaultRecord|SeverityMap|ProgramFlowChecker|MonitoringUnit|task_faulty)\b|\bfn add_errors\b' \
+     crates/*/src; then
+  echo "a duplicate detection record or monitoring front-end crept back"; exit 1
 fi
 
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"
@@ -194,9 +206,10 @@ done
 echo "==> easis_bench correctness (unit tests + quick runs, plain and verify mode, must report correct:true)"
 # The frozen benchmark builds against the product API from its own
 # manifest; its tests pin the state digests and the run_trial oracle, and
-# a quick run must still end with a correct:true verdict.
-cargo test --offline --manifest-path crates/bench/src/bin/easis_bench/Cargo.toml
-bench_last="$(cargo run --release -q --offline \
+# a quick run must still end with a correct:true verdict. `--locked`
+# fails a manifest edit that would rewrite the frozen Cargo.lock.
+cargo test --locked --offline --manifest-path crates/bench/src/bin/easis_bench/Cargo.toml
+bench_last="$(cargo run --locked --release -q --offline \
   --manifest-path crates/bench/src/bin/easis_bench/Cargo.toml -- --seed 1 --quick | tail -n1)"
 case "$bench_last" in
   *'"correct":true'*) ;;
@@ -206,7 +219,7 @@ esac
 # `armed` plans are where all three parameterised classes (slowdown,
 # duplicate dispatch, loop overrun) jump inside armed windows, and verify
 # mode compares each such jump's whole checkpoint with its replay.
-bench_last="$(EASIS_FASTFORWARD=verify cargo run --release -q --offline \
+bench_last="$(EASIS_FASTFORWARD=verify cargo run --locked --release -q --offline \
   --manifest-path crates/bench/src/bin/easis_bench/Cargo.toml -- --seed 1 --quick | tail -n1)"
 case "$bench_last" in
   *'"correct":true'*) ;;

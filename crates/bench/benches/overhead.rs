@@ -8,7 +8,7 @@ use easis_rte::runnable::RunnableId;
 use easis_sim::cpu::CostMeter;
 use easis_sim::time::{Duration, Instant};
 use easis_watchdog::config::{RunnableHypothesis, WatchdogConfig};
-use easis_watchdog::pfc::{FlowTable, ProgramFlowChecker};
+use easis_watchdog::pfc::{FlowTable, PfcState};
 use easis_watchdog::SoftwareWatchdog;
 use std::hint::black_box;
 
@@ -77,11 +77,12 @@ fn bench_flow_checking(c: &mut Criterion) {
         table.allow(RunnableId(i), RunnableId((i + 1) % 3));
     }
     group.bench_function("pfc_lookup_per_runnable", |b| {
-        let mut pfc = ProgramFlowChecker::new(table.clone());
+        let compiled = table.compile();
+        let mut pfc = PfcState::default();
         let mut i = 0u32;
         b.iter(|| {
             i = (i + 1) % 3;
-            black_box(pfc.observe(RunnableId(i)))
+            black_box(pfc.observe(&compiled, RunnableId(i)))
         })
     });
     // CFCSS at 24 blocks per runnable.

@@ -8,19 +8,18 @@
 //! column is the capability the passive choice gives up; the cost column is
 //! what it saves.
 //!
-//! Both monitors are driven through the unified [`MonitoringUnit`]
-//! interface: the driver below broadcasts the condition's indications and
-//! runs the periodic check without knowing which unit it is exercising —
-//! the same loop works for either approach.
+//! Each monitor runs through its own calls, the ones the passive
+//! heartbeat unit and the active probe expose: `record` or `respond` per
+//! indication, `end_of_cycle` at each watchdog cycle.
 
 use easis_bench::{emit_json, header};
+use easis_obs::ObsSink;
 use easis_rte::runnable::RunnableId;
 use easis_sim::cpu::CostMeter;
 use easis_sim::time::Instant;
 use easis_watchdog::config::RunnableHypothesis;
 use easis_watchdog::heartbeat::HeartbeatMonitor;
 use easis_watchdog::probe::{expected_response, ActiveProbeMonitor};
-use easis_watchdog::unit::{MonitorEvent, MonitoringUnit};
 use serde::Serialize;
 
 const CYCLES: u64 = 1_000;
@@ -41,37 +40,29 @@ struct Row {
     cycles_per_runnable_cycle: f64,
 }
 
-/// Drives any monitoring unit over `CYCLES` watchdog cycles; the
-/// condition decides which indications `events_for` produces each cycle.
-fn drive(
-    unit: &mut dyn MonitoringUnit,
-    mut events_for: impl FnMut(u64) -> Vec<MonitorEvent>,
-) -> (u64, u64) {
+/// Runs the heartbeat unit over `CYCLES` watchdog cycles: a live runnable
+/// (healthy, or a replayer whose glue still beats) indicates once per
+/// cycle. Returns the detections and the monitoring cost.
+fn run_passive(condition: Condition) -> (u64, u64) {
+    let r = RunnableId(0);
+    let mut monitor = HeartbeatMonitor::new([RunnableHypothesis::new(r).alive_at_least(1, 1)]);
     let mut costs = CostMeter::new();
     let mut detections = 0;
     for cycle in 1..=CYCLES {
-        for event in events_for(cycle) {
-            unit.observe(event, &mut costs);
+        if condition != Condition::Dead {
+            let at = Instant::from_millis(cycle * 10 - 5);
+            monitor.record(r, at, &mut costs, &ObsSink::DISABLED);
         }
-        detections += unit
-            .check(Instant::from_millis(cycle * 10), &mut costs)
-            .len() as u64;
+        let now = Instant::from_millis(cycle * 10);
+        detections += monitor.end_of_cycle(now, &mut costs, &ObsSink::DISABLED).len() as u64;
     }
     (detections, costs.total_cycles())
 }
 
-fn run_passive(condition: Condition) -> (u64, u64) {
-    let r = RunnableId(0);
-    let mut monitor = HeartbeatMonitor::new([RunnableHypothesis::new(r).alive_at_least(1, 1)]);
-    drive(&mut monitor, |cycle| match condition {
-        Condition::Healthy | Condition::StuckReplayer => vec![MonitorEvent::Heartbeat {
-            runnable: r,
-            at: Instant::from_millis(cycle * 10 - 5),
-        }],
-        Condition::Dead => Vec::new(),
-    })
-}
-
+/// Runs the active probe over `CYCLES` watchdog cycles: a healthy runnable
+/// echoes each cycle's fresh challenge, a stuck replayer the first one
+/// forever, a dead one nothing. Returns the detections and the monitoring
+/// cost.
 fn run_active(condition: Condition) -> (u64, u64) {
     let r = RunnableId(0);
     // The challenge stream is a pure function of the seed (one draw per
@@ -86,22 +77,19 @@ fn run_active(condition: Condition) -> (u64, u64) {
         let _ = shadow.end_of_cycle(Instant::ZERO, &mut shadow_costs);
     }
     let mut monitor = ActiveProbeMonitor::new([r], 42);
-    drive(&mut monitor, |cycle| {
+    let mut costs = CostMeter::new();
+    let mut detections = 0;
+    for cycle in 1..=CYCLES {
         let at = Instant::from_millis(cycle * 10 - 5);
         match condition {
-            Condition::Healthy => vec![MonitorEvent::ProbeResponse {
-                runnable: r,
-                response: fresh[(cycle - 1) as usize],
-                at,
-            }],
-            Condition::StuckReplayer => vec![MonitorEvent::ProbeResponse {
-                runnable: r,
-                response: stale,
-                at,
-            }],
-            Condition::Dead => Vec::new(),
+            Condition::Healthy => monitor.respond(r, fresh[(cycle - 1) as usize], at, &mut costs),
+            Condition::StuckReplayer => monitor.respond(r, stale, at, &mut costs),
+            Condition::Dead => {}
         }
-    })
+        let now = Instant::from_millis(cycle * 10);
+        detections += monitor.end_of_cycle(now, &mut costs).len() as u64;
+    }
+    (detections, costs.total_cycles())
 }
 
 fn main() {

@@ -7,7 +7,8 @@
 //! measures the three hot operations —
 //!
 //! 1. **heartbeat indication** (`HeartbeatMonitor::record`),
-//! 2. **PFC transition check** (`ProgramFlowChecker::observe`),
+//! 2. **PFC transition check** (`PfcState::observe` over a
+//!    `CompiledFlowTable`, the code the watchdog service runs),
 //! 3. **end-of-cycle window check** (`HeartbeatMonitor::end_of_cycle`) —
 //!
 //! against faithful re-implementations of the pre-dense `BTreeMap` data
@@ -36,7 +37,7 @@ use easis_sim::cpu::CostMeter;
 use easis_sim::time::{Duration, Instant};
 use easis_watchdog::config::{RunnableHypothesis, WatchdogConfig};
 use easis_watchdog::heartbeat::HeartbeatMonitor;
-use easis_watchdog::pfc::{FlowTable, ProgramFlowChecker};
+use easis_watchdog::pfc::{FlowTable, FlowVerdict, PfcState};
 use easis_watchdog::SoftwareWatchdog;
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -170,7 +171,7 @@ impl MapHeartbeatMonitor {
     }
 }
 
-/// The old `ProgramFlowChecker`: two-level successor-map probe per
+/// The old map-based flow checker: two-level successor-map probe per
 /// transition, plus the quadratic `values().any(..)` monitored-set
 /// fallback this PR's satellite task removed.
 struct MapFlowChecker {
@@ -420,13 +421,18 @@ fn bench_heartbeat(iterations: u64) -> Comparison {
 
 fn bench_pfc(iterations: u64) -> Comparison {
     let table = chain_table();
-    let mut dense = ProgramFlowChecker::new(table.clone());
+    let compiled = table.compile();
+    let mut dense = PfcState::default();
+    let mut violations = 0u64;
     let mut i = 0u32;
     let dense_ns = measure(iterations, || {
-        black_box(dense.observe(RunnableId(i % MONITORED)));
+        let verdict = black_box(dense.observe(&compiled, RunnableId(i % MONITORED)));
+        if let FlowVerdict::Violation { .. } = verdict {
+            violations += 1;
+        }
         i = i.wrapping_add(1);
     });
-    assert_eq!(dense.errors_detected(), 0, "chain workload must stay clean");
+    assert_eq!(violations, 0, "chain workload must stay clean");
 
     let mut map = MapFlowChecker::new(&table);
     let mut i = 0u32;

@@ -18,13 +18,15 @@
 //!   states to steer fault treatment.
 //!
 //! The [`SoftwareWatchdog`] facade in [`service`] glues the units together
-//! and exposes the two platform interfaces: the aliveness-indication
-//! routine for glue code, and the fault/state outbox for the Fault
-//! Management Framework. All three monitoring approaches (plus the
-//! active-probe alternative in [`probe`]) also implement the unified
-//! [`MonitoringUnit`] interface in [`mod@unit`], and every unit can report
-//! structured events to an `easis_obs::ObsSink` flight recorder via
-//! `attach_obs` — disabled by default and free of cost-model side effects.
+//! and is their one service API: the aliveness-indication routine
+//! ([`SoftwareWatchdog::heartbeat`]) for glue code, the periodic check
+//! ([`SoftwareWatchdog::run_cycle`]) for the watchdog task, and the
+//! fault/state outbox for the Fault Management Framework. The
+//! active-probe alternative in [`probe`] stands beside it for the
+//! passive-vs-active ablation. The service reports structured events to
+//! an `easis_obs::ObsSink` flight recorder attached with
+//! [`SoftwareWatchdog::attach_obs`] — disabled by default and free of
+//! cost-model side effects.
 //!
 //! # Examples
 //!
@@ -65,15 +67,13 @@ pub mod probe;
 pub mod report;
 pub mod service;
 pub mod tsi;
-pub mod unit;
 pub mod validate;
 
 pub use config::{AlivenessSpec, ArrivalRateSpec, IdIndex, RunnableHypothesis, WatchdogConfig};
 pub use heartbeat::HeartbeatMonitor;
-pub use pfc::{CompiledFlowTable, FlowTable, FlowVerdict, PfcState, ProgramFlowChecker};
+pub use pfc::{CompiledFlowTable, FlowTable, FlowVerdict, PfcState};
 pub use probe::ActiveProbeMonitor;
 pub use report::{DetectedFault, FaultKind, HealthState, RunnableCounters, StateChange};
 pub use service::{CycleReport, SoftwareWatchdog, WatchdogCycleDelta, WatchdogState};
-pub use unit::{MonitorEvent, MonitoringUnit};
 pub use validate::{validate, ConfigIssue};
 pub use tsi::{TaskStateIndication, TsiState};

@@ -10,9 +10,7 @@
 //! overhead.
 
 use crate::config::IdIndex;
-use easis_obs::{FaultClass, ObsEvent, ObsSink};
 use easis_rte::runnable::RunnableId;
-use easis_sim::time::Instant;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -221,24 +219,23 @@ impl CompiledFlowTable {
 
 easis_sim::clone_fields! {
     /// Runtime state of one program-flow checker: its position in the
-    /// observed sequence and its violation count. The look-up table is
-    /// wiring and is an argument of [`PfcState::observe`]; the watchdog
-    /// keeps one state per task scope over one shared table.
-    #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+    /// observed sequence. The look-up table is wiring and is an argument
+    /// of [`PfcState::observe`]; the watchdog keeps one state per task
+    /// scope over one shared table and counts the violations per
+    /// runnable.
+    #[derive(Debug, PartialEq, Eq)]
     pub struct PfcState {
         /// Slot of the last observed monitored runnable;
         /// [`IdIndex::NO_SLOT`] at a sequence start.
         last_slot: u32,
-        errors_detected: u64,
     }
 }
 
-/// At a sequence start, with no violations.
+/// At a sequence start.
 impl Default for PfcState {
     fn default() -> Self {
         PfcState {
             last_slot: IdIndex::NO_SLOT,
-            errors_detected: 0,
         }
     }
 }
@@ -265,45 +262,20 @@ impl PfcState {
                 predecessor: Some(table.runnable_at(self.last_slot)),
             }
         };
-        if let FlowVerdict::Violation { .. } = verdict {
-            self.errors_detected += 1;
-        }
         self.last_slot = slot;
         verdict
     }
 
-    /// Resets the sequence position (e.g. after fault treatment), keeping
-    /// the cumulative error count.
+    /// Resets the sequence position (e.g. after fault treatment).
     pub fn reset_position(&mut self) {
         self.last_slot = IdIndex::NO_SLOT;
     }
 
-    /// Cumulative violations detected.
-    pub fn errors_detected(&self) -> u64 {
-        self.errors_detected
+    /// The last observed monitored runnable of `table`, the one this
+    /// state observes against; `None` at a sequence start.
+    pub fn last_observed(&self, table: &CompiledFlowTable) -> Option<RunnableId> {
+        (self.last_slot != IdIndex::NO_SLOT).then(|| table.runnable_at(self.last_slot))
     }
-
-    /// Raises the cumulative violation count by `n`: `k` hyperperiods of
-    /// a faulty steady state, replayed by macro-stepping. Only reports
-    /// read the count.
-    pub fn add_errors(&mut self, n: u64) {
-        self.errors_detected += n;
-    }
-}
-
-/// The PFC unit: the look-up table (builder and compiled form), an
-/// observability sink and one [`PfcState`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProgramFlowChecker {
-    table: FlowTable,
-    compiled: CompiledFlowTable,
-    state: PfcState,
-    obs: ObsSink,
-    /// Violations observed through the [`crate::unit::MonitoringUnit`]
-    /// interface, buffered until the next `check` drains them. The inherent
-    /// `observe`/`observe_at` methods never touch this buffer (the service
-    /// facade reports violations immediately instead).
-    pending: Vec<crate::report::DetectedFault>,
 }
 
 /// Outcome of one observation.
@@ -316,89 +288,6 @@ pub enum FlowVerdict {
         /// What ran before (`None` = sequence start violated the entry set).
         predecessor: Option<RunnableId>,
     },
-}
-
-impl ProgramFlowChecker {
-    /// Creates a checker over a table, compiling it to the bitset form.
-    pub fn new(table: FlowTable) -> Self {
-        let compiled = table.compile();
-        ProgramFlowChecker {
-            table,
-            compiled,
-            state: PfcState::default(),
-            obs: ObsSink::disabled(),
-            pending: Vec::new(),
-        }
-    }
-
-    /// Attaches an observability sink; a disabled sink (the default)
-    /// makes every recording call a no-op.
-    pub fn attach_obs(&mut self, obs: ObsSink) {
-        self.obs = obs;
-    }
-
-    /// Observes one heartbeat in program order and returns the verdict.
-    /// Unmonitored runnables are ignored entirely (always `Ok`, do not
-    /// update the predecessor).
-    #[inline]
-    pub fn observe(&mut self, runnable: RunnableId) -> FlowVerdict {
-        self.state.observe(&self.compiled, runnable)
-    }
-
-    /// Observes one heartbeat like [`ProgramFlowChecker::observe`], and
-    /// additionally records a [`FaultClass::ProgramFlow`] observability
-    /// event stamped `now` when the transition violates the table.
-    pub fn observe_at(&mut self, runnable: RunnableId, now: Instant) -> FlowVerdict {
-        let verdict = self.observe(runnable);
-        if let FlowVerdict::Violation { .. } = verdict {
-            self.obs.record(
-                now,
-                ObsEvent::FaultDetected {
-                    runnable,
-                    kind: FaultClass::ProgramFlow,
-                },
-            );
-        }
-        verdict
-    }
-
-    /// Buffers a violation detected through the `MonitoringUnit` path.
-    pub(crate) fn push_pending(&mut self, fault: crate::report::DetectedFault) {
-        self.pending.push(fault);
-    }
-
-    /// Drains the violations buffered since the last drain.
-    pub(crate) fn take_pending(&mut self) -> Vec<crate::report::DetectedFault> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Resets the sequence position (e.g. after fault treatment), keeping
-    /// the cumulative error count.
-    pub fn reset_position(&mut self) {
-        self.state.reset_position();
-    }
-
-    /// Cumulative violations detected.
-    pub fn errors_detected(&self) -> u64 {
-        self.state.errors_detected
-    }
-
-    /// The table in use (builder form; the checker runs on its compiled
-    /// bitset, see [`ProgramFlowChecker::compiled`]).
-    pub fn table(&self) -> &FlowTable {
-        &self.table
-    }
-
-    /// The compiled bitset table the checker runs on.
-    pub fn compiled(&self) -> &CompiledFlowTable {
-        &self.compiled
-    }
-
-    /// Last observed monitored runnable.
-    pub fn last_observed(&self) -> Option<RunnableId> {
-        let last = self.state.last_slot;
-        (last != IdIndex::NO_SLOT).then(|| self.compiled.runnable_at(last))
-    }
 }
 
 #[cfg(test)]
@@ -419,59 +308,63 @@ mod tests {
         t
     }
 
+    /// A checker over `table` as the watchdog runs one: the compiled table
+    /// and a state at a sequence start.
+    fn checker(table: &FlowTable) -> (CompiledFlowTable, PfcState) {
+        (table.compile(), PfcState::default())
+    }
+
     #[test]
     fn nominal_cycle_is_clean() {
-        let mut pfc = ProgramFlowChecker::new(chain_table());
+        let (table, mut pfc) = checker(&chain_table());
         for id in [0, 1, 2, 0, 1, 2, 0] {
-            assert_eq!(pfc.observe(r(id)), FlowVerdict::Ok);
+            assert_eq!(pfc.observe(&table, r(id)), FlowVerdict::Ok);
         }
-        assert_eq!(pfc.errors_detected(), 0);
     }
 
     #[test]
     fn skipped_runnable_is_a_violation() {
-        let mut pfc = ProgramFlowChecker::new(chain_table());
-        pfc.observe(r(0));
-        let v = pfc.observe(r(2)); // skipped 1
+        let (table, mut pfc) = checker(&chain_table());
+        pfc.observe(&table, r(0));
+        let v = pfc.observe(&table, r(2)); // skipped 1
         assert_eq!(v, FlowVerdict::Violation { predecessor: Some(r(0)) });
-        assert_eq!(pfc.errors_detected(), 1);
         // Recovery: 2 → 0 is allowed again.
-        assert_eq!(pfc.observe(r(0)), FlowVerdict::Ok);
+        assert_eq!(pfc.observe(&table, r(0)), FlowVerdict::Ok);
     }
 
     #[test]
     fn wrong_entry_is_a_violation() {
-        let mut pfc = ProgramFlowChecker::new(chain_table());
-        assert_eq!(pfc.observe(r(1)), FlowVerdict::Violation { predecessor: None });
+        let (table, mut pfc) = checker(&chain_table());
+        assert_eq!(pfc.observe(&table, r(1)), FlowVerdict::Violation { predecessor: None });
     }
 
     #[test]
     fn empty_entry_set_allows_any_start() {
         let mut t = FlowTable::new();
         t.allow(r(0), r(1));
-        let mut pfc = ProgramFlowChecker::new(t);
-        assert_eq!(pfc.observe(r(1)), FlowVerdict::Ok);
+        let (table, mut pfc) = checker(&t);
+        assert_eq!(pfc.observe(&table, r(1)), FlowVerdict::Ok);
     }
 
     #[test]
     fn unmonitored_runnables_are_transparent() {
-        let mut pfc = ProgramFlowChecker::new(chain_table());
-        pfc.observe(r(0));
+        let (table, mut pfc) = checker(&chain_table());
+        pfc.observe(&table, r(0));
         // 99 is not in the table: ignored, does not clobber the predecessor.
-        assert_eq!(pfc.observe(r(99)), FlowVerdict::Ok);
-        assert_eq!(pfc.observe(r(1)), FlowVerdict::Ok);
-        assert_eq!(pfc.errors_detected(), 0);
+        assert_eq!(pfc.observe(&table, r(99)), FlowVerdict::Ok);
+        assert_eq!(pfc.last_observed(&table), Some(r(0)));
+        assert_eq!(pfc.observe(&table, r(1)), FlowVerdict::Ok);
     }
 
     #[test]
     fn reset_position_forgets_predecessor_only() {
-        let mut pfc = ProgramFlowChecker::new(chain_table());
-        pfc.observe(r(0));
-        pfc.observe(r(2)); // violation
+        let (table, mut pfc) = checker(&chain_table());
+        pfc.observe(&table, r(0));
+        assert!(matches!(pfc.observe(&table, r(2)), FlowVerdict::Violation { .. }));
         pfc.reset_position();
-        assert_eq!(pfc.last_observed(), None);
-        assert_eq!(pfc.observe(r(0)), FlowVerdict::Ok); // entry again
-        assert_eq!(pfc.errors_detected(), 1);
+        assert_eq!(pfc.last_observed(&table), None);
+        assert_eq!(pfc, PfcState::default());
+        assert_eq!(pfc.observe(&table, r(0)), FlowVerdict::Ok); // entry again
     }
 
     #[test]
@@ -484,26 +377,6 @@ mod tests {
         assert!(!t.is_monitored(r(9)));
         assert!(t.is_entry(r(0)));
         assert!(!t.is_entry(r(1)));
-    }
-
-    #[test]
-    fn observe_at_records_violations_to_the_sink() {
-        use easis_sim::time::Instant;
-
-        let mut pfc = ProgramFlowChecker::new(chain_table());
-        let sink = ObsSink::enabled(16);
-        pfc.attach_obs(sink.clone());
-        assert_eq!(pfc.observe_at(r(0), Instant::from_millis(1)), FlowVerdict::Ok);
-        let v = pfc.observe_at(r(2), Instant::from_millis(2)); // skipped 1
-        assert!(matches!(v, FlowVerdict::Violation { .. }));
-        assert_eq!(sink.counter("fault_detected"), 1);
-        let events = sink.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].at, Instant::from_millis(2));
-        assert_eq!(
-            events[0].event,
-            ObsEvent::FaultDetected { runnable: r(2), kind: FaultClass::ProgramFlow }
-        );
     }
 
     #[test]
@@ -523,8 +396,8 @@ mod tests {
         assert!(c.slot_of(r(3)).is_none());
         // Observing the successor-only runnable out of order is a violation,
         // not transparency.
-        let mut pfc = ProgramFlowChecker::new(t);
-        assert_eq!(pfc.observe(r(7)), FlowVerdict::Violation { predecessor: None });
+        let mut pfc = PfcState::default();
+        assert_eq!(pfc.observe(&c, r(7)), FlowVerdict::Violation { predecessor: None });
     }
 
     #[test]
@@ -557,25 +430,24 @@ mod tests {
         for i in 0..100u32 {
             t.allow(r(i), r((i + 1) % 100));
         }
-        let c = t.compile();
+        let (c, mut pfc) = checker(&t);
         assert_eq!(c.len(), 100);
-        let mut pfc = ProgramFlowChecker::new(t);
         for i in 0..200u32 {
-            assert_eq!(pfc.observe(r(i % 100)), FlowVerdict::Ok, "step {i}");
+            assert_eq!(pfc.observe(&c, r(i % 100)), FlowVerdict::Ok, "step {i}");
         }
-        assert!(matches!(pfc.observe(r(50)), FlowVerdict::Violation { .. }));
+        assert!(matches!(pfc.observe(&c, r(50)), FlowVerdict::Violation { .. }));
     }
 
     #[test]
     fn repeated_same_runnable_needs_self_loop() {
         let mut t = chain_table();
-        let mut pfc = ProgramFlowChecker::new(t.clone());
-        pfc.observe(r(0));
-        assert!(matches!(pfc.observe(r(0)), FlowVerdict::Violation { .. }));
+        let (table, mut pfc) = checker(&t);
+        pfc.observe(&table, r(0));
+        assert!(matches!(pfc.observe(&table, r(0)), FlowVerdict::Violation { .. }));
         // With an explicit self-loop it is fine.
         t.allow(r(0), r(0));
-        let mut pfc2 = ProgramFlowChecker::new(t);
-        pfc2.observe(r(0));
-        assert_eq!(pfc2.observe(r(0)), FlowVerdict::Ok);
+        let (table, mut pfc2) = checker(&t);
+        pfc2.observe(&table, r(0));
+        assert_eq!(pfc2.observe(&table, r(0)), FlowVerdict::Ok);
     }
 }

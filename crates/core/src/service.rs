@@ -97,12 +97,8 @@ easis_sim::clone_fields! {
         /// trailing state shared by all runnables not mapped to any task.
         pfc: Vec<PfcState>,
         tsi: TsiState,
-        /// Task slot → cached `tsi.task_state(..).is_faulty()`, kept in
-        /// sync by [`SoftwareWatchdog::apply_state_changes`] and
-        /// [`SoftwareWatchdog::acknowledge_task_recovered`] so the per-
-        /// heartbeat faulty-task gate is an array load.
-        task_faulty: Vec<bool>,
-        /// PFC violations attributed per runnable slot.
+        /// PFC violations attributed per runnable slot: the one count of
+        /// them.
         pfc_errors: Vec<u32>,
         outbox: Vec<DetectedFault>,
         state_outbox: Vec<StateChange>,
@@ -149,7 +145,6 @@ impl SoftwareWatchdog {
             // unmapped scope, all over the one compiled table.
             pfc: vec![PfcState::default(); task_count + 1],
             tsi: TsiState::new(&tsi),
-            task_faulty: vec![false; task_count],
             pfc_errors: vec![0; config.runnable_index().len()],
             ..WatchdogState::default()
         };
@@ -185,31 +180,30 @@ impl SoftwareWatchdog {
     /// nominal path is slot-indexed array work — no map probes, no
     /// allocations.
     pub fn heartbeat(&mut self, runnable: RunnableId, now: Instant) {
-        let state = &mut self.state;
         let runnable_slot = self.config.runnable_index().slot_of_runnable(runnable);
-        // A runnable whose hosting task is already marked faulty is no
-        // longer supervised (its AS is cleared and its flow is ignored)
-        // until fault treatment acknowledges recovery — this is why the
-        // paper's Figure 6 plots freeze once the task state flips.
-        // Runnables outside the frozen index are never mapped to a task,
-        // so they cannot be gated here.
-        if self.config.deactivate_on_faulty_task() {
-            if let Some(slot) = runnable_slot {
-                let scope = self.slot_scope[slot as usize] as usize;
-                if scope < state.task_faulty.len() && state.task_faulty[scope] {
-                    state.costs.charge(crate::heartbeat::HEARTBEAT_COST_CYCLES);
-                    return;
-                }
-            }
+        let scope = match runnable_slot {
+            Some(slot) => self.slot_scope[slot as usize] as usize,
+            None => self.state.pfc.len() - 1,
+        };
+        // A runnable whose hosting task the TSI holds faulty is no longer
+        // supervised (its AS is cleared and its flow is ignored) until
+        // fault treatment acknowledges recovery — this is why the paper's
+        // Figure 6 plots freeze once the task state flips. Runnables
+        // outside the frozen index sit in the unmapped scope, hosted by no
+        // task, so they cannot be gated here.
+        if self.config.deactivate_on_faulty_task()
+            && self
+                .task_of_scope(scope)
+                .is_some_and(|task| self.state.tsi.task_state(task).is_faulty())
+        {
+            self.state.costs.charge(crate::heartbeat::HEARTBEAT_COST_CYCLES);
+            return;
         }
+        let state = &mut self.state;
         state
             .heartbeat
             .record(runnable, now, &mut state.costs, &self.obs);
         state.costs.charge(LOOKUP_COST_CYCLES);
-        let scope = match runnable_slot {
-            Some(slot) => self.slot_scope[slot as usize] as usize,
-            None => state.pfc.len() - 1,
-        };
         let verdict = state.pfc[scope].observe(&self.flow, runnable);
         if let FlowVerdict::Violation { .. } = verdict {
             self.obs.record(
@@ -324,26 +318,19 @@ impl SoftwareWatchdog {
         }
     }
 
-    /// Honour `deactivate_on_faulty_task` (clear the AS of every runnable
+    /// Honour `deactivate_on_faulty_task`: clear the AS of every runnable
     /// of a newly faulty task so errors are not re-reported while fault
     /// treatment is pending — this is what keeps the accumulated aliveness
-    /// error count at one in the paper's Figure 6) and keep the
-    /// `task_faulty` slot cache in sync with the TSI verdicts.
+    /// error count at one in the paper's Figure 6.
     fn apply_state_changes(&mut self, changes: &[StateChange]) {
+        if !self.config.deactivate_on_faulty_task() {
+            return;
+        }
         for change in changes {
             if let StateChange::TaskFaulty { task, .. } = change {
-                self.on_task_faulty(*task);
-            }
-        }
-    }
-
-    fn on_task_faulty(&mut self, task: TaskId) {
-        if let Some(slot) = self.config.task_index().slot_of_task(task) {
-            self.state.task_faulty[slot as usize] = true;
-        }
-        if self.config.deactivate_on_faulty_task() {
-            for runnable in self.config.mapping().runnables_of_task(task) {
-                self.state.heartbeat.set_active(runnable, false);
+                for runnable in self.config.mapping().runnables_of_task(*task) {
+                    self.state.heartbeat.set_active(runnable, false);
+                }
             }
         }
     }
@@ -372,7 +359,6 @@ impl SoftwareWatchdog {
             state.heartbeat.set_active(runnable, true);
         }
         if let Some(slot) = self.config.task_index().slot_of_task(task) {
-            state.task_faulty[slot as usize] = false;
             state.pfc[slot as usize].reset_position();
         }
     }
@@ -392,7 +378,7 @@ impl SoftwareWatchdog {
     /// Total program-flow errors detected so far (the "PFC Result" series
     /// summed over runnables).
     pub fn pfc_errors_total(&self) -> u64 {
-        self.state.pfc.iter().map(PfcState::errors_detected).sum()
+        self.state.pfc_errors.iter().map(|&n| u64::from(n)).sum()
     }
 
     /// Current verdict of a task.
@@ -484,10 +470,11 @@ impl SoftwareWatchdog {
 
 /// The per-hyperperiod advance of the watchdog: its cost meter and cycle
 /// count, the growth of its write-only detection counts (heartbeat
-/// errors, PFC violations, TSI counts of `Faulty` tasks) and the shift of
-/// its pending fault outbox. Measured by [`SoftwareWatchdog::measure`],
-/// applied by [`WatchdogState::advance`]; the buffers are reused, so
-/// steady-state certification allocates nothing once warm.
+/// errors, PFC violations per runnable, TSI counts of `Faulty` tasks) and
+/// the shift of its pending fault outbox. Measured by
+/// [`SoftwareWatchdog::measure`], applied by [`WatchdogState::advance`];
+/// the buffers are reused, so steady-state certification allocates
+/// nothing once warm.
 #[derive(Debug, Clone, Default)]
 pub struct WatchdogCycleDelta {
     h: Duration,
@@ -495,7 +482,6 @@ pub struct WatchdogCycleDelta {
     d_cycles: u64,
     d_aliveness_errors: Vec<u64>,
     d_arrival_rate_errors: Vec<u64>,
-    d_pfc_detected: Vec<u64>,
     d_pfc_errors: Vec<u64>,
     d_tsi: Vec<u64>,
 }
@@ -504,13 +490,12 @@ impl SoftwareWatchdog {
     /// Measures the advances between two states `h` apart: the cost meter
     /// and cycle count, and the counts a faulty steady state raises every
     /// hyperperiod without reading them back — the heartbeat unit's error
-    /// counts, each scope's PFC violation count, the PFC errors per
-    /// runnable, and the TSI counts of tasks already `Faulty` in `a`
-    /// ([`TsiState::measure_latched`]). Certification advances `a` by
-    /// them once and compares the result with `b` whole: every monitor
-    /// counter, PFC position, verdict and the state-change outbox must be
-    /// back where it was, and the fault outbox must hold the same entries
-    /// one hyperperiod later. The hyperperiod includes every
+    /// counts, the PFC errors per runnable, and the TSI counts of tasks
+    /// already `Faulty` in `a` ([`TsiState::measure_latched`]).
+    /// Certification advances `a` by them once and compares the result
+    /// with `b` whole: every monitor counter, PFC position, verdict and
+    /// the state-change outbox must be back where it was, and the fault
+    /// outbox must hold the same entries one hyperperiod later. The hyperperiod includes every
     /// fault-hypothesis window span, so steady-state counters land back on
     /// the same phase.
     pub fn measure(
@@ -529,13 +514,6 @@ impl SoftwareWatchdog {
             &mut delta.d_aliveness_errors,
             &mut delta.d_arrival_rate_errors,
         );
-        delta.d_pfc_detected.clear();
-        delta.d_pfc_detected.extend(
-            a.pfc
-                .iter()
-                .zip(&b.pfc)
-                .map(|(x, y)| y.errors_detected().saturating_sub(x.errors_detected())),
-        );
         measure_counts(&a.pfc_errors, &b.pfc_errors, &mut delta.d_pfc_errors);
         TsiState::measure_latched(&a.tsi, &b.tsi, &self.tsi, &mut delta.d_tsi);
     }
@@ -543,10 +521,10 @@ impl SoftwareWatchdog {
 
 impl WatchdogState {
     /// Whether two states hold the same task, application and ECU
-    /// verdicts: one of certification's cheap refusals, run before
-    /// anything is measured.
+    /// verdicts (the TSI's): one of certification's cheap refusals, run
+    /// before anything is measured.
     pub fn same_verdicts(a: &Self, b: &Self) -> bool {
-        a.task_faulty == b.task_faulty && TsiState::same_verdicts(&a.tsi, &b.tsi)
+        TsiState::same_verdicts(&a.tsi, &b.tsi)
     }
 
     /// Advances the state `k` hyperperiods by `delta`: the cost meter,
@@ -558,9 +536,6 @@ impl WatchdogState {
         self.cycles_run += delta.d_cycles * k;
         self.heartbeat
             .advance_errors(&delta.d_aliveness_errors, &delta.d_arrival_rate_errors, k);
-        for (pfc, &d) in self.pfc.iter_mut().zip(&delta.d_pfc_detected) {
-            pfc.add_errors(d * k);
-        }
         advance_counts(&mut self.pfc_errors, &delta.d_pfc_errors, k);
         self.tsi.advance_counts(&delta.d_tsi, k);
         for fault in &mut self.outbox {
@@ -741,6 +716,27 @@ mod tests {
     }
 
     #[test]
+    fn pfc_violations_are_recorded_to_the_sink() {
+        let mut wd = safespeed_watchdog();
+        let sink = ObsSink::enabled(16);
+        wd.attach_obs(sink.clone());
+        wd.heartbeat(r(0), t(1));
+        wd.heartbeat(r(2), t(2)); // skipped r1
+        let detections: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| matches!(e.event, ObsEvent::FaultDetected { .. }))
+            .collect();
+        assert_eq!(detections.len(), 1);
+        assert_eq!(detections[0].at, t(2));
+        assert_eq!(
+            detections[0].event,
+            ObsEvent::FaultDetected { runnable: r(2), kind: FaultClass::ProgramFlow }
+        );
+        assert_eq!(sink.counter("fault_detected"), 1);
+    }
+
+    #[test]
     fn figure6_collaboration_pfc_reaches_threshold_before_aliveness() {
         // Reconfigure aliveness over 4 cycles so the heartbeat unit reports
         // at most once before the PFC crosses the threshold — the paper's
@@ -829,7 +825,11 @@ mod tests {
         let mut wd = safespeed_watchdog();
         beat_all(&mut wd, 5);
         let after_beats = wd.costs().total_cycles();
-        assert!(after_beats > 0);
+        // Each heartbeat pays the counter update and one flow look-up.
+        assert_eq!(
+            after_beats,
+            3 * (crate::heartbeat::HEARTBEAT_COST_CYCLES + LOOKUP_COST_CYCLES)
+        );
         wd.run_cycle(t(10));
         assert!(wd.costs().total_cycles() > after_beats);
     }

@@ -2,25 +2,24 @@
 //!
 //! [`FaultManagementFramework`] is the "general fault treatment system that
 //! gathers the information on the detected faults" (paper §4.4). It ingests
-//! the Software Watchdog's fault and state-change outboxes, keeps the fault
-//! log, applies the [`TreatmentPolicy`] and queues [`TreatmentAction`]s
-//! for the platform integration to execute.
+//! the Software Watchdog's fault and state-change outboxes, records the
+//! faults in its DTC memory, applies the [`TreatmentPolicy`] and queues
+//! [`TreatmentAction`]s for the platform integration to execute. The
+//! platform keeps the one log of detected faults (the validator's
+//! `CentralWorld::fault_log`).
 
 use crate::dtc::{DtcStore, FreezeFrame};
 use crate::policy::{Treatment, TreatmentAction, TreatmentPolicy};
-use crate::record::{FaultRecord, Severity, SeverityMap};
 use easis_obs::{ObsEvent, ObsSink};
 use easis_rte::mapping::ApplicationId;
-use easis_sim::growth::LogGrowth;
 use easis_sim::time::{Duration, Instant};
-use easis_watchdog::report::{DetectedFault, FaultKind, StateChange};
+use easis_watchdog::report::{DetectedFault, StateChange};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// The FMF service.
 #[derive(Debug, Clone)]
 pub struct FaultManagementFramework {
-    severity_map: SeverityMap,
     policy: TreatmentPolicy,
     obs: ObsSink,
     /// Interned treatment reasons, one `Arc<str>` per application ever
@@ -35,19 +34,14 @@ pub struct FaultManagementFramework {
 }
 
 easis_sim::clone_fields! {
-    /// Everything a framework run can change — fault log, DTC memory,
-    /// queued actions, restart budgets, reset counter — and so the
-    /// framework's checkpoint ([`FaultManagementFramework::state`],
+    /// Everything a framework run can change — DTC memory, queued
+    /// actions, restart budgets, reset counter — and so the framework's
+    /// checkpoint ([`FaultManagementFramework::state`],
     /// [`FaultManagementFramework::restore`]). The restart budgets are
     /// dense by application id and sized when the framework is built, so
-    /// budgets cleared by an ECU reset equal never-used ones. The severity
-    /// map, policy, observability sink and interned-reason cache are wiring
-    /// (the cache affects only allocation identity, never rendered
-    /// content).
-    ///
-    /// The log comes last: the derived `==` compares fields in order, and
-    /// certification finds its rejections in the short fields, while the
-    /// log only grows (see [`FmfState::measure`]).
+    /// budgets cleared by an ECU reset equal never-used ones. The policy,
+    /// observability sink and interned-reason cache are wiring (the cache
+    /// affects only allocation identity, never rendered content).
     #[derive(Debug, Default, PartialEq)]
     pub struct FmfState {
         dtc: DtcStore,
@@ -56,18 +50,16 @@ easis_sim::clone_fields! {
         restarts: Vec<u32>,
         /// Terminated (failed-silent) flag, by application id.
         terminated: Vec<bool>,
+        /// ECU software resets commanded: the node's one count of them.
         ecu_resets: u32,
-        log: Vec<FaultRecord>,
     }
 }
 
 impl FaultManagementFramework {
-    /// Creates the framework with the given classification and policy,
-    /// with restart budgets for `applications` applications (ids
-    /// `0..applications`).
-    pub fn new(severity_map: SeverityMap, policy: TreatmentPolicy, applications: usize) -> Self {
+    /// Creates the framework with the given policy, with restart budgets
+    /// for `applications` applications (ids `0..applications`).
+    pub fn new(policy: TreatmentPolicy, applications: usize) -> Self {
         FaultManagementFramework {
-            severity_map,
             policy,
             obs: ObsSink::disabled(),
             app_reasons: BTreeMap::new(),
@@ -85,7 +77,7 @@ impl FaultManagementFramework {
         self.obs = obs;
     }
 
-    /// Records a detected fault in the log and the DTC memory.
+    /// Records a detected fault in the DTC memory.
     pub fn ingest_fault(&mut self, fault: DetectedFault) {
         self.ingest_fault_with_conditions(fault, &FreezeFrame::default());
     }
@@ -100,10 +92,6 @@ impl FaultManagementFramework {
         fault: DetectedFault,
         freeze_frame: &FreezeFrame,
     ) {
-        self.state.log.push(FaultRecord {
-            fault,
-            severity: self.severity_map.classify(fault.kind),
-        });
         self.state.dtc.record_ref(fault, freeze_frame);
     }
 
@@ -118,10 +106,10 @@ impl FaultManagementFramework {
         &self.state.dtc
     }
 
-    /// Jumps the framework, sampled at `now`, `k` certified hyperperiods
-    /// ahead ([`FmfState::advance`] on the live state).
-    pub fn advance(&mut self, delta: &FmfCycleDelta, k: u64, now: Instant) {
-        self.state.advance(delta, k, now);
+    /// Jumps the framework `k` certified hyperperiods ahead
+    /// ([`FmfState::advance`] on the live state).
+    pub fn advance(&mut self, delta: &FmfCycleDelta, k: u64) {
+        self.state.advance(delta, k);
     }
 
     /// Processes a watchdog state change, possibly queueing treatments.
@@ -217,29 +205,6 @@ impl FaultManagementFramework {
         self.state.actions.len()
     }
 
-    /// The complete fault log.
-    pub fn log(&self) -> &[FaultRecord] {
-        &self.state.log
-    }
-
-    /// Faults of one kind in the log.
-    pub fn count_kind(&self, kind: FaultKind) -> usize {
-        self.state
-            .log
-            .iter()
-            .filter(|r| r.fault.kind == kind)
-            .count()
-    }
-
-    /// Faults at or above a severity.
-    pub fn count_at_least(&self, severity: Severity) -> usize {
-        self.state
-            .log
-            .iter()
-            .filter(|r| r.severity >= severity)
-            .count()
-    }
-
     /// Restart count of an application.
     pub fn restarts_of(&self, app: ApplicationId) -> u32 {
         self.state.restarts.get(app.index()).copied().unwrap_or(0)
@@ -279,17 +244,15 @@ impl FaultManagementFramework {
     }
 }
 
-/// One hyperperiod of the framework's motion: the DTC aging increment,
-/// the occurrence growth of confirmed DTC records and the fault-log
-/// entries a faulty steady state appends. Measured by
-/// [`FmfState::measure`], applied by [`FmfState::advance`]; the buffers
-/// are reused.
+/// One hyperperiod of the framework's motion: the DTC aging increment
+/// and the occurrence growth of confirmed DTC records. Measured by
+/// [`FmfState::measure`], applied by [`FmfState::advance`]; the buffer
+/// is reused.
 #[derive(Debug, Clone, Default)]
 pub struct FmfCycleDelta {
     h: Duration,
     dtc_aging: u32,
     dtc_occurrences: Vec<u64>,
-    log: LogGrowth<FaultRecord>,
 }
 
 impl FmfState {
@@ -301,51 +264,40 @@ impl FmfState {
         a.dtc.len() == b.dtc.len()
     }
 
-    /// Measures the framework's motion between two states `h` apart, the
-    /// first sampled at `since`: the DTC aging increment
-    /// ([`DtcStore::measure_aging`]), the occurrence growth of confirmed
-    /// records ([`DtcStore::measure_occurrences`]) and the log entries
-    /// appended in between, which no treatment decision reads. Returns
-    /// `false` when the record count changed or the log shrank.
-    /// Certification advances `a` by the delta once and compares the
-    /// result with `b` whole, so the action queue, restart budgets, reset
-    /// counter, pending records and every record's status, first
-    /// occurrence and freeze frame must sit still.
-    pub fn measure(
-        a: &Self,
-        b: &Self,
-        since: Instant,
-        h: Duration,
-        delta: &mut FmfCycleDelta,
-    ) -> bool {
+    /// Measures the framework's motion between two states `h` apart: the
+    /// DTC aging increment ([`DtcStore::measure_aging`]) and the
+    /// occurrence growth of confirmed records
+    /// ([`DtcStore::measure_occurrences`]). Returns `false` when the
+    /// record count changed. Certification advances `a` by the delta once
+    /// and compares the result with `b` whole, so the action queue,
+    /// restart budgets, reset counter, pending records and every record's
+    /// status, first occurrence and freeze frame must sit still.
+    pub fn measure(a: &Self, b: &Self, h: Duration, delta: &mut FmfCycleDelta) -> bool {
         let Some(dtc_aging) = DtcStore::measure_aging(&a.dtc, &b.dtc) else {
             return false;
         };
         delta.h = h;
         delta.dtc_aging = dtc_aging;
         DtcStore::measure_occurrences(&a.dtc, &b.dtc, &mut delta.dtc_occurrences);
-        delta.log.measure(&a.log, &b.log, since, h)
+        true
     }
 
-    /// Advances a state sampled at `now` `k` hyperperiods by `delta`:
-    /// confirmed records gain their occurrences, `dtc_aging` healthy
-    /// cycles age the pending ones `k` times ([`DtcStore::apply_aging`]),
-    /// and the log gains `k` shifted copies of the measured entries. With
-    /// k = 1 on a certification sample, with k on the live state when
-    /// jumping.
-    pub fn advance(&mut self, delta: &FmfCycleDelta, k: u64, now: Instant) {
+    /// Advances a state `k` hyperperiods by `delta`: confirmed records
+    /// gain their occurrences and `dtc_aging` healthy cycles age the
+    /// pending ones `k` times ([`DtcStore::apply_aging`]). With k = 1 on
+    /// a certification sample, with k on the live state when jumping.
+    pub fn advance(&mut self, delta: &FmfCycleDelta, k: u64) {
         self.dtc
             .advance_occurrences(&delta.dtc_occurrences, k, delta.h * k);
         self.dtc.apply_aging(delta.dtc_aging, k);
-        delta.log.advance(&mut self.log, now, k);
     }
 }
 
-/// The default classification and policy, with the budget of one
-/// application (id 0, as on a SafeSpeed-only node).
+/// The default policy, with the budget of one application (id 0, as on a
+/// SafeSpeed-only node).
 impl Default for FaultManagementFramework {
     fn default() -> Self {
-        FaultManagementFramework::new(SeverityMap::default(), TreatmentPolicy::default(), 1)
+        FaultManagementFramework::new(TreatmentPolicy::default(), 1)
     }
 }
 
@@ -361,6 +313,7 @@ mod tests {
     use super::*;
     use easis_osek::task::TaskId;
     use easis_rte::runnable::RunnableId;
+    use easis_watchdog::report::FaultKind;
 
     fn fault(ms: u64, kind: FaultKind) -> DetectedFault {
         DetectedFault {
@@ -378,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn a_faulty_steady_state_replays_its_log_and_dtc_growth() {
+    fn a_faulty_steady_state_replays_its_dtc_growth() {
         // One aliveness fault every 20 ms hyperperiod; the DTC confirms at
         // the third.
         let h = Duration::from_millis(20);
@@ -390,28 +343,17 @@ mod tests {
         fmf.ingest_fault(fault(70, FaultKind::Aliveness));
         let b = fmf.state().clone();
         let mut delta = FmfCycleDelta::default();
-        assert!(FmfState::measure(&a, &b, Instant::from_millis(60), h, &mut delta));
+        assert!(FmfState::measure(&a, &b, h, &mut delta));
         let mut advanced = a.clone();
-        advanced.advance(&delta, 1, Instant::from_millis(60));
+        advanced.advance(&delta, 1);
         assert_eq!(advanced, b);
         let mut jumped = b.clone();
-        jumped.advance(&delta, 3, Instant::from_millis(80));
+        jumped.advance(&delta, 3);
         for ms in [90, 110, 130] {
             fmf.ingest_fault(fault(ms, FaultKind::Aliveness));
         }
         assert_eq!(&jumped, fmf.state());
-        assert_eq!(jumped.log.len(), 7);
-    }
-
-    #[test]
-    fn faults_are_logged_and_classified() {
-        let mut fmf = FaultManagementFramework::default();
-        fmf.ingest_fault(fault(1, FaultKind::Aliveness));
-        fmf.ingest_fault(fault(2, FaultKind::ProgramFlow));
-        assert_eq!(fmf.log().len(), 2);
-        assert_eq!(fmf.count_kind(FaultKind::Aliveness), 1);
-        assert_eq!(fmf.count_at_least(Severity::Critical), 1);
-        assert_eq!(fmf.count_at_least(Severity::Major), 2);
+        assert_eq!(jumped.dtc.iter().next().unwrap().occurrences, 7);
     }
 
     #[test]
@@ -453,7 +395,7 @@ mod tests {
             reset_on_ecu_faulty: false,
             ..TreatmentPolicy::default()
         };
-        let mut fmf = FaultManagementFramework::new(SeverityMap::default(), policy, 1);
+        let mut fmf = FaultManagementFramework::new(policy, 1);
         fmf.ingest_state_change(StateChange::EcuFaulty {
             at: Instant::ZERO,
         });
@@ -477,7 +419,7 @@ mod tests {
             vec![fault(1, FaultKind::Aliveness)],
             vec![app_faulty(1)],
         );
-        assert_eq!(fmf.log().len(), 1);
+        assert_eq!(fmf.dtc().len(), 1);
         assert_eq!(fmf.take_actions().len(), 1);
         assert!(fmf.take_actions().is_empty());
     }
@@ -561,14 +503,13 @@ mod tests {
             fmf.ingest_fault(fault(1, FaultKind::Aliveness));
             fmf.ingest_state_change(app_faulty(5));
         };
-        // A fault-only tail: moves the log and DTC memory only.
+        // A fault-only tail: moves the DTC memory only.
         let drive_tail = |fmf: &mut FaultManagementFramework| {
             fmf.ingest_fault(fault(20, FaultKind::ArrivalRate));
             fmf.ingest_fault(fault(25, FaultKind::ProgramFlow));
         };
         let observe = |fmf: &FaultManagementFramework| {
             (
-                fmf.log().to_vec(),
                 fmf.pending_actions(),
                 fmf.restarts_of(ApplicationId(0)),
                 fmf.ecu_resets(),

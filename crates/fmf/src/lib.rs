@@ -2,10 +2,10 @@
 //!
 //! The companion dependability service of the Software Watchdog (paper
 //! §4.4 and its reference \[12\]): it receives the watchdog's detected faults and
-//! state changes, classifies them by severity, and decides coordinated
-//! fault treatments per the paper's §3.5 decision tree — application
-//! restart/termination while the ECU is healthy, a software reset when the
-//! global ECU state turns faulty.
+//! state changes, records the faults in its DTC memory, and decides
+//! coordinated fault treatments from the state changes per the paper's
+//! §3.5 decision tree — application restart/termination while the ECU is
+//! healthy, a software reset when the global ECU state turns faulty.
 //!
 //! # Examples
 //!
@@ -31,9 +31,7 @@
 pub mod dtc;
 pub mod framework;
 pub mod policy;
-pub mod record;
 
 pub use dtc::{DtcCode, DtcRecord, DtcStatus, DtcStore, FreezeFrame};
 pub use framework::{FaultManagementFramework, FmfCycleDelta, FmfState};
 pub use policy::{Treatment, TreatmentAction, TreatmentPolicy};
-pub use record::{FaultRecord, Severity, SeverityMap};

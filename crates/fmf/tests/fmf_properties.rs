@@ -4,7 +4,6 @@
 use easis_fmf::dtc::{DtcCode, DtcStore, FreezeFrame};
 use easis_fmf::framework::FaultManagementFramework;
 use easis_fmf::policy::{Treatment, TreatmentPolicy};
-use easis_fmf::record::SeverityMap;
 use easis_rte::mapping::ApplicationId;
 use easis_rte::runnable::RunnableId;
 use easis_sim::time::Instant;
@@ -70,7 +69,7 @@ proptest! {
             reset_on_ecu_faulty: false,
             treat: true,
         };
-        let mut fmf = FaultManagementFramework::new(SeverityMap::default(), policy, 1);
+        let mut fmf = FaultManagementFramework::new(policy, 1);
         let app = ApplicationId(0);
         let mut seen_terminate = false;
         for i in 0..episodes {
@@ -95,11 +94,7 @@ proptest! {
     /// The observe-only policy never produces an action, whatever arrives.
     #[test]
     fn observe_only_never_acts(events in prop::collection::vec(0u32..3, 1..40)) {
-        let mut fmf = FaultManagementFramework::new(
-            SeverityMap::default(),
-            TreatmentPolicy::observe_only(),
-            1,
-        );
+        let mut fmf = FaultManagementFramework::new(TreatmentPolicy::observe_only(), 1);
         for (i, &e) in events.iter().enumerate() {
             let at = Instant::from_millis(i as u64);
             match e {

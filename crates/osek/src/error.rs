@@ -21,7 +21,8 @@ pub enum OsError {
     /// `E_OS_ACCESS` — an extended-task service was called on a basic task.
     InvalidAccess,
     /// `E_OS_RESOURCE` — resource ordering violated (release out of LIFO
-    /// order, or occupied resource at task termination).
+    /// order, occupied resource at task termination, or `WaitEvent` while
+    /// occupying a resource).
     ResourceOrder,
     /// `E_OS_NOFUNC` — alarm is not in use.
     AlarmNotInUse,

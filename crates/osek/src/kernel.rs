@@ -45,6 +45,14 @@ use easis_sim::trace::TraceRecorder;
 /// Trace source tag used by the kernel.
 pub const TRACE_SOURCE: &str = "osek";
 
+/// Consecutive scheduling rounds [`Os::run_until`] allows at one instant
+/// before it declares a zero-time livelock. Every step but `Compute`
+/// takes no simulated time, so a task that keeps re-activating itself
+/// without computing would otherwise hold the clock forever. The campaign
+/// node and the paper experiments take at most a handful of rounds at
+/// one instant.
+pub const MAX_ROUNDS_PER_INSTANT: u32 = 10_000;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum KernelEvent {
     AlarmExpiry(AlarmId),
@@ -513,13 +521,19 @@ impl<W> Os<W> {
     ///
     /// # Panics
     ///
-    /// Panics if the OS was not started or `end` is in the past.
+    /// Panics if the OS was not started or `end` is in the past, and on a
+    /// zero-time livelock: more than [`MAX_ROUNDS_PER_INSTANT`]
+    /// consecutive dispatches at one instant (a task that chains or
+    /// activates itself without computing, say). The message names the
+    /// task and the instant.
     pub fn run_until(&mut self, end: Instant, world: &mut W) {
         assert!(self.core.state.started, "call start() first");
         assert!(end >= self.core.state.now, "cannot run backwards in time");
         if end == self.core.state.now {
             return;
         }
+        let mut instant = self.core.state.now;
+        let mut rounds = 0u32;
         loop {
             // Fire every timer event due at the current instant.
             self.core.fire_due_timers(world);
@@ -540,6 +554,19 @@ impl<W> Os<W> {
                     }
                 }
                 Some(id) => {
+                    let now = self.core.state.now;
+                    if now == instant {
+                        rounds += 1;
+                        assert!(
+                            rounds <= MAX_ROUNDS_PER_INSTANT,
+                            "zero-time livelock: task {id} ({}) dispatched {rounds} times in a row \
+                             at {now:?} without simulated time passing",
+                            self.core.configs[id.index()].name()
+                        );
+                    } else {
+                        instant = now;
+                        rounds = 1;
+                    }
                     self.dispatch(id, world);
                     let done = self.execute_slice(id, end, world);
                     if done {
@@ -640,6 +667,12 @@ impl<W> Os<W> {
                     if self.core.configs[i].kind() != TaskKind::Extended {
                         self.core.report_error(OsError::InvalidAccess, world);
                         // Basic tasks cannot wait; ignore the step.
+                        continue;
+                    }
+                    if !self.core.state.tasks[i].held.is_empty() {
+                        // OSEK: a task that occupies a resource must not
+                        // wait (E_OS_RESOURCE); it keeps the CPU.
+                        self.core.report_error(OsError::ResourceOrder, world);
                         continue;
                     }
                     let tcb = &mut self.core.state.tasks[i];

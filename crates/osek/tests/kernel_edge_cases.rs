@@ -3,9 +3,10 @@
 
 use easis_osek::alarm::AlarmAction;
 use easis_osek::error::OsError;
+use easis_osek::hooks::HookEvent;
 use easis_osek::kernel::Os;
-use easis_osek::plan::{Plan, Step};
-use easis_osek::task::{EventMask, Priority, TaskConfig, TaskKind, TaskState};
+use easis_osek::plan::{Plan, ResourceId, Step};
+use easis_osek::task::{EventMask, Priority, TaskConfig, TaskId, TaskKind, TaskState};
 use easis_sim::time::{Duration, Instant};
 
 fn ms(n: u64) -> Duration {
@@ -211,4 +212,51 @@ fn isr_during_idle_runs_at_trigger_time() {
     os.trigger_isr(isr, &mut w).unwrap();
     os.run_until(Instant::from_millis(5), &mut w);
     assert_eq!(w, vec![3_020]);
+}
+
+#[test]
+fn waiting_inside_a_resource_section_reports_the_error_and_keeps_the_cpu() {
+    // OSEK forbids `WaitEvent` while the task occupies a resource: the
+    // service reports E_OS_RESOURCE through the error hook and the task
+    // runs on instead of blocking with its ceiling priority.
+    let mut os: Os<Vec<String>> = Os::new();
+    let r0 = ResourceId(0);
+    let t = os.add_task(
+        TaskConfig::new("t", Priority(1)).with_kind(TaskKind::Extended),
+        move |_: Instant, _: &Vec<String>| {
+            Plan::new()
+                .step(Step::GetResource(r0))
+                .step(Step::WaitEvent(EventMask::bit(0)))
+                .effect(|w: &mut Vec<String>, ctx| {
+                    w.push(format!("ran on@{}", ctx.now().as_micros()))
+                })
+                .step(Step::ReleaseResource(r0))
+                .compute(ms(1))
+        },
+    );
+    os.add_resource("R0", Priority(5));
+    os.add_observer(|_: Instant, event: HookEvent, w: &mut Vec<String>| {
+        if let HookEvent::Error(e) = event {
+            w.push(format!("error {e:?}"));
+        }
+    });
+    let mut w = Vec::new();
+    os.start(&mut w);
+    os.activate_task(t, &mut w).unwrap();
+    os.run_until(Instant::from_millis(5), &mut w);
+    assert_eq!(w, vec!["error ResourceOrder".to_string(), "ran on@0".to_string()]);
+    assert_eq!(os.task_state(t).unwrap(), TaskState::Suspended);
+}
+
+#[test]
+#[should_panic(expected = "zero-time livelock")]
+fn a_task_that_chains_itself_without_computing_panics_instead_of_hanging() {
+    let mut os: Os<u32> = Os::new();
+    let t = os.add_task(TaskConfig::new("spin", Priority(1)), |_: Instant, _: &u32| {
+        Plan::new().step(Step::ChainTask(TaskId(0)))
+    });
+    let mut w = 0u32;
+    os.start(&mut w);
+    os.activate_task(t, &mut w).unwrap();
+    os.run_until(Instant::from_millis(1), &mut w);
 }

@@ -17,7 +17,6 @@ use easis_baselines::task_monitors::{TaskMonitor, TaskMonitorStats, TimingCheck}
 use easis_fmf::dtc::FreezeFrame;
 use easis_fmf::framework::{FaultManagementFramework, FmfCycleDelta, FmfState};
 use easis_fmf::policy::{Treatment, TreatmentAction, TreatmentPolicy};
-use easis_fmf::record::SeverityMap;
 use easis_injection::injector::Injector;
 use easis_osek::alarm::{AlarmAction, AlarmId};
 use easis_osek::kernel::{CycleProgram, Os};
@@ -329,11 +328,7 @@ impl CentralNode {
         };
         let mut watchdog = SoftwareWatchdog::from_shared(wd_config);
         watchdog.attach_obs(obs.clone());
-        let mut fmf = FaultManagementFramework::new(
-            SeverityMap::default(),
-            config.policy,
-            mapping.application_count(),
-        );
+        let mut fmf = FaultManagementFramework::new(config.policy, mapping.application_count());
         fmf.attach_obs(obs.clone());
         let mut world = CentralWorld::new(signals, watchdog, fmf, HW_TIMEOUT);
         world.obs = obs;
@@ -499,7 +494,6 @@ impl CentralNode {
                     w.reset_signals_with_prefix(prefix, ctx.now());
                 }
                 w.fmf.reset_budgets();
-                w.ecu_resets += 1;
                 ctx.trace("fmf", "ecu_reset", "software reset executed");
             }
         }
@@ -566,7 +560,6 @@ impl CentralNode {
         snap.fmf.clone_from(world.fmf.state());
         snap.hw_watchdog.clone_from(&world.hw_watchdog);
         snap.treatments.clone_from(&world.treatments);
-        snap.ecu_resets = world.ecu_resets;
         snap.fault_log.clone_from(&world.fault_log);
         snap.rx_mailbox.clone_from(&world.rx_mailbox);
         self.deadline_monitor.stats_into(&mut snap.deadline_stats);
@@ -590,7 +583,6 @@ impl CentralNode {
         world.fmf.restore(&snap.fmf);
         world.hw_watchdog.clone_from(&snap.hw_watchdog);
         world.treatments.clone_from(&snap.treatments);
-        world.ecu_resets = snap.ecu_resets;
         world.fault_log.clone_from(&snap.fault_log);
         world.rx_mailbox.clone_from(&snap.rx_mailbox);
         self.deadline_monitor.restore_stats(&snap.deadline_stats);
@@ -621,7 +613,7 @@ impl CentralNode {
     /// hyperperiod left in the span in one jump. That holds inside an
     /// armed injection window too: the injector acts only at its arming
     /// and disarming ticks, which bound the span, and a persistent fault
-    /// settles into a faulty steady state whose fault logs, detection
+    /// settles into a faulty steady state whose fault log, detection
     /// counts and DTC occurrences grow by the same amount every
     /// hyperperiod. Certification is *exact*: any state that the advance
     /// does not reproduce (a treatment, a TSI count on a task not yet
@@ -757,7 +749,7 @@ impl CentralNode {
         delta.fault_log.advance(&mut world.fault_log, now, k);
         self.deadline_monitor.advance(&delta.deadline_stats, k);
         self.exec_monitor.advance(&delta.exec_stats, k);
-        world.fmf.advance(&delta.fmf, k, now);
+        world.fmf.advance(&delta.fmf, k);
         world.hw_watchdog.advance(&delta.hw_watchdog, k);
         self.os.advance(&delta.os, k);
         world.watchdog.advance(&delta.watchdog, k);
@@ -880,8 +872,8 @@ struct CertBuffers {
 
 /// One hyperperiod's motion, measured from a sample to the live node by
 /// [`certify`]: the kernel's cycle program, the watchdog's meter advance
-/// and detection-count growth, the FMF's DTC aging, occurrence growth and
-/// log entries, the hardware watchdog's kick shift and expirations, the
+/// and detection-count growth, the FMF's DTC aging and occurrence growth,
+/// the hardware watchdog's kick shift and expirations, the
 /// monitors' detection growth, the fault-log entries and the signal slots
 /// stamped every hyperperiod. Every buffer is reused, so steady-state
 /// certification allocates nothing once warm.
@@ -934,7 +926,7 @@ fn certify(
     let since = a.taken_at();
     delta.h = h;
     if !delta.fault_log.measure(&a.fault_log, &world.fault_log, since, h)
-        || !FmfState::measure(&a.fmf, fmf, since, h, &mut delta.fmf)
+        || !FmfState::measure(&a.fmf, fmf, h, &mut delta.fmf)
     {
         return false;
     }
@@ -960,7 +952,6 @@ fn certify(
 fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<String> {
     let NodeSnapshot {
         treatments,
-        ecu_resets,
         rx_mailbox,
         controls,
         deadline_stats,
@@ -986,7 +977,6 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
     }
     compare!(
         treatments,
-        ecu_resets,
         rx_mailbox,
         controls,
         deadline_stats,
@@ -1032,7 +1022,6 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
 #[derive(Debug, PartialEq)]
 pub struct NodeSnapshot {
     treatments: Vec<TreatmentAction>,
-    ecu_resets: u32,
     rx_mailbox: Vec<(u16, Vec<u8>)>,
     controls: RunnableControls,
     deadline_stats: TaskMonitorStats,
@@ -1049,7 +1038,6 @@ impl Default for NodeSnapshot {
     fn default() -> Self {
         NodeSnapshot {
             treatments: Vec::new(),
-            ecu_resets: 0,
             rx_mailbox: Vec::new(),
             controls: RunnableControls::default(),
             deadline_stats: TaskMonitorStats::default(),
@@ -1081,7 +1069,6 @@ impl NodeSnapshot {
     fn matches(&self, node: &CentralNode) -> bool {
         let NodeSnapshot {
             treatments,
-            ecu_resets,
             rx_mailbox,
             controls,
             deadline_stats,
@@ -1095,7 +1082,6 @@ impl NodeSnapshot {
         } = self;
         let world = &node.world;
         *treatments == world.treatments
-            && *ecu_resets == world.ecu_resets
             && *rx_mailbox == world.rx_mailbox
             && *controls == world.controls
             && node.deadline_monitor.with_stats(|live| live == deadline_stats)
@@ -1115,7 +1101,7 @@ impl NodeSnapshot {
         delta.fault_log.advance(&mut self.fault_log, now, k);
         self.deadline_stats.advance(&delta.deadline_stats, k);
         self.exec_stats.advance(&delta.exec_stats, k);
-        self.fmf.advance(&delta.fmf, k, now);
+        self.fmf.advance(&delta.fmf, k);
         self.hw_watchdog.advance(&delta.hw_watchdog, k);
         self.os.advance(&delta.os, k);
         self.watchdog.advance(&delta.watchdog, k);
@@ -1469,8 +1455,8 @@ mod tests {
     /// A persistent duplicate dispatch settles into a faulty steady state:
     /// arrival-rate faults every window, SafeSpeed `Faulty`, its TSI counts
     /// and confirmed DTC rising. The armed window certifies and jumps, and
-    /// the jump replays the fault log, the FMF log and the counts to the
-    /// event-level checkpoint.
+    /// the jump replays the fault log and the counts to the event-level
+    /// checkpoint.
     #[test]
     fn an_armed_window_jumps_across_its_faulty_steady_state() {
         use easis_injection::injector::{ErrorClass, Injection};

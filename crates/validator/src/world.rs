@@ -41,12 +41,13 @@ pub struct CentralWorld {
     pub app_signal_prefixes: BTreeMap<ApplicationId, &'static str>,
     /// Snapshot of every signal's initial value, taken at node start.
     pub initial_signals: Vec<f64>,
-    /// Every treatment the node executed, in order.
+    /// Every treatment the node executed, in order. The FMF counts the
+    /// ECU software resets among them
+    /// ([`FaultManagementFramework::ecu_resets`]).
     pub treatments: Vec<TreatmentAction>,
-    /// ECU software resets performed.
-    pub ecu_resets: u32,
     /// All detected faults, retained for experiment scraping (the service
-    /// outboxes are drained into the FMF each watchdog cycle).
+    /// outboxes are drained into the FMF each watchdog cycle): the node's
+    /// one fault log.
     pub fault_log: Vec<easis_watchdog::report::DetectedFault>,
     /// Receive mailbox of the node's communication controller: the bus
     /// integration pushes `(raw frame id, payload)` here and raises the RX
@@ -93,7 +94,6 @@ impl CentralWorld {
             app_signal_prefixes: BTreeMap::new(),
             initial_signals: Vec::new(),
             treatments: Vec::new(),
-            ecu_resets: 0,
             fault_log: Vec::new(),
             rx_mailbox: Vec::new(),
             obs: ObsSink::disabled(),

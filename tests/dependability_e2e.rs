@@ -100,7 +100,7 @@ fn single_app_node_escalates_to_ecu_reset() {
         ms(400),
     )]);
     node.run_until(ms(1_000), &mut injector);
-    assert!(node.world.ecu_resets > 0, "expected an ECU software reset");
+    assert!(node.world.fmf.ecu_resets() > 0, "expected an ECU software reset");
     assert!(node
         .world
         .treatments

@@ -16,7 +16,7 @@ use easis::validator::scenario::campaign_node_config;
 use easis::validator::CentralNode;
 use easis::watchdog::config::{IdIndex, RunnableHypothesis, WatchdogConfig};
 use easis::watchdog::heartbeat::HeartbeatMonitor;
-use easis::watchdog::pfc::{FlowTable, FlowVerdict, ProgramFlowChecker};
+use easis::watchdog::pfc::{FlowTable, FlowVerdict, PfcState};
 use easis::watchdog::report::{DetectedFault, FaultKind, RunnableCounters};
 use easis::watchdog::SoftwareWatchdog;
 use proptest::prelude::*;
@@ -285,10 +285,12 @@ proptest! {
         for i in 0..chain_len {
             table.allow(RunnableId(i), RunnableId((i + 1) % chain_len));
         }
-        let mut pfc = ProgramFlowChecker::new(table);
+        let compiled = table.compile();
+        let mut pfc = PfcState::default();
         let mut pos = 0u32;
-        prop_assert_eq!(pfc.observe(RunnableId(0)), FlowVerdict::Ok);
+        prop_assert_eq!(pfc.observe(&compiled, RunnableId(0)), FlowVerdict::Ok);
         let mut expected_errors = 0u64;
+        let mut violations = 0u64;
         for &legal in &steps {
             let next = if legal {
                 (pos + 1) % chain_len
@@ -297,7 +299,10 @@ proptest! {
             };
             // For chain_len == 2 the "skip" lands back on `pos` itself,
             // which is equally illegal (no self loops in the table).
-            let verdict = pfc.observe(RunnableId(next));
+            let verdict = pfc.observe(&compiled, RunnableId(next));
+            if matches!(verdict, FlowVerdict::Violation { .. }) {
+                violations += 1;
+            }
             if legal {
                 prop_assert_eq!(verdict, FlowVerdict::Ok);
             } else {
@@ -307,7 +312,7 @@ proptest! {
             }
             pos = next;
         }
-        prop_assert_eq!(pfc.errors_detected(), expected_errors);
+        prop_assert_eq!(violations, expected_errors);
     }
 
     /// CFCSS never flags a legal random walk and always flags a random
@@ -456,12 +461,17 @@ proptest! {
         for &(pred, succ) in &pairs {
             table.allow(RunnableId(pred), RunnableId(succ));
         }
-        let mut dense = ProgramFlowChecker::new(table.clone());
+        let compiled = table.compile();
+        let mut dense = PfcState::default();
         let mut last: Option<RunnableId> = None;
         let mut errors = 0u64;
+        let mut violations = 0u64;
         for &observed in &observations {
             let runnable = RunnableId(observed);
-            let verdict = dense.observe(runnable);
+            let verdict = dense.observe(&compiled, runnable);
+            if matches!(verdict, FlowVerdict::Violation { .. }) {
+                violations += 1;
+            }
             let expected = if !table.is_monitored(runnable) {
                 FlowVerdict::Ok
             } else {
@@ -478,9 +488,9 @@ proptest! {
                 v
             };
             prop_assert_eq!(verdict, expected, "verdict diverged at {:?}", runnable);
-            prop_assert_eq!(dense.last_observed(), last, "predecessor diverged");
+            prop_assert_eq!(dense.last_observed(&compiled), last, "predecessor diverged");
         }
-        prop_assert_eq!(dense.errors_detected(), errors);
+        prop_assert_eq!(violations, errors);
     }
 
     /// `IdIndex` is an order isomorphism onto `0..len`: slots are dense,

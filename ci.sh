@@ -135,15 +135,19 @@ if grep -rnE --include='*.rs' --exclude-dir=target 'crossbeam[:]{2}' crates/*/sr
 fi
 
 echo "==> one record of each detection (no second log, count, verdict or PFC front-end)"
-# The world's fault log is the one log of detected faults, the FMF the one
-# ECU-reset count, the per-runnable PFC errors the one violation count and
-# the TSI the one task verdict; the watchdog service is the one front-end
-# of its monitoring units. A second copy has to be captured, compared and
-# replayed by every checkpoint and certification.
+# The watchdog service's detection log is the one record of every
+# detection of all six detectors (the three watchdog units, the kernel's
+# deadline and budget checks, the hardware watchdog): error counts, first
+# detections and expiries are queries over it, and the FMF receives the
+# watchdog's entries past a hand-over cursor. The FMF keeps the one
+# ECU-reset count and the TSI the one task verdict; the watchdog service
+# is the one front-end of its monitoring units and the one ingestion path
+# into the FMF. A second copy has to be captured, compared and replayed
+# by every checkpoint and certification.
 if grep -rnE --include='*.rs' --exclude-dir=target \
-     '\b(FaultRecord|SeverityMap|ProgramFlowChecker|MonitoringUnit|task_faulty)\b|\bfn add_errors\b' \
+     '\b(FaultRecord|SeverityMap|ProgramFlowChecker|MonitoringUnit|task_faulty|TaskMonitorStats|StatsHandle|fault_log|d_aliveness_errors|d_arrival_rate_errors|d_pfc_errors|d_expirations)\b|\bfn (add_errors|ingest_all|take_faults)\b' \
      crates/*/src; then
-  echo "a duplicate detection record or monitoring front-end crept back"; exit 1
+  echo "a duplicate detection record, monitoring front-end or ingestion path crept back"; exit 1
 fi
 
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"

@@ -7,18 +7,13 @@
 //! granularity gap the Software Watchdog closes. An optional *window* mode
 //! (common in automotive supervisors) also rejects kicks that arrive too
 //! early.
+//!
+//! The watchdog keeps no record of its expiries: `poll` and `kick` report
+//! each new one, stamped when the countdown ran out, and the platform logs
+//! it with every other detection.
 
 use easis_sim::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
-
-/// Outcome of a kick in window mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KickOutcome {
-    /// Kick accepted, countdown restarted.
-    Accepted,
-    /// Kick inside the closed window (too early) — counted as an error.
-    TooEarly,
-}
 
 /// A countdown (optionally windowed) hardware watchdog model.
 ///
@@ -29,9 +24,11 @@ pub enum KickOutcome {
 /// use easis_sim::time::{Duration, Instant};
 ///
 /// let mut wd = HardwareWatchdog::new(Duration::from_millis(50));
-/// wd.kick(Instant::from_millis(10));
-/// assert!(!wd.poll(Instant::from_millis(40)));  // still alive
-/// assert!(wd.poll(Instant::from_millis(100)));  // expired
+/// assert_eq!(wd.kick(Instant::from_millis(10)), None);
+/// assert_eq!(wd.poll(Instant::from_millis(40)), None); // still alive
+/// // Expired at 60 ms, found by the poll at 100 ms:
+/// assert_eq!(wd.poll(Instant::from_millis(100)), Some(Instant::from_millis(60)));
+/// assert!(wd.is_expired());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HardwareWatchdog {
@@ -40,9 +37,7 @@ pub struct HardwareWatchdog {
     window_closed: Duration,
     last_kick: Instant,
     expired: bool,
-    expirations: u32,
     early_kicks: u32,
-    first_expiry: Option<Instant>,
 }
 
 impl HardwareWatchdog {
@@ -58,9 +53,7 @@ impl HardwareWatchdog {
             window_closed: Duration::ZERO,
             last_kick: Instant::ZERO,
             expired: false,
-            expirations: 0,
             early_kicks: 0,
-            first_expiry: None,
         }
     }
 
@@ -75,47 +68,43 @@ impl HardwareWatchdog {
         self
     }
 
-    /// Services the watchdog.
-    pub fn kick(&mut self, now: Instant) -> KickOutcome {
-        self.poll(now);
+    /// Services the watchdog. It polls first, so a kick that comes after
+    /// the countdown ran out reports that expiry, like [`Self::poll`]. In
+    /// window mode a kick too soon after the previous one is rejected and
+    /// counted, and the countdown keeps running.
+    pub fn kick(&mut self, now: Instant) -> Option<Instant> {
+        let expiry = self.poll(now);
         if !self.window_closed.is_zero()
             && now.saturating_duration_since(self.last_kick) < self.window_closed
         {
             self.early_kicks += 1;
-            return KickOutcome::TooEarly;
+        } else {
+            self.last_kick = now;
+            self.expired = false;
         }
-        self.last_kick = now;
-        self.expired = false;
-        KickOutcome::Accepted
+        expiry
     }
 
-    /// Checks for expiry at `now`. Returns `true` while the watchdog is in
-    /// the expired state (a real device would be asserting reset).
-    pub fn poll(&mut self, now: Instant) -> bool {
-        if !self.expired && now.saturating_duration_since(self.last_kick) > self.timeout {
-            self.expired = true;
-            self.expirations += 1;
-            let expiry_at = self.last_kick + self.timeout;
-            if self.first_expiry.is_none() {
-                self.first_expiry = Some(expiry_at);
-            }
+    /// Checks for expiry at `now`. Returns the instant the countdown ran
+    /// out, `last_kick + timeout`, when it finds a new expiry: once per
+    /// expired episode, which only a kick ends.
+    pub fn poll(&mut self, now: Instant) -> Option<Instant> {
+        if self.expired || now.saturating_duration_since(self.last_kick) <= self.timeout {
+            return None;
         }
+        self.expired = true;
+        Some(self.last_kick + self.timeout)
+    }
+
+    /// `true` while the watchdog is in the expired state (a real device
+    /// would be asserting reset).
+    pub fn is_expired(&self) -> bool {
         self.expired
-    }
-
-    /// Total expirations observed.
-    pub fn expirations(&self) -> u32 {
-        self.expirations
     }
 
     /// Rejected too-early kicks (window mode).
     pub fn early_kicks(&self) -> u32 {
         self.early_kicks
-    }
-
-    /// When the watchdog first expired, if ever.
-    pub fn first_expiry(&self) -> Option<Instant> {
-        self.first_expiry
     }
 
     /// Configured timeout.
@@ -127,38 +116,28 @@ impl HardwareWatchdog {
     /// kicked watchdog's stamp moves one hyperperiod. A starved watchdog
     /// that has already expired keeps its stamp: `poll` reads the stamp
     /// only while the watchdog has not expired, and only a kick clears
-    /// that. Its expirations are reports, so a watchdog that expires and
-    /// is kicked again every hyperperiod may count up. A frozen stamp on an
-    /// unexpired watchdog still measures a full hyperperiod, because the
-    /// next `poll` reads it, and the caller's comparison rejects it.
+    /// that. A frozen stamp on an unexpired watchdog still measures a full
+    /// hyperperiod, because the next `poll` reads it, and the caller's
+    /// comparison rejects it.
     pub fn measure(a: &Self, b: &Self, h: Duration) -> HwCycleDelta {
         let starved = a.expired && a.last_kick == b.last_kick;
         HwCycleDelta {
             d_kick: if starved { Duration::ZERO } else { h },
-            d_expirations: b.expirations.saturating_sub(a.expirations),
         }
     }
 
     /// Advances the watchdog `k` hyperperiods by `delta`: with k = 1 on a
     /// certification sample, with k on the live watchdog when jumping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the expiration count overflows `u32`.
     pub fn advance(&mut self, delta: &HwCycleDelta, k: u64) {
         self.last_kick += delta.d_kick * k;
-        let expirations = u64::from(self.expirations) + u64::from(delta.d_expirations) * k;
-        self.expirations = u32::try_from(expirations).expect("expiration count overflow");
     }
 }
 
 /// One hyperperiod of a hardware watchdog's motion, measured by
-/// [`HardwareWatchdog::measure`]: how far the kick stamp moves and how
-/// many expirations are counted.
+/// [`HardwareWatchdog::measure`]: how far the kick stamp moves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HwCycleDelta {
     d_kick: Duration,
-    d_expirations: u32,
 }
 
 #[cfg(test)]
@@ -182,11 +161,11 @@ mod tests {
         let h = Duration::from_millis(20);
         let mut wd = HardwareWatchdog::new(Duration::from_millis(50));
         wd.kick(t(10));
-        assert!(wd.poll(t(100)));
+        assert_eq!(wd.poll(t(100)), Some(t(60)));
         let a = wd.clone();
-        assert!(wd.poll(t(120)));
+        assert_eq!(wd.poll(t(120)), None);
+        assert!(wd.is_expired());
         assert!(certifies(&a, &wd, h));
-        assert_eq!(wd.expirations(), 1);
     }
 
     #[test]
@@ -194,22 +173,22 @@ mod tests {
         let h = Duration::from_millis(20);
         let mut wd = HardwareWatchdog::new(Duration::from_millis(50));
         wd.kick(t(10));
-        assert!(!wd.poll(t(30)));
+        assert_eq!(wd.poll(t(30)), None);
         let a = wd.clone();
-        assert!(!wd.poll(t(50)));
+        assert_eq!(wd.poll(t(50)), None);
         // The next poll reads the stamp: at 61 ms the watchdog expires.
         assert!(!certifies(&a, &wd, h));
     }
 
     #[test]
-    fn expirations_of_a_late_kicked_watchdog_grow_every_hyperperiod() {
-        // Kicked every 60 ms against a 50 ms timeout: one expiration per
-        // 60 ms hyperperiod.
+    fn a_late_kicked_watchdog_expires_every_hyperperiod() {
+        // Kicked every 60 ms against a 50 ms timeout: one expiry per 60 ms
+        // hyperperiod, reported by the poll after it.
         let h = Duration::from_millis(60);
         let mut wd = HardwareWatchdog::new(Duration::from_millis(50));
         let period = |wd: &mut HardwareWatchdog, n: u64| {
-            wd.kick(t(n * 60));
-            assert!(wd.poll(t(n * 60 + 55)));
+            assert_eq!(wd.kick(t(n * 60)), None);
+            assert_eq!(wd.poll(t(n * 60 + 55)), Some(t(n * 60 + 50)));
             wd.clone()
         };
         let a = period(&mut wd, 0);
@@ -219,56 +198,65 @@ mod tests {
         jumped.advance(&HardwareWatchdog::measure(&a, &b, h), 2);
         period(&mut wd, 2);
         assert_eq!(jumped, period(&mut wd, 3));
-        assert_eq!(jumped.expirations(), 4);
-        assert_eq!(jumped.first_expiry(), Some(t(50)));
     }
 
     #[test]
     fn regular_kicks_keep_it_quiet() {
         let mut wd = HardwareWatchdog::new(Duration::from_millis(50));
         for i in 1..=20 {
-            assert_eq!(wd.kick(t(i * 20)), KickOutcome::Accepted);
-            assert!(!wd.poll(t(i * 20)));
+            assert_eq!(wd.kick(t(i * 20)), None);
+            assert_eq!(wd.poll(t(i * 20)), None);
         }
-        assert_eq!(wd.expirations(), 0);
+        assert!(!wd.is_expired());
     }
 
     #[test]
     fn missing_kicks_expire_exactly_after_timeout() {
         let mut wd = HardwareWatchdog::new(Duration::from_millis(50));
         wd.kick(t(10));
-        assert!(!wd.poll(t(60))); // exactly at bound: not yet over
-        assert!(wd.poll(t(61)));
-        assert_eq!(wd.first_expiry(), Some(t(60)));
-        assert_eq!(wd.expirations(), 1);
+        assert_eq!(wd.poll(t(60)), None); // exactly at bound: not yet over
+        assert_eq!(wd.poll(t(61)), Some(t(60)));
+    }
+
+    /// A kick polls first: a kick after the countdown ran out, with no
+    /// poll in between, reports that one expiry with the polled stamp and
+    /// then restarts the countdown.
+    #[test]
+    fn a_late_kick_reports_the_expiry_its_poll_finds() {
+        let mut wd = HardwareWatchdog::new(Duration::from_millis(50));
+        assert_eq!(wd.kick(t(10)), None);
+        assert_eq!(wd.kick(t(70)), Some(t(60)));
+        assert!(!wd.is_expired());
+        assert_eq!(wd.poll(t(80)), None);
+        assert_eq!(wd.kick(t(90)), None);
     }
 
     #[test]
     fn kick_clears_expired_state() {
         let mut wd = HardwareWatchdog::new(Duration::from_millis(10));
-        assert!(wd.poll(t(100)));
-        wd.kick(t(100));
-        assert!(!wd.poll(t(105)));
-        assert_eq!(wd.expirations(), 1);
+        assert_eq!(wd.poll(t(100)), Some(t(10)));
+        assert_eq!(wd.kick(t(100)), None, "the expiry was reported once");
+        assert!(!wd.is_expired());
+        assert_eq!(wd.poll(t(105)), None);
     }
 
     #[test]
     fn expired_state_reported_once_per_episode() {
         let mut wd = HardwareWatchdog::new(Duration::from_millis(10));
-        assert!(wd.poll(t(50)));
-        assert!(wd.poll(t(60)));
-        assert_eq!(wd.expirations(), 1);
+        assert_eq!(wd.poll(t(50)), Some(t(10)));
+        assert_eq!(wd.poll(t(60)), None);
+        assert!(wd.is_expired());
     }
 
     #[test]
     fn window_mode_rejects_early_kicks() {
         let mut wd =
             HardwareWatchdog::new(Duration::from_millis(50)).with_window(Duration::from_millis(20));
-        assert_eq!(wd.kick(t(30)), KickOutcome::Accepted);
-        assert_eq!(wd.kick(t(35)), KickOutcome::TooEarly); // 5ms after last
+        assert_eq!(wd.kick(t(30)), None);
+        assert_eq!(wd.kick(t(35)), None); // 5ms after last
         assert_eq!(wd.early_kicks(), 1);
         // The early kick did not restart the countdown.
-        assert!(wd.poll(t(85)));
+        assert_eq!(wd.poll(t(85)), Some(t(80)));
     }
 
     #[test]

@@ -2,18 +2,21 @@
 //!
 //! The related-work section of the reproduced paper (§2) names three
 //! monitoring mechanisms that the Software Watchdog improves upon, plus one
-//! control-flow-checking alternative it deliberately avoids. All four are
-//! implemented here so the coverage/latency/overhead experiments can put
-//! real numbers behind the paper's qualitative claims:
+//! control-flow-checking alternative it deliberately avoids. The
+//! coverage/latency/overhead experiments put real numbers behind the
+//! paper's qualitative claims with:
 //!
 //! * [`hw_watchdog`] — the ECU hardware watchdog ("treats the embedded
 //!   software as a whole"), optionally windowed;
-//! * [`task_monitors`] — OSEKTime deadline monitoring and AUTOSAR OS
-//!   execution-time monitoring (task granularity, "not fine enough for
-//!   runnables");
 //! * [`cfcss`] — Control-Flow Checking by Software Signatures (Oh et al.,
 //!   2002), the embedded-signature technique rejected for "high
 //!   performance overhead and low flexibility".
+//!
+//! The other two, OSEKTime deadline monitoring and AUTOSAR OS
+//! execution-time monitoring (task granularity, "not fine enough for
+//! runnables"), are the OSEK kernel's own per-task deadline and budget
+//! checks (`easis_osek`); the validator node logs their hook events with
+//! every other detection.
 //!
 //! # Examples
 //!
@@ -33,8 +36,6 @@
 
 pub mod cfcss;
 pub mod hw_watchdog;
-pub mod task_monitors;
 
 pub use cfcss::{BlockId, CfcssMonitor, CfcssProgram, ControlFlowGraph};
-pub use hw_watchdog::{HardwareWatchdog, KickOutcome};
-pub use task_monitors::{TaskMonitor, TaskMonitorStats, TimingCheck};
+pub use hw_watchdog::HardwareWatchdog;

@@ -49,7 +49,8 @@ fn main() {
                 break;
             }
         }
-        let faults = node.world.fault_log.len() + node.world.watchdog.pending_faults();
+        let watchdog = &node.world.watchdog;
+        let faults = watchdog.log().faults().count() + watchdog.pending_faults();
         rows.push(Row {
             threshold,
             verdict_latency_ms: verdict_at.map(|t| t.as_millis() - from.as_millis()),

@@ -46,8 +46,9 @@ fn main() {
         node.run_until(horizon, &mut injector);
         let first = node
             .world
-            .fault_log
-            .iter()
+            .watchdog
+            .log()
+            .faults()
             .find(|f| f.at >= from)
             .map(|f| f.at.as_millis() - from.as_millis());
         let cycles = node.world.watchdog.costs().total_cycles();

@@ -40,7 +40,7 @@ fn run(reconfigure: bool) -> Row {
 
     // Phase 1: nominal 10 ms mode.
     node.run_until(Instant::from_millis(1_000), &mut injector);
-    assert!(node.world.fault_log.is_empty(), "clean before the mode change");
+    assert!(node.world.watchdog.log().is_empty(), "clean before the mode change");
 
     // Mode change: the task now runs every 20 ms.
     node.os
@@ -60,14 +60,15 @@ fn run(reconfigure: bool) -> Row {
 
     // Phase 2: degraded mode, still healthy.
     node.run_until(Instant::from_millis(2_000), &mut injector);
-    let false_alarms = node.world.fault_log.len();
+    let false_alarms = node.world.watchdog.log().faults().count();
 
     // Phase 3: a real heartbeat loss.
     node.run_until(Instant::from_millis(3_000), &mut injector);
     let detected = node
         .world
-        .fault_log
-        .iter()
+        .watchdog
+        .log()
+        .faults()
         .any(|f| f.at >= Instant::from_millis(2_000) && f.runnable == target);
 
     Row {

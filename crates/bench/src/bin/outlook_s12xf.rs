@@ -11,6 +11,7 @@
 
 use easis_bench::{emit_json, header};
 use easis_injection::injector::Injector;
+use easis_injection::stats::DetectorId;
 use easis_sim::cpu::CpuModel;
 use easis_sim::time::Instant;
 use easis_validator::{CentralNode, NodeConfig};
@@ -35,14 +36,15 @@ fn run(platform: &str, clock_hz: u64, scale_ppm: u64) -> Row {
     node.start();
     let mut injector = Injector::none();
     node.run_until(Instant::from_millis(2_000), &mut injector);
+    let log = node.world.watchdog.log();
     Row {
         platform: platform.to_string(),
         clock_mhz: clock_hz / 1_000_000,
         cpu_utilization_pct: node.os.utilization() * 100.0,
         watchdog_cycles_run: node.world.watchdog.cycles_run(),
-        false_positives: node.world.fault_log.len(),
-        deadline_misses: node.deadline_monitor.stats().total(),
-        budget_overruns: node.exec_monitor.stats().total(),
+        false_positives: log.faults().count(),
+        deadline_misses: log.count(DetectorId::DeadlineMonitor) as u32,
+        budget_overruns: log.count(DetectorId::ExecTimeMonitor) as u32,
     }
 }
 

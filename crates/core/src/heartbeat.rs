@@ -14,7 +14,6 @@ use crate::report::{DetectedFault, FaultKind, RunnableCounters};
 use easis_obs::{ObsEvent, ObsSink};
 use easis_rte::runnable::RunnableId;
 use easis_sim::cpu::CostMeter;
-use easis_sim::growth::{advance_counts, measure_counts};
 use easis_sim::time::Instant;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -52,8 +51,6 @@ easis_sim::clone_fields! {
         cca: Vec<u32>,
         ccar: Vec<u32>,
         active: Vec<bool>,
-        aliveness_errors: Vec<u32>,
-        arrival_rate_errors: Vec<u32>,
     }
 }
 
@@ -73,8 +70,6 @@ impl HeartbeatMonitor {
             cca: vec![0; by_id.len()],
             ccar: vec![0; by_id.len()],
             active: Vec::with_capacity(by_id.len()),
-            aliveness_errors: vec![0; by_id.len()],
-            arrival_rate_errors: vec![0; by_id.len()],
         };
         for (_, h) in by_id {
             monitor.active.push(h.initially_active);
@@ -141,7 +136,6 @@ impl HeartbeatMonitor {
                 self.cca[slot] += 1;
                 if self.cca[slot] >= spec.cycles {
                     if self.ac[slot] < spec.min_indications {
-                        self.aliveness_errors[slot] += 1;
                         obs.record(
                             now,
                             ObsEvent::FaultDetected {
@@ -163,7 +157,6 @@ impl HeartbeatMonitor {
                 self.ccar[slot] += 1;
                 if self.ccar[slot] >= spec.cycles {
                     if self.arc[slot] > spec.max_indications {
-                        self.arrival_rate_errors[slot] += 1;
                         obs.record(
                             now,
                             ObsEvent::FaultDetected {
@@ -182,27 +175,6 @@ impl HeartbeatMonitor {
                 }
             }
         }
-    }
-
-    /// Measures how far the aliveness and arrival-rate error counts of `b`
-    /// are ahead of `a`'s, slot by slot. The counts are reports (the
-    /// Figure 5/6 plot quantities): no check reads them back, so a faulty
-    /// steady state may raise them every hyperperiod. Every other counter
-    /// must come back, which the caller's comparison checks.
-    pub fn measure_errors(
-        a: &Self,
-        b: &Self,
-        aliveness: &mut Vec<u64>,
-        arrival_rate: &mut Vec<u64>,
-    ) {
-        measure_counts(&a.aliveness_errors, &b.aliveness_errors, aliveness);
-        measure_counts(&a.arrival_rate_errors, &b.arrival_rate_errors, arrival_rate);
-    }
-
-    /// Raises the error counts by `k` times their measured growth.
-    pub fn advance_errors(&mut self, aliveness: &[u64], arrival_rate: &[u64], k: u64) {
-        advance_counts(&mut self.aliveness_errors, aliveness, k);
-        advance_counts(&mut self.arrival_rate_errors, arrival_rate, k);
     }
 
     /// Replaces the fault hypothesis of a runnable at runtime (dynamic
@@ -228,8 +200,6 @@ impl HeartbeatMonitor {
                 self.arc.insert(slot, 0);
                 self.cca.insert(slot, 0);
                 self.ccar.insert(slot, 0);
-                self.aliveness_errors.insert(slot, 0);
-                self.arrival_rate_errors.insert(slot, 0);
             }
         }
     }
@@ -261,8 +231,8 @@ impl HeartbeatMonitor {
             .is_some_and(|slot| self.active[slot as usize])
     }
 
-    /// Live counter values (aliveness/arrival parts; PFC attribution is
-    /// merged in by the service facade).
+    /// Live counter values. The error counts are left at zero: they are
+    /// queries over the detection log, which the service facade fills in.
     pub fn counters(&self, runnable: RunnableId) -> Option<RunnableCounters> {
         self.index.slot_of_runnable(runnable).map(|slot| {
             let slot = slot as usize;
@@ -272,9 +242,7 @@ impl HeartbeatMonitor {
                 cca: self.cca[slot],
                 ccar: self.ccar[slot],
                 activation: self.active[slot],
-                aliveness_errors: self.aliveness_errors[slot],
-                arrival_rate_errors: self.arrival_rate_errors[slot],
-                program_flow_errors: 0,
+                ..RunnableCounters::default()
             }
         })
     }
@@ -319,9 +287,6 @@ mod tests {
             m.record(r(0), t(cycle * 10), &mut costs, OFF);
             assert!(m.end_of_cycle(t(cycle * 10), &mut costs, OFF).is_empty());
         }
-        let c = m.counters(r(0)).unwrap();
-        assert_eq!(c.aliveness_errors, 0);
-        assert_eq!(c.arrival_rate_errors, 0);
     }
 
     #[test]
@@ -337,7 +302,6 @@ mod tests {
         // Counters were reset after the error.
         let c = m.counters(r(0)).unwrap();
         assert_eq!((c.ac, c.cca), (0, 0));
-        assert_eq!(c.aliveness_errors, 1);
     }
 
     #[test]
@@ -351,7 +315,6 @@ mod tests {
         let faults = m.end_of_cycle(t(20), &mut costs, OFF);
         assert_eq!(faults.len(), 1);
         assert_eq!(faults[0].kind, FaultKind::ArrivalRate);
-        assert_eq!(m.counters(r(0)).unwrap().arrival_rate_errors, 1);
     }
 
     #[test]
@@ -480,15 +443,6 @@ mod reconfig_tests {
     }
 
     #[test]
-    fn reconfigure_keeps_error_history() {
-        let mut m = HeartbeatMonitor::new([RunnableHypothesis::new(r(0)).alive_at_least(1, 1)]);
-        let mut costs = CostMeter::new();
-        assert_eq!(m.end_of_cycle(t(10), &mut costs, OFF).len(), 1);
-        m.reconfigure(RunnableHypothesis::new(r(0)).alive_at_least(1, 2));
-        assert_eq!(m.counters(r(0)).unwrap().aliveness_errors, 1);
-    }
-
-    #[test]
     fn reconfigure_unknown_runnable_respects_initially_inactive() {
         let mut m = HeartbeatMonitor::new([]);
         let mut costs = CostMeter::new();
@@ -556,7 +510,6 @@ mod activation_tests {
         assert!(m.end_of_cycle(t(110), &mut costs, OFF).is_empty());
         assert_eq!(m.counters(r(0)).unwrap().cca, 1);
         assert!(m.end_of_cycle(t(120), &mut costs, OFF).is_empty());
-        assert_eq!(m.counters(r(0)).unwrap().aliveness_errors, 0);
         // Only genuinely silent periods after reactivation report.
         assert!(m.end_of_cycle(t(130), &mut costs, OFF).is_empty());
         assert_eq!(m.end_of_cycle(t(140), &mut costs, OFF).len(), 1);

@@ -21,7 +21,10 @@
 //! and is their one service API: the aliveness-indication routine
 //! ([`SoftwareWatchdog::heartbeat`]) for glue code, the periodic check
 //! ([`SoftwareWatchdog::run_cycle`]) for the watchdog task, and the
-//! fault/state outbox for the Fault Management Framework. The
+//! hand-over of faults and state changes to the Fault Management
+//! Framework. It keeps the node's one record of detection, the
+//! [`DetectionLog`] of [`detection`], which the kernel's timing checks and
+//! the hardware watchdog write too. The
 //! active-probe alternative in [`probe`] stands beside it for the
 //! passive-vs-active ablation. The service reports structured events to
 //! an `easis_obs::ObsSink` flight recorder attached with
@@ -61,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod detection;
 pub mod heartbeat;
 pub mod pfc;
 pub mod probe;
@@ -70,6 +74,7 @@ pub mod tsi;
 pub mod validate;
 
 pub use config::{AlivenessSpec, ArrivalRateSpec, IdIndex, RunnableHypothesis, WatchdogConfig};
+pub use detection::{Detection, DetectionLog, DetectorId};
 pub use heartbeat::HeartbeatMonitor;
 pub use pfc::{CompiledFlowTable, FlowTable, FlowVerdict, PfcState};
 pub use probe::ActiveProbeMonitor;

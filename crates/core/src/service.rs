@@ -11,14 +11,19 @@
 //! * the watchdog's periodic OS task calls [`SoftwareWatchdog::run_cycle`],
 //!   which performs the end-of-period checks and feeds every detected
 //!   fault into the task state indication unit;
-//! * detected faults and state changes accumulate in an outbox for the
-//!   Fault Management Framework (the second interface of §4.4).
+//! * every detection is appended to the node's one [`DetectionLog`],
+//!   which also takes the kernel's and the hardware watchdog's
+//!   detections ([`SoftwareWatchdog::log_detection`]); the Fault
+//!   Management Framework (the second interface of §4.4) receives the
+//!   Software Watchdog's entries past a hand-over cursor, and state
+//!   changes from an outbox.
 //!
 //! CPU cost of every monitoring action is charged to a [`CostMeter`] so the
 //! overhead experiments can compare against signature-based control-flow
 //! checking.
 
 use crate::config::WatchdogConfig;
+use crate::detection::{Detection, DetectionLog, DetectorId};
 use crate::heartbeat::HeartbeatMonitor;
 use crate::pfc::{CompiledFlowTable, FlowVerdict, PfcState, LOOKUP_COST_CYCLES};
 use crate::report::{DetectedFault, FaultKind, HealthState, RunnableCounters, StateChange};
@@ -28,7 +33,7 @@ use easis_osek::task::TaskId;
 use easis_rte::mapping::ApplicationId;
 use easis_rte::runnable::{HeartbeatSink, RunnableId};
 use easis_sim::cpu::{CostMeter, CpuModel};
-use easis_sim::growth::{advance_counts, measure_counts, Stamped};
+use easis_sim::growth::LogGrowth;
 use easis_sim::time::{Duration, Instant};
 use std::sync::Arc;
 
@@ -36,7 +41,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleReport {
     /// Faults detected in this cycle (heartbeat checks; PFC faults are
-    /// detected between cycles and appear in the outbox immediately).
+    /// detected between cycles and appear in the detection log
+    /// immediately).
     pub faults: Vec<DetectedFault>,
     /// Task/application/ECU state changes caused by this cycle.
     pub state_changes: Vec<StateChange>,
@@ -83,7 +89,8 @@ pub struct SoftwareWatchdog {
 
 easis_sim::clone_fields! {
     /// Everything a watchdog run can change — monitor counters, PFC
-    /// positions, TSI vectors and verdicts, outboxes, cost meter — and so
+    /// positions, TSI vectors and verdicts, the state-change outbox, cost
+    /// meter, the detection log — and so
     /// the watchdog's checkpoint ([`SoftwareWatchdog::state`],
     /// [`SoftwareWatchdog::restore`]). The compiled configuration, flow
     /// table, slot scopes and the observability sink are wiring and stay
@@ -97,13 +104,12 @@ easis_sim::clone_fields! {
         /// trailing state shared by all runnables not mapped to any task.
         pfc: Vec<PfcState>,
         tsi: TsiState,
-        /// PFC violations attributed per runnable slot: the one count of
-        /// them.
-        pfc_errors: Vec<u32>,
-        outbox: Vec<DetectedFault>,
         state_outbox: Vec<StateChange>,
         costs: CostMeter,
         cycles_run: u64,
+        /// The node's one record of detection, last because it is the
+        /// longest field to compare.
+        log: DetectionLog,
     }
 }
 
@@ -145,7 +151,6 @@ impl SoftwareWatchdog {
             // unmapped scope, all over the one compiled table.
             pfc: vec![PfcState::default(); task_count + 1],
             tsi: TsiState::new(&tsi),
-            pfc_errors: vec![0; config.runnable_index().len()],
             ..WatchdogState::default()
         };
         SoftwareWatchdog {
@@ -213,16 +218,12 @@ impl SoftwareWatchdog {
                     kind: FaultClass::ProgramFlow,
                 },
             );
-            // Only flow-monitored runnables can violate, and the flow
-            // table's ids are interned at build time.
-            let slot = runnable_slot.expect("flow-monitored runnables are interned") as usize;
-            state.pfc_errors[slot] += 1;
             let fault = DetectedFault {
                 at: now,
                 runnable,
                 kind: FaultKind::ProgramFlow,
             };
-            state.outbox.push(fault);
+            state.log.append(fault.into());
             let Some(task) = self.task_of_scope(scope) else {
                 return; // an unmapped runnable counts under no task
             };
@@ -288,6 +289,7 @@ impl SoftwareWatchdog {
             .end_of_cycle_into(now, &mut state.costs, &mut report.faults, &self.obs);
         for i in 0..report.faults.len() {
             let fault = report.faults[i];
+            self.state.log.append(fault.into());
             let Some(task) = self.hosting_task(&fault) else {
                 continue;
             };
@@ -312,10 +314,7 @@ impl SoftwareWatchdog {
                 faults: report.faults.len() as u32,
             },
         );
-        if !report.faults.is_empty() || !report.state_changes.is_empty() {
-            state.outbox.extend_from_slice(&report.faults);
-            state.state_outbox.extend_from_slice(&report.state_changes);
-        }
+        state.state_outbox.extend_from_slice(&report.state_changes);
     }
 
     /// Honour `deactivate_on_faulty_task`: clear the AS of every runnable
@@ -363,22 +362,23 @@ impl SoftwareWatchdog {
         }
     }
 
-    /// Live counters of a runnable — the Figure 5/6 plot quantities.
+    /// Live counters of a runnable — the Figure 5/6 plot quantities. The
+    /// three error counts are counts of the runnable's entries in the
+    /// detection log.
     pub fn counters(&self, runnable: RunnableId) -> Option<RunnableCounters> {
-        self.state.heartbeat.counters(runnable).map(|mut c| {
-            c.program_flow_errors = self
-                .config
-                .runnable_index()
-                .slot_of_runnable(runnable)
-                .map_or(0, |slot| self.state.pfc_errors[slot as usize]);
-            c
+        let log = &self.state.log;
+        self.state.heartbeat.counters(runnable).map(|c| RunnableCounters {
+            aliveness_errors: log.count_on(DetectorId::SwAliveness, runnable),
+            arrival_rate_errors: log.count_on(DetectorId::SwArrivalRate, runnable),
+            program_flow_errors: log.count_on(DetectorId::SwProgramFlow, runnable),
+            ..c
         })
     }
 
     /// Total program-flow errors detected so far (the "PFC Result" series
     /// summed over runnables).
     pub fn pfc_errors_total(&self) -> u64 {
-        self.state.pfc_errors.iter().map(|&n| u64::from(n)).sum()
+        self.state.log.count(DetectorId::SwProgramFlow) as u64
     }
 
     /// Current verdict of a task.
@@ -396,23 +396,12 @@ impl SoftwareWatchdog {
         self.state.tsi.ecu_state()
     }
 
-    /// Drains the fault outbox (the interface to the Fault Management
-    /// Framework).
-    pub fn take_faults(&mut self) -> Vec<DetectedFault> {
-        std::mem::take(&mut self.state.outbox)
-    }
-
-    /// Drains the state-change outbox.
-    pub fn take_state_changes(&mut self) -> Vec<StateChange> {
-        std::mem::take(&mut self.state.state_outbox)
-    }
-
-    /// Drains pending faults into `out` (appending), retaining the outbox
-    /// allocation — the allocation-free alternative to
-    /// [`SoftwareWatchdog::take_faults`] for the campaign hot path.
-    pub fn drain_faults_into(&mut self, out: &mut Vec<DetectedFault>) {
-        out.extend_from_slice(&self.state.outbox);
-        self.state.outbox.clear();
+    /// Hands the faults detected since the last hand-over to the Fault
+    /// Management Framework: appends them to `out`, in detection order,
+    /// and moves the log's cursor past them. The other detectors' entries
+    /// stay in the log only.
+    pub fn hand_over_faults(&mut self, out: &mut Vec<DetectedFault>) {
+        self.state.log.hand_over_into(out);
     }
 
     /// Drains pending state changes into `out` (appending), retaining the
@@ -422,9 +411,27 @@ impl SoftwareWatchdog {
         self.state.state_outbox.clear();
     }
 
-    /// Number of pending (undrained) faults.
+    /// Number of faults not handed over yet.
     pub fn pending_faults(&self) -> usize {
-        self.state.outbox.len()
+        self.state.log.pending_faults()
+    }
+
+    /// The detection log: every detection of every detector so far.
+    pub fn log(&self) -> &DetectionLog {
+        &self.state.log
+    }
+
+    /// Appends the detection of a detector outside the Software Watchdog
+    /// (the kernel's deadline and budget checks, the hardware watchdog)
+    /// to the log.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) on a Software Watchdog detector: its units
+    /// log their own detections.
+    pub fn log_detection(&mut self, detection: Detection) {
+        debug_assert!(!detection.detector.is_software_watchdog());
+        self.state.log.append(detection);
     }
 
     /// Accumulated monitoring cost.
@@ -461,61 +468,54 @@ impl SoftwareWatchdog {
         self.state.clone_from(state);
     }
 
-    /// Jumps the watchdog `k` hyperperiods ahead by a certified delta
-    /// ([`WatchdogState::advance`] on the live state).
-    pub fn advance(&mut self, delta: &WatchdogCycleDelta, k: u64) {
-        self.state.advance(delta, k);
+    /// Jumps the watchdog, at `now`, `k` hyperperiods ahead by a
+    /// certified delta ([`WatchdogState::advance`] on the live state).
+    pub fn advance(&mut self, delta: &WatchdogCycleDelta, now: Instant, k: u64) {
+        self.state.advance(delta, now, k);
     }
 }
 
 /// The per-hyperperiod advance of the watchdog: its cost meter and cycle
-/// count, the growth of its write-only detection counts (heartbeat
-/// errors, PFC violations per runnable, TSI counts of `Faulty` tasks) and
-/// the shift of its pending fault outbox. Measured by
-/// [`SoftwareWatchdog::measure`], applied by [`WatchdogState::advance`];
-/// the buffers are reused, so steady-state certification allocates
-/// nothing once warm.
+/// count, the entries its detection log gains and the growth of the TSI
+/// counts of `Faulty` tasks. Measured by [`SoftwareWatchdog::measure`],
+/// applied by [`WatchdogState::advance`]; the buffers are reused, so
+/// steady-state certification allocates nothing once warm.
 #[derive(Debug, Clone, Default)]
 pub struct WatchdogCycleDelta {
-    h: Duration,
     d_costs: CostMeter,
     d_cycles: u64,
-    d_aliveness_errors: Vec<u64>,
-    d_arrival_rate_errors: Vec<u64>,
-    d_pfc_errors: Vec<u64>,
+    log: LogGrowth<Detection>,
     d_tsi: Vec<u64>,
 }
 
 impl SoftwareWatchdog {
-    /// Measures the advances between two states `h` apart: the cost meter
-    /// and cycle count, and the counts a faulty steady state raises every
-    /// hyperperiod without reading them back — the heartbeat unit's error
-    /// counts, the PFC errors per runnable, and the TSI counts of tasks
-    /// already `Faulty` in `a` ([`TsiState::measure_latched`]).
-    /// Certification advances `a` by them once and compares the result
-    /// with `b` whole: every monitor counter, PFC position, verdict and
-    /// the state-change outbox must be back where it was, and the fault
-    /// outbox must hold the same entries one hyperperiod later. The hyperperiod includes every
-    /// fault-hypothesis window span, so steady-state counters land back on
-    /// the same phase.
+    /// Measures the advances between two states `h` apart, the first
+    /// sampled at `since`: the cost meter and cycle count, the entries the
+    /// detection log gained (`false` when it holds fewer), and the TSI
+    /// counts of tasks already `Faulty` in `a`
+    /// ([`TsiState::measure_latched`]) — the counts a faulty steady state
+    /// raises every hyperperiod without reading them back. Certification
+    /// advances `a` by them once and compares the result with `b` whole:
+    /// every monitor counter, PFC position, verdict and the state-change
+    /// outbox must be back where it was, and the log must have gained its
+    /// entries with as many left to hand over. The hyperperiod includes
+    /// every fault-hypothesis window span, so steady-state counters land
+    /// back on the same phase.
     pub fn measure(
         &self,
         a: &WatchdogState,
         b: &WatchdogState,
+        since: Instant,
         h: Duration,
         delta: &mut WatchdogCycleDelta,
-    ) {
-        delta.h = h;
+    ) -> bool {
+        if !DetectionLog::measure(&a.log, &b.log, since, h, &mut delta.log) {
+            return false;
+        }
         delta.d_costs = b.costs.delta_since(&a.costs);
         delta.d_cycles = b.cycles_run.saturating_sub(a.cycles_run);
-        HeartbeatMonitor::measure_errors(
-            &a.heartbeat,
-            &b.heartbeat,
-            &mut delta.d_aliveness_errors,
-            &mut delta.d_arrival_rate_errors,
-        );
-        measure_counts(&a.pfc_errors, &b.pfc_errors, &mut delta.d_pfc_errors);
         TsiState::measure_latched(&a.tsi, &b.tsi, &self.tsi, &mut delta.d_tsi);
+        true
     }
 }
 
@@ -527,20 +527,16 @@ impl WatchdogState {
         TsiState::same_verdicts(&a.tsi, &b.tsi)
     }
 
-    /// Advances the state `k` hyperperiods by `delta`: the cost meter,
-    /// cycle count and detection counts rise by `k` times their growth,
-    /// and every pending fault moves `k` hyperperiods later. With k = 1 on
-    /// a certification sample, with k on the live state when jumping.
-    pub fn advance(&mut self, delta: &WatchdogCycleDelta, k: u64) {
+    /// Advances the state, sampled at `now`, `k` hyperperiods by `delta`:
+    /// the cost meter, cycle count and latched TSI counts rise by `k`
+    /// times their growth, and the log gains `k` copies of its entries,
+    /// its cursor moving with them. With k = 1 on a certification sample,
+    /// with k on the live state when jumping.
+    pub fn advance(&mut self, delta: &WatchdogCycleDelta, now: Instant, k: u64) {
         self.costs.accumulate(&delta.d_costs, k);
         self.cycles_run += delta.d_cycles * k;
-        self.heartbeat
-            .advance_errors(&delta.d_aliveness_errors, &delta.d_arrival_rate_errors, k);
-        advance_counts(&mut self.pfc_errors, &delta.d_pfc_errors, k);
         self.tsi.advance_counts(&delta.d_tsi, k);
-        for fault in &mut self.outbox {
-            fault.shift(delta.h * k);
-        }
+        self.log.advance(&delta.log, now, k);
     }
 }
 
@@ -598,8 +594,8 @@ mod tests {
 
     /// A latched faulty steady state, one 10 ms cycle per hyperperiod:
     /// r1 stays silent (an aliveness error every cycle), r2 follows r0
-    /// directly (a PFC violation every cycle, pending in the outbox until
-    /// the cycle check), and monitoring continues on the faulty task. A
+    /// directly (a PFC violation every cycle, pending in the log until the
+    /// cycle's hand-over), and monitoring continues on the faulty task. A
     /// sample between the heartbeats and the check, advanced by what it
     /// measured against the next one, equals it; advanced k cycles from
     /// the later sample, it equals k simulated cycles.
@@ -626,13 +622,13 @@ mod tests {
         let mut wd = SoftwareWatchdog::new(builder.mapping(mapping).build());
         let (mut faults, mut changes) = (Vec::new(), Vec::new());
         // Runs cycle `c`'s heartbeats at c·10 − 5 ms and returns the state
-        // there, then its check at c·10 ms, drained like the node does.
+        // there, then its check at c·10 ms, handed over like the node does.
         let mut cycle = |wd: &mut SoftwareWatchdog, c: u64| {
             wd.heartbeat(r(0), t(c * 10 - 5));
             wd.heartbeat(r(2), t(c * 10 - 5));
             let sample = wd.state().clone();
             let _ = wd.run_cycle(t(c * 10));
-            wd.drain_faults_into(&mut faults);
+            wd.hand_over_faults(&mut faults);
             wd.drain_state_changes_into(&mut changes);
             sample
         };
@@ -642,15 +638,15 @@ mod tests {
         assert!(wd.task_state(TaskId(0)).is_faulty());
         let a = cycle(&mut wd, 5);
         let b = cycle(&mut wd, 6);
-        assert_eq!(b.outbox.len(), 1, "a PFC fault is pending at the sample");
+        assert_eq!(b.log.pending_faults(), 1, "a PFC fault is pending at the sample");
         let h = Duration::from_millis(10);
         let mut delta = WatchdogCycleDelta::default();
-        wd.measure(&a, &b, h, &mut delta);
+        assert!(wd.measure(&a, &b, t(45), h, &mut delta));
         let mut advanced = a.clone();
-        advanced.advance(&delta, 1);
+        advanced.advance(&delta, t(45), 1);
         assert_eq!(advanced, b);
         let mut jumped = b.clone();
-        jumped.advance(&delta, 3);
+        jumped.advance(&delta, t(55), 3);
         let mut simulated = b;
         for c in 7..=9 {
             simulated = cycle(&mut wd, c);
@@ -667,7 +663,7 @@ mod tests {
             let report = wd.run_cycle(t(cycle * 10));
             assert!(report.faults.is_empty(), "cycle {cycle}: {report:?}");
         }
-        assert!(wd.take_faults().is_empty());
+        assert!(wd.log().is_empty());
         assert_eq!(wd.ecu_state(), HealthState::Ok);
         assert_eq!(wd.cycles_run(), 20);
     }
@@ -707,7 +703,10 @@ mod tests {
         let mut wd = safespeed_watchdog();
         wd.heartbeat(r(0), t(1));
         wd.heartbeat(r(2), t(2)); // skipped r1
-        let faults = wd.take_faults();
+        assert_eq!(wd.pending_faults(), 1);
+        let mut faults = Vec::new();
+        wd.hand_over_faults(&mut faults);
+        assert_eq!(wd.pending_faults(), 0);
         assert_eq!(faults.len(), 1);
         assert_eq!(faults[0].kind, FaultKind::ProgramFlow);
         assert_eq!(faults[0].runnable, r(2));
@@ -813,11 +812,14 @@ mod tests {
         for cycle in 1..=3u64 {
             wd.run_cycle(t(cycle * 10));
         }
-        let changes = wd.take_state_changes();
+        let mut changes = Vec::new();
+        wd.drain_state_changes_into(&mut changes);
         assert!(changes
             .iter()
             .any(|c| matches!(c, StateChange::TaskFaulty { .. })));
-        assert!(wd.take_state_changes().is_empty());
+        changes.clear();
+        wd.drain_state_changes_into(&mut changes);
+        assert!(changes.is_empty());
     }
 
     #[test]
@@ -849,7 +851,7 @@ mod tests {
         let mut wd = safespeed_watchdog();
         let fresh = wd.state().clone();
         wd.heartbeat(r(0), t(5));
-        wd.heartbeat(r(2), t(6)); // skipped r1 → PFC violation in outbox
+        wd.heartbeat(r(2), t(6)); // skipped r1 → PFC violation, handed over below
         wd.run_cycle(t(10));
         let mut snap = WatchdogState::default();
         snap.clone_from(wd.state());
@@ -859,9 +861,11 @@ mod tests {
             wd.heartbeat(r(1), t(16));
             wd.heartbeat(r(2), t(17));
             let report = wd.run_cycle(t(20));
+            let mut faults = Vec::new();
+            wd.hand_over_faults(&mut faults);
             (
                 report,
-                wd.take_faults(),
+                faults,
                 wd.counters(r(2)).unwrap(),
                 wd.costs().total_cycles(),
             )
@@ -880,6 +884,31 @@ mod tests {
             first, third,
             "restore after a rewind must replay identically"
         );
+    }
+
+    #[test]
+    fn reconfigure_keeps_error_history() {
+        let mut wd = safespeed_watchdog();
+        wd.run_cycle(t(10)); // everything silent
+        wd.reconfigure(RunnableHypothesis::new(r(0)).alive_at_least(1, 2));
+        assert_eq!(wd.counters(r(0)).unwrap().aliveness_errors, 1);
+    }
+
+    #[test]
+    fn other_detectors_share_the_log_but_not_the_hand_over() {
+        let mut wd = safespeed_watchdog();
+        wd.log_detection(Detection::on_task(t(3), DetectorId::ExecTimeMonitor, TaskId(0)));
+        wd.heartbeat(r(0), t(4));
+        wd.heartbeat(r(2), t(5)); // skipped r1
+        wd.log_detection(Detection::expiry(t(2)));
+        assert_eq!(wd.log().entries().len(), 3);
+        assert_eq!(wd.pending_faults(), 1);
+        let mut faults = Vec::new();
+        wd.hand_over_faults(&mut faults);
+        assert_eq!(faults.len(), 1);
+        assert_eq!(faults[0].kind, FaultKind::ProgramFlow);
+        assert_eq!(wd.log().count(DetectorId::HwWatchdog), 1);
+        assert_eq!(wd.pfc_errors_total(), 1);
     }
 
     #[test]

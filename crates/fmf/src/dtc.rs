@@ -240,15 +240,6 @@ impl DtcStore {
         }
     }
 
-    /// Clears the whole memory, retiring every record to the spare pool:
-    /// the next inserts rewrite the retired freeze-frame buffers instead of
-    /// cloning fresh ones.
-    pub fn clear_all(&mut self) {
-        while let Some(record) = self.records.pop() {
-            self.spare.push(record);
-        }
-    }
-
     /// Looks up a record.
     pub fn get(&self, code: DtcCode) -> Option<&DtcRecord> {
         self.records
@@ -564,8 +555,6 @@ mod tests {
         let code = store.record(fault(1, FaultKind::Aliveness, 1), FreezeFrame::default());
         assert!(store.clear(code));
         assert!(!store.clear(code));
-        store.record(fault(1, FaultKind::Aliveness, 2), FreezeFrame::default());
-        store.clear_all();
         assert!(store.is_empty());
     }
 

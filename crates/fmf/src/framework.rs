@@ -2,11 +2,11 @@
 //!
 //! [`FaultManagementFramework`] is the "general fault treatment system that
 //! gathers the information on the detected faults" (paper §4.4). It ingests
-//! the Software Watchdog's fault and state-change outboxes, records the
-//! faults in its DTC memory, applies the [`TreatmentPolicy`] and queues
-//! [`TreatmentAction`]s for the platform integration to execute. The
-//! platform keeps the one log of detected faults (the validator's
-//! `CentralWorld::fault_log`).
+//! the faults and state changes the Software Watchdog hands over, records
+//! the faults in its DTC memory, applies the [`TreatmentPolicy`] and queues
+//! [`TreatmentAction`]s for the platform integration to execute. It keeps
+//! no log of its own: every detection is recorded once, in the watchdog
+//! service's detection log (`easis_watchdog::detection`).
 
 use crate::dtc::{DtcStore, FreezeFrame};
 use crate::policy::{Treatment, TreatmentAction, TreatmentPolicy};
@@ -146,20 +146,6 @@ impl FaultManagementFramework {
                     self.push_action(at, treatment, ecu_faulty_reason());
                 }
             }
-        }
-    }
-
-    /// Convenience: ingest everything a watchdog cycle produced.
-    pub fn ingest_all(
-        &mut self,
-        faults: impl IntoIterator<Item = DetectedFault>,
-        changes: impl IntoIterator<Item = StateChange>,
-    ) {
-        for f in faults {
-            self.ingest_fault(f);
-        }
-        for c in changes {
-            self.ingest_state_change(c);
         }
     }
 
@@ -413,12 +399,10 @@ mod tests {
     }
 
     #[test]
-    fn ingest_all_and_drain() {
+    fn ingest_and_drain() {
         let mut fmf = FaultManagementFramework::default();
-        fmf.ingest_all(
-            vec![fault(1, FaultKind::Aliveness)],
-            vec![app_faulty(1)],
-        );
+        fmf.ingest_fault(fault(1, FaultKind::Aliveness));
+        fmf.ingest_state_change(app_faulty(1));
         assert_eq!(fmf.dtc().len(), 1);
         assert_eq!(fmf.take_actions().len(), 1);
         assert!(fmf.take_actions().is_empty());

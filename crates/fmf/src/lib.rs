@@ -1,8 +1,8 @@
 //! # easis-fmf — the EASIS Fault Management Framework
 //!
 //! The companion dependability service of the Software Watchdog (paper
-//! §4.4 and its reference \[12\]): it receives the watchdog's detected faults and
-//! state changes, records the faults in its DTC memory, and decides
+//! §4.4 and its reference \[12\]): it receives the faults and state changes
+//! the watchdog hands over, records the faults in its DTC memory, and decides
 //! coordinated fault treatments from the state changes per the paper's
 //! §3.5 decision tree — application restart/termination while the ECU is
 //! healthy, a software reset when the global ECU state turns faulty.

@@ -64,7 +64,7 @@ pub struct TreatmentAction {
     pub at: Instant,
     /// The treatment to execute.
     pub treatment: Treatment,
-    /// Human-readable reason for the fault log. An `Arc<str>` handle to a
+    /// Human-readable reason for the treatment log. An `Arc<str>` handle to a
     /// reason interned by the framework (one allocation per distinct
     /// reason, not per action); serializes as a plain string.
     pub reason: Arc<str>,

@@ -6,54 +6,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// The detectors compared by the coverage/latency experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum DetectorId {
-    /// Software Watchdog — aliveness monitoring unit.
-    SwAliveness,
-    /// Software Watchdog — arrival-rate monitoring unit.
-    SwArrivalRate,
-    /// Software Watchdog — program flow checking unit.
-    SwProgramFlow,
-    /// ECU hardware watchdog.
-    HwWatchdog,
-    /// OSEKTime-style task deadline monitoring.
-    DeadlineMonitor,
-    /// AUTOSAR-OS-style execution-time monitoring.
-    ExecTimeMonitor,
-}
-
-impl DetectorId {
-    /// All detectors, in report column order.
-    pub const ALL: [DetectorId; 6] = [
-        DetectorId::SwAliveness,
-        DetectorId::SwArrivalRate,
-        DetectorId::SwProgramFlow,
-        DetectorId::HwWatchdog,
-        DetectorId::DeadlineMonitor,
-        DetectorId::ExecTimeMonitor,
-    ];
-
-    /// Short column label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DetectorId::SwAliveness => "SW-AM",
-            DetectorId::SwArrivalRate => "SW-ARM",
-            DetectorId::SwProgramFlow => "SW-PFC",
-            DetectorId::HwWatchdog => "HW-WD",
-            DetectorId::DeadlineMonitor => "DLMON",
-            DetectorId::ExecTimeMonitor => "ETMON",
-        }
-    }
-
-    /// `true` for the three Software Watchdog units.
-    pub fn is_software_watchdog(self) -> bool {
-        matches!(
-            self,
-            DetectorId::SwAliveness | DetectorId::SwArrivalRate | DetectorId::SwProgramFlow
-        )
-    }
-}
+/// The detectors compared by the coverage/latency experiments: the
+/// vocabulary of the node's detection log, re-exported here.
+pub use easis_watchdog::detection::DetectorId;
 
 /// Result of one fault-injection trial.
 ///

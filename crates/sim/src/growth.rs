@@ -86,6 +86,11 @@ impl<T: Stamped> LogGrowth<T> {
         true
     }
 
+    /// Entries gained per hyperperiod.
+    pub fn gained(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Appends `k` hyperperiods of growth to `log`, a log sampled at
     /// `now`: copy j (from 0) is the measured entries shifted by
     /// `now - since + j·h`.
@@ -167,6 +172,7 @@ mod tests {
         let mut jumped = b.clone();
         growth.advance(&mut jumped, Instant::from_millis(40), 2);
         assert_eq!(jumped[3..], [at(45, 1), at(51, 2), at(65, 1), at(71, 2)]);
+        assert_eq!(growth.gained(), 2);
         // A log that shrank has no growth to measure.
         assert!(!growth.measure(&b, &a, Instant::from_millis(20), h));
     }

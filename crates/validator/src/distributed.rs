@@ -344,8 +344,8 @@ impl DistributedValidator {
         DistributedReport {
             final_speed: self.plant.state().speed,
             ldw_warned_on_bus: self.ldw_on_bus,
-            speed_node_faults: self.speed_node.world.fault_log.len(),
-            lane_node_faults: self.lane_node.world.fault_log.len(),
+            speed_node_faults: self.speed_node.world.watchdog.log().faults().count(),
+            lane_node_faults: self.lane_node.world.watchdog.log().faults().count(),
             speed_node_rx_irqs: self.speed_rx_irqs,
             lane_node_rx_irqs: self.lane_rx_irqs,
             e2e_faults: self.e2e_rx.faults(),

@@ -340,7 +340,7 @@ impl HilValidator {
             peak_overspeed: self.peak_overspeed,
             overspeed_exposure: self.overspeed_exposure,
             ldw_warned: self.ldw_warned,
-            faults_detected: self.central.world.fault_log.len(),
+            faults_detected: self.central.world.watchdog.log().faults().count(),
             can_frames: self.can.frames_sent(),
             flexray_frames: self.flexray.frames_sent(),
         }

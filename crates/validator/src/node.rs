@@ -4,21 +4,23 @@
 //! AutoBox) from application bundles: OSEK tasks and alarms per
 //! application, the Software Watchdog as the highest-priority periodic
 //! task, a lowest-priority hardware-watchdog kick task, the deployment
-//! mapping, the derived fault hypotheses, and the baseline task-granularity
-//! monitors. The watchdog task's effect also plays the integration role of
-//! §4.4: it drains the watchdog outboxes into the Fault Management
-//! Framework and executes the decided treatments.
+//! mapping, the derived fault hypotheses, and a hook observer that logs the
+//! kernel's task-granularity timing checks. Every detector writes the one
+//! detection log the watchdog service keeps. The watchdog task's effect
+//! also plays the integration role of §4.4: it hands the watchdog's new
+//! detections and state changes to the Fault Management Framework and
+//! executes the decided treatments.
 
 use crate::ffwd::Mode;
 use crate::world::CentralWorld;
 use easis_apps::bundle::AppBundle;
 use easis_apps::{lightctl, safelane, safespeed, steer};
-use easis_baselines::task_monitors::{TaskMonitor, TaskMonitorStats, TimingCheck};
 use easis_fmf::dtc::FreezeFrame;
 use easis_fmf::framework::{FaultManagementFramework, FmfCycleDelta, FmfState};
 use easis_fmf::policy::{Treatment, TreatmentAction, TreatmentPolicy};
 use easis_injection::injector::Injector;
 use easis_osek::alarm::{AlarmAction, AlarmId};
+use easis_osek::hooks::{HookEvent, HookMask, HookObserver};
 use easis_osek::kernel::{CycleProgram, Os};
 use easis_osek::plan::{EffectCtx, Plan, TaskBody};
 use easis_osek::task::{Priority, TaskConfig, TaskId};
@@ -26,12 +28,12 @@ use easis_rte::assembly::SequencedTask;
 use easis_rte::mapping::{ApplicationId, SystemMapping};
 use easis_rte::runnable::{RunnableId, RunnableRegistry};
 use easis_rte::signal::{SignalDb, SignalId, SignalState};
-use easis_sim::growth::LogGrowth;
 use easis_sim::snap::RestoreStats;
 use easis_sim::time::{Duration, Instant};
 use easis_osek::kernel::OsState;
 use easis_rte::control::RunnableControls;
 use easis_watchdog::config::{RunnableHypothesis, WatchdogConfig};
+use easis_watchdog::detection::{Detection, DetectorId};
 use easis_watchdog::report::{DetectedFault, RunnableCounters, StateChange};
 use easis_watchdog::{CycleReport, SoftwareWatchdog, WatchdogCycleDelta, WatchdogState};
 use easis_baselines::hw_watchdog::{HardwareWatchdog, HwCycleDelta};
@@ -74,8 +76,8 @@ pub struct NodeConfig {
     pub obs_capacity: Option<usize>,
     /// Record the kernel's execution trace (dispatches, alarms,
     /// activations …). On by default — figures and tests read it. Campaign
-    /// trials switch it off: they extract outcomes from the fault log and
-    /// monitor stats only, and every trace record costs three small heap
+    /// trials switch it off: they extract outcomes from the detection log
+    /// only, and every trace record costs three small heap
     /// allocations on the dispatch path, which dominates trial wall-clock
     /// at campaign scale.
     pub kernel_trace: bool,
@@ -182,10 +184,6 @@ pub struct CentralNode {
     pub alarms: BTreeMap<String, AlarmId>,
     /// Application id per app name.
     pub apps: BTreeMap<String, ApplicationId>,
-    /// OSEKTime-style deadline monitor (baseline).
-    pub deadline_monitor: TaskMonitor,
-    /// AUTOSAR-style execution-time monitor (baseline).
-    pub exec_monitor: TaskMonitor,
     /// Activation period per app task name.
     pub periods: BTreeMap<String, Duration>,
     config: NodeConfig,
@@ -378,10 +376,7 @@ impl CentralNode {
         alarms.insert("HwKickTask".to_string(), kick_alarm);
         tasks.insert("HwKickTask".to_string(), kick_task);
 
-        let deadline_monitor = TaskMonitor::new(TimingCheck::Deadline);
-        let exec_monitor = TaskMonitor::new(TimingCheck::ExecutionTime);
-        os.add_observer(deadline_monitor.clone());
-        os.add_observer(exec_monitor.clone());
+        os.add_observer(TimingChecks);
 
         let hyperperiod = Self::hyperperiod_of(&config, &periods);
 
@@ -392,8 +387,6 @@ impl CentralNode {
             tasks,
             alarms,
             apps,
-            deadline_monitor,
-            exec_monitor,
             periods,
             config,
             started: false,
@@ -541,8 +534,9 @@ impl CentralNode {
 
     /// Captures a deterministic checkpoint of the started node into
     /// `snap`: one `clone_from` per component state — kernel (tasks,
-    /// timers, plans, alarms, trace), world (signals, controls, watchdog,
-    /// FMF, hardware watchdog, logs) and the baseline-monitor statistics.
+    /// timers, plans, alarms, trace) and world (signals, controls, watchdog
+    /// with its detection log, FMF, hardware watchdog, treatment log,
+    /// mailbox).
     /// Every state keeps its buffers, so re-capturing into a warm snapshot
     /// is allocation-free in the steady state. See [`NodeSnapshot`] for
     /// what is deliberately excluded.
@@ -560,10 +554,7 @@ impl CentralNode {
         snap.fmf.clone_from(world.fmf.state());
         snap.hw_watchdog.clone_from(&world.hw_watchdog);
         snap.treatments.clone_from(&world.treatments);
-        snap.fault_log.clone_from(&world.fault_log);
         snap.rx_mailbox.clone_from(&world.rx_mailbox);
-        self.deadline_monitor.stats_into(&mut snap.deadline_stats);
-        self.exec_monitor.stats_into(&mut snap.exec_stats);
     }
 
     /// Restores the node to a previously captured checkpoint: one
@@ -583,10 +574,7 @@ impl CentralNode {
         world.fmf.restore(&snap.fmf);
         world.hw_watchdog.clone_from(&snap.hw_watchdog);
         world.treatments.clone_from(&snap.treatments);
-        world.fault_log.clone_from(&snap.fault_log);
         world.rx_mailbox.clone_from(&snap.rx_mailbox);
-        self.deadline_monitor.restore_stats(&snap.deadline_stats);
-        self.exec_monitor.restore_stats(&snap.exec_stats);
         self.started = true;
         RestoreStats {
             regions_total: 1,
@@ -613,9 +601,9 @@ impl CentralNode {
     /// hyperperiod left in the span in one jump. That holds inside an
     /// armed injection window too: the injector acts only at its arming
     /// and disarming ticks, which bound the span, and a persistent fault
-    /// settles into a faulty steady state whose fault log, detection
-    /// counts and DTC occurrences grow by the same amount every
-    /// hyperperiod. Certification is *exact*: any state that the advance
+    /// settles into a faulty steady state whose detection log and DTC
+    /// occurrences grow by the same amount every hyperperiod.
+    /// Certification is *exact*: any state that the advance
     /// does not reproduce (a treatment, a TSI count on a task not yet
     /// faulty, a DTC age-out inside the sampled hyperperiod, stale timers,
     /// a changed ready order) rejects the sample and the engine falls back
@@ -746,14 +734,11 @@ impl CentralNode {
     fn advance(&mut self, delta: &NodeCycleDelta, k: u64) {
         let now = self.os.now();
         let world = &mut self.world;
-        delta.fault_log.advance(&mut world.fault_log, now, k);
-        self.deadline_monitor.advance(&delta.deadline_stats, k);
-        self.exec_monitor.advance(&delta.exec_stats, k);
         world.fmf.advance(&delta.fmf, k);
         world.hw_watchdog.advance(&delta.hw_watchdog, k);
         self.os.advance(&delta.os, k);
-        world.watchdog.advance(&delta.watchdog, k);
         world.signals.advance(&delta.signal_slots, delta.h * k);
+        world.watchdog.advance(&delta.watchdog, now, k);
     }
 
     /// Per-node macro-stepping override: `Some(false)` disables tail
@@ -871,18 +856,14 @@ struct CertBuffers {
 }
 
 /// One hyperperiod's motion, measured from a sample to the live node by
-/// [`certify`]: the kernel's cycle program, the watchdog's meter advance
-/// and detection-count growth, the FMF's DTC aging and occurrence growth,
-/// the hardware watchdog's kick shift and expirations, the
-/// monitors' detection growth, the fault-log entries and the signal slots
-/// stamped every hyperperiod. Every buffer is reused, so steady-state
-/// certification allocates nothing once warm.
+/// [`certify`]: the kernel's cycle program, the watchdog's meter advance,
+/// detection-log entries and latched TSI counts, the FMF's DTC aging and
+/// occurrence growth, the hardware watchdog's kick shift and the signal
+/// slots stamped every hyperperiod. Every buffer is reused, so
+/// steady-state certification allocates nothing once warm.
 #[derive(Debug, Default)]
 struct NodeCycleDelta {
     h: Duration,
-    fault_log: LogGrowth<DetectedFault>,
-    deadline_stats: Vec<u64>,
-    exec_stats: Vec<u64>,
     fmf: FmfCycleDelta,
     hw_watchdog: HwCycleDelta,
     os: CycleProgram,
@@ -895,19 +876,20 @@ struct NodeCycleDelta {
 /// Four O(1) refusals run first: a changed DTC record count, a different
 /// running task or task state, changed runnable controls, changed
 /// verdicts. Then each component measures its independent counter
-/// advances and the growth of its write-only detection bookkeeping from
+/// advances and the growth of its write-only detection bookkeeping — the
+/// detection log, latched TSI counts, confirmed DTC occurrences — from
 /// the sample to its live state into `delta` (the watchdog lends the
 /// mapping that tells which TSI counts are latched); `a` is advanced by
 /// them once, by the same functions that later jump the live node `k`
 /// hyperperiods, and the sample certifies only when the result equals the
 /// live node ([`NodeSnapshot::matches`]). No second capture is taken: the
 /// components are read in place. Every field that no advance moves —
-/// treatments, controls, scheduling state, verdicts, values, first
-/// detections, pending DTC records, and any field added later — must
-/// therefore be unchanged, and every linked counter must have moved with
-/// the one it follows. A new counter that no advance moves makes every
-/// certification reject: the engine then runs at event level, slower but
-/// exact. On success `a` equals the live node.
+/// treatments, controls, scheduling state, verdicts, values, the
+/// detection log's past entries, pending DTC records, and any field added
+/// later — must therefore be unchanged, and every linked counter must
+/// have moved with the one it follows. A new counter that no advance moves
+/// makes every certification reject: the engine then runs at event level,
+/// slower but exact. On success `a` equals the live node.
 fn certify(
     a: &mut NodeSnapshot,
     node: &CentralNode,
@@ -923,22 +905,14 @@ fn certify(
     {
         return false;
     }
-    let since = a.taken_at();
     delta.h = h;
-    if !delta.fault_log.measure(&a.fault_log, &world.fault_log, since, h)
+    if !world.watchdog.measure(&a.watchdog, watchdog, a.taken_at(), h, &mut delta.watchdog)
         || !FmfState::measure(&a.fmf, fmf, h, &mut delta.fmf)
     {
         return false;
     }
     delta.os = OsState::measure(&a.os, os, h);
-    node.deadline_monitor.with_stats(|b| {
-        TaskMonitorStats::measure(&a.deadline_stats, b, &mut delta.deadline_stats)
-    });
-    node.exec_monitor.with_stats(|b| {
-        TaskMonitorStats::measure(&a.exec_stats, b, &mut delta.exec_stats)
-    });
     delta.hw_watchdog = HardwareWatchdog::measure(&a.hw_watchdog, &world.hw_watchdog, h);
-    world.watchdog.measure(&a.watchdog, watchdog, h, &mut delta.watchdog);
     SignalState::measure(&a.signals, world.signals.state(), h, &mut delta.signal_slots);
     a.advance(delta, 1);
     a.matches(node)
@@ -954,14 +928,11 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
         treatments,
         rx_mailbox,
         controls,
-        deadline_stats,
-        exec_stats,
         fmf,
         hw_watchdog,
         os,
-        watchdog,
         signals,
-        fault_log,
+        watchdog,
     } = jumped;
     macro_rules! compare {
         ($($field:ident),*) => {$(
@@ -975,19 +946,7 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
             }
         )*};
     }
-    compare!(
-        treatments,
-        rx_mailbox,
-        controls,
-        deadline_stats,
-        exec_stats,
-        fmf,
-        hw_watchdog,
-        os,
-        watchdog,
-        signals,
-        fault_log
-    );
+    compare!(treatments, rx_mailbox, controls, fmf, hw_watchdog, os, signals, watchdog);
     None
 }
 
@@ -1014,24 +973,21 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
 /// compare a macro-stepped run with an event-level one; certification
 /// compares a sample with the live node the same way
 /// (`NodeSnapshot::matches`). Both compare fields in declaration order
-/// and stop at the first difference: the treatment log, the runnable
-/// controls and the monitor statistics come first, then the FMF, the
-/// hardware watchdog, the kernel, the watchdog and the signals. The fault log comes last, because
-/// certification replays its growth and it is the longest field to
-/// compare.
+/// and stop at the first difference: the treatment log and the runnable
+/// controls come first, then the FMF, the hardware watchdog, the kernel,
+/// the signals and the watchdog. The watchdog comes last, with its
+/// detection log last within it, because certification replays the log's
+/// growth and it is the longest field to compare.
 #[derive(Debug, PartialEq)]
 pub struct NodeSnapshot {
     treatments: Vec<TreatmentAction>,
     rx_mailbox: Vec<(u16, Vec<u8>)>,
     controls: RunnableControls,
-    deadline_stats: TaskMonitorStats,
-    exec_stats: TaskMonitorStats,
     fmf: FmfState,
     hw_watchdog: HardwareWatchdog,
     os: OsState<CentralWorld>,
-    watchdog: WatchdogState,
     signals: SignalState,
-    fault_log: Vec<DetectedFault>,
+    watchdog: WatchdogState,
 }
 
 impl Default for NodeSnapshot {
@@ -1040,17 +996,14 @@ impl Default for NodeSnapshot {
             treatments: Vec::new(),
             rx_mailbox: Vec::new(),
             controls: RunnableControls::default(),
-            deadline_stats: TaskMonitorStats::default(),
-            exec_stats: TaskMonitorStats::default(),
             fmf: FmfState::default(),
             // Placeholder until the first capture `clone_from`s the real
             // one (`HardwareWatchdog` has no Default: a zero timeout is
             // rejected by construction).
             hw_watchdog: HardwareWatchdog::new(Duration::from_micros(1)),
             os: OsState::default(),
-            watchdog: WatchdogState::default(),
             signals: SignalState::default(),
-            fault_log: Vec::new(),
+            watchdog: WatchdogState::default(),
         }
     }
 }
@@ -1063,49 +1016,39 @@ impl NodeSnapshot {
 
     /// Whether the checkpoint equals `node`'s live state: the `==` of a
     /// capture of `node`, field by field in declaration order, without
-    /// taking the capture. The monitors' statistics are compared under
-    /// their lock. The destructure has no `..`, so a field added to the
-    /// checkpoint does not compile here until it is compared.
+    /// taking the capture. The destructure has no `..`, so a field added
+    /// to the checkpoint does not compile here until it is compared.
     fn matches(&self, node: &CentralNode) -> bool {
         let NodeSnapshot {
             treatments,
             rx_mailbox,
             controls,
-            deadline_stats,
-            exec_stats,
             fmf,
             hw_watchdog,
             os,
-            watchdog,
             signals,
-            fault_log,
+            watchdog,
         } = self;
         let world = &node.world;
         *treatments == world.treatments
             && *rx_mailbox == world.rx_mailbox
             && *controls == world.controls
-            && node.deadline_monitor.with_stats(|live| live == deadline_stats)
-            && node.exec_monitor.with_stats(|live| live == exec_stats)
             && fmf == world.fmf.state()
             && *hw_watchdog == world.hw_watchdog
             && os == node.os.state()
-            && watchdog == world.watchdog.state()
             && signals == world.signals.state()
-            && *fault_log == world.fault_log
+            && watchdog == world.watchdog.state()
     }
 
     /// Advances the checkpoint `k` hyperperiods by `delta`: the
     /// certification half of [`CentralNode::advance`], field for field.
     fn advance(&mut self, delta: &NodeCycleDelta, k: u64) {
         let now = self.taken_at();
-        delta.fault_log.advance(&mut self.fault_log, now, k);
-        self.deadline_stats.advance(&delta.deadline_stats, k);
-        self.exec_stats.advance(&delta.exec_stats, k);
         self.fmf.advance(&delta.fmf, k);
         self.hw_watchdog.advance(&delta.hw_watchdog, k);
         self.os.advance(&delta.os, k);
-        self.watchdog.advance(&delta.watchdog, k);
         self.signals.advance(&delta.signal_slots, delta.h * k);
+        self.watchdog.advance(&delta.watchdog, now, k);
     }
 }
 
@@ -1114,13 +1057,13 @@ impl NodeSnapshot {
 /// the FMF integration of §4.4.
 ///
 /// Every buffer the effect needs lives in the body and is reused across
-/// cycles: the cycle report (`run_cycle_into` target), the outbox drain
+/// cycles: the cycle report (`run_cycle_into` target), the hand-over
 /// vectors, the decided-action queue, and the freeze frame itself — its
 /// condition names are interned at build time and a faulty cycle only
 /// rewrites the `f64` values in place before lending the frame to the FMF
 /// by reference. A fault-detecting cycle therefore allocates only where
 /// genuinely new state is born (first occurrence of a DTC code, growth of
-/// the world's fault/treatment logs past their pooled capacity).
+/// the detection and treatment logs past their pooled capacity).
 ///
 /// All of these are per-cycle scratch — cleared or overwritten before each
 /// use — so they carry no state across cycles and are deliberately outside
@@ -1149,14 +1092,19 @@ impl TaskBody<CentralWorld> for WatchdogTaskBody {
                 ctx.trace("watchdog", "fault", fault.to_string());
             }
         }
-        if w.hw_watchdog.poll(now) {
+        if let Some(at) = w.hw_watchdog.poll(now) {
+            w.watchdog.log_detection(Detection::expiry(at));
+        }
+        if w.hw_watchdog.is_expired() {
             ctx.trace("hw_wd", "hw_expired", "");
         }
+        // The Software Watchdog's detections since the last cycle reach
+        // the FMF in detection order; the kernel's and the hardware
+        // watchdog's stay in the log only.
         self.faults.clear();
         self.changes.clear();
-        w.watchdog.drain_faults_into(&mut self.faults);
+        w.watchdog.hand_over_faults(&mut self.faults);
         w.watchdog.drain_state_changes_into(&mut self.changes);
-        w.fault_log.extend_from_slice(&self.faults);
         if self.faults.is_empty() {
             w.fmf.healthy_cycle(); // DTC aging
         } else {
@@ -1195,6 +1143,29 @@ impl TaskBody<CentralWorld> for WatchdogTaskBody {
 /// Arena body of the hardware-watchdog kick task.
 struct HwKickBody;
 
+/// The task-granularity baselines of the paper's §2 — OSEKTime-style
+/// deadline monitoring and AUTOSAR-OS-style execution-time monitoring —
+/// are the kernel's own per-task checks; this observer logs their hook
+/// events at the hook instant, with the task as subject.
+struct TimingChecks;
+
+impl HookObserver<CentralWorld> for TimingChecks {
+    fn on_hook(&mut self, now: Instant, event: HookEvent, world: &mut CentralWorld) {
+        let (detector, task) = match event {
+            HookEvent::DeadlineMiss { task, .. } => (DetectorId::DeadlineMonitor, task),
+            HookEvent::BudgetExceeded { task, .. } => (DetectorId::ExecTimeMonitor, task),
+            _ => return,
+        };
+        world.watchdog.log_detection(Detection::on_task(now, detector, task));
+    }
+
+    /// The two timing checks only: the default interest, every kind,
+    /// would deliver every dispatch hook to the observer too.
+    fn interest(&self) -> HookMask {
+        HookMask::DEADLINE_MISS.union(HookMask::BUDGET_EXCEEDED)
+    }
+}
+
 impl TaskBody<CentralWorld> for HwKickBody {
     fn plan_into(&mut self, _now: Instant, _world: &CentralWorld, out: &mut Plan<CentralWorld>) {
         out.push_compute(Duration::from_micros(5));
@@ -1202,7 +1173,11 @@ impl TaskBody<CentralWorld> for HwKickBody {
     }
 
     fn run_effect(&mut self, _token: u32, w: &mut CentralWorld, ctx: &mut EffectCtx<'_, CentralWorld>) {
-        let _ = w.hw_watchdog.kick(ctx.now());
+        // A kick polls first: an expiry since the watchdog task's last poll
+        // is logged like a polled one.
+        if let Some(at) = w.hw_watchdog.kick(ctx.now()) {
+            w.watchdog.log_detection(Detection::expiry(at));
+        }
     }
 
     fn name(&self) -> &str {
@@ -1214,6 +1189,7 @@ impl TaskBody<CentralWorld> for HwKickBody {
 mod tests {
     use super::*;
     use easis_watchdog::report::HealthState;
+    use std::collections::BTreeSet;
 
     fn ms(n: u64) -> Instant {
         Instant::from_millis(n)
@@ -1225,11 +1201,11 @@ mod tests {
         node.start();
         let mut injector = Injector::none();
         node.run_until(ms(1_000), &mut injector);
-        assert!(node.world.fault_log.is_empty(), "{:?}", node.world.fault_log);
+        // No detector fired: no watchdog fault, hardware-watchdog expiry,
+        // deadline miss or budget overrun.
+        let log = node.world.watchdog.log();
+        assert!(log.is_empty(), "{log:?}");
         assert_eq!(node.world.watchdog.ecu_state(), HealthState::Ok);
-        assert_eq!(node.world.hw_watchdog.expirations(), 0);
-        assert_eq!(node.deadline_monitor.stats().total(), 0);
-        assert_eq!(node.exec_monitor.stats().total(), 0);
         assert!(node.world.watchdog.cycles_run() >= 98);
         // All three apps heartbeat: 9 runnables monitored.
         assert_eq!(node.world.watchdog.config().monitored().count(), 9);
@@ -1242,7 +1218,7 @@ mod tests {
         let mut injector = Injector::none();
         node.run_until(ms(200), &mut injector);
         assert_eq!(node.world.watchdog.config().monitored().count(), 3);
-        assert!(node.world.fault_log.is_empty());
+        assert!(node.world.watchdog.log().is_empty());
         let c = node.counters_of("SAFE_CC_process");
         assert!(c.activation);
         assert_eq!(c.aliveness_errors, 0);
@@ -1290,7 +1266,7 @@ mod tests {
             )]);
             node.run_until(ms(1_000), &mut injector);
             (
-                node.world.fault_log.clone(),
+                node.world.watchdog.log().entries().to_vec(),
                 node.world.treatments.clone(),
                 format!("{:?}", node.os.trace()),
                 node.world.watchdog.cycles_run(),
@@ -1300,7 +1276,7 @@ mod tests {
         assert!(!first.0.is_empty(), "tail must detect the injected fault");
         node.restore_from(&snap);
         assert_eq!(node.os.now(), ms(200));
-        assert!(node.world.fault_log.is_empty());
+        assert!(node.world.watchdog.log().is_empty());
         let second = run_tail(&mut node);
         assert_eq!(first.0, second.0);
         assert_eq!(first.1, second.1);
@@ -1354,19 +1330,23 @@ mod tests {
         // compares the advanced sample with it.
         // Only injector ticks touch runnable controls, and they bound every
         // span, but certification still compares the controls rather than
-        // trusting that. A fault-log entry is the one perturbation that
-        // certifies: the log is write-only, so its growth is replayed, not
-        // compared.
+        // trusting that. A detection-log entry handed over like the
+        // others is the one perturbation that certifies: the log is
+        // write-only, so its growth is replayed, not compared. One left
+        // past the hand-over cursor does not, because the sample held none.
         type Perturbation = fn(&mut CentralNode);
-        let cases: [(&str, bool, Perturbation); 9] = [
+        fn miss(node: &mut CentralNode) {
+            let at = node.os.now();
+            let detection = Detection::on_task(at, DetectorId::DeadlineMonitor, TaskId(0));
+            node.world.watchdog.log_detection(detection);
+        }
+        let cases: [(&str, bool, Perturbation); 10] = [
             ("unperturbed", true, |_| {}),
-            ("fault-log entry", true, |node| {
-                node.world.fault_log.push(DetectedFault {
-                    at: node.os.now(),
-                    runnable: RunnableId(4),
-                    kind: easis_watchdog::report::FaultKind::Aliveness,
-                });
+            ("handed-over log entry", true, |node| {
+                miss(node);
+                node.world.watchdog.hand_over_faults(&mut Vec::new());
             }),
+            ("pending log entry", false, miss),
             ("treatment", false, |node| {
                 node.world.treatments.push(TreatmentAction {
                     at: node.os.now(),
@@ -1425,6 +1405,56 @@ mod tests {
         node
     }
 
+    /// The kernel's deadline misses and budget overruns land in the log at
+    /// the hook instant, with the late task as subject, and no other hook
+    /// reaches the observer. Only the slowed task overruns its budget; it
+    /// also delays a lower-priority task past its deadline.
+    #[test]
+    fn timing_checks_log_the_kernel_hooks_with_their_task() {
+        use easis_injection::injector::{ErrorClass, Injection};
+        assert_eq!(
+            HookObserver::<CentralWorld>::interest(&TimingChecks),
+            HookMask::DEADLINE_MISS.union(HookMask::BUDGET_EXCEEDED)
+        );
+        let mut node = CentralNode::build(crate::scenario::campaign_node_config());
+        node.start();
+        let mut injector = Injector::new([Injection::new(
+            ErrorClass::ExecutionSlowdown {
+                runnable: node.runnable("SAFE_CC_process"),
+                scale_ppm: 300_000_000,
+            },
+            ms(300),
+            ms(600),
+        )]);
+        node.run_until(ms(1_000), &mut injector);
+        let log = node.world.watchdog.log();
+        let tasks_of = |detector| {
+            let entries = log.entries().iter().filter(move |d| d.detector == detector);
+            assert!(entries.clone().all(|d| d.at >= ms(300)));
+            entries.map(|d| d.task().expect("a task subject")).collect::<BTreeSet<_>>()
+        };
+        let (slowed, starved) = (node.tasks["SafeSpeedTask"], node.tasks["SafeLaneTask"]);
+        assert_eq!(tasks_of(DetectorId::ExecTimeMonitor), BTreeSet::from([slowed]));
+        assert_eq!(tasks_of(DetectorId::DeadlineMonitor), BTreeSet::from([slowed, starved]));
+    }
+
+    /// A kick polls first: when the countdown runs out after the watchdog
+    /// task's poll and before the next kick, the kick task logs the expiry,
+    /// stamped when the countdown ran out, like a polled one.
+    #[test]
+    fn a_late_kick_logs_the_expiry_it_finds() {
+        let mut node = quiescent_node();
+        // Runs out at 1 010.5 ms, after the watchdog task's 1 010 ms poll
+        // and before the kick task's 1 011 ms kick.
+        let mut hw = HardwareWatchdog::new(HW_TIMEOUT);
+        hw.kick(Instant::from_micros(960_500));
+        node.world.hw_watchdog = hw;
+        node.os.run_until(ms(1_020), &mut node.world);
+        let expiry = Detection::expiry(Instant::from_micros(1_010_500));
+        assert_eq!(node.world.watchdog.log().entries(), [expiry]);
+        assert!(!node.world.hw_watchdog.is_expired(), "the kick restarted the countdown");
+    }
+
     #[test]
     fn a_span_of_two_hyperperiods_certifies_once_and_jumps_one() {
         let mut node = quiescent_node();
@@ -1455,8 +1485,8 @@ mod tests {
     /// A persistent duplicate dispatch settles into a faulty steady state:
     /// arrival-rate faults every window, SafeSpeed `Faulty`, its TSI counts
     /// and confirmed DTC rising. The armed window certifies and jumps, and
-    /// the jump replays the fault log and the counts to the event-level
-    /// checkpoint.
+    /// the jump replays the detection log and the counts to the
+    /// event-level checkpoint.
     #[test]
     fn an_armed_window_jumps_across_its_faulty_steady_state() {
         use easis_injection::injector::{ErrorClass, Injection};
@@ -1484,7 +1514,8 @@ mod tests {
         assert!(armed.certifications > before.certifications, "{armed:?}");
         let jumped = armed.fastforwarded - before.fastforwarded;
         assert!(jumped >= Duration::from_millis(400), "{armed:?}");
-        assert!(fast.world.fault_log.len() > 20, "{}", fast.world.fault_log.len());
+        let faults = fast.world.watchdog.log().faults().count();
+        assert!(faults > 20, "{faults}");
         assert_eq!(fast.snapshot(), plain.snapshot());
     }
 
@@ -1527,7 +1558,7 @@ mod tests {
         )]);
         node.run_until(ms(1_000), &mut injector);
         // PFC and aliveness faults were logged…
-        assert!(!node.world.fault_log.is_empty());
+        assert!(node.world.watchdog.log().faults().next().is_some());
         // …the task went faulty and the FMF restarted SafeSpeed.
         assert!(node
             .world

@@ -12,7 +12,6 @@ use easis_injection::injector::{ErrorClass, Injection, Injector};
 use easis_injection::stats::{DetectorId, TrialOutcome};
 use easis_sim::series::SeriesSet;
 use easis_sim::time::{Duration, Instant};
-use easis_watchdog::report::{FaultKind, HealthState};
 use std::sync::OnceLock;
 
 /// Sampling interval of the figure series (the paper's plots use a 10 ms
@@ -173,15 +172,6 @@ pub fn exp_program_flow() -> SeriesSet {
     series
 }
 
-/// Maps a watchdog fault kind onto its coverage-table detector column.
-fn detector_of(kind: FaultKind) -> DetectorId {
-    match kind {
-        FaultKind::Aliveness => DetectorId::SwAliveness,
-        FaultKind::ArrivalRate => DetectorId::SwArrivalRate,
-        FaultKind::ProgramFlow => DetectorId::SwProgramFlow,
-    }
-}
-
 /// The node configuration every campaign trial runs on: the full node
 /// (all three applications), treatment disabled and monitoring kept past
 /// the faulty verdict so a fast unit (PFC) does not mask a slower one
@@ -191,8 +181,8 @@ pub fn campaign_node_config() -> NodeConfig {
     NodeConfig {
         keep_monitoring_faulty: true,
         policy: easis_fmf::policy::TreatmentPolicy::observe_only(),
-        // Outcomes come from the fault log and monitor stats; the kernel
-        // trace would only burn three allocations per dispatch-path event.
+        // Outcomes come from the detection log; the kernel trace would
+        // only burn three allocations per dispatch-path event.
         kernel_trace: false,
         ..NodeConfig::default()
     }
@@ -261,47 +251,29 @@ thread_local! {
         const { std::cell::RefCell::new(None) };
 }
 
-/// Reads the detector outcome of a finished trial off the node's fault
-/// log, hardware watchdog and baseline-monitor first detections, with
-/// latencies measured from `spec`'s own injection start. The outcome's
-/// class tag is the process-interned handle, so stamping it allocates
-/// nothing. One pass over the fault log keeps the earliest entry at or
-/// after the start per fault kind, so a faulty trial's hundreds of
-/// entries cost at most three detection records.
+/// Reads the detector outcome of a finished trial off the node's
+/// detection log, with latencies measured from `spec`'s own injection
+/// start. The outcome's class tag is the process-interned handle, so
+/// stamping it allocates nothing. One pass over the log's reported entries
+/// keeps the earliest at or after the start per detector, so a faulty
+/// trial's hundreds of entries cost at most six detection records. A
+/// Software Watchdog entry counts once the watchdog task has handed it to
+/// the FMF, the kernel's and the hardware watchdog's from the moment they
+/// are logged; a golden prefix logs nothing, so the earliest entry at or
+/// after the start is each detector's first detection.
 fn extract_outcome(node: &CentralNode, spec: &TrialSpec) -> TrialOutcome {
     let from = spec.injection.from;
     let mut outcome = TrialOutcome::new(spec.injection.class.interned_tag());
-    let mut earliest = [None::<Instant>; FaultKind::ALL.len()];
-    for fault in &node.world.fault_log {
-        let first = &mut earliest[fault.kind as usize];
-        if fault.at >= from && first.is_none_or(|at| fault.at < at) {
-            *first = Some(fault.at);
+    let mut earliest = [None::<Instant>; DetectorId::ALL.len()];
+    for detection in node.world.watchdog.log().reported() {
+        let first = &mut earliest[detection.detector as usize];
+        if detection.at >= from && first.is_none_or(|at| detection.at < at) {
+            *first = Some(detection.at);
         }
     }
-    for (kind, at) in FaultKind::ALL.into_iter().zip(earliest) {
+    for (detector, at) in DetectorId::ALL.into_iter().zip(earliest) {
         if let Some(at) = at {
-            outcome.record(detector_of(kind), at.saturating_duration_since(from));
-        }
-    }
-    if let Some(expiry) = node.world.hw_watchdog.first_expiry() {
-        if expiry >= from {
-            outcome.record(DetectorId::HwWatchdog, expiry.saturating_duration_since(from));
-        }
-    }
-    if let Some((_, at)) = node.deadline_monitor.first_detection() {
-        if at >= from {
-            outcome.record(
-                DetectorId::DeadlineMonitor,
-                at.saturating_duration_since(from),
-            );
-        }
-    }
-    if let Some((_, at)) = node.exec_monitor.first_detection() {
-        if at >= from {
-            outcome.record(
-                DetectorId::ExecTimeMonitor,
-                at.saturating_duration_since(from),
-            );
+            outcome.record(detector, at.saturating_duration_since(from));
         }
     }
     outcome
@@ -342,11 +314,11 @@ fn disarm_instant(spec: &TrialSpec, fork: Instant, horizon: Instant) -> Option<I
 /// error class. `Injector::tick` only acts on whole-tick phase edges and
 /// the node never reads a trial's seed or raw (sub-tick) window bounds, so
 /// trials with equal keys — *twins* — share their detections: the same
-/// fault log, hardware-watchdog expiry and monitor first detections, which
-/// is all [`extract_outcome`] reads. Twins need not leave the same node
-/// state: one that arms on the horizon tick and one that never arms share
-/// a key but leave different runnable controls. The fork leads, so sorting
-/// by the key keeps forks ascending.
+/// detection log and hand-over cursor, which is all [`extract_outcome`]
+/// reads. Twins need not leave the same node state: one that arms on the
+/// horizon tick and one that never arms share a key but leave different
+/// runnable controls. The fork leads, so sorting by the key keeps forks
+/// ascending.
 fn tail_key(spec: &TrialSpec, horizon: Instant) -> (Instant, &ErrorClass, Option<Instant>) {
     let fork = fork_instant(spec, horizon);
     (fork, &spec.injection.class, disarm_instant(spec, fork, horizon))
@@ -458,29 +430,9 @@ pub fn run_plan(
     executor.run_chunked(plan, |specs| run_chunk_forked(specs, horizon))
 }
 
-/// A quick health check of a golden (fault-free) run: returns `true` when
-/// no detector fired over the horizon. Used by tests and as the campaign's
-/// false-positive control.
-pub fn golden_run_is_clean(horizon: Instant) -> bool {
-    let mut node = CentralNode::build(NodeConfig::default());
-    node.start();
-    let mut injector = Injector::none();
-    node.run_until(horizon, &mut injector);
-    node.world.fault_log.is_empty()
-        && node.world.hw_watchdog.expirations() == 0
-        && node.deadline_monitor.stats().total() == 0
-        && node.exec_monitor.stats().total() == 0
-        && node.world.watchdog.ecu_state() == HealthState::Ok
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn golden_run_stays_clean() {
-        assert!(golden_run_is_clean(ms(500)));
-    }
 
     #[test]
     fn fig5_shows_aliveness_errors_only_inside_the_window() {
@@ -685,6 +637,51 @@ mod tests {
         }
     }
 
+    /// The hand-over rule at the horizon: a Software Watchdog fault counts
+    /// once the watchdog task has handed it to the FMF, a kernel timing
+    /// check's detection as soon as the kernel reports it. The 600 ms
+    /// watchdog cycle ends past a 600 ms horizon, so the faults of the last
+    /// 10 ms are never handed over.
+    #[test]
+    fn outcomes_read_watchdog_faults_once_handed_over_and_kernel_checks_at_once() {
+        use easis_injection::campaign::CampaignPlan;
+        use easis_injection::executor::CampaignExecutor;
+        let horizon = ms(600);
+        let target = easis_rte::runnable::RunnableId(0);
+        let trial = |class, from| TrialSpec {
+            seed: 7,
+            injection: Injection::new(class, ms(from), ms(700)),
+        };
+        // The skip's PFC faults at 592.545 and 597.545 ms are still pending
+        // at the horizon.
+        let skip = trial(ErrorClass::SkipRunnable { runnable: target }, 590);
+        let mut node = CentralNode::build(campaign_node_config());
+        node.start();
+        node.run_until(horizon, &mut Injector::new([skip.injection.clone()]));
+        assert_eq!(node.world.watchdog.pending_faults(), 2);
+        // Both kernel checks fire after the 590 ms cycle's hand-over.
+        let slowdown = trial(
+            ErrorClass::ExecutionSlowdown {
+                runnable: target,
+                scale_ppm: 400_000_000,
+            },
+            588,
+        );
+        let plan = CampaignPlan::from_trials(vec![skip, slowdown]);
+        let stats = run_plan(&plan, horizon, &CampaignExecutor::serial());
+        for (spec, outcome) in plan.trials().iter().zip(stats.trials()) {
+            assert_eq!(*outcome, run_trial(spec, horizon), "{:?}", spec.injection);
+        }
+        assert!(stats.trials()[0].detections.is_empty(), "{:?}", stats.trials()[0]);
+        assert_eq!(
+            stats.trials()[1].detections,
+            std::collections::BTreeMap::from([
+                (DetectorId::DeadlineMonitor, Duration::from_micros(9_500)),
+                (DetectorId::ExecTimeMonitor, Duration::from_micros(5_180)),
+            ])
+        );
+    }
+
     #[test]
     fn pooled_checkpoints_carry_across_calls_like_fresh_runs() {
         use easis_injection::campaign::CampaignPlan;
@@ -751,42 +748,49 @@ mod tests {
     }
 
     #[test]
-    fn extract_outcome_keeps_the_earliest_entry_per_kind_from_the_start() {
-        use easis_injection::injector::{ErrorClass, Injection};
-        use easis_watchdog::report::DetectedFault;
-        let runnable = easis_rte::runnable::RunnableId(4);
+    fn extract_outcome_keeps_the_earliest_reported_entry_per_detector_from_the_start() {
+        use easis_osek::task::TaskId;
+        use easis_watchdog::detection::Detection;
+        let runnable = easis_rte::runnable::RunnableId(4); // SAFE_CC, not a flow entry
         let spec = TrialSpec {
             seed: 1,
             injection: Injection::new(ErrorClass::SkipRunnable { runnable }, ms(100), ms(200)),
         };
-        let fault = |at: u64, kind| DetectedFault {
-            at: ms(at),
-            runnable,
-            kind,
-        };
-        // Entries before the start, kinds interleaved and out of time
-        // order, one on the start itself, and several at one instant.
+        let on_task = |at: u64, detector| Detection::on_task(ms(at), detector, TaskId(1));
         let mut node = CentralNode::build(campaign_node_config());
-        node.world.fault_log = vec![
-            fault(40, FaultKind::Aliveness),
-            fault(150, FaultKind::ProgramFlow),
-            fault(99, FaultKind::ArrivalRate),
-            fault(130, FaultKind::Aliveness),
-            fault(120, FaultKind::ProgramFlow),
-            fault(130, FaultKind::ArrivalRate),
-            fault(110, FaultKind::Aliveness),
-            fault(120, FaultKind::ProgramFlow),
-            fault(100, FaultKind::ArrivalRate),
-            fault(120, FaultKind::Aliveness),
-        ];
+        let watchdog = &mut node.world.watchdog;
+        // Kernel and hardware entries count as soon as they are logged:
+        // entries before the start, detectors interleaved and out of time
+        // order, one on the start itself, and several at one instant.
+        for detection in [
+            on_task(40, DetectorId::DeadlineMonitor),
+            on_task(150, DetectorId::ExecTimeMonitor),
+            Detection::expiry(ms(99)),
+            on_task(130, DetectorId::DeadlineMonitor),
+            on_task(120, DetectorId::ExecTimeMonitor),
+            Detection::expiry(ms(130)),
+            on_task(110, DetectorId::DeadlineMonitor),
+            on_task(120, DetectorId::ExecTimeMonitor),
+            Detection::expiry(ms(100)),
+            on_task(120, DetectorId::DeadlineMonitor),
+        ] {
+            watchdog.log_detection(detection);
+        }
+        // A cycle check with no heartbeats finds aliveness faults, handed
+        // over; a PFC fault after it is still pending and counts nowhere.
+        watchdog.run_cycle(ms(115));
+        watchdog.hand_over_faults(&mut Vec::new());
+        watchdog.heartbeat(runnable, ms(107));
+        assert_eq!(watchdog.pending_faults(), 1);
         let outcome = extract_outcome(&node, &spec);
         let latency = Duration::from_millis;
         assert_eq!(
             outcome.detections,
             std::collections::BTreeMap::from([
-                (DetectorId::SwAliveness, latency(10)),
-                (DetectorId::SwArrivalRate, latency(0)),
-                (DetectorId::SwProgramFlow, latency(20)),
+                (DetectorId::SwAliveness, latency(15)),
+                (DetectorId::HwWatchdog, latency(0)),
+                (DetectorId::DeadlineMonitor, latency(10)),
+                (DetectorId::ExecTimeMonitor, latency(20)),
             ])
         );
         assert_eq!(&*outcome.class, "skip_runnable");

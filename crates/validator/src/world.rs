@@ -5,7 +5,9 @@
 //! controls of the runnable layer, plus the L3 dependability services —
 //! Software Watchdog, Fault Management Framework — and the L1 hardware
 //! watchdog. Heartbeat glue calls route straight into the watchdog
-//! service, exactly the first interface of paper §4.4.
+//! service, exactly the first interface of paper §4.4. The watchdog
+//! service also keeps the node's one detection log
+//! ([`SoftwareWatchdog::log`]).
 
 use easis_baselines::hw_watchdog::HardwareWatchdog;
 use easis_fmf::framework::FaultManagementFramework;
@@ -27,7 +29,8 @@ pub struct CentralWorld {
     pub signals: SignalDb,
     /// ControlDesk-style manipulation controls (error injection surface).
     pub controls: RunnableControls,
-    /// The Software Watchdog dependability service (L3).
+    /// The Software Watchdog dependability service (L3), keeper of the
+    /// node's detection log.
     pub watchdog: SoftwareWatchdog,
     /// The Fault Management Framework (L3).
     pub fmf: FaultManagementFramework,
@@ -45,10 +48,6 @@ pub struct CentralWorld {
     /// ECU software resets among them
     /// ([`FaultManagementFramework::ecu_resets`]).
     pub treatments: Vec<TreatmentAction>,
-    /// All detected faults, retained for experiment scraping (the service
-    /// outboxes are drained into the FMF each watchdog cycle): the node's
-    /// one fault log.
-    pub fault_log: Vec<easis_watchdog::report::DetectedFault>,
     /// Receive mailbox of the node's communication controller: the bus
     /// integration pushes `(raw frame id, payload)` here and raises the RX
     /// interrupt; the ISR handler drains it into the signal database.
@@ -94,7 +93,6 @@ impl CentralWorld {
             app_signal_prefixes: BTreeMap::new(),
             initial_signals: Vec::new(),
             treatments: Vec::new(),
-            fault_log: Vec::new(),
             rx_mailbox: Vec::new(),
             obs: ObsSink::disabled(),
         }

@@ -23,7 +23,7 @@ fn main() {
     node.run_until(Instant::from_millis(500), &mut quiet);
     println!("after 500 ms healthy operation:");
     print_counters(&node);
-    assert!(node.world.fault_log.is_empty());
+    assert!(node.world.watchdog.log().is_empty());
 
     // Phase 2: lose the heartbeat of the control runnable for 200 ms.
     let target = node.runnable("SAFE_CC_process");
@@ -36,8 +36,9 @@ fn main() {
 
     println!("\nafter a 200 ms heartbeat loss on SAFE_CC_process:");
     print_counters(&node);
-    println!("\ndetected faults (first 5 of {}):", node.world.fault_log.len());
-    for fault in node.world.fault_log.iter().take(5) {
+    let log = node.world.watchdog.log();
+    println!("\ndetected faults (first 5 of {}):", log.faults().count());
+    for fault in log.faults().take(5) {
         println!("  {fault}");
     }
     println!(
@@ -48,7 +49,7 @@ fn main() {
         println!("  [{}] {} ({})", action.at, action.treatment, action.reason);
     }
     println!("\n{}", node.world.watchdog.supervision_report());
-    assert!(!node.world.fault_log.is_empty(), "the loss must be detected");
+    assert!(!log.is_empty(), "the loss must be detected");
     let _ = Duration::from_millis(0); // (see DESIGN.md for the full API tour)
 }
 

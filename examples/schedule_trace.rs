@@ -33,5 +33,5 @@ fn main() {
         println!("  {task:<22} {:>3} slices, {busy_us:>6} us total", slices.len());
     }
     println!("\nCPU utilisation: {:.1}%", node.os.utilization() * 100.0);
-    assert!(node.world.fault_log.is_empty());
+    assert!(node.world.watchdog.log().is_empty());
 }

@@ -13,7 +13,7 @@
 //! | [`obs`] | `easis-obs` | flight recorder + metrics registry |
 //! | [`watchdog`] | `easis-watchdog` | **the Software Watchdog service** |
 //! | [`fmf`] | `easis-fmf` | Fault Management Framework |
-//! | [`baselines`] | `easis-baselines` | HW watchdog, deadline/budget monitors, CFCSS |
+//! | [`baselines`] | `easis-baselines` | HW watchdog, CFCSS |
 //! | [`bus`] | `easis-bus` | CAN, FlexRay, gateway |
 //! | [`vehicle`] | `easis-vehicle` | plant, driver, environment, sensors |
 //! | [`apps`] | `easis-apps` | SafeSpeed, SafeLane, steer-by-wire |
@@ -31,7 +31,8 @@
 //! let mut node = CentralNode::build(NodeConfig::safespeed_only());
 //! node.start();
 //! node.run_until(Instant::from_millis(100), &mut Injector::none());
-//! assert!(node.world.fault_log.is_empty());
+//! // No detector fired: the node's detection log is empty.
+//! assert!(node.world.watchdog.log().is_empty());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -6,6 +6,7 @@ use easis::injection::{ErrorClass, Injection, Injector};
 use easis::sim::time::Instant;
 use easis::validator::{CentralNode, NodeConfig};
 use easis::watchdog::report::{FaultKind, HealthState};
+use easis::watchdog::DetectorId;
 
 fn ms(n: u64) -> Instant {
     Instant::from_millis(n)
@@ -27,8 +28,9 @@ fn heartbeat_loss_is_detected_treated_and_recovered() {
     // Detection: aliveness faults on the right runnable.
     let aliveness: Vec<_> = node
         .world
-        .fault_log
-        .iter()
+        .watchdog
+        .log()
+        .faults()
         .filter(|f| f.kind == FaultKind::Aliveness)
         .collect();
     assert!(!aliveness.is_empty());
@@ -126,14 +128,13 @@ fn faults_in_one_app_do_not_disturb_the_others() {
     // both SafeLane runnables)…
     let safelane_task = node.tasks["SafeLaneTask"];
     let mapping = node.world.watchdog.config().mapping().clone();
-    assert!(!node.world.fault_log.is_empty());
+    let faults: Vec<_> = node.world.watchdog.log().faults().collect();
+    assert!(!faults.is_empty());
     assert!(
-        node.world
-            .fault_log
+        faults
             .iter()
             .all(|f| mapping.task_of(f.runnable) == Some(safelane_task)),
-        "{:?}",
-        node.world.fault_log
+        "{faults:?}"
     );
     let _ = target;
     // …while SafeSpeed and steer-by-wire stayed healthy.
@@ -167,10 +168,16 @@ fn cpu_saturating_fault_reaches_the_hardware_watchdog() {
     )]);
     node.run_until(ms(1_000), &mut injector);
     // The kick task starves; the hardware watchdog expires.
-    assert!(node.world.hw_watchdog.expirations() > 0);
+    let log = node.world.watchdog.log();
+    assert!(log.count(DetectorId::HwWatchdog) > 0);
     // And the software monitors detected it much earlier.
-    let first_sw = node.world.fault_log.first().expect("sw detection").at;
-    let hw = node.world.hw_watchdog.first_expiry().expect("hw expiry");
+    let first_sw = log.faults().next().expect("sw detection").at;
+    let hw = log
+        .entries()
+        .iter()
+        .find(|d| d.detector == DetectorId::HwWatchdog)
+        .expect("hw expiry")
+        .at;
     assert!(first_sw < hw, "sw {first_sw} must beat hw {hw}");
 }
 

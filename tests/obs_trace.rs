@@ -213,5 +213,5 @@ fn disabled_sink_records_nothing_on_the_same_trial() {
     assert!(node.world.obs.events().is_empty());
     assert!(node.world.obs.to_jsonl().is_empty());
     // The fault is still detected — observability is read-only.
-    assert!(!node.world.fault_log.is_empty());
+    assert!(node.world.watchdog.log().faults().next().is_some());
 }

@@ -18,7 +18,7 @@ use easis::watchdog::config::{IdIndex, RunnableHypothesis, WatchdogConfig};
 use easis::watchdog::heartbeat::HeartbeatMonitor;
 use easis::watchdog::pfc::{FlowTable, FlowVerdict, PfcState};
 use easis::watchdog::report::{DetectedFault, FaultKind, RunnableCounters};
-use easis::watchdog::SoftwareWatchdog;
+use easis::watchdog::{DetectionLog, SoftwareWatchdog};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -382,7 +382,9 @@ proptest! {
     /// the `BTreeMap` reference model over arbitrary operation sequences:
     /// identical faults (content *and* order), counters, activation
     /// verdicts, and cost charges — including operations on unknown ids,
-    /// which both silently ignore (`set_active` returning `false`).
+    /// which both silently ignore (`set_active` returning `false`). The
+    /// unit keeps no error counts: the service counts its faults in the
+    /// detection log, and so does this test.
     #[test]
     fn dense_heartbeat_monitor_matches_btreemap_reference(
         monitored in prop::collection::btree_set(0u32..12, 1..6),
@@ -401,6 +403,7 @@ proptest! {
         let mut dense_costs = CostMeter::new();
         let mut reference_costs = CostMeter::new();
         let mut now = Instant::ZERO;
+        let mut log = DetectionLog::default();
         for &(op, id, a, b) in &ops {
             let runnable = RunnableId(id);
             match op {
@@ -412,6 +415,9 @@ proptest! {
                     now += Duration::from_millis(10);
                     let dense_faults = dense.end_of_cycle(now, &mut dense_costs, &ObsSink::DISABLED);
                     let reference_faults = reference.end_of_cycle(now, &mut reference_costs);
+                    for &fault in &dense_faults {
+                        log.append(fault.into());
+                    }
                     prop_assert_eq!(dense_faults, reference_faults, "cycle faults diverged");
                 }
                 2 => {
@@ -434,7 +440,12 @@ proptest! {
         prop_assert_eq!(dense_costs, reference_costs, "cost charges diverged");
         for id in 0..16u32 {
             let runnable = RunnableId(id);
-            prop_assert_eq!(dense.counters(runnable), reference.counters(runnable));
+            let counted = dense.counters(runnable).map(|c| RunnableCounters {
+                aliveness_errors: log.count_on(DetectorId::SwAliveness, runnable),
+                arrival_rate_errors: log.count_on(DetectorId::SwArrivalRate, runnable),
+                ..c
+            });
+            prop_assert_eq!(counted, reference.counters(runnable));
             prop_assert_eq!(dense.is_active(runnable), reference.is_active(runnable));
         }
         prop_assert_eq!(
@@ -942,8 +953,8 @@ proptest! {
     /// A node rewind is invisible at full-state level: a node built from a
     /// campaign blueprint, started and captured at t=0, dirtied by a
     /// different trial and restored to that capture ends the test trial in
-    /// exactly the state — kernel, world, fault log, monitor statistics —
-    /// of the same trial on a freshly built node. Few cases: every case
+    /// exactly the state — kernel, world, detection log — of the same
+    /// trial on a freshly built node. Few cases: every case
     /// builds full central nodes and simulates several hundred
     /// milliseconds.
     #[test]
@@ -987,14 +998,15 @@ proptest! {
             "rewound node diverged from fresh build for {:?}",
             spec.injection
         );
-        prop_assert_eq!(&reused.world.fault_log, &fresh.world.fault_log);
+        prop_assert_eq!(reused.world.watchdog.log(), fresh.world.watchdog.log());
     }
 
     /// A capture taken inside an armed injection window — an app task's
-    /// plan in flight, and DTC records and outbox entries live once the
-    /// fault is detected — restores exactly onto a node that a different
-    /// trial has dirtied: the dirtied node's recapture equals the capture,
-    /// and both nodes finish the trial in the same state. The other rewind
+    /// plan in flight, and DTC records and log entries not yet handed
+    /// over live once the fault is detected — restores exactly onto a node
+    /// that a different trial has dirtied: the dirtied node's recapture
+    /// equals the capture, and both nodes finish the trial in the same
+    /// state. The other rewind
     /// tests restore captures taken before the injection arms or at a
     /// certified quiescent instant.
     #[test]

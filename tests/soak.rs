@@ -10,6 +10,7 @@ use easis::sim::rng::SimRng;
 use easis::sim::time::{Duration, Instant};
 use easis::validator::hil::HilValidator;
 use easis::validator::{scenario, CentralNode, NodeConfig};
+use easis::watchdog::DetectorId;
 
 /// Simulated soak horizon in milliseconds. Defaults to two hours; CI smoke
 /// runs set `EASIS_SOAK_HORIZON_MS` to a short horizon (still several
@@ -33,8 +34,8 @@ fn central_node_stays_clean_for_ten_simulated_seconds() {
     node.start();
     let mut injector = Injector::none();
     node.run_until(Instant::from_millis(10_000), &mut injector);
-    assert!(node.world.fault_log.is_empty());
-    assert_eq!(node.world.hw_watchdog.expirations(), 0);
+    // No detector fired: no fault, expiry, deadline miss or overrun.
+    assert!(node.world.watchdog.log().is_empty());
     assert_eq!(node.world.watchdog.cycles_run(), 999);
     // The trace grows linearly, not explosively (~60 events per 10ms
     // hyperperiod across 5 tasks).
@@ -341,10 +342,11 @@ fn central_node_detects_and_treats_fault_across_cascade_boundary() {
     // crossing inside the window, and every fault lies in the window (plus
     // trailing supervision-window latency) — nothing fires spuriously in
     // the clean stretches before injection or after recovery.
-    let first_fault = *node.world.fault_log.first().expect("heartbeat loss detected");
+    let faults: Vec<_> = node.world.watchdog.log().faults().collect();
+    let first_fault = *faults.first().expect("heartbeat loss detected");
     let late = Instant::from_millis(to.as_millis() + 500);
     assert!(first_fault.at >= from, "detection at {} precedes injection", first_fault.at);
-    for fault in &node.world.fault_log {
+    for fault in &faults {
         assert!(
             fault.at >= from && fault.at <= late,
             "fault at {} outside the injection window — node did not return clean",
@@ -377,7 +379,7 @@ fn central_node_detects_and_treats_fault_across_cascade_boundary() {
     );
 
     // The software stack caught it — the hardware watchdog never starved.
-    assert_eq!(node.world.hw_watchdog.expirations(), 0);
+    assert_eq!(node.world.watchdog.log().count(DetectorId::HwWatchdog), 0);
     // The supervision loop itself ran the whole horizon (one cycle per
     // 10 ms period, minus the final boundary cycle).
     assert!(node.world.watchdog.cycles_run() >= horizon_ms / 10 - 2);
@@ -421,8 +423,10 @@ fn heartbeat_loss_latency_is_rotation_boundary_independent() {
 
         let first = node
             .world
-            .fault_log
-            .first()
+            .watchdog
+            .log()
+            .faults()
+            .next()
             .unwrap_or_else(|| panic!("loss undetected at rotation {rotation}"));
         assert!(
             first.at >= from && first.at <= to + Duration::from_millis(500),
@@ -497,7 +501,7 @@ fn macro_stepped_soak_crosses_rotation_boundary_and_detects_fault_past_it() {
 
     // The fault just past the boundary is detected and treated in causal
     // order on the fast-forwarded node.
-    let first_fault = *fast.world.fault_log.first().expect("heartbeat loss detected");
+    let first_fault = fast.world.watchdog.log().faults().next().expect("heartbeat loss detected");
     assert!(
         first_fault.at >= from,
         "detection at {} precedes injection",
@@ -516,7 +520,7 @@ fn macro_stepped_soak_crosses_rotation_boundary_and_detects_fault_past_it() {
         treatments[0].at,
         first_fault.at
     );
-    assert_eq!(fast.world.hw_watchdog.expirations(), 0);
+    assert_eq!(fast.world.watchdog.log().count(DetectorId::HwWatchdog), 0);
 
     // And the whole run is bit-identical to the event-level reference.
     assert_eq!(fast.os.now(), plain.os.now());

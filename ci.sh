@@ -150,6 +150,18 @@ if grep -rnE --include='*.rs' --exclude-dir=target \
   echo "a duplicate detection record, monitoring front-end or ingestion path crept back"; exit 1
 fi
 
+echo "==> trial outcomes stay inline; the hardware watchdog stays a plain timeout"
+# A trial outcome keeps its detections in one inline slot per detector, so
+# a campaign allocates nothing per trial; a map of detections would put a
+# heap block back into every detecting trial and double the campaign's
+# peak heap. A window mode on the hardware watchdog would be state that
+# every capture clones and every certification compares, for a mode the
+# node never uses.
+if grep -rnE --include='*.rs' --exclude-dir=target 'BTreeMap<DetectorId' crates/injection/src \
+   || grep -rnE --include='*.rs' --exclude-dir=target 'with_window|early_kicks|window_closed' crates/*/src; then
+  echo "a per-trial detection map or the hardware watchdog's window mode crept back"; exit 1
+fi
+
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"
 # The full soak defaults to two simulated hours; one simulated minute
 # still crosses several multiples of 2^24 us and schedules events further

@@ -4,9 +4,7 @@
 //! §2): a free-running countdown that must be serviced ("kicked") before it
 //! expires, usually from a low-priority task so that a hung system stops
 //! kicking. It cannot attribute anything to a task or runnable — the
-//! granularity gap the Software Watchdog closes. An optional *window* mode
-//! (common in automotive supervisors) also rejects kicks that arrive too
-//! early.
+//! granularity gap the Software Watchdog closes.
 //!
 //! The watchdog keeps no record of its expiries: `poll` and `kick` report
 //! each new one, stamped when the countdown ran out, and the platform logs
@@ -15,7 +13,7 @@
 use easis_sim::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
-/// A countdown (optionally windowed) hardware watchdog model.
+/// A countdown hardware watchdog model.
 ///
 /// # Examples
 ///
@@ -33,11 +31,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HardwareWatchdog {
     timeout: Duration,
-    /// Closed-window length for windowed operation (`ZERO` = plain timeout).
-    window_closed: Duration,
     last_kick: Instant,
     expired: bool,
-    early_kicks: u32,
 }
 
 impl HardwareWatchdog {
@@ -50,38 +45,18 @@ impl HardwareWatchdog {
         assert!(!timeout.is_zero(), "timeout must be positive");
         HardwareWatchdog {
             timeout,
-            window_closed: Duration::ZERO,
             last_kick: Instant::ZERO,
             expired: false,
-            early_kicks: 0,
         }
     }
 
-    /// Enables window mode: kicks earlier than `closed` after the previous
-    /// kick are rejected and counted.
-    pub fn with_window(mut self, closed: Duration) -> Self {
-        assert!(
-            closed < self.timeout,
-            "closed window must be shorter than the timeout"
-        );
-        self.window_closed = closed;
-        self
-    }
-
-    /// Services the watchdog. It polls first, so a kick that comes after
-    /// the countdown ran out reports that expiry, like [`Self::poll`]. In
-    /// window mode a kick too soon after the previous one is rejected and
-    /// counted, and the countdown keeps running.
+    /// Services the watchdog: restarts the countdown. It polls first, so a
+    /// kick that comes after the countdown ran out reports that expiry,
+    /// like [`Self::poll`].
     pub fn kick(&mut self, now: Instant) -> Option<Instant> {
         let expiry = self.poll(now);
-        if !self.window_closed.is_zero()
-            && now.saturating_duration_since(self.last_kick) < self.window_closed
-        {
-            self.early_kicks += 1;
-        } else {
-            self.last_kick = now;
-            self.expired = false;
-        }
+        self.last_kick = now;
+        self.expired = false;
         expiry
     }
 
@@ -100,11 +75,6 @@ impl HardwareWatchdog {
     /// would be asserting reset).
     pub fn is_expired(&self) -> bool {
         self.expired
-    }
-
-    /// Rejected too-early kicks (window mode).
-    pub fn early_kicks(&self) -> u32 {
-        self.early_kicks
     }
 
     /// Configured timeout.
@@ -249,26 +219,8 @@ mod tests {
     }
 
     #[test]
-    fn window_mode_rejects_early_kicks() {
-        let mut wd =
-            HardwareWatchdog::new(Duration::from_millis(50)).with_window(Duration::from_millis(20));
-        assert_eq!(wd.kick(t(30)), None);
-        assert_eq!(wd.kick(t(35)), None); // 5ms after last
-        assert_eq!(wd.early_kicks(), 1);
-        // The early kick did not restart the countdown.
-        assert_eq!(wd.poll(t(85)), Some(t(80)));
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_timeout_rejected() {
         let _ = HardwareWatchdog::new(Duration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "shorter than the timeout")]
-    fn window_longer_than_timeout_rejected() {
-        let _ = HardwareWatchdog::new(Duration::from_millis(10))
-            .with_window(Duration::from_millis(20));
     }
 }

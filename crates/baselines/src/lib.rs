@@ -7,7 +7,7 @@
 //! paper's qualitative claims with:
 //!
 //! * [`hw_watchdog`] — the ECU hardware watchdog ("treats the embedded
-//!   software as a whole"), optionally windowed;
+//!   software as a whole"), a plain timeout;
 //! * [`cfcss`] — Control-Flow Checking by Software Signatures (Oh et al.,
 //!   2002), the embedded-signature technique rejected for "high
 //!   performance overhead and low flexibility".

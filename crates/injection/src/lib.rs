@@ -44,4 +44,4 @@ pub use campaign::{CampaignBuilder, CampaignPlan, TrialSpec};
 pub use executor::CampaignExecutor;
 pub use injector::{ErrorClass, Injection, Injector};
 pub use report::{CampaignReport, ClassReport, DetectorReport, LatencySummary, WilsonInterval};
-pub use stats::{CampaignStats, DetectorId, TrialOutcome};
+pub use stats::{CampaignStats, Detections, DetectorId, TrialOutcome};

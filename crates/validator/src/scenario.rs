@@ -9,7 +9,7 @@
 use crate::node::{CentralNode, NodeBlueprint, NodeConfig, NodeSnapshot};
 use easis_injection::campaign::TrialSpec;
 use easis_injection::injector::{ErrorClass, Injection, Injector};
-use easis_injection::stats::{DetectorId, TrialOutcome};
+use easis_injection::stats::{Detections, TrialOutcome};
 use easis_sim::series::SeriesSet;
 use easis_sim::time::{Duration, Instant};
 use std::sync::OnceLock;
@@ -251,32 +251,33 @@ thread_local! {
         const { std::cell::RefCell::new(None) };
 }
 
-/// Reads the detector outcome of a finished trial off the node's
-/// detection log, with latencies measured from `spec`'s own injection
-/// start. The outcome's class tag is the process-interned handle, so
-/// stamping it allocates nothing. One pass over the log's reported entries
-/// keeps the earliest at or after the start per detector, so a faulty
-/// trial's hundreds of entries cost at most six detection records. A
-/// Software Watchdog entry counts once the watchdog task has handed it to
-/// the FMF, the kernel's and the hardware watchdog's from the moment they
-/// are logged; a golden prefix logs nothing, so the earliest entry at or
+/// Reads the detections of a finished trial off the node's detection
+/// log, with latencies measured from the trial's own injection start
+/// `from`. One pass over the log's reported entries keeps the earliest at
+/// or after the start per detector in that detector's inline slot, so a
+/// faulty trial's hundreds of entries allocate nothing. A Software
+/// Watchdog entry counts once the watchdog task has handed it to the FMF,
+/// the kernel's and the hardware watchdog's from the moment they are
+/// logged; a golden prefix logs nothing, so the earliest entry at or
 /// after the start is each detector's first detection.
-fn extract_outcome(node: &CentralNode, spec: &TrialSpec) -> TrialOutcome {
-    let from = spec.injection.from;
-    let mut outcome = TrialOutcome::new(spec.injection.class.interned_tag());
-    let mut earliest = [None::<Instant>; DetectorId::ALL.len()];
+fn detections_since(node: &CentralNode, from: Instant) -> Detections {
+    let mut detections = Detections::default();
     for detection in node.world.watchdog.log().reported() {
-        let first = &mut earliest[detection.detector as usize];
-        if detection.at >= from && first.is_none_or(|at| detection.at < at) {
-            *first = Some(detection.at);
+        if detection.at >= from {
+            detections.record(detection.detector, detection.at.saturating_duration_since(from));
         }
     }
-    for (detector, at) in DetectorId::ALL.into_iter().zip(earliest) {
-        if let Some(at) = at {
-            outcome.record(detector, at.saturating_duration_since(from));
-        }
+    detections
+}
+
+/// The outcome of a finished trial: its detections since `spec`'s
+/// injection start, stamped with the process-interned class tag, so
+/// stamping it allocates nothing.
+fn extract_outcome(node: &CentralNode, spec: &TrialSpec) -> TrialOutcome {
+    TrialOutcome {
+        class: spec.injection.class.interned_tag(),
+        detections: detections_since(node, spec.injection.from),
     }
-    outcome
 }
 
 /// The first instant at which the baseline per-millisecond tick loop of
@@ -362,7 +363,8 @@ fn run_trial_tail(
 /// exact full copy of a golden snapshot into the node's retained buffers,
 /// so it allocates nothing once warm. Outcomes are returned in spec
 /// order, so the campaign's stats are bit-identical to per-trial
-/// [`run_trial`] runs.
+/// [`run_trial`] runs. The share's whole heap is the outcome vector,
+/// pre-stamped with the interned class tags, and the `u32` trial order.
 ///
 /// On top sits **equivalence collapsing** (the fault-list collapsing of
 /// hardware fault-injection campaigns): the sort puts twins next to each
@@ -374,12 +376,16 @@ fn run_chunk_forked(specs: &[TrialSpec], horizon: Instant) -> Vec<TrialOutcome> 
         let mut slot = pool.borrow_mut();
         let s = slot.get_or_insert_with(PoolSlot::new);
 
-        let mut order: Vec<usize> = (0..specs.len()).collect();
-        order.sort_by_key(|&i| tail_key(&specs[i], horizon));
+        let trials = u32::try_from(specs.len()).expect("a share holds under 2^32 trials");
+        let mut order: Vec<u32> = (0..trials).collect();
+        order.sort_by_key(|&i| tail_key(&specs[i as usize], horizon));
 
-        let mut outcomes: Vec<Option<TrialOutcome>> = specs.iter().map(|_| None).collect();
+        let mut outcomes: Vec<TrialOutcome> = specs
+            .iter()
+            .map(|spec| TrialOutcome::new(spec.injection.class.interned_tag()))
+            .collect();
         let mut simulated = None;
-        for &i in &order {
+        for i in order.into_iter().map(|i| i as usize) {
             let spec = &specs[i];
             let key = tail_key(spec, horizon);
             if simulated != Some(key) {
@@ -405,12 +411,9 @@ fn run_chunk_forked(specs: &[TrialSpec], horizon: Instant) -> Vec<TrialOutcome> 
                 simulated = Some(key);
             }
             // A twin of the trial just simulated reads the same node.
-            outcomes[i] = Some(extract_outcome(&s.node, spec));
+            outcomes[i].detections = detections_since(&s.node, spec.injection.from);
         }
         outcomes
-            .into_iter()
-            .map(|o| o.expect("every ordered index ran"))
-            .collect()
     })
 }
 
@@ -433,6 +436,7 @@ pub fn run_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use easis_injection::stats::DetectorId;
 
     #[test]
     fn fig5_shows_aliveness_errors_only_inside_the_window() {
@@ -675,7 +679,7 @@ mod tests {
         assert!(stats.trials()[0].detections.is_empty(), "{:?}", stats.trials()[0]);
         assert_eq!(
             stats.trials()[1].detections,
-            std::collections::BTreeMap::from([
+            Detections::from([
                 (DetectorId::DeadlineMonitor, Duration::from_micros(9_500)),
                 (DetectorId::ExecTimeMonitor, Duration::from_micros(5_180)),
             ])
@@ -786,7 +790,7 @@ mod tests {
         let latency = Duration::from_millis;
         assert_eq!(
             outcome.detections,
-            std::collections::BTreeMap::from([
+            Detections::from([
                 (DetectorId::SwAliveness, latency(15)),
                 (DetectorId::HwWatchdog, latency(0)),
                 (DetectorId::DeadlineMonitor, latency(10)),

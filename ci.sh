@@ -162,6 +162,19 @@ if grep -rnE --include='*.rs' --exclude-dir=target 'BTreeMap<DetectorId' crates/
   echo "a per-trial detection map or the hardware watchdog's window mode crept back"; exit 1
 fi
 
+echo "==> the runnable layer runs one declaration-order chart (no branch layer, schedule tables or paused sinks)"
+# Every task body runs its runnables in declaration order; an invalid
+# execution branch is a skipped runnable (the runnable control's `skip`).
+# A sequencer, a per-task control map with a branch override, an error
+# class that forces one, a schedule table or a sink that can be paused
+# would be configurability no node uses; the control map would also be
+# state that every capture clones and every certification compares.
+if grep -rnE --include='*.rs' --exclude-dir=target \
+     '\b(Sequencer|FixedSequencer|BranchingSequencer|with_sequencer|TaskControl|branch_override|BranchOverride|ScheduleTable)\b|\bfn (pause|resume)\b' \
+     crates/*/src; then
+  echo "a branch layer, schedule table or sink pause flag crept back"; exit 1
+fi
+
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"
 # The full soak defaults to two simulated hours; one simulated minute
 # still crosses several multiples of 2^24 us and schedules events further
@@ -181,7 +194,7 @@ echo "==> macro-stepping and mid-window round-trip property tests in verify mode
 # misses a difference that later simulation overwrites, while verify
 # mode compares right at each jump.
 # The armed-window property jumps inside armed injection windows of all
-# seven error classes, where certification replays the faulty steady
+# six error classes, where certification replays the faulty steady
 # state's detection bookkeeping. The round-trip test restores a capture taken inside an armed injection
 # window onto a dirtied node, the one rewind the campaign engine never
 # makes. A fixed salt draws 100 cases per property beyond the fixed ones

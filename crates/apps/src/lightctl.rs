@@ -35,7 +35,7 @@ pub const LUX_ON: f64 = 400.0;
 pub const LUX_OFF: f64 = 700.0;
 
 /// Pure decision law: headlight state with hysteresis.
-pub fn headlight_decision(filtered_lux: f64, currently_on: bool) -> bool {
+fn headlight_decision(filtered_lux: f64, currently_on: bool) -> bool {
     if currently_on {
         filtered_lux < LUX_OFF
     } else {

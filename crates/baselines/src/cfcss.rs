@@ -65,7 +65,7 @@ impl ControlFlowGraph {
     /// # Panics
     ///
     /// Panics if either block is out of range.
-    pub fn add_edge(&mut self, from: BlockId, to: BlockId) {
+    fn add_edge(&mut self, from: BlockId, to: BlockId) {
         assert!(from.index() < self.succs.len(), "unknown source block");
         assert!(to.index() < self.succs.len(), "unknown target block");
         if !self.succs[from.index()].contains(&to.0) {
@@ -74,12 +74,12 @@ impl ControlFlowGraph {
     }
 
     /// Number of blocks.
-    pub fn block_count(&self) -> usize {
+    fn block_count(&self) -> usize {
         self.succs.len()
     }
 
     /// `true` if `from → to` is a legal edge.
-    pub fn has_edge(&self, from: BlockId, to: BlockId) -> bool {
+    fn has_edge(&self, from: BlockId, to: BlockId) -> bool {
         self.succs[from.index()].contains(&to.0)
     }
 
@@ -142,12 +142,6 @@ impl CfcssProgram {
     /// The instrumented graph.
     pub fn graph(&self) -> &ControlFlowGraph {
         &self.graph
-    }
-
-    /// Number of branch-fan-in blocks (each of their predecessors pays the
-    /// `D`-assignment cost).
-    pub fn fan_in_count(&self) -> usize {
-        self.fan_in.iter().filter(|&&f| f).count()
     }
 }
 
@@ -301,14 +295,6 @@ mod tests {
         }
         assert_eq!(costs.total_cycles(), 8 * BLOCK_CHECK_COST_CYCLES);
         assert_eq!(costs.operations(), 8);
-    }
-
-    #[test]
-    fn fan_in_blocks_are_identified() {
-        let prog = CfcssProgram::instrument(diamond(), 6);
-        assert_eq!(prog.fan_in_count(), 1);
-        let chain = CfcssProgram::instrument(ControlFlowGraph::chain(5), 6);
-        assert_eq!(chain.fan_in_count(), 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub enum E2eVerdict {
 
 impl E2eVerdict {
     /// `true` for verdicts a receiver treats as a communication fault.
-    pub fn is_fault(self) -> bool {
+    fn is_fault(self) -> bool {
         !matches!(self, E2eVerdict::Ok | E2eVerdict::Initial)
     }
 }

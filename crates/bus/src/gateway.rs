@@ -122,11 +122,6 @@ impl Gateway {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Frames queued but not yet ready.
-    pub fn backlog(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 #[cfg(test)]
@@ -179,13 +174,13 @@ mod tests {
     }
 
     #[test]
-    fn backlog_reflects_pending_frames() {
+    fn pending_frames_wait_for_their_own_latency() {
         let mut gw = Gateway::new(Duration::from_micros(500));
         gw.add_route(FrameId(0x10), PortId(0), None);
         gw.ingress(Frame::new(FrameId(0x10), vec![]), t(0));
         gw.ingress(Frame::new(FrameId(0x10), vec![]), t(100));
-        assert_eq!(gw.backlog(), 2);
-        let _ = gw.take_ready(t(500));
-        assert_eq!(gw.backlog(), 1);
+        assert_eq!(gw.take_ready(t(500)).len(), 1);
+        assert!(gw.take_ready(t(599)).is_empty());
+        assert_eq!(gw.take_ready(t(600)).len(), 1);
     }
 }

@@ -64,7 +64,7 @@ impl DetectorId {
 
     /// The error class a Software Watchdog unit reports; `None` for the
     /// other detectors.
-    pub(crate) fn fault_kind(self) -> Option<FaultKind> {
+    fn fault_kind(self) -> Option<FaultKind> {
         match self {
             DetectorId::SwAliveness => Some(FaultKind::Aliveness),
             DetectorId::SwArrivalRate => Some(FaultKind::ArrivalRate),

@@ -187,7 +187,7 @@ impl CompiledFlowTable {
 
     /// The runnable interned at `slot`.
     #[inline]
-    pub fn runnable_at(&self, slot: u32) -> RunnableId {
+    fn runnable_at(&self, slot: u32) -> RunnableId {
         RunnableId(self.index.id_at(slot))
     }
 

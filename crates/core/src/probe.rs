@@ -33,7 +33,6 @@ pub const VALIDATE_COST_CYCLES: u64 = 16;
 struct ProbeState {
     current_challenge: u64,
     response: Option<u64>,
-    errors: u32,
 }
 
 /// The active-probe monitoring unit.
@@ -63,7 +62,6 @@ impl ActiveProbeMonitor {
                     ProbeState {
                         current_challenge: rng.next_u64(),
                         response: None,
-                        errors: 0,
                     },
                 )
             })
@@ -104,7 +102,6 @@ impl ActiveProbeMonitor {
             costs.charge(VALIDATE_COST_CYCLES + CHALLENGE_COST_CYCLES);
             let ok = state.response == Some(expected_response(state.current_challenge));
             if !ok {
-                state.errors += 1;
                 self.obs.record(
                     now,
                     ObsEvent::FaultDetected {
@@ -122,11 +119,6 @@ impl ActiveProbeMonitor {
             state.current_challenge = self.rng.next_u64();
         }
         faults
-    }
-
-    /// Cumulative errors of a runnable.
-    pub fn errors_of(&self, runnable: RunnableId) -> u32 {
-        self.states.get(&runnable).map_or(0, |s| s.errors)
     }
 }
 
@@ -150,7 +142,6 @@ mod tests {
             probe.respond(r(0), expected_response(c), t(cycle * 10), &mut costs);
             assert!(probe.end_of_cycle(t(cycle * 10), &mut costs).is_empty());
         }
-        assert_eq!(probe.errors_of(r(0)), 0);
     }
 
     #[test]
@@ -235,6 +226,6 @@ mod tests {
         let mut costs = CostMeter::new();
         assert_eq!(probe.challenge_for(r(9)), None);
         probe.respond(r(9), 123, t(0), &mut costs); // no panic, no state
-        assert_eq!(probe.errors_of(r(9)), 0);
+        assert!(!probe.states.contains_key(&r(9)));
     }
 }

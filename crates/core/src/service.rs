@@ -334,12 +334,6 @@ impl SoftwareWatchdog {
         }
     }
 
-    /// Sets a runnable's activation status (the AS data resource).
-    /// Returns `false` for unmonitored runnables.
-    pub fn set_activation(&mut self, runnable: RunnableId, active: bool) -> bool {
-        self.state.heartbeat.set_active(runnable, active)
-    }
-
     /// Dynamically reconfigures the fault hypothesis of a runnable (the
     /// paper's outlook names "dynamic reconfiguration of applications" as
     /// the next step): after a mode change or degraded restart, an
@@ -909,17 +903,6 @@ mod tests {
         assert_eq!(faults[0].kind, FaultKind::ProgramFlow);
         assert_eq!(wd.log().count(DetectorId::HwWatchdog), 1);
         assert_eq!(wd.pfc_errors_total(), 1);
-    }
-
-    #[test]
-    fn set_activation_controls_monitoring() {
-        let mut wd = safespeed_watchdog();
-        assert!(wd.set_activation(r(2), false));
-        wd.heartbeat(r(0), t(1));
-        wd.heartbeat(r(1), t(2));
-        let report = wd.run_cycle(t(10)); // r2 silent but deactivated
-        assert!(report.faults.is_empty());
-        assert!(!wd.set_activation(r(99), false));
     }
 }
 

@@ -320,17 +320,6 @@ impl TsiState {
             .filter(|e| e.count > 0)
             .collect()
     }
-
-    /// Total errors recorded against a task.
-    pub fn total_errors(&self, tsi: &TaskStateIndication, task: TaskId) -> u32 {
-        tsi.runnables_of(task)
-            .map(|r| {
-                self.counts[r.index() * KINDS..][..KINDS]
-                    .iter()
-                    .sum::<u32>()
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -368,7 +357,7 @@ mod tests {
             self.state.ecu_state()
         }
         fn total_errors(&self, task: TaskId) -> u32 {
-            self.state.total_errors(&self.tsi, task)
+            self.error_vector(task).iter().map(|e| e.count).sum()
         }
         fn error_vector(&self, task: TaskId) -> Vec<ErrorIndication> {
             self.state.error_vector(&self.tsi, task)

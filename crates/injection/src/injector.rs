@@ -4,9 +4,11 @@
 //! runnables by changing the timing parameter of runnables, manipulation of
 //! loop counters and building invalid execution branches" (paper §4.5), with
 //! ControlDesk triggering the injection at runtime. [`ErrorClass`] is the
-//! taxonomy of those manipulations; an [`Injector`] arms/disarms them inside
-//! a time window by writing the runnable layer's control store — the same
-//! surface ControlDesk wrote on the real rig.
+//! taxonomy of those manipulations (an invalid branch is
+//! [`ErrorClass::SkipRunnable`], a path that bypasses one runnable); an
+//! [`Injector`] arms/disarms them inside a time window by writing the
+//! runnable layer's control store — the same surface ControlDesk wrote on
+//! the real rig.
 
 use easis_obs::{ObsEvent, ObsSink};
 use easis_osek::alarm::AlarmId;
@@ -59,14 +61,6 @@ pub enum ErrorClass {
         /// Forced iteration count.
         iterations: u32,
     },
-    /// Force a task's branching chart onto a specific (possibly invalid)
-    /// branch.
-    BranchOverride {
-        /// Target task (control-block key).
-        task_name: String,
-        /// Forced branch index.
-        branch: usize,
-    },
     /// Rescale a cyclic alarm's period (task-level frequency error).
     AlarmScale {
         /// Target alarm.
@@ -85,7 +79,6 @@ impl ErrorClass {
             ErrorClass::SkipRunnable { .. } => "skip_runnable",
             ErrorClass::DuplicateDispatch { .. } => "duplicate_dispatch",
             ErrorClass::LoopOverrun { .. } => "loop_overrun",
-            ErrorClass::BranchOverride { .. } => "branch_override",
             ErrorClass::AlarmScale { .. } => "alarm_scale",
         }
     }
@@ -95,7 +88,7 @@ impl ErrorClass {
     /// count, so stamping a `TrialOutcome` per campaign trial allocates
     /// nothing.
     pub fn interned_tag(&self) -> Arc<str> {
-        static TAGS: OnceLock<[Arc<str>; 7]> = OnceLock::new();
+        static TAGS: OnceLock<[Arc<str>; 6]> = OnceLock::new();
         let table = TAGS.get_or_init(|| {
             [
                 Arc::from("execution_slowdown"),
@@ -103,7 +96,6 @@ impl ErrorClass {
                 Arc::from("skip_runnable"),
                 Arc::from("duplicate_dispatch"),
                 Arc::from("loop_overrun"),
-                Arc::from("branch_override"),
                 Arc::from("alarm_scale"),
             ]
         });
@@ -113,8 +105,7 @@ impl ErrorClass {
             ErrorClass::SkipRunnable { .. } => 2,
             ErrorClass::DuplicateDispatch { .. } => 3,
             ErrorClass::LoopOverrun { .. } => 4,
-            ErrorClass::BranchOverride { .. } => 5,
-            ErrorClass::AlarmScale { .. } => 6,
+            ErrorClass::AlarmScale { .. } => 5,
         };
         Arc::clone(&table[idx])
     }
@@ -127,7 +118,7 @@ impl ErrorClass {
             | ErrorClass::SkipRunnable { runnable }
             | ErrorClass::DuplicateDispatch { runnable, .. }
             | ErrorClass::LoopOverrun { runnable, .. } => Some(runnable),
-            _ => None,
+            ErrorClass::AlarmScale { .. } => None,
         }
     }
 }
@@ -262,28 +253,12 @@ impl Injector {
                 controls.runnable_mut(*runnable).iterations_override =
                     arm.then_some(*iterations);
             }
-            ErrorClass::BranchOverride { task_name, branch } => {
-                controls.task_mut(task_name).branch_override = arm.then_some(*branch);
-            }
             ErrorClass::AlarmScale { alarm, scale_ppm } => {
                 if let Ok(a) = os.alarm_mut(*alarm) {
                     a.set_cycle_scale_ppm(if arm { *scale_ppm } else { 1_000_000 });
                 }
             }
         }
-    }
-
-    /// `true` once every injection has been armed and reverted.
-    pub fn is_finished(&self) -> bool {
-        self.injections.iter().all(|(_, p)| *p == Phase::Done)
-    }
-
-    /// Number of currently armed injections.
-    pub fn armed_count(&self) -> usize {
-        self.injections
-            .iter()
-            .filter(|(_, p)| *p == Phase::Armed)
-            .count()
     }
 }
 
@@ -312,10 +287,11 @@ mod tests {
         assert!(!controls.runnable(r(1)).suppress_heartbeat);
         injector.tick(t(100), &mut controls, &mut os);
         assert!(controls.runnable(r(1)).suppress_heartbeat);
-        assert_eq!(injector.armed_count(), 1);
         injector.tick(t(200), &mut controls, &mut os);
         assert!(!controls.runnable(r(1)).suppress_heartbeat);
-        assert!(injector.is_finished());
+        // Done: a later tick does not arm the window again.
+        injector.tick(t(250), &mut controls, &mut os);
+        assert!(controls.is_nominal());
     }
 
     #[test]
@@ -326,7 +302,6 @@ mod tests {
             ErrorClass::SkipRunnable { runnable: r(0) },
             ErrorClass::DuplicateDispatch { runnable: r(0), extra: 3 },
             ErrorClass::LoopOverrun { runnable: r(0), iterations: 500 },
-            ErrorClass::BranchOverride { task_name: "T".into(), branch: 1 },
         ];
         for class in classes {
             let mut injector =
@@ -363,8 +338,8 @@ mod tests {
         let c = ErrorClass::SkipRunnable { runnable: r(7) };
         assert_eq!(c.tag(), "skip_runnable");
         assert_eq!(c.target_runnable(), Some(r(7)));
-        let b = ErrorClass::BranchOverride { task_name: "x".into(), branch: 0 };
-        assert_eq!(b.target_runnable(), None);
+        let a = ErrorClass::AlarmScale { alarm: AlarmId(0), scale_ppm: 2_000_000 };
+        assert_eq!(a.target_runnable(), None);
     }
 
     #[test]
@@ -398,11 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn none_injector_is_immediately_finished() {
-        assert!(Injector::none().is_finished());
-    }
-
-    #[test]
     fn interned_tag_matches_tag_and_is_shared() {
         let classes = [
             ErrorClass::ExecutionSlowdown { runnable: r(0), scale_ppm: 1 },
@@ -410,7 +380,6 @@ mod tests {
             ErrorClass::SkipRunnable { runnable: r(0) },
             ErrorClass::DuplicateDispatch { runnable: r(0), extra: 1 },
             ErrorClass::LoopOverrun { runnable: r(0), iterations: 1 },
-            ErrorClass::BranchOverride { task_name: "x".into(), branch: 0 },
             ErrorClass::AlarmScale { alarm: AlarmId(0), scale_ppm: 1 },
         ];
         for class in &classes {
@@ -436,20 +405,19 @@ mod tests {
         let mut os: Os<BasicEcuWorld> = Os::new();
         reloaded.tick(t(5), &mut controls, &mut os);
         reloaded.tick(t(6), &mut controls, &mut os);
-        assert!(reloaded.is_finished());
+        assert!(reloaded.injections.iter().all(|(_, p)| *p == Phase::Done));
 
         reloaded.reload([injection.clone()]);
         let mut fresh = Injector::new([injection]);
-        assert!(!reloaded.is_finished());
+        assert_eq!(reloaded.injections, fresh.injections);
+        let (mut c1, mut c2) = (RunnableControls::new(), RunnableControls::new());
+        let mut o1: Os<BasicEcuWorld> = Os::new();
+        let mut o2: Os<BasicEcuWorld> = Os::new();
         for at in [50, 100, 150, 200] {
-            let mut c1 = RunnableControls::new();
-            let mut c2 = RunnableControls::new();
-            let mut o1: Os<BasicEcuWorld> = Os::new();
-            let mut o2: Os<BasicEcuWorld> = Os::new();
             reloaded.tick(t(at), &mut c1, &mut o1);
             fresh.tick(t(at), &mut c2, &mut o2);
-            assert_eq!(reloaded.armed_count(), fresh.armed_count(), "at {at}");
-            assert_eq!(reloaded.is_finished(), fresh.is_finished(), "at {at}");
+            assert_eq!(reloaded.injections, fresh.injections, "at {at}");
+            assert_eq!(c1, c2, "at {at}");
         }
     }
 

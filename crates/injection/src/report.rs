@@ -31,14 +31,14 @@ pub struct WilsonInterval {
 
 impl WilsonInterval {
     /// The 95% interval (z = 1.96) for `hits` successes out of `n`.
-    pub fn for_proportion(hits: usize, n: usize) -> WilsonInterval {
+    fn for_proportion(hits: usize, n: usize) -> WilsonInterval {
         WilsonInterval::with_z(hits, n, 1.96)
     }
 
     /// The interval for `hits` out of `n` at critical value `z`.
     ///
     /// With `n == 0` there is no evidence either way: returns `[0, 1]`.
-    pub fn with_z(hits: usize, n: usize, z: f64) -> WilsonInterval {
+    fn with_z(hits: usize, n: usize, z: f64) -> WilsonInterval {
         if n == 0 {
             return WilsonInterval { lo: 0.0, hi: 1.0 };
         }

@@ -17,24 +17,12 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::recorder::FlightRecorder;
 use easis_sim::time::{Duration, Instant};
 use serde::{Deserialize, Serialize, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 #[derive(Debug)]
 struct ObsCore {
     recorder: FlightRecorder,
     metrics: MetricsRegistry,
-}
-
-#[derive(Debug)]
-struct ObsShared {
-    /// Whether recording is currently on. The hot-path check in
-    /// [`ObsSink::record`] & co is a single relaxed load of this flag —
-    /// the mutex below is only ever taken when recording actually
-    /// happens, so a paused (or never-resumed) sink costs one atomic
-    /// load per call and zero lock traffic.
-    active: AtomicBool,
-    core: Mutex<ObsCore>,
 }
 
 /// Cheap, cloneable handle to a shared flight recorder + metrics registry.
@@ -44,7 +32,7 @@ struct ObsShared {
 /// when disabled.
 #[derive(Debug, Clone, Default)]
 pub struct ObsSink {
-    shared: Option<Arc<ObsShared>>,
+    shared: Option<Arc<Mutex<ObsCore>>>,
 }
 
 impl ObsSink {
@@ -64,62 +52,34 @@ impl ObsSink {
     /// Panics if `capacity` is zero.
     pub fn enabled(capacity: usize) -> Self {
         ObsSink {
-            shared: Some(Arc::new(ObsShared {
-                active: AtomicBool::new(true),
-                core: Mutex::new(ObsCore {
-                    recorder: FlightRecorder::new(capacity),
-                    metrics: MetricsRegistry::new(),
-                }),
-            })),
+            shared: Some(Arc::new(Mutex::new(ObsCore {
+                recorder: FlightRecorder::new(capacity),
+                metrics: MetricsRegistry::new(),
+            }))),
         }
     }
 
-    /// `true` when recording actually happens — the sink has a recorder
-    /// *and* is not paused. A lock-free relaxed load.
+    /// `true` when the sink has a recorder, so recording happens.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.recording()
+        self.shared.is_some()
     }
 
-    /// The lock-free hot-path gate: `Some` core iff the sink should
-    /// record right now.
+    /// The shared core, locked; `None` when disabled.
     #[inline]
-    fn active_shared(&self) -> Option<&ObsShared> {
-        let shared = self.shared.as_deref()?;
-        shared.active.load(Ordering::Relaxed).then_some(shared)
-    }
-
-    #[inline]
-    fn recording(&self) -> bool {
-        self.active_shared().is_some()
-    }
-
-    /// Pauses recording in every clone of this sink: subsequent
-    /// `record`/`count`/`observe_latency` calls return after one relaxed
-    /// atomic load, without taking the lock. Retained events and metrics
-    /// stay readable. A no-op on a disabled sink.
-    pub fn pause(&self) {
-        if let Some(shared) = &self.shared {
-            shared.active.store(false, Ordering::Relaxed);
-        }
-    }
-
-    /// Resumes recording after [`ObsSink::pause`]. A no-op on a disabled
-    /// sink.
-    pub fn resume(&self) {
-        if let Some(shared) = &self.shared {
-            shared.active.store(true, Ordering::Relaxed);
-        }
+    fn core(&self) -> Option<MutexGuard<'_, ObsCore>> {
+        self.shared
+            .as_ref()
+            .map(|shared| shared.lock().expect("obs sink poisoned"))
     }
 
     /// Records an event at `at` and bumps the per-tag event counter.
     ///
-    /// One lock acquisition covers both; a disabled or paused sink
-    /// returns after a lock-free check without touching the core.
+    /// One lock acquisition covers both; a disabled sink returns without
+    /// touching shared state.
     #[inline]
     pub fn record(&self, at: Instant, event: ObsEvent) {
-        if let Some(shared) = self.active_shared() {
-            let mut core = shared.core.lock().expect("obs sink poisoned");
+        if let Some(mut core) = self.core() {
             core.metrics.count(event.tag(), 1);
             core.recorder.record(at, event);
         }
@@ -128,8 +88,7 @@ impl ObsSink {
     /// Adds `n` to a named counter (no event recorded).
     #[inline]
     pub fn count(&self, name: &'static str, n: u64) {
-        if let Some(shared) = self.active_shared() {
-            let mut core = shared.core.lock().expect("obs sink poisoned");
+        if let Some(mut core) = self.core() {
             core.metrics.count(name, n);
         }
     }
@@ -137,45 +96,36 @@ impl ObsSink {
     /// Records a latency observation at an instrumentation site.
     #[inline]
     pub fn observe_latency(&self, site: &'static str, latency: Duration) {
-        if let Some(shared) = self.active_shared() {
-            let mut core = shared.core.lock().expect("obs sink poisoned");
+        if let Some(mut core) = self.core() {
             core.metrics.observe(site, latency);
         }
     }
 
     /// The retained events, oldest first (empty when disabled).
     pub fn events(&self) -> Vec<TimedEvent> {
-        match &self.shared {
-            Some(shared) => shared.core.lock().expect("obs sink poisoned").recorder.events(),
-            None => Vec::new(),
-        }
+        self.core()
+            .map_or_else(Vec::new, |core| core.recorder.events())
     }
 
     /// Events overwritten because the ring buffer was full.
     pub fn dropped(&self) -> u64 {
-        match &self.shared {
-            Some(shared) => shared.core.lock().expect("obs sink poisoned").recorder.dropped(),
-            None => 0,
-        }
+        self.core().map_or(0, |core| core.recorder.dropped())
     }
 
     /// Current value of a counter (0 when disabled or never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        match &self.shared {
-            Some(shared) => shared.core.lock().expect("obs sink poisoned").metrics.counter(name),
-            None => 0,
-        }
+        self.core().map_or(0, |core| core.metrics.counter(name))
     }
 
     /// Snapshot of all counters and latency sites (empty when disabled).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        match &self.shared {
-            Some(shared) => shared.core.lock().expect("obs sink poisoned").metrics.snapshot(),
-            None => MetricsSnapshot {
+        self.core().map_or_else(
+            || MetricsSnapshot {
                 counters: Vec::new(),
                 sites: Vec::new(),
             },
-        }
+            |core| core.metrics.snapshot(),
+        )
     }
 
     /// The retained trace as JSON Lines, one event per line, oldest first.
@@ -242,38 +192,6 @@ mod tests {
     #[test]
     fn default_is_disabled() {
         assert!(!ObsSink::default().is_enabled());
-    }
-
-    #[test]
-    fn pause_stops_recording_and_resume_restarts_it() {
-        let sink = ObsSink::enabled(8);
-        sink.record(t(1), hb(0));
-        sink.pause();
-        assert!(!sink.is_enabled());
-        sink.record(t(2), hb(1));
-        sink.count("x", 3);
-        sink.observe_latency("site", Duration::from_micros(5));
-        // Retained data stays readable while paused.
-        assert_eq!(sink.events().len(), 1);
-        assert_eq!(sink.counter("x"), 0);
-        sink.resume();
-        assert!(sink.is_enabled());
-        sink.record(t(3), hb(2));
-        assert_eq!(sink.events().len(), 2);
-    }
-
-    #[test]
-    fn pause_is_shared_across_clones_and_inert_on_disabled() {
-        let sink = ObsSink::enabled(8);
-        let clone = sink.clone();
-        clone.pause();
-        assert!(!sink.is_enabled());
-        sink.resume();
-        assert!(clone.is_enabled());
-        let disabled = ObsSink::disabled();
-        disabled.pause();
-        disabled.resume();
-        assert!(!disabled.is_enabled());
     }
 
     #[test]

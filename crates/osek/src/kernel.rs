@@ -358,15 +358,6 @@ impl<W> Os<W> {
             .ok_or(OsError::InvalidId)
     }
 
-    /// Finds a task by name.
-    pub fn find_task(&self, name: &str) -> Option<TaskId> {
-        self.core
-            .configs
-            .iter()
-            .position(|c| c.name() == name)
-            .map(|i| TaskId(i as u32))
-    }
-
     /// Total CPU time consumed by tasks so far.
     pub fn busy_time(&self) -> Duration {
         self.core.state.busy
@@ -2159,11 +2150,9 @@ mod tests {
     }
 
     #[test]
-    fn find_task_and_names() {
+    fn task_names_and_invalid_ids() {
         let mut os: Os<W> = Os::new();
         let t = os.add_task(TaskConfig::new("SafeSpeedTask", Priority(1)), log_body("x", ms(1)));
-        assert_eq!(os.find_task("SafeSpeedTask"), Some(t));
-        assert_eq!(os.find_task("nope"), None);
         assert_eq!(os.task_name(t).unwrap(), "SafeSpeedTask");
         assert_eq!(os.task_name(TaskId(9)), Err(OsError::InvalidId));
         assert_eq!(os.task_state(TaskId(9)), Err(OsError::InvalidId));

@@ -330,12 +330,6 @@ impl<W> PlanArena<W> {
     pub fn slot_mut(&mut self, idx: usize) -> &mut Plan<W> {
         &mut self.slots[idx]
     }
-
-    /// Sum of all slots' step capacities (observability for tests
-    /// asserting capacity retention across restores).
-    pub fn total_capacity(&self) -> usize {
-        self.slots.iter().map(Plan::capacity).sum()
-    }
 }
 
 impl<W> FromIterator<Step<W>> for Plan<W> {
@@ -607,7 +601,9 @@ mod tests {
             }
         };
         fill(&mut arena);
-        let cap = arena.total_capacity();
+        let total_capacity =
+            |arena: &PlanArena<W>| -> usize { arena.slots.iter().map(Plan::capacity).sum() };
+        let cap = total_capacity(&arena);
         arena.clone_from(&snap);
         assert!(arena == snap, "restored arena equals its capture");
         assert_eq!(arena.slot_mut(0).len(), 2);
@@ -616,9 +612,9 @@ mod tests {
         assert!(arena.slot_mut(1).is_empty(), "restore clears divergent slots");
         // Every slot keeps its capacity, so refilling to the same length
         // grows nothing.
-        assert_eq!(arena.total_capacity(), cap, "restore must not shrink slots");
+        assert_eq!(total_capacity(&arena), cap, "restore must not shrink slots");
         fill(&mut arena);
-        assert_eq!(arena.total_capacity(), cap);
+        assert_eq!(total_capacity(&arena), cap);
     }
 
     #[test]

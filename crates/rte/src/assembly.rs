@@ -5,11 +5,12 @@
 //! execution sequence of runnables is implemented", with additional
 //! subsystems simulating "the glue code … which report the execution of the
 //! runnables". [`SequencedTask`] is that chart: it owns the task's
-//! runnables, asks a [`Sequencer`] for the activation's execution order,
-//! and emits per runnable a compute segment followed by an effect that
-//! (a) fires the aliveness-indication glue and (b) runs the runnable
-//! logic. All manipulation controls are honoured here, so error injection
-//! needs no special code paths in the applications.
+//! runnables and, on every activation, emits per runnable in declaration
+//! order a compute segment followed by an effect that (a) fires the
+//! aliveness-indication glue and (b) runs the runnable logic. All
+//! manipulation controls are honoured here — an invalid execution branch
+//! is a runnable whose `skip` control leaves it out of the activation — so
+//! error injection needs no special code paths in the applications.
 
 use crate::runnable::{RunnableDef, RunnableId};
 use crate::world::EcuWorld;
@@ -19,131 +20,10 @@ use easis_sim::time::{Duration, Instant};
 /// Trace source tag used by the runnable layer.
 pub const TRACE_SOURCE: &str = "rte";
 
-/// Chooses the runnable execution order for one task activation.
-///
-/// `branch_override` (from the task's control block) must be honoured by
-/// implementations that model branching charts.
-pub trait Sequencer<W>: Send {
-    /// Returns indices into the task's runnable list, in execution order.
-    fn sequence(&mut self, now: Instant, world: &W, branch_override: Option<usize>) -> Vec<usize>;
-
-    /// Appends the activation's execution order to `out` (cleared by the
-    /// caller). The default delegates to [`Sequencer::sequence`];
-    /// implementations on the campaign hot path override it to fill the
-    /// caller's reused buffer without allocating per activation.
-    fn sequence_into(
-        &mut self,
-        now: Instant,
-        world: &W,
-        branch_override: Option<usize>,
-        out: &mut Vec<usize>,
-    ) {
-        out.extend(self.sequence(now, world, branch_override));
-    }
-
-    /// Number of distinct branches (1 for fixed sequences).
-    fn branch_count(&self) -> usize {
-        1
-    }
-}
-
-/// Executes all runnables in declaration order — the common case of a
-/// periodic task chart.
-#[derive(Debug, Clone, Default)]
-pub struct FixedSequencer {
-    len: usize,
-}
-
-impl FixedSequencer {
-    /// Sequencer over `len` runnables.
-    pub fn new(len: usize) -> Self {
-        FixedSequencer { len }
-    }
-}
-
-impl<W> Sequencer<W> for FixedSequencer {
-    fn sequence(&mut self, _now: Instant, _world: &W, _branch: Option<usize>) -> Vec<usize> {
-        (0..self.len).collect()
-    }
-
-    fn sequence_into(
-        &mut self,
-        _now: Instant,
-        _world: &W,
-        _branch: Option<usize>,
-        out: &mut Vec<usize>,
-    ) {
-        out.extend(0..self.len);
-    }
-}
-
-/// A branching chart: several alternative sequences, selected by a function
-/// of the world (e.g. a mode signal). The task control's `branch_override`
-/// forces a branch — including deliberately invalid ones, the paper's
-/// "building invalid execution branches" injection.
-pub struct BranchingSequencer<W> {
-    branches: Vec<Vec<usize>>,
-    select: Box<dyn Fn(&W) -> usize + Send>,
-}
-
-impl<W> std::fmt::Debug for BranchingSequencer<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BranchingSequencer")
-            .field("branches", &self.branches)
-            .finish()
-    }
-}
-
-impl<W> BranchingSequencer<W> {
-    /// Creates a sequencer over the given branches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `branches` is empty.
-    pub fn new(branches: Vec<Vec<usize>>, select: impl Fn(&W) -> usize + Send + 'static) -> Self {
-        assert!(!branches.is_empty(), "need at least one branch");
-        BranchingSequencer {
-            branches,
-            select: Box::new(select),
-        }
-    }
-}
-
-impl<W: Send> Sequencer<W> for BranchingSequencer<W> {
-    fn sequence(&mut self, _now: Instant, world: &W, branch: Option<usize>) -> Vec<usize> {
-        let idx = branch.unwrap_or_else(|| (self.select)(world));
-        let idx = idx.min(self.branches.len() - 1);
-        self.branches[idx].clone()
-    }
-
-    fn sequence_into(
-        &mut self,
-        _now: Instant,
-        world: &W,
-        branch: Option<usize>,
-        out: &mut Vec<usize>,
-    ) {
-        let idx = branch.unwrap_or_else(|| (self.select)(world));
-        let idx = idx.min(self.branches.len() - 1);
-        out.extend_from_slice(&self.branches[idx]);
-    }
-
-    fn branch_count(&self) -> usize {
-        self.branches.len()
-    }
-}
-
 /// An OSEK task body executing a sequence of runnables with heartbeat glue.
 pub struct SequencedTask<W> {
     task_name: String,
     runnables: Vec<RunnableDef<W>>,
-    /// Per-runnable trace labels, pre-shared so planning an activation
-    /// clones an `Arc` instead of allocating a `String` per runnable (the
-    /// campaign hot path plans hundreds of activations per trial).
-    names: Vec<std::sync::Arc<str>>,
-    sequencer: Box<dyn Sequencer<W>>,
-    /// Reused execution-order buffer ([`Sequencer::sequence_into`]).
-    order_scratch: Vec<usize>,
 }
 
 impl<W> std::fmt::Debug for SequencedTask<W> {
@@ -158,34 +38,10 @@ impl<W> std::fmt::Debug for SequencedTask<W> {
 impl<W: EcuWorld + 'static> SequencedTask<W> {
     /// Creates a task body running `runnables` in declaration order.
     pub fn fixed(task_name: impl Into<String>, runnables: Vec<RunnableDef<W>>) -> Self {
-        let len = runnables.len();
         SequencedTask {
             task_name: task_name.into(),
-            names: runnables.iter().map(|r| r.spec().name().into()).collect(),
             runnables,
-            sequencer: Box::new(FixedSequencer::new(len)),
-            order_scratch: Vec::new(),
         }
-    }
-
-    /// Creates a task body with a custom sequencer.
-    pub fn with_sequencer(
-        task_name: impl Into<String>,
-        runnables: Vec<RunnableDef<W>>,
-        sequencer: impl Sequencer<W> + 'static,
-    ) -> Self {
-        SequencedTask {
-            task_name: task_name.into(),
-            names: runnables.iter().map(|r| r.spec().name().into()).collect(),
-            runnables,
-            sequencer: Box::new(sequencer),
-            order_scratch: Vec::new(),
-        }
-    }
-
-    /// The task name (key of its control block).
-    pub fn task_name(&self) -> &str {
-        &self.task_name
     }
 
     /// Ids of the runnables hosted by this task, in declaration order.
@@ -202,20 +58,14 @@ impl<W: EcuWorld + 'static> SequencedTask<W> {
 }
 
 impl<W: EcuWorld + 'static> TaskBody<W> for SequencedTask<W> {
-    /// Plans `Compute(cost) + EffectRef(runnable index)` pairs into the
-    /// kernel's arena buffer — no boxed closure, no step-buffer allocation
+    /// Plans `Compute(cost) + EffectRef(runnable index)` pairs, one per
+    /// unskipped runnable in declaration order, into the kernel's arena
+    /// buffer — no boxed closure, no step-buffer allocation
     /// once the slot has grown to the sequence length. The effect half of
     /// each pair dispatches back into [`SequencedTask::run_effect`].
-    fn plan_into(&mut self, now: Instant, world: &W, out: &mut Plan<W>) {
-        let branch = world.controls().task(&self.task_name).branch_override;
+    fn plan_into(&mut self, _now: Instant, world: &W, out: &mut Plan<W>) {
         let global_ppm = world.controls().global_exec_scale_ppm();
-        let mut order = std::mem::take(&mut self.order_scratch);
-        order.clear();
-        self.sequencer.sequence_into(now, world, branch, &mut order);
-        for &idx in &order {
-            let Some(def) = self.runnables.get(idx) else {
-                continue; // tolerate stale branch tables
-            };
+        for (idx, def) in self.runnables.iter().enumerate() {
             let spec = def.spec();
             let ctl = world.controls().runnable(spec.id());
             if ctl.skip {
@@ -233,7 +83,6 @@ impl<W: EcuWorld + 'static> TaskBody<W> for SequencedTask<W> {
             out.push_compute(cost);
             out.push_effect_ref(idx as u32);
         }
-        self.order_scratch = order;
     }
 
     /// Executes runnable `token` (the declaration index planned by
@@ -251,9 +100,9 @@ impl<W: EcuWorld + 'static> TaskBody<W> for SequencedTask<W> {
             world.indicate_heartbeat(id, ctx.now());
         }
         def.run(world, ctx);
-        // `&*..` keeps the label borrowed: the recorder only converts to an
+        // The label stays borrowed: the recorder only converts it to an
         // owned `String` when tracing is enabled.
-        ctx.trace(TRACE_SOURCE, "runnable", &*self.names[token as usize]);
+        ctx.trace(TRACE_SOURCE, "runnable", def.spec().name());
     }
 
     fn name(&self) -> &str {
@@ -279,9 +128,7 @@ mod tests {
     }
 
     /// Builds a 3-runnable SafeSpeed-like task on a fresh OS.
-    fn build(
-        sequencer: Option<BranchingSequencer<BasicEcuWorld>>,
-    ) -> (Os<BasicEcuWorld>, BasicEcuWorld, Vec<RunnableId>) {
+    fn build() -> (Os<BasicEcuWorld>, BasicEcuWorld, Vec<RunnableId>) {
         let mut reg = RunnableRegistry::new();
         let s0 = reg.register("GetSensorValue", us(50));
         let s1 = reg.register_with_loop("SAFE_CC_process", us(100), us(10), 5);
@@ -297,10 +144,7 @@ mod tests {
             }),
             RunnableDef::no_op(s2.clone()),
         ];
-        let body = match sequencer {
-            None => SequencedTask::fixed("SafeSpeedTask", defs),
-            Some(seq) => SequencedTask::with_sequencer("SafeSpeedTask", defs, seq),
-        };
+        let body = SequencedTask::fixed("SafeSpeedTask", defs);
         let mut os = Os::new();
         let t = os.add_task(TaskConfig::new("SafeSpeedTask", Priority(3)), body);
         let a = os.add_alarm("cyc", AlarmAction::ActivateTask(t));
@@ -311,7 +155,7 @@ mod tests {
 
     #[test]
     fn nominal_run_heartbeats_in_sequence() {
-        let (mut os, mut world, ids) = build(None);
+        let (mut os, mut world, ids) = build();
         os.run_until(Instant::from_millis(35), &mut world);
         // 3 periods × 3 runnables.
         assert_eq!(world.heartbeats.len(), 9);
@@ -324,7 +168,7 @@ mod tests {
 
     #[test]
     fn heartbeat_times_reflect_compute_costs() {
-        let (mut os, mut world, _) = build(None);
+        let (mut os, mut world, _) = build();
         os.run_until(Instant::from_millis(15), &mut world);
         // Period starts at 10ms: R0 at +50us, R1 at +50+150us, R2 at +250us.
         let times: Vec<u64> = world.heartbeats.iter().map(|&(_, t)| t.as_micros()).collect();
@@ -333,7 +177,7 @@ mod tests {
 
     #[test]
     fn skip_control_removes_runnable_from_sequence() {
-        let (mut os, mut world, ids) = build(None);
+        let (mut os, mut world, ids) = build();
         world.controls.runnable_mut(ids[1]).skip = true;
         os.run_until(Instant::from_millis(15), &mut world);
         let seen: Vec<RunnableId> = world.heartbeats.iter().map(|&(r, _)| r).collect();
@@ -342,7 +186,7 @@ mod tests {
 
     #[test]
     fn suppress_heartbeat_keeps_logic_but_drops_glue() {
-        let (mut os, mut world, ids) = build(None);
+        let (mut os, mut world, ids) = build();
         world.controls.runnable_mut(ids[1]).suppress_heartbeat = true;
         os.run_until(Instant::from_millis(15), &mut world);
         let seen: Vec<RunnableId> = world.heartbeats.iter().map(|&(r, _)| r).collect();
@@ -354,7 +198,7 @@ mod tests {
 
     #[test]
     fn extra_heartbeats_duplicate_indications() {
-        let (mut os, mut world, ids) = build(None);
+        let (mut os, mut world, ids) = build();
         world.controls.runnable_mut(ids[0]).extra_heartbeats = 2;
         os.run_until(Instant::from_millis(15), &mut world);
         let count0 = world.heartbeats.iter().filter(|&&(r, _)| r == ids[0]).count();
@@ -363,7 +207,7 @@ mod tests {
 
     #[test]
     fn exec_scale_stretches_compute() {
-        let (mut os, mut world, ids) = build(None);
+        let (mut os, mut world, ids) = build();
         world.controls.runnable_mut(ids[0]).exec_scale_ppm = 10_000_000; // 10x
         os.run_until(Instant::from_millis(15), &mut world);
         let times: Vec<u64> = world.heartbeats.iter().map(|&(_, t)| t.as_micros()).collect();
@@ -372,42 +216,12 @@ mod tests {
 
     #[test]
     fn iteration_override_changes_loop_cost() {
-        let (mut os, mut world, ids) = build(None);
+        let (mut os, mut world, ids) = build();
         world.controls.runnable_mut(ids[1]).iterations_override = Some(100);
         os.run_until(Instant::from_millis(15), &mut world);
         // R1 cost: 100 + 100*10 = 1100us, so R2 heartbeat at 10_050+1100+50.
         let times: Vec<u64> = world.heartbeats.iter().map(|&(_, t)| t.as_micros()).collect();
         assert_eq!(times[2], 11_200);
-    }
-
-    #[test]
-    fn branching_sequencer_selects_by_world_and_override() {
-        let seq = BranchingSequencer::new(
-            vec![vec![0, 1, 2], vec![0, 2]],
-            |w: &BasicEcuWorld| {
-                let mode = w.signals.id_of("mode").map(|m| w.signals.read(m)).unwrap_or(0.0);
-                mode as usize
-            },
-        );
-        let (mut os, mut world, ids) = build(Some(seq));
-        world.signals.declare("mode", 0.0);
-        os.run_until(Instant::from_millis(15), &mut world);
-        assert_eq!(world.heartbeats.len(), 3);
-        // Force the degenerate branch 1 (skips SAFE_CC_process).
-        world.heartbeats.clear();
-        world.controls.task_mut("SafeSpeedTask").branch_override = Some(1);
-        os.run_until(Instant::from_millis(25), &mut world);
-        let seen: Vec<RunnableId> = world.heartbeats.iter().map(|&(r, _)| r).collect();
-        assert_eq!(seen, vec![ids[0], ids[2]]);
-    }
-
-    #[test]
-    fn branch_override_is_clamped_to_valid_range() {
-        let seq = BranchingSequencer::new(vec![vec![0, 1, 2], vec![0, 2]], |_: &BasicEcuWorld| 0);
-        let (mut os, mut world, _) = build(Some(seq));
-        world.controls.task_mut("SafeSpeedTask").branch_override = Some(99);
-        os.run_until(Instant::from_millis(15), &mut world);
-        assert_eq!(world.heartbeats.len(), 2); // clamped to branch 1
     }
 
     #[test]
@@ -419,7 +233,7 @@ mod tests {
             "T",
             vec![RunnableDef::no_op(s0), RunnableDef::no_op(s1)],
         );
-        assert_eq!(body.task_name(), "T");
+        assert_eq!(body.name(), "T");
         assert_eq!(body.runnable_ids(), vec![RunnableId(0), RunnableId(1)]);
         assert_eq!(body.nominal_cost(), us(30));
     }
@@ -465,12 +279,6 @@ mod tests {
             .collect();
         assert_eq!(planned(&world), scaled);
         assert_eq!(scaled[1], us(3_264)); // 170 µs × 2 × 9.6
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one branch")]
-    fn empty_branch_table_rejected() {
-        let _ = BranchingSequencer::<BasicEcuWorld>::new(vec![], |_| 0);
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! The paper injects errors with dSPACE ControlDesk by manipulating, at
 //! runtime, "the timing parameter of runnables … loop counters and …
 //! invalid execution branches". [`RunnableControls`] is that manipulation
-//! surface: a per-runnable and per-task parameter store that the task
-//! assembly consults on every activation. With all controls at their
-//! defaults the system behaves nominally; the error-injection crate drives
-//! experiments purely by writing here.
+//! surface: a per-runnable parameter store that the task assembly consults
+//! on every activation. With all controls at their defaults the system
+//! behaves nominally; the error-injection crate drives experiments purely
+//! by writing here.
 
 use crate::runnable::RunnableId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Per-runnable manipulation parameters.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,17 +55,9 @@ impl RunnableControl {
     }
 }
 
-/// Per-task manipulation parameters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TaskControl {
-    /// Forces a branching sequencer to take branch `n` (an *invalid
-    /// execution branch* when `n` names an off-nominal path).
-    pub branch_override: Option<usize>,
-}
-
 easis_sim::clone_fields! {
-    /// The ECU-wide control store: one [`RunnableControl`] per runnable and one
-    /// [`TaskControl`] per task name.
+    /// The ECU-wide control store: one [`RunnableControl`] per runnable and
+    /// the global CPU scale.
     ///
     /// # Examples
     ///
@@ -85,7 +76,6 @@ easis_sim::clone_fields! {
     #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
     pub struct RunnableControls {
         runnables: Vec<RunnableControl>,
-        tasks: BTreeMap<String, TaskControl>,
         /// Global execution-time scale in ppm applied to *every* runnable on
         /// top of its individual scale. Models running the identical software
         /// on a slower CPU (e.g. the outlook's 50 MHz S12XF instead of the
@@ -98,7 +88,6 @@ impl Default for RunnableControls {
     fn default() -> Self {
         RunnableControls {
             runnables: Vec::new(),
-            tasks: BTreeMap::new(),
             global_exec_scale_ppm: 1_000_000,
         }
     }
@@ -142,21 +131,10 @@ impl RunnableControls {
         &mut self.runnables[id.index()]
     }
 
-    /// Control block of a task (default values if never touched).
-    pub fn task(&self, name: &str) -> TaskControl {
-        self.tasks.get(name).cloned().unwrap_or_default()
-    }
-
-    /// Mutable control block of a task.
-    pub fn task_mut(&mut self, name: &str) -> &mut TaskControl {
-        self.tasks.entry(name.to_string()).or_default()
-    }
-
-    /// `true` if every runnable and task control is nominal (the global
-    /// CPU scale is not an injection and does not count).
+    /// `true` if every runnable control is nominal (the global CPU scale
+    /// is not an injection and does not count).
     pub fn is_nominal(&self) -> bool {
         self.runnables.iter().all(RunnableControl::is_nominal)
-            && self.tasks.values().all(|t| t.branch_override.is_none())
     }
 }
 
@@ -169,7 +147,6 @@ mod tests {
         let c = RunnableControls::new();
         assert!(c.is_nominal());
         assert!(c.runnable(RunnableId(5)).is_nominal());
-        assert_eq!(c.task("any").branch_override, None);
     }
 
     #[test]
@@ -178,14 +155,6 @@ mod tests {
         c.runnable_mut(RunnableId(3)).suppress_heartbeat = true;
         assert!(c.runnable(RunnableId(3)).suppress_heartbeat);
         assert!(c.runnable(RunnableId(0)).is_nominal());
-        assert!(!c.is_nominal());
-    }
-
-    #[test]
-    fn task_override_round_trips() {
-        let mut c = RunnableControls::new();
-        c.task_mut("SafeSpeedTask").branch_override = Some(2);
-        assert_eq!(c.task("SafeSpeedTask").branch_override, Some(2));
         assert!(!c.is_nominal());
     }
 

@@ -9,15 +9,14 @@
 //!   terms), logic, registry, and the [`runnable::HeartbeatSink`] glue-code
 //!   interface to the dependability services;
 //! * [`assembly`] — [`assembly::SequencedTask`], the Stateflow-chart
-//!   equivalent that turns runnable lists into preemptible OSEK task
-//!   bodies with auto-inserted aliveness-indication glue;
+//!   equivalent that turns a runnable list into a preemptible OSEK task
+//!   body running it in declaration order, with auto-inserted
+//!   aliveness-indication glue;
 //! * [`control`] — the ControlDesk-style runtime manipulation surface used
-//!   for error injection (execution-time scalars, loop counters, invalid
-//!   branches, heartbeat suppression/duplication);
+//!   for error injection (execution-time scalars, loop counters, skipped
+//!   runnables as invalid branches, heartbeat suppression/duplication);
 //! * [`mapping`] — the application/task/runnable deployment map consumed
 //!   by task state indication and fault treatment;
-//! * [`schedule`] — OSEKtime/AUTOSAR-style schedule tables for phased
-//!   time-triggered activation;
 //! * [`world`] — the [`world::EcuWorld`] trait tying it all together.
 //!
 //! # Examples
@@ -57,14 +56,12 @@ pub mod assembly;
 pub mod control;
 pub mod mapping;
 pub mod runnable;
-pub mod schedule;
 pub mod signal;
 pub mod world;
 
-pub use assembly::{BranchingSequencer, FixedSequencer, SequencedTask, Sequencer};
-pub use control::{RunnableControl, RunnableControls, TaskControl};
+pub use assembly::SequencedTask;
+pub use control::{RunnableControl, RunnableControls};
 pub use mapping::{ApplicationId, SystemMapping};
 pub use runnable::{HeartbeatSink, RunnableDef, RunnableId, RunnableRegistry, RunnableSpec};
-pub use schedule::{ExpiryPoint, ScheduleTable, TableAction};
 pub use signal::{SignalDb, SignalId, SignalState};
 pub use world::{BasicEcuWorld, EcuWorld};

@@ -88,11 +88,6 @@ impl SystemMapping {
         self.task_app.get(&task).copied()
     }
 
-    /// Application owning a runnable (through its task).
-    pub fn app_of_runnable(&self, runnable: RunnableId) -> Option<ApplicationId> {
-        self.task_of(runnable).and_then(|t| self.app_of(t))
-    }
-
     /// Name of an application.
     pub fn app_name(&self, app: ApplicationId) -> Option<&str> {
         self.app_names.get(app.index()).map(String::as_str)
@@ -153,7 +148,6 @@ mod tests {
         let (m, speed, lane) = demo();
         assert_eq!(m.task_of(RunnableId(1)), Some(TaskId(0)));
         assert_eq!(m.app_of(TaskId(1)), Some(lane));
-        assert_eq!(m.app_of_runnable(RunnableId(0)), Some(speed));
         assert_eq!(m.runnables_of_task(TaskId(0)), vec![RunnableId(0), RunnableId(1)]);
         assert_eq!(m.tasks_of_app(speed), vec![TaskId(0)]);
         assert_eq!(m.app_name(speed), Some("SafeSpeed"));
@@ -165,7 +159,6 @@ mod tests {
         let (m, _, _) = demo();
         assert_eq!(m.task_of(RunnableId(9)), None);
         assert_eq!(m.app_of(TaskId(9)), None);
-        assert_eq!(m.app_of_runnable(RunnableId(9)), None);
         assert_eq!(m.app_name(ApplicationId(9)), None);
     }
 
@@ -173,7 +166,8 @@ mod tests {
     fn remapping_overwrites() {
         let (mut m, _, lane) = demo();
         m.assign_runnable(RunnableId(0), TaskId(1));
-        assert_eq!(m.app_of_runnable(RunnableId(0)), Some(lane));
+        assert_eq!(m.task_of(RunnableId(0)), Some(TaskId(1)));
+        assert_eq!(m.app_of(TaskId(1)), Some(lane));
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl RunnableSpec {
         self.base_cost
     }
 
-    /// Cost of one loop iteration.
-    pub fn per_iteration_cost(&self) -> Duration {
-        self.per_iteration_cost
-    }
-
     /// Nominal loop iteration count.
     pub fn default_iterations(&self) -> u32 {
         self.default_iterations
@@ -215,11 +210,6 @@ impl RunnableRegistry {
         self.specs.iter().find(|s| s.name() == name).map(|s| s.id())
     }
 
-    /// Name of a runnable, or `"<unknown>"`.
-    pub fn name_of(&self, id: RunnableId) -> &str {
-        self.spec(id).map_or("<unknown>", |s| s.name())
-    }
-
     /// Number of registered runnables.
     pub fn len(&self) -> usize {
         self.specs.len()
@@ -269,8 +259,11 @@ mod tests {
         assert_eq!(a.id(), RunnableId(0));
         assert_eq!(b.id(), RunnableId(1));
         assert_eq!(reg.id_of("SAFE_CC_process"), Some(RunnableId(1)));
-        assert_eq!(reg.name_of(RunnableId(0)), "GetSensorValue");
-        assert_eq!(reg.name_of(RunnableId(9)), "<unknown>");
+        assert_eq!(
+            reg.spec(RunnableId(0)).map(RunnableSpec::name),
+            Some("GetSensorValue")
+        );
+        assert_eq!(reg.spec(RunnableId(9)), None);
         assert_eq!(reg.len(), 2);
     }
 

@@ -115,15 +115,6 @@ impl SignalDb {
         self.write(id, if value { 1.0 } else { 0.0 }, now);
     }
 
-    /// When the signal was last written ([`Instant::ZERO`] if never).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an undeclared id.
-    pub fn updated_at(&self, id: SignalId) -> Instant {
-        self.state.values[id.index()].1
-    }
-
     /// Name of a signal.
     ///
     /// # Panics
@@ -186,7 +177,7 @@ impl PartialEq for SignalState {
 }
 
 impl SignalState {
-    /// Writes to `slots` the indices of the signals whose `updated_at`
+    /// Writes to `slots` the indices of the signals whose last-written
     /// stamp in `b` is exactly `h` after the one in `a`: the signals
     /// rewritten every hyperperiod. Certification advances `a` by them once
     /// and compares the result with `b`, so every value must be
@@ -221,7 +212,7 @@ mod tests {
         assert_eq!(db.read(a), 1.5);
         db.write(a, 2.5, Instant::from_millis(3));
         assert_eq!(db.read(a), 2.5);
-        assert_eq!(db.updated_at(a), Instant::from_millis(3));
+        assert_eq!(db.state.values[a.index()].1, Instant::from_millis(3));
         assert_eq!(db.name(a), "a");
     }
 
@@ -282,8 +273,8 @@ mod tests {
         db.restore(&snap);
         assert_eq!(db.state(), &snap);
         assert_eq!((db.read(a), db.read(b)), (10.0, 2.0));
-        assert_eq!(db.updated_at(b), Instant::ZERO);
-        assert_eq!(db.updated_at(a), Instant::from_millis(1));
+        assert_eq!(db.state.values[b.index()].1, Instant::ZERO);
+        assert_eq!(db.state.values[a.index()].1, Instant::from_millis(1));
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p.clamp(0.0, 1.0)
-    }
-
     /// Picks a uniformly random element of `items`.
     ///
     /// # Panics
@@ -154,13 +149,6 @@ mod tests {
             let v = rng.next_f64();
             assert!((0.0..1.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut rng = SimRng::seed_from(6);
-        assert!(!rng.chance(0.0));
-        assert!(rng.chance(1.0));
     }
 
     #[test]

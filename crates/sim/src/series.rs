@@ -88,7 +88,7 @@ impl Series {
     }
 
     /// Compact sparkline over the sample values (eight levels).
-    pub fn sparkline(&self) -> String {
+    fn sparkline(&self) -> String {
         const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
         let max = self.max().unwrap_or(0.0);
         self.values()

@@ -84,11 +84,6 @@ impl Instant {
     pub fn saturating_duration_since(self, earlier: Instant) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, d: Duration) -> Option<Instant> {
-        self.0.checked_add(d.0).map(Instant)
-    }
 }
 
 impl Duration {
@@ -135,11 +130,6 @@ impl Duration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: Duration) -> Duration {
         Duration(self.0.saturating_sub(other.0))
-    }
-
-    /// Checked multiplication by an integer factor; `None` on overflow.
-    pub fn checked_mul(self, factor: u64) -> Option<Duration> {
-        self.0.checked_mul(factor).map(Duration)
     }
 
     /// Scales by a non-negative float factor, rounding to the nearest
@@ -330,16 +320,6 @@ mod tests {
         assert_eq!(Duration::from_millis(10).to_string(), "10ms");
         assert_eq!(Duration::from_micros(7).to_string(), "7us");
         assert_eq!(Instant::from_micros(42).to_string(), "t+42us");
-    }
-
-    #[test]
-    fn checked_ops_report_overflow() {
-        assert!(Instant::from_micros(u64::MAX).checked_add(Duration::from_micros(1)).is_none());
-        assert!(Duration::MAX.checked_mul(2).is_none());
-        assert_eq!(
-            Duration::from_millis(1).checked_mul(3),
-            Some(Duration::from_millis(3))
-        );
     }
 
     #[test]

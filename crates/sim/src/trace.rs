@@ -115,11 +115,6 @@ impl TraceRecorder {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Iterator over events from one source.
-    pub fn of_source<'a>(&'a self, source: &'a str) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.events.iter().filter(move |e| e.source == source)
-    }
-
     /// Number of events with the given kind.
     pub fn count_kind(&self, kind: &str) -> usize {
         self.of_kind(kind).count()
@@ -129,11 +124,6 @@ impl TraceRecorder {
     /// measurements.
     pub fn first_of_kind(&self, kind: &str) -> Option<&TraceEvent> {
         self.events.iter().find(|e| e.kind == kind)
-    }
-
-    /// First event of the given kind at or after `at`.
-    pub fn first_of_kind_after(&self, kind: &str, at: Instant) -> Option<&TraceEvent> {
-        self.events.iter().find(|e| e.kind == kind && e.at >= at)
     }
 
     /// Total number of events.
@@ -171,24 +161,13 @@ mod tests {
     }
 
     #[test]
-    fn records_and_filters_by_kind_and_source() {
+    fn records_and_filters_by_kind() {
         let mut trace = TraceRecorder::new();
         trace.record(t(1), "osek", "dispatch", "TaskA");
         trace.record(t(2), "watchdog", "heartbeat", "R1");
         trace.record(t(3), "watchdog", "heartbeat", "R2");
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.count_kind("heartbeat"), 2);
-        assert_eq!(trace.of_source("osek").count(), 1);
-    }
-
-    #[test]
-    fn first_of_kind_after_respects_time_bound() {
-        let mut trace = TraceRecorder::new();
-        trace.record(t(10), "wd", "error", "early");
-        trace.record(t(50), "wd", "error", "late");
-        let hit = trace.first_of_kind_after("error", t(20)).unwrap();
-        assert_eq!(hit.detail, "late");
-        assert!(trace.first_of_kind_after("error", t(60)).is_none());
     }
 
     #[test]

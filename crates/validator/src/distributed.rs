@@ -352,16 +352,6 @@ impl DistributedValidator {
         }
     }
 
-    /// Injects bus loss: the next `n` speed frames are dropped on the wire.
-    pub fn drop_next_speed_frames(&mut self, n: u32) {
-        self.drop_speed_frames = n;
-    }
-
-    /// Mutable access to the plant (scenario scripting).
-    pub fn plant_mut(&mut self) -> &mut Plant {
-        &mut self.plant
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Instant {
         self.now
@@ -385,7 +375,7 @@ mod tests {
     #[test]
     fn distributed_loop_limits_speed_and_routes_the_warning() {
         let mut rig = DistributedValidator::motorway(25.0, 13.9, 21);
-        *rig.plant_mut().driver_mut() = Driver::new(25.0).with_drift(DriftEpisode {
+        *rig.plant.driver_mut() = Driver::new(25.0).with_drift(DriftEpisode {
             from_s: 10.0,
             to_s: 14.0,
             steer: 0.02,
@@ -443,7 +433,8 @@ mod e2e_tests {
         let mut a = Injector::none();
         let mut b = Injector::none();
         rig.run(Duration::from_secs(1), &mut a, &mut b);
-        rig.drop_next_speed_frames(5);
+        // Bus loss: the next five speed frames are dropped on the wire.
+        rig.drop_speed_frames = 5;
         let report = rig.run(Duration::from_secs(2), &mut a, &mut b);
         // The gap shows up as a wrong-sequence E2E fault…
         assert!(report.e2e_faults >= 1, "e2e faults {}", report.e2e_faults);

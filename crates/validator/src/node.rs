@@ -163,11 +163,6 @@ impl NodeBlueprint {
     pub fn config(&self) -> &NodeConfig {
         &self.config
     }
-
-    /// The shared compiled watchdog configuration.
-    pub fn watchdog_config(&self) -> &Arc<easis_watchdog::config::WatchdogConfig> {
-        &self.watchdog_config
-    }
 }
 
 /// The assembled central node.

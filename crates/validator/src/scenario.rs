@@ -209,11 +209,14 @@ fn campaign_blueprint() -> &'static NodeBlueprint {
     BLUEPRINT.get_or_init(|| NodeBlueprint::compile(campaign_node_config()))
 }
 
-/// One worker thread's pooled campaign state: the node and injector the
-/// worker reuses across [`run_plan`] calls, plus two golden
-/// (injection-free) [`NodeSnapshot`]s of the one campaign blueprint that
-/// every trial rewinds to — capacity-retained, so steady-state capture and
-/// restore allocate nothing.
+/// One thread's pooled campaign state: the node and injector the thread
+/// reuses for every trial it runs, plus two golden (injection-free)
+/// [`NodeSnapshot`]s of the one campaign blueprint that every trial
+/// rewinds to — capacity-retained, so steady-state capture and restore
+/// allocate nothing. Only the thread that calls [`run_plan`] keeps its
+/// slot from one call to the next: the executor runs every other share on
+/// a scoped thread spawned for that call, whose slot is built on its first
+/// share and dropped when the thread exits.
 struct PoolSlot {
     node: CentralNode,
     injector: Injector,
@@ -244,9 +247,11 @@ impl PoolSlot {
 }
 
 thread_local! {
-    /// Per-worker pooled campaign state. One pooled node per worker thread
-    /// covers every campaign the thread runs: trials rewind the node to a
-    /// snapshot and reload the injector instead of rebuilding either.
+    /// Per-thread pooled campaign state. One pooled node per thread covers
+    /// every trial the thread runs: trials rewind the node to a snapshot and
+    /// reload the injector instead of rebuilding either. The calling
+    /// thread's slot outlives a [`run_plan`] call; a scoped worker's lives
+    /// for that call only.
     static NODE_POOL: std::cell::RefCell<Option<PoolSlot>> =
         const { std::cell::RefCell::new(None) };
 }
@@ -422,6 +427,9 @@ fn run_chunk_forked(specs: &[TrialSpec], horizon: Instant) -> Vec<TrialOutcome> 
 /// node built from the process-wide campaign [`NodeBlueprint`], and within
 /// its share of the plan the injection-free prefix is simulated once and
 /// snapshot-forked per trial, with adjacent twins collapsed onto one tail.
+/// The calling thread's pooled node carries over to the next call; at two
+/// or more workers every other share runs on a thread spawned for this
+/// call, which builds, starts and captures a node of its own.
 /// Restore is exact — the forked≡fresh property test and the campaign
 /// golden pin that any worker count produces stats bit-identical to a
 /// serial per-trial [`run_trial`] run.

@@ -110,11 +110,6 @@ impl Vehicle {
         self.state
     }
 
-    /// Parameters.
-    pub fn params(&self) -> &VehicleParams {
-        &self.params
-    }
-
     /// Integrates one step of `dt_s` seconds under `input`.
     ///
     /// # Panics

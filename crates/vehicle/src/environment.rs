@@ -2,7 +2,7 @@
 //!
 //! The environment-simulation node of the EASIS validator: position-indexed
 //! speed limits (the "externally commanded maximum value" SafeSpeed
-//! enforces), lane geometry for SafeLane, and scripted driver disturbances.
+//! enforces).
 
 use serde::{Deserialize, Serialize};
 
@@ -52,16 +52,12 @@ impl PositionProfile {
 pub struct Environment {
     /// Commanded maximum speed by position \[m/s\] (SafeSpeed input).
     pub speed_limit: PositionProfile,
-    /// Lane half-width \[m\]: beyond this offset the vehicle departs the
-    /// lane (SafeLane warning threshold).
-    pub lane_half_width: f64,
 }
 
 impl Default for Environment {
     fn default() -> Self {
         Environment {
             speed_limit: PositionProfile::constant(27.8), // 100 km/h
-            lane_half_width: 1.75,
         }
     }
 }
@@ -77,18 +73,12 @@ impl Environment {
     pub fn with_limit_drop(high: f64, low: f64, at_position: f64) -> Self {
         Environment {
             speed_limit: PositionProfile::constant(high).then_at(at_position, low),
-            ..Environment::default()
         }
     }
 
     /// Commanded maximum speed at a position.
     pub fn limit_at(&self, position: f64) -> f64 {
         self.speed_limit.at(position)
-    }
-
-    /// `true` if a lateral offset counts as lane departure.
-    pub fn is_lane_departure(&self, lateral_offset: f64) -> bool {
-        lateral_offset.abs() > self.lane_half_width
     }
 }
 
@@ -126,13 +116,5 @@ mod tests {
         let env = Environment::with_limit_drop(27.8, 13.9, 1000.0);
         assert_eq!(env.limit_at(900.0), 27.8);
         assert_eq!(env.limit_at(1100.0), 13.9);
-    }
-
-    #[test]
-    fn lane_departure_threshold() {
-        let env = Environment::default();
-        assert!(!env.is_lane_departure(1.0));
-        assert!(env.is_lane_departure(1.8));
-        assert!(env.is_lane_departure(-1.8));
     }
 }

@@ -10,9 +10,8 @@
 //! * [`driver`] — desired-speed + lane-keeping driver with scripted
 //!   distraction episodes;
 //! * [`environment`] — position-indexed speed limits (SafeSpeed's external
-//!   command) and lane geometry (SafeLane's threshold);
-//! * [`sensors`] — quantising/noisy sensors with injectable fault modes,
-//!   rate-limited actuators;
+//!   command);
+//! * [`sensors`] — quantising/noisy sensors, rate-limited actuators;
 //! * [`plant`] — the assembled closed loop with the safety-controller
 //!   overlay interface.
 //!
@@ -41,4 +40,4 @@ pub use driver::{DriftEpisode, Driver};
 pub use dynamics::{ControlInput, Vehicle, VehicleParams, VehicleState};
 pub use environment::{Environment, PositionProfile};
 pub use plant::{Plant, SafetyOverlay};
-pub use sensors::{Actuator, Sensor, SensorFault};
+pub use sensors::{Actuator, Sensor};

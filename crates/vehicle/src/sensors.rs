@@ -2,30 +2,16 @@
 //!
 //! The fault-tolerant sensor/actuator nodes of the validator, reduced to
 //! behavioural models: quantisation + optional deterministic noise on the
-//! sensing side, rate limiting on the actuation side, plus the classic
-//! sensor fault modes (stuck-at, offset) the fault-injection campaigns use.
+//! sensing side, rate limiting on the actuation side.
 
 use easis_sim::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
-/// Sensor fault modes.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub enum SensorFault {
-    /// Healthy.
-    #[default]
-    None,
-    /// Output frozen at the given value.
-    StuckAt(f64),
-    /// Constant additive offset.
-    Offset(f64),
-}
-
-/// A scalar sensor with quantisation, noise and injectable faults.
+/// A scalar sensor with quantisation and noise.
 #[derive(Debug, Clone)]
 pub struct Sensor {
     resolution: f64,
     noise_amplitude: f64,
-    fault: SensorFault,
     rng: SimRng,
 }
 
@@ -43,7 +29,6 @@ impl Sensor {
         Sensor {
             resolution,
             noise_amplitude,
-            fault: SensorFault::None,
             rng: SimRng::seed_from(seed),
         }
     }
@@ -58,25 +43,10 @@ impl Sensor {
         Sensor::new(0.02, 0.01, seed)
     }
 
-    /// Injects (or clears) a fault mode.
-    pub fn set_fault(&mut self, fault: SensorFault) {
-        self.fault = fault;
-    }
-
-    /// Current fault mode.
-    pub fn fault(&self) -> SensorFault {
-        self.fault
-    }
-
-    /// Measures `truth`, applying fault, noise and quantisation.
+    /// Measures `truth`, applying noise and quantisation.
     pub fn measure(&mut self, truth: f64) -> f64 {
-        let raw = match self.fault {
-            SensorFault::StuckAt(v) => return v,
-            SensorFault::Offset(o) => truth + o,
-            SensorFault::None => truth,
-        };
         let noise = (self.rng.next_f64() * 2.0 - 1.0) * self.noise_amplitude;
-        ((raw + noise) / self.resolution).round() * self.resolution
+        ((truth + noise) / self.resolution).round() * self.resolution
     }
 }
 
@@ -147,23 +117,6 @@ mod tests {
         for i in 0..50 {
             assert_eq!(a.measure(i as f64), b.measure(i as f64));
         }
-    }
-
-    #[test]
-    fn stuck_at_fault_freezes_output() {
-        let mut s = Sensor::speed_sensor(1);
-        s.set_fault(SensorFault::StuckAt(3.3));
-        assert_eq!(s.measure(100.0), 3.3);
-        assert_eq!(s.measure(0.0), 3.3);
-        assert_eq!(s.fault(), SensorFault::StuckAt(3.3));
-    }
-
-    #[test]
-    fn offset_fault_shifts_output() {
-        let mut s = Sensor::new(0.01, 0.0, 1);
-        s.set_fault(SensorFault::Offset(5.0));
-        let m = s.measure(10.0);
-        assert!((m - 15.0).abs() < 0.011, "measured {m}");
     }
 
     #[test]

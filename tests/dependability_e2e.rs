@@ -2,8 +2,11 @@
 //! TSI rollup → FMF treatment → recovery, across the whole stack.
 
 use easis::fmf::policy::{Treatment, TreatmentPolicy};
-use easis::injection::{ErrorClass, Injection, Injector};
+use easis::injection::{ErrorClass, Injection, Injector, TrialSpec};
+use easis::osek::alarm::AlarmId;
+use easis::rte::runnable::RunnableId;
 use easis::sim::time::Instant;
+use easis::validator::scenario::{campaign_node_config, run_trial};
 use easis::validator::{CentralNode, NodeConfig};
 use easis::watchdog::report::{FaultKind, HealthState};
 use easis::watchdog::DetectorId;
@@ -284,6 +287,63 @@ fn freeze_frame_strings_stay_interned_across_node_rewind() {
         assert!(
             second.iter().any(|n| &**n == expected),
             "missing condition `{expected}`"
+        );
+    }
+}
+
+/// One strong instance of each error class, in declaration order. The
+/// list is a chain through an exhaustive `match`: each class names the
+/// next one's instance, so a new class does not compile until it gets an
+/// arm, and with it a row.
+fn one_strong_instance_per_class(safe_cc: RunnableId, alarm: AlarmId) -> Vec<ErrorClass> {
+    let next = |class: &ErrorClass| match class {
+        ErrorClass::ExecutionSlowdown { .. } => {
+            Some(ErrorClass::HeartbeatLoss { runnable: safe_cc })
+        }
+        ErrorClass::HeartbeatLoss { .. } => Some(ErrorClass::SkipRunnable { runnable: safe_cc }),
+        ErrorClass::SkipRunnable { .. } => Some(ErrorClass::DuplicateDispatch {
+            runnable: safe_cc,
+            extra: 2,
+        }),
+        ErrorClass::DuplicateDispatch { .. } => Some(ErrorClass::LoopOverrun {
+            runnable: safe_cc,
+            iterations: 20_000,
+        }),
+        ErrorClass::LoopOverrun { .. } => Some(ErrorClass::AlarmScale {
+            alarm,
+            scale_ppm: 3_000_000,
+        }),
+        ErrorClass::AlarmScale { .. } => None,
+    };
+    let first = ErrorClass::ExecutionSlowdown {
+        runnable: safe_cc,
+        scale_ppm: 100_000_000,
+    };
+    std::iter::successors(Some(first), next).collect()
+}
+
+/// Every error class reaches some detector: a strong instance of each,
+/// armed from 300 to 700 ms on the campaign node, is seen before the 1 s
+/// horizon. A class no detector can see would read 0% in every coverage
+/// table without a fault in the watchdog.
+#[test]
+fn every_error_class_reaches_a_detector() {
+    let node = CentralNode::build(campaign_node_config());
+    let classes = one_strong_instance_per_class(
+        node.runnable("SAFE_CC_process"),
+        node.alarms["SafeSpeedTask"],
+    );
+    assert_eq!(classes.len(), 6);
+    for class in classes {
+        let spec = TrialSpec {
+            seed: 0,
+            injection: Injection::new(class, ms(300), ms(700)),
+        };
+        let outcome = run_trial(&spec, ms(1_000));
+        assert!(
+            !outcome.detections.is_empty(),
+            "no detector saw {:?}",
+            spec.injection.class
         );
     }
 }

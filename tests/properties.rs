@@ -1221,14 +1221,13 @@ proptest! {
     }
 }
 
-/// One error class of each of the seven kinds, drawn from `pick`: the five
-/// runnable classes on a random monitored runnable, a branch override on a
-/// random application task and an alarm rescaled by ½, 1.5, 2 or 4 on a
-/// random cyclic alarm of the node.
+/// One error class of each of the six kinds, drawn from `pick`: the five
+/// runnable classes on a random monitored runnable and an alarm rescaled
+/// by ½, 1.5, 2 or 4 on a random cyclic alarm of the node.
 fn draw_any_class(node: &CentralNode, kind: u64, pick: u64) -> ErrorClass {
     let runnable = RunnableId((pick % 9) as u32);
     let param = pick / 9;
-    match kind % 7 {
+    match kind % 6 {
         0 => ErrorClass::ExecutionSlowdown {
             runnable,
             scale_ppm: (2 + param % 300) * 1_000_000,
@@ -1243,13 +1242,6 @@ fn draw_any_class(node: &CentralNode, kind: u64, pick: u64) -> ErrorClass {
             runnable: [RunnableId(4), RunnableId(7)][(param % 2) as usize],
             iterations: 1_000 + (param % 30_000) as u32,
         },
-        5 => {
-            let tasks: Vec<&String> = node.periods.keys().collect();
-            ErrorClass::BranchOverride {
-                task_name: tasks[(param % tasks.len() as u64) as usize].clone(),
-                branch: (param / 7 % 3) as usize,
-            }
-        }
         _ => {
             let alarms: Vec<_> = node.alarms.values().copied().collect();
             ErrorClass::AlarmScale {
@@ -1261,7 +1253,7 @@ fn draw_any_class(node: &CentralNode, kind: u64, pick: u64) -> ErrorClass {
 }
 
 /// Macro-stepping inside armed injection windows is invisible. Each case
-/// draws one of the seven error classes, a target, a window of up to
+/// draws one of the six error classes, a target, a window of up to
 /// 600 ms and a horizon, and drives the trial the way the campaign engine
 /// does — `run_span` to the arming tick, the tick, `run_span` to the
 /// disarming tick, the tick, `run_span` to the horizon — once with
@@ -1279,7 +1271,7 @@ fn macro_stepped_armed_windows_match_event_level() {
     let cases = overrides.cases(&ProptestConfig::with_cases(16));
     let mut jumped_inside = 0;
     for _ in 0..cases {
-        let kind = (0u64..7).generate(&mut rng);
+        let kind = (0u64..6).generate(&mut rng);
         let pick = any::<u64>().generate(&mut rng);
         let from_us = (0u64..700_000).generate(&mut rng);
         let len_us = (1_000u64..600_000).generate(&mut rng);

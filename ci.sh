@@ -175,6 +175,22 @@ if grep -rnE --include='*.rs' --exclude-dir=target \
   echo "a branch layer, schedule table or sink pause flag crept back"; exit 1
 fi
 
+echo "==> the FMF keeps plain data (no interned names, record pool or action queue)"
+# DTC records with their freeze frames and decided treatments are `Copy`
+# data: a freeze frame holds signal ids and values, which the node's
+# signal database names, and a treatment is its own reason. The FMF's
+# state, which every capture clones and every certification compares, is
+# the DTC records, the restart budgets, the terminated flags and the
+# ECU-reset count. An interned string, a spare-record pool or an action
+# queue would bring back heap data and the machinery that serves it; no
+# policy decides a task restart, so that treatment stays deleted too.
+if grep -rnE --include='*.rs' --exclude-dir=target 'Arc<str>|\bspare\b' crates/fmf/src \
+   || grep -rnE --include='*.rs' --exclude-dir=target \
+     '\b(record_ref|take_actions|drain_actions_into|pending_actions|app_reasons|app_faulty_reason|ecu_faulty_reason|ingest_fault_with_conditions|freeze_conditions|RestartTask)\b' \
+     crates/*/src; then
+  echo "heap data, a record pool, an action queue or a task restart crept back into the FMF"; exit 1
+fi
+
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"
 # The full soak defaults to two simulated hours; one simulated minute
 # still crosses several multiples of 2^24 us and schedules events further

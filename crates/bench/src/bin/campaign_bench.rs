@@ -7,7 +7,7 @@
 //! grid is affordable. This bin measures the T-COV campaign (the same
 //! plan shape as the golden campaign report, scaled up) through the one
 //! campaign engine, [`run_plan`]: golden-run prefix checkpointing. Each
-//! worker thread pools one node, sorts its share of the plan (one
+//! worker takes a pooled node, sorts its share of the plan (one
 //! contiguous share per worker) by fork tick and tail key, simulates the
 //! clean (injection-free) prefix once, snapshots the node at each
 //! distinct fork instant and restores every trial from its checkpoint,
@@ -25,9 +25,9 @@
 //! activation) adds zero heap allocations, i.e. the plan/effect/step-buffer
 //! path is allocation-free (asserted), and a clean trial allocates nothing
 //! at all (asserted). A *faulty* trial — one whose injection fires inside
-//! the horizon and is detected — is probed the same way: with the pooled
-//! fault records, drained-into treatment actions and the in-place DTC
-//! freeze frame it allocates nothing either (asserted). An *overrunning*
+//! the horizon and is detected — is probed the same way: its detections,
+//! decided treatments and DTC records with their plain-data freeze frames
+//! land in retained buffers, so it allocates nothing either (asserted). An *overrunning*
 //! trial — a loop overrun that makes its task miss deadlines, exceed its
 //! budget and raise an activation-limit error every period — allocates
 //! nothing as well (asserted): the kernel formats an OS error only for a
@@ -209,7 +209,7 @@ struct AllocProbe {
     /// `2x − 1x`: allocations attributable to simulated time. Must be 0.
     horizon_scaling_allocs: i64,
     /// Heap allocations of one fault-detecting trial on a warmed node
-    /// (pooled fault records + in-place DTC freeze frame). Must be 0.
+    /// (retained detection, treatment and DTC buffers). Must be 0.
     faulty_trial_allocs: u64,
     /// Heap allocations of one overrunning trial on a warmed node (OS
     /// errors, deadline misses and budget overruns every period). Must
@@ -563,9 +563,9 @@ fn main() {
     );
 
     // Faulty-cycle probe: a trial that detects real faults allocates
-    // nothing either — fault records, state changes, treatment actions and
-    // DTC records with their freeze frames are pooled or rewritten in
-    // place, and the DTC records the rewind retires are recycled, so
+    // nothing either — detections, state changes and treatment actions
+    // land in retained buffers, and DTC records with their freeze frames
+    // are plain data copied into the DTC memory's retained capacity, so
     // re-inserting the same fault classes allocates nothing.
     let faulty_allocs = measure_trial_allocs(&probe_blueprint, &faulty_spec(), HORIZON);
     println!("faulty-trial allocs/trial: {faulty_allocs}");

@@ -8,6 +8,7 @@
 //! status-bit spirit (pending → confirmed → aged out).
 
 use easis_rte::runnable::RunnableId;
+use easis_rte::signal::SignalId;
 use easis_sim::time::{Duration, Instant};
 use easis_watchdog::report::{DetectedFault, FaultKind};
 use serde::{Deserialize, Serialize};
@@ -61,84 +62,70 @@ pub enum DtcStatus {
     Confirmed,
 }
 
+/// The operating conditions at a code's first occurrence: up to two
+/// signal values, each under its signal id. Like an ISO 14229 snapshot
+/// record it carries data identifiers and values but no names: the node's
+/// `SignalDb` names the signals. Empty slots are `None`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct FreezeFrame {
+    /// Signal values by id (e.g. the measured vehicle speed).
+    pub conditions: [Option<(SignalId, f64)>; 2],
+}
+
+/// One stored code.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct DtcRecord {
+    /// The code.
+    pub code: DtcCode,
+    /// First occurrence time.
+    pub first_seen: Instant,
+    /// Latest occurrence time.
+    pub last_seen: Instant,
+    /// Occurrence counter.
+    pub occurrences: u32,
+    /// Pending / confirmed.
+    pub status: DtcStatus,
+    /// Conditions at first occurrence.
+    pub freeze_frame: FreezeFrame,
+    /// Healthy operating cycles since the last occurrence (for aging).
+    healthy_cycles: u32,
+}
+
 easis_sim::clone_fields! {
-    /// Environmental snapshot captured at first occurrence.
+    /// The fault memory: the records and the two aging parameters. It is
+    /// its own checkpoint, as part of the FMF's state.
     ///
-    /// Condition names are interned `Arc<str>`s: platforms capture the
-    /// same condition set on every faulty cycle, so cloning a frame bumps
-    /// refcounts instead of re-allocating the name strings (the campaign
-    /// hot path ingests hundreds of frames per faulty trial).
-    #[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
-    pub struct FreezeFrame {
-        /// Named operating-condition values (e.g. vehicle speed).
-        pub conditions: Vec<(std::sync::Arc<str>, f64)>,
-    }
-}
-
-easis_sim::clone_fields! {
-    /// One stored code. Its `clone_from` rewrites a pooled record's
-    /// freeze-frame buffer in place.
+    /// Records sit in one vector sorted by code, so a look-up is a binary
+    /// search and iteration is code order. A campaign node holds a
+    /// handful of codes (at most three per monitored runnable), where a
+    /// sorted vector beats a tree and keeps its capacity across rewinds;
+    /// the records are plain `Copy` data, so a restore copies them into
+    /// that capacity and allocates nothing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use easis_fmf::dtc::{DtcCode, DtcStore, FreezeFrame};
+    /// use easis_rte::runnable::RunnableId;
+    /// use easis_sim::time::Instant;
+    /// use easis_watchdog::report::{DetectedFault, FaultKind};
+    ///
+    /// let mut store = DtcStore::new(2, 10);
+    /// let fault = DetectedFault {
+    ///     at: Instant::from_millis(30),
+    ///     runnable: RunnableId(1),
+    ///     kind: FaultKind::Aliveness,
+    /// };
+    /// store.record(fault, FreezeFrame::default());
+    /// assert_eq!(store.len(), 1);
+    /// ```
     #[derive(Debug, PartialEq, Serialize, Deserialize)]
-    pub struct DtcRecord {
-        /// The code.
-        pub code: DtcCode,
-        /// First occurrence time.
-        pub first_seen: Instant,
-        /// Latest occurrence time.
-        pub last_seen: Instant,
-        /// Occurrence counter.
-        pub occurrences: u32,
-        /// Pending / confirmed.
-        pub status: DtcStatus,
-        /// Conditions at first occurrence.
-        pub freeze_frame: FreezeFrame,
-        /// Healthy operating cycles since the last occurrence (for aging).
-        healthy_cycles: u32,
+    pub struct DtcStore {
+        /// Records, sorted by code.
+        records: Vec<DtcRecord>,
+        confirm_threshold: u32,
+        aging_cycles: u32,
     }
-}
-
-/// The fault memory: live records, the pool of retired ones, and the two
-/// aging parameters. It is its own checkpoint, as part of the FMF's state.
-///
-/// Live records sit in one vector sorted by code, so a look-up is a
-/// binary search and iteration is code order. A campaign node holds a
-/// handful of codes (at most three per monitored runnable), where a sorted
-/// vector beats a tree and keeps its capacity across rewinds.
-///
-/// `clone_from` recycles through the pool: surplus live records retire to
-/// the destination's pool and missing ones are drawn back out of it,
-/// rewritten in place. A plain `Vec::clone_from` would drop the surplus
-/// records, freeze-frame buffers included, on every restore and allocate
-/// them again when the codes recur. Equality ignores the pool: two stores
-/// with the same records and parameters are equal whatever they retired.
-///
-/// # Examples
-///
-/// ```
-/// use easis_fmf::dtc::{DtcCode, DtcStore, FreezeFrame};
-/// use easis_rte::runnable::RunnableId;
-/// use easis_sim::time::Instant;
-/// use easis_watchdog::report::{DetectedFault, FaultKind};
-///
-/// let mut store = DtcStore::new(2, 10);
-/// let fault = DetectedFault {
-///     at: Instant::from_millis(30),
-///     runnable: RunnableId(1),
-///     kind: FaultKind::Aliveness,
-/// };
-/// store.record(fault, FreezeFrame::default());
-/// assert_eq!(store.len(), 1);
-/// ```
-#[derive(Debug, Serialize, Deserialize)]
-pub struct DtcStore {
-    /// Live records, sorted by code.
-    records: Vec<DtcRecord>,
-    /// Retired records (cleared or aged out), recycled by the next insert
-    /// so its freeze-frame buffer is rewritten in place instead of cloned
-    /// — a campaign node re-records the same codes trial after trial.
-    spare: Vec<DtcRecord>,
-    confirm_threshold: u32,
-    aging_cycles: u32,
 }
 
 impl DtcStore {
@@ -154,7 +141,6 @@ impl DtcStore {
         assert!(aging_cycles > 0, "aging horizon must be positive");
         DtcStore {
             records: Vec::new(),
-            spare: Vec::new(),
             confirm_threshold,
             aging_cycles,
         }
@@ -163,40 +149,19 @@ impl DtcStore {
     /// Records a fault occurrence; the freeze frame is kept only for the
     /// first occurrence. Returns the code.
     pub fn record(&mut self, fault: DetectedFault, freeze_frame: FreezeFrame) -> DtcCode {
-        self.record_ref(fault, &freeze_frame)
-    }
-
-    /// [`DtcStore::record`] borrowing the freeze frame: the frame is cloned
-    /// only when a *new* code is inserted, so re-occurrences — the common
-    /// case on a faulty campaign trial, which ingests the same code every
-    /// cycle — never copy conditions. Callers can keep one reusable frame
-    /// buffer alive across the whole trial.
-    pub fn record_ref(&mut self, fault: DetectedFault, freeze_frame: &FreezeFrame) -> DtcCode {
         let code = DtcCode::of(fault.runnable, fault.kind);
         let i = match self.records.binary_search_by_key(&code, |r| r.code) {
             Ok(i) => i,
             Err(i) => {
-                // Recycle a retired record if one is pooled: its freeze
-                // frame is overwritten in place (`clone_from` reuses the
-                // conditions buffer), so re-recording a cleared code
-                // allocates nothing while the vector has room.
-                let mut record = self.spare.pop().unwrap_or_else(|| DtcRecord {
+                let record = DtcRecord {
                     code,
                     first_seen: fault.at,
                     last_seen: fault.at,
                     occurrences: 0,
                     status: DtcStatus::Pending,
-                    freeze_frame: FreezeFrame::default(),
+                    freeze_frame,
                     healthy_cycles: 0,
-                });
-                record.code = code;
-                record.first_seen = fault.at;
-                record.occurrences = 0;
-                record.status = DtcStatus::Pending;
-                record
-                    .freeze_frame
-                    .conditions
-                    .clone_from(&freeze_frame.conditions);
+                };
                 self.records.insert(i, record);
                 i
             }
@@ -212,28 +177,16 @@ impl DtcStore {
     }
 
     /// Marks one healthy operating cycle: pending codes age and eventually
-    /// drop out; confirmed codes persist. Aged-out records retire to the
-    /// spare pool for recycling, in descending code order.
+    /// drop out; confirmed codes persist.
     pub fn healthy_cycle(&mut self) {
-        for i in (0..self.records.len()).rev() {
-            let rec = &mut self.records[i];
-            if rec.status == DtcStatus::Confirmed {
-                continue;
-            }
-            rec.healthy_cycles += 1;
-            if rec.healthy_cycles >= self.aging_cycles {
-                let record = self.records.remove(i);
-                self.spare.push(record);
-            }
-        }
+        self.apply_aging(1, 1);
     }
 
     /// Clears one code (tester "clear DTC"). Returns `true` if it existed.
     pub fn clear(&mut self, code: DtcCode) -> bool {
         match self.records.binary_search_by_key(&code, |r| r.code) {
             Ok(i) => {
-                let record = self.records.remove(i);
-                self.spare.push(record);
+                self.records.remove(i);
                 true
             }
             Err(_) => false,
@@ -273,36 +226,27 @@ impl DtcStore {
     /// Applies `k` certified hyperperiods of DTC aging in closed form:
     /// every *pending* record's healthy-cycle counter advances by `inc`
     /// per hyperperiod (the increment [`DtcStore::measure_aging`]
-    /// measured), and every record that reaches the aging horizon retires
-    /// to the spare pool — the store ends exactly as `inc · k`
-    /// [`DtcStore::healthy_cycle`] calls would leave it, spare-pool order
-    /// included. Any `k` is valid: the advance saturates in u64.
+    /// measured), and every record that reaches the aging horizon drops
+    /// out — the store ends exactly as `inc · k`
+    /// [`DtcStore::healthy_cycle`] calls would leave it. Any `k` is valid:
+    /// the advance saturates in u64.
     pub fn apply_aging(&mut self, inc: u32, k: u64) {
         let add = u64::from(inc).saturating_mul(k);
         if add == 0 {
             return;
         }
         let aging = u64::from(self.aging_cycles);
-        let ages_out = |r: &DtcRecord| {
-            r.status == DtcStatus::Pending
-                && u64::from(r.healthy_cycles).saturating_add(add) >= aging
-        };
-        // Retire in `healthy_cycle`'s order — the earliest age-out
-        // (highest counter) first, descending codes within one cycle — so
-        // later inserts recycle the same record buffers as at event level.
-        while let Some(i) = (0..self.records.len())
-            .filter(|&i| ages_out(&self.records[i]))
-            .max_by_key(|&i| (self.records[i].healthy_cycles, self.records[i].code))
-        {
-            let mut record = self.records.remove(i);
-            record.healthy_cycles = self.aging_cycles;
-            self.spare.push(record);
-        }
-        for rec in &mut self.records {
-            if rec.status == DtcStatus::Pending {
-                rec.healthy_cycles += add as u32;
+        self.records.retain_mut(|rec| {
+            if rec.status == DtcStatus::Confirmed {
+                return true;
             }
-        }
+            let cycles = u64::from(rec.healthy_cycles).saturating_add(add);
+            if cycles >= aging {
+                return false;
+            }
+            rec.healthy_cycles = cycles as u32; // below the u32 horizon
+            true
+        });
     }
 
     /// Measures the per-hyperperiod aging increment between two stores
@@ -369,53 +313,6 @@ impl DtcStore {
     }
 }
 
-/// A copy without a pool.
-impl Clone for DtcStore {
-    fn clone(&self) -> Self {
-        DtcStore {
-            records: self.records.clone(),
-            spare: Vec::new(),
-            confirm_threshold: self.confirm_threshold,
-            aging_cycles: self.aging_cycles,
-        }
-    }
-
-    /// Copies `source`'s records through this store's pool (see
-    /// [`DtcStore`]): allocation-free once the pool has held as many
-    /// records as the largest memory restored into it.
-    fn clone_from(&mut self, source: &Self) {
-        while self.records.len() > source.records.len() {
-            let record = self.records.pop().expect("longer than the source");
-            self.spare.push(record);
-        }
-        let kept = self.records.len();
-        for (dst, src) in self.records.iter_mut().zip(&source.records) {
-            dst.clone_from(src);
-        }
-        for src in &source.records[kept..] {
-            let record = match self.spare.pop() {
-                Some(mut pooled) => {
-                    pooled.clone_from(src);
-                    pooled
-                }
-                None => src.clone(),
-            };
-            self.records.push(record);
-        }
-        self.confirm_threshold = source.confirm_threshold;
-        self.aging_cycles = source.aging_cycles;
-    }
-}
-
-/// Records and parameters; the pool is left out.
-impl PartialEq for DtcStore {
-    fn eq(&self, other: &Self) -> bool {
-        self.records == other.records
-            && self.confirm_threshold == other.confirm_threshold
-            && self.aging_cycles == other.aging_cycles
-    }
-}
-
 impl Default for DtcStore {
     fn default() -> Self {
         DtcStore::new(3, 40)
@@ -431,6 +328,13 @@ mod tests {
             at: Instant::from_millis(ms),
             runnable: RunnableId(runnable),
             kind,
+        }
+    }
+
+    /// A frame of one signal's value.
+    fn frame(value: f64) -> FreezeFrame {
+        FreezeFrame {
+            conditions: [Some((SignalId(0), value)), None],
         }
     }
 
@@ -497,22 +401,9 @@ mod tests {
     #[test]
     fn freeze_frame_is_from_first_occurrence() {
         let mut store = DtcStore::new(2, 10);
-        let code = store.record(
-            fault(2, FaultKind::ArrivalRate, 5),
-            FreezeFrame {
-                conditions: vec![("speed".into(), 13.9)],
-            },
-        );
-        store.record(
-            fault(2, FaultKind::ArrivalRate, 50),
-            FreezeFrame {
-                conditions: vec![("speed".into(), 99.0)],
-            },
-        );
-        assert_eq!(
-            store.get(code).unwrap().freeze_frame.conditions[0].1,
-            13.9
-        );
+        let code = store.record(fault(2, FaultKind::ArrivalRate, 5), frame(13.9));
+        store.record(fault(2, FaultKind::ArrivalRate, 50), frame(99.0));
+        assert_eq!(store.get(code).unwrap().freeze_frame, frame(13.9));
     }
 
     #[test]
@@ -581,18 +472,8 @@ mod tests {
             for _ in 0..3 {
                 store.healthy_cycle();
             }
-            store.record(
-                fault(3, FaultKind::ArrivalRate, 50),
-                FreezeFrame {
-                    conditions: vec![("speed".into(), 7.0)],
-                },
-            );
+            store.record(fault(3, FaultKind::ArrivalRate, 50), frame(7.0));
             store
-        };
-        let image = |store: &DtcStore| {
-            let mut snap = DtcStore::default();
-            snap.clone_from(store);
-            snap
         };
         // Hyperperiods of 2 healthy cycles each: 6 stay below the 40-cycle
         // horizon, 19 retire `early` only, 20 retire both pending codes.
@@ -603,9 +484,7 @@ mod tests {
                 stepped.healthy_cycle();
             }
             jumped.apply_aging(2, k);
-            assert_eq!(image(&stepped), image(&jumped), "k = {k}");
-            // Spare pool included: same records, same retirement order.
-            assert_eq!(format!("{stepped:?}"), format!("{jumped:?}"), "k = {k}");
+            assert_eq!(stepped, jumped, "k = {k}");
             assert_eq!(jumped.get(early).is_some(), k < 19, "k = {k}");
             assert_eq!(jumped.get(late).is_some(), k < 20, "k = {k}");
             assert_eq!(jumped.confirmed().count(), 1);
@@ -614,20 +493,12 @@ mod tests {
         let mut jumped = build();
         jumped.apply_aging(u32::MAX, u64::MAX);
         assert_eq!(jumped.len(), 1);
-        // A retired code is re-recorded from the spare pool: its
-        // freeze-frame buffer is rewritten in place, not reallocated.
+        // A code that aged out is recorded afresh, with the new frame.
         let mut store = build();
         store.apply_aging(2, 20);
-        assert_eq!(store.spare.len(), 2);
-        let pooled = store.spare.last().unwrap().freeze_frame.conditions.as_ptr();
-        let frame = FreezeFrame {
-            conditions: vec![("speed".into(), 9.0)],
-        };
-        store.record(fault(3, FaultKind::ArrivalRate, 900), frame);
-        assert_eq!(store.spare.len(), 1);
+        store.record(fault(3, FaultKind::ArrivalRate, 900), frame(9.0));
         let reborn = store.get(late).unwrap();
-        assert_eq!(reborn.freeze_frame.conditions.as_ptr(), pooled);
-        assert_eq!(reborn.freeze_frame.conditions[0].1, 9.0);
+        assert_eq!(reborn.freeze_frame, frame(9.0));
         assert_eq!((reborn.occurrences, reborn.status), (1, DtcStatus::Pending));
     }
 
@@ -683,7 +554,6 @@ mod tests {
         // even across any number of jumped hyperperiods.
         store.apply_aging(2, u64::MAX);
         assert_eq!(store.get(code).unwrap().status, DtcStatus::Confirmed);
-        assert!(store.spare.is_empty());
         let mut snap = DtcStore::default();
         snap.clone_from(&store);
         assert_eq!(DtcStore::measure_aging(&snap, &snap), Some(0));
@@ -693,30 +563,19 @@ mod tests {
     fn a_store_whose_only_code_aged_out_equals_a_fresh_one() {
         let fresh = DtcStore::new(3, 4);
         let mut store = DtcStore::new(3, 4);
-        store.record(
-            fault(1, FaultKind::Aliveness, 5),
-            FreezeFrame {
-                conditions: vec![("speed".into(), 3.0)],
-            },
-        );
+        store.record(fault(1, FaultKind::Aliveness, 5), frame(3.0));
         assert_ne!(store, fresh);
         for _ in 0..4 {
             store.healthy_cycle();
         }
         assert!(store.is_empty());
-        assert_eq!(store.spare.len(), 1, "the aged record waits in the pool");
-        assert_eq!(store, fresh, "the pool is not part of the state's meaning");
+        assert_eq!(store, fresh);
     }
 
     #[test]
-    fn snapshot_restore_round_trips_through_the_spare_pool() {
+    fn snapshot_restore_round_trips() {
         let mut store = DtcStore::new(2, 10);
-        let code = store.record(
-            fault(1, FaultKind::Aliveness, 5),
-            FreezeFrame {
-                conditions: vec![("speed".into(), 42.0)],
-            },
-        );
+        let code = store.record(fault(1, FaultKind::Aliveness, 5), frame(42.0));
         let mut snap = DtcStore::default();
         snap.clone_from(&store);
         // Diverge: confirm the code and add another.
@@ -728,9 +587,7 @@ mod tests {
         let rec = store.get(code).unwrap();
         assert_eq!(rec.status, DtcStatus::Pending);
         assert_eq!(rec.occurrences, 1);
-        assert_eq!(rec.freeze_frame.conditions[0].1, 42.0);
-        // The displaced extra record retired to the pool: a re-insert
-        // recycles it rather than building a fresh one.
+        assert_eq!(rec.freeze_frame, frame(42.0));
         store.record(fault(3, FaultKind::ArrivalRate, 30), FreezeFrame::default());
         assert_eq!(store.len(), 2);
     }
@@ -738,24 +595,14 @@ mod tests {
     #[test]
     fn repeated_snapshot_capture_reuses_buffers() {
         let mut store = DtcStore::new(2, 10);
-        store.record(
-            fault(1, FaultKind::Aliveness, 5),
-            FreezeFrame {
-                conditions: vec![("speed".into(), 1.0), ("rpm".into(), 2.0)],
-            },
-        );
+        store.record(fault(1, FaultKind::Aliveness, 5), frame(1.0));
         let mut snap = DtcStore::default();
         snap.clone_from(&store);
-        let cap_before = snap.records.capacity();
-        let ptr_before = snap.records[0].freeze_frame.conditions.as_ptr();
+        let buffer = (snap.records.as_ptr(), snap.records.capacity());
         store.record(fault(1, FaultKind::Aliveness, 15), FreezeFrame::default());
         snap.clone_from(&store);
-        assert_eq!(snap.records.capacity(), cap_before);
-        assert_eq!(
-            snap.records[0].freeze_frame.conditions.as_ptr(),
-            ptr_before,
-            "freeze-frame buffer must be rewritten in place"
-        );
+        assert_eq!((snap.records.as_ptr(), snap.records.capacity()), buffer);
         assert_eq!(snap.records[0].occurrences, 2);
+        assert_eq!(snap.records[0].freeze_frame, frame(1.0));
     }
 }

@@ -3,49 +3,39 @@
 //! [`FaultManagementFramework`] is the "general fault treatment system that
 //! gathers the information on the detected faults" (paper §4.4). It ingests
 //! the faults and state changes the Software Watchdog hands over, records
-//! the faults in its DTC memory, applies the [`TreatmentPolicy`] and queues
-//! [`TreatmentAction`]s for the platform integration to execute. It keeps
-//! no log of its own: every detection is recorded once, in the watchdog
-//! service's detection log (`easis_watchdog::detection`).
+//! the faults in its DTC memory, and applies the [`TreatmentPolicy`] to
+//! each state change, returning the decided [`TreatmentAction`] for the
+//! platform integration to execute. It keeps no log of its own: every
+//! detection is recorded once, in the watchdog service's detection log
+//! (`easis_watchdog::detection`), and every executed treatment once, by
+//! the platform.
 
 use crate::dtc::{DtcStore, FreezeFrame};
 use crate::policy::{Treatment, TreatmentAction, TreatmentPolicy};
 use easis_obs::{ObsEvent, ObsSink};
 use easis_rte::mapping::ApplicationId;
-use easis_sim::time::{Duration, Instant};
+use easis_sim::time::Duration;
 use easis_watchdog::report::{DetectedFault, StateChange};
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
 
 /// The FMF service.
 #[derive(Debug, Clone)]
 pub struct FaultManagementFramework {
     policy: TreatmentPolicy,
     obs: ObsSink,
-    /// Interned treatment reasons, one `Arc<str>` per application ever
-    /// treated. The rendered strings are exactly what the old
-    /// `format!`-per-action path produced; interning just means an
-    /// application's second (and every later) treatment allocates
-    /// nothing. Runtime caching only, so the state leaves it out and a
-    /// restore keeps it: a campaign node treats the same applications
-    /// trial after trial.
-    app_reasons: BTreeMap<ApplicationId, Arc<str>>,
     state: FmfState,
 }
 
 easis_sim::clone_fields! {
-    /// Everything a framework run can change — DTC memory, queued
-    /// actions, restart budgets, reset counter — and so the framework's
+    /// Everything a framework run can change — DTC memory, restart
+    /// budgets, terminated flags, reset counter — and so the framework's
     /// checkpoint ([`FaultManagementFramework::state`],
     /// [`FaultManagementFramework::restore`]). The restart budgets are
     /// dense by application id and sized when the framework is built, so
-    /// budgets cleared by an ECU reset equal never-used ones. The policy,
-    /// observability sink and interned-reason cache are wiring (the cache
-    /// affects only allocation identity, never rendered content).
+    /// budgets cleared by an ECU reset equal never-used ones. The policy
+    /// and observability sink are wiring.
     #[derive(Debug, Default, PartialEq)]
     pub struct FmfState {
         dtc: DtcStore,
-        actions: Vec<TreatmentAction>,
         /// Restarts granted, by application id.
         restarts: Vec<u32>,
         /// Terminated (failed-silent) flag, by application id.
@@ -62,7 +52,6 @@ impl FaultManagementFramework {
         FaultManagementFramework {
             policy,
             obs: ObsSink::disabled(),
-            app_reasons: BTreeMap::new(),
             state: FmfState {
                 restarts: vec![0; applications],
                 terminated: vec![false; applications],
@@ -77,22 +66,11 @@ impl FaultManagementFramework {
         self.obs = obs;
     }
 
-    /// Records a detected fault in the DTC memory.
-    pub fn ingest_fault(&mut self, fault: DetectedFault) {
-        self.ingest_fault_with_conditions(fault, &FreezeFrame::default());
-    }
-
-    /// Records a detected fault with freeze-frame conditions (captured by
-    /// the platform at detection time, e.g. the current vehicle speed).
-    /// Borrows the frame: it is cloned only when the fault's DTC first
-    /// occurs, so a caller-held reusable frame buffer makes repeated
-    /// ingestion of the same code allocation-free.
-    pub fn ingest_fault_with_conditions(
-        &mut self,
-        fault: DetectedFault,
-        freeze_frame: &FreezeFrame,
-    ) {
-        self.state.dtc.record_ref(fault, freeze_frame);
+    /// Records a detected fault in the DTC memory, with the operating
+    /// conditions the platform captured at detection (kept only for the
+    /// code's first occurrence).
+    pub fn ingest_fault(&mut self, fault: DetectedFault, freeze_frame: FreezeFrame) {
+        self.state.dtc.record(fault, freeze_frame);
     }
 
     /// Marks one healthy operating cycle for DTC aging (call it e.g. once
@@ -112,83 +90,42 @@ impl FaultManagementFramework {
         self.state.advance(delta, k);
     }
 
-    /// Processes a watchdog state change, possibly queueing treatments.
-    pub fn ingest_state_change(&mut self, change: StateChange) {
-        match change {
-            StateChange::TaskFaulty { .. } => {
-                // Task-level verdicts are treated at the application level;
-                // the change is implicit in the ApplicationFaulty that
-                // accompanies it.
-            }
+    /// Processes a watchdog state change and returns the treatment the
+    /// policy decides for it, if any. Task-level verdicts are treated at
+    /// the application level: the change is implicit in the
+    /// `ApplicationFaulty` that accompanies it.
+    pub fn ingest_state_change(&mut self, change: StateChange) -> Option<TreatmentAction> {
+        if !self.policy.treat {
+            return None;
+        }
+        let (at, treatment) = match change {
+            StateChange::TaskFaulty { .. } => return None,
             StateChange::ApplicationFaulty { app, at } => {
-                if !self.policy.treat {
-                    return;
-                }
                 let i = app.index();
                 if self.state.terminated[i] {
-                    return; // already failed silent
+                    return None; // already failed silent
                 }
                 let treatment = self.policy.for_faulty_app(app, self.state.restarts[i]);
                 match treatment {
                     Treatment::RestartApplication(_) => self.state.restarts[i] += 1,
                     Treatment::TerminateApplication(_) => self.state.terminated[i] = true,
-                    _ => {}
+                    Treatment::EcuReset => {}
                 }
-                let reason = self.app_faulty_reason(app);
-                self.push_action(at, treatment, reason);
+                (at, treatment)
             }
             StateChange::EcuFaulty { at } => {
-                if !self.policy.treat {
-                    return;
-                }
-                if let Some(treatment) = self.policy.for_faulty_ecu() {
-                    self.state.ecu_resets += 1;
-                    self.push_action(at, treatment, ecu_faulty_reason());
-                }
+                let treatment = self.policy.for_faulty_ecu()?;
+                self.state.ecu_resets += 1;
+                (at, treatment)
             }
-        }
-    }
-
-    /// The interned "application … faulty" reason for `app`, rendered on
-    /// the first treatment of that application and shared thereafter.
-    fn app_faulty_reason(&mut self, app: ApplicationId) -> Arc<str> {
-        Arc::clone(
-            self.app_reasons
-                .entry(app)
-                .or_insert_with(|| format!("application {app} faulty").into()),
-        )
-    }
-
-    fn push_action(&mut self, at: Instant, treatment: Treatment, reason: Arc<str>) {
+        };
         self.obs.record(
             at,
             ObsEvent::FmfReaction {
                 treatment: treatment.label(),
             },
         );
-        self.state.actions.push(TreatmentAction {
-            at,
-            treatment,
-            reason,
-        });
-    }
-
-    /// Drains the queued treatment actions for execution.
-    pub fn take_actions(&mut self) -> Vec<TreatmentAction> {
-        std::mem::take(&mut self.state.actions)
-    }
-
-    /// Drains decided actions into `out` (appending), retaining the queue
-    /// allocation — the allocation-free alternative to
-    /// [`FaultManagementFramework::take_actions`] for the campaign hot
-    /// path.
-    pub fn drain_actions_into(&mut self, out: &mut Vec<TreatmentAction>) {
-        out.append(&mut self.state.actions);
-    }
-
-    /// Number of queued, unexecuted actions.
-    pub fn pending_actions(&self) -> usize {
-        self.state.actions.len()
+        Some(TreatmentAction { at, treatment })
     }
 
     /// Restart count of an application.
@@ -224,7 +161,7 @@ impl FaultManagementFramework {
 
     /// Restores runtime state captured from
     /// [`FaultManagementFramework::state`]: one `clone_from` into the
-    /// retained buffers (the DTC memory recycles its records in place).
+    /// retained buffers.
     pub fn restore(&mut self, state: &FmfState) {
         self.state.clone_from(state);
     }
@@ -255,8 +192,8 @@ impl FmfState {
     /// occurrence growth of confirmed records
     /// ([`DtcStore::measure_occurrences`]). Returns `false` when the
     /// record count changed. Certification advances `a` by the delta once
-    /// and compares the result with `b` whole, so the action queue,
-    /// restart budgets, reset counter, pending records and every record's
+    /// and compares the result with `b` whole, so the restart budgets,
+    /// terminated flags, reset counter, pending records and every record's
     /// status, first occurrence and freeze frame must sit still.
     pub fn measure(a: &Self, b: &Self, h: Duration, delta: &mut FmfCycleDelta) -> bool {
         let Some(dtc_aging) = DtcStore::measure_aging(&a.dtc, &b.dtc) else {
@@ -287,18 +224,13 @@ impl Default for FaultManagementFramework {
     }
 }
 
-/// The process-interned "global ECU state faulty" reason — one shared
-/// allocation no matter how many ECU resets any framework commands.
-fn ecu_faulty_reason() -> Arc<str> {
-    static REASON: OnceLock<Arc<str>> = OnceLock::new();
-    Arc::clone(REASON.get_or_init(|| Arc::from("global ECU state faulty")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dtc::DtcRecord;
     use easis_osek::task::TaskId;
     use easis_rte::runnable::RunnableId;
+    use easis_sim::time::Instant;
     use easis_watchdog::report::FaultKind;
 
     fn fault(ms: u64, kind: FaultKind) -> DetectedFault {
@@ -309,11 +241,26 @@ mod tests {
         }
     }
 
+    /// Records a fault with an empty freeze frame.
+    fn ingest(fmf: &mut FaultManagementFramework, ms: u64, kind: FaultKind) {
+        fmf.ingest_fault(fault(ms, kind), FreezeFrame::default());
+    }
+
     fn app_faulty(ms: u64) -> StateChange {
         StateChange::ApplicationFaulty {
             app: ApplicationId(0),
             at: Instant::from_millis(ms),
         }
+    }
+
+    /// The records and treatments are plain data: a field that owns heap
+    /// memory would stop them being `Copy` and fail to compile here.
+    #[test]
+    fn records_and_treatments_are_copy() {
+        fn copy<T: Copy>() {}
+        copy::<DtcRecord>();
+        copy::<FreezeFrame>();
+        copy::<TreatmentAction>();
     }
 
     #[test]
@@ -323,10 +270,10 @@ mod tests {
         let h = Duration::from_millis(20);
         let mut fmf = FaultManagementFramework::default();
         for ms in [10, 30, 50] {
-            fmf.ingest_fault(fault(ms, FaultKind::Aliveness));
+            ingest(&mut fmf, ms, FaultKind::Aliveness);
         }
         let a = fmf.state().clone();
-        fmf.ingest_fault(fault(70, FaultKind::Aliveness));
+        ingest(&mut fmf, 70, FaultKind::Aliveness);
         let b = fmf.state().clone();
         let mut delta = FmfCycleDelta::default();
         assert!(FmfState::measure(&a, &b, h, &mut delta));
@@ -336,7 +283,7 @@ mod tests {
         let mut jumped = b.clone();
         jumped.advance(&delta, 3);
         for ms in [90, 110, 130] {
-            fmf.ingest_fault(fault(ms, FaultKind::Aliveness));
+            ingest(&mut fmf, ms, FaultKind::Aliveness);
         }
         assert_eq!(&jumped, fmf.state());
         assert_eq!(jumped.dtc.iter().next().unwrap().occurrences, 7);
@@ -345,10 +292,9 @@ mod tests {
     #[test]
     fn faulty_app_restarts_then_terminates() {
         let mut fmf = FaultManagementFramework::default(); // budget 3
-        for i in 0..5 {
-            fmf.ingest_state_change(app_faulty(i * 10));
-        }
-        let actions = fmf.take_actions();
+        let actions: Vec<TreatmentAction> = (0..5)
+            .filter_map(|i| fmf.ingest_state_change(app_faulty(i * 10)))
+            .collect();
         let restarts = actions
             .iter()
             .filter(|a| matches!(a.treatment, Treatment::RestartApplication(_)))
@@ -359,6 +305,7 @@ mod tests {
             .count();
         assert_eq!(restarts, 3);
         assert_eq!(terminates, 1); // 5th change hits an already-terminated app
+        assert_eq!(actions.len(), 4);
         assert_eq!(fmf.restarts_of(ApplicationId(0)), 3);
         assert!(fmf.is_terminated(ApplicationId(0)));
     }
@@ -366,12 +313,13 @@ mod tests {
     #[test]
     fn ecu_faulty_triggers_reset() {
         let mut fmf = FaultManagementFramework::default();
-        fmf.ingest_state_change(StateChange::EcuFaulty {
-            at: Instant::from_millis(50),
-        });
-        let actions = fmf.take_actions();
-        assert_eq!(actions.len(), 1);
-        assert_eq!(actions[0].treatment, Treatment::EcuReset);
+        let at = Instant::from_millis(50);
+        let action = fmf.ingest_state_change(StateChange::EcuFaulty { at });
+        let reset = TreatmentAction {
+            at,
+            treatment: Treatment::EcuReset,
+        };
+        assert_eq!(action, Some(reset));
         assert_eq!(fmf.ecu_resets(), 1);
     }
 
@@ -382,30 +330,33 @@ mod tests {
             ..TreatmentPolicy::default()
         };
         let mut fmf = FaultManagementFramework::new(policy, 1);
-        fmf.ingest_state_change(StateChange::EcuFaulty {
-            at: Instant::ZERO,
-        });
-        assert_eq!(fmf.pending_actions(), 0);
+        let action = fmf.ingest_state_change(StateChange::EcuFaulty { at: Instant::ZERO });
+        assert_eq!(action, None);
+        assert_eq!(fmf.ecu_resets(), 0);
     }
 
     #[test]
     fn task_faulty_alone_produces_no_action() {
         let mut fmf = FaultManagementFramework::default();
-        fmf.ingest_state_change(StateChange::TaskFaulty {
+        let fresh = fmf.state().clone();
+        let action = fmf.ingest_state_change(StateChange::TaskFaulty {
             task: TaskId(0),
             at: Instant::ZERO,
         });
-        assert_eq!(fmf.pending_actions(), 0);
+        assert_eq!(action, None);
+        assert_eq!(fmf.state(), &fresh);
     }
 
     #[test]
-    fn ingest_and_drain() {
+    fn ingest_records_and_decides() {
         let mut fmf = FaultManagementFramework::default();
-        fmf.ingest_fault(fault(1, FaultKind::Aliveness));
-        fmf.ingest_state_change(app_faulty(1));
+        ingest(&mut fmf, 1, FaultKind::Aliveness);
+        let action = fmf.ingest_state_change(app_faulty(1));
         assert_eq!(fmf.dtc().len(), 1);
-        assert_eq!(fmf.take_actions().len(), 1);
-        assert!(fmf.take_actions().is_empty());
+        assert_eq!(
+            action.map(|a| a.treatment),
+            Some(Treatment::RestartApplication(ApplicationId(0)))
+        );
     }
 
     #[test]
@@ -426,35 +377,12 @@ mod tests {
     }
 
     #[test]
-    fn reasons_render_like_the_format_strings_and_are_interned() {
-        let mut fmf = FaultManagementFramework::default();
-        let fresh = fmf.state().clone();
-        fmf.ingest_state_change(app_faulty(1));
-        fmf.ingest_state_change(app_faulty(2));
-        fmf.ingest_state_change(StateChange::EcuFaulty {
-            at: Instant::from_millis(3),
-        });
-        let actions = fmf.take_actions();
-        assert_eq!(&*actions[0].reason, "application App0 faulty");
-        assert_eq!(&*actions[1].reason, "application App0 faulty");
-        assert_eq!(&*actions[2].reason, "global ECU state faulty");
-        // Interned: both App0 actions share one allocation, and the cache
-        // survives a rewind (campaign nodes treat the same apps per trial).
-        assert!(std::sync::Arc::ptr_eq(&actions[0].reason, &actions[1].reason));
-        fmf.restore(&fresh);
-        fmf.ingest_state_change(app_faulty(10));
-        let again = fmf.take_actions();
-        assert!(std::sync::Arc::ptr_eq(&actions[0].reason, &again[0].reason));
-    }
-
-    #[test]
     fn reset_budgets_equal_never_used_ones() {
         let mut fmf = FaultManagementFramework::default();
         let fresh = fmf.state().clone();
         for i in 0..4 {
             fmf.ingest_state_change(app_faulty(i));
         }
-        fmf.take_actions();
         assert_ne!(fmf.state(), &fresh);
         fmf.reset_budgets();
         assert_eq!(fmf.state(), &fresh);
@@ -470,11 +398,10 @@ mod tests {
         fmf.reset_budgets();
         assert!(!fmf.is_terminated(ApplicationId(0)));
         assert_eq!(fmf.restarts_of(ApplicationId(0)), 0);
-        fmf.ingest_state_change(app_faulty(100));
-        let actions = fmf.take_actions();
+        let action = fmf.ingest_state_change(app_faulty(100));
         assert!(matches!(
-            actions.last().unwrap().treatment,
-            Treatment::RestartApplication(_)
+            action.map(|a| a.treatment),
+            Some(Treatment::RestartApplication(_))
         ));
     }
 
@@ -484,20 +411,19 @@ mod tests {
     #[test]
     fn snapshot_restore_replays_identically() {
         let drive_prefix = |fmf: &mut FaultManagementFramework| {
-            fmf.ingest_fault(fault(1, FaultKind::Aliveness));
+            ingest(fmf, 1, FaultKind::Aliveness);
             fmf.ingest_state_change(app_faulty(5));
         };
         // A fault-only tail: moves the DTC memory only.
         let drive_tail = |fmf: &mut FaultManagementFramework| {
-            fmf.ingest_fault(fault(20, FaultKind::ArrivalRate));
-            fmf.ingest_fault(fault(25, FaultKind::ProgramFlow));
+            ingest(fmf, 20, FaultKind::ArrivalRate);
+            ingest(fmf, 25, FaultKind::ProgramFlow);
         };
         let observe = |fmf: &FaultManagementFramework| {
             (
-                fmf.pending_actions(),
                 fmf.restarts_of(ApplicationId(0)),
                 fmf.ecu_resets(),
-                fmf.dtc().iter().map(|r| format!("{r:?}")).collect::<Vec<_>>(),
+                fmf.dtc().iter().copied().collect::<Vec<_>>(),
             )
         };
 

@@ -17,12 +17,12 @@
 //! use easis_watchdog::report::StateChange;
 //!
 //! let mut fmf = FaultManagementFramework::default();
-//! fmf.ingest_state_change(StateChange::ApplicationFaulty {
+//! let action = fmf.ingest_state_change(StateChange::ApplicationFaulty {
 //!     app: ApplicationId(0),
 //!     at: Instant::from_millis(30),
 //! });
-//! let actions = fmf.take_actions();
-//! assert_eq!(actions[0].treatment, Treatment::RestartApplication(ApplicationId(0)));
+//! let treatment = action.map(|a| a.treatment);
+//! assert_eq!(treatment, Some(Treatment::RestartApplication(ApplicationId(0))));
 //! ```
 
 #![forbid(unsafe_code)]

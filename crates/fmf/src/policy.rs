@@ -11,20 +11,17 @@
 //!
 //! [`TreatmentPolicy`] encodes this with an escalation rule: an application
 //! is restarted up to `max_app_restarts` times; beyond that it is
-//! terminated (fail-silent degradation).
+//! terminated (fail-silent degradation). Task-level verdicts are treated
+//! at the application level: an application restart restarts its tasks.
 
-use easis_osek::task::TaskId;
 use easis_rte::mapping::ApplicationId;
 use easis_sim::time::Instant;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// A fault treatment to be executed by the platform integration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Treatment {
-    /// Restart a single task (clear its watchdog vector, re-arm it).
-    RestartTask(TaskId),
     /// Restart every task of an application.
     RestartApplication(ApplicationId),
     /// Terminate an application permanently (fail-silent).
@@ -38,7 +35,6 @@ impl Treatment {
     /// observability layer and experiment reports).
     pub fn label(&self) -> &'static str {
         match self {
-            Treatment::RestartTask(_) => "restart_task",
             Treatment::RestartApplication(_) => "restart_application",
             Treatment::TerminateApplication(_) => "terminate_application",
             Treatment::EcuReset => "ecu_reset",
@@ -49,7 +45,6 @@ impl Treatment {
 impl fmt::Display for Treatment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Treatment::RestartTask(t) => write!(f, "restart task {t}"),
             Treatment::RestartApplication(a) => write!(f, "restart application {a}"),
             Treatment::TerminateApplication(a) => write!(f, "terminate application {a}"),
             Treatment::EcuReset => write!(f, "ECU software reset"),
@@ -57,17 +52,15 @@ impl fmt::Display for Treatment {
     }
 }
 
-/// A scheduled treatment with its justification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A decided treatment with its decision time. The treatment names its
+/// reason: an application treatment answers that application's faulty
+/// verdict, an ECU reset the faulty global ECU state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TreatmentAction {
     /// Decision time.
     pub at: Instant,
     /// The treatment to execute.
     pub treatment: Treatment,
-    /// Human-readable reason for the treatment log. An `Arc<str>` handle to a
-    /// reason interned by the framework (one allocation per distinct
-    /// reason, not per action); serializes as a plain string.
-    pub reason: Arc<str>,
 }
 
 /// Escalating treatment policy.
@@ -141,7 +134,6 @@ mod tests {
 
     #[test]
     fn labels_are_stable_tags() {
-        assert_eq!(Treatment::RestartTask(TaskId(0)).label(), "restart_task");
         assert_eq!(
             Treatment::RestartApplication(ApplicationId(0)).label(),
             "restart_application"
@@ -159,7 +151,6 @@ mod tests {
         assert!(Treatment::RestartApplication(ApplicationId(1))
             .to_string()
             .contains("App1"));
-        assert!(Treatment::RestartTask(TaskId(2)).to_string().contains("T2"));
         assert!(Treatment::TerminateApplication(ApplicationId(3))
             .to_string()
             .contains("terminate"));

@@ -73,18 +73,16 @@ proptest! {
         let app = ApplicationId(0);
         let mut seen_terminate = false;
         for i in 0..episodes {
-            fmf.ingest_state_change(StateChange::ApplicationFaulty {
+            let action = fmf.ingest_state_change(StateChange::ApplicationFaulty {
                 app,
                 at: Instant::from_millis(i as u64 * 10),
             });
-            for action in fmf.take_actions() {
-                match action.treatment {
-                    Treatment::RestartApplication(_) => {
-                        prop_assert!(!seen_terminate, "restart after terminate");
-                    }
-                    Treatment::TerminateApplication(_) => seen_terminate = true,
-                    _ => {}
+            match action.map(|a| a.treatment) {
+                Some(Treatment::RestartApplication(_)) => {
+                    prop_assert!(!seen_terminate, "restart after terminate");
                 }
+                Some(Treatment::TerminateApplication(_)) => seen_terminate = true,
+                _ => {}
             }
         }
         prop_assert!(fmf.restarts_of(app) <= budget);
@@ -97,16 +95,19 @@ proptest! {
         let mut fmf = FaultManagementFramework::new(TreatmentPolicy::observe_only(), 1);
         for (i, &e) in events.iter().enumerate() {
             let at = Instant::from_millis(i as u64);
-            match e {
+            let action = match e {
                 0 => fmf.ingest_state_change(StateChange::ApplicationFaulty {
                     app: ApplicationId(0),
                     at,
                 }),
                 1 => fmf.ingest_state_change(StateChange::EcuFaulty { at }),
-                _ => fmf.ingest_fault(fault(0, 0, i as u64)),
-            }
+                _ => {
+                    fmf.ingest_fault(fault(0, 0, i as u64), FreezeFrame::default());
+                    None
+                }
+            };
+            prop_assert_eq!(action, None);
         }
-        prop_assert_eq!(fmf.pending_actions(), 0);
         prop_assert_eq!(fmf.ecu_resets(), 0);
     }
 }

@@ -10,11 +10,12 @@
 //!   shadows every certified jump with event-level simulation from the
 //!   certified checkpoint and panics on the first checkpoint field the two
 //!   disagree on;
-//! * the aggregate metrics the campaign bench reads. Campaign workers are
-//!   short-lived threads with thread-local node pools, so per-node
-//!   counters die with their worker — every `run_span` folds its counters
-//!   into these relaxed atomics instead, and the bench brackets a
-//!   measured run with [`reset_metrics`]/[`metrics`].
+//! * the aggregate metrics the campaign bench reads. Campaign shares run
+//!   on short-lived scoped threads, on nodes that wait in a private pool
+//!   between calls, so no caller can read a node's own counters — every
+//!   `run_span` folds its counters into these relaxed atomics instead,
+//!   and the bench brackets a measured run with
+//!   [`reset_metrics`]/[`metrics`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -24,7 +25,7 @@ use std::sync::OnceLock;
 pub enum Mode {
     /// `0`: no macro-stepping unless a node forces it on.
     Off,
-    /// Unset or any value other than `0` and `verify`: certified jumps.
+    /// Unset or `1`: certified jumps.
     On,
     /// `verify`: certified jumps, each replayed at event level from the
     /// certified checkpoint; the two end checkpoints must compare equal.
@@ -32,11 +33,13 @@ pub enum Mode {
 }
 
 impl Mode {
-    fn parse(value: Option<&str>) -> Mode {
+    /// The mode a setting names, `None` for a value that names none.
+    fn parse(value: Option<&str>) -> Option<Mode> {
         match value {
-            Some("0") => Mode::Off,
-            Some("verify") => Mode::Verify,
-            _ => Mode::On,
+            None | Some("1") => Some(Mode::On),
+            Some("0") => Some(Mode::Off),
+            Some("verify") => Some(Mode::Verify),
+            Some(_) => None,
         }
     }
 }
@@ -44,11 +47,23 @@ impl Mode {
 static MODE: OnceLock<Mode> = OnceLock::new();
 
 /// This process's [`Mode`], read from `EASIS_FASTFORWARD` on first use.
+/// A value other than `1`, `0` and `verify` is rejected with a warning on
+/// stderr, and the default, [`Mode::On`], applies.
 /// A per-node [`crate::node::CentralNode::set_fastforward`] override
 /// decides whether a node jumps; under [`Mode::Verify`] every jump a node
 /// takes is shadowed, whatever made it eligible.
 pub fn mode() -> Mode {
-    *MODE.get_or_init(|| Mode::parse(std::env::var("EASIS_FASTFORWARD").ok().as_deref()))
+    *MODE.get_or_init(|| {
+        let value = std::env::var("EASIS_FASTFORWARD").ok();
+        Mode::parse(value.as_deref()).unwrap_or_else(|| {
+            let raw = value.unwrap_or_default();
+            eprintln!(
+                "warning: EASIS_FASTFORWARD={raw:?} is not 1, 0 or verify; \
+                 falling back to the default, certified jumps"
+            );
+            Mode::On
+        })
+    })
 }
 
 static FFWD_US: AtomicU64 = AtomicU64::new(0);
@@ -117,10 +132,13 @@ mod tests {
 
     #[test]
     fn mode_parses_the_three_settings() {
-        assert_eq!(Mode::parse(None), Mode::On);
-        assert_eq!(Mode::parse(Some("1")), Mode::On);
-        assert_eq!(Mode::parse(Some("0")), Mode::Off);
-        assert_eq!(Mode::parse(Some("verify")), Mode::Verify);
+        assert_eq!(Mode::parse(None), Some(Mode::On));
+        assert_eq!(Mode::parse(Some("1")), Some(Mode::On));
+        assert_eq!(Mode::parse(Some("0")), Some(Mode::Off));
+        assert_eq!(Mode::parse(Some("verify")), Some(Mode::Verify));
+        for typo in ["off", "false", "on", "", " 0", "Verify", "2"] {
+            assert_eq!(Mode::parse(Some(typo)), None, "{typo:?}");
+        }
     }
 
     #[test]

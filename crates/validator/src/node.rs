@@ -333,27 +333,16 @@ impl CentralNode {
         world.initial_signals = world.signals.iter().map(|(_, _, v)| v).collect();
 
         // The watchdog task: highest priority, runs the cycle check and the
-        // FMF integration. Freeze-frame condition names are interned (and
-        // their signal ids resolved) once here, so a faulty cycle clones
-        // `Arc`s instead of allocating strings.
+        // FMF integration. The freeze-frame signals are resolved once here.
         let wd_cost =
             Duration::from_micros(60).mul_f64(config.cpu_scale_ppm as f64 / 1_000_000.0);
-        let freeze_conditions: Vec<(Arc<str>, SignalId)> = ["speed_measured", "lateral_measured"]
-            .iter()
-            .filter_map(|&name| world.signals.id_of(name).map(|id| (Arc::from(name), id)))
-            .collect();
-        let freeze = FreezeFrame {
-            conditions: freeze_conditions
-                .iter()
-                .map(|(name, _)| (Arc::clone(name), 0.0))
-                .collect(),
-        };
+        let freeze_signals =
+            ["speed_measured", "lateral_measured"].map(|name| world.signals.id_of(name));
         let wd_task = os.add_task(
             TaskConfig::new("SoftwareWatchdogTask", Priority(10)),
             WatchdogTaskBody {
                 cost: wd_cost,
-                freeze_conditions,
-                freeze,
+                freeze_signals,
                 report: CycleReport::default(),
                 faults: Vec::new(),
                 changes: Vec::new(),
@@ -447,9 +436,6 @@ impl CentralNode {
         treatment: &Treatment,
     ) {
         match treatment {
-            Treatment::RestartTask(task) => {
-                w.watchdog.acknowledge_task_recovered(*task);
-            }
             Treatment::RestartApplication(app) => {
                 let tasks = w.watchdog.config().mapping().tasks_of_app(*app);
                 for task in tasks {
@@ -1053,20 +1039,20 @@ impl NodeSnapshot {
 ///
 /// Every buffer the effect needs lives in the body and is reused across
 /// cycles: the cycle report (`run_cycle_into` target), the hand-over
-/// vectors, the decided-action queue, and the freeze frame itself — its
-/// condition names are interned at build time and a faulty cycle only
-/// rewrites the `f64` values in place before lending the frame to the FMF
-/// by reference. A fault-detecting cycle therefore allocates only where
-/// genuinely new state is born (first occurrence of a DTC code, growth of
-/// the detection and treatment logs past their pooled capacity).
+/// vectors and the cycle's decided treatments. A freeze frame is plain
+/// data, the values of the freeze signals read when a fault is ingested.
+/// A fault-detecting cycle therefore allocates only where genuinely new
+/// state is born (first occurrence of a DTC code, growth of the detection
+/// and treatment logs past their pooled capacity).
 ///
-/// All of these are per-cycle scratch — cleared or overwritten before each
+/// The buffers are per-cycle scratch — cleared or overwritten before each
 /// use — so they carry no state across cycles and are deliberately outside
 /// [`NodeSnapshot`].
 struct WatchdogTaskBody {
     cost: Duration,
-    freeze_conditions: Vec<(Arc<str>, SignalId)>,
-    freeze: FreezeFrame,
+    /// The signals a freeze frame captures: the measured speed and lateral
+    /// offset, where the node declares them.
+    freeze_signals: [Option<SignalId>; 2],
     report: CycleReport,
     faults: Vec<DetectedFault>,
     changes: Vec<StateChange>,
@@ -1098,30 +1084,27 @@ impl TaskBody<CentralWorld> for WatchdogTaskBody {
         // watchdog's stay in the log only.
         self.faults.clear();
         self.changes.clear();
+        self.actions.clear();
         w.watchdog.hand_over_faults(&mut self.faults);
         w.watchdog.drain_state_changes_into(&mut self.changes);
         if self.faults.is_empty() {
             w.fmf.healthy_cycle(); // DTC aging
         } else {
             // Freeze frame: the operating conditions at detection (the
-            // signals a tester would want). Refreshed only when a fault is
-            // actually ingested; the names are interned and the frame is
-            // lent by reference, so the capture allocates nothing.
-            for (slot, (name, id)) in
-                self.freeze.conditions.iter_mut().zip(&self.freeze_conditions)
-            {
-                debug_assert!(Arc::ptr_eq(&slot.0, name));
-                slot.1 = w.signals.read(*id);
-            }
+            // signals a tester would want).
+            let freeze = FreezeFrame {
+                conditions: self.freeze_signals.map(|id| id.map(|id| (id, w.signals.read(id)))),
+            };
             for &fault in &self.faults {
-                w.fmf.ingest_fault_with_conditions(fault, &self.freeze);
+                w.fmf.ingest_fault(fault, freeze);
             }
         }
+        // Every change is decided before any treatment runs: an ECU reset
+        // clears the restart budgets only after the cycle's decisions.
         for &change in &self.changes {
-            w.fmf.ingest_state_change(change);
+            self.actions.extend(w.fmf.ingest_state_change(change));
         }
-        w.fmf.drain_actions_into(&mut self.actions);
-        for action in self.actions.drain(..) {
+        for &action in &self.actions {
             if ctx.trace_enabled() {
                 ctx.trace("fmf", "treatment", action.treatment.to_string());
             }
@@ -1265,18 +1248,22 @@ mod tests {
                 node.world.treatments.clone(),
                 format!("{:?}", node.os.trace()),
                 node.world.watchdog.cycles_run(),
+                node.world.fmf.dtc().iter().copied().collect::<Vec<_>>(),
             )
         };
         let first = run_tail(&mut node);
         assert!(!first.0.is_empty(), "tail must detect the injected fault");
+        assert!(!first.4.is_empty(), "tail must record DTCs");
         node.restore_from(&snap);
         assert_eq!(node.os.now(), ms(200));
         assert!(node.world.watchdog.log().is_empty());
+        assert!(node.world.fmf.dtc().is_empty());
         let second = run_tail(&mut node);
         assert_eq!(first.0, second.0);
         assert_eq!(first.1, second.1);
         assert_eq!(first.2, second.2);
         assert_eq!(first.3, second.3);
+        assert_eq!(first.4, second.4);
     }
 
     #[test]
@@ -1345,8 +1332,7 @@ mod tests {
             ("treatment", false, |node| {
                 node.world.treatments.push(TreatmentAction {
                     at: node.os.now(),
-                    treatment: Treatment::RestartTask(TaskId(0)),
-                    reason: Arc::from("test"),
+                    treatment: Treatment::EcuReset,
                 });
             }),
             ("runnable control", false, |node| {
@@ -1367,11 +1353,12 @@ mod tests {
                 node.world.signals.write(SignalId(0), 1e6, node.os.now());
             }),
             ("DTC occurrence", false, |node| {
-                node.world.fmf.ingest_fault(DetectedFault {
+                let fault = DetectedFault {
                     at: node.os.now(),
                     runnable: RunnableId(4),
                     kind: easis_watchdog::report::FaultKind::Aliveness,
-                });
+                };
+                node.world.fmf.ingest_fault(fault, FreezeFrame::default());
             }),
         ];
         for (case, certifies, perturb) in cases {

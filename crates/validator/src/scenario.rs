@@ -12,7 +12,7 @@ use easis_injection::injector::{ErrorClass, Injection, Injector};
 use easis_injection::stats::{Detections, TrialOutcome};
 use easis_sim::series::SeriesSet;
 use easis_sim::time::{Duration, Instant};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Sampling interval of the figure series (the paper's plots use a 10 ms
 /// scalar on the x axis).
@@ -209,18 +209,17 @@ fn campaign_blueprint() -> &'static NodeBlueprint {
     BLUEPRINT.get_or_init(|| NodeBlueprint::compile(campaign_node_config()))
 }
 
-/// One thread's pooled campaign state: the node and injector the thread
+/// One share's pooled campaign state: the node and injector the share
 /// reuses for every trial it runs, plus two golden (injection-free)
 /// [`NodeSnapshot`]s of the one campaign blueprint that every trial
 /// rewinds to — capacity-retained, so steady-state capture and restore
-/// allocate nothing. Only the thread that calls [`run_plan`] keeps its
-/// slot from one call to the next: the executor runs every other share on
-/// a scoped thread spawned for that call, whose slot is built on its first
-/// share and dropped when the thread exits.
+/// allocate nothing. A share takes a slot from [`NODE_POOL`] and puts it
+/// back when it is done, so slots outlive the executor's scoped threads
+/// and carry over from one [`run_plan`] call to the next.
 struct PoolSlot {
     node: CentralNode,
     injector: Injector,
-    /// The node just after `start()` at t=0, captured once per worker.
+    /// The node just after `start()` at t=0, captured once per slot.
     cold: NodeSnapshot,
     /// Golden-prefix checkpoint buffer; contents are only meaningful when
     /// `ckpt_at` is set.
@@ -246,15 +245,14 @@ impl PoolSlot {
     }
 }
 
-thread_local! {
-    /// Per-thread pooled campaign state. One pooled node per thread covers
-    /// every trial the thread runs: trials rewind the node to a snapshot and
-    /// reload the injector instead of rebuilding either. The calling
-    /// thread's slot outlives a [`run_plan`] call; a scoped worker's lives
-    /// for that call only.
-    static NODE_POOL: std::cell::RefCell<Option<PoolSlot>> =
-        const { std::cell::RefCell::new(None) };
-}
+/// The process's free campaign slots. A share pops one, building a slot
+/// only when none is free, rewinds its node for every trial instead of
+/// rebuilding it, and pushes the slot back when it is done. The pool thus
+/// holds as many slots as shares ever ran at once: one for serial
+/// campaigns. A share that panics drops its slot, so no half-run node
+/// returns. The lock is held for one `pop` or `push` only, so it is never
+/// poisoned.
+static NODE_POOL: Mutex<Vec<PoolSlot>> = Mutex::new(Vec::new());
 
 /// Reads the detections of a finished trial off the node's detection
 /// log, with latencies measured from the trial's own injection start
@@ -359,7 +357,7 @@ fn run_trial_tail(
     }
 }
 
-/// Runs one worker's contiguous share of campaign trials on its node
+/// Runs one worker's contiguous share of campaign trials on a pooled node
 /// with **golden-run prefix checkpointing**: the share is processed in
 /// [`tail_key`] order (forks ascending), the node is advanced once along
 /// the golden (injection-free) prefix, and the checkpoint buffer is
@@ -377,59 +375,58 @@ fn run_trial_tail(
 /// twin reads its outcome off the node that trial left, against its own
 /// injection start. Twins in different workers' shares each simulate.
 fn run_chunk_forked(specs: &[TrialSpec], horizon: Instant) -> Vec<TrialOutcome> {
-    NODE_POOL.with(|pool| {
-        let mut slot = pool.borrow_mut();
-        let s = slot.get_or_insert_with(PoolSlot::new);
+    let pooled = NODE_POOL.lock().expect("no share panics holding the pool lock").pop();
+    let mut s = pooled.unwrap_or_else(PoolSlot::new);
 
-        let trials = u32::try_from(specs.len()).expect("a share holds under 2^32 trials");
-        let mut order: Vec<u32> = (0..trials).collect();
-        order.sort_by_key(|&i| tail_key(&specs[i as usize], horizon));
+    let trials = u32::try_from(specs.len()).expect("a share holds under 2^32 trials");
+    let mut order: Vec<u32> = (0..trials).collect();
+    order.sort_by_key(|&i| tail_key(&specs[i as usize], horizon));
 
-        let mut outcomes: Vec<TrialOutcome> = specs
-            .iter()
-            .map(|spec| TrialOutcome::new(spec.injection.class.interned_tag()))
-            .collect();
-        let mut simulated = None;
-        for i in order.into_iter().map(|i| i as usize) {
-            let spec = &specs[i];
-            let key = tail_key(spec, horizon);
-            if simulated != Some(key) {
-                let fork = key.0;
-                // Rewind to the latest golden base at or before the fork.
-                // Forks ascend within a share, but the next call may fork
-                // earlier than the last checkpoint; such a stale
-                // checkpoint must not be used, and t=0 serves instead.
-                let base_at = s.ckpt_at.filter(|&at| at <= fork);
-                s.node
-                    .restore_from(if base_at.is_some() { &s.ckpt } else { &s.cold });
-                if base_at != Some(fork) {
-                    // The fork moved: advance along the golden prefix and
-                    // recapture.
-                    if s.node.os.now() < fork {
-                        s.node.run_span(fork);
-                    }
-                    s.node.snapshot_into(&mut s.ckpt);
-                    s.ckpt_at = Some(fork);
+    let mut outcomes: Vec<TrialOutcome> = specs
+        .iter()
+        .map(|spec| TrialOutcome::new(spec.injection.class.interned_tag()))
+        .collect();
+    let mut simulated = None;
+    for i in order.into_iter().map(|i| i as usize) {
+        let spec = &specs[i];
+        let key = tail_key(spec, horizon);
+        if simulated != Some(key) {
+            let fork = key.0;
+            // Rewind to the latest golden base at or before the fork.
+            // Forks ascend within a share, but the slot's next share may
+            // fork earlier than its last checkpoint; such a stale
+            // checkpoint must not be used, and t=0 serves instead.
+            let base_at = s.ckpt_at.filter(|&at| at <= fork);
+            s.node
+                .restore_from(if base_at.is_some() { &s.ckpt } else { &s.cold });
+            if base_at != Some(fork) {
+                // The fork moved: advance along the golden prefix and
+                // recapture.
+                if s.node.os.now() < fork {
+                    s.node.run_span(fork);
                 }
-                s.injector.reload([spec.injection.clone()]);
-                run_trial_tail(&mut s.node, &mut s.injector, spec, horizon);
-                simulated = Some(key);
+                s.node.snapshot_into(&mut s.ckpt);
+                s.ckpt_at = Some(fork);
             }
-            // A twin of the trial just simulated reads the same node.
-            outcomes[i].detections = detections_since(&s.node, spec.injection.from);
+            s.injector.reload([spec.injection.clone()]);
+            run_trial_tail(&mut s.node, &mut s.injector, spec, horizon);
+            simulated = Some(key);
         }
-        outcomes
-    })
+        // A twin of the trial just simulated reads the same node.
+        outcomes[i].detections = detections_since(&s.node, spec.injection.from);
+    }
+    NODE_POOL.lock().expect("no share panics holding the pool lock").push(s);
+    outcomes
 }
 
 /// Runs every trial of `plan` on the given executor with golden-run
-/// prefix checkpointing (`run_chunk_forked`): each worker thread pools one
-/// node built from the process-wide campaign [`NodeBlueprint`], and within
-/// its share of the plan the injection-free prefix is simulated once and
-/// snapshot-forked per trial, with adjacent twins collapsed onto one tail.
-/// The calling thread's pooled node carries over to the next call; at two
-/// or more workers every other share runs on a thread spawned for this
-/// call, which builds, starts and captures a node of its own.
+/// prefix checkpointing (`run_chunk_forked`): each share of the plan runs
+/// on a pooled node built from the process-wide campaign
+/// [`NodeBlueprint`], the injection-free prefix is simulated once and
+/// snapshot-forked per trial, and adjacent twins are collapsed onto one
+/// tail. The pooled nodes carry over to the next call at any worker
+/// count: a call builds, starts and captures a node only when more of its
+/// shares run at once than ever before.
 /// Restore is exact — the forked≡fresh property test and the campaign
 /// golden pin that any worker count produces stats bit-identical to a
 /// serial per-trial [`run_trial`] run.
@@ -700,9 +697,10 @@ mod tests {
         use easis_injection::executor::CampaignExecutor;
         let horizon = ms(600);
         let exec = CampaignExecutor::serial();
-        // Each call leaves its last golden checkpoint in this thread's
-        // pool: the 450 ms call restores the 300 ms one, and the 250 ms
-        // call must rewind to t=0 instead of using the stale 450 ms one.
+        // Each call leaves its last golden checkpoint in its pooled slot:
+        // the 450 ms call restores the 300 ms one, and the 250 ms call
+        // must rewind to t=0 instead of using the stale 450 ms one. (Other
+        // tests' campaigns share the pool; any slot they leave is golden.)
         for from in [300, 450, 250] {
             let plan = CampaignPlan::from_trials(vec![TrialSpec {
                 seed: 9,

@@ -42,7 +42,8 @@ fn main() {
             rec.last_seen,
             rec.status
         );
-        for (name, value) in &rec.freeze_frame.conditions {
+        for &(id, value) in rec.freeze_frame.conditions.iter().flatten() {
+            let name = rig.lane_node.world.signals.name(id);
             println!("      freeze frame: {name} = {value:.2}");
         }
     }

@@ -46,7 +46,7 @@ fn main() {
         node.world.treatments.len()
     );
     for action in node.world.treatments.iter().take(5) {
-        println!("  [{}] {} ({})", action.at, action.treatment, action.reason);
+        println!("  [{}] {}", action.at, action.treatment);
     }
     println!("\n{}", node.world.watchdog.supervision_report());
     assert!(!log.is_empty(), "the loss must be detected");

@@ -1,6 +1,7 @@
 //! End-to-end dependability tests: injected error → watchdog detection →
 //! TSI rollup → FMF treatment → recovery, across the whole stack.
 
+use easis::fmf::dtc::DtcRecord;
 use easis::fmf::policy::{Treatment, TreatmentPolicy};
 use easis::injection::{ErrorClass, Injection, Injector, TrialSpec};
 use easis::osek::alarm::AlarmId;
@@ -221,14 +222,13 @@ fn application_restart_resets_internal_state() {
     assert_eq!(node.world.signals.read(measured), 30.0);
 }
 
-/// Freeze-frame condition names are interned `Arc<str>`s owned by the
-/// watchdog task body: every frame captured in every trial clones the same
-/// two allocations ("speed_measured", "lateral_measured"), and rewinding
-/// the node to its t=0 snapshot — what a campaign worker does between
-/// trials — must keep those interned strings alive and stable rather than
-/// re-allocating them per run.
+/// A freeze frame holds the values of the node's two freeze signals by
+/// id; the node's signal database names them. Rewinding the node to its
+/// t=0 snapshot — what a campaign worker does between trials — clears the
+/// fault memory, and the replayed faulty run records the same DTCs, frames
+/// included.
 #[test]
-fn freeze_frame_strings_stay_interned_across_node_rewind() {
+fn freeze_frames_capture_the_node_signals_and_replay_across_a_rewind() {
     let mut node = CentralNode::build(NodeConfig::default());
     node.start();
     let cold = node.snapshot();
@@ -240,30 +240,21 @@ fn freeze_frame_strings_stay_interned_across_node_rewind() {
             ms(300),
         )]);
         node.run_until(ms(500), &mut injector);
-        let conditions: Vec<std::sync::Arc<str>> = node
-            .world
-            .fmf
-            .dtc()
-            .iter()
-            .flat_map(|rec| rec.freeze_frame.conditions.iter())
-            .map(|(name, _)| std::sync::Arc::clone(name))
-            .collect();
-        assert!(!conditions.is_empty(), "faulty run must capture freeze frames");
-        conditions
+        let records: Vec<DtcRecord> = node.world.fmf.dtc().iter().copied().collect();
+        assert!(!records.is_empty(), "faulty run must record DTCs");
+        records
     };
 
     let first = faulty_run(&mut node);
-    // Within one run, frames never duplicate a name's allocation: any two
-    // conditions with equal text share one `Arc`.
-    for a in &first {
-        for b in &first {
-            if **a == **b {
-                assert!(
-                    std::sync::Arc::ptr_eq(a, b),
-                    "`{a}` captured twice with distinct allocations"
-                );
-            }
-        }
+    for record in &first {
+        let names: Vec<&str> = record
+            .freeze_frame
+            .conditions
+            .iter()
+            .flatten()
+            .map(|&(id, _)| node.world.signals.name(id))
+            .collect();
+        assert_eq!(names, ["speed_measured", "lateral_measured"], "{}", record.code);
     }
 
     node.restore_from(&cold);
@@ -272,23 +263,7 @@ fn freeze_frame_strings_stay_interned_across_node_rewind() {
         "the rewind clears the fault memory"
     );
     let second = faulty_run(&mut node);
-
-    // Across the rewind, the very same interned allocations are re-used:
-    // each name in the replay is pointer-identical to its first-run twin.
-    assert_eq!(first.len(), second.len(), "replay must capture identical frames");
-    for name in &second {
-        assert!(
-            first.iter().any(|original| std::sync::Arc::ptr_eq(original, name)),
-            "condition `{name}` was re-allocated instead of re-using the interned string"
-        );
-    }
-    // And the names are exactly the watchdog's capture set.
-    for expected in ["speed_measured", "lateral_measured"] {
-        assert!(
-            second.iter().any(|n| &**n == expected),
-            "missing condition `{expected}`"
-        );
-    }
+    assert_eq!(first, second, "the replay must record the same DTCs and frames");
 }
 
 /// One strong instance of each error class, in declaration order. The

@@ -89,7 +89,7 @@ fn campaign_allocations_do_not_grow_with_detecting_trials() {
     let horizon = Instant::from_millis(500);
     let exec = CampaignExecutor::serial();
     let (small, large) = (detecting_plan(N), detecting_plan(4 * N));
-    // Warm the thread's pooled node, checkpoints and detection log on both
+    // Warm the pooled node, its checkpoints and detection log on both
     // campaigns, so every buffer has reached the capacity they need.
     for plan in [&large, &small] {
         let stats = run_plan(plan, horizon, &exec);

@@ -5,6 +5,7 @@
 use easis::fmf::dtc::{DtcStore, FreezeFrame};
 use easis::rte::mapping::SystemMapping;
 use easis::rte::runnable::RunnableId;
+use easis::rte::signal::SignalId;
 use easis::osek::task::TaskId;
 use easis::sim::series::SeriesSet;
 use easis::sim::time::{Duration, Instant};
@@ -52,7 +53,7 @@ fn dtc_store_round_trips_with_records() {
                 kind: FaultKind::ProgramFlow,
             },
             FreezeFrame {
-                conditions: vec![("speed_measured".into(), 19.4)],
+                conditions: [Some((SignalId(3), 19.4)), None],
             },
         );
     }

@@ -191,6 +191,20 @@ if grep -rnE --include='*.rs' --exclude-dir=target 'Arc<str>|\bspare\b' crates/f
   echo "heap data, a record pool, an action queue or a task restart crept back into the FMF"; exit 1
 fi
 
+echo "==> the watchdog addresses runnables and tasks by id"
+# The runnable registry and the kernel number runnables and tasks densely
+# from 0, so every per-runnable and per-task table of the watchdog is an
+# array indexed by id, as the TSI unit's are. An interner onto dense slots
+# would be the identity map on every node, and the heartbeat unit's copy
+# would be state that every capture clones and every certification
+# compares. Every node turns the ECU faulty once all its applications
+# are, so that threshold is no option either.
+if grep -rnE --include='*.rs' --exclude-dir=target \
+     '\b(IdIndex|runnable_index|task_index|slot_scope|slot_of|slot_of_runnable|slot_of_task|NO_SLOT|DIRECT_MAP_LIMIT|ecu_faulty_after_apps|ecu_faulty_app_threshold)\b' \
+     crates/*/src; then
+  echo "an id interner or the ECU threshold option crept back"; exit 1
+fi
+
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"
 # The full soak defaults to two simulated hours; one simulated minute
 # still crosses several multiples of 2^24 us and schedules events further

@@ -1,4 +1,4 @@
-//! **HOTPATH** — per-event overhead of the dense-index data plane.
+//! **HOTPATH** — per-event overhead of the id-indexed data plane.
 //!
 //! The watchdog sits on every runnable dispatch, so its per-event cost is
 //! *the* overhead that decides whether runnable-granularity monitoring

@@ -9,14 +9,13 @@
 //! in the last cycle". An Activation Status (AS) per runnable gates the
 //! whole mechanism.
 
-use crate::config::{IdIndex, RunnableHypothesis};
+use crate::config::RunnableHypothesis;
 use crate::report::{DetectedFault, FaultKind, RunnableCounters};
 use easis_obs::{ObsEvent, ObsSink};
 use easis_rte::runnable::RunnableId;
 use easis_sim::cpu::CostMeter;
 use easis_sim::time::Instant;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Abstract CPU cost (cycles) of one heartbeat indication: AS check plus
 /// two counter increments.
@@ -29,23 +28,21 @@ easis_sim::clone_fields! {
     /// The heartbeat monitoring unit: one counter set per monitored
     /// runnable.
     ///
-    /// Runnables are interned into dense slots ([`IdIndex`], ascending id
-    /// order), and the AC/ARC/CCA/CCAR counters plus Activation Status live
-    /// in packed parallel arrays indexed by slot — one heartbeat indication
-    /// is a slot lookup and two array increments (branch-light O(1)), and
-    /// the end-of-cycle check is a linear sweep over contiguous slices.
-    /// Sweeping slots in ascending order reproduces the previous `BTreeMap`
-    /// iteration order exactly, so fault ordering, cost charges, and
-    /// observability events are unchanged.
+    /// The hypotheses, the AC/ARC/CCA/CCAR counters and the Activation
+    /// Status live in parallel arrays indexed by runnable id, which the
+    /// runnable registry assigns densely from 0; an unmonitored id has no
+    /// hypothesis and a cleared AS. One heartbeat indication is one AS
+    /// test and two array increments, and the end-of-cycle check sweeps
+    /// the arrays in ascending id order, so faults, cost charges and
+    /// observability events come in runnable order.
     ///
-    /// The unit is all runtime state — the index and the hypotheses too,
-    /// because [`HeartbeatMonitor::reconfigure`] changes them — so it is
-    /// its own checkpoint. Its only wiring, the observability sink, is an
-    /// argument of the calls that record.
+    /// The unit is all runtime state — the hypotheses too, because
+    /// [`HeartbeatMonitor::reconfigure`] changes them — so it is its own
+    /// checkpoint. Its only wiring, the observability sink, is an argument
+    /// of the calls that record.
     #[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
     pub struct HeartbeatMonitor {
-        index: IdIndex,
-        hypotheses: Vec<RunnableHypothesis>,
+        hypotheses: Vec<Option<RunnableHypothesis>>,
         ac: Vec<u32>,
         arc: Vec<u32>,
         cca: Vec<u32>,
@@ -58,24 +55,25 @@ impl HeartbeatMonitor {
     /// Creates the unit from the per-runnable fault hypotheses. A later
     /// hypothesis for the same runnable replaces an earlier one.
     pub fn new(hypotheses: impl IntoIterator<Item = RunnableHypothesis>) -> Self {
-        let by_id: BTreeMap<RunnableId, RunnableHypothesis> = hypotheses
-            .into_iter()
-            .map(|h| (h.runnable, h))
-            .collect();
-        let mut monitor = HeartbeatMonitor {
-            index: IdIndex::from_ids(by_id.keys().map(|r| r.0)),
-            hypotheses: Vec::with_capacity(by_id.len()),
-            ac: vec![0; by_id.len()],
-            arc: vec![0; by_id.len()],
-            cca: vec![0; by_id.len()],
-            ccar: vec![0; by_id.len()],
-            active: Vec::with_capacity(by_id.len()),
-        };
-        for (_, h) in by_id {
-            monitor.active.push(h.initially_active);
-            monitor.hypotheses.push(h);
+        let mut monitor = HeartbeatMonitor::default();
+        for hypothesis in hypotheses {
+            monitor.reconfigure(hypothesis);
+            monitor.active[hypothesis.runnable.index()] = hypothesis.initially_active;
         }
         monitor
+    }
+
+    /// The array index of `runnable` if it is monitored.
+    fn monitored_index(&self, runnable: RunnableId) -> Option<usize> {
+        let i = runnable.index();
+        self.hypotheses.get(i)?.map(|_| i)
+    }
+
+    fn reset_counters(&mut self, i: usize) {
+        self.ac[i] = 0;
+        self.arc[i] = 0;
+        self.cca[i] = 0;
+        self.ccar[i] = 0;
     }
 
     /// Records one aliveness indication at `now`. Unmonitored runnables
@@ -92,13 +90,11 @@ impl HeartbeatMonitor {
         obs: &ObsSink,
     ) {
         costs.charge(HEARTBEAT_COST_CYCLES);
-        if let Some(slot) = self.index.slot_of_runnable(runnable) {
-            let slot = slot as usize;
-            if self.active[slot] {
-                self.ac[slot] = self.ac[slot].saturating_add(1);
-                self.arc[slot] = self.arc[slot].saturating_add(1);
-                obs.record(now, ObsEvent::HeartbeatRecorded { runnable });
-            }
+        let i = runnable.index();
+        if let Some(true) = self.active.get(i) {
+            self.ac[i] = self.ac[i].saturating_add(1);
+            self.arc[i] = self.arc[i].saturating_add(1);
+            obs.record(now, ObsEvent::HeartbeatRecorded { runnable });
         }
     }
 
@@ -126,16 +122,16 @@ impl HeartbeatMonitor {
         faults: &mut Vec<DetectedFault>,
         obs: &ObsSink,
     ) {
-        for slot in 0..self.index.len() {
-            if !self.active[slot] {
+        for (i, hypothesis) in self.hypotheses.iter().enumerate() {
+            let Some(hypothesis) = hypothesis.filter(|_| self.active[i]) else {
                 continue;
-            }
-            let runnable = RunnableId(self.index.id_at(slot as u32));
+            };
+            let runnable = hypothesis.runnable;
             costs.charge(CHECK_COST_CYCLES);
-            if let Some(spec) = self.hypotheses[slot].aliveness {
-                self.cca[slot] += 1;
-                if self.cca[slot] >= spec.cycles {
-                    if self.ac[slot] < spec.min_indications {
+            if let Some(spec) = hypothesis.aliveness {
+                self.cca[i] += 1;
+                if self.cca[i] >= spec.cycles {
+                    if self.ac[i] < spec.min_indications {
                         obs.record(
                             now,
                             ObsEvent::FaultDetected {
@@ -149,14 +145,14 @@ impl HeartbeatMonitor {
                             kind: FaultKind::Aliveness,
                         });
                     }
-                    self.ac[slot] = 0;
-                    self.cca[slot] = 0;
+                    self.ac[i] = 0;
+                    self.cca[i] = 0;
                 }
             }
-            if let Some(spec) = self.hypotheses[slot].arrival_rate {
-                self.ccar[slot] += 1;
-                if self.ccar[slot] >= spec.cycles {
-                    if self.arc[slot] > spec.max_indications {
+            if let Some(spec) = hypothesis.arrival_rate {
+                self.ccar[i] += 1;
+                if self.ccar[i] >= spec.cycles {
+                    if self.arc[i] > spec.max_indications {
                         obs.record(
                             now,
                             ObsEvent::FaultDetected {
@@ -170,8 +166,8 @@ impl HeartbeatMonitor {
                             kind: FaultKind::ArrivalRate,
                         });
                     }
-                    self.arc[slot] = 0;
-                    self.ccar[slot] = 0;
+                    self.arc[i] = 0;
+                    self.ccar[i] = 0;
                 }
             }
         }
@@ -180,81 +176,61 @@ impl HeartbeatMonitor {
     /// Replaces the fault hypothesis of a runnable at runtime (dynamic
     /// reconfiguration, the paper's outlook). Counters reset so the new
     /// hypothesis starts a fresh monitoring period; the activation status
-    /// is preserved. Unknown runnables become newly monitored.
+    /// is preserved. Unknown runnables become newly monitored, with the
+    /// hypothesis's initial activation status.
     pub fn reconfigure(&mut self, hypothesis: RunnableHypothesis) {
-        let runnable = hypothesis.runnable;
-        match self.index.slot_of_runnable(runnable) {
-            Some(slot) => {
-                let slot = slot as usize;
-                self.hypotheses[slot] = hypothesis;
-                self.ac[slot] = 0;
-                self.arc[slot] = 0;
-                self.cca[slot] = 0;
-                self.ccar[slot] = 0;
-            }
-            None => {
-                let slot = self.index.insert(runnable.0) as usize;
-                self.active.insert(slot, hypothesis.initially_active);
-                self.hypotheses.insert(slot, hypothesis);
-                self.ac.insert(slot, 0);
-                self.arc.insert(slot, 0);
-                self.cca.insert(slot, 0);
-                self.ccar.insert(slot, 0);
-            }
+        let i = hypothesis.runnable.index();
+        if i >= self.hypotheses.len() {
+            let len = i + 1;
+            self.hypotheses.resize(len, None);
+            self.ac.resize(len, 0);
+            self.arc.resize(len, 0);
+            self.cca.resize(len, 0);
+            self.ccar.resize(len, 0);
+            self.active.resize(len, false);
         }
+        if self.hypotheses[i].is_none() {
+            self.active[i] = hypothesis.initially_active;
+        }
+        self.hypotheses[i] = Some(hypothesis);
+        self.reset_counters(i);
     }
 
     /// Sets the activation status of a runnable; clearing it also resets
     /// the counters so monitoring restarts cleanly when re-armed.
     /// Returns `false` for unmonitored runnables.
     pub fn set_active(&mut self, runnable: RunnableId, active: bool) -> bool {
-        match self.index.slot_of_runnable(runnable) {
-            Some(slot) => {
-                let slot = slot as usize;
-                self.active[slot] = active;
-                if !active {
-                    self.ac[slot] = 0;
-                    self.arc[slot] = 0;
-                    self.cca[slot] = 0;
-                    self.ccar[slot] = 0;
-                }
-                true
-            }
-            None => false,
+        let Some(i) = self.monitored_index(runnable) else {
+            return false;
+        };
+        self.active[i] = active;
+        if !active {
+            self.reset_counters(i);
         }
+        true
     }
 
     /// `true` if the runnable is monitored and its AS is set.
     pub fn is_active(&self, runnable: RunnableId) -> bool {
-        self.index
-            .slot_of_runnable(runnable)
-            .is_some_and(|slot| self.active[slot as usize])
+        self.active.get(runnable.index()) == Some(&true)
     }
 
     /// Live counter values. The error counts are left at zero: they are
     /// queries over the detection log, which the service facade fills in.
     pub fn counters(&self, runnable: RunnableId) -> Option<RunnableCounters> {
-        self.index.slot_of_runnable(runnable).map(|slot| {
-            let slot = slot as usize;
-            RunnableCounters {
-                ac: self.ac[slot],
-                arc: self.arc[slot],
-                cca: self.cca[slot],
-                ccar: self.ccar[slot],
-                activation: self.active[slot],
-                ..RunnableCounters::default()
-            }
+        self.monitored_index(runnable).map(|i| RunnableCounters {
+            ac: self.ac[i],
+            arc: self.arc[i],
+            cca: self.cca[i],
+            ccar: self.ccar[i],
+            activation: self.active[i],
+            ..RunnableCounters::default()
         })
-    }
-
-    /// The runnable interner (slot per monitored runnable).
-    pub fn index(&self) -> &IdIndex {
-        &self.index
     }
 
     /// Monitored runnables, in ascending id order.
     pub fn monitored(&self) -> impl Iterator<Item = RunnableId> + '_ {
-        self.index.iter().map(RunnableId)
+        self.hypotheses.iter().flatten().map(|h| h.runnable)
     }
 }
 

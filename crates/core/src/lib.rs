@@ -17,6 +17,10 @@
 //!   vectors with thresholds, rolled up to application and global ECU
 //!   states to steer fault treatment.
 //!
+//! The units keep every per-runnable and per-task table as an array
+//! indexed by runnable or task id, which the runnable registry and the
+//! kernel assign densely from 0.
+//!
 //! The [`SoftwareWatchdog`] facade in [`service`] glues the units together
 //! and is their one service API: the aliveness-indication routine
 //! ([`SoftwareWatchdog::heartbeat`]) for glue code, the periodic check
@@ -73,7 +77,7 @@ pub mod service;
 pub mod tsi;
 pub mod validate;
 
-pub use config::{AlivenessSpec, ArrivalRateSpec, IdIndex, RunnableHypothesis, WatchdogConfig};
+pub use config::{AlivenessSpec, ArrivalRateSpec, RunnableHypothesis, WatchdogConfig};
 pub use detection::{Detection, DetectionLog, DetectorId};
 pub use heartbeat::HeartbeatMonitor;
 pub use pfc::{CompiledFlowTable, FlowTable, FlowVerdict, PfcState};

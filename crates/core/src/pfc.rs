@@ -9,7 +9,6 @@
 //! the paper restricts checking to safety-critical runnables to bound
 //! overhead.
 
-use crate::config::IdIndex;
 use easis_rte::runnable::RunnableId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -111,12 +110,16 @@ impl FlowTable {
 
 /// The look-up table compiled to a flat row-major bitset adjacency matrix.
 ///
-/// Monitored runnables are interned into dense slots ([`IdIndex`]); row
-/// `p` of the matrix holds one bit per possible successor slot, packed
-/// into `u64` words, plus one packed row for the entry set. Both
-/// [`CompiledFlowTable::allows`] and [`CompiledFlowTable::is_entry`] are a
-/// single word index + bit test — O(1) regardless of table size, versus
-/// the builder [`FlowTable`]'s two-level map probe.
+/// Rows and bits are indexed by runnable id, which the runnable registry
+/// assigns densely from 0: row `p` of the matrix holds one bit per
+/// possible successor id, packed into `u64` words, and two more packed
+/// rows mark the entry set and the monitored runnables (those the table
+/// mentions). The matrix therefore holds (largest monitored id + 1)²
+/// bits, each row rounded up to whole words. [`CompiledFlowTable::allows`],
+/// [`CompiledFlowTable::is_entry`] and
+/// [`CompiledFlowTable::is_monitored`] are each a single word index and
+/// bit test — O(1) regardless of table size, versus the builder
+/// [`FlowTable`]'s two-level map probe.
 ///
 /// # Examples
 ///
@@ -128,116 +131,98 @@ impl FlowTable {
 /// table.allow_entry(RunnableId(0));
 /// table.allow(RunnableId(0), RunnableId(2));
 /// let compiled = table.compile();
-/// let s0 = compiled.slot_of(RunnableId(0)).unwrap();
-/// let s2 = compiled.slot_of(RunnableId(2)).unwrap();
-/// assert!(compiled.allows(s0, s2));
-/// assert!(!compiled.allows(s2, s0));
-/// assert!(compiled.is_entry(s0) && !compiled.is_entry(s2));
+/// assert!(compiled.allows(RunnableId(0), RunnableId(2)));
+/// assert!(!compiled.allows(RunnableId(2), RunnableId(0)));
+/// assert!(compiled.is_entry(RunnableId(0)) && !compiled.is_entry(RunnableId(2)));
+/// assert!(!compiled.is_monitored(RunnableId(1)));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompiledFlowTable {
-    index: IdIndex,
-    /// `u64` words per adjacency row (= per entry row).
-    words_per_row: u32,
+    /// `u64` words per row.
+    words_per_row: usize,
     /// Row-major adjacency bits: `adjacency[p * words_per_row + s / 64]`
-    /// bit `s % 64` set ⇔ slot `s` may follow slot `p`.
+    /// bit `s % 64` set ⇔ runnable `s` may follow runnable `p`.
     adjacency: Vec<u64>,
     /// Packed entry set (one row).
     entry_bits: Vec<u64>,
+    /// Packed set of the runnables the table mentions (one row).
+    monitored_bits: Vec<u64>,
     /// `true` when the builder's entry set was empty: any monitored
     /// runnable may start a sequence.
     any_entry: bool,
 }
 
+/// Bit `runnable` of a packed row; `false` past its end.
+#[inline]
+fn bit(row: &[u64], runnable: RunnableId) -> bool {
+    let i = runnable.index();
+    row.get(i / 64)
+        .is_some_and(|word| word >> (i % 64) & 1 != 0)
+}
+
+fn set_bit(row: &mut [u64], runnable: RunnableId) {
+    let i = runnable.index();
+    row[i / 64] |= 1u64 << (i % 64);
+}
+
 impl CompiledFlowTable {
     /// Compiles a builder table.
     pub fn compile(table: &FlowTable) -> Self {
-        let index = IdIndex::from_ids(table.monitored_ids().map(|r| r.0));
-        let n = index.len();
-        let words_per_row = n.div_ceil(64);
+        let rows = table.monitored_ids().last().map_or(0, |r| r.index() + 1);
+        let words_per_row = rows.div_ceil(64);
         let mut compiled = CompiledFlowTable {
-            index,
-            words_per_row: words_per_row as u32,
-            adjacency: vec![0; n * words_per_row],
+            words_per_row,
+            adjacency: vec![0; rows * words_per_row],
             entry_bits: vec![0; words_per_row],
+            monitored_bits: vec![0; words_per_row],
             any_entry: table.entries.is_empty(),
         };
         for (pred, succ) in table.pairs() {
-            let p = compiled.index.slot_of(pred.0).expect("pred interned") as usize;
-            let s = compiled.index.slot_of(succ.0).expect("succ interned") as usize;
-            compiled.adjacency[p * words_per_row + s / 64] |= 1u64 << (s % 64);
+            let row = pred.index() * words_per_row;
+            set_bit(&mut compiled.adjacency[row..row + words_per_row], succ);
         }
         for &entry in &table.entries {
-            let s = compiled.index.slot_of(entry.0).expect("entry interned") as usize;
-            compiled.entry_bits[s / 64] |= 1u64 << (s % 64);
+            set_bit(&mut compiled.entry_bits, entry);
+        }
+        for runnable in table.monitored_ids() {
+            set_bit(&mut compiled.monitored_bits, runnable);
         }
         compiled
     }
 
-    /// The monitored-runnable interner (slot per runnable in the table).
-    pub fn index(&self) -> &IdIndex {
-        &self.index
-    }
-
-    /// Slot of a runnable, or `None` if its flow is unmonitored.
+    /// `true` if the table mentions `runnable`: its flow is monitored.
     #[inline]
-    pub fn slot_of(&self, runnable: RunnableId) -> Option<u32> {
-        self.index.slot_of(runnable.0)
+    pub fn is_monitored(&self, runnable: RunnableId) -> bool {
+        bit(&self.monitored_bits, runnable)
     }
 
-    /// The runnable interned at `slot`.
+    /// `true` if `successor` may follow `predecessor` — one word load and
+    /// bit test.
     #[inline]
-    fn runnable_at(&self, slot: u32) -> RunnableId {
-        RunnableId(self.index.id_at(slot))
+    pub fn allows(&self, predecessor: RunnableId, successor: RunnableId) -> bool {
+        let s = successor.index();
+        s / 64 < self.words_per_row
+            && self
+                .adjacency
+                .get(predecessor.index() * self.words_per_row + s / 64)
+                .is_some_and(|word| word >> (s % 64) & 1 != 0)
     }
 
-    /// `true` if slot `successor` may follow slot `predecessor` — one word
-    /// load and bit test.
+    /// `true` if `runnable` may start a sequence.
     #[inline]
-    pub fn allows(&self, predecessor: u32, successor: u32) -> bool {
-        let row = predecessor as usize * self.words_per_row as usize;
-        let word = self.adjacency[row + successor as usize / 64];
-        word >> (successor % 64) & 1 != 0
-    }
-
-    /// `true` if slot `runnable` may start a sequence.
-    #[inline]
-    pub fn is_entry(&self, runnable: u32) -> bool {
-        self.any_entry || self.entry_bits[runnable as usize / 64] >> (runnable % 64) & 1 != 0
-    }
-
-    /// Number of monitored runnables (= adjacency matrix dimension).
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// `true` if the table monitors nothing.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+    pub fn is_entry(&self, runnable: RunnableId) -> bool {
+        self.any_entry || bit(&self.entry_bits, runnable)
     }
 }
 
-easis_sim::clone_fields! {
-    /// Runtime state of one program-flow checker: its position in the
-    /// observed sequence. The look-up table is wiring and is an argument
-    /// of [`PfcState::observe`]; the watchdog keeps one state per task
-    /// scope over one shared table and counts the violations per
-    /// runnable.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct PfcState {
-        /// Slot of the last observed monitored runnable;
-        /// [`IdIndex::NO_SLOT`] at a sequence start.
-        last_slot: u32,
-    }
-}
-
-/// At a sequence start.
-impl Default for PfcState {
-    fn default() -> Self {
-        PfcState {
-            last_slot: IdIndex::NO_SLOT,
-        }
-    }
+/// Runtime state of one program-flow checker: its position in the
+/// observed sequence. The look-up table is wiring and is an argument of
+/// [`PfcState::observe`]; the watchdog keeps one state per task scope over
+/// one shared table and counts the violations per runnable.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PfcState {
+    /// The last observed monitored runnable; `None` at a sequence start.
+    last: Option<RunnableId>,
 }
 
 impl PfcState {
@@ -246,35 +231,29 @@ impl PfcState {
     /// `Ok`, do not update the predecessor).
     #[inline]
     pub fn observe(&mut self, table: &CompiledFlowTable, runnable: RunnableId) -> FlowVerdict {
-        let Some(slot) = table.slot_of(runnable) else {
+        if !table.is_monitored(runnable) {
             return FlowVerdict::Ok;
+        }
+        let verdict = match self.last {
+            None if table.is_entry(runnable) => FlowVerdict::Ok,
+            None => FlowVerdict::Violation { predecessor: None },
+            Some(predecessor) if table.allows(predecessor, runnable) => FlowVerdict::Ok,
+            Some(predecessor) => FlowVerdict::Violation {
+                predecessor: Some(predecessor),
+            },
         };
-        let verdict = if self.last_slot == IdIndex::NO_SLOT {
-            if table.is_entry(slot) {
-                FlowVerdict::Ok
-            } else {
-                FlowVerdict::Violation { predecessor: None }
-            }
-        } else if table.allows(self.last_slot, slot) {
-            FlowVerdict::Ok
-        } else {
-            FlowVerdict::Violation {
-                predecessor: Some(table.runnable_at(self.last_slot)),
-            }
-        };
-        self.last_slot = slot;
+        self.last = Some(runnable);
         verdict
     }
 
     /// Resets the sequence position (e.g. after fault treatment).
     pub fn reset_position(&mut self) {
-        self.last_slot = IdIndex::NO_SLOT;
+        self.last = None;
     }
 
-    /// The last observed monitored runnable of `table`, the one this
-    /// state observes against; `None` at a sequence start.
-    pub fn last_observed(&self, table: &CompiledFlowTable) -> Option<RunnableId> {
-        (self.last_slot != IdIndex::NO_SLOT).then(|| table.runnable_at(self.last_slot))
+    /// The last observed monitored runnable; `None` at a sequence start.
+    pub fn last_observed(&self) -> Option<RunnableId> {
+        self.last
     }
 }
 
@@ -352,7 +331,7 @@ mod tests {
         pfc.observe(&table, r(0));
         // 99 is not in the table: ignored, does not clobber the predecessor.
         assert_eq!(pfc.observe(&table, r(99)), FlowVerdict::Ok);
-        assert_eq!(pfc.last_observed(&table), Some(r(0)));
+        assert_eq!(pfc.last_observed(), Some(r(0)));
         assert_eq!(pfc.observe(&table, r(1)), FlowVerdict::Ok);
     }
 
@@ -362,7 +341,7 @@ mod tests {
         pfc.observe(&table, r(0));
         assert!(matches!(pfc.observe(&table, r(2)), FlowVerdict::Violation { .. }));
         pfc.reset_position();
-        assert_eq!(pfc.last_observed(&table), None);
+        assert_eq!(pfc.last_observed(), None);
         assert_eq!(pfc, PfcState::default());
         assert_eq!(pfc.observe(&table, r(0)), FlowVerdict::Ok); // entry again
     }
@@ -392,8 +371,8 @@ mod tests {
         assert!(!t.is_monitored(r(3)));
         // And the compiled bitset agrees.
         let c = t.compile();
-        assert!(c.slot_of(r(7)).is_some());
-        assert!(c.slot_of(r(3)).is_none());
+        assert!(c.is_monitored(r(7)));
+        assert!(!c.is_monitored(r(3)));
         // Observing the successor-only runnable out of order is a violation,
         // not transparency.
         let mut pfc = PfcState::default();
@@ -404,23 +383,23 @@ mod tests {
     fn compiled_table_matches_builder_semantics() {
         let t = chain_table();
         let c = t.compile();
-        assert_eq!(c.len(), 3);
-        assert!(!c.is_empty());
         for pred in [0u32, 1, 2] {
+            assert!(c.is_monitored(r(pred)));
             for succ in [0u32, 1, 2] {
-                let (p, s) = (c.slot_of(r(pred)).unwrap(), c.slot_of(r(succ)).unwrap());
-                assert_eq!(c.allows(p, s), t.is_allowed(r(pred), r(succ)), "{pred}->{succ}");
+                assert_eq!(
+                    c.allows(r(pred), r(succ)),
+                    t.is_allowed(r(pred), r(succ)),
+                    "{pred}->{succ}"
+                );
             }
         }
-        let entry_slot = c.slot_of(r(0)).unwrap();
-        assert!(c.is_entry(entry_slot));
-        assert!(!c.is_entry(c.slot_of(r(1)).unwrap()));
-        assert_eq!(c.runnable_at(entry_slot), r(0));
+        assert!(c.is_entry(r(0)));
+        assert!(!c.is_entry(r(1)));
         // Empty entry set ⇒ any monitored runnable may start.
         let mut open = FlowTable::new();
         open.allow(r(4), r(5));
         let oc = open.compile();
-        assert!(oc.is_entry(oc.slot_of(r(5)).unwrap()));
+        assert!(oc.is_entry(r(5)));
     }
 
     #[test]
@@ -431,7 +410,7 @@ mod tests {
             t.allow(r(i), r((i + 1) % 100));
         }
         let (c, mut pfc) = checker(&t);
-        assert_eq!(c.len(), 100);
+        assert!(c.is_monitored(r(99)) && !c.is_monitored(r(100)));
         for i in 0..200u32 {
             assert_eq!(pfc.observe(&c, r(i % 100)), FlowVerdict::Ok, "step {i}");
         }

@@ -9,8 +9,7 @@
 use easis_osek::task::TaskId;
 use easis_rte::mapping::ApplicationId;
 use easis_rte::runnable::RunnableId;
-use easis_sim::growth::Stamped;
-use easis_sim::time::{Duration, Instant};
+use easis_sim::time::Instant;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -70,14 +69,6 @@ pub struct DetectedFault {
     pub runnable: RunnableId,
     /// Error class.
     pub kind: FaultKind,
-}
-
-/// Replayed one hyperperiod later by macro-stepping: the detection time
-/// moves, the runnable and the class stay.
-impl Stamped for DetectedFault {
-    fn shift(&mut self, by: Duration) {
-        self.at += by;
-    }
 }
 
 impl fmt::Display for DetectedFault {

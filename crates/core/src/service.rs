@@ -68,18 +68,18 @@ pub struct CycleReport {
 /// ```
 #[derive(Debug)]
 pub struct SoftwareWatchdog {
-    /// The compiled configuration, shared: a fault-injection campaign
-    /// compiles the config (IdIndex interning, flow-table bitsets) once and
-    /// every trial's service instance points at the same frozen artifact.
+    /// The configuration, shared: a fault-injection campaign builds it
+    /// once and every trial's service instance points at the same frozen
+    /// artifact.
     config: Arc<WatchdogConfig>,
     /// The compiled look-up table every task scope's flow checker reads.
     flow: CompiledFlowTable,
-    /// The TSI unit's wiring (mapping and thresholds).
+    /// The TSI unit's wiring (mapping and threshold).
     tsi: TaskStateIndication,
-    /// Runnable slot → index into [`WatchdogState::pfc`] (`task_index`
-    /// slot of the hosting task, or `pfc.len() - 1` for unmapped
-    /// runnables). Frozen at construction.
-    slot_scope: Vec<u32>,
+    /// The task hosting each runnable, by runnable id: its PFC scope is
+    /// that task's, and a `None` or an id past the end is in the unmapped
+    /// scope. Frozen at construction.
+    scope_of: Vec<Option<TaskId>>,
     /// Capacity-retained scratch for TSI state changes on the heartbeat
     /// (PFC violation) path.
     change_scratch: Vec<StateChange>,
@@ -92,16 +92,17 @@ easis_sim::clone_fields! {
     /// positions, TSI vectors and verdicts, the state-change outbox, cost
     /// meter, the detection log — and so
     /// the watchdog's checkpoint ([`SoftwareWatchdog::state`],
-    /// [`SoftwareWatchdog::restore`]). The compiled configuration, flow
-    /// table, slot scopes and the observability sink are wiring and stay
-    /// out.
+    /// [`SoftwareWatchdog::restore`]). The configuration, the compiled
+    /// flow table, the scope table and the observability sink are wiring
+    /// and stay out.
     #[derive(Debug, Default, PartialEq)]
     pub struct WatchdogState {
         heartbeat: HeartbeatMonitor,
-        /// One flow-checker state per hosting-task slot (runnables of
-        /// different tasks interleave freely under preemption; only the
-        /// sequence *within* a task's chart is constrained), plus one
-        /// trailing state shared by all runnables not mapped to any task.
+        /// One flow-checker state per task id up to the largest hosting
+        /// task (runnables of different tasks interleave freely under
+        /// preemption; only the sequence *within* a task's chart is
+        /// constrained), plus one trailing state shared by all runnables
+        /// not mapped to any task.
         pfc: Vec<PfcState>,
         tsi: TsiState,
         state_outbox: Vec<StateChange>,
@@ -119,8 +120,8 @@ impl SoftwareWatchdog {
         SoftwareWatchdog::from_shared(Arc::new(config))
     }
 
-    /// Creates the service from an already-compiled shared configuration.
-    /// Campaigns use this to build one node per worker without recompiling
+    /// Creates the service from an already-built shared configuration.
+    /// Campaigns use this to build one node per worker without rebuilding
     /// the config for every trial.
     pub fn from_shared(config: Arc<WatchdogConfig>) -> Self {
         let heartbeat = HeartbeatMonitor::new(
@@ -128,28 +129,24 @@ impl SoftwareWatchdog {
                 .monitored()
                 .filter_map(|r| config.hypothesis(r).copied()),
         );
-        let tsi = TaskStateIndication::new(
-            config.mapping().clone(),
-            config.error_threshold(),
-            config.ecu_faulty_app_threshold(),
-        );
-        let task_count = config.task_index().len();
-        let slot_scope: Vec<u32> = config
-            .runnable_index()
+        let tsi = TaskStateIndication::new(config.mapping().clone(), config.error_threshold());
+        let mapping = config.mapping();
+        let mut scope_of = Vec::new();
+        for runnable in mapping.runnables() {
+            scope_of.resize(runnable.index() + 1, None);
+            scope_of[runnable.index()] = mapping.task_of(runnable);
+        }
+        let unmapped = scope_of
             .iter()
-            .map(|id| match config.mapping().task_of(RunnableId(id)) {
-                Some(task) => config
-                    .task_index()
-                    .slot_of_task(task)
-                    .expect("mapped tasks are interned at build time"),
-                None => task_count as u32,
-            })
-            .collect();
+            .flatten()
+            .map(|t| t.index() + 1)
+            .max()
+            .unwrap_or(0);
         let state = WatchdogState {
             heartbeat,
             // One flow-checker state per task scope plus the shared
             // unmapped scope, all over the one compiled table.
-            pfc: vec![PfcState::default(); task_count + 1],
+            pfc: vec![PfcState::default(); unmapped + 1],
             tsi: TsiState::new(&tsi),
             ..WatchdogState::default()
         };
@@ -157,7 +154,7 @@ impl SoftwareWatchdog {
             flow: config.flow_table().compile(),
             config,
             tsi,
-            slot_scope,
+            scope_of,
             change_scratch: Vec::new(),
             obs: ObsSink::disabled(),
             state,
@@ -182,24 +179,18 @@ impl SoftwareWatchdog {
     /// The aliveness-indication service routine: called by the glue code of
     /// every monitored runnable. Feeds the heartbeat monitoring unit and
     /// the PFC unit; a flow violation is a fault immediately. The whole
-    /// nominal path is slot-indexed array work — no map probes, no
+    /// nominal path is array work indexed by id — no map probes, no
     /// allocations.
     pub fn heartbeat(&mut self, runnable: RunnableId, now: Instant) {
-        let runnable_slot = self.config.runnable_index().slot_of_runnable(runnable);
-        let scope = match runnable_slot {
-            Some(slot) => self.slot_scope[slot as usize] as usize,
-            None => self.state.pfc.len() - 1,
-        };
+        let task = self.task_hosting(runnable);
         // A runnable whose hosting task the TSI holds faulty is no longer
         // supervised (its AS is cleared and its flow is ignored) until
         // fault treatment acknowledges recovery — this is why the paper's
-        // Figure 6 plots freeze once the task state flips. Runnables
-        // outside the frozen index sit in the unmapped scope, hosted by no
-        // task, so they cannot be gated here.
+        // Figure 6 plots freeze once the task state flips. Runnables in
+        // the unmapped scope are hosted by no task, so they cannot be
+        // gated here.
         if self.config.deactivate_on_faulty_task()
-            && self
-                .task_of_scope(scope)
-                .is_some_and(|task| self.state.tsi.task_state(task).is_faulty())
+            && task.is_some_and(|task| self.state.tsi.task_state(task).is_faulty())
         {
             self.state.costs.charge(crate::heartbeat::HEARTBEAT_COST_CYCLES);
             return;
@@ -209,6 +200,8 @@ impl SoftwareWatchdog {
             .heartbeat
             .record(runnable, now, &mut state.costs, &self.obs);
         state.costs.charge(LOOKUP_COST_CYCLES);
+        let unmapped = state.pfc.len() - 1;
+        let scope = task.map_or(unmapped, TaskId::index);
         let verdict = state.pfc[scope].observe(&self.flow, runnable);
         if let FlowVerdict::Violation { .. } = verdict {
             self.obs.record(
@@ -224,7 +217,7 @@ impl SoftwareWatchdog {
                 kind: FaultKind::ProgramFlow,
             };
             state.log.append(fault.into());
-            let Some(task) = self.task_of_scope(scope) else {
+            let Some(task) = task else {
                 return; // an unmapped runnable counts under no task
             };
             let mut changes = std::mem::take(&mut self.change_scratch);
@@ -238,20 +231,10 @@ impl SoftwareWatchdog {
         }
     }
 
-    /// The task hosting the runnable of `fault`, read off the compiled
-    /// slot tables: the runnable's slot, its scope, the task interned
-    /// there. A runnable outside the index, or in the unmapped scope, is
-    /// hosted by no task.
-    fn hosting_task(&self, fault: &DetectedFault) -> Option<TaskId> {
-        let slot = self.config.runnable_index().slot_of_runnable(fault.runnable)?;
-        self.task_of_scope(self.slot_scope[slot as usize] as usize)
-    }
-
-    /// The task interned at `task_index` slot `scope`, or `None` for the
-    /// trailing unmapped scope.
-    fn task_of_scope(&self, scope: usize) -> Option<TaskId> {
-        let tasks = self.config.task_index();
-        (scope < tasks.len()).then(|| TaskId(tasks.id_at(scope as u32)))
+    /// The task hosting `runnable`, read off the scope table; `None` for
+    /// a runnable in the unmapped scope.
+    fn task_hosting(&self, runnable: RunnableId) -> Option<TaskId> {
+        self.scope_of.get(runnable.index()).copied().flatten()
     }
 
     /// The periodic watchdog task body: advances all cycle counters,
@@ -290,7 +273,7 @@ impl SoftwareWatchdog {
         for i in 0..report.faults.len() {
             let fault = report.faults[i];
             self.state.log.append(fault.into());
-            let Some(task) = self.hosting_task(&fault) else {
+            let Some(task) = self.task_hosting(fault.runnable) else {
                 continue;
             };
             let start = report.state_changes.len();
@@ -351,8 +334,11 @@ impl SoftwareWatchdog {
         for runnable in self.config.mapping().runnables_of_task(task) {
             state.heartbeat.set_active(runnable, true);
         }
-        if let Some(slot) = self.config.task_index().slot_of_task(task) {
-            state.pfc[slot as usize].reset_position();
+        // A task past the last hosting task owns no scope: the last scope
+        // is the unmapped one, which its recovery must leave alone.
+        let unmapped = state.pfc.len() - 1;
+        if task.index() < unmapped {
+            state.pfc[task.index()].reset_position();
         }
     }
 
@@ -647,6 +633,53 @@ mod tests {
         }
         assert_eq!(jumped, simulated);
         assert_eq!(wd.counters(r(1)).unwrap().aliveness_errors, 9);
+    }
+
+    /// Ids with gaps: runnables 2 and 7 are monitored on tasks 1 and 4,
+    /// and runnable 12 is only in the flow table, so it runs in the
+    /// unmapped scope, which sits at index 5, after task 4's.
+    #[test]
+    fn runnables_and_tasks_with_gaps_are_addressed_by_id() {
+        let mut mapping = SystemMapping::new();
+        let app = mapping.add_application("Gaps");
+        mapping.assign_task(TaskId(1), app);
+        mapping.assign_task(TaskId(4), app);
+        mapping.assign_runnable(r(2), TaskId(1));
+        mapping.assign_runnable(r(7), TaskId(4));
+        let mut wd = SoftwareWatchdog::new(
+            WatchdogConfig::builder(Duration::from_millis(10))
+                .mapping(mapping)
+                .monitor(RunnableHypothesis::new(r(7)).alive_at_least(1, 1))
+                .monitor(RunnableHypothesis::new(r(2)).alive_at_least(1, 1))
+                .allow_entry(r(12))
+                .error_threshold(1)
+                .build(),
+        );
+        // Runnable 12 enters its sequence; recovering task 5, which hosts
+        // nothing, leaves its position alone, so a second 12 is no entry.
+        wd.heartbeat(r(12), t(1));
+        wd.acknowledge_task_recovered(TaskId(5));
+        wd.heartbeat(r(12), t(2));
+        let mut faults = Vec::new();
+        wd.hand_over_faults(&mut faults);
+        assert_eq!(
+            faults,
+            [DetectedFault {
+                at: t(2),
+                runnable: r(12),
+                kind: FaultKind::ProgramFlow
+            }]
+        );
+        // At threshold 1 a violation counted under a task turns it faulty.
+        let mut changes = Vec::new();
+        wd.drain_state_changes_into(&mut changes);
+        assert!(changes.is_empty(), "{changes:?}");
+        assert!((0..=5).all(|task| wd.task_state(TaskId(task)) == HealthState::Ok));
+        // Both silent runnables are reported, in ascending id order.
+        let report = wd.run_cycle(t(10));
+        let runnables: Vec<_> = report.faults.iter().map(|f| f.runnable).collect();
+        assert_eq!(runnables, [r(2), r(7)]);
+        assert!(wd.task_state(TaskId(1)).is_faulty() && wd.task_state(TaskId(4)).is_faulty());
     }
 
     #[test]

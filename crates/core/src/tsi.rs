@@ -35,31 +35,23 @@ pub struct ErrorIndication {
 /// [`FaultKind`], in its order.
 const KINDS: usize = FaultKind::ALL.len();
 
-/// The TSI unit's wiring: the deployment mapping and the thresholds.
+/// The TSI unit's wiring: the deployment mapping and the threshold.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskStateIndication {
     mapping: SystemMapping,
     threshold: u32,
-    ecu_app_threshold: u32,
 }
 
 impl TaskStateIndication {
-    /// Creates the unit over a deployment mapping.
-    ///
-    /// `threshold` is the per-element error threshold; `ecu_app_threshold`
-    /// the number of faulty applications at which the ECU state turns
-    /// faulty (`u32::MAX` = all declared applications).
+    /// Creates the unit over a deployment mapping, with `threshold` the
+    /// per-element error threshold.
     ///
     /// # Panics
     ///
     /// Panics if `threshold` is zero.
-    pub fn new(mapping: SystemMapping, threshold: u32, ecu_app_threshold: u32) -> Self {
+    pub fn new(mapping: SystemMapping, threshold: u32) -> Self {
         assert!(threshold > 0, "threshold must be positive");
-        TaskStateIndication {
-            mapping,
-            threshold,
-            ecu_app_threshold,
-        }
+        TaskStateIndication { mapping, threshold }
     }
 
     /// The deployment mapping.
@@ -67,13 +59,10 @@ impl TaskStateIndication {
         &self.mapping
     }
 
-    /// Faulty applications at which the ECU turns faulty.
+    /// Faulty applications at which the ECU turns faulty: all declared
+    /// applications.
     fn ecu_needed(&self) -> usize {
-        if self.ecu_app_threshold == u32::MAX {
-            self.mapping.application_count().max(1)
-        } else {
-            self.ecu_app_threshold as usize
-        }
+        self.mapping.application_count().max(1)
     }
 
     /// Runnables the mapping hosts on `task`, ascending.
@@ -147,7 +136,7 @@ impl TsiState {
 
     /// Like [`TsiState::record`] for a fault on a runnable that `task`
     /// hosts, resolved by the caller (the watchdog reads it off its
-    /// compiled slot tables instead of probing the mapping). Appends the
+    /// scope table instead of probing the mapping). Appends the
     /// state changes to a caller-supplied buffer so a below-threshold
     /// fault performs no allocation, and records each increment and
     /// transition to `obs`.
@@ -367,7 +356,7 @@ mod tests {
         }
     }
 
-    fn unit(threshold: u32, ecu_threshold: u32) -> Unit {
+    fn unit(threshold: u32) -> Unit {
         let mut m = SystemMapping::new();
         let speed = m.add_application("SafeSpeed");
         let lane = m.add_application("SafeLane");
@@ -376,14 +365,14 @@ mod tests {
         m.assign_runnable(r(0), TaskId(0));
         m.assign_runnable(r(1), TaskId(0));
         m.assign_runnable(r(2), TaskId(1));
-        let tsi = TaskStateIndication::new(m, threshold, ecu_threshold);
+        let tsi = TaskStateIndication::new(m, threshold);
         let state = TsiState::new(&tsi);
         Unit { tsi, state }
     }
 
     #[test]
     fn threshold_crossing_marks_task_and_app_faulty() {
-        let mut tsi = unit(3, u32::MAX);
+        let mut tsi = unit(3);
         assert!(tsi.record(fault(0, FaultKind::ProgramFlow, 10)).is_empty());
         assert!(tsi.record(fault(0, FaultKind::ProgramFlow, 20)).is_empty());
         let changes = tsi.record(fault(0, FaultKind::ProgramFlow, 30));
@@ -407,7 +396,7 @@ mod tests {
 
     #[test]
     fn only_counts_of_faulty_tasks_may_grow() {
-        let mut tsi = unit(3, u32::MAX);
+        let mut tsi = unit(3);
         for ms in [10, 20, 30] {
             tsi.record(fault(0, FaultKind::Aliveness, ms));
         }
@@ -434,7 +423,7 @@ mod tests {
 
     #[test]
     fn elements_accumulate_independently() {
-        let mut tsi = unit(3, u32::MAX);
+        let mut tsi = unit(3);
         // Two errors on R0, two on R1 (same task): no element reaches 3.
         tsi.record(fault(0, FaultKind::Aliveness, 1));
         tsi.record(fault(0, FaultKind::Aliveness, 2));
@@ -449,7 +438,7 @@ mod tests {
 
     #[test]
     fn kinds_count_as_separate_elements() {
-        let mut tsi = unit(2, u32::MAX);
+        let mut tsi = unit(2);
         tsi.record(fault(0, FaultKind::Aliveness, 1));
         tsi.record(fault(0, FaultKind::ProgramFlow, 2));
         assert_eq!(tsi.task_state(TaskId(0)), HealthState::Ok);
@@ -459,7 +448,7 @@ mod tests {
 
     #[test]
     fn ecu_faulty_when_all_apps_faulty_by_default() {
-        let mut tsi = unit(1, u32::MAX);
+        let mut tsi = unit(1);
         let c1 = tsi.record(fault(0, FaultKind::Aliveness, 1));
         assert!(!c1.iter().any(|c| matches!(c, StateChange::EcuFaulty { .. })));
         let c2 = tsi.record(fault(2, FaultKind::Aliveness, 2));
@@ -468,30 +457,22 @@ mod tests {
     }
 
     #[test]
-    fn ecu_threshold_of_one_escalates_immediately() {
-        let mut tsi = unit(1, 1);
-        let changes = tsi.record(fault(2, FaultKind::ArrivalRate, 5));
-        assert_eq!(changes.len(), 3); // task, app, ecu
-        assert!(tsi.ecu_state().is_faulty());
-    }
-
-    #[test]
     fn unmapped_runnable_changes_nothing() {
-        let mut tsi = unit(1, 1);
+        let mut tsi = unit(1);
         assert!(tsi.record(fault(99, FaultKind::Aliveness, 1)).is_empty());
         assert_eq!(tsi.ecu_state(), HealthState::Ok);
     }
 
     #[test]
     fn double_fault_on_faulty_task_changes_nothing_more() {
-        let mut tsi = unit(1, u32::MAX);
+        let mut tsi = unit(1);
         assert_eq!(tsi.record(fault(0, FaultKind::Aliveness, 1)).len(), 2);
         assert!(tsi.record(fault(0, FaultKind::Aliveness, 2)).is_empty());
     }
 
     #[test]
     fn reset_task_restores_health_and_rederives_rollups() {
-        let mut tsi = unit(1, 2);
+        let mut tsi = unit(1);
         tsi.record(fault(0, FaultKind::Aliveness, 1));
         tsi.record(fault(2, FaultKind::Aliveness, 2));
         assert!(tsi.ecu_state().is_faulty());
@@ -506,7 +487,7 @@ mod tests {
 
     #[test]
     fn a_task_reset_after_its_threshold_equals_a_fresh_unit() {
-        let mut tsi = unit(2, u32::MAX);
+        let mut tsi = unit(2);
         let fresh = tsi.state.clone();
         tsi.record(fault(0, FaultKind::Aliveness, 1));
         tsi.record(fault(1, FaultKind::ProgramFlow, 2));
@@ -522,12 +503,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_threshold_rejected() {
-        let _ = TaskStateIndication::new(SystemMapping::new(), 0, 1);
+        let _ = TaskStateIndication::new(SystemMapping::new(), 0);
     }
 
     #[test]
     fn snapshot_restore_overlays_exactly_onto_dirtier_state() {
-        let mut tsi = unit(2, u32::MAX);
+        let mut tsi = unit(2);
         tsi.record(fault(0, FaultKind::Aliveness, 1));
         let mut snap = TsiState::default();
         snap.clone_from(&tsi.state);

@@ -137,8 +137,8 @@ const BACKOFF_DOUBLINGS: u32 = 4;
 const FFWD_MAX_HYPERPERIOD: Duration = Duration::from_millis(1_000);
 
 /// A campaign-shared node recipe: the node configuration plus the
-/// watchdog configuration compiled from it exactly once (IdIndex
-/// interning, flow-table bitsets, hypothesis derivation), frozen behind an
+/// watchdog configuration built from it exactly once (hypothesis
+/// derivation, flow table, deployment mapping), frozen behind an
 /// `Arc`. Campaigns compile one blueprint per process and every worker
 /// thread builds (and then pools) its node from it, so no trial recompiles
 /// what the configuration already determines.
@@ -312,9 +312,8 @@ impl CentralNode {
             Some(capacity) => easis_obs::ObsSink::enabled(capacity),
             None => easis_obs::ObsSink::disabled(),
         };
-        // The compile step (IdIndex interning, bitset flow table) is the
-        // expensive part of the builder; a blueprint-backed build skips it
-        // entirely and shares the frozen artifact.
+        // A blueprint-backed build skips assembling the watchdog
+        // configuration and shares the frozen artifact.
         let wd_config = match shared {
             Some(compiled) => compiled,
             None => Arc::new(wd_builder.mapping(mapping.clone()).build()),

@@ -28,13 +28,15 @@ fn watchdog_config_round_trips_through_json() {
         .allow_entry(RunnableId(0))
         .allow_flow(RunnableId(0), RunnableId(1))
         .error_threshold(5)
-        .ecu_faulty_after_apps(2)
         .build();
     let json = serde_json::to_string(&config).expect("serialise");
     let back: WatchdogConfig = serde_json::from_str(&json).expect("deserialise");
     assert_eq!(back.check_period(), config.check_period());
     assert_eq!(back.error_threshold(), config.error_threshold());
-    assert_eq!(back.ecu_faulty_app_threshold(), config.ecu_faulty_app_threshold());
+    assert_eq!(
+        back.deactivate_on_faulty_task(),
+        config.deactivate_on_faulty_task()
+    );
     assert_eq!(
         back.hypothesis(RunnableId(0)),
         config.hypothesis(RunnableId(0))

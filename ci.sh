@@ -36,6 +36,11 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo fmt --check (the kernel and runnable-layer crates)"
+# The rest of the tree is not rustfmt-clean yet; these two crates are and
+# stay so.
+cargo fmt --check -p easis-osek -p easis-rte
+
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
@@ -205,6 +210,17 @@ if grep -rnE --include='*.rs' --exclude-dir=target \
   echo "an id interner or the ECU threshold option crept back"; exit 1
 fi
 
+echo "==> plans are replayed, not rebuilt (copyable steps read by cursor)"
+# A task's plan is a retained vector of plain 16-byte steps that the
+# kernel reads by cursor and replays until the body's plan key changes. A
+# deque with a front insert, or a step type that carries the world's
+# closures, would bring back the per-activation rebuild and the step
+# copies that dominated event-level simulation.
+if grep -nE 'VecDeque|fn push_front' crates/osek/src/plan.rs \
+   || grep -rnE --include='*.rs' --exclude-dir=target 'Step<W>' crates/*/src; then
+  echo "a rebuilt plan or a world-typed step crept back"; exit 1
+fi
+
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"
 # The full soak defaults to two simulated hours; one simulated minute
 # still crosses several multiples of 2^24 us and schedules events further
@@ -240,6 +256,14 @@ echo "==> scheduler property tests (fresh proptest draws)"
 # properties. A fixed salt keeps the run reproducible.
 PROPTEST_CASES=100 PROPTEST_SEED_SALT=1 \
   cargo test -q -p easis-osek --test scheduler_properties
+
+echo "==> plan replay property test (fresh proptest draws)"
+# Replayed plans must match planning at every activation on task sets
+# and control writes that the fixed draws do not reach; in this debug
+# build the kernel also checks every replay against a fresh plan. A
+# fixed salt keeps the run reproducible.
+PROPTEST_CASES=500 PROPTEST_SEED_SALT=1 \
+  cargo test -q --test properties -- replayed_plans
 
 echo "==> validator unit tests in verify mode"
 # The validator's unit tests jump too: the forked-runner tests at

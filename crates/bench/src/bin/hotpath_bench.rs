@@ -16,9 +16,9 @@
 //! the quadratic `is_monitored` fallback), and asserts the dense paths are
 //! at least 2× faster. A fourth probe, **direct dispatch**, times the
 //! kernel's two effect steps on one real `Os`: an arena body's
-//! `Step::EffectRef`, run in place on the body, against a boxed closure
-//! planned per activation (`Step::Effect`), with the same work in each
-//! effect. It also drives a full `SoftwareWatchdog` through
+//! `Step::EffectRef`, replayed from its retained plan and run in place on
+//! the body, against a boxed closure planned per activation
+//! (`Step::Effect`), with the same work in each effect. It also drives a full `SoftwareWatchdog` through
 //! steady-state cycles under a counting allocator and asserts **zero**
 //! heap allocations per nominal cycle. Results land in
 //! `BENCH_hotpath.json` (stable schema, `schema_version` 3) so future
@@ -247,7 +247,8 @@ fn effect_work(token: u32, world: &mut u64, ctx: &mut EffectCtx<'_, u64>) {
 }
 
 /// An arena body: plans `EffectRef` tokens into the kernel's retained
-/// buffer, and the kernel runs each one on the body in place.
+/// plan under a constant key, so the kernel plans it once and replays it
+/// at every activation, running each token on the body in place.
 struct RefBody;
 
 impl TaskBody<u64> for RefBody {
@@ -255,6 +256,10 @@ impl TaskBody<u64> for RefBody {
         for token in 0..EFFECTS_PER_ACTIVATION {
             out.push_effect_ref(token);
         }
+    }
+
+    fn plan_key(&self, _world: &u64) -> Option<u64> {
+        Some(0)
     }
 
     fn run_effect(&mut self, token: u32, world: &mut u64, ctx: &mut EffectCtx<'_, u64>) {

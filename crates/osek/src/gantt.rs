@@ -80,7 +80,11 @@ pub fn render_gantt(trace: &TraceRecorder, from: Instant, to: Instant, width: us
                 *c = '█';
             }
         }
-        let _ = writeln!(out, "{task:>name_width$} |{}|", row.into_iter().collect::<String>());
+        let _ = writeln!(
+            out,
+            "{task:>name_width$} |{}|",
+            row.into_iter().collect::<String>()
+        );
     }
     let _ = writeln!(
         out,
@@ -132,13 +136,22 @@ mod tests {
         assert_eq!(
             intervals["lo"],
             vec![
-                RunInterval { from: Instant::from_millis(1), to: Instant::from_millis(4) },
-                RunInterval { from: Instant::from_millis(6), to: Instant::from_millis(11) },
+                RunInterval {
+                    from: Instant::from_millis(1),
+                    to: Instant::from_millis(4)
+                },
+                RunInterval {
+                    from: Instant::from_millis(6),
+                    to: Instant::from_millis(11)
+                },
             ]
         );
         assert_eq!(
             intervals["hi"],
-            vec![RunInterval { from: Instant::from_millis(4), to: Instant::from_millis(6) }]
+            vec![RunInterval {
+                from: Instant::from_millis(4),
+                to: Instant::from_millis(6)
+            }]
         );
     }
 
@@ -146,8 +159,14 @@ mod tests {
     fn gantt_marks_running_buckets() {
         let os = demo_os();
         let chart = render_gantt(os.trace(), Instant::ZERO, Instant::from_millis(15), 30);
-        let lo_row = chart.lines().find(|l| l.trim_start().starts_with("lo")).unwrap();
-        let hi_row = chart.lines().find(|l| l.trim_start().starts_with("hi")).unwrap();
+        let lo_row = chart
+            .lines()
+            .find(|l| l.trim_start().starts_with("lo"))
+            .unwrap();
+        let hi_row = chart
+            .lines()
+            .find(|l| l.trim_start().starts_with("hi"))
+            .unwrap();
         assert!(lo_row.contains('█'));
         assert!(hi_row.contains('█'));
         // hi runs strictly inside lo's window: its marks are fewer.
@@ -174,7 +193,12 @@ mod tests {
     #[test]
     fn degenerate_ranges_render_empty() {
         let os = demo_os();
-        let chart = render_gantt(os.trace(), Instant::from_millis(5), Instant::from_millis(5), 20);
+        let chart = render_gantt(
+            os.trace(),
+            Instant::from_millis(5),
+            Instant::from_millis(5),
+            20,
+        );
         assert!(chart.is_empty());
     }
 }

@@ -153,7 +153,9 @@ mod tests {
     #[test]
     fn display_covers_variants() {
         assert_eq!(HookEvent::PreTask(TaskId(1)).to_string(), "pre-task T1");
-        assert!(HookEvent::Error(OsError::InvalidId).to_string().contains("E_OS_ID"));
+        assert!(HookEvent::Error(OsError::InvalidId)
+            .to_string()
+            .contains("E_OS_ID"));
         let miss = HookEvent::DeadlineMiss {
             task: TaskId(2),
             activated_at: Instant::from_millis(5),

@@ -9,7 +9,7 @@
 //! contract.
 
 use crate::kernel::Os;
-use crate::plan::{EffectCtx, Plan};
+use crate::plan::{EffectCtx, Plan, TaskBody};
 use crate::task::{Priority, TaskConfig, TaskId};
 use easis_sim::time::{Duration, Instant};
 use std::fmt;
@@ -35,25 +35,46 @@ impl fmt::Display for IsrId {
     }
 }
 
-impl<W: 'static> Os<W> {
+/// The body of an ISR's hidden task: its cost of CPU time, then its
+/// handler. The plan never changes, so its key is constant and the kernel
+/// plans it once and replays it at every trigger.
+struct IsrBody<H> {
+    cost: Duration,
+    handler: H,
+}
+
+impl<W, H> TaskBody<W> for IsrBody<H>
+where
+    H: FnMut(&mut W, &mut EffectCtx<'_, W>) + Send,
+{
+    fn plan_into(&mut self, _now: Instant, _world: &W, out: &mut Plan<W>) {
+        out.push_compute(self.cost);
+        out.push_effect_ref(0);
+    }
+
+    fn plan_key(&self, _world: &W) -> Option<u64> {
+        Some(0)
+    }
+
+    fn run_effect(&mut self, _token: u32, world: &mut W, ctx: &mut EffectCtx<'_, W>) {
+        (self.handler)(world, ctx);
+    }
+}
+
+impl<W> Os<W> {
     /// Registers a category-2 ISR: `cost` of CPU time followed by the
     /// handler effect. Multiple pending triggers queue (up to 8).
     pub fn add_isr(
         &mut self,
         name: impl Into<String>,
         cost: Duration,
-        handler: impl FnMut(&mut W, &mut EffectCtx<'_, W>) + Send + Clone + 'static,
+        handler: impl FnMut(&mut W, &mut EffectCtx<'_, W>) + Send + 'static,
     ) -> IsrId {
         let task = self.add_task(
             TaskConfig::new(name, ISR_PRIORITY)
                 .non_preemptable()
                 .with_max_activations(8),
-            move |_now: Instant, _w: &W| {
-                let mut h = handler.clone();
-                Plan::new()
-                    .compute(cost)
-                    .effect(move |w: &mut W, ctx| h(w, ctx))
-            },
+            IsrBody { cost, handler },
         );
         IsrId(task)
     }
@@ -92,9 +113,13 @@ mod tests {
                     })
             },
         );
-        let isr = os.add_isr("rx", Duration::from_micros(50), |w: &mut Vec<String>, ctx| {
-            w.push(format!("isr@{}", ctx.now().as_micros()));
-        });
+        let isr = os.add_isr(
+            "rx",
+            Duration::from_micros(50),
+            |w: &mut Vec<String>, ctx| {
+                w.push(format!("isr@{}", ctx.now().as_micros()));
+            },
+        );
         let a = os.add_alarm("start", AlarmAction::ActivateTask(task));
         let mut w = Vec::new();
         os.start(&mut w);
@@ -105,10 +130,7 @@ mod tests {
         os.run_until(Instant::from_millis(20), &mut w);
         // The ISR ran immediately (at 5ms + 50us), the task finished 50us
         // late (at 11ms + 50us).
-        assert_eq!(
-            w,
-            vec!["isr@5050".to_string(), "task@11050".to_string()]
-        );
+        assert_eq!(w, vec!["isr@5050".to_string(), "task@11050".to_string()]);
     }
 
     #[test]
@@ -147,9 +169,11 @@ mod tests {
                     .effect(|w: &mut Vec<&'static str>, _| w.push("task"))
             },
         );
-        let isr = os.add_isr("rx", Duration::from_micros(10), |w: &mut Vec<&'static str>, _| {
-            w.push("isr")
-        });
+        let isr = os.add_isr(
+            "rx",
+            Duration::from_micros(10),
+            |w: &mut Vec<&'static str>, _| w.push("isr"),
+        );
         let mut w = Vec::new();
         os.start(&mut w);
         os.activate_task(hi, &mut w).unwrap();

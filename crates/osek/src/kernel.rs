@@ -23,10 +23,10 @@
 //! scheduler *core*. The core holds the build-time wiring (task, alarm and
 //! resource tables, hook observers) next to the kernel's whole runtime
 //! state, one [`OsState`]: TCBs, ready order, alarm arming, resource
-//! holders, timer queue, clock, trace and the per-task plan arena. Because
-//! bodies and core are separate fields, dispatch borrows them
+//! holders, timer queue, clock, trace and the per-task retained plans.
+//! Because bodies and core are separate fields, dispatch borrows them
 //! simultaneously without moving anything: planning calls
-//! [`TaskBody::plan_into`] on the body **in place** while the arena slot
+//! [`TaskBody::plan_into`] on the body **in place** while the task's plan
 //! and the clock are borrowed alongside, and an effect step hands its
 //! effect an [`EffectCtx`] that borrows the core, so effects call
 //! `ActivateTask`/`SetEvent`/`CancelAlarm` **directly and synchronously**
@@ -35,7 +35,7 @@
 use crate::alarm::{Alarm, AlarmAction, AlarmId};
 use crate::error::OsError;
 use crate::hooks::{HookEvent, HookMask, HookObserver};
-use crate::plan::{EffectCtx, PlanArena, ResourceId, Step, TaskBody};
+use crate::plan::{EffectCtx, Plan, ResourceId, Step, TaskBody};
 use crate::resource::{HeldResources, Resource};
 use crate::task::{EventMask, Priority, TaskConfig, TaskId, TaskKind, TaskState};
 use easis_sim::event::EventQueue;
@@ -66,8 +66,8 @@ easis_sim::clone_fields! {
     #[derive(Debug, PartialEq, Eq)]
     struct Tcb {
         state: TaskState,
-        /// `true` once the current activation's plan has been filled into
-        /// the kernel's [`PlanArena`] slot (cleared at termination).
+        /// `true` once the current activation's plan is in place: planned
+        /// or rewound at its first dispatch (cleared at termination).
         planned: bool,
         current_priority: Priority,
         set_events: EventMask,
@@ -100,22 +100,25 @@ impl Tcb {
 easis_sim::clone_fields! {
     /// Everything a kernel run can change: TCBs, alarm arming and cycle
     /// scales, resource holders, pending timers, the clock, the running
-    /// task, the ready order, the busy meter, the trace, and the plan
-    /// arena (in-flight plans). It is the kernel's checkpoint:
+    /// task, the ready order, the busy meter, the trace, and the retained
+    /// plans with their cursors. It is the kernel's checkpoint:
     /// [`Os::state`] lends it for capture, [`Os::restore`] copies one back,
     /// and a warm `clone_from` allocates nothing.
     ///
     /// It is canonical: two kernels in the same schedule hold equal
     /// states. Apart from the clock, the busy meter and the timer times it
     /// holds no count of past events, so one hyperperiod of a periodic
-    /// schedule moves only those ([`OsState::measure`]).
+    /// schedule moves only those ([`OsState::measure`]). A plan compares
+    /// only what is left to run ([`Plan`]'s `==`): the steps already run
+    /// and the key a retained plan was built under are left out.
     ///
     /// Task bodies, the task/alarm/resource tables and hook observers are
     /// wiring and stay out: bodies must keep all replay-relevant state in
-    /// their arena plans, and observers keep their own state at the node
-    /// level. Cloning a state whose arena holds a boxed [`Step::Effect`]
+    /// their plans, and observers keep their own state at the node level.
+    /// Cloning a state whose plans still hold a boxed [`Step::Effect`]
     /// closure panics (a closure cannot be duplicated); arena bodies plan
-    /// [`Step::EffectRef`] tokens instead.
+    /// [`Step::EffectRef`] tokens instead. A clone copies every retained
+    /// plan whole, so a restored kernel replays them under their keys.
     #[derive(Debug)]
     pub struct OsState<W> {
         tasks: Vec<Tcb>,
@@ -132,10 +135,9 @@ easis_sim::clone_fields! {
         trace: TraceRecorder,
         started: bool,
         busy: Duration,
-        /// Capacity-retained per-task plan buffers (slot `i` belongs to
-        /// task `i`); cleared, never shrunk, across activations and
-        /// restores.
-        arena: PlanArena<W>,
+        /// The retained plan of each task, by task id: replayed while its
+        /// key holds, never shrunk, across activations and restores.
+        plans: Vec<Plan<W>>,
     }
 }
 
@@ -152,13 +154,13 @@ impl<W> Default for OsState<W> {
             trace: TraceRecorder::new(),
             started: false,
             busy: Duration::ZERO,
-            arena: PlanArena::new(),
+            plans: Vec::new(),
         }
     }
 }
 
-/// Field by field, without a bound on the world type (the arena compares
-/// plans step by step).
+/// Field by field, without a bound on the world type (plans compare what
+/// is left of them step by step).
 impl<W> PartialEq for OsState<W> {
     fn eq(&self, other: &Self) -> bool {
         let OsState {
@@ -172,7 +174,7 @@ impl<W> PartialEq for OsState<W> {
             trace,
             started,
             busy,
-            arena,
+            plans,
         } = self;
         *tasks == other.tasks
             && *alarms == other.alarms
@@ -184,7 +186,7 @@ impl<W> PartialEq for OsState<W> {
             && *trace == other.trace
             && *started == other.started
             && *busy == other.busy
-            && *arena == other.arena
+            && *plans == other.plans
     }
 }
 
@@ -239,6 +241,10 @@ pub struct Os<W> {
     bodies: Vec<Box<dyn TaskBody<W>>>,
     /// Wiring and runtime state, lent to effects.
     core: Core<W>,
+    /// Debug builds plan into this at every replay and compare it with the
+    /// replayed plan. Retained like the task plans, it allocates only
+    /// while it grows to the longest plan.
+    scratch: Plan<W>,
 }
 
 impl<W> Default for Os<W> {
@@ -260,6 +266,7 @@ impl<W> Os<W> {
                 interest: HookMask::NONE,
                 state: OsState::default(),
             },
+            scratch: Plan::new(),
         }
     }
 
@@ -284,7 +291,7 @@ impl<W> Os<W> {
         // Room for every task in the ready list: readying never allocates.
         state.ready.reserve_exact(state.tasks.len());
         self.core.configs.push(config);
-        state.arena.grow_to(state.tasks.len());
+        state.plans.push(Plan::new());
         id
     }
 
@@ -423,7 +430,7 @@ impl<W> Os<W> {
 
     /// Restores runtime state captured from [`Os::state`], after which the
     /// OS replays exactly like the captured one. One `clone_from`: buffers
-    /// (timer entries, arena plan slots, TCB resource stacks) are
+    /// (timer entries, retained plans, TCB resource stacks) are
     /// overwritten in place with their capacity retained.
     ///
     /// # Panics
@@ -591,16 +598,36 @@ impl<W> Os<W> {
         self.core.state.running = Some(id);
         self.core.record(id, "dispatch");
         self.core.fire_hook(HookEvent::PreTask(id), world);
-        // First dispatch of an activation: plan the body into the task's
-        // arena slot (cleared, capacity retained — no allocation once the
-        // slot has grown to the steady-state plan length). The body plans
-        // in place: `bodies` and `core` are disjoint fields, so no move out
-        // of the TCB is needed.
+        // First dispatch of an activation: replay the task's retained plan
+        // if the body's plan key is the one it was built under, or plan the
+        // body into it afresh (capacity retained — no allocation once the
+        // plan has grown to the steady-state length). The body plans in
+        // place: `bodies` and `core` are disjoint fields, so no move out of
+        // the TCB is needed.
         let state = &mut self.core.state;
         if !state.tasks[i].planned {
-            let buf = state.arena.slot_mut(i);
-            buf.clear();
-            self.bodies[i].plan_into(state.now, world, buf);
+            let body = &mut self.bodies[i];
+            let key = body.plan_key(world);
+            let plan = &mut state.plans[i];
+            if key.is_some() && plan.key() == key {
+                plan.rewind();
+                if cfg!(debug_assertions) {
+                    // Fail closed: a replay must be what planning builds.
+                    let fresh = &mut self.scratch;
+                    fresh.clear();
+                    body.plan_into(state.now, world, fresh);
+                    assert!(
+                        *fresh == *plan,
+                        "task {id} ({}) replayed {plan:?} under plan key {key:?}, \
+                         but planning builds {fresh:?}",
+                        self.core.configs[i].name()
+                    );
+                }
+            } else {
+                plan.clear();
+                body.plan_into(state.now, world, plan);
+                plan.seal(key);
+            }
             let tcb = &mut state.tasks[i];
             tcb.planned = true;
             tcb.exec_time = Duration::ZERO;
@@ -627,7 +654,7 @@ impl<W> Os<W> {
                 return false;
             }
             decided = false;
-            let step = self.core.state.arena.slot_mut(i).pop();
+            let step = self.core.state.plans[i].next_step();
             let Some(step) = step else {
                 self.terminate_running(id, world);
                 return false;
@@ -639,7 +666,8 @@ impl<W> Os<W> {
                     }
                     decided = !d.is_zero();
                 }
-                Step::Effect(mut f) => {
+                Step::Effect(index) => {
+                    let mut f = self.core.state.plans[i].take_closure(index);
                     f(world, &mut EffectCtx::new(id, &mut self.core));
                 }
                 Step::EffectRef(token) => {
@@ -807,23 +835,15 @@ impl<W> Os<W> {
                 }
             }
             if self.core.state.now == end && !remaining.is_zero() {
-                // Horizon reached mid-compute: save the remainder.
-                self.core
-                    .state
-                    .arena
-                    .slot_mut(i)
-                    .push_front(Step::Compute(remaining));
+                // Horizon reached mid-compute: hold the remainder.
+                self.core.state.plans[i].hold(remaining);
                 return Some(true);
             }
             // Process timers due exactly now; they may ready someone higher.
             self.core.fire_due_timers(world);
             if self.core.pick_next() != Some(id) {
                 if !remaining.is_zero() {
-                    self.core
-                        .state
-                        .arena
-                        .slot_mut(i)
-                        .push_front(Step::Compute(remaining));
+                    self.core.state.plans[i].hold(remaining);
                 }
                 return Some(false);
             }
@@ -855,7 +875,7 @@ impl<W> Os<W> {
         tcb.queued -= 1;
         tcb.planned = false;
         tcb.set_events = EventMask::NONE;
-        state.arena.slot_mut(i).clear();
+        state.plans[i].finish();
         state.running = None;
         self.core.record(id, "terminate");
         self.core.fire_hook(HookEvent::Terminate(id), world);
@@ -1247,7 +1267,10 @@ impl<W> OsState<W> {
     pub fn same_schedule(a: &Self, b: &Self) -> bool {
         a.running == b.running
             && a.tasks.len() == b.tasks.len()
-            && a.tasks.iter().zip(&b.tasks).all(|(x, y)| x.state == y.state)
+            && a.tasks
+                .iter()
+                .zip(&b.tasks)
+                .all(|(x, y)| x.state == y.state)
     }
 
     /// Measures one hyperperiod of kernel execution between two states
@@ -1301,10 +1324,7 @@ mod tests {
 
     type W = Vec<String>;
 
-    fn log_body(
-        label: &'static str,
-        cost: Duration,
-    ) -> impl FnMut(Instant, &W) -> Plan<W> + Send {
+    fn log_body(label: &'static str, cost: Duration) -> impl FnMut(Instant, &W) -> Plan<W> + Send {
         move |_now, _w| {
             Plan::new().compute(cost).effect(move |w: &mut W, ctx| {
                 w.push(format!("{label}@{}", ctx.now().as_micros()));
@@ -1401,7 +1421,11 @@ mod tests {
         // After hi (3-4ms), a resumes before b despite b being activated.
         assert_eq!(
             w,
-            vec!["hi@4000".to_string(), "a@6000".to_string(), "b@7000".to_string()]
+            vec![
+                "hi@4000".to_string(),
+                "a@6000".to_string(),
+                "b@7000".to_string()
+            ]
         );
     }
 
@@ -1435,7 +1459,10 @@ mod tests {
             },
         );
         for (name, priority) in [("p5a", 5), ("p5b", 5), ("p1a", 1), ("p1b", 1)] {
-            os.add_task(TaskConfig::new(name, Priority(priority)), log_body(name, ms(1)));
+            os.add_task(
+                TaskConfig::new(name, Priority(priority)),
+                log_body(name, ms(1)),
+            );
         }
         os.add_resource("R", Priority(5));
         let mut w = W::new();
@@ -1451,7 +1478,14 @@ mod tests {
         // order its tasks were readied.
         assert_eq!(
             w,
-            vec!["held@1000", "p5a@2000", "p5b@3000", "lo@4000", "p1a@5000", "p1b@6000"]
+            vec![
+                "held@1000",
+                "p5a@2000",
+                "p5b@3000",
+                "lo@4000",
+                "p1a@5000",
+                "p1b@6000"
+            ]
         );
         assert_eq!(os.trace().count_kind("yield"), 1);
     }
@@ -1469,7 +1503,10 @@ mod tests {
         // Period 5ms < execution 8ms: activations pile up, third is lost.
         os.set_rel_alarm(a, ms(5), Some(ms(5))).unwrap();
         os.run_until(Instant::from_millis(30), &mut w);
-        assert!(os.trace().count_kind("os_error") > 0, "activation limit reported");
+        assert!(
+            os.trace().count_kind("os_error") > 0,
+            "activation limit reported"
+        );
         assert!(!w.is_empty());
     }
 
@@ -1572,13 +1609,16 @@ mod tests {
         // ceiling protocol, mid must not run until lo releases R.
         let mut os: Os<W> = Os::new();
         let r = ResourceId(0);
-        let lo = os.add_task(TaskConfig::new("lo", Priority(1)), move |_n: Instant, _w: &W| {
-            Plan::new()
-                .step(Step::GetResource(r))
-                .compute(ms(5))
-                .step(Step::ReleaseResource(r))
-                .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros())))
-        });
+        let lo = os.add_task(
+            TaskConfig::new("lo", Priority(1)),
+            move |_n: Instant, _w: &W| {
+                Plan::new()
+                    .step(Step::GetResource(r))
+                    .compute(ms(5))
+                    .step(Step::ReleaseResource(r))
+                    .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros())))
+            },
+        );
         let mid = os.add_task(TaskConfig::new("mid", Priority(3)), log_body("mid", ms(1)));
         let _ = os.add_resource("R", Priority(5));
         let a_lo = os.add_alarm("alo", AlarmAction::ActivateTask(lo));
@@ -1600,14 +1640,17 @@ mod tests {
         let mut os: Os<W> = Os::new();
         let r0 = ResourceId(0);
         let r1 = ResourceId(1);
-        let t = os.add_task(TaskConfig::new("t", Priority(1)), move |_n: Instant, _w: &W| {
-            Plan::new()
-                .step(Step::GetResource(r0))
-                .step(Step::GetResource(r1))
-                .step(Step::ReleaseResource(r0)) // out of order
-                .step(Step::ReleaseResource(r1))
-                .step(Step::ReleaseResource(r0))
-        });
+        let t = os.add_task(
+            TaskConfig::new("t", Priority(1)),
+            move |_n: Instant, _w: &W| {
+                Plan::new()
+                    .step(Step::GetResource(r0))
+                    .step(Step::GetResource(r1))
+                    .step(Step::ReleaseResource(r0)) // out of order
+                    .step(Step::ReleaseResource(r1))
+                    .step(Step::ReleaseResource(r0))
+            },
+        );
         os.add_resource("R0", Priority(5));
         os.add_resource("R1", Priority(5));
         let mut w = W::new();
@@ -1621,9 +1664,10 @@ mod tests {
     fn terminating_with_held_resource_releases_and_reports() {
         let mut os: Os<W> = Os::new();
         let r0 = ResourceId(0);
-        let t = os.add_task(TaskConfig::new("t", Priority(1)), move |_n: Instant, _w: &W| {
-            Plan::new().step(Step::GetResource(r0)).compute(ms(1))
-        });
+        let t = os.add_task(
+            TaskConfig::new("t", Priority(1)),
+            move |_n: Instant, _w: &W| Plan::new().step(Step::GetResource(r0)).compute(ms(1)),
+        );
         os.add_resource("R0", Priority(5));
         let mut w = W::new();
         os.start(&mut w);
@@ -1642,9 +1686,10 @@ mod tests {
         let mut os: Os<W> = Os::new();
         // b logs, a chains to b.
         let b = os.add_task(TaskConfig::new("b", Priority(1)), log_body("b", ms(1)));
-        let a = os.add_task(TaskConfig::new("a", Priority(2)), move |_n: Instant, _w: &W| {
-            Plan::new().compute(ms(1)).step(Step::ChainTask(b))
-        });
+        let a = os.add_task(
+            TaskConfig::new("a", Priority(2)),
+            move |_n: Instant, _w: &W| Plan::new().compute(ms(1)).step(Step::ChainTask(b)),
+        );
         let mut w = W::new();
         os.start(&mut w);
         os.activate_task(a, &mut w).unwrap();
@@ -1834,7 +1879,8 @@ mod tests {
         // then restore and re-run: world effects and the kernel trace must
         // replay byte-for-byte, including mid-flight plans and timers.
         // Bodies use arena EffectRef tokens — boxed-closure plans cannot be
-        // snapshotted (arena_snapshot_rejects_boxed_effects pins that).
+        // snapshotted (capturing_a_plan_with_a_closure_left_panics pins
+        // that).
         struct RefLogBody {
             label: &'static str,
             cost: Duration,
@@ -1854,11 +1900,17 @@ mod tests {
         let mut os: Os<W> = Os::new();
         let hi = os.add_task(
             TaskConfig::new("hi", Priority(9)),
-            RefLogBody { label: "hi", cost: ms(1) },
+            RefLogBody {
+                label: "hi",
+                cost: ms(1),
+            },
         );
         let lo = os.add_task(
             TaskConfig::new("lo", Priority(1)),
-            RefLogBody { label: "lo", cost: ms(4) },
+            RefLogBody {
+                label: "lo",
+                cost: ms(4),
+            },
         );
         let a_hi = os.add_alarm("a_hi", AlarmAction::ActivateTask(hi));
         let a_lo = os.add_alarm("a_lo", AlarmAction::ActivateTask(lo));
@@ -1880,8 +1932,16 @@ mod tests {
         assert_eq!(os.state(), &snap);
         let mut w2: W = w[..world_mark].to_vec();
         os.run_until(Instant::from_millis(20), &mut w2);
-        assert_eq!(&w2[world_mark..], &tail[..], "world effects diverge after restore");
-        assert_eq!(format!("{:?}", os.trace()), trace_once, "trace diverges after restore");
+        assert_eq!(
+            &w2[world_mark..],
+            &tail[..],
+            "world effects diverge after restore"
+        );
+        assert_eq!(
+            format!("{:?}", os.trace()),
+            trace_once,
+            "trace diverges after restore"
+        );
     }
 
     /// A body that computes `cost` and does nothing else: a kernel state
@@ -1897,7 +1957,10 @@ mod tests {
         let mut alarms = Vec::new();
         for (config, cost, period) in tasks {
             let task = os.add_task(config, compute(cost));
-            alarms.push((os.add_alarm("cyc", AlarmAction::ActivateTask(task)), ms(period)));
+            alarms.push((
+                os.add_alarm("cyc", AlarmAction::ActivateTask(task)),
+                ms(period),
+            ));
         }
         let mut w = W::new();
         os.start(&mut w);
@@ -1915,7 +1978,11 @@ mod tests {
         let staggered = || {
             vec![
                 (TaskConfig::new("fast", Priority(3)), us(300), 5),
-                (TaskConfig::new("mid", Priority(2)).with_deadline(ms(8)), ms(2), 10),
+                (
+                    TaskConfig::new("mid", Priority(2)).with_deadline(ms(8)),
+                    ms(2),
+                    10,
+                ),
                 (TaskConfig::new("slow", Priority(1)), ms(3), 20),
             ]
         };
@@ -2036,12 +2103,15 @@ mod tests {
         // the same observable outcome the retired request-queue shim had.
         let mut os: Os<W> = Os::new();
         let b = os.add_task(TaskConfig::new("b", Priority(9)), log_body("b", ms(1)));
-        let a = os.add_task(TaskConfig::new("a", Priority(1)), move |_n: Instant, _w: &W| {
-            Plan::new()
-                .effect(move |w: &mut W, ctx| ctx.activate_task(b, w).unwrap())
-                .compute(ms(5))
-                .effect(|w: &mut W, ctx| w.push(format!("a@{}", ctx.now().as_micros())))
-        });
+        let a = os.add_task(
+            TaskConfig::new("a", Priority(1)),
+            move |_n: Instant, _w: &W| {
+                Plan::new()
+                    .effect(move |w: &mut W, ctx| ctx.activate_task(b, w).unwrap())
+                    .compute(ms(5))
+                    .effect(|w: &mut W, ctx| w.push(format!("a@{}", ctx.now().as_micros())))
+            },
+        );
         let mut w = W::new();
         os.start(&mut w);
         os.activate_task(a, &mut w).unwrap();
@@ -2080,10 +2150,16 @@ mod tests {
             }
         }
         let mut os: Os<W> = Os::new();
-        let peer = os.add_task(TaskConfig::new("peer", Priority(1)), log_body("peer", ms(1)));
+        let peer = os.add_task(
+            TaskConfig::new("peer", Priority(1)),
+            log_body("peer", ms(1)),
+        );
         let chainer = os.add_task(
             TaskConfig::new("chainer", Priority(5)),
-            Chainer { peer: Some(peer), fired: 0 },
+            Chainer {
+                peer: Some(peer),
+                fired: 0,
+            },
         );
         let mut w = W::new();
         os.start(&mut w);
@@ -2146,16 +2222,92 @@ mod tests {
         );
         assert_eq!(os.trace().count_kind("alarm"), 0);
         let mark = os.trace().first_of_kind("mark").unwrap();
-        assert_eq!((mark.at, mark.source.as_str()), (Instant::from_millis(1), "body"));
+        assert_eq!(
+            (mark.at, mark.source.as_str()),
+            (Instant::from_millis(1), "body")
+        );
     }
 
     #[test]
     fn task_names_and_invalid_ids() {
         let mut os: Os<W> = Os::new();
-        let t = os.add_task(TaskConfig::new("SafeSpeedTask", Priority(1)), log_body("x", ms(1)));
+        let t = os.add_task(
+            TaskConfig::new("SafeSpeedTask", Priority(1)),
+            log_body("x", ms(1)),
+        );
         assert_eq!(os.task_name(t).unwrap(), "SafeSpeedTask");
         assert_eq!(os.task_name(TaskId(9)), Err(OsError::InvalidId));
         assert_eq!(os.task_state(TaskId(9)), Err(OsError::InvalidId));
+    }
+
+    /// Computes 1 ms more than the world has entries, then logs. Its plan
+    /// key is the world's length, or a constant when it `lies`.
+    struct LengthBody {
+        lies: bool,
+        plans: std::sync::Arc<std::sync::atomic::AtomicU32>,
+    }
+
+    impl TaskBody<W> for LengthBody {
+        fn plan_into(&mut self, _now: Instant, w: &W, out: &mut Plan<W>) {
+            self.plans
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            out.push_compute(ms(1 + w.len() as u64));
+            out.push_effect_ref(0);
+        }
+
+        fn plan_key(&self, w: &W) -> Option<u64> {
+            Some(if self.lies { 0 } else { w.len() as u64 })
+        }
+
+        fn run_effect(&mut self, _token: u32, w: &mut W, ctx: &mut EffectCtx<'_, W>) {
+            w.push(format!("t@{}", ctx.now().as_micros()));
+        }
+    }
+
+    /// Runs a [`LengthBody`] task activated at 0, 10, 20 and 30 ms, with
+    /// the world emptied before the last two activations: keys 0, 1, 0, 0.
+    /// Returns the log and the number of `plan_into` calls.
+    fn run_length_body(lies: bool) -> (W, u32) {
+        use std::sync::atomic::Ordering;
+        let plans = std::sync::Arc::default();
+        let mut os: Os<W> = Os::new();
+        let body = LengthBody {
+            lies,
+            plans: std::sync::Arc::clone(&plans),
+        };
+        let t = os.add_task(TaskConfig::new("t", Priority(1)), body);
+        let mut w = W::new();
+        let mut log = W::new();
+        os.start(&mut w);
+        for at in [0, 10, 20, 30] {
+            os.run_until(Instant::from_millis(at).max(os.now()), &mut w);
+            if at >= 20 {
+                log.append(&mut w);
+            }
+            os.activate_task(t, &mut w).unwrap();
+        }
+        os.run_until(Instant::from_millis(40), &mut w);
+        log.append(&mut w);
+        (log, plans.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn a_plan_is_replayed_until_its_key_changes() {
+        // Keys 0, 1, 0, 0: planned, planned afresh (2 ms), planned again
+        // (the retained plan was built under key 1), replayed.
+        let (log, plans) = run_length_body(false);
+        assert_eq!(log, ["t@1000", "t@12000", "t@21000", "t@31000"]);
+        // Debug builds also plan at the replay, to check it.
+        assert_eq!(plans, if cfg!(debug_assertions) { 4 } else { 3 });
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "only debug builds check replays")]
+    #[should_panic(expected = "task T0 (t) replayed Plan")]
+    fn debug_builds_fail_closed_on_a_stale_plan_key() {
+        // The second activation replays the 1 ms plan where planning
+        // builds 2 ms.
+        run_length_body(true);
     }
 
     #[test]

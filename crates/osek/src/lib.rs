@@ -13,10 +13,12 @@
 //!   OSEKTime-style deadline monitoring and AUTOSAR-OS-style execution
 //!   budgets — the *task-granularity* comparators of the paper's related
 //!   work section;
-//! * task bodies expressed as preemptible execution [`plan`]s, whose
-//!   effects call OS services through an [`EffectCtx`]. Only the kernel
-//!   builds one, lending it the scheduler core, so every service call from
-//!   an effect runs the kernel's own code.
+//! * task bodies expressed as preemptible execution [`plan`]s, which the
+//!   kernel retains and replays by cursor until the body's plan key
+//!   changes, and whose effects call OS services through an
+//!   [`EffectCtx`]. Only the kernel builds one, lending it the scheduler
+//!   core, so every service call from an effect runs the kernel's own
+//!   code.
 //!
 //! # Examples
 //!
@@ -59,6 +61,6 @@ pub use error::OsError;
 pub use hooks::{HookEvent, HookMask, HookObserver};
 pub use isr::{IsrId, ISR_PRIORITY};
 pub use kernel::Os;
-pub use plan::{EffectCtx, Plan, PlanArena, ResourceId, Step, TaskBody};
+pub use plan::{EffectCtx, Plan, ResourceId, Step, TaskBody};
 pub use resource::Resource;
 pub use task::{EventMask, Priority, TaskConfig, TaskId, TaskKind, TaskState};

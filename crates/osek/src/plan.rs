@@ -8,6 +8,19 @@
 //! model-based runnables: function-call subsystems triggered in a defined
 //! sequence with auto-generated glue code (heartbeat indications) in between.
 //!
+//! # Retained plans, replayed by cursor
+//!
+//! The kernel keeps one [`Plan`] per task for the life of the OS and reads
+//! it by cursor: a step is plain data, copied out of its slot when it runs,
+//! and a preempted compute step's remainder is held beside the cursor. A
+//! body whose plan is a function of one value names that value as its
+//! [`TaskBody::plan_key`]. At an activation's first dispatch the kernel
+//! rewinds the retained plan when the key equals the one the plan was built
+//! under, and otherwise clears it and calls [`TaskBody::plan_into`]. The
+//! default key, `None`, plans every activation. Either way an activation
+//! runs the plan it was dispatched with: a world change while it runs
+//! reaches the next activation, not this one.
+//!
 //! Bodies are generic over a *world* type `W` — the shared state of the ECU
 //! (signal database, dependability services). Effects receive `&mut W` plus
 //! an [`EffectCtx`] through which they call OS services
@@ -20,7 +33,6 @@ use crate::error::OsError;
 use crate::kernel::Core;
 use crate::task::{EventMask, TaskId, TaskState};
 use easis_sim::time::{Duration, Instant};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Resource identifier (index into the OS resource table).
@@ -37,12 +49,16 @@ impl fmt::Display for ResourceId {
 /// time. Receives the shared world and an [`EffectCtx`] for OS services.
 pub type Effect<W> = Box<dyn FnMut(&mut W, &mut EffectCtx<'_, W>) + Send>;
 
-/// One step of a task's execution plan.
-pub enum Step<W> {
+/// One step of a task's execution plan: 16 bytes of plain data, which the
+/// kernel copies out of the plan when it runs the step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
     /// Consume simulated CPU time. Preemption can occur inside this step.
     Compute(Duration),
-    /// Run an instantaneous effect (signal I/O, heartbeat indication, …).
-    Effect(Effect<W>),
+    /// Run the boxed closure at this index of the plan's own closure table
+    /// ([`Plan::effect`], [`Plan::push_effect`]). The kernel takes the
+    /// closure out of the table to run it, so it runs once.
+    Effect(u32),
     /// Run a body-owned effect identified by an opaque token: the kernel
     /// hands the token back to [`TaskBody::run_effect`] on the same body
     /// that planned it. This is the allocation-free alternative to
@@ -70,98 +86,94 @@ pub enum Step<W> {
     Schedule,
 }
 
-/// Duplicates a step for a kernel checkpoint (`OsState`).
+/// The boxed closures of a plan's [`Step::Effect`] steps, by index; the
+/// kernel takes each one out when its step runs.
 ///
-/// # Panics
-///
-/// Panics on [`Step::Effect`]: a boxed closure cannot be duplicated, so
-/// plans containing one cannot be captured. Arena-backed bodies plan
-/// [`Step::EffectRef`] tokens instead, which capture fine — the campaign
-/// node stack is EffectRef-only by construction.
-impl<W> Clone for Step<W> {
+/// A closure cannot be duplicated, so cloning a table that still holds
+/// one panics: a plan with a closure still to run cannot be captured in a
+/// kernel checkpoint (`OsState`). Arena bodies plan [`Step::EffectRef`]
+/// tokens instead, which capture fine — the campaign node stack is
+/// EffectRef-only by construction.
+struct Closures<W>(Vec<Option<Effect<W>>>);
+
+impl<W> Closures<W> {
+    /// Whether a closure is still to run.
+    fn holds_any(&self) -> bool {
+        self.0.iter().any(Option::is_some)
+    }
+}
+
+impl<W> Clone for Closures<W> {
     fn clone(&self) -> Self {
-        match *self {
-            Step::Compute(d) => Step::Compute(d),
-            Step::Effect(_) => panic!(
-                "Step::Effect (boxed closure) cannot be snapshotted; \
-                 plan EffectRef tokens for snapshot/restore support"
-            ),
-            Step::EffectRef(tok) => Step::EffectRef(tok),
-            Step::ActivateTask(t) => Step::ActivateTask(t),
-            Step::SetEvent(t, m) => Step::SetEvent(t, m),
-            Step::WaitEvent(m) => Step::WaitEvent(m),
-            Step::ClearEvent(m) => Step::ClearEvent(m),
-            Step::GetResource(r) => Step::GetResource(r),
-            Step::ReleaseResource(r) => Step::ReleaseResource(r),
-            Step::ChainTask(t) => Step::ChainTask(t),
-            Step::Schedule => Step::Schedule,
-        }
+        let mut table = Closures(Vec::new());
+        table.clone_from(self);
+        table
     }
-}
 
-/// Step-for-step equality, what the macro-stepping certification compares
-/// across hyperperiod samples. A boxed [`Step::Effect`] equals nothing: a
-/// closure has no comparable content.
-impl<W> PartialEq for Step<W> {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Step::Compute(a), Step::Compute(b)) => a == b,
-            (Step::EffectRef(a), Step::EffectRef(b)) => a == b,
-            (Step::ActivateTask(a), Step::ActivateTask(b))
-            | (Step::ChainTask(a), Step::ChainTask(b)) => a == b,
-            (Step::SetEvent(a, x), Step::SetEvent(b, y)) => a == b && x == y,
-            (Step::WaitEvent(x), Step::WaitEvent(y))
-            | (Step::ClearEvent(x), Step::ClearEvent(y)) => x == y,
-            (Step::GetResource(a), Step::GetResource(b))
-            | (Step::ReleaseResource(a), Step::ReleaseResource(b)) => a == b,
-            (Step::Schedule, Step::Schedule) => true,
-            _ => false,
-        }
-    }
-}
-
-impl<W> fmt::Debug for Step<W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Step::Compute(d) => write!(f, "Compute({d})"),
-            Step::Effect(_) => write!(f, "Effect(..)"),
-            Step::EffectRef(tok) => write!(f, "EffectRef({tok})"),
-            Step::ActivateTask(t) => write!(f, "ActivateTask({t})"),
-            Step::SetEvent(t, m) => write!(f, "SetEvent({t}, {m})"),
-            Step::WaitEvent(m) => write!(f, "WaitEvent({m})"),
-            Step::ClearEvent(m) => write!(f, "ClearEvent({m})"),
-            Step::GetResource(r) => write!(f, "GetResource({r})"),
-            Step::ReleaseResource(r) => write!(f, "ReleaseResource({r})"),
-            Step::ChainTask(t) => write!(f, "ChainTask({t})"),
-            Step::Schedule => write!(f, "Schedule"),
-        }
+    fn clone_from(&mut self, source: &Self) {
+        assert!(
+            !source.holds_any(),
+            "Step::Effect (boxed closure) cannot be snapshotted; \
+             plan EffectRef tokens for snapshot/restore support"
+        );
+        self.0.clear();
     }
 }
 
 easis_sim::clone_fields! {
-    /// An ordered sequence of steps; what a task executes for one
-    /// activation. `clone_from` refills the destination's step buffer.
+    /// What a task executes for one activation: an ordered sequence of
+    /// steps, read by a cursor.
+    ///
+    /// The kernel retains one plan per task and never shrinks it, so a
+    /// body that fills it in place allocates nothing once it has grown to
+    /// the task's plan length, and a plan built under the body's current
+    /// [`TaskBody::plan_key`] is rewound and replayed instead of built
+    /// again. `clone_from` rewrites the destination's buffers in place.
     pub struct Plan<W> {
-        steps: VecDeque<Step<W>>,
+        steps: Vec<Step>,
+        /// Index of the next step to run.
+        cursor: usize,
+        /// What is left of a preempted compute step; it runs before the
+        /// step at the cursor.
+        remainder: Option<Duration>,
+        /// The plan key the steps were built under; `None` plans the next
+        /// activation afresh.
+        key: Option<u64>,
+        closures: Closures<W>,
     }
 }
 
+/// What is left to run: the held remainder and the steps from the cursor
+/// on. The steps already run and the plan key decide nothing the plan
+/// still does, so they are left out, and two kernels in the same schedule
+/// compare equal however they got there. A closure has no comparable
+/// content, so a plan that still holds one equals nothing.
 impl<W> PartialEq for Plan<W> {
     fn eq(&self, other: &Self) -> bool {
-        self.steps == other.steps
+        self.remainder == other.remainder
+            && self.steps() == other.steps()
+            && !self.closures.holds_any()
+            && !other.closures.holds_any()
     }
 }
 
 impl<W> fmt::Debug for Plan<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Plan").field("steps", &self.steps).finish()
+        f.debug_struct("Plan")
+            .field("remainder", &self.remainder)
+            .field("steps", &self.steps())
+            .finish()
     }
 }
 
 impl<W> Default for Plan<W> {
     fn default() -> Self {
         Plan {
-            steps: VecDeque::new(),
+            steps: Vec::new(),
+            cursor: 0,
+            remainder: None,
+            key: None,
+            closures: Closures(Vec::new()),
         }
     }
 }
@@ -174,182 +186,126 @@ impl<W> Plan<W> {
 
     /// Appends a compute step.
     pub fn compute(mut self, d: Duration) -> Self {
-        self.steps.push_back(Step::Compute(d));
+        self.push_compute(d);
         self
     }
 
     /// Appends an instantaneous effect.
     pub fn effect(mut self, f: impl FnMut(&mut W, &mut EffectCtx<'_, W>) + Send + 'static) -> Self {
-        self.steps.push_back(Step::Effect(Box::new(f)));
+        self.push_effect(f);
         self
     }
 
     /// Appends an arbitrary step.
-    pub fn step(mut self, s: Step<W>) -> Self {
-        self.steps.push_back(s);
+    pub fn step(mut self, s: Step) -> Self {
+        self.steps.push(s);
         self
     }
 
-    /// Appends all steps of `other`.
-    pub fn extend(mut self, other: Plan<W>) -> Self {
-        self.steps.extend(other.steps);
-        self
-    }
-
-    /// Number of remaining steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// `true` if no steps remain.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Removes and returns the next step.
-    pub fn pop(&mut self) -> Option<Step<W>> {
-        self.steps.pop_front()
-    }
-
-    /// Puts a step back at the front (used when a `Compute` is preempted
-    /// with remaining work).
-    pub fn push_front(&mut self, s: Step<W>) {
-        self.steps.push_front(s);
-    }
-
-    // ------------------------------------------------------------------
-    // In-place mutation API (arena-backed bodies fill a retained buffer
-    // instead of building a fresh plan per activation)
-    // ------------------------------------------------------------------
-
-    /// Removes all steps, retaining the allocated capacity. This is what
-    /// makes a [`PlanArena`] slot reusable: after the first few activations
-    /// the buffer has grown to the task's steady-state plan length and
-    /// re-planning allocates nothing.
-    pub fn clear(&mut self) {
-        self.steps.clear();
-    }
-
-    /// Number of steps the plan can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.steps.capacity()
+    /// The steps still to run, from the cursor on (a held compute
+    /// remainder runs before them).
+    pub fn steps(&self) -> &[Step] {
+        &self.steps[self.cursor..]
     }
 
     /// Appends a compute step in place.
     pub fn push_compute(&mut self, d: Duration) {
-        self.steps.push_back(Step::Compute(d));
+        self.steps.push(Step::Compute(d));
     }
 
     /// Appends a boxed effect in place (allocates the box; arena bodies
     /// should prefer [`Plan::push_effect_ref`]).
     pub fn push_effect(&mut self, f: impl FnMut(&mut W, &mut EffectCtx<'_, W>) + Send + 'static) {
-        self.steps.push_back(Step::Effect(Box::new(f)));
+        let index = self.closures.0.len() as u32;
+        self.closures.0.push(Some(Box::new(f)));
+        self.steps.push(Step::Effect(index));
     }
 
     /// Appends a body-owned effect reference in place — the allocation-free
     /// counterpart of [`Plan::push_effect`].
     pub fn push_effect_ref(&mut self, token: u32) {
-        self.steps.push_back(Step::EffectRef(token));
+        self.steps.push(Step::EffectRef(token));
     }
 
-    /// Appends an arbitrary step in place.
-    pub fn push_back(&mut self, s: Step<W>) {
-        self.steps.push_back(s);
+    // ------------------------------------------------------------------
+    // The kernel's side: build, replay and read by cursor
+    // ------------------------------------------------------------------
+
+    /// Empties the plan for a body to fill, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.steps.clear();
+        self.cursor = 0;
+        self.remainder = None;
+        self.key = None;
+        self.closures.0.clear();
     }
 
-    /// Moves all steps of `other` to the back of `self`, leaving `other`
-    /// empty (with its capacity intact).
-    pub fn append(&mut self, other: &mut Plan<W>) {
-        self.steps.append(&mut other.steps);
-    }
-}
-
-easis_sim::clone_fields! {
-    /// Per-task, capacity-retained plan storage.
-    ///
-    /// The kernel owns one arena with a slot per declared task. At each
-    /// first dispatch of an activation the slot is cleared (capacity kept)
-    /// and the task body fills it in place via [`TaskBody::plan_into`].
-    /// Once a slot has grown to the task's steady-state plan length,
-    /// re-planning performs no heap allocation at all — the campaign hot
-    /// path relies on this to run alloc-free trials. The arena is part of
-    /// the kernel's checkpoint: `clone_from` rewrites every slot but keeps
-    /// its capacity, so a rewound node replays trials without re-growing
-    /// the buffers. Equality is slot-for-slot step equality.
-    pub struct PlanArena<W> {
-        slots: Vec<Plan<W>>,
-    }
-}
-
-impl<W> PartialEq for PlanArena<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.slots == other.slots
-    }
-}
-
-impl<W> fmt::Debug for PlanArena<W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(&self.slots).finish()
-    }
-}
-
-impl<W> Default for PlanArena<W> {
-    fn default() -> Self {
-        PlanArena { slots: Vec::new() }
-    }
-}
-
-impl<W> PlanArena<W> {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        PlanArena::default()
+    /// The plan key the steps were built under.
+    pub(crate) fn key(&self) -> Option<u64> {
+        self.key
     }
 
-    /// Ensures at least `n` slots exist (one per task id).
-    pub fn grow_to(&mut self, n: usize) {
-        if self.slots.len() < n {
-            self.slots.resize_with(n, Plan::new);
+    /// Records the key a body has just planned under. A plan with closures
+    /// keeps none: they run once, so it cannot be replayed.
+    pub(crate) fn seal(&mut self, key: Option<u64>) {
+        self.key = key.filter(|_| self.closures.0.is_empty());
+    }
+
+    /// Moves the cursor back to the first step, for a replay.
+    pub(crate) fn rewind(&mut self) {
+        self.cursor = 0;
+        self.remainder = None;
+    }
+
+    /// Moves the cursor past the last step (the task terminated) and drops
+    /// any closure left unrun; the steps stay for a replay.
+    pub(crate) fn finish(&mut self) {
+        self.cursor = self.steps.len();
+        self.remainder = None;
+        self.closures.0.clear();
+    }
+
+    /// The next step to run: a held remainder first, then the step at the
+    /// cursor, which moves on.
+    pub(crate) fn next_step(&mut self) -> Option<Step> {
+        if let Some(d) = self.remainder.take() {
+            return Some(Step::Compute(d));
         }
+        let step = *self.steps.get(self.cursor)?;
+        self.cursor += 1;
+        Some(step)
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
+    /// Holds what is left of a preempted compute step, to run next.
+    pub(crate) fn hold(&mut self, remainder: Duration) {
+        self.remainder = Some(remainder);
     }
 
-    /// `true` if the arena has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Mutable access to a task's slot.
+    /// Takes the closure of [`Step::Effect`]`(index)` out of the table.
     ///
     /// # Panics
     ///
-    /// Panics if `idx` was never grown to (kernel bug).
-    pub fn slot_mut(&mut self, idx: usize) -> &mut Plan<W> {
-        &mut self.slots[idx]
+    /// Panics if no closure was planned at `index` or it has run already.
+    pub(crate) fn take_closure(&mut self, index: u32) -> Effect<W> {
+        self.closures
+            .0
+            .get_mut(index as usize)
+            .and_then(Option::take)
+            .expect("a Step::Effect runs the closure planned at its index, once")
     }
 }
 
-impl<W> FromIterator<Step<W>> for Plan<W> {
-    fn from_iter<I: IntoIterator<Item = Step<W>>>(iter: I) -> Self {
-        Plan {
-            steps: iter.into_iter().collect(),
-        }
-    }
-}
-
-/// A task body: invoked once per activation to produce that activation's
-/// execution plan.
+/// A task body: asked at an activation's first dispatch for that
+/// activation's execution plan.
 ///
 /// Arena-backed bodies implement [`TaskBody::plan_into`] to fill the
-/// kernel-owned, capacity-retained buffer in place and plan
+/// kernel-owned, capacity-retained plan in place, plan
 /// [`Step::EffectRef`] tokens that dispatch back into
-/// [`TaskBody::run_effect`] — zero heap allocation per activation. Plain
-/// closures returning a [`Plan`] still work through the blanket impl (their
-/// steps are moved into the arena buffer; the closure's own allocations
-/// remain, which is fine outside the campaign hot path).
+/// [`TaskBody::run_effect`], and name a [`TaskBody::plan_key`] so the
+/// kernel replays the plan until the key changes — zero heap allocation and
+/// no planning per activation. Plain closures returning a [`Plan`] still
+/// work through the blanket impl and are planned at every activation
+/// (their allocations are fine outside the campaign hot path).
 pub trait TaskBody<W>: Send {
     /// Fills `out` with the steps for one activation starting at `now`.
     /// `out` arrives empty but with the capacity retained from earlier
@@ -359,6 +315,20 @@ pub trait TaskBody<W>: Send {
     /// plan; mutations belong in effect steps so they happen at the right
     /// simulated time.
     fn plan_into(&mut self, now: Instant, world: &W, out: &mut Plan<W>);
+
+    /// The value this body's plan is a function of, if there is one. At an
+    /// activation's first dispatch the kernel replays the task's retained
+    /// plan when this key equals the one the plan was built under, and
+    /// calls [`TaskBody::plan_into`] otherwise. A body that returns `Some`
+    /// promises that equal keys plan equal steps, at any activation time.
+    /// Debug builds check every replay against a fresh plan, so a keyed
+    /// body's `plan_into` must change nothing but `out`. A plan holding
+    /// closures is never replayed. The default, `None`, plans every
+    /// activation.
+    fn plan_key(&self, world: &W) -> Option<u64> {
+        let _ = world;
+        None
+    }
 
     /// Executes the effect identified by `token` (planned as
     /// [`Step::EffectRef`]). The kernel invokes this **in place** on the
@@ -386,7 +356,7 @@ where
     F: FnMut(Instant, &W) -> Plan<W> + Send,
 {
     fn plan_into(&mut self, now: Instant, world: &W, out: &mut Plan<W>) {
-        out.append(&mut self(now, world));
+        *out = self(now, world);
     }
 }
 
@@ -494,154 +464,156 @@ mod tests {
 
     type W = u32;
 
+    fn us(n: u64) -> Duration {
+        Duration::from_micros(n)
+    }
+
+    #[test]
+    fn a_step_is_sixteen_bytes_of_plain_data() {
+        assert_eq!(std::mem::size_of::<Step>(), 16);
+        let s = Step::SetEvent(TaskId(3), EventMask::bit(1));
+        let copy = s;
+        assert_eq!(s, copy);
+        assert_eq!(format!("{:?}", Step::EffectRef(7)), "EffectRef(7)");
+    }
+
     #[test]
     fn plan_builder_orders_steps() {
-        let mut p: Plan<W> = Plan::new()
-            .compute(Duration::from_micros(5))
+        let p: Plan<W> = Plan::new()
+            .compute(us(5))
             .effect(|w, _| *w += 1)
-            .step(Step::ActivateTask(TaskId(1)));
-        assert_eq!(p.len(), 3);
-        assert!(matches!(p.pop(), Some(Step::Compute(_))));
-        assert!(matches!(p.pop(), Some(Step::Effect(_))));
-        assert!(matches!(p.pop(), Some(Step::ActivateTask(TaskId(1)))));
-        assert!(p.pop().is_none());
+            .step(Step::ActivateTask(TaskId(1)))
+            .effect(|w, _| *w += 2);
+        assert_eq!(
+            p.steps(),
+            [
+                Step::Compute(us(5)),
+                Step::Effect(0),
+                Step::ActivateTask(TaskId(1)),
+                Step::Effect(1)
+            ]
+        );
     }
 
     #[test]
-    fn push_front_resumes_preempted_compute() {
-        let mut p: Plan<W> = Plan::new().compute(Duration::from_micros(10));
-        let _ = p.pop();
-        p.push_front(Step::Compute(Duration::from_micros(4)));
-        match p.pop() {
-            Some(Step::Compute(d)) => assert_eq!(d, Duration::from_micros(4)),
-            other => panic!("unexpected {other:?}"),
-        }
+    fn the_cursor_runs_a_held_remainder_first() {
+        let mut p: Plan<W> = Plan::new().compute(us(10)).step(Step::Schedule);
+        assert_eq!(p.next_step(), Some(Step::Compute(us(10))));
+        p.hold(us(4));
+        assert_eq!(
+            format!("{p:?}"),
+            "Plan { remainder: Some(Duration(4)), steps: [Schedule] }"
+        );
+        assert_eq!(p.next_step(), Some(Step::Compute(us(4))));
+        assert_eq!(p.next_step(), Some(Step::Schedule));
+        assert_eq!(p.next_step(), None);
     }
 
     #[test]
-    fn closure_acts_as_task_body() {
-        // The blanket impl hands the closure the activation time and the
-        // world it plans against.
-        let mut body = |now: Instant, w: &W| {
-            Plan::<W>::new().compute(Duration::from_micros(now.as_micros() + u64::from(*w)))
-        };
-        let mut plan = Plan::new();
-        body.plan_into(Instant::from_micros(5), &2, &mut plan);
-        assert_eq!(plan.len(), 1);
-        assert!(matches!(plan.pop(), Some(Step::Compute(d)) if d == Duration::from_micros(7)));
+    fn plans_compare_what_is_left_to_run() {
+        let mut replayed: Plan<W> = Plan::new().compute(us(3)).step(Step::Schedule);
+        replayed.seal(Some(7));
+        assert_eq!(replayed.next_step(), Some(Step::Compute(us(3))));
+        // Built differently, keyed differently, same rest.
+        let fresh: Plan<W> = Plan::new().step(Step::Schedule);
+        assert_eq!(replayed, fresh);
+        replayed.hold(us(1));
+        assert_ne!(replayed, fresh, "a held remainder is still to run");
+        replayed.finish();
+        assert_eq!(replayed, Plan::new());
+        // The steps stay for a replay, under their key.
+        replayed.rewind();
+        assert_eq!(replayed.key(), Some(7));
+        assert_eq!(replayed.steps(), [Step::Compute(us(3)), Step::Schedule]);
     }
 
     #[test]
-    fn plan_from_iterator() {
-        let p: Plan<W> = vec![
-            Step::Compute(Duration::from_micros(1)),
-            Step::WaitEvent(EventMask::bit(0)),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn debug_formatting_is_informative() {
-        let s: Step<W> = Step::Compute(Duration::from_millis(2));
-        assert_eq!(format!("{s:?}"), "Compute(2ms)");
-        let e: Step<W> = Step::Effect(Box::new(|_, _| {}));
-        assert_eq!(format!("{e:?}"), "Effect(..)");
-        let r: Step<W> = Step::EffectRef(7);
-        assert_eq!(format!("{r:?}"), "EffectRef(7)");
+    fn a_plan_with_closures_keeps_no_key_and_equals_nothing() {
+        let mut p: Plan<W> = Plan::new().effect(|_, _| {}).compute(us(1));
+        p.seal(Some(1));
+        assert_eq!(p.key(), None, "its closures run once: no replay");
+        let same: Plan<W> = Plan::new().effect(|_, _| {}).compute(us(1));
+        assert_ne!(p, same);
+        // Run the closure: what is left compares and clones again.
+        assert_eq!(p.next_step(), Some(Step::Effect(0)));
+        let _closure = p.take_closure(0);
+        assert_eq!(p, Plan::new().compute(us(1)));
+        assert_eq!(p.clone(), p);
     }
 
     #[test]
     fn clear_retains_capacity() {
         let mut p: Plan<W> = Plan::new();
         for _ in 0..16 {
-            p.push_compute(Duration::from_micros(1));
+            p.push_compute(us(1));
         }
-        let cap = p.capacity();
-        assert!(cap >= 16);
+        p.seal(Some(1));
+        let cap = p.steps.capacity();
         p.clear();
-        assert!(p.is_empty());
-        assert_eq!(p.capacity(), cap);
+        assert_eq!(p, Plan::new());
+        assert_eq!(p.key(), None);
+        assert_eq!(p.steps.capacity(), cap);
     }
 
     #[test]
-    fn append_moves_steps_and_keeps_source_capacity() {
-        let mut a: Plan<W> = Plan::new();
-        let mut b: Plan<W> = Plan::new().compute(Duration::from_micros(1)).step(Step::Schedule);
-        let cap_b = b.capacity();
-        a.append(&mut b);
-        assert_eq!(a.len(), 2);
-        assert!(b.is_empty());
-        assert_eq!(b.capacity(), cap_b);
+    fn closure_acts_as_task_body() {
+        // The blanket impl hands the closure the activation time and the
+        // world it plans against.
+        let mut body =
+            |now: Instant, w: &W| Plan::<W>::new().compute(us(now.as_micros() + u64::from(*w)));
+        let mut plan = Plan::new();
+        body.plan_into(Instant::from_micros(5), &2, &mut plan);
+        assert_eq!(plan.steps(), [Step::Compute(us(7))]);
+        assert_eq!(
+            TaskBody::plan_key(&body, &2),
+            None,
+            "closures plan every activation"
+        );
     }
 
     #[test]
-    fn arena_empty_plan_slot_is_valid() {
-        let mut arena: PlanArena<W> = PlanArena::new();
-        arena.grow_to(2);
-        assert_eq!(arena.len(), 2);
-        // A body that plans nothing leaves the slot empty: the kernel
-        // terminates the activation immediately. No step, no panic.
-        assert!(arena.slot_mut(0).pop().is_none());
-        assert!(arena.slot_mut(0).is_empty());
-    }
-
-    #[test]
-    fn arena_snapshot_restores_in_flight_plans() {
-        let mut arena: PlanArena<W> = PlanArena::new();
-        arena.grow_to(2);
-        arena.slot_mut(0).push_compute(Duration::from_micros(7));
-        arena.slot_mut(0).push_effect_ref(3);
-        let snap = arena.clone();
-        arena.slot_mut(0).clear();
-        let fill = |arena: &mut PlanArena<W>| {
+    fn restoring_plans_rewrites_them_in_place() {
+        let mut plans: Vec<Plan<W>> = vec![Plan::new(), Plan::new()];
+        plans[0].push_compute(us(7));
+        plans[0].push_effect_ref(3);
+        plans[0].seal(Some(2));
+        assert_eq!(plans[0].next_step(), Some(Step::Compute(us(7))));
+        let snap = plans.clone();
+        plans[0].finish();
+        let fill = |plans: &mut Vec<Plan<W>>| {
             for _ in 0..16 {
-                arena.slot_mut(1).push_back(Step::Schedule);
+                plans[1].push_effect_ref(0);
             }
         };
-        fill(&mut arena);
+        fill(&mut plans);
         let total_capacity =
-            |arena: &PlanArena<W>| -> usize { arena.slots.iter().map(Plan::capacity).sum() };
-        let cap = total_capacity(&arena);
-        arena.clone_from(&snap);
-        assert!(arena == snap, "restored arena equals its capture");
-        assert_eq!(arena.slot_mut(0).len(), 2);
-        assert!(matches!(arena.slot_mut(0).pop(), Some(Step::Compute(d)) if d == Duration::from_micros(7)));
-        assert!(matches!(arena.slot_mut(0).pop(), Some(Step::EffectRef(3))));
-        assert!(arena.slot_mut(1).is_empty(), "restore clears divergent slots");
-        // Every slot keeps its capacity, so refilling to the same length
+            |plans: &[Plan<W>]| -> usize { plans.iter().map(|p| p.steps.capacity()).sum() };
+        let cap = total_capacity(&plans);
+        plans.clone_from(&snap);
+        assert_eq!(plans, snap, "restored plans equal their capture");
+        assert_eq!(plans[0].next_step(), Some(Step::EffectRef(3)));
+        assert_eq!(
+            plans[0].key(),
+            Some(2),
+            "the restored plan replays under its key"
+        );
+        assert!(
+            plans[1].steps().is_empty(),
+            "restore clears divergent plans"
+        );
+        // Every plan keeps its capacity, so refilling to the same length
         // grows nothing.
-        assert_eq!(total_capacity(&arena), cap, "restore must not shrink slots");
-        fill(&mut arena);
-        assert_eq!(total_capacity(&arena), cap);
+        assert_eq!(total_capacity(&plans), cap, "restore must not shrink plans");
+        fill(&mut plans);
+        assert_eq!(total_capacity(&plans), cap);
     }
 
     #[test]
     #[should_panic(expected = "cannot be snapshotted")]
-    fn arena_snapshot_rejects_boxed_effects() {
-        let mut arena: PlanArena<W> = PlanArena::new();
-        arena.grow_to(1);
-        arena.slot_mut(0).push_effect(|_, _| {});
-        let _ = arena.clone();
-    }
-
-    #[test]
-    fn arena_grow_to_is_monotone() {
-        let mut arena: PlanArena<W> = PlanArena::new();
-        assert!(arena.is_empty());
-        arena.grow_to(4);
-        arena.grow_to(2); // never shrinks
-        assert_eq!(arena.len(), 4);
-    }
-
-    #[test]
-    fn closure_body_plans_into_arena_buffer() {
-        let mut body = |_now: Instant, _w: &W| Plan::<W>::new().compute(Duration::from_micros(3));
-        let mut out: Plan<W> = Plan::new();
-        TaskBody::plan_into(&mut body, Instant::ZERO, &0, &mut out);
-        assert_eq!(out.len(), 1);
-        assert!(matches!(out.pop(), Some(Step::Compute(_))));
+    fn capturing_a_plan_with_a_closure_left_panics() {
+        let mut p: Plan<W> = Plan::new();
+        p.push_effect(|_, _| {});
+        let _ = p.clone();
     }
 
     #[test]

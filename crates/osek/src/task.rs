@@ -30,7 +30,9 @@ impl fmt::Display for TaskId {
 }
 
 /// Static priority. Higher value = higher priority (OSEK convention).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub struct Priority(pub u8);
 
 impl fmt::Display for Priority {

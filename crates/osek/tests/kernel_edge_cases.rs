@@ -19,9 +19,7 @@ fn chain_task_to_itself_reruns_immediately() {
     // The task chains to itself until the world counter reaches 3.
     let t = os.add_task(TaskConfig::new("self", Priority(1)), {
         move |_: Instant, w: &u32| {
-            let mut plan = Plan::new()
-                .compute(ms(1))
-                .effect(|w: &mut u32, _| *w += 1);
+            let mut plan = Plan::new().compute(ms(1)).effect(|w: &mut u32, _| *w += 1);
             if *w < 2 {
                 // Note: the chain target id equals this task's own id (0).
                 plan = plan.step(Step::ChainTask(easis_osek::task::TaskId(0)));
@@ -156,11 +154,7 @@ fn activation_during_execution_queues_a_back_to_back_rerun() {
     let mut os: Os<u32> = Os::new();
     let t = os.add_task(
         TaskConfig::new("t", Priority(1)).with_max_activations(2),
-        |_: Instant, _: &u32| {
-            Plan::new()
-                .compute(ms(3))
-                .effect(|w: &mut u32, _| *w += 1)
-        },
+        |_: Instant, _: &u32| Plan::new().compute(ms(3)).effect(|w: &mut u32, _| *w += 1),
     );
     let mut w = 0u32;
     os.start(&mut w);
@@ -244,7 +238,10 @@ fn waiting_inside_a_resource_section_reports_the_error_and_keeps_the_cpu() {
     os.start(&mut w);
     os.activate_task(t, &mut w).unwrap();
     os.run_until(Instant::from_millis(5), &mut w);
-    assert_eq!(w, vec!["error ResourceOrder".to_string(), "ran on@0".to_string()]);
+    assert_eq!(
+        w,
+        vec!["error ResourceOrder".to_string(), "ran on@0".to_string()]
+    );
     assert_eq!(os.task_state(t).unwrap(), TaskState::Suspended);
 }
 
@@ -252,9 +249,10 @@ fn waiting_inside_a_resource_section_reports_the_error_and_keeps_the_cpu() {
 #[should_panic(expected = "zero-time livelock")]
 fn a_task_that_chains_itself_without_computing_panics_instead_of_hanging() {
     let mut os: Os<u32> = Os::new();
-    let t = os.add_task(TaskConfig::new("spin", Priority(1)), |_: Instant, _: &u32| {
-        Plan::new().step(Step::ChainTask(TaskId(0)))
-    });
+    let t = os.add_task(
+        TaskConfig::new("spin", Priority(1)),
+        |_: Instant, _: &u32| Plan::new().step(Step::ChainTask(TaskId(0))),
+    );
     let mut w = 0u32;
     os.start(&mut w);
     os.activate_task(t, &mut w).unwrap();

@@ -10,10 +10,7 @@ use proptest::prelude::*;
 
 /// A generated periodic task: (priority, period_ms ∈ 2..=20, cost_us).
 fn task_set() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
-    prop::collection::vec(
-        (0u8..8, 2u64..=20, 50u64..500),
-        1..6,
-    )
+    prop::collection::vec((0u8..8, 2u64..=20, 50u64..500), 1..6)
 }
 
 /// Builds the OS; the world counts completions per task.

@@ -5,12 +5,19 @@
 //! execution sequence of runnables is implemented", with additional
 //! subsystems simulating "the glue code … which report the execution of the
 //! runnables". [`SequencedTask`] is that chart: it owns the task's
-//! runnables and, on every activation, emits per runnable in declaration
-//! order a compute segment followed by an effect that (a) fires the
-//! aliveness-indication glue and (b) runs the runnable logic. All
-//! manipulation controls are honoured here — an invalid execution branch
-//! is a runnable whose `skip` control leaves it out of the activation — so
-//! error injection needs no special code paths in the applications.
+//! runnables and plans per runnable in declaration order a compute segment
+//! followed by an effect that (a) fires the aliveness-indication glue and
+//! (b) runs the runnable logic. All manipulation controls are honoured
+//! here — an invalid execution branch is a runnable whose `skip` control
+//! leaves it out of the activation — so error injection needs no special
+//! code paths in the applications.
+//!
+//! The chart changes only when the controls do, so the plan is keyed by
+//! the controls' [generation](crate::control::RunnableControls::generation):
+//! the kernel replays it at every activation until a control is written.
+//! Skips, costs and loop counts are read at plan time, so an activation
+//! keeps the plan it was dispatched with; the heartbeat controls are read
+//! when each runnable's effect runs.
 
 use crate::runnable::{RunnableDef, RunnableId};
 use crate::world::EcuWorld;
@@ -59,10 +66,10 @@ impl<W: EcuWorld + 'static> SequencedTask<W> {
 
 impl<W: EcuWorld + 'static> TaskBody<W> for SequencedTask<W> {
     /// Plans `Compute(cost) + EffectRef(runnable index)` pairs, one per
-    /// unskipped runnable in declaration order, into the kernel's arena
-    /// buffer — no boxed closure, no step-buffer allocation
-    /// once the slot has grown to the sequence length. The effect half of
-    /// each pair dispatches back into [`SequencedTask::run_effect`].
+    /// unskipped runnable in declaration order, into the kernel's retained
+    /// plan — no boxed closure, no step-buffer allocation once the plan has
+    /// grown to the sequence length. The effect half of each pair
+    /// dispatches back into [`SequencedTask::run_effect`].
     fn plan_into(&mut self, _now: Instant, world: &W, out: &mut Plan<W>) {
         let global_ppm = world.controls().global_exec_scale_ppm();
         for (idx, def) in self.runnables.iter().enumerate() {
@@ -83,6 +90,12 @@ impl<W: EcuWorld + 'static> TaskBody<W> for SequencedTask<W> {
             out.push_compute(cost);
             out.push_effect_ref(idx as u32);
         }
+    }
+
+    /// The controls' generation: the plan reads nothing else of the world,
+    /// and not the activation time.
+    fn plan_key(&self, world: &W) -> Option<u64> {
+        Some(world.controls().generation())
     }
 
     /// Executes runnable `token` (the declaration index planned by
@@ -171,7 +184,11 @@ mod tests {
         let (mut os, mut world, _) = build();
         os.run_until(Instant::from_millis(15), &mut world);
         // Period starts at 10ms: R0 at +50us, R1 at +50+150us, R2 at +250us.
-        let times: Vec<u64> = world.heartbeats.iter().map(|&(_, t)| t.as_micros()).collect();
+        let times: Vec<u64> = world
+            .heartbeats
+            .iter()
+            .map(|&(_, t)| t.as_micros())
+            .collect();
         assert_eq!(times, vec![10_050, 10_200, 10_250]);
     }
 
@@ -201,7 +218,11 @@ mod tests {
         let (mut os, mut world, ids) = build();
         world.controls.runnable_mut(ids[0]).extra_heartbeats = 2;
         os.run_until(Instant::from_millis(15), &mut world);
-        let count0 = world.heartbeats.iter().filter(|&&(r, _)| r == ids[0]).count();
+        let count0 = world
+            .heartbeats
+            .iter()
+            .filter(|&&(r, _)| r == ids[0])
+            .count();
         assert_eq!(count0, 3);
     }
 
@@ -210,7 +231,11 @@ mod tests {
         let (mut os, mut world, ids) = build();
         world.controls.runnable_mut(ids[0]).exec_scale_ppm = 10_000_000; // 10x
         os.run_until(Instant::from_millis(15), &mut world);
-        let times: Vec<u64> = world.heartbeats.iter().map(|&(_, t)| t.as_micros()).collect();
+        let times: Vec<u64> = world
+            .heartbeats
+            .iter()
+            .map(|&(_, t)| t.as_micros())
+            .collect();
         assert_eq!(times[0], 10_500); // 50us → 500us
     }
 
@@ -220,8 +245,39 @@ mod tests {
         world.controls.runnable_mut(ids[1]).iterations_override = Some(100);
         os.run_until(Instant::from_millis(15), &mut world);
         // R1 cost: 100 + 100*10 = 1100us, so R2 heartbeat at 10_050+1100+50.
-        let times: Vec<u64> = world.heartbeats.iter().map(|&(_, t)| t.as_micros()).collect();
+        let times: Vec<u64> = world
+            .heartbeats
+            .iter()
+            .map(|&(_, t)| t.as_micros())
+            .collect();
         assert_eq!(times[2], 11_200);
+    }
+
+    #[test]
+    fn controls_written_mid_activation_reach_the_next_one() {
+        // At 10.1 ms R1 computes: the activation keeps its plan, so R1
+        // still runs and R2 keeps its nominal 50 µs. The next activation
+        // skips R1 and stretches R2 tenfold.
+        let (mut os, mut world, ids) = build();
+        os.run_until(Instant::from_micros(10_100), &mut world);
+        world.controls.runnable_mut(ids[2]).exec_scale_ppm = 10_000_000;
+        world.controls.runnable_mut(ids[1]).skip = true;
+        os.run_until(Instant::from_millis(25), &mut world);
+        let seen: Vec<(u32, u64)> = world
+            .heartbeats
+            .iter()
+            .map(|&(r, t)| (r.0, t.as_micros()))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (0, 10_050),
+                (1, 10_200),
+                (2, 10_250),
+                (0, 20_050),
+                (2, 20_550)
+            ]
+        );
     }
 
     #[test]
@@ -229,10 +285,8 @@ mod tests {
         let mut reg = RunnableRegistry::new();
         let s0 = reg.register("a", us(10));
         let s1 = reg.register("b", us(20));
-        let body: SequencedTask<BasicEcuWorld> = SequencedTask::fixed(
-            "T",
-            vec![RunnableDef::no_op(s0), RunnableDef::no_op(s1)],
-        );
+        let body: SequencedTask<BasicEcuWorld> =
+            SequencedTask::fixed("T", vec![RunnableDef::no_op(s0), RunnableDef::no_op(s1)]);
         assert_eq!(body.name(), "T");
         assert_eq!(body.runnable_ids(), vec![RunnableId(0), RunnableId(1)]);
         assert_eq!(body.nominal_cost(), us(30));
@@ -252,8 +306,9 @@ mod tests {
         let mut planned = |world: &BasicEcuWorld| -> Vec<Duration> {
             let mut plan = Plan::new();
             body.plan_into(Instant::ZERO, world, &mut plan);
-            std::iter::from_fn(|| plan.pop())
-                .filter_map(|step| match step {
+            plan.steps()
+                .iter()
+                .filter_map(|step| match *step {
                     Step::Compute(d) => Some(d),
                     _ => None,
                 })

@@ -4,12 +4,17 @@
 //! runtime, "the timing parameter of runnables … loop counters and …
 //! invalid execution branches". [`RunnableControls`] is that manipulation
 //! surface: a per-runnable parameter store that the task assembly consults
-//! on every activation. With all controls at their defaults the system
+//! when it plans an activation. With all controls at their defaults the system
 //! behaves nominally; the error-injection crate drives experiments purely
 //! by writing here.
+//!
+//! Every mutable access gives the store a new
+//! [`generation`](RunnableControls::generation), so a task plan built from
+//! the controls is keyed by it and replayed until the next write.
 
 use crate::runnable::RunnableId;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-runnable manipulation parameters.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,6 +60,14 @@ impl RunnableControl {
     }
 }
 
+/// A generation no store in this process has held yet. `Relaxed` is
+/// enough: each read-modify-write of the one counter returns a distinct
+/// value under any ordering, and the value publishes no other data.
+fn fresh_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 easis_sim::clone_fields! {
     /// The ECU-wide control store: one [`RunnableControl`] per runnable and
     /// the global CPU scale.
@@ -73,7 +86,7 @@ easis_sim::clone_fields! {
     ///
     /// The store is all runtime state. Its `clone_from` keeps the grown
     /// runnable table, so a node restore rewrites the entries in place.
-    #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug)]
     pub struct RunnableControls {
         runnables: Vec<RunnableControl>,
         /// Global execution-time scale in ppm applied to *every* runnable on
@@ -81,14 +94,29 @@ easis_sim::clone_fields! {
         /// on a slower CPU (e.g. the outlook's 50 MHz S12XF instead of the
         /// 480 MHz AutoBox ⇒ ~9.6e6 ppm).
         global_exec_scale_ppm: u64,
+        /// The version of the contents, drawn afresh by every mutable
+        /// access (see [`RunnableControls::generation`]).
+        generation: u64,
     }
 }
+
+/// The controls alone: the generation names a version of them and is left
+/// out, so a store written and written back equals its earlier self.
+impl PartialEq for RunnableControls {
+    fn eq(&self, other: &Self) -> bool {
+        self.runnables == other.runnables
+            && self.global_exec_scale_ppm == other.global_exec_scale_ppm
+    }
+}
+
+impl Eq for RunnableControls {}
 
 impl Default for RunnableControls {
     fn default() -> Self {
         RunnableControls {
             runnables: Vec::new(),
             global_exec_scale_ppm: 1_000_000,
+            generation: fresh_generation(),
         }
     }
 }
@@ -106,6 +134,7 @@ impl RunnableControls {
     /// Panics if `ppm` is zero.
     pub fn set_global_exec_scale_ppm(&mut self, ppm: u64) {
         assert!(ppm > 0, "global scale must be positive");
+        self.generation = fresh_generation();
         self.global_exec_scale_ppm = ppm;
     }
 
@@ -116,14 +145,12 @@ impl RunnableControls {
 
     /// Control block of a runnable (default values if never touched).
     pub fn runnable(&self, id: RunnableId) -> RunnableControl {
-        self.runnables
-            .get(id.index())
-            .cloned()
-            .unwrap_or_default()
+        self.runnables.get(id.index()).cloned().unwrap_or_default()
     }
 
     /// Mutable control block of a runnable, growing the table as needed.
     pub fn runnable_mut(&mut self, id: RunnableId) -> &mut RunnableControl {
+        self.generation = fresh_generation();
         if self.runnables.len() <= id.index() {
             self.runnables
                 .resize_with(id.index() + 1, RunnableControl::default);
@@ -135,6 +162,16 @@ impl RunnableControls {
     /// is not an injection and does not count).
     pub fn is_nominal(&self) -> bool {
         self.runnables.iter().all(RunnableControl::is_nominal)
+    }
+
+    /// The version of the contents. Every mutable access draws a new one
+    /// from a single process-wide sequence, and `clone` and `clone_from`
+    /// copy it with the contents it names, so two stores of one generation
+    /// hold equal controls. A store restored to a capture and written again
+    /// therefore never meets a generation it held on another path.
+    /// [`SequencedTask`](crate::assembly::SequencedTask) keys its plans by it.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 }
 
@@ -181,6 +218,35 @@ mod tests {
             capacity,
             "restore dropped the table"
         );
+    }
+
+    #[test]
+    fn every_mutable_access_draws_a_new_generation_that_copies_carry() {
+        let mut c = RunnableControls::new();
+        assert_ne!(RunnableControls::new().generation(), c.generation());
+        c.runnable_mut(RunnableId(1));
+        let nominal = c.clone();
+        assert_eq!(nominal.generation(), c.generation());
+        let _ = c.runnable(RunnableId(1));
+        assert_eq!(
+            c.generation(),
+            nominal.generation(),
+            "a read writes nothing"
+        );
+        c.runnable_mut(RunnableId(1)).skip = true;
+        let skipped = c.generation();
+        assert_ne!(skipped, nominal.generation());
+        let capture = c.clone();
+        c.runnable_mut(RunnableId(1)).skip = false;
+        assert_ne!(c.generation(), skipped);
+        assert_eq!(c, nominal, "== leaves the generation out");
+        c.set_global_exec_scale_ppm(2_000_000);
+        let scaled = c.generation();
+        c.clone_from(&capture);
+        assert_eq!(c.generation(), skipped);
+        // Written again from the restored capture: a generation never seen.
+        c.runnable_mut(RunnableId(1)).skip = false;
+        assert!(![nominal.generation(), skipped, scaled].contains(&c.generation()));
     }
 
     #[test]

@@ -148,7 +148,10 @@ mod tests {
         let (m, speed, lane) = demo();
         assert_eq!(m.task_of(RunnableId(1)), Some(TaskId(0)));
         assert_eq!(m.app_of(TaskId(1)), Some(lane));
-        assert_eq!(m.runnables_of_task(TaskId(0)), vec![RunnableId(0), RunnableId(1)]);
+        assert_eq!(
+            m.runnables_of_task(TaskId(0)),
+            vec![RunnableId(0), RunnableId(1)]
+        );
         assert_eq!(m.tasks_of_app(speed), vec![TaskId(0)]);
         assert_eq!(m.app_name(speed), Some("SafeSpeed"));
         assert_eq!(m.application_count(), 2);

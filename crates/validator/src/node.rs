@@ -503,9 +503,9 @@ impl CentralNode {
     ///
     /// # Panics
     ///
-    /// Panics if the node was never started, or if an in-flight plan holds
-    /// a boxed `Step::Effect` closure (node bodies only use `EffectRef`
-    /// tokens, so this cannot happen for nodes built here).
+    /// Panics if the node was never started, or if an in-flight plan still
+    /// holds a boxed `Step::Effect` closure (node bodies only use
+    /// `EffectRef` tokens, so this cannot happen for nodes built here).
     pub fn snapshot(&self) -> NodeSnapshot {
         let mut snap = NodeSnapshot::default();
         self.snapshot_into(&mut snap);
@@ -1064,6 +1064,11 @@ impl TaskBody<CentralWorld> for WatchdogTaskBody {
         out.push_effect_ref(0);
     }
 
+    /// The plan never changes: planned once, replayed at every cycle.
+    fn plan_key(&self, _world: &CentralWorld) -> Option<u64> {
+        Some(0)
+    }
+
     fn run_effect(&mut self, _token: u32, w: &mut CentralWorld, ctx: &mut EffectCtx<'_, CentralWorld>) {
         let now = ctx.now();
         w.watchdog.run_cycle_into(now, &mut self.report);
@@ -1147,6 +1152,11 @@ impl TaskBody<CentralWorld> for HwKickBody {
     fn plan_into(&mut self, _now: Instant, _world: &CentralWorld, out: &mut Plan<CentralWorld>) {
         out.push_compute(Duration::from_micros(5));
         out.push_effect_ref(0);
+    }
+
+    /// The plan never changes: planned once, replayed at every kick.
+    fn plan_key(&self, _world: &CentralWorld) -> Option<u64> {
+        Some(0)
     }
 
     fn run_effect(&mut self, _token: u32, w: &mut CentralWorld, ctx: &mut EffectCtx<'_, CentralWorld>) {

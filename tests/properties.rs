@@ -766,7 +766,7 @@ struct EquivTaskSpec {
 /// bodies (`arena = true`) or the pre-arena reference style (`false`): a
 /// boxed closure returning a freshly allocated `Plan` whose effects are
 /// per-activation boxed closures — exactly the allocation pattern the
-/// `PlanArena` redesign replaced.
+/// kernel-retained plans replaced.
 fn build_equiv_os(
     specs: &[EquivTaskSpec],
     arena: bool,
@@ -904,6 +904,249 @@ proptest! {
         prop_assert_eq!(&replay_world.counters, &reference_world.counters);
         prop_assert_eq!(&replay_world.log, &reference_world.log);
         prop_assert_eq!(&replay_world.meter, &reference_world.meter);
+    }
+}
+
+/// Forwards to a task body but names no plan key, so the kernel plans
+/// every activation afresh: the reference that plan replay must match.
+struct PlanEveryActivation<B>(B);
+
+impl<W, B: easis::osek::plan::TaskBody<W>> easis::osek::plan::TaskBody<W>
+    for PlanEveryActivation<B>
+{
+    fn plan_into(&mut self, now: Instant, world: &W, out: &mut easis::osek::plan::Plan<W>) {
+        self.0.plan_into(now, world, out);
+    }
+
+    fn run_effect(
+        &mut self,
+        token: u32,
+        world: &mut W,
+        ctx: &mut easis::osek::plan::EffectCtx<'_, W>,
+    ) {
+        self.0.run_effect(token, world, ctx);
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// One randomized runnable task: priority, period and per runnable
+/// `(base µs, loop µs, iterations)`.
+#[derive(Clone, Debug)]
+struct ReplayTaskSpec {
+    priority: u8,
+    period_ms: u64,
+    runnables: Vec<(u64, u64, u32)>,
+}
+
+/// A write to the runnable controls, as the injector makes them.
+#[derive(Clone, Debug)]
+enum ControlWrite {
+    Skip(u32, bool),
+    Scale(u32, u64),
+    Iterations(u32, Option<u32>),
+    ExtraHeartbeats(u32, u32),
+    GlobalScale(u64),
+}
+
+impl ControlWrite {
+    fn apply(&self, controls: &mut easis::rte::control::RunnableControls, runnables: u32) {
+        let id = |r: &u32| RunnableId(r % runnables);
+        match self {
+            ControlWrite::Skip(r, on) => controls.runnable_mut(id(r)).skip = *on,
+            ControlWrite::Scale(r, ppm) => controls.runnable_mut(id(r)).exec_scale_ppm = *ppm,
+            ControlWrite::Iterations(r, n) => {
+                controls.runnable_mut(id(r)).iterations_override = *n;
+            }
+            ControlWrite::ExtraHeartbeats(r, n) => {
+                controls.runnable_mut(id(r)).extra_heartbeats = *n;
+            }
+            ControlWrite::GlobalScale(ppm) => controls.set_global_exec_scale_ppm(*ppm),
+        }
+    }
+}
+
+type ReplayOs = easis::osek::kernel::Os<easis::rte::world::BasicEcuWorld>;
+
+/// Builds and starts the task set: one `SequencedTask` per spec, activated
+/// by a cyclic alarm, each wrapped in [`PlanEveryActivation`] unless
+/// `replay`. Returns the OS, its world and the number of runnables.
+fn build_replay_os(
+    specs: &[ReplayTaskSpec],
+    replay: bool,
+) -> (ReplayOs, easis::rte::world::BasicEcuWorld, u32) {
+    use easis::osek::alarm::AlarmAction;
+    use easis::osek::task::{Priority, TaskConfig};
+    use easis::rte::assembly::SequencedTask;
+    use easis::rte::runnable::{RunnableDef, RunnableRegistry};
+    let mut registry = RunnableRegistry::new();
+    let mut os = ReplayOs::new();
+    let mut alarms = Vec::new();
+    for (t, spec) in specs.iter().enumerate() {
+        let defs = spec
+            .runnables
+            .iter()
+            .map(|&(base, per_loop, iterations)| {
+                let name = format!("r{}", registry.len());
+                RunnableDef::no_op(registry.register_with_loop(
+                    name,
+                    Duration::from_micros(base),
+                    Duration::from_micros(per_loop),
+                    iterations,
+                ))
+            })
+            .collect();
+        let body = SequencedTask::fixed(format!("t{t}"), defs);
+        let config = TaskConfig::new(format!("t{t}"), Priority(spec.priority));
+        let task = if replay {
+            os.add_task(config, body)
+        } else {
+            os.add_task(config, PlanEveryActivation(body))
+        };
+        let alarm = os.add_alarm(format!("a{t}"), AlarmAction::ActivateTask(task));
+        alarms.push((alarm, Duration::from_millis(spec.period_ms)));
+    }
+    let mut world = easis::rte::world::BasicEcuWorld::new();
+    os.start(&mut world);
+    for (alarm, period) in alarms {
+        os.set_rel_alarm(alarm, period, Some(period))
+            .expect("alarm arms once");
+    }
+    (os, world, registry.len() as u32)
+}
+
+/// Runs to `until`, making each write due after the current instant and
+/// no later than `until` at its instant (writes sorted by instant).
+fn drive_replay_os(
+    os: &mut ReplayOs,
+    world: &mut easis::rte::world::BasicEcuWorld,
+    writes: &[(u64, ControlWrite)],
+    runnables: u32,
+    until: Instant,
+) {
+    let from = os.now();
+    for (at, write) in writes {
+        let at = Instant::from_micros(*at);
+        if at > from && at <= until {
+            os.run_until(at, world);
+            write.apply(&mut world.controls, runnables);
+        }
+    }
+    os.run_until(until, world);
+}
+
+/// What a replay-equivalence run shows: the kernel trace (dispatches,
+/// preemptions, runnables), the heartbeat log and the kernel state.
+type ReplayRun = (
+    Vec<easis::sim::trace::TraceEvent>,
+    Vec<(RunnableId, Instant)>,
+    easis::osek::kernel::OsState<easis::rte::world::BasicEcuWorld>,
+);
+
+/// Runs the task set to `horizon`, capturing kernel and world at `mid`;
+/// then restores the capture and replays from `mid`. Returns the run and
+/// its replay.
+fn run_and_replay(
+    specs: &[ReplayTaskSpec],
+    writes: &[(u64, ControlWrite)],
+    replay: bool,
+    mid: Instant,
+    horizon: Instant,
+) -> (ReplayRun, ReplayRun) {
+    let (mut os, mut world, runnables) = build_replay_os(specs, replay);
+    drive_replay_os(&mut os, &mut world, writes, runnables, mid);
+    let captured_os = os.state().clone();
+    let captured_world = (
+        world.signals.clone(),
+        world.controls.clone(),
+        world.heartbeats.clone(),
+    );
+    drive_replay_os(&mut os, &mut world, writes, runnables, horizon);
+    let observe = |os: &ReplayOs, world: &easis::rte::world::BasicEcuWorld| -> ReplayRun {
+        (
+            os.trace().events().to_vec(),
+            world.heartbeats.clone(),
+            os.state().clone(),
+        )
+    };
+    let run = observe(&os, &world);
+    os.restore(&captured_os);
+    world.signals.clone_from(&captured_world.0);
+    world.controls.clone_from(&captured_world.1);
+    world.heartbeats.clone_from(&captured_world.2);
+    drive_replay_os(&mut os, &mut world, writes, runnables, horizon);
+    (run, observe(&os, &world))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Replaying a retained plan is what planning would build: random
+    /// runnable task sets, with control writes at random instants (many
+    /// right after an activation, inside it), run alike whether every
+    /// `SequencedTask` replays its plan under the controls' generation or
+    /// plans every activation afresh. Kernel trace, heartbeat log and
+    /// kernel state are equal, and again after the kernel and world are
+    /// restored to a mid-run capture and replayed. Debug builds also check
+    /// every replay against a fresh plan inside the kernel.
+    #[test]
+    fn replayed_plans_match_planning_every_activation(
+        raw_tasks in prop::collection::vec(
+            (
+                1u8..5,                                        // priority
+                2u64..12,                                      // period ms
+                prop::collection::vec((1u64..400, 0u64..50, 0u32..6), 1..4),
+            ),
+            1..5,
+        ),
+        raw_writes in prop::collection::vec(
+            ((any::<u32>(), 0u64..12, 1u64..600), (0u8..5, any::<u32>(), any::<bool>())),
+            0..12,
+        ),
+        horizon_ms in 30u64..80,
+        mid_pick in any::<u32>(),
+    ) {
+        let specs: Vec<ReplayTaskSpec> = raw_tasks
+            .iter()
+            .map(|(priority, period_ms, runnables)| ReplayTaskSpec {
+                priority: *priority,
+                period_ms: *period_ms,
+                runnables: runnables.clone(),
+            })
+            .collect();
+        // A write lands `offset` µs after the `k`-th activation of a
+        // drawn task: inside it, when the task runs then.
+        let mut writes: Vec<(u64, ControlWrite)> = raw_writes
+            .iter()
+            .map(|&((task, k, offset), (kind, param, flag))| {
+                let period_us = specs[task as usize % specs.len()].period_ms * 1_000;
+                let at = (k * period_us + offset).min(horizon_ms * 1_000);
+                let write = match kind {
+                    0 => ControlWrite::Skip(param, flag),
+                    1 => ControlWrite::Scale(param, 100_000 + u64::from(param % 4_900_000)),
+                    2 => ControlWrite::Iterations(param, flag.then_some(param % 20)),
+                    3 => ControlWrite::ExtraHeartbeats(param, param % 3),
+                    _ => ControlWrite::GlobalScale(200_000 + u64::from(param % 3_000_000)),
+                };
+                (at, write)
+            })
+            .collect();
+        writes.sort_by_key(|&(at, _)| at);
+        let horizon = Instant::from_millis(horizon_ms);
+        let mid = Instant::from_micros(u64::from(mid_pick) % (horizon_ms * 1_000));
+
+        let (replayed, replayed_again) = run_and_replay(&specs, &writes, true, mid, horizon);
+        let (planned, planned_again) = run_and_replay(&specs, &writes, false, mid, horizon);
+        prop_assert_eq!(&replayed.0, &planned.0, "kernel traces diverged");
+        prop_assert_eq!(&replayed.1, &planned.1, "heartbeat logs diverged");
+        prop_assert_eq!(&replayed.2, &planned.2, "kernel states diverged");
+        for (again, label) in [(&replayed_again, "replayed"), (&planned_again, "planned")] {
+            prop_assert_eq!(&again.0, &planned.0, "{} run's trace diverged after restore", label);
+            prop_assert_eq!(&again.1, &planned.1, "{} run's heartbeats diverged after restore", label);
+            prop_assert_eq!(&again.2, &planned.2, "{} run's state diverged after restore", label);
+        }
     }
 }
 

@@ -36,10 +36,10 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo fmt --check (the kernel and runnable-layer crates)"
-# The rest of the tree is not rustfmt-clean yet; these two crates are and
+echo "==> cargo fmt --check (the kernel, runnable-layer, simulation and FMF crates)"
+# The rest of the tree is not rustfmt-clean yet; these four crates are and
 # stay so.
-cargo fmt --check -p easis-osek -p easis-rte
+cargo fmt --check -p easis-osek -p easis-rte -p easis-sim -p easis-fmf
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -219,6 +219,18 @@ echo "==> plans are replayed, not rebuilt (copyable steps read by cursor)"
 if grep -nE 'VecDeque|fn push_front' crates/osek/src/plan.rs \
    || grep -rnE --include='*.rs' --exclude-dir=target 'Step<W>' crates/*/src; then
   echo "a rebuilt plan or a world-typed step crept back"; exit 1
+fi
+
+echo "==> task bodies own their effects (one effect step, world-free plans and kernel state)"
+# A body plans each effect as a `Step::EffectRef` token and runs it when
+# the kernel hands the token back; a `Script` keeps its closures itself.
+# A closure stored in the plan would be a second effect path, make the
+# plan and the kernel checkpoint generic over the world again, and make
+# capturing a checkpoint with a closure still to run panic.
+if grep -rnE --include='*.rs' --exclude-dir=target \
+     'Step::Effect\(|\bpush_effect\(|\btake_closure\b|\bClosures<|\bOsState<|\bPlan<' \
+     crates/*/src; then
+  echo "a closure in the plan or a world-typed plan or kernel state crept back"; exit 1
 fi
 
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"

@@ -114,7 +114,7 @@ mod tests {
         let mut registry = RunnableRegistry::new();
         let bundle = build::<BasicEcuWorld>(&mut world.signals, &mut registry);
         let mut os = Os::new();
-        let body = SequencedTask::fixed(bundle.task_name, bundle.runnables);
+        let body = SequencedTask::fixed(bundle.runnables);
         let task = os.add_task(TaskConfig::new(bundle.task_name, bundle.priority), body);
         let alarm = os.add_alarm("safespeed_cycle", AlarmAction::ActivateTask(task));
         os.start(&mut world);

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use easis_injection::injector::Injector;
 use easis_osek::alarm::AlarmAction;
 use easis_osek::kernel::Os;
-use easis_osek::plan::Plan;
+use easis_osek::plan::Script;
 use easis_osek::task::{Priority, TaskConfig};
 use easis_sim::time::{Duration, Instant};
 use easis_validator::hil::HilValidator;
@@ -20,11 +20,9 @@ fn bench_osek(c: &mut Criterion) {
             for (i, period) in [(0u32, 5u64), (1, 10), (2, 20)] {
                 let t = os.add_task(
                     TaskConfig::new(format!("t{i}"), Priority(i as u8 + 1)),
-                    move |_, _: &u64| {
-                        Plan::new()
-                            .compute(Duration::from_micros(200))
-                            .effect(|w, _| *w += 1)
-                    },
+                    Script::new()
+                        .compute(Duration::from_micros(200))
+                        .effect(|w: &mut u64, _| *w += 1),
                 );
                 let a = os.add_alarm(format!("a{i}"), AlarmAction::ActivateTask(t));
                 // Arming happens after start below; stash via closure scope.

@@ -15,14 +15,13 @@
 //! plane (map-keyed counter structs, two-level successor-map probes with
 //! the quadratic `is_monitored` fallback), and asserts the dense paths are
 //! at least 2× faster. A fourth probe, **direct dispatch**, times the
-//! kernel's two effect steps on one real `Os`: an arena body's
-//! `Step::EffectRef`, replayed from its retained plan and run in place on
-//! the body, against a boxed closure planned per activation
-//! (`Step::Effect`), with the same work in each effect. It also drives a full `SoftwareWatchdog` through
-//! steady-state cycles under a counting allocator and asserts **zero**
-//! heap allocations per nominal cycle. Results land in
-//! `BENCH_hotpath.json` (stable schema, `schema_version` 3) so future
-//! changes have a perf trajectory to beat.
+//! kernel's effect step on one real `Os`: a body's `Step::EffectRef`,
+//! replayed from its retained plan and run in place on the body — the
+//! per-effect floor of every task body. It also drives a full
+//! `SoftwareWatchdog` through steady-state cycles under a counting
+//! allocator and asserts **zero** heap allocations per nominal cycle.
+//! Results land in `BENCH_hotpath.json` (stable schema, `schema_version`
+//! 4) so future changes have a perf trajectory to beat.
 //!
 //! Usage: `hotpath_bench [iterations]` (default 2,000,000; the speedup
 //! assertions are skipped below 1,000,000 iterations so CI smoke runs
@@ -31,7 +30,7 @@
 use easis_obs::ObsSink;
 use easis_osek::kernel::Os;
 use easis_osek::plan::{EffectCtx, Plan, TaskBody};
-use easis_osek::task::{Priority, TaskConfig, TaskId};
+use easis_osek::task::{Priority, TaskConfig};
 use easis_rte::runnable::RunnableId;
 use easis_sim::cpu::CostMeter;
 use easis_sim::time::{Duration, Instant};
@@ -232,15 +231,15 @@ impl MapFlowChecker {
 }
 
 // ---------------------------------------------------------------------
-// Effect-dispatch probe: the kernel's two effect steps on one real `Os`.
+// Effect-dispatch probe: the kernel's effect step on one real `Os`.
 // ---------------------------------------------------------------------
 
 /// Effect steps per activation: enough that activating, dispatching and
 /// terminating the task is a small share of each step's time.
 const EFFECTS_PER_ACTIVATION: u32 = 64;
 
-/// One effect's work in both variants, shaped like the runnables'
-/// heartbeat glue: read the clock, update the world, trace (off).
+/// One effect's work, shaped like the runnables' heartbeat glue: read the
+/// clock, update the world, trace (off).
 fn effect_work(token: u32, world: &mut u64, ctx: &mut EffectCtx<'_, u64>) {
     *world = world.wrapping_add(ctx.now().as_micros() ^ u64::from(token));
     ctx.trace("dispatch-bench", "effect", "");
@@ -252,7 +251,7 @@ fn effect_work(token: u32, world: &mut u64, ctx: &mut EffectCtx<'_, u64>) {
 struct RefBody;
 
 impl TaskBody<u64> for RefBody {
-    fn plan_into(&mut self, _now: Instant, _world: &u64, out: &mut Plan<u64>) {
+    fn plan_into(&mut self, _world: &u64, out: &mut Plan) {
         for token in 0..EFFECTS_PER_ACTIVATION {
             out.push_effect_ref(token);
         }
@@ -267,36 +266,22 @@ impl TaskBody<u64> for RefBody {
     }
 }
 
-/// A closure body: boxes a fresh closure per effect on every activation.
-fn boxed_body(_now: Instant, _world: &u64) -> Plan<u64> {
-    let mut plan = Plan::new();
-    for token in 0..EFFECTS_PER_ACTIVATION {
-        plan.push_effect(move |world, ctx| effect_work(token, world, ctx));
-    }
-    plan
-}
-
-fn bench_direct_dispatch(iterations: u64) -> DispatchComparison {
+fn bench_direct_dispatch(iterations: u64) -> Dispatch {
     let mut os: Os<u64> = Os::with_disabled_trace();
-    let refs = os.add_task(TaskConfig::new("effect-ref", Priority(1)), RefBody);
-    let boxed = os.add_task(TaskConfig::new("boxed-effect", Priority(1)), boxed_body);
+    let task = os.add_task(TaskConfig::new("effect-ref", Priority(1)), RefBody);
     let mut world = 0u64;
     os.start(&mut world);
     let activations = (iterations / u64::from(EFFECTS_PER_ACTIVATION)).max(REPS);
     // One activation runs all its effect steps at one instant; the next
     // starts a microsecond later.
-    let mut per_step = |task: TaskId| {
-        measure(activations, || {
-            os.activate_task(task, &mut world)
-                .expect("task is suspended");
-            let end = os.now() + Duration::from_micros(1);
-            os.run_until(end, &mut world);
-        }) / f64::from(EFFECTS_PER_ACTIVATION)
-    };
-    let effect_ref_ns = per_step(refs);
-    let boxed_ns = per_step(boxed);
+    let effect_ref = measure(activations, || {
+        os.activate_task(task, &mut world)
+            .expect("task is suspended");
+        let end = os.now() + Duration::from_micros(1);
+        os.run_until(end, &mut world);
+    }) / f64::from(EFFECTS_PER_ACTIVATION);
     black_box(world);
-    DispatchComparison::new(effect_ref_ns, boxed_ns)
+    Dispatch { effect_ref }
 }
 
 // ---------------------------------------------------------------------
@@ -346,8 +331,9 @@ fn measure<F: FnMut()>(iterations: u64, mut op: F) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Report schema (schema_version 3 — keep stable, future changes diff
-// this; v2 added the `direct_dispatch` probe, v3 times it on the kernel).
+// Report schema (schema_version 4 — keep stable, future changes diff
+// this; v2 added the `direct_dispatch` probe, v3 times it on the kernel,
+// v4 drops its boxed-closure baseline with the kernel path it timed).
 // ---------------------------------------------------------------------
 
 #[derive(Serialize)]
@@ -367,23 +353,10 @@ impl Comparison {
     }
 }
 
-/// ns per kernel effect step: an arena body's `EffectRef` against a
-/// boxed per-activation closure.
+/// ns per kernel effect step: a body's `EffectRef`, replayed.
 #[derive(Serialize)]
-struct DispatchComparison {
+struct Dispatch {
     effect_ref: f64,
-    boxed_closure: f64,
-    speedup: f64,
-}
-
-impl DispatchComparison {
-    fn new(effect_ref: f64, boxed_closure: f64) -> Self {
-        DispatchComparison {
-            effect_ref,
-            boxed_closure,
-            speedup: boxed_closure / effect_ref,
-        }
-    }
 }
 
 #[derive(Serialize)]
@@ -394,7 +367,7 @@ struct Report {
     ns_per_heartbeat: Comparison,
     ns_per_pfc_check: Comparison,
     ns_per_cycle_check: Comparison,
-    direct_dispatch: DispatchComparison,
+    direct_dispatch: Dispatch,
     steady_state_cycle_allocs: u64,
 }
 
@@ -572,8 +545,8 @@ fn main() {
         );
     }
     println!(
-        "{:<22} {:>10.1} {:>12.1} {:>8.1}x   (EffectRef vs boxed closure)",
-        "kernel effect step", dispatch.effect_ref, dispatch.boxed_closure, dispatch.speedup
+        "{:<22} {:>10.1}   (replayed EffectRef)",
+        "kernel effect step", dispatch.effect_ref
     );
     println!("steady-state run_cycle allocations/cycle: {cycle_allocs}");
 
@@ -592,19 +565,12 @@ fn main() {
             "PFC dense path must be ≥2× the map baseline, got {:.2}×",
             pfc.speedup
         );
-        // The allocation-free arena step must never cost more than the
-        // boxed closure step it stands in for on the campaign node.
-        assert!(
-            dispatch.speedup >= 1.0,
-            "an EffectRef step must be no slower than a boxed closure step, got {:.2}×",
-            dispatch.speedup
-        );
     } else {
         println!("(speedup assertions skipped below {ASSERT_FLOOR} iterations)");
     }
 
     let report = Report {
-        schema_version: 3,
+        schema_version: 4,
         iterations,
         monitored_runnables: MONITORED,
         ns_per_heartbeat: heartbeat,

@@ -137,7 +137,10 @@ impl DtcStore {
     ///
     /// Panics if either parameter is zero.
     pub fn new(confirm_threshold: u32, aging_cycles: u32) -> Self {
-        assert!(confirm_threshold > 0, "confirmation threshold must be positive");
+        assert!(
+            confirm_threshold > 0,
+            "confirmation threshold must be positive"
+        );
         assert!(aging_cycles > 0, "aging horizon must be positive");
         DtcStore {
             records: Vec::new(),
@@ -374,9 +377,15 @@ mod tests {
         }
         assert_eq!(jumped, store);
         // A pending record's occurrences count towards confirmation.
-        store.record(fault(2, FaultKind::ProgramFlow, 115), FreezeFrame::default());
+        store.record(
+            fault(2, FaultKind::ProgramFlow, 115),
+            FreezeFrame::default(),
+        );
         let a = store.clone();
-        store.record(fault(2, FaultKind::ProgramFlow, 135), FreezeFrame::default());
+        store.record(
+            fault(2, FaultKind::ProgramFlow, 135),
+            FreezeFrame::default(),
+        );
         let code = DtcCode::of(RunnableId(2), FaultKind::ProgramFlow);
         assert_eq!(store.get(code).unwrap().status, DtcStatus::Pending);
         assert!(!certifies(&a, &store));
@@ -425,7 +434,10 @@ mod tests {
             store.healthy_cycle();
         }
         assert!(store.get(pending).is_none(), "pending code must age out");
-        assert!(store.get(confirmed).is_some(), "confirmed code must persist");
+        assert!(
+            store.get(confirmed).is_some(),
+            "confirmed code must persist"
+        );
     }
 
     #[test]
@@ -437,7 +449,10 @@ mod tests {
         store.record(fault(1, FaultKind::Aliveness, 40), FreezeFrame::default());
         store.healthy_cycle();
         store.healthy_cycle();
-        assert!(store.get(code).is_some(), "aging must restart on reoccurrence");
+        assert!(
+            store.get(code).is_some(),
+            "aging must restart on reoccurrence"
+        );
     }
 
     #[test]

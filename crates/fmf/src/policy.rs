@@ -120,8 +120,14 @@ mod tests {
         let app = ApplicationId(0);
         assert_eq!(p.for_faulty_app(app, 0), Treatment::RestartApplication(app));
         assert_eq!(p.for_faulty_app(app, 2), Treatment::RestartApplication(app));
-        assert_eq!(p.for_faulty_app(app, 3), Treatment::TerminateApplication(app));
-        assert_eq!(p.for_faulty_app(app, 10), Treatment::TerminateApplication(app));
+        assert_eq!(
+            p.for_faulty_app(app, 3),
+            Treatment::TerminateApplication(app)
+        );
+        assert_eq!(
+            p.for_faulty_app(app, 10),
+            Treatment::TerminateApplication(app)
+        );
     }
 
     #[test]

@@ -102,7 +102,7 @@ mod tests {
     use super::*;
     use crate::alarm::AlarmAction;
     use crate::kernel::Os;
-    use crate::plan::Plan;
+    use crate::plan::Script;
     use crate::task::{Priority, TaskConfig};
     use easis_sim::time::Duration;
 
@@ -112,12 +112,14 @@ mod tests {
 
     fn demo_os() -> Os<()> {
         let mut os: Os<()> = Os::new();
-        let lo = os.add_task(TaskConfig::new("lo", Priority(1)), |_, _: &()| {
-            Plan::new().compute(ms(8))
-        });
-        let hi = os.add_task(TaskConfig::new("hi", Priority(5)), |_, _: &()| {
-            Plan::new().compute(ms(2))
-        });
+        let lo = os.add_task(
+            TaskConfig::new("lo", Priority(1)),
+            Script::new().compute(ms(8)),
+        );
+        let hi = os.add_task(
+            TaskConfig::new("hi", Priority(5)),
+            Script::new().compute(ms(2)),
+        );
         let a_lo = os.add_alarm("alo", AlarmAction::ActivateTask(lo));
         let a_hi = os.add_alarm("ahi", AlarmAction::ActivateTask(hi));
         let mut w = ();
@@ -177,9 +179,10 @@ mod tests {
     #[test]
     fn open_slices_are_closed_at_the_last_event() {
         let mut os: Os<()> = Os::new();
-        let t = os.add_task(TaskConfig::new("t", Priority(1)), |_, _: &()| {
-            Plan::new().compute(ms(100))
-        });
+        let t = os.add_task(
+            TaskConfig::new("t", Priority(1)),
+            Script::new().compute(ms(100)),
+        );
         let mut w = ();
         os.start(&mut w);
         os.activate_task(t, &mut w).unwrap();

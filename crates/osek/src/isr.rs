@@ -9,9 +9,9 @@
 //! contract.
 
 use crate::kernel::Os;
-use crate::plan::{EffectCtx, Plan, TaskBody};
+use crate::plan::{EffectCtx, Script};
 use crate::task::{Priority, TaskConfig, TaskId};
-use easis_sim::time::{Duration, Instant};
+use easis_sim::time::Duration;
 use std::fmt;
 
 /// The reserved scheduling priority of ISRs (above every task priority a
@@ -35,46 +35,24 @@ impl fmt::Display for IsrId {
     }
 }
 
-/// The body of an ISR's hidden task: its cost of CPU time, then its
-/// handler. The plan never changes, so its key is constant and the kernel
-/// plans it once and replays it at every trigger.
-struct IsrBody<H> {
-    cost: Duration,
-    handler: H,
-}
-
-impl<W, H> TaskBody<W> for IsrBody<H>
-where
-    H: FnMut(&mut W, &mut EffectCtx<'_, W>) + Send,
-{
-    fn plan_into(&mut self, _now: Instant, _world: &W, out: &mut Plan<W>) {
-        out.push_compute(self.cost);
-        out.push_effect_ref(0);
-    }
-
-    fn plan_key(&self, _world: &W) -> Option<u64> {
-        Some(0)
-    }
-
-    fn run_effect(&mut self, _token: u32, world: &mut W, ctx: &mut EffectCtx<'_, W>) {
-        (self.handler)(world, ctx);
-    }
-}
-
 impl<W> Os<W> {
-    /// Registers a category-2 ISR: `cost` of CPU time followed by the
-    /// handler effect. Multiple pending triggers queue (up to 8).
+    /// Registers a category-2 ISR: a [`Script`] of `cost` of CPU time
+    /// followed by the handler effect, which the kernel plans once and
+    /// replays at every trigger. Multiple pending triggers queue (up to 8).
     pub fn add_isr(
         &mut self,
         name: impl Into<String>,
         cost: Duration,
         handler: impl FnMut(&mut W, &mut EffectCtx<'_, W>) + Send + 'static,
-    ) -> IsrId {
+    ) -> IsrId
+    where
+        W: 'static,
+    {
         let task = self.add_task(
             TaskConfig::new(name, ISR_PRIORITY)
                 .non_preemptable()
                 .with_max_activations(8),
-            IsrBody { cost, handler },
+            Script::new().compute(cost).effect(handler),
         );
         IsrId(task)
     }
@@ -95,6 +73,7 @@ impl<W> Os<W> {
 mod tests {
     use super::*;
     use crate::alarm::AlarmAction;
+    use easis_sim::time::Instant;
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
@@ -105,13 +84,11 @@ mod tests {
         let mut os: Os<Vec<String>> = Os::new();
         let task = os.add_task(
             TaskConfig::new("worker", Priority(5)),
-            |_: Instant, _: &Vec<String>| {
-                Plan::new()
-                    .compute(ms(10))
-                    .effect(|w: &mut Vec<String>, ctx| {
-                        w.push(format!("task@{}", ctx.now().as_micros()))
-                    })
-            },
+            Script::new()
+                .compute(ms(10))
+                .effect(|w: &mut Vec<String>, ctx| {
+                    w.push(format!("task@{}", ctx.now().as_micros()))
+                }),
         );
         let isr = os.add_isr(
             "rx",
@@ -163,11 +140,9 @@ mod tests {
         let mut os: Os<Vec<&'static str>> = Os::new();
         let hi = os.add_task(
             TaskConfig::new("hi", Priority(254)),
-            |_: Instant, _: &Vec<&'static str>| {
-                Plan::new()
-                    .compute(ms(1))
-                    .effect(|w: &mut Vec<&'static str>, _| w.push("task"))
-            },
+            Script::new()
+                .compute(ms(1))
+                .effect(|w: &mut Vec<&'static str>, _| w.push("task")),
         );
         let isr = os.add_isr(
             "rx",

@@ -27,10 +27,11 @@
 //! Because bodies and core are separate fields, dispatch borrows them
 //! simultaneously without moving anything: planning calls
 //! [`TaskBody::plan_into`] on the body **in place** while the task's plan
-//! and the clock are borrowed alongside, and an effect step hands its
-//! effect an [`EffectCtx`] that borrows the core, so effects call
-//! `ActivateTask`/`SetEvent`/`CancelAlarm` **directly and synchronously**
-//! on the core's own methods while the body stays in place.
+//! is borrowed alongside, and an effect step hands the body's
+//! [`TaskBody::run_effect`] an [`EffectCtx`] that borrows the core, so
+//! effects call `ActivateTask`/`SetEvent`/`CancelAlarm` **directly and
+//! synchronously** on the core's own methods while the body stays in
+//! place.
 
 use crate::alarm::{Alarm, AlarmAction, AlarmId};
 use crate::error::OsError;
@@ -115,12 +116,11 @@ easis_sim::clone_fields! {
     /// Task bodies, the task/alarm/resource tables and hook observers are
     /// wiring and stay out: bodies must keep all replay-relevant state in
     /// their plans, and observers keep their own state at the node level.
-    /// Cloning a state whose plans still hold a boxed [`Step::Effect`]
-    /// closure panics (a closure cannot be duplicated); arena bodies plan
-    /// [`Step::EffectRef`] tokens instead. A clone copies every retained
-    /// plan whole, so a restored kernel replays them under their keys.
-    #[derive(Debug)]
-    pub struct OsState<W> {
+    /// A plan is plain data, so the state holds nothing of the world and
+    /// any state clones. A clone copies every retained plan whole, so a
+    /// restored kernel replays them under their keys.
+    #[derive(Debug, Default, PartialEq)]
+    pub struct OsState {
         tasks: Vec<Tcb>,
         alarms: Vec<Alarm>,
         /// Holder of each resource, by resource id.
@@ -137,56 +137,7 @@ easis_sim::clone_fields! {
         busy: Duration,
         /// The retained plan of each task, by task id: replayed while its
         /// key holds, never shrunk, across activations and restores.
-        plans: Vec<Plan<W>>,
-    }
-}
-
-impl<W> Default for OsState<W> {
-    fn default() -> Self {
-        OsState {
-            tasks: Vec::new(),
-            alarms: Vec::new(),
-            holders: Vec::new(),
-            timers: EventQueue::new(),
-            now: Instant::ZERO,
-            running: None,
-            ready: Vec::new(),
-            trace: TraceRecorder::new(),
-            started: false,
-            busy: Duration::ZERO,
-            plans: Vec::new(),
-        }
-    }
-}
-
-/// Field by field, without a bound on the world type (plans compare what
-/// is left of them step by step).
-impl<W> PartialEq for OsState<W> {
-    fn eq(&self, other: &Self) -> bool {
-        let OsState {
-            tasks,
-            alarms,
-            holders,
-            timers,
-            now,
-            running,
-            ready,
-            trace,
-            started,
-            busy,
-            plans,
-        } = self;
-        *tasks == other.tasks
-            && *alarms == other.alarms
-            && *holders == other.holders
-            && *timers == other.timers
-            && *now == other.now
-            && *running == other.running
-            && *ready == other.ready
-            && *trace == other.trace
-            && *started == other.started
-            && *busy == other.busy
-            && *plans == other.plans
+        plans: Vec<Plan>,
     }
 }
 
@@ -205,7 +156,7 @@ pub(crate) struct Core<W> {
     /// Union of the observers' interests: hook kinds outside it are
     /// dropped before the observer list is touched.
     interest: HookMask,
-    state: OsState<W>,
+    state: OsState,
 }
 
 /// The OSEK operating system model, generic over the ECU world type `W`.
@@ -214,18 +165,16 @@ pub(crate) struct Core<W> {
 ///
 /// ```
 /// use easis_osek::kernel::Os;
-/// use easis_osek::plan::Plan;
+/// use easis_osek::plan::Script;
 /// use easis_osek::task::{Priority, TaskConfig};
 /// use easis_sim::time::{Duration, Instant};
 ///
 /// let mut os: Os<u32> = Os::new();
 /// let t = os.add_task(
 ///     TaskConfig::new("tick", Priority(1)),
-///     |_now: Instant, _w: &u32| {
-///         Plan::new()
-///             .compute(Duration::from_micros(100))
-///             .effect(|w, _ctx| *w += 1)
-///     },
+///     Script::new()
+///         .compute(Duration::from_micros(100))
+///         .effect(|w, _ctx| *w += 1),
 /// );
 /// let alarm = os.add_alarm("tick10ms", easis_osek::alarm::AlarmAction::ActivateTask(t));
 /// let mut world = 0u32;
@@ -244,7 +193,7 @@ pub struct Os<W> {
     /// Debug builds plan into this at every replay and compare it with the
     /// replayed plan. Retained like the task plans, it allocates only
     /// while it grows to the longest plan.
-    scratch: Plan<W>,
+    scratch: Plan,
 }
 
 impl<W> Default for Os<W> {
@@ -264,9 +213,12 @@ impl<W> Os<W> {
                 resources: Vec::new(),
                 observers: Vec::new(),
                 interest: HookMask::NONE,
-                state: OsState::default(),
+                state: OsState {
+                    trace: TraceRecorder::new(),
+                    ..OsState::default()
+                },
             },
-            scratch: Plan::new(),
+            scratch: Plan::default(),
         }
     }
 
@@ -291,7 +243,7 @@ impl<W> Os<W> {
         // Room for every task in the ready list: readying never allocates.
         state.ready.reserve_exact(state.tasks.len());
         self.core.configs.push(config);
-        state.plans.push(Plan::new());
+        state.plans.push(Plan::default());
         id
     }
 
@@ -424,7 +376,7 @@ impl<W> Os<W> {
     /// The kernel's runtime state — its checkpoint (see [`OsState`]).
     /// `snap.clone_from(os.state())` captures it into a warm buffer
     /// without allocating.
-    pub fn state(&self) -> &OsState<W> {
+    pub fn state(&self) -> &OsState {
         &self.core.state
     }
 
@@ -438,7 +390,7 @@ impl<W> Os<W> {
     /// Panics if the state belongs to an OS with different task, alarm or
     /// resource tables — it must come from an identically built OS,
     /// normally the same instance.
-    pub fn restore(&mut self, state: &OsState<W>) {
+    pub fn restore(&mut self, state: &OsState) {
         assert_eq!(
             (
                 self.core.configs.len(),
@@ -615,7 +567,7 @@ impl<W> Os<W> {
                     // Fail closed: a replay must be what planning builds.
                     let fresh = &mut self.scratch;
                     fresh.clear();
-                    body.plan_into(state.now, world, fresh);
+                    body.plan_into(world, fresh);
                     assert!(
                         *fresh == *plan,
                         "task {id} ({}) replayed {plan:?} under plan key {key:?}, \
@@ -625,7 +577,7 @@ impl<W> Os<W> {
                 }
             } else {
                 plan.clear();
-                body.plan_into(state.now, world, plan);
+                body.plan_into(world, plan);
                 plan.seal(key);
             }
             let tcb = &mut state.tasks[i];
@@ -665,10 +617,6 @@ impl<W> Os<W> {
                         return reached_end;
                     }
                     decided = !d.is_zero();
-                }
-                Step::Effect(index) => {
-                    let mut f = self.core.state.plans[i].take_closure(index);
-                    f(world, &mut EffectCtx::new(id, &mut self.core));
                 }
                 Step::EffectRef(token) => {
                     // In-place dispatch: the body stays in `bodies` while
@@ -1229,7 +1177,7 @@ impl<W> std::fmt::Debug for Os<W> {
     }
 }
 
-impl<W> OsState<W> {
+impl OsState {
     /// The position of the first ready task whose `current_priority`
     /// satisfies `below`, or the end of the order. The list holds at most
     /// a few tasks, so a scan from the front beats a binary search.
@@ -1320,16 +1268,15 @@ pub struct CycleProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Plan;
+    use crate::plan::Script;
 
     type W = Vec<String>;
 
-    fn log_body(label: &'static str, cost: Duration) -> impl FnMut(Instant, &W) -> Plan<W> + Send {
-        move |_now, _w| {
-            Plan::new().compute(cost).effect(move |w: &mut W, ctx| {
-                w.push(format!("{label}@{}", ctx.now().as_micros()));
-            })
-        }
+    /// Computes `cost`, then logs `label` with the time.
+    fn log_body(label: &'static str, cost: Duration) -> Script<W> {
+        Script::new()
+            .compute(cost)
+            .effect(move |w: &mut W, ctx| w.push(format!("{label}@{}", ctx.now().as_micros())))
     }
 
     fn ms(n: u64) -> Duration {
@@ -1442,21 +1389,19 @@ mod tests {
         let p1b = TaskId(4);
         let lo = os.add_task(
             TaskConfig::new("lo", Priority(1)).non_preemptable(),
-            move |_: Instant, _: &W| {
-                Plan::new()
-                    .step(Step::ActivateTask(p5a))
-                    .step(Step::ActivateTask(p5b))
-                    .step(Step::GetResource(r))
-                    .step(Step::Schedule)
-                    .step(Step::ActivateTask(p1a))
-                    .step(Step::ActivateTask(p1b))
-                    .compute(ms(1))
-                    .effect(|w: &mut W, ctx| w.push(format!("held@{}", ctx.now().as_micros())))
-                    .step(Step::ReleaseResource(r))
-                    .step(Step::Schedule)
-                    .compute(ms(1))
-                    .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros())))
-            },
+            Script::new()
+                .step(Step::ActivateTask(p5a))
+                .step(Step::ActivateTask(p5b))
+                .step(Step::GetResource(r))
+                .step(Step::Schedule)
+                .step(Step::ActivateTask(p1a))
+                .step(Step::ActivateTask(p1b))
+                .compute(ms(1))
+                .effect(|w: &mut W, ctx| w.push(format!("held@{}", ctx.now().as_micros())))
+                .step(Step::ReleaseResource(r))
+                .step(Step::Schedule)
+                .compute(ms(1))
+                .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros()))),
         );
         for (name, priority) in [("p5a", 5), ("p5b", 5), ("p1a", 1), ("p1b", 1)] {
             os.add_task(
@@ -1513,12 +1458,10 @@ mod tests {
     #[test]
     fn extended_task_waits_and_wakes_on_event() {
         let mut os: Os<W> = Os::new();
-        let waiter_body = |_now: Instant, _w: &W| {
-            Plan::new()
-                .effect(|w: &mut W, ctx| w.push(format!("before@{}", ctx.now().as_micros())))
-                .step(Step::WaitEvent(EventMask::bit(0)))
-                .effect(|w: &mut W, ctx| w.push(format!("after@{}", ctx.now().as_micros())))
-        };
+        let waiter_body = Script::new()
+            .effect(|w: &mut W, ctx| w.push(format!("before@{}", ctx.now().as_micros())))
+            .step(Step::WaitEvent(EventMask::bit(0)))
+            .effect(|w: &mut W, ctx| w.push(format!("after@{}", ctx.now().as_micros())));
         let waiter = os.add_task(
             TaskConfig::new("waiter", Priority(3))
                 .with_kind(TaskKind::Extended)
@@ -1539,11 +1482,9 @@ mod tests {
         let mut os: Os<W> = Os::new();
         let t = os.add_task(
             TaskConfig::new("t", Priority(1)).with_kind(TaskKind::Extended),
-            |_now: Instant, _w: &W| {
-                Plan::new()
-                    .step(Step::WaitEvent(EventMask::bit(1)))
-                    .effect(|w: &mut W, _| w.push("ran".into()))
-            },
+            Script::new()
+                .step(Step::WaitEvent(EventMask::bit(1)))
+                .effect(|w: &mut W, _| w.push("ran".into())),
         );
         let mut w = W::new();
         os.start(&mut w);
@@ -1611,13 +1552,11 @@ mod tests {
         let r = ResourceId(0);
         let lo = os.add_task(
             TaskConfig::new("lo", Priority(1)),
-            move |_n: Instant, _w: &W| {
-                Plan::new()
-                    .step(Step::GetResource(r))
-                    .compute(ms(5))
-                    .step(Step::ReleaseResource(r))
-                    .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros())))
-            },
+            Script::new()
+                .step(Step::GetResource(r))
+                .compute(ms(5))
+                .step(Step::ReleaseResource(r))
+                .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros()))),
         );
         let mid = os.add_task(TaskConfig::new("mid", Priority(3)), log_body("mid", ms(1)));
         let _ = os.add_resource("R", Priority(5));
@@ -1642,14 +1581,12 @@ mod tests {
         let r1 = ResourceId(1);
         let t = os.add_task(
             TaskConfig::new("t", Priority(1)),
-            move |_n: Instant, _w: &W| {
-                Plan::new()
-                    .step(Step::GetResource(r0))
-                    .step(Step::GetResource(r1))
-                    .step(Step::ReleaseResource(r0)) // out of order
-                    .step(Step::ReleaseResource(r1))
-                    .step(Step::ReleaseResource(r0))
-            },
+            Script::new()
+                .step(Step::GetResource(r0))
+                .step(Step::GetResource(r1))
+                .step(Step::ReleaseResource(r0)) // out of order
+                .step(Step::ReleaseResource(r1))
+                .step(Step::ReleaseResource(r0)),
         );
         os.add_resource("R0", Priority(5));
         os.add_resource("R1", Priority(5));
@@ -1666,7 +1603,7 @@ mod tests {
         let r0 = ResourceId(0);
         let t = os.add_task(
             TaskConfig::new("t", Priority(1)),
-            move |_n: Instant, _w: &W| Plan::new().step(Step::GetResource(r0)).compute(ms(1)),
+            Script::new().step(Step::GetResource(r0)).compute(ms(1)),
         );
         os.add_resource("R0", Priority(5));
         let mut w = W::new();
@@ -1688,7 +1625,7 @@ mod tests {
         let b = os.add_task(TaskConfig::new("b", Priority(1)), log_body("b", ms(1)));
         let a = os.add_task(
             TaskConfig::new("a", Priority(2)),
-            move |_n: Instant, _w: &W| Plan::new().compute(ms(1)).step(Step::ChainTask(b)),
+            Script::new().compute(ms(1)).step(Step::ChainTask(b)),
         );
         let mut w = W::new();
         os.start(&mut w);
@@ -1798,12 +1735,10 @@ mod tests {
         // next step, itself an effect.
         let mut os: Os<W> = Os::new();
         let hi = os.add_task(TaskConfig::new("hi", Priority(5)), log_body("hi", us(500)));
-        let lo_body = move |_n: Instant, _w: &W| {
-            Plan::new()
-                .compute(ms(1))
-                .effect(move |w: &mut W, ctx| ctx.activate_task(hi, w).unwrap())
-                .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros())))
-        };
+        let lo_body = Script::new()
+            .compute(ms(1))
+            .effect(move |w: &mut W, ctx| ctx.activate_task(hi, w).unwrap())
+            .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros())));
         let lo = os.add_task(TaskConfig::new("lo", Priority(1)), lo_body);
         let mut w = W::new();
         os.start(&mut w);
@@ -1878,39 +1813,15 @@ mod tests {
         // Run a preemption-heavy scene to 5 ms, snapshot, run to 20 ms;
         // then restore and re-run: world effects and the kernel trace must
         // replay byte-for-byte, including mid-flight plans and timers.
-        // Bodies use arena EffectRef tokens — boxed-closure plans cannot be
-        // snapshotted (capturing_a_plan_with_a_closure_left_panics pins
-        // that).
-        struct RefLogBody {
-            label: &'static str,
-            cost: Duration,
-        }
-        impl TaskBody<W> for RefLogBody {
-            fn plan_into(&mut self, _now: Instant, _w: &W, out: &mut Plan<W>) {
-                out.push_compute(self.cost);
-                out.push_effect_ref(0);
-            }
-            fn run_effect(&mut self, _token: u32, w: &mut W, ctx: &mut EffectCtx<'_, W>) {
-                w.push(format!("{}@{}", self.label, ctx.now().as_micros()));
-            }
-            fn name(&self) -> &str {
-                self.label
-            }
-        }
         let mut os: Os<W> = Os::new();
-        let hi = os.add_task(
-            TaskConfig::new("hi", Priority(9)),
-            RefLogBody {
-                label: "hi",
-                cost: ms(1),
-            },
-        );
+        let hi = os.add_task(TaskConfig::new("hi", Priority(9)), log_body("hi", ms(1)));
         let lo = os.add_task(
             TaskConfig::new("lo", Priority(1)),
-            RefLogBody {
-                label: "lo",
-                cost: ms(4),
-            },
+            Script::new()
+                .compute(ms(1))
+                .effect(|w: &mut W, ctx| w.push(format!("lo-a@{}", ctx.now().as_micros())))
+                .compute(ms(3))
+                .effect(|w: &mut W, ctx| w.push(format!("lo-b@{}", ctx.now().as_micros()))),
         );
         let a_hi = os.add_alarm("a_hi", AlarmAction::ActivateTask(hi));
         let a_lo = os.add_alarm("a_lo", AlarmAction::ActivateTask(lo));
@@ -1920,6 +1831,14 @@ mod tests {
         os.set_rel_alarm(a_lo, ms(2), Some(ms(7))).unwrap();
         os.run_until(Instant::from_millis(5), &mut w);
         let snap = os.state().clone();
+        // Mid-activation: `lo` ran its first effect at 4 ms, after `hi`
+        // preempted it at 3 ms, and is 1 ms into its second compute step,
+        // with its second effect still ahead.
+        assert_eq!(w, ["hi@4000", "lo-a@4000"]);
+        assert_eq!(
+            format!("{:?}", snap.plans[lo.index()]),
+            "Plan { remainder: Some(Duration(2000)), steps: [EffectRef(1)] }"
+        );
         let world_mark = w.len();
         os.run_until(Instant::from_millis(20), &mut w);
         let tail: Vec<String> = w[world_mark..].to_vec();
@@ -1944,10 +1863,9 @@ mod tests {
         );
     }
 
-    /// A body that computes `cost` and does nothing else: a kernel state
-    /// holding its plans can be cloned.
-    fn compute(cost: Duration) -> impl FnMut(Instant, &W) -> Plan<W> + Send {
-        move |_, _| Plan::new().compute(cost)
+    /// A body that computes `cost` and does nothing else.
+    fn compute(cost: Duration) -> Script<W> {
+        Script::new().compute(cost)
     }
 
     /// A bare periodic kernel without a trace: one compute-only task per
@@ -2105,12 +2023,10 @@ mod tests {
         let b = os.add_task(TaskConfig::new("b", Priority(9)), log_body("b", ms(1)));
         let a = os.add_task(
             TaskConfig::new("a", Priority(1)),
-            move |_n: Instant, _w: &W| {
-                Plan::new()
-                    .effect(move |w: &mut W, ctx| ctx.activate_task(b, w).unwrap())
-                    .compute(ms(5))
-                    .effect(|w: &mut W, ctx| w.push(format!("a@{}", ctx.now().as_micros())))
-            },
+            Script::new()
+                .effect(move |w: &mut W, ctx| ctx.activate_task(b, w).unwrap())
+                .compute(ms(5))
+                .effect(|w: &mut W, ctx| w.push(format!("a@{}", ctx.now().as_micros()))),
         );
         let mut w = W::new();
         os.start(&mut w);
@@ -2132,7 +2048,7 @@ mod tests {
             fired: u32,
         }
         impl TaskBody<W> for Chainer {
-            fn plan_into(&mut self, _now: Instant, _world: &W, out: &mut Plan<W>) {
+            fn plan_into(&mut self, _world: &W, out: &mut Plan) {
                 out.push_compute(Duration::from_millis(1));
                 out.push_effect_ref(0);
             }
@@ -2144,9 +2060,6 @@ mod tests {
                     ctx.activate_task(peer, world).unwrap();
                     assert_eq!(ctx.task_state(peer), Ok(TaskState::Ready));
                 }
-            }
-            fn name(&self) -> &str {
-                "chainer"
             }
         }
         let mut os: Os<W> = Os::new();
@@ -2175,11 +2088,9 @@ mod tests {
         let mut os: Os<W> = Os::new();
         let waiter = os.add_task(
             TaskConfig::new("waiter", Priority(3)).with_kind(TaskKind::Extended),
-            |_: Instant, _: &W| {
-                Plan::new()
-                    .step(Step::WaitEvent(EventMask::bit(0)))
-                    .effect(|w: &mut W, ctx| w.push(format!("woke@{}", ctx.now().as_micros())))
-            },
+            Script::new()
+                .step(Step::WaitEvent(EventMask::bit(0)))
+                .effect(|w: &mut W, ctx| w.push(format!("woke@{}", ctx.now().as_micros()))),
         );
         let peer = os.add_task(
             TaskConfig::new("peer", Priority(1)),
@@ -2188,22 +2099,20 @@ mod tests {
         let alarm = os.add_alarm("a", AlarmAction::ActivateTask(peer));
         let caller = os.add_task(
             TaskConfig::new("caller", Priority(2)),
-            move |_: Instant, _: &W| {
-                Plan::new().compute(ms(1)).effect(move |w: &mut W, ctx| {
-                    w.push(format!("{}@{}", ctx.task(), ctx.now().as_micros()));
-                    assert_eq!(ctx.task_state(waiter), Ok(TaskState::Waiting));
-                    assert_eq!(ctx.set_event(waiter, EventMask::bit(0), w), Ok(()));
-                    assert_eq!(ctx.task_state(waiter), Ok(TaskState::Ready));
-                    assert_eq!(ctx.task_state(peer), Ok(TaskState::Suspended));
-                    assert_eq!(ctx.activate_task(peer, w), Ok(()));
-                    assert_eq!(ctx.task_state(peer), Ok(TaskState::Ready));
-                    assert_eq!(ctx.cancel_alarm(alarm.0), Ok(()));
-                    assert_eq!(ctx.cancel_alarm(alarm.0), Err(OsError::AlarmNotInUse));
-                    assert_eq!(ctx.task_state(TaskId(9)), Err(OsError::InvalidId));
-                    assert!(ctx.trace_enabled());
-                    ctx.trace("body", "mark", "services");
-                })
-            },
+            Script::new().compute(ms(1)).effect(move |w: &mut W, ctx| {
+                w.push(format!("{}@{}", ctx.task(), ctx.now().as_micros()));
+                assert_eq!(ctx.task_state(waiter), Ok(TaskState::Waiting));
+                assert_eq!(ctx.set_event(waiter, EventMask::bit(0), w), Ok(()));
+                assert_eq!(ctx.task_state(waiter), Ok(TaskState::Ready));
+                assert_eq!(ctx.task_state(peer), Ok(TaskState::Suspended));
+                assert_eq!(ctx.activate_task(peer, w), Ok(()));
+                assert_eq!(ctx.task_state(peer), Ok(TaskState::Ready));
+                assert_eq!(ctx.cancel_alarm(alarm.0), Ok(()));
+                assert_eq!(ctx.cancel_alarm(alarm.0), Err(OsError::AlarmNotInUse));
+                assert_eq!(ctx.task_state(TaskId(9)), Err(OsError::InvalidId));
+                assert!(ctx.trace_enabled());
+                ctx.trace("body", "mark", "services");
+            }),
         );
         let mut w = W::new();
         os.start(&mut w);
@@ -2240,17 +2149,36 @@ mod tests {
         assert_eq!(os.task_state(TaskId(9)), Err(OsError::InvalidId));
     }
 
+    /// Forwards to a body, counting its `plan_into` calls.
+    struct Counted<B> {
+        body: B,
+        plans: std::sync::Arc<std::sync::atomic::AtomicU32>,
+    }
+
+    impl<B: TaskBody<W>> TaskBody<W> for Counted<B> {
+        fn plan_into(&mut self, w: &W, out: &mut Plan) {
+            self.plans
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.body.plan_into(w, out);
+        }
+
+        fn plan_key(&self, w: &W) -> Option<u64> {
+            self.body.plan_key(w)
+        }
+
+        fn run_effect(&mut self, token: u32, w: &mut W, ctx: &mut EffectCtx<'_, W>) {
+            self.body.run_effect(token, w, ctx);
+        }
+    }
+
     /// Computes 1 ms more than the world has entries, then logs. Its plan
     /// key is the world's length, or a constant when it `lies`.
     struct LengthBody {
         lies: bool,
-        plans: std::sync::Arc<std::sync::atomic::AtomicU32>,
     }
 
     impl TaskBody<W> for LengthBody {
-        fn plan_into(&mut self, _now: Instant, w: &W, out: &mut Plan<W>) {
-            self.plans
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        fn plan_into(&mut self, w: &W, out: &mut Plan) {
             out.push_compute(ms(1 + w.len() as u64));
             out.push_effect_ref(0);
         }
@@ -2271,8 +2199,8 @@ mod tests {
         use std::sync::atomic::Ordering;
         let plans = std::sync::Arc::default();
         let mut os: Os<W> = Os::new();
-        let body = LengthBody {
-            lies,
+        let body = Counted {
+            body: LengthBody { lies },
             plans: std::sync::Arc::clone(&plans),
         };
         let t = os.add_task(TaskConfig::new("t", Priority(1)), body);
@@ -2299,6 +2227,43 @@ mod tests {
         assert_eq!(log, ["t@1000", "t@12000", "t@21000", "t@31000"]);
         // Debug builds also plan at the replay, to check it.
         assert_eq!(plans, if cfg!(debug_assertions) { 4 } else { 3 });
+    }
+
+    #[test]
+    fn a_script_is_planned_once_and_runs_its_effects_in_order_at_every_activation() {
+        let plans = std::sync::Arc::default();
+        let mut activation = 0;
+        let script = Script::new()
+            .effect(|w: &mut W, ctx| w.push(format!("a@{}", ctx.now().as_micros())))
+            .compute(ms(1))
+            .effect(|w: &mut W, ctx| w.push(format!("b@{}", ctx.now().as_micros())))
+            .effect(move |w: &mut W, _| {
+                // The script keeps its closures, and their state, across
+                // activations.
+                activation += 1;
+                w.push(format!("c{activation}"));
+            });
+        let mut os: Os<W> = Os::new();
+        let t = os.add_task(
+            TaskConfig::new("t", Priority(1)),
+            Counted {
+                body: script,
+                plans: std::sync::Arc::clone(&plans),
+            },
+        );
+        let a = os.add_alarm("a", AlarmAction::ActivateTask(t));
+        let mut w = W::new();
+        os.start(&mut w);
+        os.set_rel_alarm(a, ms(10), Some(ms(10))).unwrap();
+        os.run_until(Instant::from_millis(35), &mut w);
+        assert_eq!(
+            w,
+            ["a@10000", "b@11000", "c1", "a@20000", "b@21000", "c2", "a@30000", "b@31000", "c3"]
+        );
+        assert_eq!(os.state().plans[t.index()].key(), Some(0));
+        // Debug builds also plan at every replay, to check it.
+        let planned = plans.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(planned, if cfg!(debug_assertions) { 3 } else { 1 });
     }
 
     #[test]
@@ -2330,7 +2295,7 @@ mod tests {
 #[cfg(test)]
 mod schedule_tests {
     use super::*;
-    use crate::plan::Plan;
+    use crate::plan::Script;
 
     type W = Vec<String>;
     fn ms(n: u64) -> Duration {
@@ -2340,20 +2305,19 @@ mod schedule_tests {
     #[test]
     fn schedule_yields_inside_non_preemptable_task() {
         let mut os: Os<W> = Os::new();
-        let hi = os.add_task(TaskConfig::new("hi", Priority(9)), |_: Instant, _: &W| {
-            Plan::new()
+        let hi = os.add_task(
+            TaskConfig::new("hi", Priority(9)),
+            Script::new()
                 .compute(ms(1))
-                .effect(|w: &mut W, ctx| w.push(format!("hi@{}", ctx.now().as_micros())))
-        });
+                .effect(|w: &mut W, ctx| w.push(format!("hi@{}", ctx.now().as_micros()))),
+        );
         let lo = os.add_task(
             TaskConfig::new("lo", Priority(1)).non_preemptable(),
-            |_: Instant, _: &W| {
-                Plan::new()
-                    .compute(ms(4))
-                    .step(Step::Schedule)
-                    .compute(ms(4))
-                    .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros())))
-            },
+            Script::new()
+                .compute(ms(4))
+                .step(Step::Schedule)
+                .compute(ms(4))
+                .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros()))),
         );
         let a_lo = os.add_alarm("alo", AlarmAction::ActivateTask(lo));
         let a_hi = os.add_alarm("ahi", AlarmAction::ActivateTask(hi));
@@ -2372,13 +2336,11 @@ mod schedule_tests {
         let mut os: Os<W> = Os::new();
         let t = os.add_task(
             TaskConfig::new("t", Priority(5)).non_preemptable(),
-            |_: Instant, _: &W| {
-                Plan::new()
-                    .compute(ms(1))
-                    .step(Step::Schedule)
-                    .compute(ms(1))
-                    .effect(|w: &mut W, ctx| w.push(format!("t@{}", ctx.now().as_micros())))
-            },
+            Script::new()
+                .compute(ms(1))
+                .step(Step::Schedule)
+                .compute(ms(1))
+                .effect(|w: &mut W, ctx| w.push(format!("t@{}", ctx.now().as_micros()))),
         );
         let mut w = W::new();
         os.start(&mut w);

@@ -15,25 +15,28 @@
 //!   work section;
 //! * task bodies expressed as preemptible execution [`plan`]s, which the
 //!   kernel retains and replays by cursor until the body's plan key
-//!   changes, and whose effects call OS services through an
-//!   [`EffectCtx`]. Only the kernel builds one, lending it the scheduler
-//!   core, so every service call from an effect runs the kernel's own
-//!   code.
+//!   changes. A body owns its effects: it plans them as tokens, and the
+//!   kernel hands each back to the body with an [`EffectCtx`] through
+//!   which the effect calls OS services. Only the kernel builds one,
+//!   lending it the scheduler core, so every service call from an effect
+//!   runs the kernel's own code. A [`Script`] is the body for a fixed
+//!   sequence of steps with closure effects.
 //!
 //! # Examples
 //!
 //! ```
 //! use easis_osek::alarm::AlarmAction;
 //! use easis_osek::kernel::Os;
-//! use easis_osek::plan::Plan;
+//! use easis_osek::plan::Script;
 //! use easis_osek::task::{Priority, TaskConfig};
 //! use easis_sim::time::{Duration, Instant};
 //!
 //! // A 10 ms periodic task incrementing a counter in the shared world.
 //! let mut os: Os<u64> = Os::new();
-//! let task = os.add_task(TaskConfig::new("tick", Priority(1)), |_, _: &u64| {
-//!     Plan::new().compute(Duration::from_micros(200)).effect(|w, _| *w += 1)
-//! });
+//! let body = Script::new()
+//!     .compute(Duration::from_micros(200))
+//!     .effect(|w: &mut u64, _| *w += 1);
+//! let task = os.add_task(TaskConfig::new("tick", Priority(1)), body);
 //! let alarm = os.add_alarm("cyc", AlarmAction::ActivateTask(task));
 //! let mut world = 0;
 //! os.start(&mut world);
@@ -61,6 +64,6 @@ pub use error::OsError;
 pub use hooks::{HookEvent, HookMask, HookObserver};
 pub use isr::{IsrId, ISR_PRIORITY};
 pub use kernel::Os;
-pub use plan::{EffectCtx, Plan, ResourceId, Step, TaskBody};
+pub use plan::{EffectCtx, Plan, ResourceId, Script, Step, TaskBody};
 pub use resource::Resource;
 pub use task::{EventMask, Priority, TaskConfig, TaskId, TaskKind, TaskState};

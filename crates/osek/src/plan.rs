@@ -21,12 +21,19 @@
 //! runs the plan it was dispatched with: a world change while it runs
 //! reaches the next activation, not this one.
 //!
+//! # Bodies own their effects
+//!
 //! Bodies are generic over a *world* type `W` — the shared state of the ECU
-//! (signal database, dependability services). Effects receive `&mut W` plus
-//! an [`EffectCtx`] through which they call OS services
+//! (signal database, dependability services). A body plans each effect as
+//! a [`Step::EffectRef`] token, and the kernel hands the token back to
+//! [`TaskBody::run_effect`] on the same body, in place, with `&mut W` and
+//! an [`EffectCtx`] through which the effect calls OS services
 //! ([`EffectCtx::activate_task`], [`EffectCtx::set_event`],
 //! [`EffectCtx::cancel_alarm`]). The context borrows the kernel's scheduler
-//! core, so each call executes directly and synchronously on it.
+//! core, so each call executes directly and synchronously on it. A plan
+//! therefore holds nothing of the world: it is plain data that the kernel
+//! checkpoint clones and compares. [`Script`] is the body for a fixed
+//! sequence of steps whose effects are closures.
 
 use crate::alarm::AlarmId;
 use crate::error::OsError;
@@ -45,25 +52,16 @@ impl fmt::Display for ResourceId {
     }
 }
 
-/// An instantaneous side effect executed by a task at the current simulated
-/// time. Receives the shared world and an [`EffectCtx`] for OS services.
-pub type Effect<W> = Box<dyn FnMut(&mut W, &mut EffectCtx<'_, W>) + Send>;
-
 /// One step of a task's execution plan: 16 bytes of plain data, which the
 /// kernel copies out of the plan when it runs the step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
     /// Consume simulated CPU time. Preemption can occur inside this step.
     Compute(Duration),
-    /// Run the boxed closure at this index of the plan's own closure table
-    /// ([`Plan::effect`], [`Plan::push_effect`]). The kernel takes the
-    /// closure out of the table to run it, so it runs once.
-    Effect(u32),
     /// Run a body-owned effect identified by an opaque token: the kernel
     /// hands the token back to [`TaskBody::run_effect`] on the same body
-    /// that planned it. This is the allocation-free alternative to
-    /// [`Step::Effect`] — no closure is boxed per activation; the body keeps
-    /// its state and dispatches on the token.
+    /// that planned it. The body keeps its state and dispatches on the
+    /// token.
     EffectRef(u32),
     /// `ActivateTask` system service.
     ActivateTask(TaskId),
@@ -86,40 +84,6 @@ pub enum Step {
     Schedule,
 }
 
-/// The boxed closures of a plan's [`Step::Effect`] steps, by index; the
-/// kernel takes each one out when its step runs.
-///
-/// A closure cannot be duplicated, so cloning a table that still holds
-/// one panics: a plan with a closure still to run cannot be captured in a
-/// kernel checkpoint (`OsState`). Arena bodies plan [`Step::EffectRef`]
-/// tokens instead, which capture fine — the campaign node stack is
-/// EffectRef-only by construction.
-struct Closures<W>(Vec<Option<Effect<W>>>);
-
-impl<W> Closures<W> {
-    /// Whether a closure is still to run.
-    fn holds_any(&self) -> bool {
-        self.0.iter().any(Option::is_some)
-    }
-}
-
-impl<W> Clone for Closures<W> {
-    fn clone(&self) -> Self {
-        let mut table = Closures(Vec::new());
-        table.clone_from(self);
-        table
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        assert!(
-            !source.holds_any(),
-            "Step::Effect (boxed closure) cannot be snapshotted; \
-             plan EffectRef tokens for snapshot/restore support"
-        );
-        self.0.clear();
-    }
-}
-
 easis_sim::clone_fields! {
     /// What a task executes for one activation: an ordered sequence of
     /// steps, read by a cursor.
@@ -129,7 +93,8 @@ easis_sim::clone_fields! {
     /// the task's plan length, and a plan built under the body's current
     /// [`TaskBody::plan_key`] is rewound and replayed instead of built
     /// again. `clone_from` rewrites the destination's buffers in place.
-    pub struct Plan<W> {
+    #[derive(Default)]
+    pub struct Plan {
         steps: Vec<Step>,
         /// Index of the next step to run.
         cursor: usize,
@@ -139,25 +104,20 @@ easis_sim::clone_fields! {
         /// The plan key the steps were built under; `None` plans the next
         /// activation afresh.
         key: Option<u64>,
-        closures: Closures<W>,
     }
 }
 
 /// What is left to run: the held remainder and the steps from the cursor
 /// on. The steps already run and the plan key decide nothing the plan
 /// still does, so they are left out, and two kernels in the same schedule
-/// compare equal however they got there. A closure has no comparable
-/// content, so a plan that still holds one equals nothing.
-impl<W> PartialEq for Plan<W> {
+/// compare equal however they got there.
+impl PartialEq for Plan {
     fn eq(&self, other: &Self) -> bool {
-        self.remainder == other.remainder
-            && self.steps() == other.steps()
-            && !self.closures.holds_any()
-            && !other.closures.holds_any()
+        self.remainder == other.remainder && self.steps() == other.steps()
     }
 }
 
-impl<W> fmt::Debug for Plan<W> {
+impl fmt::Debug for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Plan")
             .field("remainder", &self.remainder)
@@ -166,65 +126,26 @@ impl<W> fmt::Debug for Plan<W> {
     }
 }
 
-impl<W> Default for Plan<W> {
-    fn default() -> Self {
-        Plan {
-            steps: Vec::new(),
-            cursor: 0,
-            remainder: None,
-            key: None,
-            closures: Closures(Vec::new()),
-        }
-    }
-}
-
-impl<W> Plan<W> {
-    /// Creates an empty plan (the task terminates immediately).
-    pub fn new() -> Self {
-        Plan::default()
-    }
-
-    /// Appends a compute step.
-    pub fn compute(mut self, d: Duration) -> Self {
-        self.push_compute(d);
-        self
-    }
-
-    /// Appends an instantaneous effect.
-    pub fn effect(mut self, f: impl FnMut(&mut W, &mut EffectCtx<'_, W>) + Send + 'static) -> Self {
-        self.push_effect(f);
-        self
-    }
-
-    /// Appends an arbitrary step.
-    pub fn step(mut self, s: Step) -> Self {
-        self.steps.push(s);
-        self
-    }
-
+impl Plan {
     /// The steps still to run, from the cursor on (a held compute
     /// remainder runs before them).
     pub fn steps(&self) -> &[Step] {
         &self.steps[self.cursor..]
     }
 
+    /// Appends a step in place.
+    pub fn push(&mut self, step: Step) {
+        self.steps.push(step);
+    }
+
     /// Appends a compute step in place.
     pub fn push_compute(&mut self, d: Duration) {
-        self.steps.push(Step::Compute(d));
+        self.push(Step::Compute(d));
     }
 
-    /// Appends a boxed effect in place (allocates the box; arena bodies
-    /// should prefer [`Plan::push_effect_ref`]).
-    pub fn push_effect(&mut self, f: impl FnMut(&mut W, &mut EffectCtx<'_, W>) + Send + 'static) {
-        let index = self.closures.0.len() as u32;
-        self.closures.0.push(Some(Box::new(f)));
-        self.steps.push(Step::Effect(index));
-    }
-
-    /// Appends a body-owned effect reference in place — the allocation-free
-    /// counterpart of [`Plan::push_effect`].
+    /// Appends a body-owned effect reference in place.
     pub fn push_effect_ref(&mut self, token: u32) {
-        self.steps.push(Step::EffectRef(token));
+        self.push(Step::EffectRef(token));
     }
 
     // ------------------------------------------------------------------
@@ -237,7 +158,6 @@ impl<W> Plan<W> {
         self.cursor = 0;
         self.remainder = None;
         self.key = None;
-        self.closures.0.clear();
     }
 
     /// The plan key the steps were built under.
@@ -245,10 +165,9 @@ impl<W> Plan<W> {
         self.key
     }
 
-    /// Records the key a body has just planned under. A plan with closures
-    /// keeps none: they run once, so it cannot be replayed.
+    /// Records the key a body has just planned under.
     pub(crate) fn seal(&mut self, key: Option<u64>) {
-        self.key = key.filter(|_| self.closures.0.is_empty());
+        self.key = key;
     }
 
     /// Moves the cursor back to the first step, for a replay.
@@ -257,12 +176,11 @@ impl<W> Plan<W> {
         self.remainder = None;
     }
 
-    /// Moves the cursor past the last step (the task terminated) and drops
-    /// any closure left unrun; the steps stay for a replay.
+    /// Moves the cursor past the last step (the task terminated); the
+    /// steps stay for a replay.
     pub(crate) fn finish(&mut self) {
         self.cursor = self.steps.len();
         self.remainder = None;
-        self.closures.0.clear();
     }
 
     /// The next step to run: a held remainder first, then the step at the
@@ -280,50 +198,33 @@ impl<W> Plan<W> {
     pub(crate) fn hold(&mut self, remainder: Duration) {
         self.remainder = Some(remainder);
     }
-
-    /// Takes the closure of [`Step::Effect`]`(index)` out of the table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no closure was planned at `index` or it has run already.
-    pub(crate) fn take_closure(&mut self, index: u32) -> Effect<W> {
-        self.closures
-            .0
-            .get_mut(index as usize)
-            .and_then(Option::take)
-            .expect("a Step::Effect runs the closure planned at its index, once")
-    }
 }
 
 /// A task body: asked at an activation's first dispatch for that
 /// activation's execution plan.
 ///
-/// Arena-backed bodies implement [`TaskBody::plan_into`] to fill the
-/// kernel-owned, capacity-retained plan in place, plan
-/// [`Step::EffectRef`] tokens that dispatch back into
-/// [`TaskBody::run_effect`], and name a [`TaskBody::plan_key`] so the
-/// kernel replays the plan until the key changes — zero heap allocation and
-/// no planning per activation. Plain closures returning a [`Plan`] still
-/// work through the blanket impl and are planned at every activation
-/// (their allocations are fine outside the campaign hot path).
+/// A body fills the kernel-owned, capacity-retained plan in place
+/// ([`TaskBody::plan_into`]), plans [`Step::EffectRef`] tokens that
+/// dispatch back into [`TaskBody::run_effect`], and names a
+/// [`TaskBody::plan_key`] so the kernel replays the plan until the key
+/// changes — zero heap allocation and no planning per activation.
 pub trait TaskBody<W>: Send {
-    /// Fills `out` with the steps for one activation starting at `now`.
-    /// `out` arrives empty but with the capacity retained from earlier
-    /// activations of this task.
+    /// Fills `out` with the steps for one activation. `out` arrives empty
+    /// but with the capacity retained from earlier activations of this
+    /// task.
     ///
     /// The body may inspect (but not mutate) the world when deciding the
     /// plan; mutations belong in effect steps so they happen at the right
     /// simulated time.
-    fn plan_into(&mut self, now: Instant, world: &W, out: &mut Plan<W>);
+    fn plan_into(&mut self, world: &W, out: &mut Plan);
 
     /// The value this body's plan is a function of, if there is one. At an
     /// activation's first dispatch the kernel replays the task's retained
     /// plan when this key equals the one the plan was built under, and
     /// calls [`TaskBody::plan_into`] otherwise. A body that returns `Some`
-    /// promises that equal keys plan equal steps, at any activation time.
-    /// Debug builds check every replay against a fresh plan, so a keyed
-    /// body's `plan_into` must change nothing but `out`. A plan holding
-    /// closures is never replayed. The default, `None`, plans every
+    /// promises that equal keys plan equal steps. Debug builds check every
+    /// replay against a fresh plan, so a keyed body's `plan_into` must
+    /// change nothing but `out`. The default, `None`, plans every
     /// activation.
     fn plan_key(&self, world: &W) -> Option<u64> {
         let _ = world;
@@ -337,38 +238,112 @@ pub trait TaskBody<W>: Send {
     /// implementation panics: a body that plans effect references must
     /// override this.
     fn run_effect(&mut self, token: u32, world: &mut W, ctx: &mut EffectCtx<'_, W>) {
-        let _ = (world, ctx);
+        let _ = world;
         panic!(
-            "task body `{}` planned Step::EffectRef({token}) without implementing run_effect",
-            self.name()
+            "task {} planned Step::EffectRef({token}) without implementing run_effect",
+            ctx.task()
         );
     }
-
-    /// Name used in traces; defaults to `"task"`.
-    fn name(&self) -> &str {
-        "task"
-    }
 }
 
-/// Blanket impl so plain closures can serve as task bodies.
-impl<W, F> TaskBody<W> for F
-where
-    F: FnMut(Instant, &W) -> Plan<W> + Send,
-{
-    fn plan_into(&mut self, now: Instant, world: &W, out: &mut Plan<W>) {
-        *out = self(now, world);
-    }
-}
+/// An effect closure a [`Script`] owns.
+type Effect<W> = Box<dyn FnMut(&mut W, &mut EffectCtx<'_, W>) + Send>;
 
-/// Context handed to [`Effect`]s and [`TaskBody::run_effect`]: the current
-/// time, the executing task, the kernel trace and the OS services.
+/// A task body that owns its effects: a fixed sequence of steps, built
+/// once, whose effects are closures kept in the body. Each
+/// [`Script::effect`] appends [`Step::EffectRef`] with the closure's index
+/// and the body runs that closure when the kernel hands the token back.
+/// The steps never change, so the plan key is constant: the kernel plans a
+/// script once and replays it at every activation. An ISR's body
+/// ([`Os::add_isr`](crate::kernel::Os::add_isr)) is a script.
 ///
-/// Only the kernel builds one, when it runs a [`Step::Effect`] or a
-/// [`Step::EffectRef`]. The context borrows the kernel's scheduler core
-/// while the effect's body is borrowed apart from it, so
-/// [`EffectCtx::activate_task`], [`EffectCtx::set_event`] and
-/// [`EffectCtx::cancel_alarm`] execute directly and synchronously, with
-/// the kernel's own semantics and errors.
+/// # Examples
+///
+/// ```
+/// use easis_osek::plan::{Script, Step};
+/// use easis_osek::task::TaskId;
+/// use easis_sim::time::Duration;
+///
+/// // 200 µs of CPU time, a counter bump, then a peer's activation.
+/// let body: Script<u64> = Script::new()
+///     .compute(Duration::from_micros(200))
+///     .effect(|w, _ctx| *w += 1)
+///     .step(Step::ActivateTask(TaskId(1)));
+/// # let _ = body;
+/// ```
+pub struct Script<W> {
+    steps: Vec<Step>,
+    effects: Vec<Effect<W>>,
+}
+
+impl<W> Default for Script<W> {
+    fn default() -> Self {
+        Script {
+            steps: Vec::new(),
+            effects: Vec::new(),
+        }
+    }
+}
+
+impl<W> fmt::Debug for Script<W> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Script")
+            .field("steps", &self.steps)
+            .finish()
+    }
+}
+
+impl<W> Script<W> {
+    /// An empty script (the task terminates immediately).
+    pub fn new() -> Self {
+        Script::default()
+    }
+
+    /// Appends a compute step.
+    pub fn compute(self, d: Duration) -> Self {
+        self.step(Step::Compute(d))
+    }
+
+    /// Appends an instantaneous effect: `f` runs on the world at the
+    /// simulated time execution reaches it, at every activation.
+    pub fn effect(mut self, f: impl FnMut(&mut W, &mut EffectCtx<'_, W>) + Send + 'static) -> Self {
+        let token = self.effects.len() as u32;
+        self.effects.push(Box::new(f));
+        self.step(Step::EffectRef(token))
+    }
+
+    /// Appends an arbitrary step.
+    pub fn step(mut self, step: Step) -> Self {
+        self.steps.push(step);
+        self
+    }
+}
+
+impl<W> TaskBody<W> for Script<W> {
+    fn plan_into(&mut self, _world: &W, out: &mut Plan) {
+        for &step in &self.steps {
+            out.push(step);
+        }
+    }
+
+    /// The steps never change: planned once, replayed at every activation.
+    fn plan_key(&self, _world: &W) -> Option<u64> {
+        Some(0)
+    }
+
+    fn run_effect(&mut self, token: u32, world: &mut W, ctx: &mut EffectCtx<'_, W>) {
+        (self.effects[token as usize])(world, ctx);
+    }
+}
+
+/// Context handed to [`TaskBody::run_effect`]: the current time, the
+/// executing task, the kernel trace and the OS services.
+///
+/// Only the kernel builds one, when it runs a [`Step::EffectRef`]. The
+/// context borrows the kernel's scheduler core while the effect's body is
+/// borrowed apart from it, so [`EffectCtx::activate_task`],
+/// [`EffectCtx::set_event`] and [`EffectCtx::cancel_alarm`] execute
+/// directly and synchronously, with the kernel's own semantics and errors.
 pub struct EffectCtx<'a, W> {
     task: TaskId,
     core: &'a mut Core<W>,
@@ -468,6 +443,15 @@ mod tests {
         Duration::from_micros(n)
     }
 
+    /// A plan holding `steps`, as a body would fill it.
+    fn plan_of(steps: &[Step]) -> Plan {
+        let mut plan = Plan::default();
+        for &step in steps {
+            plan.push(step);
+        }
+        plan
+    }
+
     #[test]
     fn a_step_is_sixteen_bytes_of_plain_data() {
         assert_eq!(std::mem::size_of::<Step>(), 16);
@@ -478,26 +462,34 @@ mod tests {
     }
 
     #[test]
-    fn plan_builder_orders_steps() {
-        let p: Plan<W> = Plan::new()
+    fn a_script_plans_its_steps_with_an_effect_token_per_closure() {
+        let mut script: Script<W> = Script::new()
             .compute(us(5))
             .effect(|w, _| *w += 1)
             .step(Step::ActivateTask(TaskId(1)))
             .effect(|w, _| *w += 2);
+        let mut plan = Plan::default();
+        script.plan_into(&0, &mut plan);
         assert_eq!(
-            p.steps(),
+            plan.steps(),
             [
                 Step::Compute(us(5)),
-                Step::Effect(0),
+                Step::EffectRef(0),
                 Step::ActivateTask(TaskId(1)),
-                Step::Effect(1)
+                Step::EffectRef(1)
             ]
+        );
+        assert_eq!(script.plan_key(&0), Some(0), "scripts never replan");
+        assert_eq!(
+            format!("{script:?}"),
+            "Script { steps: [Compute(Duration(5)), EffectRef(0), \
+             ActivateTask(TaskId(1)), EffectRef(1)] }"
         );
     }
 
     #[test]
     fn the_cursor_runs_a_held_remainder_first() {
-        let mut p: Plan<W> = Plan::new().compute(us(10)).step(Step::Schedule);
+        let mut p = plan_of(&[Step::Compute(us(10)), Step::Schedule]);
         assert_eq!(p.next_step(), Some(Step::Compute(us(10))));
         p.hold(us(4));
         assert_eq!(
@@ -511,16 +503,16 @@ mod tests {
 
     #[test]
     fn plans_compare_what_is_left_to_run() {
-        let mut replayed: Plan<W> = Plan::new().compute(us(3)).step(Step::Schedule);
+        let mut replayed = plan_of(&[Step::Compute(us(3)), Step::Schedule]);
         replayed.seal(Some(7));
         assert_eq!(replayed.next_step(), Some(Step::Compute(us(3))));
         // Built differently, keyed differently, same rest.
-        let fresh: Plan<W> = Plan::new().step(Step::Schedule);
+        let fresh = plan_of(&[Step::Schedule]);
         assert_eq!(replayed, fresh);
         replayed.hold(us(1));
         assert_ne!(replayed, fresh, "a held remainder is still to run");
         replayed.finish();
-        assert_eq!(replayed, Plan::new());
+        assert_eq!(replayed, Plan::default());
         // The steps stay for a replay, under their key.
         replayed.rewind();
         assert_eq!(replayed.key(), Some(7));
@@ -528,66 +520,36 @@ mod tests {
     }
 
     #[test]
-    fn a_plan_with_closures_keeps_no_key_and_equals_nothing() {
-        let mut p: Plan<W> = Plan::new().effect(|_, _| {}).compute(us(1));
-        p.seal(Some(1));
-        assert_eq!(p.key(), None, "its closures run once: no replay");
-        let same: Plan<W> = Plan::new().effect(|_, _| {}).compute(us(1));
-        assert_ne!(p, same);
-        // Run the closure: what is left compares and clones again.
-        assert_eq!(p.next_step(), Some(Step::Effect(0)));
-        let _closure = p.take_closure(0);
-        assert_eq!(p, Plan::new().compute(us(1)));
-        assert_eq!(p.clone(), p);
-    }
-
-    #[test]
     fn clear_retains_capacity() {
-        let mut p: Plan<W> = Plan::new();
+        let mut p = Plan::default();
         for _ in 0..16 {
             p.push_compute(us(1));
         }
         p.seal(Some(1));
         let cap = p.steps.capacity();
         p.clear();
-        assert_eq!(p, Plan::new());
+        assert_eq!(p, Plan::default());
         assert_eq!(p.key(), None);
         assert_eq!(p.steps.capacity(), cap);
     }
 
     #[test]
-    fn closure_acts_as_task_body() {
-        // The blanket impl hands the closure the activation time and the
-        // world it plans against.
-        let mut body =
-            |now: Instant, w: &W| Plan::<W>::new().compute(us(now.as_micros() + u64::from(*w)));
-        let mut plan = Plan::new();
-        body.plan_into(Instant::from_micros(5), &2, &mut plan);
-        assert_eq!(plan.steps(), [Step::Compute(us(7))]);
-        assert_eq!(
-            TaskBody::plan_key(&body, &2),
-            None,
-            "closures plan every activation"
-        );
-    }
-
-    #[test]
     fn restoring_plans_rewrites_them_in_place() {
-        let mut plans: Vec<Plan<W>> = vec![Plan::new(), Plan::new()];
+        let mut plans: Vec<Plan> = vec![Plan::default(), Plan::default()];
         plans[0].push_compute(us(7));
         plans[0].push_effect_ref(3);
         plans[0].seal(Some(2));
         assert_eq!(plans[0].next_step(), Some(Step::Compute(us(7))));
         let snap = plans.clone();
         plans[0].finish();
-        let fill = |plans: &mut Vec<Plan<W>>| {
+        let fill = |plans: &mut Vec<Plan>| {
             for _ in 0..16 {
                 plans[1].push_effect_ref(0);
             }
         };
         fill(&mut plans);
         let total_capacity =
-            |plans: &[Plan<W>]| -> usize { plans.iter().map(|p| p.steps.capacity()).sum() };
+            |plans: &[Plan]| -> usize { plans.iter().map(|p| p.steps.capacity()).sum() };
         let cap = total_capacity(&plans);
         plans.clone_from(&snap);
         assert_eq!(plans, snap, "restored plans equal their capture");
@@ -609,19 +571,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot be snapshotted")]
-    fn capturing_a_plan_with_a_closure_left_panics() {
-        let mut p: Plan<W> = Plan::new();
-        p.push_effect(|_, _| {});
-        let _ = p.clone();
-    }
-
-    #[test]
-    #[should_panic(expected = "without implementing run_effect")]
+    #[should_panic(expected = "task T0 planned Step::EffectRef(9) without implementing run_effect")]
     fn default_run_effect_rejects_unclaimed_tokens() {
         struct NoEffects;
         impl TaskBody<W> for NoEffects {
-            fn plan_into(&mut self, _now: Instant, _world: &W, out: &mut Plan<W>) {
+            fn plan_into(&mut self, _world: &W, out: &mut Plan) {
                 out.push_effect_ref(9);
             }
         }

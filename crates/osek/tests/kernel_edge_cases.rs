@@ -5,7 +5,7 @@ use easis_osek::alarm::AlarmAction;
 use easis_osek::error::OsError;
 use easis_osek::hooks::HookEvent;
 use easis_osek::kernel::Os;
-use easis_osek::plan::{Plan, ResourceId, Step};
+use easis_osek::plan::{EffectCtx, Plan, ResourceId, Script, Step, TaskBody};
 use easis_osek::task::{EventMask, Priority, TaskConfig, TaskId, TaskKind, TaskState};
 use easis_sim::time::{Duration, Instant};
 
@@ -13,20 +13,29 @@ fn ms(n: u64) -> Duration {
     Duration::from_millis(n)
 }
 
+/// Computes 1 ms and bumps the world counter, then chains to itself
+/// while the counter it planned against is below 2.
+struct SelfChainer;
+
+impl TaskBody<u32> for SelfChainer {
+    fn plan_into(&mut self, w: &u32, out: &mut Plan) {
+        out.push_compute(ms(1));
+        out.push_effect_ref(0);
+        if *w < 2 {
+            // The chain target id equals this task's own id (0).
+            out.push(Step::ChainTask(TaskId(0)));
+        }
+    }
+
+    fn run_effect(&mut self, _token: u32, w: &mut u32, _ctx: &mut EffectCtx<'_, u32>) {
+        *w += 1;
+    }
+}
+
 #[test]
 fn chain_task_to_itself_reruns_immediately() {
     let mut os: Os<u32> = Os::new();
-    // The task chains to itself until the world counter reaches 3.
-    let t = os.add_task(TaskConfig::new("self", Priority(1)), {
-        move |_: Instant, w: &u32| {
-            let mut plan = Plan::new().compute(ms(1)).effect(|w: &mut u32, _| *w += 1);
-            if *w < 2 {
-                // Note: the chain target id equals this task's own id (0).
-                plan = plan.step(Step::ChainTask(easis_osek::task::TaskId(0)));
-            }
-            plan
-        }
-    });
+    let t = os.add_task(TaskConfig::new("self", Priority(1)), SelfChainer);
     let mut w = 0u32;
     os.start(&mut w);
     os.activate_task(t, &mut w).unwrap();
@@ -42,11 +51,9 @@ fn wait_event_wakes_on_any_of_multiple_bits() {
         TaskConfig::new("waiter", Priority(2))
             .with_kind(TaskKind::Extended)
             .autostart(),
-        |_: Instant, _: &Vec<u8>| {
-            Plan::new()
-                .step(Step::WaitEvent(EventMask::bit(0).union(EventMask::bit(3))))
-                .effect(|w: &mut Vec<u8>, _| w.push(1))
-        },
+        Script::new()
+            .step(Step::WaitEvent(EventMask::bit(0).union(EventMask::bit(3))))
+            .effect(|w: &mut Vec<u8>, _| w.push(1)),
     );
     let a = os.add_alarm("wake", AlarmAction::SetEvent(waiter, EventMask::bit(3)));
     let mut w = Vec::new();
@@ -63,15 +70,13 @@ fn clear_event_prevents_stale_wakeups() {
         TaskConfig::new("waiter", Priority(2))
             .with_kind(TaskKind::Extended)
             .autostart(),
-        |_: Instant, _: &Vec<u8>| {
-            Plan::new()
-                .step(Step::WaitEvent(EventMask::bit(0)))
-                .effect(|w: &mut Vec<u8>, _| w.push(1))
-                .step(Step::ClearEvent(EventMask::bit(0)))
-                // Second wait: the cleared bit must block again.
-                .step(Step::WaitEvent(EventMask::bit(0)))
-                .effect(|w: &mut Vec<u8>, _| w.push(2))
-        },
+        Script::new()
+            .step(Step::WaitEvent(EventMask::bit(0)))
+            .effect(|w: &mut Vec<u8>, _| w.push(1))
+            .step(Step::ClearEvent(EventMask::bit(0)))
+            // Second wait: the cleared bit must block again.
+            .step(Step::WaitEvent(EventMask::bit(0)))
+            .effect(|w: &mut Vec<u8>, _| w.push(2)),
     );
     let a = os.add_alarm("wake", AlarmAction::SetEvent(waiter, EventMask::bit(0)));
     let mut w = Vec::new();
@@ -88,7 +93,7 @@ fn set_event_on_suspended_task_is_a_state_error() {
     let mut os: Os<()> = Os::new();
     let t = os.add_task(
         TaskConfig::new("ext", Priority(1)).with_kind(TaskKind::Extended),
-        |_: Instant, _: &()| Plan::new(),
+        Script::new(),
     );
     let mut w = ();
     os.start(&mut w);
@@ -101,9 +106,10 @@ fn set_event_on_suspended_task_is_a_state_error() {
 #[test]
 fn one_shot_alarm_can_be_rearmed_after_firing() {
     let mut os: Os<u32> = Os::new();
-    let t = os.add_task(TaskConfig::new("t", Priority(1)), |_: Instant, _: &u32| {
-        Plan::new().effect(|w: &mut u32, _| *w += 1)
-    });
+    let t = os.add_task(
+        TaskConfig::new("t", Priority(1)),
+        Script::new().effect(|w: &mut u32, _| *w += 1),
+    );
     let a = os.add_alarm("once", AlarmAction::ActivateTask(t));
     let mut w = 0u32;
     os.start(&mut w);
@@ -121,9 +127,7 @@ fn cancelled_cyclic_alarm_rearmed_runs_one_expiry_chain() {
     let mut os: Os<Vec<u64>> = Os::new();
     let t = os.add_task(
         TaskConfig::new("t", Priority(1)),
-        |_: Instant, _: &Vec<u64>| {
-            Plan::new().effect(|w: &mut Vec<u64>, ctx| w.push(ctx.now().as_millis()))
-        },
+        Script::new().effect(|w: &mut Vec<u64>, ctx| w.push(ctx.now().as_millis())),
     );
     let a = os.add_alarm("cyc", AlarmAction::ActivateTask(t));
     let mut w = Vec::new();
@@ -154,7 +158,9 @@ fn activation_during_execution_queues_a_back_to_back_rerun() {
     let mut os: Os<u32> = Os::new();
     let t = os.add_task(
         TaskConfig::new("t", Priority(1)).with_max_activations(2),
-        |_: Instant, _: &u32| Plan::new().compute(ms(3)).effect(|w: &mut u32, _| *w += 1),
+        Script::new()
+            .compute(ms(3))
+            .effect(|w: &mut u32, _| *w += 1),
     );
     let mut w = 0u32;
     os.start(&mut w);
@@ -217,16 +223,12 @@ fn waiting_inside_a_resource_section_reports_the_error_and_keeps_the_cpu() {
     let r0 = ResourceId(0);
     let t = os.add_task(
         TaskConfig::new("t", Priority(1)).with_kind(TaskKind::Extended),
-        move |_: Instant, _: &Vec<String>| {
-            Plan::new()
-                .step(Step::GetResource(r0))
-                .step(Step::WaitEvent(EventMask::bit(0)))
-                .effect(|w: &mut Vec<String>, ctx| {
-                    w.push(format!("ran on@{}", ctx.now().as_micros()))
-                })
-                .step(Step::ReleaseResource(r0))
-                .compute(ms(1))
-        },
+        Script::new()
+            .step(Step::GetResource(r0))
+            .step(Step::WaitEvent(EventMask::bit(0)))
+            .effect(|w: &mut Vec<String>, ctx| w.push(format!("ran on@{}", ctx.now().as_micros())))
+            .step(Step::ReleaseResource(r0))
+            .compute(ms(1)),
     );
     os.add_resource("R0", Priority(5));
     os.add_observer(|_: Instant, event: HookEvent, w: &mut Vec<String>| {
@@ -251,7 +253,7 @@ fn a_task_that_chains_itself_without_computing_panics_instead_of_hanging() {
     let mut os: Os<u32> = Os::new();
     let t = os.add_task(
         TaskConfig::new("spin", Priority(1)),
-        |_: Instant, _: &u32| Plan::new().step(Step::ChainTask(TaskId(0))),
+        Script::new().step(Step::ChainTask(TaskId(0))),
     );
     let mut w = 0u32;
     os.start(&mut w);

@@ -3,7 +3,7 @@
 
 use easis_osek::alarm::AlarmAction;
 use easis_osek::kernel::Os;
-use easis_osek::plan::Plan;
+use easis_osek::plan::Script;
 use easis_osek::task::{Priority, TaskConfig};
 use easis_sim::time::{Duration, Instant};
 use proptest::prelude::*;
@@ -19,11 +19,9 @@ fn build(tasks: &[(u8, u64, u64)]) -> (Os<Vec<u64>>, Vec<u64>) {
     for (i, &(prio, _period, cost)) in tasks.iter().enumerate() {
         let t = os.add_task(
             TaskConfig::new(format!("t{i}"), Priority(prio)).with_max_activations(50),
-            move |_: Instant, _: &Vec<u64>| {
-                Plan::new()
-                    .compute(Duration::from_micros(cost))
-                    .effect(move |w: &mut Vec<u64>, _| w[i] += 1)
-            },
+            Script::new()
+                .compute(Duration::from_micros(cost))
+                .effect(move |w: &mut Vec<u64>, _| w[i] += 1),
         );
         os.add_alarm(format!("a{i}"), AlarmAction::ActivateTask(t));
     }
@@ -117,18 +115,16 @@ proptest! {
             let mut os: Os<u64> = Os::with_disabled_trace();
             let hi = os.add_task(
                 TaskConfig::new("hi", Priority(9)).with_max_activations(50),
-                move |_: Instant, _: &u64| {
-                    Plan::new()
+                Script::new()
                         .compute(Duration::from_micros(base_cost))
-                        .effect(|w, _| *w += 1)
-                },
+                        .effect(|w, _| *w += 1),
             );
             let a_hi = os.add_alarm("hi", AlarmAction::ActivateTask(hi));
             let mut alarms = Vec::new();
             for (i, &(period, cost)) in extra.iter().enumerate() {
                 let t = os.add_task(
                     TaskConfig::new(format!("lo{i}"), Priority(1)).with_max_activations(50),
-                    move |_: Instant, _: &u64| Plan::new().compute(Duration::from_micros(cost)),
+                    Script::new().compute(Duration::from_micros(cost)),
                 );
                 alarms.push((os.add_alarm(format!("lo{i}"), AlarmAction::ActivateTask(t)), period));
             }

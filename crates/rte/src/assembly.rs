@@ -19,24 +19,22 @@
 //! keeps the plan it was dispatched with; the heartbeat controls are read
 //! when each runnable's effect runs.
 
-use crate::runnable::{RunnableDef, RunnableId};
+use crate::runnable::RunnableDef;
 use crate::world::EcuWorld;
 use easis_osek::plan::{EffectCtx, Plan, TaskBody};
-use easis_sim::time::{Duration, Instant};
 
 /// Trace source tag used by the runnable layer.
 pub const TRACE_SOURCE: &str = "rte";
 
 /// An OSEK task body executing a sequence of runnables with heartbeat glue.
+/// The kernel names the task ([`TaskConfig`](easis_osek::task::TaskConfig)).
 pub struct SequencedTask<W> {
-    task_name: String,
     runnables: Vec<RunnableDef<W>>,
 }
 
 impl<W> std::fmt::Debug for SequencedTask<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SequencedTask")
-            .field("task_name", &self.task_name)
             .field("runnables", &self.runnables.len())
             .finish()
     }
@@ -44,33 +42,18 @@ impl<W> std::fmt::Debug for SequencedTask<W> {
 
 impl<W: EcuWorld + 'static> SequencedTask<W> {
     /// Creates a task body running `runnables` in declaration order.
-    pub fn fixed(task_name: impl Into<String>, runnables: Vec<RunnableDef<W>>) -> Self {
-        SequencedTask {
-            task_name: task_name.into(),
-            runnables,
-        }
-    }
-
-    /// Ids of the runnables hosted by this task, in declaration order.
-    pub fn runnable_ids(&self) -> Vec<RunnableId> {
-        self.runnables.iter().map(|r| r.spec().id()).collect()
-    }
-
-    /// Nominal execution cost of the declaration-order sequence.
-    pub fn nominal_cost(&self) -> Duration {
-        self.runnables
-            .iter()
-            .fold(Duration::ZERO, |acc, r| acc + r.spec().nominal_cost())
+    pub fn fixed(runnables: Vec<RunnableDef<W>>) -> Self {
+        SequencedTask { runnables }
     }
 }
 
 impl<W: EcuWorld + 'static> TaskBody<W> for SequencedTask<W> {
     /// Plans `Compute(cost) + EffectRef(runnable index)` pairs, one per
     /// unskipped runnable in declaration order, into the kernel's retained
-    /// plan — no boxed closure, no step-buffer allocation once the plan has
-    /// grown to the sequence length. The effect half of each pair
-    /// dispatches back into [`SequencedTask::run_effect`].
-    fn plan_into(&mut self, _now: Instant, world: &W, out: &mut Plan<W>) {
+    /// plan — no step-buffer allocation once the plan has grown to the
+    /// sequence length. The effect half of each pair dispatches back into
+    /// [`SequencedTask::run_effect`].
+    fn plan_into(&mut self, world: &W, out: &mut Plan) {
         let global_ppm = world.controls().global_exec_scale_ppm();
         for (idx, def) in self.runnables.iter().enumerate() {
             let spec = def.spec();
@@ -92,8 +75,7 @@ impl<W: EcuWorld + 'static> TaskBody<W> for SequencedTask<W> {
         }
     }
 
-    /// The controls' generation: the plan reads nothing else of the world,
-    /// and not the activation time.
+    /// The controls' generation: the plan reads nothing else of the world.
     fn plan_key(&self, world: &W) -> Option<u64> {
         Some(world.controls().generation())
     }
@@ -117,21 +99,18 @@ impl<W: EcuWorld + 'static> TaskBody<W> for SequencedTask<W> {
         // owned `String` when tracing is enabled.
         ctx.trace(TRACE_SOURCE, "runnable", def.spec().name());
     }
-
-    fn name(&self) -> &str {
-        &self.task_name
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runnable::{RunnableRegistry, RunnableSpec};
+    use crate::runnable::{RunnableId, RunnableRegistry, RunnableSpec};
     use crate::world::BasicEcuWorld;
     use easis_osek::alarm::AlarmAction;
     use easis_osek::kernel::Os;
     use easis_osek::plan::Step;
     use easis_osek::task::{Priority, TaskConfig};
+    use easis_sim::time::{Duration, Instant};
 
     fn us(n: u64) -> Duration {
         Duration::from_micros(n)
@@ -157,7 +136,7 @@ mod tests {
             }),
             RunnableDef::no_op(s2.clone()),
         ];
-        let body = SequencedTask::fixed("SafeSpeedTask", defs);
+        let body = SequencedTask::fixed(defs);
         let mut os = Os::new();
         let t = os.add_task(TaskConfig::new("SafeSpeedTask", Priority(3)), body);
         let a = os.add_alarm("cyc", AlarmAction::ActivateTask(t));
@@ -281,18 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn metadata_accessors() {
-        let mut reg = RunnableRegistry::new();
-        let s0 = reg.register("a", us(10));
-        let s1 = reg.register("b", us(20));
-        let body: SequencedTask<BasicEcuWorld> =
-            SequencedTask::fixed("T", vec![RunnableDef::no_op(s0), RunnableDef::no_op(s1)]);
-        assert_eq!(body.name(), "T");
-        assert_eq!(body.runnable_ids(), vec![RunnableId(0), RunnableId(1)]);
-        assert_eq!(body.nominal_cost(), us(30));
-    }
-
-    #[test]
     fn planned_costs_are_unscaled_at_nominal_and_the_f64_product_otherwise() {
         let mut reg = RunnableRegistry::new();
         let specs = [
@@ -301,11 +268,11 @@ mod tests {
             reg.register("c", us(333)),
         ];
         let defs = specs.iter().cloned().map(RunnableDef::no_op).collect();
-        let mut body = SequencedTask::fixed("T", defs);
+        let mut body = SequencedTask::fixed(defs);
         let mut world = BasicEcuWorld::new();
         let mut planned = |world: &BasicEcuWorld| -> Vec<Duration> {
-            let mut plan = Plan::new();
-            body.plan_into(Instant::ZERO, world, &mut plan);
+            let mut plan = Plan::default();
+            body.plan_into(world, &mut plan);
             plan.steps()
                 .iter()
                 .filter_map(|step| match *step {

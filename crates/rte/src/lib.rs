@@ -34,10 +34,7 @@
 //! let mut registry = RunnableRegistry::new();
 //! let sense = registry.register("Sense", Duration::from_micros(50));
 //! let act = registry.register("Act", Duration::from_micros(80));
-//! let body = SequencedTask::fixed(
-//!     "MainTask",
-//!     vec![RunnableDef::no_op(sense), RunnableDef::no_op(act)],
-//! );
+//! let body = SequencedTask::fixed(vec![RunnableDef::no_op(sense), RunnableDef::no_op(act)]);
 //! let mut os: Os<BasicEcuWorld> = Os::new();
 //! let task = os.add_task(TaskConfig::new("MainTask", Priority(2)), body);
 //! let alarm = os.add_alarm("cyc", AlarmAction::ActivateTask(task));

@@ -239,7 +239,7 @@ pub trait HeartbeatSink {
 mod tests {
     use super::*;
     use easis_osek::kernel::Os;
-    use easis_osek::plan::Plan;
+    use easis_osek::plan::Script;
     use easis_osek::task::{Priority, TaskConfig};
 
     #[test]
@@ -280,10 +280,7 @@ mod tests {
         let mut os: Os<u32> = Os::new();
         let task = os.add_task(
             TaskConfig::new("t", Priority(1)),
-            move |_: Instant, _: &u32| {
-                let logic = Arc::clone(&logic);
-                Plan::new().effect(move |w, ctx| logic(w, ctx))
-            },
+            Script::new().effect(move |w, ctx| logic(w, ctx)),
         );
         os.start(&mut world);
         os.activate_task(task, &mut world).unwrap();

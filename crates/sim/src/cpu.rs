@@ -144,7 +144,10 @@ mod tests {
     #[test]
     fn cycles_to_time_rounds_up() {
         // 1 cycle at 480 MHz is ~2ns; must round up to 1us, not truncate to 0.
-        assert_eq!(CpuModel::AUTOBOX.cycles_to_time(1), Duration::from_micros(1));
+        assert_eq!(
+            CpuModel::AUTOBOX.cycles_to_time(1),
+            Duration::from_micros(1)
+        );
         assert_eq!(CpuModel::AUTOBOX.cycles_to_time(0), Duration::ZERO);
     }
 

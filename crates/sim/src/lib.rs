@@ -49,9 +49,9 @@ pub mod time;
 pub mod trace;
 
 pub use cpu::{CostMeter, CpuModel};
-pub use snap::RestoreStats;
 pub use event::EventQueue;
 pub use rng::SimRng;
 pub use series::{Series, SeriesSet};
+pub use snap::RestoreStats;
 pub use time::{Duration, Instant};
 pub use trace::{TraceEvent, TraceRecorder};

@@ -139,7 +139,10 @@ impl SeriesSet {
 
     /// Appends a sample to the series called `series` (created on first use).
     pub fn push(&mut self, at: Instant, series: &str, value: f64) {
-        self.series.entry(series.to_string()).or_default().push(at, value);
+        self.series
+            .entry(series.to_string())
+            .or_default()
+            .push(at, value);
     }
 
     /// Looks up one series by name.
@@ -254,11 +257,7 @@ impl SeriesSet {
             for row in grid {
                 let _ = writeln!(out, "  |{}", row.into_iter().collect::<String>());
             }
-            let _ = writeln!(
-                out,
-                "  +{}",
-                "-".repeat(width)
-            );
+            let _ = writeln!(out, "  +{}", "-".repeat(width));
             let _ = writeln!(
                 out,
                 "   {}ms{}{}ms",

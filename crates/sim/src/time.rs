@@ -22,7 +22,9 @@ use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 /// let t = Instant::ZERO + Duration::from_millis(10);
 /// assert_eq!(t.as_micros(), 10_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub struct Instant(u64);
 
 /// A span of simulated time, in microseconds.
@@ -35,7 +37,9 @@ pub struct Instant(u64);
 /// let period = Duration::from_millis(10);
 /// assert_eq!(period * 3, Duration::from_micros(30_000));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub struct Duration(u64);
 
 impl Instant {

@@ -269,7 +269,7 @@ impl CentralNode {
                 .with_deadline(bundle.period)
                 .with_execution_budget(nominal * BUDGET_FACTOR)
                 .with_max_activations(2);
-            let body = SequencedTask::fixed(bundle.task_name, bundle.runnables);
+            let body = SequencedTask::fixed(bundle.runnables);
             let task = os.add_task(task_cfg, body);
             tasks.insert(bundle.task_name.to_string(), task);
             mapping.assign_task(task, app);
@@ -503,9 +503,7 @@ impl CentralNode {
     ///
     /// # Panics
     ///
-    /// Panics if the node was never started, or if an in-flight plan still
-    /// holds a boxed `Step::Effect` closure (node bodies only use
-    /// `EffectRef` tokens, so this cannot happen for nodes built here).
+    /// Panics if the node was never started.
     pub fn snapshot(&self) -> NodeSnapshot {
         let mut snap = NodeSnapshot::default();
         self.snapshot_into(&mut snap);
@@ -965,7 +963,7 @@ pub struct NodeSnapshot {
     controls: RunnableControls,
     fmf: FmfState,
     hw_watchdog: HardwareWatchdog,
-    os: OsState<CentralWorld>,
+    os: OsState,
     signals: SignalState,
     watchdog: WatchdogState,
 }
@@ -1059,7 +1057,7 @@ struct WatchdogTaskBody {
 }
 
 impl TaskBody<CentralWorld> for WatchdogTaskBody {
-    fn plan_into(&mut self, _now: Instant, _world: &CentralWorld, out: &mut Plan<CentralWorld>) {
+    fn plan_into(&mut self, _world: &CentralWorld, out: &mut Plan) {
         out.push_compute(self.cost);
         out.push_effect_ref(0);
     }
@@ -1116,10 +1114,6 @@ impl TaskBody<CentralWorld> for WatchdogTaskBody {
             w.treatments.push(action);
         }
     }
-
-    fn name(&self) -> &str {
-        "SoftwareWatchdogTask"
-    }
 }
 
 /// Arena body of the hardware-watchdog kick task.
@@ -1149,7 +1143,7 @@ impl HookObserver<CentralWorld> for TimingChecks {
 }
 
 impl TaskBody<CentralWorld> for HwKickBody {
-    fn plan_into(&mut self, _now: Instant, _world: &CentralWorld, out: &mut Plan<CentralWorld>) {
+    fn plan_into(&mut self, _world: &CentralWorld, out: &mut Plan) {
         out.push_compute(Duration::from_micros(5));
         out.push_effect_ref(0);
     }
@@ -1165,10 +1159,6 @@ impl TaskBody<CentralWorld> for HwKickBody {
         if let Some(at) = w.hw_watchdog.kick(ctx.now()) {
             w.watchdog.log_detection(Detection::expiry(at));
         }
-    }
-
-    fn name(&self) -> &str {
-        "HwKickTask"
     }
 }
 

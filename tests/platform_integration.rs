@@ -5,7 +5,7 @@
 use easis::injection::Injector;
 use easis::osek::alarm::AlarmAction;
 use easis::osek::kernel::Os;
-use easis::osek::plan::{Plan, ResourceId, Step};
+use easis::osek::plan::{ResourceId, Script, Step};
 use easis::osek::task::{Priority, TaskConfig};
 use easis::rte::assembly::SequencedTask;
 use easis::rte::runnable::{RunnableDef, RunnableRegistry};
@@ -33,11 +33,11 @@ fn preemption_preserves_heartbeat_ordering_within_each_task() {
     let mut os: Os<BasicEcuWorld> = Os::new();
     let slow_task = os.add_task(
         TaskConfig::new("slow", Priority(1)),
-        SequencedTask::fixed("slow", slow_specs.into_iter().map(RunnableDef::no_op).collect()),
+        SequencedTask::fixed(slow_specs.into_iter().map(RunnableDef::no_op).collect()),
     );
     let fast_task = os.add_task(
         TaskConfig::new("fast", Priority(5)),
-        SequencedTask::fixed("fast", vec![RunnableDef::no_op(fast_spec)]),
+        SequencedTask::fixed(vec![RunnableDef::no_op(fast_spec)]),
     );
     let a_slow = os.add_alarm("slow", AlarmAction::ActivateTask(slow_task));
     let a_fast = os.add_alarm("fast", AlarmAction::ActivateTask(fast_task));
@@ -79,34 +79,28 @@ fn resource_contention_delays_but_does_not_corrupt_supervision() {
     let r = ResourceId(0);
 
     let mut os: Os<BasicEcuWorld> = Os::new();
-    let a_logic = RunnableDef::no_op(a_spec);
-    let t_a = os.add_task(TaskConfig::new("A", Priority(2)), move |_n: Instant, _w: &BasicEcuWorld| {
-        let def = a_logic.clone();
+    // A runnable's heartbeat glue and logic after `cost` inside the
+    // shared resource's critical section.
+    let critical = |def: RunnableDef<BasicEcuWorld>, cost: Duration| {
         let logic = def.logic();
         let id = def.spec().id();
-        Plan::new()
+        Script::new()
             .step(Step::GetResource(r))
-            .compute(Duration::from_millis(4))
+            .compute(cost)
             .step(Step::ReleaseResource(r))
             .effect(move |w: &mut BasicEcuWorld, ctx| {
                 w.indicate_heartbeat(id, ctx.now());
                 logic(w, ctx);
             })
-    });
-    let b_logic = RunnableDef::no_op(b_spec);
-    let t_b = os.add_task(TaskConfig::new("B", Priority(4)), move |_n: Instant, _w: &BasicEcuWorld| {
-        let def = b_logic.clone();
-        let logic = def.logic();
-        let id = def.spec().id();
-        Plan::new()
-            .step(Step::GetResource(r))
-            .compute(Duration::from_millis(1))
-            .step(Step::ReleaseResource(r))
-            .effect(move |w: &mut BasicEcuWorld, ctx| {
-                w.indicate_heartbeat(id, ctx.now());
-                logic(w, ctx);
-            })
-    });
+    };
+    let t_a = os.add_task(
+        TaskConfig::new("A", Priority(2)),
+        critical(RunnableDef::no_op(a_spec), Duration::from_millis(4)),
+    );
+    let t_b = os.add_task(
+        TaskConfig::new("B", Priority(4)),
+        critical(RunnableDef::no_op(b_spec), Duration::from_millis(1)),
+    );
     os.add_resource("shared", Priority(5));
     let al_a = os.add_alarm("a", AlarmAction::ActivateTask(t_a));
     let al_b = os.add_alarm("b", AlarmAction::ActivateTask(t_b));

@@ -677,7 +677,7 @@ enum EffectSpec {
     Activate(u32),
 }
 
-/// Shared world for the arena-vs-boxed equivalence runs: per-task counters,
+/// Shared world for the arena-vs-script equivalence runs: per-task counters,
 /// a cost meter charged by every effect, and an ordered observation log.
 #[derive(Default)]
 struct EquivWorld {
@@ -726,12 +726,7 @@ struct ArenaSpecBody {
 }
 
 impl easis::osek::plan::TaskBody<EquivWorld> for ArenaSpecBody {
-    fn plan_into(
-        &mut self,
-        _now: Instant,
-        _world: &EquivWorld,
-        out: &mut easis::osek::plan::Plan<EquivWorld>,
-    ) {
+    fn plan_into(&mut self, _world: &EquivWorld, out: &mut easis::osek::plan::Plan) {
         for (token, (cost, _)) in self.steps.iter().enumerate() {
             out.push_compute(Duration::from_micros(*cost));
             out.push_effect_ref(token as u32);
@@ -747,10 +742,6 @@ impl easis::osek::plan::TaskBody<EquivWorld> for ArenaSpecBody {
         let spec = self.steps[token as usize].1.clone();
         apply_effect(self.task, &spec, self.n_tasks, world, ctx);
     }
-
-    fn name(&self) -> &str {
-        "arena-spec"
-    }
 }
 
 /// One randomized task: unique priority, cyclic activation period, and a
@@ -763,17 +754,15 @@ struct EquivTaskSpec {
 }
 
 /// Builds an OS running the given task specs with either arena-native
-/// bodies (`arena = true`) or the pre-arena reference style (`false`): a
-/// boxed closure returning a freshly allocated `Plan` whose effects are
-/// per-activation boxed closures — exactly the allocation pattern the
-/// kernel-retained plans replaced.
+/// bodies (`arena = true`) or the reference style (`false`): a `Script`
+/// built once per task whose effects are boxed closures it keeps.
 fn build_equiv_os(
     specs: &[EquivTaskSpec],
     arena: bool,
 ) -> easis::osek::kernel::Os<EquivWorld> {
     use easis::osek::alarm::AlarmAction;
     use easis::osek::kernel::Os;
-    use easis::osek::plan::Plan;
+    use easis::osek::plan::Script;
     use easis::osek::task::{Priority, TaskConfig};
     let n_tasks = specs.len() as u32;
     let mut os: Os<EquivWorld> = Os::new();
@@ -792,17 +781,15 @@ fn build_equiv_os(
                 },
             )
         } else {
-            let steps = spec.steps.clone();
             let task = idx as u32;
-            os.add_task(config, move |_now: Instant, _w: &EquivWorld| {
-                let mut plan = Plan::new();
-                for (cost, effect) in &steps {
-                    plan = plan.compute(Duration::from_micros(*cost));
-                    let effect = effect.clone();
-                    plan = plan.effect(move |w, ctx| apply_effect(task, &effect, n_tasks, w, ctx));
-                }
-                plan
-            })
+            let mut script = Script::new();
+            for (cost, effect) in &spec.steps {
+                let effect = effect.clone();
+                script = script
+                    .compute(Duration::from_micros(*cost))
+                    .effect(move |w, ctx| apply_effect(task, &effect, n_tasks, w, ctx));
+            }
+            os.add_task(config, script)
         };
         os.add_alarm(format!("a{idx}"), AlarmAction::ActivateTask(id));
     }
@@ -834,15 +821,15 @@ fn run_equiv_os(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arena-backed task bodies are observationally equivalent to the
-    /// boxed-closure reference style they replaced: over randomized task
-    /// sets (priorities, periods, compute costs, effect mixes) the kernel
-    /// trace, the world counters/log and the `CostMeter` charges are
-    /// bit-identical — and stay so when the arena OS is rewound to a
-    /// snapshot taken before `start()` and the campaign is replayed on the
-    /// retained (capacity-warm) buffers.
+    /// Arena-backed task bodies are observationally equivalent to
+    /// `Script` bodies running the same effects as closures: over
+    /// randomized task sets (priorities, periods, compute costs, effect
+    /// mixes) the kernel trace, the world counters/log and the `CostMeter`
+    /// charges are bit-identical — and stay so when the arena OS is
+    /// rewound to a snapshot taken before `start()` and the campaign is
+    /// replayed on the retained (capacity-warm) buffers.
     #[test]
-    fn arena_bodies_match_boxed_closure_reference(
+    fn arena_bodies_match_closure_scripts(
         raw_tasks in prop::collection::vec(
             (
                 any::<u8>(),                                   // priority bit
@@ -914,8 +901,8 @@ struct PlanEveryActivation<B>(B);
 impl<W, B: easis::osek::plan::TaskBody<W>> easis::osek::plan::TaskBody<W>
     for PlanEveryActivation<B>
 {
-    fn plan_into(&mut self, now: Instant, world: &W, out: &mut easis::osek::plan::Plan<W>) {
-        self.0.plan_into(now, world, out);
+    fn plan_into(&mut self, world: &W, out: &mut easis::osek::plan::Plan) {
+        self.0.plan_into(world, out);
     }
 
     fn run_effect(
@@ -925,10 +912,6 @@ impl<W, B: easis::osek::plan::TaskBody<W>> easis::osek::plan::TaskBody<W>
         ctx: &mut easis::osek::plan::EffectCtx<'_, W>,
     ) {
         self.0.run_effect(token, world, ctx);
-    }
-
-    fn name(&self) -> &str {
-        self.0.name()
     }
 }
 
@@ -998,7 +981,7 @@ fn build_replay_os(
                 ))
             })
             .collect();
-        let body = SequencedTask::fixed(format!("t{t}"), defs);
+        let body = SequencedTask::fixed(defs);
         let config = TaskConfig::new(format!("t{t}"), Priority(spec.priority));
         let task = if replay {
             os.add_task(config, body)
@@ -1042,7 +1025,7 @@ fn drive_replay_os(
 type ReplayRun = (
     Vec<easis::sim::trace::TraceEvent>,
     Vec<(RunnableId, Instant)>,
-    easis::osek::kernel::OsState<easis::rte::world::BasicEcuWorld>,
+    easis::osek::kernel::OsState,
 );
 
 /// Runs the task set to `horizon`, capturing kernel and world at `mid`;

@@ -253,7 +253,7 @@ fn kernel_alarm_soak_exact_activation_counts_past_wheel_horizon() {
         cost: Duration,
     }
     impl TaskBody<[u64; 2]> for CountBody {
-        fn plan_into(&mut self, _now: Instant, _world: &[u64; 2], out: &mut Plan<[u64; 2]>) {
+        fn plan_into(&mut self, _world: &[u64; 2], out: &mut Plan) {
             out.push_compute(self.cost);
             out.push_effect_ref(0);
         }
@@ -264,9 +264,6 @@ fn kernel_alarm_soak_exact_activation_counts_past_wheel_horizon() {
             _ctx: &mut easis::osek::plan::EffectCtx<'_, [u64; 2]>,
         ) {
             world[self.slot] += 1;
-        }
-        fn name(&self) -> &str {
-            "count"
         }
     }
 

@@ -36,10 +36,11 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo fmt --check (the kernel, runnable-layer, simulation and FMF crates)"
-# The rest of the tree is not rustfmt-clean yet; these four crates are and
+echo "==> cargo fmt --check (the kernel, runnable-layer, simulation, FMF, baseline, bus and vehicle crates)"
+# The rest of the tree is not rustfmt-clean yet; these seven crates are and
 # stay so.
-cargo fmt --check -p easis-osek -p easis-rte -p easis-sim -p easis-fmf
+cargo fmt --check -p easis-osek -p easis-rte -p easis-sim -p easis-fmf \
+  -p easis-baselines -p easis-bus -p easis-vehicle
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -231,6 +232,20 @@ if grep -rnE --include='*.rs' --exclude-dir=target \
      'Step::Effect\(|\bpush_effect\(|\btake_closure\b|\bClosures<|\bOsState<|\bPlan<' \
      crates/*/src; then
   echo "a closure in the plan or a world-typed plan or kernel state crept back"; exit 1
+fi
+
+echo "==> the kernel models the OSEK subset the platform runs"
+# Every node runs basic tasks with multiple activation, activated by
+# alarms, effects and ISRs, under full preemption, and the Software
+# Watchdog touches the OS only through dispatch, activation and hooks.
+# Extended tasks with events, priority-ceiling resources, ChainTask,
+# Schedule, non-preemptable tasks, autostart and shutdown would be kernel
+# paths that nothing runs, state that every capture clones and every
+# certification compares, and surface for bugs that no node can reach.
+if grep -rnE --include='*.rs' --exclude-dir=target \
+     '\b(TaskKind|EventMask|ResourceId|HeldResources|add_resource|set_event|non_preemptable|is_preemptable|autostart|is_autostart|reprioritize|current_priority|shutdown)\b|Step::(SetEvent|WaitEvent|ClearEvent|GetResource|ReleaseResource|ChainTask|Schedule)\b|TaskState::Waiting|HookEvent::Shutdown|AlarmAction::SetEvent' \
+     crates/*/src; then
+  echo "an OSEK feature the platform does not run crept back into the crates"; exit 1
 fi
 
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"

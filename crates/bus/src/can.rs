@@ -249,7 +249,11 @@ mod tests {
     fn load_reflects_traffic() {
         let mut bus = CanBus::new(500_000);
         for i in 0..10 {
-            bus.submit(NodeId(0), Frame::new(FrameId(0x100), vec![0; 8]), t(i * 300));
+            bus.submit(
+                NodeId(0),
+                Frame::new(FrameId(0x100), vec![0; 8]),
+                t(i * 300),
+            );
         }
         let _ = bus.poll(t(10_000));
         let load = bus.load(Duration::from_millis(10));

@@ -260,7 +260,9 @@ mod tests {
         assert!(E2eVerdict::Repeated.is_fault());
         assert!(E2eVerdict::Corrupted.is_fault());
         assert!(E2eVerdict::WrongSequence { lost: 1 }.is_fault());
-        assert!(E2eVerdict::WrongSequence { lost: 3 }.to_string().contains("3 lost"));
+        assert!(E2eVerdict::WrongSequence { lost: 3 }
+            .to_string()
+            .contains("3 lost"));
     }
 }
 

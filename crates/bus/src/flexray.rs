@@ -88,7 +88,10 @@ impl FlexRayBus {
     /// Panics if the slots do not fit into the cycle, or either length is
     /// zero.
     pub fn new(cycle: Duration, slot_len: Duration, slots: u16) -> Self {
-        assert!(!cycle.is_zero() && !slot_len.is_zero(), "lengths must be positive");
+        assert!(
+            !cycle.is_zero() && !slot_len.is_zero(),
+            "lengths must be positive"
+        );
         assert!(
             slot_len * slots as u64 <= cycle,
             "static segment exceeds the communication cycle"
@@ -206,7 +209,8 @@ mod tests {
     #[test]
     fn buffered_frame_transmits_every_cycle() {
         let mut b = bus();
-        b.submit(SlotId(0), Frame::new(FrameId(0x10), vec![1])).unwrap();
+        b.submit(SlotId(0), Frame::new(FrameId(0x10), vec![1]))
+            .unwrap();
         // Cycles 0..=3 complete by 16 ms (static segments end at 0.4, 5.4,
         // 10.4 and 15.4 ms).
         let out = b.advance(Instant::from_millis(16));
@@ -227,8 +231,10 @@ mod tests {
     #[test]
     fn slots_deliver_in_schedule_order() {
         let mut b = bus();
-        b.submit(SlotId(1), Frame::new(FrameId(0x11), vec![2])).unwrap();
-        b.submit(SlotId(0), Frame::new(FrameId(0x10), vec![1])).unwrap();
+        b.submit(SlotId(1), Frame::new(FrameId(0x11), vec![2]))
+            .unwrap();
+        b.submit(SlotId(0), Frame::new(FrameId(0x10), vec![1]))
+            .unwrap();
         let out = b.advance(Instant::from_millis(5));
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].slot, SlotId(0));
@@ -239,8 +245,10 @@ mod tests {
     #[test]
     fn submission_overwrites_buffer() {
         let mut b = bus();
-        b.submit(SlotId(0), Frame::new(FrameId(0x10), vec![1])).unwrap();
-        b.submit(SlotId(0), Frame::new(FrameId(0x10), vec![9])).unwrap();
+        b.submit(SlotId(0), Frame::new(FrameId(0x10), vec![1]))
+            .unwrap();
+        b.submit(SlotId(0), Frame::new(FrameId(0x10), vec![9]))
+            .unwrap();
         let out = b.advance(Instant::from_millis(5));
         assert_eq!(out[0].frame.payload.as_ref(), &[9]);
     }
@@ -274,7 +282,8 @@ mod tests {
     #[test]
     fn advance_is_incremental_across_calls() {
         let mut b = bus();
-        b.submit(SlotId(0), Frame::new(FrameId(0x10), vec![1])).unwrap();
+        b.submit(SlotId(0), Frame::new(FrameId(0x10), vec![1]))
+            .unwrap();
         assert_eq!(b.advance(Instant::from_millis(5)).len(), 1);
         assert_eq!(b.advance(Instant::from_millis(5)).len(), 0); // no re-emit
         assert_eq!(b.advance(Instant::from_millis(10)).len(), 1);

@@ -1,14 +1,14 @@
 //! Alarms.
 //!
-//! OSEK alarms attach to counters and, on expiry, activate a task or set an
-//! event. In this model the OS clock is the single underlying counter (the
-//! sim time base) and alarms are scheduled directly on the kernel's event
-//! queue. Cyclic alarms are the platform's periodic task activators — the
-//! SafeSpeed 10 ms cycle in the paper's validation is one such alarm. The
+//! OSEK alarms attach to counters and, on expiry, activate a task. In this
+//! model the OS clock is the single underlying counter (the sim time base)
+//! and alarms are scheduled directly on the kernel's event queue. Cyclic
+//! alarms are the platform's periodic task activators — the SafeSpeed
+//! 10 ms cycle in the paper's validation is one such alarm. The
 //! execution-frequency error injector works by rescaling alarm cycles,
 //! mirroring the ControlDesk "time scalar" slider.
 
-use crate::task::{EventMask, TaskId};
+use crate::task::TaskId;
 use easis_sim::time::Duration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -35,8 +35,6 @@ impl fmt::Display for AlarmId {
 pub enum AlarmAction {
     /// `ALARMCALLBACK ActivateTask`.
     ActivateTask(TaskId),
-    /// `ALARMCALLBACK SetEvent`.
-    SetEvent(TaskId, EventMask),
 }
 
 /// Runtime state of an alarm: arming, cycle and cycle scale. Its name and

@@ -15,15 +15,9 @@ pub enum OsError {
     InvalidId,
     /// `E_OS_LIMIT` — too many pending activations of a task.
     ActivationLimit,
-    /// `E_OS_STATE` — the object is in an incompatible state (e.g. chaining
-    /// from a suspended task).
+    /// `E_OS_STATE` — the object is in an incompatible state (an alarm
+    /// armed again while it is armed).
     InvalidState,
-    /// `E_OS_ACCESS` — an extended-task service was called on a basic task.
-    InvalidAccess,
-    /// `E_OS_RESOURCE` — resource ordering violated (release out of LIFO
-    /// order, occupied resource at task termination, or `WaitEvent` while
-    /// occupying a resource).
-    ResourceOrder,
     /// `E_OS_NOFUNC` — alarm is not in use.
     AlarmNotInUse,
     /// `E_OS_VALUE` — alarm cycle/offset outside the counter's limits.
@@ -36,8 +30,6 @@ impl fmt::Display for OsError {
             OsError::InvalidId => "invalid object identifier (E_OS_ID)",
             OsError::ActivationLimit => "too many pending task activations (E_OS_LIMIT)",
             OsError::InvalidState => "object in incompatible state (E_OS_STATE)",
-            OsError::InvalidAccess => "service not allowed for this task type (E_OS_ACCESS)",
-            OsError::ResourceOrder => "resource protocol violated (E_OS_RESOURCE)",
             OsError::AlarmNotInUse => "alarm not in use (E_OS_NOFUNC)",
             OsError::InvalidValue => "value outside counter limits (E_OS_VALUE)",
         };

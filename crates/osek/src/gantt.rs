@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 pub struct RunInterval {
     /// Dispatch time.
     pub from: Instant,
-    /// End of the slice (preemption, wait, yield or termination).
+    /// End of the slice (preemption or termination).
     pub to: Instant,
 }
 
@@ -34,7 +34,7 @@ pub fn running_intervals(trace: &TraceRecorder) -> BTreeMap<String, Vec<RunInter
             "dispatch" => {
                 open.entry(event.detail.clone()).or_insert(event.at);
             }
-            "preempt" | "terminate" | "wait" | "yield" => {
+            "preempt" | "terminate" => {
                 if let Some(from) = open.remove(&event.detail) {
                     intervals
                         .entry(event.detail.clone())

@@ -1,10 +1,13 @@
 //! OS hooks.
 //!
 //! OSEK defines hook routines called by the OS at notable points
-//! (startup, task switches, errors). The EASIS platform hangs its
-//! task-granularity monitors off these hooks: the hardware-watchdog and
-//! deadline-monitor baselines subscribe here, and the Software Watchdog's
-//! task state indication consumes task-switch notifications.
+//! (startup, task switches, errors). The kernel's task-granularity
+//! monitors report through them too: an OSEKTime-style deadline miss and
+//! an AUTOSAR-OS-style budget overrun are hook events. The central node
+//! subscribes one observer, the validator's `TimingChecks`, to exactly
+//! those two kinds and logs them in the watchdog service's detection log;
+//! neither the Software Watchdog nor the hardware-watchdog baseline takes
+//! a hook.
 
 use crate::error::OsError;
 use crate::task::TaskId;
@@ -42,8 +45,6 @@ pub enum HookEvent {
         /// The configured budget.
         budget: Duration,
     },
-    /// The OS was shut down.
-    Shutdown,
 }
 
 impl fmt::Display for HookEvent {
@@ -61,7 +62,6 @@ impl fmt::Display for HookEvent {
             HookEvent::BudgetExceeded { task, budget } => {
                 write!(f, "budget exceeded {task} (budget {budget})")
             }
-            HookEvent::Shutdown => write!(f, "shutdown"),
         }
     }
 }
@@ -75,7 +75,7 @@ impl HookMask {
     /// No kind.
     pub const NONE: HookMask = HookMask(0);
     /// Every kind: the default [`HookObserver::interest`].
-    pub const ALL: HookMask = HookMask((1 << 9) - 1);
+    pub const ALL: HookMask = HookMask((1 << 8) - 1);
     /// [`HookEvent::Startup`].
     pub const STARTUP: HookMask = HookMask(1 << 0);
     /// [`HookEvent::PreTask`].
@@ -92,8 +92,6 @@ impl HookMask {
     pub const DEADLINE_MISS: HookMask = HookMask(1 << 6);
     /// [`HookEvent::BudgetExceeded`].
     pub const BUDGET_EXCEEDED: HookMask = HookMask(1 << 7);
-    /// [`HookEvent::Shutdown`].
-    pub const SHUTDOWN: HookMask = HookMask(1 << 8);
 
     /// The kind of `event`.
     fn of(event: HookEvent) -> HookMask {
@@ -106,7 +104,6 @@ impl HookMask {
             HookEvent::Error(_) => Self::ERROR,
             HookEvent::DeadlineMiss { .. } => Self::DEADLINE_MISS,
             HookEvent::BudgetExceeded { .. } => Self::BUDGET_EXCEEDED,
-            HookEvent::Shutdown => Self::SHUTDOWN,
         }
     }
 
@@ -190,7 +187,6 @@ mod tests {
                 task: TaskId(0),
                 budget: Duration::ZERO,
             },
-            HookEvent::Shutdown,
         ];
         let all = events
             .iter()

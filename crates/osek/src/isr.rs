@@ -4,8 +4,9 @@
 //! task. The model reuses the kernel's task machinery: an ISR is a hidden
 //! task at the reserved top priority ([`ISR_PRIORITY`]), activated by
 //! external events (e.g. a bus controller signalling frame reception).
-//! Because ISRs outrank all tasks and are non-preemptable by them, the
-//! handler runs to completion before any task resumes — the OSEK ISR
+//! Because ISRs outrank all tasks, and a running task keeps the head of its
+//! priority band against an equal-priority trigger, a handler runs to
+//! completion before any task resumes or another ISR starts — the OSEK ISR
 //! contract.
 
 use crate::kernel::Os;
@@ -49,9 +50,7 @@ impl<W> Os<W> {
         W: 'static,
     {
         let task = self.add_task(
-            TaskConfig::new(name, ISR_PRIORITY)
-                .non_preemptable()
-                .with_max_activations(8),
+            TaskConfig::new(name, ISR_PRIORITY).with_max_activations(8),
             Script::new().compute(cost).effect(handler),
         );
         IsrId(task)
@@ -155,5 +154,42 @@ mod tests {
         os.trigger_isr(isr, &mut w).unwrap();
         os.run_until(Instant::from_millis(5), &mut w);
         assert_eq!(w, vec!["isr", "task"]);
+    }
+
+    #[test]
+    fn a_handler_runs_to_completion_before_a_later_isr_or_a_task() {
+        // `a`'s handler readies a priority-254 task; `b` is triggered
+        // halfway through `a`. Neither may cut into `a`, and the task waits
+        // for both ISRs.
+        type W = Vec<String>;
+        let log = |name: &'static str| {
+            move |w: &mut W, ctx: &mut EffectCtx<'_, W>| {
+                w.push(format!("{name}@{}", ctx.now().as_micros()))
+            }
+        };
+        let mut os: Os<W> = Os::new();
+        let task = os.add_task(
+            TaskConfig::new("task", Priority(254)),
+            Script::new()
+                .compute(Duration::from_micros(10))
+                .effect(log("task")),
+        );
+        let a = os.add_isr(
+            "a",
+            Duration::from_micros(100),
+            move |w: &mut W, ctx: &mut EffectCtx<'_, W>| {
+                log("a")(w, ctx);
+                ctx.activate_task(task, w).unwrap();
+            },
+        );
+        let b = os.add_isr("b", Duration::from_micros(100), log("b"));
+        let mut w = W::new();
+        os.start(&mut w);
+        os.trigger_isr(a, &mut w).unwrap();
+        os.run_until(Instant::from_micros(50), &mut w);
+        os.trigger_isr(b, &mut w).unwrap();
+        os.run_until(Instant::from_millis(1), &mut w);
+        assert_eq!(w, ["a@100", "b@200", "task@210"]);
+        assert_eq!(os.trace().count_kind("preempt"), 0);
     }
 }

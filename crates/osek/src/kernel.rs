@@ -1,12 +1,12 @@
 //! The OS kernel: fixed-priority preemptive scheduling over simulated time.
 //!
-//! [`Os`] owns the task, alarm and resource tables and executes task plans
-//! under OSEK full-preemptive scheduling semantics:
+//! [`Os`] owns the task and alarm tables and executes task plans under OSEK
+//! full-preemptive scheduling semantics for basic tasks:
 //!
 //! * the highest-priority ready task runs; equal priorities are FIFO and a
 //!   preempted task re-enters its priority level at the *front* (OSEK spec);
-//! * non-preemptable tasks yield only at termination or `WaitEvent`;
-//! * resources follow the priority-ceiling protocol;
+//! * a task queues up to its configured number of activations and runs
+//!   them back to back;
 //! * cyclic alarms re-arm with their (possibly injector-scaled) cycle;
 //! * optional per-task deadlines (OSEKTime) and execution budgets
 //!   (AUTOSAR OS timing protection) are detected exactly and reported
@@ -20,25 +20,22 @@
 //! # Split-borrow ownership
 //!
 //! [`Os`] is factored into two disjoint parts: the task *bodies* and the
-//! scheduler *core*. The core holds the build-time wiring (task, alarm and
-//! resource tables, hook observers) next to the kernel's whole runtime
-//! state, one [`OsState`]: TCBs, ready order, alarm arming, resource
-//! holders, timer queue, clock, trace and the per-task retained plans.
-//! Because bodies and core are separate fields, dispatch borrows them
-//! simultaneously without moving anything: planning calls
-//! [`TaskBody::plan_into`] on the body **in place** while the task's plan
-//! is borrowed alongside, and an effect step hands the body's
+//! scheduler *core*. The core holds the build-time wiring (task and alarm
+//! tables, hook observers) next to the kernel's whole runtime state, one
+//! [`OsState`]: TCBs, ready order, alarm arming, timer queue, clock, trace
+//! and the per-task retained plans. Because bodies and core are separate
+//! fields, dispatch borrows them simultaneously without moving anything:
+//! planning calls [`TaskBody::plan_into`] on the body **in place** while the
+//! task's plan is borrowed alongside, and an effect step hands the body's
 //! [`TaskBody::run_effect`] an [`EffectCtx`] that borrows the core, so
-//! effects call `ActivateTask`/`SetEvent`/`CancelAlarm` **directly and
-//! synchronously** on the core's own methods while the body stays in
-//! place.
+//! effects call `ActivateTask`/`CancelAlarm` **directly and synchronously**
+//! on the core's own methods while the body stays in place.
 
 use crate::alarm::{Alarm, AlarmAction, AlarmId};
 use crate::error::OsError;
 use crate::hooks::{HookEvent, HookMask, HookObserver};
-use crate::plan::{EffectCtx, Plan, ResourceId, Step, TaskBody};
-use crate::resource::{HeldResources, Resource};
-use crate::task::{EventMask, Priority, TaskConfig, TaskId, TaskKind, TaskState};
+use crate::plan::{EffectCtx, Plan, Step, TaskBody};
+use crate::task::{Priority, TaskConfig, TaskId, TaskState};
 use easis_sim::event::EventQueue;
 use easis_sim::time::{Duration, Instant};
 use easis_sim::trace::TraceRecorder;
@@ -60,37 +57,27 @@ enum KernelEvent {
     DeadlineCheck(TaskId),
 }
 
-easis_sim::clone_fields! {
-    /// Runtime fields of one task control block. The task's configuration
-    /// is wiring and lives in the core's task table (same index); its body
-    /// lives in `Os::bodies`.
-    #[derive(Debug, PartialEq, Eq)]
-    struct Tcb {
-        state: TaskState,
-        /// `true` once the current activation's plan is in place: planned
-        /// or rewound at its first dispatch (cleared at termination).
-        planned: bool,
-        current_priority: Priority,
-        set_events: EventMask,
-        waiting_for: EventMask,
-        held: HeldResources,
-        /// Activations not yet terminated, the current instance included.
-        queued: u32,
-        /// Execution time consumed by the current activation.
-        exec_time: Duration,
-        budget_reported: bool,
-    }
+/// Runtime fields of one task control block: plain `Copy` data. The
+/// task's configuration is wiring and lives in the core's task table (same
+/// index), its priority included; its body lives in `Os::bodies`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Tcb {
+    state: TaskState,
+    /// `true` once the current activation's plan is in place: planned or
+    /// rewound at its first dispatch (cleared at termination).
+    planned: bool,
+    /// Activations not yet terminated, the current instance included.
+    queued: u32,
+    /// Execution time consumed by the current activation.
+    exec_time: Duration,
+    budget_reported: bool,
 }
 
 impl Tcb {
-    fn new(priority: Priority) -> Self {
+    fn new() -> Self {
         Tcb {
             state: TaskState::Suspended,
             planned: false,
-            current_priority: priority,
-            set_events: EventMask::NONE,
-            waiting_for: EventMask::NONE,
-            held: HeldResources::new(),
             queued: 0,
             exec_time: Duration::ZERO,
             budget_reported: false,
@@ -100,11 +87,11 @@ impl Tcb {
 
 easis_sim::clone_fields! {
     /// Everything a kernel run can change: TCBs, alarm arming and cycle
-    /// scales, resource holders, pending timers, the clock, the running
-    /// task, the ready order, the busy meter, the trace, and the retained
-    /// plans with their cursors. It is the kernel's checkpoint:
-    /// [`Os::state`] lends it for capture, [`Os::restore`] copies one back,
-    /// and a warm `clone_from` allocates nothing.
+    /// scales, pending timers, the clock, the running task, the ready
+    /// order, the busy meter, the trace, and the retained plans with their
+    /// cursors. It is the kernel's checkpoint: [`Os::state`] lends it for
+    /// capture, [`Os::restore`] copies one back, and a warm `clone_from`
+    /// allocates nothing.
     ///
     /// It is canonical: two kernels in the same schedule hold equal
     /// states. Apart from the clock, the busy meter and the timer times it
@@ -113,7 +100,7 @@ easis_sim::clone_fields! {
     /// only what is left to run ([`Plan`]'s `==`): the steps already run
     /// and the key a retained plan was built under are left out.
     ///
-    /// Task bodies, the task/alarm/resource tables and hook observers are
+    /// Task bodies, the task and alarm tables and hook observers are
     /// wiring and stay out: bodies must keep all replay-relevant state in
     /// their plans, and observers keep their own state at the node level.
     /// A plan is plain data, so the state holds nothing of the world and
@@ -123,14 +110,11 @@ easis_sim::clone_fields! {
     pub struct OsState {
         tasks: Vec<Tcb>,
         alarms: Vec<Alarm>,
-        /// Holder of each resource, by resource id.
-        holders: Vec<Option<TaskId>>,
         timers: EventQueue<KernelEvent>,
         now: Instant,
         running: Option<TaskId>,
-        /// The `Ready` and `Running` tasks by `current_priority`, highest
-        /// first, each priority band in dispatch order (see
-        /// [`Core::best_eligible`]).
+        /// The `Ready` and `Running` tasks by priority, highest first, each
+        /// priority band in dispatch order (see [`Core::pick_next`]).
         ready: Vec<TaskId>,
         trace: TraceRecorder,
         started: bool,
@@ -150,7 +134,6 @@ pub(crate) struct Core<W> {
     configs: Vec<TaskConfig>,
     /// Alarm names and expiry actions, indexed by alarm id.
     alarm_wiring: Vec<(String, AlarmAction)>,
-    resources: Vec<Resource>,
     /// Subscribed observers, each with the interest it declared.
     observers: Vec<(HookMask, Box<dyn HookObserver<W>>)>,
     /// Union of the observers' interests: hook kinds outside it are
@@ -210,7 +193,6 @@ impl<W> Os<W> {
             core: Core {
                 configs: Vec::new(),
                 alarm_wiring: Vec::new(),
-                resources: Vec::new(),
                 observers: Vec::new(),
                 interest: HookMask::NONE,
                 state: OsState {
@@ -239,7 +221,7 @@ impl<W> Os<W> {
         let id = TaskId(self.core.configs.len() as u32);
         self.bodies.push(Box::new(body));
         let state = &mut self.core.state;
-        state.tasks.push(Tcb::new(config.priority()));
+        state.tasks.push(Tcb::new());
         // Room for every task in the ready list: readying never allocates.
         state.ready.reserve_exact(state.tasks.len());
         self.core.configs.push(config);
@@ -252,14 +234,6 @@ impl<W> Os<W> {
         let id = AlarmId(self.core.alarm_wiring.len() as u32);
         self.core.alarm_wiring.push((name.into(), action));
         self.core.state.alarms.push(Alarm::default());
-        id
-    }
-
-    /// Declares a resource with the given ceiling priority. Returns its id.
-    pub fn add_resource(&mut self, name: impl Into<String>, ceiling: Priority) -> ResourceId {
-        let id = ResourceId(self.core.resources.len() as u32);
-        self.core.resources.push(Resource::new(name, ceiling));
-        self.core.state.holders.push(None);
         id
     }
 
@@ -288,11 +262,6 @@ impl<W> Os<W> {
     /// Mutable access to the trace recorder (e.g. to clear between phases).
     pub fn trace_mut(&mut self) -> &mut TraceRecorder {
         &mut self.core.state.trace
-    }
-
-    /// Number of declared tasks.
-    pub fn task_count(&self) -> usize {
-        self.core.configs.len()
     }
 
     /// State of a task.
@@ -363,14 +332,13 @@ impl<W> Os<W> {
     // System services (callable from outside the kernel loop)
     // ------------------------------------------------------------------
 
-    /// Starts the OS: fires the startup hook and activates autostart tasks.
+    /// Starts the OS: fires the startup hook. Tasks run once activated.
     pub fn start(&mut self, world: &mut W) {
-        self.core.start(world);
-    }
-
-    /// Shuts the OS down (fires the shutdown hook; scheduling stops).
-    pub fn shutdown(&mut self, world: &mut W) {
-        self.core.shutdown(world);
+        let state = &mut self.core.state;
+        assert!(!state.started, "OS started twice");
+        state.started = true;
+        state.trace.record(state.now, TRACE_SOURCE, "startup", "");
+        self.core.fire_hook(HookEvent::Startup, world);
     }
 
     /// The kernel's runtime state — its checkpoint (see [`OsState`]).
@@ -382,23 +350,19 @@ impl<W> Os<W> {
 
     /// Restores runtime state captured from [`Os::state`], after which the
     /// OS replays exactly like the captured one. One `clone_from`: buffers
-    /// (timer entries, retained plans, TCB resource stacks) are
-    /// overwritten in place with their capacity retained.
+    /// (timer entries, retained plans) are overwritten in place with their
+    /// capacity retained.
     ///
     /// # Panics
     ///
-    /// Panics if the state belongs to an OS with different task, alarm or
-    /// resource tables — it must come from an identically built OS,
-    /// normally the same instance.
+    /// Panics if the state belongs to an OS with different task or alarm
+    /// tables — it must come from an identically built OS, normally the
+    /// same instance.
     pub fn restore(&mut self, state: &OsState) {
         assert_eq!(
-            (
-                self.core.configs.len(),
-                self.core.alarm_wiring.len(),
-                self.core.resources.len()
-            ),
-            (state.tasks.len(), state.alarms.len(), state.holders.len()),
-            "state belongs to an OS with different task/alarm/resource tables"
+            (self.core.configs.len(), self.core.alarm_wiring.len()),
+            (state.tasks.len(), state.alarms.len()),
+            "state belongs to an OS with different task/alarm tables"
         );
         self.core.state.clone_from(state);
     }
@@ -418,17 +382,6 @@ impl<W> Os<W> {
     /// when the activation queue is full (also reported via the error hook).
     pub fn activate_task(&mut self, id: TaskId, world: &mut W) -> Result<(), OsError> {
         self.core.activate_task(id, world)
-    }
-
-    /// `SetEvent`: sets events on an extended task, waking it if it waits
-    /// for any of them.
-    ///
-    /// # Errors
-    ///
-    /// [`OsError::InvalidId`] for unknown tasks, [`OsError::InvalidAccess`]
-    /// for basic tasks, [`OsError::InvalidState`] if the task is suspended.
-    pub fn set_event(&mut self, id: TaskId, mask: EventMask, world: &mut W) -> Result<(), OsError> {
-        self.core.set_event(id, mask, world)
     }
 
     /// `SetRelAlarm`: arms an alarm `offset` from now, optionally cyclic.
@@ -473,8 +426,8 @@ impl<W> Os<W> {
     ///
     /// Panics if the OS was not started or `end` is in the past, and on a
     /// zero-time livelock: more than [`MAX_ROUNDS_PER_INSTANT`]
-    /// consecutive dispatches at one instant (a task that chains or
-    /// activates itself without computing, say). The message names the
+    /// consecutive dispatches at one instant (a task that activates
+    /// itself without computing, say). The message names the
     /// task and the instant.
     pub fn run_until(&mut self, end: Instant, world: &mut W) {
         assert!(self.core.state.started, "call start() first");
@@ -587,7 +540,7 @@ impl<W> Os<W> {
         }
     }
 
-    /// Executes steps of the running task until it terminates, blocks, is
+    /// Executes steps of the running task until it terminates, is
     /// preempted, or simulated time reaches `end`. Returns `true` when the
     /// caller's horizon `end` was reached.
     ///
@@ -601,7 +554,7 @@ impl<W> Os<W> {
         let mut decided = true;
         loop {
             // An effect or a service may have readied a higher-priority
-            // task, or dropped this one's priority.
+            // task.
             if !decided && self.core.pick_next() != Some(id) {
                 return false;
             }
@@ -626,99 +579,6 @@ impl<W> Os<W> {
                 }
                 Step::ActivateTask(t) => {
                     let _ = self.core.activate_task(t, world);
-                }
-                Step::SetEvent(t, m) => {
-                    let _ = self.core.set_event(t, m, world);
-                }
-                Step::WaitEvent(mask) => {
-                    if self.core.configs[i].kind() != TaskKind::Extended {
-                        self.core.report_error(OsError::InvalidAccess, world);
-                        // Basic tasks cannot wait; ignore the step.
-                        continue;
-                    }
-                    if !self.core.state.tasks[i].held.is_empty() {
-                        // OSEK: a task that occupies a resource must not
-                        // wait (E_OS_RESOURCE); it keeps the CPU.
-                        self.core.report_error(OsError::ResourceOrder, world);
-                        continue;
-                    }
-                    let tcb = &mut self.core.state.tasks[i];
-                    if tcb.set_events.intersects(mask) {
-                        continue; // event already pending: no blocking
-                    }
-                    tcb.waiting_for = mask;
-                    self.core.leave_ready(id, TaskState::Waiting);
-                    self.core.state.running = None;
-                    self.core.record(id, "wait");
-                    self.core.fire_hook(HookEvent::PostTask(id), world);
-                    return false;
-                }
-                Step::ClearEvent(mask) => {
-                    let tcb = &mut self.core.state.tasks[i];
-                    tcb.set_events = tcb.set_events.clear(mask);
-                }
-                Step::GetResource(rid) => {
-                    let r = rid.0 as usize;
-                    if r >= self.core.resources.len() {
-                        self.core.report_error(OsError::InvalidId, world);
-                        continue;
-                    }
-                    if self.core.state.holders[r].is_some() {
-                        // With a correct ceiling this cannot happen; report
-                        // and skip so faulty configs surface in the trace.
-                        self.core.report_error(OsError::ResourceOrder, world);
-                        continue;
-                    }
-                    let ceiling = self.core.resources[r].ceiling();
-                    let state = &mut self.core.state;
-                    state.holders[r] = Some(id);
-                    let tcb = &mut state.tasks[i];
-                    let prior = tcb.current_priority;
-                    tcb.held.push(rid, prior);
-                    if ceiling > prior {
-                        self.core.reprioritize(id, ceiling);
-                    }
-                }
-                Step::ReleaseResource(rid) => {
-                    let r = rid.0 as usize;
-                    if r >= self.core.resources.len() {
-                        self.core.report_error(OsError::InvalidId, world);
-                        continue;
-                    }
-                    let restored = self.core.state.tasks[i].held.pop_matching(rid);
-                    match restored {
-                        Some(prior) => {
-                            self.core.state.holders[r] = None;
-                            self.core.reprioritize(id, prior);
-                            // Dropping priority may enable preemption.
-                            if self.core.pick_next() != Some(id) {
-                                return false;
-                            }
-                        }
-                        None => {
-                            self.core.report_error(OsError::ResourceOrder, world);
-                        }
-                    }
-                }
-                Step::ChainTask(t) => {
-                    self.terminate_running(id, world);
-                    let _ = self.core.activate_task(t, world);
-                    return false;
-                }
-                Step::Schedule => {
-                    // Re-run the dispatch decision ignoring this task's
-                    // non-preemptability: OSEK Schedule() semantics. If a
-                    // higher-priority task is ready, yield to it (re-enter
-                    // its priority level at the front, like a preemption).
-                    if let Some(best) = self.core.best_eligible() {
-                        if best != id {
-                            self.core.make_ready(id, true);
-                            self.core.record(id, "yield");
-                            self.core.state.running = None;
-                            self.core.fire_hook(HookEvent::PostTask(id), world);
-                            return false;
-                        }
-                    }
                 }
             }
         }
@@ -805,24 +665,11 @@ impl<W> Os<W> {
 
     fn terminate_running(&mut self, id: TaskId, world: &mut W) {
         let i = id.index();
-        // Out of its band before a forced release below drops its priority.
-        self.core.leave_ready(id, TaskState::Suspended);
-        // OSEK: terminating with occupied resources is an error; release them.
-        if !self.core.state.tasks[i].held.is_empty() {
-            self.core.report_error(OsError::ResourceOrder, world);
-            let state = &mut self.core.state;
-            let tcb = &mut state.tasks[i];
-            for rid in tcb.held.ids() {
-                state.holders[rid.0 as usize] = None;
-            }
-            tcb.held.clear();
-            tcb.current_priority = self.core.configs[i].priority();
-        }
+        self.core.leave_ready(id);
         let state = &mut self.core.state;
         let tcb = &mut state.tasks[i];
         tcb.queued -= 1;
         tcb.planned = false;
-        tcb.set_events = EventMask::NONE;
         state.plans[i].finish();
         state.running = None;
         self.core.record(id, "terminate");
@@ -874,33 +721,6 @@ impl<W> Core<W> {
             .record(self.state.now, TRACE_SOURCE, kind, name);
     }
 
-    fn start(&mut self, world: &mut W) {
-        assert!(!self.state.started, "OS started twice");
-        self.state.started = true;
-        self.state
-            .trace
-            .record(self.state.now, TRACE_SOURCE, "startup", "");
-        self.fire_hook(HookEvent::Startup, world);
-        let autostart: Vec<TaskId> = self
-            .configs
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_autostart())
-            .map(|(i, _)| TaskId(i as u32))
-            .collect();
-        for id in autostart {
-            let _ = self.activate_task(id, world);
-        }
-    }
-
-    fn shutdown(&mut self, world: &mut W) {
-        self.state
-            .trace
-            .record(self.state.now, TRACE_SOURCE, "shutdown", "");
-        self.fire_hook(HookEvent::Shutdown, world);
-        self.state.started = false;
-    }
-
     pub(crate) fn activate_task(&mut self, id: TaskId, world: &mut W) -> Result<(), OsError> {
         let i = id.index();
         let Some(config) = self.configs.get(i) else {
@@ -922,34 +742,6 @@ impl<W> Core<W> {
         self.fire_hook(HookEvent::Activate(id), world);
         if self.state.tasks[i].state == TaskState::Suspended {
             self.make_ready(id, false);
-        }
-        Ok(())
-    }
-
-    pub(crate) fn set_event(
-        &mut self,
-        id: TaskId,
-        mask: EventMask,
-        world: &mut W,
-    ) -> Result<(), OsError> {
-        let Some(config) = self.configs.get(id.index()) else {
-            return Err(OsError::InvalidId);
-        };
-        if config.kind() != TaskKind::Extended {
-            self.report_error(OsError::InvalidAccess, world);
-            return Err(OsError::InvalidAccess);
-        }
-        let tcb = &mut self.state.tasks[id.index()];
-        if tcb.state == TaskState::Suspended {
-            self.report_error(OsError::InvalidState, world);
-            return Err(OsError::InvalidState);
-        }
-        tcb.set_events = tcb.set_events.union(mask);
-        let wake = tcb.state == TaskState::Waiting && tcb.set_events.intersects(tcb.waiting_for);
-        if wake {
-            tcb.waiting_for = EventMask::NONE;
-            self.make_ready(id, false);
-            self.record(id, "wake");
         }
         Ok(())
     }
@@ -1025,14 +817,8 @@ impl<W> Core<W> {
                 .timers
                 .schedule(self.state.now + cycle, KernelEvent::AlarmExpiry(id));
         }
-        match *action {
-            AlarmAction::ActivateTask(t) => {
-                let _ = self.activate_task(t, world);
-            }
-            AlarmAction::SetEvent(t, m) => {
-                let _ = self.set_event(t, m, world);
-            }
-        }
+        let AlarmAction::ActivateTask(t) = *action;
+        let _ = self.activate_task(t, world);
     }
 
     /// Reports a miss when the activation whose check just popped has not
@@ -1063,77 +849,71 @@ impl<W> Core<W> {
         }
     }
 
-    /// Makes `id` `Ready`. A preempted or yielding task (`front`) is the
-    /// running one, which heads its priority band already and keeps that
-    /// place; every other task joins the back of its band, after the
-    /// tasks of its priority that were readied before it.
+    /// Makes `id` `Ready`. A preempted task (`front`) is the running one,
+    /// which heads its priority band already and keeps that place; every
+    /// other task joins the back of its band, after the tasks of its
+    /// priority that were readied before it.
     fn make_ready(&mut self, id: TaskId, front: bool) {
-        let state = &mut self.state;
-        state.tasks[id.index()].state = TaskState::Ready;
+        self.state.tasks[id.index()].state = TaskState::Ready;
         if front {
-            debug_assert!(state.heads_its_band(id), "the running task heads its band");
+            debug_assert!(self.heads_its_band(id), "the running task heads its band");
             return;
         }
-        debug_assert!(!state.ready.contains(&id), "readied twice");
-        let priority = state.tasks[id.index()].current_priority;
-        let at = state.first_below(|p| p < priority);
-        state.ready.insert(at, id);
+        debug_assert!(!self.state.ready.contains(&id), "readied twice");
+        let priority = self.configs[id.index()].priority();
+        let at = self.first_below(|p| p < priority);
+        self.state.ready.insert(at, id);
     }
 
-    /// Moves the running task `id` to `Waiting` or `Suspended`, out of the
-    /// ready order.
-    fn leave_ready(&mut self, id: TaskId, to: TaskState) {
+    /// Moves the running task `id` to `Suspended`, out of the ready order.
+    fn leave_ready(&mut self, id: TaskId) {
+        debug_assert!(self.heads_its_band(id), "the running task heads its band");
         let state = &mut self.state;
-        state.tasks[id.index()].state = to;
-        let at = state.position_of(id);
+        state.tasks[id.index()].state = TaskState::Suspended;
+        let at = state
+            .ready
+            .iter()
+            .position(|&t| t == id)
+            .expect("the running task is in the ready order");
         state.ready.remove(at);
     }
 
-    /// Sets the running task's `current_priority` (a resource ceiling
-    /// raised or restored) and moves it to the front of its new band: it
-    /// keeps the CPU against the tasks of that priority that wait.
-    fn reprioritize(&mut self, id: TaskId, priority: Priority) {
-        let state = &mut self.state;
-        let from = state.position_of(id);
-        state.ready.remove(from);
-        state.tasks[id.index()].current_priority = priority;
-        let to = state.first_below(|p| p <= priority);
-        state.ready.insert(to, id);
+    /// The position of the first ready task whose priority satisfies
+    /// `below`, or the end of the order. The list holds at most a few
+    /// tasks, so a scan from the front beats a binary search.
+    fn first_below(&self, below: impl Fn(Priority) -> bool) -> usize {
+        let ready = &self.state.ready;
+        ready
+            .iter()
+            .position(|t| below(self.configs[t.index()].priority()))
+            .unwrap_or(ready.len())
     }
 
-    /// The highest-priority eligible task: the head of the ready order.
-    /// The order keeps each priority band first-in, first-out, except
-    /// that a preempted or yielding task keeps the front of its band and
-    /// a task whose resource ceiling raises or restores its priority
-    /// takes the front of the new one. So the decision is one load,
-    /// however many tasks wait: starved tasks stay `Ready` through
-    /// overloaded windows, and a scan of the list made the dispatch
-    /// decision one of the costliest steps of event-level simulation.
-    /// Debug builds check the order at every decision.
-    fn best_eligible(&self) -> Option<TaskId> {
-        let state = &self.state;
+    /// Whether `id` is the first task of its priority band, as the
+    /// running task always is.
+    fn heads_its_band(&self, id: TaskId) -> bool {
+        let priority = self.configs[id.index()].priority();
+        self.state.ready.get(self.first_below(|p| p <= priority)) == Some(&id)
+    }
+
+    /// The task that should run now: the head of the ready order, so the
+    /// decision is one load however many tasks wait. The order keeps each
+    /// priority band first-in, first-out, except that the running task
+    /// heads its band from dispatch until it leaves the CPU (a preempted
+    /// task keeps that place), so it keeps the CPU against the tasks of its
+    /// priority that wait. Starved tasks stay `Ready` through overloaded
+    /// windows, and a scan of the list made the dispatch decision one of
+    /// the costliest steps of event-level simulation. Debug builds check
+    /// the order at every decision.
+    fn pick_next(&self) -> Option<TaskId> {
+        let ready = &self.state.ready;
         debug_assert!(
-            state.ready.windows(2).all(|pair| {
-                state.tasks[pair[0].index()].current_priority
-                    >= state.tasks[pair[1].index()].current_priority
+            ready.windows(2).all(|pair| {
+                self.configs[pair[0].index()].priority() >= self.configs[pair[1].index()].priority()
             }),
             "ready order out of priority order"
         );
-        state.ready.first().copied()
-    }
-
-    /// Picks the task that should run now, honouring non-preemptability.
-    fn pick_next(&self) -> Option<TaskId> {
-        if let Some(run) = self.state.running {
-            if self.state.tasks[run.index()].state == TaskState::Running
-                && !self.configs[run.index()].is_preemptable()
-            {
-                return Some(run);
-            }
-        }
-        // The running task keeps the CPU against equal-priority ready tasks:
-        // it heads its band from dispatch until it leaves the CPU.
-        self.best_eligible()
+        ready.first().copied()
     }
 
     fn report_error(&mut self, err: OsError, world: &mut W) {
@@ -1171,39 +951,12 @@ impl<W> std::fmt::Debug for Os<W> {
             .field("now", &self.core.state.now)
             .field("tasks", &self.core.configs.len())
             .field("alarms", &self.core.alarm_wiring.len())
-            .field("resources", &self.core.resources.len())
             .field("running", &self.core.state.running)
             .finish()
     }
 }
 
 impl OsState {
-    /// The position of the first ready task whose `current_priority`
-    /// satisfies `below`, or the end of the order. The list holds at most
-    /// a few tasks, so a scan from the front beats a binary search.
-    fn first_below(&self, below: impl Fn(Priority) -> bool) -> usize {
-        self.ready
-            .iter()
-            .position(|t| below(self.tasks[t.index()].current_priority))
-            .unwrap_or(self.ready.len())
-    }
-
-    /// The position of the running task `id` in the ready order.
-    fn position_of(&self, id: TaskId) -> usize {
-        debug_assert!(self.heads_its_band(id), "the running task heads its band");
-        self.ready
-            .iter()
-            .position(|&t| t == id)
-            .expect("the running task is in the ready order")
-    }
-
-    /// Whether `id` is the first task of its priority band, as the
-    /// running task always is.
-    fn heads_its_band(&self, id: TaskId) -> bool {
-        let priority = self.tasks[id.index()].current_priority;
-        self.ready.get(self.first_below(|p| p <= priority)) == Some(&id)
-    }
-
     /// The simulated instant at which the state was captured.
     pub fn taken_at(&self) -> Instant {
         self.now
@@ -1317,25 +1070,6 @@ mod tests {
     }
 
     #[test]
-    fn non_preemptable_task_defers_higher_priority() {
-        let mut os: Os<W> = Os::new();
-        let lo = os.add_task(
-            TaskConfig::new("lo", Priority(1)).non_preemptable(),
-            log_body("lo", ms(10)),
-        );
-        let hi = os.add_task(TaskConfig::new("hi", Priority(5)), log_body("hi", us(500)));
-        let a_lo = os.add_alarm("alo", AlarmAction::ActivateTask(lo));
-        let a_hi = os.add_alarm("ahi", AlarmAction::ActivateTask(hi));
-        let mut w = W::new();
-        os.start(&mut w);
-        os.set_rel_alarm(a_lo, ms(1), None).unwrap();
-        os.set_rel_alarm(a_hi, ms(5), None).unwrap();
-        os.run_until(Instant::from_millis(20), &mut w);
-        assert_eq!(w, vec!["lo@11000".to_string(), "hi@11500".to_string()]);
-        assert_eq!(os.trace().count_kind("preempt"), 0);
-    }
-
-    #[test]
     fn equal_priority_is_fifo_and_non_preemptive() {
         let mut os: Os<W> = Os::new();
         let a = os.add_task(TaskConfig::new("a", Priority(2)), log_body("a", ms(2)));
@@ -1377,65 +1111,6 @@ mod tests {
     }
 
     #[test]
-    fn a_ceiling_change_puts_the_running_task_at_the_front_of_its_band() {
-        // `lo` cannot be preempted, so tasks of its priority band wait
-        // `Ready` while its priority moves: raised to the ceiling of R with
-        // `p5a`, `p5b` waiting there, restored with `p1a`, `p1b` waiting.
-        let mut os: Os<W> = Os::new();
-        let r = ResourceId(0);
-        let p5a = TaskId(1);
-        let p5b = TaskId(2);
-        let p1a = TaskId(3);
-        let p1b = TaskId(4);
-        let lo = os.add_task(
-            TaskConfig::new("lo", Priority(1)).non_preemptable(),
-            Script::new()
-                .step(Step::ActivateTask(p5a))
-                .step(Step::ActivateTask(p5b))
-                .step(Step::GetResource(r))
-                .step(Step::Schedule)
-                .step(Step::ActivateTask(p1a))
-                .step(Step::ActivateTask(p1b))
-                .compute(ms(1))
-                .effect(|w: &mut W, ctx| w.push(format!("held@{}", ctx.now().as_micros())))
-                .step(Step::ReleaseResource(r))
-                .step(Step::Schedule)
-                .compute(ms(1))
-                .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros()))),
-        );
-        for (name, priority) in [("p5a", 5), ("p5b", 5), ("p1a", 1), ("p1b", 1)] {
-            os.add_task(
-                TaskConfig::new(name, Priority(priority)),
-                log_body(name, ms(1)),
-            );
-        }
-        os.add_resource("R", Priority(5));
-        let mut w = W::new();
-        os.start(&mut w);
-        os.activate_task(lo, &mut w).unwrap();
-        os.run_until(Instant::from_micros(500), &mut w);
-        // Raised: `lo` heads the ceiling's band, ahead of the tasks that
-        // were readied there before it, so `Schedule` kept it running.
-        assert_eq!(os.state().ready, vec![lo, p5a, p5b, p1a, p1b]);
-        os.run_until(Instant::from_millis(20), &mut w);
-        // Restored: `lo` yields to the priority-5 band at `Schedule` and
-        // then resumes ahead of `p1a` and `p1b`; each band runs in the
-        // order its tasks were readied.
-        assert_eq!(
-            w,
-            vec![
-                "held@1000",
-                "p5a@2000",
-                "p5b@3000",
-                "lo@4000",
-                "p1a@5000",
-                "p1b@6000"
-            ]
-        );
-        assert_eq!(os.trace().count_kind("yield"), 1);
-    }
-
-    #[test]
     fn multiple_activations_queue_up_to_limit() {
         let mut os: Os<W> = Os::new();
         let t = os.add_task(
@@ -1453,46 +1128,6 @@ mod tests {
             "activation limit reported"
         );
         assert!(!w.is_empty());
-    }
-
-    #[test]
-    fn extended_task_waits_and_wakes_on_event() {
-        let mut os: Os<W> = Os::new();
-        let waiter_body = Script::new()
-            .effect(|w: &mut W, ctx| w.push(format!("before@{}", ctx.now().as_micros())))
-            .step(Step::WaitEvent(EventMask::bit(0)))
-            .effect(|w: &mut W, ctx| w.push(format!("after@{}", ctx.now().as_micros())));
-        let waiter = os.add_task(
-            TaskConfig::new("waiter", Priority(3))
-                .with_kind(TaskKind::Extended)
-                .autostart(),
-            waiter_body,
-        );
-        let a = os.add_alarm("wake", AlarmAction::SetEvent(waiter, EventMask::bit(0)));
-        let mut w = W::new();
-        os.start(&mut w);
-        os.set_rel_alarm(a, ms(7), None).unwrap();
-        os.run_until(Instant::from_millis(10), &mut w);
-        assert_eq!(w, vec!["before@0".to_string(), "after@7000".to_string()]);
-        assert_eq!(os.task_state(waiter).unwrap(), TaskState::Suspended);
-    }
-
-    #[test]
-    fn wait_with_pending_event_does_not_block() {
-        let mut os: Os<W> = Os::new();
-        let t = os.add_task(
-            TaskConfig::new("t", Priority(1)).with_kind(TaskKind::Extended),
-            Script::new()
-                .step(Step::WaitEvent(EventMask::bit(1)))
-                .effect(|w: &mut W, _| w.push("ran".into())),
-        );
-        let mut w = W::new();
-        os.start(&mut w);
-        os.activate_task(t, &mut w).unwrap();
-        // Event set while the task is ready (before it reaches WaitEvent).
-        os.set_event(t, EventMask::bit(1), &mut w).unwrap();
-        os.run_until(Instant::from_millis(1), &mut w);
-        assert_eq!(w, vec!["ran".to_string()]);
     }
 
     #[test]
@@ -1542,97 +1177,6 @@ mod tests {
         assert_eq!(os.trace().count_kind("budget_exceeded"), 1);
         let e = os.trace().first_of_kind("budget_exceeded").unwrap();
         assert_eq!(e.at, Instant::from_millis(4)); // activated at 1ms + 3ms budget
-    }
-
-    #[test]
-    fn resource_ceiling_blocks_mid_priority_interference() {
-        // lo takes R (ceiling hi); mid is activated meanwhile; with the
-        // ceiling protocol, mid must not run until lo releases R.
-        let mut os: Os<W> = Os::new();
-        let r = ResourceId(0);
-        let lo = os.add_task(
-            TaskConfig::new("lo", Priority(1)),
-            Script::new()
-                .step(Step::GetResource(r))
-                .compute(ms(5))
-                .step(Step::ReleaseResource(r))
-                .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros()))),
-        );
-        let mid = os.add_task(TaskConfig::new("mid", Priority(3)), log_body("mid", ms(1)));
-        let _ = os.add_resource("R", Priority(5));
-        let a_lo = os.add_alarm("alo", AlarmAction::ActivateTask(lo));
-        let a_mid = os.add_alarm("amid", AlarmAction::ActivateTask(mid));
-        let mut w = W::new();
-        os.start(&mut w);
-        os.set_rel_alarm(a_lo, ms(1), None).unwrap();
-        os.set_rel_alarm(a_mid, ms(2), None).unwrap();
-        os.run_until(Instant::from_millis(20), &mut w);
-        // Without the ceiling, mid would preempt lo at 2ms and log at 3000.
-        // With it, mid is deferred to the release point (6ms), runs 6–7ms,
-        // and lo's post-release effect then executes at 7ms.
-        assert_eq!(w, vec!["mid@7000".to_string(), "lo@7000".to_string()]);
-        assert_eq!(os.trace().count_kind("preempt"), 1); // only at release
-    }
-
-    #[test]
-    fn lifo_violation_reports_resource_error() {
-        let mut os: Os<W> = Os::new();
-        let r0 = ResourceId(0);
-        let r1 = ResourceId(1);
-        let t = os.add_task(
-            TaskConfig::new("t", Priority(1)),
-            Script::new()
-                .step(Step::GetResource(r0))
-                .step(Step::GetResource(r1))
-                .step(Step::ReleaseResource(r0)) // out of order
-                .step(Step::ReleaseResource(r1))
-                .step(Step::ReleaseResource(r0)),
-        );
-        os.add_resource("R0", Priority(5));
-        os.add_resource("R1", Priority(5));
-        let mut w = W::new();
-        os.start(&mut w);
-        os.activate_task(t, &mut w).unwrap();
-        os.run_until(Instant::from_millis(1), &mut w);
-        assert_eq!(os.trace().count_kind("os_error"), 1);
-    }
-
-    #[test]
-    fn terminating_with_held_resource_releases_and_reports() {
-        let mut os: Os<W> = Os::new();
-        let r0 = ResourceId(0);
-        let t = os.add_task(
-            TaskConfig::new("t", Priority(1)),
-            Script::new().step(Step::GetResource(r0)).compute(ms(1)),
-        );
-        os.add_resource("R0", Priority(5));
-        let mut w = W::new();
-        os.start(&mut w);
-        os.activate_task(t, &mut w).unwrap();
-        os.run_until(Instant::from_millis(5), &mut w);
-        assert_eq!(os.trace().count_kind("os_error"), 1);
-        // Resource is free again: re-running the task must not error twice
-        // because of a stuck resource.
-        os.activate_task(t, &mut w).unwrap();
-        os.run_until(Instant::from_millis(10), &mut w);
-        assert_eq!(os.trace().count_kind("os_error"), 2); // same error, fresh run
-    }
-
-    #[test]
-    fn chain_task_terminates_and_activates() {
-        let mut os: Os<W> = Os::new();
-        // b logs, a chains to b.
-        let b = os.add_task(TaskConfig::new("b", Priority(1)), log_body("b", ms(1)));
-        let a = os.add_task(
-            TaskConfig::new("a", Priority(2)),
-            Script::new().compute(ms(1)).step(Step::ChainTask(b)),
-        );
-        let mut w = W::new();
-        os.start(&mut w);
-        os.activate_task(a, &mut w).unwrap();
-        os.run_until(Instant::from_millis(5), &mut w);
-        assert_eq!(w, vec!["b@2000".to_string()]);
-        assert_eq!(os.task_state(a).unwrap(), TaskState::Suspended);
     }
 
     #[test]
@@ -1793,19 +1337,6 @@ mod tests {
         assert_eq!(os.cancel_alarm(AlarmId(9)), Err(OsError::InvalidId));
         os.cancel_alarm(a).unwrap();
         assert_eq!(os.cancel_alarm(a), Err(OsError::AlarmNotInUse));
-    }
-
-    #[test]
-    fn set_event_on_basic_task_is_access_error() {
-        let mut os: Os<W> = Os::new();
-        let t = os.add_task(TaskConfig::new("t", Priority(1)), log_body("t", ms(1)));
-        let mut w = W::new();
-        os.start(&mut w);
-        os.activate_task(t, &mut w).unwrap();
-        assert_eq!(
-            os.set_event(t, EventMask::bit(0), &mut w),
-            Err(OsError::InvalidAccess)
-        );
     }
 
     #[test]
@@ -2003,7 +1534,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different task/alarm/resource tables")]
+    #[should_panic(expected = "different task/alarm tables")]
     fn restore_rejects_the_state_of_a_differently_built_os() {
         let mut small: Os<W> = Os::new();
         small.add_task(TaskConfig::new("a", Priority(1)), log_body("a", ms(1)));
@@ -2043,11 +1574,11 @@ mod tests {
         // An arena-backed body (plan_into + EffectRef) exercises the whole
         // split-borrow path: run_effect executes on the body in place and
         // activates a peer task synchronously through its context.
-        struct Chainer {
+        struct Activator {
             peer: Option<TaskId>,
             fired: u32,
         }
-        impl TaskBody<W> for Chainer {
+        impl TaskBody<W> for Activator {
             fn plan_into(&mut self, _world: &W, out: &mut Plan) {
                 out.push_compute(Duration::from_millis(1));
                 out.push_effect_ref(0);
@@ -2055,7 +1586,7 @@ mod tests {
             fn run_effect(&mut self, token: u32, world: &mut W, ctx: &mut EffectCtx<'_, W>) {
                 assert_eq!(token, 0);
                 self.fired += 1;
-                world.push(format!("chainer@{}", ctx.now().as_micros()));
+                world.push(format!("activator@{}", ctx.now().as_micros()));
                 if let Some(peer) = self.peer {
                     ctx.activate_task(peer, world).unwrap();
                     assert_eq!(ctx.task_state(peer), Ok(TaskState::Ready));
@@ -2067,31 +1598,29 @@ mod tests {
             TaskConfig::new("peer", Priority(1)),
             log_body("peer", ms(1)),
         );
-        let chainer = os.add_task(
-            TaskConfig::new("chainer", Priority(5)),
-            Chainer {
+        let activator = os.add_task(
+            TaskConfig::new("activator", Priority(5)),
+            Activator {
                 peer: Some(peer),
                 fired: 0,
             },
         );
         let mut w = W::new();
         os.start(&mut w);
-        os.activate_task(chainer, &mut w).unwrap();
+        os.activate_task(activator, &mut w).unwrap();
         os.run_until(Instant::from_millis(10), &mut w);
-        assert_eq!(w, vec!["chainer@1000".to_string(), "peer@2000".to_string()]);
+        assert_eq!(
+            w,
+            vec!["activator@1000".to_string(), "peer@2000".to_string()]
+        );
     }
 
     #[test]
     fn effect_services_run_on_the_kernel() {
-        // `waiter` waits from 0 ms; `caller` computes 0–1 ms, then its
-        // effect calls every service while it still runs.
+        // `caller` computes 0–1 ms, then its effect calls every service
+        // while it still runs.
         let mut os: Os<W> = Os::new();
-        let waiter = os.add_task(
-            TaskConfig::new("waiter", Priority(3)).with_kind(TaskKind::Extended),
-            Script::new()
-                .step(Step::WaitEvent(EventMask::bit(0)))
-                .effect(|w: &mut W, ctx| w.push(format!("woke@{}", ctx.now().as_micros()))),
-        );
+        let hi = os.add_task(TaskConfig::new("hi", Priority(3)), log_body("hi", us(100)));
         let peer = os.add_task(
             TaskConfig::new("peer", Priority(1)),
             log_body("peer", us(100)),
@@ -2101,12 +1630,13 @@ mod tests {
             TaskConfig::new("caller", Priority(2)),
             Script::new().compute(ms(1)).effect(move |w: &mut W, ctx| {
                 w.push(format!("{}@{}", ctx.task(), ctx.now().as_micros()));
-                assert_eq!(ctx.task_state(waiter), Ok(TaskState::Waiting));
-                assert_eq!(ctx.set_event(waiter, EventMask::bit(0), w), Ok(()));
-                assert_eq!(ctx.task_state(waiter), Ok(TaskState::Ready));
-                assert_eq!(ctx.task_state(peer), Ok(TaskState::Suspended));
-                assert_eq!(ctx.activate_task(peer, w), Ok(()));
-                assert_eq!(ctx.task_state(peer), Ok(TaskState::Ready));
+                assert_eq!(ctx.task_state(ctx.task()), Ok(TaskState::Running));
+                for t in [peer, hi] {
+                    assert_eq!(ctx.task_state(t), Ok(TaskState::Suspended));
+                    assert_eq!(ctx.activate_task(t, w), Ok(()));
+                    assert_eq!(ctx.task_state(t), Ok(TaskState::Ready));
+                }
+                assert_eq!(ctx.activate_task(hi, w), Err(OsError::ActivationLimit));
                 assert_eq!(ctx.cancel_alarm(alarm.0), Ok(()));
                 assert_eq!(ctx.cancel_alarm(alarm.0), Err(OsError::AlarmNotInUse));
                 assert_eq!(ctx.task_state(TaskId(9)), Err(OsError::InvalidId));
@@ -2117,19 +1647,20 @@ mod tests {
         let mut w = W::new();
         os.start(&mut w);
         os.set_rel_alarm(alarm, ms(5), Some(ms(5))).unwrap();
-        os.activate_task(waiter, &mut w).unwrap();
         os.activate_task(caller, &mut w).unwrap();
         os.run_until(Instant::from_millis(20), &mut w);
-        // The woken waiter runs before the peer; the alarm never fires.
+        // `hi` runs before the peer readied ahead of it; the alarm never
+        // fires.
         assert_eq!(
             w,
             vec![
                 format!("{caller}@1000"),
-                "woke@1000".into(),
-                "peer@1100".into()
+                "hi@1100".into(),
+                "peer@1200".into()
             ]
         );
         assert_eq!(os.trace().count_kind("alarm"), 0);
+        assert_eq!(os.trace().count_kind("os_error"), 1);
         let mark = os.trace().first_of_kind("mark").unwrap();
         assert_eq!(
             (mark.at, mark.source.as_str()),
@@ -2289,64 +1820,5 @@ mod tests {
         assert!(w.is_empty());
         os.run_until(Instant::from_millis(12), &mut w);
         assert_eq!(w, vec!["t@10000".to_string()]);
-    }
-}
-
-#[cfg(test)]
-mod schedule_tests {
-    use super::*;
-    use crate::plan::Script;
-
-    type W = Vec<String>;
-    fn ms(n: u64) -> Duration {
-        Duration::from_millis(n)
-    }
-
-    #[test]
-    fn schedule_yields_inside_non_preemptable_task() {
-        let mut os: Os<W> = Os::new();
-        let hi = os.add_task(
-            TaskConfig::new("hi", Priority(9)),
-            Script::new()
-                .compute(ms(1))
-                .effect(|w: &mut W, ctx| w.push(format!("hi@{}", ctx.now().as_micros()))),
-        );
-        let lo = os.add_task(
-            TaskConfig::new("lo", Priority(1)).non_preemptable(),
-            Script::new()
-                .compute(ms(4))
-                .step(Step::Schedule)
-                .compute(ms(4))
-                .effect(|w: &mut W, ctx| w.push(format!("lo@{}", ctx.now().as_micros()))),
-        );
-        let a_lo = os.add_alarm("alo", AlarmAction::ActivateTask(lo));
-        let a_hi = os.add_alarm("ahi", AlarmAction::ActivateTask(hi));
-        let mut w = W::new();
-        os.start(&mut w);
-        os.set_rel_alarm(a_lo, ms(1), None).unwrap();
-        os.set_rel_alarm(a_hi, ms(2), None).unwrap(); // during lo's first half
-        os.run_until(Instant::from_millis(20), &mut w);
-        // Without Schedule, hi would wait until lo terminates (9ms);
-        // with it, hi runs at the explicit scheduling point (5ms).
-        assert_eq!(w, vec!["hi@6000".to_string(), "lo@10000".to_string()]);
-    }
-
-    #[test]
-    fn schedule_is_noop_without_higher_priority_work() {
-        let mut os: Os<W> = Os::new();
-        let t = os.add_task(
-            TaskConfig::new("t", Priority(5)).non_preemptable(),
-            Script::new()
-                .compute(ms(1))
-                .step(Step::Schedule)
-                .compute(ms(1))
-                .effect(|w: &mut W, ctx| w.push(format!("t@{}", ctx.now().as_micros()))),
-        );
-        let mut w = W::new();
-        os.start(&mut w);
-        os.activate_task(t, &mut w).unwrap();
-        os.run_until(Instant::from_millis(5), &mut w);
-        assert_eq!(w, vec!["t@2000".to_string()]);
-        assert_eq!(os.trace().count_kind("preempt"), 0);
     }
 }

@@ -3,12 +3,16 @@
 //! The EASIS software platform (DSN 2007 Software Watchdog paper, §3.1)
 //! integrates "an OSEK-conforming operating system with safety relevant
 //! services" across layers L2/L3. This crate is that substrate: a
-//! deterministic simulation of an OSEK OS with
+//! deterministic simulation of the OSEK subset the platform runs. The
+//! Software Watchdog touches the OS only through task dispatch, periodic
+//! activation and hooks, so the model has
 //!
-//! * basic and extended tasks under fixed-priority full-preemptive
-//!   scheduling ([`kernel::Os`]);
-//! * counters/alarms for periodic activation ([`alarm`]);
-//! * events, resources with priority ceiling ([`resource`]);
+//! * basic tasks with multiple activation under fixed-priority
+//!   full-preemptive scheduling ([`kernel::Os`]), activated by
+//!   `ActivateTask`;
+//! * counters/alarms for periodic activation, with `CancelAlarm` and
+//!   injector-scaled cycles ([`alarm`]);
+//! * category-2 ISRs ([`isr`]);
 //! * startup/pre-task/post-task/error hooks ([`hooks`]) plus
 //!   OSEKTime-style deadline monitoring and AUTOSAR-OS-style execution
 //!   budgets — the *task-granularity* comparators of the paper's related
@@ -56,7 +60,6 @@ pub mod hooks;
 pub mod isr;
 pub mod kernel;
 pub mod plan;
-pub mod resource;
 pub mod task;
 
 pub use alarm::{Alarm, AlarmAction, AlarmId};
@@ -64,6 +67,5 @@ pub use error::OsError;
 pub use hooks::{HookEvent, HookMask, HookObserver};
 pub use isr::{IsrId, ISR_PRIORITY};
 pub use kernel::Os;
-pub use plan::{EffectCtx, Plan, ResourceId, Script, Step, TaskBody};
-pub use resource::Resource;
-pub use task::{EventMask, Priority, TaskConfig, TaskId, TaskKind, TaskState};
+pub use plan::{EffectCtx, Plan, Script, Step, TaskBody};
+pub use task::{Priority, TaskConfig, TaskId, TaskState};

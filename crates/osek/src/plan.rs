@@ -28,29 +28,19 @@
 //! a [`Step::EffectRef`] token, and the kernel hands the token back to
 //! [`TaskBody::run_effect`] on the same body, in place, with `&mut W` and
 //! an [`EffectCtx`] through which the effect calls OS services
-//! ([`EffectCtx::activate_task`], [`EffectCtx::set_event`],
-//! [`EffectCtx::cancel_alarm`]). The context borrows the kernel's scheduler
-//! core, so each call executes directly and synchronously on it. A plan
-//! therefore holds nothing of the world: it is plain data that the kernel
-//! checkpoint clones and compares. [`Script`] is the body for a fixed
-//! sequence of steps whose effects are closures.
+//! ([`EffectCtx::activate_task`], [`EffectCtx::cancel_alarm`]). The
+//! context borrows the kernel's scheduler core, so each call executes
+//! directly and synchronously on it. A plan therefore holds nothing of the
+//! world: it is plain data that the kernel checkpoint clones and compares.
+//! [`Script`] is the body for a fixed sequence of steps whose effects are
+//! closures.
 
 use crate::alarm::AlarmId;
 use crate::error::OsError;
 use crate::kernel::Core;
-use crate::task::{EventMask, TaskId, TaskState};
+use crate::task::{TaskId, TaskState};
 use easis_sim::time::{Duration, Instant};
 use std::fmt;
-
-/// Resource identifier (index into the OS resource table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ResourceId(pub u32);
-
-impl fmt::Display for ResourceId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "R{}", self.0)
-    }
-}
 
 /// One step of a task's execution plan: 16 bytes of plain data, which the
 /// kernel copies out of the plan when it runs the step.
@@ -65,23 +55,6 @@ pub enum Step {
     EffectRef(u32),
     /// `ActivateTask` system service.
     ActivateTask(TaskId),
-    /// `SetEvent` system service (target must be an extended task).
-    SetEvent(TaskId, EventMask),
-    /// `WaitEvent` system service — blocks until one of the events is set.
-    /// Only valid in extended tasks.
-    WaitEvent(EventMask),
-    /// `ClearEvent` system service.
-    ClearEvent(EventMask),
-    /// `GetResource` — occupy a resource (priority-ceiling protocol).
-    GetResource(ResourceId),
-    /// `ReleaseResource` — release the most recently taken resource.
-    ReleaseResource(ResourceId),
-    /// `ChainTask` — terminate and immediately activate another task.
-    ChainTask(TaskId),
-    /// `Schedule` — explicit scheduling point: a non-preemptable task
-    /// voluntarily yields to any higher-priority ready task (no-op for
-    /// preemptable tasks, which reschedule continuously anyway).
-    Schedule,
 }
 
 easis_sim::clone_fields! {
@@ -341,9 +314,9 @@ impl<W> TaskBody<W> for Script<W> {
 ///
 /// Only the kernel builds one, when it runs a [`Step::EffectRef`]. The
 /// context borrows the kernel's scheduler core while the effect's body is
-/// borrowed apart from it, so [`EffectCtx::activate_task`],
-/// [`EffectCtx::set_event`] and [`EffectCtx::cancel_alarm`] execute
-/// directly and synchronously, with the kernel's own semantics and errors.
+/// borrowed apart from it, so [`EffectCtx::activate_task`] and
+/// [`EffectCtx::cancel_alarm`] execute directly and synchronously, with the
+/// kernel's own semantics and errors.
 pub struct EffectCtx<'a, W> {
     task: TaskId,
     core: &'a mut Core<W>,
@@ -394,21 +367,6 @@ impl<'a, W> EffectCtx<'a, W> {
         self.core.activate_task(task, world)
     }
 
-    /// `SetEvent`, executed synchronously on the kernel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the kernel's event errors (unknown id, basic task,
-    /// suspended task).
-    pub fn set_event(
-        &mut self,
-        task: TaskId,
-        mask: EventMask,
-        world: &mut W,
-    ) -> Result<(), OsError> {
-        self.core.set_event(task, mask, world)
-    }
-
     /// `CancelAlarm` on the alarm with the given raw id, executed
     /// synchronously on the kernel (fault treatment stops a terminated
     /// application's activation source this way).
@@ -455,7 +413,7 @@ mod tests {
     #[test]
     fn a_step_is_sixteen_bytes_of_plain_data() {
         assert_eq!(std::mem::size_of::<Step>(), 16);
-        let s = Step::SetEvent(TaskId(3), EventMask::bit(1));
+        let s = Step::ActivateTask(TaskId(3));
         let copy = s;
         assert_eq!(s, copy);
         assert_eq!(format!("{:?}", Step::EffectRef(7)), "EffectRef(7)");
@@ -489,25 +447,25 @@ mod tests {
 
     #[test]
     fn the_cursor_runs_a_held_remainder_first() {
-        let mut p = plan_of(&[Step::Compute(us(10)), Step::Schedule]);
+        let mut p = plan_of(&[Step::Compute(us(10)), Step::EffectRef(0)]);
         assert_eq!(p.next_step(), Some(Step::Compute(us(10))));
         p.hold(us(4));
         assert_eq!(
             format!("{p:?}"),
-            "Plan { remainder: Some(Duration(4)), steps: [Schedule] }"
+            "Plan { remainder: Some(Duration(4)), steps: [EffectRef(0)] }"
         );
         assert_eq!(p.next_step(), Some(Step::Compute(us(4))));
-        assert_eq!(p.next_step(), Some(Step::Schedule));
+        assert_eq!(p.next_step(), Some(Step::EffectRef(0)));
         assert_eq!(p.next_step(), None);
     }
 
     #[test]
     fn plans_compare_what_is_left_to_run() {
-        let mut replayed = plan_of(&[Step::Compute(us(3)), Step::Schedule]);
+        let mut replayed = plan_of(&[Step::Compute(us(3)), Step::EffectRef(0)]);
         replayed.seal(Some(7));
         assert_eq!(replayed.next_step(), Some(Step::Compute(us(3))));
         // Built differently, keyed differently, same rest.
-        let fresh = plan_of(&[Step::Schedule]);
+        let fresh = plan_of(&[Step::EffectRef(0)]);
         assert_eq!(replayed, fresh);
         replayed.hold(us(1));
         assert_ne!(replayed, fresh, "a held remainder is still to run");
@@ -516,7 +474,7 @@ mod tests {
         // The steps stay for a replay, under their key.
         replayed.rewind();
         assert_eq!(replayed.key(), Some(7));
-        assert_eq!(replayed.steps(), [Step::Compute(us(3)), Step::Schedule]);
+        assert_eq!(replayed.steps(), [Step::Compute(us(3)), Step::EffectRef(0)]);
     }
 
     #[test]

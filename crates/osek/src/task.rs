@@ -1,12 +1,12 @@
 //! Task model: identifiers, configuration and states.
 //!
-//! OSEK distinguishes *basic* tasks (run to completion, no waiting) from
-//! *extended* tasks (may block on events). Tasks have static priorities;
-//! the scheduler is fixed-priority preemptive (OSEK "full-preemptive"
-//! conformance classes). AUTOSAR-OS-style timing protection (execution
-//! budget) and OSEKTime-style deadlines are optional per-task attributes —
-//! they are the *task-granularity* monitors the paper argues are too coarse
-//! for runnable supervision (section 2, Related work).
+//! Every task is an OSEK *basic* task: it runs to completion and never
+//! waits, and it may queue several activations (conformance class BCC2).
+//! Tasks have static priorities; the scheduler is fixed-priority
+//! full-preemptive. AUTOSAR-OS-style timing protection (execution budget)
+//! and OSEKTime-style deadlines are optional per-task attributes — they are
+//! the *task-granularity* monitors the paper argues are too coarse for
+//! runnable supervision (section 2, Related work).
 
 use easis_sim::time::Duration;
 use serde::{Deserialize, Serialize};
@@ -41,16 +41,7 @@ impl fmt::Display for Priority {
     }
 }
 
-/// Basic vs extended task (OSEK conformance classes BCC/ECC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TaskKind {
-    /// Runs to completion; cannot wait for events.
-    Basic,
-    /// May block on events (`WaitEvent`).
-    Extended,
-}
-
-/// OSEK task states (spec figure: suspended/ready/running/waiting).
+/// The OSEK states of a basic task: suspended, ready and running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TaskState {
     /// Not activated.
@@ -59,8 +50,6 @@ pub enum TaskState {
     Ready,
     /// Currently executing.
     Running,
-    /// Extended task blocked on an event.
-    Waiting,
 }
 
 impl fmt::Display for TaskState {
@@ -69,7 +58,6 @@ impl fmt::Display for TaskState {
             TaskState::Suspended => "suspended",
             TaskState::Ready => "ready",
             TaskState::Running => "running",
-            TaskState::Waiting => "waiting",
         };
         f.write_str(s)
     }
@@ -81,11 +69,10 @@ impl fmt::Display for TaskState {
 /// # Examples
 ///
 /// ```
-/// use easis_osek::task::{Priority, TaskConfig, TaskKind};
+/// use easis_osek::task::{Priority, TaskConfig};
 /// use easis_sim::time::Duration;
 ///
 /// let cfg = TaskConfig::new("SafeSpeedTask", Priority(5))
-///     .with_kind(TaskKind::Basic)
 ///     .with_deadline(Duration::from_millis(10))
 ///     .with_execution_budget(Duration::from_millis(4));
 /// assert_eq!(cfg.name(), "SafeSpeedTask");
@@ -94,39 +81,21 @@ impl fmt::Display for TaskState {
 pub struct TaskConfig {
     name: String,
     priority: Priority,
-    kind: TaskKind,
-    preemptable: bool,
     max_activations: u32,
     deadline: Option<Duration>,
     execution_budget: Option<Duration>,
-    autostart: bool,
 }
 
 impl TaskConfig {
-    /// Creates a preemptable basic task with one allowed activation.
+    /// Creates a basic task with one allowed activation.
     pub fn new(name: impl Into<String>, priority: Priority) -> Self {
         TaskConfig {
             name: name.into(),
             priority,
-            kind: TaskKind::Basic,
-            preemptable: true,
             max_activations: 1,
             deadline: None,
             execution_budget: None,
-            autostart: false,
         }
-    }
-
-    /// Sets the task kind (basic/extended).
-    pub fn with_kind(mut self, kind: TaskKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
-    /// Marks the task non-preemptable (OSEK `SCHEDULE = NON`).
-    pub fn non_preemptable(mut self) -> Self {
-        self.preemptable = false;
-        self
     }
 
     /// Allows up to `n` queued activations (OSEK multiple activation, BCC2).
@@ -153,12 +122,6 @@ impl TaskConfig {
         self
     }
 
-    /// Activates the task automatically at OS start.
-    pub fn autostart(mut self) -> Self {
-        self.autostart = true;
-        self
-    }
-
     /// Task name.
     pub fn name(&self) -> &str {
         &self.name
@@ -167,16 +130,6 @@ impl TaskConfig {
     /// Static priority.
     pub fn priority(&self) -> Priority {
         self.priority
-    }
-
-    /// Basic or extended.
-    pub fn kind(&self) -> TaskKind {
-        self.kind
-    }
-
-    /// `true` unless configured non-preemptable.
-    pub fn is_preemptable(&self) -> bool {
-        self.preemptable
     }
 
     /// Maximum queued activations.
@@ -193,56 +146,6 @@ impl TaskConfig {
     pub fn execution_budget(&self) -> Option<Duration> {
         self.execution_budget
     }
-
-    /// `true` if activated at OS start.
-    pub fn is_autostart(&self) -> bool {
-        self.autostart
-    }
-}
-
-/// Bit mask of OS events an extended task can wait for / be signalled with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct EventMask(pub u32);
-
-impl EventMask {
-    /// The empty mask.
-    pub const NONE: EventMask = EventMask(0);
-
-    /// Mask with the single event bit `bit` set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= 32`.
-    pub fn bit(bit: u8) -> Self {
-        assert!(bit < 32, "event bits range over 0..32");
-        EventMask(1 << bit)
-    }
-
-    /// Union of two masks.
-    pub fn union(self, other: EventMask) -> EventMask {
-        EventMask(self.0 | other.0)
-    }
-
-    /// `true` if any bit of `other` is set in `self`.
-    pub fn intersects(self, other: EventMask) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    /// Clears the bits of `other`.
-    pub fn clear(self, other: EventMask) -> EventMask {
-        EventMask(self.0 & !other.0)
-    }
-
-    /// `true` if no bit is set.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-}
-
-impl fmt::Display for EventMask {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:#010b}", self.0)
-    }
 }
 
 #[cfg(test)]
@@ -252,19 +155,13 @@ mod tests {
     #[test]
     fn builder_sets_all_attributes() {
         let cfg = TaskConfig::new("t", Priority(3))
-            .with_kind(TaskKind::Extended)
-            .non_preemptable()
             .with_max_activations(4)
             .with_deadline(Duration::from_millis(20))
-            .with_execution_budget(Duration::from_millis(5))
-            .autostart();
+            .with_execution_budget(Duration::from_millis(5));
         assert_eq!(cfg.priority(), Priority(3));
-        assert_eq!(cfg.kind(), TaskKind::Extended);
-        assert!(!cfg.is_preemptable());
         assert_eq!(cfg.max_activations(), 4);
         assert_eq!(cfg.deadline(), Some(Duration::from_millis(20)));
         assert_eq!(cfg.execution_budget(), Some(Duration::from_millis(5)));
-        assert!(cfg.is_autostart());
     }
 
     #[test]
@@ -279,27 +176,9 @@ mod tests {
     }
 
     #[test]
-    fn event_mask_algebra() {
-        let a = EventMask::bit(0);
-        let b = EventMask::bit(3);
-        let ab = a.union(b);
-        assert!(ab.intersects(a));
-        assert!(ab.intersects(b));
-        assert!(!a.intersects(b));
-        assert_eq!(ab.clear(a), b);
-        assert!(EventMask::NONE.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "0..32")]
-    fn event_bit_out_of_range_panics() {
-        let _ = EventMask::bit(32);
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(TaskId(4).to_string(), "T4");
         assert_eq!(Priority(7).to_string(), "P7");
-        assert_eq!(TaskState::Waiting.to_string(), "waiting");
+        assert_eq!(TaskState::Ready.to_string(), "ready");
     }
 }

@@ -3,104 +3,13 @@
 
 use easis_osek::alarm::AlarmAction;
 use easis_osek::error::OsError;
-use easis_osek::hooks::HookEvent;
 use easis_osek::kernel::Os;
-use easis_osek::plan::{EffectCtx, Plan, ResourceId, Script, Step, TaskBody};
-use easis_osek::task::{EventMask, Priority, TaskConfig, TaskId, TaskKind, TaskState};
+use easis_osek::plan::{Script, Step};
+use easis_osek::task::{Priority, TaskConfig, TaskId};
 use easis_sim::time::{Duration, Instant};
 
 fn ms(n: u64) -> Duration {
     Duration::from_millis(n)
-}
-
-/// Computes 1 ms and bumps the world counter, then chains to itself
-/// while the counter it planned against is below 2.
-struct SelfChainer;
-
-impl TaskBody<u32> for SelfChainer {
-    fn plan_into(&mut self, w: &u32, out: &mut Plan) {
-        out.push_compute(ms(1));
-        out.push_effect_ref(0);
-        if *w < 2 {
-            // The chain target id equals this task's own id (0).
-            out.push(Step::ChainTask(TaskId(0)));
-        }
-    }
-
-    fn run_effect(&mut self, _token: u32, w: &mut u32, _ctx: &mut EffectCtx<'_, u32>) {
-        *w += 1;
-    }
-}
-
-#[test]
-fn chain_task_to_itself_reruns_immediately() {
-    let mut os: Os<u32> = Os::new();
-    let t = os.add_task(TaskConfig::new("self", Priority(1)), SelfChainer);
-    let mut w = 0u32;
-    os.start(&mut w);
-    os.activate_task(t, &mut w).unwrap();
-    os.run_until(Instant::from_millis(20), &mut w);
-    assert_eq!(w, 3); // initial + two chains
-    assert_eq!(os.task_state(t).unwrap(), TaskState::Suspended);
-}
-
-#[test]
-fn wait_event_wakes_on_any_of_multiple_bits() {
-    let mut os: Os<Vec<u8>> = Os::new();
-    let waiter = os.add_task(
-        TaskConfig::new("waiter", Priority(2))
-            .with_kind(TaskKind::Extended)
-            .autostart(),
-        Script::new()
-            .step(Step::WaitEvent(EventMask::bit(0).union(EventMask::bit(3))))
-            .effect(|w: &mut Vec<u8>, _| w.push(1)),
-    );
-    let a = os.add_alarm("wake", AlarmAction::SetEvent(waiter, EventMask::bit(3)));
-    let mut w = Vec::new();
-    os.start(&mut w);
-    os.set_rel_alarm(a, ms(5), None).unwrap();
-    os.run_until(Instant::from_millis(10), &mut w);
-    assert_eq!(w, vec![1], "bit 3 alone must wake a waiter on bits {{0,3}}");
-}
-
-#[test]
-fn clear_event_prevents_stale_wakeups() {
-    let mut os: Os<Vec<u8>> = Os::new();
-    let waiter = os.add_task(
-        TaskConfig::new("waiter", Priority(2))
-            .with_kind(TaskKind::Extended)
-            .autostart(),
-        Script::new()
-            .step(Step::WaitEvent(EventMask::bit(0)))
-            .effect(|w: &mut Vec<u8>, _| w.push(1))
-            .step(Step::ClearEvent(EventMask::bit(0)))
-            // Second wait: the cleared bit must block again.
-            .step(Step::WaitEvent(EventMask::bit(0)))
-            .effect(|w: &mut Vec<u8>, _| w.push(2)),
-    );
-    let a = os.add_alarm("wake", AlarmAction::SetEvent(waiter, EventMask::bit(0)));
-    let mut w = Vec::new();
-    os.start(&mut w);
-    os.set_rel_alarm(a, ms(5), None).unwrap();
-    os.run_until(Instant::from_millis(20), &mut w);
-    // Only the first wait was satisfied; the second blocks forever.
-    assert_eq!(w, vec![1]);
-    assert_eq!(os.task_state(waiter).unwrap(), TaskState::Waiting);
-}
-
-#[test]
-fn set_event_on_suspended_task_is_a_state_error() {
-    let mut os: Os<()> = Os::new();
-    let t = os.add_task(
-        TaskConfig::new("ext", Priority(1)).with_kind(TaskKind::Extended),
-        Script::new(),
-    );
-    let mut w = ();
-    os.start(&mut w);
-    assert_eq!(
-        os.set_event(t, EventMask::bit(0), &mut w),
-        Err(OsError::InvalidState)
-    );
 }
 
 #[test]
@@ -215,45 +124,14 @@ fn isr_during_idle_runs_at_trigger_time() {
 }
 
 #[test]
-fn waiting_inside_a_resource_section_reports_the_error_and_keeps_the_cpu() {
-    // OSEK forbids `WaitEvent` while the task occupies a resource: the
-    // service reports E_OS_RESOURCE through the error hook and the task
-    // runs on instead of blocking with its ceiling priority.
-    let mut os: Os<Vec<String>> = Os::new();
-    let r0 = ResourceId(0);
-    let t = os.add_task(
-        TaskConfig::new("t", Priority(1)).with_kind(TaskKind::Extended),
-        Script::new()
-            .step(Step::GetResource(r0))
-            .step(Step::WaitEvent(EventMask::bit(0)))
-            .effect(|w: &mut Vec<String>, ctx| w.push(format!("ran on@{}", ctx.now().as_micros())))
-            .step(Step::ReleaseResource(r0))
-            .compute(ms(1)),
-    );
-    os.add_resource("R0", Priority(5));
-    os.add_observer(|_: Instant, event: HookEvent, w: &mut Vec<String>| {
-        if let HookEvent::Error(e) = event {
-            w.push(format!("error {e:?}"));
-        }
-    });
-    let mut w = Vec::new();
-    os.start(&mut w);
-    os.activate_task(t, &mut w).unwrap();
-    os.run_until(Instant::from_millis(5), &mut w);
-    assert_eq!(
-        w,
-        vec!["error ResourceOrder".to_string(), "ran on@0".to_string()]
-    );
-    assert_eq!(os.task_state(t).unwrap(), TaskState::Suspended);
-}
-
-#[test]
 #[should_panic(expected = "zero-time livelock")]
-fn a_task_that_chains_itself_without_computing_panics_instead_of_hanging() {
+fn a_task_that_activates_itself_without_computing_panics_instead_of_hanging() {
+    // Each run queues the next before it terminates, so the task is
+    // readied again at the same instant, forever.
     let mut os: Os<u32> = Os::new();
     let t = os.add_task(
-        TaskConfig::new("spin", Priority(1)),
-        Script::new().step(Step::ChainTask(TaskId(0))),
+        TaskConfig::new("spin", Priority(1)).with_max_activations(2),
+        Script::new().step(Step::ActivateTask(TaskId(0))),
     );
     let mut w = 0u32;
     os.start(&mut w);

@@ -539,7 +539,7 @@ impl CentralNode {
     /// `clone_from` per component state, so a reused node's capacity
     /// survives repeated restores. Only valid on the node the snapshot was
     /// taken from or a structurally identical one (same blueprint); the
-    /// kernel asserts that its task, alarm and resource tables match.
+    /// kernel asserts that its task and alarm tables match.
     ///
     /// Every restore is a full copy, so the returned [`RestoreStats`]
     /// always report the whole node as one copied region.

@@ -237,14 +237,27 @@ mod tests {
     fn counter_steering_recovers_the_lane() {
         let mut v = Vehicle::with_speed(VehicleParams::default(), 20.0);
         for _ in 0..100 {
-            v.step(ControlInput { steer: 0.02, ..ControlInput::default() }, 0.01);
+            v.step(
+                ControlInput {
+                    steer: 0.02,
+                    ..ControlInput::default()
+                },
+                0.01,
+            );
         }
         let drift = v.state().lateral_offset;
         for _ in 0..250 {
             // Simple proportional lane-keeping on offset + heading.
             let s = v.state();
             let steer = -0.5 * s.lateral_offset - 2.0 * s.heading;
-            v.step(ControlInput { steer, throttle: 0.3, ..ControlInput::default() }, 0.01);
+            v.step(
+                ControlInput {
+                    steer,
+                    throttle: 0.3,
+                    ..ControlInput::default()
+                },
+                0.01,
+            );
         }
         assert!(v.state().lateral_offset.abs() < drift.abs() / 2.0);
     }

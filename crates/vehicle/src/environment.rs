@@ -108,7 +108,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "increase")]
     fn out_of_order_breakpoints_rejected() {
-        let _ = PositionProfile::constant(1.0).then_at(10.0, 2.0).then_at(5.0, 3.0);
+        let _ = PositionProfile::constant(1.0)
+            .then_at(10.0, 2.0)
+            .then_at(5.0, 3.0);
     }
 
     #[test]

@@ -73,7 +73,9 @@ impl Plant {
     /// Advances the loop by `dt_s` under the given safety overlay.
     pub fn step(&mut self, overlay: SafetyOverlay, dt_s: f64) {
         let nominal = self.driver.control(self.time_s, self.vehicle.state());
-        let throttle_target = nominal.throttle.min(overlay.throttle_ceiling.clamp(0.0, 1.0));
+        let throttle_target = nominal
+            .throttle
+            .min(overlay.throttle_ceiling.clamp(0.0, 1.0));
         let brake_target = nominal.brake.max(overlay.brake_request.clamp(0.0, 1.0));
         let input = ControlInput {
             throttle: self.throttle_servo.command(throttle_target, dt_s),
@@ -91,7 +93,8 @@ impl Plant {
 
     /// Measured lateral offset.
     pub fn measured_lateral_offset(&mut self) -> f64 {
-        self.lateral_sensor.measure(self.vehicle.state().lateral_offset)
+        self.lateral_sensor
+            .measure(self.vehicle.state().lateral_offset)
     }
 
     /// Commanded speed limit at the current position.

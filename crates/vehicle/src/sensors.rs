@@ -25,7 +25,10 @@ impl Sensor {
     /// negative.
     pub fn new(resolution: f64, noise_amplitude: f64, seed: u64) -> Self {
         assert!(resolution > 0.0, "resolution must be positive");
-        assert!(noise_amplitude >= 0.0, "noise amplitude must be non-negative");
+        assert!(
+            noise_amplitude >= 0.0,
+            "noise amplitude must be non-negative"
+        );
         Sensor {
             resolution,
             noise_amplitude,

@@ -1,15 +1,13 @@
 //! Cross-crate platform integration: OSEK scheduling + runnable layer +
-//! watchdog supervision interacting under load, preemption and resource
-//! contention.
+//! watchdog supervision interacting under load and preemption.
 
 use easis::injection::Injector;
 use easis::osek::alarm::AlarmAction;
 use easis::osek::kernel::Os;
-use easis::osek::plan::{ResourceId, Script, Step};
 use easis::osek::task::{Priority, TaskConfig};
 use easis::rte::assembly::SequencedTask;
 use easis::rte::runnable::{RunnableDef, RunnableRegistry};
-use easis::rte::world::{BasicEcuWorld, EcuWorld};
+use easis::rte::world::BasicEcuWorld;
 use easis::sim::time::{Duration, Instant};
 use easis::validator::{CentralNode, NodeConfig};
 
@@ -64,60 +62,6 @@ fn preemption_preserves_heartbeat_ordering_within_each_task() {
         assert_eq!(*r, slow_ids[i % 3], "slow sequence broken at {i}");
     }
     assert_eq!(os.trace().count_kind("deadline_miss"), 0);
-}
-
-#[test]
-fn resource_contention_delays_but_does_not_corrupt_supervision() {
-    // Two tasks share a resource with a ceiling; the watchdog node's
-    // full-stack equivalent is exercised in the validator, here we check
-    // the kernel+rte layer composition directly.
-    let mut registry = RunnableRegistry::new();
-    let a_spec = registry.register("A", Duration::from_millis(1));
-    let b_spec = registry.register("B", Duration::from_millis(1));
-    let a_id = a_spec.id();
-    let b_id = b_spec.id();
-    let r = ResourceId(0);
-
-    let mut os: Os<BasicEcuWorld> = Os::new();
-    // A runnable's heartbeat glue and logic after `cost` inside the
-    // shared resource's critical section.
-    let critical = |def: RunnableDef<BasicEcuWorld>, cost: Duration| {
-        let logic = def.logic();
-        let id = def.spec().id();
-        Script::new()
-            .step(Step::GetResource(r))
-            .compute(cost)
-            .step(Step::ReleaseResource(r))
-            .effect(move |w: &mut BasicEcuWorld, ctx| {
-                w.indicate_heartbeat(id, ctx.now());
-                logic(w, ctx);
-            })
-    };
-    let t_a = os.add_task(
-        TaskConfig::new("A", Priority(2)),
-        critical(RunnableDef::no_op(a_spec), Duration::from_millis(4)),
-    );
-    let t_b = os.add_task(
-        TaskConfig::new("B", Priority(4)),
-        critical(RunnableDef::no_op(b_spec), Duration::from_millis(1)),
-    );
-    os.add_resource("shared", Priority(5));
-    let al_a = os.add_alarm("a", AlarmAction::ActivateTask(t_a));
-    let al_b = os.add_alarm("b", AlarmAction::ActivateTask(t_b));
-    let mut world = BasicEcuWorld::new();
-    os.start(&mut world);
-    os.set_rel_alarm(al_a, Duration::from_millis(10), Some(Duration::from_millis(10)))
-        .unwrap();
-    // B arrives while A holds the resource.
-    os.set_rel_alarm(al_b, Duration::from_millis(12), Some(Duration::from_millis(10)))
-        .unwrap();
-    os.run_until(ms(100), &mut world);
-    // No resource-order errors, and both tasks heartbeat every period.
-    assert_eq!(os.trace().count_kind("os_error"), 0, "{}", os.trace().render());
-    let beats_a = world.heartbeats.iter().filter(|&&(x, _)| x == a_id).count();
-    let beats_b = world.heartbeats.iter().filter(|&&(x, _)| x == b_id).count();
-    assert!(beats_a >= 8, "A heartbeats: {beats_a}");
-    assert!(beats_b >= 8, "B heartbeats: {beats_b}");
 }
 
 #[test]

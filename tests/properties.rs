@@ -770,7 +770,7 @@ fn build_equiv_os(
         // Unique priorities: interleaving is then fully determined by the
         // spec, not by same-priority FIFO accidents of insertion order.
         let priority = Priority((idx as u8 + 1) * 2 + (spec.priority_bit & 1));
-        let config = TaskConfig::new(format!("t{idx}"), priority).autostart();
+        let config = TaskConfig::new(format!("t{idx}"), priority);
         let id = if arena {
             os.add_task(
                 config,
@@ -796,19 +796,25 @@ fn build_equiv_os(
     os
 }
 
-/// Starts `os` on a fresh world, arms every cyclic alarm and runs to the
-/// horizon; returns the world for observation.
+/// Starts `os` on a fresh world, activates every task once in
+/// declaration order, arms every cyclic alarm and runs to the horizon;
+/// returns the world for observation.
 fn run_equiv_os(
     os: &mut easis::osek::kernel::Os<EquivWorld>,
     specs: &[EquivTaskSpec],
     horizon: Instant,
 ) -> EquivWorld {
     use easis::osek::alarm::AlarmId;
+    use easis::osek::task::TaskId;
     let mut world = EquivWorld {
         counters: vec![0; specs.len()],
         ..EquivWorld::default()
     };
     os.start(&mut world);
+    for idx in 0..specs.len() {
+        os.activate_task(TaskId(idx as u32), &mut world)
+            .expect("a suspended task activates");
+    }
     for (idx, spec) in specs.iter().enumerate() {
         let period = Duration::from_millis(spec.period_ms);
         os.set_rel_alarm(AlarmId(idx as u32), period, Some(period))

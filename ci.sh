@@ -36,11 +36,12 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo fmt --check (the kernel, runnable-layer, simulation, FMF, baseline, bus and vehicle crates)"
-# The rest of the tree is not rustfmt-clean yet; these seven crates are and
+echo "==> cargo fmt --check (the kernel, runnable-layer, simulation, FMF, baseline, bus, vehicle, watchdog, injection and validator crates)"
+# The rest of the tree is not rustfmt-clean yet; these ten crates are and
 # stay so.
 cargo fmt --check -p easis-osek -p easis-rte -p easis-sim -p easis-fmf \
-  -p easis-baselines -p easis-bus -p easis-vehicle
+  -p easis-baselines -p easis-bus -p easis-vehicle -p easis-watchdog \
+  -p easis-injection -p easis-validator
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -248,6 +249,22 @@ if grep -rnE --include='*.rs' --exclude-dir=target \
   echo "an OSEK feature the platform does not run crept back into the crates"; exit 1
 fi
 
+echo "==> the campaign path keeps no process-wide cache"
+# Every pooled campaign node is built from the campaign configuration, and
+# every trial outcome carries its class's static tag. A blueprint that
+# builds and drops a node to keep its watchdog configuration, a
+# configuration shared behind an `Arc`, or a table of interned tags would
+# be a process-wide cache that no per-trial build needs. The heartbeat
+# sink trait was a second path into the watchdog that no glue code took.
+if grep -rnE --include='*.rs' --exclude-dir=target \
+     '\b(interned_tag|from_shared|shared_config|campaign_blueprint|watchdog_config|HeartbeatSink)\b' \
+     crates/*/src \
+   || grep -rnF --include='*.rs' --exclude-dir=target 'Arc<str>' crates/injection/src \
+   || grep -nF 'OnceLock' crates/validator/src/scenario.rs \
+   || grep -rnF --include='*.rs' --exclude-dir=target 'OnceLock' crates/injection/src; then
+  echo "a process-wide cache or the heartbeat sink crept back onto the campaign path"; exit 1
+fi
+
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"
 # The full soak defaults to two simulated hours; one simulated minute
 # still crosses several multiples of 2^24 us and schedules events further
@@ -298,6 +315,13 @@ echo "==> validator unit tests in verify mode"
 # mode each of those jumps is replayed at event level from its certified
 # checkpoint and compared with the jumped one.
 EASIS_FASTFORWARD=verify cargo test -q -p easis-validator --lib
+
+echo "==> mutant catalogue (every mutant must fail its test command)"
+# tests/mutants/catalogue.txt keeps the mutation checks of earlier changes:
+# each sed expression must still match exactly one line, and the mutated
+# tree must build and fail the mutant's test command. The script works on
+# a copy under target/mutants, whose build stays warm between runs.
+tests/mutants/run.sh target/mutants
 
 echo "==> campaign golden across worker/fast-forward configurations (forked path)"
 # campaign_regression drives scenario::run_plan — the snapshot-forking

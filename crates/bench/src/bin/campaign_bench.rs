@@ -14,8 +14,9 @@
 //! so only the post-injection tail is re-simulated; adjacent twins with
 //! the same effective tail read their outcome off one simulation, and
 //! quiescent tail spans fast-forward by certified hyperperiod jumps. The
-//! raw setup costs (one-off [`NodeBlueprint`] compile, one full node
-//! build, one rewind to a t=0 snapshot) are measured separately.
+//! raw setup costs (one [`NodeBlueprint`] wrap of the configuration, one
+//! full node build, one rewind to a t=0 snapshot) are measured
+//! separately.
 //!
 //! The bin proves the steady-state claim under a counting global
 //! allocator: a clean (no-fault) trial on a warmed, reused node
@@ -184,8 +185,8 @@ impl PathTiming {
 /// Raw node setup costs, measured outside the campaign.
 #[derive(Serialize)]
 struct SetupSplit {
-    /// One-off cost of compiling the watchdog config into a blueprint
-    /// (paid once per process).
+    /// Cost of `NodeBlueprint::compile`, which compiles nothing since
+    /// nodes are built from their configuration: one configuration copy.
     blueprint_compile_ns: f64,
     /// One full node construction, config compile included (paid by the
     /// event-level reference `run_trial` on every trial).
@@ -297,8 +298,7 @@ fn measure_setup() -> SetupSplit {
     // Rewind a node that has actually run a trial's worth of simulation,
     // so the measured restore covers dirty state, not a no-op on a clean
     // world.
-    let blueprint = NodeBlueprint::compile(campaign_node_config());
-    let mut node = CentralNode::build_from_blueprint(&blueprint);
+    let mut node = CentralNode::build(campaign_node_config());
     node.start();
     let cold = node.snapshot();
     let mut injector = Injector::none();
@@ -389,8 +389,8 @@ fn slowdown_spec(factor: u64) -> TrialSpec {
 /// `run_until`, the way a campaign worker reuses its node (minimum over
 /// several runs, so incidental lazy initialisation cannot inflate the
 /// figure).
-fn measure_trial_allocs(blueprint: &NodeBlueprint, spec: &TrialSpec, horizon: Instant) -> u64 {
-    let mut node = CentralNode::build_from_blueprint(blueprint);
+fn measure_trial_allocs(spec: &TrialSpec, horizon: Instant) -> u64 {
+    let mut node = CentralNode::build(campaign_node_config());
     node.start();
     let cold = node.snapshot();
     let mut injector = Injector::none();
@@ -419,9 +419,9 @@ fn measure_trial_allocs(blueprint: &NodeBlueprint, spec: &TrialSpec, horizon: In
 /// cost and allocations, then the restore
 /// after a clean tail run from the fork instant to the horizon —
 /// the checkpoint pattern of the forked campaign path.
-fn measure_snapshot_probe(blueprint: &NodeBlueprint) -> SnapshotProbe {
+fn measure_snapshot_probe() -> SnapshotProbe {
     let fork = Instant::from_millis(300);
-    let mut node = CentralNode::build_from_blueprint(blueprint);
+    let mut node = CentralNode::build(campaign_node_config());
     node.start();
     node.run_span(fork);
     let mut snap = NodeSnapshot::default();
@@ -533,13 +533,9 @@ fn main() {
     // Steady-state allocation probe: a clean trial on a reused node at the
     // reference horizon and at twice the horizon. Equal counts prove the
     // per-activation path (plans, effects, step buffers) allocates nothing.
-    let probe_blueprint = NodeBlueprint::compile(campaign_node_config());
-    let allocs_1x = measure_trial_allocs(&probe_blueprint, &clean_spec(), HORIZON);
-    let allocs_2x = measure_trial_allocs(
-        &probe_blueprint,
-        &clean_spec(),
-        Instant::from_millis(2 * HORIZON.as_millis()),
-    );
+    let allocs_1x = measure_trial_allocs(&clean_spec(), HORIZON);
+    let allocs_2x =
+        measure_trial_allocs(&clean_spec(), Instant::from_millis(2 * HORIZON.as_millis()));
     let scaling = allocs_2x as i64 - allocs_1x as i64;
     println!(
         "steady-state allocs/trial: {allocs_1x} at {simulated_ms_per_trial} ms, \
@@ -567,7 +563,7 @@ fn main() {
     // land in retained buffers, and DTC records with their freeze frames
     // are plain data copied into the DTC memory's retained capacity, so
     // re-inserting the same fault classes allocates nothing.
-    let faulty_allocs = measure_trial_allocs(&probe_blueprint, &faulty_spec(), HORIZON);
+    let faulty_allocs = measure_trial_allocs(&faulty_spec(), HORIZON);
     println!("faulty-trial allocs/trial: {faulty_allocs}");
     assert_eq!(
         faulty_allocs, 0,
@@ -579,7 +575,7 @@ fn main() {
     // overruns every period allocate nothing on a warmed node — no error
     // text is formatted for a trace that is off, and the timing monitors'
     // per-task counters keep their capacity across the rewind.
-    let overrun_allocs = measure_trial_allocs(&probe_blueprint, &overrun_spec(), HORIZON);
+    let overrun_allocs = measure_trial_allocs(&overrun_spec(), HORIZON);
     println!("overrunning-trial allocs/trial: {overrun_allocs}");
     assert_eq!(
         overrun_allocs, 0,
@@ -591,7 +587,7 @@ fn main() {
     // more DTC codes than a skipped runnable does, and the rewind retires
     // them; re-recording them must reuse the retained DTC memory.
     let slowdown_allocs = [100, 300].map(|factor| {
-        let allocs = measure_trial_allocs(&probe_blueprint, &slowdown_spec(factor), HORIZON);
+        let allocs = measure_trial_allocs(&slowdown_spec(factor), HORIZON);
         println!("{factor}x-slowdown-trial allocs/trial: {allocs}");
         assert_eq!(
             allocs, 0,
@@ -604,7 +600,7 @@ fn main() {
     // Snapshot probe: the checkpoint machinery the engine is built on,
     // measured in isolation. The allocation gate holds at every size — it
     // is structural, not timing.
-    let snapshot = measure_snapshot_probe(&probe_blueprint);
+    let snapshot = measure_snapshot_probe();
     println!(
         "snapshot probe: capture {:.0} ns ({} allocs), clean-tail \
          restore {:.0} ns",
@@ -646,7 +642,7 @@ fn main() {
         tail_fastforward.fallbacks,
     );
     println!(
-        "setup: blueprint compile {:.0} ns (once per process), node build \
+        "setup: blueprint wrap {:.0} ns, node build \
          {:.0} ns, node rewind to t=0 {:.0} ns",
         setup.blueprint_compile_ns, setup.node_build_ns, setup.node_rewind_ns,
     );

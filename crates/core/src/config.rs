@@ -277,7 +277,11 @@ mod tests {
             .monitor(RunnableHypothesis::new(RunnableId(0)).alive_at_least(9, 9))
             .build();
         assert_eq!(
-            cfg.hypothesis(RunnableId(0)).unwrap().aliveness.unwrap().min_indications,
+            cfg.hypothesis(RunnableId(0))
+                .unwrap()
+                .aliveness
+                .unwrap()
+                .min_indications,
             9
         );
         assert_eq!(cfg.monitored().count(), 1);

@@ -357,7 +357,9 @@ mod tests {
     fn check_cost_is_charged_per_active_runnable() {
         let mut m = HeartbeatMonitor::new([
             RunnableHypothesis::new(r(0)).alive_at_least(1, 1),
-            RunnableHypothesis::new(r(1)).alive_at_least(1, 1).initially_inactive(),
+            RunnableHypothesis::new(r(1))
+                .alive_at_least(1, 1)
+                .initially_inactive(),
         ]);
         let mut costs = CostMeter::new();
         let _ = m.end_of_cycle(t(10), &mut costs, OFF);
@@ -518,6 +520,10 @@ mod activation_tests {
         m.record(r(0), t(1), &mut costs, &sink);
         m.set_active(r(0), false);
         m.record(r(0), t(2), &mut costs, &sink);
-        assert_eq!(sink.counter("heartbeat_recorded"), 1, "inactive beats unrecorded");
+        assert_eq!(
+            sink.counter("heartbeat_recorded"),
+            1,
+            "inactive beats unrecorded"
+        );
     }
 }

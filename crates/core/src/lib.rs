@@ -84,5 +84,5 @@ pub use pfc::{CompiledFlowTable, FlowTable, FlowVerdict, PfcState};
 pub use probe::ActiveProbeMonitor;
 pub use report::{DetectedFault, FaultKind, HealthState, RunnableCounters, StateChange};
 pub use service::{CycleReport, SoftwareWatchdog, WatchdogCycleDelta, WatchdogState};
-pub use validate::{validate, ConfigIssue};
 pub use tsi::{TaskStateIndication, TsiState};
+pub use validate::{validate, ConfigIssue};

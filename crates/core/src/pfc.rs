@@ -306,7 +306,12 @@ mod tests {
         let (table, mut pfc) = checker(&chain_table());
         pfc.observe(&table, r(0));
         let v = pfc.observe(&table, r(2)); // skipped 1
-        assert_eq!(v, FlowVerdict::Violation { predecessor: Some(r(0)) });
+        assert_eq!(
+            v,
+            FlowVerdict::Violation {
+                predecessor: Some(r(0))
+            }
+        );
         // Recovery: 2 → 0 is allowed again.
         assert_eq!(pfc.observe(&table, r(0)), FlowVerdict::Ok);
     }
@@ -314,7 +319,10 @@ mod tests {
     #[test]
     fn wrong_entry_is_a_violation() {
         let (table, mut pfc) = checker(&chain_table());
-        assert_eq!(pfc.observe(&table, r(1)), FlowVerdict::Violation { predecessor: None });
+        assert_eq!(
+            pfc.observe(&table, r(1)),
+            FlowVerdict::Violation { predecessor: None }
+        );
     }
 
     #[test]
@@ -339,7 +347,10 @@ mod tests {
     fn reset_position_forgets_predecessor_only() {
         let (table, mut pfc) = checker(&chain_table());
         pfc.observe(&table, r(0));
-        assert!(matches!(pfc.observe(&table, r(2)), FlowVerdict::Violation { .. }));
+        assert!(matches!(
+            pfc.observe(&table, r(2)),
+            FlowVerdict::Violation { .. }
+        ));
         pfc.reset_position();
         assert_eq!(pfc.last_observed(), None);
         assert_eq!(pfc, PfcState::default());
@@ -376,7 +387,10 @@ mod tests {
         // Observing the successor-only runnable out of order is a violation,
         // not transparency.
         let mut pfc = PfcState::default();
-        assert_eq!(pfc.observe(&c, r(7)), FlowVerdict::Violation { predecessor: None });
+        assert_eq!(
+            pfc.observe(&c, r(7)),
+            FlowVerdict::Violation { predecessor: None }
+        );
     }
 
     #[test]
@@ -414,7 +428,10 @@ mod tests {
         for i in 0..200u32 {
             assert_eq!(pfc.observe(&c, r(i % 100)), FlowVerdict::Ok, "step {i}");
         }
-        assert!(matches!(pfc.observe(&c, r(50)), FlowVerdict::Violation { .. }));
+        assert!(matches!(
+            pfc.observe(&c, r(50)),
+            FlowVerdict::Violation { .. }
+        ));
     }
 
     #[test]
@@ -422,7 +439,10 @@ mod tests {
         let mut t = chain_table();
         let (table, mut pfc) = checker(&t);
         pfc.observe(&table, r(0));
-        assert!(matches!(pfc.observe(&table, r(0)), FlowVerdict::Violation { .. }));
+        assert!(matches!(
+            pfc.observe(&table, r(0)),
+            FlowVerdict::Violation { .. }
+        ));
         // With an explicit self-loop it is fine.
         t.allow(r(0), r(0));
         let (table, mut pfc2) = checker(&t);

@@ -86,7 +86,13 @@ impl ActiveProbeMonitor {
 
     /// Glue-side call at `now`: the runnable echoes (a transform of) the
     /// challenge it read. Stuck replayers echo an old value.
-    pub fn respond(&mut self, runnable: RunnableId, response: u64, now: Instant, costs: &mut CostMeter) {
+    pub fn respond(
+        &mut self,
+        runnable: RunnableId,
+        response: u64,
+        now: Instant,
+        costs: &mut CostMeter,
+    ) {
         costs.charge(RESPONSE_COST_CYCLES);
         if let Some(state) = self.states.get_mut(&runnable) {
             state.response = Some(response);

@@ -4,8 +4,8 @@
 //! architecture (Figure 2) together:
 //!
 //! * heartbeats arrive through [`SoftwareWatchdog::heartbeat`] (the L1→L3
-//!   aliveness-indication interface; also exposed as
-//!   [`easis_rte::runnable::HeartbeatSink`]);
+//!   aliveness-indication interface, which the glue code reaches through
+//!   [`easis_rte::world::EcuWorld::indicate_heartbeat`]);
 //! * the heartbeat monitoring unit counts them, the PFC unit checks their
 //!   order immediately;
 //! * the watchdog's periodic OS task calls [`SoftwareWatchdog::run_cycle`],
@@ -31,11 +31,10 @@ use crate::tsi::{TaskStateIndication, TsiState};
 use easis_obs::{FaultClass, ObsEvent, ObsSink};
 use easis_osek::task::TaskId;
 use easis_rte::mapping::ApplicationId;
-use easis_rte::runnable::{HeartbeatSink, RunnableId};
+use easis_rte::runnable::RunnableId;
 use easis_sim::cpu::{CostMeter, CpuModel};
 use easis_sim::growth::LogGrowth;
 use easis_sim::time::{Duration, Instant};
-use std::sync::Arc;
 
 /// Report of one watchdog cycle.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -68,10 +67,8 @@ pub struct CycleReport {
 /// ```
 #[derive(Debug)]
 pub struct SoftwareWatchdog {
-    /// The configuration, shared: a fault-injection campaign builds it
-    /// once and every trial's service instance points at the same frozen
-    /// artifact.
-    config: Arc<WatchdogConfig>,
+    /// The configuration.
+    config: WatchdogConfig,
     /// The compiled look-up table every task scope's flow checker reads.
     flow: CompiledFlowTable,
     /// The TSI unit's wiring (mapping and threshold).
@@ -117,13 +114,6 @@ easis_sim::clone_fields! {
 impl SoftwareWatchdog {
     /// Creates the service from its configuration.
     pub fn new(config: WatchdogConfig) -> Self {
-        SoftwareWatchdog::from_shared(Arc::new(config))
-    }
-
-    /// Creates the service from an already-built shared configuration.
-    /// Campaigns use this to build one node per worker without rebuilding
-    /// the config for every trial.
-    pub fn from_shared(config: Arc<WatchdogConfig>) -> Self {
         let heartbeat = HeartbeatMonitor::new(
             config
                 .monitored()
@@ -192,7 +182,9 @@ impl SoftwareWatchdog {
         if self.config.deactivate_on_faulty_task()
             && task.is_some_and(|task| self.state.tsi.task_state(task).is_faulty())
         {
-            self.state.costs.charge(crate::heartbeat::HEARTBEAT_COST_CYCLES);
+            self.state
+                .costs
+                .charge(crate::heartbeat::HEARTBEAT_COST_CYCLES);
             return;
         }
         let state = &mut self.state;
@@ -277,9 +269,13 @@ impl SoftwareWatchdog {
                 continue;
             };
             let start = report.state_changes.len();
-            self.state
-                .tsi
-                .record_into(&self.tsi, fault, task, &mut report.state_changes, &self.obs);
+            self.state.tsi.record_into(
+                &self.tsi,
+                fault,
+                task,
+                &mut report.state_changes,
+                &self.obs,
+            );
             self.apply_state_changes(&report.state_changes[start..]);
         }
         let state = &mut self.state;
@@ -347,12 +343,15 @@ impl SoftwareWatchdog {
     /// detection log.
     pub fn counters(&self, runnable: RunnableId) -> Option<RunnableCounters> {
         let log = &self.state.log;
-        self.state.heartbeat.counters(runnable).map(|c| RunnableCounters {
-            aliveness_errors: log.count_on(DetectorId::SwAliveness, runnable),
-            arrival_rate_errors: log.count_on(DetectorId::SwArrivalRate, runnable),
-            program_flow_errors: log.count_on(DetectorId::SwProgramFlow, runnable),
-            ..c
-        })
+        self.state
+            .heartbeat
+            .counters(runnable)
+            .map(|c| RunnableCounters {
+                aliveness_errors: log.count_on(DetectorId::SwAliveness, runnable),
+                arrival_rate_errors: log.count_on(DetectorId::SwArrivalRate, runnable),
+                program_flow_errors: log.count_on(DetectorId::SwProgramFlow, runnable),
+                ..c
+            })
     }
 
     /// Total program-flow errors detected so far (the "PFC Result" series
@@ -427,12 +426,6 @@ impl SoftwareWatchdog {
     /// The configuration in use.
     pub fn config(&self) -> &WatchdogConfig {
         &self.config
-    }
-
-    /// The shared compiled configuration (cheap to clone; campaigns hand
-    /// it to [`SoftwareWatchdog::from_shared`] for pooled rebuilds).
-    pub fn shared_config(&self) -> Arc<WatchdogConfig> {
-        Arc::clone(&self.config)
     }
 
     /// The watchdog's runtime state — its checkpoint (see
@@ -517,12 +510,6 @@ impl WatchdogState {
         self.cycles_run += delta.d_cycles * k;
         self.tsi.advance_counts(&delta.d_tsi, k);
         self.log.advance(&delta.log, now, k);
-    }
-}
-
-impl HeartbeatSink for SoftwareWatchdog {
-    fn indicate(&mut self, runnable: RunnableId, now: Instant) {
-        self.heartbeat(runnable, now);
     }
 }
 
@@ -618,7 +605,11 @@ mod tests {
         assert!(wd.task_state(TaskId(0)).is_faulty());
         let a = cycle(&mut wd, 5);
         let b = cycle(&mut wd, 6);
-        assert_eq!(b.log.pending_faults(), 1, "a PFC fault is pending at the sample");
+        assert_eq!(
+            b.log.pending_faults(),
+            1,
+            "a PFC fault is pending at the sample"
+        );
         let h = Duration::from_millis(10);
         let mut delta = WatchdogCycleDelta::default();
         assert!(wd.measure(&a, &b, t(45), h, &mut delta));
@@ -757,7 +748,10 @@ mod tests {
         assert_eq!(detections[0].at, t(2));
         assert_eq!(
             detections[0].event,
-            ObsEvent::FaultDetected { runnable: r(2), kind: FaultClass::ProgramFlow }
+            ObsEvent::FaultDetected {
+                runnable: r(2),
+                kind: FaultClass::ProgramFlow
+            }
         );
         assert_eq!(sink.counter("fault_detected"), 1);
     }
@@ -864,13 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_sink_trait_routes_to_service() {
-        let mut wd = safespeed_watchdog();
-        HeartbeatSink::indicate(&mut wd, r(0), t(1));
-        assert_eq!(wd.counters(r(0)).unwrap().ac, 1);
-    }
-
-    #[test]
     fn snapshot_restore_replays_identically() {
         // Run a faulty prefix, capture, run a divergent tail, restore, and
         // check the tail replays exactly — also after rewinding to a
@@ -924,7 +911,11 @@ mod tests {
     #[test]
     fn other_detectors_share_the_log_but_not_the_hand_over() {
         let mut wd = safespeed_watchdog();
-        wd.log_detection(Detection::on_task(t(3), DetectorId::ExecTimeMonitor, TaskId(0)));
+        wd.log_detection(Detection::on_task(
+            t(3),
+            DetectorId::ExecTimeMonitor,
+            TaskId(0),
+        ));
         wd.heartbeat(r(0), t(4));
         wd.heartbeat(r(2), t(5)); // skipped r1
         wd.log_detection(Detection::expiry(t(2)));

@@ -377,7 +377,13 @@ mod tests {
         assert!(tsi.record(fault(0, FaultKind::ProgramFlow, 20)).is_empty());
         let changes = tsi.record(fault(0, FaultKind::ProgramFlow, 30));
         assert_eq!(changes.len(), 2); // task + application
-        assert!(matches!(changes[0], StateChange::TaskFaulty { task: TaskId(0), .. }));
+        assert!(matches!(
+            changes[0],
+            StateChange::TaskFaulty {
+                task: TaskId(0),
+                ..
+            }
+        ));
         assert!(matches!(changes[1], StateChange::ApplicationFaulty { .. }));
         assert!(tsi.task_state(TaskId(0)).is_faulty());
         assert!(tsi.app_state(ApplicationId(0)).is_faulty());
@@ -450,9 +456,13 @@ mod tests {
     fn ecu_faulty_when_all_apps_faulty_by_default() {
         let mut tsi = unit(1);
         let c1 = tsi.record(fault(0, FaultKind::Aliveness, 1));
-        assert!(!c1.iter().any(|c| matches!(c, StateChange::EcuFaulty { .. })));
+        assert!(!c1
+            .iter()
+            .any(|c| matches!(c, StateChange::EcuFaulty { .. })));
         let c2 = tsi.record(fault(2, FaultKind::Aliveness, 2));
-        assert!(c2.iter().any(|c| matches!(c, StateChange::EcuFaulty { .. })));
+        assert!(c2
+            .iter()
+            .any(|c| matches!(c, StateChange::EcuFaulty { .. })));
         assert!(tsi.ecu_state().is_faulty());
     }
 

@@ -135,8 +135,16 @@ mod tests {
         mapping.assign_runnable(r(1), TaskId(0));
         WatchdogConfig::builder(Duration::from_millis(10))
             .mapping(mapping)
-            .monitor(RunnableHypothesis::new(r(0)).alive_at_least(1, 1).arrive_at_most(2, 1))
-            .monitor(RunnableHypothesis::new(r(1)).alive_at_least(1, 1).arrive_at_most(2, 1))
+            .monitor(
+                RunnableHypothesis::new(r(0))
+                    .alive_at_least(1, 1)
+                    .arrive_at_most(2, 1),
+            )
+            .monitor(
+                RunnableHypothesis::new(r(1))
+                    .alive_at_least(1, 1)
+                    .arrive_at_most(2, 1),
+            )
             .allow_entry(r(0))
             .allow_flow(r(0), r(1))
             .allow_flow(r(1), r(0))

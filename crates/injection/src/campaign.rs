@@ -125,7 +125,7 @@ impl CampaignBuilder {
     }
 
     fn pick_target(&mut self) -> RunnableId {
-        *self.rng.pick(&self.targets.clone())
+        *self.rng.pick(&self.targets)
     }
 
     fn make_class(&mut self, kind: usize) -> ErrorClass {
@@ -144,7 +144,7 @@ impl CampaignBuilder {
                 extra: self.rng.next_in(2, 6) as u32,
             },
             _ => ErrorClass::LoopOverrun {
-                runnable: *self.rng.pick(&self.loop_targets.clone()),
+                runnable: *self.rng.pick(&self.loop_targets),
                 iterations: self.rng.next_in(2_000, 30_000) as u32,
             },
         }
@@ -182,7 +182,9 @@ mod tests {
 
     #[test]
     fn plan_covers_all_classes_with_requested_trials() {
-        let plan = CampaignBuilder::new(1, targets()).trials_per_class(4).build();
+        let plan = CampaignBuilder::new(1, targets())
+            .trials_per_class(4)
+            .build();
         assert_eq!(plan.len(), 20);
         let tags: std::collections::BTreeSet<&str> = plan
             .trials()
@@ -214,8 +216,26 @@ mod tests {
     }
 
     #[test]
+    fn loop_overruns_draw_from_the_loop_targets_and_the_other_classes_from_the_targets() {
+        let plan = CampaignBuilder::new(5, targets())
+            .loop_targets(vec![RunnableId(7)])
+            .build();
+        for t in plan.trials() {
+            let class = &t.injection.class;
+            let runnable = class.target_runnable().expect("a runnable-level class");
+            if let ErrorClass::LoopOverrun { .. } = class {
+                assert_eq!(runnable, RunnableId(7));
+            } else {
+                assert!(targets().contains(&runnable), "{class:?}");
+            }
+        }
+    }
+
+    #[test]
     fn run_aggregates_outcomes() {
-        let plan = CampaignBuilder::new(3, targets()).trials_per_class(2).build();
+        let plan = CampaignBuilder::new(3, targets())
+            .trials_per_class(2)
+            .build();
         let stats = CampaignExecutor::serial().run(&plan, |trial| {
             let mut o = TrialOutcome::new(trial.injection.class.tag());
             o.record(DetectorId::SwAliveness, Duration::from_millis(10));
@@ -223,7 +243,7 @@ mod tests {
         });
         assert_eq!(stats.len(), 10);
         for class in stats.classes() {
-            assert_eq!(stats.coverage(&class, DetectorId::SwAliveness), 1.0);
+            assert_eq!(stats.coverage(class, DetectorId::SwAliveness), 1.0);
         }
     }
 

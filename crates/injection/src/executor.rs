@@ -263,7 +263,7 @@ mod tests {
         let stats = CampaignExecutor::new(4).run(&plan, synthetic);
         assert_eq!(stats.len(), plan.len());
         for (trial, outcome) in plan.trials().iter().zip(stats.trials()) {
-            assert_eq!(trial.injection.class.tag(), &*outcome.class);
+            assert_eq!(trial.injection.class.tag(), outcome.class);
         }
     }
 

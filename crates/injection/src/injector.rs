@@ -18,7 +18,6 @@ use easis_rte::runnable::RunnableId;
 use easis_sim::time::Instant;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 /// The classes of injected errors.
 ///
@@ -83,33 +82,6 @@ impl ErrorClass {
         }
     }
 
-    /// Like [`ErrorClass::tag`], but returns a process-interned `Arc<str>`
-    /// handle to the same rendered tag: cloning it only bumps a reference
-    /// count, so stamping a `TrialOutcome` per campaign trial allocates
-    /// nothing.
-    pub fn interned_tag(&self) -> Arc<str> {
-        static TAGS: OnceLock<[Arc<str>; 6]> = OnceLock::new();
-        let table = TAGS.get_or_init(|| {
-            [
-                Arc::from("execution_slowdown"),
-                Arc::from("heartbeat_loss"),
-                Arc::from("skip_runnable"),
-                Arc::from("duplicate_dispatch"),
-                Arc::from("loop_overrun"),
-                Arc::from("alarm_scale"),
-            ]
-        });
-        let idx = match self {
-            ErrorClass::ExecutionSlowdown { .. } => 0,
-            ErrorClass::HeartbeatLoss { .. } => 1,
-            ErrorClass::SkipRunnable { .. } => 2,
-            ErrorClass::DuplicateDispatch { .. } => 3,
-            ErrorClass::LoopOverrun { .. } => 4,
-            ErrorClass::AlarmScale { .. } => 5,
-        };
-        Arc::clone(&table[idx])
-    }
-
     /// The runnable this class targets, if any.
     pub fn target_runnable(&self) -> Option<RunnableId> {
         match *self {
@@ -172,7 +144,10 @@ impl Injector {
     /// Creates an injector over the given injections.
     pub fn new(injections: impl IntoIterator<Item = Injection>) -> Self {
         Injector {
-            injections: injections.into_iter().map(|i| (i, Phase::Pending)).collect(),
+            injections: injections
+                .into_iter()
+                .map(|i| (i, Phase::Pending))
+                .collect(),
             obs: ObsSink::disabled(),
         }
     }
@@ -235,7 +210,10 @@ impl Injector {
 
     fn apply<W>(class: &ErrorClass, controls: &mut RunnableControls, os: &mut Os<W>, arm: bool) {
         match class {
-            ErrorClass::ExecutionSlowdown { runnable, scale_ppm } => {
+            ErrorClass::ExecutionSlowdown {
+                runnable,
+                scale_ppm,
+            } => {
                 controls.runnable_mut(*runnable).exec_scale_ppm =
                     if arm { *scale_ppm } else { 1_000_000 };
             }
@@ -246,12 +224,13 @@ impl Injector {
                 controls.runnable_mut(*runnable).skip = arm;
             }
             ErrorClass::DuplicateDispatch { runnable, extra } => {
-                controls.runnable_mut(*runnable).extra_heartbeats =
-                    if arm { *extra } else { 0 };
+                controls.runnable_mut(*runnable).extra_heartbeats = if arm { *extra } else { 0 };
             }
-            ErrorClass::LoopOverrun { runnable, iterations } => {
-                controls.runnable_mut(*runnable).iterations_override =
-                    arm.then_some(*iterations);
+            ErrorClass::LoopOverrun {
+                runnable,
+                iterations,
+            } => {
+                controls.runnable_mut(*runnable).iterations_override = arm.then_some(*iterations);
             }
             ErrorClass::AlarmScale { alarm, scale_ppm } => {
                 if let Ok(a) = os.alarm_mut(*alarm) {
@@ -297,15 +276,23 @@ mod tests {
     #[test]
     fn every_class_round_trips_to_nominal() {
         let classes = vec![
-            ErrorClass::ExecutionSlowdown { runnable: r(0), scale_ppm: 5_000_000 },
+            ErrorClass::ExecutionSlowdown {
+                runnable: r(0),
+                scale_ppm: 5_000_000,
+            },
             ErrorClass::HeartbeatLoss { runnable: r(0) },
             ErrorClass::SkipRunnable { runnable: r(0) },
-            ErrorClass::DuplicateDispatch { runnable: r(0), extra: 3 },
-            ErrorClass::LoopOverrun { runnable: r(0), iterations: 500 },
+            ErrorClass::DuplicateDispatch {
+                runnable: r(0),
+                extra: 3,
+            },
+            ErrorClass::LoopOverrun {
+                runnable: r(0),
+                iterations: 500,
+            },
         ];
         for class in classes {
-            let mut injector =
-                Injector::new([Injection::new(class.clone(), t(10), t(20))]);
+            let mut injector = Injector::new([Injection::new(class.clone(), t(10), t(20))]);
             let mut controls = RunnableControls::new();
             let mut os: Os<BasicEcuWorld> = Os::new();
             injector.tick(t(10), &mut controls, &mut os);
@@ -322,7 +309,10 @@ mod tests {
         let mut os: Os<BasicEcuWorld> = Os::new();
         let a = os.add_alarm("cyc", AlarmAction::ActivateTask(TaskId(0)));
         let mut injector = Injector::new([Injection::new(
-            ErrorClass::AlarmScale { alarm: a, scale_ppm: 3_000_000 },
+            ErrorClass::AlarmScale {
+                alarm: a,
+                scale_ppm: 3_000_000,
+            },
             t(10),
             t(20),
         )]);
@@ -338,7 +328,10 @@ mod tests {
         let c = ErrorClass::SkipRunnable { runnable: r(7) };
         assert_eq!(c.tag(), "skip_runnable");
         assert_eq!(c.target_runnable(), Some(r(7)));
-        let a = ErrorClass::AlarmScale { alarm: AlarmId(0), scale_ppm: 2_000_000 };
+        let a = ErrorClass::AlarmScale {
+            alarm: AlarmId(0),
+            scale_ppm: 2_000_000,
+        };
         assert_eq!(a.target_runnable(), None);
     }
 
@@ -362,39 +355,23 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(
             events[0].event,
-            ObsEvent::InjectionActivated { class: "skip_runnable" }
+            ObsEvent::InjectionActivated {
+                class: "skip_runnable"
+            }
         );
         assert_eq!(events[0].at, t(100));
         assert_eq!(
             events[1].event,
-            ObsEvent::InjectionDeactivated { class: "skip_runnable" }
+            ObsEvent::InjectionDeactivated {
+                class: "skip_runnable"
+            }
         );
         assert_eq!(events[1].at, t(200));
     }
 
     #[test]
-    fn interned_tag_matches_tag_and_is_shared() {
-        let classes = [
-            ErrorClass::ExecutionSlowdown { runnable: r(0), scale_ppm: 1 },
-            ErrorClass::HeartbeatLoss { runnable: r(0) },
-            ErrorClass::SkipRunnable { runnable: r(0) },
-            ErrorClass::DuplicateDispatch { runnable: r(0), extra: 1 },
-            ErrorClass::LoopOverrun { runnable: r(0), iterations: 1 },
-            ErrorClass::AlarmScale { alarm: AlarmId(0), scale_ppm: 1 },
-        ];
-        for class in &classes {
-            let a = class.interned_tag();
-            let b = class.interned_tag();
-            assert_eq!(&*a, class.tag());
-            // Interned: repeated calls hand out the same allocation.
-            assert!(std::sync::Arc::ptr_eq(&a, &b));
-        }
-    }
-
-    #[test]
     fn reload_is_equivalent_to_new() {
-        let injection =
-            Injection::new(ErrorClass::SkipRunnable { runnable: r(3) }, t(100), t(200));
+        let injection = Injection::new(ErrorClass::SkipRunnable { runnable: r(3) }, t(100), t(200));
         let mut reloaded = Injector::new([Injection::new(
             ErrorClass::HeartbeatLoss { runnable: r(9) },
             t(1),

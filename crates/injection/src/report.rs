@@ -125,11 +125,7 @@ impl CampaignReport {
             .classes()
             .into_iter()
             .map(|class| {
-                let of_class: Vec<_> = stats
-                    .trials()
-                    .iter()
-                    .filter(|t| *t.class == class)
-                    .collect();
+                let of_class: Vec<_> = stats.trials().iter().filter(|t| t.class == class).collect();
                 let injected = of_class.len();
                 let sw_detected = of_class
                     .iter()
@@ -138,11 +134,8 @@ impl CampaignReport {
                 let detectors = DetectorId::ALL
                     .into_iter()
                     .map(|detector| {
-                        let detected = of_class
-                            .iter()
-                            .filter(|t| t.detected_by(detector))
-                            .count();
-                        let sorted = stats.latencies(&class, detector);
+                        let detected = of_class.iter().filter(|t| t.detected_by(detector)).count();
+                        let sorted = stats.latencies(class, detector);
                         DetectorReport {
                             detector,
                             detected,
@@ -154,7 +147,7 @@ impl CampaignReport {
                     })
                     .collect();
                 ClassReport {
-                    class,
+                    class: class.to_string(),
                     injected,
                     sw_detected,
                     sw_coverage: ratio(sw_detected, injected),

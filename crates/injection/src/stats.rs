@@ -1,10 +1,9 @@
 //! Campaign statistics: detection coverage and latency aggregation.
 
 use easis_sim::time::Duration;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::fmt::{self, Write as _};
 use std::ops::Index;
-use std::sync::Arc;
 
 /// The detectors compared by the coverage/latency experiments: the
 /// vocabulary of the node's detection log, re-exported here.
@@ -25,7 +24,10 @@ pub struct Detections {
     detected: u8,
 }
 
-const _: () = assert!(DetectorId::ALL.len() <= u8::BITS as usize, "one mask bit per detector");
+const _: () = assert!(
+    DetectorId::ALL.len() <= u8::BITS as usize,
+    "one mask bit per detector"
+);
 
 impl Detections {
     fn bit(detector: DetectorId) -> u8 {
@@ -76,7 +78,10 @@ impl Index<&DetectorId> for Detections {
     ///
     /// Panics if the detector did not detect.
     fn index(&self, detector: &DetectorId) -> &Duration {
-        assert!(self.get(*detector).is_some(), "no detection by {detector:?}");
+        assert!(
+            self.get(*detector).is_some(),
+            "no detection by {detector:?}"
+        );
         &self.latency[*detector as usize]
     }
 }
@@ -114,40 +119,23 @@ impl Serialize for Detections {
     }
 }
 
-/// Accepts the map [`Serialize`] writes, its keys in any order; a
-/// repeated key keeps its last latency.
-impl Deserialize for Detections {
-    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
-        let mut detections = Detections::default();
-        for (key, latency) in value.as_map()? {
-            detections.insert(
-                DetectorId::deserialize(&Value::Str(key.clone()))?,
-                Duration::deserialize(latency)?,
-            );
-        }
-        Ok(detections)
-    }
-}
-
-/// Result of one fault-injection trial.
-///
-/// The class tag is an `Arc<str>`: campaign trials stamp outcomes with
-/// [`ErrorClass::interned_tag`](crate::injector::ErrorClass::interned_tag)
-/// handles so no per-trial string is allocated. It serializes as a plain
-/// string, so on-disk stats records are unchanged.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Result of one fault-injection trial: plain `Copy` data, 72 bytes, so a
+/// campaign keeps its outcomes in one vector with no heap block per
+/// trial.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TrialOutcome {
-    /// Error class tag of the injected fault.
-    pub class: Arc<str>,
+    /// Error class tag of the injected fault
+    /// ([`ErrorClass::tag`](crate::injector::ErrorClass::tag)).
+    pub class: &'static str,
     /// Detection latency per detector (injection start → first detection).
     pub detections: Detections,
 }
 
 impl TrialOutcome {
     /// Creates an outcome for a class tag, with no detection.
-    pub fn new(class: impl Into<Arc<str>>) -> Self {
+    pub fn new(class: &'static str) -> Self {
         TrialOutcome {
-            class: class.into(),
+            class,
             detections: Detections::default(),
         }
     }
@@ -164,12 +152,14 @@ impl TrialOutcome {
 
     /// `true` if any Software Watchdog unit caught the fault.
     pub fn detected_by_sw_watchdog(&self) -> bool {
-        self.detections.iter().any(|(d, _)| d.is_software_watchdog())
+        self.detections
+            .iter()
+            .any(|(d, _)| d.is_software_watchdog())
     }
 }
 
 /// Aggregated campaign results: coverage and latency per (class, detector).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct CampaignStats {
     trials: Vec<TrialOutcome>,
 }
@@ -191,8 +181,8 @@ impl CampaignStats {
     }
 
     /// Distinct class tags, sorted.
-    pub fn classes(&self) -> Vec<String> {
-        let mut c: Vec<String> = self.trials.iter().map(|t| t.class.to_string()).collect();
+    pub fn classes(&self) -> Vec<&'static str> {
+        let mut c: Vec<&'static str> = self.trials.iter().map(|t| t.class).collect();
         c.sort();
         c.dedup();
         c
@@ -201,7 +191,7 @@ impl CampaignStats {
     /// Coverage of `detector` on `class`: detected / injected.
     pub fn coverage(&self, class: &str, detector: DetectorId) -> f64 {
         let of_class: Vec<&TrialOutcome> =
-            self.trials.iter().filter(|t| &*t.class == class).collect();
+            self.trials.iter().filter(|t| t.class == class).collect();
         if of_class.is_empty() {
             return 0.0;
         }
@@ -212,7 +202,7 @@ impl CampaignStats {
     /// Combined Software Watchdog coverage on `class` (any unit).
     pub fn sw_coverage(&self, class: &str) -> f64 {
         let of_class: Vec<&TrialOutcome> =
-            self.trials.iter().filter(|t| &*t.class == class).collect();
+            self.trials.iter().filter(|t| t.class == class).collect();
         if of_class.is_empty() {
             return 0.0;
         }
@@ -228,7 +218,7 @@ impl CampaignStats {
         let mut l: Vec<Duration> = self
             .trials
             .iter()
-            .filter(|t| &*t.class == class)
+            .filter(|t| t.class == class)
             .filter_map(|t| t.detections.get(detector))
             .collect();
         l.sort_unstable();
@@ -252,9 +242,9 @@ impl CampaignStats {
         for class in self.classes() {
             let _ = write!(out, "{:<22}", class);
             for d in DetectorId::ALL {
-                let _ = write!(out, " {:>6.0}%", 100.0 * self.coverage(&class, d));
+                let _ = write!(out, " {:>6.0}%", 100.0 * self.coverage(class, d));
             }
-            let _ = writeln!(out, " {:>6.0}%", 100.0 * self.sw_coverage(&class));
+            let _ = writeln!(out, " {:>6.0}%", 100.0 * self.sw_coverage(class));
         }
         out
     }
@@ -270,7 +260,7 @@ impl CampaignStats {
         );
         for class in self.classes() {
             for d in DetectorId::ALL {
-                let lat = self.latencies(&class, d);
+                let lat = self.latencies(class, d);
                 if lat.is_empty() {
                     continue;
                 }
@@ -327,6 +317,8 @@ mod tests {
     #[test]
     fn detections_are_inline_slots_in_column_order() {
         assert_eq!(std::mem::size_of::<Detections>(), 56);
+        // An outcome is its static class tag and the slots.
+        assert_eq!(std::mem::size_of::<TrialOutcome>(), 72);
         for (column, detector) in DetectorId::ALL.into_iter().enumerate() {
             assert_eq!(detector as usize, column);
         }
@@ -368,41 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_round_trip_through_json() {
-        let mut all = TrialOutcome::new("loop_overrun");
-        for detector in DetectorId::ALL {
-            all.record(detector, ms(detector as u64 + 1));
-        }
-        let mut one = TrialOutcome::new("heartbeat_loss");
-        one.record(DetectorId::HwWatchdog, Duration::ZERO);
-        let stats = CampaignStats::from(vec![all, one, TrialOutcome::new("skip_runnable")]);
-        let json = serde_json::to_string(&stats).unwrap();
-        let back: CampaignStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, stats);
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-    }
-
-    #[test]
-    fn detections_deserialize_keys_in_any_order() {
-        let back: Detections =
-            serde_json::from_str(r#"{"DeadlineMonitor":9500,"SwAliveness":15000,"HwWatchdog":0}"#)
-                .unwrap();
-        assert_eq!(
-            back,
-            Detections::from([
-                (DetectorId::SwAliveness, ms(15)),
-                (DetectorId::HwWatchdog, Duration::ZERO),
-                (DetectorId::DeadlineMonitor, Duration::from_micros(9_500)),
-            ])
-        );
-        assert_eq!(
-            serde_json::to_string(&back).unwrap(),
-            r#"{"SwAliveness":15000,"HwWatchdog":0,"DeadlineMonitor":9500}"#
-        );
-        assert!(serde_json::from_str::<Detections>(r#"{"Watchdog":1}"#).is_err());
-    }
-
-    #[test]
     fn coverage_counts_hits_per_class() {
         let mut trials = Vec::new();
         for i in 0..4 {
@@ -413,8 +370,14 @@ mod tests {
             trials.push(t);
         }
         let stats = CampaignStats::from(trials);
-        assert_eq!(stats.coverage("heartbeat_loss", DetectorId::SwAliveness), 0.75);
-        assert_eq!(stats.coverage("heartbeat_loss", DetectorId::HwWatchdog), 0.0);
+        assert_eq!(
+            stats.coverage("heartbeat_loss", DetectorId::SwAliveness),
+            0.75
+        );
+        assert_eq!(
+            stats.coverage("heartbeat_loss", DetectorId::HwWatchdog),
+            0.0
+        );
         assert_eq!(stats.coverage("unknown", DetectorId::SwAliveness), 0.0);
         assert_eq!(stats.sw_coverage("heartbeat_loss"), 0.75);
         assert_eq!(stats.len(), 4);
@@ -470,6 +433,6 @@ mod tests {
     #[test]
     fn classes_are_deduplicated_and_sorted() {
         let stats = CampaignStats::from(["b", "a", "b"].map(TrialOutcome::new).to_vec());
-        assert_eq!(stats.classes(), vec!["a".to_string(), "b".to_string()]);
+        assert_eq!(stats.classes(), vec!["a", "b"]);
     }
 }

@@ -67,7 +67,7 @@ proptest! {
     ) {
         let mut trials = Vec::new();
         for (i, class) in classes.iter().enumerate() {
-            let mut o = TrialOutcome::new(class.clone());
+            let mut o = TrialOutcome::new(Box::leak(class.clone().into_boxed_str()));
             if i % 2 == 0 {
                 o.record(DetectorId::HwWatchdog, Duration::from_millis(i as u64 + 1));
             }

@@ -486,18 +486,21 @@ impl<W> Os<W> {
 
     fn dispatch(&mut self, id: TaskId, world: &mut W) {
         let i = id.index();
-        if self.core.state.running == Some(id)
-            && self.core.state.tasks[i].state == TaskState::Running
-        {
+        // `running` names exactly the task in state `Running`: this
+        // function sets both, and `terminate_running` clears both.
+        if self.core.state.running == Some(id) {
+            debug_assert_eq!(self.core.state.tasks[i].state, TaskState::Running);
             return;
         }
         // Preempt whoever was running.
         if let Some(prev) = self.core.state.running {
-            if self.core.state.tasks[prev.index()].state == TaskState::Running {
-                self.core.make_ready(prev, true);
-                self.core.record(prev, "preempt");
-                self.core.fire_hook(HookEvent::PostTask(prev), world);
-            }
+            debug_assert_eq!(
+                self.core.state.tasks[prev.index()].state,
+                TaskState::Running
+            );
+            self.core.make_ready(prev, true);
+            self.core.record(prev, "preempt");
+            self.core.fire_hook(HookEvent::PostTask(prev), world);
         }
         self.core.state.tasks[i].state = TaskState::Running;
         self.core.state.running = Some(id);

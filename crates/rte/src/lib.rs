@@ -6,8 +6,7 @@
 //!
 //! * [`signal`] — the signal database runnables communicate through;
 //! * [`runnable`] — runnable specs (identity + cost model incl. loop
-//!   terms), logic, registry, and the [`runnable::HeartbeatSink`] glue-code
-//!   interface to the dependability services;
+//!   terms), logic and registry;
 //! * [`assembly`] — [`assembly::SequencedTask`], the Stateflow-chart
 //!   equivalent that turns a runnable list into a preemptible OSEK task
 //!   body running it in declaration order, with auto-inserted
@@ -17,7 +16,9 @@
 //!   runnables as invalid branches, heartbeat suppression/duplication);
 //! * [`mapping`] — the application/task/runnable deployment map consumed
 //!   by task state indication and fault treatment;
-//! * [`world`] — the [`world::EcuWorld`] trait tying it all together.
+//! * [`world`] — the [`world::EcuWorld`] trait tying it all together,
+//!   whose `indicate_heartbeat` is the glue code's interface to the
+//!   dependability services.
 //!
 //! # Examples
 //!
@@ -59,6 +60,6 @@ pub mod world;
 pub use assembly::SequencedTask;
 pub use control::{RunnableControl, RunnableControls};
 pub use mapping::{ApplicationId, SystemMapping};
-pub use runnable::{HeartbeatSink, RunnableDef, RunnableId, RunnableRegistry, RunnableSpec};
+pub use runnable::{RunnableDef, RunnableId, RunnableRegistry, RunnableSpec};
 pub use signal::{SignalDb, SignalId, SignalState};
 pub use world::{BasicEcuWorld, EcuWorld};

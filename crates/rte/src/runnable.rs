@@ -12,7 +12,7 @@
 //! injection manipulates exactly this ("manipulation of loop counters").
 
 use easis_osek::plan::EffectCtx;
-use easis_sim::time::{Duration, Instant};
+use easis_sim::time::Duration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -226,21 +226,13 @@ impl RunnableRegistry {
     }
 }
 
-/// Timestamped heartbeat receiver — the interface through which glue code
-/// reports runnable execution to the dependability services. The Software
-/// Watchdog's heartbeat monitoring unit implements this.
-pub trait HeartbeatSink {
-    /// Called by the aliveness-indication glue each time `runnable`
-    /// executes.
-    fn indicate(&mut self, runnable: RunnableId, now: Instant);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use easis_osek::kernel::Os;
     use easis_osek::plan::Script;
     use easis_osek::task::{Priority, TaskConfig};
+    use easis_sim::time::Instant;
 
     #[test]
     fn cost_model_combines_base_and_loop() {

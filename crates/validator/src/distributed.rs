@@ -95,10 +95,7 @@ impl std::fmt::Debug for DistributedValidator {
 
 /// Registers the RX ISR on a node: drains the world's mailbox into the
 /// named signals using the given codecs.
-fn add_rx_isr(
-    node: &mut CentralNode,
-    routes: Vec<(u16, &'static str, FixedPointCodec)>,
-) -> IsrId {
+fn add_rx_isr(node: &mut CentralNode, routes: Vec<(u16, &'static str, FixedPointCodec)>) -> IsrId {
     node.os.add_isr(
         "ComRxIsr",
         Duration::from_micros(15),
@@ -156,10 +153,11 @@ impl DistributedValidator {
         );
         lane_node.start();
 
-        let mut flexray =
-            FlexRayBus::new(Duration::from_millis(5), Duration::from_micros(100), 8);
+        let mut flexray = FlexRayBus::new(Duration::from_millis(5), Duration::from_micros(100), 8);
         for (slot, frame) in [(0, FR_SPEED), (2, FR_LIMIT), (3, FR_CEILING), (4, FR_BRAKE)] {
-            flexray.assign_slot(SlotId(slot), frame).expect("schedule fits");
+            flexray
+                .assign_slot(SlotId(slot), frame)
+                .expect("schedule fits");
         }
         let mut gateway = Gateway::new(Duration::from_micros(200));
         gateway.add_route(CAN_SPEED, PORT_FLEXRAY, Some(FR_SPEED));
@@ -206,7 +204,8 @@ impl DistributedValidator {
                 // receiver-side E2E check is built to notice.
                 self.drop_speed_frames -= 1;
             } else {
-                self.can.submit(NodeId(1), Frame::new(CAN_SPEED, protected), t);
+                self.can
+                    .submit(NodeId(1), Frame::new(CAN_SPEED, protected), t);
             }
         }
         if t_ms.is_multiple_of(20) {
@@ -219,8 +218,11 @@ impl DistributedValidator {
         }
         if t_ms.is_multiple_of(50) {
             let v = self.plant.current_limit();
-            self.can
-                .submit(NodeId(2), Frame::new(CAN_LIMIT, self.speed_codec.encode(v).to_vec()), t);
+            self.can.submit(
+                NodeId(2),
+                Frame::new(CAN_LIMIT, self.speed_codec.encode(v).to_vec()),
+                t,
+            );
         }
 
         // CAN domain: the lane node and the actuator node listen here.
@@ -263,7 +265,11 @@ impl DistributedValidator {
         for routed in self.gateway.take_ready(t) {
             match routed.port {
                 PORT_FLEXRAY => {
-                    let slot = if routed.frame.id == FR_SPEED { SlotId(0) } else { SlotId(2) };
+                    let slot = if routed.frame.id == FR_SPEED {
+                        SlotId(0)
+                    } else {
+                        SlotId(2)
+                    };
                     let _ = self.flexray.submit(slot, routed.frame);
                 }
                 _ => self.can.submit(NodeId(9), routed.frame, routed.ready_at),
@@ -388,7 +394,10 @@ mod tests {
             "final speed {}",
             report.final_speed
         );
-        assert!(report.ldw_warned_on_bus, "warning must cross the CAN domain");
+        assert!(
+            report.ldw_warned_on_bus,
+            "warning must cross the CAN domain"
+        );
         assert_eq!(report.speed_node_faults, 0);
         assert_eq!(report.lane_node_faults, 0);
         assert!(report.speed_node_rx_irqs > 1_000);
@@ -405,7 +414,11 @@ mod tests {
             Instant::from_millis(2_500),
         )]);
         let mut speed_injector = Injector::none();
-        let report = rig.run(Duration::from_secs(5), &mut speed_injector, &mut lane_injector);
+        let report = rig.run(
+            Duration::from_secs(5),
+            &mut speed_injector,
+            &mut lane_injector,
+        );
         assert!(report.lane_node_faults > 0, "lane node must detect");
         assert_eq!(report.speed_node_faults, 0, "speed node must stay clean");
         // The speed node's control loop kept working throughout.

@@ -116,8 +116,7 @@ impl HilValidator {
         }
 
         let can = CanBus::new(500_000);
-        let mut flexray =
-            FlexRayBus::new(Duration::from_millis(5), Duration::from_micros(100), 8);
+        let mut flexray = FlexRayBus::new(Duration::from_millis(5), Duration::from_micros(100), 8);
         for (slot, frame) in [
             (0, ids::FR_SPEED),
             (1, ids::FR_LATERAL),
@@ -125,7 +124,9 @@ impl HilValidator {
             (3, ids::FR_CEILING),
             (4, ids::FR_BRAKE),
         ] {
-            flexray.assign_slot(SlotId(slot), frame).expect("schedule fits");
+            flexray
+                .assign_slot(SlotId(slot), frame)
+                .expect("schedule fits");
         }
         let mut gateway = Gateway::new(Duration::from_micros(200));
         gateway.add_route(ids::CAN_SPEED, PORT_FLEXRAY, Some(ids::FR_SPEED));
@@ -182,17 +183,20 @@ impl HilValidator {
         if t_ms.is_multiple_of(10) {
             let speed = self.plant.measured_speed();
             let payload = self.speed_codec.encode(speed).to_vec();
-            self.can.submit(NodeId(1), Frame::new(ids::CAN_SPEED, payload), t);
+            self.can
+                .submit(NodeId(1), Frame::new(ids::CAN_SPEED, payload), t);
         }
         if t_ms.is_multiple_of(20) {
             let lat = self.plant.measured_lateral_offset();
             let payload = self.lateral_codec.encode(lat).to_vec();
-            self.can.submit(NodeId(1), Frame::new(ids::CAN_LATERAL, payload), t);
+            self.can
+                .submit(NodeId(1), Frame::new(ids::CAN_LATERAL, payload), t);
         }
         if t_ms.is_multiple_of(50) {
             let limit = self.plant.current_limit();
             let payload = self.speed_codec.encode(limit).to_vec();
-            self.can.submit(NodeId(2), Frame::new(ids::CAN_LIMIT, payload), t);
+            self.can
+                .submit(NodeId(2), Frame::new(ids::CAN_LIMIT, payload), t);
         }
 
         // 3. CAN deliveries: actuator node consumes commands, the gateway

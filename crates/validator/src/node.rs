@@ -15,30 +15,29 @@ use crate::ffwd::Mode;
 use crate::world::CentralWorld;
 use easis_apps::bundle::AppBundle;
 use easis_apps::{lightctl, safelane, safespeed, steer};
+use easis_baselines::hw_watchdog::{HardwareWatchdog, HwCycleDelta};
 use easis_fmf::dtc::FreezeFrame;
 use easis_fmf::framework::{FaultManagementFramework, FmfCycleDelta, FmfState};
 use easis_fmf::policy::{Treatment, TreatmentAction, TreatmentPolicy};
 use easis_injection::injector::Injector;
 use easis_osek::alarm::{AlarmAction, AlarmId};
 use easis_osek::hooks::{HookEvent, HookMask, HookObserver};
+use easis_osek::kernel::OsState;
 use easis_osek::kernel::{CycleProgram, Os};
 use easis_osek::plan::{EffectCtx, Plan, TaskBody};
 use easis_osek::task::{Priority, TaskConfig, TaskId};
 use easis_rte::assembly::SequencedTask;
+use easis_rte::control::RunnableControls;
 use easis_rte::mapping::{ApplicationId, SystemMapping};
 use easis_rte::runnable::{RunnableId, RunnableRegistry};
 use easis_rte::signal::{SignalDb, SignalId, SignalState};
 use easis_sim::snap::RestoreStats;
 use easis_sim::time::{Duration, Instant};
-use easis_osek::kernel::OsState;
-use easis_rte::control::RunnableControls;
 use easis_watchdog::config::{RunnableHypothesis, WatchdogConfig};
 use easis_watchdog::detection::{Detection, DetectorId};
 use easis_watchdog::report::{DetectedFault, RunnableCounters, StateChange};
 use easis_watchdog::{CycleReport, SoftwareWatchdog, WatchdogCycleDelta, WatchdogState};
-use easis_baselines::hw_watchdog::{HardwareWatchdog, HwCycleDelta};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Configuration of a central node build.
 #[derive(Debug, Clone)]
@@ -136,30 +135,23 @@ const BACKOFF_DOUBLINGS: u32 = 4;
 /// transients that never settle within one certification window.
 const FFWD_MAX_HYPERPERIOD: Duration = Duration::from_millis(1_000);
 
-/// A campaign-shared node recipe: the node configuration plus the
-/// watchdog configuration built from it exactly once (hypothesis
-/// derivation, flow table, deployment mapping), frozen behind an
-/// `Arc`. Campaigns compile one blueprint per process and every worker
-/// thread builds (and then pools) its node from it, so no trial recompiles
-/// what the configuration already determines.
+/// A wrapped node configuration. It compiles nothing:
+/// [`CentralNode::build_from_blueprint`] builds from a copy of the
+/// configuration, as [`CentralNode::build`] does. Kept only because the
+/// `easis_bench` benchmark builds its nodes through
+/// [`NodeBlueprint::compile`] and [`CentralNode::build_from_blueprint`].
 #[derive(Debug, Clone)]
 pub struct NodeBlueprint {
     config: NodeConfig,
-    watchdog_config: Arc<easis_watchdog::config::WatchdogConfig>,
 }
 
 impl NodeBlueprint {
-    /// Compiles the blueprint for a node configuration by running one
-    /// full assembly and freezing its compiled watchdog configuration.
+    /// Wraps a node configuration.
     pub fn compile(config: NodeConfig) -> Self {
-        let node = CentralNode::build(config.clone());
-        NodeBlueprint {
-            config,
-            watchdog_config: node.world.watchdog.shared_config(),
-        }
+        NodeBlueprint { config }
     }
 
-    /// The node configuration the blueprint was compiled from.
+    /// The node configuration.
     pub fn config(&self) -> &NodeConfig {
         &self.config
     }
@@ -205,22 +197,6 @@ impl CentralNode {
     /// period is not compatible with the watchdog period (one must divide
     /// the other).
     pub fn build(config: NodeConfig) -> Self {
-        Self::build_inner(config, None)
-    }
-
-    /// Builds the node from a campaign blueprint, reusing its compiled
-    /// watchdog configuration instead of recompiling it.
-    pub fn build_from_blueprint(blueprint: &NodeBlueprint) -> Self {
-        Self::build_inner(
-            blueprint.config.clone(),
-            Some(Arc::clone(&blueprint.watchdog_config)),
-        )
-    }
-
-    fn build_inner(
-        config: NodeConfig,
-        shared: Option<Arc<easis_watchdog::config::WatchdogConfig>>,
-    ) -> Self {
         let mut signals = SignalDb::new();
         let mut registry = RunnableRegistry::new();
         let mut bundles: Vec<AppBundle<CentralWorld>> = Vec::new();
@@ -269,6 +245,8 @@ impl CentralNode {
                 .with_deadline(bundle.period)
                 .with_execution_budget(nominal * BUDGET_FACTOR)
                 .with_max_activations(2);
+            let entry = bundle.entry();
+            let flow_pairs = bundle.flow_pairs();
             let body = SequencedTask::fixed(bundle.runnables);
             let task = os.add_task(task_cfg, body);
             tasks.insert(bundle.task_name.to_string(), task);
@@ -285,11 +263,8 @@ impl CentralNode {
             app_alarm_raw.insert(app, alarm.0);
 
             // Fault hypothesis per runnable, derived from the period ratio.
-            let (cycles, expected) = Self::hypothesis_shape(
-                bundle.period,
-                config.wd_period,
-                config.window_factor,
-            );
+            let (cycles, expected) =
+                Self::hypothesis_shape(bundle.period, config.wd_period, config.window_factor);
             for &rid in &ids {
                 wd_builder = wd_builder.monitor(
                     RunnableHypothesis::new(rid)
@@ -298,13 +273,9 @@ impl CentralNode {
                 );
             }
             // Program-flow table: the bundle's nominal cycle.
-            let entry = ids[0];
             wd_builder = wd_builder.allow_entry(entry);
-            for w in ids.windows(2) {
-                wd_builder = wd_builder.allow_flow(w[0], w[1]);
-            }
-            if ids.len() > 1 {
-                wd_builder = wd_builder.allow_flow(*ids.last().expect("non-empty"), entry);
+            for (from, to) in flow_pairs {
+                wd_builder = wd_builder.allow_flow(from, to);
             }
         }
 
@@ -312,13 +283,7 @@ impl CentralNode {
             Some(capacity) => easis_obs::ObsSink::enabled(capacity),
             None => easis_obs::ObsSink::disabled(),
         };
-        // A blueprint-backed build skips assembling the watchdog
-        // configuration and shares the frozen artifact.
-        let wd_config = match shared {
-            Some(compiled) => compiled,
-            None => Arc::new(wd_builder.mapping(mapping.clone()).build()),
-        };
-        let mut watchdog = SoftwareWatchdog::from_shared(wd_config);
+        let mut watchdog = SoftwareWatchdog::new(wd_builder.mapping(mapping.clone()).build());
         watchdog.attach_obs(obs.clone());
         let mut fmf = FaultManagementFramework::new(config.policy, mapping.application_count());
         fmf.attach_obs(obs.clone());
@@ -333,8 +298,7 @@ impl CentralNode {
 
         // The watchdog task: highest priority, runs the cycle check and the
         // FMF integration. The freeze-frame signals are resolved once here.
-        let wd_cost =
-            Duration::from_micros(60).mul_f64(config.cpu_scale_ppm as f64 / 1_000_000.0);
+        let wd_cost = Duration::from_micros(60).mul_f64(config.cpu_scale_ppm as f64 / 1_000_000.0);
         let freeze_signals =
             ["speed_measured", "lateral_measured"].map(|name| world.signals.id_of(name));
         let wd_task = os.add_task(
@@ -377,6 +341,12 @@ impl CentralNode {
         }
     }
 
+    /// Builds the node from a copy of the blueprint's configuration. Kept
+    /// only because the `easis_bench` benchmark calls it.
+    pub fn build_from_blueprint(blueprint: &NodeBlueprint) -> Self {
+        Self::build(blueprint.config().clone())
+    }
+
     /// The steady-state hyperperiod of this configuration: the least
     /// common multiple of every activation period (app tasks, the
     /// watchdog cycle, the hardware-watchdog kick cycle) *and* every
@@ -389,7 +359,11 @@ impl CentralNode {
     /// when the lcm exceeds [`FFWD_MAX_HYPERPERIOD`].
     fn hyperperiod_of(config: &NodeConfig, periods: &BTreeMap<String, Duration>) -> Duration {
         fn gcd(a: u64, b: u64) -> u64 {
-            if b == 0 { a } else { gcd(b, a % b) }
+            if b == 0 {
+                a
+            } else {
+                gcd(b, a % b)
+            }
         }
         fn lcm(a: u128, b: u64) -> u128 {
             a / gcd(a as u64, b) as u128 * b as u128
@@ -397,7 +371,8 @@ impl CentralNode {
         let wd_us = config.wd_period.as_micros();
         let mut h_us: u128 = lcm(wd_us as u128, HW_KICK_PERIOD.as_micros());
         for &period in periods.values() {
-            let (cycles, _) = Self::hypothesis_shape(period, config.wd_period, config.window_factor);
+            let (cycles, _) =
+                Self::hypothesis_shape(period, config.wd_period, config.window_factor);
             h_us = lcm(h_us, period.as_micros());
             h_us = lcm(h_us, cycles as u64 * wd_us);
             if h_us > FFWD_MAX_HYPERPERIOD.as_micros() as u128 {
@@ -456,13 +431,11 @@ impl CentralNode {
                 }
             }
             Treatment::EcuReset => {
-                let tasks: Vec<TaskId> =
-                    w.watchdog.config().mapping().tasks().collect();
+                let tasks: Vec<TaskId> = w.watchdog.config().mapping().tasks().collect();
                 for task in tasks {
                     w.watchdog.acknowledge_task_recovered(task);
                 }
-                let prefixes: Vec<&'static str> =
-                    w.app_signal_prefixes.values().copied().collect();
+                let prefixes: Vec<&'static str> = w.app_signal_prefixes.values().copied().collect();
                 for prefix in prefixes {
                     w.reset_signals_with_prefix(prefix, ctx.now());
                 }
@@ -538,7 +511,7 @@ impl CentralNode {
     /// Restores the node to a previously captured checkpoint: one
     /// `clone_from` per component state, so a reused node's capacity
     /// survives repeated restores. Only valid on the node the snapshot was
-    /// taken from or a structurally identical one (same blueprint); the
+    /// taken from or a structurally identical one (same configuration); the
     /// kernel asserts that its task and alarm tables match.
     ///
     /// Every restore is a full copy, so the returned [`RestoreStats`]
@@ -884,14 +857,21 @@ fn certify(
         return false;
     }
     delta.h = h;
-    if !world.watchdog.measure(&a.watchdog, watchdog, a.taken_at(), h, &mut delta.watchdog)
+    if !world
+        .watchdog
+        .measure(&a.watchdog, watchdog, a.taken_at(), h, &mut delta.watchdog)
         || !FmfState::measure(&a.fmf, fmf, h, &mut delta.fmf)
     {
         return false;
     }
     delta.os = OsState::measure(&a.os, os, h);
     delta.hw_watchdog = HardwareWatchdog::measure(&a.hw_watchdog, &world.hw_watchdog, h);
-    SignalState::measure(&a.signals, world.signals.state(), h, &mut delta.signal_slots);
+    SignalState::measure(
+        &a.signals,
+        world.signals.state(),
+        h,
+        &mut delta.signal_slots,
+    );
     a.advance(delta, 1);
     a.matches(node)
 }
@@ -924,7 +904,16 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
             }
         )*};
     }
-    compare!(treatments, rx_mailbox, controls, fmf, hw_watchdog, os, signals, watchdog);
+    compare!(
+        treatments,
+        rx_mailbox,
+        controls,
+        fmf,
+        hw_watchdog,
+        os,
+        signals,
+        watchdog
+    );
     None
 }
 
@@ -944,7 +933,7 @@ fn first_difference(jumped: &NodeSnapshot, replayed: &NodeSnapshot) -> Option<St
 /// task bodies (their buffers are per-cycle scratch), the deployment
 /// tables, the node configuration and the observability sink are not
 /// captured. A snapshot therefore only restores onto the node it was taken
-/// from, or a structurally identical one built from the same blueprint.
+/// from, or a structurally identical one built from the same configuration.
 ///
 /// Equality is exact: two checkpoints compare equal only when every
 /// captured field does (signal values bit for bit), which is how tests
@@ -1067,7 +1056,12 @@ impl TaskBody<CentralWorld> for WatchdogTaskBody {
         Some(0)
     }
 
-    fn run_effect(&mut self, _token: u32, w: &mut CentralWorld, ctx: &mut EffectCtx<'_, CentralWorld>) {
+    fn run_effect(
+        &mut self,
+        _token: u32,
+        w: &mut CentralWorld,
+        ctx: &mut EffectCtx<'_, CentralWorld>,
+    ) {
         let now = ctx.now();
         w.watchdog.run_cycle_into(now, &mut self.report);
         if ctx.trace_enabled() {
@@ -1095,7 +1089,9 @@ impl TaskBody<CentralWorld> for WatchdogTaskBody {
             // Freeze frame: the operating conditions at detection (the
             // signals a tester would want).
             let freeze = FreezeFrame {
-                conditions: self.freeze_signals.map(|id| id.map(|id| (id, w.signals.read(id)))),
+                conditions: self
+                    .freeze_signals
+                    .map(|id| id.map(|id| (id, w.signals.read(id)))),
             };
             for &fault in &self.faults {
                 w.fmf.ingest_fault(fault, freeze);
@@ -1132,7 +1128,9 @@ impl HookObserver<CentralWorld> for TimingChecks {
             HookEvent::BudgetExceeded { task, .. } => (DetectorId::ExecTimeMonitor, task),
             _ => return,
         };
-        world.watchdog.log_detection(Detection::on_task(now, detector, task));
+        world
+            .watchdog
+            .log_detection(Detection::on_task(now, detector, task));
     }
 
     /// The two timing checks only: the default interest, every kind,
@@ -1153,7 +1151,12 @@ impl TaskBody<CentralWorld> for HwKickBody {
         Some(0)
     }
 
-    fn run_effect(&mut self, _token: u32, w: &mut CentralWorld, ctx: &mut EffectCtx<'_, CentralWorld>) {
+    fn run_effect(
+        &mut self,
+        _token: u32,
+        w: &mut CentralWorld,
+        ctx: &mut EffectCtx<'_, CentralWorld>,
+    ) {
         // A kick polls first: an expiry since the watchdog task's last poll
         // is logged like a polled one.
         if let Some(at) = w.hw_watchdog.kick(ctx.now()) {
@@ -1335,7 +1338,10 @@ mod tests {
                 });
             }),
             ("runnable control", false, |node| {
-                node.world.controls.runnable_mut(RunnableId(4)).exec_scale_ppm = 2_000_000;
+                node.world
+                    .controls
+                    .runnable_mut(RunnableId(4))
+                    .exec_scale_ppm = 2_000_000;
             }),
             ("stray heartbeat", false, |node| {
                 let runnable = node.runnable("SAFE_CC_process");
@@ -1412,11 +1418,19 @@ mod tests {
         let tasks_of = |detector| {
             let entries = log.entries().iter().filter(move |d| d.detector == detector);
             assert!(entries.clone().all(|d| d.at >= ms(300)));
-            entries.map(|d| d.task().expect("a task subject")).collect::<BTreeSet<_>>()
+            entries
+                .map(|d| d.task().expect("a task subject"))
+                .collect::<BTreeSet<_>>()
         };
         let (slowed, starved) = (node.tasks["SafeSpeedTask"], node.tasks["SafeLaneTask"]);
-        assert_eq!(tasks_of(DetectorId::ExecTimeMonitor), BTreeSet::from([slowed]));
-        assert_eq!(tasks_of(DetectorId::DeadlineMonitor), BTreeSet::from([slowed, starved]));
+        assert_eq!(
+            tasks_of(DetectorId::ExecTimeMonitor),
+            BTreeSet::from([slowed])
+        );
+        assert_eq!(
+            tasks_of(DetectorId::DeadlineMonitor),
+            BTreeSet::from([slowed, starved])
+        );
     }
 
     /// A kick polls first: when the countdown runs out after the watchdog
@@ -1433,7 +1447,10 @@ mod tests {
         node.os.run_until(ms(1_020), &mut node.world);
         let expiry = Detection::expiry(Instant::from_micros(1_010_500));
         assert_eq!(node.world.watchdog.log().entries(), [expiry]);
-        assert!(!node.world.hw_watchdog.is_expired(), "the kick restarted the countdown");
+        assert!(
+            !node.world.hw_watchdog.is_expired(),
+            "the kick restarted the countdown"
+        );
     }
 
     #[test]

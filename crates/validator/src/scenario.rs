@@ -6,13 +6,13 @@
 //! tests described in prose, and the campaign trial runner behind the
 //! coverage/latency/granularity tables of the outlook.
 
-use crate::node::{CentralNode, NodeBlueprint, NodeConfig, NodeSnapshot};
+use crate::node::{CentralNode, NodeConfig, NodeSnapshot};
 use easis_injection::campaign::TrialSpec;
 use easis_injection::injector::{ErrorClass, Injection, Injector};
 use easis_injection::stats::{Detections, TrialOutcome};
 use easis_sim::series::SeriesSet;
 use easis_sim::time::{Duration, Instant};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Sampling interval of the figure series (the paper's plots use a 10 ms
 /// scalar on the x axis).
@@ -61,20 +61,23 @@ pub fn fig5_aliveness(scale_ppm: u64) -> SeriesSet {
     node.start();
     let alarm = node.alarms["SafeSpeedTask"];
     let mut injector = Injector::new([Injection::new(
-        ErrorClass::AlarmScale {
-            alarm,
-            scale_ppm,
-        },
+        ErrorClass::AlarmScale { alarm, scale_ppm },
         ms(1_000),
         ms(2_000),
     )]);
     let mut series = SeriesSet::new("fig5_aliveness");
-    run_sampled(&mut node, &mut injector, ms(3_000), &mut series, |n, t, s| {
-        let c = n.counters_of("SAFE_CC_process");
-        s.push(t, "AC", c.ac as f64);
-        s.push(t, "CCA", c.cca as f64);
-        s.push(t, "AM Result", c.aliveness_errors as f64);
-    });
+    run_sampled(
+        &mut node,
+        &mut injector,
+        ms(3_000),
+        &mut series,
+        |n, t, s| {
+            let c = n.counters_of("SAFE_CC_process");
+            s.push(t, "AC", c.ac as f64);
+            s.push(t, "CCA", c.cca as f64);
+            s.push(t, "AM Result", c.aliveness_errors as f64);
+        },
+    );
     series
 }
 
@@ -104,16 +107,22 @@ pub fn fig6_collaboration() -> SeriesSet {
         ms(2_000),
     )]);
     let mut series = SeriesSet::new("fig6_collaboration");
-    run_sampled(&mut node, &mut injector, ms(2_000), &mut series, |n, t, s| {
-        s.push(t, "PFC Result", n.world.watchdog.pfc_errors_total() as f64);
-        let am: u32 = ["GetSensorValue", "SAFE_CC_process", "Speed_process"]
-            .iter()
-            .map(|r| n.counters_of(r).aliveness_errors)
-            .sum();
-        s.push(t, "AM Result", am as f64);
-        let faulty = n.world.watchdog.task_state(task).is_faulty();
-        s.push(t, "Task State", if faulty { 1.0 } else { 0.0 });
-    });
+    run_sampled(
+        &mut node,
+        &mut injector,
+        ms(2_000),
+        &mut series,
+        |n, t, s| {
+            s.push(t, "PFC Result", n.world.watchdog.pfc_errors_total() as f64);
+            let am: u32 = ["GetSensorValue", "SAFE_CC_process", "Speed_process"]
+                .iter()
+                .map(|r| n.counters_of(r).aliveness_errors)
+                .sum();
+            s.push(t, "AM Result", am as f64);
+            let faulty = n.world.watchdog.task_state(task).is_faulty();
+            s.push(t, "Task State", if faulty { 1.0 } else { 0.0 });
+        },
+    );
     series
 }
 
@@ -135,12 +144,18 @@ pub fn exp_arrival_rate(extra: u32) -> SeriesSet {
         ms(2_000),
     )]);
     let mut series = SeriesSet::new("exp_arrival_rate");
-    run_sampled(&mut node, &mut injector, ms(3_000), &mut series, |n, t, s| {
-        let c = n.counters_of("GetSensorValue");
-        s.push(t, "ARC", c.arc as f64);
-        s.push(t, "CCAR", c.ccar as f64);
-        s.push(t, "ARM Result", c.arrival_rate_errors as f64);
-    });
+    run_sampled(
+        &mut node,
+        &mut injector,
+        ms(3_000),
+        &mut series,
+        |n, t, s| {
+            let c = n.counters_of("GetSensorValue");
+            s.push(t, "ARC", c.arc as f64);
+            s.push(t, "CCAR", c.ccar as f64);
+            s.push(t, "ARM Result", c.arrival_rate_errors as f64);
+        },
+    );
     series
 }
 
@@ -159,16 +174,22 @@ pub fn exp_program_flow() -> SeriesSet {
         ms(2_000),
     )]);
     let mut series = SeriesSet::new("exp_program_flow");
-    run_sampled(&mut node, &mut injector, ms(3_000), &mut series, |n, t, s| {
-        s.push(t, "PFC Result", n.world.watchdog.pfc_errors_total() as f64);
-        // Violations are attributed to the *observed* unexpected successor:
-        // with Speed_process bypassed, that is the next cycle's entry.
-        s.push(
-            t,
-            "PFC on observed successor",
-            n.counters_of("GetSensorValue").program_flow_errors as f64,
-        );
-    });
+    run_sampled(
+        &mut node,
+        &mut injector,
+        ms(3_000),
+        &mut series,
+        |n, t, s| {
+            s.push(t, "PFC Result", n.world.watchdog.pfc_errors_total() as f64);
+            // Violations are attributed to the *observed* unexpected successor:
+            // with Speed_process bypassed, that is the next cycle's entry.
+            s.push(
+                t,
+                "PFC on observed successor",
+                n.counters_of("GetSensorValue").program_flow_errors as f64,
+            );
+        },
+    );
     series
 }
 
@@ -201,18 +222,10 @@ pub fn run_trial(spec: &TrialSpec, horizon: Instant) -> TrialOutcome {
     extract_outcome(&node, spec)
 }
 
-/// The blueprint every campaign node is built from, compiled once per
-/// process: every [`run_plan`] call runs [`campaign_node_config`], so one
-/// compilation serves them all and a pooled node always matches it.
-fn campaign_blueprint() -> &'static NodeBlueprint {
-    static BLUEPRINT: OnceLock<NodeBlueprint> = OnceLock::new();
-    BLUEPRINT.get_or_init(|| NodeBlueprint::compile(campaign_node_config()))
-}
-
 /// One share's pooled campaign state: the node and injector the share
 /// reuses for every trial it runs, plus two golden (injection-free)
-/// [`NodeSnapshot`]s of the one campaign blueprint that every trial
-/// rewinds to — capacity-retained, so steady-state capture and restore
+/// [`NodeSnapshot`]s of the campaign node that every trial rewinds
+/// to — capacity-retained, so steady-state capture and restore
 /// allocate nothing. A share takes a slot from [`NODE_POOL`] and puts it
 /// back when it is done, so slots outlive the executor's scoped threads
 /// and carry over from one [`run_plan`] call to the next.
@@ -233,7 +246,7 @@ struct PoolSlot {
 
 impl PoolSlot {
     fn new() -> Self {
-        let mut node = CentralNode::build_from_blueprint(campaign_blueprint());
+        let mut node = CentralNode::build(campaign_node_config());
         node.start();
         PoolSlot {
             cold: node.snapshot(),
@@ -267,18 +280,20 @@ fn detections_since(node: &CentralNode, from: Instant) -> Detections {
     let mut detections = Detections::default();
     for detection in node.world.watchdog.log().reported() {
         if detection.at >= from {
-            detections.record(detection.detector, detection.at.saturating_duration_since(from));
+            detections.record(
+                detection.detector,
+                detection.at.saturating_duration_since(from),
+            );
         }
     }
     detections
 }
 
 /// The outcome of a finished trial: its detections since `spec`'s
-/// injection start, stamped with the process-interned class tag, so
-/// stamping it allocates nothing.
+/// injection start, stamped with the static class tag.
 fn extract_outcome(node: &CentralNode, spec: &TrialSpec) -> TrialOutcome {
     TrialOutcome {
-        class: spec.injection.class.interned_tag(),
+        class: spec.injection.class.tag(),
         detections: detections_since(node, spec.injection.from),
     }
 }
@@ -325,7 +340,11 @@ fn disarm_instant(spec: &TrialSpec, fork: Instant, horizon: Instant) -> Option<I
 /// ascending.
 fn tail_key(spec: &TrialSpec, horizon: Instant) -> (Instant, &ErrorClass, Option<Instant>) {
     let fork = fork_instant(spec, horizon);
-    (fork, &spec.injection.class, disarm_instant(spec, fork, horizon))
+    (
+        fork,
+        &spec.injection.class,
+        disarm_instant(spec, fork, horizon),
+    )
 }
 
 /// Runs one trial's tail on a node already restored to this trial's fork
@@ -367,7 +386,7 @@ fn run_trial_tail(
 /// so it allocates nothing once warm. Outcomes are returned in spec
 /// order, so the campaign's stats are bit-identical to per-trial
 /// [`run_trial`] runs. The share's whole heap is the outcome vector,
-/// pre-stamped with the interned class tags, and the `u32` trial order.
+/// pre-stamped with the static class tags, and the `u32` trial order.
 ///
 /// On top sits **equivalence collapsing** (the fault-list collapsing of
 /// hardware fault-injection campaigns): the sort puts twins next to each
@@ -375,7 +394,10 @@ fn run_trial_tail(
 /// twin reads its outcome off the node that trial left, against its own
 /// injection start. Twins in different workers' shares each simulate.
 fn run_chunk_forked(specs: &[TrialSpec], horizon: Instant) -> Vec<TrialOutcome> {
-    let pooled = NODE_POOL.lock().expect("no share panics holding the pool lock").pop();
+    let pooled = NODE_POOL
+        .lock()
+        .expect("no share panics holding the pool lock")
+        .pop();
     let mut s = pooled.unwrap_or_else(PoolSlot::new);
 
     let trials = u32::try_from(specs.len()).expect("a share holds under 2^32 trials");
@@ -384,7 +406,7 @@ fn run_chunk_forked(specs: &[TrialSpec], horizon: Instant) -> Vec<TrialOutcome> 
 
     let mut outcomes: Vec<TrialOutcome> = specs
         .iter()
-        .map(|spec| TrialOutcome::new(spec.injection.class.interned_tag()))
+        .map(|spec| TrialOutcome::new(spec.injection.class.tag()))
         .collect();
     let mut simulated = None;
     for i in order.into_iter().map(|i| i as usize) {
@@ -415,14 +437,17 @@ fn run_chunk_forked(specs: &[TrialSpec], horizon: Instant) -> Vec<TrialOutcome> 
         // A twin of the trial just simulated reads the same node.
         outcomes[i].detections = detections_since(&s.node, spec.injection.from);
     }
-    NODE_POOL.lock().expect("no share panics holding the pool lock").push(s);
+    NODE_POOL
+        .lock()
+        .expect("no share panics holding the pool lock")
+        .push(s);
     outcomes
 }
 
 /// Runs every trial of `plan` on the given executor with golden-run
 /// prefix checkpointing (`run_chunk_forked`): each share of the plan runs
-/// on a pooled node built from the process-wide campaign
-/// [`NodeBlueprint`], the injection-free prefix is simulated once and
+/// on a pooled node built from [`campaign_node_config`], the
+/// injection-free prefix is simulated once and
 /// snapshot-forked per trial, and adjacent twins are collapsed onto one
 /// tail. The pooled nodes carry over to the next call at any worker
 /// count: a call builds, starts and captures a node only when more of its
@@ -466,7 +491,10 @@ mod tests {
             .rfind(|s| s.at <= ms(2_100))
             .unwrap()
             .value;
-        assert!(last - at_2100 <= 1.0, "post-window growth: {at_2100} → {last}");
+        assert!(
+            last - at_2100 <= 1.0,
+            "post-window growth: {at_2100} → {last}"
+        );
     }
 
     #[test]
@@ -483,7 +511,10 @@ mod tests {
             .rfind(|s| s.at <= faulty_at)
             .unwrap()
             .value;
-        assert!((3.0..=4.0).contains(&pfc_at_flip), "PFC at flip: {pfc_at_flip}");
+        assert!(
+            (3.0..=4.0).contains(&pfc_at_flip),
+            "PFC at flip: {pfc_at_flip}"
+        );
         // Exactly one accumulated aliveness error, as in the paper.
         assert_eq!(am.last_value().unwrap(), 1.0);
         // PFC freezes after deactivation.
@@ -502,7 +533,11 @@ mod tests {
                 .fold(0.0, f64::max),
             0.0
         );
-        assert!(arm.last_value().unwrap() >= 50.0, "{}", arm.last_value().unwrap());
+        assert!(
+            arm.last_value().unwrap() >= 50.0,
+            "{}",
+            arm.last_value().unwrap()
+        );
     }
 
     #[test]
@@ -537,13 +572,12 @@ mod tests {
         use easis_injection::campaign::CampaignBuilder;
         use easis_injection::executor::CampaignExecutor;
         let horizon = ms(700);
-        let plan =
-            CampaignBuilder::new(23, (3..6).map(easis_rte::runnable::RunnableId).collect())
-                .loop_targets(vec![easis_rte::runnable::RunnableId(4)])
-                .trials_per_class(2)
-                .window(ms(200), easis_sim::time::Duration::from_millis(200))
-                .with_horizon(horizon)
-                .build();
+        let plan = CampaignBuilder::new(23, (3..6).map(easis_rte::runnable::RunnableId).collect())
+            .loop_targets(vec![easis_rte::runnable::RunnableId(4)])
+            .trials_per_class(2)
+            .window(ms(200), easis_sim::time::Duration::from_millis(200))
+            .with_horizon(horizon)
+            .build();
         let exec = CampaignExecutor::serial();
         // Every trial on its own fresh build with the kernel trace
         // recording: the trace never feeds an outcome.
@@ -591,7 +625,10 @@ mod tests {
         let reference = CampaignExecutor::serial().run(&plan, |spec| run_trial(spec, horizon));
         // Serially every twin collapses onto the tail simulated before
         // it; with one trial per worker every twin simulates its own.
-        for exec in [CampaignExecutor::serial(), CampaignExecutor::new(plan.len())] {
+        for exec in [
+            CampaignExecutor::serial(),
+            CampaignExecutor::new(plan.len()),
+        ] {
             let stats = run_plan(&plan, horizon, &exec);
             assert_eq!(stats, reference, "{exec:?}");
             let aliveness = |i: usize| stats.trials()[i].detections[&DetectorId::SwAliveness];
@@ -636,7 +673,10 @@ mod tests {
         for horizon_ms in [1, 19, 20, 21, 39, 40, 41, 59, 60, 61] {
             let horizon = ms(horizon_ms);
             let reference = CampaignExecutor::serial().run(&plan, |spec| run_trial(spec, horizon));
-            for exec in [CampaignExecutor::serial(), CampaignExecutor::new(plan.len())] {
+            for exec in [
+                CampaignExecutor::serial(),
+                CampaignExecutor::new(plan.len()),
+            ] {
                 assert_eq!(
                     run_plan(&plan, horizon, &exec),
                     reference,
@@ -681,7 +721,11 @@ mod tests {
         for (spec, outcome) in plan.trials().iter().zip(stats.trials()) {
             assert_eq!(*outcome, run_trial(spec, horizon), "{:?}", spec.injection);
         }
-        assert!(stats.trials()[0].detections.is_empty(), "{:?}", stats.trials()[0]);
+        assert!(
+            stats.trials()[0].detections.is_empty(),
+            "{:?}",
+            stats.trials()[0]
+        );
         assert_eq!(
             stats.trials()[1].detections,
             Detections::from([
@@ -803,7 +847,6 @@ mod tests {
                 (DetectorId::ExecTimeMonitor, latency(20)),
             ])
         );
-        assert_eq!(&*outcome.class, "skip_runnable");
+        assert_eq!(outcome.class, "skip_runnable");
     }
 }
-

@@ -8,7 +8,6 @@
 use easis::injection::{CampaignBuilder, CampaignExecutor};
 use easis::rte::runnable::RunnableId;
 use easis::sim::time::{Duration, Instant};
-use easis::validator::node::NodeBlueprint;
 use easis::validator::scenario::{campaign_node_config, run_plan};
 use easis::validator::CentralNode;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -61,9 +60,8 @@ fn parallel_campaigns_reuse_the_pooled_nodes() {
 
     // What a share pays for a node the pool cannot give it: build, start
     // and capture at t=0.
-    let blueprint = NodeBlueprint::compile(campaign_node_config());
     let before = allocations();
-    let mut node = CentralNode::build_from_blueprint(&blueprint);
+    let mut node = CentralNode::build(campaign_node_config());
     node.start();
     let cold = node.snapshot();
     let node_build = allocations() - before;

@@ -1142,8 +1142,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// A node rewind is invisible at full-state level: a node built from a
-    /// campaign blueprint, started and captured at t=0, dirtied by a
+    /// A node rewind is invisible at full-state level: a node built from
+    /// the campaign configuration, started and captured at t=0, dirtied by a
     /// different trial and restored to that capture ends the test trial in
     /// exactly the state — kernel, world, detection log — of the same
     /// trial on a freshly built node. Few cases: every case
@@ -1155,7 +1155,6 @@ proptest! {
         test_pick in any::<u32>(),
         dirty_pick in any::<u32>(),
     ) {
-        use easis::validator::node::NodeBlueprint;
         let horizon = Instant::from_millis(700);
         let plan = CampaignBuilder::new(seed, (0..9).map(RunnableId).collect())
             .loop_targets(vec![RunnableId(4), RunnableId(7)])
@@ -1175,9 +1174,7 @@ proptest! {
         run(&mut fresh, spec);
         // Dirty the reused node with an unrelated trial first, so the
         // comparison exercises a rewind from a faulted state, not first use.
-        let mut reused = CentralNode::build_from_blueprint(
-            &NodeBlueprint::compile(campaign_node_config()),
-        );
+        let mut reused = CentralNode::build(campaign_node_config());
         reused.start();
         let cold = reused.snapshot();
         run(&mut reused, dirty);
@@ -1210,7 +1207,6 @@ proptest! {
     ) {
         use easis::osek::kernel::Os;
         use easis::rte::control::RunnableControls;
-        use easis::validator::node::NodeBlueprint;
         let horizon = Instant::from_millis(700);
         let plan = CampaignBuilder::new(seed, (0..9).map(RunnableId).collect())
             .loop_targets(vec![RunnableId(4), RunnableId(7)])
@@ -1233,14 +1229,13 @@ proptest! {
             first + 10 * (u64::from(instant_pick) % instants)
         });
 
-        let blueprint = NodeBlueprint::compile(campaign_node_config());
-        let mut a = CentralNode::build_from_blueprint(&blueprint);
+        let mut a = CentralNode::build(campaign_node_config());
         a.start();
         let mut injector_a = Injector::new([injection.clone()]);
         a.run_until(capture, &mut injector_a);
         let captured = a.snapshot();
 
-        let mut b = CentralNode::build_from_blueprint(&blueprint);
+        let mut b = CentralNode::build(campaign_node_config());
         b.start();
         b.run_until(horizon, &mut Injector::new([dirty.injection.clone()]));
         b.restore_from(&captured);
